@@ -1,20 +1,41 @@
 GO ?= go
 
-.PHONY: all build check vet test race bench bench-json bench-tiles profile repro fuzz clean serve-smoke ensemble-smoke crash-test chaos-test overload-test
+.PHONY: all build check check-bce vet test race bench bench-json bench-tiles profile repro fuzz clean serve-smoke ensemble-smoke crash-test chaos-test overload-test
 
 all: build check test
 
 build:
 	$(GO) build ./...
 
-# static analysis plus the race-sensitive engine packages (the simulated-MPI
-# world, the step-pipeline drivers, the job service worker pool, the ensemble
-# campaign scheduler, the durability layers, and the telemetry collectors)
-# under the race detector
-check: vet overload-test
+# static analysis, the bounds-check pin on the sweep kernels, plus the
+# race-sensitive engine packages (the simulated-MPI world, the step-pipeline
+# drivers, the job service worker pool, the ensemble campaign scheduler, the
+# durability layers, and the telemetry collectors) and the medium's
+# build-once reciprocal under the race detector
+check: vet check-bce overload-test
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
 		./internal/ensemble/ ./internal/checkpoint/ ./internal/faultinject/ \
 		./internal/telemetry/ ./internal/admission/
+	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium'
+
+# the sweep kernels (velocity, stress, sponge, attenuation, plasticity) must
+# keep their inner loops free of index bounds checks: compile their packages
+# with the SSA bounds-check report and fail on any "Found IsInBounds" in a
+# sweep-kernel file, naming its line. "Found IsSliceInBounds" is the per-row
+# operand slicing and is expected; both counts are printed per file.
+BCE_FILES = internal/fd/sweep.go internal/plasticity/sweep.go
+check-bce:
+	@out=$$($(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/fd ./internal/plasticity 2>&1) \
+		|| { echo "$$out"; exit 1; }; \
+	bad=0; \
+	for f in $(BCE_FILES); do \
+		idx=$$(echo "$$out" | grep "^$$f:" | grep -c "Found IsInBounds"); \
+		slc=$$(echo "$$out" | grep "^$$f:" | grep -c "Found IsSliceInBounds"); \
+		echo "check-bce: $$f: $$idx IsInBounds, $$slc IsSliceInBounds"; \
+		if [ "$$idx" != 0 ]; then echo "$$out" | grep "^$$f:" | grep "Found IsInBounds"; bad=1; fi; \
+		if [ "$$slc" = 0 ]; then echo "check-bce: no report for $$f (renamed? report format changed?)"; bad=1; fi; \
+	done; \
+	exit $$bad
 
 vet:
 	$(GO) vet ./...

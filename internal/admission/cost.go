@@ -54,14 +54,9 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 	}
 	h := int64(grid.DefaultHalo)
 	padded := (int64(block.Nx) + 2*h) * (int64(block.Ny) + 2*h) * (int64(block.Nz) + 2*h)
-	interior := block.Points()
 
 	st := cfg.Storage()
-	perRank := padded * (4*int64(st.FullFields32) + 2*int64(st.FullFields16))
-	if st.SpongeRamp {
-		perRank += interior * 4
-	}
-	bytes := ranks * perRank
+	bytes := ranks * padded * (4*int64(st.FullFields32) + 2*int64(st.FullFields16))
 
 	if st.SurfacePGV {
 		// per-rank block maps plus the merged global map (float64 cells)
@@ -90,7 +85,7 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 	if cfg.Nonlinear {
 		weight++
 	}
-	if st.SpongeRamp {
+	if cfg.SpongeWidth > 0 {
 		weight += 0.3
 	}
 	if cfg.Attenuation.Enabled {

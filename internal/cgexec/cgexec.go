@@ -280,14 +280,7 @@ func runTile(wf *fd.Wavefield, med *fd.Medium, t tile, kernel func(*fd.Wavefield
 	sub.XX, sub.YY, sub.ZZ = subFields[3], subFields[4], subFields[5]
 	sub.XY, sub.XZ, sub.YZ = subFields[6], subFields[7], subFields[8]
 
-	subMed := &fd.Medium{
-		D:   d,
-		Rho: med.Rho.ExtractSubfield(0, t.j0, t.k0, d, h),
-		Lam: med.Lam.ExtractSubfield(0, t.j0, t.k0, d, h),
-		Mu:  med.Mu.ExtractSubfield(0, t.j0, t.k0, d, h),
-	}
-
-	kernel(sub, subMed, 0, d.Nz)
+	kernel(sub, med.Sub(0, t.j0, t.k0, d), 0, d.Nz)
 
 	for i, f := range wf.AllFields() {
 		f.InsertSubfield(0, t.j0, t.k0, subFields[i])

@@ -319,8 +319,22 @@ func TestPerfAccounting(t *testing.T) {
 	if p.PlasticityPoints != 0 {
 		t.Fatal("linear run counted plasticity")
 	}
-	if p.SpongePoints != wantPts {
-		t.Fatalf("sponge points %d", p.SpongePoints)
+	// the sponge counts only the cells it changes: everything outside the
+	// undamped core [w,Nx-w) x [w,Ny-w) x [0,Nz-w)
+	w := cfg.SpongeWidth
+	core := int64(cfg.Dims.Nx-2*w) * int64(cfg.Dims.Ny-2*w) * int64(cfg.Dims.Nz-w)
+	wantSponge := (cfg.Dims.Points() - core) * 10
+	if p.SpongePoints != wantSponge {
+		t.Fatalf("sponge points %d, want %d", p.SpongePoints, wantSponge)
+	}
+	// per-block counts sum to the serial count
+	par, err := RunParallel(cfg, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Perf.SpongePoints != wantSponge || par.Perf.Flops() != p.Flops() {
+		t.Fatalf("2x2 sponge points %d flops %d, serial %d / %d",
+			par.Perf.SpongePoints, par.Perf.Flops(), wantSponge, p.Flops())
 	}
 	if p.Flops() <= 0 || p.Gflops() <= 0 || p.PointsPerSecond() <= 0 {
 		t.Fatalf("degenerate perf: %v", p)

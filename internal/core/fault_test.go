@@ -10,6 +10,7 @@ import (
 	"swquake/internal/checkpoint"
 	"swquake/internal/faultinject"
 	"swquake/internal/mpi"
+	"swquake/internal/source"
 )
 
 // TestDivergedPredicate pins the one divergence predicate both the serial
@@ -291,5 +292,58 @@ func assertRunsEqual(t *testing.T, got, want *Result) {
 		got.Perf.SpongePoints != want.Perf.SpongePoints ||
 		got.Perf.HaloBytes != want.Perf.HaloBytes {
 		t.Fatalf("perf differs:\n got %+v\nwant %+v", got.Perf, want.Perf)
+	}
+}
+
+// nanFrom is a source-time function that turns NaN from time T on.
+type nanFrom struct {
+	source.STF
+	T float64
+}
+
+func (n nanFrom) MomentRate(t float64) float64 {
+	if t >= n.T {
+		return math.NaN()
+	}
+	return n.STF.MomentRate(t)
+}
+
+// TestNaNVelocityIsDivergence: a NaN in the velocity field must stop the
+// run at the step it appears, with the "diverged" error — not be skipped by
+// the max-|v| scan (every float comparison against NaN is false; a field of
+// nothing but NaN used to report max |v| = 0 and the run "succeeded").
+// Serial: one velocity cell is poisoned after step 5 completes. 2x1 ranks:
+// a source injects NaN into the stresses during step 5, which the velocity
+// kernel of step 6 turns into NaN velocities on one rank; every rank must
+// stop there.
+func TestNaNVelocityIsDivergence(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Steps = 12
+
+	var sim *Simulator
+	cfg.Observer = func(ev StepEvent) {
+		if ev.Step == 5 {
+			sim.WF.V.Set(3, 4, 5, float32(math.NaN()))
+		}
+	}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err == nil || !strings.Contains(err.Error(), "diverged at step 5 ") {
+		t.Fatalf("serial: err = %v, want divergence at step 5", err)
+	}
+
+	cfg.Observer = nil
+	sim, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := cfg.Sources[0]
+	// step n injects at t = (n-1)*dt
+	src.S = nanFrom{STF: src.S, T: 3.5 * sim.Dt()}
+	cfg.Sources = []source.PointSource{src}
+	if _, err := RunParallel(cfg, 2, 1); err == nil || !strings.Contains(err.Error(), "diverged at step 6 ") {
+		t.Fatalf("2x1: err = %v, want divergence at step 6", err)
 	}
 }

@@ -9,13 +9,14 @@ import "swquake/internal/compress"
 // silently drift from what New actually allocates:
 //
 //   - fd.NewWavefield: 9 dynamic fields (u,v,w + 6 stresses)
-//   - fd.NewMediumFromModel: 3 material fields (rho, lambda, mu)
+//   - fd.NewMediumFromModel: 4 material fields (rho, lambda, mu and the
+//     reciprocal 1/mu the stress kernel reads)
 //   - plasticity.NewParams: 6 fields when Nonlinear
 //   - fd.NewAttenuation: 2 fields (GP, GS); fd.NewSLS: 13 (6 memory + 6
 //     snapshots + phi)
 //   - newCompressedState: one 16-bit companion per dynamic field (the
 //     float32 wavefield stays allocated as the decompress working buffer)
-//   - fd.NewSponge: one interior-sized (no halo) float32 ramp
+//   - fd.NewSponge: three 1-D profiles — not counted
 //   - seismo.NewPGVField: one Nx×Ny float64 surface map
 type Storage struct {
 	// FullFields32 counts float32 fields allocated over the full block
@@ -24,8 +25,6 @@ type Storage struct {
 	// FullFields16 counts 16-bit compressed companions of the same padded
 	// extent (compressed runs keep both representations resident).
 	FullFields16 int
-	// SpongeRamp marks the interior-sized float32 damping ramp.
-	SpongeRamp bool
 	// SurfacePGV marks the Nx×Ny float64 peak-ground-velocity map.
 	SurfacePGV bool
 }
@@ -34,7 +33,7 @@ type Storage struct {
 // of this configuration. It does not validate; counts reflect the
 // configuration as given (call Validate first for defaults).
 func (c Config) Storage() Storage {
-	st := Storage{FullFields32: 9 + 3} // wavefield + medium
+	st := Storage{FullFields32: 9 + 4} // wavefield + medium
 	if c.Nonlinear {
 		st.FullFields32 += 6
 	}
@@ -48,7 +47,6 @@ func (c Config) Storage() Storage {
 	if c.Compression.Method != compress.Off {
 		st.FullFields16 = 9
 	}
-	st.SpongeRamp = c.SpongeWidth > 0
 	st.SurfacePGV = c.RecordPGV
 	return st
 }

@@ -89,7 +89,8 @@ func TestResumeReproducesTracesAndPGV(t *testing.T) {
 	}
 	if res2.Perf.Steps != refRes.Perf.Steps ||
 		res2.Perf.VelocityPoints != refRes.Perf.VelocityPoints ||
-		res2.Perf.PlasticityPoints != refRes.Perf.PlasticityPoints {
+		res2.Perf.PlasticityPoints != refRes.Perf.PlasticityPoints ||
+		res2.Perf.SpongePoints != refRes.Perf.SpongePoints || refRes.Perf.SpongePoints == 0 {
 		t.Fatalf("perf counters differ: %+v vs %+v", res2.Perf, refRes.Perf)
 	}
 

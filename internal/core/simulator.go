@@ -233,7 +233,7 @@ func (s *Simulator) countKernels() {
 		s.perf.PlasticityPoints += pts
 	}
 	if s.sponge != nil {
-		s.perf.SpongePoints += pts
+		s.perf.SpongePoints += s.sponge.DampedPoints()
 	}
 	s.perf.Steps++
 }

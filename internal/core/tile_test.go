@@ -107,6 +107,52 @@ func TestTiledAndOverlappedMatchSerial(t *testing.T) {
 	}
 }
 
+// TestNonlinearQTiledAndRanksMatchSerial runs the benchmark's physics —
+// plasticity plus the constant-Q damper, which the SLS-based gate above does
+// not reach — with two tiles and on 2x1 ranks, against the plain serial run.
+// The tiled simulator steps a hand-built copy of its medium, so the first
+// stress fan is also the first use of the medium: both tile workers ask for
+// the reciprocal shear modulus at once, and under -race (make check) this
+// proves it is built once and published safely.
+func TestNonlinearQTiledAndRanksMatchSerial(t *testing.T) {
+	base := fullPhysicsConfig()
+	base.Attenuation = AttenuationConfig{Enabled: true, F0: 3, Qp: 60, Qs: 30}
+	base.Plasticity = PlasticityConfig{Cohesion: 1e3, FrictionAngle: 30 * math.Pi / 180}
+	refSim, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refSim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.YieldedPointSteps == 0 {
+		t.Fatal("reference run never yields; the test would not exercise plasticity")
+	}
+
+	cfg := base
+	cfg.Tiles = 2
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	med := fd.NewMedium(cfg.Dims)
+	med.Rho.CopyFrom(sim.Med.Rho)
+	med.Lam.CopyFrom(sim.Med.Lam)
+	med.Mu.CopyFrom(sim.Med.Mu)
+	sim.Med = med
+	got, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdenticalResults(t, "serial tiles=2, reciprocal built in the fan", ref, got, cfg)
+
+	if got, err = RunParallel(base, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	requireIdenticalResults(t, "parallel 2x1", ref, got, base)
+}
+
 // TestTilesOverlapValidation: Overlap requires uncompressed storage (the
 // slab decode/encode cycle leaves no interior to hide the exchange behind),
 // and SunwaySim requires full-block kernel calls.

@@ -61,11 +61,7 @@ func TestCGTilingComposesWithKernels(t *testing.T) {
 			U: subs[0], V: subs[1], W: subs[2],
 			XX: subs[3], YY: subs[4], ZZ: subs[5],
 			XY: subs[6], XZ: subs[7], YZ: subs[8]}
-		smed := &fd.Medium{D: sub,
-			Rho: med.Rho.ExtractSubfield(0, tl.J0, tl.K0, sub, h),
-			Lam: med.Lam.ExtractSubfield(0, tl.J0, tl.K0, sub, h),
-			Mu:  med.Mu.ExtractSubfield(0, tl.J0, tl.K0, sub, h)}
-		fd.UpdateVelocity(swf, smed, 0.001, 0, sub.Nz)
+		fd.UpdateVelocity(swf, med.Sub(0, tl.J0, tl.K0, sub), 0.001, 0, sub.Nz)
 		for i, f := range fields {
 			f.InsertSubfield(0, tl.J0, tl.K0, subs[i])
 		}

@@ -10,15 +10,23 @@ import (
 // zone of configurable width, every dynamic field is multiplied each step by
 // a smooth damping profile < 1, absorbing outgoing waves. The top (k=0) face
 // is never damped — it carries the free surface.
+//
+// The profile is separable: the factor at (i,j,k) is
+// float32(cx[i]*cy[j]*cz[k]), the product of three 1-D float64 Cerjan
+// profiles that are exactly 1 outside their zones. The sponge stores only
+// those (no per-point array) and ApplyRegion skips every cell whose factor
+// is 1. Under decomposition a block's cx and cy are the slices of the
+// global profiles at the block's offset, so a rank damps exactly the cells
+// of the global zones it owns, by exactly the serial factors.
 type Sponge struct {
 	D     struct{ Nx, Ny, Nz int }
 	Width int
-	// damp holds per-point damping factors, flattened like the fields but
-	// only over the interior (halo points are refreshed by exchanges).
-	damp []float32
-	// nonTrivial lists interior points with damp < 1 so the common interior
-	// fast path can skip multiplication entirely... kept simple: we store
-	// the full profile and rely on damp==1 being a cheap multiply.
+
+	cx, cy, cz []float64
+	// kz0 is the first k of the bottom zone: cz[k] == 1 for k < kz0
+	kz0 int
+	// damped counts the block's cells whose factor differs from 1
+	damped int64
 }
 
 // NewSponge builds a Cerjan sponge of the given width for dims (nx,ny,nz)
@@ -35,15 +43,31 @@ func NewSponge(nx, ny, nz, width int, alpha float64) *Sponge {
 func NewSpongeGlobal(gnx, gny, gnz, width int, alpha float64, i0, j0, nx, ny, nz int) *Sponge {
 	s := &Sponge{Width: width}
 	s.D.Nx, s.D.Ny, s.D.Nz = nx, ny, nz
-	s.damp = make([]float32, nx*ny*nz)
+	s.cx = make([]float64, nx)
+	for i := range s.cx {
+		s.cx[i] = cerjan(i0+i, gnx, width, alpha, true, true)
+	}
+	s.cy = make([]float64, ny)
+	for j := range s.cy {
+		s.cy[j] = cerjan(j0+j, gny, width, alpha, true, true)
+	}
+	s.cz = make([]float64, nz)
+	for k := range s.cz {
+		s.cz[k] = cerjan(k, gnz, width, alpha, false, true) // no damping at the free surface
+	}
+	for s.kz0 < nz && s.cz[s.kz0] == 1 {
+		s.kz0++
+	}
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
-			for k := 0; k < nz; k++ {
-				d := 1.0
-				d *= cerjan(i0+i, gnx, width, alpha, true, true)
-				d *= cerjan(j0+j, gny, width, alpha, true, true)
-				d *= cerjan(k, gnz, width, alpha, false, true) // no damping at the free surface
-				s.damp[(i*ny+j)*nz+k] = float32(d)
+			k0 := 0
+			if s.cx[i]*s.cy[j] == 1 {
+				k0 = s.kz0
+			}
+			for k := k0; k < nz; k++ {
+				if s.Factor(i, j, k) != 1 {
+					s.damped++
+				}
 			}
 		}
 	}
@@ -66,8 +90,14 @@ func cerjan(v, n, width int, alpha float64, lowSide, highSide bool) float64 {
 
 // Factor returns the damping factor at interior point (i,j,k).
 func (s *Sponge) Factor(i, j, k int) float32 {
-	return s.damp[(i*s.D.Ny+j)*s.D.Nz+k]
+	return float32(s.cx[i] * s.cy[j] * s.cz[k])
 }
+
+// DampedPoints returns how many of the block's cells have a factor other
+// than 1 — the cells ApplyRegion over the whole block does arithmetic on
+// that changes anything. The blocks of a decomposition sum to the serial
+// count.
+func (s *Sponge) DampedPoints() int64 { return s.damped }
 
 // Apply multiplies all nine dynamic fields by the damping profile over the
 // z-range [k0,k1). Thin full-x/y wrapper over ApplyRegion.

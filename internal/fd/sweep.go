@@ -1,0 +1,245 @@
+package fd
+
+import "swquake/internal/grid"
+
+// The sweep kernels (velocity, stress, sponge, attenuation; plasticity in
+// its own package) share one shape: a driver walks the (i,j) columns of the
+// region and, per column, slices every operand's z-row once — a[p+off:],
+// where off is the stencil offset — and hands the rows to a small row
+// function. The row function cuts each operand to the output's length
+// (one slice check per operand per row) and then loops `for k := range
+// out`, which the compiler proves in bounds for every operand: the inner
+// loops carry no index checks (`make check-bce` pins that). The arithmetic
+// of each row function is, operation for operation and in the same order,
+// that of the flat-index loops kept in sweep_ref_test.go, which the
+// property tests compare against bit for bit.
+
+// UpdateVelocityRegion advances the velocity components over the region.
+func UpdateVelocityRegion(wf *Wavefield, med *Medium, dtdx float32, r grid.Region) {
+	if r.Empty() {
+		return
+	}
+	n := r.K1 - r.K0
+	sx, sy := wf.U.StrideX(), wf.U.StrideY()
+	u, v, w := wf.U.Data, wf.V.Data, wf.W.Data
+	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
+	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
+	rho := med.Rho.Data
+
+	for i := r.I0; i < r.I1; i++ {
+		for j := r.J0; j < r.J1; j++ {
+			p := wf.U.Idx(i, j, r.K0)
+			// u at (i+1/2, j, k): rho averaged along x
+			velocityRow(u[p:][:n], dtdx, rho[p:], rho[p+sx:],
+				xx[p+sx:], xx[p:], xx[p+2*sx:], xx[p-sx:],
+				xy[p:], xy[p-sy:], xy[p+sy:], xy[p-2*sy:],
+				xz[p:], xz[p-1:], xz[p+1:], xz[p-2:])
+			// v at (i, j+1/2, k): rho averaged along y
+			velocityRow(v[p:][:n], dtdx, rho[p:], rho[p+sy:],
+				xy[p:], xy[p-sx:], xy[p+sx:], xy[p-2*sx:],
+				yy[p+sy:], yy[p:], yy[p+2*sy:], yy[p-sy:],
+				yz[p:], yz[p-1:], yz[p+1:], yz[p-2:])
+			// w at (i, j, k+1/2): rho averaged along z
+			velocityRow(w[p:][:n], dtdx, rho[p:], rho[p+1:],
+				xz[p:], xz[p-sx:], xz[p+sx:], xz[p-2*sx:],
+				yz[p:], yz[p-sy:], yz[p+sy:], yz[p-2*sy:],
+				zz[p+1:], zz[p:], zz[p+2:], zz[p-1:])
+		}
+	}
+}
+
+// velocityRow advances one velocity component along a z-row:
+//
+//	out += dtdx*2/(r0+r1) * (D(a) + D(b) + D(c))
+//
+// where r0,r1 are the two densities the component's staggered position
+// averages and D(f) = C1*(f1-f0) + C2*(f2-f3) is the 4th-order derivative
+// of one stress component (f1,f0 the inner pair, f2,f3 the outer pair).
+func velocityRow(out []float32, dtdx float32, r0, r1,
+	a1, a0, a2, a3, b1, b0, b2, b3, c1, c0, c2, c3 []float32) {
+	n := len(out)
+	r0, r1 = r0[:n], r1[:n]
+	a1, a0, a2, a3 = a1[:n], a0[:n], a2[:n], a3[:n]
+	b1, b0, b2, b3 = b1[:n], b0[:n], b2[:n], b3[:n]
+	c1, c0, c2, c3 = c1[:n], c0[:n], c2[:n], c3[:n]
+	for k := range out {
+		rr := dtdx * 2 / (r0[k] + r1[k])
+		d := C1*(a1[k]-a0[k]) + C2*(a2[k]-a3[k]) +
+			C1*(b1[k]-b0[k]) + C2*(b2[k]-b3[k]) +
+			C1*(c1[k]-c0[k]) + C2*(c2[k]-c3[k])
+		out[k] += rr * d
+	}
+}
+
+// UpdateStressRegion advances the stress components over the region. Per
+// column it runs one diagonal row loop (xx,yy,zz) and the shared shear row
+// loop three times (xy, xz, yz); the shear loops read the medium's
+// reciprocal shear modulus, so the four-point harmonic mean costs one
+// divide instead of five.
+func UpdateStressRegion(wf *Wavefield, med *Medium, dtdx float32, r grid.Region) {
+	if r.Empty() {
+		return
+	}
+	n := r.K1 - r.K0
+	sx, sy := wf.U.StrideX(), wf.U.StrideY()
+	u, v, w := wf.U.Data, wf.V.Data, wf.W.Data
+	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
+	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
+	lam, mu, rm := med.Lam.Data, med.Mu.Data, med.recipMu().Data
+
+	for i := r.I0; i < r.I1; i++ {
+		for j := r.J0; j < r.J1; j++ {
+			p := wf.U.Idx(i, j, r.K0)
+			stressDiagRow(xx[p:][:n], yy[p:], zz[p:], dtdx, lam[p:], mu[p:],
+				u[p:], u[p-sx:], u[p+sx:], u[p-2*sx:],
+				v[p:], v[p-sy:], v[p+sy:], v[p-2*sy:],
+				w[p:], w[p-1:], w[p+1:], w[p-2:])
+			// sxy at (i+1/2, j+1/2, k): mu over (i,j) (i+1,j) (i,j+1) (i+1,j+1)
+			stressShearRow(xy[p:][:n], dtdx, rm[p:], rm[p+sx:], rm[p+sy:], rm[p+sx+sy:],
+				u[p+sy:], u[p:], u[p+2*sy:], u[p-sy:],
+				v[p+sx:], v[p:], v[p+2*sx:], v[p-sx:])
+			// sxz at (i+1/2, j, k+1/2)
+			stressShearRow(xz[p:][:n], dtdx, rm[p:], rm[p+sx:], rm[p+1:], rm[p+sx+1:],
+				u[p+1:], u[p:], u[p+2:], u[p-1:],
+				w[p+sx:], w[p:], w[p+2*sx:], w[p-sx:])
+			// syz at (i, j+1/2, k+1/2)
+			stressShearRow(yz[p:][:n], dtdx, rm[p:], rm[p+sy:], rm[p+1:], rm[p+sy+1:],
+				v[p+1:], v[p:], v[p+2:], v[p-1:],
+				w[p+sy:], w[p:], w[p+2*sy:], w[p-sy:])
+		}
+	}
+}
+
+// stressDiagRow advances the three diagonal stresses along a z-row from the
+// velocity gradients at the cell centre. Operand order per velocity
+// component: centre, -1, +1, -2 along its own axis.
+func stressDiagRow(xx, yy, zz []float32, dtdx float32, lam, mu,
+	u0, um1, up1, um2, v0, vm1, vp1, vm2, w0, wm1, wp1, wm2 []float32) {
+	n := len(xx)
+	yy, zz, lam, mu = yy[:n], zz[:n], lam[:n], mu[:n]
+	u0, um1, up1, um2 = u0[:n], um1[:n], up1[:n], um2[:n]
+	v0, vm1, vp1, vm2 = v0[:n], vm1[:n], vp1[:n], vm2[:n]
+	w0, wm1, wp1, wm2 = w0[:n], wm1[:n], wp1[:n], wm2[:n]
+	for k := range xx {
+		vxx := C1*(u0[k]-um1[k]) + C2*(up1[k]-um2[k])
+		vyy := C1*(v0[k]-vm1[k]) + C2*(vp1[k]-vm2[k])
+		vzz := C1*(w0[k]-wm1[k]) + C2*(wp1[k]-wm2[k])
+
+		l, m := lam[k], mu[k]
+		l2m := l + 2*m
+		tr := vyy + vzz
+		xx[k] += dtdx * (l2m*vxx + l*tr)
+		yy[k] += dtdx * (l2m*vyy + l*(vxx+vzz))
+		zz[k] += dtdx * (l2m*vzz + l*(vxx+vyy))
+	}
+}
+
+// stressShearRow advances one shear stress along a z-row:
+//
+//	out += dtdx * 4/(ra+rb+rc+rd) * (D(a) + D(b))
+//
+// ra..rd are the reciprocal shear moduli of the four cells around the
+// component's staggered position. 4/(sum of reciprocals) is the harmonic
+// mean 4/(1/a+1/b+1/c+1/d) with the four divides hoisted into the medium:
+// the same float32 operations in the same order, hence the same bits. A
+// fluid cell (mu = 0) has reciprocal +Inf, the sum is +Inf and 4/+Inf = +0,
+// which is what harmonic4 returns for it explicitly. D is the derivative of
+// velocityRow.
+func stressShearRow(out []float32, dtdx float32, ra, rb, rc, rd,
+	a1, a0, a2, a3, b1, b0, b2, b3 []float32) {
+	n := len(out)
+	ra, rb, rc, rd = ra[:n], rb[:n], rc[:n], rd[:n]
+	a1, a0, a2, a3 = a1[:n], a0[:n], a2[:n], a3[:n]
+	b1, b0, b2, b3 = b1[:n], b0[:n], b2[:n], b3[:n]
+	for k := range out {
+		m := 4 / (ra[k] + rb[k] + rc[k] + rd[k])
+		d := C1*(a1[k]-a0[k]) + C2*(a2[k]-a3[k]) +
+			C1*(b1[k]-b0[k]) + C2*(b2[k]-b3[k])
+		out[k] += dtdx * m * d
+	}
+}
+
+// ApplyRegion multiplies the nine dynamic fields by the damping profile
+// over the region. Only the boundary shells are touched: a column outside
+// the x and y zones (cx*cy == 1) is damped from the top of the bottom zone
+// down, and not at all above it — multiplying by 1.0 leaves every value
+// arithmetic can produce (-0, denormals, ±Inf, quiet NaNs) bit for bit as
+// it was, so skipping it is exact.
+func (s *Sponge) ApplyRegion(wf *Wavefield, r grid.Region) {
+	if r.Empty() {
+		return
+	}
+	u, v, w := wf.U.Data, wf.V.Data, wf.W.Data
+	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
+	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
+	for di, cx := range s.cx[r.I0:r.I1] {
+		for dj, cy := range s.cy[r.J0:r.J1] {
+			cxy := cx * cy
+			k0 := r.K0
+			if cxy == 1 && k0 < s.kz0 {
+				k0 = s.kz0
+			}
+			if k0 >= r.K1 {
+				continue
+			}
+			p := wf.U.Idx(r.I0+di, r.J0+dj, k0)
+			spongeRow(cxy, s.cz[k0:r.K1], u[p:], v[p:], w[p:],
+				xx[p:], yy[p:], zz[p:], xy[p:], xz[p:], yz[p:])
+		}
+	}
+}
+
+// spongeRow multiplies one z-row of every dynamic field by the factor
+// float32(cxy*cz[k]), formed exactly as Factor forms it.
+func spongeRow(cxy float64, cz []float64, u, v, w, xx, yy, zz, xy, xz, yz []float32) {
+	n := len(cz)
+	u, v, w = u[:n], v[:n], w[:n]
+	xx, yy, zz = xx[:n], yy[:n], zz[:n]
+	xy, xz, yz = xy[:n], xz[:n], yz[:n]
+	for k := range cz {
+		d := float32(cxy * cz[k])
+		u[k] *= d
+		v[k] *= d
+		w[k] *= d
+		xx[k] *= d
+		yy[k] *= d
+		zz[k] *= d
+		xy[k] *= d
+		xz[k] *= d
+		yz[k] *= d
+	}
+}
+
+// ApplyRegion damps the stress components over the region: diagonal
+// stresses by the P factor, shear stresses by the S factor.
+func (a *Attenuation) ApplyRegion(wf *Wavefield, r grid.Region) {
+	if r.Empty() {
+		return
+	}
+	n := r.K1 - r.K0
+	gp, gs := a.GP.Data, a.GS.Data
+	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
+	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
+	for i := r.I0; i < r.I1; i++ {
+		for j := r.J0; j < r.J1; j++ {
+			p := wf.XX.Idx(i, j, r.K0)
+			attenuationRow(gp[p:][:n], gs[p:], xx[p:], yy[p:], zz[p:], xy[p:], xz[p:], yz[p:])
+		}
+	}
+}
+
+// attenuationRow damps one z-row of the six stresses.
+func attenuationRow(gp, gs, xx, yy, zz, xy, xz, yz []float32) {
+	n := len(gp)
+	gs = gs[:n]
+	xx, yy, zz = xx[:n], yy[:n], zz[:n]
+	xy, xz, yz = xy[:n], xz[:n], yz[:n]
+	for k := range gp {
+		xx[k] *= gp[k]
+		yy[k] *= gp[k]
+		zz[k] *= gp[k]
+		xy[k] *= gs[k]
+		xz[k] *= gs[k]
+		yz[k] *= gs[k]
+	}
+}

@@ -17,6 +17,8 @@ package fd
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"swquake/internal/grid"
 	"swquake/internal/model"
@@ -83,23 +85,29 @@ func (w *Wavefield) Clone() *Wavefield {
 }
 
 // MaxAbsVelocity returns the largest |velocity| component over the interior,
-// used for stability monitoring and PGV extraction.
+// used for stability monitoring and PGV extraction. It is NaN when any
+// interior velocity is NaN, so the divergence check cannot miss one.
 func (w *Wavefield) MaxAbsVelocity() float32 {
-	m := w.U.MaxAbs()
-	if v := w.V.MaxAbs(); v > m {
-		m = v
-	}
-	if v := w.W.MaxAbs(); v > m {
-		m = v
-	}
-	return m
+	return grid.MaxAbs(w.U, w.V, w.W)
 }
 
 // Medium holds the static material fields sampled at grid points.
 // Rho is stored as density (kg/m^3); Lam and Mu are the Lamé moduli (Pa).
+//
+// The stress kernel averages Mu harmonically over four points per shear
+// component, which it evaluates from the float32 reciprocal 1/Mu. Medium
+// owns that derived array: it is built once — by the constructors that
+// define Mu completely (NewMediumFromModel, Sub), otherwise on the first
+// stress update, under a sync.Once so concurrent tiles share one build —
+// and building it freezes Mu, so a later Mu.Set/Fill panics instead of
+// leaving the reciprocal stale. Fill a hand-built medium before its first
+// stress update; never copy a Medium by value.
 type Medium struct {
 	D            grid.Dims
 	Rho, Lam, Mu *grid.Field
+
+	recipOnce sync.Once
+	rmu       *grid.Field // 1/Mu, same shape as Mu; read through recipMu
 }
 
 // NewMedium allocates an uninitialized medium.
@@ -110,6 +118,46 @@ func NewMedium(d grid.Dims) *Medium {
 		Lam: grid.NewField(d, Halo),
 		Mu:  grid.NewField(d, Halo),
 	}
+}
+
+// recipMu returns the reciprocal shear modulus, building it (and freezing
+// Mu) on first use. 1/0 = +Inf marks fluid cells; the stress kernel's
+// 4/(sum of reciprocals) then yields the +0 the harmonic mean must have.
+func (m *Medium) recipMu() *grid.Field {
+	m.recipOnce.Do(func() {
+		if m.rmu == nil { // Sub hands its result the parent's values
+			m.rmu = grid.NewField(m.Mu.Dims, m.Mu.H)
+			for i, v := range m.Mu.Data {
+				m.rmu.Data[i] = 1 / v
+				if v == 0 {
+					m.rmu.Data[i] = float32(math.Inf(1)) // also for -0, whose reciprocal is -Inf
+				}
+			}
+		}
+		m.Mu.Freeze()
+	})
+	return m.rmu
+}
+
+// Sub returns the medium of the sub-block of d points at offset (i0,j0,k0),
+// with the stencil halo filled from m (grid.Field.ExtractSubfield) — the
+// working set a core-group tile or a test's hand-cut block computes on. The
+// reciprocal shear modulus is copied along with Mu rather than recomputed.
+// The sub-block must lie inside m's interior.
+func (m *Medium) Sub(i0, j0, k0 int, d grid.Dims) *Medium {
+	h := Halo
+	if i0 < 0 || j0 < 0 || k0 < 0 || i0+d.Nx > m.D.Nx || j0+d.Ny > m.D.Ny || k0+d.Nz > m.D.Nz {
+		panic(fmt.Sprintf("fd: sub-medium %v at (%d,%d,%d) outside %v", d, i0, j0, k0, m.D))
+	}
+	sub := &Medium{
+		D:   d,
+		Rho: m.Rho.ExtractSubfield(i0, j0, k0, d, h),
+		Lam: m.Lam.ExtractSubfield(i0, j0, k0, d, h),
+		Mu:  m.Mu.ExtractSubfield(i0, j0, k0, d, h),
+		rmu: m.recipMu().ExtractSubfield(i0, j0, k0, d, h),
+	}
+	sub.recipMu()
+	return sub
 }
 
 // NewMediumFromModel samples a velocity model onto the grid: point (i,j,k)
@@ -137,6 +185,7 @@ func NewMediumFromModel(d grid.Dims, dx float64, m model.Model, ox, oy float64) 
 			}
 		}
 	}
+	med.recipMu()
 	return med
 }
 

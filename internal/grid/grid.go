@@ -52,6 +52,9 @@ type Field struct {
 	// strides (in elements) for x and y; z stride is 1
 	sx, sy int
 	origin int // offset of interior point (0,0,0)
+
+	// frozen makes every writing method panic (see Freeze)
+	frozen bool
 }
 
 // NewField allocates a zeroed field of the given interior dims and halo h.
@@ -85,10 +88,32 @@ func (f *Field) Idx(i, j, k int) int {
 func (f *Field) At(i, j, k int) float32 { return f.Data[f.Idx(i, j, k)] }
 
 // Set stores v at interior point (i,j,k).
-func (f *Field) Set(i, j, k int, v float32) { f.Data[f.Idx(i, j, k)] = v }
+func (f *Field) Set(i, j, k int, v float32) {
+	f.writable()
+	f.Data[f.Idx(i, j, k)] = v
+}
 
 // Add accumulates v at interior point (i,j,k).
-func (f *Field) Add(i, j, k int, v float32) { f.Data[f.Idx(i, j, k)] += v }
+func (f *Field) Add(i, j, k int, v float32) {
+	f.writable()
+	f.Data[f.Idx(i, j, k)] += v
+}
+
+// Freeze makes the field read-only: from now on Set, Add, Fill,
+// FillInterior, CopyFrom, InsertSubfield and UnpackHalo panic. A field is
+// frozen once something derived from its values has been cached (fd.Medium
+// freezes Mu when it builds 1/Mu), so that an edit which would leave the
+// derived data stale fails at the edit instead of corrupting a run. Copies
+// (Clone, ExtractSubfield) are not frozen. Writing Data directly bypasses
+// the guard and is a bug on a frozen field.
+func (f *Field) Freeze() { f.frozen = true }
+
+// writable panics on a frozen field; every writing method calls it.
+func (f *Field) writable() {
+	if f.frozen {
+		panic("grid: write to a frozen field (data derived from it is cached; build a new field instead)")
+	}
+}
 
 // StrideX returns the flat-index distance between (i,j,k) and (i+1,j,k).
 func (f *Field) StrideX() int { return f.sx }
@@ -103,6 +128,7 @@ func (f *Field) TotalDims() Dims {
 
 // Fill sets every element (interior and halo) to v.
 func (f *Field) Fill(v float32) {
+	f.writable()
 	for i := range f.Data {
 		f.Data[i] = v
 	}
@@ -110,6 +136,7 @@ func (f *Field) Fill(v float32) {
 
 // FillInterior sets every interior element to v, leaving halos untouched.
 func (f *Field) FillInterior(v float32) {
+	f.writable()
 	for i := 0; i < f.Nx; i++ {
 		for j := 0; j < f.Ny; j++ {
 			base := f.Idx(i, j, 0)
@@ -126,6 +153,7 @@ func (f *Field) CopyFrom(src *Field) {
 	if f.Dims != src.Dims || f.H != src.H {
 		panic("grid: CopyFrom shape mismatch")
 	}
+	f.writable()
 	copy(f.Data, src.Data)
 }
 
@@ -166,22 +194,50 @@ func (f *Field) InteriorEqual(g *Field, tol float64) bool {
 	return true
 }
 
-// MaxAbs returns the maximum absolute interior value.
-func (f *Field) MaxAbs() float32 {
-	var m float32
-	for i := 0; i < f.Nx; i++ {
-		for j := 0; j < f.Ny; j++ {
-			for _, v := range f.Row(i, j) {
-				if v < 0 {
-					v = -v
-				}
-				if v > m {
-					m = v
-				}
+// MaxAbs returns the maximum absolute interior value; a NaN anywhere in the
+// interior makes the result NaN.
+func (f *Field) MaxAbs() float32 { return MaxAbs(f) }
+
+// MaxAbs returns the largest absolute value over the interiors of the given
+// fields, which must share one shape, in a single pass over their z-rows.
+// Magnitudes are compared as sign-cleared bit patterns: for non-NaN values
+// that is the ordinary order of |v|, and every NaN pattern sorts above +Inf,
+// so a NaN anywhere is returned instead of being skipped (float
+// comparisons against NaN are all false, which is how a `v > m` scan loses
+// it). MaxAbs of no fields is 0.
+func MaxAbs(fields ...*Field) float32 {
+	if len(fields) == 0 {
+		return 0
+	}
+	var m uint32
+	d := fields[0].Dims
+	for i := 0; i < d.Nx; i++ {
+		for j := 0; j < d.Ny; j++ {
+			for _, f := range fields {
+				m = maxAbsBits(m, f.Row(i, j))
 			}
 		}
 	}
-	return m
+	return math.Float32frombits(m)
+}
+
+// maxAbsBits folds the sign-cleared bit patterns of row into the running
+// maximum m. Four independent accumulators keep the compare-and-select
+// chain from serializing the loop.
+func maxAbsBits(m uint32, row []float32) uint32 {
+	const abs = 1<<31 - 1
+	m0, m1, m2, m3 := m, uint32(0), uint32(0), uint32(0)
+	for len(row) >= 4 {
+		m0 = max(m0, math.Float32bits(row[0])&abs)
+		m1 = max(m1, math.Float32bits(row[1])&abs)
+		m2 = max(m2, math.Float32bits(row[2])&abs)
+		m3 = max(m3, math.Float32bits(row[3])&abs)
+		row = row[4:]
+	}
+	for _, v := range row {
+		m0 = max(m0, math.Float32bits(v)&abs)
+	}
+	return max(max(m0, m1), max(m2, m3))
 }
 
 // L2Diff returns the root-mean-square interior difference between f and g.

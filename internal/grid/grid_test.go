@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -154,6 +155,77 @@ func TestMinMaxMaxAbs(t *testing.T) {
 	if f.MaxAbs() != 7 {
 		t.Fatalf("MaxAbs = %v", f.MaxAbs())
 	}
+}
+
+// TestMaxAbsOrdersNaNAboveInf: MaxAbs must report a NaN, not skip it (every
+// float comparison against NaN is false), at any position of a row — the
+// scan is unrolled by four — and agree with a plain |v| maximum otherwise.
+func TestMaxAbsOrdersNaNAboveInf(t *testing.T) {
+	nan := float32(math.NaN())
+	for nz := 1; nz <= 9; nz++ {
+		for at := 0; at < nz; at++ {
+			f := NewField(Dims{2, 2, nz}, 1)
+			f.Fill(nan) // halo NaNs must not leak
+			f.FillInterior(-0.5)
+			f.Set(1, 1, at, -2.5)
+			if m := f.MaxAbs(); m != 2.5 {
+				t.Fatalf("nz=%d at=%d: MaxAbs = %v, want 2.5", nz, at, m)
+			}
+			f.Set(0, 1, at, float32(math.Inf(-1)))
+			if m := f.MaxAbs(); !math.IsInf(float64(m), 1) {
+				t.Fatalf("nz=%d at=%d: MaxAbs = %v, want +Inf", nz, at, m)
+			}
+			f.Set(1, 0, at, -nan)
+			if m := f.MaxAbs(); m == m {
+				t.Fatalf("nz=%d at=%d: MaxAbs = %v, want NaN", nz, at, m)
+			}
+		}
+	}
+	a, b := NewField(Dims{2, 3, 4}, 2), NewField(Dims{2, 3, 4}, 2)
+	a.Set(0, 0, 0, 3)
+	b.Set(1, 2, 3, -4)
+	if m := MaxAbs(a, b); m != 4 {
+		t.Fatalf("MaxAbs over two fields = %v, want 4", m)
+	}
+	if m := MaxAbs(); m != 0 {
+		t.Fatalf("MaxAbs of nothing = %v", m)
+	}
+}
+
+// TestFrozenFieldRejectsWrites: every writing method panics on a frozen
+// field, reads and copies keep working, and a copy is writable again.
+func TestFrozenFieldRejectsWrites(t *testing.T) {
+	f := NewField(Dims{3, 3, 3}, 1)
+	f.Fill(2)
+	f.Freeze()
+	g := NewField(Dims{3, 3, 3}, 1)
+	writes := map[string]func(){
+		"Set":            func() { f.Set(1, 1, 1, 5) },
+		"Add":            func() { f.Add(1, 1, 1, 5) },
+		"Fill":           func() { f.Fill(5) },
+		"FillInterior":   func() { f.FillInterior(5) },
+		"CopyFrom":       func() { f.CopyFrom(g) },
+		"InsertSubfield": func() { f.InsertSubfield(0, 0, 0, g) },
+		"UnpackHalo":     func() { f.UnpackHalo(FaceXMinus, make([]float32, f.HaloLen(FaceXMinus))) },
+	}
+	for name, w := range writes {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen field did not panic", name)
+				}
+			}()
+			w()
+		}()
+	}
+	if f.At(1, 1, 1) != 2 || f.MaxAbs() != 2 {
+		t.Fatal("a rejected write changed the field")
+	}
+	c := f.Clone()
+	c.Set(1, 1, 1, 5)
+	f.ExtractSubfield(0, 0, 0, Dims{2, 2, 2}, 1).Fill(1)
+	g.CopyFrom(f)
+	g.Set(0, 0, 0, 1)
 }
 
 func TestPackUnpackHaloRoundTrip(t *testing.T) {

@@ -75,6 +75,7 @@ func (f *Field) PackHalo(face Face, buf []float32) {
 
 // UnpackHalo copies buf into the H ghost layers outside the given face.
 func (f *Field) UnpackHalo(face Face, buf []float32) {
+	f.writable()
 	n := 0
 	switch face {
 	case FaceXMinus:
@@ -170,6 +171,7 @@ func (f *Field) ExtractSubfield(i0, j0, k0 int, d Dims, h int) *Field {
 
 // InsertSubfield writes sub's interior into f at offset (i0,j0,k0).
 func (f *Field) InsertSubfield(i0, j0, k0 int, sub *Field) {
+	f.writable()
 	for i := 0; i < sub.Nx; i++ {
 		for j := 0; j < sub.Ny; j++ {
 			srcBase := sub.Idx(i, j, 0)

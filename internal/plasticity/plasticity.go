@@ -118,65 +118,3 @@ func (p *Params) Yield(i, j, k int, sm float32) float32 {
 func Apply(wf *fd.Wavefield, p *Params, dt float64, k0, k1 int) int {
 	return ApplyRegion(wf, p, dt, grid.FullXY(wf.D, k0, k1))
 }
-
-// ApplyRegion is Apply over an arbitrary region. The kernel is per-cell
-// independent (it reads and writes only the cell it stands on), so any
-// disjoint partition yields bit-identical stresses and — because the
-// yielded count is an integer sum — an identical count.
-func ApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
-	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
-	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
-	cohes, sphi, cphi := p.Cohes.Data, p.SinPhi.Data, p.CosPhi.Data
-	pf, sig2, yld := p.FluidPres.Data, p.Sigma2.Data, p.YldFac.Data
-
-	// viscoplastic relaxation factor: r' = r + (1-r)*exp(-dt/Tv)
-	relax := float32(0)
-	if p.Tv > 0 {
-		relax = float32(math.Exp(-dt / p.Tv))
-	}
-
-	yielded := 0
-	for i := r.I0; i < r.I1; i++ {
-		for j := r.J0; j < r.J1; j++ {
-			q := wf.XX.Idx(i, j, r.K0)
-			for k := r.K0; k < r.K1; k, q = k+1, q+1 {
-				// total stress = initial lithostatic + dynamic perturbation
-				txx := xx[q] + sig2[q]
-				tyy := yy[q] + sig2[q]
-				tzz := zz[q] + sig2[q]
-				sm := (txx + tyy + tzz) * (1.0 / 3.0)
-
-				dxx, dyy, dzz := txx-sm, tyy-sm, tzz-sm
-				txy, txz, tyz := xy[q], xz[q], yz[q]
-				// τ̄ = sqrt(J2)
-				j2 := 0.5*(dxx*dxx+dyy*dyy+dzz*dzz) + txy*txy + txz*txz + tyz*tyz
-				tau := float32(math.Sqrt(float64(j2)))
-
-				y := cohes[q]*cphi[q] - (sm+pf[q])*sphi[q]
-				if y < 0 {
-					y = 0
-				}
-				if tau <= y || tau == 0 {
-					yld[q] = 1
-					continue
-				}
-				r := y / tau
-				if relax > 0 {
-					r = r + (1-r)*relax
-				}
-				yld[q] = r
-				yielded++
-
-				// return map: scale deviator, keep mean stress; store back as
-				// dynamic perturbation (subtract lithostatic part again)
-				xx[q] = sm + r*dxx - sig2[q]
-				yy[q] = sm + r*dyy - sig2[q]
-				zz[q] = sm + r*dzz - sig2[q]
-				xy[q] = r * txy
-				xz[q] = r * txz
-				yz[q] = r * tyz
-			}
-		}
-	}
-	return yielded
-}

@@ -1,0 +1,92 @@
+package plasticity
+
+import (
+	"math"
+
+	"swquake/internal/fd"
+	"swquake/internal/grid"
+)
+
+// ApplyRegion is Apply over an arbitrary region. The kernel is per-cell
+// independent (it reads and writes only the cell it stands on), so any
+// disjoint partition yields bit-identical stresses and — because the
+// yielded count is an integer sum — an identical count.
+//
+// Like the fd sweep kernels it is a per-column driver that slices the
+// twelve operand z-rows once and hands them to a row function whose inner
+// loop carries no index checks (`make check-bce`).
+func ApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
+	if r.Empty() {
+		return 0
+	}
+	n := r.K1 - r.K0
+	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
+	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
+	cohes, sphi, cphi := p.Cohes.Data, p.SinPhi.Data, p.CosPhi.Data
+	pf, sig2, yld := p.FluidPres.Data, p.Sigma2.Data, p.YldFac.Data
+
+	// viscoplastic relaxation factor: r' = r + (1-r)*exp(-dt/Tv)
+	relax := float32(0)
+	if p.Tv > 0 {
+		relax = float32(math.Exp(-dt / p.Tv))
+	}
+
+	yielded := 0
+	for i := r.I0; i < r.I1; i++ {
+		for j := r.J0; j < r.J1; j++ {
+			q := wf.XX.Idx(i, j, r.K0)
+			yielded += returnMapRow(xx[q:][:n], yy[q:], zz[q:], xy[q:], xz[q:], yz[q:],
+				cohes[q:], sphi[q:], cphi[q:], pf[q:], sig2[q:], yld[q:], relax)
+		}
+	}
+	return yielded
+}
+
+// returnMapRow runs the yield check and return map along one z-row and
+// returns the number of yielded cells.
+func returnMapRow(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32, relax float32) int {
+	n := len(xx)
+	yy, zz, xy, xz, yz = yy[:n], zz[:n], xy[:n], xz[:n], yz[:n]
+	cohes, sphi, cphi = cohes[:n], sphi[:n], cphi[:n]
+	pf, sig2, yld = pf[:n], sig2[:n], yld[:n]
+
+	yielded := 0
+	for k := range xx {
+		// total stress = initial lithostatic + dynamic perturbation
+		txx := xx[k] + sig2[k]
+		tyy := yy[k] + sig2[k]
+		tzz := zz[k] + sig2[k]
+		sm := (txx + tyy + tzz) * (1.0 / 3.0)
+
+		dxx, dyy, dzz := txx-sm, tyy-sm, tzz-sm
+		txy, txz, tyz := xy[k], xz[k], yz[k]
+		// τ̄ = sqrt(J2)
+		j2 := 0.5*(dxx*dxx+dyy*dyy+dzz*dzz) + txy*txy + txz*txz + tyz*tyz
+		tau := float32(math.Sqrt(float64(j2)))
+
+		y := cohes[k]*cphi[k] - (sm+pf[k])*sphi[k]
+		if y < 0 {
+			y = 0
+		}
+		if tau <= y || tau == 0 {
+			yld[k] = 1
+			continue
+		}
+		r := y / tau
+		if relax > 0 {
+			r = r + (1-r)*relax
+		}
+		yld[k] = r
+		yielded++
+
+		// return map: scale deviator, keep mean stress; store back as
+		// dynamic perturbation (subtract lithostatic part again)
+		xx[k] = sm + r*dxx - sig2[k]
+		yy[k] = sm + r*dyy - sig2[k]
+		zz[k] = sm + r*dzz - sig2[k]
+		xy[k] = r * txy
+		xz[k] = r * txz
+		yz[k] = r * tyz
+	}
+	return yielded
+}

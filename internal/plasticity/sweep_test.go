@@ -1,0 +1,155 @@
+package plasticity
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"swquake/internal/decomp"
+	"swquake/internal/fd"
+	"swquake/internal/grid"
+)
+
+// refApplyRegion is the flat-index return-map loop that ApplyRegion's
+// row-sliced form replaced, kept verbatim as the reference oracle.
+func refApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
+	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
+	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
+	cohes, sphi, cphi := p.Cohes.Data, p.SinPhi.Data, p.CosPhi.Data
+	pf, sig2, yld := p.FluidPres.Data, p.Sigma2.Data, p.YldFac.Data
+
+	// viscoplastic relaxation factor: r' = r + (1-r)*exp(-dt/Tv)
+	relax := float32(0)
+	if p.Tv > 0 {
+		relax = float32(math.Exp(-dt / p.Tv))
+	}
+
+	yielded := 0
+	for i := r.I0; i < r.I1; i++ {
+		for j := r.J0; j < r.J1; j++ {
+			q := wf.XX.Idx(i, j, r.K0)
+			for k := r.K0; k < r.K1; k, q = k+1, q+1 {
+				// total stress = initial lithostatic + dynamic perturbation
+				txx := xx[q] + sig2[q]
+				tyy := yy[q] + sig2[q]
+				tzz := zz[q] + sig2[q]
+				sm := (txx + tyy + tzz) * (1.0 / 3.0)
+
+				dxx, dyy, dzz := txx-sm, tyy-sm, tzz-sm
+				txy, txz, tyz := xy[q], xz[q], yz[q]
+				// τ̄ = sqrt(J2)
+				j2 := 0.5*(dxx*dxx+dyy*dyy+dzz*dzz) + txy*txy + txz*txz + tyz*tyz
+				tau := float32(math.Sqrt(float64(j2)))
+
+				y := cohes[q]*cphi[q] - (sm+pf[q])*sphi[q]
+				if y < 0 {
+					y = 0
+				}
+				if tau <= y || tau == 0 {
+					yld[q] = 1
+					continue
+				}
+				r := y / tau
+				if relax > 0 {
+					r = r + (1-r)*relax
+				}
+				yld[q] = r
+				yielded++
+
+				// return map: scale deviator, keep mean stress; store back as
+				// dynamic perturbation (subtract lithostatic part again)
+				xx[q] = sm + r*dxx - sig2[q]
+				yy[q] = sm + r*dyy - sig2[q]
+				zz[q] = sm + r*dzz - sig2[q]
+				xy[q] = r * txy
+				xz[q] = r * txz
+				yz[q] = r * tyz
+			}
+		}
+	}
+	return yielded
+}
+
+// randomState builds stresses of a few MPa — so that, against a cohesion
+// of 1 MPa, some cells yield and some do not — salted with zeros (tau == 0
+// cells), and cell-by-cell random plasticity parameters.
+func randomState(d grid.Dims, rng *rand.Rand) (*fd.Wavefield, *Params) {
+	wf := fd.NewWavefield(d)
+	for _, f := range wf.StressFields() {
+		for idx := range f.Data {
+			if rng.Intn(12) == 0 {
+				continue
+			}
+			f.Data[idx] = (rng.Float32()*2 - 1) * 3e6
+		}
+	}
+	p := NewParams(d)
+	for idx := range p.Cohes.Data {
+		phi := rng.Float64() * 0.7
+		p.Cohes.Data[idx] = rng.Float32() * 2e6
+		p.SinPhi.Data[idx] = float32(math.Sin(phi))
+		p.CosPhi.Data[idx] = float32(math.Cos(phi))
+		p.FluidPres.Data[idx] = rng.Float32() * 1e5
+		p.Sigma2.Data[idx] = -rng.Float32() * 5e6
+		p.YldFac.Data[idx] = rng.Float32() // stale factors the kernel must overwrite
+	}
+	return wf, p
+}
+
+func cloneParams(p *Params) *Params {
+	c := *p
+	c.Cohes, c.SinPhi, c.CosPhi = p.Cohes.Clone(), p.SinPhi.Clone(), p.CosPhi.Clone()
+	c.FluidPres, c.Sigma2, c.YldFac = p.FluidPres.Clone(), p.Sigma2.Clone(), p.YldFac.Clone()
+	return &c
+}
+
+func sameBits(t *testing.T, what string, a, b *grid.Field) {
+	t.Helper()
+	for idx := range a.Data {
+		if math.Float32bits(a.Data[idx]) != math.Float32bits(b.Data[idx]) {
+			t.Fatalf("%s differs at flat index %d: %g vs %g", what, idx, a.Data[idx], b.Data[idx])
+		}
+	}
+}
+
+// TestApplyRegionMatchesFlatIndexReference holds the row-sliced return map
+// to the flat-index loop it replaced — stresses, yield factors and yielded
+// count, bit for bit — over the region shapes the engine uses, with and
+// without viscoplastic relaxation.
+func TestApplyRegionMatchesFlatIndexReference(t *testing.T) {
+	d := grid.Dims{Nx: 7, Ny: 6, Nz: 9}
+	rng := rand.New(rand.NewSource(41))
+	box := grid.Box(d)
+	regs := []grid.Region{box, {},
+		grid.FullXY(d, 3, d.Nz-1), grid.FullXY(d, d.Nz-1, d.Nz),
+		{I0: 0, I1: 1, J1: d.Ny, K1: d.Nz}, {I1: d.Nx, J0: d.Ny - 1, J1: d.Ny, K1: d.Nz},
+		{I0: 3, I1: 4, J0: 2, J1: 3, K0: 5, K1: 6}, {I0: 6, I1: 7, J0: 5, J1: 6, K0: 8, K1: 9},
+	}
+	interior, shells := decomp.InteriorShell(d, fd.Halo)
+	regs = append(append(regs, interior), shells...)
+	regs = append(regs, box.SplitN(3)...)
+	regs = append(regs, box.Split(2, 3, 2)...)
+
+	yieldedSomewhere, elasticSomewhere := false, false
+	for _, tv := range []float64{0, 0.02} {
+		for _, reg := range regs {
+			wantWF, wantP := randomState(d, rng)
+			wantP.Tv = tv
+			gotWF, gotP := wantWF.Clone(), cloneParams(wantP)
+			want := refApplyRegion(wantWF, wantP, 0.005, reg)
+			got := ApplyRegion(gotWF, gotP, 0.005, reg)
+			if got != want {
+				t.Fatalf("Tv=%g %v: yielded %d, reference %d", tv, reg, got, want)
+			}
+			for c, f := range wantWF.StressFields() {
+				sameBits(t, "stress field", f, gotWF.StressFields()[c])
+			}
+			sameBits(t, "yield factor", wantP.YldFac, gotP.YldFac)
+			yieldedSomewhere = yieldedSomewhere || want > 0
+			elasticSomewhere = elasticSomewhere || int64(want) < reg.Points()
+		}
+	}
+	if !yieldedSomewhere || !elasticSomewhere {
+		t.Fatalf("test state exercises one branch only (yielded %v, elastic %v)", yieldedSomewhere, elasticSomewhere)
+	}
+}
