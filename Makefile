@@ -1,21 +1,22 @@
 GO ?= go
 
-.PHONY: all build check check-bce vet test race bench bench-json bench-tiles profile repro fuzz clean serve-smoke ensemble-smoke crash-test chaos-test overload-test
+.PHONY: all build check check-bce fmt-check vet test race bench bench-json bench-tiles profile repro fuzz clean serve-smoke ensemble-smoke crash-test chaos-test overload-test
 
 all: build check test
 
 build:
 	$(GO) build ./...
 
-# static analysis, the bounds-check pin on the sweep kernels, plus the
-# race-sensitive engine packages (the simulated-MPI world, the step-pipeline
-# drivers, the job service worker pool, the ensemble campaign scheduler, the
-# durability layers, and the telemetry collectors) and the medium's
-# build-once reciprocal under the race detector
-check: vet check-bce overload-test
+# static analysis, formatting, the bounds-check pin on the sweep kernels, plus
+# the race-sensitive engine packages (the simulated-MPI world, the
+# step-pipeline drivers, the job service worker pool, the ensemble campaign
+# scheduler, the durability layers with the checkpoint write lane and its
+# codec, and the telemetry collectors) and the medium's build-once reciprocal
+# under the race detector
+check: vet fmt-check check-bce overload-test
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
-		./internal/ensemble/ ./internal/checkpoint/ ./internal/faultinject/ \
-		./internal/telemetry/ ./internal/admission/
+		./internal/ensemble/ ./internal/checkpoint/ ./internal/lz4/ \
+		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
 	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium'
 
 # the sweep kernels (velocity, stress, sponge, attenuation, plasticity) must
@@ -40,11 +41,15 @@ check-bce:
 vet:
 	$(GO) vet ./...
 
+# every Go file is gofmt-clean; any name printed is a failure
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/mpi/ ./internal/checkpoint/ ./internal/core/
+	$(GO) test -race ./internal/mpi/ ./internal/checkpoint/ ./internal/lz4/ ./internal/core/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -82,7 +87,7 @@ fuzz:
 # the subprocess kill-and-restart drill in cmd/quaked
 crash-test:
 	$(GO) test -race ./internal/faultinject/ ./internal/atomicio/
-	$(GO) test -race ./internal/checkpoint/ -run 'Atomic|Corrupt|Truncat|Valid|GC|Aux'
+	$(GO) test -race ./internal/checkpoint/ -run 'Atomic|Corrupt|Truncat|Valid|GC|Aux|Lane'
 	$(GO) test -race ./internal/service/ -run 'Journal|Recover|Retry|Panic|Drain|Cancel'
 	$(GO) test -race ./cmd/quaked/ -run 'KillRestart|RestartSkips|Faults'
 

@@ -262,6 +262,10 @@ func printTiming(w io.Writer, res *core.Result, wallS float64) {
 	}
 	fmt.Fprintf(w, "stages total %.4f s over %.4f s wall (%.1f%% accounted)\n",
 		total, wallS, 100*total/wallS)
+	if n := len(res.Checkpoints); n > 0 {
+		fmt.Fprintf(w, "checkpoint lane: %d dumps written in %.4f s beside the solver (the checkpoint stage above is snapshots and waits)\n",
+			n, res.CheckpointWriteSeconds)
+	}
 }
 
 func parseMethod(s string) (compress.Method, error) {

@@ -173,11 +173,13 @@ func TestRunRejectsBadFaultSpec(t *testing.T) {
 
 func TestRunTimingFlag(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-scenario", "quickstart", "-steps", "30", "-timing"}, &buf); err != nil {
+	if err := run([]string{"-scenario", "quickstart", "-steps", "30", "-timing",
+		"-checkpoint-every", "10", "-out", t.TempDir()}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"stage", "velocity", "stress", "accounted"} {
+	for _, want := range []string{"stage", "velocity", "stress", "accounted",
+		"checkpoint lane: 3 dumps written in"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timing table missing %q:\n%s", want, out)
 		}

@@ -10,9 +10,11 @@ import (
 type Cost struct {
 	// Bytes is the estimated steady-state resident working set of the run:
 	// every per-point array the engine allocates, summed over ranks, plus
-	// seismogram and surface-map storage. It deliberately excludes
-	// transient spikes (checkpoint pack buffers, LZ4 scratch) — budgets
-	// should keep the headroom DESIGN.md §3.8 documents.
+	// seismogram and surface-map storage, plus one global wavefield when
+	// the run checkpoints (the controller's snapshot, or rank 0's gather
+	// buffer). It deliberately excludes transient spikes (checkpoint pack
+	// buffers, LZ4 scratch) — budgets should keep the headroom DESIGN.md
+	// §3.8 documents.
 	Bytes int64
 	// PointSteps is the relative compute volume: weighted kernel
 	// point-updates summed over the whole run. Dimensionless; useful for
@@ -53,11 +55,19 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 		}
 	}
 	h := int64(grid.DefaultHalo)
-	padded := (int64(block.Nx) + 2*h) * (int64(block.Ny) + 2*h) * (int64(block.Nz) + 2*h)
+	paddedPoints := func(d grid.Dims) int64 {
+		return (int64(d.Nx) + 2*h) * (int64(d.Ny) + 2*h) * (int64(d.Nz) + 2*h)
+	}
+	padded := paddedPoints(block)
 
 	st := cfg.Storage()
 	bytes := ranks * padded * (4*int64(st.FullFields32) + 2*int64(st.FullFields16))
 
+	if c := cfg.Checkpoint; c != nil && c.Interval > 0 {
+		// the checkpoint lane holds one global padded wavefield while a dump
+		// is written: the serial snapshot, or the buffer rank 0 gathers into
+		bytes += paddedPoints(d) * 4 * int64(len(core.FieldNames))
+	}
 	if st.SurfacePGV {
 		// per-rank block maps plus the merged global map (float64 cells)
 		bytes += ranks*int64(block.Nx)*int64(block.Ny)*8 + int64(d.Nx)*int64(d.Ny)*8

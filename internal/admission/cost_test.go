@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
 	"swquake/internal/core"
 	"swquake/internal/grid"
@@ -183,4 +184,72 @@ func FuzzEstimateCost(f *testing.F) {
 			t.Fatalf("adding a step shrank PointSteps: %v -> %v", c.PointSteps, lc.PointSteps)
 		}
 	})
+}
+
+// TestEstimateCostCountsTheCheckpointLane pins the checkpoint term to a live
+// run: a checkpointing job is priced one global padded wavefield above the
+// same job without, on any layout (the serial snapshot, or rank 0's gather
+// buffer); mid-run the whole estimate stays within CostAccuracyFactor of the
+// live heap; and what the run's final Close releases — the snapshot and the
+// codec scratch — is at least that term and not much more, so the term is
+// neither missing nor pinned by a finished job.
+func TestEstimateCostCountsTheCheckpointLane(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates tens of MB")
+	}
+	cfg := costConfig(64, 64, 48)
+	cfg.Steps = 4
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	plain := cfg
+	cfg.Checkpoint = &checkpoint.Controller{Dir: t.TempDir(), Interval: 2}
+	h := int64(grid.DefaultHalo)
+	lane := (64 + 2*h) * (64 + 2*h) * (48 + 2*h) * 9 * 4
+	for _, layout := range [][2]int{{1, 1}, {2, 2}} {
+		with := EstimateCost(cfg, layout[0], layout[1]).Bytes
+		without := EstimateCost(plain, layout[0], layout[1]).Bytes
+		if with-without != lane {
+			t.Fatalf("%dx%d: checkpointing adds %d bytes, want one global wavefield (%d)",
+				layout[0], layout[1], with-without, lane)
+		}
+	}
+	off := cfg
+	off.Checkpoint = &checkpoint.Controller{} // no interval: never dumps
+	if EstimateCost(off, 1, 1).Bytes != EstimateCost(plain, 1, 1).Bytes {
+		t.Fatal("a controller that never dumps was priced")
+	}
+
+	var before, during, after runtime.MemStats
+	cfg.Observer = func(ev core.StepEvent) {
+		if ev.Step == 3 { // the step-2 dump has been snapshotted
+			runtime.GC()
+			runtime.ReadMemStats(&during)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sim, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sim)
+
+	est := EstimateCost(cfg, 1, 1).Bytes
+	measured := int64(during.HeapAlloc) - int64(before.HeapAlloc)
+	released := int64(during.HeapAlloc) - int64(after.HeapAlloc)
+	t.Logf("estimate %s, mid-run %s, released at Close %s (lane term %s)",
+		FormatBytes(est), FormatBytes(measured), FormatBytes(released), FormatBytes(lane))
+	if float64(est) > float64(measured)*CostAccuracyFactor ||
+		float64(measured) > float64(est)*CostAccuracyFactor {
+		t.Fatalf("estimate %d vs mid-run heap %d outside factor %g", est, measured, CostAccuracyFactor)
+	}
+	if released < lane || float64(released) > 1.5*float64(lane) {
+		t.Fatalf("the run's Close released %d bytes, want the lane's %d (+ codec scratch)", released, lane)
+	}
 }

@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"swquake/internal/atomicio"
 	"swquake/internal/faultinject"
@@ -52,6 +53,28 @@ type Info struct {
 	RawBytes         int64
 	CompressedBytes  int64
 	CompressionRatio float64
+	// WriteSeconds is the wall time of the dump from the first converted
+	// float to the synced directory entry. Under a Controller this work
+	// runs beside the solver, so it is the only place it shows.
+	WriteSeconds float64
+}
+
+// scratch is the working memory of one dump, reused across its nine fields
+// (and, under a Controller, across dumps): a field as little-endian bytes,
+// and its block — the 12-byte block header followed by the compressed
+// payload, so a block goes to the file in one write without being copied.
+type scratch struct {
+	raw, blk []byte
+}
+
+const blockHeaderSize = 12 // rawLen, compLen, CRC32 of the compressed bytes
+
+// grow sizes the pair for fields of n float32 values.
+func (sc *scratch) grow(n int) {
+	if len(sc.raw) != 4*n {
+		sc.raw = make([]byte, 4*n)
+		sc.blk = make([]byte, blockHeaderSize+lz4.CompressBound(4*n))
+	}
 }
 
 // Save writes a checkpoint of the wavefield at the given step and sim time.
@@ -66,11 +89,15 @@ func Save(path string, step int, simTime float64, wf *fd.Wavefield) (Info, error
 // written atomically: a crash mid-write leaves the previous checkpoint (or
 // nothing), never a torn file.
 func SaveAux(path string, step int, simTime float64, wf *fd.Wavefield, aux []byte) (Info, error) {
-	var info Info
-	info.Path = path
+	return saveAux(path, step, simTime, wf, aux, &scratch{})
+}
+
+func saveAux(path string, step int, simTime float64, wf *fd.Wavefield, aux []byte, sc *scratch) (Info, error) {
+	info := Info{Path: path}
 	if err := faultinject.Check(faultinject.CheckpointWrite); err != nil {
 		return info, fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
+	start := time.Now()
 	err := atomicio.WriteFile(path, func(w io.Writer) error {
 		hdr := make([]byte, 0, headerSize)
 		hdr = binary.LittleEndian.AppendUint32(hdr, magic)
@@ -96,18 +123,21 @@ func SaveAux(path string, step int, simTime float64, wf *fd.Wavefield, aux []byt
 			}
 		}
 		for _, field := range wf.AllFields() {
-			raw := float32Bytes(field.Data)
-			comp := lz4.CompressAlloc(raw)
-			blk := make([]byte, 0, 12+len(comp))
-			blk = binary.LittleEndian.AppendUint32(blk, uint32(len(raw)))
-			blk = binary.LittleEndian.AppendUint32(blk, uint32(len(comp)))
-			blk = binary.LittleEndian.AppendUint32(blk, crc32.ChecksumIEEE(comp))
-			blk = append(blk, comp...)
-			if _, err := w.Write(blk); err != nil {
+			sc.grow(len(field.Data))
+			float32Bytes(sc.raw, field.Data)
+			n, err := lz4.Compress(sc.blk[blockHeaderSize:], sc.raw)
+			if err != nil {
 				return err
 			}
-			info.RawBytes += int64(len(raw))
-			info.CompressedBytes += int64(len(comp))
+			comp := sc.blk[blockHeaderSize : blockHeaderSize+n]
+			binary.LittleEndian.PutUint32(sc.blk[0:], uint32(len(sc.raw)))
+			binary.LittleEndian.PutUint32(sc.blk[4:], uint32(n))
+			binary.LittleEndian.PutUint32(sc.blk[8:], crc32.ChecksumIEEE(comp))
+			if _, err := w.Write(sc.blk[:blockHeaderSize+n]); err != nil {
+				return err
+			}
+			info.RawBytes += int64(len(sc.raw))
+			info.CompressedBytes += int64(n)
 		}
 		return nil
 	})
@@ -120,6 +150,7 @@ func SaveAux(path string, step int, simTime float64, wf *fd.Wavefield, aux []byt
 	if info.CompressedBytes > 0 {
 		info.CompressionRatio = float64(info.RawBytes) / float64(info.CompressedBytes)
 	}
+	info.WriteSeconds = time.Since(start).Seconds()
 	return info, nil
 }
 
@@ -235,16 +266,38 @@ func LoadAux(path string) (int, float64, *fd.Wavefield, []byte, error) {
 }
 
 // Controller saves checkpoints every Interval steps into Dir, keeping the
-// most recent Keep files.
+// most recent Keep files, without holding the solver up for the dump: it is
+// the write lane the paper pairs its LZ4 restart files with.
+//
+// On a due step MaybeSave waits for the previous dump, snapshots the state
+// and returns; one goroutine per dump then converts, compresses, CRCs,
+// writes, fsyncs, renames, syncs the directory and applies retention. At
+// most one dump is in flight, so the lane holds exactly one wavefield of
+// memory. A failed write surfaces at the next due step or at Close,
+// whichever comes first, and is sticky until Close. Close drains the lane:
+// when it returns, every accepted dump is durable or reported, and the
+// snapshot is released. The run that drives the controller must call Close
+// on every return path; a controller is reusable after Close.
+//
+// MaybeSave, MaybeSaveAux and Close are for one goroutine at a time (the
+// solver loop, or rank 0 of a parallel run).
 type Controller struct {
 	Dir      string
 	Interval int
 	Keep     int
-	// Aux, when non-nil, is called at save time and its bytes are stored in
-	// the checkpoint's auxiliary section. The serial engine hangs its resume
-	// state (recorder, PGV, counters) here; parallel runs leave it nil and
-	// checkpoint the gathered wavefield alone.
+	// Aux, when non-nil, is called at snapshot time and its bytes are stored
+	// in the checkpoint's auxiliary section. The serial engine hangs its
+	// resume state (recorder, PGV, counters) here; parallel runs leave it
+	// nil and pass the gathered state to MaybeSaveAux.
 	Aux func() []byte
+
+	// the lane. The writer goroutine owns sc, infos and err until it closes
+	// inflight; the caller touches them only after receiving from it.
+	snap     *fd.Wavefield // MaybeSave's copy of the caller's wavefield
+	sc       scratch
+	inflight chan struct{} // closed when the dump in flight is finished; nil when idle
+	infos    []Info
+	err      error
 }
 
 // Due reports whether a checkpoint falls on this step — the interval test
@@ -254,38 +307,80 @@ func (c *Controller) Due(step int) bool {
 	return c.Interval > 0 && step != 0 && step%c.Interval == 0
 }
 
-// MaybeSave checkpoints when the step is a multiple of Interval.
-func (c *Controller) MaybeSave(step int, simTime float64, wf *fd.Wavefield) (Info, bool, error) {
+// MaybeSave starts a checkpoint when the step is a multiple of Interval and
+// reports whether it did. The wavefield and the Aux bytes are captured
+// before it returns, so the caller may go on mutating both. The error is a
+// previous dump's.
+func (c *Controller) MaybeSave(step int, simTime float64, wf *fd.Wavefield) (bool, error) {
 	if !c.Due(step) {
-		return Info{}, false, nil
+		return false, nil
+	}
+	if err := c.wait(); err != nil {
+		return false, err
 	}
 	var aux []byte
 	if c.Aux != nil {
 		aux = c.Aux()
 	}
-	return c.saveAux(step, simTime, wf, aux)
+	if c.snap == nil || c.snap.D != wf.D {
+		c.snap = fd.NewWavefield(wf.D)
+	}
+	c.snap.CopyFrom(wf)
+	c.start(step, simTime, c.snap, aux)
+	return true, nil
 }
 
 // MaybeSaveAux is MaybeSave with the aux payload supplied by the caller
-// instead of the Aux hook — the parallel engine gathers a global resume
-// state across ranks and passes it here.
-func (c *Controller) MaybeSaveAux(step int, simTime float64, wf *fd.Wavefield, aux []byte) (Info, bool, error) {
+// instead of the Aux hook, and with the wavefield handed over instead of
+// copied: the parallel engine gathers a fresh global wavefield and a global
+// resume state on rank 0 for every dump, and must not touch either again.
+func (c *Controller) MaybeSaveAux(step int, simTime float64, wf *fd.Wavefield, aux []byte) (bool, error) {
 	if !c.Due(step) {
-		return Info{}, false, nil
+		return false, nil
 	}
-	return c.saveAux(step, simTime, wf, aux)
+	if err := c.wait(); err != nil {
+		return false, err
+	}
+	c.start(step, simTime, wf, aux)
+	return true, nil
 }
 
-// saveAux writes the due checkpoint and applies the retention policy. The
-// async controller calls it directly with aux captured at snapshot time.
-func (c *Controller) saveAux(step int, simTime float64, wf *fd.Wavefield, aux []byte) (Info, bool, error) {
-	path := filepath.Join(c.Dir, fmt.Sprintf("ckpt-%08d.swq", step))
-	info, err := SaveAux(path, step, simTime, wf, aux)
-	if err != nil {
-		return info, false, err
+// wait blocks until no dump is in flight and returns the lane's error.
+func (c *Controller) wait() error {
+	if c.inflight != nil {
+		<-c.inflight
+		c.inflight = nil
 	}
-	c.gc()
-	return info, true, nil
+	return c.err
+}
+
+// start launches the dump of wf, which nothing else may write until the
+// lane is idle again. The lane is idle and error-free here.
+func (c *Controller) start(step int, simTime float64, wf *fd.Wavefield, aux []byte) {
+	done := make(chan struct{})
+	c.inflight = done
+	go func() {
+		defer close(done)
+		path := filepath.Join(c.Dir, fmt.Sprintf("ckpt-%08d.swq", step))
+		info, err := saveAux(path, step, simTime, wf, aux, &c.sc)
+		if err != nil {
+			c.err = err
+			return
+		}
+		c.gc()
+		c.infos = append(c.infos, info)
+	}()
+}
+
+// Close drains the lane and returns what it wrote since the last Close,
+// oldest first, with the first write error. The snapshot and the codec
+// scratch are released, so a finished run pins no checkpoint memory.
+// Closing an idle or already closed controller returns nothing.
+func (c *Controller) Close() ([]Info, error) {
+	err := c.wait()
+	infos := c.infos
+	c.snap, c.sc, c.infos, c.err = nil, scratch{}, nil, nil
+	return infos, err
 }
 
 // gc removes the oldest checkpoints beyond Keep. It scans the directory
@@ -356,12 +451,11 @@ func PathStep(path string) (int, bool) {
 	return step, true
 }
 
-func float32Bytes(src []float32) []byte {
-	out := make([]byte, len(src)*4)
+// float32Bytes fills dst (4*len(src) bytes) with src as little-endian words.
+func float32Bytes(dst []byte, src []float32) {
 	for i, v := range src {
-		binary.LittleEndian.PutUint32(out[i*4:], floatBits32(v))
+		binary.LittleEndian.PutUint32(dst[i*4:], floatBits32(v))
 	}
-	return out
 }
 
 func bytesToFloat32(dst []float32, src []byte) {

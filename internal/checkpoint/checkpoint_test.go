@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -96,7 +97,7 @@ func TestControllerIntervalAndKeep(t *testing.T) {
 
 	saves := 0
 	for step := 0; step <= 20; step++ {
-		_, ok, err := c.MaybeSave(step, float64(step), wf)
+		ok, err := c.MaybeSave(step, float64(step), wf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +105,17 @@ func TestControllerIntervalAndKeep(t *testing.T) {
 			saves++
 		}
 	}
-	if saves != 4 { // steps 5, 10, 15, 20 (not 0)
-		t.Fatalf("%d saves", saves)
+	infos, err := c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saves != 4 || len(infos) != 4 { // steps 5, 10, 15, 20 (not 0)
+		t.Fatalf("%d saves started, %d reported by Close", saves, len(infos))
+	}
+	for i, info := range infos {
+		if want := filepath.Join(dir, fmt.Sprintf("ckpt-%08d.swq", 5*(i+1))); info.Path != want || info.WriteSeconds <= 0 {
+			t.Fatalf("info %d: path %q (want %q), write seconds %g", i, info.Path, want, info.WriteSeconds)
+		}
 	}
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 2 {
@@ -123,7 +133,7 @@ func TestControllerIntervalAndKeep(t *testing.T) {
 
 func TestControllerDisabled(t *testing.T) {
 	c := &Controller{Interval: 0}
-	if _, ok, err := c.MaybeSave(10, 0, testWavefield(4)); ok || err != nil {
+	if ok, err := c.MaybeSave(10, 0, testWavefield(4)); ok || err != nil {
 		t.Fatal("disabled controller saved")
 	}
 	if (&Controller{Dir: t.TempDir()}).Latest() != "" {

@@ -135,9 +135,12 @@ func TestLatestValidFallsBackPastCorruptAndTruncated(t *testing.T) {
 	wf := testWavefield(11)
 	c := &Controller{Dir: dir, Interval: 5, Keep: 10}
 	for step := 5; step <= 20; step += 5 {
-		if _, ok, err := c.MaybeSave(step, float64(step), wf); !ok || err != nil {
+		if ok, err := c.MaybeSave(step, float64(step), wf); !ok || err != nil {
 			t.Fatalf("save %d: ok=%v err=%v", step, ok, err)
 		}
+	}
+	if _, err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// everything intact: latest valid == latest
@@ -179,9 +182,12 @@ func TestCorruptFailpointDamagesNewestOnly(t *testing.T) {
 	// corrupt only the third save
 	faultinject.Enable(faultinject.CheckpointCorrupt, faultinject.Fault{Skip: 2, Times: 1})
 	for step := 1; step <= 3; step++ {
-		if _, _, err := c.MaybeSave(step, float64(step), wf); err != nil {
+		if _, err := c.MaybeSave(step, float64(step), wf); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if faultinject.Hits(faultinject.CheckpointCorrupt) != 1 {
 		t.Fatalf("corrupt failpoint hits %d", faultinject.Hits(faultinject.CheckpointCorrupt))
@@ -200,14 +206,20 @@ func TestGCSurvivesRestart(t *testing.T) {
 	wf := testWavefield(13)
 	c1 := &Controller{Dir: dir, Interval: 1, Keep: 2}
 	for step := 1; step <= 3; step++ {
-		if _, _, err := c1.MaybeSave(step, float64(step), wf); err != nil {
+		if _, err := c1.MaybeSave(step, float64(step), wf); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := c1.Close(); err != nil {
+		t.Fatal(err)
 	}
 	// a fresh controller (as after a process restart) must keep honoring
 	// Keep across the files the dead one left behind
 	c2 := &Controller{Dir: dir, Interval: 1, Keep: 2}
-	if _, _, err := c2.MaybeSave(4, 4, wf); err != nil {
+	if _, err := c2.MaybeSave(4, 4, wf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	names := checkpointNames(dir)

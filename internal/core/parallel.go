@@ -137,6 +137,14 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 		}()
 		runRank(ctx, r, pg, cfg, srcParts[r.ID()], out)
 	})
+	// however the attempt ended — done, canceled, failed or unwound by a
+	// fault — rank 0's last dump lands before anyone acts on the outcome, so
+	// a rewind or a restart finds it
+	var ckpts []checkpoint.Info
+	var ckptErr error
+	if cfg.Checkpoint != nil {
+		ckpts, ckptErr = cfg.Checkpoint.Close()
+	}
 
 	// error triage: the typed fault outranks its collateral damage (ranks
 	// unwound by the abort), and any plain error outranks both
@@ -172,6 +180,9 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 		// rather than merge a half-finished run
 		return nil, fmt.Errorf("core: rank %d: %w", abortRank, abortErr)
 	}
+	if ckptErr != nil {
+		return nil, fmt.Errorf("core: %w", ckptErr)
+	}
 
 	res := &Result{}
 	merged := seismo.NewRecorder(nil, 1, 1)
@@ -205,8 +216,8 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 			}
 			res.Sunway.Add(*o.sunway)
 		}
-		res.Checkpoints = append(res.Checkpoints, o.checkpoints...)
 	}
+	res.setCheckpoints(ckpts)
 	res.Recorder = merged
 	res.Dt = outs[0].dt
 	res.Steps = outs[0].steps
@@ -237,17 +248,16 @@ func containFault(r *mpi.Rank, out *rankOut, p any) {
 
 // rankOut is what one rank reports back to the merge step.
 type rankOut struct {
-	rec         *seismo.Recorder
-	pgv         *seismo.PGVField
-	offI, offJ  int
-	yielded     int64
-	dt          float64
-	steps       int
-	perf        Perf
-	stages      *telemetry.StageClock
-	sunway      *cgexec.Stats
-	checkpoints []checkpoint.Info
-	err         error
+	rec        *seismo.Recorder
+	pgv        *seismo.PGVField
+	offI, offJ int
+	yielded    int64
+	dt         float64
+	steps      int
+	perf       Perf
+	stages     *telemetry.StageClock
+	sunway     *cgexec.Stats
+	err        error
 }
 
 // runRank is the per-rank body of RunParallel: build the local simulator,
@@ -343,12 +353,10 @@ func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Confi
 		sim.observe(rankStart)
 		sw := sim.stages.Stopwatch()
 		if cfg.Checkpoint != nil && cfg.Checkpoint.Due(sim.step) {
-			infos, err := parallelCheckpoint(r, pg, cfg, sim)
-			if err != nil {
+			if err := parallelCheckpoint(r, pg, cfg, sim); err != nil {
 				out.err = err
 				return
 			}
-			out.checkpoints = append(out.checkpoints, infos...)
 			sw.Lap(telemetry.StageCheckpoint)
 		}
 		// divergence detection is collective so every rank stops together;
@@ -454,13 +462,14 @@ func (s *Simulator) restoreBlock(path string, gcfg *Config, pg *decomp.ProcessGr
 // the resume state — to rank 0, which assembles the global wavefield plus a
 // global resume-aux section and drives the shared checkpoint controller:
 // the paper's gather-to-I/O-process restart path. The dump is byte-for-byte
-// interchangeable with a serial run's, aux included. The save status is
-// broadcast so all ranks agree on failure and stop together.
-func parallelCheckpoint(r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, sim *Simulator) ([]checkpoint.Info, error) {
+// interchangeable with a serial run's, aux included. The controller writes
+// it beside the next steps and takes the gathered wavefield as its own. The
+// status — assembly errors and any earlier dump's write error — is broadcast
+// so all ranks agree on failure and stop together.
+func parallelCheckpoint(r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, sim *Simulator) error {
 	parts := r.Gather(0, checkpoint.PackInterior(sim.WF))
 	auxParts := r.Gather(0, auxWords(sim.resumeAux()))
 	status := []float32{0}
-	var infos []checkpoint.Info
 	var saveErr error
 	if r.ID() == 0 {
 		global := fd.NewWavefield(cfg.Dims)
@@ -476,11 +485,7 @@ func parallelCheckpoint(r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, sim *Si
 			aux, saveErr = assembleGlobalResume(&cfg, pg, auxParts, sim)
 		}
 		if saveErr == nil {
-			info, saved, err := cfg.Checkpoint.MaybeSaveAux(sim.step, sim.simTime, global, aux)
-			saveErr = err
-			if err == nil && saved {
-				infos = append(infos, info)
-			}
+			_, saveErr = cfg.Checkpoint.MaybeSaveAux(sim.step, sim.simTime, global, aux)
 		}
 		if saveErr != nil {
 			status[0] = 1
@@ -492,9 +497,8 @@ func parallelCheckpoint(r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, sim *Si
 		if saveErr == nil {
 			saveErr = fmt.Errorf("checkpoint failed on rank 0")
 		}
-		return nil, saveErr
 	}
-	return infos, saveErr
+	return saveErr
 }
 
 // assembleGlobalResume merges the per-rank resume payloads gathered at a

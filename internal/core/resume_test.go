@@ -180,38 +180,38 @@ func TestResumeAuxValidation(t *testing.T) {
 	}
 }
 
-// TestAsyncCheckpointCarriesAux drives the async controller through RunCtx
-// and checks the background-written checkpoint still has the aux snapshot
-// taken at enqueue time.
-func TestAsyncCheckpointCarriesAux(t *testing.T) {
+// TestLaneCheckpointCarriesAux drives the controller by hand beside a
+// stepping simulator and checks the background-written checkpoint still has
+// the aux snapshot taken when MaybeSave returned.
+func TestLaneCheckpointCarriesAux(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Steps = 20
 	dir := t.TempDir()
-	async := &checkpoint.AsyncController{Controller: checkpoint.Controller{Dir: dir, Interval: 10, Keep: 2}}
+	ctl := &checkpoint.Controller{Dir: dir, Interval: 10, Keep: 2}
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	async.Controller.Aux = sim.resumeAux
+	ctl.Aux = sim.resumeAux
 	for sim.StepCount() < cfg.Steps {
 		sim.Step()
-		if _, err := async.MaybeSave(sim.StepCount(), sim.Time(), sim.WF); err != nil {
+		if _, err := ctl.MaybeSave(sim.StepCount(), sim.Time(), sim.WF); err != nil {
 			t.Fatal(err)
 		}
 	}
-	infos, err := async.Close()
+	infos, err := ctl.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(infos) != 2 {
-		t.Fatalf("%d async checkpoints", len(infos))
+		t.Fatalf("%d checkpoints", len(infos))
 	}
 	step, _, _, aux, err := checkpoint.LoadAux(filepath.Join(dir, "ckpt-00000020.swq"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if step != 20 || len(aux) == 0 {
-		t.Fatalf("async checkpoint step=%d auxLen=%d", step, len(aux))
+		t.Fatalf("checkpoint step=%d auxLen=%d", step, len(aux))
 	}
 	s2, err := New(cfg)
 	if err != nil {

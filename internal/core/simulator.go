@@ -71,8 +71,13 @@ type Result struct {
 	// Sunway holds the simulated core-group accounting when Config.SunwaySim
 	// is set (nil stats otherwise).
 	Sunway *cgexec.Stats
-	// Checkpoints lists restart files written during the run.
+	// Checkpoints lists restart files written during the run; every one is
+	// durable by the time the run returns.
 	Checkpoints []checkpoint.Info
+	// CheckpointWriteSeconds sums the dumps' write time — work the
+	// checkpoint lane did beside the solver, which StageCheckpoint (the
+	// snapshot and any wait for the previous dump) does not include.
+	CheckpointWriteSeconds float64
 	// Stages is the per-stage wall-time accounting of the run (summed over
 	// ranks under RunParallel; nil when Config.NoStageTiming). Call
 	// Stages.Report() for the Fig. 7-style breakdown.
@@ -249,6 +254,31 @@ func (s *Simulator) Run() (*Result, error) {
 // step-pipeline boundary, so a canceled or expired context stops the run
 // within one step and returns the context's cause wrapped in the error.
 func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
+	res, err := s.runCtx(ctx)
+	// however the run ended, its last dump lands before the caller hears of
+	// it: a canceled or failed run restarts from there
+	if c := s.Cfg.Checkpoint; c != nil {
+		infos, cerr := c.Close()
+		switch {
+		case err != nil: // the run's own error outranks the drain's
+		case cerr != nil:
+			res, err = nil, cerr
+		default:
+			res.setCheckpoints(infos)
+		}
+	}
+	return res, err
+}
+
+// setCheckpoints records the dumps a drained controller reported.
+func (r *Result) setCheckpoints(infos []checkpoint.Info) {
+	r.Checkpoints = infos
+	for _, ck := range infos {
+		r.CheckpointWriteSeconds += ck.WriteSeconds
+	}
+}
+
+func (s *Simulator) runCtx(ctx context.Context) (*Result, error) {
 	if c := s.Cfg.Checkpoint; c != nil && c.Aux == nil {
 		// checkpoints written by this serial run carry the replay state
 		// (traces, PGV, perf) so a resumed run is bit-identical
@@ -272,12 +302,8 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 		s.observe(runStart)
 		sw := s.stages.Stopwatch()
 		if s.Cfg.Checkpoint != nil {
-			info, saved, err := s.Cfg.Checkpoint.MaybeSave(s.step, s.simTime, s.WF)
-			if err != nil {
+			if _, err := s.Cfg.Checkpoint.MaybeSave(s.step, s.simTime, s.WF); err != nil {
 				return nil, err
-			}
-			if saved {
-				res.Checkpoints = append(res.Checkpoints, info)
 			}
 			sw.Lap(telemetry.StageCheckpoint)
 		}

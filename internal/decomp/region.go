@@ -23,9 +23,9 @@ func InteriorShell(block grid.Dims, h int) (interior grid.Region, shells []grid.
 	}
 	interior = grid.Region{I0: h, I1: block.Nx - h, J0: h, J1: block.Ny - h, K1: block.Nz}
 	shells = []grid.Region{
-		{I0: 0, I1: h, J0: 0, J1: block.Ny, K1: block.Nz},                        // x- strip
-		{I0: block.Nx - h, I1: block.Nx, J0: 0, J1: block.Ny, K1: block.Nz},      // x+ strip
-		{I0: h, I1: block.Nx - h, J0: 0, J1: h, K1: block.Nz},                    // y- strip
+		{I0: 0, I1: h, J0: 0, J1: block.Ny, K1: block.Nz},                       // x- strip
+		{I0: block.Nx - h, I1: block.Nx, J0: 0, J1: block.Ny, K1: block.Nz},     // x+ strip
+		{I0: h, I1: block.Nx - h, J0: 0, J1: h, K1: block.Nz},                   // y- strip
 		{I0: h, I1: block.Nx - h, J0: block.Ny - h, J1: block.Ny, K1: block.Nz}, // y+ strip
 	}
 	return interior, shells

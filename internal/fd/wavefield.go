@@ -84,6 +84,15 @@ func (w *Wavefield) Clone() *Wavefield {
 	return c
 }
 
+// CopyFrom overwrites the nine fields with src's, halo included. Dims must
+// match.
+func (w *Wavefield) CopyFrom(src *Wavefield) {
+	from := src.AllFields()
+	for i, f := range w.AllFields() {
+		f.CopyFrom(from[i])
+	}
+}
+
 // MaxAbsVelocity returns the largest |velocity| component over the interior,
 // used for stability monitoring and PGV extraction. It is NaN when any
 // interior velocity is NaN, so the divergence check cannot miss one.

@@ -12,14 +12,15 @@
 //
 // with the usual end-of-block rules (last sequence is literals-only, the
 // final 5 bytes are always literals, matches must not start within the last
-// 12 bytes). The compressor uses a 4-byte hash chain over 16-bit table
-// entries — the same design point as the reference "fast" compressor.
+// 12 bytes). The compressor is a single-probe 4-byte hash match finder — the
+// same design point as the reference "fast" compressor.
 package lz4
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 const (
@@ -27,8 +28,9 @@ const (
 	lastLiterals  = 5  // last 5 bytes must be literals
 	mfLimit       = 12 // matches must end at least 12 bytes before block end
 	maxOffset     = 65535
-	hashLog       = 16
+	hashLog       = 12
 	hashTableSize = 1 << hashLog
+	skipTrigger   = 6 // the search stride grows by one every 2^6 misses
 )
 
 // ErrCorrupt is returned by Decompress when the input is not a valid block.
@@ -49,7 +51,15 @@ func hash4(u uint32) uint32 {
 
 // Compress compresses src into dst using the LZ4 block format and returns
 // the number of bytes written. dst must be at least CompressBound(len(src))
-// long.
+// long. The output is a pure function of src.
+//
+// The match finder is the reference "fast" compressor's: one probe per
+// position into a table small enough to stay in L1 (2^12 int32 entries,
+// 16 KB; a larger table finds a few more matches but pays a cache miss per
+// input byte — DESIGN.md §3.3 has the measured points), a search stride that
+// grows by one every 64 consecutive misses so incompressible stretches (the
+// mantissa noise of an active wavefield) are crossed quickly, and matches
+// extended eight bytes at a time.
 func Compress(dst, src []byte) (int, error) {
 	if len(dst) < CompressBound(len(src)) {
 		return 0, ErrShortBuffer
@@ -64,19 +74,26 @@ func Compress(dst, src []byte) (int, error) {
 	var table [hashTableSize]int32 // position+1 of a previous 4-byte sequence
 	anchor := 0                    // start of pending literals
 	pos := 0
-	limit := len(src) - mfLimit // last position where a match may start
+	limit := len(src) - mfLimit         // last position where a match may start
+	matchEnd := len(src) - lastLiterals // a match may not cover the final literals
 	dn := 0
 
+search:
 	for pos < limit {
-		seq := binary.LittleEndian.Uint32(src[pos:])
-		h := hash4(seq)
-		cand := int(table[h]) - 1
-		table[h] = int32(pos + 1)
-
-		if cand < 0 || pos-cand > maxOffset ||
-			binary.LittleEndian.Uint32(src[cand:]) != seq {
-			pos++
-			continue
+		// find a match, striding faster the longer nothing is found
+		var cand int
+		for misses := 1 << skipTrigger; ; misses++ {
+			seq := binary.LittleEndian.Uint32(src[pos:])
+			h := hash4(seq)
+			cand = int(table[h]) - 1
+			table[h] = int32(pos + 1)
+			if cand >= 0 && pos-cand <= maxOffset &&
+				binary.LittleEndian.Uint32(src[cand:]) == seq {
+				break
+			}
+			if pos += misses >> skipTrigger; pos >= limit {
+				break search
+			}
 		}
 
 		// extend match backwards over pending literals
@@ -85,17 +102,7 @@ func Compress(dst, src []byte) (int, error) {
 			cand--
 		}
 
-		// extend match forwards; match may not cover the final lastLiterals
-		matchLen := minMatch
-		maxLen := len(src) - lastLiterals - pos
-		for matchLen < maxLen && src[pos+matchLen] == src[cand+matchLen] {
-			matchLen++
-		}
-		if matchLen < minMatch { // cannot happen, but guard
-			pos++
-			continue
-		}
-
+		matchLen := minMatch + commonPrefix(src[cand+minMatch:], src[pos+minMatch:matchEnd])
 		dn += emitSequence(dst[dn:], src[anchor:pos], pos-cand, matchLen)
 
 		pos += matchLen
@@ -109,6 +116,21 @@ func Compress(dst, src []byte) (int, error) {
 
 	dn += emitFinalLiterals(dst[dn:], src[anchor:])
 	return dn, nil
+}
+
+// commonPrefix returns how many leading bytes of b (the shorter, later
+// slice) equal those of a, comparing eight at a time.
+func commonPrefix(a, b []byte) int {
+	n := 0
+	for ; n+8 <= len(b); n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
 }
 
 // emitSequence writes one token + literals + match and returns bytes written.
@@ -219,12 +241,12 @@ func Decompress(dst, src []byte) (int, error) {
 		if dn+matchLen > len(dst) {
 			return dn, ErrCorrupt
 		}
-		// byte-wise copy: overlapping copies are the mechanism for RLE
-		m := dn - offset
-		for i := 0; i < matchLen; i++ {
-			dst[dn+i] = dst[m+i]
+		// the match may overlap its own output (offset < matchLen is the
+		// format's RLE): each copy reads only bytes already written, so the
+		// copied span doubles until the match is complete
+		for m, end := dn-offset, dn+matchLen; dn < end; {
+			dn += copy(dst[dn:end], dst[m:dn])
 		}
-		dn += matchLen
 	}
 	return dn, nil
 }

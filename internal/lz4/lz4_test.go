@@ -215,3 +215,69 @@ func TestRatioHelper(t *testing.T) {
 		t.Fatal("Ratio div by zero")
 	}
 }
+
+// refDecompress is the byte-at-a-time decoder Decompress replaced: the
+// reference for overlapping-match semantics. It trusts its input.
+func refDecompress(dst, src []byte) int {
+	dn, sn := 0, 0
+	for sn < len(src) {
+		tok := src[sn]
+		sn++
+		litLen := int(tok >> 4)
+		if litLen == 15 {
+			n, v, _ := getLenExt(src[sn:])
+			sn += n
+			litLen += v
+		}
+		dn += copy(dst[dn:], src[sn:sn+litLen])
+		sn += litLen
+		if sn == len(src) {
+			break
+		}
+		offset := int(src[sn]) | int(src[sn+1])<<8
+		sn += 2
+		matchLen := int(tok&0xf) + minMatch
+		if tok&0xf == 15 {
+			n, v, _ := getLenExt(src[sn:])
+			sn += n
+			matchLen += v
+		}
+		for i := 0; i < matchLen; i++ {
+			dst[dn+i] = dst[dn-offset+i]
+		}
+		dn += matchLen
+	}
+	return dn
+}
+
+// TestDecompressOverlappingMatches builds blocks by hand whose match reaches
+// into its own output (offset < length, the format's RLE) for every small
+// offset and for lengths across several doublings, and holds the decoder to
+// the byte-at-a-time reference.
+func TestDecompressOverlappingMatches(t *testing.T) {
+	lits := []byte("abcdefghij")
+	for offset := 1; offset <= len(lits); offset++ {
+		for _, matchLen := range []int{4, 5, 7, 8, 9, 15, 16, 17, 19, 31, 32, 33, 64, 100, 300, 1000} {
+			blk := make([]byte, 64)
+			n := emitSequence(blk, lits, offset, matchLen)
+			n += emitFinalLiterals(blk[n:], []byte("vwxyz"))
+			blk = blk[:n]
+
+			want := make([]byte, len(lits)+matchLen+5)
+			if got := refDecompress(want, blk); got != len(want) {
+				t.Fatalf("offset %d len %d: reference wrote %d of %d", offset, matchLen, got, len(want))
+			}
+			got, err := DecompressAlloc(blk, len(want))
+			if err != nil {
+				t.Fatalf("offset %d len %d: %v", offset, matchLen, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("offset %d len %d: decoder differs from the byte-wise reference", offset, matchLen)
+			}
+			// one byte short of room: the bounds check, not a partial copy
+			if _, err := Decompress(make([]byte, len(want)-6), blk); err != ErrCorrupt {
+				t.Fatalf("offset %d len %d: short destination gave %v", offset, matchLen, err)
+			}
+		}
+	}
+}

@@ -41,6 +41,10 @@ type RunManifest struct {
 	Stages []telemetry.StageStats `json:"stages,omitempty"`
 
 	Checkpoints []string `json:"checkpoints,omitempty"`
+	// CheckpointWriteSeconds is the time the checkpoint lane spent writing
+	// those dumps beside the solver; the "checkpoint" stage holds only the
+	// snapshots and the waits for a previous dump.
+	CheckpointWriteSeconds float64 `json:"checkpoint_write_seconds,omitempty"`
 }
 
 // StationSummary is one station's headline numbers.
@@ -80,6 +84,7 @@ func New(cfg core.Config, res *core.Result) RunManifest {
 	for _, ck := range res.Checkpoints {
 		m.Checkpoints = append(m.Checkpoints, ck.Path)
 	}
+	m.CheckpointWriteSeconds = res.CheckpointWriteSeconds
 	return m
 }
 

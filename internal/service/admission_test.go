@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"swquake/internal/admission"
+	"swquake/internal/checkpoint"
 	"swquake/internal/core"
 	"swquake/internal/faultinject"
 )
@@ -74,8 +75,52 @@ func TestMemBudgetSerializesDispatch(t *testing.T) {
 	if m.MemHighWaterBytes <= 0 || m.MemHighWaterBytes > m.MemBudgetBytes {
 		t.Fatalf("ledger high water %d with budget %d", m.MemHighWaterBytes, m.MemBudgetBytes)
 	}
-	if m.MemReservedBytes != 0 {
-		t.Fatalf("reservations leaked: %d bytes still held", m.MemReservedBytes)
+	// a job turns terminal inside runJob; its worker releases the
+	// reservation just after
+	for deadline := time.Now().Add(5 * time.Second); m.MemReservedBytes != 0; m = s.Metrics() {
+		if time.Now().After(deadline) {
+			t.Fatalf("reservations leaked: %d bytes still held", m.MemReservedBytes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDurableJobsArePricedWithTheCheckpointLane: a journaled job on a durable
+// service auto-checkpoints, so a budget that holds its fields but not the
+// checkpoint lane's wavefield can never run it; with checkpointing off, or
+// on a volatile service, the same budget admits it.
+func TestDurableJobsArePricedWithTheCheckpointLane(t *testing.T) {
+	sp := quickSpec(30)
+	req, err := sp.request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := validatedCost(t, req.Config, 1, 1).Bytes
+	req.Config.Checkpoint = &checkpoint.Controller{Interval: 25}
+	if laned := validatedCost(t, req.Config, 1, 1).Bytes; laned <= bare {
+		t.Fatalf("checkpointing priced %d, bare %d", laned, bare)
+	}
+
+	for _, tc := range []struct {
+		name string
+		opts Options
+		fits bool
+	}{
+		{"durable", Options{DataDir: t.TempDir(), CheckpointEvery: 25}, false},
+		{"durable, checkpoints off", Options{DataDir: t.TempDir(), CheckpointEvery: -1}, true},
+		{"volatile", Options{}, true},
+	} {
+		tc.opts.Workers, tc.opts.MemBudget = 1, bare
+		s, err := Open(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := sp.request()
+		_, err = s.Submit(r)
+		if tc.fits && err != nil || !tc.fits && !errors.Is(err, admission.ErrNeverFits) {
+			t.Fatalf("%s: submit returned %v", tc.name, err)
+		}
+		drain(t, s)
 	}
 }
 
@@ -253,6 +298,9 @@ func TestDrainDeadlineParksBudgetBlockedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// a durable service prices its jobs with the checkpoint lane's wavefield
+	lane := &checkpoint.Controller{Interval: 25}
+	reqA.Config.Checkpoint, reqB.Config.Checkpoint = lane, lane
 	costA := validatedCost(t, reqA.Config, 1, 1)
 	costB := validatedCost(t, reqB.Config, 1, 1)
 	opts := Options{

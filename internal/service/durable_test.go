@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"swquake/internal/core"
 	"swquake/internal/faultinject"
 	"swquake/internal/scenario"
+	"swquake/internal/telemetry"
 )
 
 // quickSpec is a replayable quickstart submission.
@@ -110,6 +113,26 @@ func TestDurableLifecycleIsJournaled(t *testing.T) {
 	}
 	if m := s.Metrics(); m.JournalEvents != int64(len(events)) || m.CheckpointsSaved == 0 {
 		t.Fatalf("metrics %+v vs %d events", m, len(events))
+	}
+	// the dumps were written beside the solver: their time shows in the
+	// job's manifest and in the service total, not in the stage table
+	res, err := s.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Manifest.Checkpoints); n != 3 || res.Manifest.CheckpointWriteSeconds <= 0 {
+		t.Fatalf("manifest: %d checkpoints, %g write seconds", n, res.Manifest.CheckpointWriteSeconds)
+	}
+	reg := telemetry.NewPromRegistry()
+	s.RegisterProm(reg)
+	var buf bytes.Buffer
+	if err := reg.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("swquake_checkpoint_write_seconds_total %v\n",
+		float64(int64(res.Manifest.CheckpointWriteSeconds*1e9))/1e9)
+	if text := buf.String(); !strings.Contains(text, "swquake_checkpoints_saved_total 3\n") || !strings.Contains(text, want) {
+		t.Fatalf("exposition lacks the checkpoint counters (want %q):\n%s", want, text)
 	}
 	// finished job leaves no checkpoints behind
 	if entries, _ := os.ReadDir(filepath.Join(dir, "checkpoints")); len(entries) != 0 {

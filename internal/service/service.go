@@ -314,6 +314,10 @@ type Service struct {
 
 	// jobLatency observes submit-to-terminal seconds of every finished job.
 	jobLatency *telemetry.Histogram
+	// ckptWriteNS sums the checkpoint lanes' write time over finished runs
+	// (a duration, so it lives beside the integer counters of vars, not in
+	// them: /metrics consumers decode that map as integers).
+	ckptWriteNS atomic.Int64
 	// queueDepth mirrors the jobs_queued counter as an atomic so the
 	// Prometheus gauge and the high-water mark don't race the expvar map;
 	// queueHW is the deepest the queue has ever been.
@@ -539,7 +543,7 @@ func (s *Service) requeueRecovered(rec *jobRecord) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	cost := admission.EstimateCost(req.Config, req.MX, req.MY)
+	cost := s.estimateCost(req)
 	if !s.ledger.Fits(cost.Bytes) {
 		failBoot(fmt.Errorf("service: recovered job %s: %w (needs %s of a %s budget)",
 			rec.id, admission.ErrNeverFits,
@@ -697,7 +701,7 @@ func (s *Service) Submit(req Request) (string, error) {
 		s.reject("rate-limit")
 		return "", err
 	}
-	cost := admission.EstimateCost(cfg, req.MX, req.MY)
+	cost := s.estimateCost(req)
 	if !s.ledger.Fits(cost.Bytes) {
 		j.cancel()
 		s.reject("budget")
@@ -876,7 +880,7 @@ func (s *Service) runJob(j *job) bool {
 	// to rank 0 and writes one global dump, so serial and parallel
 	// attempts of the same job can resume each other's checkpoints.
 	var ctl *checkpoint.Controller
-	if s.wal != nil && j.req.Spec != nil && s.opts.CheckpointEvery > 0 {
+	if s.autoCheckpoints(j.req) {
 		dir := s.ckptDir(j.id)
 		if err := os.MkdirAll(dir, 0o755); err == nil {
 			ctl = &checkpoint.Controller{
@@ -940,6 +944,7 @@ func (s *Service) runJob(j *job) bool {
 	}()
 	if res != nil && len(res.Checkpoints) > 0 {
 		s.vars.Add("checkpoints_saved", int64(len(res.Checkpoints)))
+		s.ckptWriteNS.Add(int64(res.CheckpointWriteSeconds * 1e9))
 	}
 	if res != nil {
 		s.vars.Add("halo_bytes", res.Perf.HaloBytes)
@@ -1036,6 +1041,22 @@ func (s *Service) runJob(j *job) bool {
 	}
 	close(j.done)
 	return false
+}
+
+// autoCheckpoints reports whether the job will run with auto-checkpoints:
+// a journaled job on a durable service with checkpointing left on.
+func (s *Service) autoCheckpoints(req Request) bool {
+	return s.wal != nil && req.Spec != nil && s.opts.CheckpointEvery > 0
+}
+
+// estimateCost prices a request as it will run: an auto-checkpointing job
+// also holds the checkpoint lane's wavefield.
+func (s *Service) estimateCost(req Request) admission.Cost {
+	cfg := req.Config
+	if s.autoCheckpoints(req) {
+		cfg.Checkpoint = &checkpoint.Controller{Interval: s.opts.CheckpointEvery}
+	}
+	return admission.EstimateCost(cfg, req.MX, req.MY)
 }
 
 // noteBreakerFailure feeds one counted infrastructure failure to the
@@ -1536,6 +1557,9 @@ func (s *Service) RegisterProm(reg *telemetry.PromRegistry) {
 		})
 	reg.CounterFunc("swquake_journal_events_total", "Events appended to the durability journal.", counter("journal_events"))
 	reg.CounterFunc("swquake_checkpoints_saved_total", "Auto-checkpoints written by running jobs.", counter("checkpoints_saved"))
+	reg.CounterFunc("swquake_checkpoint_write_seconds_total",
+		"Seconds the checkpoint lane spent writing those dumps beside the solver (the checkpoint stage holds only snapshots and waits).",
+		func() float64 { return float64(s.ckptWriteNS.Load()) / 1e9 })
 	reg.CounterFunc("swquake_cache_hits_total", "Submissions served from the result cache.", counter("cache_hits"))
 	reg.CounterFunc("swquake_cache_misses_total", "Submissions that had to be solved.", counter("cache_misses"))
 	reg.CounterFunc("swquake_steps_total", "Solver steps completed across all jobs (rate() gives steps/sec).", counter("steps_done"))
