@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check check-bce fmt-check vet test race bench bench-json bench-tiles profile repro fuzz clean serve-smoke ensemble-smoke crash-test chaos-test overload-test
+.PHONY: all build check check-bce check-portable fmt-check vet test race bench bench-json bench-tiles profile repro fuzz clean serve-smoke ensemble-smoke crash-test chaos-test overload-test
 
 all: build check test
 
@@ -12,21 +12,33 @@ build:
 # step-pipeline drivers, the job service worker pool, the ensemble campaign
 # scheduler, the durability layers with the checkpoint write lane and its
 # codec, and the telemetry collectors) and the medium's build-once reciprocal
-# under the race detector
-check: vet fmt-check check-bce overload-test
+# under the race detector — where the fd rows are the Go ones (the assembly
+# rows are not built under -race), so the row and both-paths tests there
+# also prove that build compiles and computes the same bits
+check: vet fmt-check check-bce check-portable overload-test
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
 		./internal/ensemble/ ./internal/checkpoint/ ./internal/lz4/ \
 		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
-	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium'
+	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium|Row|SweepKernels|KernelPaths'
+
+# the build without the assembly rows must not rot: cross-compile everything
+# for an architecture that has none and vet the kernel package there (works
+# offline; `go vet` on amd64 runs asmdecl over sweep_amd64.s's frames)
+check-portable:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/fd
 
 # the sweep kernels (velocity, stress, sponge, attenuation, plasticity) must
 # keep their inner loops free of index bounds checks: compile their packages
 # with the SSA bounds-check report and fail on any "Found IsInBounds" in a
-# sweep-kernel file, naming its line. "Found IsSliceInBounds" is the per-row
-# operand slicing and is expected; both counts are printed per file.
-BCE_FILES = internal/fd/sweep.go internal/plasticity/sweep.go
+# file that holds a row loop or hands rows to the assembly, naming its line.
+# "Found IsSliceInBounds" is the per-row operand slicing — in sweep_amd64.go
+# the very checks that license the pointers the assembly gets — and is
+# expected; both counts are printed per file. Compiled for amd64 whatever
+# the host, so the file list means the same everywhere.
+BCE_FILES = internal/fd/sweep.go internal/fd/sweep_amd64.go internal/plasticity/sweep.go
 check-bce:
-	@out=$$($(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/fd ./internal/plasticity 2>&1) \
+	@out=$$(GOARCH=amd64 $(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/fd ./internal/plasticity 2>&1) \
 		|| { echo "$$out"; exit 1; }; \
 	bad=0; \
 	for f in $(BCE_FILES); do \

@@ -458,31 +458,6 @@ func BenchmarkAblationSlabHeight(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLayout compares the scalar (structure-of-arrays) kernels
-// against the fused (vec3/vec6) kernels on this host — the executed form of
-// the paper's array-fusion ablation (on Sunway the win is DMA chunk size;
-// on a cache-based CPU it shows up as line utilization).
-func BenchmarkAblationLayout(b *testing.B) {
-	d := grid.Dims{Nx: 48, Ny: 48, Nz: 48}
-	b.Run("scalar", func(b *testing.B) {
-		wf, med := benchWavefield(d)
-		b.SetBytes(int64(d.Points()) * 13 * 4)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fd.UpdateVelocity(wf, med, 0.0005, 0, d.Nz)
-		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		wf, med := benchWavefield(d)
-		fw := fd.FuseWavefield(wf)
-		b.SetBytes(int64(d.Points()) * 13 * 4)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fd.UpdateVelocityFused(fw, med, 0.0005, 0, d.Nz)
-		}
-	})
-}
-
 // BenchmarkResponseSpectrum measures the Newmark SDOF sweep used for the
 // engineering PSA outputs.
 func BenchmarkResponseSpectrum(b *testing.B) {

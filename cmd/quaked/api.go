@@ -10,6 +10,7 @@ import (
 
 	"swquake/internal/admission"
 	"swquake/internal/ensemble"
+	"swquake/internal/fd"
 	"swquake/internal/scenario"
 	"swquake/internal/service"
 	"swquake/internal/telemetry"
@@ -24,12 +25,20 @@ type server struct {
 	mux   *http.ServeMux
 	start time.Time
 	prom  *telemetry.PromRegistry
-	build telemetry.BuildInfo
+	build buildBlock
+}
+
+// buildBlock is /healthz's "build": what binary this is and which code its
+// velocity and stress kernels run on this host ("avx2" or "go"), so a slow
+// job on a CPU without AVX2, or from a -race binary, explains itself.
+type buildBlock struct {
+	telemetry.BuildInfo
+	KernelPath string `json:"kernel_path"`
 }
 
 func newServer(svc *service.Service, mgr *ensemble.Manager) *server {
 	s := &server{svc: svc, mgr: mgr, mux: http.NewServeMux(), start: time.Now(),
-		prom: telemetry.NewPromRegistry(), build: telemetry.ReadBuildInfo()}
+		prom: telemetry.NewPromRegistry(), build: buildBlock{telemetry.ReadBuildInfo(), fd.KernelPath()}}
 	s.prom.GaugeFunc("swquake_uptime_seconds", "Seconds since the daemon booted.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	svc.RegisterProm(s.prom)
@@ -171,7 +180,8 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleHealthz is liveness: it always answers 200 as long as the process
 // serves HTTP — even degraded (breaker open) or draining — and reports the
 // health state machine, the memory-budget ledger, the daemon's build
-// identity (Go version, module version, VCS revision) and pool shape, so
+// identity (Go version, module version, VCS revision, kernel path) and pool
+// shape, so
 // an operator can tell WHAT is healthy, not just that something answered.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := s.svc.Health()

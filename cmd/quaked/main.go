@@ -33,7 +33,10 @@
 //	                            serves): health state machine
 //	                            healthy/degraded/draining, breaker state,
 //	                            memory-budget ledger, build info (go
-//	                            version, VCS revision), uptime, pool shape
+//	                            version, VCS revision, kernel_path: which
+//	                            velocity/stress rows this binary runs on
+//	                            this host, "avx2" or "go"), uptime, pool
+//	                            shape
 //	GET    /readyz              readiness: 200 only while healthy; degraded
 //	                            or draining answers 503 + Retry-After so
 //	                            load balancers steer submissions away

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"swquake/internal/fd"
 	"swquake/internal/service"
 )
 
@@ -22,6 +23,7 @@ func TestHealthzBuildInfo(t *testing.T) {
 		Build   struct {
 			GoVersion  string `json:"go_version"`
 			ModulePath string `json:"module_path"`
+			KernelPath string `json:"kernel_path"`
 		} `json:"build"`
 		Workers       int `json:"workers"`
 		QueueCapacity int `json:"queue_capacity"`
@@ -32,8 +34,8 @@ func TestHealthzBuildInfo(t *testing.T) {
 	if hz.Status != "healthy" || hz.Workers != 2 || hz.QueueCapacity != 8 {
 		t.Fatalf("healthz payload wrong: %+v", hz)
 	}
-	if hz.Build.GoVersion == "" {
-		t.Fatalf("healthz must carry build info: %+v", hz)
+	if hz.Build.GoVersion == "" || hz.Build.KernelPath != fd.KernelPath() {
+		t.Fatalf("healthz must carry build info and the kernel path %q: %+v", fd.KernelPath(), hz)
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"swquake/internal/compress"
 	"swquake/internal/core"
 	"swquake/internal/faultinject"
+	"swquake/internal/fd"
 	"swquake/internal/model"
 	"swquake/internal/output"
 	"swquake/internal/scenario"
@@ -262,6 +263,7 @@ func printTiming(w io.Writer, res *core.Result, wallS float64) {
 	}
 	fmt.Fprintf(w, "stages total %.4f s over %.4f s wall (%.1f%% accounted)\n",
 		total, wallS, 100*total/wallS)
+	fmt.Fprintf(w, "velocity and stress rows: %s\n", fd.KernelPath())
 	if n := len(res.Checkpoints); n > 0 {
 		fmt.Fprintf(w, "checkpoint lane: %d dumps written in %.4f s beside the solver (the checkpoint stage above is snapshots and waits)\n",
 			n, res.CheckpointWriteSeconds)

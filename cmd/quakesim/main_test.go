@@ -9,6 +9,7 @@ import (
 
 	"swquake/internal/compress"
 	"swquake/internal/faultinject"
+	"swquake/internal/fd"
 	"swquake/internal/model"
 	"swquake/internal/scenario"
 )
@@ -179,7 +180,7 @@ func TestRunTimingFlag(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{"stage", "velocity", "stress", "accounted",
-		"checkpoint lane: 3 dumps written in"} {
+		"velocity and stress rows: " + fd.KernelPath(), "checkpoint lane: 3 dumps written in"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timing table missing %q:\n%s", want, out)
 		}

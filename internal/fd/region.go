@@ -72,90 +72,3 @@ func (s *SLS) AfterRegion(wf *Wavefield, dt float64, reg grid.Region) {
 		}
 	}
 }
-
-// UpdateVelocityFusedRegion advances the fused velocities over the region;
-// numerically identical to UpdateVelocityRegion on the scalar layout.
-func UpdateVelocityFusedRegion(f *FusedWavefield, med *Medium, dtdx float32, r grid.Region) {
-	vel, str := f.Vel.Data, f.Str.Data
-	rho := med.Rho.Data
-
-	// strides in ELEMENTS of the fused arrays and in points of rho
-	ssx := f.Str.Idx(1, 0, 0, 0) - f.Str.Idx(0, 0, 0, 0)
-	ssy := f.Str.Idx(0, 1, 0, 0) - f.Str.Idx(0, 0, 0, 0)
-	rsx, rsy := med.Rho.StrideX(), med.Rho.StrideY()
-
-	for i := r.I0; i < r.I1; i++ {
-		for j := r.J0; j < r.J1; j++ {
-			vp := f.Vel.Idx(i, j, r.K0, 0)
-			sp := f.Str.Idx(i, j, r.K0, 0)
-			rp := med.Rho.Idx(i, j, r.K0)
-			for k := r.K0; k < r.K1; k, vp, sp, rp = k+1, vp+3, sp+6, rp+1 {
-				// u at (i+1/2, j, k)
-				ru := dtdx * 2 / (rho[rp] + rho[rp+rsx])
-				du := C1*(str[sp+ssx+cXX]-str[sp+cXX]) + C2*(str[sp+2*ssx+cXX]-str[sp-ssx+cXX]) +
-					C1*(str[sp+cXY]-str[sp-ssy+cXY]) + C2*(str[sp+ssy+cXY]-str[sp-2*ssy+cXY]) +
-					C1*(str[sp+cXZ]-str[sp-6+cXZ]) + C2*(str[sp+6+cXZ]-str[sp-12+cXZ])
-				vel[vp] += ru * du
-
-				// v at (i, j+1/2, k)
-				rv := dtdx * 2 / (rho[rp] + rho[rp+rsy])
-				dv := C1*(str[sp+cXY]-str[sp-ssx+cXY]) + C2*(str[sp+ssx+cXY]-str[sp-2*ssx+cXY]) +
-					C1*(str[sp+ssy+cYY]-str[sp+cYY]) + C2*(str[sp+2*ssy+cYY]-str[sp-ssy+cYY]) +
-					C1*(str[sp+cYZ]-str[sp-6+cYZ]) + C2*(str[sp+6+cYZ]-str[sp-12+cYZ])
-				vel[vp+1] += rv * dv
-
-				// w at (i, j, k+1/2)
-				rw := dtdx * 2 / (rho[rp] + rho[rp+1])
-				dw := C1*(str[sp+cXZ]-str[sp-ssx+cXZ]) + C2*(str[sp+ssx+cXZ]-str[sp-2*ssx+cXZ]) +
-					C1*(str[sp+cYZ]-str[sp-ssy+cYZ]) + C2*(str[sp+ssy+cYZ]-str[sp-2*ssy+cYZ]) +
-					C1*(str[sp+6+cZZ]-str[sp+cZZ]) + C2*(str[sp+12+cZZ]-str[sp-6+cZZ])
-				vel[vp+2] += rw * dw
-			}
-		}
-	}
-}
-
-// UpdateStressFusedRegion advances the fused stresses over the region;
-// numerically identical to UpdateStressRegion on the scalar layout.
-func UpdateStressFusedRegion(f *FusedWavefield, med *Medium, dtdx float32, r grid.Region) {
-	vel, str := f.Vel.Data, f.Str.Data
-	lam, mu := med.Lam.Data, med.Mu.Data
-
-	vsx := f.Vel.Idx(1, 0, 0, 0) - f.Vel.Idx(0, 0, 0, 0)
-	vsy := f.Vel.Idx(0, 1, 0, 0) - f.Vel.Idx(0, 0, 0, 0)
-	msx, msy := med.Mu.StrideX(), med.Mu.StrideY()
-
-	for i := r.I0; i < r.I1; i++ {
-		for j := r.J0; j < r.J1; j++ {
-			vp := f.Vel.Idx(i, j, r.K0, 0)
-			sp := f.Str.Idx(i, j, r.K0, 0)
-			mp := med.Mu.Idx(i, j, r.K0)
-			for k := r.K0; k < r.K1; k, vp, sp, mp = k+1, vp+3, sp+6, mp+1 {
-				vxx := C1*(vel[vp]-vel[vp-vsx]) + C2*(vel[vp+vsx]-vel[vp-2*vsx])
-				vyy := C1*(vel[vp+1]-vel[vp-vsy+1]) + C2*(vel[vp+vsy+1]-vel[vp-2*vsy+1])
-				vzz := C1*(vel[vp+2]-vel[vp-3+2]) + C2*(vel[vp+3+2]-vel[vp-6+2])
-
-				l, m := lam[mp], mu[mp]
-				l2m := l + 2*m
-				str[sp+cXX] += dtdx * (l2m*vxx + l*(vyy+vzz))
-				str[sp+cYY] += dtdx * (l2m*vyy + l*(vxx+vzz))
-				str[sp+cZZ] += dtdx * (l2m*vzz + l*(vxx+vyy))
-
-				mxy := harmonic4(mu[mp], mu[mp+msx], mu[mp+msy], mu[mp+msx+msy])
-				dxy := C1*(vel[vp+vsy]-vel[vp]) + C2*(vel[vp+2*vsy]-vel[vp-vsy]) +
-					C1*(vel[vp+vsx+1]-vel[vp+1]) + C2*(vel[vp+2*vsx+1]-vel[vp-vsx+1])
-				str[sp+cXY] += dtdx * mxy * dxy
-
-				mxz := harmonic4(mu[mp], mu[mp+msx], mu[mp+1], mu[mp+msx+1])
-				dxz := C1*(vel[vp+3]-vel[vp]) + C2*(vel[vp+6]-vel[vp-3]) +
-					C1*(vel[vp+vsx+2]-vel[vp+2]) + C2*(vel[vp+2*vsx+2]-vel[vp-vsx+2])
-				str[sp+cXZ] += dtdx * mxz * dxz
-
-				myz := harmonic4(mu[mp], mu[mp+msy], mu[mp+1], mu[mp+msy+1])
-				dyz := C1*(vel[vp+3+1]-vel[vp+1]) + C2*(vel[vp+6+1]-vel[vp-3+1]) +
-					C1*(vel[vp+vsy+2]-vel[vp+2]) + C2*(vel[vp+2*vsy+2]-vel[vp-vsy+2])
-				str[sp+cYZ] += dtdx * myz * dyz
-			}
-		}
-	}
-}

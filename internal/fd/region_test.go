@@ -144,28 +144,3 @@ func TestRegionWrappersMatchLegacySignatures(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestFusedRegionMatchesFused pins the fused-layout region kernels to their
-// (k0,k1) wrappers.
-func TestFusedRegionMatchesFused(t *testing.T) {
-	d := grid.Dims{Nx: 8, Ny: 7, Nz: 10}
-	med := homogeneousMedium(d, model.Material{Vp: 5000, Vs: 2800, Rho: 2600})
-	dtdx := float32(0.001)
-
-	wf := NewWavefield(d)
-	randomizeWavefield(wf, 11)
-	fa := FuseWavefield(wf)
-	fb := FuseWavefield(wf)
-
-	UpdateVelocityFused(fa, med, dtdx, 0, d.Nz)
-	for _, reg := range grid.Box(d).SplitN(4) {
-		UpdateVelocityFusedRegion(fb, med, dtdx, reg)
-	}
-	UpdateStressFused(fa, med, dtdx, 0, d.Nz)
-	for _, reg := range grid.Box(d).Split(3, 2, 2) {
-		UpdateStressFusedRegion(fb, med, dtdx, reg)
-	}
-	if err := fieldsIdentical(fa.Unfuse(), fb.Unfuse()); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -13,6 +13,27 @@ import "swquake/internal/grid"
 // of each row function is, operation for operation and in the same order,
 // that of the flat-index loops kept in sweep_ref_test.go, which the
 // property tests compare against bit for bit.
+//
+// The velocity and stress rows also exist as AVX2 assembly (sweep_amd64.s),
+// which computes the same bits eight cells at a time. Their drivers pass a
+// 4-point derivative as one row starting at its lowest tap plus a stride in
+// elements, and a *RowAt function runs the leading whole vectors of the row
+// in assembly and the remaining cells — or all of them, where the assembly
+// is not in use — in the Go row, which stays the definition of the bits.
+
+// useAVX2 selects the assembly rows. It is decided once, from what the build
+// and the CPU are (amd64, not a race build, AVX2 with OS support): there is
+// no flag for it. Only tests write it, to run both paths on one host.
+var useAVX2 = haveAVX2()
+
+// KernelPath names the code the velocity and stress rows run on this host:
+// "avx2" for the assembly rows, "go" for the portable ones.
+func KernelPath() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
 
 // UpdateVelocityRegion advances the velocity components over the region.
 func UpdateVelocityRegion(wf *Wavefield, med *Medium, dtdx float32, r grid.Region) {
@@ -29,23 +50,34 @@ func UpdateVelocityRegion(wf *Wavefield, med *Medium, dtdx float32, r grid.Regio
 	for i := r.I0; i < r.I1; i++ {
 		for j := r.J0; j < r.J1; j++ {
 			p := wf.U.Idx(i, j, r.K0)
+			// Each derivative row starts at its lowest tap: one stride
+			// below p for a forward stencil, two below for a backward one.
 			// u at (i+1/2, j, k): rho averaged along x
-			velocityRow(u[p:][:n], dtdx, rho[p:], rho[p+sx:],
-				xx[p+sx:], xx[p:], xx[p+2*sx:], xx[p-sx:],
-				xy[p:], xy[p-sy:], xy[p+sy:], xy[p-2*sy:],
-				xz[p:], xz[p-1:], xz[p+1:], xz[p-2:])
+			velocityRowAt(u[p:][:n], dtdx, rho[p:], rho[p+sx:],
+				xx[p-sx:], sx, xy[p-2*sy:], sy, xz[p-2:])
 			// v at (i, j+1/2, k): rho averaged along y
-			velocityRow(v[p:][:n], dtdx, rho[p:], rho[p+sy:],
-				xy[p:], xy[p-sx:], xy[p+sx:], xy[p-2*sx:],
-				yy[p+sy:], yy[p:], yy[p+2*sy:], yy[p-sy:],
-				yz[p:], yz[p-1:], yz[p+1:], yz[p-2:])
+			velocityRowAt(v[p:][:n], dtdx, rho[p:], rho[p+sy:],
+				xy[p-2*sx:], sx, yy[p-sy:], sy, yz[p-2:])
 			// w at (i, j, k+1/2): rho averaged along z
-			velocityRow(w[p:][:n], dtdx, rho[p:], rho[p+1:],
-				xz[p:], xz[p-sx:], xz[p+sx:], xz[p-2*sx:],
-				yz[p:], yz[p-sy:], yz[p+sy:], yz[p-2*sy:],
-				zz[p+1:], zz[p:], zz[p+2:], zz[p-1:])
+			velocityRowAt(w[p:][:n], dtdx, rho[p:], rho[p+1:],
+				xz[p-2*sx:], sx, yz[p-2*sy:], sy, zz[p-1:])
 		}
 	}
+}
+
+// velocityRowAt advances one velocity component along a z-row. a and b
+// start at the lowest tap of a derivative with element stride as, bs; c is
+// the z derivative (stride 1). With f = a[as:] the taps of velocityRow are
+// f1 = a[2*as:], f0 = a[as:], f2 = a[3*as:], f3 = a.
+func velocityRowAt(out []float32, dtdx float32, r0, r1, a []float32, as int, b []float32, bs int, c []float32) {
+	m := velocityRowVec(out, dtdx, r0, r1, a, as, b, bs, c)
+	if m == len(out) {
+		return
+	}
+	velocityRow(out[m:], dtdx, r0[m:], r1[m:],
+		a[m+2*as:], a[m+as:], a[m+3*as:], a[m:],
+		b[m+2*bs:], b[m+bs:], b[m+3*bs:], b[m:],
+		c[m+2:], c[m+1:], c[m+3:], c[m:])
 }
 
 // velocityRow advances one velocity component along a z-row:
@@ -90,24 +122,35 @@ func UpdateStressRegion(wf *Wavefield, med *Medium, dtdx float32, r grid.Region)
 	for i := r.I0; i < r.I1; i++ {
 		for j := r.J0; j < r.J1; j++ {
 			p := wf.U.Idx(i, j, r.K0)
-			stressDiagRow(xx[p:][:n], yy[p:], zz[p:], dtdx, lam[p:], mu[p:],
-				u[p:], u[p-sx:], u[p+sx:], u[p-2*sx:],
-				v[p:], v[p-sy:], v[p+sy:], v[p-2*sy:],
-				w[p:], w[p-1:], w[p+1:], w[p-2:])
+			// the centred gradients are backward stencils: rows start two
+			// strides below p; the shear ones are forward: one stride below
+			stressDiagRowAt(xx[p:][:n], yy[p:], zz[p:], dtdx, lam[p:], mu[p:],
+				u[p-2*sx:], sx, v[p-2*sy:], sy, w[p-2:])
 			// sxy at (i+1/2, j+1/2, k): mu over (i,j) (i+1,j) (i,j+1) (i+1,j+1)
-			stressShearRow(xy[p:][:n], dtdx, rm[p:], rm[p+sx:], rm[p+sy:], rm[p+sx+sy:],
-				u[p+sy:], u[p:], u[p+2*sy:], u[p-sy:],
-				v[p+sx:], v[p:], v[p+2*sx:], v[p-sx:])
+			stressShearRowAt(xy[p:][:n], dtdx, rm[p:], rm[p+sx:], rm[p+sy:], rm[p+sx+sy:],
+				u[p-sy:], sy, v[p-sx:], sx)
 			// sxz at (i+1/2, j, k+1/2)
-			stressShearRow(xz[p:][:n], dtdx, rm[p:], rm[p+sx:], rm[p+1:], rm[p+sx+1:],
-				u[p+1:], u[p:], u[p+2:], u[p-1:],
-				w[p+sx:], w[p:], w[p+2*sx:], w[p-sx:])
+			stressShearRowAt(xz[p:][:n], dtdx, rm[p:], rm[p+sx:], rm[p+1:], rm[p+sx+1:],
+				u[p-1:], 1, w[p-sx:], sx)
 			// syz at (i, j+1/2, k+1/2)
-			stressShearRow(yz[p:][:n], dtdx, rm[p:], rm[p+sy:], rm[p+1:], rm[p+sy+1:],
-				v[p+1:], v[p:], v[p+2:], v[p-1:],
-				w[p+sy:], w[p:], w[p+2*sy:], w[p-sy:])
+			stressShearRowAt(yz[p:][:n], dtdx, rm[p:], rm[p+sy:], rm[p+1:], rm[p+sy+1:],
+				v[p-1:], 1, w[p-sy:], sy)
 		}
 	}
+}
+
+// stressDiagRowAt advances the three diagonal stresses along a z-row. u and
+// v start at the lowest tap (two strides below the cell) of the backward
+// derivative along their own axis, w is the same along z.
+func stressDiagRowAt(xx, yy, zz []float32, dtdx float32, lam, mu, u []float32, us int, v []float32, vs int, w []float32) {
+	m := stressDiagRowVec(xx, yy, zz, dtdx, lam, mu, u, us, v, vs, w)
+	if m == len(xx) {
+		return
+	}
+	stressDiagRow(xx[m:], yy[m:], zz[m:], dtdx, lam[m:], mu[m:],
+		u[m+2*us:], u[m+us:], u[m+3*us:], u[m:],
+		v[m+2*vs:], v[m+vs:], v[m+3*vs:], v[m:],
+		w[m+2:], w[m+1:], w[m+3:], w[m:])
 }
 
 // stressDiagRow advances the three diagonal stresses along a z-row from the
@@ -132,6 +175,19 @@ func stressDiagRow(xx, yy, zz []float32, dtdx float32, lam, mu,
 		yy[k] += dtdx * (l2m*vyy + l*(vxx+vzz))
 		zz[k] += dtdx * (l2m*vzz + l*(vxx+vyy))
 	}
+}
+
+// stressShearRowAt advances one shear stress along a z-row; a and b start
+// at the lowest tap of a derivative with element stride as, bs, as in
+// velocityRowAt.
+func stressShearRowAt(out []float32, dtdx float32, ra, rb, rc, rd, a []float32, as int, b []float32, bs int) {
+	m := stressShearRowVec(out, dtdx, ra, rb, rc, rd, a, as, b, bs)
+	if m == len(out) {
+		return
+	}
+	stressShearRow(out[m:], dtdx, ra[m:], rb[m:], rc[m:], rd[m:],
+		a[m+2*as:], a[m+as:], a[m+3*as:], a[m:],
+		b[m+2*bs:], b[m+bs:], b[m+3*bs:], b[m:])
 }
 
 // stressShearRow advances one shear stress along a z-row:

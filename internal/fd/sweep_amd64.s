@@ -1,0 +1,234 @@
+//go:build !race
+
+#include "textflag.h"
+
+// AVX2 forms of the three row functions of sweep.go: 8 float32 lanes per
+// iteration, unaligned loads and stores, and only VADDPS/VSUBPS/VMULPS/
+// VDIVPS — each the correctly rounded IEEE operation the scalar Go row
+// performs, applied in the Go row's order. No FMA (it rounds once where Go
+// rounds twice), no VRCPPS, no reassociation: every lane holds the bits
+// the Go row computes. n is a positive multiple of 8; the caller
+// (sweep_amd64.go) has bounds-checked every operand for the span read here.
+//
+// A 4-point derivative arrives as the address of its lowest tap and a byte
+// stride S; with f = P[S] the inner-lower point,
+//
+//	D = C1*(P[2S] - P[S]) + C2*(P[3S] - P[0])
+//
+// which is C1*(f1-f0) + C2*(f2-f3) of the Go rows for the forward and the
+// backward stencils alike (they differ only in where P points). The z
+// stencil is the same with S = 4 bytes.
+
+DATA fdC1<>+0(SB)/4, $0x3f900000 // C1 = 9/8
+GLOBL fdC1<>(SB), RODATA|NOPTR, $4
+DATA fdC2<>+0(SB)/4, $0xbd2aaaab // C2 = -1/24
+GLOBL fdC2<>(SB), RODATA|NOPTR, $4
+DATA fdTwo<>+0(SB)/4, $0x40000000
+GLOBL fdTwo<>(SB), RODATA|NOPTR, $4
+DATA fdFour<>+0(SB)/4, $0x40800000
+GLOBL fdFour<>(SB), RODATA|NOPTR, $4
+
+// Y12 = C1 and Y13 = C2 in every kernel.
+#define LOADC \
+	VBROADCASTSS fdC1<>(SB), Y12; \
+	VBROADCASTSS fdC2<>(SB), Y13
+
+// TAPS: D = C1*(F1-F0) + C2*(F2-F3) over four memory operands; T is scratch.
+#define TAPS(F1, F0, F2, F3, T, D) \
+	VMOVUPS F1, D; \
+	VSUBPS  F0, D, D; \
+	VMULPS  D, Y12, D; \
+	VMOVUPS F2, T; \
+	VSUBPS  F3, T, T; \
+	VMULPS  T, Y13, T; \
+	VADDPS  T, D, D
+
+// TAPSADD: D = (D + C1*(F1-F0)) + C2*(F2-F3), the left-to-right sum the Go
+// rows write.
+#define TAPSADD(F1, F0, F2, F3, T, D) \
+	VMOVUPS F1, T; \
+	VSUBPS  F0, T, T; \
+	VMULPS  T, Y12, T; \
+	VADDPS  T, D, D; \
+	VMOVUPS F2, T; \
+	VSUBPS  F3, T, T; \
+	VMULPS  T, Y13, T; \
+	VADDPS  T, D, D
+
+// A derivative at P with byte stride S (S3 holds 3*S), and the z forms with
+// S = 4 as displacements.
+#define DERIV(P, S, S3, T, D)    TAPS((P)(S*2), (P)(S*1), (P)(S3*1), (P), T, D)
+#define DERIVADD(P, S, S3, T, D) TAPSADD((P)(S*2), (P)(S*1), (P)(S3*1), (P), T, D)
+#define DERIVZ(P, T, D)          TAPS(8(P), 4(P), 12(P), (P), T, D)
+#define DERIVZADD(P, T, D)       TAPSADD(8(P), 4(P), 12(P), (P), T, D)
+
+// func velocityRowAVX2(out *float32, n int, dtdx float32, r0, r1, a *float32, as uintptr, b *float32, bs uintptr, c *float32)
+//
+//	out += (dtdx*2)/(r0+r1) * (D(a) + D(b) + Dz(c))
+TEXT ·velocityRowAVX2(SB), NOSPLIT, $0-80
+	MOVQ out+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ r0+24(FP), R8
+	MOVQ r1+32(FP), R9
+	MOVQ a+40(FP), SI
+	MOVQ as+48(FP), AX
+	MOVQ b+56(FP), DX
+	MOVQ bs+64(FP), BX
+	MOVQ c+72(FP), R10
+	LEAQ (AX)(AX*2), R11
+	LEAQ (BX)(BX*2), R12
+	LOADC
+	VBROADCASTSS dtdx+16(FP), Y14
+	VBROADCASTSS fdTwo<>(SB), Y0
+	VMULPS       Y0, Y14, Y14         // dtdx*2
+
+velocityLoop:
+	VMOVUPS (R8), Y0
+	VADDPS  (R9), Y0, Y0              // r0 + r1
+	VDIVPS  Y0, Y14, Y0               // rr = dtdx*2 / (r0+r1)
+	DERIV(SI, AX, R11, Y2, Y1)
+	DERIVADD(DX, BX, R12, Y2, Y1)
+	DERIVZADD(R10, Y2, Y1)
+	VMULPS  Y1, Y0, Y0                // rr * d
+	VADDPS  (DI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, R10
+	SUBQ    $8, CX
+	JNZ     velocityLoop
+	VZEROUPPER
+	RET
+
+// func stressDiagRowAVX2(xx, yy, zz *float32, n int, dtdx float32, lam, mu, u *float32, us uintptr, v *float32, vs uintptr, w *float32)
+//
+//	vxx, vyy, vzz = D(u), D(v), Dz(w); l2m = lam + 2*mu
+//	xx += dtdx * (l2m*vxx + lam*(vyy+vzz)), and yy, zz alike
+TEXT ·stressDiagRowAVX2(SB), NOSPLIT, $0-96
+	MOVQ xx+0(FP), DI
+	MOVQ yy+8(FP), SI
+	MOVQ zz+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ lam+40(FP), R8
+	MOVQ mu+48(FP), R9
+	MOVQ u+56(FP), R10
+	MOVQ us+64(FP), AX
+	MOVQ v+72(FP), R12
+	MOVQ vs+80(FP), BX
+	MOVQ w+88(FP), R15
+	LEAQ (AX)(AX*2), R11
+	LEAQ (BX)(BX*2), R13
+	LOADC
+	VBROADCASTSS dtdx+32(FP), Y14
+	VBROADCASTSS fdTwo<>(SB), Y11
+
+diagLoop:
+	DERIV(R10, AX, R11, Y7, Y0)       // vxx
+	DERIV(R12, BX, R13, Y7, Y1)       // vyy
+	DERIVZ(R15, Y7, Y2)               // vzz
+	VMOVUPS (R8), Y3                  // l
+	VMULPS  (R9), Y11, Y4             // 2*m
+	VADDPS  Y4, Y3, Y4                // l2m = l + 2*m
+
+	VADDPS  Y2, Y1, Y5                // vyy + vzz
+	VMULPS  Y0, Y4, Y6                // l2m*vxx
+	VMULPS  Y5, Y3, Y5                // l*(vyy+vzz)
+	VADDPS  Y5, Y6, Y6
+	VMULPS  Y6, Y14, Y6               // dtdx * (...)
+	VADDPS  (DI), Y6, Y6
+	VMOVUPS Y6, (DI)
+
+	VADDPS  Y2, Y0, Y5                // vxx + vzz
+	VMULPS  Y1, Y4, Y6                // l2m*vyy
+	VMULPS  Y5, Y3, Y5
+	VADDPS  Y5, Y6, Y6
+	VMULPS  Y6, Y14, Y6
+	VADDPS  (SI), Y6, Y6
+	VMOVUPS Y6, (SI)
+
+	VADDPS  Y1, Y0, Y5                // vxx + vyy
+	VMULPS  Y2, Y4, Y6                // l2m*vzz
+	VMULPS  Y5, Y3, Y5
+	VADDPS  Y5, Y6, Y6
+	VMULPS  Y6, Y14, Y6
+	VADDPS  (DX), Y6, Y6
+	VMOVUPS Y6, (DX)
+
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, R12
+	ADDQ    $32, R15
+	SUBQ    $8, CX
+	JNZ     diagLoop
+	VZEROUPPER
+	RET
+
+// func stressShearRowAVX2(out *float32, n int, dtdx float32, ra, rb, rc, rd, a *float32, as uintptr, b *float32, bs uintptr)
+//
+//	out += dtdx * (4/(ra+rb+rc+rd)) * (D(a) + D(b))
+TEXT ·stressShearRowAVX2(SB), NOSPLIT, $0-88
+	MOVQ out+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ ra+24(FP), R8
+	MOVQ rb+32(FP), R9
+	MOVQ rc+40(FP), R10
+	MOVQ rd+48(FP), R13
+	MOVQ a+56(FP), SI
+	MOVQ as+64(FP), AX
+	MOVQ b+72(FP), DX
+	MOVQ bs+80(FP), BX
+	LEAQ (AX)(AX*2), R11
+	LEAQ (BX)(BX*2), R12
+	LOADC
+	VBROADCASTSS dtdx+16(FP), Y14
+	VBROADCASTSS fdFour<>(SB), Y11
+
+shearLoop:
+	VMOVUPS (R8), Y0
+	VADDPS  (R9), Y0, Y0
+	VADDPS  (R10), Y0, Y0
+	VADDPS  (R13), Y0, Y0             // ra + rb + rc + rd
+	VDIVPS  Y0, Y11, Y0               // m = 4 / sum
+	DERIV(SI, AX, R11, Y2, Y1)
+	DERIVADD(DX, BX, R12, Y2, Y1)
+	VMULPS  Y0, Y14, Y0               // dtdx * m
+	VMULPS  Y1, Y0, Y0                // (dtdx*m) * d
+	VADDPS  (DI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, R13
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	SUBQ    $8, CX
+	JNZ     shearLoop
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() uint32: the low half of XCR0. Only valid once CPUID has
+// reported OSXSAVE.
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET

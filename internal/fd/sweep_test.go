@@ -125,39 +125,49 @@ func hardRegions(d grid.Dims, rng *rand.Rand) []grid.Region {
 
 // TestSweepKernelsMatchFlatIndexReference holds each row-sliced kernel to
 // the flat-index loop it replaced, bit for bit, over every region shape and
-// on a medium with fluid and denormal-mu cells.
+// on a medium with fluid and denormal-mu cells — on both row paths, and at
+// depths whose rows are a tail only (9 cells and fewer), whole vectors (16)
+// and vectors plus a tail (25) in every region shape.
 func TestSweepKernelsMatchFlatIndexReference(t *testing.T) {
-	d := grid.Dims{Nx: 7, Ny: 6, Nz: 9}
-	rng := rand.New(rand.NewSource(14))
-	med := hardMedium(d, rng)
-	att := NewAttenuation(d, VsScaledQ{Med: med}, 2, 0.004)
-	dtdx := float32(2e-5)
+	forEachKernelPath(t, func(t *testing.T) {
+		for _, nz := range []int{9, 16, 25} {
+			d := grid.Dims{Nx: 7, Ny: 6, Nz: nz}
+			rng := rand.New(rand.NewSource(14))
+			med := hardMedium(d, rng)
+			att := NewAttenuation(d, VsScaledQ{Med: med}, 2, 0.004)
+			// dt/dx sized so that an update is of the order of the value it
+			// is added to (fields are in [-1,1), densities ~1e3, moduli
+			// ~1e10): the final add then rounds, and a fused or reordered
+			// update shows
+			const dtdxV, dtdxS = float32(1e3), float32(2e-11)
 
-	kernels := []struct {
-		name     string
-		ref, got func(wf *Wavefield, r grid.Region)
-	}{
-		{"velocity",
-			func(wf *Wavefield, r grid.Region) { refUpdateVelocityRegion(wf, med, dtdx, r) },
-			func(wf *Wavefield, r grid.Region) { UpdateVelocityRegion(wf, med, dtdx, r) }},
-		{"stress",
-			func(wf *Wavefield, r grid.Region) { refUpdateStressRegion(wf, med, dtdx, r) },
-			func(wf *Wavefield, r grid.Region) { UpdateStressRegion(wf, med, dtdx, r) }},
-		{"attenuation",
-			func(wf *Wavefield, r grid.Region) { refAttenuationApplyRegion(att, wf, r) },
-			func(wf *Wavefield, r grid.Region) { att.ApplyRegion(wf, r) }},
-	}
-	for _, k := range kernels {
-		for _, reg := range hardRegions(d, rng) {
-			want := hardWavefield(d, rng)
-			got := want.Clone()
-			k.ref(want, reg)
-			k.got(got, reg)
-			if err := bitsIdentical(want, got); err != nil {
-				t.Fatalf("%s over %v: %v", k.name, reg, err)
+			kernels := []struct {
+				name     string
+				ref, got func(wf *Wavefield, r grid.Region)
+			}{
+				{"velocity",
+					func(wf *Wavefield, r grid.Region) { refUpdateVelocityRegion(wf, med, dtdxV, r) },
+					func(wf *Wavefield, r grid.Region) { UpdateVelocityRegion(wf, med, dtdxV, r) }},
+				{"stress",
+					func(wf *Wavefield, r grid.Region) { refUpdateStressRegion(wf, med, dtdxS, r) },
+					func(wf *Wavefield, r grid.Region) { UpdateStressRegion(wf, med, dtdxS, r) }},
+				{"attenuation",
+					func(wf *Wavefield, r grid.Region) { refAttenuationApplyRegion(att, wf, r) },
+					func(wf *Wavefield, r grid.Region) { att.ApplyRegion(wf, r) }},
+			}
+			for _, k := range kernels {
+				for _, reg := range hardRegions(d, rng) {
+					want := hardWavefield(d, rng)
+					got := want.Clone()
+					k.ref(want, reg)
+					k.got(got, reg)
+					if err := bitsIdentical(want, got); err != nil {
+						t.Fatalf("Nz=%d: %s over %v: %v", nz, k.name, reg, err)
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestFreeSurfaceColsMatchAccessorReference: the flat-index image condition
