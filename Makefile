@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check check-bce check-portable fmt-check vet test race bench bench-json bench-tiles profile repro fuzz clean serve-smoke ensemble-smoke crash-test chaos-test overload-test
+.PHONY: all build check check-bce check-portable check-one fmt-check vet test race bench loc profile repro fuzz clean serve-smoke ensemble-smoke crash-test chaos-test overload-test
 
 all: build check test
 
@@ -10,14 +10,15 @@ build:
 # static analysis, formatting, the bounds-check pin on the sweep kernels, plus
 # the race-sensitive engine packages (the simulated-MPI world, the
 # step-pipeline drivers, the job service worker pool, the ensemble campaign
-# scheduler, the durability layers with the checkpoint write lane and its
-# codec, and the telemetry collectors) and the medium's build-once reciprocal
-# under the race detector — where the fd rows are the Go ones (the assembly
-# rows are not built under -race), so the row and both-paths tests there
-# also prove that build compiles and computes the same bits
-check: vet fmt-check check-bce check-portable overload-test
+# scheduler, the durability layers — the write-ahead log, the checkpoint
+# write lane and its codec — and the telemetry collectors) and the medium's
+# build-once reciprocal under the race detector — where the fd rows are the
+# Go ones (the assembly rows are not built under -race), so the row and
+# both-paths tests there also prove that build compiles and computes the
+# same bits
+check: vet fmt-check check-bce check-portable check-one overload-test
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
-		./internal/ensemble/ ./internal/checkpoint/ ./internal/lz4/ \
+		./internal/ensemble/ ./internal/wal/ ./internal/checkpoint/ ./internal/lz4/ \
 		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
 	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium|Row|SweepKernels|KernelPaths'
 
@@ -50,6 +51,14 @@ check-bce:
 	done; \
 	exit $$bad
 
+# one of each: the journals' durability lives in internal/wal alone (no fsync
+# in the two packages that keep a journal), and metrics live in
+# internal/telemetry's registry alone (expvar only publishes its JSON view,
+# from cmd/quaked); any line printed is a failure
+check-one:
+	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
+	@! grep -rl --include='*.go' '"expvar"' . | grep -v '^\./cmd/quaked/'
+
 vet:
 	$(GO) vet ./...
 
@@ -66,17 +75,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# machine-readable serial solver benchmark: throughput, flop rate and the
-# per-stage kernel breakdown, with build identity for cross-revision tracking
-bench-json:
-	$(GO) run ./cmd/bench -core-json BENCH_core.json
+# the repo's size as ROADMAP counts it: non-test Go lines, then test Go lines
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@find . -name '*_test.go' | xargs cat | wc -l
 
-# serial vs tiled throughput on the same scenario: how much the intra-rank
-# tile pool buys on this machine (bit-identical results either way)
-bench-tiles:
-	$(GO) run ./cmd/bench -compare-tiles -core-steps 100
-
-# CPU-profile the serial benchmark and print the top-10 hot functions
+# CPU-profile the serial step and print the top-10 hot functions
 profile:
 	$(GO) test -run=^$$ -bench BenchmarkStepTimingOverhead/instrumented \
 		-benchtime 100x -cpuprofile cpu.prof ./internal/core/
@@ -93,12 +97,13 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecompress -fuzztime 30s ./internal/lz4/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime 30s ./internal/lz4/
 	$(GO) test -fuzz=FuzzLoad -fuzztime 30s ./internal/checkpoint/
+	$(GO) test -fuzz=FuzzRead -fuzztime 30s ./internal/wal/
 
 # the fault-tolerance suite under the race detector: failpoint-injected
 # checkpoint corruption/write errors, worker panics, journal recovery, and
 # the subprocess kill-and-restart drill in cmd/quaked
 crash-test:
-	$(GO) test -race ./internal/faultinject/ ./internal/atomicio/
+	$(GO) test -race ./internal/faultinject/ ./internal/atomicio/ ./internal/wal/
 	$(GO) test -race ./internal/checkpoint/ -run 'Atomic|Corrupt|Truncat|Valid|GC|Aux|Lane'
 	$(GO) test -race ./internal/service/ -run 'Journal|Recover|Retry|Panic|Drain|Cancel'
 	$(GO) test -race ./cmd/quaked/ -run 'KillRestart|RestartSkips|Faults'
@@ -139,7 +144,7 @@ ensemble-smoke:
 
 clean:
 	rm -f *.pgm *.swvm *.swq test_output.txt bench_output.txt \
-		BENCH_core.json cpu.prof core.test
+		cpu.prof core.test
 
 # run the paper-size (160x160x512) core-group executor cross-check (~60 s)
 test-paper:

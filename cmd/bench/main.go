@@ -9,26 +9,19 @@
 //	bench -table 3
 //	bench -fig 8
 //	bench -fig 11 -full
-//	bench -core-json BENCH_core.json   # machine-readable serial benchmark
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"time"
 
-	"swquake/internal/core"
 	"swquake/internal/experiments"
 	"swquake/internal/grid"
-	"swquake/internal/scenario"
-	"swquake/internal/telemetry"
 )
 
 func main() {
@@ -47,22 +40,9 @@ func run(args []string, w io.Writer) error {
 		full      = fs.Bool("full", false, "use the larger run-based configurations")
 		ablations = fs.Bool("ablations", false, "run the design-choice ablations")
 		outDir    = fs.String("out", "", "also write figure data series as CSV files")
-
-		coreJSON     = fs.String("core-json", "", "run the serial core benchmark and write a machine-readable JSON report to FILE")
-		coreScenario = fs.String("core-scenario", "quickstart", "scenario for -core-json")
-		coreSteps    = fs.Int("core-steps", 0, "step count for -core-json (0 = scenario default)")
-		coreTiles    = fs.Int("tiles", 0, "intra-rank tile count for -core-json / -compare-tiles (-1 = auto)")
-		coreOverlap  = fs.Bool("overlap", false, "overlapped halo pipeline for -core-json")
-		compareTiles = fs.Bool("compare-tiles", false, "run the core benchmark serial then tiled and print the throughput comparison")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *compareTiles {
-		return runCompareTiles(w, *coreScenario, *coreSteps, *coreTiles)
-	}
-	if *coreJSON != "" {
-		return runCoreBench(w, *coreJSON, *coreScenario, *coreSteps, *coreTiles, *coreOverlap)
 	}
 	size := experiments.Quick
 	if *full {
@@ -175,107 +155,6 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// coreBenchReport is the machine-readable shape of one serial benchmark
-// run — what CI archives as BENCH_core.json to track host-solver throughput
-// and its per-stage composition across revisions.
-type coreBenchReport struct {
-	Scenario     string                 `json:"scenario"`
-	Dims         grid.Dims              `json:"dims"`
-	Steps        int                    `json:"steps"`
-	Tiles        int                    `json:"tiles,omitempty"`
-	Overlap      bool                   `json:"overlap,omitempty"`
-	ElapsedS     float64                `json:"elapsed_s"`
-	Gflops       float64                `json:"gflops"`
-	PointsPerSec float64                `json:"points_per_sec"`
-	Stages       []telemetry.StageStats `json:"stages"`
-	GOMAXPROCS   int                    `json:"gomaxprocs"`
-	Build        telemetry.BuildInfo    `json:"build"`
-}
-
-// runCoreBench runs the named scenario serially and writes the JSON report.
-func runCoreBench(w io.Writer, path, scen string, steps, tiles int, overlap bool) error {
-	rep, err := coreBenchRun(w, scen, steps, tiles, overlap)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "core benchmark: %.2f Gflops, %.3g points/s -> %s\n",
-		rep.Gflops, rep.PointsPerSec, path)
-	return nil
-}
-
-// coreBenchRun executes one serial benchmark run and builds its report.
-func coreBenchRun(w io.Writer, scen string, steps, tiles int, overlap bool) (coreBenchReport, error) {
-	cfg, err := scenario.Build(scen, scenario.Overrides{Steps: steps, Tiles: tiles, Overlap: overlap})
-	if err != nil {
-		return coreBenchReport{}, err
-	}
-	sim, err := core.New(cfg)
-	if err != nil {
-		return coreBenchReport{}, err
-	}
-	fmt.Fprintf(w, "core benchmark: %s, %v grid, %d steps, tiles=%d overlap=%v...\n",
-		scen, cfg.Dims, cfg.Steps, tiles, overlap)
-	start := time.Now()
-	res, err := sim.Run()
-	if err != nil {
-		return coreBenchReport{}, err
-	}
-	rep := coreBenchReport{
-		Scenario:     scen,
-		Dims:         cfg.Dims,
-		Steps:        res.Steps,
-		Tiles:        tiles,
-		Overlap:      overlap,
-		ElapsedS:     time.Since(start).Seconds(),
-		Gflops:       res.Perf.Gflops(),
-		PointsPerSec: res.Perf.PointsPerSecond(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Build:        telemetry.ReadBuildInfo(),
-	}
-	if res.Stages != nil {
-		rep.Stages = res.Stages.Report().Stages
-	}
-	return rep, nil
-}
-
-// runCompareTiles runs the same serial benchmark single-threaded and tiled
-// (the requested tile count, or GOMAXPROCS with 0/-1) and prints the
-// throughput side by side — what `make bench-tiles` drives.
-func runCompareTiles(w io.Writer, scen string, steps, tiles int) error {
-	if tiles == 0 || tiles == core.AutoTiles {
-		tiles = runtime.GOMAXPROCS(0)
-	}
-	serial, err := coreBenchRun(w, scen, steps, 0, false)
-	if err != nil {
-		return err
-	}
-	tiled, err := coreBenchRun(w, scen, steps, tiles, false)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\n%-10s %8s %12s %14s %10s\n", "variant", "tiles", "elapsed (s)", "points/s", "speedup")
-	fmt.Fprintf(w, "%-10s %8d %12.3f %14.3g %10s\n", "serial", 1, serial.ElapsedS, serial.PointsPerSec, "1.00x")
-	speedup := 0.0
-	if tiled.PointsPerSec > 0 && serial.PointsPerSec > 0 {
-		speedup = tiled.PointsPerSec / serial.PointsPerSec
-	}
-	fmt.Fprintf(w, "%-10s %8d %12.3f %14.3g %9.2fx\n", "tiled", tiles, tiled.ElapsedS, tiled.PointsPerSec, speedup)
 	return nil
 }
 

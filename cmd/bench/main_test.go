@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,30 +75,5 @@ func TestFigureCSVOutput(t *testing.T) {
 		if !strings.Contains(string(data), ",") {
 			t.Fatalf("%s not CSV", f)
 		}
-	}
-}
-
-func TestCoreBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_core.json")
-	var buf bytes.Buffer
-	if err := run([]string{"-core-json", path, "-core-steps", "25"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep coreBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if rep.Scenario != "quickstart" || rep.Steps != 25 {
-		t.Fatalf("report identity wrong: %+v", rep)
-	}
-	if rep.Gflops <= 0 || rep.PointsPerSec <= 0 || rep.ElapsedS <= 0 {
-		t.Fatalf("report rates wrong: %+v", rep)
-	}
-	if len(rep.Stages) == 0 || rep.GOMAXPROCS < 1 || rep.Build.GoVersion == "" {
-		t.Fatalf("report context wrong: %+v", rep)
 	}
 }

@@ -24,7 +24,7 @@ type server struct {
 	mgr   *ensemble.Manager
 	mux   *http.ServeMux
 	start time.Time
-	prom  *telemetry.PromRegistry
+	reg   *telemetry.Registry // the daemon's own metrics; svc and mgr carry theirs
 	build buildBlock
 }
 
@@ -38,11 +38,9 @@ type buildBlock struct {
 
 func newServer(svc *service.Service, mgr *ensemble.Manager) *server {
 	s := &server{svc: svc, mgr: mgr, mux: http.NewServeMux(), start: time.Now(),
-		prom: telemetry.NewPromRegistry(), build: buildBlock{telemetry.ReadBuildInfo(), fd.KernelPath()}}
-	s.prom.GaugeFunc("swquake_uptime_seconds", "Seconds since the daemon booted.",
+		reg: telemetry.NewRegistry(), build: buildBlock{telemetry.ReadBuildInfo(), fd.KernelPath()}}
+	s.reg.GaugeFunc("swquake_uptime_seconds", "Seconds since the daemon booted.",
 		func() float64 { return time.Since(s.start).Seconds() })
-	svc.RegisterProm(s.prom)
-	mgr.RegisterProm(s.prom)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
@@ -80,28 +78,17 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
-	cfg, err := scenario.Build(req.Scenario, req.Overrides)
+	// every HTTP submission is scenario-shaped, hence replayable: the spec
+	// is what the durable journal records and recovery re-runs
+	sreq, err := service.JobSpec{
+		Scenario: req.Scenario, Overrides: req.Overrides, MX: req.MX, MY: req.MY,
+		TimeoutS: req.TimeoutS, Class: admission.Class(req.Class),
+	}.Request()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	id, err := s.svc.Submit(service.Request{
-		Config:  cfg,
-		MX:      req.MX,
-		MY:      req.MY,
-		Timeout: time.Duration(req.TimeoutS * float64(time.Second)),
-		Class:   admission.Class(req.Class),
-		// every HTTP submission is scenario-shaped, hence replayable: the
-		// spec is what the durable journal records and recovery re-runs
-		Spec: &service.JobSpec{
-			Scenario:  req.Scenario,
-			Overrides: req.Overrides,
-			MX:        req.MX,
-			MY:        req.MY,
-			TimeoutS:  req.TimeoutS,
-			Class:     admission.Class(req.Class),
-		},
-	})
+	id, err := s.svc.Submit(sreq)
 	switch {
 	case errors.Is(err, service.ErrQueueFull):
 		// backpressure: tell the client when a slot is likely to open
@@ -209,18 +196,24 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, h)
 }
 
-// handleMetrics serves the service's expvar counters as JSON (the default,
-// which the acceptance tests cross-check against observed job outcomes), or
-// the Prometheus text exposition when ?format=prometheus is given.
+// handleMetrics serves the two views of the one metric registration: the
+// integer counters as JSON (the default, which the acceptance tests
+// cross-check against observed job outcomes), or the Prometheus text
+// exposition when ?format=prometheus is given.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.prom.Write(w)
+		for _, reg := range []*telemetry.Registry{s.reg, s.svc.Registry(), s.mgr.Registry()} {
+			reg.WriteProm(w)
+		}
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\"uptime_s\":%.3f,\"service\":%s,\"campaigns\":%s}\n",
-		time.Since(s.start).Seconds(), s.svc.Vars().String(), s.mgr.Vars().String())
+	json.NewEncoder(w).Encode(map[string]any{
+		"uptime_s":  math.Round(time.Since(s.start).Seconds()*1e3) / 1e3,
+		"service":   s.svc.Registry().Ints(),
+		"campaigns": s.mgr.Registry().Ints(),
+	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -40,8 +40,8 @@
 //	GET    /readyz              readiness: 200 only while healthy; degraded
 //	                            or draining answers 503 + Retry-After so
 //	                            load balancers steer submissions away
-//	GET    /metrics             expvar counters: queued/running/done/failed,
-//	                            cache hits, aggregate step throughput
+//	GET    /metrics             integer counters as JSON: queued/running/done/
+//	                            failed, cache hits, aggregate step throughput
 //	GET    /metrics?format=prometheus
 //	                            the same data in Prometheus text exposition
 //	                            (swquake_* families: counters, queue gauges,
@@ -253,8 +253,8 @@ func run(args []string) error {
 	if *dataDir != "" {
 		logger.Info("campaigns durable", "campaigns_recovered", mgr.Metrics().Recovered)
 	}
-	expvar.Publish("quaked", svc.Vars())
-	expvar.Publish("quaked.campaigns", mgr.Vars())
+	expvar.Publish("quaked", expvar.Func(func() any { return svc.Registry().Ints() }))
+	expvar.Publish("quaked.campaigns", expvar.Func(func() any { return mgr.Registry().Ints() }))
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

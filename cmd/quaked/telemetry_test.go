@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -123,5 +124,130 @@ func TestE2ETraceFile(t *testing.T) {
 	}
 	if counts["process_name"] == 0 {
 		t.Errorf("process metadata missing: %v", counts)
+	}
+}
+
+// metricsInventory lists what a daemon exposes, one line per fact: the keys
+// of the "service" and "campaigns" JSON objects, and each Prometheus
+// family's HELP and TYPE lines and its series (sample lines, value cut off).
+func metricsInventory(t *testing.T, base string) []string {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if code := doJSON(t, "GET", base+"/metrics", "", &doc); code != http.StatusOK {
+		t.Fatalf("/metrics returned %d", code)
+	}
+	if len(doc) != 3 || doc["uptime_s"] == nil {
+		t.Fatalf("/metrics top level: %v", doc)
+	}
+	var lines []string
+	for _, section := range []string{"service", "campaigns"} {
+		var counters map[string]int64 // every value must decode as an integer
+		if err := json.Unmarshal(doc[section], &counters); err != nil {
+			t.Fatalf("%s: %v in %s", section, err, doc[section])
+		}
+		for key := range counters {
+			lines = append(lines, "json "+section+" "+key)
+		}
+	}
+	resp, err := http.Get(base + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			line = "sample " + line[:strings.LastIndexByte(line, ' ')]
+		}
+		lines = append(lines, line)
+	}
+	return lines
+}
+
+// TestMetricsInventoryMatchesParent: testdata/metrics-f57a6ee.txt is
+// metricsInventory of a freshly booted daemon at commit f57a6ee, where every
+// metric was spelled three times (expvar key, atomics, closure registration).
+// Nothing in it may be renamed, retyped, reworded or dropped by the single
+// registration; what was added since is listed here, line by line.
+func TestMetricsInventoryMatchesParent(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "metrics-f57a6ee.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := newTestServer(t, service.Options{Workers: 1})
+	now := map[string]bool{}
+	for _, line := range metricsInventory(t, ts.URL) {
+		if now[line] {
+			t.Errorf("exposed twice: %s", line)
+		}
+		now[line] = true
+	}
+	for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
+		if !now[line] {
+			t.Errorf("the parent had, this daemon lacks: %s", line)
+		}
+		delete(now, line)
+	}
+	for _, line := range []string{
+		"json service journal_errors",
+		"# HELP swquake_journal_errors_total Journal appends that failed: events the daemon acted on without a durable record.",
+		"# TYPE swquake_journal_errors_total counter",
+		"sample swquake_journal_errors_total",
+		"json campaigns journal_errors",
+		"# HELP swquake_campaign_journal_errors_total Campaign journal appends that failed: events the manager acted on without a durable record.",
+		"# TYPE swquake_campaign_journal_errors_total counter",
+		"sample swquake_campaign_journal_errors_total",
+		// the fault kinds are declared up front like the rejection reasons, so
+		// their series show at zero from boot (the parent grew them on first use)
+		`sample swquake_engine_faults_total{kind="halo-corrupt"}`,
+		`sample swquake_engine_faults_total{kind="panic"}`,
+		`sample swquake_engine_faults_total{kind="stall"}`,
+	} {
+		if !now[line] {
+			t.Errorf("expected addition missing: %s", line)
+		}
+		delete(now, line)
+	}
+	for line := range now {
+		t.Errorf("not in the parent and not a listed addition: %s", line)
+	}
+}
+
+// TestDebugVarsServesTheJSONView: on -debug-addr, /debug/vars still carries
+// "quaked" and "quaked.campaigns" — now the registries' JSON views published
+// through expvar — with live values.
+func TestDebugVarsServesTheJSONView(t *testing.T) {
+	d := startDaemon(t, "-workers", "1", "-debug-addr", "127.0.0.1:0")
+	var debugBase string
+	debugRE := regexp.MustCompile(`msg="debug server listening" addr=(\S+)`)
+	for _, line := range d.bootLogs {
+		if m := debugRE.FindStringSubmatch(line); m != nil {
+			debugBase = "http://" + m[1]
+		}
+	}
+	if debugBase == "" {
+		t.Fatalf("no debug listener in the boot log:\n%s", strings.Join(d.bootLogs, "\n"))
+	}
+	var st service.Status
+	if code := doJSON(t, "POST", d.base+"/v1/jobs",
+		`{"scenario":"quickstart","overrides":{"steps":5}}`, &st); code != http.StatusAccepted {
+		t.Fatalf("submit returned %d", code)
+	}
+	pollUntil(t, d.base, st.ID, func(s service.Status) bool { return s.State.Terminal() })
+	var vars struct {
+		Service   map[string]int64 `json:"quaked"`
+		Campaigns map[string]int64 `json:"quaked.campaigns"`
+	}
+	if code := doJSON(t, "GET", debugBase+"/debug/vars", "", &vars); code != http.StatusOK {
+		t.Fatalf("/debug/vars returned %d", code)
+	}
+	if vars.Service["jobs_done"] != 1 || len(vars.Service) != len(getMetrics(t, d.base)) {
+		t.Errorf("quaked: %v", vars.Service)
+	}
+	if n, ok := vars.Campaigns["campaigns_created"]; !ok || n != 0 {
+		t.Errorf("quaked.campaigns: %v", vars.Campaigns)
 	}
 }

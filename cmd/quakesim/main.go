@@ -245,10 +245,6 @@ func progressObserver(w io.Writer, total int) core.StepObserver {
 // runs sum stage time over ranks, so the percentage column is of summed
 // stage time there, not of wall time.
 func printTiming(w io.Writer, res *core.Result, wallS float64) {
-	if res.Stages == nil {
-		fmt.Fprintln(w, "per-stage timing disabled for this run")
-		return
-	}
 	rep := res.Stages.Report()
 	total := rep.TotalSeconds()
 	if total <= 0 {

@@ -177,13 +177,6 @@ type Config struct {
 	// beyond reordering independent work.
 	Overlap bool
 
-	// NoStageTiming disables the per-stage wall-time collectors. Timing is
-	// on by default — its cost is one time.Now per stage boundary, <2% of a
-	// step (see BenchmarkStepTimingOverhead) — and this switch exists to
-	// measure exactly that overhead and for callers that want the engine
-	// maximally bare.
-	NoStageTiming bool
-
 	// DivergenceLimit is the max |v| (m/s) beyond which the solution is
 	// declared diverged, on both the serial and parallel paths; 0 uses
 	// DefaultDivergenceLimit. NaN and ±Inf always count as diverged.

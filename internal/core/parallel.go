@@ -184,7 +184,7 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 		return nil, fmt.Errorf("core: %w", ckptErr)
 	}
 
-	res := &Result{}
+	res := &Result{Stages: telemetry.NewStageClock()}
 	merged := seismo.NewRecorder(nil, 1, 1)
 	if cfg.RecordPGV {
 		res.PGV = seismo.NewPGVField(cfg.Dims.Nx, cfg.Dims.Ny, 0)
@@ -204,12 +204,7 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 		}
 		res.YieldedPointSteps += o.yielded
 		res.Perf.AddCounters(o.perf)
-		if o.stages != nil {
-			if res.Stages == nil {
-				res.Stages = telemetry.NewStageClock()
-			}
-			res.Stages.Merge(o.stages)
-		}
+		res.Stages.Merge(o.stages)
 		if o.sunway != nil {
 			if res.Sunway == nil {
 				res.Sunway = &cgexec.Stats{}

@@ -1,27 +1,19 @@
 package ensemble
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
-
-	"swquake/internal/atomicio"
 )
 
-// The campaign journal mirrors the job service's write-ahead log: one
-// fsynced JSONL line per event, torn-tail tolerant on read, compacted on
-// boot to just the live campaigns. A campaign's durable form is its
-// normalized spec (expansion is deterministic) plus per-member outcomes;
-// member PGV fields are persisted separately under the campaign's state
-// directory so a resumed campaign re-folds exactly the fields the first
-// life saw.
+// The campaign journal, DataDir/campaigns.jsonl, is an internal/wal log like
+// the job service's (that package owns the file format and the
+// fsync-per-append contract), compacted on boot to just the live campaigns.
+// A campaign's durable form is its normalized spec (expansion is
+// deterministic) plus per-member outcomes; member PGV fields are persisted
+// separately under the campaign's state directory so a resumed campaign
+// re-folds exactly the fields the first life saw.
 
 // campaignEvent is one line of the campaign journal. Event is one of
 // created, member (submitted, carries the job ID), member_done,
@@ -36,76 +28,6 @@ type campaignEvent struct {
 	Error    string        `json:"error,omitempty"`
 }
 
-// journal is the durable append-only campaign log.
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &journal{f: f}, nil
-}
-
-func (jl *journal) append(ev campaignEvent) error {
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if _, err := jl.f.Write(line); err != nil {
-		return err
-	}
-	return jl.f.Sync()
-}
-
-func (jl *journal) Close() error {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	return jl.f.Close()
-}
-
-// readJournal loads every event; a missing file is an empty journal and a
-// torn final line (the crash window of append) is dropped.
-func readJournal(path string) ([]campaignEvent, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var events []campaignEvent
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var badLine error
-	for sc.Scan() {
-		if badLine != nil {
-			return nil, badLine // malformed line was NOT the last one
-		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev campaignEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			badLine = fmt.Errorf("ensemble: journal %s: line %d: %w", path, len(events)+1, err)
-			continue
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ensemble: journal %s: %w", path, err)
-	}
-	return events, nil
-}
-
 // campaignRecord is the folded per-campaign outcome of a journal replay.
 type campaignRecord struct {
 	id    string
@@ -118,13 +40,7 @@ type campaignRecord struct {
 	skipped map[int]string
 }
 
-func (r *campaignRecord) terminal() bool {
-	switch r.state {
-	case "done", "failed", "canceled":
-		return true
-	}
-	return false
-}
+func (r *campaignRecord) terminal() bool { return State(r.state).Terminal() }
 
 // replayJournal folds events into per-campaign records in first-seen order.
 func replayJournal(events []campaignEvent) []*campaignRecord {
@@ -161,42 +77,24 @@ func replayJournal(events []campaignEvent) []*campaignRecord {
 	return order
 }
 
-// compactJournal atomically rewrites the journal to just the live
-// campaigns: the created event plus each member's last known outcome, so
-// the file stays bounded across restarts.
-func compactJournal(path string, live []*campaignRecord, now time.Time) error {
-	var buf bytes.Buffer
-	write := func(ev campaignEvent) error {
-		ev.Time = now
-		line, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-		return nil
-	}
+// compactedJournal is the boot-compaction policy: per live campaign the
+// created event plus each member's last known outcome, so the file stays
+// bounded across restarts.
+func compactedJournal(live []*campaignRecord, now time.Time) []campaignEvent {
+	var events []campaignEvent
 	for _, rec := range live {
-		if err := write(campaignEvent{Event: "created", Campaign: rec.id, Spec: rec.spec}); err != nil {
-			return err
-		}
+		events = append(events, campaignEvent{Time: now, Event: "created", Campaign: rec.id, Spec: rec.spec})
 		for _, idx := range sortedKeys(rec.jobs) {
-			if err := write(campaignEvent{Event: "member", Campaign: rec.id, Member: idx, Job: rec.jobs[idx]}); err != nil {
-				return err
-			}
+			events = append(events, campaignEvent{Time: now, Event: "member", Campaign: rec.id, Member: idx, Job: rec.jobs[idx]})
 		}
 		for _, idx := range sortedKeys(rec.done) {
-			if err := write(campaignEvent{Event: "member_done", Campaign: rec.id, Member: idx}); err != nil {
-				return err
-			}
+			events = append(events, campaignEvent{Time: now, Event: "member_done", Campaign: rec.id, Member: idx})
 		}
 		for _, idx := range sortedKeys(rec.skipped) {
-			if err := write(campaignEvent{Event: "member_skip", Campaign: rec.id, Member: idx, Error: rec.skipped[idx]}); err != nil {
-				return err
-			}
+			events = append(events, campaignEvent{Time: now, Event: "member_skip", Campaign: rec.id, Member: idx, Error: rec.skipped[idx]})
 		}
 	}
-	return atomicio.WriteFileBytes(path, buf.Bytes())
+	return events
 }
 
 func sortedKeys[V any](m map[int]V) []int {

@@ -3,7 +3,6 @@ package ensemble
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"os"
@@ -14,9 +13,9 @@ import (
 
 	"swquake/internal/admission"
 	"swquake/internal/manifest"
-	"swquake/internal/scenario"
 	"swquake/internal/service"
 	"swquake/internal/telemetry"
+	"swquake/internal/wal"
 )
 
 // tracePID is the trace-event process ID campaigns are recorded under
@@ -82,8 +81,9 @@ type Manager struct {
 	opts   Options
 	log    *slog.Logger
 	tracer *telemetry.Tracer
-	wal    *journal // nil without DataDir
-	vars   *expvar.Map
+	wal    *wal.Log[campaignEvent] // nil without DataDir
+	reg    *telemetry.Registry
+	met    metrics
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -95,14 +95,48 @@ type Manager struct {
 	closed    bool
 }
 
-// managerCounters lists every counter the manager maintains, so metrics
-// show zeros rather than omitting untouched names.
-var managerCounters = []string{
-	"campaigns_created", "campaigns_recovered",
-	"campaigns_done", "campaigns_failed", "campaigns_canceled",
-	"members_submitted", "members_done", "members_failed", "members_folded",
-	"journal_events",
+// metrics are the manager's typed counters, each declared exactly once in
+// declareMetrics; the point-in-time gauges are sampled from the campaigns.
+type metrics struct {
+	created, recovered                                          *telemetry.Counter
+	membersSubmitted, membersDone, membersFailed, membersFolded *telemetry.Counter
+	journalEvents, journalErrors                                *telemetry.Counter
+	// finished is keyed by terminal state; each state keeps its own JSON key
+	// and family, so it is three counters rather than one labeled family.
+	finished map[State]*telemetry.Counter
 }
+
+// declareMetrics declares every campaign metric on m.reg (JSON key,
+// Prometheus family — "" where the parent daemon never exposed one — and
+// help), in exposition order.
+func (m *Manager) declareMetrics() {
+	r, mm := m.reg, &m.met
+	mm.created = r.Counter("campaigns_created", "swquake_campaigns_created_total", "Campaigns accepted by Create.")
+	mm.recovered = r.Counter("campaigns_recovered", "swquake_campaigns_recovered_total", "Campaigns resumed from the journal on boot.")
+	mm.finished = map[State]*telemetry.Counter{
+		StateDone:     r.Counter("campaigns_done", "swquake_campaigns_done_total", "Campaigns finished with every member aggregated."),
+		StateFailed:   r.Counter("campaigns_failed", "swquake_campaigns_failed_total", "Campaigns finished with failed members."),
+		StateCanceled: r.Counter("campaigns_canceled", "swquake_campaigns_canceled_total", "Campaigns canceled by users."),
+	}
+	mm.membersSubmitted = r.Counter("members_submitted", "swquake_campaign_members_submitted_total", "Member jobs submitted to the job service.")
+	mm.membersDone = r.Counter("members_done", "swquake_campaign_members_done_total", "Member jobs finished and folded.")
+	mm.membersFailed = r.Counter("members_failed", "swquake_campaign_members_failed_total", "Member jobs dropped from their aggregate.")
+	mm.membersFolded = r.Counter("members_folded", "", "")
+	mm.journalEvents = r.Counter("journal_events", "", "")
+	mm.journalErrors = r.Counter("journal_errors", "swquake_campaign_journal_errors_total",
+		"Campaign journal appends that failed: events the manager acted on without a durable record.")
+
+	r.GaugeFunc("swquake_campaigns_running", "Campaigns currently executing.",
+		func() float64 { n, _, _ := m.gauges(); return float64(n) })
+	r.GaugeFunc("swquake_campaign_members_inflight", "Members currently submitted or running.",
+		func() float64 { _, n, _ := m.gauges(); return float64(n) })
+	r.GaugeFunc("swquake_campaign_members_pending", "Members of live campaigns not yet scheduled.",
+		func() float64 { _, _, n := m.gauges(); return float64(n) })
+}
+
+// Registry exposes the manager's metrics: Ints is the "campaigns" object of
+// quaked's /metrics, WriteProm the swquake_campaign* exposition.
+func (m *Manager) Registry() *telemetry.Registry { return m.reg }
 
 // Open builds a Manager. With Options.DataDir set it first recovers:
 // the campaign journal is replayed, unfinished campaigns re-fold their
@@ -124,12 +158,10 @@ func Open(opts Options) (*Manager, error) {
 		opts:      opts,
 		log:       opts.Logger,
 		tracer:    opts.Tracer,
-		vars:      new(expvar.Map).Init(),
+		reg:       telemetry.NewRegistry(),
 		campaigns: make(map[string]*campaign),
 	}
-	for _, name := range managerCounters {
-		m.vars.Add(name, 0)
-	}
+	m.declareMetrics()
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
 	m.tracer.NameProcess(tracePID, "ensemble")
 
@@ -139,8 +171,8 @@ func Open(opts Options) (*Manager, error) {
 	if err := os.MkdirAll(filepath.Join(opts.DataDir, "campaigns"), 0o755); err != nil {
 		return nil, err
 	}
-	path := m.journalPath()
-	events, err := readJournal(path)
+	path := filepath.Join(opts.DataDir, "campaigns.jsonl")
+	events, err := wal.Read[campaignEvent](path)
 	if err != nil {
 		return nil, err
 	}
@@ -153,24 +185,18 @@ func Open(opts Options) (*Manager, error) {
 			live = append(live, rec)
 		}
 	}
-	if err := compactJournal(path, live, time.Now()); err != nil {
+	if err := wal.Rewrite(path, compactedJournal(live, time.Now())); err != nil {
 		return nil, err
 	}
-	wal, err := openJournal(path)
-	if err != nil {
+	if m.wal, err = wal.Open[campaignEvent](path); err != nil {
 		return nil, err
 	}
-	m.wal = wal
 	for _, rec := range live {
 		if err := m.recoverCampaign(rec); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
-}
-
-func (m *Manager) journalPath() string {
-	return filepath.Join(m.opts.DataDir, "campaigns.jsonl")
 }
 
 func (m *Manager) stateDir(id string) string {
@@ -186,9 +212,14 @@ func (m *Manager) logEvent(ev campaignEvent) {
 		return
 	}
 	ev.Time = time.Now()
-	if err := m.wal.append(ev); err == nil {
-		m.vars.Add("journal_events", 1)
+	if err := m.wal.Append(ev); err != nil {
+		// the caller has already acted on the event; what is lost is its
+		// durable record, so the next boot may redo or forget this step
+		m.met.journalErrors.Add(1)
+		m.log.Error("campaign journal append failed", "campaign", ev.Campaign, "event", ev.Event, "error", err.Error())
+		return
 	}
+	m.met.journalEvents.Add(1)
 }
 
 // newCampaign builds the in-memory record for a normalized spec.
@@ -261,7 +292,7 @@ func (m *Manager) recoverCampaign(rec *campaignRecord) error {
 		c.memberErrs[idx] = rec.skipped[idx]
 	}
 	m.campaigns[c.id] = c
-	m.vars.Add("campaigns_recovered", 1)
+	m.met.recovered.Add(1)
 	m.tracer.NameThread(tracePID, campSeq(c.id), c.id)
 	m.log.Info("campaign recovered", "campaign", c.id,
 		"members", len(c.members), "refolded", c.agg.folded())
@@ -294,7 +325,7 @@ func (m *Manager) Create(spec CampaignSpec) (Status, error) {
 	// write-ahead: the campaign is on disk before Create returns, so a
 	// crash between accept and completion cannot lose it
 	m.logEvent(campaignEvent{Event: "created", Campaign: id, Spec: &norm})
-	m.vars.Add("campaigns_created", 1)
+	m.met.created.Add(1)
 	m.tracer.NameThread(tracePID, campSeq(id), id)
 	m.log.Info("campaign created", "campaign", id, "scenario", norm.Scenario,
 		"members", len(c.members), "concurrency", norm.MaxConcurrent)
@@ -352,21 +383,13 @@ func (m *Manager) runMember(c *campaign, idx int) {
 		}
 	}
 	if jobID == "" {
-		cfg, err := scenario.Build(spec.Scenario, spec.Overrides)
-		if err != nil {
-			m.memberSkip(c, idx, err)
-			return
-		}
 		// campaign members are batch-class work: the admission scheduler's
 		// weighted dispatch keeps a sweep from starving interactive jobs
 		spec.Class = admission.ClassBatch
-		req := service.Request{
-			Config:  cfg,
-			MX:      spec.MX,
-			MY:      spec.MY,
-			Timeout: time.Duration(spec.TimeoutS * float64(time.Second)),
-			Class:   admission.ClassBatch,
-			Spec:    &spec,
+		req, err := spec.Request()
+		if err != nil {
+			m.memberSkip(c, idx, err)
+			return
 		}
 		for {
 			if m.draining() {
@@ -413,7 +436,7 @@ func (m *Manager) runMember(c *campaign, idx int) {
 		c.jobs[idx] = jobID
 		c.mu.Unlock()
 		m.logEvent(campaignEvent{Event: "member", Campaign: c.id, Member: idx, Job: jobID})
-		m.vars.Add("members_submitted", 1)
+		m.met.membersSubmitted.Add(1)
 	}
 
 	st, err := m.svc.Wait(c.ctx, jobID)
@@ -468,8 +491,8 @@ func (m *Manager) memberFold(c *campaign, idx int, jobID string, res *service.Re
 	c.mu.Lock()
 	c.phases[idx] = memberDone
 	c.mu.Unlock()
-	m.vars.Add("members_done", 1)
-	m.vars.Add("members_folded", 1)
+	m.met.membersDone.Add(1)
+	m.met.membersFolded.Add(1)
 	m.tracer.Instant(tracePID, campSeq(c.id), "campaign", "member_done", time.Now(),
 		map[string]any{"member": idx, "job": jobID})
 	m.log.Info("campaign member done", "campaign", c.id, "member", idx, "job", jobID,
@@ -486,7 +509,7 @@ func (m *Manager) memberSkip(c *campaign, idx int, cause error) {
 	c.phases[idx] = memberSkipped
 	c.memberErrs[idx] = cause.Error()
 	c.mu.Unlock()
-	m.vars.Add("members_failed", 1)
+	m.met.membersFailed.Add(1)
 	m.log.Warn("campaign member skipped", "campaign", c.id, "member", idx, "error", cause.Error())
 }
 
@@ -534,7 +557,7 @@ func (m *Manager) finishCampaign(c *campaign, started time.Time) {
 	close(c.done)
 
 	m.logEvent(campaignEvent{Event: string(state), Campaign: c.id})
-	m.vars.Add("campaigns_"+string(state), 1)
+	m.met.finished[state].Add(1)
 	m.tracer.Span(tracePID, campSeq(c.id), "campaign", "running", started, time.Since(started),
 		map[string]any{"state": string(state), "members": members})
 	m.log.Info("campaign finished", "campaign", c.id, "state", string(state),
@@ -735,20 +758,18 @@ func (m *Manager) Drain(ctx context.Context) error {
 		m.wg.Wait()
 		close(idle)
 	}()
+	var err error
 	select {
 	case <-idle:
 	case <-ctx.Done():
 		m.baseCancel()
 		<-idle
-		if m.wal != nil {
-			m.wal.Close()
-		}
-		return ctx.Err()
+		err = ctx.Err()
 	}
 	if m.wal != nil {
 		m.wal.Close()
 	}
-	return nil
+	return err
 }
 
 // Metrics is a consistent snapshot of the campaign counters.
@@ -759,32 +780,28 @@ type Metrics struct {
 	MembersDone, MembersFailed int64
 	MembersFolded              int64
 	JournalEvents              int64
+	JournalErrors              int64
 	// Running / MembersInflight / MembersPending are point-in-time gauges.
 	Running, MembersInflight, MembersPending int64
 }
 
 // Metrics snapshots the counters and gauges.
 func (m *Manager) Metrics() Metrics {
-	get := func(name string) int64 {
-		if v, ok := m.vars.Get(name).(*expvar.Int); ok {
-			return v.Value()
-		}
-		return 0
-	}
+	mm := &m.met
 	out := Metrics{
-		Created:          get("campaigns_created"),
-		Recovered:        get("campaigns_recovered"),
-		Done:             get("campaigns_done"),
-		Failed:           get("campaigns_failed"),
-		Canceled:         get("campaigns_canceled"),
-		MembersSubmitted: get("members_submitted"),
-		MembersDone:      get("members_done"),
-		MembersFailed:    get("members_failed"),
-		MembersFolded:    get("members_folded"),
-		JournalEvents:    get("journal_events"),
+		Created:          mm.created.Value(),
+		Recovered:        mm.recovered.Value(),
+		Done:             mm.finished[StateDone].Value(),
+		Failed:           mm.finished[StateFailed].Value(),
+		Canceled:         mm.finished[StateCanceled].Value(),
+		MembersSubmitted: mm.membersSubmitted.Value(),
+		MembersDone:      mm.membersDone.Value(),
+		MembersFailed:    mm.membersFailed.Value(),
+		MembersFolded:    mm.membersFolded.Value(),
+		JournalEvents:    mm.journalEvents.Value(),
+		JournalErrors:    mm.journalErrors.Value(),
 	}
-	running, inflight, pending := m.gauges()
-	out.Running, out.MembersInflight, out.MembersPending = running, inflight, pending
+	out.Running, out.MembersInflight, out.MembersPending = m.gauges()
 	return out
 }
 
@@ -812,35 +829,4 @@ func (m *Manager) gauges() (running, inflight, pending int64) {
 		c.mu.Unlock()
 	}
 	return
-}
-
-// Vars exposes the expvar map backing Metrics.
-func (m *Manager) Vars() *expvar.Map { return m.vars }
-
-// RegisterProm registers the campaign metric families on a Prometheus
-// registry (the swquake_campaigns_* names quaked serves at /metrics).
-func (m *Manager) RegisterProm(reg *telemetry.PromRegistry) {
-	counter := func(name string) func() float64 {
-		return func() float64 {
-			if v, ok := m.vars.Get(name).(*expvar.Int); ok {
-				return float64(v.Value())
-			}
-			return 0
-		}
-	}
-	reg.CounterFunc("swquake_campaigns_created_total", "Campaigns accepted by Create.", counter("campaigns_created"))
-	reg.CounterFunc("swquake_campaigns_recovered_total", "Campaigns resumed from the journal on boot.", counter("campaigns_recovered"))
-	reg.CounterFunc("swquake_campaigns_done_total", "Campaigns finished with every member aggregated.", counter("campaigns_done"))
-	reg.CounterFunc("swquake_campaigns_failed_total", "Campaigns finished with failed members.", counter("campaigns_failed"))
-	reg.CounterFunc("swquake_campaigns_canceled_total", "Campaigns canceled by users.", counter("campaigns_canceled"))
-	reg.CounterFunc("swquake_campaign_members_submitted_total", "Member jobs submitted to the job service.", counter("members_submitted"))
-	reg.CounterFunc("swquake_campaign_members_done_total", "Member jobs finished and folded.", counter("members_done"))
-	reg.CounterFunc("swquake_campaign_members_failed_total", "Member jobs dropped from their aggregate.", counter("members_failed"))
-
-	reg.GaugeFunc("swquake_campaigns_running", "Campaigns currently executing.",
-		func() float64 { r, _, _ := m.gauges(); return float64(r) })
-	reg.GaugeFunc("swquake_campaign_members_inflight", "Members currently submitted or running.",
-		func() float64 { _, i, _ := m.gauges(); return float64(i) })
-	reg.GaugeFunc("swquake_campaign_members_pending", "Members of live campaigns not yet scheduled.",
-		func() float64 { _, _, p := m.gauges(); return float64(p) })
 }

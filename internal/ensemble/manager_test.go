@@ -11,7 +11,6 @@ import (
 	"swquake/internal/scenario"
 	"swquake/internal/seismo"
 	"swquake/internal/service"
-	"swquake/internal/telemetry"
 )
 
 // sweepSpec is a fast quickstart seed sweep.
@@ -174,10 +173,8 @@ func TestCampaignEndToEndBitIdentical(t *testing.T) {
 	}
 
 	// the prom families render
-	reg := telemetry.NewPromRegistry()
-	m.RegisterProm(reg)
 	var sb strings.Builder
-	if err := reg.Write(&sb); err != nil {
+	if err := m.Registry().WriteProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

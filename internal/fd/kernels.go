@@ -38,16 +38,6 @@ func UpdateStress(wf *Wavefield, med *Medium, dtdx float32, k0, k1 int) {
 	UpdateStressRegion(wf, med, dtdx, grid.FullXY(wf.D, k0, k1))
 }
 
-// harmonic4 returns the harmonic mean of four moduli, the standard
-// effective-medium average for shear stresses on a staggered grid. A zero
-// modulus (fluid) dominates, as it must.
-func harmonic4(a, b, c, d float32) float32 {
-	if a == 0 || b == 0 || c == 0 || d == 0 {
-		return 0
-	}
-	return 4 / (1/a + 1/b + 1/c + 1/d)
-}
-
 // ApplyFreeSurface enforces the traction-free condition at the top of the
 // grid (kernel "fstr") with the classic image method: the normal and shear
 // tractions are imaged antisymmetrically and the velocities symmetrically

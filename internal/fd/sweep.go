@@ -199,7 +199,8 @@ func stressShearRowAt(out []float32, dtdx float32, ra, rb, rc, rd, a []float32, 
 // mean 4/(1/a+1/b+1/c+1/d) with the four divides hoisted into the medium:
 // the same float32 operations in the same order, hence the same bits. A
 // fluid cell (mu = 0) has reciprocal +Inf, the sum is +Inf and 4/+Inf = +0,
-// which is what harmonic4 returns for it explicitly. D is the derivative of
+// which is what the oracle's harmonic4 (sweep_ref_test.go) returns for it
+// explicitly. D is the derivative of
 // velocityRow.
 func stressShearRow(out []float32, dtdx float32, ra, rb, rc, rd,
 	a1, a0, a2, a3, b1, b0, b2, b3 []float32) {

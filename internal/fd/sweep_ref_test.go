@@ -7,6 +7,16 @@ import "swquake/internal/grid"
 // mean, a full-volume sponge array multiplied into every cell). They are
 // the definition of the bits sweep_test.go holds the kernels to.
 
+// harmonic4 returns the harmonic mean of four moduli, the standard
+// effective-medium average for shear stresses on a staggered grid. A zero
+// modulus (fluid) dominates, as it must.
+func harmonic4(a, b, c, d float32) float32 {
+	if a == 0 || b == 0 || c == 0 || d == 0 {
+		return 0
+	}
+	return 4 / (1/a + 1/b + 1/c + 1/d)
+}
+
 func refUpdateVelocityRegion(wf *Wavefield, med *Medium, dtdx float32, r grid.Region) {
 	sx, sy := wf.U.StrideX(), wf.U.StrideY()
 	u, v, w := wf.U.Data, wf.V.Data, wf.W.Data

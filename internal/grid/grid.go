@@ -6,13 +6,8 @@
 // of H ghost layers on every side so that 4th-order stencils (H=2) can be
 // evaluated at every interior point without bounds checks.
 //
-// Two layouts are provided:
-//
-//   - Field: one scalar per point (structure-of-arrays when several Fields
-//     are used side by side);
-//   - VecField: N scalars interleaved per point (array-of-structures), the
-//     "array fusion" layout of §6.4 that raises DMA block sizes from ~128 B
-//     to ~432-512 B.
+// Field holds one scalar per point; several Fields side by side give the
+// structure-of-arrays layout every kernel sweeps.
 package grid
 
 import (

@@ -347,75 +347,6 @@ func TestExtractInsertSubfield(t *testing.T) {
 	}
 }
 
-func TestVecFieldBasics(t *testing.T) {
-	f := NewVecField(Dims{3, 3, 4}, 2, 6)
-	f.Set(1, 2, 3, 4, 9)
-	if f.At(1, 2, 3, 4) != 9 {
-		t.Fatal("VecField Set/At failed")
-	}
-	p := f.Point(1, 2, 3)
-	if len(p) != 6 || p[4] != 9 {
-		t.Fatal("Point view wrong")
-	}
-	p[0] = 1
-	if f.At(1, 2, 3, 0) != 1 {
-		t.Fatal("Point not a view")
-	}
-	if f.Bytes() != int64(len(f.Data))*4 {
-		t.Fatal("Bytes wrong")
-	}
-}
-
-func TestVecFieldComponentsAdjacent(t *testing.T) {
-	f := NewVecField(Dims{2, 2, 2}, 1, 3)
-	if f.Idx(0, 0, 0, 1)-f.Idx(0, 0, 0, 0) != 1 {
-		t.Fatal("components must be adjacent (fusion layout)")
-	}
-	if f.Idx(0, 0, 1, 0)-f.Idx(0, 0, 0, 0) != 3 {
-		t.Fatal("z stride must be NC elements")
-	}
-}
-
-func TestFuseUnfuseRoundTrip(t *testing.T) {
-	d := Dims{3, 4, 5}
-	u := NewField(d, 2)
-	v := NewField(d, 2)
-	w := NewField(d, 2)
-	rng := rand.New(rand.NewSource(4))
-	for i := range u.Data {
-		u.Data[i], v.Data[i], w.Data[i] = rng.Float32(), rng.Float32(), rng.Float32()
-	}
-	fused := FuseFields(u, v, w)
-	if fused.NC != 3 {
-		t.Fatalf("NC = %d", fused.NC)
-	}
-	if fused.At(1, 2, 3, 1) != v.At(1, 2, 3) {
-		t.Fatal("fusion misplaced component")
-	}
-	parts := fused.Unfuse()
-	for c, orig := range []*Field{u, v, w} {
-		if !parts[c].InteriorEqual(orig, 0) {
-			t.Fatalf("unfuse component %d mismatch", c)
-		}
-	}
-}
-
-func TestDMABlockBytesFusionEffect(t *testing.T) {
-	d := Dims{8, 8, 32}
-	single := NewVecField(d, 2, 1)
-	vel := NewVecField(d, 2, 3)
-	str := NewVecField(d, 2, 6)
-	wz := 32
-	if single.DMABlockBytes(wz) != 128 {
-		t.Fatalf("unfused block = %d, want 128", single.DMABlockBytes(wz))
-	}
-	// Paper §6.4: fusion raises the chunk from 128 B to 384/768 B for the
-	// same Wz, crossing the ~512 B knee of the DMA bandwidth curve.
-	if vel.DMABlockBytes(wz) != 384 || str.DMABlockBytes(wz) != 768 {
-		t.Fatalf("fused blocks = %d,%d", vel.DMABlockBytes(wz), str.DMABlockBytes(wz))
-	}
-}
-
 func TestQuickIdxBijective(t *testing.T) {
 	f := NewField(Dims{6, 7, 8}, 2)
 	fn := func(i8, j8, k8 uint8) bool {
@@ -432,25 +363,6 @@ func TestQuickIdxBijective(t *testing.T) {
 		return ri == i && rj == j && rk == k
 	}
 	if err := quick.Check(fn, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickFuseIsLossless(t *testing.T) {
-	fn := func(vals []float32) bool {
-		d := Dims{2, 2, 3}
-		a := NewField(d, 1)
-		b := NewField(d, 1)
-		for i := range a.Data {
-			if len(vals) > 0 {
-				a.Data[i] = vals[i%len(vals)]
-				b.Data[i] = -vals[i%len(vals)]
-			}
-		}
-		parts := FuseFields(a, b).Unfuse()
-		return parts[0].InteriorEqual(a, 0) && parts[1].InteriorEqual(b, 0)
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

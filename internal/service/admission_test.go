@@ -11,6 +11,7 @@ import (
 	"swquake/internal/checkpoint"
 	"swquake/internal/core"
 	"swquake/internal/faultinject"
+	"swquake/internal/wal"
 )
 
 // validatedCost prices cfg exactly the way Submit does: defaults filled by
@@ -91,7 +92,7 @@ func TestMemBudgetSerializesDispatch(t *testing.T) {
 // on a volatile service, the same budget admits it.
 func TestDurableJobsArePricedWithTheCheckpointLane(t *testing.T) {
 	sp := quickSpec(30)
-	req, err := sp.request()
+	req, err := sp.Request()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestDurableJobsArePricedWithTheCheckpointLane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _ := sp.request()
+		r, _ := sp.Request()
 		_, err = s.Submit(r)
 		if tc.fits && err != nil || !tc.fits && !errors.Is(err, admission.ErrNeverFits) {
 			t.Fatalf("%s: submit returned %v", tc.name, err)
@@ -290,11 +291,11 @@ func TestHealthDrainingState(t *testing.T) {
 func TestDrainDeadlineParksBudgetBlockedJob(t *testing.T) {
 	dir := t.TempDir()
 	spA, spB := quickSpec(800), quickSpec(30)
-	reqA, err := spA.request()
+	reqA, err := spA.Request()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqB, err := spB.request()
+	reqB, err := spB.Request()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestDrainDeadlineParksBudgetBlockedJob(t *testing.T) {
 	}
 	// the park must leave both journals non-terminal — that is the contract
 	// the next boot's recovery relies on
-	events, err := readJournal(journalPath(dir))
+	events, err := wal.Read[journalEvent](journalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

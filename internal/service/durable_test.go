@@ -14,7 +14,7 @@ import (
 	"swquake/internal/core"
 	"swquake/internal/faultinject"
 	"swquake/internal/scenario"
-	"swquake/internal/telemetry"
+	"swquake/internal/wal"
 )
 
 // quickSpec is a replayable quickstart submission.
@@ -24,7 +24,7 @@ func quickSpec(steps int) *JobSpec {
 
 func submitSpec(t *testing.T, s *Service, sp *JobSpec) string {
 	t.Helper()
-	req, err := sp.request()
+	req, err := sp.Request()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,54 +33,6 @@ func submitSpec(t *testing.T, s *Service, sp *JobSpec) string {
 		t.Fatal(err)
 	}
 	return id
-}
-
-func TestJournalAppendReadTornLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	jl, err := openJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := []journalEvent{
-		{Event: "submitted", JobID: "job-000001", Spec: quickSpec(30)},
-		{Event: "started", JobID: "job-000001", Attempt: 1},
-		{Event: "done", JobID: "job-000001", Attempt: 1},
-	}
-	for _, ev := range events {
-		if err := jl.append(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jl.Close()
-
-	got, err := readJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].Spec == nil || got[0].Spec.Overrides.Steps != 30 {
-		t.Fatalf("read back %d events, first spec %+v", len(got), got[0].Spec)
-	}
-
-	// a torn final line (the append crash window) is dropped silently
-	data, _ := os.ReadFile(path)
-	torn := append(data, []byte(`{"event":"started","job`)...)
-	os.WriteFile(path, torn, 0o644)
-	got, err = readJournal(path)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("torn line: %d events, err %v", len(got), err)
-	}
-
-	// a malformed line in the MIDDLE is corruption, not a crash artifact
-	bad := append([]byte("garbage here\n"), data...)
-	os.WriteFile(path, bad, 0o644)
-	if _, err := readJournal(path); err == nil {
-		t.Fatal("mid-journal corruption accepted")
-	}
-
-	// missing journal = empty journal
-	if evs, err := readJournal(filepath.Join(t.TempDir(), "nope.jsonl")); err != nil || evs != nil {
-		t.Fatalf("missing journal: %v %v", evs, err)
-	}
 }
 
 func TestDurableLifecycleIsJournaled(t *testing.T) {
@@ -97,7 +49,7 @@ func TestDurableLifecycleIsJournaled(t *testing.T) {
 	}
 	drain(t, s)
 
-	events, err := readJournal(journalPath(dir))
+	events, err := wal.Read[journalEvent](journalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +75,8 @@ func TestDurableLifecycleIsJournaled(t *testing.T) {
 	if n := len(res.Manifest.Checkpoints); n != 3 || res.Manifest.CheckpointWriteSeconds <= 0 {
 		t.Fatalf("manifest: %d checkpoints, %g write seconds", n, res.Manifest.CheckpointWriteSeconds)
 	}
-	reg := telemetry.NewPromRegistry()
-	s.RegisterProm(reg)
 	var buf bytes.Buffer
-	if err := reg.Write(&buf); err != nil {
+	if err := s.Registry().WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("swquake_checkpoint_write_seconds_total %v\n",
@@ -144,7 +94,7 @@ func TestRecoveryRequeuesUnfinishedSkipsTerminal(t *testing.T) {
 	dir := t.TempDir()
 	// hand-build the journal a crashed daemon would leave: one job done,
 	// one mid-run, one only submitted
-	jl, err := openJournal(journalPath(dir))
+	jl, err := wal.Open[journalEvent](journalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +107,7 @@ func TestRecoveryRequeuesUnfinishedSkipsTerminal(t *testing.T) {
 		{Event: "progress", JobID: "job-000002", Attempt: 1, Step: 25},
 		{Event: "submitted", JobID: "job-000003", Spec: quickSpec(35)},
 	} {
-		if err := jl.append(ev); err != nil {
+		if err := jl.Append(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -439,13 +389,13 @@ func TestRecoveredJobResumesFromDiskCheckpoint(t *testing.T) {
 	// fabricate the on-disk remains of a crashed daemon: a journaled
 	// mid-run job plus its checkpoint directory holding a valid dump
 	spec := quickSpec(40)
-	req, err := spec.request()
+	req, err := spec.Request()
 	if err != nil {
 		t.Fatal(err)
 	}
 	buildHalfRun(t, req, dir, "job-000007", 20)
 
-	jl, err := openJournal(journalPath(dir))
+	jl, err := wal.Open[journalEvent](journalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +404,7 @@ func TestRecoveredJobResumesFromDiskCheckpoint(t *testing.T) {
 		{Event: "started", JobID: "job-000007", Attempt: 1},
 		{Event: "progress", JobID: "job-000007", Attempt: 1, Step: 20},
 	} {
-		if err := jl.append(ev); err != nil {
+		if err := jl.Append(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -538,7 +488,7 @@ func TestDrainDeadlineParksRunningJob(t *testing.T) {
 	}
 
 	// durable state survived the shutdown
-	events, err := readJournal(journalPath(dir))
+	events, err := wal.Read[journalEvent](journalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,14 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"swquake/internal/faultinject"
 	"swquake/internal/scenario"
+	"swquake/internal/wal"
 )
 
 // TestEngineFaultRecoveredInRun: an injected halo corruption inside a
@@ -42,11 +45,13 @@ func TestEngineFaultRecoveredInRun(t *testing.T) {
 	if m.Retried != 0 || m.Failed != 0 {
 		t.Fatalf("recovery leaked into job-level retry policy: %+v", m)
 	}
-	s.faultMu.Lock()
-	kinds := s.faultKinds["halo-corrupt"]
-	s.faultMu.Unlock()
-	if kinds < 1 {
-		t.Fatalf("per-kind fault counter not incremented: %v", s.faultKinds)
+	var expo strings.Builder
+	if err := s.Registry().WriteProm(&expo); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("swquake_engine_faults_total{kind=\"halo-corrupt\"} %d\n", m.EngineFaults)
+	if !strings.Contains(expo.String(), want) {
+		t.Fatalf("per-kind fault series %q missing:\n%s", want, expo.String())
 	}
 }
 
@@ -92,7 +97,7 @@ func TestParallelDurableJobCheckpointsAndJournalsFaults(t *testing.T) {
 		t.Fatalf("fault counters: faults %d, recoveries %d", m.EngineFaults, m.EngineRecoveries)
 	}
 
-	events, err := readJournal(journalPath(dir))
+	events, err := wal.Read[journalEvent](journalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,9 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
 	"time"
 
 	"swquake/internal/admission"
-	"swquake/internal/atomicio"
-	"swquake/internal/faultinject"
 	"swquake/internal/scenario"
 )
 
@@ -34,8 +26,10 @@ type JobSpec struct {
 	Class admission.Class `json:"class,omitempty"`
 }
 
-// request rebuilds the full Request from the spec.
-func (sp JobSpec) request() (Request, error) {
+// Request builds the full Request from the spec — the one way a spec
+// becomes a submission, shared by recovery-on-boot, campaign members and
+// quaked's POST /v1/jobs, so all three run exactly what the journal records.
+func (sp JobSpec) Request() (Request, error) {
 	cfg, err := scenario.Build(sp.Scenario, sp.Overrides)
 	if err != nil {
 		return Request{}, err
@@ -55,8 +49,10 @@ func (sp JobSpec) request() (Request, error) {
 	}, nil
 }
 
-// journalEvent is one line of the job journal. Event is one of submitted,
-// started, progress, retrying, done, failed, canceled.
+// journalEvent is one line of the job journal, DataDir/journal.jsonl — an
+// internal/wal log, which owns the file format and the fsync-per-append
+// contract. Event is one of submitted, started, progress, engine_fault,
+// retrying, done, failed, canceled.
 type journalEvent struct {
 	Time    time.Time `json:"t"`
 	Event   string    `json:"event"`
@@ -67,83 +63,6 @@ type journalEvent struct {
 	Error   string    `json:"error,omitempty"`
 }
 
-// journal is a durable append-only JSONL write-ahead log. Every append is
-// a single line followed by fsync, so the journal survives a process kill
-// at any point with at worst one torn final line — which the reader
-// tolerates.
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-// openJournal opens (creating if needed) the journal for appending.
-func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &journal{f: f}, nil
-}
-
-// append durably writes one event.
-func (jl *journal) append(ev journalEvent) error {
-	faultinject.Fire(faultinject.SlowIO)
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if _, err := jl.f.Write(line); err != nil {
-		return err
-	}
-	return jl.f.Sync()
-}
-
-func (jl *journal) Close() error {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	return jl.f.Close()
-}
-
-// readJournal loads every event from a journal file. A missing file is an
-// empty journal. A torn final line (the crash window of append) is
-// silently dropped; a malformed line elsewhere is a real error.
-func readJournal(path string) ([]journalEvent, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var events []journalEvent
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var badLine error
-	for sc.Scan() {
-		if badLine != nil {
-			return nil, badLine // malformed line was NOT the last one
-		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev journalEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			badLine = fmt.Errorf("service: journal %s: line %d: %w", path, len(events)+1, err)
-			continue
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("service: journal %s: %w", path, err)
-	}
-	return events, nil
-}
-
 // jobRecord is the folded per-job outcome of a journal replay.
 type jobRecord struct {
 	id      string
@@ -151,7 +70,6 @@ type jobRecord struct {
 	state   string // last event seen
 	attempt int
 	step    int
-	errText string
 }
 
 // replayJournal folds events into per-job records, in first-seen order.
@@ -175,39 +93,24 @@ func replayJournal(events []journalEvent) []*jobRecord {
 		if ev.Step > rec.step {
 			rec.step = ev.Step
 		}
-		if ev.Error != "" {
-			rec.errText = ev.Error
-		}
 	}
 	return order
 }
 
 // terminal reports whether the record's last journaled event ends the job.
-func (r *jobRecord) terminal() bool {
-	switch r.state {
-	case "done", "failed", "canceled":
-		return true
-	}
-	return false
-}
+func (r *jobRecord) terminal() bool { return State(r.state).Terminal() }
 
-// compactJournal atomically rewrites the journal to just the submitted
-// events of still-live jobs, so the file stays bounded across restarts
-// instead of accreting every event since the first boot. The recorded
-// Attempt carries each job's prior attempt count into the new epoch.
-func compactJournal(path string, live []*jobRecord, now time.Time) error {
-	var buf bytes.Buffer
-	for _, rec := range live {
-		ev := journalEvent{
+// compactedJournal is the boot-compaction policy: just the submitted events
+// of still-live jobs, so the file stays bounded across restarts instead of
+// accreting every event since the first boot. The recorded Attempt and Step
+// carry each job's progress into the new epoch.
+func compactedJournal(live []*jobRecord, now time.Time) []journalEvent {
+	events := make([]journalEvent, len(live))
+	for i, rec := range live {
+		events[i] = journalEvent{
 			Time: now, Event: "submitted", JobID: rec.id,
 			Spec: rec.spec, Attempt: rec.attempt, Step: rec.step,
 		}
-		line, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
 	}
-	return atomicio.WriteFileBytes(path, buf.Bytes())
+	return events
 }

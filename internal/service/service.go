@@ -3,8 +3,8 @@
 // (serial RunCtx or the simulated-MPI RunParallelCtx), per-job deadlines
 // and cancellation plumbed down to the pipeline's per-step boundary, a
 // scenario-keyed LRU result cache over canonical config hashes, live
-// progress tracking through the engine's step-observer hook, expvar-style
-// metrics, and graceful drain on shutdown.
+// progress tracking through the engine's step-observer hook, metrics
+// declared once on a telemetry.Registry, and graceful drain on shutdown.
 //
 // Overload protection (DESIGN.md §3.8) is layered on through
 // internal/admission: every submission is priced by the cost model and
@@ -26,7 +26,6 @@ package service
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"math"
@@ -47,6 +46,7 @@ import (
 	"swquake/internal/faultinject"
 	"swquake/internal/manifest"
 	"swquake/internal/telemetry"
+	"swquake/internal/wal"
 )
 
 // Sentinel errors of the submission and result API.
@@ -301,39 +301,19 @@ type Service struct {
 	limit  *admission.TokenBucket
 	brk    *admission.Breaker
 	cache  *resultCache
-	vars   *expvar.Map
 	wg     sync.WaitGroup
-	wal    *journal // nil without DataDir
+	wal    *wal.Log[journalEvent] // nil without DataDir
 	log    *slog.Logger
 	tracer *telemetry.Tracer
 
-	// rejectKinds counts admission rejections by reason for the labeled
-	// Prometheus family; the total lives in the expvar map.
-	rejectMu    sync.Mutex
-	rejectKinds map[string]int64
-
-	// jobLatency observes submit-to-terminal seconds of every finished job.
-	jobLatency *telemetry.Histogram
-	// ckptWriteNS sums the checkpoint lanes' write time over finished runs
-	// (a duration, so it lives beside the integer counters of vars, not in
-	// them: /metrics consumers decode that map as integers).
-	ckptWriteNS atomic.Int64
-	// queueDepth mirrors the jobs_queued counter as an atomic so the
-	// Prometheus gauge and the high-water mark don't race the expvar map;
-	// queueHW is the deepest the queue has ever been.
-	queueDepth atomic.Int64
-	queueHW    atomic.Int64
+	reg *telemetry.Registry
+	m   metrics
 
 	// stageAgg accumulates per-stage engine seconds over every completed
 	// job — the service-wide Fig. 7 breakdown. Each run times into its own
 	// lock-free clock; only the merge here takes the mutex.
 	stageMu  sync.Mutex
 	stageAgg *telemetry.StageClock
-
-	// faultKinds counts engine faults by kind (halo-corrupt, stall, panic)
-	// for the labeled Prometheus family; the totals live in the expvar map.
-	faultMu    sync.Mutex
-	faultKinds map[string]int64
 
 	mu          sync.Mutex
 	jobs        map[string]*job
@@ -342,21 +322,132 @@ type Service struct {
 	closed      bool
 }
 
-// counterNames lists every metric the service maintains, so /metrics shows
-// zeros rather than omitting untouched counters.
-var counterNames = []string{
-	"jobs_submitted", "jobs_queued", "jobs_running",
-	"jobs_done", "jobs_failed", "jobs_canceled",
-	"jobs_retried", "jobs_recovered", "worker_panics",
-	"jobs_rejected", "progress_stalls", "breaker_trips",
-	"journal_events", "checkpoints_saved",
-	"cache_hits", "cache_misses", "steps_done",
-	"halo_bytes", "engine_faults", "engine_recoveries",
+// metrics are the service's typed metrics. Each is declared exactly once, in
+// declareMetrics — JSON key, Prometheus family, kind and help on one line —
+// and updated through its field with one atomic operation; adding a metric
+// is a field here and a line there.
+type metrics struct {
+	submitted, done, failed, canceled, retried, recovered *telemetry.Counter
+	workerPanics, engineRecoveries                        *telemetry.Counter
+	journalEvents, journalErrors                          *telemetry.Counter
+	checkpointsSaved, checkpointWriteNS                   *telemetry.Counter
+	cacheHits, cacheMisses, steps, haloBytes              *telemetry.Counter
+	progressStalls, breakerTrips                          *telemetry.Counter
+	// queued is the depth of the submission queue right now, queueHW the
+	// deepest it has been since boot; noteQueued moves both.
+	running, queued, queueHW *telemetry.Gauge
+	// engineFaults is keyed by core.FaultKind, rejected by admission reason;
+	// every series shows from boot, at zero.
+	engineFaults, rejected *telemetry.CounterVec
+	// jobLatency observes submit-to-terminal seconds of every job that
+	// reached a worker and ended there; cache hits, jobs canceled while
+	// queued or in retry backoff and jobs failed at boot are not in it.
+	jobLatency *telemetry.Histogram
 }
 
-// rejectReasons are the label values of swquake_jobs_rejected_total,
-// pre-seeded so dashboards see zeros rather than absent series.
-var rejectReasons = []string{"queue-full", "budget", "rate-limit", "breaker", "draining"}
+// declareMetrics declares every metric of the service on s.reg: the typed
+// ones land in s.m, the rest are sampled from the state that owns them when
+// a view is rendered. Families appear in the exposition in this order.
+func (s *Service) declareMetrics() {
+	r, m := s.reg, &s.m
+	m.submitted = r.Counter("jobs_submitted", "swquake_jobs_submitted_total", "Jobs accepted by Submit.")
+	m.done = r.Counter("jobs_done", "swquake_jobs_done_total", "Jobs finished successfully.")
+	m.failed = r.Counter("jobs_failed", "swquake_jobs_failed_total", "Jobs failed permanently.")
+	m.canceled = r.Counter("jobs_canceled", "swquake_jobs_canceled_total", "Jobs canceled by users or shutdown.")
+	m.retried = r.Counter("jobs_retried", "swquake_jobs_retried_total", "Transient failures sent to retry backoff.")
+	m.recovered = r.Counter("jobs_recovered", "swquake_jobs_recovered_total", "Jobs requeued from the journal on boot.")
+	m.workerPanics = r.Counter("worker_panics", "swquake_worker_panics_total", "Engine panics isolated by the worker pool.")
+	m.engineRecoveries = r.Counter("engine_recoveries", "swquake_engine_recoveries_total",
+		"Engine faults healed in-run by rewinding to the newest valid checkpoint.")
+	m.engineFaults = r.CounterVec("engine_faults", "swquake_engine_faults_total",
+		"Faults detected inside the parallel engine, by kind (halo-corrupt, stall, panic).", "kind",
+		string(core.FaultHaloCorrupt), string(core.FaultStall), string(core.FaultPanic))
+	m.journalEvents = r.Counter("journal_events", "swquake_journal_events_total", "Events appended to the durability journal.")
+	m.journalErrors = r.Counter("journal_errors", "swquake_journal_errors_total",
+		"Journal appends that failed: events the daemon acted on without a durable record.")
+	m.checkpointsSaved = r.Counter("checkpoints_saved", "swquake_checkpoints_saved_total", "Auto-checkpoints written by running jobs.")
+	// a duration: summed in nanoseconds, exposed in seconds, and kept out of
+	// the JSON view, whose consumers decode integers
+	m.checkpointWriteNS = new(telemetry.Counter)
+	r.CounterFunc("swquake_checkpoint_write_seconds_total",
+		"Seconds the checkpoint lane spent writing those dumps beside the solver (the checkpoint stage holds only snapshots and waits).",
+		func() float64 { return float64(m.checkpointWriteNS.Value()) / 1e9 })
+	m.cacheHits = r.Counter("cache_hits", "swquake_cache_hits_total", "Submissions served from the result cache.")
+	m.cacheMisses = r.Counter("cache_misses", "swquake_cache_misses_total", "Submissions that had to be solved.")
+	m.steps = r.Counter("steps_done", "swquake_steps_total", "Solver steps completed across all jobs (rate() gives steps/sec).")
+	m.haloBytes = r.Counter("halo_bytes", "swquake_halo_bytes_total",
+		"Halo bytes exchanged by parallel jobs (sent+received, all ranks; decomp.HaloBytesPerStep accounting).")
+	r.CounterFunc("swquake_exchange_wait_seconds_total",
+		"Engine wall seconds spent in halo exchange (halo_velocity + halo_stress + halo_wait stages).",
+		func() float64 {
+			secs := s.stageSamples(func(st telemetry.StageStats) float64 { return st.Seconds })()
+			return secs[telemetry.StageHaloVelocity.String()] +
+				secs[telemetry.StageHaloStress.String()] + secs[telemetry.StageHaloWait.String()]
+		})
+
+	m.running = r.Gauge("jobs_running", "swquake_jobs_running", "Jobs currently executing on a worker.")
+	m.queued = r.Gauge("jobs_queued", "swquake_queue_depth", "Jobs currently waiting in the submission queue.")
+	m.queueHW = r.Gauge("", "swquake_queue_high_water", "Deepest the submission queue has been since boot.")
+	r.GaugeFunc("swquake_queue_capacity", "Submission queue capacity (backpressure threshold).",
+		func() float64 { return float64(s.opts.QueueSize) })
+	r.GaugeFunc("swquake_workers", "Worker-pool size.",
+		func() float64 { return float64(s.opts.Workers) })
+	r.GaugeFunc("swquake_cache_entries", "Entries in the LRU result cache.",
+		func() float64 { return float64(s.cache.len()) })
+
+	m.jobLatency = r.Histogram("swquake_job_duration_seconds",
+		"Submit-to-terminal latency of finished jobs.", telemetry.DefLatencyBuckets)
+
+	r.LabeledCounterFunc("swquake_stage_seconds_total",
+		"Engine wall seconds per pipeline stage, summed over completed jobs.", "stage",
+		s.stageSamples(func(st telemetry.StageStats) float64 { return st.Seconds }))
+	r.LabeledCounterFunc("swquake_stage_observations_total",
+		"Stage timing observations per pipeline stage.", "stage",
+		s.stageSamples(func(st telemetry.StageStats) float64 { return float64(st.Count) }))
+
+	// admission / overload-protection families (DESIGN.md §3.8)
+	m.rejected = r.CounterVec("jobs_rejected", "swquake_jobs_rejected_total",
+		"Submissions refused by the admission layer, by reason (queue-full, budget, rate-limit, breaker, draining).",
+		"reason", "queue-full", "budget", "rate-limit", "breaker", "draining")
+	m.progressStalls = r.Counter("progress_stalls", "swquake_progress_stalls_total",
+		"Running jobs canceled by the progress watchdog for making no step progress.")
+	m.breakerTrips = r.Counter("breaker_trips", "swquake_breaker_trips_total",
+		"Times repeated infrastructure failures opened the circuit breaker.")
+	r.GaugeFunc("swquake_breaker_open",
+		"1 while the circuit breaker is open or half-open (daemon degraded), else 0.",
+		func() float64 {
+			if s.brk.State() != admission.BreakerClosed {
+				return 1
+			}
+			return 0
+		})
+	r.GaugeFunc("swquake_mem_budget_bytes",
+		"Configured admission memory budget in bytes (0 = unlimited).",
+		func() float64 { return float64(s.ledger.Snapshot().TotalBytes) })
+	r.GaugeFunc("swquake_mem_reserved_bytes",
+		"Estimated working set of currently dispatched jobs (ledger reservations).",
+		func() float64 { return float64(s.ledger.Snapshot().ReservedBytes) })
+	r.GaugeFunc("swquake_mem_high_water_bytes",
+		"Largest the reservation sum has ever been — never above the budget by construction.",
+		func() float64 { return float64(s.ledger.Snapshot().HighWaterBytes) })
+}
+
+// stageSamples returns a sampler of one number per pipeline stage from the
+// service-wide stage report.
+func (s *Service) stageSamples(of func(telemetry.StageStats) float64) func() map[string]float64 {
+	return func() map[string]float64 {
+		rep := s.StageReport()
+		out := make(map[string]float64, len(rep.Stages))
+		for _, st := range rep.Stages {
+			out[st.Name] = of(st)
+		}
+		return out
+	}
+}
+
+// Registry exposes the service's metrics: Ints is the integer JSON object
+// quaked serves at /metrics, WriteProm the swquake_* exposition.
+func (s *Service) Registry() *telemetry.Registry { return s.reg }
 
 // New builds a Service and starts its worker pool. It panics when Open
 // fails, which cannot happen without Options.DataDir — durable callers
@@ -405,11 +496,13 @@ func Open(opts Options) (*Service, error) {
 	// fit even when there are more of them than QueueSize
 	var live []*jobRecord
 	var maxID int
+	var journal *wal.Log[journalEvent]
 	if opts.DataDir != "" {
 		if err := os.MkdirAll(filepath.Join(opts.DataDir, "checkpoints"), 0o755); err != nil {
 			return nil, err
 		}
-		events, err := readJournal(journalPath(opts.DataDir))
+		path := journalPath(opts.DataDir)
+		events, err := wal.Read[journalEvent](path)
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +514,10 @@ func Open(opts Options) (*Service, error) {
 				live = append(live, rec)
 			}
 		}
-		if err := compactJournal(journalPath(opts.DataDir), live, time.Now()); err != nil {
+		if err := wal.Rewrite(path, compactedJournal(live, time.Now())); err != nil {
+			return nil, err
+		}
+		if journal, err = wal.Open[journalEvent](path); err != nil {
 			return nil, err
 		}
 	}
@@ -447,44 +543,30 @@ func Open(opts Options) (*Service, error) {
 		limit:       admission.NewTokenBucket(opts.SubmitRate, opts.SubmitBurst),
 		brk:         admission.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		cache:       newResultCache(opts.CacheSize),
-		vars:        new(expvar.Map).Init(),
+		wal:         journal,
 		log:         opts.Logger,
 		tracer:      opts.Tracer,
-		rejectKinds: make(map[string]int64),
-		jobLatency:  telemetry.NewHistogram(telemetry.DefLatencyBuckets),
+		reg:         telemetry.NewRegistry(),
 		stageAgg:    telemetry.NewStageClock(),
-		faultKinds:  make(map[string]int64),
 		jobs:        make(map[string]*job),
 		retryTimers: make(map[string]*time.Timer),
 		nextID:      maxID,
 	}
-	for _, name := range counterNames {
-		s.vars.Add(name, 0)
-	}
-	for _, reason := range rejectReasons {
-		s.rejectKinds[reason] = 0
-	}
+	s.declareMetrics()
 
-	if opts.DataDir != "" {
-		wal, err := openJournal(journalPath(opts.DataDir))
+	requeued := 0
+	for _, rec := range live { // empty unless durable
+		n, err := s.requeueRecovered(rec)
 		if err != nil {
 			return nil, err
 		}
-		s.wal = wal
-		requeued := 0
-		for _, rec := range live {
-			n, err := s.requeueRecovered(rec)
-			if err != nil {
-				return nil, err
-			}
-			requeued += n
-		}
-		if requeued > 0 {
-			// slow-start: a rebooted daemon trickles its recovered backlog in
-			// (in-flight window 1, doubling on success) instead of slamming
-			// the pool the moment the workers spin up
-			s.sched.SetSlowStart(1)
-		}
+		requeued += n
+	}
+	if requeued > 0 {
+		// slow-start: a rebooted daemon trickles its recovered backlog in
+		// (in-flight window 1, doubling on success) instead of slamming
+		// the pool the moment the workers spin up
+		s.sched.SetSlowStart(1)
 	}
 
 	for i := 0; i < opts.Workers; i++ {
@@ -517,6 +599,7 @@ func jobSeq(id string) int {
 func (s *Service) requeueRecovered(rec *jobRecord) (int, error) {
 	j := &job{
 		id:        rec.id,
+		req:       Request{Spec: rec.spec},
 		submitted: time.Now(),
 		attempt:   rec.attempt,
 		recovered: true,
@@ -530,11 +613,11 @@ func (s *Service) requeueRecovered(rec *jobRecord) (int, error) {
 		j.finished = time.Now()
 		close(j.done)
 		s.jobs[j.id] = j
-		s.vars.Add("jobs_failed", 1)
-		s.logEvent(journalEvent{Event: "failed", JobID: j.id, Error: j.err.Error()})
+		s.m.failed.Add(1)
+		s.logEvent(j, journalEvent{Event: "failed", Error: j.err.Error()})
 	}
 
-	req, err := rec.spec.request()
+	req, err := rec.spec.Request()
 	if err != nil {
 		failBoot(fmt.Errorf("service: recovered job %s no longer builds: %w", rec.id, err))
 		return 0, nil
@@ -561,27 +644,20 @@ func (s *Service) requeueRecovered(rec *jobRecord) (int, error) {
 		return 0, fmt.Errorf("service: recovery requeueing %s: %w", rec.id, err)
 	}
 	s.jobs[j.id] = j
-	s.vars.Add("jobs_submitted", 1)
+	s.m.submitted.Add(1)
 	s.noteQueued(1)
-	s.vars.Add("jobs_recovered", 1)
+	s.m.recovered.Add(1)
 	s.jobLog(j).Info("job recovered", "attempt", j.attempt, "budget_bytes", cost.Bytes)
 	s.tracer.NameThread(0, jobSeq(j.id), j.id)
 	return 1, nil
 }
 
-// noteQueued is the single bottleneck for queue-depth accounting: it moves
-// the jobs_queued counter and the atomic depth gauge together and advances
-// the high-water mark, so every enqueue/dequeue path stays consistent.
+// noteQueued is the single bottleneck for queue-depth accounting: every
+// enqueue/dequeue path moves the depth gauge through it, and an enqueue
+// advances the high-water mark.
 func (s *Service) noteQueued(delta int64) {
-	s.vars.Add("jobs_queued", delta)
-	d := s.queueDepth.Add(delta)
-	if delta > 0 {
-		for {
-			hw := s.queueHW.Load()
-			if d <= hw || s.queueHW.CompareAndSwap(hw, d) {
-				break
-			}
-		}
+	if d := s.m.queued.Add(delta); delta > 0 {
+		s.m.queueHW.RaiseTo(d)
 	}
 }
 
@@ -595,15 +671,22 @@ func (s *Service) jobLog(j *job) *slog.Logger {
 	return l
 }
 
-// logEvent appends to the journal when the service is durable.
-func (s *Service) logEvent(ev journalEvent) {
-	if s.wal == nil {
+// logEvent appends one event of a job to the journal. Only durable jobs have
+// one — the service has a data directory and the job was submitted with a
+// replayable Spec — so for every other job this is a no-op.
+func (s *Service) logEvent(j *job, ev journalEvent) {
+	if s.wal == nil || j.req.Spec == nil {
 		return
 	}
-	ev.Time = time.Now()
-	if err := s.wal.append(ev); err == nil {
-		s.vars.Add("journal_events", 1)
+	ev.JobID, ev.Time = j.id, time.Now()
+	if err := s.wal.Append(ev); err != nil {
+		// the caller has already acted on the event; what is lost is its
+		// durable record, so a crash from here on may not recover this job
+		s.m.journalErrors.Add(1)
+		s.jobLog(j).Error("journal append failed", "event", ev.Event, "error", err.Error())
+		return
 	}
+	s.m.journalEvents.Add(1)
 }
 
 // Workers reports the worker-pool size.
@@ -611,14 +694,6 @@ func (s *Service) Workers() int { return s.opts.Workers }
 
 // QueueSize reports the submission-queue capacity.
 func (s *Service) QueueSize() int { return s.opts.QueueSize }
-
-// reject counts one admission rejection under its reason label.
-func (s *Service) reject(reason string) {
-	s.vars.Add("jobs_rejected", 1)
-	s.rejectMu.Lock()
-	s.rejectKinds[reason]++
-	s.rejectMu.Unlock()
-}
 
 // Submit validates and enqueues a job, returning its ID. An identical
 // prior submission (same canonical config hash and process-grid layout)
@@ -667,7 +742,7 @@ func (s *Service) Submit(req Request) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		s.reject("draining")
+		s.m.rejected.Add("draining", 1)
 		return "", ErrClosed
 	}
 	s.nextID++
@@ -689,22 +764,22 @@ func (s *Service) Submit(req Request) (string, error) {
 		j.stepsDone.Store(int64(j.stepsTotal))
 		close(j.done)
 		s.jobs[j.id] = j
-		s.vars.Add("jobs_submitted", 1)
-		s.vars.Add("cache_hits", 1)
-		s.vars.Add("jobs_done", 1)
+		s.m.submitted.Add(1)
+		s.m.cacheHits.Add(1)
+		s.m.done.Add(1)
 		s.jobLog(j).Info("job served from cache")
 		return j.id, nil
 	}
 
 	if err := s.limit.Allow(); err != nil {
 		j.cancel()
-		s.reject("rate-limit")
+		s.m.rejected.Add("rate-limit", 1)
 		return "", err
 	}
 	cost := s.estimateCost(req)
 	if !s.ledger.Fits(cost.Bytes) {
 		j.cancel()
-		s.reject("budget")
+		s.m.rejected.Add("budget", 1)
 		return "", fmt.Errorf("service: %w (job needs %s of a %s budget)",
 			admission.ErrNeverFits,
 			admission.FormatBytes(cost.Bytes), admission.FormatBytes(s.ledger.Total()))
@@ -713,7 +788,7 @@ func (s *Service) Submit(req Request) (string, error) {
 	// a full queue, which ProbeAborted rolls back below
 	if err := s.brk.Allow(); err != nil {
 		j.cancel()
-		s.reject("breaker")
+		s.m.rejected.Add("breaker", 1)
 		return "", err
 	}
 
@@ -722,22 +797,20 @@ func (s *Service) Submit(req Request) (string, error) {
 	if err := s.sched.Push(j.item); err != nil {
 		j.cancel()
 		s.brk.ProbeAborted()
-		s.reject("queue-full")
+		s.m.rejected.Add("queue-full", 1)
 		return "", ErrQueueFull
 	}
 	s.jobs[j.id] = j
-	s.vars.Add("jobs_submitted", 1)
-	s.vars.Add("cache_misses", 1)
+	s.m.submitted.Add(1)
+	s.m.cacheMisses.Add(1)
 	s.noteQueued(1)
 	s.jobLog(j).Info("job submitted",
 		"steps", j.stepsTotal, "mx", req.MX, "my", req.MY,
 		"class", string(class), "budget_bytes", cost.Bytes)
 	s.tracer.NameThread(0, jobSeq(j.id), j.id)
-	if req.Spec != nil {
-		// write-ahead: the submission is on disk before Submit returns,
-		// so a crash between accept and completion cannot lose the job
-		s.logEvent(journalEvent{Event: "submitted", JobID: j.id, Spec: req.Spec})
-	}
+	// write-ahead: the submission is on disk before Submit returns, so a
+	// crash between accept and completion cannot lose the job
+	s.logEvent(j, journalEvent{Event: "submitted", Spec: req.Spec})
 	return j.id, nil
 }
 
@@ -775,7 +848,7 @@ func (s *Service) runJob(j *job) bool {
 	attempt := j.attempt
 	s.mu.Unlock()
 	s.noteQueued(-1)
-	s.vars.Add("jobs_running", 1)
+	s.m.running.Add(1)
 
 	tid := jobSeq(j.id)
 	jl := s.jobLog(j).With("attempt", attempt)
@@ -823,7 +896,7 @@ func (s *Service) runJob(j *job) bool {
 						continue
 					}
 					if now.Sub(lastAdvance) >= pd {
-						s.vars.Add("progress_stalls", 1)
+						s.m.progressStalls.Add(1)
 						jl.Warn("progress stalled, canceling for retry",
 							"steps_done", last, "deadline", pd.String())
 						stall(errProgressStalled)
@@ -855,22 +928,17 @@ func (s *Service) runJob(j *job) bool {
 	// journal and the job log; recoveries are the engine healing itself
 	// without burning a job-level attempt
 	cfg.OnFault = func(ev core.FaultEvent) {
-		s.vars.Add("engine_faults", 1)
-		s.faultMu.Lock()
-		s.faultKinds[string(ev.Kind)]++
-		s.faultMu.Unlock()
+		s.m.engineFaults.Add(string(ev.Kind), 1)
 		if ev.Recovered {
-			s.vars.Add("engine_recoveries", 1)
+			s.m.engineRecoveries.Add(1)
 		}
 		jl.Warn("engine fault", "kind", string(ev.Kind), "rank", ev.Rank,
 			"step", ev.Step, "engine_attempt", ev.Attempt,
 			"recovered", ev.Recovered, "resume_step", ev.ResumeStep)
-		if j.req.Spec != nil {
-			s.logEvent(journalEvent{
-				Event: "engine_fault", JobID: j.id, Attempt: attempt,
-				Step: ev.Step, Error: fmt.Sprintf("%s (recovered=%v)", ev.Kind, ev.Recovered),
-			})
-		}
+		s.logEvent(j, journalEvent{
+			Event: "engine_fault", Attempt: attempt,
+			Step: ev.Step, Error: fmt.Sprintf("%s (recovered=%v)", ev.Kind, ev.Recovered),
+		})
 	}
 
 	// durable jobs auto-checkpoint into their own directory and, on a
@@ -898,18 +966,16 @@ func (s *Service) runJob(j *job) bool {
 		}
 	}
 
-	if j.req.Spec != nil {
-		s.logEvent(journalEvent{Event: "started", JobID: j.id, Attempt: attempt})
-	}
+	s.logEvent(j, journalEvent{Event: "started", Attempt: attempt})
 	jl.Info("job started", "resumed_step", j.resumedStep, "serial", serial)
 
 	cfg.Observer = func(ev core.StepEvent) {
 		j.stepsDone.Store(int64(ev.Step))
 		j.simTime.Store(math.Float64bits(ev.SimTime))
 		j.wall.Store(int64(ev.Wall))
-		s.vars.Add("steps_done", 1)
+		s.m.steps.Add(1)
 		if ctl != nil && ctl.Due(ev.Step) {
-			s.logEvent(journalEvent{Event: "progress", JobID: j.id, Attempt: attempt, Step: ev.Step})
+			s.logEvent(j, journalEvent{Event: "progress", Attempt: attempt, Step: ev.Step})
 			s.tracer.Instant(0, tid, "job", "checkpoint", time.Now(),
 				map[string]any{"step": ev.Step})
 		}
@@ -927,7 +993,7 @@ func (s *Service) runJob(j *job) bool {
 				res = nil
 				err = fmt.Errorf("service: job %s panicked: %v", j.id, r)
 				panicked = true
-				s.vars.Add("worker_panics", 1)
+				s.m.workerPanics.Add(1)
 			}
 		}()
 		if faultinject.Fire(faultinject.WorkerPanic) {
@@ -942,15 +1008,13 @@ func (s *Service) runJob(j *job) bool {
 			}
 		}
 	}()
-	if res != nil && len(res.Checkpoints) > 0 {
-		s.vars.Add("checkpoints_saved", int64(len(res.Checkpoints)))
-		s.ckptWriteNS.Add(int64(res.CheckpointWriteSeconds * 1e9))
-	}
 	if res != nil {
-		s.vars.Add("halo_bytes", res.Perf.HaloBytes)
+		s.m.checkpointsSaved.Add(int64(len(res.Checkpoints)))
+		s.m.checkpointWriteNS.Add(int64(res.CheckpointWriteSeconds * 1e9))
+		s.m.haloBytes.Add(res.Perf.HaloBytes)
 	}
 
-	s.vars.Add("jobs_running", -1)
+	s.m.running.Add(-1)
 
 	// infrastructure failures — worker panics, contained engine faults,
 	// progress stalls — feed the circuit breaker; simulation-level failures
@@ -969,7 +1033,7 @@ func (s *Service) runJob(j *job) bool {
 		s.tracer.Span(0, tid, "job", "running", started, finished.Sub(started),
 			map[string]any{"state": string(state), "attempt": attempt})
 		if terminal {
-			s.jobLatency.Observe(finished.Sub(j.submitted).Seconds())
+			s.m.jobLatency.Observe(finished.Sub(j.submitted).Seconds())
 		}
 	}
 	switch {
@@ -978,16 +1042,14 @@ func (s *Service) runJob(j *job) bool {
 		j.err = nil
 		j.state = StateDone
 		s.cache.add(j.key, j.result)
-		s.vars.Add("jobs_done", 1)
+		s.m.done.Add(1)
 		s.mu.Unlock()
 		s.brk.Success() // any success closes the breaker (probe or not)
 		endAttempt(StateDone, true)
 		s.mergeStages(res.Stages)
 		jl.Info("job done",
 			"steps", res.Steps, "elapsed_s", finished.Sub(started).Seconds())
-		if j.req.Spec != nil {
-			s.logEvent(journalEvent{Event: "done", JobID: j.id, Attempt: attempt})
-		}
+		s.logEvent(j, journalEvent{Event: "done", Attempt: attempt})
 		s.removeCheckpoints(ctl)
 		close(j.done)
 		return true
@@ -995,7 +1057,7 @@ func (s *Service) runJob(j *job) bool {
 		j.err = err
 		j.state = StateCanceled
 		parked := j.parked && j.req.Spec != nil
-		s.vars.Add("jobs_canceled", 1)
+		s.m.canceled.Add(1)
 		s.mu.Unlock()
 		endAttempt(StateCanceled, true)
 		jl.Warn("job canceled", "parked", parked)
@@ -1004,9 +1066,7 @@ func (s *Service) runJob(j *job) bool {
 		// resumes it — a graceful shutdown must never lose work a SIGKILL
 		// would have preserved
 		if !parked {
-			if j.req.Spec != nil {
-				s.logEvent(journalEvent{Event: "canceled", JobID: j.id, Attempt: attempt})
-			}
+			s.logEvent(j, journalEvent{Event: "canceled", Attempt: attempt})
 			s.removeCheckpoints(ctl)
 		}
 	case attempt < s.opts.MaxAttempts && !s.closed:
@@ -1016,28 +1076,24 @@ func (s *Service) runJob(j *job) bool {
 		j.state = StateRetrying
 		delay := retryDelay(s.opts.RetryBackoff, attempt)
 		s.retryTimers[j.id] = time.AfterFunc(delay, func() { s.requeueRetry(j) })
-		s.vars.Add("jobs_retried", 1)
+		s.m.retried.Add(1)
 		s.mu.Unlock()
 		s.noteBreakerFailure(infraFailure, jl)
 		endAttempt(StateRetrying, false)
 		s.tracer.Instant(0, tid, "job", "retry", finished,
 			map[string]any{"error": err.Error(), "delay_s": delay.Seconds()})
 		jl.Warn("job retrying", "error", err.Error(), "delay_s", delay.Seconds())
-		if j.req.Spec != nil {
-			s.logEvent(journalEvent{Event: "retrying", JobID: j.id, Attempt: attempt, Error: err.Error()})
-		}
+		s.logEvent(j, journalEvent{Event: "retrying", Attempt: attempt, Error: err.Error()})
 		return false // job is not terminal: j.done stays open
 	default: // includes deadline-exceeded runs and exhausted retries
 		j.err = err
 		j.state = StateFailed
-		s.vars.Add("jobs_failed", 1)
+		s.m.failed.Add(1)
 		s.mu.Unlock()
 		s.noteBreakerFailure(infraFailure, jl)
 		endAttempt(StateFailed, true)
 		jl.Error("job failed", "error", err.Error())
-		if j.req.Spec != nil {
-			s.logEvent(journalEvent{Event: "failed", JobID: j.id, Attempt: attempt, Error: err.Error()})
-		}
+		s.logEvent(j, journalEvent{Event: "failed", Attempt: attempt, Error: err.Error()})
 	}
 	close(j.done)
 	return false
@@ -1066,7 +1122,7 @@ func (s *Service) noteBreakerFailure(infra bool, jl *slog.Logger) {
 		return
 	}
 	if s.brk.Failure() {
-		s.vars.Add("breaker_trips", 1)
+		s.m.breakerTrips.Add(1)
 		jl.Error("circuit breaker tripped: shedding new submissions",
 			"cooldown", s.opts.BreakerCooldown.String())
 	}
@@ -1153,10 +1209,10 @@ func (s *Service) failRetryingLocked(j *job, cause error, journal bool) {
 	j.state = StateFailed
 	j.err = fmt.Errorf("%w (after %v)", cause, j.err)
 	j.finished = time.Now()
-	s.vars.Add("jobs_failed", 1)
+	s.m.failed.Add(1)
 	close(j.done)
-	if journal && j.req.Spec != nil {
-		s.logEvent(journalEvent{Event: "failed", JobID: j.id, Attempt: j.attempt, Error: j.err.Error()})
+	if journal {
+		s.logEvent(j, journalEvent{Event: "failed", Attempt: j.attempt, Error: j.err.Error()})
 	}
 }
 
@@ -1260,11 +1316,9 @@ func (s *Service) Cancel(id string) bool {
 		close(j.done)
 		s.mu.Unlock()
 		j.cancel()
-		s.vars.Add("jobs_canceled", 1)
+		s.m.canceled.Add(1)
 		s.jobLog(j).Warn("job canceled", "attempt", attempt, "while", "queued")
-		if j.req.Spec != nil {
-			s.logEvent(journalEvent{Event: "canceled", JobID: j.id, Attempt: attempt})
-		}
+		s.logEvent(j, journalEvent{Event: "canceled", Attempt: attempt})
 		return true
 	}
 	s.mu.Unlock()
@@ -1319,7 +1373,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	if !s.closed {
 		s.closed = true
 		s.sched.Close()
-		s.log.Info("service draining", "queued", s.queueDepth.Load())
+		s.log.Info("service draining", "queued", s.m.queued.Value())
 	}
 	// jobs parked in retry backoff will never run again in this process:
 	// stop their timers and fail them here, without journaling the failure
@@ -1365,7 +1419,7 @@ func (s *Service) Drain(ctx context.Context) error {
 			close(j.done)
 			s.mu.Unlock()
 			s.noteQueued(-1)
-			s.vars.Add("jobs_canceled", 1)
+			s.m.canceled.Add(1)
 			s.jobLog(j).Warn("job parked by drain deadline", "while", "queued")
 		}
 		s.mu.Lock()
@@ -1407,10 +1461,8 @@ func (s *Service) Health() Health {
 	h := Health{
 		Breaker:    s.brk.State(),
 		Budget:     s.ledger.Snapshot(),
-		QueueDepth: s.queueDepth.Load(),
-	}
-	if v, ok := s.vars.Get("jobs_running").(*expvar.Int); ok {
-		h.Running = v.Value()
+		QueueDepth: s.m.queued.Value(),
+		Running:    s.m.running.Value(),
 	}
 	h.SlowStartCap, h.SlowStartInflight = s.sched.SlowStart()
 	switch {
@@ -1431,10 +1483,10 @@ func (s *Service) Health() Health {
 // exact hints).
 func (s *Service) RetryHint() time.Duration {
 	mean := time.Second
-	if n := s.jobLatency.Count(); n > 0 {
-		mean = time.Duration(s.jobLatency.Sum() / float64(n) * float64(time.Second))
+	if n := s.m.jobLatency.Count(); n > 0 {
+		mean = time.Duration(s.m.jobLatency.Sum() / float64(n) * float64(time.Second))
 	}
-	ahead := float64(s.queueDepth.Load())/float64(s.opts.Workers) + 1
+	ahead := float64(s.m.queued.Value())/float64(s.opts.Workers) + 1
 	hint := time.Duration(float64(mean) * ahead)
 	if hint < time.Second {
 		hint = time.Second
@@ -1460,8 +1512,10 @@ type Metrics struct {
 	// (halo corruption, stalled ranks, rank panics); EngineRecoveries
 	// counts the subset the engine healed in-run by rewinding to its
 	// newest valid checkpoint — without burning a job-level attempt.
-	EngineFaults, EngineRecoveries  int64
-	JournalEvents                   int64
+	EngineFaults, EngineRecoveries int64
+	// JournalEvents counts journal appends that reached the disk,
+	// JournalErrors the ones that failed.
+	JournalEvents, JournalErrors    int64
 	CheckpointsSaved                int64
 	CacheHits, CacheMisses          int64
 	StepsDone                       int64
@@ -1479,178 +1533,35 @@ type Metrics struct {
 
 // Metrics snapshots the counters (the same values /metrics serves).
 func (s *Service) Metrics() Metrics {
-	get := func(name string) int64 {
-		if v, ok := s.vars.Get(name).(*expvar.Int); ok {
-			return v.Value()
-		}
-		return 0
-	}
-	budget := s.ledger.Snapshot()
+	m, budget := &s.m, s.ledger.Snapshot()
 	return Metrics{
-		Rejected:          get("jobs_rejected"),
-		ProgressStalls:    get("progress_stalls"),
-		BreakerTrips:      get("breaker_trips"),
+		Rejected:          m.rejected.Total(),
+		ProgressStalls:    m.progressStalls.Value(),
+		BreakerTrips:      m.breakerTrips.Value(),
 		MemBudgetBytes:    budget.TotalBytes,
 		MemReservedBytes:  budget.ReservedBytes,
 		MemHighWaterBytes: budget.HighWaterBytes,
-		Submitted:         get("jobs_submitted"),
-		Queued:            get("jobs_queued"),
-		Running:           get("jobs_running"),
-		Done:              get("jobs_done"),
-		Failed:            get("jobs_failed"),
-		Canceled:          get("jobs_canceled"),
-		Retried:           get("jobs_retried"),
-		Recovered:         get("jobs_recovered"),
-		WorkerPanics:      get("worker_panics"),
-		EngineFaults:      get("engine_faults"),
-		EngineRecoveries:  get("engine_recoveries"),
-		JournalEvents:     get("journal_events"),
-		CheckpointsSaved:  get("checkpoints_saved"),
-		CacheHits:         get("cache_hits"),
-		CacheMisses:       get("cache_misses"),
-		StepsDone:         get("steps_done"),
+		Submitted:         m.submitted.Value(),
+		Queued:            m.queued.Value(),
+		Running:           m.running.Value(),
+		Done:              m.done.Value(),
+		Failed:            m.failed.Value(),
+		Canceled:          m.canceled.Value(),
+		Retried:           m.retried.Value(),
+		Recovered:         m.recovered.Value(),
+		WorkerPanics:      m.workerPanics.Value(),
+		EngineFaults:      m.engineFaults.Total(),
+		EngineRecoveries:  m.engineRecoveries.Value(),
+		JournalEvents:     m.journalEvents.Value(),
+		JournalErrors:     m.journalErrors.Value(),
+		CheckpointsSaved:  m.checkpointsSaved.Value(),
+		CacheHits:         m.cacheHits.Value(),
+		CacheMisses:       m.cacheMisses.Value(),
+		StepsDone:         m.steps.Value(),
 		CacheEntries:      s.cache.len(),
 		Workers:           s.opts.Workers,
 		QueueCap:          s.opts.QueueSize,
-		QueueDepth:        s.queueDepth.Load(),
-		QueueHighWater:    s.queueHW.Load(),
+		QueueDepth:        m.queued.Value(),
+		QueueHighWater:    m.queueHW.Value(),
 	}
-}
-
-// Vars exposes the expvar map backing Metrics — quaked serves it at
-// /metrics and can expvar.Publish it for the process-wide registry.
-func (s *Service) Vars() *expvar.Map { return s.vars }
-
-// RegisterProm registers the service's metric families on a Prometheus
-// registry (the swquake_* names quaked serves at /metrics?format=prometheus):
-// the lifecycle counters, queue gauges with the high-water mark, the
-// job-latency histogram, and per-stage engine seconds as a labeled counter.
-func (s *Service) RegisterProm(reg *telemetry.PromRegistry) {
-	counter := func(expvarName string) func() float64 {
-		return func() float64 {
-			if v, ok := s.vars.Get(expvarName).(*expvar.Int); ok {
-				return float64(v.Value())
-			}
-			return 0
-		}
-	}
-	reg.CounterFunc("swquake_jobs_submitted_total", "Jobs accepted by Submit.", counter("jobs_submitted"))
-	reg.CounterFunc("swquake_jobs_done_total", "Jobs finished successfully.", counter("jobs_done"))
-	reg.CounterFunc("swquake_jobs_failed_total", "Jobs failed permanently.", counter("jobs_failed"))
-	reg.CounterFunc("swquake_jobs_canceled_total", "Jobs canceled by users or shutdown.", counter("jobs_canceled"))
-	reg.CounterFunc("swquake_jobs_retried_total", "Transient failures sent to retry backoff.", counter("jobs_retried"))
-	reg.CounterFunc("swquake_jobs_recovered_total", "Jobs requeued from the journal on boot.", counter("jobs_recovered"))
-	reg.CounterFunc("swquake_worker_panics_total", "Engine panics isolated by the worker pool.", counter("worker_panics"))
-	reg.CounterFunc("swquake_engine_recoveries_total",
-		"Engine faults healed in-run by rewinding to the newest valid checkpoint.",
-		counter("engine_recoveries"))
-	reg.LabeledCounterFunc("swquake_engine_faults_total",
-		"Faults detected inside the parallel engine, by kind (halo-corrupt, stall, panic).", "kind",
-		func() map[string]float64 {
-			s.faultMu.Lock()
-			defer s.faultMu.Unlock()
-			out := make(map[string]float64, len(s.faultKinds))
-			for k, v := range s.faultKinds {
-				out[k] = float64(v)
-			}
-			return out
-		})
-	reg.CounterFunc("swquake_journal_events_total", "Events appended to the durability journal.", counter("journal_events"))
-	reg.CounterFunc("swquake_checkpoints_saved_total", "Auto-checkpoints written by running jobs.", counter("checkpoints_saved"))
-	reg.CounterFunc("swquake_checkpoint_write_seconds_total",
-		"Seconds the checkpoint lane spent writing those dumps beside the solver (the checkpoint stage holds only snapshots and waits).",
-		func() float64 { return float64(s.ckptWriteNS.Load()) / 1e9 })
-	reg.CounterFunc("swquake_cache_hits_total", "Submissions served from the result cache.", counter("cache_hits"))
-	reg.CounterFunc("swquake_cache_misses_total", "Submissions that had to be solved.", counter("cache_misses"))
-	reg.CounterFunc("swquake_steps_total", "Solver steps completed across all jobs (rate() gives steps/sec).", counter("steps_done"))
-	reg.CounterFunc("swquake_halo_bytes_total",
-		"Halo bytes exchanged by parallel jobs (sent+received, all ranks; decomp.HaloBytesPerStep accounting).",
-		counter("halo_bytes"))
-	reg.CounterFunc("swquake_exchange_wait_seconds_total",
-		"Engine wall seconds spent in halo exchange (halo_velocity + halo_stress + halo_wait stages).",
-		func() float64 {
-			var total float64
-			for _, st := range s.StageReport().Stages {
-				switch st.Name {
-				case telemetry.StageHaloVelocity.String(),
-					telemetry.StageHaloStress.String(),
-					telemetry.StageHaloWait.String():
-					total += st.Seconds
-				}
-			}
-			return total
-		})
-
-	reg.GaugeFunc("swquake_jobs_running", "Jobs currently executing on a worker.", counter("jobs_running"))
-	reg.GaugeFunc("swquake_queue_depth", "Jobs currently waiting in the submission queue.",
-		func() float64 { return float64(s.queueDepth.Load()) })
-	reg.GaugeFunc("swquake_queue_high_water", "Deepest the submission queue has been since boot.",
-		func() float64 { return float64(s.queueHW.Load()) })
-	reg.GaugeFunc("swquake_queue_capacity", "Submission queue capacity (backpressure threshold).",
-		func() float64 { return float64(s.opts.QueueSize) })
-	reg.GaugeFunc("swquake_workers", "Worker-pool size.",
-		func() float64 { return float64(s.opts.Workers) })
-	reg.GaugeFunc("swquake_cache_entries", "Entries in the LRU result cache.",
-		func() float64 { return float64(s.cache.len()) })
-
-	reg.Histogram("swquake_job_duration_seconds",
-		"Submit-to-terminal latency of finished jobs.", s.jobLatency)
-
-	reg.LabeledCounterFunc("swquake_stage_seconds_total",
-		"Engine wall seconds per pipeline stage, summed over completed jobs.", "stage",
-		func() map[string]float64 {
-			rep := s.StageReport()
-			out := make(map[string]float64, len(rep.Stages))
-			for _, st := range rep.Stages {
-				out[st.Name] = st.Seconds
-			}
-			return out
-		})
-	reg.LabeledCounterFunc("swquake_stage_observations_total",
-		"Stage timing observations per pipeline stage.", "stage",
-		func() map[string]float64 {
-			rep := s.StageReport()
-			out := make(map[string]float64, len(rep.Stages))
-			for _, st := range rep.Stages {
-				out[st.Name] = float64(st.Count)
-			}
-			return out
-		})
-
-	// admission / overload-protection families (DESIGN.md §3.8)
-	reg.LabeledCounterFunc("swquake_jobs_rejected_total",
-		"Submissions refused by the admission layer, by reason (queue-full, budget, rate-limit, breaker, draining).",
-		"reason",
-		func() map[string]float64 {
-			s.rejectMu.Lock()
-			defer s.rejectMu.Unlock()
-			out := make(map[string]float64, len(s.rejectKinds))
-			for k, v := range s.rejectKinds {
-				out[k] = float64(v)
-			}
-			return out
-		})
-	reg.CounterFunc("swquake_progress_stalls_total",
-		"Running jobs canceled by the progress watchdog for making no step progress.",
-		counter("progress_stalls"))
-	reg.CounterFunc("swquake_breaker_trips_total",
-		"Times repeated infrastructure failures opened the circuit breaker.",
-		counter("breaker_trips"))
-	reg.GaugeFunc("swquake_breaker_open",
-		"1 while the circuit breaker is open or half-open (daemon degraded), else 0.",
-		func() float64 {
-			if s.brk.State() != admission.BreakerClosed {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("swquake_mem_budget_bytes",
-		"Configured admission memory budget in bytes (0 = unlimited).",
-		func() float64 { return float64(s.ledger.Snapshot().TotalBytes) })
-	reg.GaugeFunc("swquake_mem_reserved_bytes",
-		"Estimated working set of currently dispatched jobs (ledger reservations).",
-		func() float64 { return float64(s.ledger.Snapshot().ReservedBytes) })
-	reg.GaugeFunc("swquake_mem_high_water_bytes",
-		"Largest the reservation sum has ever been — never above the budget by construction.",
-		func() float64 { return float64(s.ledger.Snapshot().HighWaterBytes) })
 }

@@ -85,10 +85,8 @@ func TestServicePrometheus(t *testing.T) {
 			m.QueueDepth, m.QueueHighWater)
 	}
 
-	reg := telemetry.NewPromRegistry()
-	s.RegisterProm(reg)
 	var buf bytes.Buffer
-	if err := reg.Write(&buf); err != nil {
+	if err := s.Registry().WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()

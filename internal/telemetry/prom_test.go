@@ -12,8 +12,8 @@ import (
 
 // buildFixedRegistry builds a registry over deterministic sample functions,
 // including the escaping edge cases the exposition format defines.
-func buildFixedRegistry() *PromRegistry {
-	r := NewPromRegistry()
+func buildFixedRegistry() *Registry {
+	r := NewRegistry()
 	r.CounterFunc("swq_jobs_done_total", "Jobs completed successfully.", func() float64 { return 42 })
 	r.GaugeFunc("swq_queue_depth", "Jobs waiting in the queue.", func() float64 { return 3 })
 	r.GaugeFunc("swq_ratio", `Help with a \ backslash
@@ -27,17 +27,16 @@ and a newline.`, func() float64 { return 0.25 })
 				"multi\nline":  2,
 			}
 		})
-	h := NewHistogram([]float64{0.1, 0.5, 1})
+	h := r.Histogram("swq_job_duration_seconds", "Job wall time.", []float64{0.1, 0.5, 1})
 	h.Observe(0.05)
 	h.Observe(0.5) // le edge: lands in the 0.5 bucket
 	h.Observe(3)   // +Inf
-	r.Histogram("swq_job_duration_seconds", "Job wall time.", h)
 	return r
 }
 
 func TestPromExpositionGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := buildFixedRegistry().Write(&buf); err != nil {
+	if err := buildFixedRegistry().WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	goldenPath := filepath.Join("testdata", "exposition.golden")
@@ -69,7 +68,7 @@ var sampleLine = regexp.MustCompile(
 // sequences outside \\, \" and \n appear in label values.
 func TestPromExpositionWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := buildFixedRegistry().Write(&buf); err != nil {
+	if err := buildFixedRegistry().WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	typed := map[string]bool{}
@@ -106,14 +105,13 @@ func TestPromExpositionWellFormed(t *testing.T) {
 }
 
 func TestPromHistogramCumulativeBuckets(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
+	var buf bytes.Buffer
+	r := NewRegistry()
+	h := r.Histogram("h", "", []float64{1, 2})
 	h.Observe(0.5)
 	h.Observe(1.5)
 	h.Observe(9)
-	var buf bytes.Buffer
-	r := NewPromRegistry()
-	r.Histogram("h", "", h)
-	if err := r.Write(&buf); err != nil {
+	if err := r.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{

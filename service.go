@@ -7,7 +7,7 @@ import (
 // JobService is the simulation job service: a bounded submission queue in
 // front of a worker pool that drives the step-pipeline engine, with per-job
 // cancellation and deadlines, live progress, a scenario-keyed result cache
-// and expvar metrics. The implementation lives in internal/service; the
+// and metrics. The implementation lives in internal/service; the
 // quaked daemon (cmd/quaked) is its HTTP face.
 type JobService = service.Service
 
