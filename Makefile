@@ -12,32 +12,37 @@ build:
 # step-pipeline drivers, the job service worker pool, the ensemble campaign
 # scheduler, the durability layers — the write-ahead log, the checkpoint
 # write lane and its codec — and the telemetry collectors) and the medium's
-# build-once reciprocal under the race detector — where the fd rows are the
-# Go ones (the assembly rows are not built under -race), so the row and
-# both-paths tests there also prove that build compiles and computes the
-# same bits
+# build-once reciprocal under the race detector — where every row is the Go
+# one (the assembly rows of fd, plasticity and grid are not built under
+# -race), so the row and both-paths tests there also prove that build
+# compiles and computes the same bits
 check: vet fmt-check check-bce check-portable check-one overload-test
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
 		./internal/ensemble/ ./internal/wal/ ./internal/checkpoint/ ./internal/lz4/ \
 		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
-	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium|Row|SweepKernels|KernelPaths'
+	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium|Row|SweepKernels|KernelPaths|Sponge'
+	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Lane|YieldSurface|MaxAbs|FlatIndex'
 
 # the build without the assembly rows must not rot: cross-compile everything
-# for an architecture that has none and vet the kernel package there (works
-# offline; `go vet` on amd64 runs asmdecl over sweep_amd64.s's frames)
+# for an architecture that has none and vet the packages that hold rows there
+# (works offline; `go vet` on amd64 runs asmdecl over the .s files' frames)
 check-portable:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/fd
+	GOARCH=arm64 $(GO) vet ./internal/cpu/... ./internal/fd ./internal/plasticity ./internal/grid
 
 # the sweep kernels (velocity, stress, sponge, attenuation, plasticity) must
 # keep their inner loops free of index bounds checks: compile their packages
 # with the SSA bounds-check report and fail on any "Found IsInBounds" in a
 # file that holds a row loop or hands rows to the assembly, naming its line.
-# "Found IsSliceInBounds" is the per-row operand slicing — in sweep_amd64.go
-# the very checks that license the pointers the assembly gets — and is
-# expected; both counts are printed per file. Compiled for amd64 whatever
-# the host, so the file list means the same everywhere.
-BCE_FILES = internal/fd/sweep.go internal/fd/sweep_amd64.go internal/plasticity/sweep.go
+# "Found IsSliceInBounds" is the per-row operand slicing — in the
+# sweep_amd64.go files the very checks that license the pointers the assembly
+# gets — and is expected; both counts are printed per file. Compiled for
+# amd64 whatever the host, so the file list means the same everywhere.
+# (internal/grid/maxabs_amd64.go hands the max-abs scan one row cut to a
+# multiple of 8 of its own length: the compiler proves that, so the file has
+# no check of either kind to count and cannot be listed.)
+BCE_FILES = internal/fd/sweep.go internal/fd/sweep_amd64.go \
+	internal/plasticity/sweep.go internal/plasticity/sweep_amd64.go
 check-bce:
 	@out=$$(GOARCH=amd64 $(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/fd ./internal/plasticity 2>&1) \
 		|| { echo "$$out"; exit 1; }; \

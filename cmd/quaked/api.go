@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"swquake/internal/admission"
+	"swquake/internal/cpu"
 	"swquake/internal/ensemble"
-	"swquake/internal/fd"
 	"swquake/internal/scenario"
 	"swquake/internal/service"
 	"swquake/internal/telemetry"
@@ -38,7 +38,7 @@ type buildBlock struct {
 
 func newServer(svc *service.Service, mgr *ensemble.Manager) *server {
 	s := &server{svc: svc, mgr: mgr, mux: http.NewServeMux(), start: time.Now(),
-		reg: telemetry.NewRegistry(), build: buildBlock{telemetry.ReadBuildInfo(), fd.KernelPath()}}
+		reg: telemetry.NewRegistry(), build: buildBlock{telemetry.ReadBuildInfo(), cpu.KernelPath()}}
 	s.reg.GaugeFunc("swquake_uptime_seconds", "Seconds since the daemon booted.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)

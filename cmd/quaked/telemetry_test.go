@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"swquake/internal/fd"
+	"swquake/internal/cpu"
 	"swquake/internal/service"
 )
 
@@ -35,8 +35,8 @@ func TestHealthzBuildInfo(t *testing.T) {
 	if hz.Status != "healthy" || hz.Workers != 2 || hz.QueueCapacity != 8 {
 		t.Fatalf("healthz payload wrong: %+v", hz)
 	}
-	if hz.Build.GoVersion == "" || hz.Build.KernelPath != fd.KernelPath() {
-		t.Fatalf("healthz must carry build info and the kernel path %q: %+v", fd.KernelPath(), hz)
+	if hz.Build.GoVersion == "" || hz.Build.KernelPath != cpu.KernelPath() {
+		t.Fatalf("healthz must carry build info and the kernel path %q: %+v", cpu.KernelPath(), hz)
 	}
 }
 

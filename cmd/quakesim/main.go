@@ -32,8 +32,8 @@ import (
 	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
 	"swquake/internal/core"
+	"swquake/internal/cpu"
 	"swquake/internal/faultinject"
-	"swquake/internal/fd"
 	"swquake/internal/model"
 	"swquake/internal/output"
 	"swquake/internal/scenario"
@@ -259,7 +259,7 @@ func printTiming(w io.Writer, res *core.Result, wallS float64) {
 	}
 	fmt.Fprintf(w, "stages total %.4f s over %.4f s wall (%.1f%% accounted)\n",
 		total, wallS, 100*total/wallS)
-	fmt.Fprintf(w, "velocity and stress rows: %s\n", fd.KernelPath())
+	fmt.Fprintf(w, "row kernels: %s\n", cpu.KernelPath())
 	if n := len(res.Checkpoints); n > 0 {
 		fmt.Fprintf(w, "checkpoint lane: %d dumps written in %.4f s beside the solver (the checkpoint stage above is snapshots and waits)\n",
 			n, res.CheckpointWriteSeconds)

@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"swquake/internal/compress"
+	"swquake/internal/cpu"
 	"swquake/internal/faultinject"
-	"swquake/internal/fd"
 	"swquake/internal/model"
 	"swquake/internal/scenario"
 )
@@ -180,7 +180,7 @@ func TestRunTimingFlag(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{"stage", "velocity", "stress", "accounted",
-		"velocity and stress rows: " + fd.KernelPath(), "checkpoint lane: 3 dumps written in"} {
+		"row kernels: " + cpu.KernelPath(), "checkpoint lane: 3 dumps written in"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timing table missing %q:\n%s", want, out)
 		}

@@ -29,7 +29,8 @@ import (
 
 // AutoTiles asks the engine to pick the tile count from GOMAXPROCS —
 // divided by the rank count under RunParallel so the worker pools of all
-// ranks together match the machine.
+// ranks together match the machine — and from the block size: a block too
+// small to repay the fork-joins of a step runs single-threaded.
 const AutoTiles = -1
 
 // StepEvent describes one completed step of the pipeline, as reported to a
@@ -162,7 +163,8 @@ type Config struct {
 	// never z, the contiguous axis) and fanned across a bounded worker pool
 	// while the pipeline's stage order — and therefore the result, bit for
 	// bit — is unchanged. 0 or 1 runs the stages single-threaded; AutoTiles
-	// uses GOMAXPROCS (divided by the rank count under RunParallel). The
+	// uses GOMAXPROCS (divided by the rank count under RunParallel; fewer,
+	// down to one, on a block too small for tiles to pay). The
 	// pool exists only while Run/RunParallel is stepping; a bare Step() is
 	// always single-threaded. Incompatible with SunwaySim, whose core-group
 	// executor is itself the tiling level being modeled.

@@ -319,7 +319,7 @@ func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Confi
 
 	// re-resolve AutoTiles against the rank count so the worker pools of all
 	// ranks together match GOMAXPROCS (New resolved it for a single rank)
-	sim.tiles = effectiveTiles(cfg.Tiles, pg.Size())
+	sim.tiles = effectiveTiles(cfg.Tiles, pg.Size(), sim.Cfg.Dims.Points())
 	stopTiling := sim.startTiling()
 	defer stopTiling()
 

@@ -1,19 +1,21 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"swquake/internal/cgexec"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
+	"swquake/internal/plasticity"
 	"swquake/internal/telemetry"
 )
 
 // This file is the step-pipeline engine: the ONE implementation of the
 // per-step stage sequence (paper Fig. 3 / §6.5)
 //
-//	free surface → velocity kernel → velocity-halo exchange →
-//	free surface → SLS-before → stress kernel → SLS-after →
+//	free surface (tractions) → velocity kernel → velocity-halo exchange →
+//	free surface (velocities) → SLS-before → stress kernel → SLS-after →
 //	source injection → plasticity → attenuation → sponge →
 //	stress-halo exchange → record traces / PGV
 //
@@ -30,8 +32,8 @@ import (
 //     overlapped pipeline compute the block interior while velocity-halo
 //     messages are in flight (paper §6.2);
 //   - Backend: how the velocity/stress kernels execute over a Region —
-//     the plain Go kernels, the same fanned across a tile pool
-//     (TiledBackend), or the tile-by-tile cgexec core group.
+//     the host kernels (which the pipeline fans across the tile pool) or the
+//     tile-by-tile cgexec core group.
 //
 // Compressed storage plugs in around the same sequence: fields are decoded
 // before the velocity phase, the velocities are round-tripped through the
@@ -77,14 +79,14 @@ func (NoExchange) FinishStress(*fd.Wavefield, int) bool   { return false }
 // Backend executes one kernel phase over a Region of the block — the seam
 // between the step pipeline and the machine the kernels run on. The barrier
 // pipeline passes full-x/y slab regions; the overlapped pipeline passes the
-// block interior and its boundary shells; TiledBackend further splits
-// whatever it is given.
+// block interior and its boundary shells; with a tile pool the pipeline
+// hands a backend one tile, or one chain block of a tile, at a time.
 type Backend interface {
 	Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region)
 	Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region)
 }
 
-// hostBackend runs the plain Go region kernels.
+// hostBackend runs the region kernels of internal/fd.
 type hostBackend struct{}
 
 func (hostBackend) Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
@@ -169,11 +171,12 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 		sw.Lap(telemetry.StageCompression)
 	}
 
-	// velocity phase
-	fd.ApplyFreeSurface(s.WF)
+	// velocity phase: its stencils read the traction ghosts alone
+	h := fd.Halo
+	fd.ImageTractionCols(s.WF, -h, d.Nx+h, -h, d.Ny+h)
 	sw.Lap(telemetry.StageFreeSurface)
 	for k0 := 0; k0 < nz; k0 += slab {
-		s.backend.Velocity(s.WF, s.Med, dtdx, grid.FullXY(d, k0, minI(k0+slab, nz)))
+		s.velocityPhase(grid.FullXY(d, k0, minI(k0+slab, nz)), dtdx)
 	}
 	sw.Lap(telemetry.StageVelocity)
 	if s.comp != nil {
@@ -184,15 +187,19 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	ex.FinishVelocity(s.WF, s.step)
 	sw.Lap(telemetry.StageHaloVelocity)
 
-	// stress phase
-	fd.ApplyFreeSurface(s.WF)
+	// stress phase: its stencils read the velocity ghosts alone
+	fd.ImageVelocityCols(s.WF, -h, d.Nx+h, -h, d.Ny+h)
 	sw.Lap(telemetry.StageFreeSurface)
 	if s.sls != nil {
 		s.sls.Before(s.WF)
 		sw.Lap(telemetry.StageAttenuation)
 	}
 	for k0 := 0; k0 < nz; k0 += slab {
-		s.stressPhase(grid.FullXY(d, k0, minI(k0+slab, nz)), dtdx, &sw, true)
+		// a slab's velocities are damped before the next slab's stress
+		// stencils read them, as compressed storage has always had it
+		reg := grid.FullXY(d, k0, minI(k0+slab, nz))
+		s.stressPhase(reg, dtdx, &sw)
+		s.spongeVelocities(reg, &sw)
 	}
 	if s.comp != nil {
 		s.compStoreAll()
@@ -207,37 +214,110 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	}
 }
 
+// velocityPhase runs the velocity kernel over one Region, fanned across the
+// tile pool (nil-safe: a serial simulator runs inline).
+func (s *Simulator) velocityPhase(reg grid.Region, dtdx float32) {
+	s.pool.fan(reg, func(r grid.Region) { s.backend.Velocity(s.WF, s.Med, dtdx, r) })
+}
+
+// chainBlockPoints sizes the x-blocks stressPhase walks: a block is as many
+// whole i-planes of its region as hold at most this many cells (one plane
+// at least). The chain's six stages all read and write the block's six
+// stress rows, so those — 6 fields x 4 B x 32768 cells = 768 KB — must
+// still be in L2 when the last stage runs, beside the ~25 operand rows
+// (velocities, moduli, plasticity parameters, Q factors) that stream through
+// once: that fits the 1-2 MB per-core L2 of the hosts we run on with room
+// for the streams. It is one i-plane of a 192x192x96 block — where blocks
+// of 1 and 2 planes measured alike, 4 and 8 slower, the whole region
+// slowest (DESIGN.md §3.1) — and the whole of a 32x32x24 one, so grids that
+// fit a cache as they are pay nothing.
+const chainBlockPoints = 1 << 15
+
+// chainBlockPlanes overrides the block size in i-planes; only tests set it.
+var chainBlockPlanes int
+
 // stressPhase runs the stress-side stage chain — stress kernel, SLS memory
-// update, source injection, plasticity, attenuation, sponge — over one
-// Region. The barrier pipeline calls it per z-slab over the full x/y plane;
-// the overlapped pipeline calls it on the interior and then on each boundary
-// shell. Every stage except source injection fans across the tile pool
-// (nil-safe: a serial simulator runs inline); injection walks the short
-// source list serially so co-located sources keep their order.
+// update, source injection, plasticity, attenuation, the stress half of the
+// sponge — over one Region, and is the only place that order is spelled.
+// The barrier pipeline calls it per z-slab over the full x/y plane; the
+// overlapped pipeline calls it on the interior and then on each boundary
+// shell.
 //
-// withSponge controls whether the sponge runs as part of the chain. The
-// sponge is the one stage here that writes VELOCITIES, which neighbouring
-// stress stencils read — so the overlapped pipeline, whose regions run at
-// different times, must pass false and damp the whole block once at the end.
-func (s *Simulator) stressPhase(reg grid.Region, dtdx float32, sw *telemetry.Stopwatch, withSponge bool) {
-	s.backend.Stress(s.WF, s.Med, dtdx, reg)
-	sw.Lap(telemetry.StageStress)
+// The region is walked in x-blocks (chainBlockPoints) and the whole chain
+// runs on a block before the next is touched: every stage but the stress
+// kernel reads and writes only the six stresses of the cell it stands on,
+// and the stress kernel reads velocities, which nothing here writes — so
+// the per-cell independence that makes tiles and interior/shell ordering
+// exact makes block order exact too. With a tile pool the fan is outermost:
+// each worker walks its own tile block by block, one fork-join for the whole
+// chain. Within a block sources are injected in list order, so co-located
+// sources keep theirs. The core-group executor computes a block whole, so it
+// gets the region as one block.
+//
+// The velocity half of the sponge is NOT part of the chain: neighbouring
+// cells' stress stencils read the velocities, so spongeVelocities damps them
+// once every block of the region is done.
+//
+// Stage times are tallied per block and per worker and observed once per
+// stage per call, scaled to the call's wall time.
+func (s *Simulator) stressPhase(reg grid.Region, dtdx float32, sw *telemetry.Stopwatch) {
+	tally := sw.Tally()
+	var mu sync.Mutex
+	s.pool.fan(reg, func(tile grid.Region) {
+		planes := tile.I1 - tile.I0 // the core-group executor's block: all of it
+		switch {
+		case s.cgx != nil:
+		case chainBlockPlanes > 0:
+			planes = chainBlockPlanes
+		default:
+			planes = max(1, chainBlockPoints/(tile.Nj()*tile.Nk()))
+		}
+		t := tally.Fork()
+		var yielded int64
+		for b := tile; b.I0 < tile.I1; b.I0 = b.I1 {
+			b.I1 = min(b.I0+planes, tile.I1)
+			yielded += s.stressChain(b, dtdx, &t)
+		}
+		mu.Lock()
+		tally.Merge(&t)
+		s.yielded += yielded
+		mu.Unlock()
+	})
+	sw.LapTallied(&tally)
+}
+
+// stressChain runs the stress-side stages on one block and returns the
+// number of cells that yielded.
+func (s *Simulator) stressChain(b grid.Region, dtdx float32, t *telemetry.StageTally) int64 {
+	s.backend.Stress(s.WF, s.Med, dtdx, b)
+	t.Lap(telemetry.StageStress)
 	if s.sls != nil {
-		s.pool.fan(reg, func(r grid.Region) { s.sls.AfterRegion(s.WF, s.Cfg.Dt, r) })
-		sw.Lap(telemetry.StageAttenuation)
+		s.sls.AfterRegion(s.WF, s.Cfg.Dt, b)
+		t.Lap(telemetry.StageAttenuation)
 	}
-	s.srcs.InjectRegion(s.WF, s.simTime, s.Cfg.Dt, s.Cfg.Dx, reg)
-	sw.Lap(telemetry.StageSource)
+	s.srcs.InjectRegion(s.WF, s.simTime, s.Cfg.Dt, s.Cfg.Dx, b)
+	t.Lap(telemetry.StageSource)
+	var yielded int64
 	if s.Plas != nil {
-		s.yielded += s.fanPlasticity(reg)
-		sw.Lap(telemetry.StagePlasticity)
+		yielded = int64(plasticity.ApplyRegion(s.WF, s.Plas, s.Cfg.Dt, b))
+		t.Lap(telemetry.StagePlasticity)
 	}
 	if s.atten != nil {
-		s.pool.fan(reg, func(r grid.Region) { s.atten.ApplyRegion(s.WF, r) })
-		sw.Lap(telemetry.StageAttenuation)
+		s.atten.ApplyRegion(s.WF, b)
+		t.Lap(telemetry.StageAttenuation)
 	}
-	if withSponge && s.sponge != nil {
-		s.pool.fan(reg, func(r grid.Region) { s.sponge.ApplyRegion(s.WF, r) })
+	if s.sponge != nil {
+		s.sponge.ApplyStressRegion(s.WF, b)
+		t.Lap(telemetry.StageSponge)
+	}
+	return yielded
+}
+
+// spongeVelocities applies the velocity half of the sponge over a region
+// whose stress phase is complete.
+func (s *Simulator) spongeVelocities(reg grid.Region, sw *telemetry.Stopwatch) {
+	if s.sponge != nil {
+		s.pool.fan(reg, func(r grid.Region) { s.sponge.ApplyVelocityRegion(s.WF, r) })
 		sw.Lap(telemetry.StageSponge)
 	}
 }
@@ -249,24 +329,24 @@ func (s *Simulator) stressPhase(reg grid.Region, dtdx float32, sw *telemetry.Sto
 // boundary shells (whose stencils reach into the ghost layers) run only
 // after the wait. It is bit-identical to the barrier pipeline:
 //
-//   - StartVelocity packs the y faces before the second free-surface pass,
+//   - StartVelocity packs the y faces before the velocity free-surface pass,
 //     exactly when the barrier exchange would, so y-round bytes match.
 //   - The x-round (inside FinishVelocity) packs after the owned-column free
 //     surface has run, so its k<0 entries differ from barrier mode on the
 //     wire — but the receiver immediately re-images its ghost frame from
-//     the unpacked k>=0 values (the four ApplyFreeSurfaceCols calls below),
+//     the unpacked k>=0 values (the four ImageVelocityCols calls below),
 //     overwriting exactly those entries with the values barrier mode would
 //     have delivered.
 //   - The interior region keeps fd.Halo columns away from every block edge,
 //     so interior stress stencils never read a ghost value, and the stage
 //     chain (SLS, plasticity, attenuation) writes only the stress fields of
 //     its own cells — which no stress stencil of another region reads — so
-//     interior-then-shell ordering cannot change any result bit. The sponge
-//     is the exception: it damps VELOCITIES, which shell stress stencils
-//     read from interior cells, so it is held back and applied to the whole
-//     block once, after the shells — exactly where the barrier pipeline's
-//     full-box chain runs it.
-//   - The stress exchange stays back-to-back: the NEXT step's first
+//     interior-then-shell ordering cannot change any result bit. The
+//     velocity half of the sponge is what shell stress stencils would see
+//     from interior cells, which is why it is not in the chain: it runs on
+//     the whole block once, after the shells — exactly where the barrier
+//     pipeline runs it.
+//   - The stress exchange stays back-to-back: the NEXT step's traction
 //     free-surface pass reads stress ghosts, so there is no interior work
 //     to hide it behind, and leaving sends outstanding would interleave
 //     with the checkpoint gather's ordered per-pair queues.
@@ -274,15 +354,15 @@ func (s *Simulator) stepOverlapped(ex Exchanger, dtdx float32, sw *telemetry.Sto
 	d := s.Cfg.Dims
 	h := fd.Halo
 
-	fd.ApplyFreeSurface(s.WF)
+	fd.ImageTractionCols(s.WF, -h, d.Nx+h, -h, d.Ny+h)
 	sw.Lap(telemetry.StageFreeSurface)
-	s.backend.Velocity(s.WF, s.Med, dtdx, grid.Box(d))
+	s.velocityPhase(grid.Box(d), dtdx)
 	sw.Lap(telemetry.StageVelocity)
 	ex.StartVelocity(s.WF, s.step)
 	sw.Lap(telemetry.StageHaloVelocity)
 
 	// owned-column free surface; the ghost frame is imaged after the wait
-	fd.ApplyFreeSurfaceCols(s.WF, 0, d.Nx, 0, d.Ny)
+	fd.ImageVelocityCols(s.WF, 0, d.Nx, 0, d.Ny)
 	sw.Lap(telemetry.StageFreeSurface)
 	if s.sls != nil {
 		// full snapshot, including boundary cells: After only ever reads the
@@ -291,26 +371,22 @@ func (s *Simulator) stepOverlapped(ex Exchanger, dtdx float32, sw *telemetry.Sto
 		s.sls.Before(s.WF)
 		sw.Lap(telemetry.StageAttenuation)
 	}
-	s.stressPhase(s.ovInterior, dtdx, sw, false)
+	s.stressPhase(s.ovInterior, dtdx, sw)
 
 	ex.FinishVelocity(s.WF, s.step)
 	sw.Lap(telemetry.StageHaloWait)
 	// image the ghost frame now that exchanged columns are in place: the two
 	// x strips (full y extent, covering the corners) and the two remaining
-	// y strips tile exactly the frame ApplyFreeSurface would touch beyond
-	// the owned columns
-	fd.ApplyFreeSurfaceCols(s.WF, -h, 0, -h, d.Ny+h)
-	fd.ApplyFreeSurfaceCols(s.WF, d.Nx, d.Nx+h, -h, d.Ny+h)
-	fd.ApplyFreeSurfaceCols(s.WF, 0, d.Nx, -h, 0)
-	fd.ApplyFreeSurfaceCols(s.WF, 0, d.Nx, d.Ny, d.Ny+h)
+	// y strips tile exactly the frame beyond the owned columns
+	fd.ImageVelocityCols(s.WF, -h, 0, -h, d.Ny+h)
+	fd.ImageVelocityCols(s.WF, d.Nx, d.Nx+h, -h, d.Ny+h)
+	fd.ImageVelocityCols(s.WF, 0, d.Nx, -h, 0)
+	fd.ImageVelocityCols(s.WF, 0, d.Nx, d.Ny, d.Ny+h)
 	sw.Lap(telemetry.StageFreeSurface)
 	for _, shell := range s.ovShells {
-		s.stressPhase(shell, dtdx, sw, false)
+		s.stressPhase(shell, dtdx, sw)
 	}
-	if s.sponge != nil {
-		s.pool.fan(grid.Box(d), func(r grid.Region) { s.sponge.ApplyRegion(s.WF, r) })
-		sw.Lap(telemetry.StageSponge)
-	}
+	s.spongeVelocities(grid.Box(d), sw)
 
 	ex.StartStress(s.WF, s.step)
 	ex.FinishStress(s.WF, s.step)

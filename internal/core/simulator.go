@@ -145,9 +145,9 @@ func New(cfg Config) (*Simulator, error) {
 		s.cgx = ex
 		s.backend = cgBackend{ex}
 	} else {
-		s.backend = &TiledBackend{Inner: hostBackend{}}
+		s.backend = hostBackend{}
 	}
-	s.tiles = effectiveTiles(cfg.Tiles, 1)
+	s.tiles = effectiveTiles(cfg.Tiles, 1, cfg.Dims.Points())
 	if cfg.Overlap {
 		s.ovInterior, s.ovShells = decomp.InteriorShell(cfg.Dims, fd.Halo)
 	}

@@ -3,20 +3,18 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
-	"swquake/internal/fd"
 	"swquake/internal/grid"
-	"swquake/internal/plasticity"
 )
 
 // Intra-rank tile parallelism (the paper's level below the MPI
 // decomposition: a block is computed by many workers, not one). The engine
-// splits each stage Region into Config.Tiles sub-boxes and fans them across
-// a bounded pool of worker goroutines, joining before the next stage so
-// stage ordering — and per-stage wall-time attribution — is untouched.
-// Every stage kernel is per-cell independent (see internal/fd/region.go),
-// so the fan is bit-exact at any tile count.
+// splits a phase's Region into Config.Tiles sub-boxes and fans them across
+// a bounded pool of worker goroutines, joining before the next phase: one
+// fan for the velocity kernel, one for the whole stress-side chain (each
+// worker runs every stage on its own tile, pipeline.go), one for the
+// velocity half of the sponge. Every stage kernel is per-cell independent
+// (see internal/fd/region.go), so the fan is bit-exact at any tile count.
 
 // tilePool is a bounded pool of worker goroutines shared by all fanned
 // stages of one simulator. It lives only while a run is stepping
@@ -76,29 +74,21 @@ func (p *tilePool) fan(reg grid.Region, f func(grid.Region)) {
 	wg.Wait()
 }
 
-// TiledBackend fans the velocity/stress kernels of an inner Backend across
-// the simulator's tile pool. With no pool attached (outside Run, or
-// Tiles <= 1) it is a transparent passthrough.
-type TiledBackend struct {
-	Inner Backend
-	pool  *tilePool
-}
+// autoTileMinPoints is the fewest cells AutoTiles gives a tile. Below it the
+// fork-joins of a step cost more than the kernels they split: with two tiles
+// a 32x32x24 block (12288 cells a tile) runs at 0.8-0.95x of serial, a
+// 64x62x24 one (47616) at 0.93-1.3x, an 80x80x32 one (102400) at 1.5x.
+const autoTileMinPoints = 1 << 15
 
-func (b *TiledBackend) Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
-	b.pool.fan(reg, func(r grid.Region) { b.Inner.Velocity(wf, med, dtdx, r) })
-}
-
-func (b *TiledBackend) Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
-	b.pool.fan(reg, func(r grid.Region) { b.Inner.Stress(wf, med, dtdx, r) })
-}
-
-// effectiveTiles resolves Config.Tiles for a run spread over `ranks`
-// simulated MPI ranks: AutoTiles becomes GOMAXPROCS/ranks (at least 1),
-// explicit counts pass through, and anything below 1 means single-threaded.
-func effectiveTiles(cfgTiles, ranks int) int {
+// effectiveTiles resolves Config.Tiles for a block of `points` cells in a
+// run spread over `ranks` simulated MPI ranks: AutoTiles becomes
+// GOMAXPROCS/ranks, less where that would leave a tile under
+// autoTileMinPoints cells; explicit counts pass through; anything below 1
+// means single-threaded.
+func effectiveTiles(cfgTiles, ranks int, points int64) int {
 	t := cfgTiles
 	if t == AutoTiles {
-		t = runtime.GOMAXPROCS(0) / ranks
+		t = int(min(int64(runtime.GOMAXPROCS(0)/ranks), points/autoTileMinPoints))
 	}
 	if t < 1 {
 		t = 1
@@ -113,28 +103,9 @@ func (s *Simulator) startTiling() func() {
 	if s.tiles <= 1 || s.cgx != nil {
 		return func() {}
 	}
-	pool := newTilePool(s.tiles)
-	s.pool = pool
-	tb, _ := s.backend.(*TiledBackend)
-	if tb != nil {
-		tb.pool = pool
-	}
+	s.pool = newTilePool(s.tiles)
 	return func() {
-		pool.Close()
+		s.pool.Close()
 		s.pool = nil
-		if tb != nil {
-			tb.pool = nil
-		}
 	}
-}
-
-// fanPlasticity runs the plasticity return map over reg's tiles and sums
-// the yielded counts; integer addition is associative, so the sum is
-// deterministic no matter how the tiles interleave.
-func (s *Simulator) fanPlasticity(reg grid.Region) int64 {
-	var n atomic.Int64
-	s.pool.fan(reg, func(r grid.Region) {
-		n.Add(int64(plasticity.ApplyRegion(s.WF, s.Plas, s.Cfg.Dt, r)))
-	})
-	return n.Load()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -183,25 +184,58 @@ func TestTilesOverlapValidation(t *testing.T) {
 }
 
 func TestEffectiveTiles(t *testing.T) {
+	const big = 1 << 30 // cells: no floor in play
 	cases := []struct {
-		cfg, ranks, want int
+		cfg, ranks int
+		points     int64
+		want       int
 	}{
-		{0, 1, 1},
-		{1, 1, 1},
-		{6, 1, 6},
-		{6, 4, 6}, // explicit counts are per rank, not divided
+		{0, 1, big, 1},
+		{1, 1, big, 1},
+		{6, 1, big, 6},
+		{6, 4, big, 6}, // explicit counts are per rank, not divided
+		{6, 1, 100, 6}, // ... and not subject to the floor
 	}
 	for _, c := range cases {
-		if got := effectiveTiles(c.cfg, c.ranks); got != c.want {
-			t.Errorf("effectiveTiles(%d, %d) = %d, want %d", c.cfg, c.ranks, got, c.want)
+		if got := effectiveTiles(c.cfg, c.ranks, c.points); got != c.want {
+			t.Errorf("effectiveTiles(%d, %d, %d) = %d, want %d", c.cfg, c.ranks, c.points, got, c.want)
 		}
 	}
 	// AutoTiles: at least 1, and never more than GOMAXPROCS per rank
-	if got := effectiveTiles(AutoTiles, 1); got < 1 {
-		t.Fatalf("auto tiles %d", got)
+	if got := effectiveTiles(AutoTiles, 1, big); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("auto tiles %d on a huge block, GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := effectiveTiles(AutoTiles, 1<<20); got != 1 {
+	if got := effectiveTiles(AutoTiles, 1<<20, big); got != 1 {
 		t.Fatalf("auto tiles with huge rank count = %d, want 1", got)
+	}
+}
+
+// TestAutoTilesLeavesSmallBlocksSerial: on the grid every service job uses
+// (quickstart, 32x32x24) the fork-joins of a tiled step cost more than the
+// kernels they split, so AutoTiles resolves to one tile there — and still
+// to GOMAXPROCS on the scaling probe's 160x160x96.
+func TestAutoTilesLeavesSmallBlocksSerial(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Dims = grid.Dims{Nx: 32, Ny: 32, Nz: 24}
+	cfg.Tiles = AutoTiles
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.tiles != 1 {
+		t.Fatalf("AutoTiles on %v resolved to %d tiles, want 1", cfg.Dims, sim.tiles)
+	}
+	if stop := sim.startTiling(); sim.pool != nil {
+		stop()
+		t.Fatal("a single-tile simulator started a worker pool")
+	}
+	large := grid.Dims{Nx: 160, Ny: 160, Nz: 96}
+	if got, want := effectiveTiles(AutoTiles, 1, large.Points()), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("AutoTiles on %v resolved to %d tiles, GOMAXPROCS is %d", large, got, want)
+	}
+	// two ranks halve the block: 80x160x96 a rank still tiles
+	if got, want := effectiveTiles(AutoTiles, 2, large.Points()/2), max(1, runtime.GOMAXPROCS(0)/2); got != want {
+		t.Fatalf("AutoTiles on half of %v under 2 ranks resolved to %d tiles, want %d", large, got, want)
 	}
 }
 

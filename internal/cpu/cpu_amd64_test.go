@@ -1,6 +1,6 @@
 //go:build !race
 
-package fd
+package cpu
 
 import (
 	"os"
@@ -32,10 +32,10 @@ func TestHaveAVX2AgreesWithTheKernel(t *testing.T) {
 			want = true
 		}
 	}
-	if got := haveAVX2(); got != want {
-		t.Fatalf("haveAVX2() = %v, /proc/cpuinfo lists avx2: %v", got, want)
+	if got := HaveAVX2(); got != want {
+		t.Fatalf("HaveAVX2() = %v, /proc/cpuinfo lists avx2: %v", got, want)
 	}
-	if useAVX2 != want {
-		t.Fatalf("useAVX2 = %v at init on a host whose avx2 flag is %v", useAVX2, want)
+	if AVX2 != want {
+		t.Fatalf("AVX2 = %v at init on a host whose avx2 flag is %v", AVX2, want)
 	}
 }

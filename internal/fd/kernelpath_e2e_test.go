@@ -4,39 +4,42 @@ import (
 	"math"
 	"testing"
 
+	"swquake/internal/checkpoint"
+	"swquake/internal/compress"
 	"swquake/internal/core"
-	"swquake/internal/fd"
+	"swquake/internal/cpu"
+	"swquake/internal/cpu/cputest"
 	"swquake/internal/scenario"
 )
 
 // TestEngineIsBitIdenticalOnBothKernelPaths runs the nonlinear tangshan
 // scenario with constant-Q attenuation through the whole engine — serial,
-// two tiles, and 2x1 ranks with overlapped halo exchange — under the Go
-// rows and, where the host has them, the assembly rows: every station
-// trace, the PGV map and the yield count are the same bits in all runs.
-// Depth 20 gives every row two whole vectors and a four-cell tail.
+// two tiles, 2x1 ranks with overlapped halo exchange, and restarted from a
+// mid-run checkpoint — under the Go rows and, where the host has them, the
+// assembly rows: every station trace, the PGV map and the yield count are
+// the same bits in all runs. On compressed slabs and with the SLS operator
+// (different physics, so each its own reference) the two row paths agree as
+// well. Depth 20 gives every row two whole vectors and a four-cell tail.
 func TestEngineIsBitIdenticalOnBothKernelPaths(t *testing.T) {
 	base, err := scenario.Build("tangshan", scenario.Overrides{
 		Nx: 32, Ny: 30, Nz: 20, Steps: 60, Nonlinear: true, Qs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref *core.Result
-	fd.ForEachKernelPath(t, func(t *testing.T) {
-		serial := func(tiles int) *core.Result {
-			cfg := base
-			cfg.Tiles = tiles
-			sim, err := core.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := sim.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+	serial := func(t *testing.T, cfg core.Config) *core.Result {
+		sim, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		res := serial(0)
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var ref, refCompressed, refSLS *core.Result
+	cputest.ForEachKernelPath(t, func(t *testing.T) {
+		res := serial(t, base)
 		if ref == nil {
 			ref = res
 			if ref.YieldedPointSteps == 0 {
@@ -50,15 +53,45 @@ func TestEngineIsBitIdenticalOnBothKernelPaths(t *testing.T) {
 				t.Fatal("the reference run never moves the surface")
 			}
 		}
-		requireSameResult(t, fd.KernelPath()+" serial", ref, res)
-		requireSameResult(t, fd.KernelPath()+" tiles=2", ref, serial(2))
+		requireSameResult(t, cpu.KernelPath()+" serial", ref, res)
+
 		cfg := base
+		cfg.Tiles = 2
+		requireSameResult(t, cpu.KernelPath()+" tiles=2", ref, serial(t, cfg))
+
+		cfg = base
 		cfg.Overlap = true
 		par, err := core.RunParallel(cfg, 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResult(t, fd.KernelPath()+" 2x1 ranks, overlapped", ref, par)
+		requireSameResult(t, cpu.KernelPath()+" 2x1 ranks, overlapped", ref, par)
+
+		first := base
+		first.Steps = base.Steps / 2
+		first.Checkpoint = &checkpoint.Controller{Dir: t.TempDir(), Interval: first.Steps, Keep: 1}
+		serial(t, first)
+		cfg = base
+		cfg.RestartFrom = first.Checkpoint.Latest()
+		requireSameResult(t, cpu.KernelPath()+" restarted mid-run", ref, serial(t, cfg))
+
+		cfg = base
+		stats, err := core.CalibrateCompression(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Compression = core.CompressionConfig{Method: compress.Normalized, Stats: stats, SlabHeight: 8}
+		if res = serial(t, cfg); refCompressed == nil {
+			refCompressed = res
+		}
+		requireSameResult(t, cpu.KernelPath()+" compressed slabs", refCompressed, res)
+
+		cfg = base
+		cfg.Attenuation.UseSLS = true
+		if res = serial(t, cfg); refSLS == nil {
+			refSLS = res
+		}
+		requireSameResult(t, cpu.KernelPath()+" SLS", refSLS, res)
 	})
 }
 

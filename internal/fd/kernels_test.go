@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -257,6 +258,64 @@ func TestMediumFromModelSamplesDepth(t *testing.T) {
 	}
 	if err := med.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMediumFromModelMatchesPointSampling: the medium sampled column by
+// column holds, halos included, the bits of one sampled point by point (the
+// loop NewMediumFromModel used to be) — density, both moduli and the
+// reciprocal shear modulus — for models with and without a column path, for
+// a whole domain and for the blocks of a 2x2 decomposition at their offsets.
+func TestMediumFromModelMatchesPointSampling(t *testing.T) {
+	d := grid.Dims{Nx: 12, Ny: 10, Nz: 14}
+	const dx = 100.0
+	lx, ly, lz := float64(d.Nx)*dx, float64(d.Ny)*dx, float64(d.Nz)*dx
+	basin := model.ScaledTangshan(lx, ly, lz)
+	models := map[string]model.Model{
+		"layered":       basin.Background,
+		"basin":         basin,
+		"heterogeneous": model.NewHeterogeneous(basin, 0.05, 3*dx, lx, ly, lz, 11),
+		"grid":          model.NewGridModel(basin, 5, 5, 8, lx/4, ly/4, lz/7),
+	}
+	pointSampled := func(b grid.Dims, m model.Model, ox, oy float64) *Medium {
+		med := NewMedium(b)
+		for i := -Halo; i < b.Nx+Halo; i++ {
+			for j := -Halo; j < b.Ny+Halo; j++ {
+				for k := -Halo; k < b.Nz+Halo; k++ {
+					mat := m.Sample(ox+float64(i)*dx, oy+float64(j)*dx, float64(clamp(k, 0, b.Nz-1))*dx)
+					lam, mu := mat.Lame()
+					med.Rho.Set(i, j, k, float32(mat.Rho))
+					med.Lam.Set(i, j, k, float32(lam))
+					med.Mu.Set(i, j, k, float32(mu))
+				}
+			}
+		}
+		return med
+	}
+	same := func(what string, want, got *grid.Field) {
+		t.Helper()
+		for idx := range want.Data {
+			if math.Float32bits(want.Data[idx]) != math.Float32bits(got.Data[idx]) {
+				t.Fatalf("%s differs at flat index %d: %g, point-sampled %g", what, idx, got.Data[idx], want.Data[idx])
+			}
+		}
+	}
+	half := grid.Dims{Nx: d.Nx / 2, Ny: d.Ny / 2, Nz: d.Nz}
+	for name, m := range models {
+		for _, blk := range []struct {
+			b      grid.Dims
+			ox, oy float64
+		}{{d, 0, 0}, {half, 0, 0}, {half, lx / 2, 0}, {half, 0, ly / 2}, {half, lx / 2, ly / 2}} {
+			want, got := pointSampled(blk.b, m, blk.ox, blk.oy), NewMediumFromModel(blk.b, dx, m, blk.ox, blk.oy)
+			what := fmt.Sprintf("%s %v at (%g,%g)", name, blk.b, blk.ox, blk.oy)
+			same(what+" rho", want.Rho, got.Rho)
+			same(what+" lam", want.Lam, got.Lam)
+			same(what+" mu", want.Mu, got.Mu)
+			same(what+" 1/mu", want.recipMu(), got.recipMu())
+		}
+	}
+	if lo, hi := NewMediumFromModel(d, dx, basin, 0, 0).Mu.MinMax(); lo == hi {
+		t.Fatal("the basin medium is uniform; the test would compare nothing")
 	}
 }
 

@@ -18,22 +18,40 @@ import "swquake/internal/grid"
 // (and its property tests) rest on.
 
 // ApplyFreeSurfaceCols enforces the free-surface image condition on the
-// columns [i0,i1) x [j0,j1) only. Column bounds may address halo columns
-// (the full-grid wrapper images the whole ghost frame); the overlap
-// pipeline images owned columns before the halo exchange completes and the
-// ghost frame after.
+// columns [i0,i1) x [j0,j1) only: tractions, then velocities.
 func ApplyFreeSurfaceCols(wf *Wavefield, i0, i1, j0, j1 int) {
+	ImageTractionCols(wf, i0, i1, j0, j1)
+	ImageVelocityCols(wf, i0, i1, j0, j1)
+}
+
+// ImageTractionCols images the three tractions (zz, xz, yz) antisymmetrically
+// about the free surface on the columns [i0,i1) x [j0,j1) — the ghosts the
+// velocity kernel reads. Column bounds may address halo columns (the
+// full-grid wrapper images the whole ghost frame).
+func ImageTractionCols(wf *Wavefield, i0, i1, j0, j1 int) {
 	zz, xz, yz := wf.ZZ.Data, wf.XZ.Data, wf.YZ.Data
-	u, v, w := wf.U.Data, wf.V.Data, wf.W.Data
 	for i := i0; i < i1; i++ {
 		for j := j0; j < j1; j++ {
-			p := wf.U.Idx(i, j, 0) // the column's k = 0 cell; k = -g is p-g
+			p := wf.ZZ.Idx(i, j, 0) // the column's k = 0 cell; k = -g is p-g
 			for g := 1; g <= Halo; g++ {
-				// antisymmetric tractions
 				zz[p-g] = -zz[p+g-1]
 				xz[p-g] = -xz[p+g-1]
 				yz[p-g] = -yz[p+g-1]
-				// symmetric velocities
+			}
+		}
+	}
+}
+
+// ImageVelocityCols images the three velocities symmetrically about the free
+// surface on the columns [i0,i1) x [j0,j1) — the ghosts the stress kernel
+// reads. The overlap pipeline images owned columns before the halo exchange
+// completes and the ghost frame after.
+func ImageVelocityCols(wf *Wavefield, i0, i1, j0, j1 int) {
+	u, v, w := wf.U.Data, wf.V.Data, wf.W.Data
+	for i := i0; i < i1; i++ {
+		for j := j0; j < j1; j++ {
+			p := wf.U.Idx(i, j, 0)
+			for g := 1; g <= Halo; g++ {
 				u[p-g] = u[p+g-1]
 				v[p-g] = v[p+g-1]
 				w[p-g] = w[p+g-1]

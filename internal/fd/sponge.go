@@ -23,6 +23,9 @@ type Sponge struct {
 	Width int
 
 	cx, cy, cz []float64
+	// czf[k] is float32(cz[k]): the factor row of a column outside the x and
+	// y zones, where cx*cy is exactly 1
+	czf []float32
 	// kz0 is the first k of the bottom zone: cz[k] == 1 for k < kz0
 	kz0 int
 	// damped counts the block's cells whose factor differs from 1
@@ -52,8 +55,10 @@ func NewSpongeGlobal(gnx, gny, gnz, width int, alpha float64, i0, j0, nx, ny, nz
 		s.cy[j] = cerjan(j0+j, gny, width, alpha, true, true)
 	}
 	s.cz = make([]float64, nz)
+	s.czf = make([]float32, nz)
 	for k := range s.cz {
 		s.cz[k] = cerjan(k, gnz, width, alpha, false, true) // no damping at the free surface
+		s.czf[k] = float32(s.cz[k])
 	}
 	for s.kz0 < nz && s.cz[s.kz0] == 1 {
 		s.kz0++

@@ -14,26 +14,13 @@ import "swquake/internal/grid"
 // that of the flat-index loops kept in sweep_ref_test.go, which the
 // property tests compare against bit for bit.
 //
-// The velocity and stress rows also exist as AVX2 assembly (sweep_amd64.s),
-// which computes the same bits eight cells at a time. Their drivers pass a
-// 4-point derivative as one row starting at its lowest tap plus a stride in
-// elements, and a *RowAt function runs the leading whole vectors of the row
-// in assembly and the remaining cells — or all of them, where the assembly
-// is not in use — in the Go row, which stays the definition of the bits.
-
-// useAVX2 selects the assembly rows. It is decided once, from what the build
-// and the CPU are (amd64, not a race build, AVX2 with OS support): there is
-// no flag for it. Only tests write it, to run both paths on one host.
-var useAVX2 = haveAVX2()
-
-// KernelPath names the code the velocity and stress rows run on this host:
-// "avx2" for the assembly rows, "go" for the portable ones.
-func KernelPath() string {
-	if useAVX2 {
-		return "avx2"
-	}
-	return "go"
-}
+// Every row also exists as AVX2 assembly (sweep_amd64.s), which computes
+// the same bits eight cells at a time; cpu.AVX2 selects it. The drivers
+// pass a 4-point derivative as one row starting at its lowest tap plus a
+// stride in elements, and a *RowAt function runs the leading whole vectors
+// of the row in assembly and the remaining cells — or all of them, where
+// the assembly is not in use — in the Go row, which stays the definition of
+// the bits.
 
 // UpdateVelocityRegion advances the velocity components over the region.
 func UpdateVelocityRegion(wf *Wavefield, med *Medium, dtdx float32, r grid.Region) {
@@ -223,12 +210,36 @@ func stressShearRow(out []float32, dtdx float32, ra, rb, rc, rd,
 // arithmetic can produce (-0, denormals, ±Inf, quiet NaNs) bit for bit as
 // it was, so skipping it is exact.
 func (s *Sponge) ApplyRegion(wf *Wavefield, r grid.Region) {
+	s.apply(r, wf.U, wf.V, wf.W, wf.XX, wf.YY, wf.ZZ, wf.XY, wf.XZ, wf.YZ)
+}
+
+// ApplyStressRegion is ApplyRegion for the six stresses alone: the half of
+// the sponge that touches only what the stress-side chain of one cell
+// writes, so the engine runs it inside that chain.
+func (s *Sponge) ApplyStressRegion(wf *Wavefield, r grid.Region) {
+	s.apply(r, wf.XX, wf.YY, wf.ZZ, wf.XY, wf.XZ, wf.YZ)
+}
+
+// ApplyVelocityRegion is ApplyRegion for the three velocities alone. Stress
+// stencils of neighbouring cells read them, so the engine runs it once the
+// whole block's stress kernel is done.
+func (s *Sponge) ApplyVelocityRegion(wf *Wavefield, r grid.Region) {
+	s.apply(r, wf.U, wf.V, wf.W)
+}
+
+// spongeChunk is the length of the factor row apply forms at a time: a
+// fixed size keeps the scratch on the stack.
+const spongeChunk = 256
+
+// apply damps the given fields over the region. Per
+// damped column it takes the float32 factor row — the stored one where the
+// column is outside the x and y zones, formed in scratch otherwise — and
+// multiplies it into each field's z-row.
+func (s *Sponge) apply(r grid.Region, fields ...*grid.Field) {
 	if r.Empty() {
 		return
 	}
-	u, v, w := wf.U.Data, wf.V.Data, wf.W.Data
-	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
-	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
+	var scratch [spongeChunk]float32
 	for di, cx := range s.cx[r.I0:r.I1] {
 		for dj, cy := range s.cy[r.J0:r.J1] {
 			cxy := cx * cy
@@ -236,34 +247,49 @@ func (s *Sponge) ApplyRegion(wf *Wavefield, r grid.Region) {
 			if cxy == 1 && k0 < s.kz0 {
 				k0 = s.kz0
 			}
-			if k0 >= r.K1 {
-				continue
+			for ; k0 < r.K1; k0 += spongeChunk {
+				k1 := min(k0+spongeChunk, r.K1)
+				d := s.czf[k0:k1]
+				if cxy != 1 {
+					d = spongeFactorRow(scratch[:k1-k0], cxy, s.cz[k0:k1])
+				}
+				for _, f := range fields {
+					if x := f.Data[f.Idx(r.I0+di, r.J0+dj, k0):][:len(d)]; len(x) < 8 {
+						scaleRow(x, d) // inlined: the bottom zone is rows of a few cells
+					} else {
+						scaleRowAt(x, d)
+					}
+				}
 			}
-			p := wf.U.Idx(r.I0+di, r.J0+dj, k0)
-			spongeRow(cxy, s.cz[k0:r.K1], u[p:], v[p:], w[p:],
-				xx[p:], yy[p:], zz[p:], xy[p:], xz[p:], yz[p:])
 		}
 	}
 }
 
-// spongeRow multiplies one z-row of every dynamic field by the factor
-// float32(cxy*cz[k]), formed exactly as Factor forms it.
-func spongeRow(cxy float64, cz []float64, u, v, w, xx, yy, zz, xy, xz, yz []float32) {
-	n := len(cz)
-	u, v, w = u[:n], v[:n], w[:n]
-	xx, yy, zz = xx[:n], yy[:n], zz[:n]
-	xy, xz, yz = xy[:n], xz[:n], yz[:n]
-	for k := range cz {
-		d := float32(cxy * cz[k])
-		u[k] *= d
-		v[k] *= d
-		w[k] *= d
-		xx[k] *= d
-		yy[k] *= d
-		zz[k] *= d
-		xy[k] *= d
-		xz[k] *= d
-		yz[k] *= d
+// spongeFactorRow fills d with float32(cxy*cz[k]), the factor formed
+// exactly as Factor forms it, and returns it; cz has d's length.
+func spongeFactorRow(d []float32, cxy float64, cz []float64) []float32 {
+	cz = cz[:len(d)]
+	for k := range d {
+		d[k] = float32(cxy * cz[k])
+	}
+	return d
+}
+
+// scaleRowAt multiplies one z-row of a field by a factor row of the same
+// length.
+func scaleRowAt(x, f []float32) {
+	m := scaleRowVec(x, f)
+	if m == len(x) {
+		return
+	}
+	scaleRow(x[m:], f[m:])
+}
+
+// scaleRow is x[k] *= f[k].
+func scaleRow(x, f []float32) {
+	f = f[:len(x)]
+	for k := range x {
+		x[k] *= f[k]
 	}
 }
 
@@ -280,9 +306,18 @@ func (a *Attenuation) ApplyRegion(wf *Wavefield, r grid.Region) {
 	for i := r.I0; i < r.I1; i++ {
 		for j := r.J0; j < r.J1; j++ {
 			p := wf.XX.Idx(i, j, r.K0)
-			attenuationRow(gp[p:][:n], gs[p:], xx[p:], yy[p:], zz[p:], xy[p:], xz[p:], yz[p:])
+			attenuationRowAt(gp[p:][:n], gs[p:], xx[p:], yy[p:], zz[p:], xy[p:], xz[p:], yz[p:])
 		}
 	}
+}
+
+// attenuationRowAt damps one z-row of the six stresses.
+func attenuationRowAt(gp, gs, xx, yy, zz, xy, xz, yz []float32) {
+	m := attenuationRowVec(gp, gs, xx, yy, zz, xy, xz, yz)
+	if m == len(gp) {
+		return
+	}
+	attenuationRow(gp[m:], gs[m:], xx[m:], yy[m:], zz[m:], xy[m:], xz[m:], yz[m:])
 }
 
 // attenuationRow damps one z-row of the six stresses.

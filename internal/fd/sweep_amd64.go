@@ -2,7 +2,11 @@
 
 package fd
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"swquake/internal/cpu"
+)
 
 // The assembly rows of sweep_amd64.s and the only code that calls them. A
 // race build keeps the Go rows (sweep_noasm.go), so the detector still sees
@@ -17,26 +21,11 @@ func stressDiagRowAVX2(xx, yy, zz *float32, n int, dtdx float32, lam, mu, u *flo
 //go:noescape
 func stressShearRowAVX2(out *float32, n int, dtdx float32, ra, rb, rc, rd, a *float32, as uintptr, b *float32, bs uintptr)
 
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() uint32
+//go:noescape
+func attenuationRowAVX2(gp, gs, xx, yy, zz, xy, xz, yz *float32, n int)
 
-// haveAVX2 reports whether the CPU has AVX2 and the OS saves the YMM state
-// across context switches: CPUID.1:ECX OSXSAVE and AVX, XCR0 bits 1 and 2
-// (SSE and AVX state enabled), CPUID.7.0:EBX AVX2.
-func haveAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xgetbv0()&6 != 6 {
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0
-}
+//go:noescape
+func scaleRowAVX2(x, f *float32, n int)
 
 // Each *RowVec runs the leading len(out)&^7 cells of a row in assembly and
 // returns how many it did (0 when the assembly is not in use); the caller
@@ -48,7 +37,7 @@ func haveAVX2() bool {
 
 func velocityRowVec(out []float32, dtdx float32, r0, r1, a []float32, as int, b []float32, bs int, c []float32) int {
 	m := len(out) &^ 7
-	if !useAVX2 || m == 0 {
+	if !cpu.AVX2 || m == 0 {
 		return 0
 	}
 	if as <= 0 || bs <= 0 {
@@ -63,7 +52,7 @@ func velocityRowVec(out []float32, dtdx float32, r0, r1, a []float32, as int, b 
 
 func stressDiagRowVec(xx, yy, zz []float32, dtdx float32, lam, mu, u []float32, us int, v []float32, vs int, w []float32) int {
 	m := len(xx) &^ 7
-	if !useAVX2 || m == 0 {
+	if !cpu.AVX2 || m == 0 {
 		return 0
 	}
 	if us <= 0 || vs <= 0 {
@@ -79,7 +68,7 @@ func stressDiagRowVec(xx, yy, zz []float32, dtdx float32, lam, mu, u []float32, 
 
 func stressShearRowVec(out []float32, dtdx float32, ra, rb, rc, rd, a []float32, as int, b []float32, bs int) int {
 	m := len(out) &^ 7
-	if !useAVX2 || m == 0 {
+	if !cpu.AVX2 || m == 0 {
 		return 0
 	}
 	if as <= 0 || bs <= 0 {
@@ -90,5 +79,27 @@ func stressShearRowVec(out []float32, dtdx float32, ra, rb, rc, rd, a []float32,
 	stressShearRowAVX2(unsafe.SliceData(out), m, dtdx,
 		unsafe.SliceData(ra), unsafe.SliceData(rb), unsafe.SliceData(rc), unsafe.SliceData(rd),
 		unsafe.SliceData(a), uintptr(as)*4, unsafe.SliceData(b), uintptr(bs)*4)
+	return m
+}
+
+func attenuationRowVec(gp, gs, xx, yy, zz, xy, xz, yz []float32) int {
+	m := len(gp) &^ 7
+	if !cpu.AVX2 || m == 0 {
+		return 0
+	}
+	gs, xx, yy, zz, xy, xz, yz = gs[:m], xx[:m], yy[:m], zz[:m], xy[:m], xz[:m], yz[:m]
+	attenuationRowAVX2(unsafe.SliceData(gp), unsafe.SliceData(gs),
+		unsafe.SliceData(xx), unsafe.SliceData(yy), unsafe.SliceData(zz),
+		unsafe.SliceData(xy), unsafe.SliceData(xz), unsafe.SliceData(yz), m)
+	return m
+}
+
+func scaleRowVec(x, f []float32) int {
+	m := len(x) &^ 7
+	if !cpu.AVX2 || m == 0 {
+		return 0
+	}
+	f = f[:m]
+	scaleRowAVX2(unsafe.SliceData(x), unsafe.SliceData(f), m)
 	return m
 }

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 forms of the three row functions of sweep.go: 8 float32 lanes per
+// AVX2 forms of the row functions of sweep.go: 8 float32 lanes per
 // iteration, unaligned loads and stores, and only VADDPS/VSUBPS/VMULPS/
 // VDIVPS — each the correctly rounded IEEE operation the scalar Go row
 // performs, applied in the Go row's order. No FMA (it rounds once where Go
@@ -214,21 +214,59 @@ shearLoop:
 	VZEROUPPER
 	RET
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
+// func attenuationRowAVX2(gp, gs, xx, yy, zz, xy, xz, yz *float32, n int)
+//
+//	xx, yy, zz *= gp; xy, xz, yz *= gs
+TEXT ·attenuationRowAVX2(SB), NOSPLIT, $0-72
+	MOVQ gp+0(FP), R8
+	MOVQ gs+8(FP), R9
+	MOVQ xx+16(FP), DI
+	MOVQ yy+24(FP), SI
+	MOVQ zz+32(FP), DX
+	MOVQ xy+40(FP), R10
+	MOVQ xz+48(FP), R11
+	MOVQ yz+56(FP), R12
+	MOVQ n+64(FP), CX
+	XORQ AX, AX
+	SHLQ $2, CX                       // row length in bytes
+
+attenuationLoop:
+	VMOVUPS (R8)(AX*1), Y0
+	VMOVUPS (R9)(AX*1), Y1
+	VMULPS  (DI)(AX*1), Y0, Y2
+	VMULPS  (SI)(AX*1), Y0, Y3
+	VMULPS  (DX)(AX*1), Y0, Y4
+	VMULPS  (R10)(AX*1), Y1, Y5
+	VMULPS  (R11)(AX*1), Y1, Y6
+	VMULPS  (R12)(AX*1), Y1, Y7
+	VMOVUPS Y2, (DI)(AX*1)
+	VMOVUPS Y3, (SI)(AX*1)
+	VMOVUPS Y4, (DX)(AX*1)
+	VMOVUPS Y5, (R10)(AX*1)
+	VMOVUPS Y6, (R11)(AX*1)
+	VMOVUPS Y7, (R12)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     attenuationLoop
+	VZEROUPPER
 	RET
 
-// func xgetbv0() uint32: the low half of XCR0. Only valid once CPUID has
-// reported OSXSAVE.
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
+// func scaleRowAVX2(x, f *float32, n int)
+//
+//	x *= f
+TEXT ·scaleRowAVX2(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	MOVQ f+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	SHLQ $2, CX
+
+scaleLoop:
+	VMOVUPS (SI)(AX*1), Y0
+	VMULPS  (DI)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     scaleLoop
+	VZEROUPPER
 	RET

@@ -6,8 +6,6 @@ package fd
 // amd64, where the detector must see the kernels' accesses): the vector
 // halves do no cells and every row runs in Go.
 
-func haveAVX2() bool { return false }
-
 func velocityRowVec(out []float32, dtdx float32, r0, r1, a []float32, as int, b []float32, bs int, c []float32) int {
 	return 0
 }
@@ -19,3 +17,7 @@ func stressDiagRowVec(xx, yy, zz []float32, dtdx float32, lam, mu, u []float32, 
 func stressShearRowVec(out []float32, dtdx float32, ra, rb, rc, rd, a []float32, as int, b []float32, bs int) int {
 	return 0
 }
+
+func attenuationRowVec(gp, gs, xx, yy, zz, xy, xz, yz []float32) int { return 0 }
+
+func scaleRowVec(x, f []float32) int { return 0 }

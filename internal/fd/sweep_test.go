@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"swquake/internal/cpu/cputest"
 	"swquake/internal/decomp"
 	"swquake/internal/grid"
 )
@@ -28,12 +29,6 @@ func bitsIdentical(a, b *Wavefield) error {
 	return nil
 }
 
-// denormal returns a random positive float32 denormal; the smaller ones
-// have a reciprocal that overflows to +Inf, the larger ones a finite one.
-func denormal(rng *rand.Rand) float32 {
-	return math.Float32frombits(uint32(1 + rng.Intn(1<<23-1)))
-}
-
 // hardWavefield fills every field, halos included, with values in [-1,1)
 // salted with -0, +0 and denormals of either sign; extra values (±Inf, NaN)
 // are salted in too when given.
@@ -48,9 +43,9 @@ func hardWavefield(d grid.Dims, rng *rand.Rand, extra ...float32) *Wavefield {
 			case n == 1:
 				f.Data[idx] = 0
 			case n == 2:
-				f.Data[idx] = denormal(rng)
+				f.Data[idx] = cputest.Denormal(rng)
 			case n == 3:
-				f.Data[idx] = -denormal(rng)
+				f.Data[idx] = -cputest.Denormal(rng)
 			case n == 4 && len(extra) > 0:
 				f.Data[idx] = extra[rng.Intn(len(extra))]
 			default:
@@ -74,7 +69,7 @@ func hardMedium(d grid.Dims, rng *rand.Rand) *Medium {
 		case 0:
 			med.Mu.Data[idx] = 0
 		case 1:
-			med.Mu.Data[idx] = denormal(rng)
+			med.Mu.Data[idx] = cputest.Denormal(rng)
 		default:
 			med.Mu.Data[idx] = 1e9 + 4e10*rng.Float32()
 		}
@@ -192,8 +187,13 @@ func TestFreeSurfaceColsMatchAccessorReference(t *testing.T) {
 // full-volume damping array bit for bit — Factor at every cell, ApplyRegion
 // over every region shape on fields holding -0, denormals, ±Inf and NaN,
 // and the count of damped cells — for a serial block and for every block of
-// a 3x3 decomposition, with the zone narrower and wider than a block.
+// a 3x3 decomposition, with the zone narrower and wider than a block, on
+// both row paths (depth 10: one vector and a two-cell tail).
 func TestSpongeMatchesFullVolumeReference(t *testing.T) {
+	forEachKernelPath(t, spongeMatchesFullVolumeReference)
+}
+
+func spongeMatchesFullVolumeReference(t *testing.T) {
 	const gnx, gny, gnz = 15, 12, 10
 	const alpha = 0.08
 	rng := rand.New(rand.NewSource(3))
@@ -224,10 +224,17 @@ func TestSpongeMatchesFullVolumeReference(t *testing.T) {
 		for _, reg := range hardRegions(d, rng) {
 			want := hardWavefield(d, rng, inf, -inf, nan)
 			got := want.Clone()
+			halves := want.Clone()
 			ref.applyRegion(want, reg)
 			sp.ApplyRegion(got, reg)
 			if err := bitsIdentical(want, got); err != nil {
 				t.Fatalf("%s over %v: %v", name, reg, err)
+			}
+			// the engine applies the sponge as two halves, velocities last
+			sp.ApplyStressRegion(halves, reg)
+			sp.ApplyVelocityRegion(halves, reg)
+			if err := bitsIdentical(want, halves); err != nil {
+				t.Fatalf("%s over %v, stress then velocity half: %v", name, reg, err)
 			}
 		}
 		return damped

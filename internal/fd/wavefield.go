@@ -176,21 +176,25 @@ func (m *Medium) Sub(i0, j0, k0 int, d grid.Dims) *Medium {
 func NewMediumFromModel(d grid.Dims, dx float64, m model.Model, ox, oy float64) *Medium {
 	med := NewMedium(d)
 	h := Halo
+	// the depth axis clamps to keep z >= 0 for the free surface, so every
+	// column is sampled at the same depths: whole columns at a time
+	// (model.SampleColumn), which spares a basin its floor per point
+	zs := make([]float64, d.Nz+2*h)
+	for k := range zs {
+		zs[k] = float64(clamp(k-h, 0, d.Nz-1)) * dx
+	}
+	col := make([]model.Material, len(zs))
 	for i := -h; i < d.Nx+h; i++ {
 		for j := -h; j < d.Ny+h; j++ {
-			for k := -h; k < d.Nz+h; k++ {
-				// horizontal halo points sample the model at their true
-				// global position, so a decomposed block sees exactly the
-				// material a serial run holds at the same global indices;
-				// the depth axis clamps to keep z >= 0 for the free surface
-				x := ox + float64(i)*dx
-				y := oy + float64(j)*dx
-				z := float64(clamp(k, 0, d.Nz-1)) * dx
-				mat := m.Sample(x, y, z)
-				lam, mu := mat.Lame()
-				med.Rho.Set(i, j, k, float32(mat.Rho))
-				med.Lam.Set(i, j, k, float32(lam))
-				med.Mu.Set(i, j, k, float32(mu))
+			// horizontal halo points sample the model at their true global
+			// position, so a decomposed block sees exactly the material a
+			// serial run holds at the same global indices
+			model.SampleColumn(m, ox+float64(i)*dx, oy+float64(j)*dx, zs, col)
+			p := med.Rho.Idx(i, j, -h)
+			rho, lam, mu := med.Rho.Data[p:p+len(col)], med.Lam.Data[p:p+len(col)], med.Mu.Data[p:p+len(col)]
+			for k, mat := range col {
+				l, u := mat.Lame()
+				rho[k], lam[k], mu[k] = float32(mat.Rho), float32(l), float32(u)
 			}
 		}
 	}

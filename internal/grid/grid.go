@@ -217,9 +217,16 @@ func MaxAbs(fields ...*Field) float32 {
 }
 
 // maxAbsBits folds the sign-cleared bit patterns of row into the running
-// maximum m. Four independent accumulators keep the compare-and-select
-// chain from serializing the loop.
+// maximum m: the whole vectors of the row in assembly where that is in use
+// (cpu.AVX2), the rest — or all of it — in the Go loop.
 func maxAbsBits(m uint32, row []float32) uint32 {
+	m, n := maxAbsBitsVec(m, row)
+	return maxAbsBitsGo(m, row[n:])
+}
+
+// maxAbsBitsGo is the portable scan. Four independent accumulators keep the
+// compare-and-select chain from serializing the loop.
+func maxAbsBitsGo(m uint32, row []float32) uint32 {
 	const abs = 1<<31 - 1
 	m0, m1, m2, m3 := m, uint32(0), uint32(0), uint32(0)
 	for len(row) >= 4 {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"swquake/internal/cpu/cputest"
 )
 
 func TestNewFieldShape(t *testing.T) {
@@ -159,10 +161,15 @@ func TestMinMaxMaxAbs(t *testing.T) {
 
 // TestMaxAbsOrdersNaNAboveInf: MaxAbs must report a NaN, not skip it (every
 // float comparison against NaN is false), at any position of a row — the
-// scan is unrolled by four — and agree with a plain |v| maximum otherwise.
+// scan is unrolled by four, and by eight lanes in assembly — and agree with a
+// plain |v| maximum otherwise, on both row paths.
 func TestMaxAbsOrdersNaNAboveInf(t *testing.T) {
+	cputest.ForEachKernelPath(t, maxAbsOrdersNaNAboveInf)
+}
+
+func maxAbsOrdersNaNAboveInf(t *testing.T) {
 	nan := float32(math.NaN())
-	for nz := 1; nz <= 9; nz++ {
+	for nz := 1; nz <= 19; nz++ {
 		for at := 0; at < nz; at++ {
 			f := NewField(Dims{2, 2, nz}, 1)
 			f.Fill(nan) // halo NaNs must not leak

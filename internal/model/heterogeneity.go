@@ -58,7 +58,19 @@ func NewHeterogeneous(base Model, amplitude, corrLen, lx, ly, lz float64, seed i
 
 // Sample perturbs the base material.
 func (h *Heterogeneous) Sample(x, y, z float64) Material {
-	m := h.Base.Sample(x, y, z)
+	return h.perturb(h.Base.Sample(x, y, z), x, y, z)
+}
+
+// SampleColumn samples the base by column and perturbs each depth.
+func (h *Heterogeneous) SampleColumn(x, y float64, zs []float64, out []Material) {
+	SampleColumn(h.Base, x, y, zs, out)
+	for k, z := range zs {
+		out[k] = h.perturb(out[k], x, y, z)
+	}
+}
+
+// perturb applies the perturbation field at (x, y, z) to the base material m.
+func (h *Heterogeneous) perturb(m Material, x, y, z float64) Material {
 	p := h.noise.Sample(x, y, z) // interpolated perturbation triple
 	out := Material{
 		Vp:  m.Vp * (1 + p.Vp),

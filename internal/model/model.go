@@ -45,6 +45,25 @@ type Model interface {
 	Sample(x, y, z float64) Material
 }
 
+// ColumnSampler is an optional fast path of a Model: all the depths of one
+// (x, y) at once, for models whose Sample repeats work that depends on x and
+// y alone. out[k] must be exactly what Sample(x, y, zs[k]) returns.
+type ColumnSampler interface {
+	SampleColumn(x, y float64, zs []float64, out []Material)
+}
+
+// SampleColumn fills out[k] with m's material at (x, y, zs[k]): through m's
+// ColumnSampler when it has one, point by point otherwise.
+func SampleColumn(m Model, x, y float64, zs []float64, out []Material) {
+	if cs, ok := m.(ColumnSampler); ok {
+		cs.SampleColumn(x, y, zs, out)
+		return
+	}
+	for k, z := range zs {
+		out[k] = m.Sample(x, y, z)
+	}
+}
+
 // Layer is one constant-property layer of a 1D crustal model.
 type Layer struct {
 	Top float64 // depth of the layer top, m
@@ -121,7 +140,20 @@ func (b *Basin) Depth(x, y float64) float64 {
 
 // Sample returns sediment inside the basin and the background elsewhere.
 func (b *Basin) Sample(x, y, z float64) Material {
+	return b.sampleAbove(b.Depth(x, y), x, y, z)
+}
+
+// SampleColumn computes the basin floor — one exponential per bowl — once
+// for the column instead of once per depth.
+func (b *Basin) SampleColumn(x, y float64, zs []float64, out []Material) {
 	floor := b.Depth(x, y)
+	for k, z := range zs {
+		out[k] = b.sampleAbove(floor, x, y, z)
+	}
+}
+
+// sampleAbove is Sample given the basin floor depth at (x, y).
+func (b *Basin) sampleAbove(floor, x, y, z float64) Material {
 	if z >= floor || floor <= 0 {
 		return b.Background.Sample(x, y, z)
 	}

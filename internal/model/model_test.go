@@ -233,3 +233,42 @@ func TestQuickLayeredMonotoneDepthLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSampleColumnMatchesPointSampling: SampleColumn returns, depth for
+// depth and bit for bit, what Sample returns — through a model's own column
+// path (Basin, Heterogeneous over a Basin) and through the point-by-point
+// fallback (Layered, GridModel) — at columns inside, on the rim of and
+// outside the basin, repeated depths included.
+func TestSampleColumnMatchesPointSampling(t *testing.T) {
+	const lx, ly, lz = 16e3, 15e3, 10e3
+	basin := ScaledTangshan(lx, ly, lz)
+	models := map[string]Model{
+		"layered":       basin.Background,
+		"basin":         basin,
+		"heterogeneous": NewHeterogeneous(basin, 0.05, 900, lx, ly, lz, 7),
+		"grid":          NewGridModel(basin, 9, 8, 12, lx/8, ly/7, lz/11),
+	}
+	zs := []float64{0, 0, 0, 10, 55, 120, 160, 199, 200, 260, 1e3, 3e3, 9.9e3, 9.9e3}
+	for name, m := range models {
+		if _, ok := m.(ColumnSampler); ok != (name == "basin" || name == "heterogeneous") {
+			t.Fatalf("%s: has a column path: %v", name, ok)
+		}
+		for _, x := range []float64{-500, 0, 0.35 * lx, 0.55 * lx, lx + 500} {
+			for _, y := range []float64{-500, 0.25 * ly, 0.45 * ly, ly} {
+				out := make([]Material, len(zs))
+				SampleColumn(m, x, y, zs, out)
+				for k, z := range zs {
+					if want := m.Sample(x, y, z); out[k] != want {
+						t.Fatalf("%s at (%g,%g,%g): column %v, point %v", name, x, y, z, out[k], want)
+					}
+				}
+			}
+		}
+	}
+	// the test is void if no column crosses sediment, grading and bedrock
+	out := make([]Material, len(zs))
+	SampleColumn(basin, 0.55*lx, 0.45*ly, zs, out)
+	if out[0] != basin.Sediment || out[len(out)-1] == basin.Sediment {
+		t.Fatalf("the basin-centre column does not cross the basin floor: %v ... %v", out[0], out[len(out)-1])
+	}
+}

@@ -3,6 +3,7 @@ package plasticity
 import (
 	"math"
 
+	"swquake/internal/cpu"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
 )
@@ -35,15 +36,37 @@ func ApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
 	for i := r.I0; i < r.I1; i++ {
 		for j := r.J0; j < r.J1; j++ {
 			q := wf.XX.Idx(i, j, r.K0)
-			yielded += returnMapRow(xx[q:][:n], yy[q:], zz[q:], xy[q:], xz[q:], yz[q:],
+			yielded += returnMapRowAt(xx[q:][:n], yy[q:], zz[q:], xy[q:], xz[q:], yz[q:],
 				cohes[q:], sphi[q:], cphi[q:], pf[q:], sig2[q:], yld[q:], relax)
 		}
 	}
 	return yielded
 }
 
-// returnMapRow runs the yield check and return map along one z-row and
-// returns the number of yielded cells.
+// returnMapRowAt runs the yield check and return map along one z-row and
+// returns the number of yielded cells. Where the assembly yield check is in
+// use it clears the whole groups of eight cells that are elastic in every
+// lane — nearly all of them — and only a group with a lane that yields, or
+// holds a NaN, is handed whole to the Go row, which recomputes it; so is
+// the tail. The return map itself exists in Go alone.
+func returnMapRowAt(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32, relax float32) int {
+	yielded, m := 0, 0
+	for cpu.AVX2 && len(xx)-m >= 8 {
+		m += elasticRowVec(xx[m:], yy[m:], zz[m:], xy[m:], xz[m:], yz[m:],
+			cohes[m:], sphi[m:], cphi[m:], pf[m:], sig2[m:], yld[m:])
+		if len(xx)-m < 8 {
+			break
+		}
+		yielded += returnMapRow(xx[m:m+8], yy[m:], zz[m:], xy[m:], xz[m:], yz[m:],
+			cohes[m:], sphi[m:], cphi[m:], pf[m:], sig2[m:], yld[m:], relax)
+		m += 8
+	}
+	return yielded + returnMapRow(xx[m:], yy[m:], zz[m:], xy[m:], xz[m:], yz[m:],
+		cohes[m:], sphi[m:], cphi[m:], pf[m:], sig2[m:], yld[m:], relax)
+}
+
+// returnMapRow is the Go row: the definition of the bits, the tail, and the
+// only code that applies the return map.
 func returnMapRow(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32, relax float32) int {
 	n := len(xx)
 	yy, zz, xy, xz, yz = yy[:n], zz[:n], xy[:n], xz[:n], yz[:n]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"swquake/internal/cpu/cputest"
 	"swquake/internal/decomp"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
@@ -115,15 +116,23 @@ func sameBits(t *testing.T, what string, a, b *grid.Field) {
 // TestApplyRegionMatchesFlatIndexReference holds the row-sliced return map
 // to the flat-index loop it replaced — stresses, yield factors and yielded
 // count, bit for bit — over the region shapes the engine uses, with and
-// without viscoplastic relaxation.
+// without viscoplastic relaxation, on both row paths and at depths whose
+// rows are a tail only (9), whole vectors (16) and vectors plus a tail (25).
 func TestApplyRegionMatchesFlatIndexReference(t *testing.T) {
-	d := grid.Dims{Nx: 7, Ny: 6, Nz: 9}
+	cputest.ForEachKernelPath(t, func(t *testing.T) {
+		for _, nz := range []int{9, 16, 25} {
+			applyRegionMatchesFlatIndexReference(t, grid.Dims{Nx: 7, Ny: 6, Nz: nz})
+		}
+	})
+}
+
+func applyRegionMatchesFlatIndexReference(t *testing.T, d grid.Dims) {
 	rng := rand.New(rand.NewSource(41))
 	box := grid.Box(d)
 	regs := []grid.Region{box, {},
 		grid.FullXY(d, 3, d.Nz-1), grid.FullXY(d, d.Nz-1, d.Nz),
 		{I0: 0, I1: 1, J1: d.Ny, K1: d.Nz}, {I1: d.Nx, J0: d.Ny - 1, J1: d.Ny, K1: d.Nz},
-		{I0: 3, I1: 4, J0: 2, J1: 3, K0: 5, K1: 6}, {I0: 6, I1: 7, J0: 5, J1: 6, K0: 8, K1: 9},
+		{I0: 3, I1: 4, J0: 2, J1: 3, K0: 5, K1: 6}, {I0: 6, I1: 7, J0: 5, J1: 6, K0: d.Nz - 1, K1: d.Nz},
 	}
 	interior, shells := decomp.InteriorShell(d, fd.Halo)
 	regs = append(append(regs, interior), shells...)

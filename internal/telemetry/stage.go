@@ -206,6 +206,92 @@ func (sw *Stopwatch) Reset() {
 	sw.last = time.Now()
 }
 
+// StageTally accumulates wall time per stage without observing it: what a
+// worker keeps while it interleaves several stages over many blocks of one
+// step, where a Lap per block would report each stage once per block. A
+// tally started from an inert stopwatch is inert too. The zero value is an
+// inert tally.
+type StageTally struct {
+	on   bool
+	last time.Time
+	ns   [numStages]int64
+	seen [numStages]bool
+}
+
+// Tally starts a tally beside the stopwatch; Stopwatch.LapTallied closes it.
+func (sw *Stopwatch) Tally() StageTally {
+	if sw.c == nil {
+		return StageTally{}
+	}
+	return StageTally{on: true, last: time.Now()}
+}
+
+// Fork starts a tally of the same kind (live or inert) for another worker;
+// Merge folds it back.
+func (t *StageTally) Fork() StageTally {
+	if !t.on {
+		return StageTally{}
+	}
+	return StageTally{on: true, last: time.Now()}
+}
+
+// Lap adds the time since the last lap (or the start) to st.
+func (t *StageTally) Lap(st Stage) {
+	if !t.on {
+		return
+	}
+	now := time.Now()
+	t.ns[st] += int64(now.Sub(t.last))
+	t.seen[st] = true
+	t.last = now
+}
+
+// Merge adds a forked tally's times. Not safe for concurrent use: workers
+// merge under the caller's lock.
+func (t *StageTally) Merge(o *StageTally) {
+	for st := range o.ns {
+		t.ns[st] += o.ns[st]
+		t.seen[st] = t.seen[st] || o.seen[st]
+	}
+}
+
+// LapTallied charges the time since the last lap to the stages the tally
+// saw, one observation each, in proportion to their tallied times — so the
+// observations still sum to the wall time that passed, whether one worker
+// kept the tally (its times are that wall time) or several did side by side
+// (their times sum to more).
+func (sw *Stopwatch) LapTallied(t *StageTally) {
+	if sw.c == nil {
+		return
+	}
+	now := time.Now()
+	wall := now.Sub(sw.last)
+	sw.last = now
+	var total int64
+	last := Stage(-1)
+	for st := Stage(0); st < numStages; st++ {
+		if t.seen[st] {
+			total += t.ns[st]
+			last = st
+		}
+	}
+	left := wall
+	for st := Stage(0); st < numStages; st++ {
+		if !t.seen[st] {
+			continue
+		}
+		d := left // the last stage takes what rounding left over
+		if st != last {
+			d = 0
+			if total > 0 {
+				d = time.Duration(float64(wall) * float64(t.ns[st]) / float64(total))
+			}
+			left -= d
+		}
+		sw.c.Observe(st, d)
+	}
+}
+
 // StageStats is one stage's aggregated timing in a report.
 type StageStats struct {
 	Name    string  `json:"name"`
