@@ -59,10 +59,17 @@ check-bce:
 # one of each: the journals' durability lives in internal/wal alone (no fsync
 # in the two packages that keep a journal), and metrics live in
 # internal/telemetry's registry alone (expvar only publishes its JSON view,
-# from cmd/quaked); any line printed is a failure
+# from cmd/quaked); any line printed is a failure. And the engine spells its
+# stage sequence and its step loop once each: non-test internal/core holds at
+# most one call that posts the velocity halos and one divergence scan
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
 	@! grep -rl --include='*.go' '"expvar"' . | grep -v '^\./cmd/quaked/'
+	@for pat in 'ex\.StartVelocity(' 'MaxAbsVelocity()'; do \
+		n=$$(grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:' | wc -l); \
+		if [ "$$n" -gt 1 ]; then echo "check-one: internal/core holds $$n calls of $$pat, want at most 1:"; \
+			grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:'; exit 1; fi; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -63,10 +63,15 @@ func UnpackInterior(global *fd.Wavefield, d grid.Dims, i0, j0 int, buf []float32
 // ExtractBlock copies the block of dims d at offset (i0, j0), including its
 // ghost layers, out of a global wavefield. Ghost layers that fall inside
 // the global domain receive the neighbouring interiors; those outside
-// receive the global field's own (zero) boundary values.
+// receive the global field's own (zero) boundary values. A block that is the
+// whole domain is the global wavefield itself and is handed back as it is,
+// so a serial restore holds one copy of the wavefield, not two.
 func ExtractBlock(global *fd.Wavefield, d grid.Dims, i0, j0 int) (*fd.Wavefield, error) {
 	if d.Nz != global.D.Nz || i0 < 0 || j0 < 0 || i0+d.Nx > global.D.Nx || j0+d.Ny > global.D.Ny {
 		return nil, fmt.Errorf("checkpoint: block %v at (%d,%d) outside global %v", d, i0, j0, global.D)
+	}
+	if d == global.D {
+		return global, nil
 	}
 	wf := fd.NewWavefield(d)
 	h := fd.Halo

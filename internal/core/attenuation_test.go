@@ -60,9 +60,25 @@ func TestAttenuationConfigValidation(t *testing.T) {
 		t.Fatal("negative Qp accepted")
 	}
 	cfg = baseConfig()
+	cfg.Attenuation = AttenuationConfig{Enabled: true, Qp: 10, Qs: -1}
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("negative Qs accepted")
+	}
+	cfg = baseConfig()
 	cfg.Attenuation = AttenuationConfig{Enabled: true, VsScaled: true, Factor: -0.1}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative factor accepted")
+	}
+	// a Vs-scaled run never reads the constant factors
+	for _, a := range []AttenuationConfig{
+		{Enabled: true, VsScaled: true, Factor: 0.05, Qs: -1},
+		{Enabled: true, VsScaled: true, Factor: 0.05, Qp: -1},
+	} {
+		cfg = baseConfig()
+		cfg.Attenuation = a
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("Vs-scaled run rejected for a constant factor it does not use (%+v): %v", a, err)
+		}
 	}
 	cfg = baseConfig()
 	cfg.Attenuation = AttenuationConfig{Enabled: true, Qp: 50, Qs: 25}

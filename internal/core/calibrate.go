@@ -22,14 +22,14 @@ func CalibrateCompression(cfg Config, factor int) (map[string]compress.Stats, er
 	coarse.Checkpoint = nil
 	coarse.RecordPGV = false
 	coarse.Stations = nil
-	coarse.Dims.Nx = maxI(cfg.Dims.Nx/factor, 8)
-	coarse.Dims.Ny = maxI(cfg.Dims.Ny/factor, 8)
-	coarse.Dims.Nz = maxI(cfg.Dims.Nz/factor, 8)
+	coarse.Dims.Nx = max(cfg.Dims.Nx/factor, 8)
+	coarse.Dims.Ny = max(cfg.Dims.Ny/factor, 8)
+	coarse.Dims.Nz = max(cfg.Dims.Nz/factor, 8)
 	coarse.Dx = cfg.Dx * float64(cfg.Dims.Nx) / float64(coarse.Dims.Nx)
 	coarse.Dt = 0 // re-derive from CFL on the coarse grid
-	coarse.Steps = maxI(cfg.Steps/factor, 4)
-	if coarse.SpongeWidth*2 >= min2(coarse.Dims.Nx, coarse.Dims.Ny) {
-		coarse.SpongeWidth = min2(coarse.Dims.Nx, coarse.Dims.Ny)/2 - 1
+	coarse.Steps = max(cfg.Steps/factor, 4)
+	if coarse.SpongeWidth*2 >= min(coarse.Dims.Nx, coarse.Dims.Ny) {
+		coarse.SpongeWidth = min(coarse.Dims.Nx, coarse.Dims.Ny)/2 - 1
 	}
 	coarse.Sources = nil
 	// Scale moments so the moment DENSITY per coarse cell matches the fine
@@ -40,9 +40,9 @@ func CalibrateCompression(cfg Config, factor int) (map[string]compress.Stats, er
 	// concentrates density; the correction is volumeRatio / multiplicity.
 	volumeRatio := (coarse.Dx / cfg.Dx) * (coarse.Dx / cfg.Dx) * (coarse.Dx / cfg.Dx)
 	mapSrc := func(s source.PointSource) source.PointSource {
-		s.I = clampI(s.I*coarse.Dims.Nx/cfg.Dims.Nx, 0, coarse.Dims.Nx-1)
-		s.J = clampI(s.J*coarse.Dims.Ny/cfg.Dims.Ny, 0, coarse.Dims.Ny-1)
-		s.K = clampI(s.K*coarse.Dims.Nz/cfg.Dims.Nz, 0, coarse.Dims.Nz-1)
+		s.I = min(max(s.I*coarse.Dims.Nx/cfg.Dims.Nx, 0), coarse.Dims.Nx-1)
+		s.J = min(max(s.J*coarse.Dims.Ny/cfg.Dims.Ny, 0), coarse.Dims.Ny-1)
+		s.K = min(max(s.K*coarse.Dims.Nz/cfg.Dims.Nz, 0), coarse.Dims.Nz-1)
 		return s
 	}
 	multiplicity := map[[3]int]float64{}
@@ -64,7 +64,7 @@ func CalibrateCompression(cfg Config, factor int) (map[string]compress.Stats, er
 	for _, name := range FieldNames {
 		stats[name] = compress.Stats{Min: 0, Max: 0, Emin: 0, Emax: 0}
 	}
-	sampleEvery := maxI(coarse.Steps/8, 1)
+	sampleEvery := max(coarse.Steps/8, 1)
 	for n := 0; n < coarse.Steps; n++ {
 		sim.Step()
 		if n%sampleEvery == 0 || n == coarse.Steps-1 {
@@ -74,21 +74,4 @@ func CalibrateCompression(cfg Config, factor int) (map[string]compress.Stats, er
 		}
 	}
 	return stats, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func clampI(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -5,6 +5,7 @@ import (
 
 	"swquake/internal/compress"
 	"swquake/internal/fd"
+	"swquake/internal/grid"
 )
 
 // compressedState keeps the nine dynamic fields as 16-bit codes in "main
@@ -41,99 +42,30 @@ func newCompressedState(wf *fd.Wavefield, cfg CompressionConfig) (*compressedSta
 	return cs, nil
 }
 
-// encodeAll re-encodes every field from the wavefield (used by Restore).
-func (cs *compressedState) encodeAll(wf *fd.Wavefield) {
-	for i, f := range wf.AllFields() {
-		cs.fields[i].EncodeFrom(f)
-	}
-}
-
 // velocity / stress return the compressed views in wavefield order:
 // indices 0-2 are u,v,w; 3-8 the stresses.
 func (cs *compressedState) velocity() []*compress.Field { return cs.fields[:3] }
 func (cs *compressedState) stress() []*compress.Field   { return cs.fields[3:] }
 
-// The compressed storage hooks below plug into the step pipeline
-// (pipeline.go): decode before the velocity phase, round-trip the
-// velocities before the stress kernel reads them, re-encode everything
-// after the sponge, and refresh exchanged stress ghosts in parallel runs.
+// encode and decode are the storage hooks the step pipeline (pipeline.go)
+// calls around its phases — and Restore, to store a loaded wavefield — over
+// all nine fields or the velocity or stress subset: every z plane, halos
+// included, one slab after another.
 
-// compDecodeAll decodes every field (all z planes including halos) into
-// the float32 working buffers, slab by slab.
-func (s *Simulator) compDecodeAll() {
-	wf := s.WF
-	cs := s.comp
-	h := fd.Halo
-	nz := s.Cfg.Dims.Nz
-	all := wf.AllFields()
-	for k0 := -h; k0 < nz+h; k0 += cs.slab {
-		for i, cf := range cs.fields {
-			cf.DecodeSlab(all[i], k0, k0+cs.slab)
+// encode stores the working fields fs into their compressed views cfs.
+func (cs *compressedState) encode(cfs []*compress.Field, fs []*grid.Field) {
+	for k0 := -fd.Halo; k0 < cfs[0].D.Nz+fd.Halo; k0 += cs.slab {
+		for i, cf := range cfs {
+			cf.EncodeSlab(fs[i], k0, k0+cs.slab)
 		}
 	}
 }
 
-// compRoundtripVelocities encodes the freshly updated velocities into
-// compressed storage and decodes them back, slab by slab, so the stress
-// kernel reads the velocities exactly as stored (the dstrqc side of
-// Fig. 5b — this intra-step round-trip is where the paper's accuracy loss
-// comes from).
-func (s *Simulator) compRoundtripVelocities() {
-	wf := s.WF
-	cs := s.comp
-	h := fd.Halo
-	nz := s.Cfg.Dims.Nz
-	velF := wf.VelocityFields()
-	for k0 := -h; k0 < nz+h; k0 += cs.slab {
-		for i, cf := range cs.velocity() {
-			cf.EncodeSlab(velF[i], k0, k0+cs.slab)
+// decode fills the working fields fs from their compressed views cfs.
+func (cs *compressedState) decode(cfs []*compress.Field, fs []*grid.Field) {
+	for k0 := -fd.Halo; k0 < cfs[0].D.Nz+fd.Halo; k0 += cs.slab {
+		for i, cf := range cfs {
+			cf.DecodeSlab(fs[i], k0, k0+cs.slab)
 		}
 	}
-	for k0 := -h; k0 < nz+h; k0 += cs.slab {
-		for i, cf := range cs.velocity() {
-			cf.DecodeSlab(velF[i], k0, k0+cs.slab)
-		}
-	}
-}
-
-// compStoreAll encodes every field to compressed storage and decodes back,
-// so recorders and checkpoints observe exactly the stored state.
-func (s *Simulator) compStoreAll() {
-	wf := s.WF
-	cs := s.comp
-	h := fd.Halo
-	nz := s.Cfg.Dims.Nz
-	all := wf.AllFields()
-	for k0 := -h; k0 < nz+h; k0 += cs.slab {
-		for i, cf := range cs.fields {
-			cf.EncodeSlab(all[i], k0, k0+cs.slab)
-		}
-	}
-	for k0 := -h; k0 < nz+h; k0 += cs.slab {
-		for i, cf := range cs.fields {
-			cf.DecodeSlab(all[i], k0, k0+cs.slab)
-		}
-	}
-}
-
-// compEncodeStressGhosts re-encodes the stress fields so exchanged ghost
-// planes are reflected in compressed storage for the next step's decode.
-func (s *Simulator) compEncodeStressGhosts() {
-	wf := s.WF
-	cs := s.comp
-	h := fd.Halo
-	nz := s.Cfg.Dims.Nz
-	strF := wf.StressFields()
-	for k0 := -h; k0 < nz+h; k0 += cs.slab {
-		for i, cf := range cs.stress() {
-			cf.EncodeSlab(strF[i], k0, k0+cs.slab)
-		}
-	}
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -173,10 +173,10 @@ type Config struct {
 	// Overlap hides velocity-halo latency under RunParallel: the exchange is
 	// posted right after the velocity kernel, the stress-phase stages run on
 	// the block interior while the messages fly, and the boundary shells run
-	// only after the wait (paper §6.2). Bit-identical to the barrier
-	// pipeline by construction (see DESIGN.md §3.5 for the ordering
-	// argument). Requires uncompressed storage; no effect on serial runs
-	// beyond reordering independent work.
+	// only after the wait (paper §6.2). The same stage sequence with other
+	// region lists, so bit-identical by construction (see DESIGN.md §3.5
+	// for the ordering argument). Requires uncompressed storage; no effect
+	// on serial runs beyond reordering independent work.
 	Overlap bool
 
 	// DivergenceLimit is the max |v| (m/s) beyond which the solution is
@@ -228,7 +228,7 @@ func (c *Config) Validate() error {
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 1
 	}
-	if c.SpongeWidth < 0 || 2*c.SpongeWidth >= min2(c.Dims.Nx, c.Dims.Ny) {
+	if c.SpongeWidth < 0 || 2*c.SpongeWidth >= min(c.Dims.Nx, c.Dims.Ny) {
 		return fmt.Errorf("core: sponge width %d does not fit %v", c.SpongeWidth, c.Dims)
 	}
 	if c.SpongeWidth > 0 && c.SpongeAlpha <= 0 {
@@ -251,7 +251,7 @@ func (c *Config) Validate() error {
 		if a.F0 <= 0 {
 			a.F0 = 1
 		}
-		if !a.VsScaled && a.Qp < 0 || a.Qs < 0 {
+		if !a.VsScaled && (a.Qp < 0 || a.Qs < 0) {
 			return fmt.Errorf("core: negative quality factor")
 		}
 		if a.VsScaled && a.Factor < 0 {
@@ -268,7 +268,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: SunwaySim provides its own core-group tiling; Tiles does not apply")
 	}
 	if c.SunwaySim && c.Overlap {
-		return fmt.Errorf("core: SunwaySim requires the barrier pipeline (full-block kernel calls)")
+		return fmt.Errorf("core: SunwaySim requires full-block kernel calls; Overlap does not apply")
 	}
 	if c.Overlap && c.Compression.Method != compress.Off {
 		return fmt.Errorf("core: overlapped halo exchange requires uncompressed storage")
@@ -304,10 +304,3 @@ func (c *Config) Validate() error {
 // FieldNames names the nine dynamic fields, in fd.Wavefield.AllFields
 // order; compression statistics are keyed by these.
 var FieldNames = []string{"u", "v", "w", "xx", "yy", "zz", "xy", "xz", "yz"}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -334,6 +334,24 @@ func TestNaNVelocityIsDivergence(t *testing.T) {
 		t.Fatalf("serial: err = %v, want divergence at step 5", err)
 	}
 
+	// the same block beside a healthy neighbour whose value the reduction
+	// folds in first: a max taken by comparison drops a NaN that arrives
+	// second, so the loop must hand the reduction +Inf instead
+	sim, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.peers.allMax = func(v float64) float64 {
+		m := 0.0 // the neighbour's max |v|
+		if v > m {
+			m = v
+		}
+		return m
+	}
+	if _, err := sim.Run(); err == nil || !strings.Contains(err.Error(), "diverged at step 5 ") {
+		t.Fatalf("NaN folded in second: err = %v, want divergence at step 5", err)
+	}
+
 	cfg.Observer = nil
 	sim, err = New(cfg)
 	if err != nil {

@@ -190,33 +190,32 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 		res.PGV = seismo.NewPGVField(cfg.Dims.Nx, cfg.Dims.Ny, 0)
 	}
 	for id := range outs {
-		o := &outs[id]
-		if o.rec != nil {
-			for _, tr := range o.rec.Traces {
-				g := *tr
-				g.Station.I += o.offI
-				g.Station.J += o.offJ
-				merged.Traces = append(merged.Traces, &g)
-			}
+		sim := outs[id].sim
+		offI, offJ := pg.Offset(id)
+		for _, tr := range sim.rec.Traces {
+			g := *tr
+			g.Station.I += offI
+			g.Station.J += offJ
+			merged.Traces = append(merged.Traces, &g)
 		}
-		if o.pgv != nil && res.PGV != nil {
-			res.PGV.Merge(o.pgv, o.offI, o.offJ)
+		if res.PGV != nil {
+			res.PGV.Merge(sim.pgv, offI, offJ)
 		}
-		res.YieldedPointSteps += o.yielded
-		res.Perf.AddCounters(o.perf)
-		res.Stages.Merge(o.stages)
-		if o.sunway != nil {
+		res.YieldedPointSteps += sim.yielded
+		res.Perf.AddCounters(sim.perf)
+		res.Stages.Merge(sim.stages)
+		if stats := sim.sunwayStats(); stats != nil {
 			if res.Sunway == nil {
 				res.Sunway = &cgexec.Stats{}
 			}
-			res.Sunway.Add(*o.sunway)
+			res.Sunway.Add(*stats)
 		}
 	}
 	res.setCheckpoints(ckpts)
 	res.Recorder = merged
-	res.Dt = outs[0].dt
-	res.Steps = outs[0].steps
-	res.Perf.Steps = outs[0].perf.Steps
+	res.Dt = outs[0].sim.Cfg.Dt
+	res.Steps = outs[0].sim.step
+	res.Perf.Steps = outs[0].sim.perf.Steps
 	return res, nil
 }
 
@@ -234,138 +233,44 @@ func containFault(r *mpi.Rank, out *rankOut, p any) {
 	case *mpi.AbortError:
 		out.err = v
 	default:
-		ef := &EngineFault{Kind: FaultPanic, Rank: r.ID(), Step: out.steps,
-			Err: fmt.Errorf("panic: %v", v)}
+		ef := &EngineFault{Kind: FaultPanic, Rank: r.ID(), Err: fmt.Errorf("panic: %v", v)}
+		if out.sim != nil {
+			ef.Step = out.sim.step
+		}
 		out.err = ef
 		r.Abort(ef.Error())
 	}
 }
 
-// rankOut is what one rank reports back to the merge step.
+// rankOut is what one rank reports back to the merge step: its simulator
+// (nil when it could not be built) and what stopped it, if anything did.
 type rankOut struct {
-	rec        *seismo.Recorder
-	pgv        *seismo.PGVField
-	offI, offJ int
-	yielded    int64
-	dt         float64
-	steps      int
-	perf       Perf
-	stages     *telemetry.StageClock
-	sunway     *cgexec.Stats
-	err        error
+	sim *Simulator
+	err error
 }
 
-// runRank is the per-rank body of RunParallel: build the local simulator,
-// agree on dt, optionally restore a checkpoint block, and drive the step
-// pipeline with the halo Exchanger.
+// runRank is the per-rank body of RunParallel: build the block's simulator
+// with the rank's collectives for peers, optionally restore its share of a
+// checkpoint, and step it through the one loop (Simulator.run).
 func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, srcs []source.PointSource, out *rankOut) {
-	i0, j0 := pg.Offset(r.ID())
-	out.offI, out.offJ = i0, j0
-	block := pg.BlockDims()
-
-	local := cfg
-	local.Dims = block
-	// progress and step spans are reported once, not once per rank
-	if r.ID() != 0 {
-		local.Observer = nil
-		local.Tracer = nil
+	p := peers{
+		ex:         &haloExchanger{r: r, pg: pg, crc: cfg.HaloCRC, deadline: cfg.StepDeadline},
+		allMax:     r.AllreduceMax,
+		checkpoint: func(s *Simulator) error { return parallelCheckpoint(r, s) },
 	}
-	local.OriginX = cfg.OriginX + float64(i0)*cfg.Dx
-	local.OriginY = cfg.OriginY + float64(j0)*cfg.Dx
-	local.Sources = srcs
-	local.Stations = nil
-	for _, gi := range blockStationIndices(&cfg, pg, r.ID()) {
-		st := cfg.Stations[gi]
-		local.Stations = append(local.Stations,
-			seismo.Station{Name: st.Name, I: st.I - i0, J: st.J - j0, K: st.K})
-	}
-	// the shared controller and the global restart dump are rank-collective
-	// concerns handled below, not per-block simulator features
-	local.Checkpoint = nil
-	local.RestartFrom = ""
-	// sponge width can exceed the local block; build the globally shaped
-	// profile manually below instead of tripping block-local validation
-	spongeWidth := local.SpongeWidth
-	local.SpongeWidth = 0
-
-	sim, err := New(local)
-	// collective health check: if any rank failed setup, every rank learns
-	// it here and returns, instead of deadlocking its neighbours
-	if collectiveFailed(r, err) {
-		out.err = rankErr(err)
+	sim, err := newBlock(cfg, pg, r.ID(), srcs, p)
+	if err != nil {
+		out.err = err
 		return
 	}
-	if spongeWidth > 0 {
-		alpha := cfg.SpongeAlpha
-		if alpha <= 0 {
-			alpha = 0.08
-		}
-		sim.sponge = fd.NewSpongeGlobal(cfg.Dims.Nx, cfg.Dims.Ny, cfg.Dims.Nz,
-			spongeWidth, alpha, i0, j0, block.Nx, block.Ny, block.Nz)
-	}
-	// all ranks must agree on dt: take the global CFL minimum, then
-	// refresh everything derived from it
-	sim.Cfg.Dt = r.AllreduceMax(-sim.Cfg.Dt) * -1
-	sim.rebuildForDt()
-	out.dt = sim.Cfg.Dt
-
+	out.sim = sim
 	if cfg.RestartFrom != "" {
-		err := sim.restoreBlock(cfg.RestartFrom, &cfg, pg, r.ID())
-		if collectiveFailed(r, err) {
-			out.err = rankErr(err)
+		if out.err = p.agree(sim.Restore(cfg.RestartFrom)); out.err != nil {
 			return
 		}
 	}
-
-	// re-resolve AutoTiles against the rank count so the worker pools of all
-	// ranks together match GOMAXPROCS (New resolved it for a single rank)
-	sim.tiles = effectiveTiles(cfg.Tiles, pg.Size(), sim.Cfg.Dims.Points())
-	stopTiling := sim.startTiling()
-	defer stopTiling()
-
-	ex := &haloExchanger{r: r, pg: pg, crc: cfg.HaloCRC, deadline: cfg.StepDeadline}
-	rankStart := timeNow()
-	for sim.step < cfg.Steps {
-		// cancellation is collective, like the divergence check below, so
-		// every rank stops at the same step boundary
-		flag := 0.0
-		if ctx.Err() != nil {
-			flag = 1
-		}
-		if r.AllreduceMax(flag) > 0 {
-			out.err = fmt.Errorf("run stopped at step %d: %w", sim.step, context.Cause(ctx))
-			return
-		}
-		// the rank failpoints fire between the boundary collective and the
-		// step body: a stalled rank is detected by its neighbours' halo
-		// deadlines, not parked inside a reduction
-		out.steps = sim.step
-		faultinject.Fire(faultinject.RankStall) // sleeps the configured Delay
-		if faultinject.Fire(faultinject.RankPanic) {
-			panic(fmt.Sprintf("%s: injected rank failure", faultinject.RankPanic))
-		}
-		sim.stepWith(ex)
-		sim.observe(rankStart)
-		sw := sim.stages.Stopwatch()
-		if cfg.Checkpoint != nil && cfg.Checkpoint.Due(sim.step) {
-			if err := parallelCheckpoint(r, pg, cfg, sim); err != nil {
-				out.err = err
-				return
-			}
-			sw.Lap(telemetry.StageCheckpoint)
-		}
-		// divergence detection is collective so every rank stops together;
-		// NaN maps to +Inf so it survives the max reduction
-		m := float64(sim.WF.MaxAbsVelocity())
-		if math.IsNaN(m) {
-			m = math.Inf(1)
-		}
-		g := r.AllreduceMax(m)
-		sw.Lap(telemetry.StageDivergence)
-		if diverged(g, cfg.DivergenceLimit) {
-			out.err = fmt.Errorf("solution diverged at step %d (max |v| = %g)", sim.step, g)
-			return
-		}
+	if out.err = sim.run(ctx); out.err != nil {
+		return
 	}
 	// halo traffic is analytic — HaloBytesPerStep matches the exchanged
 	// byte count exactly for the 9 dynamic fields (the optional CRC word is
@@ -374,83 +279,22 @@ func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Confi
 	// aux-carrying restart restores the global count), so restarted,
 	// recovered and undisturbed runs all account identically.
 	sim.perf.HaloBytes = pg.HaloBytesPerStep(r.ID(), len(FieldNames), fd.Halo) * sim.perf.Steps
-	out.rec = sim.rec
-	out.pgv = sim.pgv
-	out.yielded = sim.yielded
-	out.perf = sim.perf
-	out.stages = sim.stages
-	out.steps = sim.step
-	if sim.cgx != nil {
-		stats := sim.cgx.Stats
-		out.sunway = &stats
-	}
 }
 
-// collectiveFailed reduces a local error across all ranks; it returns true
-// on every rank if any rank failed.
-func collectiveFailed(r *mpi.Rank, err error) bool {
-	flag := 0.0
-	if err != nil {
-		flag = 1
-	}
-	return r.AllreduceMax(flag) > 0
-}
-
-// rankErr fills in a placeholder for ranks aborting on another rank's error.
-func rankErr(err error) error {
-	if err == nil {
-		return fmt.Errorf("aborted: another rank failed")
-	}
-	return err
-}
-
-// blockStationIndices returns the indices into cfg.Stations of the stations
-// hosted by rank id's block, in the order runRank builds the local station
-// list — the one mapping between a rank's local traces and the global
-// station set, shared by checkpoint assembly and block restore.
-func blockStationIndices(cfg *Config, pg *decomp.ProcessGrid, id int) []int {
+// blockStationIndices returns the indices into the run's station list of the
+// stations hosted by rank id's block, in the order newBlock builds the local
+// station list — the one mapping between a block's local traces and the
+// global station set, shared by checkpoint assembly and restore.
+func blockStationIndices(stations []seismo.Station, pg *decomp.ProcessGrid, id int) []int {
 	i0, j0 := pg.Offset(id)
 	block := pg.BlockDims()
 	var idxs []int
-	for gi, st := range cfg.Stations {
+	for gi, st := range stations {
 		if st.I >= i0 && st.I < i0+block.Nx && st.J >= j0 && st.J < j0+block.Ny {
 			idxs = append(idxs, gi)
 		}
 	}
 	return idxs
-}
-
-// restoreBlock loads a GLOBAL checkpoint and extracts this rank's block,
-// interior plus ghost layers (see checkpoint.ExtractBlock for why that is
-// bit-exact), then resumes the simulator clock from the dump. When the dump
-// carries a resume-aux section (serial dumps and parallel dumps both do),
-// the block-relevant replay state is restored too, so the resumed run's
-// outputs match an uninterrupted run exactly.
-func (s *Simulator) restoreBlock(path string, gcfg *Config, pg *decomp.ProcessGrid, id int) error {
-	step, tm, gwf, aux, err := checkpoint.LoadAux(path)
-	if err != nil {
-		return err
-	}
-	if gwf.D != gcfg.Dims {
-		return fmt.Errorf("core: checkpoint dims %v do not match run %v", gwf.D, gcfg.Dims)
-	}
-	i0, j0 := pg.Offset(id)
-	wf, err := checkpoint.ExtractBlock(gwf, s.Cfg.Dims, i0, j0)
-	if err != nil {
-		return err
-	}
-	if len(aux) > 0 {
-		if err := s.applyResumeAuxBlock(aux, gcfg, pg, id); err != nil {
-			return err
-		}
-	}
-	s.WF = wf
-	s.step = step
-	s.simTime = tm
-	if s.comp != nil {
-		s.comp.encodeAll(s.WF)
-	}
-	return nil
 }
 
 // parallelCheckpoint gathers every rank's interior block — and its slice of
@@ -461,13 +305,14 @@ func (s *Simulator) restoreBlock(path string, gcfg *Config, pg *decomp.ProcessGr
 // it beside the next steps and takes the gathered wavefield as its own. The
 // status — assembly errors and any earlier dump's write error — is broadcast
 // so all ranks agree on failure and stop together.
-func parallelCheckpoint(r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, sim *Simulator) error {
+func parallelCheckpoint(r *mpi.Rank, sim *Simulator) error {
+	pg := sim.pg
 	parts := r.Gather(0, checkpoint.PackInterior(sim.WF))
 	auxParts := r.Gather(0, auxWords(sim.resumeAux()))
 	status := []float32{0}
 	var saveErr error
 	if r.ID() == 0 {
-		global := fd.NewWavefield(cfg.Dims)
+		global := fd.NewWavefield(pg.GlobalDims())
 		for id, part := range parts {
 			bi, bj := pg.Offset(id)
 			if err := checkpoint.UnpackInterior(global, pg.BlockDims(), bi, bj, part); err != nil {
@@ -477,10 +322,10 @@ func parallelCheckpoint(r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, sim *Si
 		}
 		var aux []byte
 		if saveErr == nil {
-			aux, saveErr = assembleGlobalResume(&cfg, pg, auxParts, sim)
+			aux, saveErr = assembleGlobalResume(auxParts, sim)
 		}
 		if saveErr == nil {
-			_, saveErr = cfg.Checkpoint.MaybeSaveAux(sim.step, sim.simTime, global, aux)
+			_, saveErr = sim.Cfg.Checkpoint.MaybeSaveAux(sim.step, sim.simTime, global, aux)
 		}
 		if saveErr != nil {
 			status[0] = 1
@@ -498,19 +343,20 @@ func parallelCheckpoint(r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, sim *Si
 
 // assembleGlobalResume merges the per-rank resume payloads gathered at a
 // parallel checkpoint into one global resume-aux section in the serial
-// format: traces land in cfg.Stations order, the per-rank PGV blocks merge
+// format: traces land in the run's station order, the per-rank PGV blocks merge
 // into the global surface, and the work counters sum across ranks — which
 // is why a parallel dump restores bit-exactly into a serial run, a
 // parallel run, or a recovery attempt.
-func assembleGlobalResume(cfg *Config, pg *decomp.ProcessGrid, parts [][]float32, sim *Simulator) ([]byte, error) {
+func assembleGlobalResume(parts [][]float32, sim *Simulator) ([]byte, error) {
+	pg := sim.pg
 	g := resumeState{
 		steps:     sim.perf.Steps,
 		elapsed:   sim.perf.Elapsed,
 		stepsSeen: sim.rec.StepsSeen(),
-		traces:    make([][3][]float32, len(cfg.Stations)),
+		traces:    make([][3][]float32, len(sim.stations)),
 	}
 	if sim.pgv != nil {
-		g.pgv = seismo.NewPGVField(cfg.Dims.Nx, cfg.Dims.Ny, sim.pgv.K)
+		g.pgv = seismo.NewPGVField(pg.GlobalNx, pg.GlobalNy, sim.pgv.K)
 	}
 	for id, part := range parts {
 		raw, err := auxBytes(part)
@@ -521,7 +367,7 @@ func assembleGlobalResume(cfg *Config, pg *decomp.ProcessGrid, parts [][]float32
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d resume payload: %w", id, err)
 		}
-		idxs := blockStationIndices(cfg, pg, id)
+		idxs := blockStationIndices(sim.stations, pg, id)
 		if len(st.traces) != len(idxs) {
 			return nil, fmt.Errorf("core: rank %d gathered %d traces, block hosts %d stations",
 				id, len(st.traces), len(idxs))
@@ -547,11 +393,10 @@ func assembleGlobalResume(cfg *Config, pg *decomp.ProcessGrid, parts [][]float32
 
 // haloExchanger is the RunParallel Exchanger: the 2D halo protocol over the
 // simulated MPI world, tagged per step and phase, split into the Start/
-// Finish halves the overlapped pipeline needs. Start posts the y-round
+// Finish halves the step pipeline needs. Start posts the y-round
 // (pack + IsendOwned + Irecv) and returns; Finish completes the y-round and
 // then runs the whole x-round, whose face messages carry the corner columns
-// the y-round unpack just filled — the same two-round ordering the old
-// barrier-only exchanger used, so tags and byte layout are unchanged.
+// the y-round unpack just filled.
 //
 // Pack buffers are recycled through bufs: a sender draws a buffer from its
 // cache and hands ownership across the channel (mpi.IsendOwned, no copy);

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
+	"swquake/internal/decomp"
 	"swquake/internal/model"
+	"swquake/internal/mpi"
 	"swquake/internal/seismo"
+	"swquake/internal/source"
 )
 
 // heterogeneousConfig uses a laterally varying model (basin) so the test
@@ -166,6 +171,57 @@ func TestParallelSourcePartitioning(t *testing.T) {
 	for i := range a.U {
 		if a.U[i] != b.U[i] {
 			t.Fatalf("boundary source handled differently at sample %d", i)
+		}
+	}
+}
+
+// TestRankArraysAreTheSerialRunsWindows: when a run ends, each rank's nine
+// arrays hold the bytes of the serial run's arrays over the block's window,
+// ghost layers and the planes above the free surface included — whether the
+// velocity exchange overlapped the interior's stress chain or not. (No
+// sponge: its velocity half runs after the exchange, so in the absorbing
+// zones a velocity ghost holds the neighbour's value from before it, until
+// the next exchange.) The planes above the surface of the ghost columns are
+// what the ghost-frame pass of the step images: the exchange delivers them
+// as they were before the sender's own free-surface pass.
+func TestRankArraysAreTheSerialRunsWindows(t *testing.T) {
+	cfg := fullPhysicsConfig()
+	cfg.SpongeWidth = 0
+	serial := runSerial(t, cfg)
+	for _, overlap := range []bool{false, true} {
+		cfg.Overlap = overlap
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		pg, err := decomp.NewProcessGrid(cfg.Dims.Nx, cfg.Dims.Ny, cfg.Dims.Nz, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcParts, err := source.Partition(cfg.Sources, cfg.Dims.Nx, cfg.Dims.Ny, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := make([]rankOut, pg.Size())
+		mpi.NewWorld(pg.Size()).Run(func(r *mpi.Rank) {
+			runRank(context.Background(), r, pg, cfg, srcParts[r.ID()], &outs[r.ID()])
+		})
+		for id, out := range outs {
+			if out.err != nil {
+				t.Fatalf("overlap=%v rank %d: %v", overlap, id, out.err)
+			}
+			i0, j0 := pg.Offset(id)
+			want, err := checkpoint.ExtractBlock(serial.Sim.WF, pg.BlockDims(), i0, j0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, f := range out.sim.WF.AllFields() {
+				for idx, v := range want.AllFields()[c].Data {
+					if math.Float32bits(v) != math.Float32bits(f.Data[idx]) {
+						t.Fatalf("overlap=%v rank %d: field %s differs from the serial window at flat index %d: %g vs %g",
+							overlap, id, FieldNames[c], idx, f.Data[idx], v)
+					}
+				}
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"swquake/internal/cgexec"
+	"swquake/internal/decomp"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
 	"swquake/internal/plasticity"
@@ -29,8 +30,8 @@ import (
 //     RunParallel (including the compressed-mode decoded-ghost handshake).
 //     The interface splits each exchange into Start (post the sends and
 //     receives) and Finish (wait and unpack), which is what lets the
-//     overlapped pipeline compute the block interior while velocity-halo
-//     messages are in flight (paper §6.2);
+//     pipeline compute the block interior while velocity-halo messages are
+//     in flight (Config.Overlap, paper §6.2);
 //   - Backend: how the velocity/stress kernels execute over a Region —
 //     the host kernels (which the pipeline fans across the tile pool) or the
 //     tile-by-tile cgexec core group.
@@ -43,11 +44,11 @@ import (
 // Exchanger updates ghost layers between the pipeline's kernel phases.
 // Each exchange is split into a Start half, which posts the outgoing halo
 // messages and the matching receives, and a Finish half, which blocks until
-// the messages have arrived and unpacks them into the ghost layers. The
-// barrier pipeline calls Start and Finish back to back; the overlapped
-// pipeline runs interior stress-phase work between the velocity pair.
-// Finish reports whether ghost data may have changed, so compressed storage
-// knows to re-encode exchanged planes.
+// the messages have arrived and unpacks them into the ghost layers. Between
+// the velocity pair the pipeline runs what needs no ghost value: the
+// owned-column free surface and, under Config.Overlap, the interior's
+// stress-phase work. Finish reports whether ghost data may have changed, so
+// compressed storage knows to re-encode exchanged planes.
 //
 // Start and Finish of one phase must be called in pairs, in order; an
 // implementation may buffer state for the in-flight phase between them.
@@ -77,10 +78,10 @@ func (NoExchange) StartStress(*fd.Wavefield, int)         {}
 func (NoExchange) FinishStress(*fd.Wavefield, int) bool   { return false }
 
 // Backend executes one kernel phase over a Region of the block — the seam
-// between the step pipeline and the machine the kernels run on. The barrier
-// pipeline passes full-x/y slab regions; the overlapped pipeline passes the
-// block interior and its boundary shells; with a tile pool the pipeline
-// hands a backend one tile, or one chain block of a tile, at a time.
+// between the step pipeline and the machine the kernels run on. The pipeline
+// passes full-x/y slab regions or, under Config.Overlap, the block interior
+// and its boundary shells; with a tile pool it hands a backend one tile, or
+// one chain block of a tile, at a time.
 type Backend interface {
 	Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region)
 	Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region)
@@ -121,16 +122,17 @@ func (b cgBackend) Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg gr
 	}
 }
 
-// stepWith advances one full time step through the pipeline, then runs the
-// post-step stages every runner shares: step/time bookkeeping, station
-// recording and PGV accumulation. When Cfg.Tracer is set, the whole step is
-// also emitted as one trace span on the configured track.
-func (s *Simulator) stepWith(ex Exchanger) {
+// Step advances one full time step through the pipeline, then runs the
+// post-step stages: step/time bookkeeping, station recording and PGV
+// accumulation. When Cfg.Tracer is set, the whole step is also emitted as
+// one trace span on the configured track. Outside Run there is no tile
+// pool: a bare Step is single-threaded.
+func (s *Simulator) Step() {
 	var t0 time.Time
 	if s.Cfg.Tracer != nil {
 		t0 = timeNow()
 	}
-	s.stepPipeline(ex)
+	s.stepPipeline(s.peers.ex)
 	s.step++
 	s.simTime += s.Cfg.Dt
 	sw := s.stages.Stopwatch()
@@ -145,71 +147,149 @@ func (s *Simulator) stepWith(ex Exchanger) {
 	}
 }
 
-// stepPipeline runs the stage sequence once. Slabs are the whole depth for
-// plain storage and CompressionConfig.SlabHeight in compressed mode, where
-// each slab is decoded, computed on and re-encoded (Fig. 5c). When
-// Config.Overlap is set (uncompressed only, enforced by Validate) the
-// overlapped variant below runs instead.
+// zSlab is one z-range of the block over the full x/y plane — the unit
+// compressed storage decodes, computes on and re-encodes (Fig. 5c); plain
+// storage has one, the whole depth — with the regions of it whose stress
+// chain runs after the velocity-halo wait.
+type zSlab struct {
+	grid.Region
+	afterWait []grid.Region
+}
+
+// planRegions chooses the step's region lists, once: the z-slabs, and where
+// the stress chain of each cell runs relative to the velocity-halo wait.
+// Without Config.Overlap nothing runs before it (an empty interior) and each
+// slab runs whole after it; with it (plain storage only, enforced by
+// Validate, so one slab) the block interior — whose stencils read no ghost
+// value — runs while the messages fly and the four boundary shells after.
+func (s *Simulator) planRegions() {
+	d := s.Cfg.Dims
+	height := d.Nz
+	if s.comp != nil {
+		height = s.comp.slab
+	}
+	for k0 := 0; k0 < d.Nz; k0 += height {
+		reg := grid.FullXY(d, k0, min(k0+height, d.Nz))
+		s.slabs = append(s.slabs, zSlab{reg, []grid.Region{reg}})
+	}
+	if s.Cfg.Overlap {
+		s.interior, s.slabs[0].afterWait = decomp.InteriorShell(d, fd.Halo)
+	}
+}
+
+// stepPipeline runs the stage sequence once, and is the only place it is
+// spelled. The velocity-halo exchange is POSTED right after the velocity
+// kernel, whatever needs no ghost value runs while the messages fly — the
+// owned-column free surface, the SLS snapshot and, under Config.Overlap, the
+// interior's stress chain (paper §6.2) — and the regions whose stencils reach
+// into the ghost layers run after the wait. Every choice of region lists
+// (planRegions) gives the same bits as exchanging first and computing the
+// whole block after:
+//
+//   - StartVelocity packs the y faces before the velocity free-surface pass,
+//     so y-round bytes do not depend on what runs before the wait.
+//   - The x-round (inside FinishVelocity) packs after the owned-column free
+//     surface has run, so its k<0 entries are not what a pack before that
+//     pass would have sent — but the receiver immediately re-images its
+//     ghost frame from the unpacked k>=0 values (the four ImageVelocityCols
+//     calls below), overwriting exactly those entries with the values it
+//     would otherwise have been sent. (No stencil of an owned cell reads a
+//     k<0 entry of a ghost column; the pass is what keeps every array byte
+//     of a block, ghost layers included, equal to the serial run's.)
+//   - The interior region keeps fd.Halo columns away from every block edge,
+//     so interior stress stencils never read a ghost value, and the stage
+//     chain (SLS, plasticity, attenuation) writes only the stress fields of
+//     its own cells — which no stress stencil of another region reads — so
+//     interior-then-shell ordering cannot change any result bit. The
+//     velocity half of the sponge is what another region's stress stencils
+//     would see from a region's cells, which is why it is not in the chain:
+//     it runs on a slab once every region of the slab is done — and, with
+//     several slabs, before the next slab's stress stencils read across the
+//     slab boundary, as compressed storage has always had it.
+//   - The SLS snapshot is taken over the whole block before any region is
+//     computed: After only ever reads it at the cells it updates.
+//   - The stress exchange stays back-to-back: the NEXT step's traction
+//     free-surface pass reads stress ghosts, so there is no interior work
+//     to hide it behind, and leaving sends outstanding would interleave
+//     with the checkpoint gather's ordered per-pair queues.
 //
 // Every stage charges its wall time to the simulator's StageClock through a
 // chained stopwatch (one time.Now per stage boundary, nothing at all when
 // timing is disabled) — the per-kernel accounting of paper Fig. 7 / §7.1.
+// Posting the velocity exchange is charged to halo_velocity; so is finishing
+// it, except under Overlap, where that is the wait the interior was meant to
+// hide and goes to halo_wait.
 func (s *Simulator) stepPipeline(ex Exchanger) {
 	s.countKernels()
 	dtdx := float32(s.Cfg.Dt / s.Cfg.Dx)
 	sw := s.stages.Stopwatch()
-	if s.Cfg.Overlap && s.comp == nil {
-		s.stepOverlapped(ex, dtdx, &sw)
-		return
-	}
 	d := s.Cfg.Dims
-	nz := d.Nz
-	slab := nz
+	h := fd.Halo
 	if s.comp != nil {
-		slab = s.comp.slab
-		s.compDecodeAll()
+		s.comp.decode(s.comp.fields, s.WF.AllFields())
 		sw.Lap(telemetry.StageCompression)
 	}
 
 	// velocity phase: its stencils read the traction ghosts alone
-	h := fd.Halo
 	fd.ImageTractionCols(s.WF, -h, d.Nx+h, -h, d.Ny+h)
 	sw.Lap(telemetry.StageFreeSurface)
-	for k0 := 0; k0 < nz; k0 += slab {
-		s.velocityPhase(grid.FullXY(d, k0, minI(k0+slab, nz)), dtdx)
+	for _, slab := range s.slabs {
+		s.velocityPhase(slab.Region, dtdx)
 	}
 	sw.Lap(telemetry.StageVelocity)
 	if s.comp != nil {
-		s.compRoundtripVelocities()
+		// the stress kernel — and the neighbours — read the velocities exactly
+		// as stored (the dstrqc side of Fig. 5b): this intra-step round trip
+		// is where the paper's accuracy loss comes from
+		s.comp.encode(s.comp.velocity(), s.WF.VelocityFields())
+		s.comp.decode(s.comp.velocity(), s.WF.VelocityFields())
 		sw.Lap(telemetry.StageCompression)
 	}
 	ex.StartVelocity(s.WF, s.step)
-	ex.FinishVelocity(s.WF, s.step)
 	sw.Lap(telemetry.StageHaloVelocity)
 
-	// stress phase: its stencils read the velocity ghosts alone
-	fd.ImageVelocityCols(s.WF, -h, d.Nx+h, -h, d.Ny+h)
+	// stress phase: its stencils read the velocity ghosts alone. The owned
+	// columns are imaged now; the ghost frame after the wait
+	fd.ImageVelocityCols(s.WF, 0, d.Nx, 0, d.Ny)
 	sw.Lap(telemetry.StageFreeSurface)
 	if s.sls != nil {
 		s.sls.Before(s.WF)
 		sw.Lap(telemetry.StageAttenuation)
 	}
-	for k0 := 0; k0 < nz; k0 += slab {
-		// a slab's velocities are damped before the next slab's stress
-		// stencils read them, as compressed storage has always had it
-		reg := grid.FullXY(d, k0, minI(k0+slab, nz))
-		s.stressPhase(reg, dtdx, &sw)
-		s.spongeVelocities(reg, &sw)
+	s.stressPhase(s.interior, dtdx, &sw)
+
+	ex.FinishVelocity(s.WF, s.step)
+	if s.Cfg.Overlap {
+		sw.Lap(telemetry.StageHaloWait)
+	} else {
+		sw.Lap(telemetry.StageHaloVelocity)
+	}
+	// image the ghost frame now that exchanged columns are in place: the two
+	// x strips (full y extent, covering the corners) and the two remaining
+	// y strips tile exactly the frame beyond the owned columns
+	fd.ImageVelocityCols(s.WF, -h, 0, -h, d.Ny+h)
+	fd.ImageVelocityCols(s.WF, d.Nx, d.Nx+h, -h, d.Ny+h)
+	fd.ImageVelocityCols(s.WF, 0, d.Nx, -h, 0)
+	fd.ImageVelocityCols(s.WF, 0, d.Nx, d.Ny, d.Ny+h)
+	sw.Lap(telemetry.StageFreeSurface)
+	for _, slab := range s.slabs {
+		for _, reg := range slab.afterWait {
+			s.stressPhase(reg, dtdx, &sw)
+		}
+		s.spongeVelocities(slab.Region, &sw)
 	}
 	if s.comp != nil {
-		s.compStoreAll()
+		// recorders and checkpoints observe exactly the stored state
+		s.comp.encode(s.comp.fields, s.WF.AllFields())
+		s.comp.decode(s.comp.fields, s.WF.AllFields())
 		sw.Lap(telemetry.StageCompression)
 	}
 	ex.StartStress(s.WF, s.step)
 	changed := ex.FinishStress(s.WF, s.step)
 	sw.Lap(telemetry.StageHaloStress)
 	if changed && s.comp != nil {
-		s.compEncodeStressGhosts()
+		// exchanged ghost planes reach storage for the next step's decode
+		s.comp.encode(s.comp.stress(), s.WF.StressFields())
 		sw.Lap(telemetry.StageCompression)
 	}
 }
@@ -239,9 +319,9 @@ var chainBlockPlanes int
 // stressPhase runs the stress-side stage chain — stress kernel, SLS memory
 // update, source injection, plasticity, attenuation, the stress half of the
 // sponge — over one Region, and is the only place that order is spelled.
-// The barrier pipeline calls it per z-slab over the full x/y plane; the
-// overlapped pipeline calls it on the interior and then on each boundary
-// shell.
+// The pipeline calls it per z-slab over the full x/y plane or, under
+// Config.Overlap, on the interior and then on each boundary shell; an empty
+// region is no work and no observation.
 //
 // The region is walked in x-blocks (chainBlockPoints) and the whole chain
 // runs on a block before the next is touched: every stage but the stress
@@ -261,6 +341,9 @@ var chainBlockPlanes int
 // Stage times are tallied per block and per worker and observed once per
 // stage per call, scaled to the call's wall time.
 func (s *Simulator) stressPhase(reg grid.Region, dtdx float32, sw *telemetry.Stopwatch) {
+	if reg.Empty() {
+		return
+	}
 	tally := sw.Tally()
 	var mu sync.Mutex
 	s.pool.fan(reg, func(tile grid.Region) {
@@ -320,75 +403,4 @@ func (s *Simulator) spongeVelocities(reg grid.Region, sw *telemetry.Stopwatch) {
 		s.pool.fan(reg, func(r grid.Region) { s.sponge.ApplyVelocityRegion(s.WF, r) })
 		sw.Lap(telemetry.StageSponge)
 	}
-}
-
-// stepOverlapped is the communication-hiding variant of the stage sequence
-// (paper §6.2): the velocity-halo exchange is POSTED right after the
-// velocity kernel, the stress-phase stages run on the block interior —
-// which reads only owned velocity values — while the messages fly, and the
-// boundary shells (whose stencils reach into the ghost layers) run only
-// after the wait. It is bit-identical to the barrier pipeline:
-//
-//   - StartVelocity packs the y faces before the velocity free-surface pass,
-//     exactly when the barrier exchange would, so y-round bytes match.
-//   - The x-round (inside FinishVelocity) packs after the owned-column free
-//     surface has run, so its k<0 entries differ from barrier mode on the
-//     wire — but the receiver immediately re-images its ghost frame from
-//     the unpacked k>=0 values (the four ImageVelocityCols calls below),
-//     overwriting exactly those entries with the values barrier mode would
-//     have delivered.
-//   - The interior region keeps fd.Halo columns away from every block edge,
-//     so interior stress stencils never read a ghost value, and the stage
-//     chain (SLS, plasticity, attenuation) writes only the stress fields of
-//     its own cells — which no stress stencil of another region reads — so
-//     interior-then-shell ordering cannot change any result bit. The
-//     velocity half of the sponge is what shell stress stencils would see
-//     from interior cells, which is why it is not in the chain: it runs on
-//     the whole block once, after the shells — exactly where the barrier
-//     pipeline runs it.
-//   - The stress exchange stays back-to-back: the NEXT step's traction
-//     free-surface pass reads stress ghosts, so there is no interior work
-//     to hide it behind, and leaving sends outstanding would interleave
-//     with the checkpoint gather's ordered per-pair queues.
-func (s *Simulator) stepOverlapped(ex Exchanger, dtdx float32, sw *telemetry.Stopwatch) {
-	d := s.Cfg.Dims
-	h := fd.Halo
-
-	fd.ImageTractionCols(s.WF, -h, d.Nx+h, -h, d.Ny+h)
-	sw.Lap(telemetry.StageFreeSurface)
-	s.velocityPhase(grid.Box(d), dtdx)
-	sw.Lap(telemetry.StageVelocity)
-	ex.StartVelocity(s.WF, s.step)
-	sw.Lap(telemetry.StageHaloVelocity)
-
-	// owned-column free surface; the ghost frame is imaged after the wait
-	fd.ImageVelocityCols(s.WF, 0, d.Nx, 0, d.Ny)
-	sw.Lap(telemetry.StageFreeSurface)
-	if s.sls != nil {
-		// full snapshot, including boundary cells: After only ever reads the
-		// snapshot at the cells it updates, so taking it before the shells
-		// are computed is safe
-		s.sls.Before(s.WF)
-		sw.Lap(telemetry.StageAttenuation)
-	}
-	s.stressPhase(s.ovInterior, dtdx, sw)
-
-	ex.FinishVelocity(s.WF, s.step)
-	sw.Lap(telemetry.StageHaloWait)
-	// image the ghost frame now that exchanged columns are in place: the two
-	// x strips (full y extent, covering the corners) and the two remaining
-	// y strips tile exactly the frame beyond the owned columns
-	fd.ImageVelocityCols(s.WF, -h, 0, -h, d.Ny+h)
-	fd.ImageVelocityCols(s.WF, d.Nx, d.Nx+h, -h, d.Ny+h)
-	fd.ImageVelocityCols(s.WF, 0, d.Nx, -h, 0)
-	fd.ImageVelocityCols(s.WF, 0, d.Nx, d.Ny, d.Ny+h)
-	sw.Lap(telemetry.StageFreeSurface)
-	for _, shell := range s.ovShells {
-		s.stressPhase(shell, dtdx, sw)
-	}
-	s.spongeVelocities(grid.Box(d), sw)
-
-	ex.StartStress(s.WF, s.step)
-	ex.FinishStress(s.WF, s.step)
-	sw.Lap(telemetry.StageHaloStress)
 }

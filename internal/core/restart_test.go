@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"swquake/internal/checkpoint"
+	"swquake/internal/compress"
 )
 
 func TestCheckpointRestartResumesExactly(t *testing.T) {
@@ -84,4 +85,25 @@ func TestRestoreRejectsWrongDims(t *testing.T) {
 	if err := sim.Restore(dir + "/x.swq"); err == nil {
 		t.Fatal("dims mismatch accepted")
 	}
+}
+
+// TestCompressedRestartResumesExactly: Restore stores the loaded wavefield
+// back into 16-bit storage, so a compressed-storage run restarted from its
+// own dump — serial, and on 2x1 ranks — finishes bit-identical to the
+// uninterrupted compressed run.
+func TestCompressedRestartResumesExactly(t *testing.T) {
+	cfg := chainConfig()
+	stats, err := CalibrateCompression(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats, SlabHeight: 8}
+	ref := runSerial(t, cfg)
+	first := cfg
+	first.Steps = cfg.Steps / 2
+	first.Checkpoint = &checkpoint.Controller{Dir: t.TempDir(), Interval: first.Steps, Keep: 1}
+	runSerial(t, first)
+	cfg.RestartFrom = first.Checkpoint.Latest()
+	requireIdenticalResults(t, "serial", ref, runSerial(t, cfg), cfg)
+	requireIdenticalResults(t, "2x1 ranks", ref, runRanks(t, cfg), cfg)
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"swquake/internal/decomp"
 	"swquake/internal/seismo"
 )
 
@@ -19,12 +18,11 @@ import (
 // uninterrupted run — without it, a resumed run would restart its recorders
 // empty and under-report everything accumulated before the crash.
 //
-// One codec serves three users: serial checkpoints (resumeAux /
-// applyResumeAux), parallel checkpoints — each rank's state is encoded in
-// this same format, gathered to rank 0 and merged into one GLOBAL section
-// (assembleGlobalResume in parallel.go), interchangeable with a serial
-// dump's — and parallel restarts, which extract the block-relevant slice
-// (applyResumeAuxBlock).
+// One codec serves every user: serial checkpoints (resumeAux), parallel
+// checkpoints — each rank's state is encoded in this same format, gathered
+// to rank 0 and merged into one GLOBAL section (assembleGlobalResume in
+// parallel.go), interchangeable with a serial dump's — and restarts, serial
+// or parallel, which extract the block's share (applyResumeAux).
 //
 // Layout (little-endian): magic "RSA1", yielded i64, 5 perf counters i64,
 // elapsed ns i64, recorder steps u32, trace count u32, per trace a sample
@@ -240,9 +238,16 @@ func parseResumeAux(data []byte) (*resumeState, error) {
 	return st, nil
 }
 
-// applyResumeAux restores the state resumeAux captured. The simulator must
-// already be configured with the same stations and PGV setting as the run
-// that wrote the checkpoint. Nothing is mutated until every check passes.
+// applyResumeAux restores the block's share of a resume section, which
+// always describes the run's whole domain: its stations' traces (located
+// through blockStationIndices — the same mapping that built the local
+// station list), its window of the PGV surface, the recorder phase, and the
+// run's step count on every block (it drives the analytic HaloBytes
+// accounting). The per-point work counters and the yield counter are
+// restored on block 0 alone, so their sums over the blocks — which is all a
+// merge ever reports — equal the undisturbed run's exactly. The run must be
+// configured with the same stations and PGV setting as the one that wrote
+// the checkpoint. Nothing is mutated until every check passes.
 func (s *Simulator) applyResumeAux(data []byte) error {
 	st, err := parseResumeAux(data)
 	if err != nil {
@@ -251,64 +256,18 @@ func (s *Simulator) applyResumeAux(data []byte) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("core: resume aux: "+format, args...)
 	}
-	if len(st.traces) != len(s.rec.Traces) {
-		return fail("%d traces in checkpoint, simulator has %d stations", len(st.traces), len(s.rec.Traces))
+	if len(st.traces) != len(s.stations) {
+		return fail("%d traces in checkpoint, run has %d stations", len(st.traces), len(s.stations))
+	}
+	idxs := blockStationIndices(s.stations, s.pg, s.id)
+	if len(idxs) != len(s.rec.Traces) {
+		return fail("rank %d hosts %d stations, recorder has %d traces", s.id, len(idxs), len(s.rec.Traces))
 	}
 	if (st.pgv != nil) != (s.pgv != nil) {
 		return fail("PGV presence mismatch (checkpoint %v, config %v)", st.pgv != nil, s.pgv != nil)
 	}
-	if st.pgv != nil && (st.pgv.Nx != s.pgv.Nx || st.pgv.Ny != s.pgv.Ny) {
-		return fail("PGV dims %dx%d do not match config %dx%d", st.pgv.Nx, st.pgv.Ny, s.pgv.Nx, s.pgv.Ny)
-	}
-
-	// everything validated — commit
-	s.yielded = st.yielded
-	s.perf.VelocityPoints = st.velocityPoints
-	s.perf.StressPoints = st.stressPoints
-	s.perf.PlasticityPoints = st.plasticityPoints
-	s.perf.SpongePoints = st.spongePoints
-	s.perf.Steps = st.steps
-	s.perf.Elapsed = st.elapsed
-	s.rec.SetStepsSeen(st.stepsSeen)
-	for i, tr := range s.rec.Traces {
-		tr.U, tr.V, tr.W = st.traces[i][0], st.traces[i][1], st.traces[i][2]
-	}
-	if st.pgv != nil {
-		s.pgv = st.pgv
-	}
-	return nil
-}
-
-// applyResumeAuxBlock restores the block-relevant slice of a GLOBAL resume
-// section on one parallel rank: its stations' traces (located through
-// blockStationIndices — the same mapping that built the local station
-// list), its window of the global PGV surface, the recorder phase, and the
-// global step count on every rank (it drives the analytic HaloBytes
-// accounting). The per-point work counters and the yield counter are
-// restored on rank 0 alone, so their cross-rank sums — which is all the
-// merge ever reports — equal the undisturbed run's exactly.
-func (s *Simulator) applyResumeAuxBlock(data []byte, gcfg *Config, pg *decomp.ProcessGrid, id int) error {
-	st, err := parseResumeAux(data)
-	if err != nil {
-		return err
-	}
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("core: resume aux: "+format, args...)
-	}
-	if len(st.traces) != len(gcfg.Stations) {
-		return fail("%d traces in checkpoint, run has %d stations", len(st.traces), len(gcfg.Stations))
-	}
-	idxs := blockStationIndices(gcfg, pg, id)
-	if len(idxs) != len(s.rec.Traces) {
-		return fail("rank %d hosts %d stations, recorder has %d traces", id, len(idxs), len(s.rec.Traces))
-	}
-	if s.pgv != nil {
-		if st.pgv == nil {
-			return fail("PGV presence mismatch (checkpoint false, config true)")
-		}
-		if st.pgv.Nx != gcfg.Dims.Nx || st.pgv.Ny != gcfg.Dims.Ny {
-			return fail("PGV dims %dx%d do not match run %dx%d", st.pgv.Nx, st.pgv.Ny, gcfg.Dims.Nx, gcfg.Dims.Ny)
-		}
+	if st.pgv != nil && (st.pgv.Nx != s.pg.GlobalNx || st.pgv.Ny != s.pg.GlobalNy) {
+		return fail("PGV dims %dx%d do not match run %dx%d", st.pgv.Nx, st.pgv.Ny, s.pg.GlobalNx, s.pg.GlobalNy)
 	}
 
 	// everything validated — commit
@@ -318,7 +277,7 @@ func (s *Simulator) applyResumeAuxBlock(data []byte, gcfg *Config, pg *decomp.Pr
 	}
 	s.rec.SetStepsSeen(st.stepsSeen)
 	if s.pgv != nil {
-		i0, j0 := pg.Offset(id)
+		i0, j0 := s.pg.Offset(s.id)
 		for i := 0; i < s.pgv.Nx; i++ {
 			for j := 0; j < s.pgv.Ny; j++ {
 				s.pgv.Set(i, j, st.pgv.At(i0+i, j0+j))
@@ -326,7 +285,7 @@ func (s *Simulator) applyResumeAuxBlock(data []byte, gcfg *Config, pg *decomp.Pr
 		}
 	}
 	s.perf.Steps = st.steps
-	if id == 0 {
+	if s.id == 0 {
 		s.yielded = st.yielded
 		s.perf.VelocityPoints = st.velocityPoints
 		s.perf.StressPoints = st.stressPoints

@@ -224,3 +224,74 @@ func TestLaneCheckpointCarriesAux(t *testing.T) {
 		t.Fatalf("aux steps seen %d", s2.rec.StepsSeen())
 	}
 }
+
+// TestSerialAndOneRankRunsResumeEachOther: the serial run is the 1x1 process
+// grid, so either restores the other's dump through the one Restore — a
+// serial dump into RunParallel(cfg, 1, 1) and a 1x1 dump into a serial run
+// both finish bit-identical to the uninterrupted serial run, counters
+// included. (Plasticity, constant Q and the sponge: the SLS memory variables
+// are not part of a dump, so an SLS run does not restart bit-exactly.)
+func TestSerialAndOneRankRunsResumeEachOther(t *testing.T) {
+	cfg := fullPhysicsConfig()
+	cfg.Attenuation = AttenuationConfig{Enabled: true, F0: 3, Qp: 60, Qs: 30}
+	ref := runSerial(t, cfg)
+	oneRank := func(t *testing.T, cfg Config) *Result {
+		t.Helper()
+		res, err := RunParallel(cfg, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, leg := range []struct {
+		name          string
+		first, second func(*testing.T, Config) *Result
+	}{
+		{"serial dump into a 1x1 run", runSerial, oneRank},
+		{"1x1 dump into a serial run", oneRank, runSerial},
+	} {
+		first := cfg
+		first.Steps = cfg.Steps / 2
+		first.Checkpoint = &checkpoint.Controller{Dir: t.TempDir(), Interval: first.Steps, Keep: 1}
+		leg.first(t, first)
+		second := cfg
+		second.RestartFrom = first.Checkpoint.Latest()
+		if second.RestartFrom == "" {
+			t.Fatalf("%s: the first leg wrote no dump", leg.name)
+		}
+		requireIdenticalResults(t, leg.name, ref, leg.second(t, second), cfg)
+	}
+}
+
+// TestStepIsObservedBeforeItsCheckpoint: on a due step the observer hears of
+// the step before the dump is handed to the checkpoint lane (a progress
+// report never waits for the previous dump to land). Draining the lane from
+// the observer shows what had been handed over by then.
+func TestStepIsObservedBeforeItsCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T, Config) *Result
+	}{{"serial", runSerial}, {"ranks2x1", runRanks}} {
+		cfg := baseConfig()
+		cfg.Steps = 10
+		ctl := &checkpoint.Controller{Dir: t.TempDir(), Interval: 5, Keep: 0}
+		cfg.Checkpoint = ctl
+		handedOver := -1
+		cfg.Observer = func(ev StepEvent) {
+			if ev.Step == 5 {
+				infos, err := ctl.Close()
+				if err != nil {
+					t.Error(err)
+				}
+				handedOver = len(infos)
+			}
+		}
+		res := tc.run(t, cfg)
+		if handedOver != 0 {
+			t.Fatalf("%s: %d dumps handed over when step 5 was observed, want 0", tc.name, handedOver)
+		}
+		if len(res.Checkpoints) != 2 {
+			t.Fatalf("%s: %d dumps reported after the run, want 2", tc.name, len(res.Checkpoints))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
 	"swquake/internal/decomp"
+	"swquake/internal/faultinject"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
 	"swquake/internal/model"
@@ -19,8 +21,12 @@ import (
 	"swquake/internal/telemetry"
 )
 
-// Simulator advances one block of the simulation.
+// Simulator advances one block of the simulation: the whole domain (New —
+// the 1x1 process grid, with nobody to talk to) or one rank's share of it
+// under RunParallel. Both are built by newBlock and stepped by run.
 type Simulator struct {
+	// Cfg is the block's configuration: the run's, with Dims, the origin,
+	// Sources and Stations cut and re-indexed to the block.
 	Cfg Config
 
 	WF   *fd.Wavefield
@@ -37,16 +43,22 @@ type Simulator struct {
 	srcs    source.Set
 	comp    *compressedState
 
+	// pg and id place the block in the run's process grid; stations is the
+	// run's station list, of which Cfg.Stations are the ones the block hosts
+	// (blockStationIndices is the mapping).
+	pg       *decomp.ProcessGrid
+	id       int
+	stations []seismo.Station
+	peers    peers
+
 	// tiles is the resolved intra-rank tile count (effectiveTiles); pool is
 	// the live worker pool, attached only while Run/RunParallel is stepping
 	// (startTiling). A nil pool executes every fan inline.
 	tiles int
 	pool  *tilePool
-	// ovInterior/ovShells are the precomputed overlap decomposition of the
-	// block: the interior (stencils never reach a ghost layer) and the four
-	// boundary shells, used by stepOverlapped when Cfg.Overlap is set.
-	ovInterior grid.Region
-	ovShells   []grid.Region
+	// slabs and interior are the step's region lists (planRegions).
+	slabs    []zSlab
+	interior grid.Region
 
 	step    int
 	simTime float64
@@ -57,6 +69,47 @@ type Simulator struct {
 	// its own clock, merged across ranks by RunParallel.
 	stages *telemetry.StageClock
 }
+
+// peers is how a block reaches the other blocks of its run: the three things
+// that differ between the serial run and a rank of RunParallel.
+type peers struct {
+	// ex moves halos to and from the neighbouring blocks.
+	ex Exchanger
+	// allMax returns the largest v any block of the run passed in. It is a
+	// collective: every block calls it at the same points in the same order.
+	allMax func(v float64) float64
+	// checkpoint hands the block's share of a due dump to the run's
+	// checkpoint controller.
+	checkpoint func(s *Simulator) error
+}
+
+// alone is the whole-domain block's peers: no neighbour, a reduction over
+// one value, and a dump that is the block's own wavefield.
+var alone = peers{
+	ex:     NoExchange{},
+	allMax: func(v float64) float64 { return v },
+	checkpoint: func(s *Simulator) error {
+		_, err := s.Cfg.Checkpoint.MaybeSave(s.step, s.simTime, s.WF)
+		return err
+	},
+}
+
+// agree is the collective health check: every block passes what stopped it,
+// if anything did, and if any was stopped every block gets an error back —
+// its own or errOtherBlock — so that all give up together instead of
+// deadlocking the ones that could go on.
+func (p *peers) agree(err error) error {
+	flag := 0.0
+	if err != nil {
+		flag = 1
+	}
+	if p.allMax(flag) > 0 && err == nil {
+		err = errOtherBlock
+	}
+	return err
+}
+
+var errOtherBlock = errors.New("aborted: another rank failed")
 
 // Result is what Run returns.
 type Result struct {
@@ -90,23 +143,69 @@ type Result struct {
 	Sim *Simulator
 }
 
-// New builds a simulator: samples the medium, derives the time step,
-// prepares plasticity, sponge, recorders, and compressed storage.
+// New builds a simulator of the whole domain: samples the medium, derives
+// the time step, prepares plasticity, sponge, recorders, and compressed
+// storage.
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{Cfg: cfg, stages: telemetry.NewStageClock()}
+	d := cfg.Dims
+	pg := &decomp.ProcessGrid{GlobalNx: d.Nx, GlobalNy: d.Ny, GlobalNz: d.Nz, Mx: 1, My: 1}
+	return newBlock(cfg, pg, 0, cfg.Sources, alone)
+}
+
+// newBlock builds the simulator of block id of the process grid from the
+// run's validated configuration and the sources that fall in the block.
+// Every block of the run calls it at once: a block that cannot be set up
+// fails them all (each learns of it before the first collective any of them
+// could be left waiting in), and they agree on the time step.
+func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSource, p peers) (*Simulator, error) {
+	s := &Simulator{Cfg: cfg, pg: pg, id: id, stations: cfg.Stations, peers: p,
+		stages: telemetry.NewStageClock()}
+	i0, j0 := pg.Offset(id)
+	s.Cfg.Dims = pg.BlockDims()
+	s.Cfg.OriginX += float64(i0) * cfg.Dx
+	s.Cfg.OriginY += float64(j0) * cfg.Dx
+	s.Cfg.Sources = srcs
+	s.Cfg.Stations = nil
+	for _, gi := range blockStationIndices(cfg.Stations, pg, id) {
+		st := cfg.Stations[gi]
+		s.Cfg.Stations = append(s.Cfg.Stations,
+			seismo.Station{Name: st.Name, I: st.I - i0, J: st.J - j0, K: st.K})
+	}
+	// progress and step spans are reported once, not once per block
+	if id != 0 {
+		s.Cfg.Observer = nil
+		s.Cfg.Tracer = nil
+	}
+
+	if err := p.agree(s.setUp()); err != nil {
+		return nil, err
+	}
+	// the global CFL minimum, then everything derived from the time step
+	s.Cfg.Dt = -p.allMax(-s.Cfg.Dt)
+	if cfg.Attenuation.Enabled {
+		s.buildAttenuation()
+	}
+	s.rec = seismo.NewRecorder(s.Cfg.Stations, s.Cfg.Dt, cfg.SampleEvery)
+	return s, nil
+}
+
+// setUp builds what the block's own configuration decides, its CFL time
+// step included — everything that can fail.
+func (s *Simulator) setUp() error {
+	cfg := &s.Cfg
 	s.WF = fd.NewWavefield(cfg.Dims)
 	s.Med = fd.NewMediumFromModel(cfg.Dims, cfg.Dx, cfg.Model, cfg.OriginX, cfg.OriginY)
 	if err := s.Med.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 
-	if s.Cfg.Dt <= 0 {
-		s.Cfg.Dt = s.autoDt()
-	} else if s.Cfg.Dt > s.autoDt() {
-		return nil, fmt.Errorf("core: dt %g exceeds CFL limit %g", s.Cfg.Dt, s.autoDt())
+	if cfg.Dt <= 0 {
+		cfg.Dt = s.autoDt()
+	} else if cfg.Dt > s.autoDt() {
+		return fmt.Errorf("core: dt %g exceeds CFL limit %g", cfg.Dt, s.autoDt())
 	}
 
 	if cfg.Nonlinear {
@@ -119,12 +218,13 @@ func New(cfg Config) (*Simulator, error) {
 		s.Plas = p
 	}
 	if cfg.SpongeWidth > 0 {
-		s.sponge = fd.NewSponge(cfg.Dims.Nx, cfg.Dims.Ny, cfg.Dims.Nz, cfg.SpongeWidth, cfg.SpongeAlpha)
+		// the profile of the run's domain, so every decomposition damps
+		// exactly the same boundary zones (a block gets no damping from faces
+		// it does not own); the width may exceed the block
+		i0, j0 := s.pg.Offset(s.id)
+		s.sponge = fd.NewSpongeGlobal(s.pg.GlobalNx, s.pg.GlobalNy, s.pg.GlobalNz,
+			cfg.SpongeWidth, cfg.SpongeAlpha, i0, j0, cfg.Dims.Nx, cfg.Dims.Ny, cfg.Dims.Nz)
 	}
-	if cfg.Attenuation.Enabled {
-		s.buildAttenuation()
-	}
-	s.rec = seismo.NewRecorder(cfg.Stations, s.Cfg.Dt, cfg.SampleEvery)
 	if cfg.RecordPGV {
 		s.pgv = seismo.NewPGVField(cfg.Dims.Nx, cfg.Dims.Ny, 0)
 	}
@@ -133,35 +233,25 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.Compression.Method != compress.Off {
 		cs, err := newCompressedState(s.WF, cfg.Compression)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.comp = cs
 	}
 	if cfg.SunwaySim {
 		ex, err := cgexec.New(cfg.Dims)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.cgx = ex
 		s.backend = cgBackend{ex}
 	} else {
 		s.backend = hostBackend{}
 	}
-	s.tiles = effectiveTiles(cfg.Tiles, 1, cfg.Dims.Points())
-	if cfg.Overlap {
-		s.ovInterior, s.ovShells = decomp.InteriorShell(cfg.Dims, fd.Halo)
-	}
-	return s, nil
-}
-
-// rebuildForDt refreshes every dt-dependent precomputation (attenuation
-// factors, recorder sampling) after Cfg.Dt is changed externally — the
-// parallel runner does this once the global CFL minimum is agreed.
-func (s *Simulator) rebuildForDt() {
-	if s.Cfg.Attenuation.Enabled {
-		s.buildAttenuation()
-	}
-	s.rec = seismo.NewRecorder(s.Cfg.Stations, s.Cfg.Dt, s.Cfg.SampleEvery)
+	// AutoTiles resolves against the rank count, so the worker pools of all
+	// ranks together match GOMAXPROCS
+	s.tiles = effectiveTiles(cfg.Tiles, s.pg.Size(), cfg.Dims.Points())
+	s.planRegions()
+	return nil
 }
 
 // buildAttenuation constructs the configured attenuation operator (the
@@ -175,10 +265,8 @@ func (s *Simulator) buildAttenuation() {
 	}
 	if s.Cfg.Attenuation.UseSLS {
 		s.sls = fd.NewSLS(s.Cfg.Dims, qm, s.Cfg.Attenuation.F0)
-		s.atten = nil
 	} else {
 		s.atten = fd.NewAttenuation(s.Cfg.Dims, qm, s.Cfg.Attenuation.F0, s.Cfg.Dt)
-		s.sls = nil
 	}
 }
 
@@ -220,12 +308,6 @@ func (s *Simulator) PGV() *seismo.PGVField { return s.pgv }
 // Stages exposes the per-stage timing collector.
 func (s *Simulator) Stages() *telemetry.StageClock { return s.stages }
 
-// Step advances one time step through the pipeline with no halo exchange
-// (the serial execution of the stage sequence in pipeline.go).
-func (s *Simulator) Step() {
-	s.stepWith(NoExchange{})
-}
-
 // countKernels tallies the per-step kernel work for Perf.
 func (s *Simulator) countKernels() {
 	pts := s.Cfg.Dims.Points()
@@ -251,10 +333,29 @@ func (s *Simulator) Run() (*Result, error) {
 // step-pipeline boundary, so a canceled or expired context stops the run
 // within one step and returns the context's cause wrapped in the error.
 func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
-	res, err := s.runCtx(ctx)
+	c := s.Cfg.Checkpoint
+	if c != nil && c.Aux == nil {
+		// checkpoints written by this serial run carry the replay state
+		// (traces, PGV, perf) so a resumed run is bit-identical
+		c.Aux = s.resumeAux
+	}
+	var err error
+	if s.Cfg.RestartFrom != "" && s.step == 0 {
+		err = s.Restore(s.Cfg.RestartFrom)
+	}
+	if err == nil {
+		if err = s.run(ctx); err != nil {
+			err = fmt.Errorf("core: %w", err)
+		}
+	}
+	var res *Result
+	if err == nil {
+		res = &Result{Recorder: s.rec, PGV: s.pgv, Dt: s.Cfg.Dt, Sim: s, Steps: s.step,
+			YieldedPointSteps: s.yielded, Stages: s.stages, Perf: s.perf, Sunway: s.sunwayStats()}
+	}
 	// however the run ended, its last dump lands before the caller hears of
 	// it: a canceled or failed run restarts from there
-	if c := s.Cfg.Checkpoint; c != nil {
+	if c != nil {
 		infos, cerr := c.Close()
 		switch {
 		case err != nil: // the run's own error outranks the drain's
@@ -275,51 +376,57 @@ func (r *Result) setCheckpoints(infos []checkpoint.Info) {
 	}
 }
 
-func (s *Simulator) runCtx(ctx context.Context) (*Result, error) {
-	if c := s.Cfg.Checkpoint; c != nil && c.Aux == nil {
-		// checkpoints written by this serial run carry the replay state
-		// (traces, PGV, perf) so a resumed run is bit-identical
-		c.Aux = s.resumeAux
+// sunwayStats copies the simulated core group's accounting, nil without
+// Config.SunwaySim.
+func (s *Simulator) sunwayStats() *cgexec.Stats {
+	if s.cgx == nil {
+		return nil
 	}
-	if s.Cfg.RestartFrom != "" && s.step == 0 {
-		if err := s.Restore(s.Cfg.RestartFrom); err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{Recorder: s.rec, PGV: s.pgv, Dt: s.Cfg.Dt, Sim: s}
+	stats := s.cgx.Stats
+	return &stats
+}
+
+// run is the one step loop: the serial run and every rank of RunParallel
+// step their block through it until StepCount reaches Cfg.Steps, talking to
+// the other blocks through s.peers alone. What stops a run stops every block
+// at the same step boundary.
+func (s *Simulator) run(ctx context.Context) error {
 	stopTiling := s.startTiling()
 	defer stopTiling()
-	runStart := timeNow()
+	start := timeNow()
+	defer func() { s.perf.Elapsed += timeNow().Sub(start) }()
 	for s.step < s.Cfg.Steps {
-		if ctx.Err() != nil {
-			s.perf.Elapsed += timeNow().Sub(runStart)
-			return nil, fmt.Errorf("core: run stopped at step %d: %w", s.step, context.Cause(ctx))
+		if s.peers.agree(ctx.Err()) != nil {
+			return fmt.Errorf("run stopped at step %d: %w", s.step, context.Cause(ctx))
+		}
+		// the rank failpoints fire between the boundary collective and the
+		// step body: a stalled rank is detected by its neighbours' halo
+		// deadlines, not parked inside a reduction
+		faultinject.Fire(faultinject.RankStall) // sleeps the configured Delay
+		if faultinject.Fire(faultinject.RankPanic) {
+			panic(fmt.Sprintf("%s: injected rank failure", faultinject.RankPanic))
 		}
 		s.Step()
-		s.observe(runStart)
+		s.observe(start)
 		sw := s.stages.Stopwatch()
-		if s.Cfg.Checkpoint != nil {
-			if _, err := s.Cfg.Checkpoint.MaybeSave(s.step, s.simTime, s.WF); err != nil {
-				return nil, err
+		if c := s.Cfg.Checkpoint; c != nil && c.Due(s.step) {
+			if err := s.peers.checkpoint(s); err != nil {
+				return err
 			}
 			sw.Lap(telemetry.StageCheckpoint)
 		}
+		// NaN maps to +Inf so it survives the max reduction
 		m := float64(s.WF.MaxAbsVelocity())
+		if math.IsNaN(m) {
+			m = math.Inf(1)
+		}
+		m = s.peers.allMax(m)
 		sw.Lap(telemetry.StageDivergence)
 		if diverged(m, s.Cfg.DivergenceLimit) {
-			return nil, fmt.Errorf("core: solution diverged at step %d (max |v| = %g)", s.step, m)
+			return fmt.Errorf("solution diverged at step %d (max |v| = %g)", s.step, m)
 		}
 	}
-	res.Steps = s.step
-	res.YieldedPointSteps = s.yielded
-	res.Stages = s.stages
-	s.perf.Elapsed += timeNow().Sub(runStart)
-	res.Perf = s.perf
-	if s.cgx != nil {
-		stats := s.cgx.Stats
-		res.Sunway = &stats
-	}
-	return res, nil
+	return nil
 }
 
 // observe reports the just-completed step to Cfg.Observer, if any.
@@ -333,18 +440,25 @@ func (s *Simulator) observe(runStart time.Time) {
 // timeNow is a seam for tests.
 var timeNow = time.Now
 
-// Restore loads a checkpoint into the simulator (step count, time and
-// wavefield), resuming a run after a failure. When the checkpoint carries
-// a resume-aux section (written by serial runs), the recorder traces, PGV
-// peaks, yield counter and perf accounting are restored too, so the
-// resumed run's outputs match an uninterrupted run exactly.
+// Restore loads a checkpoint — always a dump of the run's whole domain,
+// whoever wrote it — into the simulator, resuming a run after a failure: the
+// step count, the time and the block's share of the wavefield, interior plus
+// ghost layers (see checkpoint.ExtractBlock for why that is bit-exact). When
+// the dump carries a resume-aux section (every dump a run writes does), the
+// block's share of the replay state is restored too, so the resumed run's
+// outputs match an uninterrupted run exactly.
 func (s *Simulator) Restore(path string) error {
-	step, tm, wf, aux, err := checkpoint.LoadAux(path)
+	step, tm, gwf, aux, err := checkpoint.LoadAux(path)
 	if err != nil {
 		return err
 	}
-	if wf.D != s.Cfg.Dims {
-		return fmt.Errorf("core: checkpoint dims %v do not match config %v", wf.D, s.Cfg.Dims)
+	if gwf.D != s.pg.GlobalDims() {
+		return fmt.Errorf("core: checkpoint dims %v do not match run %v", gwf.D, s.pg.GlobalDims())
+	}
+	i0, j0 := s.pg.Offset(s.id)
+	wf, err := checkpoint.ExtractBlock(gwf, s.Cfg.Dims, i0, j0)
+	if err != nil {
+		return err
 	}
 	if len(aux) > 0 {
 		if err := s.applyResumeAux(aux); err != nil {
@@ -355,7 +469,7 @@ func (s *Simulator) Restore(path string) error {
 	s.step = step
 	s.simTime = tm
 	if s.comp != nil {
-		s.comp.encodeAll(s.WF)
+		s.comp.encode(s.comp.fields, s.WF.AllFields())
 	}
 	return nil
 }

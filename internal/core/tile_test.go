@@ -27,11 +27,17 @@ func fullPhysicsConfig() Config {
 	return cfg
 }
 
-// requireIdenticalResults compares traces, PGV and yield counts bit-exactly.
+// requireIdenticalResults compares traces, PGV, yield counts and the Perf
+// point and step counters bit-exactly.
 func requireIdenticalResults(t *testing.T, label string, ref, got *Result, cfg Config) {
 	t.Helper()
 	if ref.YieldedPointSteps != got.YieldedPointSteps {
 		t.Fatalf("%s: yield counts differ: %d vs %d", label, ref.YieldedPointSteps, got.YieldedPointSteps)
+	}
+	a, b := ref.Perf, got.Perf
+	a.Elapsed, a.HaloBytes, b.Elapsed, b.HaloBytes = 0, 0, 0, 0 // wall time and wire traffic are the run's own
+	if a != b || b.Steps == 0 || b.VelocityPoints == 0 {
+		t.Fatalf("%s: perf counters differ: %+v vs %+v", label, b, a)
 	}
 	for _, name := range []string{"S1", "S2"} {
 		a, b := ref.Recorder.Trace(name), got.Recorder.Trace(name)
@@ -80,6 +86,8 @@ func TestTiledAndOverlappedMatchSerial(t *testing.T) {
 		{"serial tiles=auto", AutoTiles, false, 0, 0},
 		{"serial overlap", 0, true, 0, 0},
 		{"serial tiles=4 overlap", 4, true, 0, 0},
+		{"parallel 1x1", 0, false, 1, 1},
+		{"parallel 1x1 overlap", 0, true, 1, 1},
 		{"parallel 2x2 tiles=2", 2, false, 2, 2},
 		{"parallel 2x2 overlap", 0, true, 2, 2},
 		{"parallel 2x2 tiles=2 overlap", 2, true, 2, 2},

@@ -36,6 +36,11 @@ func NewProcessGrid(nx, ny, nz, mx, my int) (*ProcessGrid, error) {
 // Size returns the number of MPI processes.
 func (p *ProcessGrid) Size() int { return p.Mx * p.My }
 
+// GlobalDims returns the extents of the whole mesh.
+func (p *ProcessGrid) GlobalDims() grid.Dims {
+	return grid.Dims{Nx: p.GlobalNx, Ny: p.GlobalNy, Nz: p.GlobalNz}
+}
+
 // BlockDims returns the per-process block extents.
 func (p *ProcessGrid) BlockDims() grid.Dims {
 	return grid.Dims{Nx: p.GlobalNx / p.Mx, Ny: p.GlobalNy / p.My, Nz: p.GlobalNz}

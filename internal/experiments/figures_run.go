@@ -174,8 +174,8 @@ func Fig10(w io.Writer, size Size) (*Fig10Result, error) {
 	shades := " .:-=+*#%@"
 	if vmax > 0 {
 		nk := len(snap[0])
-		for sk := 0; sk < nk; sk += maxInt(nk/12, 1) {
-			for si := 0; si < len(snap); si += maxInt(len(snap)/64, 1) {
+		for sk := 0; sk < nk; sk += max(nk/12, 1) {
+			for si := 0; si < len(snap); si += max(len(snap)/64, 1) {
 				lvl := int(snap[si][sk] / vmax * float64(len(shades)-1))
 				fmt.Fprintf(w, "%c", shades[lvl])
 			}
@@ -323,13 +323,6 @@ func roughness(t *seismo.Trace) float64 {
 		sum += du*du + dv*dv
 	}
 	return math.Sqrt(sum / float64(len(t.U)-1))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // LadderPoint is one rung of the resolution ladder.

@@ -44,7 +44,7 @@ func UpdateStress(wf *Wavefield, med *Medium, dtdx float32, k0, k1 int) {
 // into the two ghost layers above k = 0, placing the effective free surface
 // half a cell above the first stress plane. It covers every column
 // including the lateral ghost frame; ApplyFreeSurfaceCols restricts the
-// column range for the overlapped pipeline.
+// column range.
 func ApplyFreeSurface(wf *Wavefield) {
 	d := wf.D
 	ApplyFreeSurfaceCols(wf, -Halo, d.Nx+Halo, -Halo, d.Ny+Halo)

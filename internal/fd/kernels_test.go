@@ -282,7 +282,7 @@ func TestMediumFromModelMatchesPointSampling(t *testing.T) {
 		for i := -Halo; i < b.Nx+Halo; i++ {
 			for j := -Halo; j < b.Ny+Halo; j++ {
 				for k := -Halo; k < b.Nz+Halo; k++ {
-					mat := m.Sample(ox+float64(i)*dx, oy+float64(j)*dx, float64(clamp(k, 0, b.Nz-1))*dx)
+					mat := m.Sample(ox+float64(i)*dx, oy+float64(j)*dx, float64(min(max(k, 0), b.Nz-1))*dx)
 					lam, mu := mat.Lame()
 					med.Rho.Set(i, j, k, float32(mat.Rho))
 					med.Lam.Set(i, j, k, float32(lam))

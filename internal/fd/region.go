@@ -44,7 +44,7 @@ func ImageTractionCols(wf *Wavefield, i0, i1, j0, j1 int) {
 
 // ImageVelocityCols images the three velocities symmetrically about the free
 // surface on the columns [i0,i1) x [j0,j1) — the ghosts the stress kernel
-// reads. The overlap pipeline images owned columns before the halo exchange
+// reads. The step pipeline images owned columns before the halo exchange
 // completes and the ghost frame after.
 func ImageVelocityCols(wf *Wavefield, i0, i1, j0, j1 int) {
 	u, v, w := wf.U.Data, wf.V.Data, wf.W.Data

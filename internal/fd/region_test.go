@@ -63,7 +63,7 @@ func regionPartitions(d grid.Dims) map[string][]grid.Region {
 // TestRegionPartitionBitExact is the partition property behind the region
 // engine: running any stage kernel over any disjoint tiling of the block, in
 // any order, must be bit-identical to one full-grid call — the guarantee the
-// tile pool and the overlapped pipeline stand on.
+// tile pool and the interior/shell split stand on.
 func TestRegionPartitionBitExact(t *testing.T) {
 	d := grid.Dims{Nx: 10, Ny: 9, Nz: 8}
 	mat := model.Material{Vp: 5000, Vs: 2800, Rho: 2600}

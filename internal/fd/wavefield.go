@@ -181,7 +181,7 @@ func NewMediumFromModel(d grid.Dims, dx float64, m model.Model, ox, oy float64) 
 	// (model.SampleColumn), which spares a basin its floor per point
 	zs := make([]float64, d.Nz+2*h)
 	for k := range zs {
-		zs[k] = float64(clamp(k-h, 0, d.Nz-1)) * dx
+		zs[k] = float64(min(max(k-h, 0), d.Nz-1)) * dx
 	}
 	col := make([]model.Material, len(zs))
 	for i := -h; i < d.Nx+h; i++ {
@@ -200,16 +200,6 @@ func NewMediumFromModel(d grid.Dims, dx float64, m model.Model, ox, oy float64) 
 	}
 	med.recipMu()
 	return med
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Validate checks the medium for positive density and non-negative moduli.

@@ -26,9 +26,9 @@ func FullXY(d Dims, k0, k1 int) Region {
 }
 
 // Ni, Nj, Nk return the extent along each axis (never negative).
-func (r Region) Ni() int { return maxInt(0, r.I1-r.I0) }
-func (r Region) Nj() int { return maxInt(0, r.J1-r.J0) }
-func (r Region) Nk() int { return maxInt(0, r.K1-r.K0) }
+func (r Region) Ni() int { return max(0, r.I1-r.I0) }
+func (r Region) Nj() int { return max(0, r.J1-r.J0) }
+func (r Region) Nk() int { return max(0, r.K1-r.K0) }
 
 // Empty reports whether the region contains no points.
 func (r Region) Empty() bool {
@@ -84,12 +84,12 @@ func (r Region) SplitN(n int) []Region {
 	if n <= 1 {
 		return []Region{r}
 	}
-	ti := minInt(n, r.Ni())
+	ti := min(n, r.Ni())
 	tj := 1
 	if ti < n {
 		// floor, so ti*tj never exceeds n — a fan must not create more
 		// tiles than the worker pool has slots to run concurrently
-		tj = maxInt(1, minInt(n/ti, r.Nj()))
+		tj = max(1, min(n/ti, r.Nj()))
 	}
 	return r.Split(ti, tj, 1)
 }
@@ -113,18 +113,4 @@ func cuts(lo, hi, t int) []int {
 		out = append(out, p)
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -128,13 +128,6 @@ func ASCIIMap(w io.Writer, field [][]float64, maxCols int) {
 	fmt.Fprintf(w, "range: [%.4g, %.4g]\n", lo, hi)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // WriteSpectrumCSV writes an amplitude spectrum as frequency,amplitude rows.
 func WriteSpectrumCSV(w io.Writer, s seismo.Spectrum) error {
 	bw := bufio.NewWriter(w)

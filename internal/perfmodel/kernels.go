@@ -95,17 +95,17 @@ func (k Kernel) TimePerPoint(s Strategy) float64 {
 	case MPE:
 		memT := bytes / (sunway.MPEEffectiveBWGBs * 1e9)
 		compT := k.FlopsPerPoint / (sunway.MPEEffectiveGflops * 1e9)
-		return maxF(memT, compT)
+		return max(memT, compT)
 	case PAR:
 		bw := sunway.PerCGShare(naiveBlockBytes, sunway.DMAGet) * 1e9 * k.ParallelFraction
 		memT := bytes / bw
 		compT := k.FlopsPerPoint / (cpeRate * k.ParallelFraction)
-		return maxF(memT, compT)
+		return max(memT, compT)
 	case MEM:
 		bw, red := k.fusedBandwidth()
 		memT := bytes * (1 + red) / (bw * 1e9 * k.ParallelFraction)
 		compT := k.FlopsPerPoint / (cpeRate * k.ParallelFraction)
-		return maxF(memT, compT)
+		return max(memT, compT)
 	default: // CMPR
 		if k.CompressLeaveRaw {
 			return k.TimePerPoint(MEM)
@@ -115,7 +115,7 @@ func (k Kernel) TimePerPoint(s Strategy) float64 {
 		codecT := float64(k.ReadArrays+k.WriteArrays) * CodecCyclesPerValue /
 			(sunway.CPEsPerCG * sunway.CPEFreqGHz * 1e9)
 		compT := k.FlopsPerPoint/(cpeRate*k.ParallelFraction) + codecT
-		return maxF(memT, compT)
+		return max(memT, compT)
 	}
 }
 
@@ -142,11 +142,4 @@ func (k Kernel) AchievedBandwidth(s Strategy) float64 {
 // peak per CG.
 func (k Kernel) BandwidthUtilization(s Strategy) float64 {
 	return k.AchievedBandwidth(s) / sunway.CGMemBWGBs
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

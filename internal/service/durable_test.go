@@ -498,7 +498,7 @@ func TestDrainDeadlineParksRunningJob(t *testing.T) {
 	}
 	if dumps, err := checkpoint.LatestValid(filepath.Join(dir, "checkpoints", id)); err != nil {
 		t.Fatalf("checkpoints gone after deadline drain: %v", err)
-	} else if checkpointStep(dumps) < 10 {
+	} else if step, ok := checkpoint.PathStep(dumps); !ok || step < 10 {
 		t.Fatalf("no useful checkpoint: %s", dumps)
 	}
 

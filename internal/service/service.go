@@ -957,11 +957,12 @@ func (s *Service) runJob(j *job) bool {
 			cfg.Checkpoint = ctl
 			if path, err := checkpoint.LatestValid(dir); err == nil {
 				cfg.RestartFrom = path
-				step := checkpointStep(path)
-				s.mu.Lock()
-				j.resumedStep = step
-				s.mu.Unlock()
-				j.stepsDone.Store(int64(step))
+				if step, ok := checkpoint.PathStep(path); ok {
+					s.mu.Lock()
+					j.resumedStep = step
+					s.mu.Unlock()
+					j.stepsDone.Store(int64(step))
+				}
 			}
 		}
 	}
@@ -1152,13 +1153,6 @@ func (s *Service) removeCheckpoints(ctl *checkpoint.Controller) {
 	if ctl != nil {
 		os.RemoveAll(ctl.Dir)
 	}
-}
-
-// checkpointStep parses the step from a "ckpt-%08d.swq" path.
-func checkpointStep(path string) int {
-	name := strings.TrimSuffix(filepath.Base(path), ".swq")
-	n, _ := strconv.Atoi(strings.TrimPrefix(name, "ckpt-"))
-	return n
 }
 
 // retryDelay is the capped exponential backoff with ±25% jitter.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -61,6 +62,14 @@ func TestViewsAgree(t *testing.T) {
 	}
 	if st, err := s.Wait(ctx, running); err != nil || st.State != StateCanceled {
 		t.Fatalf("canceled job: %+v, %v", st, err)
+	}
+	// the job canceled while queued holds the single queue slot until the
+	// worker pops it, which is what moves the gauge
+	for s.Registry().Ints()["jobs_queued"] != 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the canceled job never left the queue")
+		}
+		runtime.Gosched()
 	}
 
 	faultinject.Enable(faultinject.WorkerPanic, faultinject.Fault{Times: 1})

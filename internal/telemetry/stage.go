@@ -32,11 +32,12 @@ const (
 	StageRecord
 	StageCheckpoint
 	StageDivergence
-	// StageHaloWait is the time a rank blocks on in-flight halo messages in
-	// the overlapped pipeline (Exchanger.Finish* after the interior compute).
-	// The barrier pipeline charges the whole exchange to StageHaloVelocity /
-	// StageHaloStress; overlap splits the posting cost (still charged there)
-	// from the wait, so the report shows how much latency the interior hid.
+	// StageHaloWait is the time a rank blocks on in-flight velocity-halo
+	// messages under Config.Overlap (Exchanger.FinishVelocity after the
+	// interior compute). Without overlap the whole exchange is charged to
+	// StageHaloVelocity / StageHaloStress; overlap splits the posting cost
+	// (still charged there) from the wait, so the report shows how much
+	// latency the interior hid.
 	StageHaloWait
 	numStages
 )
