@@ -21,7 +21,7 @@ check: vet fmt-check check-bce check-portable check-one overload-test
 		./internal/ensemble/ ./internal/wal/ ./internal/checkpoint/ ./internal/lz4/ \
 		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
 	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium|Row|SweepKernels|KernelPaths|Sponge'
-	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Lane|YieldSurface|MaxAbs|FlatIndex'
+	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Lane|YieldSurface|MaxAbs|FlatIndex|Ranked'
 
 # the build without the assembly rows must not rot: cross-compile everything
 # for an architecture that has none and vet the packages that hold rows there
@@ -61,11 +61,13 @@ check-bce:
 # internal/telemetry's registry alone (expvar only publishes its JSON view,
 # from cmd/quaked); any line printed is a failure. And the engine spells its
 # stage sequence and its step loop once each: non-test internal/core holds at
-# most one call that posts the velocity halos and one divergence scan
+# most one call that posts the velocity halos, one divergence scan and one
+# return map — the stress-side order is stressChain's, whichever schedule
+# (blocked chain, skewed pass) calls it
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
 	@! grep -rl --include='*.go' '"expvar"' . | grep -v '^\./cmd/quaked/'
-	@for pat in 'ex\.StartVelocity(' 'MaxAbsVelocity()'; do \
+	@for pat in 'ex\.StartVelocity(' 'MaxAbsVelocity()' 'plasticity\.ApplyRegion('; do \
 		n=$$(grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:' | wc -l); \
 		if [ "$$n" -gt 1 ]; then echo "check-one: internal/core holds $$n calls of $$pat, want at most 1:"; \
 			grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:'; exit 1; fi; \

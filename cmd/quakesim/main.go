@@ -195,7 +195,7 @@ func run(args []string, w io.Writer) error {
 			res.Sunway.LDMPeakBytes)
 	}
 	if *timing {
-		printTiming(w, res, elapsed.Seconds())
+		printTiming(w, cfg, res, elapsed.Seconds())
 	}
 	report(w, res)
 
@@ -244,21 +244,37 @@ func progressObserver(w io.Writer, total int) core.StepObserver {
 // and how much of the wall clock the stages account for in total. Parallel
 // runs sum stage time over ranks, so the percentage column is of summed
 // stage time there, not of wall time.
-func printTiming(w io.Writer, res *core.Result, wallS float64) {
+func printTiming(w io.Writer, cfg core.Config, res *core.Result, wallS float64) {
 	rep := res.Stages.Report()
 	total := rep.TotalSeconds()
 	if total <= 0 {
 		return
 	}
-	fmt.Fprintf(w, "%-14s %10s %12s %12s %12s %7s\n",
-		"stage", "count", "total (s)", "avg (ms)", "max (ms)", "share")
+	// the byte accounting beside the times: what each sweep stage touches per
+	// point and step, and the rate that is over the stage's own time (summed
+	// over ranks, like the point count)
+	bytes := map[string]float64{}
+	var perPoint float64
+	for _, sb := range cfg.BytesPerPointStep() {
+		bytes[sb.Stage.String()] = sb.Bytes
+		perPoint += sb.Bytes
+	}
+	pointSteps := float64(res.Perf.VelocityPoints)
+	fmt.Fprintf(w, "%-14s %10s %12s %12s %12s %7s %8s %7s\n",
+		"stage", "count", "total (s)", "avg (ms)", "max (ms)", "share", "B/point", "GB/s")
 	for _, st := range rep.Stages {
-		fmt.Fprintf(w, "%-14s %10d %12.4f %12.4f %12.4f %6.1f%%\n",
+		fmt.Fprintf(w, "%-14s %10d %12.4f %12.4f %12.4f %6.1f%%",
 			st.Name, st.Count, st.Seconds, 1e3*st.AvgSeconds(), 1e3*st.MaxS,
 			100*st.Seconds/total)
+		if b, ok := bytes[st.Name]; ok && st.Seconds > 0 {
+			fmt.Fprintf(w, " %8.1f %7.1f", b, b*pointSteps/st.Seconds/1e9)
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "stages total %.4f s over %.4f s wall (%.1f%% accounted)\n",
 		total, wallS, 100*total/wallS)
+	fmt.Fprintf(w, "bytes touched: %.1f B/point/step, %.1f GB/s effective over the run\n",
+		perPoint, perPoint*pointSteps/wallS/1e9)
 	fmt.Fprintf(w, "row kernels: %s\n", cpu.KernelPath())
 	if n := len(res.Checkpoints); n > 0 {
 		fmt.Fprintf(w, "checkpoint lane: %d dumps written in %.4f s beside the solver (the checkpoint stage above is snapshots and waits)\n",

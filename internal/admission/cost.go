@@ -73,9 +73,10 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 		bytes += ranks*int64(block.Nx)*int64(block.Ny)*8 + int64(d.Nx)*int64(d.Ny)*8
 	}
 	if pg != nil {
-		// per-step halo pack/unpack buffers, both directions, all ranks
+		// per-step halo pack/unpack buffers, both directions, all ranks: the
+		// nine wavefield fields are all that is ever exchanged
 		for r := 0; r < int(ranks); r++ {
-			bytes += pg.HaloBytesPerStep(r, st.FullFields32, int(h))
+			bytes += pg.HaloBytesPerStep(r, len(core.FieldNames), int(h))
 		}
 	}
 	// seismograms: 3 components × recorded samples × float32, per station

@@ -9,3 +9,13 @@ func SetChainBlockPlanes(n int) (restore func()) {
 	chainBlockPlanes = n
 	return func() { chainBlockPlanes = was }
 }
+
+// SetSkewStripCols makes a block that qualifies for the skewed
+// velocity→stress pass walk it in strips of n columns whatever its size (n
+// larger than the block: whole i-planes) and returns the function that
+// restores the derived width. Not for parallel tests.
+func SetSkewStripCols(n int) (restore func()) {
+	was := skewStripCols
+	skewStripCols = n
+	return func() { skewStripCols = was }
+}

@@ -3,7 +3,9 @@ package core
 import "swquake/internal/compress"
 
 // Storage describes the allocation-relevant shape of one simulator block:
-// how many per-point arrays New will build for a given configuration. It is
+// how many per-point arrays New will build for a given configuration, each
+// counted at the rank it is stored at — a parameter the configuration makes
+// uniform or depth-only is one z-row (grid.NewProfile), not an array. It is
 // the engine-side input of the admission cost model (internal/admission),
 // kept here — next to the allocations it mirrors — so the estimator cannot
 // silently drift from what New actually allocates:
@@ -11,9 +13,10 @@ import "swquake/internal/compress"
 //   - fd.NewWavefield: 9 dynamic fields (u,v,w + 6 stresses)
 //   - fd.NewMediumFromModel: 4 material fields (rho, lambda, mu and the
 //     reciprocal 1/mu the stress kernel reads)
-//   - plasticity.NewParams: 6 fields when Nonlinear
-//   - fd.NewAttenuation: 2 fields (GP, GS); fd.NewSLS: 13 (6 memory + 6
-//     snapshots + phi)
+//   - plasticity.NewParams: none when Nonlinear — four constant rows and the
+//     lithostatic z-profile; the yield-factor record is not kept
+//   - fd.NewAttenuation: none for constant Q (two constant rows), 2 fields
+//     (GP, GS) for Vs-scaled Q; fd.NewSLS: 13 (6 memory + 6 snapshots + phi)
 //   - newCompressedState: one 16-bit companion per dynamic field (the
 //     float32 wavefield stays allocated as the decompress working buffer)
 //   - fd.NewSponge: three 1-D profiles — not counted
@@ -34,13 +37,11 @@ type Storage struct {
 // configuration as given (call Validate first for defaults).
 func (c Config) Storage() Storage {
 	st := Storage{FullFields32: 9 + 4} // wavefield + medium
-	if c.Nonlinear {
-		st.FullFields32 += 6
-	}
-	if c.Attenuation.Enabled {
-		if c.Attenuation.UseSLS {
+	if a := c.Attenuation; a.Enabled {
+		switch {
+		case a.UseSLS:
 			st.FullFields32 += 13
-		} else {
+		case a.VsScaled:
 			st.FullFields32 += 2
 		}
 	}

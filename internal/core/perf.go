@@ -6,6 +6,7 @@ import (
 
 	"swquake/internal/fd"
 	"swquake/internal/plasticity"
+	"swquake/internal/telemetry"
 )
 
 // Perf mirrors the paper's measurement mechanism (§7.1): flop counts come
@@ -53,6 +54,56 @@ func (p Perf) Flops() int64 {
 		p.StressPoints*fd.StressFlopsPerPoint +
 		p.PlasticityPoints*plasticity.FlopsPerPoint +
 		p.SpongePoints*fd.SpongeFlopsPerPoint
+}
+
+// StageBytes is one stage's entry of Config.BytesPerPointStep.
+type StageBytes struct {
+	Stage telemetry.Stage
+	Bytes float64
+}
+
+// BytesPerPointStep is the byte counterpart of Flops, in the style of the
+// paper's Table 4: for each configured sweep stage, the bytes per grid point
+// and step of the arrays the stage touches, each at the rank it is stored at
+// — a read is 4 B, a write 8 B (the line is fetched before it is written
+// back), and a parameter stored as a z-row (grid.NewProfile) stays in L1 and
+// costs nothing. The stress-side chain runs block by block (stressPhase), so
+// its six stresses are charged once, to the stress kernel, and each later
+// stage of the chain adds only the arrays that are its own. Dividing by a
+// stage's time gives its effective bandwidth; a schedule that keeps arrays
+// in cache from one stage to the next (skewedPass) shows as a rate above the
+// host's. The free-surface images (two cells a column), source injection and
+// the codecs of compressed storage are not counted.
+func (c Config) BytesPerPointStep() []StageBytes {
+	const read, write = 4.0, 8.0
+	out := []StageBytes{
+		{telemetry.StageVelocity, 6*read + read + 3*write}, // six stresses, rho; u, v, w
+		{telemetry.StageStress, 3*read + 3*read + 6*write}, // u, v, w; lambda, mu, 1/mu; six stresses
+	}
+	if c.Nonlinear {
+		// four constant rows and the lithostatic profile; no yield-factor record
+		out = append(out, StageBytes{telemetry.StagePlasticity, 0})
+	}
+	if a := c.Attenuation; a.Enabled {
+		b := 0.0 // constant Q: two constant rows
+		switch {
+		case a.UseSLS:
+			// the snapshot copies six stresses; the update reads them back
+			// with phi and rewrites six memory variables
+			b = 6*(read+write) + 6*read + read + 6*write
+		case a.VsScaled:
+			b = 2 * read // GP, GS
+		}
+		out = append(out, StageBytes{telemetry.StageAttenuation, b})
+	}
+	if c.SpongeWidth > 0 {
+		// the velocity half, over the damped share of the block; the stress
+		// half rides the chain
+		d := c.Dims
+		damped := fd.NewSponge(d.Nx, d.Ny, d.Nz, c.SpongeWidth, 1).DampedPoints() // whatever alpha: the zones are the width's
+		out = append(out, StageBytes{telemetry.StageSponge, 3 * write * float64(damped) / float64(d.Points())})
+	}
+	return append(out, StageBytes{telemetry.StageDivergence, 3 * read}) // the max-|v| scan
 }
 
 // Gflops returns the sustained host rate over the elapsed wall time.

@@ -208,6 +208,24 @@ func (s *Simulator) planRegions() {
 //     slab boundary, as compressed storage has always had it.
 //   - The SLS snapshot is taken over the whole block before any region is
 //     computed: After only ever reads it at the cells it updates.
+//   - A block one worker owns alone (skewStrip) runs everything from the
+//     velocity kernel to the velocity sponge as ONE walk (skewedPass): in
+//     strips of columns and down each strip plane by plane, the kernel and
+//     the owned-column imaging on plane i, the stress chain fd.Halo planes
+//     and columns behind, the velocity sponge fd.Halo further. A stress
+//     stencil reaches fd.Halo cells along x and y, never diagonally. So the
+//     kernel at (i, j) reads stresses at planes >= i-Halo of its strip and
+//     columns >= j-Halo of the strips before it, which the chain — Halo
+//     behind on both axes — has not reached: last step's. The chain at
+//     (i-Halo, j-Halo) reads velocities up to plane i and column j, just
+//     written and imaged, and down to plane i-2*Halo and column j-2*Halo,
+//     which the sponge has not damped; and every cell whose stencil reads a
+//     velocity lies within Halo of it along one axis, so when the sponge —
+//     Halo behind the chain, as the chain is behind the kernel — damps it,
+//     all of them are done. Each cell sees the operands of velocity, chain
+//     and sponge each run everywhere in turn. The exchanges around the walk
+//     are a lone block's no-ops and its ghost frame holds zeros, so where
+//     they fall relative to it changes nothing.
 //   - The stress exchange stays back-to-back: the NEXT step's traction
 //     free-surface pass reads stress ghosts, so there is no interior work
 //     to hide it behind, and leaving sends outstanding would interleave
@@ -233,10 +251,19 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	// velocity phase: its stencils read the traction ghosts alone
 	fd.ImageTractionCols(s.WF, -h, d.Nx+h, -h, d.Ny+h)
 	sw.Lap(telemetry.StageFreeSurface)
-	for _, slab := range s.slabs {
-		s.velocityPhase(slab.Region, dtdx)
+	cols := s.skewStrip()
+	twoPass := cols == 0
+	if twoPass {
+		for _, slab := range s.slabs {
+			s.velocityPhase(slab.Region, dtdx)
+		}
+		sw.Lap(telemetry.StageVelocity)
+	} else {
+		// every cell's step from the velocity kernel to the velocity sponge,
+		// in one walk; what follows is what a block with no neighbour has
+		// left: the exchanges' no-ops and a ghost frame of zeros
+		s.skewedPass(cols, dtdx, &sw)
 	}
-	sw.Lap(telemetry.StageVelocity)
 	if s.comp != nil {
 		// the stress kernel — and the neighbours — read the velocities exactly
 		// as stored (the dstrqc side of Fig. 5b): this intra-step round trip
@@ -250,8 +277,10 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 
 	// stress phase: its stencils read the velocity ghosts alone. The owned
 	// columns are imaged now; the ghost frame after the wait
-	fd.ImageVelocityCols(s.WF, 0, d.Nx, 0, d.Ny)
-	sw.Lap(telemetry.StageFreeSurface)
+	if twoPass {
+		fd.ImageVelocityCols(s.WF, 0, d.Nx, 0, d.Ny)
+		sw.Lap(telemetry.StageFreeSurface)
+	}
 	if s.sls != nil {
 		s.sls.Before(s.WF)
 		sw.Lap(telemetry.StageAttenuation)
@@ -272,11 +301,13 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	fd.ImageVelocityCols(s.WF, 0, d.Nx, -h, 0)
 	fd.ImageVelocityCols(s.WF, 0, d.Nx, d.Ny, d.Ny+h)
 	sw.Lap(telemetry.StageFreeSurface)
-	for _, slab := range s.slabs {
-		for _, reg := range slab.afterWait {
-			s.stressPhase(reg, dtdx, &sw)
+	if twoPass {
+		for _, slab := range s.slabs {
+			for _, reg := range slab.afterWait {
+				s.stressPhase(reg, dtdx, &sw)
+			}
+			s.spongeVelocities(slab.Region, &sw)
 		}
-		s.spongeVelocities(slab.Region, &sw)
 	}
 	if s.comp != nil {
 		// recorders and checkpoints observe exactly the stored state
@@ -367,6 +398,86 @@ func (s *Simulator) stressPhase(reg grid.Region, dtdx float32, sw *telemetry.Sto
 		mu.Unlock()
 	})
 	sw.LapTallied(&tally)
+}
+
+// skewStripPoints sizes the strips of the skewed pass: as many columns as
+// hold at most this many cells (one at least). Down a strip some 39
+// plane-strips stay live — each stress from the furthest plane ahead the
+// kernel reads it at back to the chain's, each velocity from the kernel's
+// plane back to the sponge's — beside the medium rows streaming through: at
+// 64 columns of a 96-deep block ~1 MB, inside the L2 of the hosts we run on.
+// Wider strips measured slower, whole planes slowest (DESIGN.md §3.1).
+const skewStripPoints = 3 << 11
+
+// skewStripCols overrides the strip width in columns, whatever the block's
+// size; negative means never skew. Only tests set it.
+var skewStripCols int
+
+// skewStrip returns the strip width in columns where the step runs as the
+// skewed pass, 0 where it runs two-pass: the block must be one worker's —
+// plain storage, host kernels, no neighbour, no tile pool, no shells, no SLS
+// snapshot — and more than one chain block, which is the two-pass order
+// exactly and what a cache-resident grid keeps.
+func (s *Simulator) skewStrip() int {
+	a := s.Cfg.Attenuation
+	if s.pg.Size() > 1 || s.comp != nil || s.cgx != nil || s.tiles > 1 || s.Cfg.Overlap || (a.Enabled && a.UseSLS) {
+		return 0
+	}
+	d := s.Cfg.Dims
+	switch {
+	case skewStripCols != 0:
+		return max(0, skewStripCols)
+	case d.Points() <= chainBlockPoints:
+		return 0
+	}
+	return max(1, skewStripPoints/d.Nz)
+}
+
+// skewedPass is one worker's velocity → stress pass over the whole block, so
+// that the nine wavefield arrays cross the bus once a step, not twice: strips
+// of cols columns outermost, down each strip the i-planes, the velocity
+// kernel and the owned-column imaging on plane i, stressChain fd.Halo planes
+// and columns behind, the velocity sponge fd.Halo further (stepPipeline's
+// header has the ordering argument). The first strip's lagging ranges start,
+// and the last strip's end, at the block's edge, so each stage covers every
+// cell once. Stage times are tallied and observed once per stage, the
+// sponge's velocity half apart from the chain's, as two-pass observes them.
+func (s *Simulator) skewedPass(cols int, dtdx float32, sw *telemetry.Stopwatch) {
+	const h = fd.Halo
+	box := grid.Box(s.Cfg.Dims)
+	tally := sw.Tally()
+	damp := tally.Fork()
+	var yielded int64
+	for j0 := 0; j0 < box.J1; j0 += cols {
+		j1 := min(j0+cols, box.J1)
+		// the strip's columns on plane i-lag, lag columns behind
+		lagging := func(i, lag int) grid.Region {
+			r := box
+			r.I0, r.I1 = max(0, i-lag), min(i-lag+1, box.I1)
+			r.J0 = max(0, j0-lag)
+			if j1 < box.J1 {
+				r.J1 = max(0, j1-lag)
+			}
+			return r
+		}
+		for i := 0; i < box.I1+2*h; i++ {
+			if v := lagging(i, 0); !v.Empty() {
+				s.backend.Velocity(s.WF, s.Med, dtdx, v)
+				tally.Lap(telemetry.StageVelocity)
+				fd.ImageVelocityCols(s.WF, v.I0, v.I1, v.J0, v.J1)
+				tally.Lap(telemetry.StageFreeSurface)
+			}
+			if c := lagging(i, h); !c.Empty() {
+				yielded += s.stressChain(c, dtdx, &tally)
+			}
+			if v := lagging(i, 2*h); s.sponge != nil && !v.Empty() {
+				s.sponge.ApplyVelocityRegion(s.WF, v)
+				tally.LapTo(&damp, telemetry.StageSponge)
+			}
+		}
+	}
+	s.yielded += yielded
+	sw.LapTallied(&tally, &damp)
 }
 
 // stressChain runs the stress-side stages on one block and returns the

@@ -270,24 +270,23 @@ func (s *Simulator) buildAttenuation() {
 	}
 }
 
-// autoDt derives the CFL time step from the sampled medium.
+// autoDt derives the CFL time step from the sampled medium: the row-wise
+// maximum of (λ+2μ)/ρ and one square root, which is monotone — the same
+// fastest P velocity as a root per cell, and the same dt bit for bit.
 func (s *Simulator) autoDt() float64 {
-	var vpMax float64
+	var m float64
 	d := s.Cfg.Dims
 	for i := 0; i < d.Nx; i++ {
 		for j := 0; j < d.Ny; j++ {
-			for k := 0; k < d.Nz; k++ {
-				lam := float64(s.Med.Lam.At(i, j, k))
-				mu := float64(s.Med.Mu.At(i, j, k))
-				rho := float64(s.Med.Rho.At(i, j, k))
-				vp := math.Sqrt((lam + 2*mu) / rho)
-				if vp > vpMax {
-					vpMax = vp
+			lam, mu, rho := s.Med.Lam.Row(i, j), s.Med.Mu.Row(i, j), s.Med.Rho.Row(i, j)
+			for k := range lam {
+				if v := (float64(lam[k]) + 2*float64(mu[k])) / float64(rho[k]); v > m {
+					m = v
 				}
 			}
 		}
 	}
-	return 0.9 * model.CFLTimeStep(s.Cfg.Dx, vpMax)
+	return 0.9 * model.CFLTimeStep(s.Cfg.Dx, math.Sqrt(m))
 }
 
 // Dt returns the time step in use.

@@ -23,7 +23,8 @@ import (
 // memory touch count.)
 type Attenuation struct {
 	D grid.Dims
-	// GP and GS are the per-cell per-step decay factors.
+	// GP and GS are the per-step decay factors, per cell or — for a uniform
+	// Q — one constant row each.
 	GP, GS *grid.Field
 }
 
@@ -66,28 +67,31 @@ func (v VsScaledQ) Q(i, j, k int) (float64, float64) {
 }
 
 // NewAttenuation precomputes the decay factors for time step dt and
-// reference frequency f0 from the Q model.
+// reference frequency f0 from the Q model, stored at the model's rank: a
+// ConstantQ is two constant rows (grid.NewProfile) with the exponential
+// evaluated once, any other model two full fields.
 func NewAttenuation(d grid.Dims, qm QModel, f0, dt float64) *Attenuation {
-	a := &Attenuation{
-		D:  d,
-		GP: grid.NewField(d, Halo),
-		GS: grid.NewField(d, Halo),
+	decay := func(q float64) float32 {
+		if q > 0 {
+			return float32(math.Exp(-math.Pi * f0 * dt / q))
+		}
+		return 1
 	}
+	if c, ok := qm.(ConstantQ); ok {
+		a := &Attenuation{D: d, GP: grid.NewProfile(d, Halo), GS: grid.NewProfile(d, Halo)}
+		a.GP.Fill(decay(c.Qp))
+		a.GS.Fill(decay(c.Qs))
+		return a
+	}
+	a := &Attenuation{D: d, GP: grid.NewField(d, Halo), GS: grid.NewField(d, Halo)}
 	a.GP.Fill(1)
 	a.GS.Fill(1)
 	for i := 0; i < d.Nx; i++ {
 		for j := 0; j < d.Ny; j++ {
-			for k := 0; k < d.Nz; k++ {
+			gp, gs := a.GP.Row(i, j), a.GS.Row(i, j)
+			for k := range gp {
 				qp, qs := qm.Q(i, j, k)
-				gp, gs := 1.0, 1.0
-				if qp > 0 {
-					gp = math.Exp(-math.Pi * f0 * dt / qp)
-				}
-				if qs > 0 {
-					gs = math.Exp(-math.Pi * f0 * dt / qs)
-				}
-				a.GP.Set(i, j, k, float32(gp))
-				a.GS.Set(i, j, k, float32(gs))
+				gp[k], gs[k] = decay(qp), decay(qs)
 			}
 		}
 	}

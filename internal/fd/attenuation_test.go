@@ -131,3 +131,42 @@ func TestAttenuationDecayMatchesTheory(t *testing.T) {
 		t.Fatal("attenuation did not reduce amplitude")
 	}
 }
+
+// perCellQ hides a ConstantQ from NewAttenuation's choice of rank: the same
+// quality factors, asked for cell by cell and stored in full fields.
+type perCellQ struct{ ConstantQ }
+
+// TestConstantQRowsMatchFullFields: a constant Q stored as two constant rows
+// damps exactly as the same factors held in two full fields do — on every
+// region shape, below the surface too (the rows are cut at K0 like any other
+// operand), and on both row paths.
+func TestConstantQRowsMatchFullFields(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		d := grid.Dims{Nx: 5, Ny: 4, Nz: 27}
+		q := ConstantQ{Qp: 90, Qs: 35}
+		rows := NewAttenuation(d, q, 2, 4e-3)
+		full := NewAttenuation(d, perCellQ{q}, 2, 4e-3)
+		padded := (d.Nx + 2*Halo) * (d.Ny + 2*Halo) * (d.Nz + 2*Halo)
+		if len(rows.GP.Data) != d.Nz+2*Halo || len(rows.GS.Data) != d.Nz+2*Halo ||
+			len(full.GP.Data) != padded || len(full.GS.Data) != padded {
+			t.Fatalf("factor storage: rows %d and %d floats, full fields %d and %d",
+				len(rows.GP.Data), len(rows.GS.Data), len(full.GP.Data), len(full.GS.Data))
+		}
+		if !(rows.GS.At(1, 2, 3) < rows.GP.At(1, 2, 3)) {
+			t.Fatal("the lower Q must damp harder: GP and GS swapped?")
+		}
+		box := grid.Box(d)
+		regs := append([]grid.Region{box, grid.FullXY(d, 8, 16), grid.FullXY(d, 19, d.Nz),
+			{I0: 1, I1: 3, J0: 2, J1: 4, K0: 5, K1: 26}}, box.Split(2, 2, 3)...)
+		for n, reg := range regs {
+			want := NewWavefield(d)
+			randomizeWavefield(want, uint32(7+n))
+			got := want.Clone()
+			full.ApplyRegion(want, reg)
+			rows.ApplyRegion(got, reg)
+			if err := fieldsIdentical(want, got); err != nil {
+				t.Fatalf("%v: %v", reg, err)
+			}
+		}
+	})
+}

@@ -305,8 +305,11 @@ func (a *Attenuation) ApplyRegion(wf *Wavefield, r grid.Region) {
 	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
 	for i := r.I0; i < r.I1; i++ {
 		for j := r.J0; j < r.J1; j++ {
+			// the factors at their own index: they may be stored at a lower
+			// rank than the stresses (grid.NewProfile)
 			p := wf.XX.Idx(i, j, r.K0)
-			attenuationRowAt(gp[p:][:n], gs[p:], xx[p:], yy[p:], zz[p:], xy[p:], xz[p:], yz[p:])
+			attenuationRowAt(gp[a.GP.Idx(i, j, r.K0):][:n], gs[a.GS.Idx(i, j, r.K0):],
+				xx[p:], yy[p:], zz[p:], xy[p:], xz[p:], yz[p:])
 		}
 	}
 }

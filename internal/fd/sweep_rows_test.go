@@ -130,6 +130,16 @@ func TestRowsMatchGoRows(t *testing.T) {
 				got[3].At(o(3)), got[4].At(o(6)), got[5].At(o(7)))
 			check("attenuation", n, off, as, bs, want, got)
 
+			// both factor operands one shared row: what factors stored below
+			// full rank hand the row, for every column
+			want, got = six(), six()
+			g := r1.At(o(4))
+			attenuationRow(g[:n], g, want[0].At(off), want[1].At(o(1)), want[2].At(o(2)),
+				want[3].At(o(3)), want[4].At(o(6)), want[5].At(o(7)))
+			attenuationRowAt(g[:n], g, got[0].At(off), got[1].At(o(1)), got[2].At(o(2)),
+				got[3].At(o(3)), got[4].At(o(6)), got[5].At(o(7)))
+			check("attenuation, shared factor row", n, off, as, bs, want, got)
+
 			want, got = []cputest.Arena{in[0].Clone()}, []cputest.Arena{in[0].Clone()}
 			scaleRow(want[0].At(off)[:n], r1.At(o(4)))
 			scaleRowAt(got[0].At(off)[:n], r1.At(o(4)))

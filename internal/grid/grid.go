@@ -38,13 +38,15 @@ func (d Dims) String() string {
 	return fmt.Sprintf("%dx%dx%d", d.Nx, d.Ny, d.Nz)
 }
 
-// Field is a scalar 3D field with halo layers, stored flat with z fastest.
+// Field is a scalar 3D field with halo layers, stored flat with z fastest —
+// at its rank: a full field holds a value per point, a profile (NewProfile)
+// one padded z-row that every column shares.
 type Field struct {
 	Dims
 	H    int       // halo width on each side
-	Data []float32 // len == (Nx+2H)*(Ny+2H)*(Nz+2H)
+	Data []float32 // len == (Nx+2H)*(Ny+2H)*(Nz+2H); Nz+2H for a profile
 
-	// strides (in elements) for x and y; z stride is 1
+	// strides (in elements) for x and y, both 0 for a profile; z stride is 1
 	sx, sy int
 	origin int // offset of interior point (0,0,0)
 
@@ -54,12 +56,7 @@ type Field struct {
 
 // NewField allocates a zeroed field of the given interior dims and halo h.
 func NewField(d Dims, h int) *Field {
-	if !d.Valid() {
-		panic(fmt.Sprintf("grid: invalid dims %v", d))
-	}
-	if h < 0 {
-		panic("grid: negative halo")
-	}
+	checkShape(d, h)
 	tx, ty, tz := d.Nx+2*h, d.Ny+2*h, d.Nz+2*h
 	f := &Field{
 		Dims: d,
@@ -70,6 +67,38 @@ func NewField(d Dims, h int) *Field {
 	}
 	f.origin = h*f.sx + h*f.sy + h
 	return f
+}
+
+// NewProfile allocates a zeroed field of the given interior dims and halo h
+// that varies with depth alone: Data is one padded z-row and the x and y
+// strides are 0, so every column (i,j) is that row. Idx, At, Row and the
+// reductions read it like a full field, and a kernel that slices each
+// operand's z-row at the operand's own Idx streams Nz+2h values instead of a
+// 3D array; Set, Add and Fill write the shared row, so Fill(v) makes it a
+// constant. What assumes the full
+// layout — CopyFrom to or from a full field, the halo pack and unpack,
+// ExtractSubfield, InsertSubfield — panics instead of copying garbage.
+func NewProfile(d Dims, h int) *Field {
+	checkShape(d, h)
+	return &Field{Dims: d, H: h, Data: make([]float32, d.Nz+2*h), origin: h}
+}
+
+// checkShape panics on dims and a halo no field can have.
+func checkShape(d Dims, h int) {
+	if !d.Valid() {
+		panic(fmt.Sprintf("grid: invalid dims %v", d))
+	}
+	if h < 0 {
+		panic("grid: negative halo")
+	}
+}
+
+// full panics on a profile; every method that walks the full layout by hand
+// calls it.
+func (f *Field) full() {
+	if f.sx == 0 {
+		panic("grid: a z-profile has no 3D layout to copy, pack or cut (NewProfile)")
+	}
 }
 
 // Idx returns the flat index of interior point (i,j,k). Negative indices and
@@ -143,20 +172,22 @@ func (f *Field) FillInterior(v float32) {
 	}
 }
 
-// CopyFrom copies src into f. The fields must have identical shape.
+// CopyFrom copies src into f. The fields must have identical shape and
+// rank.
 func (f *Field) CopyFrom(src *Field) {
-	if f.Dims != src.Dims || f.H != src.H {
+	if f.Dims != src.Dims || f.H != src.H || len(f.Data) != len(src.Data) {
 		panic("grid: CopyFrom shape mismatch")
 	}
 	f.writable()
 	copy(f.Data, src.Data)
 }
 
-// Clone returns a deep copy of f.
+// Clone returns a deep copy of f, of f's rank and not frozen.
 func (f *Field) Clone() *Field {
-	g := NewField(f.Dims, f.H)
-	copy(g.Data, f.Data)
-	return g
+	g := *f
+	g.Data = append([]float32(nil), f.Data...)
+	g.frozen = false
+	return &g
 }
 
 // Row returns the contiguous z-row at (i,j) as a slice of length Nz.

@@ -199,6 +199,71 @@ func maxAbsOrdersNaNAboveInf(t *testing.T) {
 	}
 }
 
+// TestProfileIsOneRowForEveryColumn: a profile reads like a full field whose
+// every column holds the same values — Idx, At, Row, RowWithHalo, the
+// reductions — in Nz+2H floats; a write at one column is a write at all; a
+// clone is a profile of its own; and what would walk the full layout by hand
+// panics instead of copying garbage.
+func TestProfileIsOneRowForEveryColumn(t *testing.T) {
+	d := Dims{4, 3, 5}
+	p := NewProfile(d, 2)
+	if len(p.Data) != d.Nz+4 || p.Bytes() != int64(4*(d.Nz+4)) || p.StrideX() != 0 || p.StrideY() != 0 {
+		t.Fatalf("profile holds %d floats with strides %d,%d", len(p.Data), p.StrideX(), p.StrideY())
+	}
+	for k := -2; k < d.Nz+2; k++ {
+		p.Set(1, 2, k, float32(10+k))
+	}
+	for i := -2; i < d.Nx+2; i++ {
+		for j := -2; j < d.Ny+2; j++ {
+			if p.Idx(i, j, 3) != p.Idx(0, 0, 3) || p.At(i, j, 3) != 13 || p.Row(i, j)[4] != 14 ||
+				len(p.Row(i, j)) != d.Nz || p.RowWithHalo(i, j)[0] != 8 || len(p.RowWithHalo(i, j)) != d.Nz+4 {
+				t.Fatalf("column (%d,%d) is not the shared row", i, j)
+			}
+		}
+	}
+	if lo, hi := p.MinMax(); lo != 10 || hi != 14 || p.MaxAbs() != 14 {
+		t.Fatalf("interior range %g..%g, max abs %g", lo, hi, p.MaxAbs())
+	}
+	c := NewProfile(d, 2)
+	c.Fill(7)
+	if c.At(3, 2, 4) != 7 || c.At(-2, -2, -2) != 7 || len(c.Data) != d.Nz+4 {
+		t.Fatal("a filled profile holds its value at every depth of every column")
+	}
+
+	q := p.Clone()
+	q.Set(0, 0, 0, -1)
+	if p.At(0, 0, 0) != 10 || q.At(3, 2, 0) != -1 || len(q.Data) != len(p.Data) {
+		t.Fatal("a profile's clone must be a profile of its own")
+	}
+	q.CopyFrom(p)
+	if q.At(2, 1, 0) != 10 {
+		t.Fatal("CopyFrom between profiles")
+	}
+
+	full := NewField(d, 2)
+	for name, f := range map[string]func(){
+		"CopyFrom a full field":         func() { p.CopyFrom(full) },
+		"CopyFrom into a full field":    func() { full.CopyFrom(p) },
+		"PackHalo":                      func() { p.PackHalo(FaceXPlus, make([]float32, p.HaloLen(FaceXPlus))) },
+		"UnpackHalo":                    func() { p.UnpackHalo(FaceYMinus, make([]float32, p.HaloLen(FaceYMinus))) },
+		"CopyHaloFromNeighbor":          func() { full.CopyHaloFromNeighbor(FaceXPlus, p) },
+		"ExtractSubfield":               func() { p.ExtractSubfield(0, 0, 0, Dims{2, 2, 2}, 2) },
+		"InsertSubfield into a profile": func() { p.InsertSubfield(0, 0, 0, NewField(Dims{2, 2, 2}, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a profile did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	if p.At(0, 0, 0) != 10 || full.MaxAbs() != 0 {
+		t.Fatal("a rejected copy changed a field")
+	}
+}
+
 // TestFrozenFieldRejectsWrites: every writing method panics on a frozen
 // field, reads and copies keep working, and a copy is writable again.
 func TestFrozenFieldRejectsWrites(t *testing.T) {

@@ -57,6 +57,7 @@ func (f *Field) HaloLen(face Face) int {
 // which must have length HaloLen(face). These are the layers a neighbouring
 // rank needs as its ghost data.
 func (f *Field) PackHalo(face Face, buf []float32) {
+	f.full()
 	n := 0
 	switch face {
 	case FaceXMinus:
@@ -75,6 +76,7 @@ func (f *Field) PackHalo(face Face, buf []float32) {
 
 // UnpackHalo copies buf into the H ghost layers outside the given face.
 func (f *Field) UnpackHalo(face Face, buf []float32) {
+	f.full()
 	f.writable()
 	n := 0
 	switch face {
@@ -154,6 +156,7 @@ func (f *Field) CopyHaloFromNeighbor(face Face, g *Field) {
 // [k0,k0+d.Nz) of f into a new field with halo h, filling that field's halo
 // from f where available (so stencils at block edges see true data).
 func (f *Field) ExtractSubfield(i0, j0, k0 int, d Dims, h int) *Field {
+	f.full()
 	out := NewField(d, h)
 	for i := -h; i < d.Nx+h; i++ {
 		for j := -h; j < d.Ny+h; j++ {
@@ -171,6 +174,7 @@ func (f *Field) ExtractSubfield(i0, j0, k0 int, d Dims, h int) *Field {
 
 // InsertSubfield writes sub's interior into f at offset (i0,j0,k0).
 func (f *Field) InsertSubfield(i0, j0, k0 int, sub *Field) {
+	f.full()
 	f.writable()
 	for i := 0; i < sub.Nx; i++ {
 		for j := 0; j < sub.Ny; j++ {

@@ -15,9 +15,11 @@
 // formulation AWP-ODC uses for high-frequency runs.
 //
 // Moving from the linear to this nonlinear formulation is what pushes the
-// per-point array count from 28 to 35+ 3D arrays (paper §3), i.e. ~25% more
-// memory capacity and bandwidth — the pressure the paper's memory scheme
-// exists to relieve.
+// paper's per-point array count from 28 to 35+ 3D arrays (§3), i.e. ~25% more
+// memory capacity and bandwidth — the pressure its memory scheme exists to
+// relieve. Here the parameters are stored at their rank (DESIGN.md §3.1): a
+// uniform one is a constant z-row, the lithostatic stress a z-profile, and
+// only a parameter that really varies from cell to cell is a 3D array.
 package plasticity
 
 import (
@@ -31,8 +33,10 @@ import (
 // map per grid point, for the performance model.
 const FlopsPerPoint = 48
 
-// Params holds the spatially varying plasticity parameters — the extra 3D
-// arrays of the nonlinear formulation.
+// Params holds the plasticity parameters — the extra arrays of the
+// nonlinear formulation — each a grid.Field of whatever rank it needs: the
+// kernel slices every operand's z-row at the operand's own index, so a
+// constant row, a z-profile and a full field are the same operand to it.
 type Params struct {
 	D grid.Dims
 	// Cohes is the cohesion c in Pa.
@@ -47,33 +51,27 @@ type Params struct {
 	// negative in compression. The dynamic stresses from the wave solver are
 	// perturbations around this state.
 	Sigma2 *grid.Field
-	// YldFac records, per point, the most recent yield factor r (1 = elastic).
+	// YldFac, when set, records per point the most recent yield factor r
+	// (1 = elastic). Nothing in the solver reads it: a caller that wants the
+	// record allocates the field, otherwise the factor row is scratch.
 	YldFac *grid.Field
 	// Tv is the viscoplastic relaxation time in seconds; 0 applies the
 	// return map instantaneously.
 	Tv float64
 }
 
-// FieldCount is the number of extra 3D arrays the nonlinear formulation
-// carries (cohes, sinphi, cosphi, pf, sigma2, yldfac, plus EPS bookkeeping
-// in full AWP — we count the six we allocate). With the 28 arrays of the
-// linear solver this reproduces the paper's "over 35 instead of just 28"
-// accounting.
-const FieldCount = 6
-
-// NewParams allocates plasticity parameter fields, with YldFac set to 1.
+// NewParams returns parameters that are zero everywhere, each stored as one
+// z-row; SetUniform and SetLithostatic give them values at that rank. A
+// caller with parameters that vary from cell to cell assigns full fields.
 func NewParams(d grid.Dims) *Params {
-	p := &Params{
+	return &Params{
 		D:         d,
-		Cohes:     grid.NewField(d, fd.Halo),
-		SinPhi:    grid.NewField(d, fd.Halo),
-		CosPhi:    grid.NewField(d, fd.Halo),
-		FluidPres: grid.NewField(d, fd.Halo),
-		Sigma2:    grid.NewField(d, fd.Halo),
-		YldFac:    grid.NewField(d, fd.Halo),
+		Cohes:     grid.NewProfile(d, fd.Halo),
+		SinPhi:    grid.NewProfile(d, fd.Halo),
+		CosPhi:    grid.NewProfile(d, fd.Halo),
+		FluidPres: grid.NewProfile(d, fd.Halo),
+		Sigma2:    grid.NewProfile(d, fd.Halo),
 	}
-	p.YldFac.Fill(1)
-	return p
 }
 
 // SetUniform configures spatially constant parameters: cohesion c (Pa),
@@ -85,18 +83,15 @@ func (p *Params) SetUniform(c, phi, pf float64) {
 	p.FluidPres.Fill(float32(pf))
 }
 
-// SetLithostatic fills Sigma2 with the overburden mean stress at each
-// depth: σ2(k) = -rho*g*z(k) (compression negative), given grid spacing dx
-// and a representative density rho.
+// SetLithostatic makes Sigma2 the z-profile of the overburden mean stress:
+// σ2(k) = -rho*g*z(k) (compression negative), given grid spacing dx and a
+// representative density rho. k is the depth index of the run's domain,
+// which no decomposition cuts.
 func (p *Params) SetLithostatic(dx, rho float64) {
 	const g = 9.81
+	p.Sigma2 = grid.NewProfile(p.D, fd.Halo)
 	for k := 0; k < p.D.Nz; k++ {
-		s := float32(-rho * g * (float64(k) + 0.5) * dx)
-		for i := 0; i < p.D.Nx; i++ {
-			for j := 0; j < p.D.Ny; j++ {
-				p.Sigma2.Set(i, j, k, s)
-			}
-		}
+		p.Sigma2.Set(0, 0, k, float32(-rho*g*(float64(k)+0.5)*dx))
 	}
 }
 

@@ -16,6 +16,7 @@ func setup(tau float32, c, phiDeg, pf float64) (*fd.Wavefield, *Params) {
 	wf := fd.NewWavefield(d)
 	p := NewParams(d)
 	p.SetUniform(c, phiDeg*math.Pi/180, pf)
+	p.YldFac = grid.NewField(d, fd.Halo) // these tests read the per-cell record
 	// pure shear state of magnitude tau on every point
 	wf.XY.FillInterior(tau)
 	return wf, p
@@ -82,6 +83,7 @@ func TestCompressionRaisesYield(t *testing.T) {
 	p := NewParams(d)
 	p.SetUniform(1e5, math.Pi/6, 0) // small cohesion, φ=30°
 	p.SetLithostatic(100, 2500)     // σ2 grows with k
+	p.YldFac = grid.NewField(d, fd.Halo)
 	wf.XY.FillInterior(1e6)
 
 	Apply(wf, p, 0.01, 0, d.Nz)
@@ -104,6 +106,7 @@ func TestFluidPressureWeakens(t *testing.T) {
 		p := NewParams(d)
 		p.SetUniform(1e5, math.Pi/6, pf)
 		p.Sigma2.Fill(-5e6) // uniform confinement
+		p.YldFac = grid.NewField(d, fd.Halo)
 		wf.XY.FillInterior(3e6)
 		Apply(wf, p, 0.01, 0, d.Nz)
 		return p.YldFac.At(2, 2, 2)
@@ -120,6 +123,7 @@ func TestTensileRegimeZeroYield(t *testing.T) {
 	wf := fd.NewWavefield(d)
 	p := NewParams(d)
 	p.SetUniform(1e4, math.Pi/4, 0)
+	p.YldFac = grid.NewField(d, fd.Halo)
 	wf.XX.FillInterior(5e6) // tensile mean stress 5e6/3 >> c·cosφ/sinφ
 	wf.XY.FillInterior(1e6)
 	Apply(wf, p, 0.01, 0, d.Nz)
@@ -219,13 +223,4 @@ func j2(wf *fd.Wavefield) float64 {
 	xz := float64(wf.XZ.At(0, 0, 0))
 	yz := float64(wf.YZ.At(0, 0, 0))
 	return 0.5*(dxx*dxx+dyy*dyy+dzz*dzz) + xy*xy + xz*xz + yz*yz
-}
-
-func TestFieldCountMatchesPaperAccounting(t *testing.T) {
-	// linear solver: 28 arrays; nonlinear adds FieldCount+1 (EPS accounting
-	// folded into YldFac here) to exceed 35 per the paper's §3 claim of
-	// "over 35 instead of just 28" — we verify we track at least 34.
-	if 28+FieldCount < 34 {
-		t.Fatalf("nonlinear array accounting too small: %d", 28+FieldCount)
-	}
 }

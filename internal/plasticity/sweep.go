@@ -15,7 +15,9 @@ import (
 //
 // Like the fd sweep kernels it is a per-column driver that slices the
 // twelve operand z-rows once and hands them to a row function whose inner
-// loop carries no index checks (`make check-bce`).
+// loop carries no index checks (`make check-bce`). The six stresses share
+// one index; each parameter is sliced at its own, so one stored at a lower
+// rank (grid.NewProfile) hands every column the same row.
 func ApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
 	if r.Empty() {
 		return 0
@@ -23,8 +25,15 @@ func ApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
 	n := r.K1 - r.K0
 	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
 	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
-	cohes, sphi, cphi := p.Cohes.Data, p.SinPhi.Data, p.CosPhi.Data
-	pf, sig2, yld := p.FluidPres.Data, p.Sigma2.Data, p.YldFac.Data
+	yldFac := p.YldFac
+	if yldFac == nil {
+		// nobody keeps the per-cell record: the factors go to a row of this
+		// call's own, so concurrent tiles share nothing and no array is
+		// written only to be evicted
+		yldFac = grid.NewProfile(p.D, fd.Halo)
+	}
+	cohes, sphi, cphi := p.Cohes, p.SinPhi, p.CosPhi
+	pf, sig2 := p.FluidPres, p.Sigma2
 
 	// viscoplastic relaxation factor: r' = r + (1-r)*exp(-dt/Tv)
 	relax := float32(0)
@@ -37,11 +46,15 @@ func ApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
 		for j := r.J0; j < r.J1; j++ {
 			q := wf.XX.Idx(i, j, r.K0)
 			yielded += returnMapRowAt(xx[q:][:n], yy[q:], zz[q:], xy[q:], xz[q:], yz[q:],
-				cohes[q:], sphi[q:], cphi[q:], pf[q:], sig2[q:], yld[q:], relax)
+				rowAt(cohes, i, j, r.K0), rowAt(sphi, i, j, r.K0), rowAt(cphi, i, j, r.K0),
+				rowAt(pf, i, j, r.K0), rowAt(sig2, i, j, r.K0), rowAt(yldFac, i, j, r.K0), relax)
 		}
 	}
 	return yielded
 }
+
+// rowAt is f's z-row at column (i,j) from depth k on.
+func rowAt(f *grid.Field, i, j, k int) []float32 { return f.Data[f.Idx(i, j, k):] }
 
 // returnMapRowAt runs the yield check and return map along one z-row and
 // returns the number of yielded cells. Where the assembly yield check is in

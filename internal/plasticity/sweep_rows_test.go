@@ -58,9 +58,16 @@ func (s rowState) clone() rowState {
 }
 
 // run calls row on the n cells that start off floats past each arena's
-// boundary (every operand at its own offset).
-func (s rowState) run(n, off int, relax float32, row func(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32, relax float32) int) int {
-	o := func(c int) []float32 { return s[c].At((off + 3*c) % (cputest.MaxRowOffset + 1)) }
+// boundary (every operand at its own offset). With shared, the five
+// parameter operands are one row — the cohesion arena — as parameters stored
+// below full rank hand the same memory to several operands and every column.
+func (s rowState) run(n, off int, relax float32, shared bool, row func(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32, relax float32) int) int {
+	o := func(c int) []float32 {
+		if shared && c >= 6 && c <= 10 {
+			c = 6
+		}
+		return s[c].At((off + 3*c) % (cputest.MaxRowOffset + 1))
+	}
 	return row(o(0)[:n], o(1), o(2), o(3), o(4), o(5), o(6), o(7), o(8), o(9), o(10), o(11), relax)
 }
 
@@ -123,15 +130,17 @@ func TestReturnMapRowMatchesGoRow(t *testing.T) {
 			for _, relax := range []float32{0, 0.7} { // Tv = 0 and Tv > 0
 				for _, n := range cputest.RowLengths() {
 					for off := 0; off <= cputest.MaxRowOffset; off++ {
-						want, got := st.clone(), st.clone()
-						wantN := want.run(n, off, relax, returnMapRow)
-						gotN := got.run(n, off, relax, returnMapRowAt)
-						what := fmt.Sprintf("%s relax=%g n=%d off=%d", name, relax, n, off)
-						if wantN != gotN {
-							t.Fatalf("%s: %d yielded cells, Go row %d", what, gotN, wantN)
+						for _, shared := range []bool{false, true} {
+							want, got := st.clone(), st.clone()
+							wantN := want.run(n, off, relax, shared, returnMapRow)
+							gotN := got.run(n, off, relax, shared, returnMapRowAt)
+							what := fmt.Sprintf("%s relax=%g n=%d off=%d shared=%v", name, relax, n, off, shared)
+							if wantN != gotN {
+								t.Fatalf("%s: %d yielded cells, Go row %d", what, gotN, wantN)
+							}
+							requireSameRows(t, what, want, got)
+							yieldedSomewhere = yieldedSomewhere || (wantN > 0 && !shared)
 						}
-						requireSameRows(t, what, want, got)
-						yieldedSomewhere = yieldedSomewhere || wantN > 0
 					}
 				}
 			}
@@ -157,8 +166,8 @@ func TestOneYieldingCellAtEveryLane(t *testing.T) {
 				want := base.clone()
 				want[3].At(3 * 3 % 9)[pos] = bad // xy, at the offset run gives it for off = 0
 				got := want.clone()
-				wantN := want.run(n, 0, 0, returnMapRow)
-				gotN := got.run(n, 0, 0, returnMapRowAt)
+				wantN := want.run(n, 0, 0, false, returnMapRow)
+				gotN := got.run(n, 0, 0, false, returnMapRowAt)
 				what := fmt.Sprintf("xy[%d] = %g", pos, bad)
 				if bad == bad && wantN != 1 {
 					t.Fatalf("%s: the Go row yields %d cells, the test wants exactly one", what, wantN)

@@ -84,7 +84,11 @@ func randomState(d grid.Dims, rng *rand.Rand) (*fd.Wavefield, *Params) {
 			f.Data[idx] = (rng.Float32()*2 - 1) * 3e6
 		}
 	}
-	p := NewParams(d)
+	// parameters that vary from cell to cell: full fields, the record included
+	p := &Params{D: d}
+	for _, f := range []**grid.Field{&p.Cohes, &p.SinPhi, &p.CosPhi, &p.FluidPres, &p.Sigma2, &p.YldFac} {
+		*f = grid.NewField(d, fd.Halo)
+	}
 	for idx := range p.Cohes.Data {
 		phi := rng.Float64() * 0.7
 		p.Cohes.Data[idx] = rng.Float32() * 2e6
@@ -161,4 +165,55 @@ func applyRegionMatchesFlatIndexReference(t *testing.T, d grid.Dims) {
 	if !yieldedSomewhere || !elasticSomewhere {
 		t.Fatalf("test state exercises one branch only (yielded %v, elastic %v)", yieldedSomewhere, elasticSomewhere)
 	}
+}
+
+// expanded returns the full field that holds f's values: what a parameter
+// stored at a lower rank stands for.
+func expanded(f *grid.Field) *grid.Field {
+	full := grid.NewField(f.Dims, f.H)
+	for i := -f.H; i < f.Nx+f.H; i++ {
+		for j := -f.H; j < f.Ny+f.H; j++ {
+			copy(full.RowWithHalo(i, j), f.RowWithHalo(i, j))
+		}
+	}
+	return full
+}
+
+// TestRankedParamsMatchFullFields: parameters stored at their rank — four
+// constant rows, a lithostatic z-profile, no yield-factor array — give the
+// stresses and the yielded count of the same values held in six full
+// fields, over regions that start below the surface (a profile row is cut
+// at K0, like every other operand) and on both row paths.
+func TestRankedParamsMatchFullFields(t *testing.T) {
+	cputest.ForEachKernelPath(t, func(t *testing.T) {
+		d := grid.Dims{Nx: 5, Ny: 4, Nz: 27}
+		rng := rand.New(rand.NewSource(43))
+		ranked := NewParams(d)
+		ranked.SetUniform(8e5, 0.5, 2e4)
+		ranked.SetLithostatic(8, 2500) // up to ~5 MPa of confinement at the bottom
+		full := &Params{D: d, Cohes: expanded(ranked.Cohes), SinPhi: expanded(ranked.SinPhi),
+			CosPhi: expanded(ranked.CosPhi), FluidPres: expanded(ranked.FluidPres),
+			Sigma2: expanded(ranked.Sigma2), YldFac: grid.NewField(d, fd.Halo)}
+		box := grid.Box(d)
+		regs := append([]grid.Region{box, grid.FullXY(d, 8, 16), grid.FullXY(d, 19, d.Nz),
+			{I0: 1, I1: 3, J0: 2, J1: 4, K0: 5, K1: 26}}, box.Split(2, 2, 3)...)
+		for _, tv := range []float64{0, 0.02} {
+			ranked.Tv, full.Tv = tv, tv
+			for _, reg := range regs {
+				wantWF, _ := randomState(d, rng)
+				gotWF := wantWF.Clone()
+				want := ApplyRegion(wantWF, full, 0.005, reg)
+				got := ApplyRegion(gotWF, ranked, 0.005, reg)
+				if reg.K0 > 0 && (want == 0 || int64(want) == reg.Points()) {
+					t.Fatalf("%v: %d of %d cells yield: the state exercises one branch only", reg, want, reg.Points())
+				}
+				if got != want {
+					t.Fatalf("Tv=%g %v: yielded %d, full fields %d", tv, reg, got, want)
+				}
+				for c, f := range wantWF.StressFields() {
+					sameBits(t, "stress field", f, gotWF.StressFields()[c])
+				}
+			}
+		}
+	})
 }

@@ -232,9 +232,11 @@ func Partition(sources []PointSource, nx, ny, mx, my int) ([][]PointSource, erro
 		local.J -= py * by
 		parts[rank] = append(parts[rank], local)
 	}
-	// deterministic ordering inside each rank for reproducible runs
+	// deterministic ordering inside each rank for reproducible runs — and a
+	// stable one: co-located sources are summed in list order, as the serial
+	// run sums them
 	for _, p := range parts {
-		sort.Slice(p, func(a, b int) bool {
+		sort.SliceStable(p, func(a, b int) bool {
 			if p[a].K != p[b].K {
 				return p[a].K < p[b].K
 			}

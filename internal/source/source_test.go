@@ -212,6 +212,29 @@ func TestPartitionDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestPartitionKeepsCoLocatedSourcesInListOrder: sources on one grid point
+// are summed in list order by the serial run, so a rank must get them in that
+// order too — however many sources it holds (an unstable sort reorders equal
+// keys once a slice is longer than a dozen).
+func TestPartitionKeepsCoLocatedSourcesInListOrder(t *testing.T) {
+	var srcs []PointSource
+	for n := 0; n < 40; n++ {
+		srcs = append(srcs, PointSource{I: 2 + n%2, J: 3, K: 1, S: Ricker{M0: float64(n)}})
+	}
+	parts, err := Partition(srcs, 8, 8, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := map[int]float64{2: -1, 3: -1}
+	for _, s := range parts[0] {
+		m0 := s.S.(Ricker).M0
+		if m0 < last[s.I] {
+			t.Fatalf("source %g of point i=%d comes after source %g", m0, s.I, last[s.I])
+		}
+		last[s.I] = m0
+	}
+}
+
 func TestQuickPartitionConservesSources(t *testing.T) {
 	fn := func(pts []struct{ I, J uint16 }) bool {
 		srcs := make([]PointSource, len(pts))

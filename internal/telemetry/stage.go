@@ -237,13 +237,17 @@ func (t *StageTally) Fork() StageTally {
 }
 
 // Lap adds the time since the last lap (or the start) to st.
-func (t *StageTally) Lap(st Stage) {
+func (t *StageTally) Lap(st Stage) { t.LapTo(t, st) }
+
+// LapTo is Lap with the time added to another tally's st: one worker, one
+// clock, and a stage that is to be observed apart from the rest.
+func (t *StageTally) LapTo(o *StageTally, st Stage) {
 	if !t.on {
 		return
 	}
 	now := time.Now()
-	t.ns[st] += int64(now.Sub(t.last))
-	t.seen[st] = true
+	o.ns[st] += int64(now.Sub(t.last))
+	o.seen[st] = true
 	t.last = now
 }
 
@@ -256,12 +260,12 @@ func (t *StageTally) Merge(o *StageTally) {
 	}
 }
 
-// LapTallied charges the time since the last lap to the stages the tally
-// saw, one observation each, in proportion to their tallied times — so the
-// observations still sum to the wall time that passed, whether one worker
-// kept the tally (its times are that wall time) or several did side by side
-// (their times sum to more).
-func (sw *Stopwatch) LapTallied(t *StageTally) {
+// LapTallied charges the time since the last lap to the stages the tallies
+// saw, one observation per tally and stage, in proportion to their tallied
+// times — so the observations still sum to the wall time that passed,
+// whether one worker kept the tallies (their times are that wall time) or
+// several did side by side (their times sum to more).
+func (sw *Stopwatch) LapTallied(ts ...*StageTally) {
 	if sw.c == nil {
 		return
 	}
@@ -269,27 +273,31 @@ func (sw *Stopwatch) LapTallied(t *StageTally) {
 	wall := now.Sub(sw.last)
 	sw.last = now
 	var total int64
-	last := Stage(-1)
-	for st := Stage(0); st < numStages; st++ {
-		if t.seen[st] {
-			total += t.ns[st]
-			last = st
+	n := 0
+	for _, t := range ts {
+		for st := Stage(0); st < numStages; st++ {
+			if t.seen[st] {
+				total += t.ns[st]
+				n++
+			}
 		}
 	}
 	left := wall
-	for st := Stage(0); st < numStages; st++ {
-		if !t.seen[st] {
-			continue
-		}
-		d := left // the last stage takes what rounding left over
-		if st != last {
-			d = 0
-			if total > 0 {
-				d = time.Duration(float64(wall) * float64(t.ns[st]) / float64(total))
+	for _, t := range ts {
+		for st := Stage(0); st < numStages; st++ {
+			if !t.seen[st] {
+				continue
 			}
-			left -= d
+			d := left // the last observation takes what rounding left over
+			if n--; n > 0 {
+				d = 0
+				if total > 0 {
+					d = time.Duration(float64(wall) * float64(t.ns[st]) / float64(total))
+				}
+				left -= d
+			}
+			sw.c.Observe(st, d)
 		}
-		sw.c.Observe(st, d)
 	}
 }
 
