@@ -15,13 +15,16 @@ build:
 # build-once reciprocal under the race detector — where every row is the Go
 # one (the assembly rows of fd, plasticity and grid are not built under
 # -race), so the row and both-paths tests there also prove that build
-# compiles and computes the same bits
+# compiles and computes the same bits; last, the job service's tests twenty
+# times in shuffled order, which is what a test that depends on wall time or
+# on its neighbours does not survive
 check: vet fmt-check check-bce check-portable check-one overload-test
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
 		./internal/ensemble/ ./internal/wal/ ./internal/checkpoint/ ./internal/lz4/ \
 		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
 	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium|Row|SweepKernels|KernelPaths|Sponge'
 	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Lane|YieldSurface|MaxAbs|FlatIndex|Ranked'
+	$(GO) test -shuffle=on -count=20 ./internal/service/
 
 # the build without the assembly rows must not rot: cross-compile everything
 # for an architecture that has none and vet the packages that hold rows there
@@ -63,7 +66,10 @@ check-bce:
 # stage sequence and its step loop once each: non-test internal/core holds at
 # most one call that posts the velocity halos, one divergence scan and one
 # return map — the stress-side order is stressChain's, whichever schedule
-# (blocked chain, skewed pass) calls it
+# (blocked chain, skewed pass) calls it. And the job service spells its
+# lifecycle and its clock once each: non-test internal/service assigns a job's
+# state in one place (lifecycle.go's move) and asks the time package for the
+# time in one file (clock.go)
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
 	@! grep -rl --include='*.go' '"expvar"' . | grep -v '^\./cmd/quaked/'
@@ -72,6 +78,11 @@ check-one:
 		if [ "$$n" -gt 1 ]; then echo "check-one: internal/core holds $$n calls of $$pat, want at most 1:"; \
 			grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:'; exit 1; fi; \
 	done
+	@n=$$(grep -nE '\.state(, [a-z.]+)* =[^=]' internal/service/*.go | grep -v '_test\.go:' | wc -l); \
+	if [ "$$n" -ne 1 ]; then echo "check-one: internal/service assigns a job's state in $$n places, want exactly 1:"; \
+		grep -nE '\.state(, [a-z.]+)* =[^=]' internal/service/*.go | grep -v '_test\.go:'; exit 1; fi
+	@! grep -nE 'time\.(Now|After|AfterFunc|NewTicker|NewTimer|Since|Sleep)\(' internal/service/*.go \
+		| grep -v -e '_test\.go:' -e '^internal/service/clock\.go:'
 
 vet:
 	$(GO) vet ./...

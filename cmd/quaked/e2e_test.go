@@ -214,8 +214,7 @@ func TestKillRestartResumesFromValidCheckpoint(t *testing.T) {
 	}
 
 	dataDir := t.TempDir()
-	d1 := startDaemon(t, "-data", dataDir, "-workers", "1",
-		"-checkpoint-every", "10", "-checkpoint-keep", "3",
+	d1 := startDaemon(t, "-data", dataDir, "-workers", "1", "-checkpoint-every", "10",
 		"-faults", "io/slow:delay=200us,times=5")
 	armed := false
 	for _, line := range d1.bootLogs {
@@ -245,8 +244,7 @@ func TestKillRestartResumesFromValidCheckpoint(t *testing.T) {
 	flipByte(t, files[len(files)-1])
 	wantResume := stepOf(t, files[len(files)-2])
 
-	d2 := startDaemon(t, "-data", dataDir, "-workers", "1",
-		"-checkpoint-every", "10", "-checkpoint-keep", "3")
+	d2 := startDaemon(t, "-data", dataDir, "-workers", "1", "-checkpoint-every", "10")
 	final := pollUntil(t, d2.base, jobID, func(s service.Status) bool { return s.State.Terminal() })
 	if final.State != service.StateDone {
 		t.Fatalf("recovered job finished %s: %s", final.State, final.Error)

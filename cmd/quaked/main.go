@@ -72,8 +72,9 @@
 // and a reboot with the same -data replays the journal — unfinished jobs
 // are requeued and resume from the newest checkpoint that passes integrity
 // checks (a corrupted latest falls back to the one before it). Transient
-// failures, including worker panics, are retried with capped exponential
-// backoff up to -max-attempts.
+// failures — worker panics, engine faults, progress stalls, failed
+// checkpoint writes — are retried with capped exponential backoff up to
+// -max-attempts; a diverged run or one past its own deadline fails at once.
 //
 // Engine resilience flags: -halo-crc seals parallel halo exchanges with
 // CRC32 frames, -step-deadline arms the stalled-rank watchdog, and
@@ -137,9 +138,7 @@ func run(args []string) error {
 
 		dataDir    = fs.String("data", "", "durable data directory: journal + auto-checkpoints; enables crash recovery on boot")
 		ckptEvery  = fs.Int("checkpoint-every", 0, "auto-checkpoint interval in solver steps for durable jobs (0 = 25, negative disables)")
-		ckptKeep   = fs.Int("checkpoint-keep", 0, "checkpoints retained per job (0 = 3)")
-		maxAttempt = fs.Int("max-attempts", 0, "attempts per job before failure is permanent (0 = 3 with -data, else 1)")
-		retryWait  = fs.Duration("retry-backoff", 0, "base retry backoff, doubled per attempt up to 32x (0 = 100ms)")
+		maxAttempt = fs.Int("max-attempts", 0, "attempts per job before a transient failure is permanent, 100ms base backoff doubled per attempt (0 = 3 with -data, else 1)")
 		faults     = fs.String("faults", "", "fault-injection spec, e.g. 'checkpoint/corrupt:times=1;rank/stall:delay=2s' (testing only)")
 
 		stepDeadline  = fs.Duration("step-deadline", 0, "parallel-engine watchdog: fail a halo exchange waiting longer than this as a stalled rank (0 = off)")
@@ -147,8 +146,7 @@ func run(args []string) error {
 		engineRetries = fs.Int("engine-retries", 0, "in-run recovery budget: engine faults healed by rewinding to the newest valid checkpoint (0 = off)")
 
 		memBudget        = fs.String("mem-budget", "", "admission memory budget, e.g. 2GiB or 512MB: jobs whose estimated working set would exceed it wait; jobs that can never fit are rejected with 413 (empty = unlimited)")
-		submitRate       = fs.Float64("submit-rate", 0, "max accepted submissions per second, token-bucket smoothed; rejected submissions get 429 + Retry-After (0 = unlimited)")
-		submitBurst      = fs.Int("submit-burst", 0, "token-bucket burst for -submit-rate (0 = 2x rate)")
+		submitRate       = fs.Float64("submit-rate", 0, "max accepted submissions per second, token-bucket smoothed with bursts of two seconds' worth; rejected submissions get 429 + Retry-After (0 = unlimited)")
 		breakerThreshold = fs.Int("breaker-threshold", 5, "consecutive worker panics/engine faults/progress stalls that trip the circuit breaker into shedding (0 = never)")
 		breakerCooldown  = fs.Duration("breaker-cooldown", 15*time.Second, "how long a tripped breaker sheds before admitting a probe job")
 		progressDeadline = fs.Duration("progress-deadline", 0, "per-job progress watchdog: cancel-and-retry a running job whose step counter does not advance for this long; size it well above the slowest expected step (0 = off)")
@@ -205,15 +203,12 @@ func run(args []string) error {
 		DefaultTimeout:   *jobTimeout,
 		DataDir:          *dataDir,
 		CheckpointEvery:  *ckptEvery,
-		CheckpointKeep:   *ckptKeep,
 		MaxAttempts:      *maxAttempt,
-		RetryBackoff:     *retryWait,
 		StepDeadline:     *stepDeadline,
 		HaloCRC:          *haloCRC,
 		EngineRetries:    *engineRetries,
 		MemBudget:        budgetBytes,
 		SubmitRate:       *submitRate,
-		SubmitBurst:      *submitBurst,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 		ProgressDeadline: *progressDeadline,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -191,7 +192,18 @@ func TestMetricsInventoryMatchesParent(t *testing.T) {
 		}
 		delete(now, line)
 	}
-	for _, line := range []string{
+	added := []string{
+		"# HELP swquake_job_state_seconds Time jobs spent in a state, observed as they left it.",
+		"# TYPE swquake_job_state_seconds histogram",
+	}
+	for _, state := range []string{"queued", "running", "retrying"} {
+		for _, le := range append(strings.Fields("0.005 0.01 0.025 0.05 0.1 0.25 0.5 1 2.5 5 10 30 60 120"), "+Inf") {
+			added = append(added, fmt.Sprintf(`sample swquake_job_state_seconds_bucket{state="%s",le="%s"}`, state, le))
+		}
+		added = append(added, fmt.Sprintf(`sample swquake_job_state_seconds_sum{state="%s"}`, state),
+			fmt.Sprintf(`sample swquake_job_state_seconds_count{state="%s"}`, state))
+	}
+	for _, line := range append(added,
 		"json service journal_errors",
 		"# HELP swquake_journal_errors_total Journal appends that failed: events the daemon acted on without a durable record.",
 		"# TYPE swquake_journal_errors_total counter",
@@ -205,7 +217,7 @@ func TestMetricsInventoryMatchesParent(t *testing.T) {
 		`sample swquake_engine_faults_total{kind="halo-corrupt"}`,
 		`sample swquake_engine_faults_total{kind="panic"}`,
 		`sample swquake_engine_faults_total{kind="stall"}`,
-	} {
+	) {
 		if !now[line] {
 			t.Errorf("expected addition missing: %s", line)
 		}

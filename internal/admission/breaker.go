@@ -34,17 +34,17 @@ type Breaker struct {
 	fails    int
 	openedAt time.Time
 	probing  bool
-	now      func() time.Time // injectable for tests
+	now      func() time.Time
 }
 
 // NewBreaker builds a breaker tripping after `threshold` consecutive
-// failures and cooling down for `cooldown` (min 1s). threshold <= 0
-// disables it: Allow always admits and State stays closed.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
+// failures and cooling down for `cooldown` (min 1s) on the caller's clock.
+// threshold <= 0 disables it: Allow always admits and State stays closed.
+func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
 	if cooldown < time.Second {
 		cooldown = time.Second
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, state: BreakerClosed, now: time.Now}
+	return &Breaker{threshold: threshold, cooldown: cooldown, state: BreakerClosed, now: now}
 }
 
 // Allow admits or sheds one submission. Open: rejects with a

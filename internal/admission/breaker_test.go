@@ -8,8 +8,7 @@ import (
 
 func TestBreakerTripProbeRecover(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := NewBreaker(3, 10*time.Second)
-	b.now = func() time.Time { return now }
+	b := NewBreaker(3, 10*time.Second, func() time.Time { return now })
 
 	if b.State() != BreakerClosed {
 		t.Fatal("new breaker not closed")
@@ -75,7 +74,7 @@ func TestBreakerTripProbeRecover(t *testing.T) {
 }
 
 func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(0, time.Second)
+	b := NewBreaker(0, time.Second, time.Now)
 	for i := 0; i < 100; i++ {
 		b.Failure()
 	}

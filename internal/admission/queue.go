@@ -2,6 +2,7 @@ package admission
 
 import (
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -33,9 +34,9 @@ type Item struct {
 // Queue is the admission scheduler: two FIFO priority lanes (interactive,
 // batch) drained by Pop with three gates.
 //
-// Weighted dispatch: when both lanes could run, interactive wins `weight`
-// of every weight+1 picks, so a flood of batch members cannot starve
-// ad-hoc jobs while a steady batch trickle still flows.
+// Weighted dispatch: when both lanes could run, interactive wins
+// interactiveWeight of every interactiveWeight+1 picks, so a flood of batch
+// members cannot starve ad-hoc jobs while a steady batch trickle still flows.
 //
 // Budget gating: an item is dispatched only once its Bytes reserve
 // against the Ledger. Within a lane order is strictly FIFO — a head
@@ -50,7 +51,6 @@ type Item struct {
 type Queue struct {
 	capacity int
 	ledger   *Ledger
-	weight   int64
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -62,19 +62,18 @@ type Queue struct {
 	ssInflight int
 }
 
-// NewQueue builds a queue of the given capacity over a ledger. weight <= 0
-// defaults to 4 (interactive gets 4 of every 5 contested picks).
-func NewQueue(capacity int, ledger *Ledger, weight int) *Queue {
-	if weight <= 0 {
-		weight = 4
-	}
+// interactiveWeight is the class weighting: interactive gets 4 of every 5
+// contested picks.
+const interactiveWeight = 4
+
+// NewQueue builds a queue of the given capacity over a ledger.
+func NewQueue(capacity int, ledger *Ledger) *Queue {
 	if ledger == nil {
 		ledger = NewLedger(0)
 	}
 	q := &Queue{
 		capacity: capacity,
 		ledger:   ledger,
-		weight:   int64(weight),
 		lanes:    map[Class][]*Item{ClassInteractive: nil, ClassBatch: nil},
 	}
 	q.cond = sync.NewCond(&q.mu)
@@ -154,18 +153,20 @@ func (q *Queue) Close() {
 	q.cond.Broadcast()
 }
 
-// Flush removes and returns every queued item without admitting it — the
-// drain-deadline path, where the service parks whatever never ran.
-func (q *Queue) Flush() []*Item {
+// Remove takes one still-queued item out of its lane, giving its slot back
+// at once, and reports whether it was there: false means a Pop already has
+// it, and that Pop's caller owes the Done.
+func (q *Queue) Remove(it *Item) bool {
 	q.mu.Lock()
-	var out []*Item
-	for class, lane := range q.lanes {
-		out = append(out, lane...)
-		q.lanes[class] = nil
+	defer q.mu.Unlock()
+	lane := q.lanes[it.Class]
+	i := slices.Index(lane, it)
+	if i < 0 {
+		return false
 	}
-	q.mu.Unlock()
-	q.cond.Broadcast()
-	return out
+	q.lanes[it.Class] = slices.Delete(lane, i, i+1)
+	q.cond.Broadcast() // it may have been the head its lane was waiting behind
+	return true
 }
 
 // Len reports the number of queued items across both lanes.
@@ -197,7 +198,7 @@ func (q *Queue) lenLocked() int {
 // pickLocked tries to admit one item under the caller-held lock.
 func (q *Queue) pickLocked() *Item {
 	order := [2]Class{ClassInteractive, ClassBatch}
-	if q.picks%(q.weight+1) == q.weight {
+	if q.picks%(interactiveWeight+1) == interactiveWeight {
 		order = [2]Class{ClassBatch, ClassInteractive}
 	}
 	for _, class := range order {

@@ -31,7 +31,7 @@ func popOrTimeout(t *testing.T, q *Queue) *Item {
 }
 
 func TestQueueFIFOWithinClass(t *testing.T) {
-	q := NewQueue(10, nil, 4)
+	q := NewQueue(10, nil)
 	for i := 0; i < 5; i++ {
 		if err := q.Push(&Item{ID: fmt.Sprint(i), Class: ClassInteractive}); err != nil {
 			t.Fatal(err)
@@ -45,7 +45,7 @@ func TestQueueFIFOWithinClass(t *testing.T) {
 }
 
 func TestQueueWeightedDispatch(t *testing.T) {
-	q := NewQueue(0, nil, 4)
+	q := NewQueue(0, nil)
 	for i := 0; i < 10; i++ {
 		q.Push(&Item{ID: fmt.Sprintf("i%d", i), Class: ClassInteractive})
 		q.Push(&Item{ID: fmt.Sprintf("b%d", i), Class: ClassBatch})
@@ -68,7 +68,7 @@ func TestQueueWeightedDispatch(t *testing.T) {
 }
 
 func TestQueueBudgetBlocksOnlyItsLane(t *testing.T) {
-	q := NewQueue(0, NewLedger(100), 4)
+	q := NewQueue(0, NewLedger(100))
 	q.Push(&Item{ID: "big0", Class: ClassBatch, Bytes: 80})
 	q.Push(&Item{ID: "big1", Class: ClassBatch, Bytes: 80})
 	q.Push(&Item{ID: "small", Class: ClassInteractive, Bytes: 10})
@@ -113,7 +113,7 @@ func TestQueueBudgetBlocksOnlyItsLane(t *testing.T) {
 }
 
 func TestQueueSlowStart(t *testing.T) {
-	q := NewQueue(0, nil, 4)
+	q := NewQueue(0, nil)
 	q.SetSlowStart(1)
 	q.Push(&Item{ID: "r1", Class: ClassBatch, Recovered: true})
 	q.Push(&Item{ID: "r2", Class: ClassBatch, Recovered: true})
@@ -151,7 +151,7 @@ func TestQueueSlowStart(t *testing.T) {
 }
 
 func TestQueueCloseDrains(t *testing.T) {
-	q := NewQueue(0, nil, 0)
+	q := NewQueue(0, nil)
 	q.Push(&Item{ID: "a", Class: ClassInteractive})
 	q.Push(&Item{ID: "b", Class: ClassBatch})
 	q.Close()
@@ -170,7 +170,7 @@ func TestQueueCloseDrains(t *testing.T) {
 }
 
 func TestQueueCapacity(t *testing.T) {
-	q := NewQueue(1, nil, 0)
+	q := NewQueue(1, nil)
 	if err := q.Push(&Item{ID: "a", Class: ClassBatch}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,15 +179,38 @@ func TestQueueCapacity(t *testing.T) {
 	}
 }
 
-func TestQueueFlush(t *testing.T) {
-	q := NewQueue(0, nil, 0)
-	q.Push(&Item{ID: "a", Class: ClassInteractive})
-	q.Push(&Item{ID: "b", Class: ClassBatch})
-	q.Push(&Item{ID: "c", Class: ClassBatch})
-	if got := q.Flush(); len(got) != 3 {
-		t.Fatalf("Flush returned %d items, want 3", len(got))
+// TestQueueRemove: a queued item can be taken back out — its slot is free at
+// once, and a budget-blocked head that is removed stops blocking its lane —
+// while an item a Pop already holds cannot.
+func TestQueueRemove(t *testing.T) {
+	q := NewQueue(2, NewLedger(100))
+	big := &Item{ID: "big", Class: ClassBatch, Bytes: 100}
+	head := &Item{ID: "head", Class: ClassInteractive, Bytes: 100}
+	next := &Item{ID: "next", Class: ClassInteractive, Bytes: 0}
+	q.Push(big)
+	if it := popOrTimeout(t, q); it != big || q.Remove(big) {
+		t.Fatalf("popped %v; Remove of a popped item must report false", it)
 	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not empty after Flush: %d", q.Len())
+	q.Push(head) // waits for the 100 bytes big holds, and next waits behind it
+	q.Push(next)
+	if err := q.Push(&Item{ID: "over", Class: ClassBatch}); !errors.Is(err, ErrFull) {
+		t.Fatalf("push past capacity: %v", err)
+	}
+	popped := make(chan *Item)
+	go func() { it, _ := q.Pop(); popped <- it }()
+	time.Sleep(20 * time.Millisecond) // let the Pop find nothing admissible and wait
+	if !q.Remove(head) || q.Remove(head) {
+		t.Fatal("Remove must take the item out, once")
+	}
+	select {
+	case it := <-popped:
+		if it != next {
+			t.Fatalf("popped %s, want next", it.ID)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("removing the blocked head did not wake the waiting Pop")
+	}
+	if err := q.Push(&Item{ID: "fits", Class: ClassBatch}); err != nil {
+		t.Fatalf("push after Remove: %v", err)
 	}
 }

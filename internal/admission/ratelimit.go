@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// TokenBucket is the submission rate limiter: a classic token bucket of
-// `burst` capacity refilled at `rate` tokens per second. Each submission
+// TokenBucket is the submission rate limiter: a classic token bucket
+// refilled at `rate` tokens per second, holding at most two seconds' worth
+// (never less than one token). Each submission
 // spends one token; an empty bucket rejects with ErrRateLimited wrapped in
 // a RetryAfterError telling the client when the next token lands.
 type TokenBucket struct {
@@ -17,19 +18,15 @@ type TokenBucket struct {
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
-	now    func() time.Time // injectable for tests
+	now    func() time.Time
 }
 
-// NewTokenBucket builds a limiter allowing `rate` submissions per second
-// with bursts of `burst`. rate <= 0 disables limiting entirely; burst < 1
-// is raised to 1 so an enabled limiter always admits something.
-func NewTokenBucket(rate float64, burst int) *TokenBucket {
-	if burst < 1 {
-		burst = 1
-	}
-	tb := &TokenBucket{rate: rate, burst: float64(burst), now: time.Now}
-	tb.tokens = tb.burst
-	return tb
+// NewTokenBucket builds a limiter allowing `rate` submissions per second on
+// the caller's clock, with bursts of int(2*rate) — at least 1, so an enabled
+// limiter always admits something. rate <= 0 disables limiting entirely.
+func NewTokenBucket(rate float64, now func() time.Time) *TokenBucket {
+	burst := math.Max(1, math.Floor(2*rate))
+	return &TokenBucket{rate: rate, burst: burst, tokens: burst, now: now}
 }
 
 // Allow spends one token, or rejects with a RetryAfterError carrying

@@ -8,8 +8,7 @@ import (
 
 func TestTokenBucket(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tb := NewTokenBucket(1, 2) // 1/s, burst 2
-	tb.now = func() time.Time { return now }
+	tb := NewTokenBucket(1, func() time.Time { return now }) // 1/s, burst 2
 
 	if err := tb.Allow(); err != nil {
 		t.Fatalf("first burst token refused: %v", err)
@@ -45,7 +44,7 @@ func TestTokenBucket(t *testing.T) {
 }
 
 func TestTokenBucketDisabled(t *testing.T) {
-	tb := NewTokenBucket(0, 1)
+	tb := NewTokenBucket(0, time.Now)
 	for i := 0; i < 1000; i++ {
 		if err := tb.Allow(); err != nil {
 			t.Fatalf("disabled limiter rejected: %v", err)

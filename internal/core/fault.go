@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -70,6 +71,11 @@ type FaultEvent struct {
 // solution is declared diverged when Config.DivergenceLimit is zero. Any
 // physical ground velocity is orders of magnitude below it.
 const DefaultDivergenceLimit = 1e6
+
+// ErrDiverged is what a run that tripped the divergence predicate returns
+// (wrapped, with the step and the magnitude): the same configuration
+// diverges again at the same step, so a caller can tell it from a fault.
+var ErrDiverged = errors.New("diverged")
 
 // diverged is the one divergence predicate shared by the serial and
 // parallel paths: NaN, ±Inf, or a magnitude beyond the configured limit.

@@ -52,14 +52,14 @@ func TestConfigurableDivergenceLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(); err == nil || !strings.Contains(err.Error(), "diverged") {
+	if _, err := sim.Run(); !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "solution diverged at step") {
 		t.Fatalf("serial: err = %v, want divergence", err)
 	}
 
 	cfg.MaxFaultRetries = 3 // divergence is deterministic: must NOT be retried
 	events := 0
 	cfg.OnFault = func(FaultEvent) { events++ }
-	if _, err := RunParallel(cfg, 2, 2); err == nil || !strings.Contains(err.Error(), "diverged") {
+	if _, err := RunParallel(cfg, 2, 2); !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "solution diverged at step") {
 		t.Fatalf("parallel: err = %v, want divergence", err)
 	}
 	if events != 0 {

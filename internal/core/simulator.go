@@ -422,7 +422,7 @@ func (s *Simulator) run(ctx context.Context) error {
 		m = s.peers.allMax(m)
 		sw.Lap(telemetry.StageDivergence)
 		if diverged(m, s.Cfg.DivergenceLimit) {
-			return fmt.Errorf("solution diverged at step %d (max |v| = %g)", s.step, m)
+			return fmt.Errorf("solution %w at step %d (max |v| = %g)", ErrDiverged, s.step, m)
 		}
 	}
 	return nil

@@ -171,24 +171,18 @@ func Open(opts Options) (*Manager, error) {
 	if err := os.MkdirAll(filepath.Join(opts.DataDir, "campaigns"), 0o755); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(opts.DataDir, "campaigns.jsonl")
-	events, err := wal.Read[campaignEvent](path)
-	if err != nil {
-		return nil, err
-	}
 	var live []*campaignRecord
-	for _, rec := range replayJournal(events) {
-		if n := campSeq(rec.id); n > m.nextID {
-			m.nextID = n
+	var err error
+	m.wal, err = wal.Recover(filepath.Join(opts.DataDir, "campaigns.jsonl"), func(events []campaignEvent) []campaignEvent {
+		for _, rec := range replayJournal(events) {
+			m.nextID = max(m.nextID, campSeq(rec.id))
+			if !rec.terminal() && rec.spec != nil {
+				live = append(live, rec)
+			}
 		}
-		if !rec.terminal() && rec.spec != nil {
-			live = append(live, rec)
-		}
-	}
-	if err := wal.Rewrite(path, compactedJournal(live, time.Now())); err != nil {
-		return nil, err
-	}
-	if m.wal, err = wal.Open[campaignEvent](path); err != nil {
+		return compactedJournal(live, time.Now())
+	})
+	if err != nil {
 		return nil, err
 	}
 	for _, rec := range live {

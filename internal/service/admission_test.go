@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"swquake/internal/checkpoint"
 	"swquake/internal/core"
 	"swquake/internal/faultinject"
+	"swquake/internal/source"
 	"swquake/internal/wal"
 )
 
@@ -150,7 +152,7 @@ func TestNeverFitsRejectedAtSubmit(t *testing.T) {
 // the rate with a concrete Retry-After hint — and cache hits bypass it,
 // since serving a cached result allocates nothing.
 func TestSubmitRateLimited(t *testing.T) {
-	s := New(Options{Workers: 1, SubmitRate: 0.1, SubmitBurst: 1})
+	s := New(Options{Workers: 1, SubmitRate: 0.1}) // a bucket of one token
 	defer drain(t, s)
 
 	id, err := s.Submit(Request{Config: tinyConfig(10)})
@@ -187,7 +189,7 @@ func TestSubmitRateLimited(t *testing.T) {
 // closes the breaker (Healthy again).
 func TestBreakerTripShedsAndRecovers(t *testing.T) {
 	defer faultinject.Reset()
-	s := New(Options{Workers: 1, BreakerThreshold: 2, BreakerCooldown: time.Second})
+	s, clk := openOnFake(t, Options{Workers: 1, BreakerThreshold: 2, BreakerCooldown: time.Second})
 	defer drain(t, s)
 
 	faultinject.Enable(faultinject.WorkerPanic, faultinject.Fault{Times: 2})
@@ -217,7 +219,7 @@ func TestBreakerTripShedsAndRecovers(t *testing.T) {
 		t.Fatalf("trips=%d panics=%d rejected=%d, want 1/2/1", m.BreakerTrips, m.WorkerPanics, m.Rejected)
 	}
 
-	time.Sleep(1100 * time.Millisecond) // let the cooldown elapse
+	clk.Advance(time.Second) // the cooldown elapses
 	probe, err := s.Submit(Request{Config: tinyConfig(26)})
 	if err != nil {
 		t.Fatalf("probe submission shed after cooldown: %v", err)
@@ -230,23 +232,56 @@ func TestBreakerTripShedsAndRecovers(t *testing.T) {
 	}
 }
 
+// wedge is a source time function that blocks the run inside its fifth and
+// its tenth step: each time it signals entered, then waits for release.
+type wedge struct {
+	source.Ricker
+	calls            *atomic.Int32
+	entered, release chan struct{}
+}
+
+func (w wedge) MomentRate(t float64) float64 {
+	if n := w.calls.Add(1); n == 5 || n == 10 {
+		w.entered <- struct{}{}
+		<-w.release
+	}
+	return w.Ricker.MomentRate(t)
+}
+
 // TestProgressWatchdogCancelsForRetry: a run whose step counter stops
-// advancing (an injected rank stall, invisible to the engine without a
+// advancing (a rank wedged inside a step, invisible to the engine without a
 // StepDeadline) is canceled by the service watchdog with a retryable cause,
-// and the retry — with the fault exhausted — completes the job.
+// and the retry — the wedge gone — completes the job. All of it on the
+// clock: the deadline runs from the last completed step, and passes because
+// the test says so.
 func TestProgressWatchdogCancelsForRetry(t *testing.T) {
-	defer faultinject.Reset()
-	s := New(Options{
-		Workers: 1, MaxAttempts: 2, RetryBackoff: 10 * time.Millisecond,
-		ProgressDeadline: 150 * time.Millisecond,
-	})
+	s, clk := openOnFake(t, Options{Workers: 1, MaxAttempts: 2, ProgressDeadline: time.Hour})
 	defer drain(t, s)
 
-	faultinject.Enable(faultinject.RankStall, faultinject.Fault{Delay: 700 * time.Millisecond, Times: 1})
-	id, err := s.Submit(Request{Config: tinyConfig(40), MX: 2, MY: 1})
+	cfg := tinyConfig(40)
+	w := wedge{Ricker: cfg.Sources[0].S.(source.Ricker), calls: new(atomic.Int32),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	cfg.Sources[0].S = w
+	defer close(w.release) // whatever fails, the worker is not left wedged for drain to wait on
+	id, err := s.Submit(Request{Config: cfg, MX: 2, MY: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stalls := func() int64 { return s.Metrics().ProgressStalls }
+	<-w.entered // inside step 5
+	clk.Advance(59 * time.Minute)
+	w.release <- struct{}{}
+	<-w.entered // inside step 10; steps 5 to 9 completed 59 minutes in
+	clk.Advance(59 * time.Minute)
+	if stalls() != 0 {
+		t.Fatal("a stall 118 minutes into the run but 59 after a step: the deadline must run from the last completed step")
+	}
+	clk.Advance(time.Minute) // the hour without a step is up
+	if stalls() != 1 {
+		t.Fatalf("%d stalls detected, want 1", stalls())
+	}
+	w.release <- struct{}{}
+	endBackoff(t, s, clk, id)
 	st, err := s.Wait(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
@@ -257,9 +292,8 @@ func TestProgressWatchdogCancelsForRetry(t *testing.T) {
 	if st.Attempt != 2 {
 		t.Fatalf("attempt %d, want 2 (stall must burn one)", st.Attempt)
 	}
-	m := s.Metrics()
-	if m.ProgressStalls < 1 || m.Retried != 1 {
-		t.Fatalf("stalls=%d retried=%d, want >=1 / 1", m.ProgressStalls, m.Retried)
+	if m := s.Metrics(); m.ProgressStalls != 1 || m.Retried != 1 {
+		t.Fatalf("stalls=%d retried=%d, want 1 / 1", m.ProgressStalls, m.Retried)
 	}
 }
 
@@ -339,7 +373,7 @@ func TestDrainDeadlineParksBudgetBlockedJob(t *testing.T) {
 	}
 	for _, rec := range replayJournal(events) {
 		if rec.terminal() {
-			t.Fatalf("job %s journaled terminal state %q by deadline drain", rec.id, rec.state)
+			t.Fatalf("job %s journaled terminal state %q by deadline drain", rec.id, rec.last)
 		}
 	}
 
@@ -369,7 +403,7 @@ func TestDrainDeadlineParksBudgetBlockedJob(t *testing.T) {
 // scheduler dispatches interactive submissions ahead of batch ones.
 func TestBatchYieldsToInteractive(t *testing.T) {
 	// one worker held busy so both lanes build up behind it
-	s := New(Options{Workers: 1, QueueSize: 8, InteractiveWeight: 4})
+	s := New(Options{Workers: 1, QueueSize: 8})
 	defer drain(t, s)
 
 	blocker, err := s.Submit(Request{Config: slowConfig()})

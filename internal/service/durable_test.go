@@ -151,7 +151,7 @@ func TestRetryAfterInjectedPanic(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 
-	s := New(Options{Workers: 1, MaxAttempts: 3, RetryBackoff: 2 * time.Millisecond})
+	s, clk := openOnFake(t, Options{Workers: 1, MaxAttempts: 3})
 	defer drain(t, s)
 
 	faultinject.Enable(faultinject.WorkerPanic, faultinject.Fault{Times: 1})
@@ -159,6 +159,7 @@ func TestRetryAfterInjectedPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	endBackoff(t, s, clk, id)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	st, err := s.Wait(ctx, id)
@@ -178,7 +179,7 @@ func TestPanicsExhaustAttemptsThenFailJobNotDaemon(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 
-	s := New(Options{Workers: 1, MaxAttempts: 2, RetryBackoff: 2 * time.Millisecond})
+	s, clk := openOnFake(t, Options{Workers: 1, MaxAttempts: 2})
 	defer drain(t, s)
 
 	faultinject.Enable(faultinject.WorkerPanic, faultinject.Fault{}) // every attempt
@@ -186,6 +187,7 @@ func TestPanicsExhaustAttemptsThenFailJobNotDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	endBackoff(t, s, clk, id)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	st, err := s.Wait(ctx, id)
@@ -212,20 +214,14 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	defer faultinject.Reset()
 
 	dir := t.TempDir()
-	s, err := Open(Options{
-		Workers: 1, DataDir: dir,
-		CheckpointEvery: 10, CheckpointKeep: 3,
-		MaxAttempts: 3, RetryBackoff: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, clk := openOnFake(t, Options{Workers: 1, DataDir: dir, CheckpointEvery: 10, MaxAttempts: 3})
 	defer drain(t, s)
 
 	// checkpoints at steps 10 and 20 succeed, the one at step 30 fails the
 	// run; the retry must resume from step 20 instead of recomputing
 	faultinject.Enable(faultinject.CheckpointWrite, faultinject.Fault{Skip: 2, Times: 1})
 	id := submitSpec(t, s, quickSpec(45))
+	endBackoff(t, s, clk, id)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	st, err := s.Wait(ctx, id)
@@ -276,14 +272,7 @@ func TestRetryFallsBackPastCorruptCheckpoint(t *testing.T) {
 	defer faultinject.Reset()
 
 	dir := t.TempDir()
-	s, err := Open(Options{
-		Workers: 1, DataDir: dir,
-		CheckpointEvery: 10, CheckpointKeep: 5,
-		MaxAttempts: 3, RetryBackoff: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, clk := openOnFake(t, Options{Workers: 1, DataDir: dir, CheckpointEvery: 10, MaxAttempts: 3})
 	defer drain(t, s)
 
 	// checkpoint at 10 is fine, the one at 20 is corrupted on disk, the
@@ -292,6 +281,7 @@ func TestRetryFallsBackPastCorruptCheckpoint(t *testing.T) {
 	faultinject.Enable(faultinject.CheckpointCorrupt, faultinject.Fault{Skip: 1, Times: 1})
 	faultinject.Enable(faultinject.CheckpointWrite, faultinject.Fault{Skip: 2, Times: 1})
 	id := submitSpec(t, s, quickSpec(45))
+	endBackoff(t, s, clk, id)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	st, err := s.Wait(ctx, id)
@@ -308,29 +298,10 @@ func TestDrainParksRetryingJobForNextBoot(t *testing.T) {
 	defer faultinject.Reset()
 
 	dir := t.TempDir()
-	s, err := Open(Options{
-		Workers: 1, DataDir: dir,
-		MaxAttempts: 3, RetryBackoff: time.Hour, // parks in backoff
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := openOnFake(t, Options{Workers: 1, DataDir: dir, MaxAttempts: 3}) // a clock that stands still: the backoff never ends
 	faultinject.Enable(faultinject.WorkerPanic, faultinject.Fault{Times: 1})
 	id := submitSpec(t, s, quickSpec(30))
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		st, err := s.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == StateRetrying {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never entered retry backoff (state %s)", st.State)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitState(t, s, id, StateRetrying)
 	drain(t, s)
 	if st, _ := s.Status(id); st.State != StateFailed {
 		t.Fatalf("after drain: %s", st.State)
@@ -357,30 +328,21 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 
-	s := New(Options{Workers: 1, MaxAttempts: 3, RetryBackoff: time.Hour})
+	s, clk := openOnFake(t, Options{Workers: 1, MaxAttempts: 3})
 	defer drain(t, s)
 	faultinject.Enable(faultinject.WorkerPanic, faultinject.Fault{Times: 1})
 	id, err := s.Submit(Request{Config: tinyConfig(25)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		st, _ := s.Status(id)
-		if st.State == StateRetrying {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never entered retry backoff")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitState(t, s, id, StateRetrying)
 	if !s.Cancel(id) {
 		t.Fatal("cancel failed")
 	}
+	clk.Advance(time.Hour) // the backoff timer was stopped: nothing comes back
 	st, err := s.Status(id)
-	if err != nil || st.State != StateCanceled {
-		t.Fatalf("status %+v %v", st, err)
+	if err != nil || st.State != StateCanceled || s.Metrics().Queued != 0 {
+		t.Fatalf("status %+v %v, %d queued", st, err, s.Metrics().Queued)
 	}
 }
 
@@ -493,7 +455,7 @@ func TestDrainDeadlineParksRunningJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := events[len(events)-1]
-	if (&jobRecord{state: last.Event}).terminal() {
+	if (&jobRecord{last: last.Event}).terminal() {
 		t.Fatalf("deadline drain journaled terminal %q", last.Event)
 	}
 	if dumps, err := checkpoint.LatestValid(filepath.Join(dir, "checkpoints", id)); err != nil {
@@ -537,4 +499,44 @@ func TestDrainDeadlineParksRunningJob(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	s2.Cancel(id) // 100k steps: don't run them out
+}
+
+// TestDeterministicFailuresAreNotRetried: a run that diverged and a run that
+// hit the job's own deadline would end the same way on every attempt, so on
+// a durable service — where a transient failure gets three attempts — both
+// fail for good at the first.
+func TestDeterministicFailuresAreNotRetried(t *testing.T) {
+	diverging, err := quickSpec(40).Request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diverging.Config.DivergenceLimit = 1e-30
+	overdue, err := quickSpec(200000).Request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	overdue.Timeout = 50 * time.Millisecond
+	for _, tc := range []struct {
+		wantErr string
+		req     Request
+	}{{"diverged", diverging}, {"deadline exceeded", overdue}} {
+		s, err := Open(Options{Workers: 1, DataDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := s.Submit(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		st, err := s.Wait(ctx, id)
+		cancel()
+		if err != nil || st.State != StateFailed || !strings.Contains(st.Error, tc.wantErr) {
+			t.Fatalf("%s: %+v, %v", tc.wantErr, st, err)
+		}
+		if m := s.Metrics(); st.Attempt != 1 || m.Retried != 0 {
+			t.Errorf("%s: attempt %d, %d retried: a deterministic failure was retried", tc.wantErr, st.Attempt, m.Retried)
+		}
+		drain(t, s)
+	}
 }

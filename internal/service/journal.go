@@ -67,7 +67,7 @@ type journalEvent struct {
 type jobRecord struct {
 	id      string
 	spec    *JobSpec
-	state   string // last event seen
+	last    string // the last event seen
 	attempt int
 	step    int
 }
@@ -83,7 +83,7 @@ func replayJournal(events []journalEvent) []*jobRecord {
 			byID[ev.JobID] = rec
 			order = append(order, rec)
 		}
-		rec.state = ev.Event
+		rec.last = ev.Event
 		if ev.Spec != nil {
 			rec.spec = ev.Spec
 		}
@@ -98,7 +98,7 @@ func replayJournal(events []journalEvent) []*jobRecord {
 }
 
 // terminal reports whether the record's last journaled event ends the job.
-func (r *jobRecord) terminal() bool { return State(r.state).Terminal() }
+func (r *jobRecord) terminal() bool { return State(r.last).Terminal() }
 
 // compactedJournal is the boot-compaction policy: just the submitted events
 // of still-live jobs, so the file stays bounded across restarts instead of

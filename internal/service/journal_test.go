@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"log/slog"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"swquake/internal/admission"
 	"swquake/internal/wal"
 )
 
@@ -36,7 +38,7 @@ func TestParentWrittenJournal(t *testing.T) {
 	}
 	var got []rec
 	for _, r := range replayJournal(events) {
-		got = append(got, rec{r.id, r.state, r.spec.Scenario, r.attempt, r.step, r.terminal()})
+		got = append(got, rec{r.id, r.last, r.spec.Scenario, r.attempt, r.step, r.terminal()})
 	}
 	wantRecs := []rec{
 		{"job-000001", "done", "quickstart", 1, 25, true},
@@ -111,6 +113,66 @@ func TestParentWrittenJournal(t *testing.T) {
 		}
 		if rec := id != "job-000006"; st.Recovered != rec || (rec && st.Attempt != 3) {
 			t.Errorf("%s: recovered=%v attempt=%d", id, st.Recovered, st.Attempt)
+		}
+	}
+}
+
+// parentCrashJournal is what commit 86ad5bd's service left behind a crash,
+// byte for byte: job 1 done, job 2 (batch) killed while running past its
+// step-25 checkpoint, job 3 waiting out a retry backoff.
+const parentCrashJournal = `{"t":"2026-10-03T09:00:00Z","event":"submitted","job":"job-000001","spec":{"scenario":"quickstart","overrides":{"steps":20}}}
+{"t":"2026-10-03T09:00:00.0015Z","event":"started","job":"job-000001","attempt":1}
+{"t":"2026-10-03T09:00:00.003Z","event":"submitted","job":"job-000002","spec":{"scenario":"quickstart","overrides":{"steps":30},"class":"batch"}}
+{"t":"2026-10-03T09:00:00.0045Z","event":"done","job":"job-000001","attempt":1}
+{"t":"2026-10-03T09:00:00.006Z","event":"started","job":"job-000002","attempt":1}
+{"t":"2026-10-03T09:00:00.0075Z","event":"submitted","job":"job-000003","spec":{"scenario":"quickstart","overrides":{"steps":25}}}
+{"t":"2026-10-03T09:00:00.009Z","event":"progress","job":"job-000002","attempt":1,"step":25}
+{"t":"2026-10-03T09:00:00.0105Z","event":"started","job":"job-000003","attempt":1}
+{"t":"2026-10-03T09:00:00.012Z","event":"retrying","job":"job-000003","attempt":1,"error":"service: job job-000003 panicked: injected worker panic"}
+`
+
+// TestBootRecoversTheParentsCrashJournal: the boot sequence now lives in
+// wal.Recover; a journal the parent's code wrote must requeue exactly the
+// set the parent's own reboot would — the running and the retrying job, each
+// with its attempt, in its class — forget the finished one, and leave the
+// file compacted to those two.
+func TestBootRecoversTheParentsCrashJournal(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(journalPath(dir), []byte(parentCrashJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Workers: 1, DataDir: dir, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	if m := s.Metrics(); m.Recovered != 2 || m.Submitted != 2 {
+		t.Fatalf("recovered %d of %d submitted, want 2 of 2", m.Recovered, m.Submitted)
+	}
+	if _, err := s.Status("job-000001"); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("the finished job came back: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for id, class := range map[string]admission.Class{"job-000002": admission.ClassBatch, "job-000003": admission.ClassInteractive} {
+		st, err := s.Wait(ctx, id)
+		if err != nil || st.State != StateDone || !st.Recovered || st.Attempt != 2 {
+			t.Errorf("%s: %+v, %v", id, st, err)
+		}
+		if got := s.jobs[id].item.Class; got != class {
+			t.Errorf("%s requeued in class %q, want %q", id, got, class)
+		}
+	}
+	events, err := wal.Read[journalEvent](journalPath(dir))
+	if err != nil || len(events) < 2 {
+		t.Fatalf("compacted journal: %d events, %v", len(events), err)
+	}
+	for i, want := range []journalEvent{
+		{Event: "submitted", JobID: "job-000002", Attempt: 1, Step: 25},
+		{Event: "submitted", JobID: "job-000003", Attempt: 1},
+	} {
+		if got := events[i]; got.Event != want.Event || got.JobID != want.JobID || got.Attempt != want.Attempt || got.Step != want.Step || got.Spec == nil {
+			t.Errorf("compacted event %d: %+v, want %+v", i, got, want)
 		}
 	}
 }

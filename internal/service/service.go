@@ -29,21 +29,14 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"swquake/internal/admission"
-	"swquake/internal/checkpoint"
 	"swquake/internal/core"
-	"swquake/internal/faultinject"
 	"swquake/internal/manifest"
 	"swquake/internal/telemetry"
 	"swquake/internal/wal"
@@ -61,12 +54,6 @@ var (
 	// ErrNotFinished is returned by Result while the job is queued/running.
 	ErrNotFinished = errors.New("service: job not finished")
 )
-
-// errProgressStalled is the cancellation cause the progress watchdog
-// injects when a running job stops advancing: the engine surfaces it via
-// context.Cause, which lets the outcome switch tell a stall (retry) from a
-// user cancellation (terminal).
-var errProgressStalled = errors.New("service: job made no step progress within the progress deadline")
 
 // State is a job's lifecycle state.
 type State string
@@ -128,16 +115,10 @@ type Options struct {
 	// CheckpointEvery is the auto-checkpoint interval in solver steps for
 	// durable jobs (0 = 25; negative disables auto-checkpointing).
 	CheckpointEvery int
-	// CheckpointKeep bounds the retained checkpoints per job (0 = 3).
-	CheckpointKeep int
-	// MaxAttempts caps how many times a failing job is run before the
-	// failure becomes permanent. 0 means 3 when DataDir is set, else 1
-	// (no retry).
+	// MaxAttempts caps how many times a transiently failing job is run
+	// before the failure becomes permanent; retries back off exponentially
+	// from 100ms. 0 means 3 when DataDir is set, else 1 (no retry).
 	MaxAttempts int
-	// RetryBackoff is the base delay before a retry; the actual delay is
-	// RetryBackoff * 2^(attempt-1), capped at 32x, with ±25% jitter
-	// (0 = 100ms).
-	RetryBackoff time.Duration
 
 	// StepDeadline arms the parallel engine's stalled-rank watchdog for
 	// jobs that don't set Config.StepDeadline themselves: a halo exchange
@@ -162,13 +143,12 @@ type Options struct {
 	// fit are rejected at submit with admission.ErrNeverFits. 0 = unlimited.
 	MemBudget int64
 	// SubmitRate bounds accepted submissions per second through a token
-	// bucket of SubmitBurst capacity (burst 0 = 2*rate, min 1). Cache hits
-	// are exempt — serving a cached result allocates nothing. 0 = unlimited.
-	SubmitRate  float64
-	SubmitBurst int
+	// bucket holding two seconds' worth (at least one). Cache hits are
+	// exempt — serving a cached result allocates nothing. 0 = unlimited.
+	SubmitRate float64
 	// BreakerThreshold trips the circuit breaker after this many
 	// consecutive infrastructure failures — worker panics, engine faults,
-	// progress stalls; simulation-level failures (divergence, timeouts)
+	// progress stalls; simulation-level failures (divergence, deadlines)
 	// don't count. While open, Submit sheds with admission.ErrShedding for
 	// BreakerCooldown (0 = 15s), then admits one probe submission; any job
 	// success closes the breaker. 0 disables the breaker.
@@ -180,9 +160,6 @@ type Options struct {
 	// (0 = no watchdog). This catches livelocks the engine-level
 	// StepDeadline cannot see — e.g. a worker wedged outside a halo wait.
 	ProgressDeadline time.Duration
-	// InteractiveWeight is the scheduler's class weighting: interactive
-	// wins this many of every weight+1 contested dispatches (0 = 4).
-	InteractiveWeight int
 
 	// Logger receives structured job-lifecycle events (submitted, started,
 	// done, failed, retrying, canceled, recovered), each carrying job_id
@@ -268,7 +245,7 @@ type job struct {
 	// ledger's idempotent TryReserve makes that safe).
 	item *admission.Item
 
-	// guarded by Service.mu
+	// guarded by Service.mu; state changes in lifecycle.go's move alone
 	state       State
 	err         error
 	result      *Result
@@ -276,11 +253,11 @@ type job struct {
 	attempt     int
 	resumedStep int
 	recovered   bool
-	parked      bool // canceled by Drain's deadline, not by a user: stays recoverable
 
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
+	entered   time.Time // when the job entered its current state
 
 	// written by the worker's observer, read by Status
 	stepsTotal int
@@ -288,9 +265,9 @@ type job struct {
 	simTime    atomic.Uint64 // float64 bits
 	wall       atomic.Int64  // time.Duration
 
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc // nil: the user's cancel; errShutdown: Drain's deadline
 	ctx    context.Context
-	done   chan struct{}
+	done   chan struct{} // closed when the job is terminal
 }
 
 // Service runs simulation jobs on a bounded queue and worker pool.
@@ -303,6 +280,7 @@ type Service struct {
 	cache  *resultCache
 	wg     sync.WaitGroup
 	wal    *wal.Log[journalEvent] // nil without DataDir
+	clk    clock
 	log    *slog.Logger
 	tracer *telemetry.Tracer
 
@@ -315,11 +293,10 @@ type Service struct {
 	stageMu  sync.Mutex
 	stageAgg *telemetry.StageClock
 
-	mu          sync.Mutex
-	jobs        map[string]*job
-	retryTimers map[string]*time.Timer
-	nextID      int
-	closed      bool
+	mu     sync.Mutex
+	jobs   map[string]*job
+	nextID int
+	closed bool
 }
 
 // metrics are the service's typed metrics. Each is declared exactly once, in
@@ -334,7 +311,7 @@ type metrics struct {
 	cacheHits, cacheMisses, steps, haloBytes              *telemetry.Counter
 	progressStalls, breakerTrips                          *telemetry.Counter
 	// queued is the depth of the submission queue right now, queueHW the
-	// deepest it has been since boot; noteQueued moves both.
+	// deepest it has been since boot; both follow StateQueued.
 	running, queued, queueHW *telemetry.Gauge
 	// engineFaults is keyed by core.FaultKind, rejected by admission reason;
 	// every series shows from boot, at zero.
@@ -343,6 +320,9 @@ type metrics struct {
 	// reached a worker and ended there; cache hits, jobs canceled while
 	// queued or in retry backoff and jobs failed at boot are not in it.
 	jobLatency *telemetry.Histogram
+	// stateSeconds observes, per non-terminal state, how long a job stayed
+	// in it each time it left.
+	stateSeconds map[string]*telemetry.Histogram
 }
 
 // declareMetrics declares every metric of the service on s.reg: the typed
@@ -397,6 +377,8 @@ func (s *Service) declareMetrics() {
 
 	m.jobLatency = r.Histogram("swquake_job_duration_seconds",
 		"Submit-to-terminal latency of finished jobs.", telemetry.DefLatencyBuckets)
+	m.stateSeconds = r.HistogramVec("swquake_job_state_seconds", "Time jobs spent in a state, observed as they left it.",
+		"state", telemetry.DefLatencyBuckets, string(StateQueued), string(StateRunning), string(StateRetrying))
 
 	r.LabeledCounterFunc("swquake_stage_seconds_total",
 		"Engine wall seconds per pipeline stage, summed over completed jobs.", "stage",
@@ -405,7 +387,13 @@ func (s *Service) declareMetrics() {
 		"Stage timing observations per pipeline stage.", "stage",
 		s.stageSamples(func(st telemetry.StageStats) float64 { return float64(st.Count) }))
 
-	// admission / overload-protection families (DESIGN.md §3.8)
+	s.declareAdmissionMetrics()
+}
+
+// declareAdmissionMetrics declares the admission and overload-protection
+// families (DESIGN.md §3.8), which come last in the exposition.
+func (s *Service) declareAdmissionMetrics() {
+	r, m := s.reg, &s.m
 	m.rejected = r.CounterVec("jobs_rejected", "swquake_jobs_rejected_total",
 		"Submissions refused by the admission layer, by reason (queue-full, budget, rate-limit, breaker, draining).",
 		"reason", "queue-full", "budget", "rate-limit", "breaker", "draining")
@@ -461,11 +449,14 @@ func New(opts Options) *Service {
 }
 
 // Open builds a Service and starts its worker pool. With Options.DataDir
-// set it first recovers: the journal is replayed, jobs that never reached
-// a terminal state are requeued (resuming from their latest valid
-// checkpoint once a worker picks them up), and the journal is compacted so
-// it stays bounded across restarts.
-func Open(opts Options) (*Service, error) {
+// set it first recovers (recover.go): the journal is replayed, jobs that
+// never reached a terminal state are requeued (resuming from their latest
+// valid checkpoint once a worker picks them up), and the journal is
+// compacted so it stays bounded across restarts.
+func Open(opts Options) (*Service, error) { return open(opts, wallClock{}) }
+
+// open is Open on a given clock.
+func open(opts Options, clk clock) (*Service, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -476,93 +467,51 @@ func Open(opts Options) (*Service, error) {
 		opts.CacheSize = 64
 	}
 	if opts.MaxAttempts <= 0 {
+		opts.MaxAttempts = 1
 		if opts.DataDir != "" {
 			opts.MaxAttempts = 3
-		} else {
-			opts.MaxAttempts = 1
 		}
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = 100 * time.Millisecond
 	}
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = 25
 	}
-	if opts.CheckpointKeep <= 0 {
-		opts.CheckpointKeep = 3
-	}
-
-	// replay the journal before sizing the queue: every recovered job must
-	// fit even when there are more of them than QueueSize
-	var live []*jobRecord
-	var maxID int
-	var journal *wal.Log[journalEvent]
-	if opts.DataDir != "" {
-		if err := os.MkdirAll(filepath.Join(opts.DataDir, "checkpoints"), 0o755); err != nil {
-			return nil, err
-		}
-		path := journalPath(opts.DataDir)
-		events, err := wal.Read[journalEvent](path)
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range replayJournal(events) {
-			if n := jobSeq(rec.id); n > maxID {
-				maxID = n
-			}
-			if !rec.terminal() && rec.spec != nil {
-				live = append(live, rec)
-			}
-		}
-		if err := wal.Rewrite(path, compactedJournal(live, time.Now())); err != nil {
-			return nil, err
-		}
-		if journal, err = wal.Open[journalEvent](path); err != nil {
-			return nil, err
-		}
-	}
-
-	queueSize := opts.QueueSize
-	if len(live) > queueSize {
-		queueSize = len(live)
+	if opts.BreakerCooldown <= 0 {
+		opts.BreakerCooldown = 15 * time.Second
 	}
 	if opts.Logger == nil {
 		opts.Logger = telemetry.Discard()
 	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 15 * time.Second
-	}
-	if opts.SubmitRate > 0 && opts.SubmitBurst <= 0 {
-		opts.SubmitBurst = int(2 * opts.SubmitRate)
-	}
 	ledger := admission.NewLedger(opts.MemBudget)
 	s := &Service{
-		opts:        opts,
-		sched:       admission.NewQueue(queueSize, ledger, opts.InteractiveWeight),
-		ledger:      ledger,
-		limit:       admission.NewTokenBucket(opts.SubmitRate, opts.SubmitBurst),
-		brk:         admission.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
-		cache:       newResultCache(opts.CacheSize),
-		wal:         journal,
-		log:         opts.Logger,
-		tracer:      opts.Tracer,
-		reg:         telemetry.NewRegistry(),
-		stageAgg:    telemetry.NewStageClock(),
-		jobs:        make(map[string]*job),
-		retryTimers: make(map[string]*time.Timer),
-		nextID:      maxID,
+		opts:     opts,
+		ledger:   ledger,
+		limit:    admission.NewTokenBucket(opts.SubmitRate, clk.Now),
+		brk:      admission.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, clk.Now),
+		cache:    newResultCache(opts.CacheSize),
+		clk:      clk,
+		log:      opts.Logger,
+		tracer:   opts.Tracer,
+		reg:      telemetry.NewRegistry(),
+		stageAgg: telemetry.NewStageClock(),
+		jobs:     make(map[string]*job),
 	}
 	s.declareMetrics()
 
-	requeued := 0
-	for _, rec := range live { // empty unless durable
-		n, err := s.requeueRecovered(rec)
-		if err != nil {
+	var live []*jobRecord
+	if opts.DataDir != "" {
+		var err error
+		if s.wal, live, s.nextID, err = recoverJournal(opts.DataDir, clk); err != nil {
 			return nil, err
 		}
-		requeued += n
 	}
-	if requeued > 0 {
+	// every recovered job must fit even when there are more than QueueSize
+	s.sched = admission.NewQueue(max(opts.QueueSize, len(live)), ledger)
+	for _, rec := range live {
+		if err := s.requeueRecovered(rec); err != nil {
+			return nil, err
+		}
+	}
+	if s.m.recovered.Value() > 0 {
 		// slow-start: a rebooted daemon trickles its recovered backlog in
 		// (in-flight window 1, doubling on success) instead of slamming
 		// the pool the moment the workers spin up
@@ -574,91 +523,6 @@ func Open(opts Options) (*Service, error) {
 		go s.worker()
 	}
 	return s, nil
-}
-
-func journalPath(dataDir string) string {
-	return filepath.Join(dataDir, "journal.jsonl")
-}
-
-// ckptDir is the per-job checkpoint directory under DataDir.
-func (s *Service) ckptDir(jobID string) string {
-	return filepath.Join(s.opts.DataDir, "checkpoints", jobID)
-}
-
-// jobSeq extracts the sequence number from a "job-%06d" ID (0 if malformed).
-func jobSeq(id string) int {
-	n, _ := strconv.Atoi(strings.TrimPrefix(id, "job-"))
-	return n
-}
-
-// requeueRecovered turns a journal record back into a queued job under the
-// job's original ID, reporting how many jobs (0 or 1) actually rejoined
-// the queue. A spec that no longer builds (e.g. a scenario removed between
-// boots) — or one that no longer fits a shrunken memory budget — parks the
-// job as permanently failed instead of erroring the whole boot.
-func (s *Service) requeueRecovered(rec *jobRecord) (int, error) {
-	j := &job{
-		id:        rec.id,
-		req:       Request{Spec: rec.spec},
-		submitted: time.Now(),
-		attempt:   rec.attempt,
-		recovered: true,
-		done:      make(chan struct{}),
-	}
-	j.ctx, j.cancel = context.WithCancel(context.Background())
-
-	failBoot := func(err error) {
-		j.state = StateFailed
-		j.err = err
-		j.finished = time.Now()
-		close(j.done)
-		s.jobs[j.id] = j
-		s.m.failed.Add(1)
-		s.logEvent(j, journalEvent{Event: "failed", Error: j.err.Error()})
-	}
-
-	req, err := rec.spec.Request()
-	if err != nil {
-		failBoot(fmt.Errorf("service: recovered job %s no longer builds: %w", rec.id, err))
-		return 0, nil
-	}
-	ckey, err := ConfigKey(req.Config)
-	if err != nil {
-		return 0, err
-	}
-	cost := s.estimateCost(req)
-	if !s.ledger.Fits(cost.Bytes) {
-		failBoot(fmt.Errorf("service: recovered job %s: %w (needs %s of a %s budget)",
-			rec.id, admission.ErrNeverFits,
-			admission.FormatBytes(cost.Bytes), admission.FormatBytes(s.ledger.Total())))
-		return 0, nil
-	}
-	j.req = req
-	j.key = fmt.Sprintf("%s/%dx%d", ckey, req.MX, req.MY)
-	j.stepsTotal = req.Config.Steps
-	j.state = StateQueued
-	j.item = &admission.Item{
-		ID: j.id, Class: req.Class, Bytes: cost.Bytes, Recovered: true, Payload: j,
-	}
-	if err := s.sched.Push(j.item); err != nil {
-		return 0, fmt.Errorf("service: recovery requeueing %s: %w", rec.id, err)
-	}
-	s.jobs[j.id] = j
-	s.m.submitted.Add(1)
-	s.noteQueued(1)
-	s.m.recovered.Add(1)
-	s.jobLog(j).Info("job recovered", "attempt", j.attempt, "budget_bytes", cost.Bytes)
-	s.tracer.NameThread(0, jobSeq(j.id), j.id)
-	return 1, nil
-}
-
-// noteQueued is the single bottleneck for queue-depth accounting: every
-// enqueue/dequeue path moves the depth gauge through it, and an enqueue
-// advances the high-water mark.
-func (s *Service) noteQueued(delta int64) {
-	if d := s.m.queued.Add(delta); delta > 0 {
-		s.m.queueHW.RaiseTo(d)
-	}
 }
 
 // jobLog returns a job-scoped logger carrying the identifying fields every
@@ -678,7 +542,7 @@ func (s *Service) logEvent(j *job, ev journalEvent) {
 	if s.wal == nil || j.req.Spec == nil {
 		return
 	}
-	ev.JobID, ev.Time = j.id, time.Now()
+	ev.JobID, ev.Time = j.id, s.clk.Now()
 	if err := s.wal.Append(ev); err != nil {
 		// the caller has already acted on the event; what is lost is its
 		// durable record, so a crash from here on may not recover this job
@@ -709,14 +573,51 @@ func (s *Service) QueueSize() int { return s.opts.QueueSize }
 // bounded queue (ErrQueueFull — backpressure). Jobs that fit the budget
 // but can't reserve it yet are accepted and wait in the queue.
 func (s *Service) Submit(req Request) (string, error) {
-	cfg := req.Config
-	if err := cfg.Validate(); err != nil {
-		return "", err
-	}
-	req.Config = cfg // keep the default-filled copy
-	class, err := req.Class.Normalize()
+	req, key, err := normalize(req)
 	if err != nil {
 		return "", err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		s.m.rejected.Add("draining", 1)
+		return "", ErrClosed
+	}
+	s.nextID++
+	j := newJob(fmt.Sprintf("job-%06d", s.nextID), req, key)
+	if j.result, j.cacheHit = s.cache.get(key); j.cacheHit {
+		s.transitionLocked(j, change{from: stateNew, to: StateDone})
+		return j.id, nil
+	}
+	cost := s.estimateCost(req)
+	j.item = &admission.Item{ID: j.id, Class: req.Class, Bytes: cost.Bytes, Payload: j}
+	reason, err := s.admit(cost.Bytes)
+	if err == nil && s.enqueue(j, stateNew) != nil {
+		// the breaker gate ran last, so an admitted probe can only be lost
+		// to a full queue, which rolls it back here
+		s.brk.ProbeAborted()
+		reason, err = "queue-full", ErrQueueFull
+	}
+	if err != nil {
+		j.cancel(nil)
+		s.m.rejected.Add(reason, 1)
+		return "", err
+	}
+	// write-ahead: the transition journaled the submission before Submit
+	// returns, so a crash between accept and completion cannot lose the job
+	return j.id, nil
+}
+
+// normalize validates a request and fills it in — the default-filled
+// config, the class, the layout — and derives its cache key: the canonical
+// config hash plus the process-grid layout.
+func normalize(req Request) (Request, string, error) {
+	if err := req.Config.Validate(); err != nil {
+		return req, "", err
+	}
+	class, err := req.Class.Normalize()
+	if err != nil {
+		return req, "", err
 	}
 	req.Class = class
 	if req.Spec != nil && req.Spec.Class != class {
@@ -726,506 +627,36 @@ func (s *Service) Submit(req Request) (string, error) {
 		sp.Class = class
 		req.Spec = &sp
 	}
-	ckey, err := ConfigKey(cfg)
+	ckey, err := ConfigKey(req.Config)
 	if err != nil {
-		return "", err
+		return req, "", err
 	}
-	if req.MX < 1 {
-		req.MX = 1
-	}
-	if req.MY < 1 {
-		req.MY = 1
-	}
-	key := fmt.Sprintf("%s/%dx%d", ckey, req.MX, req.MY)
+	req.MX, req.MY = max(req.MX, 1), max(req.MY, 1)
+	return req, fmt.Sprintf("%s/%dx%d", ckey, req.MX, req.MY), nil
+}
 
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		s.m.rejected.Add("draining", 1)
-		return "", ErrClosed
-	}
-	s.nextID++
-	j := &job{
-		id:         fmt.Sprintf("job-%06d", s.nextID),
-		req:        req,
-		key:        key,
-		submitted:  now,
-		stepsTotal: cfg.Steps,
-		done:       make(chan struct{}),
-	}
-	j.ctx, j.cancel = context.WithCancel(context.Background())
+// newJob is a job before its first transition.
+func newJob(id string, req Request, key string) *job {
+	j := &job{id: id, req: req, key: key, stepsTotal: req.Config.Steps, done: make(chan struct{})}
+	j.ctx, j.cancel = context.WithCancelCause(context.Background())
+	return j
+}
 
-	if res, ok := s.cache.get(key); ok {
-		j.state = StateDone
-		j.result = res
-		j.cacheHit = true
-		j.started, j.finished = now, now
-		j.stepsDone.Store(int64(j.stepsTotal))
-		close(j.done)
-		s.jobs[j.id] = j
-		s.m.submitted.Add(1)
-		s.m.cacheHits.Add(1)
-		s.m.done.Add(1)
-		s.jobLog(j).Info("job served from cache")
-		return j.id, nil
-	}
-
+// admit runs the gates in front of the queue, in order — the token-bucket
+// rate limiter, the never-fits budget check, the circuit breaker — and
+// names the one that refused.
+func (s *Service) admit(bytes int64) (reason string, err error) {
 	if err := s.limit.Allow(); err != nil {
-		j.cancel()
-		s.m.rejected.Add("rate-limit", 1)
-		return "", err
+		return "rate-limit", err
 	}
-	cost := s.estimateCost(req)
-	if !s.ledger.Fits(cost.Bytes) {
-		j.cancel()
-		s.m.rejected.Add("budget", 1)
-		return "", fmt.Errorf("service: %w (job needs %s of a %s budget)",
-			admission.ErrNeverFits,
-			admission.FormatBytes(cost.Bytes), admission.FormatBytes(s.ledger.Total()))
+	if !s.ledger.Fits(bytes) {
+		return "budget", fmt.Errorf("service: %w (job needs %s of a %s budget)", admission.ErrNeverFits,
+			admission.FormatBytes(bytes), admission.FormatBytes(s.ledger.Total()))
 	}
-	// the breaker gate runs last so an admitted probe can only be lost to
-	// a full queue, which ProbeAborted rolls back below
 	if err := s.brk.Allow(); err != nil {
-		j.cancel()
-		s.m.rejected.Add("breaker", 1)
-		return "", err
+		return "breaker", err
 	}
-
-	j.state = StateQueued
-	j.item = &admission.Item{ID: j.id, Class: class, Bytes: cost.Bytes, Payload: j}
-	if err := s.sched.Push(j.item); err != nil {
-		j.cancel()
-		s.brk.ProbeAborted()
-		s.m.rejected.Add("queue-full", 1)
-		return "", ErrQueueFull
-	}
-	s.jobs[j.id] = j
-	s.m.submitted.Add(1)
-	s.m.cacheMisses.Add(1)
-	s.noteQueued(1)
-	s.jobLog(j).Info("job submitted",
-		"steps", j.stepsTotal, "mx", req.MX, "my", req.MY,
-		"class", string(class), "budget_bytes", cost.Bytes)
-	s.tracer.NameThread(0, jobSeq(j.id), j.id)
-	// write-ahead: the submission is on disk before Submit returns, so a
-	// crash between accept and completion cannot lose the job
-	s.logEvent(j, journalEvent{Event: "submitted", Spec: req.Spec})
-	return j.id, nil
-}
-
-// worker pops admitted items — each arrives with its budget reservation
-// already held — until Drain closes the scheduler and it runs dry. Done
-// releases the reservation and feeds slow-start.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		it, ok := s.sched.Pop()
-		if !ok {
-			return
-		}
-		j := it.Payload.(*job)
-		s.sched.Done(it, s.runJob(j))
-	}
-}
-
-// runJob executes one job end to end: state transitions, the deadline
-// context, the progress watchdog, the progress observer,
-// auto-checkpointing, the engine run (panic-isolated), and result/retry
-// bookkeeping. It reports whether the job completed successfully (the
-// slow-start advance signal).
-func (s *Service) runJob(j *job) bool {
-	s.mu.Lock()
-	if j.state != StateQueued { // canceled while waiting in the queue
-		s.mu.Unlock()
-		s.noteQueued(-1)
-		return false
-	}
-	j.state = StateRunning
-	j.attempt++
-	j.started = time.Now()
-	j.resumedStep = 0
-	attempt := j.attempt
-	s.mu.Unlock()
-	s.noteQueued(-1)
-	s.m.running.Add(1)
-
-	tid := jobSeq(j.id)
-	jl := s.jobLog(j).With("attempt", attempt)
-	s.tracer.Span(0, tid, "job", "queued", j.submitted, j.started.Sub(j.submitted), nil)
-
-	ctx := j.ctx
-	timeout := j.req.Timeout
-	if timeout <= 0 {
-		timeout = s.opts.DefaultTimeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	// progress watchdog: poll the job's step counter and cancel the run —
-	// with a cause the outcome switch can tell from a user cancellation —
-	// when it stops advancing. The engine propagates context.Cause into its
-	// error, so a stalled run lands in the retry branch, where the normal
-	// retry-from-checkpoint machinery takes over.
-	if pd := s.opts.ProgressDeadline; pd > 0 {
-		var stall context.CancelCauseFunc
-		ctx, stall = context.WithCancelCause(ctx)
-		defer stall(nil)
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			poll := pd / 4
-			if poll < 10*time.Millisecond {
-				poll = 10 * time.Millisecond
-			}
-			tick := time.NewTicker(poll)
-			defer tick.Stop()
-			last, lastAdvance := j.stepsDone.Load(), time.Now()
-			for {
-				select {
-				case <-watchDone:
-					return
-				case <-ctx.Done():
-					return
-				case now := <-tick.C:
-					if cur := j.stepsDone.Load(); cur != last {
-						last, lastAdvance = cur, now
-						continue
-					}
-					if now.Sub(lastAdvance) >= pd {
-						s.m.progressStalls.Add(1)
-						jl.Warn("progress stalled, canceling for retry",
-							"steps_done", last, "deadline", pd.String())
-						stall(errProgressStalled)
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	cfg := j.req.Config
-	serial := j.req.MX <= 1 && j.req.MY <= 1
-	// the engine's per-step spans land on this job's trace track
-	cfg.Tracer = s.tracer
-	cfg.TraceTID = tid
-
-	// service-level engine resilience defaults: requests that configure
-	// these themselves win, everything else inherits the daemon's policy
-	if cfg.StepDeadline == 0 {
-		cfg.StepDeadline = s.opts.StepDeadline
-	}
-	if !cfg.HaloCRC {
-		cfg.HaloCRC = s.opts.HaloCRC
-	}
-	if cfg.MaxFaultRetries == 0 {
-		cfg.MaxFaultRetries = s.opts.EngineRetries
-	}
-	// engine faults (recovered or not) feed the per-kind counters, the
-	// journal and the job log; recoveries are the engine healing itself
-	// without burning a job-level attempt
-	cfg.OnFault = func(ev core.FaultEvent) {
-		s.m.engineFaults.Add(string(ev.Kind), 1)
-		if ev.Recovered {
-			s.m.engineRecoveries.Add(1)
-		}
-		jl.Warn("engine fault", "kind", string(ev.Kind), "rank", ev.Rank,
-			"step", ev.Step, "engine_attempt", ev.Attempt,
-			"recovered", ev.Recovered, "resume_step", ev.ResumeStep)
-		s.logEvent(j, journalEvent{
-			Event: "engine_fault", Attempt: attempt,
-			Step: ev.Step, Error: fmt.Sprintf("%s (recovered=%v)", ev.Kind, ev.Recovered),
-		})
-	}
-
-	// durable jobs auto-checkpoint into their own directory and, on a
-	// retry or post-crash requeue, resume from the newest dump that passes
-	// the integrity checks (a corrupted latest falls back to the one
-	// before it). Parallel jobs checkpoint too: the engine gathers blocks
-	// to rank 0 and writes one global dump, so serial and parallel
-	// attempts of the same job can resume each other's checkpoints.
-	var ctl *checkpoint.Controller
-	if s.autoCheckpoints(j.req) {
-		dir := s.ckptDir(j.id)
-		if err := os.MkdirAll(dir, 0o755); err == nil {
-			ctl = &checkpoint.Controller{
-				Dir: dir, Interval: s.opts.CheckpointEvery, Keep: s.opts.CheckpointKeep,
-			}
-			cfg.Checkpoint = ctl
-			if path, err := checkpoint.LatestValid(dir); err == nil {
-				cfg.RestartFrom = path
-				if step, ok := checkpoint.PathStep(path); ok {
-					s.mu.Lock()
-					j.resumedStep = step
-					s.mu.Unlock()
-					j.stepsDone.Store(int64(step))
-				}
-			}
-		}
-	}
-
-	s.logEvent(j, journalEvent{Event: "started", Attempt: attempt})
-	jl.Info("job started", "resumed_step", j.resumedStep, "serial", serial)
-
-	cfg.Observer = func(ev core.StepEvent) {
-		j.stepsDone.Store(int64(ev.Step))
-		j.simTime.Store(math.Float64bits(ev.SimTime))
-		j.wall.Store(int64(ev.Wall))
-		s.m.steps.Add(1)
-		if ctl != nil && ctl.Due(ev.Step) {
-			s.logEvent(j, journalEvent{Event: "progress", Attempt: attempt, Step: ev.Step})
-			s.tracer.Instant(0, tid, "job", "checkpoint", time.Now(),
-				map[string]any{"step": ev.Step})
-		}
-	}
-
-	var res *core.Result
-	var err error
-	var panicked bool
-	func() {
-		// a panicking worker must fail its job, not the daemon: the stack
-		// unwinds here, the outcome switch below records the failure, and
-		// the retry policy gets a shot at running the job again
-		defer func() {
-			if r := recover(); r != nil {
-				res = nil
-				err = fmt.Errorf("service: job %s panicked: %v", j.id, r)
-				panicked = true
-				s.m.workerPanics.Add(1)
-			}
-		}()
-		if faultinject.Fire(faultinject.WorkerPanic) {
-			panic("injected worker panic")
-		}
-		if !serial {
-			res, err = core.RunParallelCtx(ctx, cfg, j.req.MX, j.req.MY)
-		} else {
-			var sim *core.Simulator
-			if sim, err = core.New(cfg); err == nil {
-				res, err = sim.RunCtx(ctx)
-			}
-		}
-	}()
-	if res != nil {
-		s.m.checkpointsSaved.Add(int64(len(res.Checkpoints)))
-		s.m.checkpointWriteNS.Add(int64(res.CheckpointWriteSeconds * 1e9))
-		s.m.haloBytes.Add(res.Perf.HaloBytes)
-	}
-
-	s.m.running.Add(-1)
-
-	// infrastructure failures — worker panics, contained engine faults,
-	// progress stalls — feed the circuit breaker; simulation-level failures
-	// (divergence, timeouts) are the job's own problem and don't count
-	var ef *core.EngineFault
-	infraFailure := panicked || errors.As(err, &ef) || errors.Is(err, errProgressStalled)
-
-	s.mu.Lock()
-	j.finished = time.Now()
-	// endAttempt closes out the attempt's trace span and, when the state is
-	// terminal, observes submit-to-finish latency. The timestamps are
-	// captured here, under s.mu, because a job parked in StateRetrying can
-	// have j.finished rewritten by Cancel or Drain the moment the lock drops.
-	started, finished := j.started, j.finished
-	endAttempt := func(state State, terminal bool) {
-		s.tracer.Span(0, tid, "job", "running", started, finished.Sub(started),
-			map[string]any{"state": string(state), "attempt": attempt})
-		if terminal {
-			s.m.jobLatency.Observe(finished.Sub(j.submitted).Seconds())
-		}
-	}
-	switch {
-	case err == nil:
-		j.result = buildResult(cfg, res)
-		j.err = nil
-		j.state = StateDone
-		s.cache.add(j.key, j.result)
-		s.m.done.Add(1)
-		s.mu.Unlock()
-		s.brk.Success() // any success closes the breaker (probe or not)
-		endAttempt(StateDone, true)
-		s.mergeStages(res.Stages)
-		jl.Info("job done",
-			"steps", res.Steps, "elapsed_s", finished.Sub(started).Seconds())
-		s.logEvent(j, journalEvent{Event: "done", Attempt: attempt})
-		s.removeCheckpoints(ctl)
-		close(j.done)
-		return true
-	case errors.Is(err, context.Canceled):
-		j.err = err
-		j.state = StateCanceled
-		parked := j.parked && j.req.Spec != nil
-		s.m.canceled.Add(1)
-		s.mu.Unlock()
-		endAttempt(StateCanceled, true)
-		jl.Warn("job canceled", "parked", parked)
-		// a job stopped by Drain's deadline (rather than a user) keeps its
-		// checkpoints and its journal stays non-terminal, so the next boot
-		// resumes it — a graceful shutdown must never lose work a SIGKILL
-		// would have preserved
-		if !parked {
-			s.logEvent(j, journalEvent{Event: "canceled", Attempt: attempt})
-			s.removeCheckpoints(ctl)
-		}
-	case attempt < s.opts.MaxAttempts && !s.closed:
-		// transient failure: back off and requeue; checkpoints stay so the
-		// retry resumes rather than recomputes
-		j.err = err
-		j.state = StateRetrying
-		delay := retryDelay(s.opts.RetryBackoff, attempt)
-		s.retryTimers[j.id] = time.AfterFunc(delay, func() { s.requeueRetry(j) })
-		s.m.retried.Add(1)
-		s.mu.Unlock()
-		s.noteBreakerFailure(infraFailure, jl)
-		endAttempt(StateRetrying, false)
-		s.tracer.Instant(0, tid, "job", "retry", finished,
-			map[string]any{"error": err.Error(), "delay_s": delay.Seconds()})
-		jl.Warn("job retrying", "error", err.Error(), "delay_s", delay.Seconds())
-		s.logEvent(j, journalEvent{Event: "retrying", Attempt: attempt, Error: err.Error()})
-		return false // job is not terminal: j.done stays open
-	default: // includes deadline-exceeded runs and exhausted retries
-		j.err = err
-		j.state = StateFailed
-		s.m.failed.Add(1)
-		s.mu.Unlock()
-		s.noteBreakerFailure(infraFailure, jl)
-		endAttempt(StateFailed, true)
-		jl.Error("job failed", "error", err.Error())
-		s.logEvent(j, journalEvent{Event: "failed", Attempt: attempt, Error: err.Error()})
-	}
-	close(j.done)
-	return false
-}
-
-// autoCheckpoints reports whether the job will run with auto-checkpoints:
-// a journaled job on a durable service with checkpointing left on.
-func (s *Service) autoCheckpoints(req Request) bool {
-	return s.wal != nil && req.Spec != nil && s.opts.CheckpointEvery > 0
-}
-
-// estimateCost prices a request as it will run: an auto-checkpointing job
-// also holds the checkpoint lane's wavefield.
-func (s *Service) estimateCost(req Request) admission.Cost {
-	cfg := req.Config
-	if s.autoCheckpoints(req) {
-		cfg.Checkpoint = &checkpoint.Controller{Interval: s.opts.CheckpointEvery}
-	}
-	return admission.EstimateCost(cfg, req.MX, req.MY)
-}
-
-// noteBreakerFailure feeds one counted infrastructure failure to the
-// circuit breaker and logs the trip when this failure opened it.
-func (s *Service) noteBreakerFailure(infra bool, jl *slog.Logger) {
-	if !infra {
-		return
-	}
-	if s.brk.Failure() {
-		s.m.breakerTrips.Add(1)
-		jl.Error("circuit breaker tripped: shedding new submissions",
-			"cooldown", s.opts.BreakerCooldown.String())
-	}
-}
-
-// mergeStages folds one run's per-stage clock into the service aggregate.
-func (s *Service) mergeStages(c *telemetry.StageClock) {
-	if c == nil {
-		return
-	}
-	s.stageMu.Lock()
-	s.stageAgg.Merge(c)
-	s.stageMu.Unlock()
-}
-
-// StageReport snapshots the per-stage engine seconds accumulated over every
-// completed job — the service-wide kernel-time breakdown.
-func (s *Service) StageReport() telemetry.StageReport {
-	s.stageMu.Lock()
-	defer s.stageMu.Unlock()
-	return s.stageAgg.Report()
-}
-
-// removeCheckpoints clears a finished job's checkpoint directory — the
-// dumps only exist to resume an unfinished job.
-func (s *Service) removeCheckpoints(ctl *checkpoint.Controller) {
-	if ctl != nil {
-		os.RemoveAll(ctl.Dir)
-	}
-}
-
-// retryDelay is the capped exponential backoff with ±25% jitter.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < 32*base; i++ {
-		d *= 2
-	}
-	if d > 32*base {
-		d = 32 * base
-	}
-	return d/2 + d/4 + time.Duration(rand.Int63n(int64(d/2)+1)) // d * [0.75, 1.25]
-}
-
-// requeueRetry moves a retrying job back onto the queue when its backoff
-// timer fires. If the service has started draining in the meantime, the
-// job fails permanently instead.
-func (s *Service) requeueRetry(j *job) {
-	s.mu.Lock()
-	delete(s.retryTimers, j.id)
-	if j.state != StateRetrying { // canceled (or failed by Drain) while waiting
-		s.mu.Unlock()
-		return
-	}
-	if s.closed {
-		s.failRetryingLocked(j, errors.New("service: draining during retry backoff"), false)
-		s.mu.Unlock()
-		return
-	}
-	j.state = StateQueued
-	// the job's original item is reused: same class, same budget size, and
-	// the ledger's idempotent TryReserve makes the re-dispatch safe
-	if err := s.sched.Push(j.item); err != nil {
-		s.failRetryingLocked(j, ErrQueueFull, true)
-		s.mu.Unlock()
-		return
-	}
-	s.noteQueued(1)
-	s.mu.Unlock()
-}
-
-// failRetryingLocked permanently fails a job parked in StateRetrying.
-// Caller holds s.mu. With journal=false the failure is NOT journaled, so
-// the job's last durable event stays non-terminal and the next boot
-// recovers it — the right outcome when the failure is the shutdown itself
-// rather than the job.
-func (s *Service) failRetryingLocked(j *job, cause error, journal bool) {
-	j.state = StateFailed
-	j.err = fmt.Errorf("%w (after %v)", cause, j.err)
-	j.finished = time.Now()
-	s.m.failed.Add(1)
-	close(j.done)
-	if journal {
-		s.logEvent(j, journalEvent{Event: "failed", Attempt: j.attempt, Error: j.err.Error()})
-	}
-}
-
-// buildResult shapes a core result as the API payload.
-func buildResult(cfg core.Config, res *core.Result) *Result {
-	out := &Result{Manifest: manifest.New(cfg, res)}
-	for _, tr := range res.Recorder.Traces {
-		out.Traces = append(out.Traces, Trace{
-			Name: tr.Station.Name, I: tr.Station.I, J: tr.Station.J,
-			Dt: tr.Dt, U: tr.U, V: tr.V, W: tr.W,
-		})
-	}
-	if res.PGV != nil {
-		out.PGV = &SurfaceField{
-			Nx: res.PGV.Nx, Ny: res.PGV.Ny,
-			Values: append([]float64(nil), res.PGV.PGV...),
-		}
-	}
-	return out
+	return "", nil
 }
 
 // Status reports a job's current state and progress.
@@ -1257,7 +688,7 @@ func (s *Service) Status(id string) (Status, error) {
 	st.SimTime = math.Float64frombits(j.simTime.Load())
 	switch st.State {
 	case StateRunning:
-		st.ElapsedS = time.Since(st.Started).Seconds()
+		st.ElapsedS = s.clk.Now().Sub(st.Started).Seconds()
 		if wall, done := time.Duration(j.wall.Load()), st.StepsDone; done > 0 {
 			st.EtaS = (wall.Seconds() / float64(done)) * float64(st.StepsTotal-done)
 		}
@@ -1287,37 +718,20 @@ func (s *Service) Result(id string) (*Result, error) {
 	}
 }
 
-// Cancel requests cancellation of a job. A queued job is canceled
-// immediately; a running job's context is canceled and the engine stops at
-// the next step boundary, freeing its worker. Canceling a finished job is
-// a no-op. Cancel reports whether the job exists.
+// Cancel requests cancellation of a job. A queued job — or one waiting out
+// a retry backoff — is canceled immediately and gives its queue slot back;
+// a running job's context is canceled and the engine stops at the next step
+// boundary, freeing its worker. Canceling a finished job is a no-op. Cancel
+// reports whether the job exists.
 func (s *Service) Cancel(id string) bool {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	if j.state == StateQueued || j.state == StateRetrying {
-		if t, ok := s.retryTimers[id]; ok {
-			t.Stop()
-			delete(s.retryTimers, id)
-		}
-		j.state = StateCanceled
-		j.err = context.Canceled
-		j.finished = time.Now()
-		attempt := j.attempt
-		close(j.done)
-		s.mu.Unlock()
-		j.cancel()
-		s.m.canceled.Add(1)
-		s.jobLog(j).Warn("job canceled", "attempt", attempt, "while", "queued")
-		s.logEvent(j, journalEvent{Event: "canceled", Attempt: attempt})
-		return true
-	}
 	s.mu.Unlock()
-	j.cancel() // no-op unless running
-	return true
+	if ok && !s.transition(j, change{from: StateQueued, to: StateCanceled, err: context.Canceled}) &&
+		!s.transition(j, change{from: StateRetrying, to: StateCanceled, err: context.Canceled}) {
+		j.cancel(nil) // running: the engine stops and its worker settles the job; terminal: a no-op
+	}
+	return ok
 }
 
 // Wait blocks until the job reaches a terminal state or the context ends.
@@ -1369,16 +783,12 @@ func (s *Service) Drain(ctx context.Context) error {
 		s.sched.Close()
 		s.log.Info("service draining", "queued", s.m.queued.Value())
 	}
-	// jobs parked in retry backoff will never run again in this process:
-	// stop their timers and fail them here, without journaling the failure
-	// — their last durable event stays non-terminal, so a durable service's
-	// next boot recovers them
-	for id, t := range s.retryTimers {
-		t.Stop()
-		delete(s.retryTimers, id)
-		if j := s.jobs[id]; j != nil && j.state == StateRetrying {
-			s.failRetryingLocked(j, errors.New("service: draining during retry backoff"), false)
-		}
+	// jobs in retry backoff will never run again in this process: they fail
+	// here, parked — their last durable event stays non-terminal, so a
+	// durable service's next boot recovers them
+	for _, j := range s.jobs {
+		s.transitionLocked(j, change{from: StateRetrying, to: StateFailed, parked: true,
+			err: fmt.Errorf("%w (after %v)", errDraining, j.err)})
 	}
 	s.mu.Unlock()
 
@@ -1393,37 +803,19 @@ func (s *Service) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		// park whatever is still waiting in the scheduler — including jobs
 		// blocked on a budget reservation that a canceled-but-unwinding run
-		// hasn't released yet — exactly like jobs parked in retry backoff:
-		// no worker will run them, their journal entries stay non-terminal,
-		// and the next boot on this data directory recovers them
-		for _, it := range s.sched.Flush() {
-			j, ok := it.Payload.(*job)
-			if !ok {
-				continue
-			}
-			s.mu.Lock()
-			if j.state != StateQueued {
-				s.mu.Unlock()
-				continue
-			}
-			j.parked = true
-			j.state = StateCanceled
-			j.err = context.Canceled
-			j.finished = time.Now()
-			close(j.done)
-			s.mu.Unlock()
-			s.noteQueued(-1)
-			s.m.canceled.Add(1)
-			s.jobLog(j).Warn("job parked by drain deadline", "while", "queued")
-		}
+		// hasn't released yet — exactly like the jobs in retry backoff, and
+		// stop the running ones with the cause that parks them
 		s.mu.Lock()
+		jobs := make([]*job, 0, len(s.jobs))
 		for _, j := range s.jobs {
-			if !j.state.Terminal() {
-				j.parked = true // shutdown, not a user decision: recover next boot
-			}
-			j.cancel()
+			jobs = append(jobs, j)
 		}
 		s.mu.Unlock()
+		for _, j := range jobs {
+			if !s.transition(j, change{from: StateQueued, to: StateCanceled, parked: true, err: errShutdown}) {
+				j.cancel(errShutdown)
+			}
+		}
 		<-idle
 		return ctx.Err()
 	}

@@ -261,6 +261,33 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
+// TestCanceledQueuedJobFreesItsSlot: a job canceled while it waits gives
+// its queue slot back at once, not when a worker gets round to popping it —
+// with the only worker busy, the next submission must fit.
+func TestCanceledQueuedJobFreesItsSlot(t *testing.T) {
+	s := New(Options{Workers: 1, QueueSize: 1})
+	defer drain(t, s)
+	blocker, err := s.Submit(Request{Config: slowConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Cancel(blocker)
+	waitState(t, s, blocker, StateRunning)
+
+	for i := 0; i < 3; i++ { // any number of them, behind one long run
+		queued, err := s.Submit(Request{Config: tinyConfig(10 + i)})
+		if err != nil {
+			t.Fatalf("submission %d refused on an empty queue: %v", i, err)
+		}
+		if m := s.Metrics(); m.Queued != 1 || s.Registry().Ints()["jobs_queued"] != 1 {
+			t.Fatalf("submission %d: jobs_queued = %d, want 1", i, m.Queued)
+		}
+		if !s.Cancel(queued) || s.Metrics().Queued != 0 {
+			t.Fatalf("cancel %d: %d still queued", i, s.Metrics().Queued)
+		}
+	}
+}
+
 func TestJobDeadline(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer drain(t, s)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,9 +24,9 @@ func TestViewsAgree(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	budget := 2 * validatedCost(t, slowConfig(), 1, 1).Bytes
-	s := New(Options{
+	s, _ := openOnFake(t, Options{
 		Workers: 1, QueueSize: 1, MemBudget: budget,
-		SubmitRate: 1e-6, SubmitBurst: 7, // seven submissions reach the gates behind the limiter
+		SubmitRate:       3.5, // a bucket of seven tokens on a clock that never refills it: seven submissions reach the gates behind the limiter
 		BreakerThreshold: 1, BreakerCooldown: time.Hour,
 		HaloCRC: true, EngineRetries: 3,
 	})
@@ -62,14 +61,6 @@ func TestViewsAgree(t *testing.T) {
 	}
 	if st, err := s.Wait(ctx, running); err != nil || st.State != StateCanceled {
 		t.Fatalf("canceled job: %+v, %v", st, err)
-	}
-	// the job canceled while queued holds the single queue slot until the
-	// worker pops it, which is what moves the gauge
-	for s.Registry().Ints()["jobs_queued"] != 0 {
-		if ctx.Err() != nil {
-			t.Fatal("the canceled job never left the queue")
-		}
-		runtime.Gosched()
 	}
 
 	faultinject.Enable(faultinject.WorkerPanic, faultinject.Fault{Times: 1})
@@ -157,6 +148,9 @@ func TestViewsAgree(t *testing.T) {
 		`swquake_engine_faults_total{kind="panic"}`: 0,
 		"swquake_queue_high_water":                  1, "swquake_breaker_open": 1, "swquake_mem_budget_bytes": budget,
 		"swquake_job_duration_seconds_count": 3, // healed, canceled while running, failed: the three that reached a worker
+		// the same three left running; they and the job canceled in the queue left queued
+		`swquake_job_state_seconds_count{state="queued"}`: 4, `swquake_job_state_seconds_count{state="running"}`: 3,
+		`swquake_job_state_seconds_count{state="retrying"}`: 0, `swquake_job_state_seconds_bucket{state="queued",le="+Inf"}`: 4,
 	} {
 		if v, ok := samples[sample]; !ok || v != n {
 			t.Errorf("exposition: %s = %d (present %v), want %d", sample, v, ok, n)

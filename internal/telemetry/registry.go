@@ -31,8 +31,9 @@ type metric struct {
 	// at most one of the Prometheus-only collectors is set
 	value  func() float64
 	values func() map[string]float64 // label value -> sample
-	label  string                    // label name for values
+	label  string                    // label name for values and hists
 	hist   func() HistogramSnapshot
+	hists  map[string]*Histogram // label value -> series
 }
 
 // NewRegistry returns an empty registry.
@@ -155,6 +156,19 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return h
 }
 
+// HistogramVec declares a Prometheus-only one-label histogram family over
+// the bounds: one series per label value, all declared up front like a
+// CounterVec's, so each exists (empty) from boot. Observing under a value
+// that was not declared is a bug and a nil dereference.
+func (r *Registry) HistogramVec(name, help, label string, bounds []float64, values ...string) map[string]*Histogram {
+	hists := make(map[string]*Histogram, len(values))
+	for _, v := range values {
+		hists[v] = NewHistogram(bounds)
+	}
+	r.add(metric{name: name, help: help, typ: "histogram", label: label, hists: hists})
+	return hists
+}
+
 func (r *Registry) snapshot() []metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -195,7 +209,14 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		case m.values != nil:
 			err = writeLabeled(w, m)
 		case m.hist != nil:
-			err = writeHistogram(w, m.name, m.hist())
+			err = writeHistogram(w, m.name, "", m.hist())
+		case m.hists != nil:
+			for _, k := range sortedKeys(m.hists) {
+				pair := fmt.Sprintf("%s=\"%s\"", m.label, escapeLabel(k))
+				if err = writeHistogram(w, m.name, pair, m.hists[k].Snapshot()); err != nil {
+					break
+				}
+			}
 		default:
 			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.count())
 		}
@@ -206,14 +227,19 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return nil
 }
 
-func writeLabeled(w io.Writer, m metric) error {
-	samples := m.values()
-	keys := make([]string, 0, len(samples))
-	for k := range samples {
+// sortedKeys orders label values, so the exposition is deterministic.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
+	return keys
+}
+
+func writeLabeled(w io.Writer, m metric) error {
+	samples := m.values()
+	for _, k := range sortedKeys(samples) {
 		if _, err := fmt.Fprintf(w, "%s{%s=\"%s\"} %s\n",
 			m.name, m.label, escapeLabel(k), formatFloat(samples[k])); err != nil {
 			return err
@@ -222,24 +248,30 @@ func writeLabeled(w io.Writer, m metric) error {
 	return nil
 }
 
-func writeHistogram(w io.Writer, name string, s HistogramSnapshot) error {
+// writeHistogram renders one histogram series; pair is its `label="value"`
+// ("" for a family without one), which goes in front of le on the buckets.
+func writeHistogram(w io.Writer, name, pair string, s HistogramSnapshot) error {
+	lead, braced := "", ""
+	if pair != "" {
+		lead, braced = pair+",", "{"+pair+"}"
+	}
 	var cum int64
 	for i, bound := range s.Bounds {
 		cum += s.Counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, formatFloat(bound), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, lead, formatFloat(bound), cum); err != nil {
 			return err
 		}
 	}
 	if len(s.Counts) > 0 {
 		cum += s.Counts[len(s.Counts)-1]
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, lead, cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(s.Sum)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, braced, formatFloat(s.Sum)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, cum)
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, braced, cum)
 	return err
 }
 

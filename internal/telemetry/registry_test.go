@@ -19,7 +19,10 @@ func TestTypedMetricsFeedBothViews(t *testing.T) {
 	hw := r.Gauge("", "swq_queue_high_water", "Deepest queue.")
 	rej := r.CounterVec("jobs_rejected", "swq_jobs_rejected_total", "Rejections.", "reason", "queue-full", "budget")
 	r.GaugeFunc("swq_workers", "Pool size.", func() float64 { return 4 })
+	dwell := r.HistogramVec("swq_state_seconds", "Dwell.", "state", []float64{1, 10}, "queued", "running")
 
+	dwell["running"].Observe(0.5)
+	dwell["running"].Observe(20)
 	done.Add(2)
 	folded.Add(7)
 	for _, d := range []int64{1, 1, 1, -1, -1} {
@@ -56,6 +59,18 @@ func TestTypedMetricsFeedBothViews(t *testing.T) {
 		"# HELP swq_workers Pool size.",
 		"# TYPE swq_workers gauge",
 		"swq_workers 4",
+		"# HELP swq_state_seconds Dwell.",
+		"# TYPE swq_state_seconds histogram",
+		`swq_state_seconds_bucket{state="queued",le="1"} 0`,
+		`swq_state_seconds_bucket{state="queued",le="10"} 0`,
+		`swq_state_seconds_bucket{state="queued",le="+Inf"} 0`,
+		`swq_state_seconds_sum{state="queued"} 0`,
+		`swq_state_seconds_count{state="queued"} 0`,
+		`swq_state_seconds_bucket{state="running",le="1"} 1`,
+		`swq_state_seconds_bucket{state="running",le="10"} 1`,
+		`swq_state_seconds_bucket{state="running",le="+Inf"} 2`,
+		`swq_state_seconds_sum{state="running"} 20.5`,
+		`swq_state_seconds_count{state="running"} 2`,
 	}, "\n") + "\n"
 	if buf.String() != want {
 		t.Fatalf("exposition:\n%s\nwant:\n%s", buf.String(), want)
@@ -87,6 +102,8 @@ func TestDeclaringTwicePanics(t *testing.T) {
 	mustPanic(t, "duplicate family name across kinds", func() { r.GaugeFunc("swq_faults_total", "", func() float64 { return 0 }) })
 	mustPanic(t, "duplicate histogram", func() { r.Histogram("swq_jobs_done_total", "", nil) })
 	mustPanic(t, "undeclared label value", func() { vec.Add("meltdown", 1) })
+	hv := r.HistogramVec("swq_state_seconds", "", "state", nil, "queued")
+	mustPanic(t, "undeclared histogram label value", func() { hv["limbo"].Observe(1) })
 	// metrics that leave a view out do not collide on the empty name
 	r.Counter("a", "", "")
 	r.Counter("b", "", "")

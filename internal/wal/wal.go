@@ -9,7 +9,8 @@
 // kill inside Append leaves at worst one torn final line, which Read
 // drops; a malformed line anywhere else is corruption and an error.
 // Rewrite replaces the whole file atomically (temp + fsync + rename via
-// internal/atomicio), so a crash during boot compaction leaves the old log.
+// internal/atomicio), so a crash during boot compaction leaves the old log;
+// Recover is the read, compact, rewrite, open sequence both journals boot by.
 package wal
 
 import (
@@ -23,6 +24,21 @@ import (
 	"swquake/internal/atomicio"
 	"swquake/internal/faultinject"
 )
+
+// Recover is the boot sequence of a log: read what the last process left,
+// atomically rewrite the file as just the events compact keeps of it — which
+// is also where the caller folds them into its own records — and open the
+// result for appending.
+func Recover[E any](path string, compact func(events []E) []E) (*Log[E], error) {
+	events, err := Read[E](path)
+	if err != nil {
+		return nil, err
+	}
+	if err := Rewrite(path, compact(events)); err != nil {
+		return nil, err
+	}
+	return Open[E](path)
+}
 
 // Log is an open log of events of type E, safe for concurrent Append.
 type Log[E any] struct {

@@ -229,6 +229,43 @@ func TestRewriteIsWhatAppendWrites(t *testing.T) {
 	}
 }
 
+// TestRecover: the boot sequence hands the caller what the last process
+// left (torn tail dropped), leaves exactly what the caller keeps, and
+// returns the log open for the next append; a corrupt log is an error and
+// stays as it was.
+func TestRecover(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	events := sampleEvents()
+	whole := writeLog(t, path, events)
+	if err := os.WriteFile(path, append(whole, `{"t":"2026-`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var seen []event
+	log, err := Recover(path, func(all []event) []event { seen = all; return all[1:2] })
+	if err != nil || !sameEvents(seen, events) {
+		t.Fatalf("compact saw %d events, %v", len(seen), err)
+	}
+	if err := log.Append(events[0]); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	if got, err := Read[event](path); err != nil || !sameEvents(got, []event{events[1], events[0]}) {
+		t.Fatalf("after recover + append: %+v, %v", got, err)
+	}
+
+	corrupt := []byte("not json\n" + string(whole))
+	os.WriteFile(path, corrupt, 0o644)
+	if _, err := Recover(path, func([]event) []event { t.Error("compact ran on a corrupt log"); return nil }); err == nil {
+		t.Fatal("corrupt log recovered")
+	}
+	if data, _ := os.ReadFile(path); !bytes.Equal(data, corrupt) {
+		t.Fatal("failed recover changed the log")
+	}
+	if log, err := Recover(filepath.Join(t.TempDir(), "fresh.jsonl"), func(all []event) []event { return all }); err != nil || log.Close() != nil {
+		t.Fatalf("missing file: %v", err)
+	}
+}
+
 // TestConcurrentAppendsYieldWholeLines: 8 goroutines appending at once never
 // interleave bytes — every line parses and every event is there once.
 func TestConcurrentAppendsYieldWholeLines(t *testing.T) {
