@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check check-bce check-portable check-one fmt-check vet test race bench loc profile repro fuzz clean serve-smoke ensemble-smoke crash-test chaos-test overload-test
+.PHONY: all build check check-bce check-portable check-one check-surface fmt-check vet test race bench loc profile repro fuzz clean serve-smoke ensemble-smoke crash-test chaos-test overload-test
 
 all: build check test
 
@@ -18,7 +18,7 @@ build:
 # compiles and computes the same bits; last, the job service's tests twenty
 # times in shuffled order, which is what a test that depends on wall time or
 # on its neighbours does not survive
-check: vet fmt-check check-bce check-portable check-one overload-test
+check: vet fmt-check check-bce check-portable check-one check-surface overload-test
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
 		./internal/ensemble/ ./internal/wal/ ./internal/checkpoint/ ./internal/lz4/ \
 		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
@@ -84,6 +84,14 @@ check-one:
 	@! grep -nE 'time\.(Now|After|AfterFunc|NewTicker|NewTimer|Since|Sleep)\(' internal/service/*.go \
 		| grep -v -e '_test\.go:' -e '^internal/service/clock\.go:'
 
+# what no production caller reaches is not there: every function and method
+# internal/ exports is referenced by a non-test file of the module (or reached
+# through an interface), or listed with its reason in
+# testdata/surface_allow.txt; a listed name that is gone or has gained a
+# caller fails too (surface_test.go type-checks the module from source)
+check-surface:
+	$(GO) test -count=1 -run 'TestInternalSurfaceHasProductionCallers' .
+
 vet:
 	$(GO) vet ./...
 
@@ -100,10 +108,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# the repo's size as ROADMAP counts it: non-test Go lines, then test Go lines
+# the repo's size as ROADMAP counts it: non-test Go lines, test Go lines,
+# then assembly lines
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find . -name '*_test.go' | xargs cat | wc -l
+	@find . -name '*.s' | xargs cat | wc -l
 
 # CPU-profile the serial step and print the top-10 hot functions
 profile:
@@ -123,6 +133,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime 30s ./internal/lz4/
 	$(GO) test -fuzz=FuzzLoad -fuzztime 30s ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzRead -fuzztime 30s ./internal/wal/
+	$(GO) test -fuzz=FuzzLoadMemberField -fuzztime 30s ./internal/ensemble/
+	$(GO) test -fuzz=FuzzJobSubmit -fuzztime 30s ./cmd/quaked/
+	$(GO) test -fuzz=FuzzCampaignSpec -fuzztime 30s ./cmd/quaked/
 
 # the fault-tolerance suite under the race detector: failpoint-injected
 # checkpoint corruption/write errors, worker panics, journal recovery, and
@@ -157,15 +170,16 @@ overload-test:
 	$(GO) test -race ./internal/service/ -run \
 		'TestMemBudget|TestNeverFits|TestSubmitRateLimited|TestBreakerTrip|TestProgressWatchdog|TestHealthDraining|TestDrainDeadlineParks|TestBatchYields'
 
-# boot the quaked daemon on a random loopback port and drive one job
-# through the real HTTP API: submit -> poll -> result -> cache hit -> metrics
+# one job through the daemon's HTTP API: submit -> poll -> result -> metrics,
+# a cache hit on resubmission, and the built binary booted, driven and
+# rebooted on its data directory
 serve-smoke:
-	$(GO) run ./cmd/quaked -selftest
+	$(GO) test -count=1 ./cmd/quaked/ -run 'TestHTTPSubmitPollResult|TestHTTPCacheHitOnResubmit|TestRestartSkipsFinishedJobs'
 
-# boot the daemon and run a 3-member quickstart seed-sweep campaign through
-# the real HTTP API: create -> poll -> aggregated hazard maps -> metrics
+# a seed-sweep campaign through the HTTP API: create -> poll -> aggregated
+# hazard maps, bit-identical to the serial fold
 ensemble-smoke:
-	$(GO) run ./cmd/quaked -selftest-ensemble
+	$(GO) test -count=1 ./cmd/quaked/ -run 'TestHTTPCampaignLifecycleBitIdentical'
 
 clean:
 	rm -f *.pgm *.swvm *.swq test_output.txt bench_output.txt \

@@ -12,7 +12,6 @@ package swquake
 // reproduction record.
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -196,7 +195,7 @@ func BenchmarkKernelPlasticity(b *testing.B) {
 	b.SetBytes(int64(d.Points()) * 13 * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plasticity.Apply(wf, p, 0.005, 0, d.Nz)
+		plasticity.ApplyRegion(wf, p, 0.005, grid.Box(d))
 	}
 }
 
@@ -214,7 +213,10 @@ func BenchmarkFullStepLinear(b *testing.B) {
 	wf, med := benchWavefield(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fd.Step(wf, med, 0.0005)
+		fd.ApplyFreeSurface(wf)
+		fd.UpdateVelocityRegion(wf, med, 0.0005, grid.Box(wf.D))
+		fd.ApplyFreeSurface(wf)
+		fd.UpdateStressRegion(wf, med, 0.0005, grid.Box(wf.D))
 	}
 	pts := float64(d.Points()) * float64(b.N)
 	b.ReportMetric(pts/b.Elapsed().Seconds()/1e6, "Mpoints/s")
@@ -283,7 +285,10 @@ func BenchmarkLZ4CompressWavefield(b *testing.B) {
 	d := grid.Dims{Nx: 32, Ny: 32, Nz: 32}
 	wf, med := benchWavefield(d)
 	for i := 0; i < 20; i++ {
-		fd.Step(wf, med, 0.0005) // smooth it out
+		fd.ApplyFreeSurface(wf) // smooth it out
+		fd.UpdateVelocityRegion(wf, med, 0.0005, grid.Box(wf.D))
+		fd.ApplyFreeSurface(wf)
+		fd.UpdateStressRegion(wf, med, 0.0005, grid.Box(wf.D))
 	}
 	raw := make([]byte, 0, len(wf.U.Data)*4)
 	for _, v := range wf.U.Data {
@@ -430,32 +435,6 @@ func BenchmarkCGExecutor(b *testing.B) {
 	}
 	b.ReportMetric(sim, "GB/s-simulated")
 	b.ReportMetric(modeled, "GB/s-modeled")
-}
-
-// BenchmarkAblationSlabHeight measures the executed decompress-compute-
-// compress step at different z-slab heights (the Fig. 5c buffering choice).
-func BenchmarkAblationSlabHeight(b *testing.B) {
-	for _, slab := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("slab%d", slab), func(b *testing.B) {
-			cfg := QuickstartConfig()
-			cfg.Steps = 1
-			stats, err := core.CalibrateCompression(cfg, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg.Compression = core.CompressionConfig{
-				Method: compress.Normalized, Stats: stats, SlabHeight: slab,
-			}
-			sim, err := core.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.Step()
-			}
-		})
-	}
 }
 
 // BenchmarkResponseSpectrum measures the Newmark SDOF sweep used for the

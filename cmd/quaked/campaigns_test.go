@@ -105,8 +105,16 @@ func TestHTTPCampaignLifecycleBitIdentical(t *testing.T) {
 	if code := doJSON(t, "GET", ts.URL+"/v1/campaigns/"+st.ID+"/aggregate", "", &agg); code != http.StatusOK {
 		t.Fatalf("aggregate returned %d", code)
 	}
-	if agg.Folded != 3 || len(agg.MeanPGV) != agg.Nx*agg.Ny {
+	if agg.Folded != 3 || len(agg.MeanPGV) != agg.Nx*agg.Ny || agg.MeanPGVMax <= 0 ||
+		len(agg.ExceedProb) == 0 || len(agg.PercentilePGV) == 0 {
 		t.Fatalf("aggregate %+v", agg)
+	}
+	var metrics struct {
+		Campaigns map[string]int64 `json:"campaigns"`
+	}
+	if code := doJSON(t, "GET", ts.URL+"/metrics", "", &metrics); code != http.StatusOK ||
+		metrics.Campaigns["campaigns_done"] != 1 || metrics.Campaigns["members_folded"] != 3 {
+		t.Fatalf("campaign metrics: code %d, %+v", code, metrics.Campaigns)
 	}
 
 	// the HTTP aggregate must equal the serial fold of the same members

@@ -133,8 +133,6 @@ func run(args []string) error {
 		cacheSize    = fs.Int("cache", 0, "result cache entries (0 = 64, negative disables)")
 		jobTimeout   = fs.Duration("job-timeout", 0, "default per-job deadline (0 = none)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max time to drain jobs on shutdown")
-		selftest     = fs.Bool("selftest", false, "boot on a random port, run one job through the API, exit")
-		selftestEns  = fs.Bool("selftest-ensemble", false, "boot on a random port, run a 3-member seed-sweep campaign through the API, exit")
 
 		dataDir    = fs.String("data", "", "durable data directory: journal + auto-checkpoints; enables crash recovery on boot")
 		ckptEvery  = fs.Int("checkpoint-every", 0, "auto-checkpoint interval in solver steps for durable jobs (0 = 25, negative disables)")
@@ -214,9 +212,6 @@ func run(args []string) error {
 		ProgressDeadline: *progressDeadline,
 		Logger:           logger,
 		Tracer:           tracer,
-	}
-	if *selftest || *selftestEns {
-		return runSelftest(opts, *selftestEns)
 	}
 
 	if *debugAddr != "" {

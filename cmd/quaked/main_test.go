@@ -14,7 +14,7 @@ import (
 	"swquake/internal/service"
 )
 
-func newTestServer(t *testing.T, opts service.Options) (*httptest.Server, *service.Service) {
+func newTestServer(t testing.TB, opts service.Options) (*httptest.Server, *service.Service) {
 	t.Helper()
 	svc := service.New(opts)
 	mgr, err := ensemble.Open(ensemble.Options{Service: svc})
@@ -33,7 +33,7 @@ func newTestServer(t *testing.T, opts service.Options) (*httptest.Server, *servi
 }
 
 // doJSON performs a request and decodes the JSON response into out.
-func doJSON(t *testing.T, method, url, body string, out any) int {
+func doJSON(t testing.TB, method, url, body string, out any) int {
 	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
@@ -53,7 +53,7 @@ func doJSON(t *testing.T, method, url, body string, out any) int {
 }
 
 // submit posts a job and returns its initial status.
-func submit(t *testing.T, base, body string) (service.Status, int) {
+func submit(t testing.TB, base, body string) (service.Status, int) {
 	t.Helper()
 	var st service.Status
 	code := doJSON(t, "POST", base+"/v1/jobs", body, &st)
@@ -61,7 +61,7 @@ func submit(t *testing.T, base, body string) (service.Status, int) {
 }
 
 // pollUntil polls the job's status until pred holds or the deadline passes.
-func pollUntil(t *testing.T, base, id string, pred func(service.Status) bool) service.Status {
+func pollUntil(t testing.TB, base, id string, pred func(service.Status) bool) service.Status {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -280,18 +280,4 @@ func TestHTTPResultWhileRunning(t *testing.T) {
 		t.Fatalf("result while running returned %d, want 409", code)
 	}
 	doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+st.ID, "", nil)
-}
-
-// TestSelftest runs the `make serve-smoke` body in-process.
-func TestSelftest(t *testing.T) {
-	if err := runSelftest(service.Options{Workers: 2}, false); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSelftestEnsemble runs the `make ensemble-smoke` body in-process.
-func TestSelftestEnsemble(t *testing.T) {
-	if err := runSelftest(service.Options{Workers: 2}, true); err != nil {
-		t.Fatal(err)
-	}
 }

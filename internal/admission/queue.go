@@ -80,9 +80,6 @@ func NewQueue(capacity int, ledger *Ledger) *Queue {
 	return q
 }
 
-// Ledger exposes the budget the queue admits against.
-func (q *Queue) Ledger() *Ledger { return q.ledger }
-
 // SetSlowStart arms recovery slow-start with an initial in-flight cap
 // (<= 0 disarms). Call before workers start popping.
 func (q *Queue) SetSlowStart(initial int) {
@@ -167,20 +164,6 @@ func (q *Queue) Remove(it *Item) bool {
 	q.lanes[it.Class] = slices.Delete(lane, i, i+1)
 	q.cond.Broadcast() // it may have been the head its lane was waiting behind
 	return true
-}
-
-// Len reports the number of queued items across both lanes.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.lenLocked()
-}
-
-// Depths reports the per-lane queue depths.
-func (q *Queue) Depths() (interactive, batch int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.lanes[ClassInteractive]), len(q.lanes[ClassBatch])
 }
 
 // SlowStart reports the recovery window: the current in-flight cap (0 =

@@ -61,7 +61,9 @@ func TestQueueWeightedDispatch(t *testing.T) {
 	if batch != 2 {
 		t.Fatalf("10 contested pops admitted %d batch items, want 2", batch)
 	}
-	iv, bv := q.Depths()
+	q.mu.Lock()
+	iv, bv := len(q.lanes[ClassInteractive]), len(q.lanes[ClassBatch])
+	q.mu.Unlock()
 	if iv != 2 || bv != 8 {
 		t.Fatalf("depths after pops: interactive=%d batch=%d, want 2/8", iv, bv)
 	}
@@ -107,7 +109,7 @@ func TestQueueBudgetBlocksOnlyItsLane(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Pop stayed blocked after budget freed")
 	}
-	if s := q.Ledger().Snapshot(); s.HighWaterBytes > 100 {
+	if s := q.ledger.Snapshot(); s.HighWaterBytes > 100 {
 		t.Fatalf("ledger exceeded budget: high water %d", s.HighWaterBytes)
 	}
 }

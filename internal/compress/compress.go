@@ -179,64 +179,5 @@ func (f *Field) DecodeInto(dst *grid.Field) {
 	f.Codec.DecodeSlice(dst.Data, f.Data)
 }
 
-// EncodeSlab compresses z planes [k0,k1) of src (clamped to the allocated
-// halo range) — the "compress the results" leg of Fig. 5b. Because z is the
-// fastest axis the slab is a strided set of row segments, encoded row by
-// row over the full halo-inclusive x/y extent.
-func (f *Field) EncodeSlab(src *grid.Field, k0, k1 int) {
-	k0, k1 = f.clampK(k0, k1)
-	if k0 >= k1 {
-		return
-	}
-	n := k1 - k0
-	for i := -src.H; i < src.Nx+src.H; i++ {
-		for j := -src.H; j < src.Ny+src.H; j++ {
-			base := src.Idx(i, j, k0)
-			f.Codec.EncodeSlice(f.Data[base:base+n], src.Data[base:base+n])
-		}
-	}
-}
-
-// DecodeSlab decompresses z planes [k0,k1) into dst (clamped).
-func (f *Field) DecodeSlab(dst *grid.Field, k0, k1 int) {
-	k0, k1 = f.clampK(k0, k1)
-	if k0 >= k1 {
-		return
-	}
-	n := k1 - k0
-	for i := -dst.H; i < dst.Nx+dst.H; i++ {
-		for j := -dst.H; j < dst.Ny+dst.H; j++ {
-			base := dst.Idx(i, j, k0)
-			f.Codec.DecodeSlice(dst.Data[base:base+n], f.Data[base:base+n])
-		}
-	}
-}
-
-func (f *Field) clampK(k0, k1 int) (int, int) {
-	if k0 < -f.H {
-		k0 = -f.H
-	}
-	if k1 > f.D.Nz+f.H {
-		k1 = f.D.Nz + f.H
-	}
-	return k0, k1
-}
-
-// Bytes returns the compressed storage size (half the float32 original).
-func (f *Field) Bytes() int64 { return int64(len(f.Data)) * 2 }
-
 // Ratio is the fixed compression ratio of the 32->16 bit scheme.
 const Ratio = 2.0
-
-// RoundTripError returns the maximum absolute error of encoding then
-// decoding every value of src — used to validate codec choices per array.
-func RoundTripError(src *grid.Field, c Codec) float64 {
-	var worst float64
-	for _, v := range src.Data {
-		d := math.Abs(float64(c.Decode(c.Encode(v)) - v))
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
-}

@@ -76,12 +76,12 @@ var chainModes = []struct {
 		cfg.RestartFrom = first.Checkpoint.Latest()
 		return runSerial(t, cfg)
 	}},
-	{"compressed slabs", true, false, func(t *testing.T, cfg Config) *Result {
+	{"compressed", true, false, func(t *testing.T, cfg Config) *Result {
 		stats, err := CalibrateCompression(cfg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats, SlabHeight: 8}
+		cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
 		return runSerial(t, cfg)
 	}},
 	{"SLS", true, false, func(t *testing.T, cfg Config) *Result {
@@ -94,7 +94,7 @@ var chainModes = []struct {
 // chain in blocks of one i-plane, of three, of the derived size and of the
 // whole region gives the same traces, PGV and yield count — serial, on two
 // tiles, on 2x1 ranks with overlapped exchange, restarted mid-run, on
-// compressed slabs and with the SLS operator, under the Go rows and the
+// compressed storage and with the SLS operator, under the Go rows and the
 // assembly rows alike. So does the skewed velocity→stress pass, where one
 // worker owns the block alone, in strips of one column, of three (which
 // leave a narrower last strip) and of whole planes.
@@ -285,7 +285,7 @@ func TestSkewedPassIsForABlockOneWorkerOwns(t *testing.T) {
 		"overlap shells":       with(func(c *Config) { c.Overlap = true }),
 		"SLS":                  with(func(c *Config) { c.Attenuation.UseSLS = true }),
 		"core-group executor":  with(func(c *Config) { c.SunwaySim = true; c.Dims.Nx, c.Dims.Ny = 32, 32 }),
-		"compressed slabs": with(func(c *Config) {
+		"compressed": with(func(c *Config) {
 			c.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
 		}),
 	} {

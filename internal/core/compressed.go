@@ -11,17 +11,16 @@ import (
 // compressedState keeps the nine dynamic fields as 16-bit codes in "main
 // memory"; the float32 wavefield acts as the decompressed working buffer
 // (the LDM stand-in). Each pass decodes what it reads, computes in float32
-// and re-encodes what it wrote, slab by slab (Fig. 5b-c), so the stored
-// state only ever exists in compressed form between kernels — including
-// the velocity→stress handoff inside one step, which is where the paper's
-// accuracy loss (Fig. 6) comes from.
+// and re-encodes what it wrote (Fig. 5b-c), so the stored state only ever
+// exists in compressed form between kernels — including the velocity→stress
+// handoff inside one step, which is where the paper's accuracy loss (Fig. 6)
+// comes from.
 type compressedState struct {
 	fields []*compress.Field // same order as fd.Wavefield.AllFields
-	slab   int
 }
 
 func newCompressedState(wf *fd.Wavefield, cfg CompressionConfig) (*compressedState, error) {
-	cs := &compressedState{slab: cfg.SlabHeight}
+	cs := &compressedState{}
 	for i, f := range wf.AllFields() {
 		name := FieldNames[i]
 		stats, ok := cfg.Stats[name]
@@ -49,23 +48,18 @@ func (cs *compressedState) stress() []*compress.Field   { return cs.fields[3:] }
 
 // encode and decode are the storage hooks the step pipeline (pipeline.go)
 // calls around its phases — and Restore, to store a loaded wavefield — over
-// all nine fields or the velocity or stress subset: every z plane, halos
-// included, one slab after another.
+// all nine fields or the velocity or stress subset, halos included.
 
 // encode stores the working fields fs into their compressed views cfs.
-func (cs *compressedState) encode(cfs []*compress.Field, fs []*grid.Field) {
-	for k0 := -fd.Halo; k0 < cfs[0].D.Nz+fd.Halo; k0 += cs.slab {
-		for i, cf := range cfs {
-			cf.EncodeSlab(fs[i], k0, k0+cs.slab)
-		}
+func encode(cfs []*compress.Field, fs []*grid.Field) {
+	for i, cf := range cfs {
+		cf.EncodeFrom(fs[i])
 	}
 }
 
 // decode fills the working fields fs from their compressed views cfs.
-func (cs *compressedState) decode(cfs []*compress.Field, fs []*grid.Field) {
-	for k0 := -fd.Halo; k0 < cfs[0].D.Nz+fd.Halo; k0 += cs.slab {
-		for i, cf := range cfs {
-			cf.DecodeSlab(fs[i], k0, k0+cs.slab)
-		}
+func decode(cfs []*compress.Field, fs []*grid.Field) {
+	for i, cf := range cfs {
+		cf.DecodeInto(fs[i])
 	}
 }

@@ -75,9 +75,6 @@ type CompressionConfig struct {
 	Stats map[string]compress.Stats
 	// Expand widens calibrated ranges for headroom (default 1.5).
 	Expand float64
-	// SlabHeight is the z-slab processed per decompress-compute-compress
-	// pass (default 16).
-	SlabHeight int
 }
 
 // AttenuationConfig enables anelastic attenuation (the qp/qs physics of
@@ -175,8 +172,8 @@ type Config struct {
 	// the block interior while the messages fly, and the boundary shells run
 	// only after the wait (paper §6.2). The same stage sequence with other
 	// region lists, so bit-identical by construction (see DESIGN.md §3.5
-	// for the ordering argument). Requires uncompressed storage; no effect
-	// on serial runs beyond reordering independent work.
+	// for the ordering argument). No effect on serial runs beyond reordering
+	// independent work.
 	Overlap bool
 
 	// DivergenceLimit is the max |v| (m/s) beyond which the solution is
@@ -270,18 +267,12 @@ func (c *Config) Validate() error {
 	if c.SunwaySim && c.Overlap {
 		return fmt.Errorf("core: SunwaySim requires full-block kernel calls; Overlap does not apply")
 	}
-	if c.Overlap && c.Compression.Method != compress.Off {
-		return fmt.Errorf("core: overlapped halo exchange requires uncompressed storage")
-	}
 	if c.Compression.Method != compress.Off {
 		if c.Compression.Method != compress.Half && c.Compression.Stats == nil {
 			return fmt.Errorf("core: %v compression needs calibration stats", c.Compression.Method)
 		}
 		if c.Compression.Expand <= 0 {
 			c.Compression.Expand = 1.5
-		}
-		if c.Compression.SlabHeight <= 0 {
-			c.Compression.SlabHeight = 16
 		}
 	}
 	for _, s := range c.Stations {

@@ -116,7 +116,8 @@ func TestParallelRejectsUnsupported(t *testing.T) {
 func TestParallelCompressedMatchesSerialCompressed(t *testing.T) {
 	// the compressed parallel path exchanges decoded (round-tripped)
 	// values, so ghost data matches what the serial compressed run holds
-	// at the same positions — the runs must agree bit-exactly
+	// at the same positions — the runs must agree bit-exactly, with the
+	// interior computed before the velocity-halo wait (Overlap) too
 	cfg := heterogeneousConfig()
 	stats, err := CalibrateCompression(cfg, 2)
 	if err != nil {
@@ -132,19 +133,22 @@ func TestParallelCompressedMatchesSerialCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunParallel(cfg, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"S1", "S2"} {
-		a, b := serial.Recorder.Trace(name), par.Recorder.Trace(name)
-		if b == nil || len(a.U) != len(b.U) {
-			t.Fatalf("%s trace shape mismatch", name)
+	for _, overlap := range []bool{false, true} {
+		cfg.Overlap = overlap
+		par, err := RunParallel(cfg, 2, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range a.U {
-			if a.U[i] != b.U[i] || a.V[i] != b.V[i] || a.W[i] != b.W[i] {
-				t.Fatalf("compressed parallel diverges at %s sample %d: %g vs %g",
-					name, i, a.U[i], b.U[i])
+		for _, name := range []string{"S1", "S2"} {
+			a, b := serial.Recorder.Trace(name), par.Recorder.Trace(name)
+			if b == nil || len(a.U) != len(b.U) {
+				t.Fatalf("%s trace shape mismatch", name)
+			}
+			for i := range a.U {
+				if a.U[i] != b.U[i] || a.V[i] != b.V[i] || a.W[i] != b.W[i] {
+					t.Fatalf("compressed parallel (overlap %v) diverges at %s sample %d: %g vs %g",
+						overlap, name, i, a.U[i], b.U[i])
+				}
 			}
 		}
 	}
@@ -178,47 +182,57 @@ func TestParallelSourcePartitioning(t *testing.T) {
 // TestRankArraysAreTheSerialRunsWindows: when a run ends, each rank's nine
 // arrays hold the bytes of the serial run's arrays over the block's window,
 // ghost layers and the planes above the free surface included — whether the
-// velocity exchange overlapped the interior's stress chain or not. (No
+// velocity exchange overlapped the interior's stress chain or not, on plain
+// and on compressed storage (where a ghost holds the neighbour's velocity as
+// stored, not as computed). (No
 // sponge: its velocity half runs after the exchange, so in the absorbing
 // zones a velocity ghost holds the neighbour's value from before it, until
 // the next exchange.) The planes above the surface of the ghost columns are
 // what the ghost-frame pass of the step images: the exchange delivers them
 // as they were before the sender's own free-surface pass.
 func TestRankArraysAreTheSerialRunsWindows(t *testing.T) {
-	cfg := fullPhysicsConfig()
-	cfg.SpongeWidth = 0
-	serial := runSerial(t, cfg)
-	for _, overlap := range []bool{false, true} {
-		cfg.Overlap = overlap
-		if err := cfg.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		pg, err := decomp.NewProcessGrid(cfg.Dims.Nx, cfg.Dims.Ny, cfg.Dims.Nz, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcParts, err := source.Partition(cfg.Sources, cfg.Dims.Nx, cfg.Dims.Ny, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs := make([]rankOut, pg.Size())
-		mpi.NewWorld(pg.Size()).Run(func(r *mpi.Rank) {
-			runRank(context.Background(), r, pg, cfg, srcParts[r.ID()], &outs[r.ID()])
-		})
-		for id, out := range outs {
-			if out.err != nil {
-				t.Fatalf("overlap=%v rank %d: %v", overlap, id, out.err)
+	plain := fullPhysicsConfig()
+	plain.SpongeWidth = 0
+	stats, err := CalibrateCompression(plain, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed := plain
+	compressed.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
+	for storage, cfg := range map[string]Config{"plain": plain, "compressed": compressed} {
+		serial := runSerial(t, cfg)
+		for _, overlap := range []bool{false, true} {
+			cfg.Overlap = overlap
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
 			}
-			i0, j0 := pg.Offset(id)
-			want, err := checkpoint.ExtractBlock(serial.Sim.WF, pg.BlockDims(), i0, j0)
+			pg, err := decomp.NewProcessGrid(cfg.Dims.Nx, cfg.Dims.Ny, cfg.Dims.Nz, 2, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c, f := range out.sim.WF.AllFields() {
-				for idx, v := range want.AllFields()[c].Data {
-					if math.Float32bits(v) != math.Float32bits(f.Data[idx]) {
-						t.Fatalf("overlap=%v rank %d: field %s differs from the serial window at flat index %d: %g vs %g",
-							overlap, id, FieldNames[c], idx, f.Data[idx], v)
+			srcParts, err := source.Partition(cfg.Sources, cfg.Dims.Nx, cfg.Dims.Ny, 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs := make([]rankOut, pg.Size())
+			mpi.NewWorld(pg.Size()).Run(func(r *mpi.Rank) {
+				runRank(context.Background(), r, pg, cfg, srcParts[r.ID()], &outs[r.ID()])
+			})
+			for id, out := range outs {
+				if out.err != nil {
+					t.Fatalf("%s overlap=%v rank %d: %v", storage, overlap, id, out.err)
+				}
+				i0, j0 := pg.Offset(id)
+				want, err := checkpoint.ExtractBlock(serial.Sim.WF, pg.BlockDims(), i0, j0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, f := range out.sim.WF.AllFields() {
+					for idx, v := range want.AllFields()[c].Data {
+						if math.Float32bits(v) != math.Float32bits(f.Data[idx]) {
+							t.Fatalf("%s overlap=%v rank %d: field %s differs from the serial window at flat index %d: %g vs %g",
+								storage, overlap, id, FieldNames[c], idx, f.Data[idx], v)
+						}
 					}
 				}
 			}

@@ -27,9 +27,10 @@ func rankedConfig() Config {
 // stored at a lower rank stands for.
 func expanded(f *grid.Field) *grid.Field {
 	full := grid.NewField(f.Dims, f.H)
+	n := f.Nz + 2*f.H // a z-row with its halos
 	for i := -f.H; i < f.Nx+f.H; i++ {
 		for j := -f.H; j < f.Ny+f.H; j++ {
-			copy(full.RowWithHalo(i, j), f.RowWithHalo(i, j))
+			copy(full.Data[full.Idx(i, j, -f.H):][:n], f.Data[f.Idx(i, j, -f.H):][:n])
 		}
 	}
 	return full
@@ -64,10 +65,9 @@ func runFullFields(t *testing.T, cfg Config) *Result {
 // constant rows for cohesion, friction, fluid pressure and the Q factors, a
 // z-profile for the lithostatic stress, no yield-factor array — give the
 // traces, PGV and yield count of the same values held in eight full fields:
-// serial, on two tiles, restarted mid-run and on compressed slabs (whose
-// regions start at K0 > 0 of the profile) against the same mode on full
-// fields, and on 2x2 ranks against the serial full-field run; on both row
-// paths.
+// serial, on two tiles, restarted mid-run and on compressed storage against
+// the same mode on full fields, and on 2x2 ranks against the serial
+// full-field run; on both row paths.
 func TestRankedParametersMatchFullFields(t *testing.T) {
 	cputest.ForEachKernelPath(t, func(t *testing.T) {
 		cfg := rankedConfig()
@@ -84,12 +84,12 @@ func TestRankedParametersMatchFullFields(t *testing.T) {
 				runSerial(t, first)
 				c.RestartFrom = first.Checkpoint.Latest()
 			}},
-			{"compressed slabs", func(t *testing.T, c *Config) {
+			{"compressed", func(t *testing.T, c *Config) {
 				stats, err := CalibrateCompression(*c, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				c.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats, SlabHeight: 8}
+				c.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
 			}},
 		}
 		var serial *Result

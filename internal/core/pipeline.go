@@ -39,7 +39,7 @@ import (
 // Compressed storage plugs in around the same sequence: fields are decoded
 // before the velocity phase, the velocities are round-tripped through the
 // codecs before the stress phase reads them (Fig. 5b), and everything is
-// re-encoded after the sponge, slab by slab.
+// re-encoded after the sponge.
 
 // Exchanger updates ghost layers between the pipeline's kernel phases.
 // Each exchange is split into a Start half, which posts the outgoing halo
@@ -79,9 +79,9 @@ func (NoExchange) FinishStress(*fd.Wavefield, int) bool   { return false }
 
 // Backend executes one kernel phase over a Region of the block — the seam
 // between the step pipeline and the machine the kernels run on. The pipeline
-// passes full-x/y slab regions or, under Config.Overlap, the block interior
-// and its boundary shells; with a tile pool it hands a backend one tile, or
-// one chain block of a tile, at a time.
+// passes the whole block or, under Config.Overlap, the block interior and
+// its boundary shells; with a tile pool it hands a backend one tile, or one
+// chain block of a tile, at a time.
 type Backend interface {
 	Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region)
 	Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region)
@@ -101,7 +101,7 @@ func (hostBackend) Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg gr
 // cgBackend runs the kernels tile-by-tile through the simulated SW26010
 // core group. The executor processes the whole block per call, so it needs
 // the full region — guaranteed by Config.Validate, which rejects SunwaySim
-// combined with compressed (slabbed) storage, Tiles and Overlap.
+// combined with compressed storage, Tiles and Overlap.
 type cgBackend struct{ ex *cgexec.Executor }
 
 func (b cgBackend) Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
@@ -147,33 +147,15 @@ func (s *Simulator) Step() {
 	}
 }
 
-// zSlab is one z-range of the block over the full x/y plane — the unit
-// compressed storage decodes, computes on and re-encodes (Fig. 5c); plain
-// storage has one, the whole depth — with the regions of it whose stress
-// chain runs after the velocity-halo wait.
-type zSlab struct {
-	grid.Region
-	afterWait []grid.Region
-}
-
-// planRegions chooses the step's region lists, once: the z-slabs, and where
-// the stress chain of each cell runs relative to the velocity-halo wait.
-// Without Config.Overlap nothing runs before it (an empty interior) and each
-// slab runs whole after it; with it (plain storage only, enforced by
-// Validate, so one slab) the block interior — whose stencils read no ghost
-// value — runs while the messages fly and the four boundary shells after.
+// planRegions chooses, once, where the stress chain of each cell runs
+// relative to the velocity-halo wait. Without Config.Overlap nothing runs
+// before it (an empty interior) and the whole block after it; with it the
+// block interior — whose stencils read no ghost value — runs while the
+// messages fly and the four boundary shells after.
 func (s *Simulator) planRegions() {
-	d := s.Cfg.Dims
-	height := d.Nz
-	if s.comp != nil {
-		height = s.comp.slab
-	}
-	for k0 := 0; k0 < d.Nz; k0 += height {
-		reg := grid.FullXY(d, k0, min(k0+height, d.Nz))
-		s.slabs = append(s.slabs, zSlab{reg, []grid.Region{reg}})
-	}
+	s.afterWait = []grid.Region{grid.Box(s.Cfg.Dims)}
 	if s.Cfg.Overlap {
-		s.interior, s.slabs[0].afterWait = decomp.InteriorShell(d, fd.Halo)
+		s.interior, s.afterWait = decomp.InteriorShell(s.Cfg.Dims, fd.Halo)
 	}
 }
 
@@ -203,11 +185,9 @@ func (s *Simulator) planRegions() {
 //     interior-then-shell ordering cannot change any result bit. The
 //     velocity half of the sponge is what another region's stress stencils
 //     would see from a region's cells, which is why it is not in the chain:
-//     it runs on a slab once every region of the slab is done — and, with
-//     several slabs, before the next slab's stress stencils read across the
-//     slab boundary, as compressed storage has always had it.
+//     it runs over the block once every region is done.
 //   - The SLS snapshot is taken over the whole block before any region is
-//     computed: After only ever reads it at the cells it updates.
+//     computed: AfterRegion only ever reads it at the cells it updates.
 //   - A block one worker owns alone (skewStrip) runs everything from the
 //     velocity kernel to the velocity sponge as ONE walk (skewedPass): in
 //     strips of columns and down each strip plane by plane, the kernel and
@@ -244,7 +224,7 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	d := s.Cfg.Dims
 	h := fd.Halo
 	if s.comp != nil {
-		s.comp.decode(s.comp.fields, s.WF.AllFields())
+		decode(s.comp.fields, s.WF.AllFields())
 		sw.Lap(telemetry.StageCompression)
 	}
 
@@ -254,9 +234,7 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	cols := s.skewStrip()
 	twoPass := cols == 0
 	if twoPass {
-		for _, slab := range s.slabs {
-			s.velocityPhase(slab.Region, dtdx)
-		}
+		s.velocityPhase(grid.Box(d), dtdx)
 		sw.Lap(telemetry.StageVelocity)
 	} else {
 		// every cell's step from the velocity kernel to the velocity sponge,
@@ -268,8 +246,8 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 		// the stress kernel — and the neighbours — read the velocities exactly
 		// as stored (the dstrqc side of Fig. 5b): this intra-step round trip
 		// is where the paper's accuracy loss comes from
-		s.comp.encode(s.comp.velocity(), s.WF.VelocityFields())
-		s.comp.decode(s.comp.velocity(), s.WF.VelocityFields())
+		encode(s.comp.velocity(), s.WF.VelocityFields())
+		decode(s.comp.velocity(), s.WF.VelocityFields())
 		sw.Lap(telemetry.StageCompression)
 	}
 	ex.StartVelocity(s.WF, s.step)
@@ -302,17 +280,15 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	fd.ImageVelocityCols(s.WF, 0, d.Nx, d.Ny, d.Ny+h)
 	sw.Lap(telemetry.StageFreeSurface)
 	if twoPass {
-		for _, slab := range s.slabs {
-			for _, reg := range slab.afterWait {
-				s.stressPhase(reg, dtdx, &sw)
-			}
-			s.spongeVelocities(slab.Region, &sw)
+		for _, reg := range s.afterWait {
+			s.stressPhase(reg, dtdx, &sw)
 		}
+		s.spongeVelocities(grid.Box(d), &sw)
 	}
 	if s.comp != nil {
 		// recorders and checkpoints observe exactly the stored state
-		s.comp.encode(s.comp.fields, s.WF.AllFields())
-		s.comp.decode(s.comp.fields, s.WF.AllFields())
+		encode(s.comp.fields, s.WF.AllFields())
+		decode(s.comp.fields, s.WF.AllFields())
 		sw.Lap(telemetry.StageCompression)
 	}
 	ex.StartStress(s.WF, s.step)
@@ -320,7 +296,7 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	sw.Lap(telemetry.StageHaloStress)
 	if changed && s.comp != nil {
 		// exchanged ghost planes reach storage for the next step's decode
-		s.comp.encode(s.comp.stress(), s.WF.StressFields())
+		encode(s.comp.stress(), s.WF.StressFields())
 		sw.Lap(telemetry.StageCompression)
 	}
 }
@@ -350,9 +326,9 @@ var chainBlockPlanes int
 // stressPhase runs the stress-side stage chain — stress kernel, SLS memory
 // update, source injection, plasticity, attenuation, the stress half of the
 // sponge — over one Region, and is the only place that order is spelled.
-// The pipeline calls it per z-slab over the full x/y plane or, under
-// Config.Overlap, on the interior and then on each boundary shell; an empty
-// region is no work and no observation.
+// The pipeline calls it on the whole block or, under Config.Overlap, on the
+// interior and then on each boundary shell; an empty region is no work and no
+// observation.
 //
 // The region is walked in x-blocks (chainBlockPoints) and the whole chain
 // runs on a block before the next is touched: every stage but the stress

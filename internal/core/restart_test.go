@@ -97,7 +97,7 @@ func TestCompressedRestartResumesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats, SlabHeight: 8}
+	cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
 	ref := runSerial(t, cfg)
 	first := cfg
 	first.Steps = cfg.Steps / 2

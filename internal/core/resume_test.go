@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"swquake/internal/checkpoint"
@@ -230,7 +231,8 @@ func TestLaneCheckpointCarriesAux(t *testing.T) {
 // serial dump into RunParallel(cfg, 1, 1) and a 1x1 dump into a serial run
 // both finish bit-identical to the uninterrupted serial run, counters
 // included. (Plasticity, constant Q and the sponge: the SLS memory variables
-// are not part of a dump, so an SLS run does not restart bit-exactly.)
+// are not part of a dump, so an SLS run refuses to resume —
+// TestSLSRunRefusesToResume.)
 func TestSerialAndOneRankRunsResumeEachOther(t *testing.T) {
 	cfg := fullPhysicsConfig()
 	cfg.Attenuation = AttenuationConfig{Enabled: true, F0: 3, Qp: 60, Qs: 30}
@@ -292,6 +294,46 @@ func TestStepIsObservedBeforeItsCheckpoint(t *testing.T) {
 		}
 		if len(res.Checkpoints) != 2 {
 			t.Fatalf("%s: %d dumps reported after the run, want 2", tc.name, len(res.Checkpoints))
+		}
+	}
+}
+
+// TestSLSRunRefusesToResume: the SLS memory variables are not part of a dump,
+// so a run that keeps them answers a restart with an error naming that —
+// serial and on ranks alike, since every resume goes through the one Restore —
+// instead of continuing from zeroed memory variables to traces that differ
+// from the uninterrupted run's.
+func TestSLSRunRefusesToResume(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(Config) (*Result, error)
+	}{
+		{"serial", func(cfg Config) (*Result, error) {
+			sim, err := New(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return sim.Run()
+		}},
+		{"ranks2x1", func(cfg Config) (*Result, error) { return RunParallel(cfg, 2, 1) }},
+	} {
+		cfg := fullPhysicsConfig()
+		if !cfg.Attenuation.UseSLS {
+			t.Fatal("the full-physics configuration no longer uses SLS attenuation")
+		}
+		first := cfg
+		first.Steps = cfg.Steps / 2
+		first.Checkpoint = &checkpoint.Controller{Dir: t.TempDir(), Interval: first.Steps, Keep: 1}
+		if _, err := tc.run(first); err != nil {
+			t.Fatalf("%s: first leg: %v", tc.name, err)
+		}
+		cfg.RestartFrom = first.Checkpoint.Latest()
+		if cfg.RestartFrom == "" {
+			t.Fatalf("%s: the first leg wrote no dump", tc.name)
+		}
+		res, err := tc.run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "SLS") {
+			t.Fatalf("%s: resumed an SLS run (result %v, error %v), want a refusal naming SLS", tc.name, res != nil, err)
 		}
 	}
 }

@@ -56,9 +56,9 @@ type Simulator struct {
 	// (startTiling). A nil pool executes every fan inline.
 	tiles int
 	pool  *tilePool
-	// slabs and interior are the step's region lists (planRegions).
-	slabs    []zSlab
-	interior grid.Region
+	// interior and afterWait are the step's region lists (planRegions).
+	interior  grid.Region
+	afterWait []grid.Region
 
 	step    int
 	simTime float64
@@ -445,8 +445,13 @@ var timeNow = time.Now
 // ghost layers (see checkpoint.ExtractBlock for why that is bit-exact). When
 // the dump carries a resume-aux section (every dump a run writes does), the
 // block's share of the replay state is restored too, so the resumed run's
-// outputs match an uninterrupted run exactly.
+// outputs match an uninterrupted run exactly. A dump does not carry the SLS
+// memory variables, so a simulator that keeps them refuses to resume rather
+// than continue from zeroed ones.
 func (s *Simulator) Restore(path string) error {
+	if s.sls != nil {
+		return fmt.Errorf("core: cannot resume from %s: SLS attenuation keeps memory variables a checkpoint does not carry", path)
+	}
 	step, tm, gwf, aux, err := checkpoint.LoadAux(path)
 	if err != nil {
 		return err
@@ -468,7 +473,7 @@ func (s *Simulator) Restore(path string) error {
 	s.step = step
 	s.simTime = tm
 	if s.comp != nil {
-		s.comp.encode(s.comp.fields, s.WF.AllFields())
+		encode(s.comp.fields, s.WF.AllFields())
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"swquake/internal/compress"
 	"swquake/internal/decomp"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
@@ -162,20 +161,12 @@ func TestNonlinearQTiledAndRanksMatchSerial(t *testing.T) {
 	requireIdenticalResults(t, "parallel 2x1", ref, got, base)
 }
 
-// TestTilesOverlapValidation: Overlap requires uncompressed storage (the
-// slab decode/encode cycle leaves no interior to hide the exchange behind),
-// and SunwaySim requires full-block kernel calls.
+// TestTilesOverlapValidation: SunwaySim requires full-block kernel calls.
 func TestTilesOverlapValidation(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Tiles = -2
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("Tiles=-2 accepted")
-	}
-	cfg = baseConfig()
-	cfg.Overlap = true
-	cfg.Compression.Method = compress.Half
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Overlap+compression accepted")
 	}
 	cfg = baseConfig()
 	cfg.SunwaySim = true

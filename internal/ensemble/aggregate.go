@@ -80,7 +80,7 @@ func (a *aggregator) load(idx int) (memberField, error) {
 	if err := json.Unmarshal(data, &mf); err != nil {
 		return mf, err
 	}
-	if mf.Nx*mf.Ny != len(mf.Values) {
+	if n := len(mf.Values); mf.Nx <= 0 || mf.Ny <= 0 || n%mf.Nx != 0 || n/mf.Nx != mf.Ny {
 		return mf, fmt.Errorf("ensemble: member %d field is %dx%d but has %d values", idx, mf.Nx, mf.Ny, len(mf.Values))
 	}
 	return mf, nil

@@ -149,3 +149,38 @@ func TestJournalAppendFailureIsCountedAndLogged(t *testing.T) {
 	}
 	drainAll(t, m, svc)
 }
+
+// TestManifestDirectoryFailureIsLogged: when a finished campaign's state
+// directory cannot be made (a file stands where DataDir/campaigns/<id>
+// should be) the manifest is not written, and that is logged with the
+// campaign like any other failed manifest write — not dropped.
+func TestManifestDirectoryFailureIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := service.Open(service.Options{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs syncBuffer
+	m, err := Open(Options{Service: svc, DataDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(m.stateDir("camp-000001"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Create(sweepSpec(5, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "camp-000001" {
+		t.Fatalf("campaign %s, the test blocked the directory of camp-000001", st.ID)
+	}
+	if final := waitCampaign(t, m, st.ID); !final.State.Terminal() {
+		t.Fatalf("final status %+v", final)
+	}
+	drainAll(t, m, svc)
+	line := "level=ERROR msg=\"campaign manifest write failed\" campaign=" + st.ID + " "
+	if got := strings.Count(logs.String(), line); got != 1 {
+		t.Fatalf("%d log records of the failed manifest write, want 1:\n%s", got, logs.String())
+	}
+}

@@ -568,10 +568,12 @@ func (m *Manager) finishCampaign(c *campaign, started time.Time) {
 			cm.MeanPGVMax = agg.MeanPGVMax
 			cm.MeanIntensityMax = agg.MeanIntensityMax
 		}
-		if err := os.MkdirAll(dir, 0o755); err == nil {
-			if err := cm.Save(filepath.Join(dir, "manifest.json")); err != nil {
-				m.log.Error("campaign manifest write failed", "campaign", c.id, "error", err.Error())
-			}
+		err := os.MkdirAll(dir, 0o755)
+		if err == nil {
+			err = cm.Save(filepath.Join(dir, "manifest.json"))
+		}
+		if err != nil {
+			m.log.Error("campaign manifest write failed", "campaign", c.id, "error", err.Error())
 		}
 	}
 }

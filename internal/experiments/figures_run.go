@@ -13,6 +13,7 @@ import (
 	"swquake/internal/rupture"
 	"swquake/internal/scenario"
 	"swquake/internal/seismo"
+	"swquake/internal/source"
 )
 
 // Size selects how big the run-based experiments are.
@@ -148,7 +149,7 @@ func Fig10(w io.Writer, size Size) (*Fig10Result, error) {
 		MaxSlip:          res.MaxFinalSlip(),
 		SeismicMoment:    res.SeismicMoment(med),
 	}
-	out.Mw = 2.0/3.0*math.Log10(out.SeismicMoment) - 6.07
+	out.Mw = source.MomentMagnitude(out.SeismicMoment)
 	out.RuptureSpeed = res.RuptureSpeed(cfg.I1 - 3)
 	out.SourceCount = len(res.Sources(med, 2))
 

@@ -13,29 +13,6 @@ type AdaptiveCodec struct {
 	manBits    uint32 // 15 - Ne
 }
 
-// NewAdaptiveCodec builds a codec covering the exponent range of the sample
-// values. Zeros are ignored when computing the range; a dedicated code
-// (all-zero payload with max exponent offset) is reserved for zero.
-func NewAdaptiveCodec(sample []float32) *AdaptiveCodec {
-	emin, emax := int32(127), int32(-127)
-	for _, v := range sample {
-		if v == 0 || math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			continue
-		}
-		e := int32(math.Float32bits(v)>>23&0xff) - 127
-		if e < emin {
-			emin = e
-		}
-		if e > emax {
-			emax = e
-		}
-	}
-	if emin > emax { // all zero sample
-		emin, emax = 0, 0
-	}
-	return NewAdaptiveCodecRange(emin, emax)
-}
-
 // NewAdaptiveCodecRange builds a codec for a known unbiased exponent range.
 func NewAdaptiveCodecRange(emin, emax int32) *AdaptiveCodec {
 	span := uint32(emax - emin + 2) // +1 for inclusive range, +1 for the zero code
@@ -51,12 +28,6 @@ func NewAdaptiveCodecRange(emin, emax int32) *AdaptiveCodec {
 	}
 	return &AdaptiveCodec{emin: emin, emax: emax, expBits: bits, manBits: 15 - bits}
 }
-
-// ExpBits returns the number of exponent bits Ne chosen by the codec.
-func (c *AdaptiveCodec) ExpBits() int { return int(c.expBits) }
-
-// ManBits returns the number of mantissa bits (15 - Ne).
-func (c *AdaptiveCodec) ManBits() int { return int(c.manBits) }
 
 // Encode compresses v to 16 bits. Values whose exponent falls below the
 // covered range flush to zero; above the range they clamp to the largest

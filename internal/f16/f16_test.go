@@ -135,16 +135,16 @@ func TestEncodeDecodeSlice(t *testing.T) {
 func TestAdaptiveCodecExpBits(t *testing.T) {
 	// narrow dynamic range => few exponent bits, many mantissa bits
 	c := NewAdaptiveCodecRange(0, 1)
-	if c.ExpBits() > 2 {
-		t.Fatalf("narrow range used %d exponent bits", c.ExpBits())
+	if c.expBits > 2 {
+		t.Fatalf("narrow range used %d exponent bits", c.expBits)
 	}
-	if c.ExpBits()+c.ManBits() != 15 {
-		t.Fatalf("bit budget %d+%d != 15", c.ExpBits(), c.ManBits())
+	if c.expBits+c.manBits != 15 {
+		t.Fatalf("bit budget %d+%d != 15", c.expBits, c.manBits)
 	}
 	// wide range => more exponent bits
 	w := NewAdaptiveCodecRange(-120, 120)
-	if w.ExpBits() != 8 {
-		t.Fatalf("wide range used %d exponent bits, want 8", w.ExpBits())
+	if w.expBits != 8 {
+		t.Fatalf("wide range used %d exponent bits, want 8", w.expBits)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestAdaptiveBeatsHalfOnNarrowRange(t *testing.T) {
 	for i := range sample {
 		sample[i] = 0.5 + 1.49*rng.Float32()
 	}
-	c := NewAdaptiveCodec(sample)
+	c := NewAdaptiveCodecRange(-1, 0)
 	var worstA, worstH float64
 	for _, v := range sample {
 		a := math.Abs(float64(c.Decode(c.Encode(v)) - v))
@@ -206,7 +206,7 @@ func TestAdaptiveSignPreserved(t *testing.T) {
 
 func TestQuickAdaptiveRelError(t *testing.T) {
 	c := NewAdaptiveCodecRange(-10, 10)
-	step := 1.0 / float64(int(1)<<c.ManBits())
+	step := 1.0 / float64(int(1)<<c.manBits)
 	fn := func(v float32) bool {
 		av := math.Abs(float64(v))
 		if av < 1.0/1024 || av > 1024 || math.IsNaN(float64(v)) {
@@ -226,8 +226,9 @@ func TestNormalizedRoundTrip(t *testing.T) {
 	for n := 0; n < 10000; n++ {
 		v := -2 + 5*rng.Float32()
 		got := c.Decode(c.Encode(v))
-		if math.Abs(float64(got-v)) > float64(c.MaxError())*2 {
-			t.Fatalf("|%v - %v| > 2*MaxError %v", got, v, c.MaxError())
+		// a whole quantization step of the 16-bit mantissa grid over [-2,3]
+		if step := 5.0 / (1 << 15); math.Abs(float64(got-v)) > step {
+			t.Fatalf("|%v - %v| > one step %v", got, v, step)
 		}
 	}
 }
@@ -251,9 +252,8 @@ func TestNormalizedDegenerateRange(t *testing.T) {
 
 func TestNormalizedFromSample(t *testing.T) {
 	c := NewNormalizedCodecFromSample([]float32{-3, 0, 7, float32(math.NaN())})
-	lo, hi := c.Range()
-	if lo != -3 || hi != 7 {
-		t.Fatalf("sampled range = [%v,%v]", lo, hi)
+	if c.vmin != -3 || c.vmax != 7 {
+		t.Fatalf("sampled range = [%v,%v]", c.vmin, c.vmax)
 	}
 }
 
@@ -295,8 +295,12 @@ func TestNormalizedPrecisionBeatsHalfInRange(t *testing.T) {
 	// range, which for [-1,1] is ~3e-5 absolute — better than half's worst
 	// absolute error near 1 (~4.9e-4).
 	c := NewNormalizedCodec(-1, 1)
-	if c.MaxError() >= 1.0/16384 {
-		t.Fatalf("MaxError %v too large", c.MaxError())
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 10000; n++ {
+		v := 2*rng.Float32() - 1
+		if got := c.Decode(c.Encode(v)); math.Abs(float64(got-v)) >= 1.0/16384 {
+			t.Fatalf("|%v - %v| too large", got, v)
+		}
 	}
 }
 

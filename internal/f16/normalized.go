@@ -51,9 +51,6 @@ func NewNormalizedCodecFromSample(sample []float32) *NormalizedCodec {
 	return NewNormalizedCodec(lo, hi)
 }
 
-// Range returns the value range the codec covers.
-func (c *NormalizedCodec) Range() (vmin, vmax float32) { return c.vmin, c.vmax }
-
 // Encode compresses v to 16 bits; out-of-range values are clamped.
 // The mantissa is rounded to nearest, not truncated: a truncating encoder
 // would bias every stored value low by half a quantization step, and the
@@ -84,12 +81,6 @@ func (c *NormalizedCodec) Decode(h uint16) float32 {
 	}
 	vp := math.Float32frombits(0x3f800000 | uint32(h)<<7&0x7fffff)
 	return (vp-1)*c.invScale + c.vmin
-}
-
-// MaxError returns the worst-case absolute reconstruction error for
-// in-range inputs: half a quantization step of the 16-bit mantissa grid.
-func (c *NormalizedCodec) MaxError() float32 {
-	return c.invScale / (1 << 16)
 }
 
 // EncodeSlice encodes src into dst elementwise.

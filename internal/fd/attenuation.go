@@ -97,22 +97,3 @@ func NewAttenuation(d grid.Dims, qm QModel, f0, dt float64) *Attenuation {
 	}
 	return a
 }
-
-// Apply damps the stress components over the z-range [k0,k1): diagonal
-// stresses by the P factor, shear stresses by the S factor. Thin full-x/y
-// wrapper over ApplyRegion.
-func (a *Attenuation) Apply(wf *Wavefield, k0, k1 int) {
-	a.ApplyRegion(wf, grid.FullXY(a.D, k0, k1))
-}
-
-// TStar returns the attenuation operator t* = distance/(v*Q) implied by a
-// path of length dist at speed v through quality factor q — used by tests
-// to check decay rates against theory.
-func TStar(dist, v, q float64) float64 {
-	return dist / (v * q)
-}
-
-// AmplitudeFactor returns the theoretical amplitude decay exp(-pi f t*).
-func AmplitudeFactor(f, tStar float64) float64 {
-	return math.Exp(-math.Pi * f * tStar)
-}

@@ -26,7 +26,10 @@ func TestSWaveSpeed(t *testing.T) {
 	for n := 0; n < 260; n++ {
 		amp := float32(ricker(float64(n)*dt, f0, t0) * 1e6)
 		wf.XY.Add(srcI, j, k, amp) // pure shear: radiates S along x
-		Step(wf, med, float32(dt/dx))
+		ApplyFreeSurface(wf)
+		UpdateVelocityRegion(wf, med, float32(dt/dx), grid.Box(wf.D))
+		ApplyFreeSurface(wf)
+		UpdateStressRegion(wf, med, float32(dt/dx), grid.Box(wf.D))
 		series = append(series, float64(wf.V.At(recI, j, k)))
 	}
 	best, bestN := 0.0, -1
@@ -78,7 +81,10 @@ func TestGridConvergence(t *testing.T) {
 			wf.XX.Add(srcI, 4, srcK, amp)
 			wf.YY.Add(srcI, 4, srcK, amp)
 			wf.ZZ.Add(srcI, 4, srcK, amp)
-			Step(wf, med, float32(dt/h))
+			ApplyFreeSurface(wf)
+			UpdateVelocityRegion(wf, med, float32(dt/h), grid.Box(wf.D))
+			ApplyFreeSurface(wf)
+			UpdateStressRegion(wf, med, float32(dt/h), grid.Box(wf.D))
 			if (n+1)%8 == 0 {
 				out[(n+1)/8-1] = float64(wf.U.At(recI, 4, recK))
 			}

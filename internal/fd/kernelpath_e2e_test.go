@@ -17,7 +17,7 @@ import (
 // two tiles, 2x1 ranks with overlapped halo exchange, and restarted from a
 // mid-run checkpoint — under the Go rows and, where the host has them, the
 // assembly rows: every station trace, the PGV map and the yield count are
-// the same bits in all runs. On compressed slabs and with the SLS operator
+// the same bits in all runs. On compressed storage and with the SLS operator
 // (different physics, so each its own reference) the two row paths agree as
 // well. Depth 20 gives every row two whole vectors and a four-cell tail.
 func TestEngineIsBitIdenticalOnBothKernelPaths(t *testing.T) {
@@ -80,11 +80,11 @@ func TestEngineIsBitIdenticalOnBothKernelPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Compression = core.CompressionConfig{Method: compress.Normalized, Stats: stats, SlabHeight: 8}
+		cfg.Compression = core.CompressionConfig{Method: compress.Normalized, Stats: stats}
 		if res = serial(t, cfg); refCompressed == nil {
 			refCompressed = res
 		}
-		requireSameResult(t, cpu.KernelPath()+" compressed slabs", refCompressed, res)
+		requireSameResult(t, cpu.KernelPath()+" compressed", refCompressed, res)
 
 		cfg = base
 		cfg.Attenuation.UseSLS = true

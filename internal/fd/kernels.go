@@ -49,14 +49,3 @@ func ApplyFreeSurface(wf *Wavefield) {
 	d := wf.D
 	ApplyFreeSurfaceCols(wf, -Halo, d.Nx+Halo, -Halo, d.Ny+Halo)
 }
-
-// Step advances the wavefield one full time step on a single block with a
-// free surface at k=0: velocity update, then free-surface image refresh,
-// then stress update. Lateral and bottom halos must already be valid (via
-// halo exchange, sponge, or zero for a rigid boundary).
-func Step(wf *Wavefield, med *Medium, dtdx float32) {
-	ApplyFreeSurface(wf)
-	UpdateVelocity(wf, med, dtdx, 0, wf.D.Nz)
-	ApplyFreeSurface(wf)
-	UpdateStress(wf, med, dtdx, 0, wf.D.Nz)
-}

@@ -29,7 +29,10 @@ func TestQuiescentStaysZero(t *testing.T) {
 	wf := NewWavefield(d)
 	med := homogeneousMedium(d, model.Material{Vp: 6000, Vs: 3464, Rho: 2700})
 	for n := 0; n < 10; n++ {
-		Step(wf, med, 0.001)
+		ApplyFreeSurface(wf)
+		UpdateVelocityRegion(wf, med, 0.001, grid.Box(wf.D))
+		ApplyFreeSurface(wf)
+		UpdateStressRegion(wf, med, 0.001, grid.Box(wf.D))
 	}
 	for _, f := range wf.AllFields() {
 		if f.MaxAbs() != 0 {
@@ -77,7 +80,10 @@ func TestPWaveSpeed(t *testing.T) {
 		wf.XX.Add(srcI, srcJ, srcK, amp)
 		wf.YY.Add(srcI, srcJ, srcK, amp)
 		wf.ZZ.Add(srcI, srcJ, srcK, amp)
-		Step(wf, med, float32(dt/dx))
+		ApplyFreeSurface(wf)
+		UpdateVelocityRegion(wf, med, float32(dt/dx), grid.Box(wf.D))
+		ApplyFreeSurface(wf)
+		UpdateStressRegion(wf, med, float32(dt/dx), grid.Box(wf.D))
 		series = append(series, float64(wf.U.At(recI, recJ, recK)))
 	}
 
@@ -115,7 +121,10 @@ func TestPointSourceSymmetry(t *testing.T) {
 		wf.XX.Add(c, c, 8, amp)
 		wf.YY.Add(c, c, 8, amp)
 		wf.ZZ.Add(c, c, 8, amp)
-		Step(wf, med, dtdx)
+		ApplyFreeSurface(wf)
+		UpdateVelocityRegion(wf, med, dtdx, grid.Box(wf.D))
+		ApplyFreeSurface(wf)
+		UpdateStressRegion(wf, med, dtdx, grid.Box(wf.D))
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -158,11 +167,17 @@ func TestStabilityNoEnergyGrowth(t *testing.T) {
 		wf.XX.Add(10, 10, 10, amp)
 		wf.YY.Add(10, 10, 10, amp)
 		wf.ZZ.Add(10, 10, 10, amp)
-		Step(wf, med, dtdx)
+		ApplyFreeSurface(wf)
+		UpdateVelocityRegion(wf, med, dtdx, grid.Box(wf.D))
+		ApplyFreeSurface(wf)
+		UpdateStressRegion(wf, med, dtdx, grid.Box(wf.D))
 	}
 	e0 := totalFieldEnergy(wf)
 	for stepN := 0; stepN < 200; stepN++ {
-		Step(wf, med, dtdx)
+		ApplyFreeSurface(wf)
+		UpdateVelocityRegion(wf, med, dtdx, grid.Box(wf.D))
+		ApplyFreeSurface(wf)
+		UpdateStressRegion(wf, med, dtdx, grid.Box(wf.D))
 	}
 	e1 := totalFieldEnergy(wf)
 	if e1 > e0*1.10 {
@@ -378,12 +393,18 @@ func TestSpongeAbsorbsEnergy(t *testing.T) {
 			wf.XX.Add(15, 15, 15, amp)
 			wf.YY.Add(15, 15, 15, amp)
 			wf.ZZ.Add(15, 15, 15, amp)
-			Step(wf, med, dtdx)
+			ApplyFreeSurface(wf)
+			UpdateVelocityRegion(wf, med, dtdx, grid.Box(wf.D))
+			ApplyFreeSurface(wf)
+			UpdateStressRegion(wf, med, dtdx, grid.Box(wf.D))
 		}
 		for stepN := 0; stepN < 150; stepN++ {
-			Step(wf, med, dtdx)
+			ApplyFreeSurface(wf)
+			UpdateVelocityRegion(wf, med, dtdx, grid.Box(wf.D))
+			ApplyFreeSurface(wf)
+			UpdateStressRegion(wf, med, dtdx, grid.Box(wf.D))
 			if useSponge {
-				sponge.Apply(wf, 0, d.Nz)
+				sponge.ApplyRegion(wf, grid.Box(d))
 			}
 		}
 		return totalFieldEnergy(wf)

@@ -3,16 +3,16 @@ package fd
 import "swquake/internal/grid"
 
 // Region-parameterized stage kernels — the 3D generalization of the
-// original [k0,k1) z-slab signatures (which remain as thin full-x/y
-// wrappers). A Region is the unit of work of the core engine's tile pool
-// and of the interior/shell decomposition used for overlapped halo
-// exchange.
+// original [k0,k1) z-slab signatures (of which UpdateVelocity, UpdateStress
+// and ApplyFreeSurface remain, as thin full-x/y wrappers). A Region is the
+// unit of work of the core engine's tile pool and of the interior/shell
+// decomposition used for overlapped halo exchange.
 //
 // Every kernel here is per-cell independent with respect to its own
 // writes: the velocity kernel writes u,v,w reading only stresses and
 // density; the stress kernel writes the six stresses reading only
-// velocities and moduli; SLS.After, plasticity, attenuation and the sponge
-// read and write only the cell they stand on. Therefore any disjoint
+// velocities and moduli; SLS.AfterRegion, plasticity, attenuation and the
+// sponge read and write only the cell they stand on. Therefore any disjoint
 // partition of a region, executed in any order or concurrently, produces
 // bit-identical fields — the property the region engine's correctness
 // (and its property tests) rest on.
@@ -60,8 +60,10 @@ func ImageVelocityCols(wf *Wavefield, i0, i1, j0, j1 int) {
 	}
 }
 
-// AfterRegion evolves the memory variables and applies the anelastic
-// correction over the region; the region counterpart of After.
+// AfterRegion evolves the memory variables from the elastic stress increment
+// and applies the anelastic correction over the region; call after the stress
+// kernel has run there (before plasticity, which must see the corrected trial
+// stress).
 func (s *SLS) AfterRegion(wf *Wavefield, dt float64, reg grid.Region) {
 	ts := s.TauSigma
 	a := float32((2*ts - dt) / (2*ts + dt))

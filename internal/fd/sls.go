@@ -63,26 +63,9 @@ func NewSLS(d grid.Dims, qm QModel, f0 float64) *SLS {
 	return s
 }
 
-// Bytes returns the extra storage the formulation costs.
-func (s *SLS) Bytes() int64 {
-	var n int64
-	for i := range s.R {
-		n += s.R[i].Bytes() + s.prev[i].Bytes()
-	}
-	return n + s.Phi.Bytes()
-}
-
 // Before snapshots the stresses; call immediately before UpdateStress.
 func (s *SLS) Before(wf *Wavefield) {
 	for i, f := range wf.StressFields() {
 		s.prev[i].CopyFrom(f)
 	}
-}
-
-// After evolves the memory variables from the elastic stress increment and
-// applies the anelastic correction; call immediately after UpdateStress
-// (before plasticity, which must see the corrected trial stress). Thin
-// full-x/y wrapper over AfterRegion.
-func (s *SLS) After(wf *Wavefield, dt float64, k0, k1 int) {
-	s.AfterRegion(wf, dt, grid.FullXY(s.D, k0, k1))
 }

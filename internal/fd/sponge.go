@@ -1,10 +1,6 @@
 package fd
 
-import (
-	"math"
-
-	"swquake/internal/grid"
-)
+import "math"
 
 // Sponge implements Cerjan-style absorbing boundaries: inside a boundary
 // zone of configurable width, every dynamic field is multiplied each step by
@@ -103,9 +99,3 @@ func (s *Sponge) Factor(i, j, k int) float32 {
 // that changes anything. The blocks of a decomposition sum to the serial
 // count.
 func (s *Sponge) DampedPoints() int64 { return s.damped }
-
-// Apply multiplies all nine dynamic fields by the damping profile over the
-// z-range [k0,k1). Thin full-x/y wrapper over ApplyRegion.
-func (s *Sponge) Apply(wf *Wavefield, k0, k1 int) {
-	s.ApplyRegion(wf, grid.Region{I1: s.D.Nx, J1: s.D.Ny, K0: k0, K1: k1})
-}

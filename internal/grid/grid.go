@@ -145,11 +145,6 @@ func (f *Field) StrideX() int { return f.sx }
 // StrideY returns the flat-index distance between (i,j,k) and (i,j+1,k).
 func (f *Field) StrideY() int { return f.sy }
 
-// TotalDims returns the allocated extents including halos.
-func (f *Field) TotalDims() Dims {
-	return Dims{f.Nx + 2*f.H, f.Ny + 2*f.H, f.Nz + 2*f.H}
-}
-
 // Fill sets every element (interior and halo) to v.
 func (f *Field) Fill(v float32) {
 	f.writable()
@@ -194,12 +189,6 @@ func (f *Field) Clone() *Field {
 func (f *Field) Row(i, j int) []float32 {
 	base := f.Idx(i, j, 0)
 	return f.Data[base : base+f.Nz]
-}
-
-// RowWithHalo returns the z-row at (i,j) including z halos, length Nz+2H.
-func (f *Field) RowWithHalo(i, j int) []float32 {
-	base := f.Idx(i, j, -f.H)
-	return f.Data[base : base+f.Nz+2*f.H]
 }
 
 // InteriorEqual reports whether the interiors of f and g match to within tol

@@ -15,9 +15,6 @@ func TestNewFieldShape(t *testing.T) {
 	if len(f.Data) != want {
 		t.Fatalf("len(Data) = %d, want %d", len(f.Data), want)
 	}
-	if f.TotalDims() != (Dims{8, 9, 10}) {
-		t.Fatalf("TotalDims = %v", f.TotalDims())
-	}
 	if f.Bytes() != int64(want)*4 {
 		t.Fatalf("Bytes = %d", f.Bytes())
 	}
@@ -113,13 +110,6 @@ func TestRowViews(t *testing.T) {
 	if f.At(1, 1, 3) != 9 {
 		t.Fatal("Row is not a view")
 	}
-	rh := f.RowWithHalo(1, 1)
-	if len(rh) != 10 {
-		t.Fatalf("RowWithHalo len %d", len(rh))
-	}
-	if rh[2+3] != 9 {
-		t.Fatal("RowWithHalo offset wrong")
-	}
 }
 
 func TestCloneAndDiff(t *testing.T) {
@@ -200,7 +190,7 @@ func maxAbsOrdersNaNAboveInf(t *testing.T) {
 }
 
 // TestProfileIsOneRowForEveryColumn: a profile reads like a full field whose
-// every column holds the same values — Idx, At, Row, RowWithHalo, the
+// every column holds the same values — Idx, At, Row, the
 // reductions — in Nz+2H floats; a write at one column is a write at all; a
 // clone is a profile of its own; and what would walk the full layout by hand
 // panics instead of copying garbage.
@@ -216,7 +206,7 @@ func TestProfileIsOneRowForEveryColumn(t *testing.T) {
 	for i := -2; i < d.Nx+2; i++ {
 		for j := -2; j < d.Ny+2; j++ {
 			if p.Idx(i, j, 3) != p.Idx(0, 0, 3) || p.At(i, j, 3) != 13 || p.Row(i, j)[4] != 14 ||
-				len(p.Row(i, j)) != d.Nz || p.RowWithHalo(i, j)[0] != 8 || len(p.RowWithHalo(i, j)) != d.Nz+4 {
+				len(p.Row(i, j)) != d.Nz || p.At(i, j, -2) != 8 {
 				t.Fatalf("column (%d,%d) is not the shared row", i, j)
 			}
 		}

@@ -5,11 +5,11 @@ import "fmt"
 // Region is a half-open 3D box of interior points,
 // [I0,I1) x [J0,J1) x [K0,K1), in block-local coordinates. It is the unit
 // of kernel work in the region engine: the step pipeline decomposes a block
-// into Regions (z-slabs for compressed storage, interior + boundary shells
-// for overlapped halo exchange, tiles for intra-rank parallelism) and every
-// stage kernel accepts one. Bounds may address halo layers (negative, or
-// beyond the interior extent) where a kernel is defined there — the free
-// surface images ghost columns, for example.
+// into Regions (interior + boundary shells for overlapped halo exchange,
+// tiles for intra-rank parallelism, chain blocks) and every stage kernel
+// accepts one. Bounds may address halo layers (negative, or beyond the
+// interior extent) where a kernel is defined there — the free surface images
+// ghost columns, for example.
 type Region struct {
 	I0, I1, J0, J1, K0, K1 int
 }

@@ -3,7 +3,6 @@ package manifest
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"time"
 
 	"swquake/internal/atomicio"
@@ -52,15 +51,4 @@ func (m CampaignManifest) Save(path string) error {
 	return atomicio.WriteFile(path, func(w io.Writer) error {
 		return m.Write(w)
 	})
-}
-
-// LoadCampaign reads a campaign manifest back.
-func LoadCampaign(path string) (CampaignManifest, error) {
-	var m CampaignManifest
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return m, err
-	}
-	err = json.Unmarshal(data, &m)
-	return m, err
 }

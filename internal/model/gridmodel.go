@@ -103,10 +103,3 @@ func (g *GridModel) String() string {
 func CFLTimeStep(dx, vpMax float64) float64 {
 	return 0.49 * dx / vpMax
 }
-
-// GridSpacingFor returns the grid spacing needed to resolve maxFreq with
-// pointsPerWavelength points of the slowest S wave (the paper's rule that
-// pushed 10 Hz scenarios to ~20 m grids and 18 Hz to 8 m).
-func GridSpacingFor(vsMin, maxFreq, pointsPerWavelength float64) float64 {
-	return vsMin / (maxFreq * pointsPerWavelength)
-}

@@ -1,6 +1,9 @@
 package model
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // Stochastic small-scale heterogeneity. Community velocity models (like
 // the paper's north-China model) resolve only kilometre-scale structure;
@@ -21,17 +24,27 @@ type Heterogeneous struct {
 	// Seed makes the field reproducible.
 	Seed int64
 
-	noise *GridModel // lazily built lattice of perturbation factors
+	// the lattice of perturbation factors over lx x ly x lz meters, built by
+	// the first sample: describing a model costs nothing, so a request is
+	// priced (admission) before anything is allocated for it
+	lx, ly, lz float64
+	once       sync.Once
+	noise      *GridModel
 }
 
-// NewHeterogeneous builds the perturbation lattice covering a domain of
+// NewHeterogeneous describes the perturbation field covering a domain of
 // (lx, ly, lz) meters.
 func NewHeterogeneous(base Model, amplitude, corrLen, lx, ly, lz float64, seed int64) *Heterogeneous {
-	h := &Heterogeneous{Base: base, Amplitude: amplitude, CorrLen: corrLen, Seed: seed}
-	nx := int(lx/corrLen) + 2
-	ny := int(ly/corrLen) + 2
-	nz := int(lz/corrLen) + 2
-	rng := rand.New(rand.NewSource(seed))
+	return &Heterogeneous{Base: base, Amplitude: amplitude, CorrLen: corrLen, Seed: seed, lx: lx, ly: ly, lz: lz}
+}
+
+// buildNoise fills the lattice: white noise, one value per corrLen.
+func (h *Heterogeneous) buildNoise() {
+	amplitude, corrLen := h.Amplitude, h.CorrLen
+	nx := int(h.lx/corrLen) + 2
+	ny := int(h.ly/corrLen) + 2
+	nz := int(h.lz/corrLen) + 2
+	rng := rand.New(rand.NewSource(h.Seed))
 	g := &GridModel{
 		NX: nx, NY: ny, NZ: nz,
 		DX: corrLen, DY: corrLen, DZ: corrLen,
@@ -53,7 +66,6 @@ func NewHeterogeneous(base Model, amplitude, corrLen, lx, ly, lz float64, seed i
 		g.Rho[i] = p / 2
 	}
 	h.noise = g
-	return h
 }
 
 // Sample perturbs the base material.
@@ -71,6 +83,7 @@ func (h *Heterogeneous) SampleColumn(x, y float64, zs []float64, out []Material)
 
 // perturb applies the perturbation field at (x, y, z) to the base material m.
 func (h *Heterogeneous) perturb(m Material, x, y, z float64) Material {
+	h.once.Do(h.buildNoise)
 	p := h.noise.Sample(x, y, z) // interpolated perturbation triple
 	out := Material{
 		Vp:  m.Vp * (1 + p.Vp),

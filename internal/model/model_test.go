@@ -158,17 +158,6 @@ func TestCFLAndSpacingRules(t *testing.T) {
 	if dt <= 0 || dt > 100.0/8000 {
 		t.Fatalf("CFL dt=%g", dt)
 	}
-	// 18 Hz at Vs=600 needs sub-10m grids (paper: 8 m scenario needs
-	// higher-velocity floors or extreme grids)
-	dx := GridSpacingFor(600, 18, 5)
-	if dx > 10 {
-		t.Fatalf("18 Hz spacing %g m must be below 10 m", dx)
-	}
-	// the paper's 10-Hz rule of thumb: ~20 m grids
-	dx10 := GridSpacingFor(1000, 10, 5)
-	if dx10 != 20 {
-		t.Fatalf("10 Hz / Vs 1000 spacing = %g, want 20", dx10)
-	}
 }
 
 func TestTangshanModels(t *testing.T) {

@@ -48,10 +48,10 @@ func TestAbortUnblocksRecv(t *testing.T) {
 	}
 }
 
-// TestAbortUnblocksCollectives: ranks waiting inside Barrier and Allreduce
-// must wake and panic when any rank aborts.
+// TestAbortUnblocksCollectives: ranks waiting inside a reduction must wake
+// and panic when any rank aborts.
 func TestAbortUnblocksCollectives(t *testing.T) {
-	for _, op := range []string{"barrier", "sum", "max"} {
+	for _, op := range []string{"sum", "max"} {
 		var unblocked int32
 		w := NewWorld(4)
 		w.Run(func(r *Rank) {
@@ -62,8 +62,6 @@ func TestAbortUnblocksCollectives(t *testing.T) {
 			}
 			ok := recoverAbort(func() {
 				switch op {
-				case "barrier":
-					r.Barrier()
 				case "sum":
 					r.AllreduceSum([]float64{1})
 				case "max":
@@ -96,8 +94,8 @@ func TestAbortUnblocksWait(t *testing.T) {
 			t.Error("Wait returned on an aborted world")
 		}
 		// post-abort operations fail fast, not deadlock
-		if !recoverAbort(func() { r.Barrier() }) {
-			t.Error("Barrier entered a poisoned world")
+		if !recoverAbort(func() { r.AllreduceMax(0) }) {
+			t.Error("AllreduceMax entered a poisoned world")
 		}
 		if !recoverAbort(func() { r.Recv(1, 9) }) {
 			t.Error("Recv entered a poisoned world")
@@ -160,7 +158,7 @@ func TestWaitWithinDelivers(t *testing.T) {
 }
 
 // TestAbortUnblocksFullQueueSend: a sender blocked on a full (src,dst)
-// queue — and the detached Isend transfer goroutines — must not hang a
+// queue — and the detached IsendOwned transfer goroutines — must not hang a
 // poisoned world (world.Run joining is the proof).
 func TestAbortUnblocksFullQueueSend(t *testing.T) {
 	done := make(chan struct{})

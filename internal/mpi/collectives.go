@@ -52,30 +52,3 @@ func (r *Rank) Gather(root int, data []float32) [][]float32 {
 	}
 	return out
 }
-
-// Alltoall sends data[i] to rank i and returns what every rank sent here.
-// Each rank passes exactly Size() slices.
-func (r *Rank) Alltoall(data [][]float32) [][]float32 {
-	if len(data) != r.w.size {
-		panic(fmt.Sprintf("mpi: alltoall needs %d slices, got %d", r.w.size, len(data)))
-	}
-	reqs := make([]*Request, 0, r.w.size-1)
-	for dst := 0; dst < r.w.size; dst++ {
-		if dst != r.id {
-			reqs = append(reqs, r.Isend(dst, gatherTag+2+r.id, data[dst]))
-		}
-	}
-	out := make([][]float32, r.w.size)
-	cp := make([]float32, len(data[r.id]))
-	copy(cp, data[r.id])
-	out[r.id] = cp
-	for src := 0; src < r.w.size; src++ {
-		if src != r.id {
-			out[src] = r.Recv(src, gatherTag+2+src)
-		}
-	}
-	for _, q := range reqs {
-		q.Wait()
-	}
-	return out
-}

@@ -37,24 +37,6 @@ func TestGather(t *testing.T) {
 	})
 }
 
-func TestAlltoall(t *testing.T) {
-	n := 4
-	w := NewWorld(n)
-	w.Run(func(r *Rank) {
-		data := make([][]float32, n)
-		for dst := 0; dst < n; dst++ {
-			data[dst] = []float32{float32(r.ID()*100 + dst)}
-		}
-		got := r.Alltoall(data)
-		for src := 0; src < n; src++ {
-			want := float32(src*100 + r.ID())
-			if len(got[src]) != 1 || got[src][0] != want {
-				t.Errorf("rank %d from %d: %v want %v", r.ID(), src, got[src], want)
-			}
-		}
-	})
-}
-
 func TestCollectivesComposable(t *testing.T) {
 	// bcast + gather + allreduce back-to-back exercise tag separation
 	w := NewWorld(3)

@@ -2,13 +2,12 @@
 // MPI in the paper's 2D process decomposition (§6.3 step 1). Ranks are
 // goroutines; point-to-point messages travel over per-pair ordered channels
 // and collectives synchronize through a shared reduction cell. The API is a
-// deliberately small MPI subset: Send/Recv, non-blocking Isend/Irecv (which
-// is what lets the solver overlap halo communication with interior
-// computation, the overlap AWP-ODC is known for), Barrier and Allreduce —
-// plus MPI_Abort-style world poisoning (Rank.Abort) and deadline-bounded
-// waits (Request.WaitWithin), the substrate of the engine's fault
-// containment, and CRC32 frame sealing (SealCRC/OpenCRC) for halo
-// integrity checks.
+// deliberately small MPI subset: Send/Recv, non-blocking IsendOwned/Irecv
+// (which is what lets the solver overlap halo communication with interior
+// computation, the overlap AWP-ODC is known for) and Allreduce — plus
+// MPI_Abort-style world poisoning (Rank.Abort) and deadline-bounded waits
+// (Request.WaitWithin), the substrate of the engine's fault containment, and
+// CRC32 frame sealing (SealCRC/OpenCRC) for halo integrity checks.
 package mpi
 
 import (
@@ -83,9 +82,6 @@ func NewWorld(size int) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // Run executes fn concurrently on every rank and waits for all to finish.
 func (w *World) Run(fn func(r *Rank)) {
 	var wg sync.WaitGroup
@@ -105,14 +101,11 @@ type Rank struct {
 	w  *World
 }
 
-// ID returns this rank's index in [0, Size).
+// ID returns this rank's index in [0, world size).
 func (r *Rank) ID() int { return r.id }
 
-// Size returns the world size.
-func (r *Rank) Size() int { return r.w.size }
-
 // Abort poisons the world: every rank blocked in — or later entering — a
-// Send, Recv, Wait, Barrier or reduction panics with the same *AbortError,
+// Send, Recv, Wait or reduction panics with the same *AbortError,
 // so a fault contained on one rank unwinds all of them collectively instead
 // of leaving neighbours waiting forever. The first Abort wins; later calls
 // are no-ops. A world, once aborted, stays aborted.
@@ -171,19 +164,6 @@ func (r *Rank) send(dst int, m message) {
 	}
 }
 
-// SendOwned delivers data to dst WITHOUT the defensive copy Send makes:
-// ownership of the slice transfers to the receiver, which sees the very
-// backing array the sender filled. The sender must not read or write data
-// after the call (the channel hand-off establishes the happens-before edge
-// that makes the transfer race-free). The halo path uses this with
-// recycled pack buffers to keep the steady-state exchange allocation-free.
-func (r *Rank) SendOwned(dst, tag int, data []float32) {
-	if dst < 0 || dst >= r.w.size {
-		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
-	}
-	r.send(dst, message{tag: tag, data: data})
-}
-
 // Recv receives the next message from src, which must carry the expected
 // tag (messages between a pair are ordered, so a tag mismatch is a protocol
 // bug, reported by panic).
@@ -210,8 +190,8 @@ type Request struct {
 }
 
 // Wait blocks until the operation completes, returning received data for
-// Irecv (nil for Isend). Wait panics with the *AbortError if the world is
-// aborted before the operation completes.
+// Irecv (nil for IsendOwned). Wait panics with the *AbortError if the world
+// is aborted before the operation completes.
 func (q *Request) Wait() []float32 {
 	select {
 	case m := <-q.done:
@@ -246,28 +226,15 @@ func (q *Request) WaitWithin(d time.Duration) ([]float32, bool) {
 	}
 }
 
-// Isend starts a non-blocking send and returns immediately.
-func (r *Rank) Isend(dst, tag int, data []float32) *Request {
-	req := &Request{w: r.w, done: make(chan []float32, 1)}
-	cp := make([]float32, len(data))
-	copy(cp, data)
-	go func() {
-		select {
-		case r.w.queues[r.id*r.w.size+dst] <- message{tag: tag, data: cp}:
-			req.done <- nil
-		case <-r.w.aborted:
-			// abandoned: the waiter panics via its own aborted-channel select
-		}
-	}()
-	return req
-}
-
-// IsendOwned starts a non-blocking send with the SendOwned ownership
-// handoff: no copy is made, the receiver gets the sender's backing array,
-// and the sender must not touch data after the call — not even while the
-// returned Request is pending, since the transfer goroutine reads the
-// slice header only, never the elements, there is no window in which the
-// sender may still use them.
+// IsendOwned starts a non-blocking send WITHOUT the defensive copy Send
+// makes: ownership of the slice transfers to the receiver, which sees the
+// very backing array the sender filled (the channel hand-off establishes the
+// happens-before edge that makes the transfer race-free). The sender must
+// not touch data after the call — not even while the returned Request is
+// pending: the transfer goroutine reads the slice header only, never the
+// elements, so there is no window in which the sender may still use them.
+// The halo path uses this with recycled pack buffers to keep the
+// steady-state exchange allocation-free.
 func (r *Rank) IsendOwned(dst, tag int, data []float32) *Request {
 	if dst < 0 || dst >= r.w.size {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
@@ -299,26 +266,6 @@ func (r *Rank) Irecv(src, tag int) *Request {
 		req.done <- m.data
 	}()
 	return req
-}
-
-// Barrier blocks until every rank has called it.
-func (r *Rank) Barrier() {
-	w := r.w
-	w.mu.Lock()
-	w.checkAbortLocked()
-	gen := w.gen
-	w.arrived++
-	if w.arrived == w.size {
-		w.arrived = 0
-		w.gen++
-		w.cond.Broadcast()
-	} else {
-		for gen == w.gen {
-			w.cond.Wait()
-			w.checkAbortLocked()
-		}
-	}
-	w.mu.Unlock()
 }
 
 // AllreduceSum sums vals elementwise across all ranks; every rank receives

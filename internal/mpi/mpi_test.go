@@ -26,9 +26,9 @@ func TestSendCopiesData(t *testing.T) {
 			buf := []float32{5}
 			r.Send(1, 0, buf)
 			buf[0] = 99 // mutation after send must not reach the receiver
-			r.Barrier()
+			r.AllreduceMax(0)
 		} else {
-			r.Barrier()
+			r.AllreduceMax(0)
 			if got := r.Recv(0, 0); got[0] != 5 {
 				t.Errorf("send did not copy: %v", got)
 			}
@@ -60,7 +60,7 @@ func TestIsendIrecvOverlap(t *testing.T) {
 	w.Run(func(r *Rank) {
 		left := (r.ID() + 3) % 4
 		right := (r.ID() + 1) % 4
-		sreq := r.Isend(right, 1, []float32{float32(r.ID())})
+		sreq := r.IsendOwned(right, 1, []float32{float32(r.ID())})
 		rreq := r.Irecv(left, 1)
 		// interior work would happen here
 		got := rreq.Wait()
@@ -71,19 +71,21 @@ func TestIsendIrecvOverlap(t *testing.T) {
 	})
 }
 
+// TestBarrierSynchronizes: a reduction is the world's barrier — no rank
+// leaves it before every rank has entered.
 func TestBarrierSynchronizes(t *testing.T) {
 	var before, after int32
 	w := NewWorld(8)
 	w.Run(func(r *Rank) {
 		atomic.AddInt32(&before, 1)
-		r.Barrier()
+		r.AllreduceMax(0)
 		if atomic.LoadInt32(&before) != 8 {
-			t.Error("barrier released before all ranks arrived")
+			t.Error("reduction released before all ranks arrived")
 		}
 		atomic.AddInt32(&after, 1)
-		r.Barrier()
+		r.AllreduceMax(0)
 		if atomic.LoadInt32(&after) != 8 {
-			t.Error("second barrier released early")
+			t.Error("second reduction released early")
 		}
 	})
 }
@@ -132,7 +134,6 @@ func TestAllreduceMax(t *testing.T) {
 func TestWorldSizeOne(t *testing.T) {
 	w := NewWorld(1)
 	w.Run(func(r *Rank) {
-		r.Barrier()
 		if got := r.AllreduceMax(3); got != 3 {
 			t.Errorf("singleton max %v", got)
 		}
@@ -140,7 +141,7 @@ func TestWorldSizeOne(t *testing.T) {
 			t.Errorf("singleton sum %v", got)
 		}
 	})
-	if w.Size() != 1 {
+	if w.size != 1 {
 		t.Fatal("size wrong")
 	}
 }
@@ -152,7 +153,7 @@ func TestManyRanksRing(t *testing.T) {
 	w.Run(func(r *Rank) {
 		right := (r.ID() + 1) % n
 		left := (r.ID() + n - 1) % n
-		sreq := r.Isend(right, 0, []float32{float32(r.ID())})
+		sreq := r.IsendOwned(right, 0, []float32{float32(r.ID())})
 		got := r.Recv(left, 0)
 		sreq.Wait()
 		if got[0] != float32(left) {

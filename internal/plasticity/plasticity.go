@@ -105,11 +105,3 @@ func (p *Params) Yield(i, j, k int, sm float32) float32 {
 	}
 	return y
 }
-
-// Apply performs the yield check and return map over the z-range [k0,k1)
-// (kernels drprecpc_calc + drprecpc_app fused). dt is the time step,
-// used only when Tv > 0. It returns the number of yielded points. Thin
-// full-x/y wrapper over ApplyRegion.
-func Apply(wf *fd.Wavefield, p *Params, dt float64, k0, k1 int) int {
-	return ApplyRegion(wf, p, dt, grid.FullXY(wf.D, k0, k1))
-}

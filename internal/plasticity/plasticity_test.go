@@ -25,7 +25,7 @@ func setup(tau float32, c, phiDeg, pf float64) (*fd.Wavefield, *Params) {
 func TestElasticStateUntouched(t *testing.T) {
 	// τ̄ = |xy| = 1e5, yield = c cosφ with c=1e6, φ=30° => Y ≈ 8.66e5 > τ̄
 	wf, p := setup(1e5, 1e6, 30, 0)
-	n := Apply(wf, p, 0.01, 0, dims().Nz)
+	n := ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
 	if n != 0 {
 		t.Fatalf("%d points yielded below the surface", n)
 	}
@@ -40,7 +40,7 @@ func TestElasticStateUntouched(t *testing.T) {
 func TestYieldScalesDeviatorOntoSurface(t *testing.T) {
 	// τ̄ = 2e6 > Y = 1e6·cos30 ≈ 8.66e5: instantaneous return map
 	wf, p := setup(2e6, 1e6, 30, 0)
-	n := Apply(wf, p, 0.01, 0, dims().Nz)
+	n := ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
 	if int64(n) != dims().Points() {
 		t.Fatalf("yielded %d of %d", n, dims().Points())
 	}
@@ -66,7 +66,7 @@ func TestMeanStressPreserved(t *testing.T) {
 	wf.ZZ.FillInterior(1e6)
 	wf.XY.FillInterior(2e6)
 	smBefore := (wf.XX.At(2, 2, 2) + wf.YY.At(2, 2, 2) + wf.ZZ.At(2, 2, 2)) / 3
-	if n := Apply(wf, p, 0.01, 0, d.Nz); n == 0 {
+	if n := ApplyRegion(wf, p, 0.01, grid.Box(wf.D)); n == 0 {
 		t.Fatal("expected yielding")
 	}
 	smAfter := (wf.XX.At(2, 2, 2) + wf.YY.At(2, 2, 2) + wf.ZZ.At(2, 2, 2)) / 3
@@ -86,7 +86,7 @@ func TestCompressionRaisesYield(t *testing.T) {
 	p.YldFac = grid.NewField(d, fd.Halo)
 	wf.XY.FillInterior(1e6)
 
-	Apply(wf, p, 0.01, 0, d.Nz)
+	ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
 	shallow := p.YldFac.At(2, 2, 0)
 	deep := p.YldFac.At(2, 2, d.Nz-1)
 	if !(shallow < 1) {
@@ -108,7 +108,7 @@ func TestFluidPressureWeakens(t *testing.T) {
 		p.Sigma2.Fill(-5e6) // uniform confinement
 		p.YldFac = grid.NewField(d, fd.Halo)
 		wf.XY.FillInterior(3e6)
-		Apply(wf, p, 0.01, 0, d.Nz)
+		ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
 		return p.YldFac.At(2, 2, 2)
 	}
 	dry, wet := run(0), run(4e6)
@@ -126,7 +126,7 @@ func TestTensileRegimeZeroYield(t *testing.T) {
 	p.YldFac = grid.NewField(d, fd.Halo)
 	wf.XX.FillInterior(5e6) // tensile mean stress 5e6/3 >> c·cosφ/sinφ
 	wf.XY.FillInterior(1e6)
-	Apply(wf, p, 0.01, 0, d.Nz)
+	ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
 	if got := wf.XY.At(2, 2, 2); got != 0 {
 		t.Fatalf("tensile failure must zero the shear deviator, got %g", got)
 	}
@@ -139,11 +139,11 @@ func TestViscoplasticRelaxationPartial(t *testing.T) {
 	// with Tv >> dt the stress only partially returns toward the surface
 	instant, relaxed := func() (float32, float32) {
 		wfA, pA := setup(2e6, 1e6, 30, 0)
-		Apply(wfA, pA, 0.01, 0, dims().Nz)
+		ApplyRegion(wfA, pA, 0.01, grid.Box(wfA.D))
 
 		wfB, pB := setup(2e6, 1e6, 30, 0)
 		pB.Tv = 0.05 // 5x dt
-		Apply(wfB, pB, 0.01, 0, dims().Nz)
+		ApplyRegion(wfB, pB, 0.01, grid.Box(wfB.D))
 		return wfA.XY.At(2, 2, 2), wfB.XY.At(2, 2, 2)
 	}()
 	if !(relaxed > instant) {
@@ -174,9 +174,9 @@ func TestApplyIdempotentOnSurface(t *testing.T) {
 	// applying twice must not shrink stresses further (the state is already
 	// on the yield surface after the first return map).
 	wf, p := setup(2e6, 1e6, 30, 0)
-	Apply(wf, p, 0.01, 0, dims().Nz)
+	ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
 	first := wf.XY.At(2, 2, 2)
-	Apply(wf, p, 0.01, 0, dims().Nz)
+	ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
 	second := wf.XY.At(2, 2, 2)
 	if math.Abs(float64(second-first)) > math.Abs(float64(first))*1e-4 {
 		t.Fatalf("second application moved stress: %g -> %g", first, second)
@@ -199,7 +199,7 @@ func TestQuickReturnMapNeverIncreasesJ2(t *testing.T) {
 		wf.XZ.Set(0, 0, 0, sxz)
 		wf.YZ.Set(0, 0, 0, syz)
 		before := j2(wf)
-		Apply(wf, p, 0.01, 0, 1)
+		ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
 		after := j2(wf)
 		return after <= before*(1+1e-5)+1e-3
 	}

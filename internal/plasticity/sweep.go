@@ -8,7 +8,9 @@ import (
 	"swquake/internal/grid"
 )
 
-// ApplyRegion is Apply over an arbitrary region. The kernel is per-cell
+// ApplyRegion performs the yield check and return map over a region
+// (kernels drprecpc_calc + drprecpc_app fused) and returns the number of
+// yielded points; dt is used only when Tv > 0. The kernel is per-cell
 // independent (it reads and writes only the cell it stands on), so any
 // disjoint partition yields bit-identical stresses and — because the
 // yielded count is an integer sum — an identical count.

@@ -171,9 +171,10 @@ func applyRegionMatchesFlatIndexReference(t *testing.T, d grid.Dims) {
 // stored at a lower rank stands for.
 func expanded(f *grid.Field) *grid.Field {
 	full := grid.NewField(f.Dims, f.H)
+	n := f.Nz + 2*f.H // a z-row with its halos
 	for i := -f.H; i < f.Nx+f.H; i++ {
 		for j := -f.H; j < f.Ny+f.H; j++ {
-			copy(full.RowWithHalo(i, j), f.RowWithHalo(i, j))
+			copy(full.Data[full.Idx(i, j, -f.H):][:n], f.Data[f.Idx(i, j, -f.H):][:n])
 		}
 	}
 	return full

@@ -41,49 +41,3 @@ func WithPatches(base func(i, k int) float64, patches []Patch) (func(i, k int) f
 		return t
 	}, nil
 }
-
-// RuptureTimeField returns the rupture-front arrival times as a dense
-// [strike][depth] grid (seconds; negative = never ruptured) — the data
-// behind rupture-front contour plots.
-func (r *Result) RuptureTimeField() [][]float64 {
-	ni, nk := r.Cfg.I1-r.Cfg.I0, r.nk()
-	out := make([][]float64, ni)
-	for si := 0; si < ni; si++ {
-		row := make([]float64, nk)
-		for sk := 0; sk < nk; sk++ {
-			row[sk] = r.RuptureTime[si*nk+sk]
-		}
-		out[si] = row
-	}
-	return out
-}
-
-// FrontPosition returns, for each recorded step, the farthest along-strike
-// distance (in cells from the hypocentre) the rupture front has reached —
-// a 1D summary of front propagation used to detect arrest and supershear
-// transitions.
-func (r *Result) FrontPosition() []int {
-	out := make([]int, r.Steps)
-	for i := r.Cfg.I0; i < r.Cfg.I1; i++ {
-		for k := r.Cfg.K0; k < r.Cfg.K1; k++ {
-			t := r.RuptureTime[r.Cell(i, k)]
-			if t < 0 {
-				continue
-			}
-			step := int(t / r.Dt)
-			if step >= r.Steps {
-				step = r.Steps - 1
-			}
-			dist := i - r.Cfg.HypoI
-			if dist < 0 {
-				dist = -dist
-			}
-			for s := step; s < r.Steps; s++ {
-				if dist > out[s] {
-					out[s] = dist
-				}
-			}
-		}
-	}
-	return out
-}

@@ -114,28 +114,3 @@ func TestAsperityAcceleratesFront(t *testing.T) {
 		t.Fatalf("asperity slowed the front: %g vs %g", ta, tp)
 	}
 }
-
-func TestRuptureTimeFieldAndFront(t *testing.T) {
-	res, _, d := runSmall(t, 160)
-	field := res.RuptureTimeField()
-	if len(field) != d.Nx-8 || len(field[0]) != d.Nz-6 {
-		t.Fatalf("field shape %dx%d", len(field), len(field[0]))
-	}
-	hypo := field[res.Cfg.HypoI-res.Cfg.I0][res.Cfg.HypoK-res.Cfg.K0]
-	if hypo != 0 {
-		t.Fatalf("hypocentre time %g", hypo)
-	}
-	front := res.FrontPosition()
-	if len(front) != res.Steps {
-		t.Fatalf("front length %d", len(front))
-	}
-	// monotone non-decreasing and eventually > nucleation radius
-	for i := 1; i < len(front); i++ {
-		if front[i] < front[i-1] {
-			t.Fatal("front went backwards")
-		}
-	}
-	if front[len(front)-1] <= res.Cfg.NucRadius {
-		t.Fatal("front never left the nucleation patch")
-	}
-}

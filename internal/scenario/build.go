@@ -113,6 +113,11 @@ func Build(name string, o Overrides) (core.Config, error) {
 		if corrLen <= 0 {
 			corrLen = 8 * cfg.Dx
 		}
+		if corrLen < cfg.Dx {
+			// unresolvable on the grid, and a lattice finer than the grid
+			// it perturbs
+			return cfg, fmt.Errorf("scenario: het_corr_len %g m is below the grid spacing %g m", corrLen, cfg.Dx)
+		}
 		lx := float64(cfg.Dims.Nx) * cfg.Dx
 		ly := float64(cfg.Dims.Ny) * cfg.Dx
 		lz := float64(cfg.Dims.Nz) * cfg.Dx

@@ -183,3 +183,22 @@ func TestBuildSeedWithoutAmplitudeRejected(t *testing.T) {
 		t.Fatal("seed without het_amplitude accepted (silent no-op)")
 	}
 }
+
+// TestBuildAllocatesNothingByInput: a scenario arrives over HTTP, and Build
+// runs before admission prices the job — so describing one must not allocate
+// by what the request says. A correlation length below the grid spacing (a
+// lattice finer than the grid, out of range at 1e-9 m) is refused, and a grid
+// no machine holds builds at once: its lattice waits for the first sample,
+// which a job the budget rejects never takes.
+func TestBuildAllocatesNothingByInput(t *testing.T) {
+	if _, err := Build("tangshan", Overrides{HetAmplitude: 0.05, HetCorrLen: 1e-9}); err == nil {
+		t.Fatal("a correlation length of a nanometre accepted")
+	}
+	cfg, err := Build("tangshan", Overrides{Nx: 1 << 20, Ny: 1 << 20, Nz: 1 << 20, HetAmplitude: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cfg.Model.(*model.Heterogeneous); !ok {
+		t.Fatalf("model is %T", cfg.Model)
+	}
+}

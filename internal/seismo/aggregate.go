@@ -120,44 +120,6 @@ func (s *FieldStats) ExceedProb() [][]float64 {
 	return out
 }
 
-// Merge folds another accumulator into s using the pairwise (Chan et al.)
-// mean/M2 combination. The shapes and thresholds must match. Merging is
-// numerically equivalent to sequential folding but not bit-identical to
-// it — campaigns that need bit-determinism fold via OrderedFold instead.
-func (s *FieldStats) Merge(o *FieldStats) error {
-	if s.Nx != o.Nx || s.Ny != o.Ny || len(s.Thresholds) != len(o.Thresholds) {
-		return fmt.Errorf("seismo: merging mismatched stats %dx%d/%d vs %dx%d/%d",
-			s.Nx, s.Ny, len(s.Thresholds), o.Nx, o.Ny, len(o.Thresholds))
-	}
-	for i, thr := range s.Thresholds {
-		if thr != o.Thresholds[i] {
-			return fmt.Errorf("seismo: merging stats with different thresholds")
-		}
-	}
-	if o.n == 0 {
-		return nil
-	}
-	if s.n == 0 {
-		s.n = o.n
-		copy(s.mean, o.mean)
-		copy(s.m2, o.m2)
-		copy(s.exceed, o.exceed)
-		return nil
-	}
-	na, nb := float64(s.n), float64(o.n)
-	n := na + nb
-	for i := range s.mean {
-		delta := o.mean[i] - s.mean[i]
-		s.mean[i] += delta * nb / n
-		s.m2[i] += o.m2[i] + delta*delta*na*nb/n
-	}
-	for i := range s.exceed {
-		s.exceed[i] += o.exceed[i]
-	}
-	s.n += o.n
-	return nil
-}
-
 // OrderedFold feeds member fields into a FieldStats in strictly increasing
 // member-index order, buffering members that arrive early. Because
 // floating-point accumulation is order-sensitive, this is what makes a
@@ -238,12 +200,6 @@ func (f *OrderedFold) drain() error {
 		f.next++
 	}
 }
-
-// Next reports the member index the fold is waiting for.
-func (f *OrderedFold) Next() int { return f.next }
-
-// Buffered reports how many early arrivals are waiting on a predecessor.
-func (f *OrderedFold) Buffered() int { return len(f.pending) }
 
 // PercentileField returns the per-cell p-quantile (0 <= p <= 1) over the
 // member fields using the nearest-rank method on sorted copies — exact,

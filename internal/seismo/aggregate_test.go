@@ -113,9 +113,9 @@ func TestOrderedFoldBitDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if fold.Buffered() != 0 || fold.Next() != n || s.Count() != n {
+		if len(fold.pending) != 0 || fold.next != n || s.Count() != n {
 			t.Fatalf("trial %d: fold incomplete: buffered=%d next=%d count=%d",
-				trial, fold.Buffered(), fold.Next(), s.Count())
+				trial, len(fold.pending), fold.next, s.Count())
 		}
 		mean, vari := s.Mean(), s.Variance()
 		probs := s.ExceedProb()
@@ -167,8 +167,8 @@ func TestOrderedFoldSkip(t *testing.T) {
 	if err := fold.Add(0, fields[0]); err != nil {
 		t.Fatal(err)
 	}
-	if s.Count() != 3 || fold.Next() != 4 {
-		t.Fatalf("fold state wrong: count=%d next=%d", s.Count(), fold.Next())
+	if s.Count() != 3 || fold.next != 4 {
+		t.Fatalf("fold state wrong: count=%d next=%d", s.Count(), fold.next)
 	}
 	refMean, mean := reference.Mean(), s.Mean()
 	for i := range refMean {
@@ -178,56 +178,6 @@ func TestOrderedFoldSkip(t *testing.T) {
 	}
 	if err := fold.Add(2, fields[2]); err == nil {
 		t.Fatal("duplicate member accepted")
-	}
-}
-
-func TestMergeMatchesSequential(t *testing.T) {
-	const nx, ny, n = 4, 3, 10
-	fields := randomFields(t, n, nx, ny, 5)
-	thresholds := []float64{0.2}
-
-	seq := NewFieldStats(nx, ny, thresholds)
-	for _, f := range fields {
-		if err := seq.Add(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// split 10 members 4/6 into two accumulators and merge
-	a := NewFieldStats(nx, ny, thresholds)
-	b := NewFieldStats(nx, ny, thresholds)
-	for i, f := range fields {
-		dst := a
-		if i >= 4 {
-			dst = b
-		}
-		if err := dst.Add(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != n {
-		t.Fatalf("merged count %d", a.Count())
-	}
-	sm, am := seq.Mean(), a.Mean()
-	sv, av := seq.Variance(), a.Variance()
-	for i := range sm {
-		if math.Abs(sm[i]-am[i]) > 1e-12 || math.Abs(sv[i]-av[i]) > 1e-12 {
-			t.Fatalf("merge diverges from sequential at cell %d", i)
-		}
-	}
-	sp, ap := seq.ExceedProb(), a.ExceedProb()
-	for i := range sp[0] {
-		if sp[0][i] != ap[0][i] {
-			t.Fatalf("merged exceedance differs at cell %d", i)
-		}
-	}
-
-	mismatched := NewFieldStats(nx, ny+1, thresholds)
-	if err := a.Merge(mismatched); err == nil {
-		t.Fatal("mismatched merge accepted")
 	}
 }
 

@@ -35,25 +35,6 @@ func AmplitudeSpectrum(samples []float32, dt float64) Spectrum {
 	return Spectrum{Df: 1 / (dt * float64(n)), Amp: amp}
 }
 
-// Nyquist returns the highest represented frequency.
-func (s Spectrum) Nyquist() float64 {
-	if len(s.Amp) == 0 {
-		return 0
-	}
-	return float64(len(s.Amp)-1) * s.Df
-}
-
-// DominantFrequency returns the frequency of the largest non-DC bin.
-func (s Spectrum) DominantFrequency() float64 {
-	best, bi := 0.0, 0
-	for i := 1; i < len(s.Amp); i++ {
-		if s.Amp[i] > best {
-			best, bi = s.Amp[i], i
-		}
-	}
-	return float64(bi) * s.Df
-}
-
 // EnergyAbove returns the fraction of (non-DC) spectral energy at
 // frequencies >= f — the quantitative form of "the fine grid carries more
 // high-frequency content" (paper Fig. 11a-b).

@@ -51,7 +51,7 @@ type keyPayload struct {
 // batch-run manifests on disk.
 func ConfigKey(cfg core.Config) (string, error) {
 	// validate a copy so defaults (SampleEvery, sponge alpha, compression
-	// slab height, ...) are filled in and the hash is canonical
+	// headroom, ...) are filled in and the hash is canonical
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
@@ -65,7 +65,7 @@ func ConfigKey(cfg core.Config) (string, error) {
 		Nonlinear:   cfg.Nonlinear,
 		Plasticity:  cfg.Plasticity,
 		Attenuation: cfg.Attenuation,
-		Compression: fmt.Sprintf("%v|%+v|%g|%d", cfg.Compression.Method, cfg.Compression.Stats, cfg.Compression.Expand, cfg.Compression.SlabHeight),
+		Compression: fmt.Sprintf("%v|%+v|%g", cfg.Compression.Method, cfg.Compression.Stats, cfg.Compression.Expand),
 		Stations:    cfg.Stations,
 		SampleEvery: cfg.SampleEvery,
 		SpongeWidth: cfg.SpongeWidth,

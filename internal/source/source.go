@@ -60,14 +60,6 @@ func (b Brune) MomentRate(t float64) float64 {
 	return b.M0 * x / (b.Tau * b.Tau) * math.Exp(-x/b.Tau)
 }
 
-// CornerFrequency returns fc = 1/(2 pi tau).
-func (b Brune) CornerFrequency() float64 {
-	if b.Tau <= 0 {
-		return 0
-	}
-	return 1 / (2 * math.Pi * b.Tau)
-}
-
 // Sampled is an STF tabulated at fixed Dt (slip-rate output of the dynamic
 // rupture generator becomes moment rate here); linear interpolation between
 // samples, zero outside.
@@ -165,12 +157,6 @@ func (p *PointSource) Inject(wf *fd.Wavefield, t, dt, dx float64) {
 // Set is a collection of point sources with injection over a z-range.
 type Set struct {
 	Sources []PointSource
-}
-
-// Inject adds every source whose grid point lies in [0,Nx)x[0,Ny)x[k0,k1).
-// Thin full-x/y wrapper over InjectRegion.
-func (s *Set) Inject(wf *fd.Wavefield, t, dt, dx float64, k0, k1 int) {
-	s.InjectRegion(wf, t, dt, dx, grid.FullXY(wf.D, k0, k1))
 }
 
 // InjectRegion adds every source whose grid point lies in the region,

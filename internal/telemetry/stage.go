@@ -157,18 +157,6 @@ func (c *StageClock) Merge(o *StageClock) {
 	}
 }
 
-// Total returns the summed wall time across all stages.
-func (c *StageClock) Total() time.Duration {
-	if c == nil {
-		return 0
-	}
-	var ns int64
-	for st := range c.acc {
-		ns += c.acc[st].total
-	}
-	return time.Duration(ns)
-}
-
 // Stopwatch starts a lap timer over the clock. On a nil clock the stopwatch
 // is inert: Lap neither reads the wall clock nor records anything, so
 // disabled instrumentation costs one nil check per stage.
@@ -196,15 +184,6 @@ func (sw *Stopwatch) Lap(st Stage) {
 	now := time.Now()
 	sw.c.Observe(st, now.Sub(sw.last))
 	sw.last = now
-}
-
-// Reset restarts the lap timer without charging anything — used to exclude
-// a span of time (e.g. blocking on an external event) from every stage.
-func (sw *Stopwatch) Reset() {
-	if sw.c == nil {
-		return
-	}
-	sw.last = time.Now()
 }
 
 // StageTally accumulates wall time per stage without observing it: what a

@@ -36,9 +36,6 @@ func TestStageClockObserveAndReport(t *testing.T) {
 	if got, want := r.TotalSeconds(), 0.016; !near(got, want, 1e-12) {
 		t.Fatalf("report total %g, want %g", got, want)
 	}
-	if c.Total() != 16*time.Millisecond {
-		t.Fatalf("clock total %v, want 16ms", c.Total())
-	}
 }
 
 func TestStageClockNilSafety(t *testing.T) {
@@ -48,8 +45,7 @@ func TestStageClockNilSafety(t *testing.T) {
 	NewStageClock().Merge(c)
 	sw := c.Stopwatch()
 	sw.Lap(StageStress)
-	sw.Reset()
-	if c.Total() != 0 || len(c.Report().Stages) != 0 {
+	if len(c.Report().Stages) != 0 {
 		t.Fatal("nil clock must report nothing")
 	}
 }

@@ -23,7 +23,6 @@ type Tracer struct {
 	w      *bufio.Writer
 	c      io.Closer
 	t0     time.Time
-	events int64
 	closed bool
 }
 
@@ -84,7 +83,6 @@ func (t *Tracer) emit(ev traceEvent) {
 	}
 	t.w.Write(line)
 	t.w.WriteString(",\n")
-	t.events++
 }
 
 // Span records a complete ("ph":"X") event covering [start, start+dur).
@@ -131,29 +129,6 @@ func (t *Tracer) meta(pid, tid int, kind, name string) {
 		Name: kind, Ph: "M", Pid: pid, Tid: tid,
 		Args: map[string]any{"name": name},
 	})
-}
-
-// Events returns the number of events written so far.
-func (t *Tracer) Events() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.events
-}
-
-// Flush pushes buffered events to the underlying writer without closing.
-func (t *Tracer) Flush() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	return t.w.Flush()
 }
 
 // Close terminates the JSON array, flushes, and closes the underlying file

@@ -85,7 +85,7 @@ func TestTracerTornFileStillLineParseable(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.Span(0, 0, "c", "s", time.Now(), time.Millisecond, nil)
-	if err := tr.Flush(); err != nil { // no Close: simulates a crash
+	if err := tr.w.Flush(); err != nil { // no Close: simulates a crash
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -118,9 +118,6 @@ func TestTracerConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := tr.Events(); got != workers*per*2 {
-		t.Fatalf("events %d, want %d", got, workers*per*2)
-	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +143,6 @@ func TestTracerNilSafety(t *testing.T) {
 	tr.Instant(0, 0, "c", "i", time.Now(), nil)
 	tr.NameProcess(0, "p")
 	tr.NameThread(0, 0, "t")
-	if tr.Events() != 0 {
-		t.Fatal("nil tracer must count nothing")
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
