@@ -13,17 +13,18 @@ build:
 # scheduler, the durability layers — the write-ahead log, the checkpoint
 # write lane and its codec — and the telemetry collectors) and the medium's
 # build-once reciprocal under the race detector — where every row is the Go
-# one (the assembly rows of fd, plasticity and grid are not built under
-# -race), so the row and both-paths tests there also prove that build
-# compiles and computes the same bits; last, the job service's tests twenty
+# one (the assembly plane entries of fd, plasticity and grid are not built
+# under -race), so the row, plane and both-paths tests there also run each
+# plane function's Go fallback and prove that build computes the same bits;
+# last, the job service's tests twenty
 # times in shuffled order, which is what a test that depends on wall time or
 # on its neighbours does not survive
 check: vet fmt-check check-bce check-portable check-one check-surface overload-test
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
 		./internal/ensemble/ ./internal/wal/ ./internal/checkpoint/ ./internal/lz4/ \
 		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
-	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium|Row|SweepKernels|KernelPaths|Sponge'
-	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Lane|YieldSurface|MaxAbs|FlatIndex|Ranked'
+	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium|Row|Plane|SweepKernels|KernelPaths|Sponge'
+	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Plane|Lane|YieldSurface|MaxAbs|FlatIndex|Ranked'
 	$(GO) test -shuffle=on -count=20 ./internal/service/
 
 # the build without the assembly rows must not rot: cross-compile everything
@@ -33,21 +34,20 @@ check-portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/cpu/... ./internal/fd ./internal/plasticity ./internal/grid
 
-# the sweep kernels (velocity, stress, sponge, attenuation, plasticity) must
-# keep their inner loops free of index bounds checks: compile their packages
-# with the SSA bounds-check report and fail on any "Found IsInBounds" in a
-# file that holds a row loop or hands rows to the assembly, naming its line.
-# "Found IsSliceInBounds" is the per-row operand slicing — in the
-# sweep_amd64.go files the very checks that license the pointers the assembly
-# gets — and is expected; both counts are printed per file. Compiled for
-# amd64 whatever the host, so the file list means the same everywhere.
-# (internal/grid/maxabs_amd64.go hands the max-abs scan one row cut to a
-# multiple of 8 of its own length: the compiler proves that, so the file has
-# no check of either kind to count and cannot be listed.)
+# the sweep kernels (velocity, stress, sponge, attenuation, plasticity, the
+# divergence scan) must keep their inner loops free of index bounds checks:
+# compile their packages with the SSA bounds-check report and fail on any
+# "Found IsInBounds" in a file that holds a row loop or a plane loop or
+# hands planes to the assembly, naming its line. "Found IsSliceInBounds" is
+# the per-plane and per-column operand slicing — in the *_amd64.go files the
+# very checks that license the pointers the assembly gets, one per operand
+# per plane — and is expected; both counts are printed per file. Compiled
+# for amd64 whatever the host, so the file list means the same everywhere.
 BCE_FILES = internal/fd/sweep.go internal/fd/sweep_amd64.go \
-	internal/plasticity/sweep.go internal/plasticity/sweep_amd64.go
+	internal/plasticity/sweep.go internal/plasticity/sweep_amd64.go \
+	internal/grid/maxabs_amd64.go
 check-bce:
-	@out=$$(GOARCH=amd64 $(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/fd ./internal/plasticity 2>&1) \
+	@out=$$(GOARCH=amd64 $(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/fd ./internal/plasticity ./internal/grid 2>&1) \
 		|| { echo "$$out"; exit 1; }; \
 	bad=0; \
 	for f in $(BCE_FILES); do \
@@ -69,7 +69,13 @@ check-bce:
 # (blocked chain, skewed pass) calls it. And the job service spells its
 # lifecycle and its clock once each: non-test internal/service assigns a job's
 # state in one place (lifecycle.go's move) and asks the time package for the
-# time in one file (clock.go)
+# time in one file (clock.go). And each sweep kernel has one assembly entry,
+# entered once per plane: the .s files of fd, plasticity and grid declare
+# exactly the seven *PlaneAVX2 entries — velocity, stress diagonal, stress
+# shear, attenuation, the sponge's scale, the yield check, the max-abs scan —
+# and no Go file there declares a per-row entry or wrapper (*RowAVX2,
+# *RowVec)
+KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
 	@! grep -rl --include='*.go' '"expvar"' . | grep -v '^\./cmd/quaked/'
@@ -83,6 +89,12 @@ check-one:
 		grep -nE '\.state(, [a-z.]+)* =[^=]' internal/service/*.go | grep -v '_test\.go:'; exit 1; fi
 	@! grep -nE 'time\.(Now|After|AfterFunc|NewTicker|NewTimer|Since|Sleep)\(' internal/service/*.go \
 		| grep -v -e '_test\.go:' -e '^internal/service/clock\.go:'
+	@! grep -nE 'func [A-Za-z0-9_]*Row(AVX2|Vec)\(' internal/fd/*.go internal/plasticity/*.go internal/grid/*.go
+	@entries=$$(grep -h '^TEXT ' internal/fd/*.s internal/plasticity/*.s internal/grid/*.s); \
+	n=$$(echo "$$entries" | grep -c 'PlaneAVX2(SB)'); all=$$(echo "$$entries" | grep -c .); \
+	if [ "$$n" -ne $(KERNEL_ENTRIES) ] || [ "$$all" -ne $(KERNEL_ENTRIES) ]; then \
+		echo "check-one: want exactly $(KERNEL_ENTRIES) assembly entries in fd, plasticity and grid, all *PlaneAVX2:"; \
+		echo "$$entries"; exit 1; fi
 
 # what no production caller reaches is not there: every function and method
 # internal/ exports is referenced by a non-test file of the module (or reached

@@ -271,6 +271,25 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsUnboundedTiles: a job asking for more tiles than
+// scenario.Build allows — each tile a worker goroutine, which admission does
+// not price — is a 400 with an error body, never a queued job. The count
+// just above the bound goes first, so a daemon without the bound fails the
+// test on a job it can run, before being asked for ten million goroutines.
+func TestHTTPRejectsUnboundedTiles(t *testing.T) {
+	ts, _ := newTestServer(t, service.Options{Workers: 1})
+	for _, tiles := range []int{257, 10_000_000} {
+		var body map[string]any
+		req := fmt.Sprintf(`{"scenario":"quickstart","overrides":{"steps":1,"tiles":%d}}`, tiles)
+		if code := doJSON(t, "POST", ts.URL+"/v1/jobs", req, &body); code != http.StatusBadRequest {
+			t.Fatalf("%d tiles -> %d, want 400", tiles, code)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "tiles") {
+			t.Fatalf("%d tiles: error body %v does not name the tiles", tiles, body)
+		}
+	}
+}
+
 // TestHTTPResultWhileRunning covers the 409 not-finished path.
 func TestHTTPResultWhileRunning(t *testing.T) {
 	ts, _ := newTestServer(t, service.Options{Workers: 1})

@@ -37,9 +37,8 @@ func expanded(f *grid.Field) *grid.Field {
 }
 
 // runFullFields runs cfg on a simulator whose rank-stored parameters have
-// been replaced by full 3D fields of the same values, the yield-factor
-// record included: the storage the engine had before parameters were stored
-// at their rank.
+// been replaced by full 3D fields of the same values: the storage the engine
+// had before parameters were stored at their rank.
 func runFullFields(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	sim, err := New(cfg)
@@ -53,7 +52,6 @@ func runFullFields(t *testing.T, cfg Config) *Result {
 		}
 		*f = expanded(*f)
 	}
-	p.YldFac = grid.NewField(cfg.Dims, fd.Halo)
 	res, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -205,5 +203,30 @@ func TestBytesPerPointStepTable(t *testing.T) {
 				t.Errorf("%s: entry %d is %v %g, want %v %g", tc.name, i, sb.Stage, sb.Bytes, tc.want[i].Stage, tc.want[i].Bytes)
 			}
 		}
+	}
+}
+
+// TestNonlinearStepAllocatesPerStepNotPerBlock: what a nonlinear constant-Q
+// step allocates does not grow with how many blocks its stress chain runs
+// on. The skewed walk in strips of four columns runs the chain — plasticity
+// included — once per plane-strip, some 150 times a step here, and may
+// allocate no more than the two-pass step, which runs it once: plasticity
+// keeps no yield factor, so ApplyRegion allocates no row per call.
+func TestNonlinearStepAllocatesPerStepNotPerBlock(t *testing.T) {
+	defer func(was int) { skewStripCols = was }(skewStripCols)
+	allocs := func(cols int) float64 {
+		skewStripCols = cols
+		cfg := rankedConfig()
+		cfg.Steps = 100
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Step() // the first step builds what is built once (the medium's 1/mu)
+		return testing.AllocsPerRun(20, sim.Step)
+	}
+	twoPass, skewed := allocs(-1), allocs(4)
+	if skewed > twoPass {
+		t.Fatalf("a step allocates %g times in the skewed walk, %g times two-pass", skewed, twoPass)
 	}
 }

@@ -19,10 +19,16 @@ import (
 // assembly rows: every station trace, the PGV map and the yield count are
 // the same bits in all runs. On compressed storage and with the SLS operator
 // (different physics, so each its own reference) the two row paths agree as
-// well. Depth 20 gives every row two whole vectors and a four-cell tail.
+// well. Depth 20 gives every row two whole vectors and a four-cell tail. So
+// does the job the service benchmark runs — quickstart's 40 steps on a
+// heterogeneous model, depth 24: whole vectors only.
 func TestEngineIsBitIdenticalOnBothKernelPaths(t *testing.T) {
 	base, err := scenario.Build("tangshan", scenario.Overrides{
 		Nx: 32, Ny: 30, Nz: 20, Steps: 60, Nonlinear: true, Qs: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := scenario.Build("quickstart", scenario.Overrides{Steps: 40, HetAmplitude: 0.05, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +43,7 @@ func TestEngineIsBitIdenticalOnBothKernelPaths(t *testing.T) {
 		}
 		return res
 	}
-	var ref, refCompressed, refSLS *core.Result
+	var ref, refCompressed, refSLS, refJob *core.Result
 	cputest.ForEachKernelPath(t, func(t *testing.T) {
 		res := serial(t, base)
 		if ref == nil {
@@ -92,6 +98,11 @@ func TestEngineIsBitIdenticalOnBothKernelPaths(t *testing.T) {
 			refSLS = res
 		}
 		requireSameResult(t, cpu.KernelPath()+" SLS", refSLS, res)
+
+		if res = serial(t, job); refJob == nil {
+			refJob = res
+		}
+		requireSameResult(t, cpu.KernelPath()+" quickstart job", refJob, res)
 	})
 }
 

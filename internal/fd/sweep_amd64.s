@@ -2,13 +2,22 @@
 
 #include "textflag.h"
 
-// AVX2 forms of the row functions of sweep.go: 8 float32 lanes per
+// AVX2 forms of the plane functions of sweep.go: 8 float32 lanes per
 // iteration, unaligned loads and stores, and only VADDPS/VSUBPS/VMULPS/
 // VDIVPS — each the correctly rounded IEEE operation the scalar Go row
 // performs, applied in the Go row's order. No FMA (it rounds once where Go
 // rounds twice), no VRCPPS, no reassociation: every lane holds the bits
-// the Go row computes. n is a positive multiple of 8; the caller
-// (sweep_amd64.go) has bounds-checked every operand for the span read here.
+// the Go row computes.
+//
+// Each entry covers one i-plane of a region: cols columns (cols >= 1) of m
+// cells each, m a positive multiple of 8 (the scale entry takes any n >= 1
+// and finishes a column's last n&7 cells with masked lanes). Every operand
+// pointer is the first column's; the next column's is a column stride
+// further, in bytes — the fields' y stride, or 0 for an operand stored as a
+// profile. The caller (sweep_amd64.go) has bounds-checked every operand for
+// the span read here, (cols-1)*stride + m cells past its pointer plus the
+// taps. Where the loop walks a column by advancing its pointers, a
+// register holds the stride minus the 4*m bytes the walk advanced them by.
 //
 // A 4-point derivative arrives as the address of its lowest tap and a byte
 // stride S; with f = P[S] the inner-lower point,
@@ -62,25 +71,32 @@ GLOBL fdFour<>(SB), RODATA|NOPTR, $4
 #define DERIVZ(P, T, D)          TAPS(8(P), 4(P), 12(P), (P), T, D)
 #define DERIVZADD(P, T, D)       TAPSADD(8(P), 4(P), 12(P), (P), T, D)
 
-// func velocityRowAVX2(out *float32, n int, dtdx float32, r0, r1, a *float32, as uintptr, b *float32, bs uintptr, c *float32)
+// func velocityPlaneAVX2(out *float32, m, cols int, cs uintptr, dtdx float32, r0, r1, a *float32, as uintptr, b *float32, bs uintptr, c *float32)
 //
 //	out += (dtdx*2)/(r0+r1) * (D(a) + D(b) + Dz(c))
-TEXT ·velocityRowAVX2(SB), NOSPLIT, $0-80
+TEXT ·velocityPlaneAVX2(SB), NOSPLIT, $0-96
 	MOVQ out+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ r0+24(FP), R8
-	MOVQ r1+32(FP), R9
-	MOVQ a+40(FP), SI
-	MOVQ as+48(FP), AX
-	MOVQ b+56(FP), DX
-	MOVQ bs+64(FP), BX
-	MOVQ c+72(FP), R10
+	MOVQ cols+16(FP), R13
+	MOVQ cs+24(FP), R14
+	MOVQ r0+40(FP), R8
+	MOVQ r1+48(FP), R9
+	MOVQ a+56(FP), SI
+	MOVQ as+64(FP), AX
+	MOVQ b+72(FP), DX
+	MOVQ bs+80(FP), BX
+	MOVQ c+88(FP), R10
 	LEAQ (AX)(AX*2), R11
 	LEAQ (BX)(BX*2), R12
+	MOVQ m+8(FP), R15
+	SHLQ $2, R15
+	SUBQ R15, R14                     // column stride - 4*m
 	LOADC
-	VBROADCASTSS dtdx+16(FP), Y14
+	VBROADCASTSS dtdx+32(FP), Y14
 	VBROADCASTSS fdTwo<>(SB), Y0
 	VMULPS       Y0, Y14, Y14         // dtdx*2
+
+velocityColumn:
+	MOVQ m+8(FP), CX
 
 velocityLoop:
 	VMOVUPS (R8), Y0
@@ -100,30 +116,47 @@ velocityLoop:
 	ADDQ    $32, R10
 	SUBQ    $8, CX
 	JNZ     velocityLoop
+	ADDQ    R14, DI
+	ADDQ    R14, R8
+	ADDQ    R14, R9
+	ADDQ    R14, SI
+	ADDQ    R14, DX
+	ADDQ    R14, R10
+	DECQ    R13
+	JNZ     velocityColumn
 	VZEROUPPER
 	RET
 
-// func stressDiagRowAVX2(xx, yy, zz *float32, n int, dtdx float32, lam, mu, u *float32, us uintptr, v *float32, vs uintptr, w *float32)
+// func stressDiagPlaneAVX2(xx, yy, zz *float32, m, cols int, cs uintptr, dtdx float32, lam, mu, u *float32, us uintptr, v *float32, vs uintptr, w *float32)
 //
 //	vxx, vyy, vzz = D(u), D(v), Dz(w); l2m = lam + 2*mu
 //	xx += dtdx * (l2m*vxx + lam*(vyy+vzz)), and yy, zz alike
-TEXT ·stressDiagRowAVX2(SB), NOSPLIT, $0-96
+//
+// Every general register but SP and BP is taken, so the column count is
+// kept in its argument slot.
+TEXT ·stressDiagPlaneAVX2(SB), NOSPLIT, $0-112
 	MOVQ xx+0(FP), DI
 	MOVQ yy+8(FP), SI
 	MOVQ zz+16(FP), DX
-	MOVQ n+24(FP), CX
-	MOVQ lam+40(FP), R8
-	MOVQ mu+48(FP), R9
-	MOVQ u+56(FP), R10
-	MOVQ us+64(FP), AX
-	MOVQ v+72(FP), R12
-	MOVQ vs+80(FP), BX
-	MOVQ w+88(FP), R15
+	MOVQ cs+40(FP), R14
+	MOVQ lam+56(FP), R8
+	MOVQ mu+64(FP), R9
+	MOVQ u+72(FP), R10
+	MOVQ us+80(FP), AX
+	MOVQ v+88(FP), R12
+	MOVQ vs+96(FP), BX
+	MOVQ w+104(FP), R15
 	LEAQ (AX)(AX*2), R11
 	LEAQ (BX)(BX*2), R13
+	MOVQ m+24(FP), CX
+	SHLQ $2, CX
+	SUBQ CX, R14                      // column stride - 4*m
 	LOADC
-	VBROADCASTSS dtdx+32(FP), Y14
+	VBROADCASTSS dtdx+48(FP), Y14
 	VBROADCASTSS fdTwo<>(SB), Y11
+
+diagColumn:
+	MOVQ m+24(FP), CX
 
 diagLoop:
 	DERIV(R10, AX, R11, Y7, Y0)       // vxx
@@ -167,28 +200,45 @@ diagLoop:
 	ADDQ    $32, R15
 	SUBQ    $8, CX
 	JNZ     diagLoop
+	ADDQ    R14, DI
+	ADDQ    R14, SI
+	ADDQ    R14, DX
+	ADDQ    R14, R8
+	ADDQ    R14, R9
+	ADDQ    R14, R10
+	ADDQ    R14, R12
+	ADDQ    R14, R15
+	DECQ    cols+32(FP)
+	JNZ     diagColumn
 	VZEROUPPER
 	RET
 
-// func stressShearRowAVX2(out *float32, n int, dtdx float32, ra, rb, rc, rd, a *float32, as uintptr, b *float32, bs uintptr)
+// func stressShearPlaneAVX2(out *float32, m, cols int, cs uintptr, dtdx float32, ra, rb, rc, rd, a *float32, as uintptr, b *float32, bs uintptr)
 //
 //	out += dtdx * (4/(ra+rb+rc+rd)) * (D(a) + D(b))
-TEXT ·stressShearRowAVX2(SB), NOSPLIT, $0-88
+TEXT ·stressShearPlaneAVX2(SB), NOSPLIT, $0-104
 	MOVQ out+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ ra+24(FP), R8
-	MOVQ rb+32(FP), R9
-	MOVQ rc+40(FP), R10
-	MOVQ rd+48(FP), R13
-	MOVQ a+56(FP), SI
-	MOVQ as+64(FP), AX
-	MOVQ b+72(FP), DX
-	MOVQ bs+80(FP), BX
+	MOVQ cols+16(FP), R15
+	MOVQ cs+24(FP), R14
+	MOVQ ra+40(FP), R8
+	MOVQ rb+48(FP), R9
+	MOVQ rc+56(FP), R10
+	MOVQ rd+64(FP), R13
+	MOVQ a+72(FP), SI
+	MOVQ as+80(FP), AX
+	MOVQ b+88(FP), DX
+	MOVQ bs+96(FP), BX
 	LEAQ (AX)(AX*2), R11
 	LEAQ (BX)(BX*2), R12
+	MOVQ m+8(FP), CX
+	SHLQ $2, CX
+	SUBQ CX, R14                      // column stride - 4*m
 	LOADC
-	VBROADCASTSS dtdx+16(FP), Y14
+	VBROADCASTSS dtdx+32(FP), Y14
 	VBROADCASTSS fdFour<>(SB), Y11
+
+shearColumn:
+	MOVQ m+8(FP), CX
 
 shearLoop:
 	VMOVUPS (R8), Y0
@@ -211,13 +261,26 @@ shearLoop:
 	ADDQ    $32, DX
 	SUBQ    $8, CX
 	JNZ     shearLoop
+	ADDQ    R14, DI
+	ADDQ    R14, R8
+	ADDQ    R14, R9
+	ADDQ    R14, R10
+	ADDQ    R14, R13
+	ADDQ    R14, SI
+	ADDQ    R14, DX
+	DECQ    R15
+	JNZ     shearColumn
 	VZEROUPPER
 	RET
 
-// func attenuationRowAVX2(gp, gs, xx, yy, zz, xy, xz, yz *float32, n int)
+// func attenuationPlaneAVX2(gp, gs, xx, yy, zz, xy, xz, yz *float32, m, cols int, ps, ss, cs uintptr)
 //
 //	xx, yy, zz *= gp; xy, xz, yz *= gs
-TEXT ·attenuationRowAVX2(SB), NOSPLIT, $0-72
+//
+// The factors have column strides of their own (ps, ss: 0 for a constant
+// Q's rows); AX walks a column in bytes and the pointers move a column at a
+// time.
+TEXT ·attenuationPlaneAVX2(SB), NOSPLIT, $0-104
 	MOVQ gp+0(FP), R8
 	MOVQ gs+8(FP), R9
 	MOVQ xx+16(FP), DI
@@ -226,9 +289,15 @@ TEXT ·attenuationRowAVX2(SB), NOSPLIT, $0-72
 	MOVQ xy+40(FP), R10
 	MOVQ xz+48(FP), R11
 	MOVQ yz+56(FP), R12
-	MOVQ n+64(FP), CX
+	MOVQ m+64(FP), CX
+	MOVQ cols+72(FP), R15
+	MOVQ ps+80(FP), BX
+	MOVQ ss+88(FP), R13
+	MOVQ cs+96(FP), R14
+	SHLQ $2, CX                       // column length in bytes
+
+attenuationColumn:
 	XORQ AX, AX
-	SHLQ $2, CX                       // row length in bytes
 
 attenuationLoop:
 	VMOVUPS (R8)(AX*1), Y0
@@ -248,18 +317,60 @@ attenuationLoop:
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JNE     attenuationLoop
+	ADDQ    BX, R8
+	ADDQ    R13, R9
+	ADDQ    R14, DI
+	ADDQ    R14, SI
+	ADDQ    R14, DX
+	ADDQ    R14, R10
+	ADDQ    R14, R11
+	ADDQ    R14, R12
+	DECQ    R15
+	JNZ     attenuationColumn
 	VZEROUPPER
 	RET
 
-// func scaleRowAVX2(x, f *float32, n int)
+// scaleMask<>+32-4*t is the mask of the first t lanes: eight all-ones
+// words, then eight zeros.
+DATA scaleMask<>+0(SB)/8, $0xffffffffffffffff
+DATA scaleMask<>+8(SB)/8, $0xffffffffffffffff
+DATA scaleMask<>+16(SB)/8, $0xffffffffffffffff
+DATA scaleMask<>+24(SB)/8, $0xffffffffffffffff
+DATA scaleMask<>+32(SB)/8, $0
+DATA scaleMask<>+40(SB)/8, $0
+DATA scaleMask<>+48(SB)/8, $0
+DATA scaleMask<>+56(SB)/8, $0
+GLOBL scaleMask<>(SB), RODATA|NOPTR, $64
+
+// func scalePlaneAVX2(x, f *float32, n, cols int, xs, fs uintptr)
 //
 //	x *= f
-TEXT ·scaleRowAVX2(SB), NOSPLIT, $0-24
+//
+// over n >= 1 cells a column, any n: the whole vectors, then the last t =
+// n&7 cells with VMASKMOVPS, which neither reads nor writes a masked-off
+// lane — the cells past the column stay untouched, and may be another
+// tile's. f has a column stride of its own (fs = 0: one row for every
+// column).
+TEXT ·scalePlaneAVX2(SB), NOSPLIT, $0-48
 	MOVQ x+0(FP), DI
 	MOVQ f+8(FP), SI
 	MOVQ n+16(FP), CX
+	MOVQ cols+24(FP), R8
+	MOVQ xs+32(FP), R9
+	MOVQ fs+40(FP), R10
+	MOVQ CX, DX
+	ANDQ $7, DX                       // t
+	SUBQ DX, CX
+	SHLQ $2, CX                       // whole vectors' bytes
+	SHLQ $2, DX                       // t in bytes
+	LEAQ scaleMask<>+32(SB), R11
+	SUBQ DX, R11
+	VMOVDQU (R11), Y15                // the first t lanes
+
+scaleColumn:
 	XORQ AX, AX
-	SHLQ $2, CX
+	CMPQ AX, CX
+	JEQ  scaleTail
 
 scaleLoop:
 	VMOVUPS (SI)(AX*1), Y0
@@ -268,5 +379,19 @@ scaleLoop:
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JNE     scaleLoop
+
+scaleTail:
+	TESTQ      DX, DX
+	JZ         scaleNext
+	VMASKMOVPS (SI)(AX*1), Y15, Y0
+	VMASKMOVPS (DI)(AX*1), Y15, Y1
+	VMULPS     Y1, Y0, Y0
+	VMASKMOVPS Y0, Y15, (DI)(AX*1)
+
+scaleNext:
+	ADDQ R9, DI
+	ADDQ R10, SI
+	DECQ R8
+	JNZ  scaleColumn
 	VZEROUPPER
 	RET

@@ -2,22 +2,24 @@
 
 package fd
 
-// Builds without the assembly rows (other architectures, and race builds on
-// amd64, where the detector must see the kernels' accesses): the vector
-// halves do no cells and every row runs in Go.
+// Builds without the assembly plane entries (other architectures, and race
+// builds on amd64, where the detector must see the kernels' accesses): the
+// vector halves do no cells and every column runs in the Go rows.
 
-func velocityRowVec(out []float32, dtdx float32, r0, r1, a []float32, as int, b []float32, bs int, c []float32) int {
+func velocityPlaneVec(pl plane, out []float32, dtdx float32, r0, r1, a []float32, as int, b []float32, bs int, c []float32) int {
 	return 0
 }
 
-func stressDiagRowVec(xx, yy, zz []float32, dtdx float32, lam, mu, u []float32, us int, v []float32, vs int, w []float32) int {
+func stressDiagPlaneVec(pl plane, xx, yy, zz []float32, dtdx float32, lam, mu, u []float32, us int, v []float32, vs int, w []float32) int {
 	return 0
 }
 
-func stressShearRowVec(out []float32, dtdx float32, ra, rb, rc, rd, a []float32, as int, b []float32, bs int) int {
+func stressShearPlaneVec(pl plane, out []float32, dtdx float32, ra, rb, rc, rd, a []float32, as int, b []float32, bs int) int {
 	return 0
 }
 
-func attenuationRowVec(gp, gs, xx, yy, zz, xy, xz, yz []float32) int { return 0 }
+func attenuationPlaneVec(pl plane, gp []float32, ps int, gs []float32, ss int, xx, yy, zz, xy, xz, yz []float32) int {
+	return 0
+}
 
-func scaleRowVec(x, f []float32) int { return 0 }
+func scalePlaneVec(pl plane, x, f []float32, fs int) bool { return false }

@@ -214,7 +214,7 @@ func (f *Field) InteriorEqual(g *Field, tol float64) bool {
 func (f *Field) MaxAbs() float32 { return MaxAbs(f) }
 
 // MaxAbs returns the largest absolute value over the interiors of the given
-// fields, which must share one shape, in a single pass over their z-rows.
+// fields, which must share one shape, in a single pass over their i-planes.
 // Magnitudes are compared as sign-cleared bit patterns: for non-NaN values
 // that is the ordinary order of |v|, and every NaN pattern sorts above +Inf,
 // so a NaN anywhere is returned instead of being skipped (float
@@ -227,21 +227,24 @@ func MaxAbs(fields ...*Field) float32 {
 	var m uint32
 	d := fields[0].Dims
 	for i := 0; i < d.Nx; i++ {
-		for j := 0; j < d.Ny; j++ {
-			for _, f := range fields {
-				m = maxAbsBits(m, f.Row(i, j))
-			}
+		for _, f := range fields {
+			m = maxAbsPlane(m, f.Data[f.Idx(i, 0, 0):], d.Nz, d.Ny, f.sy)
 		}
 	}
 	return math.Float32frombits(m)
 }
 
-// maxAbsBits folds the sign-cleared bit patterns of row into the running
-// maximum m: the whole vectors of the row in assembly where that is in use
-// (cpu.AVX2), the rest — or all of it — in the Go loop.
-func maxAbsBits(m uint32, row []float32) uint32 {
-	m, n := maxAbsBitsVec(m, row)
-	return maxAbsBitsGo(m, row[n:])
+// maxAbsPlane folds the sign-cleared bit patterns of cols columns of n
+// cells, the first at a[0] and each cs elements past the one before, into
+// the running maximum m: the whole vectors of every column in one call to
+// the assembly where that is in use (cpu.AVX2), the rest of each column —
+// or all of it — in the Go loop.
+func maxAbsPlane(m uint32, a []float32, n, cols, cs int) uint32 {
+	m, v := maxAbsPlaneVec(m, a, n, cols, cs)
+	for j := 0; v < n && j < cols; j++ {
+		m = maxAbsBitsGo(m, a[j*cs+v:][:n-v])
+	}
+	return m
 }
 
 // maxAbsBitsGo is the portable scan. Four independent accumulators keep the

@@ -9,16 +9,22 @@ import (
 )
 
 //go:noescape
-func maxAbsBitsAVX2(row *float32, n int) uint32
+func maxAbsPlaneAVX2(a *float32, m, cols int, cs uintptr) uint32
 
-// maxAbsBitsVec folds the leading len(row)&^7 cells of row into m in
-// assembly and returns the new maximum and how many cells that was (0 when
-// the assembly is not in use). A race build keeps the Go loop
-// (maxabs_noasm.go), so the detector sees the scan's reads.
-func maxAbsBitsVec(m uint32, row []float32) (uint32, int) {
-	n := len(row) &^ 7
-	if !cpu.AVX2 || n == 0 {
+// maxAbsPlaneVec folds the leading n&^7 cells of every column of a plane
+// into m in one call to the assembly and returns the new maximum and how
+// many cells per column that was (0 when the assembly is not in use). It
+// cuts a to the span the assembly reads, (cols-1)*cs + n&^7 elements, so the
+// pointer it passes has just been bounds checked. A race build keeps the Go
+// loop (maxabs_noasm.go), so the detector sees the scan's reads.
+func maxAbsPlaneVec(m uint32, a []float32, n, cols, cs int) (uint32, int) {
+	v := n &^ 7
+	if !cpu.AVX2 || v == 0 || cols <= 0 {
 		return m, 0
 	}
-	return max(m, maxAbsBitsAVX2(unsafe.SliceData(row), n)), n
+	if cs < 0 {
+		panic("grid: negative column stride")
+	}
+	a = a[:(cols-1)*cs+v]
+	return max(m, maxAbsPlaneAVX2(unsafe.SliceData(a), v, cols, uintptr(cs)*4)), v
 }

@@ -4,4 +4,4 @@ package grid
 
 // Builds without the assembly scan: every cell goes through the Go loop.
 
-func maxAbsBitsVec(m uint32, row []float32) (uint32, int) { return m, 0 }
+func maxAbsPlaneVec(m uint32, a []float32, n, cols, cs int) (uint32, int) { return m, 0 }

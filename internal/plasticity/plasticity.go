@@ -51,10 +51,6 @@ type Params struct {
 	// negative in compression. The dynamic stresses from the wave solver are
 	// perturbations around this state.
 	Sigma2 *grid.Field
-	// YldFac, when set, records per point the most recent yield factor r
-	// (1 = elastic). Nothing in the solver reads it: a caller that wants the
-	// record allocates the field, otherwise the factor row is scratch.
-	YldFac *grid.Field
 	// Tv is the viscoplastic relaxation time in seconds; 0 applies the
 	// return map instantaneously.
 	Tv float64

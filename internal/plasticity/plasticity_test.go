@@ -16,7 +16,6 @@ func setup(tau float32, c, phiDeg, pf float64) (*fd.Wavefield, *Params) {
 	wf := fd.NewWavefield(d)
 	p := NewParams(d)
 	p.SetUniform(c, phiDeg*math.Pi/180, pf)
-	p.YldFac = grid.NewField(d, fd.Halo) // these tests read the per-cell record
 	// pure shear state of magnitude tau on every point
 	wf.XY.FillInterior(tau)
 	return wf, p
@@ -25,15 +24,13 @@ func setup(tau float32, c, phiDeg, pf float64) (*fd.Wavefield, *Params) {
 func TestElasticStateUntouched(t *testing.T) {
 	// τ̄ = |xy| = 1e5, yield = c cosφ with c=1e6, φ=30° => Y ≈ 8.66e5 > τ̄
 	wf, p := setup(1e5, 1e6, 30, 0)
+	before := wf.Clone()
 	n := ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
 	if n != 0 {
 		t.Fatalf("%d points yielded below the surface", n)
 	}
-	if wf.XY.At(2, 2, 2) != 1e5 {
-		t.Fatal("elastic stress modified")
-	}
-	if p.YldFac.At(2, 2, 2) != 1 {
-		t.Fatal("yield factor must be 1 for elastic points")
+	for c, f := range wf.StressFields() {
+		sameBits(t, "elastic stress", before.StressFields()[c], f)
 	}
 }
 
@@ -49,9 +46,13 @@ func TestYieldScalesDeviatorOntoSurface(t *testing.T) {
 	if math.Abs(float64(got-want))/float64(want) > 1e-5 {
 		t.Fatalf("post-yield |xy| = %g, want %g (on the yield surface)", got, want)
 	}
-	r := p.YldFac.At(2, 2, 2)
-	if !(r > 0 && r < 1) {
+	// a pure shear state has no deviator on the diagonal: the return map
+	// scales the shear alone, by the yield factor r = xy after / xy before
+	if r := got / 2e6; !(r > 0 && r < 1) {
 		t.Fatalf("yield factor %g not in (0,1)", r)
+	}
+	if wf.XX.At(2, 2, 2) != 0 || wf.XZ.At(2, 2, 2) != 0 {
+		t.Fatalf("return map moved stresses that carry no deviator: xx %g, xz %g", wf.XX.At(2, 2, 2), wf.XZ.At(2, 2, 2))
 	}
 }
 
@@ -83,12 +84,14 @@ func TestCompressionRaisesYield(t *testing.T) {
 	p := NewParams(d)
 	p.SetUniform(1e5, math.Pi/6, 0) // small cohesion, φ=30°
 	p.SetLithostatic(100, 2500)     // σ2 grows with k
-	p.YldFac = grid.NewField(d, fd.Halo)
 	wf.XY.FillInterior(1e6)
 
-	ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
-	shallow := p.YldFac.At(2, 2, 0)
-	deep := p.YldFac.At(2, 2, d.Nz-1)
+	if n := ApplyRegion(wf, p, 0.01, grid.Box(wf.D)); n == 0 {
+		t.Fatal("nothing yielded")
+	}
+	// the yield factor r scales the shear: r = xy after / xy before
+	shallow := wf.XY.At(2, 2, 0) / 1e6
+	deep := wf.XY.At(2, 2, d.Nz-1) / 1e6
 	if !(shallow < 1) {
 		t.Fatalf("shallow point did not yield (r=%g)", shallow)
 	}
@@ -106,10 +109,11 @@ func TestFluidPressureWeakens(t *testing.T) {
 		p := NewParams(d)
 		p.SetUniform(1e5, math.Pi/6, pf)
 		p.Sigma2.Fill(-5e6) // uniform confinement
-		p.YldFac = grid.NewField(d, fd.Halo)
 		wf.XY.FillInterior(3e6)
-		ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
-		return p.YldFac.At(2, 2, 2)
+		if n := ApplyRegion(wf, p, 0.01, grid.Box(wf.D)); int64(n) != d.Points() {
+			t.Fatalf("Pf %g: %d of %d cells yielded", pf, n, d.Points())
+		}
+		return wf.XY.At(2, 2, 2) / 3e6 // the yield factor r scales the shear
 	}
 	dry, wet := run(0), run(4e6)
 	if !(wet < dry) {
@@ -123,15 +127,20 @@ func TestTensileRegimeZeroYield(t *testing.T) {
 	wf := fd.NewWavefield(d)
 	p := NewParams(d)
 	p.SetUniform(1e4, math.Pi/4, 0)
-	p.YldFac = grid.NewField(d, fd.Halo)
 	wf.XX.FillInterior(5e6) // tensile mean stress 5e6/3 >> c·cosφ/sinφ
 	wf.XY.FillInterior(1e6)
-	ApplyRegion(wf, p, 0.01, grid.Box(wf.D))
+	if n := ApplyRegion(wf, p, 0.01, grid.Box(wf.D)); int64(n) != d.Points() {
+		t.Fatalf("%d of %d cells yielded in tension", n, d.Points())
+	}
 	if got := wf.XY.At(2, 2, 2); got != 0 {
 		t.Fatalf("tensile failure must zero the shear deviator, got %g", got)
 	}
-	if r := p.YldFac.At(2, 2, 2); r != 0 {
-		t.Fatalf("yield factor %g, want 0", r)
+	// yield factor 0: the whole deviator goes, the mean stress stays
+	sm := float32(5e6) / 3
+	for _, f := range []*grid.Field{wf.XX, wf.YY, wf.ZZ} {
+		if got := f.At(2, 2, 2); math.Abs(float64(got-sm)) > 1 {
+			t.Fatalf("diagonal stress %g after a zero yield factor, want the mean %g", got, sm)
+		}
 	}
 }
 

@@ -15,27 +15,20 @@ import (
 // disjoint partition yields bit-identical stresses and — because the
 // yielded count is an integer sum — an identical count.
 //
-// Like the fd sweep kernels it is a per-column driver that slices the
-// twelve operand z-rows once and hands them to a row function whose inner
-// loop carries no index checks (`make check-bce`). The six stresses share
-// one index; each parameter is sliced at its own, so one stored at a lower
-// rank (grid.NewProfile) hands every column the same row.
+// Like the fd sweep kernels it walks the region plane by plane
+// (internal/fd/sweep.go has the shape). The six stresses share one index and column stride; each
+// parameter is sliced at its own, so one stored at a lower rank
+// (grid.NewProfile, column stride 0) hands every column the same row.
 func ApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
 	if r.Empty() {
 		return 0
 	}
-	n := r.K1 - r.K0
-	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
-	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
-	yldFac := p.YldFac
-	if yldFac == nil {
-		// nobody keeps the per-cell record: the factors go to a row of this
-		// call's own, so concurrent tiles share nothing and no array is
-		// written only to be evicted
-		yldFac = grid.NewProfile(p.D, fd.Halo)
+	fields := [operands]*grid.Field{wf.XX, wf.YY, wf.ZZ, wf.XY, wf.XZ, wf.YZ,
+		p.Cohes, p.SinPhi, p.CosPhi, p.FluidPres, p.Sigma2}
+	pl := plane{n: r.K1 - r.K0, cols: r.J1 - r.J0}
+	for c, f := range fields {
+		pl.stride[c] = f.StrideY()
 	}
-	cohes, sphi, cphi := p.Cohes, p.SinPhi, p.CosPhi
-	pf, sig2 := p.FluidPres, p.Sigma2
 
 	// viscoplastic relaxation factor: r' = r + (1-r)*exp(-dt/Tv)
 	relax := float32(0)
@@ -45,48 +38,71 @@ func ApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
 
 	yielded := 0
 	for i := r.I0; i < r.I1; i++ {
-		for j := r.J0; j < r.J1; j++ {
-			q := wf.XX.Idx(i, j, r.K0)
-			yielded += returnMapRowAt(xx[q:][:n], yy[q:], zz[q:], xy[q:], xz[q:], yz[q:],
-				rowAt(cohes, i, j, r.K0), rowAt(sphi, i, j, r.K0), rowAt(cphi, i, j, r.K0),
-				rowAt(pf, i, j, r.K0), rowAt(sig2, i, j, r.K0), rowAt(yldFac, i, j, r.K0), relax)
+		for c, f := range fields {
+			pl.op[c] = f.Data[f.Idx(i, r.J0, r.K0):]
 		}
+		yielded += returnMapPlane(&pl, relax)
 	}
 	return yielded
 }
 
-// rowAt is f's z-row at column (i,j) from depth k on.
-func rowAt(f *grid.Field, i, j, k int) []float32 { return f.Data[f.Idx(i, j, k):] }
+// operands is how many arrays the kernel reads: six stresses, then
+// cohesion, sin φ, cos φ, fluid pressure and σ2.
+const operands = 11
 
-// returnMapRowAt runs the yield check and return map along one z-row and
-// returns the number of yielded cells. Where the assembly yield check is in
-// use it clears the whole groups of eight cells that are elastic in every
-// lane — nearly all of them — and only a group with a lane that yields, or
-// holds a NaN, is handed whole to the Go row, which recomputes it; so is
-// the tail. The return map itself exists in Go alone.
-func returnMapRowAt(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32, relax float32) int {
-	yielded, m := 0, 0
-	for cpu.AVX2 && len(xx)-m >= 8 {
-		m += elasticRowVec(xx[m:], yy[m:], zz[m:], xy[m:], xz[m:], yz[m:],
-			cohes[m:], sphi[m:], cphi[m:], pf[m:], sig2[m:], yld[m:])
-		if len(xx)-m < 8 {
-			break
-		}
-		yielded += returnMapRow(xx[m:m+8], yy[m:], zz[m:], xy[m:], xz[m:], yz[m:],
-			cohes[m:], sphi[m:], cphi[m:], pf[m:], sig2[m:], yld[m:], relax)
-		m += 8
+// plane is one i-plane of a region as returnMapPlane walks it: cols columns
+// of n cells, each operand from the region's first column on, column c's
+// cells stride[c] elements (0 for a profile) past the column before.
+type plane struct {
+	n, cols int
+	op      [operands][]float32
+	stride  [operands]int
+}
+
+// row runs the Go row on cells [k, k+n) of column j and returns how many
+// yielded.
+func (pl *plane) row(j, k, n int, relax float32) int {
+	var o [operands][]float32
+	for c := range o {
+		o[c] = pl.op[c][j*pl.stride[c]+k:]
 	}
-	return yielded + returnMapRow(xx[m:], yy[m:], zz[m:], xy[m:], xz[m:], yz[m:],
-		cohes[m:], sphi[m:], cphi[m:], pf[m:], sig2[m:], yld[m:], relax)
+	return returnMapRow(o[0][:n], o[1], o[2], o[3], o[4], o[5], o[6], o[7], o[8], o[9], o[10], relax)
+}
+
+// returnMapPlane runs the yield check and return map over the columns of a
+// plane and returns the number of yielded cells. Where the assembly yield
+// check is in use it clears the whole groups of eight cells that are
+// elastic in every lane — nearly all of them — in one call for the plane;
+// the call stops at a group with a lane that yields, or holds a NaN, which
+// is handed whole to the Go row, which recomputes it, and then the
+// assembly resumes behind it. Each column's tail goes to the Go row too.
+// The return map itself exists in Go alone.
+func returnMapPlane(pl *plane, relax float32) int {
+	yielded, m := 0, 0
+	if cpu.AVX2 {
+		m = pl.n &^ 7
+	}
+	if m > 0 {
+		for j, k := elasticPlaneVec(pl, m, 0, 0); j < pl.cols; j, k = elasticPlaneVec(pl, m, j, k) {
+			yielded += pl.row(j, k, 8, relax)
+			if k += 8; k == m {
+				j, k = j+1, 0
+			}
+		}
+	}
+	for j := 0; m < pl.n && j < pl.cols; j++ {
+		yielded += pl.row(j, m, pl.n-m, relax)
+	}
+	return yielded
 }
 
 // returnMapRow is the Go row: the definition of the bits, the tail, and the
 // only code that applies the return map.
-func returnMapRow(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32, relax float32) int {
+func returnMapRow(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2 []float32, relax float32) int {
 	n := len(xx)
 	yy, zz, xy, xz, yz = yy[:n], zz[:n], xy[:n], xz[:n], yz[:n]
 	cohes, sphi, cphi = cohes[:n], sphi[:n], cphi[:n]
-	pf, sig2, yld = pf[:n], sig2[:n], yld[:n]
+	pf, sig2 = pf[:n], sig2[:n]
 
 	yielded := 0
 	for k := range xx {
@@ -107,14 +123,12 @@ func returnMapRow(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []flo
 			y = 0
 		}
 		if tau <= y || tau == 0 {
-			yld[k] = 1
 			continue
 		}
 		r := y / tau
 		if relax > 0 {
 			r = r + (1-r)*relax
 		}
-		yld[k] = r
 		yielded++
 
 		// return map: scale deviator, keep mean stress; store back as

@@ -2,33 +2,34 @@
 
 package plasticity
 
-import (
-	"unsafe"
-
-	"swquake/internal/cpu"
-)
+import "unsafe"
 
 // The assembly yield check of sweep_amd64.s and the only code that calls it.
 // A race build keeps the Go row (sweep_noasm.go), as in internal/fd.
 
 //go:noescape
-func elasticRowAVX2(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld *float32, n int) int
+func elasticPlaneAVX2(op *[operands]*float32, stride *[operands]uintptr, m, cols, k int) (col, off int)
 
-// elasticRowVec runs the yield check over the leading whole groups of eight
-// cells of a row for as long as every lane is elastic, storing yld = 1 for
-// them, and returns how many cells that was: a multiple of 8, 0 when the
-// assembly is not in use. It cuts every operand to the cells the assembly
-// may touch, so the pointers it passes have just been bounds checked.
-func elasticRowVec(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32) int {
-	m := len(xx) &^ 7
-	if !cpu.AVX2 || m == 0 {
-		return 0
+// elasticPlaneVec runs the yield check over the first m cells (a positive
+// multiple of 8) of every column of the plane from cell k of column j on,
+// for as long as every lane of a group of eight is elastic, and returns
+// where it stopped: the column and cell of the first group that is not, or
+// (pl.cols, 0) when there is none. It cuts every operand to the span the
+// assembly may touch — from column j's first cell to m cells into the last
+// column — so the pointers it passes have just been bounds checked.
+func elasticPlaneVec(pl *plane, m, j, k int) (int, int) {
+	if j >= pl.cols {
+		return pl.cols, 0
 	}
-	yy, zz, xy, xz, yz = yy[:m], zz[:m], xy[:m], xz[:m], yz[:m]
-	cohes, sphi, cphi = cohes[:m], sphi[:m], cphi[:m]
-	pf, sig2, yld = pf[:m], sig2[:m], yld[:m]
-	return elasticRowAVX2(unsafe.SliceData(xx), unsafe.SliceData(yy), unsafe.SliceData(zz),
-		unsafe.SliceData(xy), unsafe.SliceData(xz), unsafe.SliceData(yz),
-		unsafe.SliceData(cohes), unsafe.SliceData(sphi), unsafe.SliceData(cphi),
-		unsafe.SliceData(pf), unsafe.SliceData(sig2), unsafe.SliceData(yld), m)
+	var op [operands]*float32
+	var stride [operands]uintptr
+	for c, s := range pl.stride {
+		if s < 0 {
+			panic("plasticity: negative column stride")
+		}
+		op[c] = unsafe.SliceData(pl.op[c][j*s : (pl.cols-1)*s+m])
+		stride[c] = uintptr(s) * 4
+	}
+	col, off := elasticPlaneAVX2(&op, &stride, m, pl.cols-j, k)
+	return j + col, off
 }

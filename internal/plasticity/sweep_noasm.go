@@ -2,8 +2,7 @@
 
 package plasticity
 
-// Builds without the assembly yield check: every cell runs in the Go row.
+// Builds without the assembly yield check, where cpu.AVX2 is false: every
+// cell runs in the Go row.
 
-func elasticRowVec(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32) int {
-	return 0
-}
+func elasticPlaneVec(pl *plane, m, j, k int) (int, int) { return pl.cols, 0 }

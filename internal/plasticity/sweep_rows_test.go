@@ -12,15 +12,16 @@ import (
 	"swquake/internal/grid"
 )
 
-// rowState is the twelve operand rows of returnMapRow, each in its own
-// arena: six stresses, five parameters and the yield factor.
-type rowState [12]cputest.Arena
+// rowState is the eleven operand arenas of returnMapRow: six stresses and
+// five parameters.
+type rowState [operands]cputest.Arena
 
-const rowArenaLen = 97 + cputest.MaxRowOffset
+// rowArenaLen holds three columns of the longest row the tests cover, three
+// cells apart, past the largest start offset.
+const rowArenaLen = 3*(97+3) + cputest.MaxRowOffset
 
 // newRowState builds rows whose cells are elastic (stresses of a few kPa
-// against a cohesion near 1 MPa) except where hard says otherwise; yld holds
-// stale factors the row must overwrite.
+// against a cohesion near 1 MPa) except where hard says otherwise.
 func newRowState(rng *rand.Rand, hard func(c int) (float32, bool)) rowState {
 	var s rowState
 	for c := range s {
@@ -40,10 +41,8 @@ func newRowState(rng *rand.Rand, hard func(c int) (float32, bool)) rowState {
 				return float32(math.Cos(rng.Float64() * 0.7))
 			case c == 9: // fluid pressure
 				return rng.Float32() * 1e5
-			case c == 10: // lithostatic mean stress
-				return -rng.Float32() * 5e6
 			}
-			return rng.Float32()
+			return -rng.Float32() * 5e6 // lithostatic mean stress
 		})
 	}
 	return s
@@ -57,24 +56,42 @@ func (s rowState) clone() rowState {
 	return c
 }
 
-// run calls row on the n cells that start off floats past each arena's
-// boundary (every operand at its own offset). With shared, the five
-// parameter operands are one row — the cohesion arena — as parameters stored
-// below full rank hand the same memory to several operands and every column.
-func (s rowState) run(n, off int, relax float32, shared bool, row func(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32, relax float32) int) int {
-	o := func(c int) []float32 {
-		if shared && c >= 6 && c <= 10 {
-			c = 6
+// plane is the plane of cols columns of n cells, n+3 apart, whose operands
+// start off floats past each arena's boundary (every operand at its own
+// offset). With shared, the five parameter operands are one row — the
+// cohesion arena at column stride 0 — as parameters stored below full rank
+// hand the same memory to several operands and every column.
+func (s rowState) plane(n, cols, off int, shared bool) *plane {
+	pl := &plane{n: n, cols: cols}
+	for c := range s {
+		a, stride := c, n+3
+		if shared && c >= 6 {
+			a, stride = 6, 0
 		}
-		return s[c].At((off + 3*c) % (cputest.MaxRowOffset + 1))
+		pl.op[c] = s[a].At((off + 3*a) % (cputest.MaxRowOffset + 1))
+		pl.stride[c] = stride
 	}
-	return row(o(0)[:n], o(1), o(2), o(3), o(4), o(5), o(6), o(7), o(8), o(9), o(10), o(11), relax)
+	return pl
+}
+
+// goRows runs the Go row on each column of a plane, column by column: what
+// returnMapPlane must reproduce bit for bit.
+func goRows(pl *plane, relax float32) int {
+	yielded := 0
+	for j := 0; j < pl.cols; j++ {
+		var o [operands][]float32
+		for c := range o {
+			o[c] = pl.op[c][j*pl.stride[c]:]
+		}
+		yielded += returnMapRow(o[0][:pl.n], o[1], o[2], o[3], o[4], o[5], o[6], o[7], o[8], o[9], o[10], relax)
+	}
+	return yielded
 }
 
 // requireSameRows compares every arena of two states, canaries included.
 func requireSameRows(t *testing.T, what string, want, got rowState) {
 	t.Helper()
-	names := []string{"xx", "yy", "zz", "xy", "xz", "yz", "cohes", "sphi", "cphi", "pf", "sig2", "yld"}
+	names := []string{"xx", "yy", "zz", "xy", "xz", "yz", "cohes", "sphi", "cphi", "pf", "sig2"}
 	for c := range want {
 		if i, ok := cputest.SameBits(want[c].Buf, got[c].Buf); !ok {
 			t.Fatalf("%s: %s differs at arena index %d (boundary at %d): %g (%#08x), Go row %g (%#08x)",
@@ -84,10 +101,12 @@ func requireSameRows(t *testing.T, what string, want, got rowState) {
 	}
 }
 
-// TestReturnMapRowMatchesGoRow holds returnMapRowAt — the assembly yield
-// check for the elastic groups of eight plus the Go row for the rest, or the
-// Go row alone — to the Go row over the same cells: stresses, yield factors,
-// the cells around the row that must not be written, and the yielded count.
+// TestReturnMapRowMatchesGoRow holds returnMapPlane — the assembly yield
+// check for the elastic groups of eight of every column plus the Go row for
+// the rest, or the Go row alone — to the Go row run column by column over
+// the same cells: stresses, the cells around and between the columns that
+// must not be written, and the yielded count; one column and three, with
+// the parameters in arenas of their own or one row shared by every column.
 func TestReturnMapRowMatchesGoRow(t *testing.T) {
 	cputest.ForEachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
@@ -130,16 +149,18 @@ func TestReturnMapRowMatchesGoRow(t *testing.T) {
 			for _, relax := range []float32{0, 0.7} { // Tv = 0 and Tv > 0
 				for _, n := range cputest.RowLengths() {
 					for off := 0; off <= cputest.MaxRowOffset; off++ {
-						for _, shared := range []bool{false, true} {
-							want, got := st.clone(), st.clone()
-							wantN := want.run(n, off, relax, shared, returnMapRow)
-							gotN := got.run(n, off, relax, shared, returnMapRowAt)
-							what := fmt.Sprintf("%s relax=%g n=%d off=%d shared=%v", name, relax, n, off, shared)
-							if wantN != gotN {
-								t.Fatalf("%s: %d yielded cells, Go row %d", what, gotN, wantN)
+						for _, cols := range []int{1, 3} {
+							for _, shared := range []bool{false, true} {
+								want, got := st.clone(), st.clone()
+								wantN := goRows(want.plane(n, cols, off, shared), relax)
+								gotN := returnMapPlane(got.plane(n, cols, off, shared), relax)
+								what := fmt.Sprintf("%s relax=%g n=%d off=%d cols=%d shared=%v", name, relax, n, off, cols, shared)
+								if wantN != gotN {
+									t.Fatalf("%s: %d yielded cells, Go row %d", what, gotN, wantN)
+								}
+								requireSameRows(t, what, want, got)
+								yieldedSomewhere = yieldedSomewhere || (wantN > 0 && !shared)
 							}
-							requireSameRows(t, what, want, got)
-							yieldedSomewhere = yieldedSomewhere || (wantN > 0 && !shared)
 						}
 					}
 				}
@@ -151,39 +172,69 @@ func TestReturnMapRowMatchesGoRow(t *testing.T) {
 	})
 }
 
-// TestOneYieldingCellAtEveryLane: in a row of two vectors and a four-cell
-// tail that is elastic but for one cell, that cell alone is returned to the
-// yield surface wherever it sits — each lane of either vector, and the tail —
-// and the result is the Go row's. The same with a NaN in place of the
-// yielding stress: the group must not be passed as elastic.
+// TestOneYieldingCellAtEveryLane: in a plane of three columns, each two
+// vectors and a four-cell tail, that is elastic but for one cell, that cell
+// alone is returned to the yield surface wherever it sits — each lane of
+// either vector of every column, and the tails — and the result is the Go
+// row's: every other cell keeps its stresses, and the yielding cell's shear
+// stress shrinks. The same with a NaN in place of the yielding stress: the
+// group must not be passed as elastic. And the same with the parameters as
+// profiles (column stride 0) followed by values that would pass any cell as
+// elastic, which a profile moved by the stresses' column stride reads.
 func TestOneYieldingCellAtEveryLane(t *testing.T) {
 	cputest.ForEachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(29))
-		const n = 20
-		base := newRowState(rng, func(int) (float32, bool) { return 0, false })
+		const n, cols = 20, 3
+		full := newRowState(rng, func(int) (float32, bool) { return 0, false })
+		profiles := full.clone()
+		// y = cohes*cphi - (sm+pf)*sphi is huge past the row, with sm < 0
+		for c, poison := range map[int]float32{6: 1e30, 7: 1e30, 8: 1e30, 9: -1e30, 10: -1e30} {
+			row := profiles[c].At(3 * c % 9)
+			for q := n; q < len(row); q++ {
+				row[q] = poison
+			}
+		}
+		plane := func(st rowState, profile bool) *plane {
+			pl := st.plane(n, cols, 0, false)
+			for c := 6; profile && c < operands; c++ {
+				pl.stride[c] = 0
+			}
+			return pl
+		}
 		for _, bad := range []float32{5e6, float32(math.NaN())} {
-			for pos := 0; pos < n; pos++ {
-				want := base.clone()
-				want[3].At(3 * 3 % 9)[pos] = bad // xy, at the offset run gives it for off = 0
-				got := want.clone()
-				wantN := want.run(n, 0, 0, false, returnMapRow)
-				gotN := got.run(n, 0, 0, false, returnMapRowAt)
-				what := fmt.Sprintf("xy[%d] = %g", pos, bad)
-				if bad == bad && wantN != 1 {
-					t.Fatalf("%s: the Go row yields %d cells, the test wants exactly one", what, wantN)
-				}
-				if gotN != wantN {
-					t.Fatalf("%s: %d yielded cells, Go row %d", what, gotN, wantN)
-				}
-				requireSameRows(t, what, want, got)
-				yld := got[11].At(3 * 11 % 9)[:n]
-				for k, r := range yld {
-					if k != pos && r != 1 {
-						t.Fatalf("%s: yield factor %g at elastic cell %d", what, r, k)
+			for j := 0; j < cols; j++ {
+				for k := 0; k < n; k++ {
+					for _, profile := range []bool{false, true} {
+						base := full
+						if profile {
+							base = profiles
+						}
+						pos := j*(n+3) + k
+						want := base.clone()
+						want[3].At(3 * 3 % 9)[pos] = bad // xy, at the offset plane gives it for off = 0
+						got := want.clone()
+						wantN := goRows(plane(want, profile), 0)
+						gotN := returnMapPlane(plane(got, profile), 0)
+						what := fmt.Sprintf("xy[%d] of column %d = %g, profiles %v", k, j, bad, profile)
+						if bad == bad && wantN != 1 {
+							t.Fatalf("%s: the Go row yields %d cells, the test wants exactly one", what, wantN)
+						}
+						if gotN != wantN {
+							t.Fatalf("%s: %d yielded cells, Go row %d", what, gotN, wantN)
+						}
+						requireSameRows(t, what, want, got)
+						for c := 0; c < 6; c++ {
+							stress, before := got[c].At(3*c%9), base[c].At(3*c%9)
+							for q := range stress[:cols*(n+3)] {
+								if q != pos && math.Float32bits(stress[q]) != math.Float32bits(before[q]) {
+									t.Fatalf("%s: stress %d of elastic cell %d moved: %g -> %g", what, c, q, before[q], stress[q])
+								}
+							}
+						}
+						if xy := got[3].At(0)[pos]; bad == bad && !(math.Abs(float64(xy)) < 5e6) {
+							t.Fatalf("%s: the yielding cell's shear stress is %g, not returned toward the surface", what, xy)
+						}
 					}
-				}
-				if bad == bad && !(yld[pos] < 1) {
-					t.Fatalf("%s: yield factor %g at the yielding cell", what, yld[pos])
 				}
 			}
 		}
@@ -192,7 +243,7 @@ func TestOneYieldingCellAtEveryLane(t *testing.T) {
 
 // TestYieldCheckIsExactAtTheYieldSurface: a group of eight is passed as
 // elastic only on the Go row's own tau and y, to the last bit. Every group
-// of these rows has seven comfortably elastic lanes and one whose yield
+// of these columns has seven comfortably elastic lanes and one whose yield
 // stress is the float32 just below its tau (it yields, by one ulp) or tau
 // itself (it does not): a root or a sum rounded any other way than the Go
 // row's — a fused multiply-add, a reciprocal-root estimate — moves some of
@@ -200,7 +251,7 @@ func TestOneYieldingCellAtEveryLane(t *testing.T) {
 func TestYieldCheckIsExactAtTheYieldSurface(t *testing.T) {
 	cputest.ForEachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(37))
-		const groups = 4096
+		const groups, cellsPerColumn = 4096, 64
 		const n = 8 * groups
 		row := func() []float32 { return make([]float32, n) }
 		xx, yy, zz, xy, xz, yz := row(), row(), row(), row(), row(), row()
@@ -230,12 +281,17 @@ func TestYieldCheckIsExactAtTheYieldSurface(t *testing.T) {
 			}
 		}
 		clone := func(f []float32) []float32 { return append([]float32(nil), f...) }
-		run := func(rowFn func(xx, yy, zz, xy, xz, yz, cohes, sphi, cphi, pf, sig2, yld []float32, relax float32) int) (int, [][]float32) {
-			out := [][]float32{clone(xx), clone(yy), clone(zz), clone(xy), clone(xz), clone(yz), row()}
-			return rowFn(out[0], out[1], out[2], out[3], out[4], out[5], cohes, sphi, cphi, pf, sig2, out[6], 0), out
+		// the cells as a plane of contiguous columns
+		run := func(planeFn func(*plane, float32) int) (int, [][]float32) {
+			out := [][]float32{clone(xx), clone(yy), clone(zz), clone(xy), clone(xz), clone(yz)}
+			pl := &plane{n: cellsPerColumn, cols: n / cellsPerColumn}
+			for c, f := range append(out, cohes, sphi, cphi, pf, sig2) {
+				pl.op[c], pl.stride[c] = f, cellsPerColumn
+			}
+			return planeFn(pl, 0), out
 		}
-		wantN, want := run(returnMapRow)
-		gotN, got := run(returnMapRowAt)
+		wantN, want := run(goRows)
+		gotN, got := run(returnMapPlane)
 		if wantN != yielding {
 			t.Fatalf("the Go row yields %d cells, the test built %d", wantN, yielding)
 		}
@@ -246,6 +302,40 @@ func TestYieldCheckIsExactAtTheYieldSurface(t *testing.T) {
 			if i, ok := cputest.SameBits(want[c], got[c]); !ok {
 				t.Fatalf("output %d differs at cell %d: %g, Go row %g", c, i, got[c][i], want[c][i])
 			}
+		}
+	})
+}
+
+// TestRowOperandsAreBoundsChecked: a plane whose operand is too short for
+// the cells its last column names — a stress, a full-rank parameter, a
+// profile parameter at column stride 0 — panics in Go's slice checks on
+// either path, before any assembly runs.
+func TestRowOperandsAreBoundsChecked(t *testing.T) {
+	cputest.ForEachKernelPath(t, func(t *testing.T) {
+		const n, cols, cs = 16, 3, 20
+		span := (cols-1)*cs + n
+		for _, tc := range []struct {
+			what   string
+			c, len int
+			stride int
+		}{
+			{"a short stress", 4, span - 1, cs},
+			{"a short parameter", 8, span - 1, cs},
+			{"a short profile row", 10, n - 1, 0},
+		} {
+			pl := &plane{n: n, cols: cols}
+			for c := range pl.op {
+				pl.op[c], pl.stride[c] = make([]float32, span), cs
+			}
+			pl.op[tc.c], pl.stride[tc.c] = make([]float32, tc.len), tc.stride
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("a plane with %s did not panic", tc.what)
+					}
+				}()
+				returnMapPlane(pl, 0)
+			}()
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"swquake/internal/cpu"
 	"swquake/internal/cpu/cputest"
 	"swquake/internal/decomp"
 	"swquake/internal/fd"
@@ -12,12 +13,13 @@ import (
 )
 
 // refApplyRegion is the flat-index return-map loop that ApplyRegion's
-// row-sliced form replaced, kept verbatim as the reference oracle.
+// plane-sliced form replaced, kept as the reference oracle — less the
+// per-cell yield-factor record it used to write, which nothing read.
 func refApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
 	xx, yy, zz := wf.XX.Data, wf.YY.Data, wf.ZZ.Data
 	xy, xz, yz := wf.XY.Data, wf.XZ.Data, wf.YZ.Data
 	cohes, sphi, cphi := p.Cohes.Data, p.SinPhi.Data, p.CosPhi.Data
-	pf, sig2, yld := p.FluidPres.Data, p.Sigma2.Data, p.YldFac.Data
+	pf, sig2 := p.FluidPres.Data, p.Sigma2.Data
 
 	// viscoplastic relaxation factor: r' = r + (1-r)*exp(-dt/Tv)
 	relax := float32(0)
@@ -47,14 +49,12 @@ func refApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int 
 					y = 0
 				}
 				if tau <= y || tau == 0 {
-					yld[q] = 1
 					continue
 				}
 				r := y / tau
 				if relax > 0 {
 					r = r + (1-r)*relax
 				}
-				yld[q] = r
 				yielded++
 
 				// return map: scale deviator, keep mean stress; store back as
@@ -84,9 +84,9 @@ func randomState(d grid.Dims, rng *rand.Rand) (*fd.Wavefield, *Params) {
 			f.Data[idx] = (rng.Float32()*2 - 1) * 3e6
 		}
 	}
-	// parameters that vary from cell to cell: full fields, the record included
+	// parameters that vary from cell to cell: full fields
 	p := &Params{D: d}
-	for _, f := range []**grid.Field{&p.Cohes, &p.SinPhi, &p.CosPhi, &p.FluidPres, &p.Sigma2, &p.YldFac} {
+	for _, f := range []**grid.Field{&p.Cohes, &p.SinPhi, &p.CosPhi, &p.FluidPres, &p.Sigma2} {
 		*f = grid.NewField(d, fd.Halo)
 	}
 	for idx := range p.Cohes.Data {
@@ -96,7 +96,6 @@ func randomState(d grid.Dims, rng *rand.Rand) (*fd.Wavefield, *Params) {
 		p.CosPhi.Data[idx] = float32(math.Cos(phi))
 		p.FluidPres.Data[idx] = rng.Float32() * 1e5
 		p.Sigma2.Data[idx] = -rng.Float32() * 5e6
-		p.YldFac.Data[idx] = rng.Float32() // stale factors the kernel must overwrite
 	}
 	return wf, p
 }
@@ -104,7 +103,7 @@ func randomState(d grid.Dims, rng *rand.Rand) (*fd.Wavefield, *Params) {
 func cloneParams(p *Params) *Params {
 	c := *p
 	c.Cohes, c.SinPhi, c.CosPhi = p.Cohes.Clone(), p.SinPhi.Clone(), p.CosPhi.Clone()
-	c.FluidPres, c.Sigma2, c.YldFac = p.FluidPres.Clone(), p.Sigma2.Clone(), p.YldFac.Clone()
+	c.FluidPres, c.Sigma2 = p.FluidPres.Clone(), p.Sigma2.Clone()
 	return &c
 }
 
@@ -117,11 +116,11 @@ func sameBits(t *testing.T, what string, a, b *grid.Field) {
 	}
 }
 
-// TestApplyRegionMatchesFlatIndexReference holds the row-sliced return map
-// to the flat-index loop it replaced — stresses, yield factors and yielded
-// count, bit for bit — over the region shapes the engine uses, with and
-// without viscoplastic relaxation, on both row paths and at depths whose
-// rows are a tail only (9), whole vectors (16) and vectors plus a tail (25).
+// TestApplyRegionMatchesFlatIndexReference holds the plane-sliced return
+// map to the flat-index loop it replaced — stresses and yielded count, bit
+// for bit — over the region shapes the engine uses, with and without
+// viscoplastic relaxation, on both row paths and at depths whose rows are a
+// tail only (9), whole vectors (16) and vectors plus a tail (25).
 func TestApplyRegionMatchesFlatIndexReference(t *testing.T) {
 	cputest.ForEachKernelPath(t, func(t *testing.T) {
 		for _, nz := range []int{9, 16, 25} {
@@ -157,7 +156,6 @@ func applyRegionMatchesFlatIndexReference(t *testing.T, d grid.Dims) {
 			for c, f := range wantWF.StressFields() {
 				sameBits(t, "stress field", f, gotWF.StressFields()[c])
 			}
-			sameBits(t, "yield factor", wantP.YldFac, gotP.YldFac)
 			yieldedSomewhere = yieldedSomewhere || want > 0
 			elasticSomewhere = elasticSomewhere || int64(want) < reg.Points()
 		}
@@ -181,9 +179,8 @@ func expanded(f *grid.Field) *grid.Field {
 }
 
 // TestRankedParamsMatchFullFields: parameters stored at their rank — four
-// constant rows, a lithostatic z-profile, no yield-factor array — give the
-// stresses and the yielded count of the same values held in six full
-// fields, over regions that start below the surface (a profile row is cut
+// constant rows, a lithostatic z-profile — give the stresses and the
+// yielded count of the same values held in five full fields, over regions that start below the surface (a profile row is cut
 // at K0, like every other operand) and on both row paths.
 func TestRankedParamsMatchFullFields(t *testing.T) {
 	cputest.ForEachKernelPath(t, func(t *testing.T) {
@@ -194,7 +191,7 @@ func TestRankedParamsMatchFullFields(t *testing.T) {
 		ranked.SetLithostatic(8, 2500) // up to ~5 MPa of confinement at the bottom
 		full := &Params{D: d, Cohes: expanded(ranked.Cohes), SinPhi: expanded(ranked.SinPhi),
 			CosPhi: expanded(ranked.CosPhi), FluidPres: expanded(ranked.FluidPres),
-			Sigma2: expanded(ranked.Sigma2), YldFac: grid.NewField(d, fd.Halo)}
+			Sigma2: expanded(ranked.Sigma2)}
 		box := grid.Box(d)
 		regs := append([]grid.Region{box, grid.FullXY(d, 8, 16), grid.FullXY(d, 19, d.Nz),
 			{I0: 1, I1: 3, J0: 2, J1: 4, K0: 5, K1: 26}}, box.Split(2, 2, 3)...)
@@ -215,6 +212,93 @@ func TestRankedParamsMatchFullFields(t *testing.T) {
 					sameBits(t, "stress field", f, gotWF.StressFields()[c])
 				}
 			}
+		}
+	})
+}
+
+// TestPlaneEntriesMatchGoRows holds the assembly yield check to the Go row,
+// bit for bit: ApplyRegion runs with cpu.AVX2 on and off over random
+// sub-regions — every depth from 1 cell to all 27 at a random K0, one
+// column or several, J0 != 0 — on stresses of a few MPa (some cells yield,
+// most do not) salted with -0, denormals, ±Inf and NaN, with the parameters
+// at full rank, as profiles (column stride 0) and one of each. Stresses
+// (two NaNs equal whatever their payloads) and yielded counts must agree,
+// and some regions must yield. Without the assembly (a race build) both
+// runs are the Go row: ApplyRegion's fallback, under the detector.
+func TestPlaneEntriesMatchGoRows(t *testing.T) {
+	paths := cputest.KernelPaths()
+	fast := paths[len(paths)-1]
+	defer func(was bool) { cpu.AVX2 = was }(cpu.AVX2)
+	d := grid.Dims{Nx: 6, Ny: 9, Nz: 27}
+	rng := rand.New(rand.NewSource(47))
+	_, full := randomState(d, rng)
+	ranked := NewParams(d)
+	ranked.SetUniform(8e5, 0.5, 2e4)
+	ranked.SetLithostatic(8, 2500)
+	mixed := &Params{D: d, Cohes: full.Cohes, SinPhi: ranked.SinPhi, CosPhi: full.CosPhi,
+		FluidPres: ranked.FluidPres, Sigma2: ranked.Sigma2}
+	span := func(n int) (int, int) {
+		a, b := rng.Intn(n), rng.Intn(n)
+		return min(a, b), max(a, b) + 1
+	}
+	yielded := 0
+	for _, params := range []struct {
+		name string
+		p    *Params
+	}{{"full", full}, {"profiles", ranked}, {"mixed", mixed}} {
+		name, p := params.name, params.p
+		for _, tv := range []float64{0, 0.02} {
+			p.Tv = tv
+			for n := 1; n <= d.Nz; n++ {
+				r := grid.Region{K0: rng.Intn(d.Nz - n + 1)}
+				r.K1 = r.K0 + n
+				r.I0, r.I1 = span(d.Nx)
+				if r.J0, r.J1 = span(d.Ny); n%4 == 0 {
+					r.J1 = r.J0 + 1
+				}
+				want, _ := randomState(d, rng)
+				for _, f := range want.StressFields() {
+					for idx := range f.Data {
+						if rng.Intn(16) == 0 {
+							f.Data[idx] = cputest.HardValue(rng)
+						}
+					}
+				}
+				got := want.Clone()
+				cpu.AVX2 = false
+				wantN := ApplyRegion(want, p, 0.005, r)
+				cpu.AVX2 = fast
+				gotN := ApplyRegion(got, p, 0.005, r)
+				if gotN != wantN {
+					t.Fatalf("%s Tv=%g %v: yielded %d, Go row %d", name, tv, r, gotN, wantN)
+				}
+				for c, f := range want.StressFields() {
+					if i, ok := cputest.SameBits(f.Data, got.StressFields()[c].Data); !ok {
+						t.Fatalf("%s Tv=%g %v: stress %d differs at flat index %d: %g, Go row %g",
+							name, tv, r, c, i, got.StressFields()[c].Data[i], f.Data[i])
+					}
+				}
+				yielded += wantN
+			}
+		}
+	}
+	if yielded == 0 {
+		t.Fatal("no region yields: the test exercises the elastic branch only")
+	}
+}
+
+// TestApplyRegionAllocatesNothing: the kernel keeps no yield factor, so a
+// call — one chain block of the engine's stress phase — allocates nothing,
+// on either path.
+func TestApplyRegionAllocatesNothing(t *testing.T) {
+	cputest.ForEachKernelPath(t, func(t *testing.T) {
+		d := grid.Dims{Nx: 4, Ny: 5, Nz: 20}
+		wf, _ := randomState(d, rand.New(rand.NewSource(53)))
+		p := NewParams(d)
+		p.SetUniform(1e6, 0.5, 0)
+		p.SetLithostatic(100, 2500)
+		if n := testing.AllocsPerRun(20, func() { ApplyRegion(wf, p, 0.005, grid.Box(d)) }); n != 0 {
+			t.Fatalf("ApplyRegion allocates %g times a call", n)
 		}
 	})
 }
