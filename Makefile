@@ -74,7 +74,9 @@ check-bce:
 # exactly the seven *PlaneAVX2 entries — velocity, stress diagonal, stress
 # shear, attenuation, the sponge's scale, the yield check, the max-abs scan —
 # and no Go file there declares a per-row entry or wrapper (*RowAVX2,
-# *RowVec)
+# *RowVec). And set-up passes over the medium once: non-test internal/core
+# reads no medium row, because the CFL bound comes from
+# fd.NewMediumFromModel's sampling pass
 KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
@@ -90,6 +92,7 @@ check-one:
 	@! grep -nE 'time\.(Now|After|AfterFunc|NewTicker|NewTimer|Since|Sleep)\(' internal/service/*.go \
 		| grep -v -e '_test\.go:' -e '^internal/service/clock\.go:'
 	@! grep -nE 'func [A-Za-z0-9_]*Row(AVX2|Vec)\(' internal/fd/*.go internal/plasticity/*.go internal/grid/*.go
+	@! grep -nE 'Med\.(Lam|Mu|Rho)\.Row\(' internal/core/*.go | grep -v '_test\.go:'
 	@entries=$$(grep -h '^TEXT ' internal/fd/*.s internal/plasticity/*.s internal/grid/*.s); \
 	n=$$(echo "$$entries" | grep -c 'PlaneAVX2(SB)'); all=$$(echo "$$entries" | grep -c .); \
 	if [ "$$n" -ne $(KERNEL_ENTRIES) ] || [ "$$all" -ne $(KERNEL_ENTRIES) ]; then \
@@ -148,6 +151,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoadMemberField -fuzztime 30s ./internal/ensemble/
 	$(GO) test -fuzz=FuzzJobSubmit -fuzztime 30s ./cmd/quaked/
 	$(GO) test -fuzz=FuzzCampaignSpec -fuzztime 30s ./cmd/quaked/
+	$(GO) test -fuzz=FuzzReadGridModel -fuzztime 30s ./internal/model/
 
 # the fault-tolerance suite under the race detector: failpoint-injected
 # checkpoint corruption/write errors, worker panics, journal recovery, and

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"swquake/internal/checkpoint"
@@ -213,8 +214,8 @@ func (c *Config) Validate() error {
 	if !c.Dims.Valid() {
 		return fmt.Errorf("core: invalid dims %v", c.Dims)
 	}
-	if c.Dx <= 0 {
-		return fmt.Errorf("core: non-positive dx")
+	if !(c.Dx > 0) || math.IsInf(c.Dx, 1) {
+		return fmt.Errorf("core: dx %g is not finite and positive", c.Dx)
 	}
 	if c.Steps <= 0 {
 		return fmt.Errorf("core: non-positive step count")

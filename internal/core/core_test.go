@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"swquake/internal/compress"
+	"swquake/internal/fd"
 	"swquake/internal/grid"
 	"swquake/internal/model"
 	"swquake/internal/seismo"
@@ -36,6 +38,8 @@ func TestConfigValidation(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.Dims.Nx = 0 },
 		func(c *Config) { c.Dx = 0 },
+		func(c *Config) { c.Dx = math.NaN() },
+		func(c *Config) { c.Dx = math.Inf(1) },
 		func(c *Config) { c.Steps = 0 },
 		func(c *Config) { c.Model = nil },
 		func(c *Config) { c.SpongeWidth = 12 },
@@ -92,6 +96,97 @@ func TestExplicitDtChecked(t *testing.T) {
 	}
 	if sim.Dt() != 1e-4 {
 		t.Fatal("explicit dt ignored")
+	}
+}
+
+// rowWiseDt is the time step the engine derived before the sampling pass
+// recorded its CFL bound: a row-wise scan of the block's interior.
+func rowWiseDt(med *fd.Medium, dx float64) float64 {
+	var m float64
+	for i := 0; i < med.D.Nx; i++ {
+		for j := 0; j < med.D.Ny; j++ {
+			lam, mu, rho := med.Lam.Row(i, j), med.Mu.Row(i, j), med.Rho.Row(i, j)
+			for k := range lam {
+				if v := (float64(lam[k]) + 2*float64(mu[k])) / float64(rho[k]); v > m {
+					m = v
+				}
+			}
+		}
+	}
+	return 0.9 * model.CFLTimeStep(dx, math.Sqrt(m))
+}
+
+// modelFunc is a model given by a function.
+type modelFunc func(x, y, z float64) model.Material
+
+func (f modelFunc) Sample(x, y, z float64) model.Material { return f(x, y, z) }
+
+// TestDerivedDtMatchesRowWiseScan: the time step derived from the sampling
+// pass's bound is the row-wise scan's bit for bit — serially, and over 2x2
+// ranks, whose blocks each bound their own interior and agree on the
+// minimum — for the scaled basin, the heterogeneous job's model, and a model
+// faster outside the domain, where the halo samples it and no interior does.
+func TestDerivedDtMatchesRowWiseScan(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Steps = 1
+	lx, ly, lz := float64(cfg.Dims.Nx)*cfg.Dx, float64(cfg.Dims.Ny)*cfg.Dx, float64(cfg.Dims.Nz)*cfg.Dx
+	basin := model.ScaledTangshan(lx, ly, lz)
+	for name, m := range map[string]model.Model{
+		"basin":         basin,
+		"heterogeneous": model.NewHeterogeneous(cfg.Model, 0.05, 8*cfg.Dx, lx, ly, lz, 3),
+		"faster outside": modelFunc(func(x, y, z float64) model.Material {
+			if x < 0 || y >= ly {
+				return model.Material{Vp: 9000, Vs: 5000, Rho: 2000}
+			}
+			return basin.Sample(x, y, z)
+		}),
+	} {
+		cfg.Model = m
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rowWiseDt(sim.Med, cfg.Dx)
+		if math.Float64bits(sim.Dt()) != math.Float64bits(want) {
+			t.Errorf("%s serial: dt %.17g, row-wise scan %.17g", name, sim.Dt(), want)
+		}
+		res, err := RunParallel(cfg, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.Dt) != math.Float64bits(want) {
+			t.Errorf("%s 2x2: dt %.17g, row-wise scan %.17g", name, res.Dt, want)
+		}
+	}
+}
+
+// TestNewRejectsNonFiniteMaterial: one interior cell of infinite P speed
+// fails set-up, naming the cell, instead of running at dt = 0 until the
+// wavefield diverges; and a medium too slow for a finite time step fails
+// instead of running at dt = +Inf. Serially and over 2x2 ranks.
+func TestNewRejectsNonFiniteMaterial(t *testing.T) {
+	cfg := baseConfig()
+	base := cfg.Model
+	for _, c := range []struct {
+		m    model.Model
+		want string
+	}{
+		{modelFunc(func(x, y, z float64) model.Material {
+			if x == 500 && y == 700 && z == 300 {
+				return model.Material{Vp: math.Inf(1), Vs: 2310, Rho: 2500}
+			}
+			return base.Sample(x, y, z)
+		}), "non-finite material at (5,7,3)"},
+		// valid, but its moduli round to 0 in float32
+		{model.Homogeneous{M: model.Material{Vp: 1e-200, Vs: 0, Rho: 2500}}, "CFL time step +Inf is not finite and positive"},
+	} {
+		cfg.Model = c.m
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("New: got %v, want %q", err, c.want)
+		}
+		if _, err := RunParallel(cfg, 2, 2); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("2x2 ranks: got %v, want %q", err, c.want)
+		}
 	}
 }
 

@@ -183,8 +183,12 @@ func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSou
 	if err := p.agree(s.setUp()); err != nil {
 		return nil, err
 	}
-	// the global CFL minimum, then everything derived from the time step
+	// the global CFL minimum, then everything derived from the time step;
+	// every block holds the same minimum, so all of them fail here or none
 	s.Cfg.Dt = -p.allMax(-s.Cfg.Dt)
+	if !(s.Cfg.Dt > 0) || math.IsInf(s.Cfg.Dt, 1) {
+		return nil, fmt.Errorf("core: CFL time step %g is not finite and positive", s.Cfg.Dt)
+	}
 	if cfg.Attenuation.Enabled {
 		s.buildAttenuation()
 	}
@@ -202,10 +206,13 @@ func (s *Simulator) setUp() error {
 		return err
 	}
 
+	// the sampling pass's maximum of (λ+2μ)/ρ; the root is monotone, so this
+	// is the fastest P velocity a root per cell would find, bit for bit
+	limit := 0.9 * model.CFLTimeStep(cfg.Dx, math.Sqrt(s.Med.MaxVpSquared()))
 	if cfg.Dt <= 0 {
-		cfg.Dt = s.autoDt()
-	} else if cfg.Dt > s.autoDt() {
-		return fmt.Errorf("core: dt %g exceeds CFL limit %g", cfg.Dt, s.autoDt())
+		cfg.Dt = limit
+	} else if cfg.Dt > limit {
+		return fmt.Errorf("core: dt %g exceeds CFL limit %g", cfg.Dt, limit)
 	}
 
 	if cfg.Nonlinear {
@@ -268,25 +275,6 @@ func (s *Simulator) buildAttenuation() {
 	} else {
 		s.atten = fd.NewAttenuation(s.Cfg.Dims, qm, s.Cfg.Attenuation.F0, s.Cfg.Dt)
 	}
-}
-
-// autoDt derives the CFL time step from the sampled medium: the row-wise
-// maximum of (λ+2μ)/ρ and one square root, which is monotone — the same
-// fastest P velocity as a root per cell, and the same dt bit for bit.
-func (s *Simulator) autoDt() float64 {
-	var m float64
-	d := s.Cfg.Dims
-	for i := 0; i < d.Nx; i++ {
-		for j := 0; j < d.Ny; j++ {
-			lam, mu, rho := s.Med.Lam.Row(i, j), s.Med.Mu.Row(i, j), s.Med.Rho.Row(i, j)
-			for k := range lam {
-				if v := (float64(lam[k]) + 2*float64(mu[k])) / float64(rho[k]); v > m {
-					m = v
-				}
-			}
-		}
-	}
-	return 0.9 * model.CFLTimeStep(s.Cfg.Dx, math.Sqrt(m))
 }
 
 // Dt returns the time step in use.

@@ -100,18 +100,6 @@ func (p *ProcessGrid) HaloBytesPerStep(rank, nfields, h int) int64 {
 	return 2 * pts * int64(nfields) * 4
 }
 
-// SquareFactor returns the most square (mx, my) factorization of n, the
-// heuristic used to lay out the paper's up-to-400x400 process grids.
-func SquareFactor(n int) (mx, my int) {
-	mx = 1
-	for f := 1; f*f <= n; f++ {
-		if n%f == 0 {
-			mx = f
-		}
-	}
-	return mx, n / mx
-}
-
 // CGTile is one core-group tile of a process block (level 2 of Fig. 4):
 // a y/z sub-range processed as a unit so the LDM working set stays bounded.
 type CGTile struct {

@@ -118,25 +118,6 @@ func TestHaloBytes(t *testing.T) {
 	}
 }
 
-func TestSquareFactor(t *testing.T) {
-	cases := map[int][2]int{
-		160000: {400, 400},
-		8000:   {80, 100},
-		64:     {8, 8},
-		13:     {1, 13},
-		1:      {1, 1},
-	}
-	for n, want := range cases {
-		mx, my := SquareFactor(n)
-		if mx != want[0] || my != want[1] {
-			t.Errorf("SquareFactor(%d) = %d,%d want %v", n, mx, my, want)
-		}
-		if mx*my != n {
-			t.Errorf("SquareFactor(%d) does not multiply back", n)
-		}
-	}
-}
-
 func TestSplitCGCovers(t *testing.T) {
 	block := grid.Dims{Nx: 10, Ny: 33, Nz: 70}
 	tiles, err := SplitCG(block, 16, 32)

@@ -42,12 +42,7 @@ func ExecutedMEM(w io.Writer, block grid.Dims) (*ExecutedMEMResult, error) {
 			f.Data[i] = rng.Float32()*2 - 1
 		}
 	}
-	med := fd.NewMedium(block)
-	mat := model.Material{Vp: 5000, Vs: 2887, Rho: 2700}
-	lam, mu := mat.Lame()
-	med.Rho.Fill(float32(mat.Rho))
-	med.Lam.Fill(float32(lam))
-	med.Mu.Fill(float32(mu))
+	med := fd.NewMediumFromModel(block, 100, model.Homogeneous{M: model.Material{Vp: 5000, Vs: 2887, Rho: 2700}}, 0, 0)
 
 	ex, err := cgexec.New(block)
 	if err != nil {

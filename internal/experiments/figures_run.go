@@ -131,11 +131,7 @@ func Fig10(w io.Writer, size Size) (*Fig10Result, error) {
 		steps = 500
 	}
 	mat := model.Material{Vp: 5000, Vs: 2887, Rho: 2700}
-	med := fd.NewMedium(d)
-	lam, mu := mat.Lame()
-	med.Rho.Fill(float32(mat.Rho))
-	med.Lam.Fill(float32(lam))
-	med.Mu.Fill(float32(mu))
+	med := fd.NewMediumFromModel(d, dx, model.Homogeneous{M: mat}, 0, 0)
 
 	cfg := rupture.TangshanConfig(d, dx)
 	dt := 0.8 * model.CFLTimeStep(dx, mat.Vp)

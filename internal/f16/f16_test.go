@@ -250,13 +250,6 @@ func TestNormalizedDegenerateRange(t *testing.T) {
 	}
 }
 
-func TestNormalizedFromSample(t *testing.T) {
-	c := NewNormalizedCodecFromSample([]float32{-3, 0, 7, float32(math.NaN())})
-	if c.vmin != -3 || c.vmax != 7 {
-		t.Fatalf("sampled range = [%v,%v]", c.vmin, c.vmax)
-	}
-}
-
 func TestNormalizedSliceMatchesScalar(t *testing.T) {
 	c := NewNormalizedCodec(-1, 2)
 	src := []float32{-1, -0.5, 0, 0.3, 1.999, 2, 5, -5}

@@ -30,27 +30,6 @@ func NewNormalizedCodec(vmin, vmax float32) *NormalizedCodec {
 	return c
 }
 
-// NewNormalizedCodecFromSample scans sample for its min/max and builds the
-// codec. This is the "collect statistics from coarse grid" step of Fig 5a.
-func NewNormalizedCodecFromSample(sample []float32) *NormalizedCodec {
-	lo, hi := float32(math.MaxFloat32), float32(-math.MaxFloat32)
-	for _, v := range sample {
-		if math.IsNaN(float64(v)) {
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if lo > hi {
-		lo, hi = 0, 0
-	}
-	return NewNormalizedCodec(lo, hi)
-}
-
 // Encode compresses v to 16 bits; out-of-range values are clamped.
 // The mantissa is rounded to nearest, not truncated: a truncating encoder
 // would bias every stored value low by half a quantization step, and the

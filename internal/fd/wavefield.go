@@ -111,12 +111,18 @@ func (w *Wavefield) MaxAbsVelocity() float32 {
 // and building it freezes Mu, so a later Mu.Set/Fill panics instead of
 // leaving the reciprocal stale. Fill a hand-built medium before its first
 // stress update; never copy a Medium by value.
+//
+// A medium sampled from a model (NewMediumFromModel) also keeps what its
+// sampling pass found over the interior: Validate's verdict and the CFL
+// bound MaxVpSquared.
 type Medium struct {
 	D            grid.Dims
 	Rho, Lam, Mu *grid.Field
 
 	recipOnce sync.Once
 	rmu       *grid.Field // 1/Mu, same shape as Mu; read through recipMu
+
+	sampled *audit // nil for a medium filled by hand
 }
 
 // NewMedium allocates an uninitialized medium.
@@ -134,18 +140,23 @@ func NewMedium(d grid.Dims) *Medium {
 // 4/(sum of reciprocals) then yields the +0 the harmonic mean must have.
 func (m *Medium) recipMu() *grid.Field {
 	m.recipOnce.Do(func() {
-		if m.rmu == nil { // Sub hands its result the parent's values
+		if m.rmu == nil { // the sampling pass and Sub fill it themselves
 			m.rmu = grid.NewField(m.Mu.Dims, m.Mu.H)
 			for i, v := range m.Mu.Data {
-				m.rmu.Data[i] = 1 / v
-				if v == 0 {
-					m.rmu.Data[i] = float32(math.Inf(1)) // also for -0, whose reciprocal is -Inf
-				}
+				m.rmu.Data[i] = recip(v)
 			}
 		}
 		m.Mu.Freeze()
 	})
 	return m.rmu
+}
+
+// recip is the reciprocal shear modulus the stress kernel reads.
+func recip(mu float32) float32 {
+	if mu == 0 {
+		return float32(math.Inf(1)) // also for -0, whose reciprocal is -Inf
+	}
+	return 1 / mu
 }
 
 // Sub returns the medium of the sub-block of d points at offset (i0,j0,k0),
@@ -173,12 +184,18 @@ func (m *Medium) Sub(i0, j0, k0 int, d grid.Dims) *Medium {
 // maps to physical position (i*dx, j*dx, k*dx) offset by (ox, oy, 0), with k
 // increasing downward from the free surface. The halo layers are filled by
 // clamped sampling so one-sided stencil reads see sensible material.
+//
+// It is the only pass over the medium at set-up: each column is sampled,
+// converted to ρ, λ, μ and 1/μ, and — when interior — audited, while it is
+// in cache.
 func NewMediumFromModel(d grid.Dims, dx float64, m model.Model, ox, oy float64) *Medium {
 	med := NewMedium(d)
+	med.rmu = grid.NewField(d, Halo)
+	med.sampled = &audit{}
 	h := Halo
 	// the depth axis clamps to keep z >= 0 for the free surface, so every
 	// column is sampled at the same depths: whole columns at a time
-	// (model.SampleColumn), which spares a basin its floor per point
+	// (model.SampleColumn), which spares a model its per-(x, y) work per point
 	zs := make([]float64, d.Nz+2*h)
 	for k := range zs {
 		zs[k] = float64(min(max(k-h, 0), d.Nz-1)) * dx
@@ -191,30 +208,81 @@ func NewMediumFromModel(d grid.Dims, dx float64, m model.Model, ox, oy float64) 
 			// serial run holds at the same global indices
 			model.SampleColumn(m, ox+float64(i)*dx, oy+float64(j)*dx, zs, col)
 			p := med.Rho.Idx(i, j, -h)
-			rho, lam, mu := med.Rho.Data[p:p+len(col)], med.Lam.Data[p:p+len(col)], med.Mu.Data[p:p+len(col)]
+			n := len(col)
+			rho, lam, mu, rmu := med.Rho.Data[p:p+n], med.Lam.Data[p:p+n], med.Mu.Data[p:p+n], med.rmu.Data[p:p+n]
 			for k, mat := range col {
 				l, u := mat.Lame()
 				rho[k], lam[k], mu[k] = float32(mat.Rho), float32(l), float32(u)
+				rmu[k] = recip(mu[k])
+			}
+			if i >= 0 && i < d.Nx && j >= 0 && j < d.Ny {
+				med.sampled.column(i, j, rho[h:h+d.Nz], lam[h:h+d.Nz], mu[h:h+d.Nz])
 			}
 		}
 	}
-	med.recipMu()
+	med.recipMu() // freezes Mu: 1/Mu is built
 	return med
 }
 
-// Validate checks the medium for positive density and non-negative moduli.
-func (m *Medium) Validate() error {
+// Validate reports the first interior cell, in (i, j, k) order, whose
+// density is not positive, whose moduli are negative, or whose ρ, λ or μ is
+// not finite. For a sampled medium it is the sampling pass's verdict.
+func (m *Medium) Validate() error { return m.audited().err }
+
+// MaxVpSquared is the interior maximum of (λ+2μ)/ρ in float64, the square
+// of the fastest P speed, which bounds the CFL time step.
+func (m *Medium) MaxVpSquared() float64 { return m.audited().maxVp2 }
+
+// audited is what the sampling pass recorded, or for a medium filled by hand
+// the same check over its interior now.
+func (m *Medium) audited() audit {
+	if m.sampled != nil {
+		return *m.sampled
+	}
+	var a audit
 	for i := 0; i < m.D.Nx; i++ {
 		for j := 0; j < m.D.Ny; j++ {
-			for k := 0; k < m.D.Nz; k++ {
-				if m.Rho.At(i, j, k) <= 0 {
-					return fmt.Errorf("fd: non-positive density at (%d,%d,%d)", i, j, k)
-				}
-				if m.Mu.At(i, j, k) < 0 || m.Lam.At(i, j, k) < 0 {
-					return fmt.Errorf("fd: negative modulus at (%d,%d,%d)", i, j, k)
-				}
-			}
+			a.column(i, j, m.Rho.Row(i, j), m.Lam.Row(i, j), m.Mu.Row(i, j))
 		}
 	}
-	return nil
+	return a
+}
+
+// audit accumulates the set-up checks over interior columns visited in
+// (i, j) order.
+type audit struct {
+	err    error   // the first offending cell
+	maxVp2 float64 // max of (λ+2μ)/ρ over the cells audited
+}
+
+// column checks the interior z-row of column (i, j).
+func (a *audit) column(i, j int, rho, lam, mu []float32) {
+	if a.err != nil {
+		return
+	}
+	mu, lam = mu[:len(rho)], lam[:len(rho)]
+	r0 := math.Float32bits(float32(math.NaN())) // the bits of no cell
+	var l0, u0 uint32
+	for k, r := range rho {
+		l, u := lam[k], mu[k]
+		// a cell equal to the one above passed, and its quotient was compared
+		if math.Float32bits(r) == r0 && math.Float32bits(l) == l0 && math.Float32bits(u) == u0 {
+			continue
+		}
+		r0, l0, u0 = math.Float32bits(r), math.Float32bits(l), math.Float32bits(u)
+		if !(r > 0 && l >= 0 && u >= 0 && r <= math.MaxFloat32 && l <= math.MaxFloat32 && u <= math.MaxFloat32) {
+			switch {
+			case r <= 0:
+				a.err = fmt.Errorf("fd: non-positive density at (%d,%d,%d)", i, j, k)
+			case u < 0 || l < 0:
+				a.err = fmt.Errorf("fd: negative modulus at (%d,%d,%d)", i, j, k)
+			default:
+				a.err = fmt.Errorf("fd: non-finite material at (%d,%d,%d): rho %g, lambda %g, mu %g", i, j, k, r, l, u)
+			}
+			return
+		}
+		if v := (float64(l) + 2*float64(u)) / float64(r); v > a.maxVp2 {
+			a.maxVp2 = v
+		}
+	}
 }

@@ -236,7 +236,6 @@ func TestProfileIsOneRowForEveryColumn(t *testing.T) {
 		"CopyFrom into a full field":    func() { full.CopyFrom(p) },
 		"PackHalo":                      func() { p.PackHalo(FaceXPlus, make([]float32, p.HaloLen(FaceXPlus))) },
 		"UnpackHalo":                    func() { p.UnpackHalo(FaceYMinus, make([]float32, p.HaloLen(FaceYMinus))) },
-		"CopyHaloFromNeighbor":          func() { full.CopyHaloFromNeighbor(FaceXPlus, p) },
 		"ExtractSubfield":               func() { p.ExtractSubfield(0, 0, 0, Dims{2, 2, 2}, 2) },
 		"InsertSubfield into a profile": func() { p.InsertSubfield(0, 0, 0, NewField(Dims{2, 2, 2}, 2)) },
 	} {
@@ -335,28 +334,6 @@ func TestHaloLenMatchesBuffer(t *testing.T) {
 	wantY := 2 * (4 + 4) * (6 + 4)
 	if f.HaloLen(FaceYPlus) != wantY {
 		t.Fatalf("HaloLen y = %d want %d", f.HaloLen(FaceYPlus), wantY)
-	}
-}
-
-func TestCopyHaloFromNeighbor(t *testing.T) {
-	left := NewField(Dims{4, 4, 4}, 2)
-	right := NewField(Dims{4, 4, 4}, 2)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			for k := 0; k < 4; k++ {
-				left.Set(i, j, k, float32(100+i))
-				right.Set(i, j, k, float32(200+i))
-			}
-		}
-	}
-	// right neighbour sits on the x+ side of left
-	left.CopyHaloFromNeighbor(FaceXPlus, right)
-	if left.At(4, 1, 1) != 200 || left.At(5, 1, 1) != 201 {
-		t.Fatalf("ghost from right neighbour wrong: %v %v", left.At(4, 1, 1), left.At(5, 1, 1))
-	}
-	right.CopyHaloFromNeighbor(FaceXMinus, left)
-	if right.At(-1, 1, 1) != 103 || right.At(-2, 1, 1) != 102 {
-		t.Fatalf("ghost from left neighbour wrong: %v %v", right.At(-1, 1, 1), right.At(-2, 1, 1))
 	}
 }
 

@@ -142,16 +142,6 @@ func (f *Field) unpackYLayers(j0 int, buf []float32) int {
 	return n
 }
 
-// CopyHaloFromNeighbor performs a direct in-process halo exchange between f
-// and its neighbour g across the given face of f (g lies on the `face` side).
-// It is the shared-memory analogue of a Pack/Send/Recv/Unpack round and is
-// used by the serial multi-block reference path and in tests.
-func (f *Field) CopyHaloFromNeighbor(face Face, g *Field) {
-	buf := make([]float32, g.HaloLen(face.Opposite()))
-	g.PackHalo(face.Opposite(), buf)
-	f.UnpackHalo(face, buf)
-}
-
 // ExtractSubfield copies the interior region [i0,i0+d.Nx) x [j0,j0+d.Ny) x
 // [k0,k0+d.Nz) of f into a new field with halo h, filling that field's halo
 // from f where available (so stencils at block edges see true data).

@@ -40,20 +40,60 @@ func (g *GridModel) idx(i, j, k int) int { return (i*g.NY+j)*g.NZ + k }
 // Sample trilinearly interpolates the gridded model at (x, y, z), clamping
 // coordinates to the model extent.
 func (g *GridModel) Sample(x, y, z float64) Material {
-	fx, i0, i1 := locate(x, g.DX, g.NX)
-	fy, j0, j1 := locate(y, g.DY, g.NY)
-	fz, k0, k1 := locate(z, g.DZ, g.NZ)
+	c := g.column(x, y)
+	return c.at(z)
+}
 
-	interp := func(a []float64) float64 {
-		c00 := a[g.idx(i0, j0, k0)]*(1-fx) + a[g.idx(i1, j0, k0)]*fx
-		c10 := a[g.idx(i0, j1, k0)]*(1-fx) + a[g.idx(i1, j1, k0)]*fx
-		c01 := a[g.idx(i0, j0, k1)]*(1-fx) + a[g.idx(i1, j0, k1)]*fx
-		c11 := a[g.idx(i0, j1, k1)]*(1-fx) + a[g.idx(i1, j1, k1)]*fx
-		c0 := c00*(1-fy) + c10*fy
-		c1 := c01*(1-fy) + c11*fy
-		return c0*(1-fz) + c1*fz
+// SampleColumn forms the bilinear (x, y) value of a lattice level once for
+// all the depths between the same two levels.
+func (g *GridModel) SampleColumn(x, y float64, zs []float64, out []Material) {
+	c := g.column(x, y)
+	for k, z := range zs {
+		out[k] = c.at(z)
 	}
-	return Material{Vp: interp(g.Vp), Vs: interp(g.Vs), Rho: interp(g.Rho)}
+}
+
+// gridColumn is a GridModel's column at one (x, y): its bilinear weights and
+// corners, and the pair of lattice levels the last depth fell between.
+type gridColumn struct {
+	g              *GridModel
+	fx, fy         float64
+	i0, i1, j0, j1 int
+	k0, k1         int // the levels lo and hi hold
+	lo, hi         Material
+}
+
+// column is g's column at (x, y), with no level formed yet.
+func (g *GridModel) column(x, y float64) gridColumn {
+	c := gridColumn{g: g, k0: -1}
+	c.fx, c.i0, c.i1 = locate(x, g.DX, g.NX)
+	c.fy, c.j0, c.j1 = locate(y, g.DY, g.NY)
+	return c
+}
+
+// at interpolates at depth z, forming the two levels only when z leaves the
+// previous depth's pair.
+func (c *gridColumn) at(z float64) Material {
+	fz, k0, k1 := locate(z, c.g.DZ, c.g.NZ)
+	if k0 != c.k0 || k1 != c.k1 {
+		c.k0, c.k1, c.lo, c.hi = k0, k1, c.level(k0), c.level(k1)
+	}
+	return Material{
+		Vp:  c.lo.Vp*(1-fz) + c.hi.Vp*fz,
+		Vs:  c.lo.Vs*(1-fz) + c.hi.Vs*fz,
+		Rho: c.lo.Rho*(1-fz) + c.hi.Rho*fz,
+	}
+}
+
+// level is the bilinear (x, y) value of lattice level k.
+func (c *gridColumn) level(k int) Material {
+	g := c.g
+	bilinear := func(a []float64) float64 {
+		c0 := a[g.idx(c.i0, c.j0, k)]*(1-c.fx) + a[g.idx(c.i1, c.j0, k)]*c.fx
+		c1 := a[g.idx(c.i0, c.j1, k)]*(1-c.fx) + a[g.idx(c.i1, c.j1, k)]*c.fx
+		return c0*(1-c.fy) + c1*c.fy
+	}
+	return Material{Vp: bilinear(g.Vp), Vs: bilinear(g.Vs), Rho: bilinear(g.Rho)}
 }
 
 // locate maps coordinate v to bracketing sample indices and a weight.

@@ -70,21 +70,24 @@ func (h *Heterogeneous) buildNoise() {
 
 // Sample perturbs the base material.
 func (h *Heterogeneous) Sample(x, y, z float64) Material {
-	return h.perturb(h.Base.Sample(x, y, z), x, y, z)
+	h.once.Do(h.buildNoise)
+	return perturb(h.Base.Sample(x, y, z), h.noise.Sample(x, y, z))
 }
 
-// SampleColumn samples the base by column and perturbs each depth.
+// SampleColumn samples the base by column and perturbs it through the noise
+// lattice's column.
 func (h *Heterogeneous) SampleColumn(x, y float64, zs []float64, out []Material) {
 	SampleColumn(h.Base, x, y, zs, out)
+	h.once.Do(h.buildNoise)
+	c := h.noise.column(x, y)
 	for k, z := range zs {
-		out[k] = h.perturb(out[k], x, y, z)
+		out[k] = perturb(out[k], c.at(z))
 	}
 }
 
-// perturb applies the perturbation field at (x, y, z) to the base material m.
-func (h *Heterogeneous) perturb(m Material, x, y, z float64) Material {
-	h.once.Do(h.buildNoise)
-	p := h.noise.Sample(x, y, z) // interpolated perturbation triple
+// perturb applies the interpolated perturbation triple p to the base
+// material m.
+func perturb(m, p Material) Material {
 	out := Material{
 		Vp:  m.Vp * (1 + p.Vp),
 		Vs:  m.Vs * (1 + p.Vs),

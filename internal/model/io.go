@@ -73,13 +73,15 @@ func ReadGridModel(r io.Reader) (*GridModel, error) {
 		DY: math.Float64frombits(binary.LittleEndian.Uint64(hdr[28:])),
 		DZ: math.Float64frombits(binary.LittleEndian.Uint64(hdr[36:])),
 	}
-	if g.NX <= 0 || g.NY <= 0 || g.NZ <= 0 || g.DX <= 0 || g.DY <= 0 || g.DZ <= 0 {
+	validSpacing := func(d float64) bool { return d > 0 && !math.IsInf(d, 1) }
+	if g.NX <= 0 || g.NY <= 0 || g.NZ <= 0 || !validSpacing(g.DX) || !validSpacing(g.DY) || !validSpacing(g.DZ) {
 		return nil, fmt.Errorf("model: invalid header %+v", g)
 	}
-	n := g.NX * g.NY * g.NZ
-	if n > 1<<28 {
-		return nil, fmt.Errorf("model: implausible size %d samples", n)
+	// in float64, because the product of three counts can overflow an int
+	if float64(g.NX)*float64(g.NY)*float64(g.NZ) > 1<<28 {
+		return nil, fmt.Errorf("model: implausible size %dx%dx%d samples", g.NX, g.NY, g.NZ)
 	}
+	n := g.NX * g.NY * g.NZ
 	read := func() ([]float64, error) {
 		buf := make([]byte, 4*n)
 		if _, err := io.ReadFull(br, buf); err != nil {

@@ -26,9 +26,12 @@ func (m Material) Lame() (lam, mu float64) {
 	return lam, mu
 }
 
-// Valid reports whether the material is physically plausible.
+// Valid reports whether the material is physically plausible: finite, with
+// positive density and P speed and a non-negative S speed.
 func (m Material) Valid() bool {
-	if m.Rho <= 0 || m.Vp <= 0 || m.Vs < 0 {
+	// NaN fails the comparisons; the sum of the three, none negative, is
+	// +Inf when any of them is
+	if !(m.Rho > 0 && m.Vp > 0 && m.Vs >= 0) || math.IsInf(m.Rho+m.Vp+m.Vs, 1) {
 		return false
 	}
 	// lambda >= 0 requires Vp >= sqrt(2) Vs
@@ -104,6 +107,25 @@ func (l *Layered) Sample(_, _, z float64) Material {
 	return m
 }
 
+// SampleColumn walks the layers once down a column. Sample's answer is the
+// layer before the first one whose top lies deeper than z, and that first
+// layer never moves up as z grows, so the walk resumes where the previous
+// depth stopped and starts over only when a depth is above the previous one
+// (or is NaN).
+func (l *Layered) SampleColumn(_, _ float64, zs []float64, out []Material) {
+	n, prev, m := 0, math.Inf(-1), l.Layers[0].M
+	for k, z := range zs {
+		if !(z >= prev) {
+			n, m = 0, l.Layers[0].M
+		}
+		for n < len(l.Layers) && z >= l.Layers[n].Top {
+			m = l.Layers[n].M
+			n++
+		}
+		out[k], prev = m, z
+	}
+}
+
 // Basin is a low-velocity sediment basin carved into a background model.
 // The basin floor depth varies horizontally as a sum of Gaussian bowls,
 // mimicking the Bohai-bay sediment map of paper Fig. 10a (max depth 800 m).
@@ -140,28 +162,32 @@ func (b *Basin) Depth(x, y float64) float64 {
 
 // Sample returns sediment inside the basin and the background elsewhere.
 func (b *Basin) Sample(x, y, z float64) Material {
-	return b.sampleAbove(b.Depth(x, y), x, y, z)
+	floor, bg := b.Depth(x, y), b.Background.Sample(x, y, z)
+	if z >= floor || floor <= 0 {
+		return bg
+	}
+	return b.fill(floor, z, bg)
 }
 
 // SampleColumn computes the basin floor — one exponential per bowl — once
-// for the column instead of once per depth.
+// for the column, samples the background as a column, and overwrites the
+// depths above the floor.
 func (b *Basin) SampleColumn(x, y float64, zs []float64, out []Material) {
 	floor := b.Depth(x, y)
+	SampleColumn(b.Background, x, y, zs, out)
 	for k, z := range zs {
-		out[k] = b.sampleAbove(floor, x, y, z)
+		if !(z >= floor || floor <= 0) {
+			out[k] = b.fill(floor, z, out[k])
+		}
 	}
 }
 
-// sampleAbove is Sample given the basin floor depth at (x, y).
-func (b *Basin) sampleAbove(floor, x, y, z float64) Material {
-	if z >= floor || floor <= 0 {
-		return b.Background.Sample(x, y, z)
-	}
+// fill is the material at depth z above a basin floor, over background bg.
+func (b *Basin) fill(floor, z float64, bg Material) Material {
 	if b.GradeDepth > 0 {
 		t := z / floor // 0 at surface, 1 at basin floor
 		if start := 1 - b.GradeDepth; t > start {
 			f := (t - start) / b.GradeDepth
-			bg := b.Background.Sample(x, y, z)
 			return Material{
 				Vp:  b.Sediment.Vp + f*(bg.Vp-b.Sediment.Vp),
 				Vs:  b.Sediment.Vs + f*(bg.Vs-b.Sediment.Vs),

@@ -1,7 +1,10 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +36,15 @@ func TestMaterialValid(t *testing.T) {
 	// fluid (Vs=0) is allowed
 	if !(Material{Vp: 1500, Vs: 0, Rho: 1000}).Valid() {
 		t.Fatal("fluid rejected")
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, m := range []Material{
+		{Vp: inf, Vs: 3000, Rho: 2700}, {Vp: 6000, Vs: 3000, Rho: inf}, {Vp: 1e200, Vs: inf, Rho: 2700},
+		{Vp: 6000, Vs: 3000, Rho: nan}, {Vp: nan, Vs: 3000, Rho: 2700}, {Vp: 6000, Vs: nan, Rho: 2700},
+	} {
+		if m.Valid() {
+			t.Errorf("non-finite material %v accepted", m)
+		}
 	}
 }
 
@@ -119,15 +131,16 @@ func TestBasinGrading(t *testing.T) {
 }
 
 func TestGridModelInterpolation(t *testing.T) {
-	// a linear-in-z model must be reproduced exactly by trilinear interp
+	// a model linear in x, y and z must be reproduced by trilinear interp,
+	// each axis with its own weight
 	lin := modelFunc(func(x, y, z float64) Material {
-		return Material{Vp: 4000 + z, Vs: 2000 + z/2, Rho: 2500}
+		return Material{Vp: 4000 + z + x/100, Vs: 2000 + z/2 + y/25, Rho: 2500 + x/50 - y/80}
 	})
 	g := NewGridModel(lin, 4, 4, 11, 1000, 1000, 100)
-	for _, z := range []float64{0, 50, 123, 999} {
-		got := g.Sample(500, 500, z)
-		if math.Abs(got.Vp-(4000+z)) > 1e-9 {
-			t.Fatalf("z=%g: Vp=%g want %g", z, got.Vp, 4000+z)
+	for _, p := range [][3]float64{{500, 500, 0}, {1234, 2345, 50}, {2900, 120, 123}, {10, 2990, 999}} {
+		got, want := g.Sample(p[0], p[1], p[2]), lin(p[0], p[1], p[2])
+		if math.Abs(got.Vp-want.Vp) > 1e-9 || math.Abs(got.Vs-want.Vs) > 1e-9 || math.Abs(got.Rho-want.Rho) > 1e-9 {
+			t.Fatalf("at %v: %v, want %v", p, got, want)
 		}
 	}
 	// clamping beyond extent
@@ -224,10 +237,10 @@ func TestQuickLayeredMonotoneDepthLookup(t *testing.T) {
 }
 
 // TestSampleColumnMatchesPointSampling: SampleColumn returns, depth for
-// depth and bit for bit, what Sample returns — through a model's own column
-// path (Basin, Heterogeneous over a Basin) and through the point-by-point
-// fallback (Layered, GridModel) — at columns inside, on the rim of and
-// outside the basin, repeated depths included.
+// depth and bit for bit, what Sample returns — through each model's own
+// column path (Layered, Basin, GridModel, Heterogeneous over a Basin) — at
+// columns inside, on the rim of and outside the basin, repeated depths
+// included.
 func TestSampleColumnMatchesPointSampling(t *testing.T) {
 	const lx, ly, lz = 16e3, 15e3, 10e3
 	basin := ScaledTangshan(lx, ly, lz)
@@ -239,18 +252,12 @@ func TestSampleColumnMatchesPointSampling(t *testing.T) {
 	}
 	zs := []float64{0, 0, 0, 10, 55, 120, 160, 199, 200, 260, 1e3, 3e3, 9.9e3, 9.9e3}
 	for name, m := range models {
-		if _, ok := m.(ColumnSampler); ok != (name == "basin" || name == "heterogeneous") {
-			t.Fatalf("%s: has a column path: %v", name, ok)
+		if _, ok := m.(ColumnSampler); !ok {
+			t.Fatalf("%s has no column path", name)
 		}
 		for _, x := range []float64{-500, 0, 0.35 * lx, 0.55 * lx, lx + 500} {
 			for _, y := range []float64{-500, 0.25 * ly, 0.45 * ly, ly} {
-				out := make([]Material, len(zs))
-				SampleColumn(m, x, y, zs, out)
-				for k, z := range zs {
-					if want := m.Sample(x, y, z); out[k] != want {
-						t.Fatalf("%s at (%g,%g,%g): column %v, point %v", name, x, y, z, out[k], want)
-					}
-				}
+				checkColumn(t, name, m, x, y, zs)
 			}
 		}
 	}
@@ -260,4 +267,109 @@ func TestSampleColumnMatchesPointSampling(t *testing.T) {
 	if out[0] != basin.Sediment || out[len(out)-1] == basin.Sediment {
 		t.Fatalf("the basin-centre column does not cross the basin floor: %v ... %v", out[0], out[len(out)-1])
 	}
+}
+
+// TestColumnPathsMatchPointSamplingOnRandomModels: on seeded random models
+// the column paths hold Sample's bits — layer tops, basin floors and lattice
+// levels exactly at sample depths, floors graded and not, layered models
+// built by hand with their tops in any order, a lattice sampled from each
+// model, and the heterogeneous perturbation over each of them and over a
+// Homogeneous base (the quickstart job's composition) — for depths repeated,
+// descending, negative and past the model's extent.
+func TestColumnPathsMatchPointSamplingOnRandomModels(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	mat := func() Material {
+		vs := 100 + 4000*rng.Float64()
+		return Material{Vp: vs * (1.5 + rng.Float64()), Vs: vs, Rho: 1500 + 2000*rng.Float64()}
+	}
+	const lx, ly, lz = 8e3, 6e3, 4e3
+	for trial := 0; trial < 60; trial++ {
+		// depths every column is sampled at, besides its own basin floor
+		depths := []float64{0, -50, -1e-9, lz, 2 * lz, 1e12}
+		for range 6 {
+			depths = append(depths, lz*rng.Float64())
+		}
+
+		layers := make([]Layer, 1+rng.Intn(5))
+		top := 200 * (rng.Float64() - 0.5)
+		for i := range layers {
+			layers[i] = Layer{Top: top, M: mat()}
+			depths = append(depths, top)
+			top += lz / 2 * rng.Float64()
+		}
+		layered, err := NewLayered(layers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var byHand Layered
+		for _, i := range rng.Perm(len(layers)) {
+			byHand.Layers = append(byHand.Layers, layers[i])
+		}
+
+		basin := &Basin{Background: layered, Sediment: mat()}
+		if trial%2 == 1 {
+			basin.Background = Homogeneous{mat()}
+		}
+		if trial%3 != 0 {
+			basin.GradeDepth = rng.Float64()
+		}
+		for range 1 + rng.Intn(3) {
+			basin.Bowls = append(basin.Bowls, Bowl{CX: lx * rng.Float64(), CY: ly * rng.Float64(),
+				RadiusX: lx * (0.05 + rng.Float64()/2), RadiusY: ly * (0.05 + rng.Float64()/2),
+				MaxDepth: lz / 3 * rng.Float64()})
+		}
+
+		nx, ny, nz := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(8)
+		dz := lz / float64(max(nz-1, 1))
+		lattice := NewGridModel(basin, nx, ny, nz, lx/float64(max(nx-1, 1)), ly/float64(max(ny-1, 1)), dz)
+		for k := range nz + 1 {
+			depths = append(depths, float64(k)*dz)
+		}
+
+		models := map[string]Model{"layered": layered, "layered by hand": &byHand, "basin": basin, "grid": lattice}
+		corrLen := lz / float64(1+rng.Intn(4))
+		for name, base := range map[string]Model{"homogeneous": Homogeneous{mat()}, "layered": layered, "basin": basin, "grid": lattice} {
+			models["heterogeneous over "+name] = NewHeterogeneous(base, 0.05, corrLen, lx, ly, lz, int64(trial))
+		}
+		for k := range int(lz/corrLen) + 3 {
+			depths = append(depths, float64(k)*corrLen)
+		}
+
+		columns := [][2]float64{{-lx / 3, ly / 2}, {1.5 * lx, -ly}, {basin.Bowls[0].CX, basin.Bowls[0].CY},
+			{lx * rng.Float64(), ly * rng.Float64()}, {lx * rng.Float64(), ly * rng.Float64()}}
+		for _, c := range columns {
+			x, y := c[0], c[1]
+			floor := basin.Depth(x, y)
+			set := append(slices.Clone(depths), floor, math.Nextafter(floor, 0), math.Nextafter(floor, math.Inf(1)))
+			asc := slices.Clone(set)
+			slices.Sort(asc)
+			desc := slices.Clone(asc)
+			slices.Reverse(desc)
+			zs := slices.Concat(asc, desc, set, []float64{floor, floor, 0, 0})
+			rng.Shuffle(len(set), func(a, b int) { set[a], set[b] = set[b], set[a] })
+			zs = append(zs, set...)
+			for name, m := range models {
+				checkColumn(t, fmt.Sprintf("trial %d: %s", trial, name), m, x, y, zs)
+			}
+		}
+	}
+}
+
+// checkColumn fails t unless m's column at (x, y) holds, bit for bit, what
+// Sample returns at each of zs.
+func checkColumn(t *testing.T, name string, m Model, x, y float64, zs []float64) {
+	t.Helper()
+	out := make([]Material, len(zs))
+	SampleColumn(m, x, y, zs, out)
+	for k, z := range zs {
+		if want := m.Sample(x, y, z); !sameBits(out[k], want) {
+			t.Fatalf("%s at (%g,%g,%g), depth %d of the column: column %v, point %v", name, x, y, z, k, out[k], want)
+		}
+	}
+}
+
+func sameBits(a, b Material) bool {
+	return math.Float64bits(a.Vp) == math.Float64bits(b.Vp) &&
+		math.Float64bits(a.Vs) == math.Float64bits(b.Vs) &&
+		math.Float64bits(a.Rho) == math.Float64bits(b.Rho)
 }

@@ -259,8 +259,7 @@ func (r *Result) SeismicMoment(med *fd.Medium) float64 {
 // injects the sources into a coarser regional ground-motion mesh. Fault
 // cells are mapped by physical position, with the fault plane centred on
 // the target's y mid-plane and aligned to the scaled strike extent; cells
-// mapping outside the target grid are dropped (moment-conservation is then
-// reported by the caller via source.Set.TotalMoment).
+// mapping outside the target grid are dropped, and their moment with them.
 func (r *Result) SourcesOnGrid(med *fd.Medium, decimate int, targetDims grid.Dims, targetDx float64) []source.PointSource {
 	srcs := r.Sources(med, decimate)
 	// scale strike positions into the target's fault span and depth

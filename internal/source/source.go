@@ -174,20 +174,6 @@ func (s *Set) InjectRegion(wf *fd.Wavefield, t, dt, dx float64, r grid.Region) {
 	}
 }
 
-// TotalMoment integrates the scalar moment rate of all sources over
-// [0, tmax] with step dt (for Mw reporting).
-func (s *Set) TotalMoment(tmax, dt float64) float64 {
-	var m0 float64
-	for _, src := range s.Sources {
-		norm := math.Sqrt(0.5 * (src.M.Mxx*src.M.Mxx + src.M.Myy*src.M.Myy + src.M.Mzz*src.M.Mzz +
-			2*(src.M.Mxy*src.M.Mxy+src.M.Mxz*src.M.Mxz+src.M.Myz*src.M.Myz)))
-		for t := 0.0; t <= tmax; t += dt {
-			m0 += math.Abs(src.S.MomentRate(t)) * dt * norm
-		}
-	}
-	return m0
-}
-
 // MomentMagnitude converts a scalar moment (N·m) to Mw.
 func MomentMagnitude(m0 float64) float64 {
 	if m0 <= 0 {

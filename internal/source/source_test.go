@@ -141,17 +141,6 @@ func TestMomentMagnitude(t *testing.T) {
 	}
 }
 
-func TestTotalMomentExplosion(t *testing.T) {
-	s := Set{Sources: []PointSource{
-		{I: 0, J: 0, K: 0, M: Explosion(), S: GaussianPulse{Tau: 0.05, T0: 0, M0: 1e15}},
-	}}
-	m0 := s.TotalMoment(1, 1e-3)
-	norm := math.Sqrt(1.5) // sqrt(0.5*3) for the isotropic tensor
-	if math.Abs(m0-1e15*norm)/(1e15*norm) > 0.02 {
-		t.Fatalf("total moment %g, want %g", m0, 1e15*norm)
-	}
-}
-
 func TestPartitionBasic(t *testing.T) {
 	srcs := []PointSource{
 		{I: 0, J: 0, K: 0},
