@@ -16,9 +16,10 @@ build:
 # one (the assembly plane entries of fd, plasticity and grid are not built
 # under -race), so the row, plane and both-paths tests there also run each
 # plane function's Go fallback and prove that build computes the same bits;
-# last, the job service's tests twenty
+# then the job service's tests twenty
 # times in shuffled order, which is what a test that depends on wall time or
-# on its neighbours does not survive
+# on its neighbours does not survive; last, every cell of the engine's mode
+# matrix (the tier-1 run takes every seventh)
 check: vet fmt-check check-bce check-portable check-one check-surface overload-test
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
 		./internal/ensemble/ ./internal/wal/ ./internal/checkpoint/ ./internal/lz4/ \
@@ -26,6 +27,7 @@ check: vet fmt-check check-bce check-portable check-one check-surface overload-t
 	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium|Row|Plane|SweepKernels|KernelPaths|Sponge'
 	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Plane|Lane|YieldSurface|MaxAbs|FlatIndex|Ranked'
 	$(GO) test -shuffle=on -count=20 ./internal/service/
+	$(GO) test -count=1 ./internal/core/ -run TestModeMatrix -matrix.full
 
 # the build without the assembly rows must not rot: cross-compile everything
 # for an architecture that has none and vet the packages that hold rows there
@@ -63,10 +65,14 @@ check-bce:
 # in the two packages that keep a journal), and metrics live in
 # internal/telemetry's registry alone (expvar only publishes its JSON view,
 # from cmd/quaked); any line printed is a failure. And the engine spells its
-# stage sequence and its step loop once each: non-test internal/core holds at
-# most one call that posts the velocity halos, one divergence scan and one
-# return map — the stress-side order is stressChain's, whichever schedule
-# (blocked chain, skewed pass) calls it. And the job service spells its
+# stage sequence, its schedule and its step loop once each: non-test
+# internal/core holds at most one call that posts the velocity halos, one
+# divergence scan, one return map, one velocity kernel call
+# (s.backend.Velocity) and one stress-chain call (s.stressChain) — the walk's
+# — and no identifier twoPass: every block, tile and interior/shell pass is
+# the one walk, two-pass is its one-slab geometry; and it declares at most
+# one walk-geometry test seam (a package-level variable of type int or
+# geometry). And the job service spells its
 # lifecycle and its clock once each: non-test internal/service assigns a job's
 # state in one place (lifecycle.go's move) and asks the time package for the
 # time in one file (clock.go). And each sweep kernel has one assembly entry,
@@ -81,11 +87,15 @@ KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
 	@! grep -rl --include='*.go' '"expvar"' . | grep -v '^\./cmd/quaked/'
-	@for pat in 'ex\.StartVelocity(' 'MaxAbsVelocity()' 'plasticity\.ApplyRegion('; do \
+	@for pat in 'ex\.StartVelocity(' 'MaxAbsVelocity()' 'plasticity\.ApplyRegion(' 's\.backend\.Velocity(' 's\.stressChain('; do \
 		n=$$(grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:' | wc -l); \
 		if [ "$$n" -gt 1 ]; then echo "check-one: internal/core holds $$n calls of $$pat, want at most 1:"; \
 			grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:'; exit 1; fi; \
 	done
+	@! grep -nw 'twoPass' internal/core/*.go | grep -v '_test\.go:'
+	@n=$$(grep -nE '^var [A-Za-z_]+ (int|geometry)$$' internal/core/*.go | grep -v '_test\.go:' | wc -l); \
+	if [ "$$n" -gt 1 ]; then echo "check-one: internal/core declares $$n walk-geometry test seams, want at most 1:"; \
+		grep -nE '^var [A-Za-z_]+ (int|geometry)$$' internal/core/*.go | grep -v '_test\.go:'; exit 1; fi
 	@n=$$(grep -nE '\.state(, [a-z.]+)* =[^=]' internal/service/*.go | grep -v '_test\.go:' | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-one: internal/service assigns a job's state in $$n places, want exactly 1:"; \
 		grep -nE '\.state(, [a-z.]+)* =[^=]' internal/service/*.go | grep -v '_test\.go:'; exit 1; fi

@@ -7,7 +7,6 @@ import (
 
 	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
-	"swquake/internal/cpu"
 	"swquake/internal/cpu/cputest"
 	"swquake/internal/decomp"
 	"swquake/internal/fd"
@@ -52,23 +51,20 @@ var chainModes = []struct {
 	name string
 	// own marks a mode whose physics differs from the plain serial run
 	// (lossy storage, another attenuation operator): it is compared with
-	// its own run at the derived block size, not with the plain reference
+	// its own run at the derived geometry, not with the plain reference
 	own bool
-	// skews marks a mode whose block one worker owns alone: the only ones a
-	// strip width of the skewed pass changes anything for
-	skews bool
-	run   func(t *testing.T, cfg Config) *Result
+	run func(t *testing.T, cfg Config) *Result
 }{
-	{"serial", false, true, func(t *testing.T, cfg Config) *Result { return runSerial(t, cfg) }},
-	{"tiles=2", false, false, func(t *testing.T, cfg Config) *Result {
+	{"serial", false, func(t *testing.T, cfg Config) *Result { return runSerial(t, cfg) }},
+	{"tiles=2", false, func(t *testing.T, cfg Config) *Result {
 		cfg.Tiles = 2
 		return runSerial(t, cfg)
 	}},
-	{"2x1 ranks, overlapped", false, false, func(t *testing.T, cfg Config) *Result {
+	{"2x1 ranks, overlapped", false, func(t *testing.T, cfg Config) *Result {
 		cfg.Overlap = true
 		return runRanks(t, cfg)
 	}},
-	{"restarted mid-run", false, true, func(t *testing.T, cfg Config) *Result {
+	{"restarted mid-run", false, func(t *testing.T, cfg Config) *Result {
 		first := cfg
 		first.Steps = cfg.Steps / 2
 		first.Checkpoint = &checkpoint.Controller{Dir: t.TempDir(), Interval: first.Steps, Keep: 1}
@@ -76,7 +72,7 @@ var chainModes = []struct {
 		cfg.RestartFrom = first.Checkpoint.Latest()
 		return runSerial(t, cfg)
 	}},
-	{"compressed", true, false, func(t *testing.T, cfg Config) *Result {
+	{"compressed", true, func(t *testing.T, cfg Config) *Result {
 		stats, err := CalibrateCompression(cfg, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -84,39 +80,33 @@ var chainModes = []struct {
 		cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
 		return runSerial(t, cfg)
 	}},
-	{"SLS", true, false, func(t *testing.T, cfg Config) *Result {
+	{"SLS", true, func(t *testing.T, cfg Config) *Result {
 		cfg.Attenuation.UseSLS = true
 		return runSerial(t, cfg)
 	}},
 }
 
-// TestStressChainIsBitIdenticalAtEveryBlockSize: walking the stress-side
-// chain in blocks of one i-plane, of three, of the derived size and of the
-// whole region gives the same traces, PGV and yield count — serial, on two
-// tiles, on 2x1 ranks with overlapped exchange, restarted mid-run, on
-// compressed storage and with the SLS operator, under the Go rows and the
-// assembly rows alike. So does the skewed velocity→stress pass, where one
-// worker owns the block alone, in strips of one column, of three (which
-// leave a narrower last strip) and of whole planes.
+// TestStressChainIsBitIdenticalAtEveryBlockSize: walking the step in
+// slabs of one i-plane, of three, of the derived size and of the whole
+// block, in strips of one column, of three (which leave a narrower last
+// strip) and of whole planes, gives the same traces, PGV and yield count —
+// serial, on two tiles, on 2x1 ranks with overlapped exchange, restarted
+// mid-run, on compressed storage and with the SLS operator, under the Go
+// rows and the assembly rows alike.
 func TestStressChainIsBitIdenticalAtEveryBlockSize(t *testing.T) {
 	cfg := chainConfig()
 	var ref *Result
 	own := map[string]*Result{}
 	cputest.ForEachKernelPath(t, func(t *testing.T) {
-		for _, walk := range []struct{ planes, cols int }{
-			{0, 0}, {1, 0}, {3, 0}, {1 << 30, 0}, {0, 1}, {0, 3}, {0, 1 << 30},
-		} {
-			restorePlanes, restoreCols := SetChainBlockPlanes(walk.planes), SetSkewStripCols(walk.cols)
+		for _, g := range []geometry{{0, 0}, {1, 1 << 30}, {3, 3}, {1 << 30, 1 << 30}, {1, 1}, {1, 3}} {
+			restore := SetWalkGeometry(g.planes, g.cols)
 			for _, m := range chainModes {
-				if walk.cols != 0 && !m.skews {
-					continue
-				}
 				res := m.run(t, cfg)
 				want := ref
 				if m.own {
 					want = own[m.name]
 				}
-				if want == nil { // the first run of its kind: derived size, Go rows
+				if want == nil { // the first run of its kind: derived geometry, Go rows
 					if res.YieldedPointSteps == 0 {
 						t.Fatalf("%s: the reference run never yields", m.name)
 					}
@@ -127,18 +117,19 @@ func TestStressChainIsBitIdenticalAtEveryBlockSize(t *testing.T) {
 					}
 					continue
 				}
-				requireIdenticalResults(t, fmt.Sprintf("%s, blocks of %d planes, strips of %d columns", m.name, walk.planes, walk.cols), want, res, cfg)
+				requireIdenticalResults(t, fmt.Sprintf("%s, slabs of %d planes, strips of %d columns", m.name, g.planes, g.cols), want, res, cfg)
 			}
-			restorePlanes()
-			restoreCols()
+			restore()
 		}
 	})
 }
 
-// TestStepMatchesWholeRegionStageSequence holds the engine's step — blocked
-// chain, split sponge, free surface imaged three fields at a time — to the
-// sequence it replaced, spelled here with the whole-region kernels: every
-// stage sweeps the block before the next starts, both free-surface passes
+// TestStepMatchesWholeRegionStageSequence holds the engine's step — the walk
+// in its derived geometry and in 1-plane slabs and strips of 1, 3 and 5
+// columns and of whole planes, split sponge, free surface imaged three
+// fields at a time — to the sequence it replaced, spelled here with the
+// whole-region kernels: every stage sweeps the block before the next starts,
+// both free-surface passes
 // image all six fields and the sponge damps all nine at the end. After every
 // step the nine fields hold the same bits, ghost layers included (what a
 // checkpoint stores), and the yield counts agree — so a stage out of order
@@ -147,7 +138,7 @@ func TestStepMatchesWholeRegionStageSequence(t *testing.T) {
 	cputest.ForEachKernelPath(t, func(t *testing.T) {
 		for _, cols := range []int{0, 1, 3, 5, 1 << 30} {
 			t.Run(fmt.Sprintf("strips of %d columns", cols), func(t *testing.T) {
-				defer SetSkewStripCols(cols)()
+				defer SetWalkGeometry(min(cols, 1), cols)() // 0: derived
 				stepMatchesWholeRegionStageSequence(t)
 			})
 		}
@@ -197,23 +188,24 @@ func stepMatchesWholeRegionStageSequence(t *testing.T) {
 	}
 }
 
-// TestStressPhaseObservesEachStageOncePerCall: however many blocks and
-// workers share a stressPhase call, the stage clock gets one observation per
-// stage of the chain per call, and their sum is the wall time of the call.
+// TestStressPhaseObservesEachStageOncePerCall: however many slabs, strips,
+// tiles and seam rounds share a walk, the stage clock gets one observation
+// per stage per walk — the sponge one for each half — and a lone block
+// walks once a step.
 func TestStressPhaseObservesEachStageOncePerCall(t *testing.T) {
-	defer SetChainBlockPlanes(1)()
+	defer SetWalkGeometry(1, 3)()
 	for _, tiles := range []int{1, 2} {
 		cfg := chainConfig()
 		cfg.Tiles = tiles
 		cfg.Steps = 7
 		seen := stageCounts(runSerial(t, cfg))
-		for _, name := range []string{"stress", "source", "plasticity", "attenuation"} {
+		for _, name := range []string{"velocity", "stress", "source", "plasticity", "attenuation"} {
 			if seen[name] != int64(cfg.Steps) {
 				t.Errorf("tiles=%d: stage %s observed %d times in %d steps", tiles, name, seen[name], cfg.Steps)
 			}
 		}
 		// the sponge is observed for its stress half (in the chain) and for
-		// its velocity half (after it)
+		// its velocity half (behind it)
 		if seen["sponge"] != 2*int64(cfg.Steps) {
 			t.Errorf("tiles=%d: sponge observed %d times in %d steps", tiles, seen["sponge"], cfg.Steps)
 		}
@@ -228,23 +220,25 @@ func stageCounts(res *Result) map[string]int64 {
 	return seen
 }
 
-// TestSkewedPassObservesStagesAsTwoPassDoes: the skewed pass interleaves
-// seven stages over hundreds of strip-planes a step, and the stage clock
-// still gets what the two-pass order gives it — every stage observed the same
-// number of times, the sponge once for each half — summing to the run's wall
-// time.
+// TestSkewedPassObservesStagesAsTwoPassDoes: the walk in strips interleaves
+// seven stages over hundreds of plane-strips a step, and the stage clock
+// still gets what the one-slab walk (the two-pass order) gives it — every
+// stage observed the same number of times, the sponge once for each half —
+// summing to the run's wall time.
 func TestSkewedPassObservesStagesAsTwoPassDoes(t *testing.T) {
 	cfg := chainConfig()
 	cfg.Steps = 7
+	restore := SetWalkGeometry(1<<30, 1<<30)
 	want := stageCounts(runSerial(t, cfg))
-	defer SetSkewStripCols(3)()
+	restore()
+	defer SetWalkGeometry(1, 3)()
 	res := runSerial(t, cfg)
 	got := stageCounts(res)
-	if want["velocity"] != int64(cfg.Steps) || want["sponge"] != 2*int64(cfg.Steps) || want["free_surface"] != 3*int64(cfg.Steps) {
-		t.Fatalf("two-pass observations: %v", want)
+	if want["velocity"] != int64(cfg.Steps) || want["sponge"] != 2*int64(cfg.Steps) || want["free_surface"] != 2*int64(cfg.Steps) {
+		t.Fatalf("one-slab observations: %v", want)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("skewed pass observed %v, two-pass %v", got, want)
+		t.Errorf("strips observed %v, one slab %v", got, want)
 	}
 	total, wall := res.Stages.Report().TotalSeconds(), res.Perf.Elapsed.Seconds()
 	if total < 0.9*wall || total > 1.05*wall {
@@ -252,96 +246,83 @@ func TestSkewedPassObservesStagesAsTwoPassDoes(t *testing.T) {
 	}
 }
 
-// TestSkewedPassIsForABlockOneWorkerOwns: the step runs skewed only on a
-// plain-storage host-kernel block with no neighbour, no tile pool, no shells
-// and no SLS snapshot, and only where the block is more than one chain
-// block; the strips hold skewStripPoints cells.
-func TestSkewedPassIsForABlockOneWorkerOwns(t *testing.T) {
+// TestWalkGeometryFollowsTheBlock: every block walks — tiled, overlapped,
+// SLS and compressed alike — in 1-plane slabs and strips of skewStripPoints
+// cells where it is larger than chainBlockPoints, as one slab where it is
+// not or where the core-group executor takes it whole. What must see the
+// finished velocity phase first gets the velocity kernel over the whole
+// block before the post; a rank computes stresses before the wait only
+// under Overlap, and then only in its interior.
+func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 	big := chainConfig()
-	big.Dims = grid.Dims{Nx: 48, Ny: 64, Nz: 16} // 49152 cells: more than chainBlockPoints
+	big.Dims = grid.Dims{Nx: 96, Ny: 64, Nz: 16} // twice chainBlockPoints and more: so is half of it
 	big.Sources = big.Sources[:1]
-	strip := func(cfg Config) int {
-		sim, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sim.skewStrip()
+	stats, err := CalibrateCompression(big, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	with := func(mut func(*Config)) Config {
 		c := big
 		mut(&c)
 		return c
 	}
-	if got, want := strip(big), skewStripPoints/16; got != want {
-		t.Errorf("a lone %v block walks strips of %d columns, want %d", big.Dims, got, want)
-	}
-	stats, err := CalibrateCompression(big, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, cfg := range map[string]Config{
-		"cache-resident block": chainConfig(),
-		"tiles":                with(func(c *Config) { c.Tiles = 2 }),
-		"overlap shells":       with(func(c *Config) { c.Overlap = true }),
-		"SLS":                  with(func(c *Config) { c.Attenuation.UseSLS = true }),
-		"core-group executor":  with(func(c *Config) { c.SunwaySim = true; c.Dims.Nx, c.Dims.Ny = 32, 32 }),
-		"compressed": with(func(c *Config) {
+	box := grid.Box(big.Dims)
+	small := chainConfig()
+	smallBox := grid.Box(small.Dims)
+	strips := geometry{planes: 1, cols: skewStripPoints / 16}
+	lone := [3]pass{{}, {vel: []grid.Region{box}, chain: []grid.Region{box}, sponge: []grid.Region{box}}, {}}
+	velocityFirst := [3]pass{{vel: []grid.Region{box}}, {chain: []grid.Region{box}, sponge: []grid.Region{box}}, {}}
+	for name, c := range map[string]struct {
+		cfg   Config
+		geom  geometry
+		walks [3]pass
+	}{
+		"lone block":            {big, strips, lone},
+		"tiles":                 {with(func(c *Config) { c.Tiles = 2 }), strips, lone},
+		"overlap, no neighbour": {with(func(c *Config) { c.Overlap = true }), strips, lone},
+		"SLS":                   {with(func(c *Config) { c.Attenuation.UseSLS = true }), strips, lone},
+		"compressed": {with(func(c *Config) {
 			c.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
-		}),
+		}), strips, velocityFirst},
+		"cache-resident block": {small, geometry{}, [3]pass{{},
+			{vel: []grid.Region{smallBox}, chain: []grid.Region{smallBox}, sponge: []grid.Region{smallBox}}, {}}},
+		"core-group executor": {with(func(c *Config) { c.SunwaySim = true; c.Dims.Nx, c.Dims.Ny = 32, 32 }), geometry{},
+			[3]pass{{vel: []grid.Region{{I1: 32, J1: 32, K1: 16}}}, {chain: []grid.Region{{I1: 32, J1: 32, K1: 16}}, sponge: []grid.Region{{I1: 32, J1: 32, K1: 16}}}, {}}},
 	} {
-		if got := strip(cfg); got != 0 {
-			t.Errorf("%s: skewed in strips of %d columns, want two-pass", name, got)
+		sim, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sim.geometry(); got != c.geom {
+			t.Errorf("%s: walks in %+v, want %+v", name, got, c.geom)
+		}
+		if fmt.Sprint(sim.walks) != fmt.Sprint(c.walks) {
+			t.Errorf("%s: walks %v, want %v", name, sim.walks, c.walks)
 		}
 	}
-	pg, err := decomp.NewProcessGrid(big.Dims.Nx, big.Dims.Ny, big.Dims.Nz, 1, 2)
+
+	// the left rank of 2x1: a neighbour across its x+ face
+	pg, err := decomp.NewProcessGrid(big.Dims.Nx, big.Dims.Ny, big.Dims.Nz, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := big.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rank := &Simulator{Cfg: big, pg: pg, tiles: 1}
-	rank.Cfg.Dims = pg.BlockDims()
-	if got := rank.skewStrip(); got != 0 {
-		t.Errorf("a rank with a neighbour skews in strips of %d columns, want two-pass", got)
-	}
-}
-
-// BenchmarkStressChain is the ladder behind the blocked chain: six steps of
-// the nonlinear + Q pipeline on a fresh DRAM-resident block (what one
-// repetition of the repo benchmark's solver workload times), with the
-// stress-side chain walked whole-region — every stage sweeps the block
-// before the next starts, as the unblocked chain did — and in the derived
-// x-blocks, on each row path this host can run.
-func BenchmarkStressChain(b *testing.B) {
-	cfg := chainConfig()
-	cfg.Dims = grid.Dims{Nx: 192, Ny: 192, Nz: 96}
-	cfg.Sources, cfg.Stations = cfg.Sources[:1], cfg.Stations[:1]
-	cfg.RecordPGV = false
-	const steps = 6
-	was := cpu.AVX2
-	defer func() { cpu.AVX2 = was }()
-	for _, on := range cputest.KernelPaths() {
-		for _, arm := range []struct {
-			name   string
-			planes int
-		}{{"whole-region", 1 << 30}, {"blocked", 0}} {
-			cpu.AVX2 = on
-			b.Run(cpu.KernelPath()+"/"+arm.name, func(b *testing.B) {
-				defer SetChainBlockPlanes(arm.planes)()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					sim, err := New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					for n := 0; n < steps; n++ {
-						sim.Step()
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/steps/float64(cfg.Dims.Points()), "ns/point-step")
-			})
+	b := grid.Box(pg.BlockDims())
+	for _, overlap := range []bool{false, true} {
+		rank := &Simulator{Cfg: big, pg: pg}
+		rank.Cfg.Dims, rank.Cfg.Overlap = pg.BlockDims(), overlap
+		rank.planWalks()
+		want := [3]pass{{vel: []grid.Region{b}}, {}, {chain: []grid.Region{b}, sponge: []grid.Region{b}}}
+		if overlap {
+			in1, in2 := grid.Region{I1: 46, J1: 64, K1: 16}, grid.Region{I1: 44, J1: 64, K1: 16}
+			want = [3]pass{{vel: b.Minus(in1)},
+				{vel: []grid.Region{in1}, chain: []grid.Region{in1}, sponge: []grid.Region{in2}},
+				{chain: b.Minus(in1), sponge: b.Minus(in2)}}
+		}
+		if got := rank.geometry(); got != strips {
+			t.Errorf("rank, overlap %v: walks in %+v, want %+v", overlap, got, strips)
+		}
+		if fmt.Sprint(rank.walks) != fmt.Sprint(want) {
+			t.Errorf("rank, overlap %v: walks %v, want %v", overlap, rank.walks, want)
 		}
 	}
 }
@@ -349,9 +330,9 @@ func BenchmarkStressChain(b *testing.B) {
 // BenchmarkNonlinearStep is six steps of the nonlinear + constant-Q pipeline
 // on a fresh block — one repetition of the repo benchmark's solver workload —
 // at the DRAM-resident size and at the service job's cache-resident one, on
-// the row path the host selects: two-pass (velocity sweep, then the blocked
-// stress chain), the skewed pass at the derived strip width, and the ladder
-// of strip widths behind that width.
+// the row path the host selects: the walk as one slab (each stage over the
+// block in turn), in its derived geometry, and in 1-plane slabs at the
+// ladder of strip widths behind the derived one.
 //
 //	go test ./internal/core -run '^$' -bench NonlinearStep -benchtime 3x -count 10 -cpu 1
 func BenchmarkNonlinearStep(b *testing.B) {
@@ -368,14 +349,14 @@ func BenchmarkNonlinearStep(b *testing.B) {
 			touched += sb.Bytes
 		}
 		for _, arm := range []struct {
-			name string
-			cols int
-		}{{"two-pass", -1}, {"skewed", 0}, {"J=16", 16}, {"J=32", 32}, {"J=48", 48}, {"J=64", 64}, {"J=96", 96}, {"J=192", 192}} {
-			if arm.cols > d.Ny {
+			name         string
+			planes, cols int
+		}{{"one-slab", 1 << 30, 1 << 30}, {"derived", 0, 0}, {"J=16", 1, 16}, {"J=32", 1, 32}, {"J=48", 1, 48}, {"J=64", 1, 64}, {"J=96", 1, 96}, {"J=192", 1, 192}} {
+			if arm.cols > d.Ny && arm.planes == 1 {
 				continue
 			}
 			b.Run(fmt.Sprintf("%v/%s", d, arm.name), func(b *testing.B) {
-				defer SetSkewStripCols(arm.cols)()
+				defer SetWalkGeometry(arm.planes, arm.cols)()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					sim, err := New(cfg)

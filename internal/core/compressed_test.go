@@ -27,9 +27,9 @@ func (x roundTripExchanger) StartStress(wf *fd.Wavefield, _ int) {
 }
 
 // TestCompressedRunIsThePlainStepWithRoundTrips: compressed storage has no
-// schedule of its own. A compressed simulator and a plain one whose test
-// exchanger passes the wavefield through the same codecs at the same three
-// points — the stored initial state, the velocities before the stress phase,
+// schedule of its own. A compressed simulator and a plain one that walks the
+// same passes and whose test exchanger passes the wavefield through the same
+// codecs at the same three points — the stored initial state, the velocities before the stress phase,
 // everything at the end of the step — hold the same bits in all nine fields,
 // ghost layers included, after every step, for each codec and with the
 // sponge on over a block deeper than any slab height the engine ever used.
@@ -58,6 +58,9 @@ func TestCompressedRunIsThePlainStepWithRoundTrips(t *testing.T) {
 		}
 		decode(cs.fields, plain.WF.AllFields())
 		plain.peers.ex = roundTripExchanger{cs: cs}
+		// the velocity kernel over the whole block before the post, as the
+		// round trip needs it
+		plain.walks = comp.walks
 
 		var peak float32
 		for step := 1; step <= cfg.Steps; step++ {

@@ -157,24 +157,24 @@ type Config struct {
 	TraceTID int
 
 	// Tiles sets the intra-rank tile parallelism of the kernel stages: each
-	// stage's Region is split into this many sub-boxes (cut along x, then y;
-	// never z, the contiguous axis) and fanned across a bounded worker pool
-	// while the pipeline's stage order — and therefore the result, bit for
-	// bit — is unchanged. 0 or 1 runs the stages single-threaded; AutoTiles
-	// uses GOMAXPROCS (divided by the rank count under RunParallel; fewer,
-	// down to one, on a block too small for tiles to pay). The
-	// pool exists only while Run/RunParallel is stepping; a bare Step() is
-	// always single-threaded. Incompatible with SunwaySim, whose core-group
+	// walk of the step is split into this many sub-boxes (cut along x, then
+	// y; never z, the contiguous axis), each walked by a goroutine of its
+	// own, its seams finished after the join — the result, bit for bit, is
+	// unchanged. 0 or 1 runs the stages single-threaded; AutoTiles uses
+	// GOMAXPROCS (divided by the rank count under RunParallel; fewer, down
+	// to one, on a block too small for tiles to pay). Tiles fan out only
+	// while Run/RunParallel is stepping; a bare Step() is always
+	// single-threaded. Incompatible with SunwaySim, whose core-group
 	// executor is itself the tiling level being modeled.
 	Tiles int
 
-	// Overlap hides velocity-halo latency under RunParallel: the exchange is
-	// posted right after the velocity kernel, the stress-phase stages run on
-	// the block interior while the messages fly, and the boundary shells run
-	// only after the wait (paper §6.2). The same stage sequence with other
-	// region lists, so bit-identical by construction (see DESIGN.md §3.5
-	// for the ordering argument). No effect on serial runs beyond reordering
-	// independent work.
+	// Overlap hides velocity-halo latency under RunParallel: the ring of
+	// velocities a neighbour is sent is computed and posted first, the
+	// interior walked while the messages fly, the boundary shells after the
+	// wait (paper §6.2); without it a rank with neighbours waits for the halo
+	// before any stress work. The same walk over other passes, so
+	// bit-identical by construction (DESIGN.md §3.5). No effect on serial
+	// runs: a lone block has no ring and no shell, and walks whole either way.
 	Overlap bool
 
 	// DivergenceLimit is the max |v| (m/s) beyond which the solution is
@@ -281,8 +281,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: station %q outside grid", s.Name)
 		}
 	}
-	if c.DivergenceLimit < 0 {
-		return fmt.Errorf("core: negative divergence limit")
+	if !(c.DivergenceLimit >= 0) || math.IsInf(c.DivergenceLimit, 1) { // NaN too: it never compares true
+		return fmt.Errorf("core: divergence limit %g is not a finite value >= 0", c.DivergenceLimit)
 	}
 	if c.StepDeadline < 0 {
 		return fmt.Errorf("core: negative step deadline")

@@ -1,21 +1,11 @@
 package core
 
-// SetChainBlockPlanes makes stressPhase walk its regions in blocks of n
-// i-planes instead of the size derived from chainBlockPoints (n larger than
-// a region: the region is one block) and returns the function that restores
-// the derived size. Not for parallel tests.
-func SetChainBlockPlanes(n int) (restore func()) {
-	was := chainBlockPlanes
-	chainBlockPlanes = n
-	return func() { chainBlockPlanes = was }
-}
-
-// SetSkewStripCols makes a block that qualifies for the skewed
-// velocity→stress pass walk it in strips of n columns whatever its size (n
-// larger than the block: whole i-planes) and returns the function that
-// restores the derived width. Not for parallel tests.
-func SetSkewStripCols(n int) (restore func()) {
-	was := skewStripCols
-	skewStripCols = n
-	return func() { skewStripCols = was }
+// SetWalkGeometry makes the step walk in slabs of planes i-planes and strips
+// of cols columns (0, or more than a walk holds: the whole extent; both 0:
+// the derived geometry) wherever the backend allows, and returns the
+// function that restores the derived geometry. Not for parallel tests.
+func SetWalkGeometry(planes, cols int) (restore func()) {
+	was := walkGeometry
+	walkGeometry = geometry{planes: planes, cols: cols}
+	return func() { walkGeometry = was }
 }

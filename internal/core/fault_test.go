@@ -67,6 +67,19 @@ func TestConfigurableDivergenceLimit(t *testing.T) {
 	}
 }
 
+// TestDivergenceLimitMustBeFinite: a limit that is NaN, infinite or negative
+// is refused before the run — a NaN one would compare false against every
+// max |v| and let a blow-up run to completion.
+func TestDivergenceLimitMustBeFinite(t *testing.T) {
+	for _, limit := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		cfg := baseConfig()
+		cfg.DivergenceLimit = limit
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "divergence limit") {
+			t.Errorf("limit %g: New returned %v, want a divergence-limit error", limit, err)
+		}
+	}
+}
+
 // TestHaloCRCCleanRunBitIdentical: the CRC framing must be invisible to the
 // physics — a sealed run matches an unsealed one bit for bit.
 func TestHaloCRCCleanRunBitIdentical(t *testing.T) {

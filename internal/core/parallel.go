@@ -443,10 +443,9 @@ func (h *haloExchanger) StartVelocity(wf *fd.Wavefield, step int) {
 	h.vel = h.startPhase(wf.VelocityFields(), step*2)
 }
 
-func (h *haloExchanger) FinishVelocity(wf *fd.Wavefield, step int) bool {
+func (h *haloExchanger) FinishVelocity(wf *fd.Wavefield, step int) {
 	h.finishPhase(h.vel)
 	h.vel = nil
-	return true
 }
 
 func (h *haloExchanger) StartStress(wf *fd.Wavefield, step int) {

@@ -188,8 +188,8 @@ func TestParallelSourcePartitioning(t *testing.T) {
 // sponge: its velocity half runs after the exchange, so in the absorbing
 // zones a velocity ghost holds the neighbour's value from before it, until
 // the next exchange.) The planes above the surface of the ghost columns are
-// what the ghost-frame pass of the step images: the exchange delivers them
-// as they were before the sender's own free-surface pass.
+// what the sender imaged with its velocity kernel: the exchange delivers
+// them imaged, and no pass of the receiver's images them again.
 func TestRankArraysAreTheSerialRunsWindows(t *testing.T) {
 	plain := fullPhysicsConfig()
 	plain.SpongeWidth = 0

@@ -208,14 +208,13 @@ func TestBytesPerPointStepTable(t *testing.T) {
 
 // TestNonlinearStepAllocatesPerStepNotPerBlock: what a nonlinear constant-Q
 // step allocates does not grow with how many blocks its stress chain runs
-// on. The skewed walk in strips of four columns runs the chain — plasticity
+// on. The walk in strips of four columns runs the chain — plasticity
 // included — once per plane-strip, some 150 times a step here, and may
-// allocate no more than the two-pass step, which runs it once: plasticity
+// allocate no more than the one-slab walk, which runs it once: plasticity
 // keeps no yield factor, so ApplyRegion allocates no row per call.
 func TestNonlinearStepAllocatesPerStepNotPerBlock(t *testing.T) {
-	defer func(was int) { skewStripCols = was }(skewStripCols)
-	allocs := func(cols int) float64 {
-		skewStripCols = cols
+	allocs := func(planes, cols int) float64 {
+		defer SetWalkGeometry(planes, cols)()
 		cfg := rankedConfig()
 		cfg.Steps = 100
 		sim, err := New(cfg)
@@ -225,8 +224,8 @@ func TestNonlinearStepAllocatesPerStepNotPerBlock(t *testing.T) {
 		sim.Step() // the first step builds what is built once (the medium's 1/mu)
 		return testing.AllocsPerRun(20, sim.Step)
 	}
-	twoPass, skewed := allocs(-1), allocs(4)
-	if skewed > twoPass {
-		t.Fatalf("a step allocates %g times in the skewed walk, %g times two-pass", skewed, twoPass)
+	oneSlab, strips := allocs(1<<30, 1<<30), allocs(1, 4)
+	if strips > oneSlab {
+		t.Fatalf("a step allocates %g times in strips, %g times as one slab", strips, oneSlab)
 	}
 }

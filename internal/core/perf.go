@@ -67,11 +67,11 @@ type StageBytes struct {
 // and step of the arrays the stage touches, each at the rank it is stored at
 // — a read is 4 B, a write 8 B (the line is fetched before it is written
 // back), and a parameter stored as a z-row (grid.NewProfile) stays in L1 and
-// costs nothing. The stress-side chain runs block by block (stressPhase), so
+// costs nothing. The stress-side chain runs slab by slab (stripWalk), so
 // its six stresses are charged once, to the stress kernel, and each later
 // stage of the chain adds only the arrays that are its own. Dividing by a
-// stage's time gives its effective bandwidth; a schedule that keeps arrays
-// in cache from one stage to the next (skewedPass) shows as a rate above the
+// stage's time gives its effective bandwidth; a walk that keeps arrays in
+// cache from one stage to the next (strips) shows as a rate above the
 // host's. The free-surface images (two cells a column), source injection and
 // the codecs of compressed storage are not counted.
 func (c Config) BytesPerPointStep() []StageBytes {

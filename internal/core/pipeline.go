@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"swquake/internal/cgexec"
-	"swquake/internal/decomp"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
 	"swquake/internal/plasticity"
@@ -22,45 +21,30 @@ import (
 //
 // Every runner (serial Run, RunParallel) and every execution strategy of
 // Fig. 7 (host kernels, the simulated SW26010 core group, compressed
-// storage, tiled workers, overlapped halos) drives this sequence through
-// two seams:
-//
-//   - Exchanger: what happens to ghost layers between the kernel phases —
-//     nothing in a serial run, the simulated-MPI halo protocol under
-//     RunParallel (including the compressed-mode decoded-ghost handshake).
-//     The interface splits each exchange into Start (post the sends and
-//     receives) and Finish (wait and unpack), which is what lets the
-//     pipeline compute the block interior while velocity-halo messages are
-//     in flight (Config.Overlap, paper §6.2);
-//   - Backend: how the velocity/stress kernels execute over a Region —
-//     the host kernels (which the pipeline fans across the tile pool) or the
-//     tile-by-tile cgexec core group.
-//
-// Compressed storage plugs in around the same sequence: fields are decoded
-// before the velocity phase, the velocities are round-tripped through the
-// codecs before the stress phase reads them (Fig. 5b), and everything is
-// re-encoded after the sponge.
+// storage, tiled workers, overlapped halos) drives this sequence as one walk
+// in strips and slabs (stripWalk), in three passes around the velocity-halo
+// exchange (planWalks), through two seams: the Exchanger (ghost layers) and
+// the Backend (the kernels' machine).
 
 // Exchanger updates ghost layers between the pipeline's kernel phases.
 // Each exchange is split into a Start half, which posts the outgoing halo
 // messages and the matching receives, and a Finish half, which blocks until
 // the messages have arrived and unpacks them into the ghost layers. Between
-// the velocity pair the pipeline runs what needs no ghost value: the
-// owned-column free surface and, under Config.Overlap, the interior's
-// stress-phase work. Finish reports whether ghost data may have changed, so
-// compressed storage knows to re-encode exchanged planes.
+// the velocity pair the pipeline walks what needs no ghost value: under
+// Config.Overlap, and on a lone block, the interior (paper §6.2).
+// FinishStress reports whether ghost data may have changed, so compressed
+// storage knows to re-encode exchanged planes.
 //
 // Start and Finish of one phase must be called in pairs, in order; an
 // implementation may buffer state for the in-flight phase between them.
 type Exchanger interface {
 	// StartVelocity posts the velocity-halo exchange after the velocity
-	// kernel. The wavefield's owned velocity boundary must be final when it
-	// is called; ghost layers may still be mutated (free surface imaging)
-	// between Start and Finish.
+	// kernel. The wavefield's owned velocity boundary must be final, and
+	// imaged above the free surface, when it is called.
 	StartVelocity(wf *fd.Wavefield, step int)
 	// FinishVelocity completes the velocity-halo exchange: ghost layers are
 	// up to date when it returns.
-	FinishVelocity(wf *fd.Wavefield, step int) bool
+	FinishVelocity(wf *fd.Wavefield, step int)
 	// StartStress posts the stress-halo exchange after the stress-phase
 	// stages.
 	StartStress(wf *fd.Wavefield, step int)
@@ -72,16 +56,16 @@ type Exchanger interface {
 // surface and the zero lateral boundaries alone, as a single-block run wants.
 type NoExchange struct{}
 
-func (NoExchange) StartVelocity(*fd.Wavefield, int)       {}
-func (NoExchange) FinishVelocity(*fd.Wavefield, int) bool { return false }
-func (NoExchange) StartStress(*fd.Wavefield, int)         {}
-func (NoExchange) FinishStress(*fd.Wavefield, int) bool   { return false }
+func (NoExchange) StartVelocity(*fd.Wavefield, int)     {}
+func (NoExchange) FinishVelocity(*fd.Wavefield, int)    {}
+func (NoExchange) StartStress(*fd.Wavefield, int)       {}
+func (NoExchange) FinishStress(*fd.Wavefield, int) bool { return false }
 
 // Backend executes one kernel phase over a Region of the block — the seam
-// between the step pipeline and the machine the kernels run on. The pipeline
-// passes the whole block or, under Config.Overlap, the block interior and
-// its boundary shells; with a tile pool it hands a backend one tile, or one
-// chain block of a tile, at a time.
+// between the step pipeline and the machine the kernels run on. The walk
+// hands it one slab of one strip of a tile's share of a pass at a time
+// (stripWalk) — the whole block where the walk is one slab of an untiled
+// block.
 type Backend interface {
 	Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region)
 	Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region)
@@ -100,25 +84,26 @@ func (hostBackend) Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg gr
 
 // cgBackend runs the kernels tile-by-tile through the simulated SW26010
 // core group. The executor processes the whole block per call, so it needs
-// the full region — guaranteed by Config.Validate, which rejects SunwaySim
-// combined with compressed storage, Tiles and Overlap.
+// the full region — guaranteed by the one-slab geometry the walk takes for
+// it and the velocity-first passes planWalks gives it, and by
+// Config.Validate, which rejects SunwaySim combined with Tiles and Overlap.
 type cgBackend struct{ ex *cgexec.Executor }
 
 func (b cgBackend) Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
-	if reg != grid.Box(wf.D) {
-		panic("core: cgexec backend requires full-block regions")
-	}
-	if err := b.ex.VelocityStep(wf, med, dtdx); err != nil {
-		panic(err) // construction validated the block; cannot happen
-	}
+	whole(b.ex.VelocityStep, wf, med, dtdx, reg)
 }
 
 func (b cgBackend) Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
+	whole(b.ex.StressStep, wf, med, dtdx, reg)
+}
+
+// whole runs one executor step, which computes the block whole.
+func whole(step func(*fd.Wavefield, *fd.Medium, float32) error, wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
 	if reg != grid.Box(wf.D) {
 		panic("core: cgexec backend requires full-block regions")
 	}
-	if err := b.ex.StressStep(wf, med, dtdx); err != nil {
-		panic(err)
+	if err := step(wf, med, dtdx); err != nil {
+		panic(err) // construction validated the block; cannot happen
 	}
 }
 
@@ -147,65 +132,71 @@ func (s *Simulator) Step() {
 	}
 }
 
-// planRegions chooses, once, where the stress chain of each cell runs
-// relative to the velocity-halo wait. Without Config.Overlap nothing runs
-// before it (an empty interior) and the whole block after it; with it the
-// block interior — whose stencils read no ghost value — runs while the
-// messages fly and the four boundary shells after.
-func (s *Simulator) planRegions() {
-	s.afterWait = []grid.Region{grid.Box(s.Cfg.Dims)}
-	if s.Cfg.Overlap {
-		s.interior, s.afterWait = decomp.InteriorShell(s.Cfg.Dims, fd.Halo)
+// pass is what one walk covers, as lists of disjoint non-empty boxes: where
+// it runs the velocity kernel (and the imaging), the stress chain, and the
+// velocity half of the sponge.
+type pass struct{ vel, chain, sponge []grid.Region }
+
+// planWalks chooses, once, the step's three passes around the velocity-halo
+// exchange. The interior is the block less fd.Halo cells at each face with a
+// neighbour (decomp's Interior): the chain there reads no ghost value, and
+// the sponge reads no chain result outside it a further fd.Halo in. The
+// walk before the post moves the ring of velocities the neighbours are sent;
+// the walk while the messages fly does the interior; the walk after the wait
+// does the rest. A rank without Overlap computes no stress before the wait,
+// so its interior is empty; a lone block has no ring. Compressed storage
+// (its velocity round trip) and the core-group executor (its full-block
+// calls) must see the finished velocity phase first: for them the velocity
+// kernel runs over the whole block before the post.
+func (s *Simulator) planWalks() {
+	box := grid.Box(s.Cfg.Dims)
+	var in1, in2 grid.Region
+	if s.Cfg.Overlap || s.pg.Size() == 1 {
+		in1, in2 = s.pg.Interior(s.id, fd.Halo), s.pg.Interior(s.id, 2*fd.Halo)
 	}
+	s.walks[0] = pass{vel: box.Minus(in1)}
+	interior := clip([]grid.Region{in1}, box)
+	s.walks[1] = pass{vel: interior, chain: interior, sponge: clip([]grid.Region{in2}, box)}
+	if s.comp != nil || s.cgx != nil {
+		s.walks[0].vel, s.walks[1].vel = []grid.Region{box}, nil
+	}
+	s.walks[2] = pass{chain: box.Minus(in1), sponge: box.Minus(in2)}
 }
 
 // stepPipeline runs the stage sequence once, and is the only place it is
-// spelled. The velocity-halo exchange is POSTED right after the velocity
-// kernel, whatever needs no ghost value runs while the messages fly — the
-// owned-column free surface, the SLS snapshot and, under Config.Overlap, the
-// interior's stress chain (paper §6.2) — and the regions whose stencils reach
-// into the ghost layers run after the wait. Every choice of region lists
-// (planRegions) gives the same bits as exchanging first and computing the
-// whole block after:
+// spelled: three walks (planWalks) around the velocity-halo exchange, each
+// the same loop (walk). Every choice of passes, tiles and geometry gives the
+// bits of running each stage over the whole block in turn, by one lag rule.
+// A stencil reaches fd.Halo cells along x, y or z, never diagonally; the
+// velocity kernel at a cell reads the stresses within fd.Halo of it, the
+// stress kernel the velocities, and the chain's other stages and the sponge
+// touch their own cell alone. So each cell sees its operands as the
+// whole-block order leaves them if, for any two cells within fd.Halo of each
+// other, the velocity kernel at the one runs before the chain at the other,
+// and the chain at the one before the sponge damps the other's velocities.
+// Everything in the step keeps that rule:
 //
-//   - StartVelocity packs the y faces before the velocity free-surface pass,
-//     so y-round bytes do not depend on what runs before the wait.
-//   - The x-round (inside FinishVelocity) packs after the owned-column free
-//     surface has run, so its k<0 entries are not what a pack before that
-//     pass would have sent — but the receiver immediately re-images its
-//     ghost frame from the unpacked k>=0 values (the four ImageVelocityCols
-//     calls below), overwriting exactly those entries with the values it
-//     would otherwise have been sent. (No stencil of an owned cell reads a
-//     k<0 entry of a ghost column; the pass is what keeps every array byte
-//     of a block, ghost layers included, equal to the serial run's.)
-//   - The interior region keeps fd.Halo columns away from every block edge,
-//     so interior stress stencils never read a ghost value, and the stage
-//     chain (SLS, plasticity, attenuation) writes only the stress fields of
-//     its own cells — which no stress stencil of another region reads — so
-//     interior-then-shell ordering cannot change any result bit. The
-//     velocity half of the sponge is what another region's stress stencils
-//     would see from a region's cells, which is why it is not in the chain:
-//     it runs over the block once every region is done.
-//   - The SLS snapshot is taken over the whole block before any region is
-//     computed: AfterRegion only ever reads it at the cells it updates.
-//   - A block one worker owns alone (skewStrip) runs everything from the
-//     velocity kernel to the velocity sponge as ONE walk (skewedPass): in
-//     strips of columns and down each strip plane by plane, the kernel and
-//     the owned-column imaging on plane i, the stress chain fd.Halo planes
-//     and columns behind, the velocity sponge fd.Halo further. A stress
-//     stencil reaches fd.Halo cells along x and y, never diagonally. So the
-//     kernel at (i, j) reads stresses at planes >= i-Halo of its strip and
-//     columns >= j-Halo of the strips before it, which the chain — Halo
-//     behind on both axes — has not reached: last step's. The chain at
-//     (i-Halo, j-Halo) reads velocities up to plane i and column j, just
-//     written and imaged, and down to plane i-2*Halo and column j-2*Halo,
-//     which the sponge has not damped; and every cell whose stencil reads a
-//     velocity lies within Halo of it along one axis, so when the sponge —
-//     Halo behind the chain, as the chain is behind the kernel — damps it,
-//     all of them are done. Each cell sees the operands of velocity, chain
-//     and sponge each run everywhere in turn. The exchanges around the walk
-//     are a lone block's no-ops and its ghost frame holds zeros, so where
-//     they fall relative to it changes nothing.
+//   - Down a strip the chain runs at least fd.Halo planes behind the kernel
+//     and the sponge as far behind the chain; across strips both run fd.Halo
+//     columns behind, the first strip's lagging ranges starting, and the
+//     last's ending, at the edge of what is walked.
+//   - Tiles walk side by side: each tile's chain stays fd.Halo back from the
+//     seams it shares with another tile when the pass moves velocities, its
+//     sponge a further fd.Halo back when the pass runs the chain, and the
+//     seam bands are walked after the join.
+//   - Interior and shell are the same rule around the exchange: the ring's
+//     velocities before the post, the interior's chain fd.Halo and its sponge
+//     2*fd.Halo in from each face with a neighbour while the messages fly,
+//     the rest after the wait.
+//   - A walk before the post runs no sponge, so StartVelocity and the x-round
+//     inside FinishVelocity send the velocities the kernel wrote, imaged
+//     with it above the free surface: every ghost column arrives as the
+//     serial run holds it, and the ghost frame needs no imaging of its own.
+//   - Where no neighbour sends, the ghost frame holds zeros, so the walk
+//     reads it before the wait.
+//   - The SLS snapshot is taken over the whole block before any walk: the
+//     stresses it copies are the ones no chain has touched yet, and
+//     AfterRegion reads it only at the cells it updates.
 //   - The stress exchange stays back-to-back: the NEXT step's traction
 //     free-surface pass reads stress ghosts, so there is no interior work
 //     to hide it behind, and leaving sends outstanding would interleave
@@ -221,27 +212,19 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	s.countKernels()
 	dtdx := float32(s.Cfg.Dt / s.Cfg.Dx)
 	sw := s.stages.Stopwatch()
-	d := s.Cfg.Dims
-	h := fd.Halo
 	if s.comp != nil {
 		decode(s.comp.fields, s.WF.AllFields())
 		sw.Lap(telemetry.StageCompression)
 	}
 
-	// velocity phase: its stencils read the traction ghosts alone
-	fd.ImageTractionCols(s.WF, -h, d.Nx+h, -h, d.Ny+h)
+	// the velocity kernel's stencils read the traction ghosts alone
+	fd.ImageTractionCols(s.WF, -fd.Halo, s.Cfg.Dims.Nx+fd.Halo, -fd.Halo, s.Cfg.Dims.Ny+fd.Halo)
 	sw.Lap(telemetry.StageFreeSurface)
-	cols := s.skewStrip()
-	twoPass := cols == 0
-	if twoPass {
-		s.velocityPhase(grid.Box(d), dtdx)
-		sw.Lap(telemetry.StageVelocity)
-	} else {
-		// every cell's step from the velocity kernel to the velocity sponge,
-		// in one walk; what follows is what a block with no neighbour has
-		// left: the exchanges' no-ops and a ghost frame of zeros
-		s.skewedPass(cols, dtdx, &sw)
+	if s.sls != nil {
+		s.sls.Before(s.WF)
+		sw.Lap(telemetry.StageAttenuation)
 	}
+	s.walk(s.walks[0], dtdx, &sw)
 	if s.comp != nil {
 		// the stress kernel — and the neighbours — read the velocities exactly
 		// as stored (the dstrqc side of Fig. 5b): this intra-step round trip
@@ -252,39 +235,14 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	}
 	ex.StartVelocity(s.WF, s.step)
 	sw.Lap(telemetry.StageHaloVelocity)
-
-	// stress phase: its stencils read the velocity ghosts alone. The owned
-	// columns are imaged now; the ghost frame after the wait
-	if twoPass {
-		fd.ImageVelocityCols(s.WF, 0, d.Nx, 0, d.Ny)
-		sw.Lap(telemetry.StageFreeSurface)
-	}
-	if s.sls != nil {
-		s.sls.Before(s.WF)
-		sw.Lap(telemetry.StageAttenuation)
-	}
-	s.stressPhase(s.interior, dtdx, &sw)
-
+	s.walk(s.walks[1], dtdx, &sw)
 	ex.FinishVelocity(s.WF, s.step)
 	if s.Cfg.Overlap {
 		sw.Lap(telemetry.StageHaloWait)
 	} else {
 		sw.Lap(telemetry.StageHaloVelocity)
 	}
-	// image the ghost frame now that exchanged columns are in place: the two
-	// x strips (full y extent, covering the corners) and the two remaining
-	// y strips tile exactly the frame beyond the owned columns
-	fd.ImageVelocityCols(s.WF, -h, 0, -h, d.Ny+h)
-	fd.ImageVelocityCols(s.WF, d.Nx, d.Nx+h, -h, d.Ny+h)
-	fd.ImageVelocityCols(s.WF, 0, d.Nx, -h, 0)
-	fd.ImageVelocityCols(s.WF, 0, d.Nx, d.Ny, d.Ny+h)
-	sw.Lap(telemetry.StageFreeSurface)
-	if twoPass {
-		for _, reg := range s.afterWait {
-			s.stressPhase(reg, dtdx, &sw)
-		}
-		s.spongeVelocities(grid.Box(d), &sw)
-	}
+	s.walk(s.walks[2], dtdx, &sw)
 	if s.comp != nil {
 		// recorders and checkpoints observe exactly the stored state
 		encode(s.comp.fields, s.WF.AllFields())
@@ -301,163 +259,163 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	}
 }
 
-// velocityPhase runs the velocity kernel over one Region, fanned across the
-// tile pool (nil-safe: a serial simulator runs inline).
-func (s *Simulator) velocityPhase(reg grid.Region, dtdx float32) {
-	s.pool.fan(reg, func(r grid.Region) { s.backend.Velocity(s.WF, s.Med, dtdx, r) })
-}
+// geometry is the shape a walk moves in: strips of cols columns, down each
+// slabs of planes i-planes; zero, or more than a tile holds, is the whole
+// extent. One slab of one strip runs each stage over the tile in turn.
+type geometry struct{ planes, cols int }
 
-// chainBlockPoints sizes the x-blocks stressPhase walks: a block is as many
-// whole i-planes of its region as hold at most this many cells (one plane
-// at least). The chain's six stages all read and write the block's six
-// stress rows, so those — 6 fields x 4 B x 32768 cells = 768 KB — must
-// still be in L2 when the last stage runs, beside the ~25 operand rows
-// (velocities, moduli, plasticity parameters, Q factors) that stream through
-// once: that fits the 1-2 MB per-core L2 of the hosts we run on with room
-// for the streams. It is one i-plane of a 192x192x96 block — where blocks
-// of 1 and 2 planes measured alike, 4 and 8 slower, the whole region
-// slowest (DESIGN.md §3.1) — and the whole of a 32x32x24 one, so grids that
-// fit a cache as they are pay nothing.
-const chainBlockPoints = 1 << 15
+// chainBlockPoints is the largest block the walk takes as one slab: its six
+// stress arrays (6 x 4 B x 32768 cells = 768 KB) stay in L2 from the chain's
+// first stage to its last, so a 32x32x24 block pays for no strips.
+// skewStripPoints sizes a larger block's strips, walked one i-plane at a
+// time: as many columns as hold at most this many cells (one at least). Down
+// a strip some 39 plane-strips stay live — each stress from the furthest
+// plane ahead the kernel reads it at back to the chain's, each velocity from
+// the kernel's plane back to the sponge's — beside the medium rows streaming
+// through: at 64 columns of a 96-deep block ~1 MB, inside the L2 of the
+// hosts we run on. Wider strips measured slower, whole planes slowest
+// (DESIGN.md §3.1).
+const (
+	chainBlockPoints = 1 << 15
+	skewStripPoints  = 3 << 11
+)
 
-// chainBlockPlanes overrides the block size in i-planes; only tests set it.
-var chainBlockPlanes int
+// walkGeometry, where not zero, overrides the derived geometry; only tests
+// set it.
+var walkGeometry geometry
 
-// stressPhase runs the stress-side stage chain — stress kernel, SLS memory
-// update, source injection, plasticity, attenuation, the stress half of the
-// sponge — over one Region, and is the only place that order is spelled.
-// The pipeline calls it on the whole block or, under Config.Overlap, on the
-// interior and then on each boundary shell; an empty region is no work and no
-// observation.
-//
-// The region is walked in x-blocks (chainBlockPoints) and the whole chain
-// runs on a block before the next is touched: every stage but the stress
-// kernel reads and writes only the six stresses of the cell it stands on,
-// and the stress kernel reads velocities, which nothing here writes — so
-// the per-cell independence that makes tiles and interior/shell ordering
-// exact makes block order exact too. With a tile pool the fan is outermost:
-// each worker walks its own tile block by block, one fork-join for the whole
-// chain. Within a block sources are injected in list order, so co-located
-// sources keep theirs. The core-group executor computes a block whole, so it
-// gets the region as one block.
-//
-// The velocity half of the sponge is NOT part of the chain: neighbouring
-// cells' stress stencils read the velocities, so spongeVelocities damps them
-// once every block of the region is done.
-//
-// Stage times are tallied per block and per worker and observed once per
-// stage per call, scaled to the call's wall time.
-func (s *Simulator) stressPhase(reg grid.Region, dtdx float32, sw *telemetry.Stopwatch) {
-	if reg.Empty() {
-		return
-	}
-	tally := sw.Tally()
-	var mu sync.Mutex
-	s.pool.fan(reg, func(tile grid.Region) {
-		planes := tile.I1 - tile.I0 // the core-group executor's block: all of it
-		switch {
-		case s.cgx != nil:
-		case chainBlockPlanes > 0:
-			planes = chainBlockPlanes
-		default:
-			planes = max(1, chainBlockPoints/(tile.Nj()*tile.Nk()))
-		}
-		t := tally.Fork()
-		var yielded int64
-		for b := tile; b.I0 < tile.I1; b.I0 = b.I1 {
-			b.I1 = min(b.I0+planes, tile.I1)
-			yielded += s.stressChain(b, dtdx, &t)
-		}
-		mu.Lock()
-		tally.Merge(&t)
-		s.yielded += yielded
-		mu.Unlock()
-	})
-	sw.LapTallied(&tally)
-}
-
-// skewStripPoints sizes the strips of the skewed pass: as many columns as
-// hold at most this many cells (one at least). Down a strip some 39
-// plane-strips stay live — each stress from the furthest plane ahead the
-// kernel reads it at back to the chain's, each velocity from the kernel's
-// plane back to the sponge's — beside the medium rows streaming through: at
-// 64 columns of a 96-deep block ~1 MB, inside the L2 of the hosts we run on.
-// Wider strips measured slower, whole planes slowest (DESIGN.md §3.1).
-const skewStripPoints = 3 << 11
-
-// skewStripCols overrides the strip width in columns, whatever the block's
-// size; negative means never skew. Only tests set it.
-var skewStripCols int
-
-// skewStrip returns the strip width in columns where the step runs as the
-// skewed pass, 0 where it runs two-pass: the block must be one worker's —
-// plain storage, host kernels, no neighbour, no tile pool, no shells, no SLS
-// snapshot — and more than one chain block, which is the two-pass order
-// exactly and what a cache-resident grid keeps.
-func (s *Simulator) skewStrip() int {
-	a := s.Cfg.Attenuation
-	if s.pg.Size() > 1 || s.comp != nil || s.cgx != nil || s.tiles > 1 || s.Cfg.Overlap || (a.Enabled && a.UseSLS) {
-		return 0
-	}
-	d := s.Cfg.Dims
-	switch {
-	case skewStripCols != 0:
-		return max(0, skewStripCols)
+// geometry returns the block's walk geometry: one slab for the core-group
+// executor, which computes a block whole, and for a block that fits a cache
+// as it is; otherwise 1-plane slabs in skewStripPoints strips.
+func (s *Simulator) geometry() geometry {
+	switch d := s.Cfg.Dims; {
+	case s.cgx != nil:
+		return geometry{}
+	case walkGeometry != geometry{}:
+		return walkGeometry
 	case d.Points() <= chainBlockPoints:
-		return 0
+		return geometry{}
+	default:
+		return geometry{planes: 1, cols: max(1, skewStripPoints/d.Nz)}
 	}
-	return max(1, skewStripPoints/d.Nz)
 }
 
-// skewedPass is one worker's velocity → stress pass over the whole block, so
-// that the nine wavefield arrays cross the bus once a step, not twice: strips
-// of cols columns outermost, down each strip the i-planes, the velocity
-// kernel and the owned-column imaging on plane i, stressChain fd.Halo planes
-// and columns behind, the velocity sponge fd.Halo further (stepPipeline's
-// header has the ordering argument). The first strip's lagging ranges start,
-// and the last strip's end, at the block's edge, so each stage covers every
-// cell once. Stage times are tallied and observed once per stage, the
-// sponge's velocity half apart from the chain's, as two-pass observes them.
-func (s *Simulator) skewedPass(cols int, dtdx float32, sw *telemetry.Stopwatch) {
-	const h = fd.Halo
-	box := grid.Box(s.Cfg.Dims)
+// walk runs one pass over the tiles: each worker walks its share (part) of
+// its tile (stripWalk), and the seam bands left over are walked after the
+// join, by the same loop — at most two rounds more, none on one tile. Stage
+// times are tallied per worker and observed once per stage per pass, the
+// sponge's velocity half apart from the chain's.
+func (s *Simulator) walk(p pass, dtdx float32, sw *telemetry.Stopwatch) {
+	g := s.geometry()
 	tally := sw.Tally()
 	damp := tally.Fork()
-	var yielded int64
-	for j0 := 0; j0 < box.J1; j0 += cols {
-		j1 := min(j0+cols, box.J1)
-		// the strip's columns on plane i-lag, lag columns behind
-		lagging := func(i, lag int) grid.Region {
-			r := box
-			r.I0, r.I1 = max(0, i-lag), min(i-lag+1, box.I1)
-			r.J0 = max(0, j0-lag)
-			if j1 < box.J1 {
-				r.J1 = max(0, j1-lag)
-			}
-			return r
-		}
-		for i := 0; i < box.I1+2*h; i++ {
-			if v := lagging(i, 0); !v.Empty() {
-				s.backend.Velocity(s.WF, s.Med, dtdx, v)
-				tally.Lap(telemetry.StageVelocity)
-				fd.ImageVelocityCols(s.WF, v.I0, v.I1, v.J0, v.J1)
-				tally.Lap(telemetry.StageFreeSurface)
-			}
-			if c := lagging(i, h); !c.Empty() {
-				yielded += s.stressChain(c, dtdx, &tally)
-			}
-			if v := lagging(i, 2*h); s.sponge != nil && !v.Empty() {
-				s.sponge.ApplyVelocityRegion(s.WF, v)
-				tally.LapTo(&damp, telemetry.StageSponge)
-			}
+	box := grid.Box(s.Cfg.Dims)
+	var mu sync.Mutex
+	for !p.empty() {
+		var done []pass
+		fan(s.workers, box, func(tile grid.Region) {
+			part := p.part(tile, box)
+			t, dt := tally.Fork(), tally.Fork()
+			yielded := s.stripWalk(part, tile, g, dtdx, &t, &dt)
+			mu.Lock()
+			tally.Merge(&t)
+			damp.Merge(&dt)
+			s.yielded += yielded
+			done = append(done, part)
+			mu.Unlock()
+		})
+		p = pass{chain: p.chain, sponge: p.sponge}
+		for _, q := range done {
+			p.chain, p.sponge = minus(p.chain, q.chain), minus(p.sponge, q.sponge)
 		}
 	}
-	s.yielded += yielded
 	sw.LapTallied(&tally, &damp)
 }
 
-// stressChain runs the stress-side stages on one block and returns the
-// number of cells that yielded.
+// part is the pass's share of one tile of the block: its velocity cells, its
+// chain cells fd.Halo back from the tile's seams if the pass moves
+// velocities, its sponge cells a further fd.Halo back if it runs the chain.
+// A round with no velocity leaves no chain seam, one with only the sponge
+// none at all.
+func (p pass) part(tile, block grid.Region) pass {
+	if tile == block {
+		return p
+	}
+	seam := 0
+	if len(p.vel) > 0 {
+		seam = fd.Halo
+	}
+	q := pass{vel: clip(p.vel, tile), chain: clip(p.chain, inset(tile, block, seam))}
+	if len(p.chain) > 0 {
+		seam += fd.Halo
+	}
+	q.sponge = clip(p.sponge, inset(tile, block, seam))
+	return q
+}
+
+// stripWalk is one worker's walk of a part over its tile b: strips of
+// g.cols columns outermost, down each strip slabs of g.planes i-planes; on
+// each, the velocity kernel and the owned-column imaging, stressChain a slab
+// (at least fd.Halo planes) and fd.Halo columns behind, the velocity sponge
+// as far again behind the chain. It returns the number of cells that
+// yielded.
+func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t, damp *telemetry.StageTally) int64 {
+	const h = fd.Halo
+	planes, cols := b.Ni(), b.Nj()
+	if g.planes > 0 {
+		planes = min(planes, g.planes)
+	}
+	if g.cols > 0 {
+		cols = min(cols, g.cols)
+	}
+	lag := max(h, planes)
+	var yielded int64
+	for j0 := b.J0; j0 < b.J1; j0 += cols {
+		j1 := min(j0+cols, b.J1)
+		// the strip's slab at plane i, n planes and c columns behind
+		behind := func(i, n, c int) grid.Region {
+			r := b
+			r.I0, r.I1 = i-n, i-n+planes
+			if j0 > b.J0 {
+				r.J0 = j0 - c
+			}
+			if j1 < b.J1 {
+				r.J1 = j1 - c
+			}
+			return r
+		}
+		for i := b.I0; i < b.I1+2*lag; i += planes {
+			for _, box := range p.vel {
+				if r := box.Intersect(behind(i, 0, 0)); !r.Empty() {
+					s.backend.Velocity(s.WF, s.Med, dtdx, r)
+					t.Lap(telemetry.StageVelocity)
+					fd.ImageVelocityCols(s.WF, r.I0, r.I1, r.J0, r.J1)
+					t.Lap(telemetry.StageFreeSurface)
+				}
+			}
+			for _, box := range p.chain {
+				if r := box.Intersect(behind(i, lag, h)); !r.Empty() {
+					yielded += s.stressChain(r, dtdx, t)
+				}
+			}
+			for _, box := range p.sponge {
+				if r := box.Intersect(behind(i, 2*lag, 2*h)); s.sponge != nil && !r.Empty() {
+					s.sponge.ApplyVelocityRegion(s.WF, r)
+					t.LapTo(damp, telemetry.StageSponge)
+				}
+			}
+		}
+	}
+	return yielded
+}
+
+// stressChain runs the stress-side stages — stress kernel, SLS memory
+// update, source injection, plasticity, attenuation, the stress half of the
+// sponge — on one block, is the only place that order is spelled, and
+// returns the number of cells that yielded. Every stage but the stress
+// kernel reads and writes only the six stresses of the cell it stands on,
+// and within a block sources are injected in list order, so co-located
+// sources keep theirs.
 func (s *Simulator) stressChain(b grid.Region, dtdx float32, t *telemetry.StageTally) int64 {
 	s.backend.Stress(s.WF, s.Med, dtdx, b)
 	t.Lap(telemetry.StageStress)
@@ -483,11 +441,44 @@ func (s *Simulator) stressChain(b grid.Region, dtdx float32, t *telemetry.StageT
 	return yielded
 }
 
-// spongeVelocities applies the velocity half of the sponge over a region
-// whose stress phase is complete.
-func (s *Simulator) spongeVelocities(reg grid.Region, sw *telemetry.Stopwatch) {
-	if s.sponge != nil {
-		s.pool.fan(reg, func(r grid.Region) { s.sponge.ApplyVelocityRegion(s.WF, r) })
-		sw.Lap(telemetry.StageSponge)
+func (p pass) empty() bool { return len(p.vel)+len(p.chain)+len(p.sponge) == 0 }
+
+// inset is tile less n cells at each lateral face inside block.
+func inset(tile, block grid.Region, n int) grid.Region {
+	if tile.I0 > block.I0 {
+		tile.I0 += n
 	}
+	if tile.I1 < block.I1 {
+		tile.I1 -= n
+	}
+	if tile.J0 > block.J0 {
+		tile.J0 += n
+	}
+	if tile.J1 < block.J1 {
+		tile.J1 -= n
+	}
+	return tile
+}
+
+// clip is the non-empty parts of rs inside r.
+func clip(rs []grid.Region, r grid.Region) []grid.Region {
+	var out []grid.Region
+	for _, x := range rs {
+		if c := x.Intersect(r); !c.Empty() {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// minus is the cells of rs outside every box of cut.
+func minus(rs, cut []grid.Region) []grid.Region {
+	for _, c := range cut {
+		var out []grid.Region
+		for _, r := range rs {
+			out = append(out, r.Minus(c)...)
+		}
+		rs = out
+	}
+	return rs
 }

@@ -13,7 +13,6 @@ import (
 	"swquake/internal/decomp"
 	"swquake/internal/faultinject"
 	"swquake/internal/fd"
-	"swquake/internal/grid"
 	"swquake/internal/model"
 	"swquake/internal/plasticity"
 	"swquake/internal/seismo"
@@ -51,14 +50,13 @@ type Simulator struct {
 	stations []seismo.Station
 	peers    peers
 
-	// tiles is the resolved intra-rank tile count (effectiveTiles); pool is
-	// the live worker pool, attached only while Run/RunParallel is stepping
-	// (startTiling). A nil pool executes every fan inline.
-	tiles int
-	pool  *tilePool
-	// interior and afterWait are the step's region lists (planRegions).
-	interior  grid.Region
-	afterWait []grid.Region
+	// tiles is the resolved intra-rank tile count (effectiveTiles); workers
+	// is what the walks fan over, tiles only while Run/RunParallel is
+	// stepping (startTiling) and inline otherwise.
+	tiles, workers int
+	// walks are the step's passes before, during and after the velocity-halo
+	// exchange (planWalks).
+	walks [3]pass
 
 	step    int
 	simTime float64
@@ -254,10 +252,10 @@ func (s *Simulator) setUp() error {
 	} else {
 		s.backend = hostBackend{}
 	}
-	// AutoTiles resolves against the rank count, so the worker pools of all
-	// ranks together match GOMAXPROCS
+	// AutoTiles resolves against the rank count, so the tiles of all ranks
+	// together match GOMAXPROCS
 	s.tiles = effectiveTiles(cfg.Tiles, s.pg.Size(), cfg.Dims.Points())
-	s.planRegions()
+	s.planWalks()
 	return nil
 }
 

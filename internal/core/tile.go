@@ -9,68 +9,34 @@ import (
 
 // Intra-rank tile parallelism (the paper's level below the MPI
 // decomposition: a block is computed by many workers, not one). The engine
-// splits a phase's Region into Config.Tiles sub-boxes and fans them across
-// a bounded pool of worker goroutines, joining before the next phase: one
-// fan for the velocity kernel, one for the whole stress-side chain (each
-// worker runs every stage on its own tile, pipeline.go), one for the
-// velocity half of the sponge. Every stage kernel is per-cell independent
-// (see internal/fd/region.go), so the fan is bit-exact at any tile count.
+// splits each walk of the step into Config.Tiles sub-boxes and fans them
+// across as many goroutines: each walks its own tile — velocity kernel,
+// stress chain and sponge — keeping the chain and the sponge back from the
+// seams it shares with another tile, and the seam bands are walked after
+// the join (pipeline.go's walk). Every stage kernel is
+// per-cell independent (see internal/fd/region.go), so the fan is bit-exact
+// at any tile count.
 
-// tilePool is a bounded pool of worker goroutines shared by all fanned
-// stages of one simulator. It lives only while a run is stepping
-// (Simulator.startTiling), so idle simulators hold no goroutines. All
-// methods are nil-safe; a nil pool executes inline, which is how a bare
-// Step() outside Run stays single-threaded.
-type tilePool struct {
-	workers int
-	tasks   chan func()
-}
-
-func newTilePool(workers int) *tilePool {
-	p := &tilePool{workers: workers, tasks: make(chan func())}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for t := range p.tasks {
-				t()
-			}
-		}()
-	}
-	return p
-}
-
-// Close stops the workers. The pool must be idle (no fan in flight).
-func (p *tilePool) Close() {
-	if p != nil {
-		close(p.tasks)
-	}
-}
-
-// fan splits reg into one tile per worker and runs f on each concurrently,
-// returning when all tiles are done. Tiles are disjoint and cover reg
+// fan splits reg into one tile per worker and runs f on each concurrently —
+// the first on the calling goroutine — returning when all tiles are done;
+// fewer than two workers run f on reg inline, which is how a bare Step()
+// outside Run stays single-threaded. Tiles are disjoint and cover reg
 // exactly, so f must be safe under the per-cell-independence contract of
 // the region kernels.
-func (p *tilePool) fan(reg grid.Region, f func(grid.Region)) {
-	if reg.Empty() {
-		return
-	}
-	if p == nil {
-		f(reg)
-		return
-	}
-	regs := reg.SplitN(p.workers)
-	if len(regs) == 1 {
-		f(regs[0])
+func fan(workers int, reg grid.Region, f func(grid.Region)) {
+	regs := reg.SplitN(workers)
+	if len(regs) == 0 {
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(len(regs))
-	for _, sub := range regs {
-		sub := sub
-		p.tasks <- func() {
+	for _, sub := range regs[1:] {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
 			f(sub)
-		}
+		}()
 	}
+	f(regs[0])
 	wg.Wait()
 }
 
@@ -96,16 +62,9 @@ func effectiveTiles(cfgTiles, ranks int, points int64) int {
 	return t
 }
 
-// startTiling attaches a live worker pool to the simulator for the duration
-// of a run; the returned stop function drains it. With tiles <= 1, or under
-// the cgexec backend (which needs full-block calls), it is a no-op.
+// startTiling fans the simulator's walks over its tiles for the duration of
+// a run; the returned stop function makes them inline again.
 func (s *Simulator) startTiling() func() {
-	if s.tiles <= 1 || s.cgx != nil {
-		return func() {}
-	}
-	s.pool = newTilePool(s.tiles)
-	return func() {
-		s.pool.Close()
-		s.pool = nil
-	}
+	s.workers = s.tiles
+	return func() { s.workers = 0 }
 }

@@ -224,9 +224,9 @@ func TestAutoTilesLeavesSmallBlocksSerial(t *testing.T) {
 	if sim.tiles != 1 {
 		t.Fatalf("AutoTiles on %v resolved to %d tiles, want 1", cfg.Dims, sim.tiles)
 	}
-	if stop := sim.startTiling(); sim.pool != nil {
+	if stop := sim.startTiling(); sim.workers > 1 {
 		stop()
-		t.Fatal("a single-tile simulator started a worker pool")
+		t.Fatal("a single-tile simulator fans its walks")
 	}
 	large := grid.Dims{Nx: 160, Ny: 160, Nz: 96}
 	if got, want := effectiveTiles(AutoTiles, 1, large.Points()), runtime.GOMAXPROCS(0); got != want {
@@ -238,36 +238,41 @@ func TestAutoTilesLeavesSmallBlocksSerial(t *testing.T) {
 	}
 }
 
-// TestTilePoolFan: the pool must run every tile exactly once and join
-// before returning, for region shapes from empty to larger than the pool.
+// TestTilePoolFan: a fan must run every tile exactly once and join before
+// returning, for region shapes from empty to larger than the worker count,
+// and run inline on one worker.
 func TestTilePoolFan(t *testing.T) {
-	pool := newTilePool(4)
-	defer pool.Close()
 	box := grid.Box(grid.Dims{Nx: 9, Ny: 7, Nz: 5})
 
 	var mu sync.Mutex
-	covered := int64(0)
-	pool.fan(box, func(r grid.Region) {
+	covered, calls := int64(0), 0
+	fan(4, box, func(r grid.Region) {
 		mu.Lock()
 		covered += r.Points()
+		calls++
 		mu.Unlock()
 	})
-	if covered != box.Points() {
-		t.Fatalf("fan covered %d points of %d", covered, box.Points())
+	if covered != box.Points() || calls != 4 {
+		t.Fatalf("fan made %d calls covering %d points of %d", calls, covered, box.Points())
 	}
 
 	ran := false
-	pool.fan(grid.Region{}, func(grid.Region) { ran = true })
+	fan(4, grid.Region{}, func(grid.Region) { ran = true })
 	if ran {
 		t.Fatal("fan ran a callback on an empty region")
 	}
 
-	// nil pool: inline execution
-	var nilPool *tilePool
-	calls := 0
-	nilPool.fan(box, func(grid.Region) { calls++ })
-	if calls != 1 {
-		t.Fatalf("nil pool made %d calls", calls)
+	for _, workers := range []int{0, 1} {
+		calls := 0
+		fan(workers, box, func(r grid.Region) {
+			if r != box {
+				t.Fatalf("%d workers: inline call on %v, want the whole region", workers, r)
+			}
+			calls++
+		})
+		if calls != 1 {
+			t.Fatalf("%d workers made %d calls", workers, calls)
+		}
 	}
 }
 

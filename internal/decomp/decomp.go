@@ -4,10 +4,11 @@
 //  1. a 2D decomposition of the horizontal (x,y) plane over MPI processes —
 //     the z extent is never split because earthquake domains are hundreds of
 //     kilometers wide but only tens deep;
-//  2. a blocking of each process's block along y and z into core-group
-//     tiles sized for efficient LDM use.
+//  2. the interior of a process's block, whose stencils read no halo, for
+//     communication/computation overlap (region.go).
 //
-// Levels 3 (CPE thread grid) and 4 (LDM buffering) live in package ldm.
+// The core-group level is the engine's tiles (internal/core), levels 3 and 4
+// (CPE thread grid, LDM buffering) are package ldm's.
 package decomp
 
 import (
@@ -98,60 +99,4 @@ func (p *ProcessGrid) HaloBytesPerStep(rank, nfields, h int) int64 {
 	}
 	// sent and received
 	return 2 * pts * int64(nfields) * 4
-}
-
-// CGTile is one core-group tile of a process block (level 2 of Fig. 4):
-// a y/z sub-range processed as a unit so the LDM working set stays bounded.
-type CGTile struct {
-	J0, J1 int // y range [J0, J1)
-	K0, K1 int // z range [K0, K1)
-}
-
-// SplitCG tiles a block's (y,z) cross-section into tiles of at most
-// (by, bz); the trailing tiles absorb remainders.
-func SplitCG(block grid.Dims, by, bz int) ([]CGTile, error) {
-	if by <= 0 || bz <= 0 {
-		return nil, fmt.Errorf("decomp: non-positive CG tile %dx%d", by, bz)
-	}
-	var tiles []CGTile
-	for j := 0; j < block.Ny; j += by {
-		j1 := j + by
-		if j1 > block.Ny {
-			j1 = block.Ny
-		}
-		for k := 0; k < block.Nz; k += bz {
-			k1 := k + bz
-			if k1 > block.Nz {
-				k1 = block.Nz
-			}
-			tiles = append(tiles, CGTile{J0: j, J1: j1, K0: k, K1: k1})
-		}
-	}
-	return tiles, nil
-}
-
-// Covers reports whether the tiles exactly partition the block (used as a
-// safety check in tests and the solver).
-func Covers(block grid.Dims, tiles []CGTile) bool {
-	covered := make([]bool, block.Ny*block.Nz)
-	for _, t := range tiles {
-		for j := t.J0; j < t.J1; j++ {
-			for k := t.K0; k < t.K1; k++ {
-				if j < 0 || j >= block.Ny || k < 0 || k >= block.Nz {
-					return false
-				}
-				idx := j*block.Nz + k
-				if covered[idx] {
-					return false
-				}
-				covered[idx] = true
-			}
-		}
-	}
-	for _, c := range covered {
-		if !c {
-			return false
-		}
-	}
-	return true
 }

@@ -2,7 +2,6 @@ package decomp
 
 import (
 	"testing"
-	"testing/quick"
 
 	"swquake/internal/grid"
 )
@@ -115,53 +114,5 @@ func TestHaloBytes(t *testing.T) {
 		if interior != want {
 			t.Fatalf("interior halo bytes %d want %d", interior, want)
 		}
-	}
-}
-
-func TestSplitCGCovers(t *testing.T) {
-	block := grid.Dims{Nx: 10, Ny: 33, Nz: 70}
-	tiles, err := SplitCG(block, 16, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Covers(block, tiles) {
-		t.Fatal("tiles do not partition the block")
-	}
-	// 33/16 -> 3 tiles along y, 70/32 -> 3 tiles along z
-	if len(tiles) != 9 {
-		t.Fatalf("%d tiles", len(tiles))
-	}
-	if _, err := SplitCG(block, 0, 32); err == nil {
-		t.Fatal("zero tile accepted")
-	}
-}
-
-func TestCoversDetectsOverlapAndGap(t *testing.T) {
-	block := grid.Dims{Nx: 1, Ny: 4, Nz: 4}
-	if Covers(block, []CGTile{{J0: 0, J1: 4, K0: 0, K1: 3}}) {
-		t.Fatal("gap not detected")
-	}
-	if Covers(block, []CGTile{
-		{J0: 0, J1: 4, K0: 0, K1: 4},
-		{J0: 0, J1: 1, K0: 0, K1: 1},
-	}) {
-		t.Fatal("overlap not detected")
-	}
-	if Covers(block, []CGTile{{J0: 0, J1: 5, K0: 0, K1: 4}}) {
-		t.Fatal("out-of-range not detected")
-	}
-}
-
-func TestQuickSplitCGAlwaysCovers(t *testing.T) {
-	fn := func(ny, nz, by, bz uint8) bool {
-		block := grid.Dims{Nx: 1, Ny: int(ny%50) + 1, Nz: int(nz%50) + 1}
-		tiles, err := SplitCG(block, int(by%20)+1, int(bz%20)+1)
-		if err != nil {
-			return false
-		}
-		return Covers(block, tiles)
-	}
-	if err := quick.Check(fn, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,31 +2,27 @@ package decomp
 
 import "swquake/internal/grid"
 
-// InteriorShell decomposes a block into the interior region whose stencils
-// read no lateral ghost data, plus the boundary-shell regions of width h
-// that do — the decomposition behind communication/computation overlap
-// (paper §6.2): the interior computes while halo messages fly, the shells
-// only after the exchange lands.
-//
-// The shells are disjoint and, together with the interior, exactly tile the
-// block: the two x-strips span the full y extent, the two y-strips cover
-// only the interior x-range. Blocks too small to hold an interior
-// (Nx < 2h or Ny < 2h) return an empty interior and the whole block as one
-// shell, so callers degrade to no overlap instead of computing cells twice.
-func InteriorShell(block grid.Dims, h int) (interior grid.Region, shells []grid.Region) {
-	full := grid.Box(block)
-	if h <= 0 {
-		return full, nil
+// Interior returns the part of a rank's block whose stencils, h cells wide,
+// read no ghost value a neighbour sends: the block less h cells at each face
+// with a neighbour across it — the region behind communication/computation
+// overlap (paper §6.2), computed while the halo messages fly. A face at the
+// domain edge keeps its cells, whose ghosts hold the boundary's zeros, so a
+// lone block is all interior. A block too thin for an interior gets an empty
+// one; Box(BlockDims()).Minus(Interior) is the boundary shell.
+func (p *ProcessGrid) Interior(rank, h int) grid.Region {
+	px, py := p.Coords(rank)
+	r := grid.Box(p.BlockDims())
+	if px > 0 {
+		r.I0 += h
 	}
-	if block.Nx < 2*h || block.Ny < 2*h {
-		return grid.Region{}, []grid.Region{full}
+	if px < p.Mx-1 {
+		r.I1 -= h
 	}
-	interior = grid.Region{I0: h, I1: block.Nx - h, J0: h, J1: block.Ny - h, K1: block.Nz}
-	shells = []grid.Region{
-		{I0: 0, I1: h, J0: 0, J1: block.Ny, K1: block.Nz},                       // x- strip
-		{I0: block.Nx - h, I1: block.Nx, J0: 0, J1: block.Ny, K1: block.Nz},     // x+ strip
-		{I0: h, I1: block.Nx - h, J0: 0, J1: h, K1: block.Nz},                   // y- strip
-		{I0: h, I1: block.Nx - h, J0: block.Ny - h, J1: block.Ny, K1: block.Nz}, // y+ strip
+	if py > 0 {
+		r.J0 += h
 	}
-	return interior, shells
+	if py < p.My-1 {
+		r.J1 -= h
+	}
+	return r
 }

@@ -6,57 +6,63 @@ import (
 	"swquake/internal/grid"
 )
 
+// TestInteriorShellTilesBlock: a rank's interior keeps h cells away from
+// each face with a neighbour and reaches every face at the domain edge, and
+// with the shell the block less it leaves, tiles the block.
 func TestInteriorShellTilesBlock(t *testing.T) {
-	cases := []struct {
-		d grid.Dims
-		h int
-	}{
-		{grid.Dims{Nx: 16, Ny: 12, Nz: 8}, 2},
-		{grid.Dims{Nx: 4, Ny: 4, Nz: 3}, 2}, // minimal block with an interior
-		{grid.Dims{Nx: 5, Ny: 9, Nz: 2}, 1},
+	pg, err := NewProcessGrid(48, 36, 8, 3, 2) // blocks 16x18x8
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		interior, shells := InteriorShell(c.d, c.h)
-		parts := append([]grid.Region{interior}, shells...)
-		seen := make(map[[3]int]bool)
-		var total int64
-		for _, p := range parts {
-			total += p.Points()
-			for i := p.I0; i < p.I1; i++ {
-				for j := p.J0; j < p.J1; j++ {
-					for k := p.K0; k < p.K1; k++ {
-						cell := [3]int{i, j, k}
-						if seen[cell] {
-							t.Fatalf("%v h=%d: cell %v covered twice", c.d, c.h, cell)
-						}
-						seen[cell] = true
+	for _, c := range []struct {
+		px, py int
+		want   grid.Region
+	}{
+		{0, 0, grid.Region{I0: 0, I1: 14, J0: 0, J1: 16, K1: 8}}, // corner: x+ and y+ neighbours
+		{1, 0, grid.Region{I0: 2, I1: 14, J0: 0, J1: 16, K1: 8}}, // middle column: both x faces
+		{2, 1, grid.Region{I0: 2, I1: 16, J0: 2, J1: 18, K1: 8}}, // opposite corner
+	} {
+		if got := pg.Interior(pg.Rank(c.px, c.py), 2); got != c.want {
+			t.Errorf("rank (%d,%d): interior %v, want %v", c.px, c.py, got, c.want)
+		}
+		box := grid.Box(pg.BlockDims())
+		seen := map[[2]int]bool{}
+		for _, r := range append(box.Minus(c.want), c.want) {
+			for i := r.I0; i < r.I1; i++ {
+				for j := r.J0; j < r.J1; j++ {
+					if seen[[2]int{i, j}] || r.K0 != 0 || r.K1 != box.K1 {
+						t.Fatalf("rank (%d,%d): column (%d,%d) covered twice or cut in z", c.px, c.py, i, j)
 					}
+					seen[[2]int{i, j}] = true
 				}
 			}
 		}
-		if total != c.d.Points() {
-			t.Fatalf("%v h=%d: parts cover %d points, block has %d", c.d, c.h, total, c.d.Points())
-		}
-		// the interior must keep h columns away from every lateral edge
-		if interior.I0 < c.h || interior.I1 > c.d.Nx-c.h ||
-			interior.J0 < c.h || interior.J1 > c.d.Ny-c.h {
-			t.Fatalf("%v h=%d: interior %v reaches the boundary", c.d, c.h, interior)
+		if len(seen) != box.Ni()*box.Nj() {
+			t.Fatalf("rank (%d,%d): interior and shell cover %d of %d columns", c.px, c.py, len(seen), box.Ni()*box.Nj())
 		}
 	}
+
 }
 
+// TestInteriorShellDegenerate: a lone block is all interior, with no shell;
+// a block too thin for an interior is all shell.
 func TestInteriorShellDegenerate(t *testing.T) {
-	// no halo: the whole block is interior, nothing to wait for
-	interior, shells := InteriorShell(grid.Dims{Nx: 8, Ny: 8, Nz: 4}, 0)
-	if len(shells) != 0 || interior != grid.Box(grid.Dims{Nx: 8, Ny: 8, Nz: 4}) {
-		t.Fatalf("h=0: interior %v shells %v", interior, shells)
+	lone, err := NewProcessGrid(8, 8, 4, 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// block too thin for an interior: everything is shell
-	interior, shells = InteriorShell(grid.Dims{Nx: 3, Ny: 8, Nz: 4}, 2)
-	if !interior.Empty() {
-		t.Fatalf("thin block: interior %v not empty", interior)
+	if got, want := lone.Interior(0, 2), grid.Box(lone.BlockDims()); got != want || len(want.Minus(got)) != 0 {
+		t.Errorf("lone block: interior %v, want the block %v and no shell", got, want)
 	}
-	if len(shells) != 1 || shells[0] != grid.Box(grid.Dims{Nx: 3, Ny: 8, Nz: 4}) {
-		t.Fatalf("thin block: shells %v", shells)
+
+	thin, err := NewProcessGrid(9, 8, 4, 3, 1) // blocks 3 planes wide
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := thin.Interior(1, 2); !got.Empty() {
+		t.Errorf("3-plane block between two neighbours: interior %v, want empty", got)
+	}
+	if shell := grid.Box(thin.BlockDims()).Minus(thin.Interior(1, 2)); len(shell) != 1 || shell[0] != grid.Box(thin.BlockDims()) {
+		t.Errorf("3-plane block: shell %v, want the whole block", shell)
 	}
 }

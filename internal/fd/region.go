@@ -44,8 +44,8 @@ func ImageTractionCols(wf *Wavefield, i0, i1, j0, j1 int) {
 
 // ImageVelocityCols images the three velocities symmetrically about the free
 // surface on the columns [i0,i1) x [j0,j1) — the ghosts the stress kernel
-// reads. The step pipeline images owned columns before the halo exchange
-// completes and the ghost frame after.
+// reads. The step pipeline images each slab of owned columns as the
+// velocity kernel leaves it, before the halo exchange sends it.
 func ImageVelocityCols(wf *Wavefield, i0, i1, j0, j1 int) {
 	u, v, w := wf.U.Data, wf.V.Data, wf.W.Data
 	for i := i0; i < i1; i++ {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"swquake/internal/decomp"
 	"swquake/internal/grid"
 	"swquake/internal/model"
 )
@@ -49,7 +48,8 @@ func regionPartitions(d grid.Dims) map[string][]grid.Region {
 		"split222": box.Split(2, 2, 2),
 		"cells":    box.Split(d.Nx, d.Ny, d.Nz),
 	}
-	interior, shells := decomp.InteriorShell(d, Halo)
+	interior := grid.Region{I0: Halo, I1: d.Nx - Halo, J0: Halo, J1: d.Ny - Halo, K1: d.Nz}
+	shells := grid.Box(d).Minus(interior)
 	ovl := append([]grid.Region{interior}, shells...)
 	parts["interior+shells"] = ovl
 	rev := make([]grid.Region, len(ovl))

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"swquake/internal/cpu/cputest"
-	"swquake/internal/decomp"
 	"swquake/internal/grid"
 )
 
@@ -90,7 +89,8 @@ func hardRegions(d grid.Dims, rng *rand.Rand) []grid.Region {
 		{I1: d.Nx, J1: d.Ny, K0: 0, K1: 1},
 		{}, {I0: 2, I1: 2, J1: d.Ny, K1: d.Nz}, // empty
 	}
-	interior, shells := decomp.InteriorShell(d, Halo)
+	interior := grid.Region{I0: Halo, I1: d.Nx - Halo, J0: Halo, J1: d.Ny - Halo, K1: d.Nz}
+	shells := grid.Box(d).Minus(interior)
 	regs = append(regs, interior)
 	regs = append(regs, shells...)
 	regs = append(regs, box.SplitN(3)...)

@@ -6,10 +6,10 @@ import "fmt"
 // [I0,I1) x [J0,J1) x [K0,K1), in block-local coordinates. It is the unit
 // of kernel work in the region engine: the step pipeline decomposes a block
 // into Regions (interior + boundary shells for overlapped halo exchange,
-// tiles for intra-rank parallelism, chain blocks) and every stage kernel
-// accepts one. Bounds may address halo layers (negative, or beyond the
-// interior extent) where a kernel is defined there — the free surface images
-// ghost columns, for example.
+// tiles for intra-rank parallelism, the slabs and strips of the walk) and
+// every stage kernel accepts one. Bounds may address halo layers (negative,
+// or beyond the interior extent) where a kernel is defined there — the free
+// surface images ghost columns, for example.
 type Region struct {
 	I0, I1, J0, J1, K0, K1 int
 }
@@ -42,6 +42,42 @@ func (r Region) Points() int64 {
 
 func (r Region) String() string {
 	return fmt.Sprintf("[%d,%d)x[%d,%d)x[%d,%d)", r.I0, r.I1, r.J0, r.J1, r.K0, r.K1)
+}
+
+// Intersect returns the points r and o share (an empty region if none).
+func (r Region) Intersect(o Region) Region {
+	return Region{
+		I0: max(r.I0, o.I0), I1: min(r.I1, o.I1),
+		J0: max(r.J0, o.J0), J1: min(r.J1, o.J1),
+		K0: max(r.K0, o.K0), K1: min(r.K1, o.K1),
+	}
+}
+
+// Minus returns the points of r outside o as at most six disjoint non-empty
+// regions: the x slabs below and above o across all of r, then the y slabs
+// beside o within its x range, then the z slabs within both.
+func (r Region) Minus(o Region) []Region {
+	if r.Empty() {
+		return nil
+	}
+	o = r.Intersect(o)
+	if o.Empty() {
+		return []Region{r}
+	}
+	var out []Region
+	for _, p := range []Region{
+		{r.I0, o.I0, r.J0, r.J1, r.K0, r.K1},
+		{o.I1, r.I1, r.J0, r.J1, r.K0, r.K1},
+		{o.I0, o.I1, r.J0, o.J0, r.K0, r.K1},
+		{o.I0, o.I1, o.J1, r.J1, r.K0, r.K1},
+		{o.I0, o.I1, o.J0, o.J1, r.K0, o.K0},
+		{o.I0, o.I1, o.J0, o.J1, o.K1, r.K1},
+	} {
+		if !p.Empty() {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // Split partitions the region into at most ti*tj*tk sub-regions, near-equal
@@ -88,7 +124,7 @@ func (r Region) SplitN(n int) []Region {
 	tj := 1
 	if ti < n {
 		// floor, so ti*tj never exceeds n — a fan must not create more
-		// tiles than the worker pool has slots to run concurrently
+		// tiles than it has workers to run concurrently
 		tj = max(1, min(n/ti, r.Nj()))
 	}
 	return r.Split(ti, tj, 1)

@@ -160,3 +160,41 @@ func FuzzHaloRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestMinusTilesRegion: r less o, together with r ∩ o, tiles r exactly —
+// for o inset from some faces, reaching past others, disjoint from r and
+// covering it — and an inset from the four lateral faces leaves the two x
+// strips across r's full y extent and the two y strips between them.
+func TestMinusTilesRegion(t *testing.T) {
+	r := Region{I0: 0, I1: 16, J0: 0, J1: 12, K0: 0, K1: 8}
+	for _, o := range []Region{
+		{I0: 2, I1: 14, J0: 2, J1: 10, K0: 0, K1: 8},
+		{I0: 2, I1: 40, J0: -3, J1: 10, K0: 0, K1: 8},
+		{I0: 3, I1: 5, J0: 4, J1: 6, K0: 2, K1: 3},
+		{I0: 20, I1: 30, J0: 0, J1: 12, K0: 0, K1: 8},
+		{I0: -1, I1: 17, J0: -1, J1: 13, K0: -1, K1: 9},
+		{I0: 5, I1: 3, J0: 0, J1: 12, K0: 0, K1: 8}, // empty
+	} {
+		parts := r.Minus(o)
+		if in := r.Intersect(o); !in.Empty() {
+			parts = append(parts, in)
+		}
+		markCells(t, r, parts)
+	}
+	got := r.Minus(Region{I0: 2, I1: 14, J0: 2, J1: 10, K1: 8})
+	want := []Region{
+		{I0: 0, I1: 2, J0: 0, J1: 12, K1: 8}, {I0: 14, I1: 16, J0: 0, J1: 12, K1: 8},
+		{I0: 2, I1: 14, J0: 0, J1: 2, K1: 8}, {I0: 2, I1: 14, J0: 10, J1: 12, K1: 8},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("box less its inset: %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("box less its inset: %v, want %v", got, want)
+		}
+	}
+	if parts := (Region{}).Minus(r); parts != nil {
+		t.Fatalf("empty region less r: %v", parts)
+	}
+}

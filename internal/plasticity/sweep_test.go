@@ -7,7 +7,6 @@ import (
 
 	"swquake/internal/cpu"
 	"swquake/internal/cpu/cputest"
-	"swquake/internal/decomp"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
 )
@@ -137,7 +136,8 @@ func applyRegionMatchesFlatIndexReference(t *testing.T, d grid.Dims) {
 		{I0: 0, I1: 1, J1: d.Ny, K1: d.Nz}, {I1: d.Nx, J0: d.Ny - 1, J1: d.Ny, K1: d.Nz},
 		{I0: 3, I1: 4, J0: 2, J1: 3, K0: 5, K1: 6}, {I0: 6, I1: 7, J0: 5, J1: 6, K0: d.Nz - 1, K1: d.Nz},
 	}
-	interior, shells := decomp.InteriorShell(d, fd.Halo)
+	interior := grid.Region{I0: fd.Halo, I1: d.Nx - fd.Halo, J0: fd.Halo, J1: d.Ny - fd.Halo, K1: d.Nz}
+	shells := grid.Box(d).Minus(interior)
 	regs = append(append(regs, interior), shells...)
 	regs = append(regs, box.SplitN(3)...)
 	regs = append(regs, box.Split(2, 3, 2)...)
@@ -288,7 +288,7 @@ func TestPlaneEntriesMatchGoRows(t *testing.T) {
 }
 
 // TestApplyRegionAllocatesNothing: the kernel keeps no yield factor, so a
-// call — one chain block of the engine's stress phase — allocates nothing,
+// call — one slab of a strip of the engine's walk — allocates nothing,
 // on either path.
 func TestApplyRegionAllocatesNothing(t *testing.T) {
 	cputest.ForEachKernelPath(t, func(t *testing.T) {
@@ -299,6 +299,47 @@ func TestApplyRegionAllocatesNothing(t *testing.T) {
 		p.SetLithostatic(100, 2500)
 		if n := testing.AllocsPerRun(20, func() { ApplyRegion(wf, p, 0.005, grid.Box(d)) }); n != 0 {
 			t.Fatalf("ApplyRegion allocates %g times a call", n)
+		}
+	})
+}
+
+// TestReturnMapLeavesNoCellOutsideTheYieldSurface: after ApplyRegion the
+// Drucker–Prager yield function τ̄ − Y(σm) — τ̄ = sqrt(J2) of the total
+// stress, Y from Params.Yield, the oracle — is at most zero at every cell,
+// within float32 rounding of the cell's stresses, on a state driven well past
+// yield (stresses ten times those of randomState: nearly every cell yields),
+// on both row paths.
+func TestReturnMapLeavesNoCellOutsideTheYieldSurface(t *testing.T) {
+	cputest.ForEachKernelPath(t, func(t *testing.T) {
+		d := grid.Dims{Nx: 7, Ny: 6, Nz: 25}
+		wf, p := randomState(d, rand.New(rand.NewSource(43)))
+		for _, f := range wf.StressFields() {
+			for idx := range f.Data {
+				f.Data[idx] *= 10
+			}
+		}
+		yielded := ApplyRegion(wf, p, 0.005, grid.Box(d))
+		if int64(yielded) < d.Points()/2 {
+			t.Fatalf("%d of %d cells yielded: not driven past yield", yielded, d.Points())
+		}
+		for i := 0; i < d.Nx; i++ {
+			for j := 0; j < d.Ny; j++ {
+				for k := 0; k < d.Nz; k++ {
+					s2 := float64(p.Sigma2.At(i, j, k))
+					txx, tyy, tzz := float64(wf.XX.At(i, j, k))+s2, float64(wf.YY.At(i, j, k))+s2, float64(wf.ZZ.At(i, j, k))+s2
+					txy, txz, tyz := float64(wf.XY.At(i, j, k)), float64(wf.XZ.At(i, j, k)), float64(wf.YZ.At(i, j, k))
+					sm := (txx + tyy + tzz) / 3
+					dxx, dyy, dzz := txx-sm, tyy-sm, tzz-sm
+					tau := math.Sqrt(0.5*(dxx*dxx+dyy*dyy+dzz*dzz) + txy*txy + txz*txz + tyz*tyz)
+					y := float64(p.Yield(i, j, k, float32(sm)))
+					// a few float32 ulps of the largest stress the cell's
+					// arithmetic handled
+					tol := 1e-6 * (math.Abs(txx) + math.Abs(tyy) + math.Abs(tzz) + math.Abs(txy) + math.Abs(txz) + math.Abs(tyz) + math.Abs(s2) + y)
+					if tau-y > tol {
+						t.Fatalf("cell (%d,%d,%d): tau %g above the yield stress %g by %g (tolerance %g)", i, j, k, tau, y, tau-y, tol)
+					}
+				}
+			}
 		}
 	})
 }

@@ -111,26 +111,6 @@ func Explosion() MomentTensor { return MomentTensor{Mxx: 1, Myy: 1, Mzz: 1} }
 // earthquake).
 func StrikeSlipXY() MomentTensor { return MomentTensor{Mxy: 1} }
 
-// DoubleCouple builds the moment tensor for strike/dip/rake angles
-// (radians) using the standard Aki & Richards convention with x north,
-// y east, z down.
-func DoubleCouple(strike, dip, rake float64) MomentTensor {
-	ss, cs := math.Sin(strike), math.Cos(strike)
-	s2s, c2s := math.Sin(2*strike), math.Cos(2*strike)
-	sd, cd := math.Sin(dip), math.Cos(dip)
-	s2d, c2d := math.Sin(2*dip), math.Cos(2*dip)
-	sr, cr := math.Sin(rake), math.Cos(rake)
-
-	return MomentTensor{
-		Mxx: -(sd*cr*s2s + s2d*sr*ss*ss),
-		Myy: sd*cr*s2s - s2d*sr*cs*cs,
-		Mzz: s2d * sr,
-		Mxy: sd*cr*c2s + 0.5*s2d*sr*s2s,
-		Mxz: -(cd*cr*cs + c2d*sr*ss),
-		Myz: -(cd*cr*ss - c2d*sr*cs),
-	}
-}
-
 // PointSource is one moment-tensor point source at a grid location.
 type PointSource struct {
 	I, J, K int

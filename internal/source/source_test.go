@@ -61,39 +61,6 @@ func TestSampledSTF(t *testing.T) {
 	}
 }
 
-func TestDoubleCoupleProperties(t *testing.T) {
-	// any double couple must be deviatoric (zero trace) and unit-ish norm
-	for _, angles := range [][3]float64{
-		{0, math.Pi / 2, 0},             // vertical strike slip
-		{0.5, 1.0, 0.7},                 // generic
-		{math.Pi / 4, math.Pi / 3, 0.2}, // generic
-	} {
-		m := DoubleCouple(angles[0], angles[1], angles[2])
-		tr := m.Mxx + m.Myy + m.Mzz
-		if math.Abs(tr) > 1e-12 {
-			t.Fatalf("trace %g for %v", tr, angles)
-		}
-		norm := math.Sqrt(0.5 * (m.Mxx*m.Mxx + m.Myy*m.Myy + m.Mzz*m.Mzz +
-			2*(m.Mxy*m.Mxy+m.Mxz*m.Mxz+m.Myz*m.Myz)))
-		if math.Abs(norm-math.Sqrt2/math.Sqrt2) > 0.01 { // |DC| = 1 in this normalization
-			t.Fatalf("norm %g for %v", norm, angles)
-		}
-	}
-}
-
-func TestDoubleCoupleVerticalStrikeSlip(t *testing.T) {
-	// strike 0, dip 90, rake 0 is a pure Mxy mechanism
-	m := DoubleCouple(0, math.Pi/2, 0)
-	if math.Abs(m.Mxy-1) > 1e-12 {
-		t.Fatalf("Mxy = %g, want 1", m.Mxy)
-	}
-	for name, v := range map[string]float64{"Mxx": m.Mxx, "Myy": m.Myy, "Mzz": m.Mzz, "Mxz": m.Mxz, "Myz": m.Myz} {
-		if math.Abs(v) > 1e-12 {
-			t.Fatalf("%s = %g, want 0", name, v)
-		}
-	}
-}
-
 func TestPointSourceInject(t *testing.T) {
 	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
 	wf := fd.NewWavefield(d)
