@@ -24,7 +24,7 @@ check: vet fmt-check check-bce check-portable check-one check-surface overload-t
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
 		./internal/ensemble/ ./internal/wal/ ./internal/checkpoint/ ./internal/lz4/ \
 		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
-	$(GO) test -race ./internal/fd/ -run 'Reciprocal|SubMedium|Row|Plane|SweepKernels|KernelPaths|Sponge'
+	$(GO) test -race ./internal/fd/ -run 'Reciprocal|Row|Plane|SweepKernels|KernelPaths|Sponge'
 	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Plane|Lane|YieldSurface|MaxAbs|FlatIndex|Ranked'
 	$(GO) test -shuffle=on -count=20 ./internal/service/
 	$(GO) test -count=1 ./internal/core/ -run TestModeMatrix -matrix.full
@@ -67,10 +67,13 @@ check-bce:
 # from cmd/quaked); any line printed is a failure. And the engine spells its
 # stage sequence, its schedule and its step loop once each: non-test
 # internal/core holds at most one call that posts the velocity halos, one
-# divergence scan, one return map, one velocity kernel call
-# (s.backend.Velocity) and one stress-chain call (s.stressChain) — the walk's
-# — and no identifier twoPass: every block, tile and interior/shell pass is
-# the one walk, two-pass is its one-slab geometry; and it declares at most
+# divergence scan, one return map and one stress-chain call (s.stressChain) —
+# the walk's — and no identifier twoPass: every block, tile and
+# interior/shell pass is the one walk, two-pass is its one-slab geometry; it
+# calls each host kernel at most once, the walk itself (fd.UpdateVelocityRegion
+# in stripWalk, fd.UpdateStressRegion in stressChain), and pipeline.go holds no
+# Backend interface and no cgx branch: the simulated core group tallies the
+# step, it does not run it; and it declares at most
 # one walk-geometry test seam (a package-level variable of type int or
 # geometry). And the job service spells its
 # lifecycle and its clock once each: non-test internal/service assigns a job's
@@ -87,12 +90,19 @@ KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
 	@! grep -rl --include='*.go' '"expvar"' . | grep -v '^\./cmd/quaked/'
-	@for pat in 'ex\.StartVelocity(' 'MaxAbsVelocity()' 'plasticity\.ApplyRegion(' 's\.backend\.Velocity(' 's\.stressChain('; do \
+	@for pat in 'ex\.StartVelocity(' 'MaxAbsVelocity()' 'plasticity\.ApplyRegion(' 's\.stressChain('; do \
 		n=$$(grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:' | wc -l); \
 		if [ "$$n" -gt 1 ]; then echo "check-one: internal/core holds $$n calls of $$pat, want at most 1:"; \
 			grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:'; exit 1; fi; \
 	done
 	@! grep -nw 'twoPass' internal/core/*.go | grep -v '_test\.go:'
+	@for k in UpdateVelocityRegion:stripWalk UpdateStressRegion:stressChain; do \
+		in=$$(awk -v p="fd[.]$${k%:*}[(]" '/^func /{f=$$0} $$0 ~ p {print FILENAME": "f}' \
+			$$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+		if [ "$$(echo "$$in" | grep -c .)" -gt 1 ] || { [ -n "$$in" ] && ! echo "$$in" | grep -q ") $${k#*:}("; }; then \
+			echo "check-one: internal/core calls fd.$${k%:*} other than once from $${k#*:}:"; echo "$$in"; exit 1; fi; \
+	done
+	@! grep -nE 'Backend interface|\<cgx\>' internal/core/pipeline.go
 	@n=$$(grep -nE '^var [A-Za-z_]+ (int|geometry)$$' internal/core/*.go | grep -v '_test\.go:' | wc -l); \
 	if [ "$$n" -gt 1 ]; then echo "check-one: internal/core declares $$n walk-geometry test seams, want at most 1:"; \
 		grep -nE '^var [A-Za-z_]+ (int|geometry)$$' internal/core/*.go | grep -v '_test\.go:'; exit 1; fi

@@ -13,6 +13,7 @@ package swquake
 
 import (
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -412,24 +413,18 @@ func BenchmarkAblationHaloExchange(b *testing.B) {
 	})
 }
 
-// BenchmarkCGExecutor measures the tile-by-tile core-group executor (the
-// executed form of the Fig. 7 MEM strategy) and reports its simulated
+// BenchmarkCGExecutor measures the tile-by-tile core-group tally (the
+// per-step account of the Fig. 7 MEM strategy) and reports its simulated
 // bandwidth against the blocking-model prediction.
 func BenchmarkCGExecutor(b *testing.B) {
 	d := grid.Dims{Nx: 24, Ny: 32, Nz: 64}
-	wf, med := benchWavefield(d)
 	var sim, modeled float64
 	for i := 0; i < b.N; i++ {
 		ex, err := cgexec.New(d)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := ex.VelocityStep(wf, med, 0.0005); err != nil {
-			b.Fatal(err)
-		}
-		if err := ex.StressStep(wf, med, 0.0005); err != nil {
-			b.Fatal(err)
-		}
+		ex.Step()
 		sim = ex.Stats.EffectiveBandwidth()
 		modeled = ex.Cfg.EffBWGBs
 	}
@@ -441,7 +436,10 @@ func BenchmarkCGExecutor(b *testing.B) {
 // engineering PSA outputs.
 func BenchmarkResponseSpectrum(b *testing.B) {
 	tr := &seismo.Trace{Dt: 0.01, U: codecInput(2000), V: codecInput(2000), W: codecInput(2000)}
-	periods := seismo.StandardPeriods(20)
+	periods := make([]float64, 20) // 0.1 - 5 s, log-spaced
+	for i := range periods {
+		periods[i] = 0.1 * math.Pow(50, float64(i)/19)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.ComputeResponseSpectrum(periods, 0.05)

@@ -112,6 +112,15 @@ func run(args []string, w io.Writer) error {
 	if *progress {
 		cfg.Observer = progressObserver(w, cfg.Steps)
 	}
+	// the rates are over the steps this run executes, which a resumed run
+	// starts part way through
+	ran, observe := 0, cfg.Observer
+	cfg.Observer = func(ev core.StepEvent) {
+		ran++
+		if observe != nil {
+			observe(ev)
+		}
+	}
 
 	if *comp != "off" {
 		method, err := parseMethod(*comp)
@@ -180,7 +189,7 @@ func run(args []string, w io.Writer) error {
 	elapsed := time.Since(start)
 
 	fmt.Fprintf(w, "done in %.2f s (%.1f Mpoint-steps/s)\n", elapsed.Seconds(),
-		float64(cfg.Dims.Points())*float64(cfg.Steps)/elapsed.Seconds()/1e6)
+		float64(cfg.Dims.Points())*float64(ran)/elapsed.Seconds()/1e6)
 	if res.Perf.Steps > 0 {
 		fmt.Fprintf(w, "perf: %v\n", res.Perf)
 	}
@@ -191,7 +200,7 @@ func run(args []string, w io.Writer) error {
 	}
 	if res.Sunway != nil {
 		fmt.Fprintf(w, "simulated SW26010 core group: %.2f ms/step, %.1f GB/s effective DMA, LDM peak %d B\n",
-			1e3*res.Sunway.StepSeconds()/float64(res.Steps), res.Sunway.EffectiveBandwidth(),
+			1e3*res.Sunway.StepSeconds()/float64(res.Sunway.Steps), res.Sunway.EffectiveBandwidth(),
 			res.Sunway.LDMPeakBytes)
 	}
 	if *timing {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -184,5 +185,44 @@ func TestRunTimingFlag(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timing table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestResumedRunReportsItsOwnSteps: a run resumed half way reports its rates
+// over the steps it ran, not over the whole simulation's — its simulated
+// core-group step is the uninterrupted run's, and its point-step rate is
+// over its 20 steps, not 40.
+func TestResumedRunReportsItsOwnSteps(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-scenario", "tangshan", "-nx", "64", "-ny", "62", "-nz", "24", "-steps", "40", "-sunway"}
+	var whole, resumed bytes.Buffer
+	if err := run(append(args, "-checkpoint-every", "20", "-out", dir), &whole); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-restart", filepath.Join(dir, "ckpt-00000020.swq")), &resumed); err != nil {
+		t.Fatal(err)
+	}
+	line := func(out, prefix string) string {
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, prefix) {
+				return l
+			}
+		}
+		t.Fatalf("no %q line in:\n%s", prefix, out)
+		return ""
+	}
+	const sw = "simulated SW26010 core group:"
+	if a, b := line(whole.String(), sw), line(resumed.String(), sw); a != b {
+		t.Errorf("resumed run reports\n%s\nuninterrupted\n%s", b, a)
+	}
+	// "done in X s (R Mpoint-steps/s)": X and R are rounded to 0.01 and 0.1,
+	// so the point-steps run lie between the products of their bounds
+	var secs, rate float64
+	if _, err := fmt.Sscanf(line(resumed.String(), "done in"), "done in %f s (%f Mpoint-steps/s)", &secs, &rate); err != nil {
+		t.Fatal(err)
+	}
+	ran := 64 * 62 * 24 * 20 / 1e6
+	if lo, hi := (rate-0.05)*(secs-0.005), (rate+0.05)*(secs+0.005); ran < lo || ran > hi {
+		t.Errorf("resumed run: %.1f Mpoint-steps/s over %.2f s is not %.2f Mpoint-steps run", rate, secs, ran)
 	}
 }

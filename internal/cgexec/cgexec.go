@@ -1,17 +1,17 @@
-// Package cgexec executes the wave-propagation kernels the way one SW26010
-// core group does (paper Fig. 4, levels 2-4): the block is partitioned
-// into per-CPE tiles by the LDM blocking model, each tile's working set is
-// "DMA-loaded" into an LDM-sized buffer (capacity-checked against the real
-// 64 KB), the kernel runs on the buffer, and results are "DMA-stored"
-// back. The executor tallies simulated DMA traffic, transfer counts and
-// compute time using the calibrated machine model, while producing results
-// that are bit-identical to the plain full-grid kernels — the tests verify
-// both properties.
+// Package cgexec tallies a time step the way one SW26010 core group runs it
+// (paper Fig. 4, levels 2-4): the block is partitioned into per-CPE tiles by
+// the LDM blocking model, the tile window is capacity-checked against the
+// real 64 KB LDM, and every tile of the velocity kernel and then of the
+// stress kernel is charged its DMA traffic and transfer count (halos
+// included), its register-bus halo words and its compute time under the
+// calibrated machine model. The kernels themselves run in the engine's walk
+// on the host; the tally reads only the tile geometry, so it is the same
+// whatever the host's tiles, strips or halo overlap, and it changes no bit.
 //
-// This is what makes the paper's "MEM" execution strategy (Fig. 7) an
-// executed code path in this reproduction rather than only a model: the
+// This is what makes the paper's "MEM" execution strategy (Fig. 7) a
+// measured account of the steps a run takes rather than only a model: the
 // tiling, the halo loads, the capacity constraint and the per-chunk DMA
-// granularity all really happen; only the clock is simulated.
+// granularity are charged per step; only the clock is simulated.
 package cgexec
 
 import (
@@ -40,14 +40,17 @@ type Stats struct {
 	// (and their register buses) run them in parallel.
 	ComputeSeconds float64
 	RegSeconds     float64
-	// LDMPeakBytes is the largest working set resident in one CPE's LDM.
+	// LDMPeakBytes is the largest working set resident in one CPE's LDM:
+	// checked against the real 64 KB in New.
 	LDMPeakBytes int
 	Tiles        int
+	// Steps counts the time steps charged.
+	Steps int
 }
 
 // Add folds another core group's accounting into s — RunParallel sums the
 // per-rank executors into one run total. Traffic, flops and seconds
-// accumulate; LDMPeakBytes is a maximum.
+// accumulate; LDMPeakBytes and Steps (the ranks step together) are maxima.
 func (s *Stats) Add(o Stats) {
 	s.DMAGetBytes += o.DMAGetBytes
 	s.DMAPutBytes += o.DMAPutBytes
@@ -57,10 +60,9 @@ func (s *Stats) Add(o Stats) {
 	s.DMASeconds += o.DMASeconds
 	s.ComputeSeconds += o.ComputeSeconds
 	s.RegSeconds += o.RegSeconds
-	if o.LDMPeakBytes > s.LDMPeakBytes {
-		s.LDMPeakBytes = o.LDMPeakBytes
-	}
+	s.LDMPeakBytes = max(s.LDMPeakBytes, o.LDMPeakBytes)
 	s.Tiles += o.Tiles
+	s.Steps = max(s.Steps, o.Steps)
 }
 
 // StepSeconds is the simulated wall time on one core group: the roofline
@@ -83,27 +85,61 @@ func (s Stats) EffectiveBandwidth() float64 {
 	return float64(s.DMAGetBytes+s.DMAPutBytes) / t / 1e9
 }
 
-// Executor runs kernels tile-by-tile over a CG block.
+// Executor tallies the tiles of a CG block's steps.
 type Executor struct {
 	Block grid.Dims // the CG block (level-2 tile of the process block)
 	Cfg   ldm.Config
 	Stats Stats
 
-	velShape ldm.Shape
+	// window is the LDM a tile holds: one plane window per array group read
+	// (see ldm.FeasibleWz) — updated groups are read-modify-write and reuse
+	// their read buffer, so only the read groups count.
+	window int
 }
 
+// kernel is what a tile of one kernel moves and computes: the fused array
+// groups DMA'd in and out, and the arithmetic per point.
+type kernel struct {
+	reads, writes []int
+	flopsPerPoint float64
+}
+
+var (
+	// velocity reads vec3 velocity, vec6 stress and density; writes velocity
+	velocity = kernel{[]int{3, 6, 1}, []int{3}, fd.VelocityFlopsPerPoint}
+	// stress reads velocities, stresses, lam+mu; writes stresses
+	stress = kernel{[]int{3, 6, 2}, []int{6}, fd.StressFlopsPerPoint}
+)
+
 // New builds an executor for a CG block, choosing the tile configuration
-// with the paper's blocking model for the fused velocity-kernel shape.
+// with the paper's blocking model for the fused velocity-kernel shape and
+// checking that a tile's window fits the LDM (both kernels read three array
+// groups).
 func New(block grid.Dims) (*Executor, error) {
 	if !block.Valid() {
 		return nil, fmt.Errorf("cgexec: invalid block %v", block)
 	}
-	shape := ldm.DelcFused()
-	cfg, err := ldm.Optimize(shape, block.Ny, block.Nz, sunway.LDMBytes)
+	cfg, err := ldm.Optimize(ldm.DelcFused(), block.Ny, block.Nz, sunway.LDMBytes)
 	if err != nil {
 		return nil, err
 	}
-	return &Executor{Block: block, Cfg: cfg, velShape: shape}, nil
+	var l sunway.LDM
+	if err := l.Alloc(4 * len(velocity.reads) * cfg.Wz * cfg.Wy * cfg.Wx); err != nil {
+		return nil, fmt.Errorf("cgexec: tile working set overflows LDM: %w", err)
+	}
+	return &Executor{Block: block, Cfg: cfg, window: l.Used()}, nil
+}
+
+// Step charges one time step: the velocity kernel over every tile, then the
+// stress kernel over every tile.
+func (e *Executor) Step() {
+	for _, k := range []kernel{velocity, stress} {
+		for _, t := range e.tiles() {
+			e.accountTile(t, k)
+		}
+	}
+	e.Stats.LDMPeakBytes = e.window
+	e.Stats.Steps++
 }
 
 // tile is one CPE work item.
@@ -136,10 +172,8 @@ func (e *Executor) tiles() []tile {
 	return out
 }
 
-// accountTile charges DMA and compute for one tile execution. reads and
-// writes are the fused array groups moved in and out; flopsPerPoint is the
-// kernel arithmetic.
-func (e *Executor) accountTile(t tile, reads, writes []int, flopsPerPoint float64) error {
+// accountTile charges DMA and compute for one tile of kernel k.
+func (e *Executor) accountTile(t tile, k kernel) {
 	h := fd.Halo
 	// The DMA loads the tile's own rows plus the z halo (z-block
 	// boundaries always pay DMA — the neighbouring block has left the LDM
@@ -165,34 +199,21 @@ func (e *Executor) accountTile(t tile, reads, writes []int, flopsPerPoint float6
 	pts := int64(nx) * int64(ny) * int64(nz)
 	interior := int64(e.Block.Nx) * int64(t.j1-t.j0) * int64(t.k1-t.k0)
 
-	// LDM residency per the paper's accounting: one plane window per array
-	// group (see ldm.FeasibleWz); updated groups are read-modify-write and
-	// reuse their read buffer, so only the read groups count. Capacity is
-	// checked against the real 64 KB.
-	var l sunway.LDM
-	window := 4 * len(reads) * e.Cfg.Wz * e.Cfg.Wy * e.Cfg.Wx
-	if err := l.Alloc(window); err != nil {
-		return fmt.Errorf("cgexec: tile working set overflows LDM: %w", err)
-	}
-	if l.Used() > e.Stats.LDMPeakBytes {
-		e.Stats.LDMPeakBytes = l.Used()
-	}
-
-	for _, g := range reads {
+	for _, g := range k.reads {
 		bytes := pts * int64(g) * 4
 		chunk := e.Cfg.Wz * g * 4
 		e.Stats.DMAGetBytes += bytes
 		e.Stats.DMATransfers += pts / int64(e.Cfg.Wz)
 		e.Stats.DMASeconds += sunway.DMATransferSeconds(bytes, chunk, sunway.DMAGet)
 	}
-	for _, g := range writes {
+	for _, g := range k.writes {
 		bytes := interior * int64(g) * 4
 		chunk := e.Cfg.Wz * g * 4
 		e.Stats.DMAPutBytes += bytes
 		e.Stats.DMATransfers += interior / int64(e.Cfg.Wz)
 		e.Stats.DMASeconds += sunway.DMATransferSeconds(bytes, chunk, sunway.DMAPut)
 	}
-	flops := int64(float64(interior) * flopsPerPoint)
+	flops := int64(float64(interior) * k.flopsPerPoint)
 	e.Stats.Flops += flops
 	e.Stats.ComputeSeconds += sunway.ComputeSeconds(flops, 1) // one CPE owns the tile
 
@@ -200,7 +221,7 @@ func (e *Executor) accountTile(t tile, reads, writes []int, flopsPerPoint float6
 	// over the register buses (h columns per interior side, over the
 	// tile's z extent with halo, per x plane, per read component)
 	var comps int64
-	for _, g := range reads {
+	for _, g := range k.reads {
 		comps += int64(g)
 	}
 	regWords := int64(regSides) * int64(h) * int64(nz) * int64(nx) * comps
@@ -208,81 +229,4 @@ func (e *Executor) accountTile(t tile, reads, writes []int, flopsPerPoint float6
 	e.Stats.RegSeconds += sunway.RegCommBulkSeconds(regWords)
 
 	e.Stats.Tiles++
-	return nil
-}
-
-// VelocityStep executes fd.UpdateVelocity over the block tile-by-tile.
-// The wavefield and medium must have the block's dims.
-func (e *Executor) VelocityStep(wf *fd.Wavefield, med *fd.Medium, dtdx float32) error {
-	if wf.D != e.Block {
-		return fmt.Errorf("cgexec: wavefield dims %v != block %v", wf.D, e.Block)
-	}
-	// reads: vec3 velocity + vec6 stress + density; writes: vec3 velocity
-	reads := []int{3, 6, 1}
-	writes := []int{3}
-	for _, t := range e.tiles() {
-		if err := e.accountTile(t, reads, writes, fd.VelocityFlopsPerPoint); err != nil {
-			return err
-		}
-		// execute: the kernel touches only rows [j0,j1) x planes [k0,k1);
-		// neighbouring data is read through the existing halos, which is
-		// the in-process analogue of the register-communication halo
-		// exchange between concurrently resident CPE tiles
-		updateVelocityTile(wf, med, dtdx, t)
-	}
-	return nil
-}
-
-// StressStep executes fd.UpdateStress over the block tile-by-tile.
-func (e *Executor) StressStep(wf *fd.Wavefield, med *fd.Medium, dtdx float32) error {
-	if wf.D != e.Block {
-		return fmt.Errorf("cgexec: wavefield dims %v != block %v", wf.D, e.Block)
-	}
-	reads := []int{3, 6, 2} // velocities, stresses, lam+mu
-	writes := []int{6}
-	for _, t := range e.tiles() {
-		if err := e.accountTile(t, reads, writes, fd.StressFlopsPerPoint); err != nil {
-			return err
-		}
-		updateStressTile(wf, med, dtdx, t)
-	}
-	return nil
-}
-
-// updateVelocityTile runs the velocity kernel restricted to one tile by
-// extracting the tile (plus stencil halo) into a standalone sub-block —
-// the LDM buffer stand-in — computing there, and writing the interior
-// back. Numerically identical to updating the rows in place.
-func updateVelocityTile(wf *fd.Wavefield, med *fd.Medium, dtdx float32, t tile) {
-	runTile(wf, med, t, func(sub *fd.Wavefield, subMed *fd.Medium, k0, k1 int) {
-		fd.UpdateVelocity(sub, subMed, dtdx, k0, k1)
-	})
-}
-
-func updateStressTile(wf *fd.Wavefield, med *fd.Medium, dtdx float32, t tile) {
-	runTile(wf, med, t, func(sub *fd.Wavefield, subMed *fd.Medium, k0, k1 int) {
-		fd.UpdateStress(sub, subMed, dtdx, k0, k1)
-	})
-}
-
-// runTile extracts the tile working set, runs the kernel, and inserts the
-// updated interior back into the block fields.
-func runTile(wf *fd.Wavefield, med *fd.Medium, t tile, kernel func(*fd.Wavefield, *fd.Medium, int, int)) {
-	h := fd.Halo
-	d := grid.Dims{Nx: wf.D.Nx, Ny: t.j1 - t.j0, Nz: t.k1 - t.k0}
-
-	sub := &fd.Wavefield{D: d}
-	subFields := make([]*grid.Field, 0, 9)
-	for _, f := range wf.AllFields() {
-		subFields = append(subFields, f.ExtractSubfield(0, t.j0, t.k0, d, h))
-	}
-	sub.U, sub.V, sub.W = subFields[0], subFields[1], subFields[2]
-	sub.XX, sub.YY, sub.ZZ = subFields[3], subFields[4], subFields[5]
-	sub.XY, sub.XZ, sub.YZ = subFields[6], subFields[7], subFields[8]
-
-	kernel(sub, med.Sub(0, t.j0, t.k0, d), 0, d.Nz)
-
-	for i, f := range wf.AllFields() {
-		f.InsertSubfield(0, t.j0, t.k0, subFields[i])
-	}
 }

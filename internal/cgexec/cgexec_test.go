@@ -1,118 +1,87 @@
 package cgexec
 
 import (
-	"math/rand"
+	"math"
 	"testing"
 
 	"swquake/internal/fd"
 	"swquake/internal/grid"
-	"swquake/internal/model"
 	"swquake/internal/sunway"
 )
 
-func randomState(d grid.Dims, seed int64) (*fd.Wavefield, *fd.Medium) {
-	wf := fd.NewWavefield(d)
-	rng := rand.New(rand.NewSource(seed))
-	for _, f := range wf.AllFields() {
-		for i := range f.Data {
-			f.Data[i] = rng.Float32()*2 - 1
-		}
-	}
-	med := fd.NewMedium(d)
-	mat := model.Material{Vp: 5000, Vs: 2887, Rho: 2700}
-	lam, mu := mat.Lame()
-	med.Rho.Fill(float32(mat.Rho))
-	med.Lam.Fill(float32(lam))
-	med.Mu.Fill(float32(mu))
-	return wf, med
-}
-
-func TestTiledVelocityMatchesPlainKernel(t *testing.T) {
-	d := grid.Dims{Nx: 10, Ny: 24, Nz: 40}
-	tiled, med := randomState(d, 1)
-	plain := tiled.Clone()
-
+func newExecutor(t *testing.T, d grid.Dims) *Executor {
+	t.Helper()
 	ex, err := New(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.VelocityStep(tiled, med, 0.001); err != nil {
-		t.Fatal(err)
-	}
-	fd.UpdateVelocity(plain, med, 0.001, 0, d.Nz)
+	return ex
+}
 
-	for i, f := range plain.AllFields() {
-		if !f.InteriorEqual(tiled.AllFields()[i], 0) {
-			t.Fatalf("tiled execution diverges from plain kernel in field %d", i)
+// TestStepPinsTheTally: one step of the tangshan block and of one rank of
+// its 2x1 grid charges exactly what the executor charged when it still
+// copied every tile through its kernels — integers exact, floats bit for bit.
+func TestStepPinsTheTally(t *testing.T) {
+	for _, c := range []struct {
+		block grid.Dims
+		want  Stats
+	}{
+		{grid.Dims{Nx: 64, Ny: 62, Nz: 24}, Stats{DMAGetBytes: 10555776, DMAPutBytes: 3428352,
+			DMATransfers: 39304, Flops: 16665600, RegCommWords: 1919232,
+			DMASeconds:     math.Float64frombits(0x3f42f5a5e7adfd48),
+			ComputeSeconds: math.Float64frombits(0x3f5789e9c557861e),
+			RegSeconds:     math.Float64frombits(0x3f25b63bdadcdf55),
+			LDMPeakBytes:   12960, Tiles: 26, Steps: 1}},
+		{grid.Dims{Nx: 32, Ny: 62, Nz: 24}, Stats{DMAGetBytes: 5588352, DMAPutBytes: 1714176,
+			DMATransfers: 20600, Flops: 8332800, RegCommWords: 1016064,
+			DMASeconds:     math.Float64frombits(0x3f33d20c7a2a110b),
+			ComputeSeconds: math.Float64frombits(0x3f4789e9c557861e),
+			RegSeconds:     math.Float64frombits(0x3f17036af181ac22),
+			LDMPeakBytes:   12960, Tiles: 26, Steps: 1}},
+	} {
+		ex := newExecutor(t, c.block)
+		ex.Step()
+		if ex.Stats != c.want {
+			t.Errorf("%v: one step charges\n%+v, want\n%+v", c.block, ex.Stats, c.want)
 		}
 	}
 }
 
-func TestTiledStressMatchesPlainKernel(t *testing.T) {
-	d := grid.Dims{Nx: 8, Ny: 17, Nz: 33} // awkward sizes force remainder tiles
-	tiled, med := randomState(d, 2)
-	plain := tiled.Clone()
-
-	ex, err := New(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.StressStep(tiled, med, 0.002); err != nil {
-		t.Fatal(err)
-	}
-	fd.UpdateStress(plain, med, 0.002, 0, d.Nz)
-
-	for i, f := range plain.AllFields() {
-		if !f.InteriorEqual(tiled.AllFields()[i], 0) {
-			t.Fatalf("tiled stress diverges in field %d", i)
-		}
-	}
-}
-
+// TestFullTiledStepSequence: every step of a run is charged alike — three
+// steps tally three times one step's traffic, transfers, flops, register
+// words and tiles, and the same LDM peak.
 func TestFullTiledStepSequence(t *testing.T) {
-	// several alternating velocity/stress steps stay identical to the
-	// plain solver (halo interactions between tiles accumulate over steps)
 	d := grid.Dims{Nx: 8, Ny: 20, Nz: 24}
-	tiled, med := randomState(d, 3)
-	plain := tiled.Clone()
-
-	ex, err := New(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := newExecutor(t, d)
+	one.Step()
+	three := newExecutor(t, d)
 	for n := 0; n < 3; n++ {
-		if err := ex.VelocityStep(tiled, med, 0.0005); err != nil {
-			t.Fatal(err)
-		}
-		if err := ex.StressStep(tiled, med, 0.0005); err != nil {
-			t.Fatal(err)
-		}
-		fd.UpdateVelocity(plain, med, 0.0005, 0, d.Nz)
-		fd.UpdateStress(plain, med, 0.0005, 0, d.Nz)
+		three.Step()
 	}
-	for i, f := range plain.AllFields() {
-		if !f.InteriorEqual(tiled.AllFields()[i], 0) {
-			t.Fatalf("multi-step tiled run diverges in field %d", i)
-		}
+	o, s := one.Stats, three.Stats
+	want := Stats{DMAGetBytes: 3 * o.DMAGetBytes, DMAPutBytes: 3 * o.DMAPutBytes,
+		DMATransfers: 3 * o.DMATransfers, Flops: 3 * o.Flops, RegCommWords: 3 * o.RegCommWords,
+		LDMPeakBytes: o.LDMPeakBytes, Tiles: 3 * o.Tiles, Steps: 3}
+	s.DMASeconds, s.ComputeSeconds, s.RegSeconds = 0, 0, 0
+	if s != want {
+		t.Fatalf("three steps charge %+v, want %+v", s, want)
+	}
+	if got := three.Stats.StepSeconds(); math.Abs(got-3*o.StepSeconds()) > 1e-12*got {
+		t.Fatalf("three steps take %g s, one %g s", got, o.StepSeconds())
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
 	d := grid.Dims{Nx: 8, Ny: 20, Nz: 24}
-	wf, med := randomState(d, 4)
-	ex, err := New(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.VelocityStep(wf, med, 0.001); err != nil {
-		t.Fatal(err)
-	}
+	ex := newExecutor(t, d)
+	ex.Step()
 	s := ex.Stats
 	if s.Tiles == 0 || s.DMATransfers == 0 {
 		t.Fatal("no tiles accounted")
 	}
 	// reads must exceed the interior lower bound: 10 arrays over the block
-	lower := int64(d.Points()) * 10 * 4
+	// for the velocity kernel, 11 for the stress kernel
+	lower := int64(d.Points()) * (10 + 11) * 4
 	if s.DMAGetBytes < lower {
 		t.Fatalf("get bytes %d below interior volume %d", s.DMAGetBytes, lower)
 	}
@@ -120,12 +89,12 @@ func TestStatsAccounting(t *testing.T) {
 	if s.DMAGetBytes > 4*lower {
 		t.Fatalf("get bytes %d implausibly high vs %d", s.DMAGetBytes, lower)
 	}
-	// writes are exactly the interior velocity volume
-	wantPut := int64(d.Points()) * 3 * 4
+	// writes are exactly the interior velocity and stress volume
+	wantPut := int64(d.Points()) * (3 + 6) * 4
 	if s.DMAPutBytes != wantPut {
 		t.Fatalf("put bytes %d want %d", s.DMAPutBytes, wantPut)
 	}
-	if s.Flops != int64(d.Points())*fd.VelocityFlopsPerPoint {
+	if s.Flops != int64(d.Points())*(fd.VelocityFlopsPerPoint+fd.StressFlopsPerPoint) {
 		t.Fatalf("flops %d", s.Flops)
 	}
 	if s.LDMPeakBytes <= 0 || s.LDMPeakBytes > sunway.LDMBytes {
@@ -145,24 +114,15 @@ func TestExecutorValidation(t *testing.T) {
 	if _, err := New(grid.Dims{}); err == nil {
 		t.Fatal("invalid block accepted")
 	}
-	d := grid.Dims{Nx: 8, Ny: 20, Nz: 24}
-	ex, err := New(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := fd.NewWavefield(grid.Dims{Nx: 4, Ny: 4, Nz: 4})
-	otherMed := fd.NewMedium(other.D)
-	if err := ex.VelocityStep(other, otherMed, 0.001); err == nil {
-		t.Fatal("dims mismatch accepted")
+	ex := newExecutor(t, grid.Dims{Nx: 8, Ny: 20, Nz: 24})
+	if ex.Stats != (Stats{}) {
+		t.Fatalf("a new executor has charged %+v", ex.Stats)
 	}
 }
 
 func TestTilesPartitionBlock(t *testing.T) {
 	d := grid.Dims{Nx: 4, Ny: 23, Nz: 37}
-	ex, err := New(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := newExecutor(t, d)
 	covered := make([]bool, d.Ny*d.Nz)
 	for _, tl := range ex.tiles() {
 		for j := tl.j0; j < tl.j1; j++ {
@@ -183,15 +143,8 @@ func TestTilesPartitionBlock(t *testing.T) {
 }
 
 func TestRegisterCommAccounting(t *testing.T) {
-	d := grid.Dims{Nx: 8, Ny: 20, Nz: 24}
-	wf, med := randomState(d, 5)
-	ex, err := New(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.VelocityStep(wf, med, 0.001); err != nil {
-		t.Fatal(err)
-	}
+	ex := newExecutor(t, grid.Dims{Nx: 8, Ny: 20, Nz: 24})
+	ex.Step()
 	s := ex.Stats
 	if s.RegCommWords == 0 {
 		t.Fatal("no register communication accounted")

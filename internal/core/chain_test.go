@@ -247,12 +247,12 @@ func TestSkewedPassObservesStagesAsTwoPassDoes(t *testing.T) {
 }
 
 // TestWalkGeometryFollowsTheBlock: every block walks — tiled, overlapped,
-// SLS and compressed alike — in 1-plane slabs and strips of skewStripPoints
-// cells where it is larger than chainBlockPoints, as one slab where it is
-// not or where the core-group executor takes it whole. What must see the
-// finished velocity phase first gets the velocity kernel over the whole
-// block before the post; a rank computes stresses before the wait only
-// under Overlap, and then only in its interior.
+// SLS, compressed and core-group tallied alike — in 1-plane slabs and strips
+// of skewStripPoints cells where it is larger than chainBlockPoints, as one
+// slab where it is not. What must see the finished velocity phase first
+// gets the velocity kernel over the whole block before the post; a rank
+// computes stresses before the wait only under Overlap, and then only in
+// its interior.
 func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 	big := chainConfig()
 	big.Dims = grid.Dims{Nx: 96, Ny: 64, Nz: 16} // twice chainBlockPoints and more: so is half of it
@@ -286,8 +286,7 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 		}), strips, velocityFirst},
 		"cache-resident block": {small, geometry{}, [3]pass{{},
 			{vel: []grid.Region{smallBox}, chain: []grid.Region{smallBox}, sponge: []grid.Region{smallBox}}, {}}},
-		"core-group executor": {with(func(c *Config) { c.SunwaySim = true; c.Dims.Nx, c.Dims.Ny = 32, 32 }), geometry{},
-			[3]pass{{vel: []grid.Region{{I1: 32, J1: 32, K1: 16}}}, {chain: []grid.Region{{I1: 32, J1: 32, K1: 16}}, sponge: []grid.Region{{I1: 32, J1: 32, K1: 16}}}, {}}},
+		"core-group tally": {with(func(c *Config) { c.SunwaySim = true }), strips, lone},
 	} {
 		sim, err := New(c.cfg)
 		if err != nil {

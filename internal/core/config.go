@@ -9,9 +9,9 @@
 //
 // All of it runs through one step-pipeline engine (pipeline.go): the
 // serial Run, the simulated-MPI RunParallel of §6.3 and every execution
-// strategy of Fig. 7 drive the same stage sequence via the Exchanger and
-// Backend seams, so features (checkpointing, divergence detection, perf
-// accounting, the core-group simulator) behave identically on every path.
+// strategy drive the same stage sequence through the Exchanger seam, so
+// features (checkpointing, divergence detection, perf accounting, the
+// core-group tally) behave identically on every path.
 package core
 
 import (
@@ -124,11 +124,15 @@ type Config struct {
 
 	RecordPGV bool
 
-	// SunwaySim executes the velocity/stress kernels tile-by-tile through
-	// the simulated SW26010 core group (package cgexec): results are
-	// bit-identical, and Result.Sunway reports the simulated on-machine
-	// time, DMA traffic and bandwidth (summed over ranks under
-	// RunParallel). Uncompressed runs only.
+	// SunwaySim charges every step to a simulated SW26010 core group per
+	// block (package cgexec): the velocity and stress kernels' CPE tiles,
+	// their DMA traffic, register-bus halos and LDM window. The kernels run
+	// on the host as in any run, so the bits are those of the same run
+	// without it, and the tally reads only the block's size, so tiles and
+	// Overlap do not change it. Result.Sunway reports the simulated
+	// on-machine time, DMA traffic and bandwidth (summed over ranks under
+	// RunParallel). Uncompressed runs only: the tally models the
+	// uncompressed MEM strategy's traffic.
 	SunwaySim bool
 
 	// Checkpoint, when non-nil, saves restart dumps during the run. Under
@@ -164,8 +168,8 @@ type Config struct {
 	// GOMAXPROCS (divided by the rank count under RunParallel; fewer, down
 	// to one, on a block too small for tiles to pay). Tiles fan out only
 	// while Run/RunParallel is stepping; a bare Step() is always
-	// single-threaded. Incompatible with SunwaySim, whose core-group
-	// executor is itself the tiling level being modeled.
+	// single-threaded. Host tiles are not the core-group tiles SunwaySim
+	// tallies, which follow from the block alone.
 	Tiles int
 
 	// Overlap hides velocity-halo latency under RunParallel: the ring of
@@ -261,12 +265,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Tiles < AutoTiles {
 		return fmt.Errorf("core: invalid tile count %d", c.Tiles)
-	}
-	if c.SunwaySim && (c.Tiles > 1 || c.Tiles == AutoTiles) {
-		return fmt.Errorf("core: SunwaySim provides its own core-group tiling; Tiles does not apply")
-	}
-	if c.SunwaySim && c.Overlap {
-		return fmt.Errorf("core: SunwaySim requires full-block kernel calls; Overlap does not apply")
 	}
 	if c.Compression.Method != compress.Off {
 		if c.Compression.Method != compress.Half && c.Compression.Stats == nil {

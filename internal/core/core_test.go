@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"swquake/internal/cgexec"
 	"swquake/internal/compress"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
@@ -512,6 +513,18 @@ func TestSunwaySimMatchesPlainAndAccounts(t *testing.T) {
 	perStep := sun.Sunway.StepSeconds() / float64(cfg.Steps)
 	if perStep <= 0 || perStep > 0.1 {
 		t.Fatalf("simulated per-step time %g s implausible", perStep)
+	}
+	// each step the run took is charged once: the tally of the block's
+	// executor stepped as often
+	ex, err := cgexec.New(cfg.Dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < cfg.Steps; n++ {
+		ex.Step()
+	}
+	if *sun.Sunway != ex.Stats {
+		t.Fatalf("run charged %+v, want %d steps' %+v", *sun.Sunway, cfg.Steps, ex.Stats)
 	}
 }
 

@@ -123,16 +123,6 @@ func (p Perf) PointsPerSecond() float64 {
 	return float64(p.VelocityPoints) / p.Elapsed.Seconds()
 }
 
-// Utilization returns the fraction of peakGflops the run sustained — the
-// paper's Table 4 efficiency column (sustained / peak). Zero when the peak
-// is unknown or no time has elapsed.
-func (p Perf) Utilization(peakGflops float64) float64 {
-	if peakGflops <= 0 {
-		return 0
-	}
-	return p.Gflops() / peakGflops
-}
-
 func (p Perf) String() string {
 	return fmt.Sprintf("%d steps, %.3g flops, %.2f Gflops sustained, %.1f Mpoints/s",
 		p.Steps, float64(p.Flops()), p.Gflops(), p.PointsPerSecond()/1e6)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"swquake/internal/cgexec"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
 	"swquake/internal/plasticity"
@@ -19,12 +18,12 @@ import (
 //	source injection → plasticity → attenuation → sponge →
 //	stress-halo exchange → record traces / PGV
 //
-// Every runner (serial Run, RunParallel) and every execution strategy of
-// Fig. 7 (host kernels, the simulated SW26010 core group, compressed
-// storage, tiled workers, overlapped halos) drives this sequence as one walk
-// in strips and slabs (stripWalk), in three passes around the velocity-halo
-// exchange (planWalks), through two seams: the Exchanger (ghost layers) and
-// the Backend (the kernels' machine).
+// Every runner (serial Run, RunParallel) and every execution strategy
+// (compressed storage, tiled workers, overlapped halos) drives this sequence
+// as one walk in strips and slabs (stripWalk) of the host kernels, in three
+// passes around the velocity-halo exchange (planWalks), through one seam:
+// the Exchanger (ghost layers). The simulated SW26010 core group runs no
+// kernel; it is charged each step the walk runs (countKernels).
 
 // Exchanger updates ghost layers between the pipeline's kernel phases.
 // Each exchange is split into a Start half, which posts the outgoing halo
@@ -60,52 +59,6 @@ func (NoExchange) StartVelocity(*fd.Wavefield, int)     {}
 func (NoExchange) FinishVelocity(*fd.Wavefield, int)    {}
 func (NoExchange) StartStress(*fd.Wavefield, int)       {}
 func (NoExchange) FinishStress(*fd.Wavefield, int) bool { return false }
-
-// Backend executes one kernel phase over a Region of the block — the seam
-// between the step pipeline and the machine the kernels run on. The walk
-// hands it one slab of one strip of a tile's share of a pass at a time
-// (stripWalk) — the whole block where the walk is one slab of an untiled
-// block.
-type Backend interface {
-	Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region)
-	Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region)
-}
-
-// hostBackend runs the region kernels of internal/fd.
-type hostBackend struct{}
-
-func (hostBackend) Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
-	fd.UpdateVelocityRegion(wf, med, dtdx, reg)
-}
-
-func (hostBackend) Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
-	fd.UpdateStressRegion(wf, med, dtdx, reg)
-}
-
-// cgBackend runs the kernels tile-by-tile through the simulated SW26010
-// core group. The executor processes the whole block per call, so it needs
-// the full region — guaranteed by the one-slab geometry the walk takes for
-// it and the velocity-first passes planWalks gives it, and by
-// Config.Validate, which rejects SunwaySim combined with Tiles and Overlap.
-type cgBackend struct{ ex *cgexec.Executor }
-
-func (b cgBackend) Velocity(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
-	whole(b.ex.VelocityStep, wf, med, dtdx, reg)
-}
-
-func (b cgBackend) Stress(wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
-	whole(b.ex.StressStep, wf, med, dtdx, reg)
-}
-
-// whole runs one executor step, which computes the block whole.
-func whole(step func(*fd.Wavefield, *fd.Medium, float32) error, wf *fd.Wavefield, med *fd.Medium, dtdx float32, reg grid.Region) {
-	if reg != grid.Box(wf.D) {
-		panic("core: cgexec backend requires full-block regions")
-	}
-	if err := step(wf, med, dtdx); err != nil {
-		panic(err) // construction validated the block; cannot happen
-	}
-}
 
 // Step advances one full time step through the pipeline, then runs the
 // post-step stages: step/time bookkeeping, station recording and PGV
@@ -145,9 +98,8 @@ type pass struct{ vel, chain, sponge []grid.Region }
 // the walk while the messages fly does the interior; the walk after the wait
 // does the rest. A rank without Overlap computes no stress before the wait,
 // so its interior is empty; a lone block has no ring. Compressed storage
-// (its velocity round trip) and the core-group executor (its full-block
-// calls) must see the finished velocity phase first: for them the velocity
-// kernel runs over the whole block before the post.
+// must see the finished velocity phase first, for its velocity round trip:
+// there the velocity kernel runs over the whole block before the post.
 func (s *Simulator) planWalks() {
 	box := grid.Box(s.Cfg.Dims)
 	var in1, in2 grid.Region
@@ -157,7 +109,7 @@ func (s *Simulator) planWalks() {
 	s.walks[0] = pass{vel: box.Minus(in1)}
 	interior := clip([]grid.Region{in1}, box)
 	s.walks[1] = pass{vel: interior, chain: interior, sponge: clip([]grid.Region{in2}, box)}
-	if s.comp != nil || s.cgx != nil {
+	if s.comp != nil {
 		s.walks[0].vel, s.walks[1].vel = []grid.Region{box}, nil
 	}
 	s.walks[2] = pass{chain: box.Minus(in1), sponge: box.Minus(in2)}
@@ -284,13 +236,10 @@ const (
 // set it.
 var walkGeometry geometry
 
-// geometry returns the block's walk geometry: one slab for the core-group
-// executor, which computes a block whole, and for a block that fits a cache
-// as it is; otherwise 1-plane slabs in skewStripPoints strips.
+// geometry returns the block's walk geometry: one slab for a block that fits
+// a cache as it is; otherwise 1-plane slabs in skewStripPoints strips.
 func (s *Simulator) geometry() geometry {
 	switch d := s.Cfg.Dims; {
-	case s.cgx != nil:
-		return geometry{}
 	case walkGeometry != geometry{}:
 		return walkGeometry
 	case d.Points() <= chainBlockPoints:
@@ -387,7 +336,7 @@ func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t
 		for i := b.I0; i < b.I1+2*lag; i += planes {
 			for _, box := range p.vel {
 				if r := box.Intersect(behind(i, 0, 0)); !r.Empty() {
-					s.backend.Velocity(s.WF, s.Med, dtdx, r)
+					fd.UpdateVelocityRegion(s.WF, s.Med, dtdx, r)
 					t.Lap(telemetry.StageVelocity)
 					fd.ImageVelocityCols(s.WF, r.I0, r.I1, r.J0, r.J1)
 					t.Lap(telemetry.StageFreeSurface)
@@ -417,7 +366,7 @@ func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t
 // and within a block sources are injected in list order, so co-located
 // sources keep theirs.
 func (s *Simulator) stressChain(b grid.Region, dtdx float32, t *telemetry.StageTally) int64 {
-	s.backend.Stress(s.WF, s.Med, dtdx, b)
+	fd.UpdateStressRegion(s.WF, s.Med, dtdx, b)
 	t.Lap(telemetry.StageStress)
 	if s.sls != nil {
 		s.sls.AfterRegion(s.WF, s.Cfg.Dt, b)

@@ -32,15 +32,14 @@ type Simulator struct {
 	Med  *fd.Medium
 	Plas *plasticity.Params
 
-	sponge  *fd.Sponge
-	atten   *fd.Attenuation
-	sls     *fd.SLS
-	cgx     *cgexec.Executor
-	backend Backend
-	rec     *seismo.Recorder
-	pgv     *seismo.PGVField
-	srcs    source.Set
-	comp    *compressedState
+	sponge *fd.Sponge
+	atten  *fd.Attenuation
+	sls    *fd.SLS
+	cgx    *cgexec.Executor
+	rec    *seismo.Recorder
+	pgv    *seismo.PGVField
+	srcs   source.Set
+	comp   *compressedState
 
 	// pg and id place the block in the run's process grid; stations is the
 	// run's station list, of which Cfg.Stations are the ones the block hosts
@@ -248,9 +247,6 @@ func (s *Simulator) setUp() error {
 			return err
 		}
 		s.cgx = ex
-		s.backend = cgBackend{ex}
-	} else {
-		s.backend = hostBackend{}
 	}
 	// AutoTiles resolves against the rank count, so the tiles of all ranks
 	// together match GOMAXPROCS
@@ -293,7 +289,8 @@ func (s *Simulator) PGV() *seismo.PGVField { return s.pgv }
 // Stages exposes the per-stage timing collector.
 func (s *Simulator) Stages() *telemetry.StageClock { return s.stages }
 
-// countKernels tallies the per-step kernel work for Perf.
+// countKernels tallies the per-step kernel work for Perf and, under
+// SunwaySim, charges the simulated core group the step.
 func (s *Simulator) countKernels() {
 	pts := s.Cfg.Dims.Points()
 	s.perf.VelocityPoints += pts
@@ -305,6 +302,9 @@ func (s *Simulator) countKernels() {
 		s.perf.SpongePoints += s.sponge.DampedPoints()
 	}
 	s.perf.Steps++
+	if s.cgx != nil {
+		s.cgx.Step()
+	}
 }
 
 // Run advances the simulation until StepCount reaches Cfg.Steps. When

@@ -138,20 +138,6 @@ func TestAddCountersNeverSumsStepsOrElapsed(t *testing.T) {
 	}
 }
 
-func TestPerfUtilization(t *testing.T) {
-	p := Perf{VelocityPoints: 1e9, StressPoints: 1e9, Steps: 1, Elapsed: time.Second}
-	sustained := p.Gflops()
-	if sustained <= 0 {
-		t.Fatal("need a nonzero sustained rate")
-	}
-	if got := p.Utilization(2 * sustained); !nearF(got, 0.5, 1e-12) {
-		t.Fatalf("utilization %g, want 0.5", got)
-	}
-	if p.Utilization(0) != 0 || p.Utilization(-1) != 0 {
-		t.Fatal("unknown peak must yield zero utilization")
-	}
-}
-
 func nearF(got, want, tol float64) bool {
 	d := got - want
 	if d < 0 {

@@ -10,10 +10,10 @@ import (
 )
 
 // TestCGTilingComposesWithKernels is the level-2 counterpart of the
-// parallel (level-1) and cgexec (levels 3-4) equality tests: a process
-// block is split into core-group tiles (paper Fig. 4 step 2) and each tile
-// is advanced through extracted sub-blocks; the result must equal the
-// monolithic kernel call.
+// parallel (level-1) equality tests: a process block is split into
+// core-group tiles (paper Fig. 4 step 2) and each tile is advanced in place
+// by the region kernels, velocity over every tile and then stress; the
+// result must equal the monolithic kernel calls.
 func TestCGTilingComposesWithKernels(t *testing.T) {
 	d := grid.Dims{Nx: 8, Ny: 21, Nz: 26}
 	mat := model.Material{Vp: 5000, Vs: 2887, Rho: 2700}
@@ -41,24 +41,12 @@ func TestCGTilingComposesWithKernels(t *testing.T) {
 	tiles := grid.Box(d).Split(1, 3, 3)
 
 	fd.UpdateVelocity(mono, med, 0.001, 0, d.Nz)
-
-	h := fd.Halo
+	fd.UpdateStress(mono, med, 0.001, 0, d.Nz)
 	for _, tl := range tiles {
-		sub := grid.Dims{Nx: d.Nx, Ny: tl.Nj(), Nz: tl.Nk()}
-		// extract the tile working set (with stencil halos) for all fields
-		fields := tiled.AllFields()
-		subs := make([]*grid.Field, len(fields))
-		for i, f := range fields {
-			subs[i] = f.ExtractSubfield(0, tl.J0, tl.K0, sub, h)
-		}
-		swf := &fd.Wavefield{D: sub,
-			U: subs[0], V: subs[1], W: subs[2],
-			XX: subs[3], YY: subs[4], ZZ: subs[5],
-			XY: subs[6], XZ: subs[7], YZ: subs[8]}
-		fd.UpdateVelocity(swf, med.Sub(0, tl.J0, tl.K0, sub), 0.001, 0, sub.Nz)
-		for i, f := range fields {
-			f.InsertSubfield(0, tl.J0, tl.K0, subs[i])
-		}
+		fd.UpdateVelocityRegion(tiled, med, 0.001, tl)
+	}
+	for _, tl := range tiles {
+		fd.UpdateStressRegion(tiled, med, 0.001, tl)
 	}
 
 	for c, f := range mono.AllFields() {

@@ -548,9 +548,10 @@ func (m *Manager) finishCampaign(c *campaign, started time.Time) {
 	jobs := append([]string(nil), c.jobs...)
 	members := len(c.members)
 	c.mu.Unlock()
-	close(c.done)
-
+	// journaled before a waiter hears of it: Wait returns a finished campaign
+	// whose end is on disk, or counted and logged as lost
 	m.logEvent(campaignEvent{Event: string(state), Campaign: c.id})
+	close(c.done)
 	m.met.finished[state].Add(1)
 	m.tracer.Span(tracePID, campSeq(c.id), "campaign", "running", started, time.Since(started),
 		map[string]any{"state": string(state), "members": members})

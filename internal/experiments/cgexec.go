@@ -3,57 +3,41 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"swquake/internal/cgexec"
-	"swquake/internal/fd"
 	"swquake/internal/grid"
-	"swquake/internal/model"
 	"swquake/internal/perfmodel"
 	"swquake/internal/sunway"
 )
 
-// ExecutedMEMResult compares the executed tile-by-tile core-group run
+// ExecutedMEMResult compares the tile-by-tile core-group tally of one step
 // against the analytic MEM-strategy prediction.
 type ExecutedMEMResult struct {
-	// SimBandwidthGBs is the effective DMA bandwidth of the executed
-	// tiled step under the machine model's clock.
+	// SimBandwidthGBs is the effective DMA bandwidth of the tiled step
+	// under the machine model's clock.
 	SimBandwidthGBs float64
 	// ModelBandwidthGBs is the blocking model's prediction.
 	ModelBandwidthGBs float64
-	// HaloOverhead is executed halo bytes / interior bytes.
+	// HaloOverhead is tallied halo bytes / interior bytes.
 	HaloOverhead float64
-	// LDMPeakBytes is the executed peak working set.
+	// LDMPeakBytes is the peak working set of a tile.
 	LDMPeakBytes int
 	// StepSeconds is the simulated CG time for one velocity+stress pass.
 	StepSeconds float64
 }
 
-// ExecutedMEM runs one velocity+stress pass of a CG block through the
-// tile-by-tile executor (package cgexec) and cross-checks the simulated
-// bandwidth and LDM usage against the analytic model that Figs. 7-9 and
-// Table 4 are built on. This closes the loop between the executed and the
-// modeled halves of the reproduction.
+// ExecutedMEM charges one velocity+stress step of a CG block to the
+// tile-by-tile core-group tally (package cgexec) — the one a SunwaySim run
+// charges every step — and cross-checks the simulated bandwidth and LDM
+// usage against the analytic model that Figs. 7-9 and Table 4 are built on.
+// This closes the loop between the executed and the modeled halves of the
+// reproduction.
 func ExecutedMEM(w io.Writer, block grid.Dims) (*ExecutedMEMResult, error) {
-	wf := fd.NewWavefield(block)
-	rng := rand.New(rand.NewSource(7))
-	for _, f := range wf.AllFields() {
-		for i := range f.Data {
-			f.Data[i] = rng.Float32()*2 - 1
-		}
-	}
-	med := fd.NewMediumFromModel(block, 100, model.Homogeneous{M: model.Material{Vp: 5000, Vs: 2887, Rho: 2700}}, 0, 0)
-
 	ex, err := cgexec.New(block)
 	if err != nil {
 		return nil, err
 	}
-	if err := ex.VelocityStep(wf, med, 0.001); err != nil {
-		return nil, err
-	}
-	if err := ex.StressStep(wf, med, 0.001); err != nil {
-		return nil, err
-	}
+	ex.Step()
 
 	s := ex.Stats
 	interior := float64(block.Points()) * (10 + 3 + 11 + 6) * 4 // logical traffic

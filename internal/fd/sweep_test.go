@@ -304,49 +304,6 @@ func TestMediumReciprocalFreshOrLoud(t *testing.T) {
 	}
 }
 
-// TestSubMediumCarriesReciprocal: Medium.Sub hands a tile the parent's
-// reciprocal, equal to 1/Mu of the tile at every cell, halos included, and
-// the stress kernel on the tile matches the kernel on the parent's region.
-func TestSubMediumCarriesReciprocal(t *testing.T) {
-	d := grid.Dims{Nx: 6, Ny: 8, Nz: 9}
-	rng := rand.New(rand.NewSource(21))
-	med := hardMedium(d, rng)
-	sd := grid.Dims{Nx: 6, Ny: 3, Nz: 4}
-	const j0, k0 = 4, 2
-	sub := med.Sub(0, j0, k0, sd)
-	for idx, m := range sub.Mu.Data {
-		want := 1 / m
-		if m == 0 {
-			want = float32(math.Inf(1))
-		}
-		if got := sub.recipMu().Data[idx]; math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("sub reciprocal at %d: %g, want 1/%g = %g", idx, got, m, want)
-		}
-	}
-	mustPanic(t, "Mu.Set on a sub-medium", func() { sub.Mu.Set(0, 0, 0, 1) })
-	mustPanic(t, "Sub outside the parent", func() { med.Sub(0, 6, 0, sd) })
-
-	whole := hardWavefield(d, rng)
-	tile := &Wavefield{D: sd}
-	subs := make([]*grid.Field, 0, 9)
-	for _, f := range whole.AllFields() {
-		subs = append(subs, f.ExtractSubfield(0, j0, k0, sd, Halo))
-	}
-	tile.U, tile.V, tile.W = subs[0], subs[1], subs[2]
-	tile.XX, tile.YY, tile.ZZ, tile.XY, tile.XZ, tile.YZ = subs[3], subs[4], subs[5], subs[6], subs[7], subs[8]
-	UpdateStressRegion(tile, sub, 1e-5, grid.Box(sd))
-	refUpdateStressRegion(whole, med, 1e-5, grid.Region{I1: sd.Nx, J0: j0, J1: j0 + sd.Ny, K0: k0, K1: k0 + sd.Nz})
-	for c, f := range whole.StressFields() {
-		back := f.ExtractSubfield(0, j0, k0, sd, 0)
-		mine := tile.StressFields()[c].ExtractSubfield(0, 0, 0, sd, 0)
-		for idx := range back.Data {
-			if math.Float32bits(back.Data[idx]) != math.Float32bits(mine.Data[idx]) {
-				t.Fatalf("stress field %d differs on the tile at %d", c, idx)
-			}
-		}
-	}
-}
-
 // TestReciprocalFirstUseIsConcurrent: tiles that all make the first stress
 // update of a hand-built medium at once share one reciprocal build (run
 // under -race by `make check`) and compute the reference bits.

@@ -106,7 +106,7 @@ func (w *Wavefield) MaxAbsVelocity() float32 {
 // The stress kernel averages Mu harmonically over four points per shear
 // component, which it evaluates from the float32 reciprocal 1/Mu. Medium
 // owns that derived array: it is built once — by the constructors that
-// define Mu completely (NewMediumFromModel, Sub), otherwise on the first
+// define Mu completely (NewMediumFromModel), otherwise on the first
 // stress update, under a sync.Once so concurrent tiles share one build —
 // and building it freezes Mu, so a later Mu.Set/Fill panics instead of
 // leaving the reciprocal stale. Fill a hand-built medium before its first
@@ -140,7 +140,7 @@ func NewMedium(d grid.Dims) *Medium {
 // 4/(sum of reciprocals) then yields the +0 the harmonic mean must have.
 func (m *Medium) recipMu() *grid.Field {
 	m.recipOnce.Do(func() {
-		if m.rmu == nil { // the sampling pass and Sub fill it themselves
+		if m.rmu == nil { // the sampling pass fills it itself
 			m.rmu = grid.NewField(m.Mu.Dims, m.Mu.H)
 			for i, v := range m.Mu.Data {
 				m.rmu.Data[i] = recip(v)
@@ -157,27 +157,6 @@ func recip(mu float32) float32 {
 		return float32(math.Inf(1)) // also for -0, whose reciprocal is -Inf
 	}
 	return 1 / mu
-}
-
-// Sub returns the medium of the sub-block of d points at offset (i0,j0,k0),
-// with the stencil halo filled from m (grid.Field.ExtractSubfield) — the
-// working set a core-group tile or a test's hand-cut block computes on. The
-// reciprocal shear modulus is copied along with Mu rather than recomputed.
-// The sub-block must lie inside m's interior.
-func (m *Medium) Sub(i0, j0, k0 int, d grid.Dims) *Medium {
-	h := Halo
-	if i0 < 0 || j0 < 0 || k0 < 0 || i0+d.Nx > m.D.Nx || j0+d.Ny > m.D.Ny || k0+d.Nz > m.D.Nz {
-		panic(fmt.Sprintf("fd: sub-medium %v at (%d,%d,%d) outside %v", d, i0, j0, k0, m.D))
-	}
-	sub := &Medium{
-		D:   d,
-		Rho: m.Rho.ExtractSubfield(i0, j0, k0, d, h),
-		Lam: m.Lam.ExtractSubfield(i0, j0, k0, d, h),
-		Mu:  m.Mu.ExtractSubfield(i0, j0, k0, d, h),
-		rmu: m.recipMu().ExtractSubfield(i0, j0, k0, d, h),
-	}
-	sub.recipMu()
-	return sub
 }
 
 // NewMediumFromModel samples a velocity model onto the grid: point (i,j,k)

@@ -76,8 +76,8 @@ func NewField(d Dims, h int) *Field {
 // operand's z-row at the operand's own Idx streams Nz+2h values instead of a
 // 3D array; Set, Add and Fill write the shared row, so Fill(v) makes it a
 // constant. What assumes the full
-// layout — CopyFrom to or from a full field, the halo pack and unpack,
-// ExtractSubfield, InsertSubfield — panics instead of copying garbage.
+// layout — CopyFrom to or from a full field, the halo pack and unpack —
+// panics instead of copying garbage.
 func NewProfile(d Dims, h int) *Field {
 	checkShape(d, h)
 	return &Field{Dims: d, H: h, Data: make([]float32, d.Nz+2*h), origin: h}
@@ -97,7 +97,7 @@ func checkShape(d Dims, h int) {
 // calls it.
 func (f *Field) full() {
 	if f.sx == 0 {
-		panic("grid: a z-profile has no 3D layout to copy, pack or cut (NewProfile)")
+		panic("grid: a z-profile has no 3D layout to copy or pack (NewProfile)")
 	}
 }
 
@@ -124,11 +124,11 @@ func (f *Field) Add(i, j, k int, v float32) {
 }
 
 // Freeze makes the field read-only: from now on Set, Add, Fill,
-// FillInterior, CopyFrom, InsertSubfield and UnpackHalo panic. A field is
+// FillInterior, CopyFrom and UnpackHalo panic. A field is
 // frozen once something derived from its values has been cached (fd.Medium
 // freezes Mu when it builds 1/Mu), so that an edit which would leave the
-// derived data stale fails at the edit instead of corrupting a run. Copies
-// (Clone, ExtractSubfield) are not frozen. Writing Data directly bypasses
+// derived data stale fails at the edit instead of corrupting a run. A copy
+// (Clone) is not frozen. Writing Data directly bypasses
 // the guard and is a bug on a frozen field.
 func (f *Field) Freeze() { f.frozen = true }
 

@@ -232,12 +232,10 @@ func TestProfileIsOneRowForEveryColumn(t *testing.T) {
 
 	full := NewField(d, 2)
 	for name, f := range map[string]func(){
-		"CopyFrom a full field":         func() { p.CopyFrom(full) },
-		"CopyFrom into a full field":    func() { full.CopyFrom(p) },
-		"PackHalo":                      func() { p.PackHalo(FaceXPlus, make([]float32, p.HaloLen(FaceXPlus))) },
-		"UnpackHalo":                    func() { p.UnpackHalo(FaceYMinus, make([]float32, p.HaloLen(FaceYMinus))) },
-		"ExtractSubfield":               func() { p.ExtractSubfield(0, 0, 0, Dims{2, 2, 2}, 2) },
-		"InsertSubfield into a profile": func() { p.InsertSubfield(0, 0, 0, NewField(Dims{2, 2, 2}, 2)) },
+		"CopyFrom a full field":      func() { p.CopyFrom(full) },
+		"CopyFrom into a full field": func() { full.CopyFrom(p) },
+		"PackHalo":                   func() { p.PackHalo(FaceXPlus, make([]float32, p.HaloLen(FaceXPlus))) },
+		"UnpackHalo":                 func() { p.UnpackHalo(FaceYMinus, make([]float32, p.HaloLen(FaceYMinus))) },
 	} {
 		func() {
 			defer func() {
@@ -261,13 +259,12 @@ func TestFrozenFieldRejectsWrites(t *testing.T) {
 	f.Freeze()
 	g := NewField(Dims{3, 3, 3}, 1)
 	writes := map[string]func(){
-		"Set":            func() { f.Set(1, 1, 1, 5) },
-		"Add":            func() { f.Add(1, 1, 1, 5) },
-		"Fill":           func() { f.Fill(5) },
-		"FillInterior":   func() { f.FillInterior(5) },
-		"CopyFrom":       func() { f.CopyFrom(g) },
-		"InsertSubfield": func() { f.InsertSubfield(0, 0, 0, g) },
-		"UnpackHalo":     func() { f.UnpackHalo(FaceXMinus, make([]float32, f.HaloLen(FaceXMinus))) },
+		"Set":          func() { f.Set(1, 1, 1, 5) },
+		"Add":          func() { f.Add(1, 1, 1, 5) },
+		"Fill":         func() { f.Fill(5) },
+		"FillInterior": func() { f.FillInterior(5) },
+		"CopyFrom":     func() { f.CopyFrom(g) },
+		"UnpackHalo":   func() { f.UnpackHalo(FaceXMinus, make([]float32, f.HaloLen(FaceXMinus))) },
 	}
 	for name, w := range writes {
 		func() {
@@ -284,7 +281,6 @@ func TestFrozenFieldRejectsWrites(t *testing.T) {
 	}
 	c := f.Clone()
 	c.Set(1, 1, 1, 5)
-	f.ExtractSubfield(0, 0, 0, Dims{2, 2, 2}, 1).Fill(1)
 	g.CopyFrom(f)
 	g.Set(0, 0, 0, 1)
 }
@@ -348,41 +344,6 @@ func TestFaceOpposite(t *testing.T) {
 		if f.String() == "?" {
 			t.Fatalf("missing String for %v", int(f))
 		}
-	}
-}
-
-func TestExtractInsertSubfield(t *testing.T) {
-	f := NewField(Dims{8, 8, 8}, 2)
-	rng := rand.New(rand.NewSource(3))
-	for i := range f.Data {
-		f.Data[i] = rng.Float32()
-	}
-	sub := f.ExtractSubfield(2, 2, 2, Dims{4, 4, 4}, 2)
-	// interior matches
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			for k := 0; k < 4; k++ {
-				if sub.At(i, j, k) != f.At(2+i, 2+j, 2+k) {
-					t.Fatal("subfield interior mismatch")
-				}
-			}
-		}
-	}
-	// halo of subfield filled from parent interior
-	if sub.At(-1, 0, 0) != f.At(1, 2, 2) {
-		t.Fatal("subfield halo not filled from parent")
-	}
-	g := NewField(Dims{8, 8, 8}, 2)
-	g.InsertSubfield(2, 2, 2, sub)
-	for i := 0; i < 4; i++ {
-		for k := 0; k < 4; k++ {
-			if g.At(2+i, 3, 2+k) != f.At(2+i, 3, 2+k) {
-				t.Fatal("InsertSubfield mismatch")
-			}
-		}
-	}
-	if g.At(0, 0, 0) != 0 {
-		t.Fatal("InsertSubfield wrote outside target region")
 	}
 }
 

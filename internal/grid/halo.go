@@ -141,36 +141,3 @@ func (f *Field) unpackYLayers(j0 int, buf []float32) int {
 	}
 	return n
 }
-
-// ExtractSubfield copies the interior region [i0,i0+d.Nx) x [j0,j0+d.Ny) x
-// [k0,k0+d.Nz) of f into a new field with halo h, filling that field's halo
-// from f where available (so stencils at block edges see true data).
-func (f *Field) ExtractSubfield(i0, j0, k0 int, d Dims, h int) *Field {
-	f.full()
-	out := NewField(d, h)
-	for i := -h; i < d.Nx+h; i++ {
-		for j := -h; j < d.Ny+h; j++ {
-			si, sj := i0+i, j0+j
-			if si < -f.H || si >= f.Nx+f.H || sj < -f.H || sj >= f.Ny+f.H {
-				continue
-			}
-			srcBase := f.Idx(si, sj, k0-h)
-			dstBase := out.Idx(i, j, -h)
-			copy(out.Data[dstBase:dstBase+d.Nz+2*h], f.Data[srcBase:srcBase+d.Nz+2*h])
-		}
-	}
-	return out
-}
-
-// InsertSubfield writes sub's interior into f at offset (i0,j0,k0).
-func (f *Field) InsertSubfield(i0, j0, k0 int, sub *Field) {
-	f.full()
-	f.writable()
-	for i := 0; i < sub.Nx; i++ {
-		for j := 0; j < sub.Ny; j++ {
-			srcBase := sub.Idx(i, j, 0)
-			dstBase := f.Idx(i0+i, j0+j, k0)
-			copy(f.Data[dstBase:dstBase+sub.Nz], sub.Data[srcBase:srcBase+sub.Nz])
-		}
-	}
-}

@@ -94,17 +94,3 @@ func (t *Trace) ComputeResponseSpectrum(periods []float64, zeta float64) Respons
 	}
 	return rs
 }
-
-// StandardPeriods returns the conventional engineering period grid
-// 0.1 - 5 s, log-spaced.
-func StandardPeriods(n int) []float64 {
-	if n < 2 {
-		n = 2
-	}
-	out := make([]float64, n)
-	lo, hi := math.Log(0.1), math.Log(5.0)
-	for i := range out {
-		out[i] = math.Exp(lo + (hi-lo)*float64(i)/float64(n-1))
-	}
-	return out
-}

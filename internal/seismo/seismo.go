@@ -182,15 +182,6 @@ func Intensity(pgv float64) float64 {
 	return i
 }
 
-// IntensityMap converts the PGV field to intensity values.
-func (p *PGVField) IntensityMap() []float64 {
-	out := make([]float64, len(p.PGV))
-	for i, v := range p.PGV {
-		out[i] = Intensity(v)
-	}
-	return out
-}
-
 // Snapshot extracts the horizontal velocity magnitude on a constant-depth
 // plane (the wavefield snapshots of Fig. 11c-d).
 func Snapshot(wf *fd.Wavefield, k int) [][]float64 {

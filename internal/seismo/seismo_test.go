@@ -119,18 +119,6 @@ func TestQuickIntensityMonotone(t *testing.T) {
 	}
 }
 
-func TestIntensityMap(t *testing.T) {
-	p := NewPGVField(2, 2, 0)
-	p.PGV[0] = 1
-	m := p.IntensityMap()
-	if len(m) != 4 {
-		t.Fatalf("map len %d", len(m))
-	}
-	if math.Abs(m[0]-9.77) > 0.01 || m[1] != 1 {
-		t.Fatalf("map %v", m)
-	}
-}
-
 func TestSnapshot(t *testing.T) {
 	wf := wf44()
 	wf.U.Set(1, 2, 0, 3)
