@@ -67,15 +67,21 @@ check-bce:
 # from cmd/quaked); any line printed is a failure. And the engine spells its
 # stage sequence, its schedule and its step loop once each: non-test
 # internal/core holds at most one call that posts the velocity halos, one
-# divergence scan, one return map and one stress-chain call (s.stressChain) —
-# the walk's — and no identifier twoPass: every block, tile and
+# return map and one stress-chain call (s.stressChain) — the walk's — and no
+# identifier twoPass: every block, tile and
 # interior/shell pass is the one walk, two-pass is its one-slab geometry; it
 # calls each host kernel at most once, the walk itself (fd.UpdateVelocityRegion
 # in stripWalk, fd.UpdateStressRegion in stressChain), and pipeline.go holds no
 # Backend interface and no cgx branch: the simulated core group tallies the
 # step, it does not run it; and it declares at most
 # one walk-geometry test seam (a package-level variable of type int or
-# geometry). And the job service spells its
+# geometry). And nothing sweeps a plain-storage block after the walk: no
+# whole-block max-|v| scan (MaxAbsVelocity() call) and no whole-surface PGV
+# update (pgv.Update() call) outside compressed storage's last round trip
+# (storeAll), which must scan the velocities it rewrote, and no whole-frame
+# traction imaging (ImageTractionCols(s.WF, -fd.Halo, ...)) — the walk takes
+# the max and the peaks behind the sponge and images each owned column just
+# before its velocity update. And the job service spells its
 # lifecycle and its clock once each: non-test internal/service assigns a job's
 # state in one place (lifecycle.go's move) and asks the time package for the
 # time in one file (clock.go). And each sweep kernel has one assembly entry,
@@ -90,7 +96,7 @@ KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
 	@! grep -rl --include='*.go' '"expvar"' . | grep -v '^\./cmd/quaked/'
-	@for pat in 'ex\.StartVelocity(' 'MaxAbsVelocity()' 'plasticity\.ApplyRegion(' 's\.stressChain('; do \
+	@for pat in 'ex\.StartVelocity(' 'plasticity\.ApplyRegion(' 's\.stressChain('; do \
 		n=$$(grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:' | wc -l); \
 		if [ "$$n" -gt 1 ]; then echo "check-one: internal/core holds $$n calls of $$pat, want at most 1:"; \
 			grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:'; exit 1; fi; \
@@ -103,6 +109,13 @@ check-one:
 			echo "check-one: internal/core calls fd.$${k%:*} other than once from $${k#*:}:"; echo "$$in"; exit 1; fi; \
 	done
 	@! grep -nE 'Backend interface|\<cgx\>' internal/core/pipeline.go
+	@for pat in 'MaxAbsVelocity(' 'pgv.Update('; do \
+		in=$$(awk -v p="$$pat" '/^func /{f=$$0} index($$0, p) {print FILENAME":"FNR": "f}' \
+			$$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -v ') storeAll('); \
+		if [ -n "$$in" ]; then echo "check-one: internal/core calls $$pat outside storeAll (compressed storage's last round trip):"; \
+			echo "$$in"; exit 1; fi; \
+	done
+	@! grep -nE 'ImageTractionCols\(s\.WF, -fd\.Halo' internal/core/*.go | grep -v '_test\.go:'
 	@n=$$(grep -nE '^var [A-Za-z_]+ (int|geometry)$$' internal/core/*.go | grep -v '_test\.go:' | wc -l); \
 	if [ "$$n" -gt 1 ]; then echo "check-one: internal/core declares $$n walk-geometry test seams, want at most 1:"; \
 		grep -nE '^var [A-Za-z_]+ (int|geometry)$$' internal/core/*.go | grep -v '_test\.go:'; exit 1; fi

@@ -142,6 +142,14 @@ func TestHTTPCancelMidRun(t *testing.T) {
 	pollUntil(t, ts.URL, st.ID, func(s service.Status) bool {
 		return s.State == service.StateRunning && s.StepsDone > 0
 	})
+	// a running job reports how fast the medium moves: 0 until the source's
+	// first stresses reach a velocity
+	pollUntil(t, ts.URL, st.ID, func(s service.Status) bool { return s.MaxVelocity > 0 })
+	var raw map[string]any
+	doJSON(t, "GET", ts.URL+"/v1/jobs/"+st.ID, "", &raw)
+	if v, ok := raw["max_velocity_m_s"].(float64); raw["state"] != "running" || !ok || !(v > 0) {
+		t.Fatalf("running job's status %v, want a positive max_velocity_m_s", raw)
+	}
 	var canceled service.Status
 	if code := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+st.ID, "", &canceled); code != http.StatusOK {
 		t.Fatalf("cancel returned %d", code)

@@ -227,9 +227,9 @@ func buildConfig(scen string, o scenario.Overrides) (core.Config, error) {
 	return scenario.Build(scen, o)
 }
 
-// progressObserver prints step progress through the engine's per-step
-// observer hook — the same mechanism the job service uses for live
-// progress — at roughly 10 lines per run.
+// progressObserver prints step progress and the step's max |v| through the
+// engine's per-step observer hook — the same mechanism the job service uses
+// for live progress — at roughly 10 lines per run.
 func progressObserver(w io.Writer, total int) core.StepObserver {
 	interval := total / 10
 	if interval < 1 {
@@ -243,8 +243,8 @@ func progressObserver(w io.Writer, total int) core.StepObserver {
 		if ev.Step > 0 {
 			eta = time.Duration(float64(ev.Wall) / float64(ev.Step) * float64(ev.Total-ev.Step))
 		}
-		fmt.Fprintf(w, "step %d/%d  t=%.3f s  wall=%.2f s  eta=%.2f s\n",
-			ev.Step, ev.Total, ev.SimTime, ev.Wall.Seconds(), eta.Seconds())
+		fmt.Fprintf(w, "step %d/%d  t=%.3f s  max|v|=%.3g m/s  wall=%.2f s  eta=%.2f s\n",
+			ev.Step, ev.Total, ev.SimTime, ev.MaxVelocity, ev.Wall.Seconds(), eta.Seconds())
 	}
 }
 

@@ -82,6 +82,9 @@ func TestRunProgressFlag(t *testing.T) {
 	if !strings.Contains(buf.String(), "step 30/30") {
 		t.Fatalf("progress output missing final step line:\n%s", buf.String())
 	}
+	if !strings.Contains(buf.String(), "max|v|=") || strings.Contains(buf.String(), "max|v|=0 ") {
+		t.Fatalf("progress output missing a moving max |v|:\n%s", buf.String())
+	}
 }
 
 func TestRunQuickstartEndToEnd(t *testing.T) {

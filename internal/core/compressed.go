@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"swquake/internal/compress"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
+	"swquake/internal/telemetry"
 )
 
 // compressedState keeps the nine dynamic fields as 16-bit codes in "main
@@ -61,5 +63,22 @@ func encode(cfs []*compress.Field, fs []*grid.Field) {
 func decode(cfs []*compress.Field, fs []*grid.Field) {
 	for i, cf := range cfs {
 		cf.DecodeInto(fs[i])
+	}
+}
+
+// storeAll is the step's last round trip, after the walks: it stores all
+// nine fields and reads them back, so that recorders and checkpoints observe
+// exactly the stored state, and takes the step's max |v| and PGV peaks from
+// the velocities it decoded — the walk scanned none, as the ones it holds
+// are not the ones stored.
+func (s *Simulator) storeAll(sw *telemetry.Stopwatch) {
+	encode(s.comp.fields, s.WF.AllFields())
+	decode(s.comp.fields, s.WF.AllFields())
+	sw.Lap(telemetry.StageCompression)
+	s.vmax = math.Float32bits(s.WF.MaxAbsVelocity())
+	sw.Lap(telemetry.StageDivergence)
+	if s.pgv != nil {
+		s.pgv.Update(s.WF)
+		sw.Lap(telemetry.StageRecord)
 	}
 }

@@ -35,7 +35,8 @@ import (
 const AutoTiles = -1
 
 // StepEvent describes one completed step of the pipeline, as reported to a
-// StepObserver: how far the run is and how long it has been stepping.
+// StepObserver: how far the run is, how long it has been stepping, and how
+// fast the medium moves.
 type StepEvent struct {
 	// Step is the number of completed steps (the first event carries 1).
 	Step int
@@ -45,6 +46,11 @@ type StepEvent struct {
 	SimTime float64
 	// Wall is the wall time since the run (or restart) started stepping.
 	Wall time.Duration
+	// MaxVelocity is the largest |velocity component| anywhere in the run's
+	// domain after the step, in m/s — every block's, under RunParallel —
+	// and +Inf if any cell holds a NaN. The divergence verdict judges it
+	// right after the observer returns.
+	MaxVelocity float64
 }
 
 // StepObserver receives a StepEvent after every completed pipeline step. It

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"swquake/internal/checkpoint"
+	"swquake/internal/compress"
 	"swquake/internal/faultinject"
 	"swquake/internal/mpi"
+	"swquake/internal/seismo"
 	"swquake/internal/source"
 )
 
@@ -324,22 +326,23 @@ func (n nanFrom) MomentRate(t float64) float64 {
 // TestNaNVelocityIsDivergence: a NaN in the velocity field must stop the
 // run at the step it appears, with the "diverged" error — not be skipped by
 // the max-|v| scan (every float comparison against NaN is false; a field of
-// nothing but NaN used to report max |v| = 0 and the run "succeeded").
-// Serial: one velocity cell is poisoned after step 5 completes. 2x1 ranks:
-// a source injects NaN into the stresses during step 5, which the velocity
-// kernel of step 6 turns into NaN velocities on one rank; every rank must
-// stop there.
+// nothing but NaN used to report max |v| = 0 and the run "succeeded"). A
+// source injects NaN into the stresses during step 4, which the velocity
+// kernel of step 5 turns into NaN velocities — serially, beside a healthy
+// neighbour, and on one rank of 2x1, where every rank must stop there.
 func TestNaNVelocityIsDivergence(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Steps = 12
-
-	var sim *Simulator
-	cfg.Observer = func(ev StepEvent) {
-		if ev.Step == 5 {
-			sim.WF.V.Set(3, 4, 5, float32(math.NaN()))
-		}
-	}
 	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := cfg.Sources[0]
+	// step n injects at t = (n-1)*dt
+	src.S = nanFrom{STF: src.S, T: 2.5 * sim.Dt()}
+	cfg.Sources = []source.PointSource{src}
+
+	sim, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,16 +368,110 @@ func TestNaNVelocityIsDivergence(t *testing.T) {
 		t.Fatalf("NaN folded in second: err = %v, want divergence at step 5", err)
 	}
 
-	cfg.Observer = nil
-	sim, err = New(cfg)
+	if _, err := RunParallel(cfg, 2, 1); err == nil || !strings.Contains(err.Error(), "diverged at step 5 ") {
+		t.Fatalf("2x1: err = %v, want divergence at step 5", err)
+	}
+}
+
+// TestDivergedStepLeavesNoDump: a run that diverges on a step a checkpoint
+// is due at stops without dumping that step — its velocities would load as
+// NaN and pass every CRC, so a recovering process would resume from the
+// diverged state — and the newest loadable dump is the one before, serially
+// and on 2x1 ranks.
+func TestDivergedStepLeavesNoDump(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Steps = 12
+	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := cfg.Sources[0]
-	// step n injects at t = (n-1)*dt
+	// step n injects at t = (n-1)*dt: NaN stresses in step 5, NaN
+	// velocities in step 6 — a due step
 	src.S = nanFrom{STF: src.S, T: 3.5 * sim.Dt()}
 	cfg.Sources = []source.PointSource{src}
-	if _, err := RunParallel(cfg, 2, 1); err == nil || !strings.Contains(err.Error(), "diverged at step 6 ") {
-		t.Fatalf("2x1: err = %v, want divergence at step 6", err)
+	for _, tc := range []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"serial", func(cfg Config) error {
+			sim, err := New(cfg)
+			if err == nil {
+				_, err = sim.Run()
+			}
+			return err
+		}},
+		{"ranks2x1", func(cfg Config) error {
+			_, err := RunParallel(cfg, 2, 1)
+			return err
+		}},
+	} {
+		dir := t.TempDir()
+		run := cfg
+		run.Checkpoint = &checkpoint.Controller{Dir: dir, Interval: 3, Keep: 0}
+		if err := tc.run(run); err == nil || !strings.Contains(err.Error(), "diverged at step 6 ") {
+			t.Fatalf("%s: err = %v, want divergence at step 6", tc.name, err)
+		}
+		got, err := checkpoint.LatestValid(dir)
+		if step, _ := checkpoint.PathStep(got); err != nil || step != 3 {
+			t.Fatalf("%s: newest valid dump %q (%v), want step 3's", tc.name, got, err)
+		}
+	}
+}
+
+// TestStepEventCarriesTheMaxVelocity: the observer hears each step's max
+// |v|, and it is what a scan of the whole wavefield after the step finds; the
+// PGV map is the peak of the surface velocities the observer saw — on plain
+// storage, on three tiles and on compressed storage, walked as one slab and
+// in 1-plane slabs and 4-column strips. The source sits in the sponge zone,
+// near the surface, so the largest velocities and the surface peaks are in
+// cells the sponge damps after the velocity update and compressed storage
+// re-quantizes in its last round trip.
+func TestStepEventCarriesTheMaxVelocity(t *testing.T) {
+	base := baseConfig()
+	base.Steps = 30
+	base.RecordPGV = true
+	base.Sources[0].I, base.Sources[0].K = 1, 3
+	stats, err := CalibrateCompression(base, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []geometry{{1 << 30, 1 << 30}, {1, 4}} {
+		restore := SetWalkGeometry(g.planes, g.cols)
+		for name, mut := range map[string]func(*Config){
+			"plain":   func(*Config) {},
+			"tiles=3": func(c *Config) { c.Tiles = 3 },
+			"compressed": func(c *Config) {
+				c.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
+			},
+		} {
+			cfg := base
+			mut(&cfg)
+			var sim *Simulator
+			pgv := seismo.NewPGVField(cfg.Dims.Nx, cfg.Dims.Ny, 0)
+			cfg.Observer = func(ev StepEvent) {
+				if want := float64(sim.WF.MaxAbsVelocity()); ev.MaxVelocity != want {
+					t.Errorf("%s, %+v: step %d carries max |v| %g, the wavefield's is %g", name, g, ev.Step, ev.MaxVelocity, want)
+				}
+				pgv.Update(sim.WF)
+			}
+			sim, err = New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pgv.Max() == 0 {
+				t.Fatalf("%s, %+v: the surface never moved", name, g)
+			}
+			for n, v := range pgv.PGV {
+				if res.PGV.PGV[n] != v {
+					t.Fatalf("%s, %+v: PGV[%d] = %g, the observed surface's peak %g", name, g, n, res.PGV.PGV[n], v)
+				}
+			}
+		}
+		restore()
 	}
 }

@@ -103,13 +103,15 @@ func matrixConfig(c matrixCell) Config {
 	return cfg
 }
 
-// matrixRun is what a cell's run ends with: its result, and the dump of its
+// matrixRun is what a cell's run ends with: its result, the dump of its
 // last step — the whole wavefield gathered from the ranks, and the resume
-// state (traces, PGV map, counters).
+// state (traces, PGV map, counters) — and the max |v| of every step, as the
+// observer heard it.
 type matrixRun struct {
-	res *Result
-	wf  *fd.Wavefield
-	aux []byte
+	res   *Result
+	wf    *fd.Wavefield
+	aux   []byte
+	maxes []float64
 }
 
 // runCell runs the cell with a dump of its last step.
@@ -122,6 +124,8 @@ func runCell(t *testing.T, c matrixCell) matrixRun {
 	}
 	cfg := matrixConfig(c)
 	cfg.Checkpoint = &checkpoint.Controller{Dir: t.TempDir(), Interval: cfg.Steps, Keep: 1}
+	var maxes []float64
+	cfg.Observer = func(ev StepEvent) { maxes = append(maxes, ev.MaxVelocity) }
 	var res *Result
 	var err error
 	if c.mx*c.my == 1 {
@@ -139,15 +143,18 @@ func runCell(t *testing.T, c matrixCell) matrixRun {
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
 	}
-	return matrixRun{res, wf, aux}
+	return matrixRun{res, wf, aux, maxes}
 }
 
-// requireSameRun fails unless got ends as want did: the same traces, PGV
-// map, counters and resume state, and the same bits in every cell of the
-// nine fields: the dump's wavefield, which is the ranks' owned cells
-// gathered, ghost layers left out.
+// requireSameRun fails unless got ran as want did: the same max |v| after
+// every step, and at the end the same traces, PGV map, counters and resume
+// state, and the same bits in every cell of the nine fields: the dump's
+// wavefield, which is the ranks' owned cells gathered, ghost layers left out.
 func requireSameRun(t *testing.T, label string, want, got matrixRun, cfg Config) {
 	t.Helper()
+	if fmt.Sprint(got.maxes) != fmt.Sprint(want.maxes) || len(want.maxes) != cfg.Steps {
+		t.Fatalf("%s: max |v| by step %v, the serial run's %v", label, got.maxes, want.maxes)
+	}
 	requireIdenticalResults(t, label, want.res, got.res, cfg)
 	if !bytes.Equal(want.aux, got.aux) {
 		t.Fatalf("%s: the last dump's resume state differs from the serial run's", label)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 //
 //	free surface (tractions) → velocity kernel → velocity-halo exchange →
 //	free surface (velocities) → SLS-before → stress kernel → SLS-after →
-//	source injection → plasticity → attenuation → sponge →
-//	stress-halo exchange → record traces / PGV
+//	source injection → plasticity → attenuation → sponge → max |v| / PGV →
+//	stress-halo exchange → record traces
 //
 // Every runner (serial Run, RunParallel) and every execution strategy
 // (compressed storage, tiled workers, overlapped halos) drives this sequence
@@ -60,11 +61,11 @@ func (NoExchange) FinishVelocity(*fd.Wavefield, int)    {}
 func (NoExchange) StartStress(*fd.Wavefield, int)       {}
 func (NoExchange) FinishStress(*fd.Wavefield, int) bool { return false }
 
-// Step advances one full time step through the pipeline, then runs the
-// post-step stages: step/time bookkeeping, station recording and PGV
-// accumulation. When Cfg.Tracer is set, the whole step is also emitted as
-// one trace span on the configured track. Outside Run there is no tile
-// pool: a bare Step is single-threaded.
+// Step advances one full time step through the pipeline — which also takes
+// the block's max |v| and folds the PGV peaks — then runs the post-step
+// stages: step/time bookkeeping and station recording. When Cfg.Tracer is
+// set, the whole step is also emitted as one trace span on the configured
+// track. Outside Run there is no tile pool: a bare Step is single-threaded.
 func (s *Simulator) Step() {
 	var t0 time.Time
 	if s.Cfg.Tracer != nil {
@@ -75,9 +76,6 @@ func (s *Simulator) Step() {
 	s.simTime += s.Cfg.Dt
 	sw := s.stages.Stopwatch()
 	s.rec.Record(s.WF)
-	if s.pgv != nil {
-		s.pgv.Update(s.WF)
-	}
 	sw.Lap(telemetry.StageRecord)
 	if s.Cfg.Tracer != nil {
 		s.Cfg.Tracer.Span(0, s.Cfg.TraceTID, "engine", "step", t0, timeNow().Sub(t0),
@@ -87,7 +85,7 @@ func (s *Simulator) Step() {
 
 // pass is what one walk covers, as lists of disjoint non-empty boxes: where
 // it runs the velocity kernel (and the imaging), the stress chain, and the
-// velocity half of the sponge.
+// velocity half of the sponge with the scans of the finished velocities.
 type pass struct{ vel, chain, sponge []grid.Region }
 
 // planWalks chooses, once, the step's three passes around the velocity-halo
@@ -99,9 +97,13 @@ type pass struct{ vel, chain, sponge []grid.Region }
 // does the rest. A rank without Overlap computes no stress before the wait,
 // so its interior is empty; a lone block has no ring. Compressed storage
 // must see the finished velocity phase first, for its velocity round trip:
-// there the velocity kernel runs over the whole block before the post.
+// there the velocity kernel runs over the whole block before the post. It
+// also lists the ghost frame's columns, whose tractions the step head images.
 func (s *Simulator) planWalks() {
 	box := grid.Box(s.Cfg.Dims)
+	frame := box
+	frame.I0, frame.I1, frame.J0, frame.J1 = -fd.Halo, box.I1+fd.Halo, -fd.Halo, box.J1+fd.Halo
+	s.frame = frame.Minus(box)
 	var in1, in2 grid.Region
 	if s.Cfg.Overlap || s.pg.Size() == 1 {
 		in1, in2 = s.pg.Interior(s.id, fd.Halo), s.pg.Interior(s.id, 2*fd.Halo)
@@ -146,6 +148,18 @@ func (s *Simulator) planWalks() {
 //     serial run holds it, and the ghost frame needs no imaging of its own.
 //   - Where no neighbour sends, the ghost frame holds zeros, so the walk
 //     reads it before the wait.
+//   - A column's traction ghosts are read by the velocity kernel on that
+//     column alone: the walk images them just before the kernel runs there,
+//     and the chain, which changes the stresses they mirror, runs there
+//     later. The ghost frame's, which no kernel reads but dumps hold, are
+//     imaged at the step head.
+//   - Behind the velocity half of the sponge a cell's velocities are the
+//     step's last: the walk folds them there into the block's max |v| and,
+//     at the PGV depth, into the peaks. The three walks' sponge lists and
+//     the seam rounds partition the block, so each cell is scanned once, and
+//     both folds — a maximum of bit patterns, a peak per column — are
+//     order-free. Compressed storage rewrites the velocities after the walk,
+//     so it takes both after its last round trip instead (storeAll).
 //   - The SLS snapshot is taken over the whole block before any walk: the
 //     stresses it copies are the ones no chain has touched yet, and
 //     AfterRegion reads it only at the cells it updates.
@@ -162,6 +176,7 @@ func (s *Simulator) planWalks() {
 // hide and goes to halo_wait.
 func (s *Simulator) stepPipeline(ex Exchanger) {
 	s.countKernels()
+	s.vmax = 0 // the walks fold the step's max |v| into it
 	dtdx := float32(s.Cfg.Dt / s.Cfg.Dx)
 	sw := s.stages.Stopwatch()
 	if s.comp != nil {
@@ -169,8 +184,10 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 		sw.Lap(telemetry.StageCompression)
 	}
 
-	// the velocity kernel's stencils read the traction ghosts alone
-	fd.ImageTractionCols(s.WF, -fd.Halo, s.Cfg.Dims.Nx+fd.Halo, -fd.Halo, s.Cfg.Dims.Ny+fd.Halo)
+	// the walk images the owned columns' tractions, the head the frame's
+	for _, c := range s.frame {
+		fd.ImageTractionCols(s.WF, c.I0, c.I1, c.J0, c.J1)
+	}
 	sw.Lap(telemetry.StageFreeSurface)
 	if s.sls != nil {
 		s.sls.Before(s.WF)
@@ -196,10 +213,7 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	}
 	s.walk(s.walks[2], dtdx, &sw)
 	if s.comp != nil {
-		// recorders and checkpoints observe exactly the stored state
-		encode(s.comp.fields, s.WF.AllFields())
-		decode(s.comp.fields, s.WF.AllFields())
-		sw.Lap(telemetry.StageCompression)
+		s.storeAll(&sw)
 	}
 	ex.StartStress(s.WF, s.step)
 	changed := ex.FinishStress(s.WF, s.step)
@@ -253,7 +267,8 @@ func (s *Simulator) geometry() geometry {
 // its tile (stripWalk), and the seam bands left over are walked after the
 // join, by the same loop — at most two rounds more, none on one tile. Stage
 // times are tallied per worker and observed once per stage per pass, the
-// sponge's velocity half apart from the chain's.
+// sponge's velocity half apart from the chain's; so are the workers' yield
+// counts and max-|v| bits, folded into the block's.
 func (s *Simulator) walk(p pass, dtdx float32, sw *telemetry.Stopwatch) {
 	g := s.geometry()
 	tally := sw.Tally()
@@ -265,11 +280,12 @@ func (s *Simulator) walk(p pass, dtdx float32, sw *telemetry.Stopwatch) {
 		fan(s.workers, box, func(tile grid.Region) {
 			part := p.part(tile, box)
 			t, dt := tally.Fork(), tally.Fork()
-			yielded := s.stripWalk(part, tile, g, dtdx, &t, &dt)
+			yielded, vmax := s.stripWalk(part, tile, g, dtdx, &t, &dt)
 			mu.Lock()
 			tally.Merge(&t)
 			damp.Merge(&dt)
 			s.yielded += yielded
+			s.vmax = max(s.vmax, vmax)
 			done = append(done, part)
 			mu.Unlock()
 		})
@@ -304,11 +320,14 @@ func (p pass) part(tile, block grid.Region) pass {
 
 // stripWalk is one worker's walk of a part over its tile b: strips of
 // g.cols columns outermost, down each strip slabs of g.planes i-planes; on
-// each, the velocity kernel and the owned-column imaging, stressChain a slab
-// (at least fd.Halo planes) and fd.Halo columns behind, the velocity sponge
-// as far again behind the chain. It returns the number of cells that
-// yielded.
-func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t, damp *telemetry.StageTally) int64 {
+// each, the owned-column imaging of both ghost kinds around the velocity
+// kernel, stressChain a slab (at least fd.Halo planes) and fd.Halo columns
+// behind, the velocity sponge as far again behind the chain and, where it
+// has passed, the scans of the step's last velocities — on plain storage:
+// compressed storage scans after its round trip. It returns the number of
+// cells that yielded and the sign-cleared bits of the largest |v| it
+// scanned.
+func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t, damp *telemetry.StageTally) (int64, uint32) {
 	const h = fd.Halo
 	planes, cols := b.Ni(), b.Nj()
 	if g.planes > 0 {
@@ -319,6 +338,7 @@ func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t
 	}
 	lag := max(h, planes)
 	var yielded int64
+	var vmax uint32
 	for j0 := b.J0; j0 < b.J1; j0 += cols {
 		j1 := min(j0+cols, b.J1)
 		// the strip's slab at plane i, n planes and c columns behind
@@ -336,6 +356,10 @@ func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t
 		for i := b.I0; i < b.I1+2*lag; i += planes {
 			for _, box := range p.vel {
 				if r := box.Intersect(behind(i, 0, 0)); !r.Empty() {
+					if r.K0 == 0 {
+						fd.ImageTractionCols(s.WF, r.I0, r.I1, r.J0, r.J1)
+						t.Lap(telemetry.StageFreeSurface)
+					}
 					fd.UpdateVelocityRegion(s.WF, s.Med, dtdx, r)
 					t.Lap(telemetry.StageVelocity)
 					fd.ImageVelocityCols(s.WF, r.I0, r.I1, r.J0, r.J1)
@@ -348,14 +372,27 @@ func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t
 				}
 			}
 			for _, box := range p.sponge {
-				if r := box.Intersect(behind(i, 2*lag, 2*h)); s.sponge != nil && !r.Empty() {
+				r := box.Intersect(behind(i, 2*lag, 2*h))
+				if r.Empty() {
+					continue
+				}
+				if s.sponge != nil {
 					s.sponge.ApplyVelocityRegion(s.WF, r)
 					t.LapTo(damp, telemetry.StageSponge)
+				}
+				if s.comp != nil {
+					continue // scanned after the round trip (storeAll)
+				}
+				vmax = max(vmax, math.Float32bits(grid.MaxAbsRegion(r, s.WF.U, s.WF.V, s.WF.W)))
+				t.Lap(telemetry.StageDivergence)
+				if s.pgv != nil && r.K0 <= s.pgv.K && s.pgv.K < r.K1 {
+					s.pgv.UpdateCols(s.WF, r.I0, r.I1, r.J0, r.J1)
+					t.Lap(telemetry.StageRecord)
 				}
 			}
 		}
 	}
-	return yielded
+	return yielded, vmax
 }
 
 // stressChain runs the stress-side stages — stress kernel, SLS memory

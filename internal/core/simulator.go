@@ -13,6 +13,7 @@ import (
 	"swquake/internal/decomp"
 	"swquake/internal/faultinject"
 	"swquake/internal/fd"
+	"swquake/internal/grid"
 	"swquake/internal/model"
 	"swquake/internal/plasticity"
 	"swquake/internal/seismo"
@@ -54,13 +55,17 @@ type Simulator struct {
 	// stepping (startTiling) and inline otherwise.
 	tiles, workers int
 	// walks are the step's passes before, during and after the velocity-halo
-	// exchange (planWalks).
+	// exchange, frame the ghost frame's columns (planWalks).
 	walks [3]pass
+	frame []grid.Region
 
 	step    int
 	simTime float64
 	yielded int64
-	perf    Perf
+	// vmax is the sign-cleared bit pattern of the last step's largest |v|
+	// over the block, which the step takes as it goes (stepPipeline).
+	vmax uint32
+	perf Perf
 	// stages is this worker's per-stage timing collector, always on (<2% of
 	// a step: BenchmarkStepTimingOverhead): lock-free because each rank owns
 	// its own clock, merged across ranks by RunParallel.
@@ -374,7 +379,8 @@ func (s *Simulator) sunwayStats() *cgexec.Stats {
 // run is the one step loop: the serial run and every rank of RunParallel
 // step their block through it until StepCount reaches Cfg.Steps, talking to
 // the other blocks through s.peers alone. What stops a run stops every block
-// at the same step boundary.
+// at the same step boundary. A step is observed with the run's max |v| and
+// judged before it is dumped, so no checkpoint holds a diverged state.
 func (s *Simulator) run(ctx context.Context) error {
 	stopTiling := s.startTiling()
 	defer stopTiling()
@@ -392,33 +398,35 @@ func (s *Simulator) run(ctx context.Context) error {
 			panic(fmt.Sprintf("%s: injected rank failure", faultinject.RankPanic))
 		}
 		s.Step()
-		s.observe(start)
 		sw := s.stages.Stopwatch()
+		// NaN maps to +Inf so it survives the max reduction
+		m := float64(math.Float32frombits(s.vmax))
+		if math.IsNaN(m) {
+			m = math.Inf(1)
+		}
+		m = s.peers.allMax(m)
+		sw.Lap(telemetry.StageDivergence)
+		s.observe(start, m)
+		if diverged(m, s.Cfg.DivergenceLimit) {
+			return fmt.Errorf("solution %w at step %d (max |v| = %g)", ErrDiverged, s.step, m)
+		}
+		sw = s.stages.Stopwatch()
 		if c := s.Cfg.Checkpoint; c != nil && c.Due(s.step) {
 			if err := s.peers.checkpoint(s); err != nil {
 				return err
 			}
 			sw.Lap(telemetry.StageCheckpoint)
 		}
-		// NaN maps to +Inf so it survives the max reduction
-		m := float64(s.WF.MaxAbsVelocity())
-		if math.IsNaN(m) {
-			m = math.Inf(1)
-		}
-		m = s.peers.allMax(m)
-		sw.Lap(telemetry.StageDivergence)
-		if diverged(m, s.Cfg.DivergenceLimit) {
-			return fmt.Errorf("solution %w at step %d (max |v| = %g)", ErrDiverged, s.step, m)
-		}
 	}
 	return nil
 }
 
-// observe reports the just-completed step to Cfg.Observer, if any.
-func (s *Simulator) observe(runStart time.Time) {
+// observe reports the just-completed step, whose max |v| over the run was
+// vmax, to Cfg.Observer, if any.
+func (s *Simulator) observe(runStart time.Time, vmax float64) {
 	if obs := s.Cfg.Observer; obs != nil {
 		obs(StepEvent{Step: s.step, Total: s.Cfg.Steps, SimTime: s.simTime,
-			Wall: timeNow().Sub(runStart)})
+			Wall: timeNow().Sub(runStart), MaxVelocity: vmax})
 	}
 }
 

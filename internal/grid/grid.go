@@ -214,21 +214,31 @@ func (f *Field) InteriorEqual(g *Field, tol float64) bool {
 func (f *Field) MaxAbs() float32 { return MaxAbs(f) }
 
 // MaxAbs returns the largest absolute value over the interiors of the given
-// fields, which must share one shape, in a single pass over their i-planes.
-// Magnitudes are compared as sign-cleared bit patterns: for non-NaN values
-// that is the ordinary order of |v|, and every NaN pattern sorts above +Inf,
-// so a NaN anywhere is returned instead of being skipped (float
-// comparisons against NaN are all false, which is how a `v > m` scan loses
-// it). MaxAbs of no fields is 0.
+// fields, which must share one shape: MaxAbsRegion over the whole interior.
+// MaxAbs of no fields is 0.
 func MaxAbs(fields ...*Field) float32 {
 	if len(fields) == 0 {
 		return 0
 	}
+	return MaxAbsRegion(Box(fields[0].Dims), fields...)
+}
+
+// MaxAbsRegion returns the largest absolute value of the given fields over
+// the region, in a single pass over its i-planes. Magnitudes are compared as
+// sign-cleared bit patterns: for non-NaN values that is the ordinary order
+// of |v|, and every NaN pattern sorts above +Inf, so a NaN anywhere is
+// returned instead of being skipped (float comparisons against NaN are all
+// false, which is how a `v > m` scan loses it). The result's bits are that
+// pattern, so the maxima of a partition's parts fold, as unsigned integers,
+// into the whole's. An empty region gives 0.
+func MaxAbsRegion(r Region, fields ...*Field) float32 {
+	if r.Empty() {
+		return 0
+	}
 	var m uint32
-	d := fields[0].Dims
-	for i := 0; i < d.Nx; i++ {
+	for i := r.I0; i < r.I1; i++ {
 		for _, f := range fields {
-			m = maxAbsPlane(m, f.Data[f.Idx(i, 0, 0):], d.Nz, d.Ny, f.sy)
+			m = maxAbsPlane(m, f.Data[f.Idx(i, r.J0, r.K0):], r.Nk(), r.Nj(), f.sy)
 		}
 	}
 	return math.Float32frombits(m)

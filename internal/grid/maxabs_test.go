@@ -101,6 +101,68 @@ func TestMaxAbsBitsNaNWinsAtEveryLane(t *testing.T) {
 	})
 }
 
+// TestMaxAbsRegionScansItsCellsAlone: over random sub-regions of three
+// fields whose halos hold the largest NaN pattern, MaxAbsRegion is the Go
+// loop over the region's cells — with a NaN planted inside the region or
+// not, at every depth mod 8 — and the maxima of a partition's parts, folded
+// as bit patterns, are MaxAbs of the whole.
+func TestMaxAbsRegionScansItsCellsAlone(t *testing.T) {
+	cputest.ForEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		for nz := 9; nz <= 16; nz++ {
+			d := Dims{Nx: 7, Ny: 6, Nz: nz}
+			var fs [3]*Field
+			for c := range fs {
+				fs[c] = NewField(d, DefaultHalo)
+				fs[c].Fill(math.Float32frombits(0xffffffff))
+				for i := 0; i < d.Nx; i++ {
+					for j := 0; j < d.Ny; j++ {
+						for k := 0; k < d.Nz; k++ {
+							v := cputest.HardValue(rng)
+							for v != v {
+								v = cputest.HardValue(rng)
+							}
+							fs[c].Set(i, j, k, v)
+						}
+					}
+				}
+			}
+			for n := 0; n < 40; n++ {
+				r := Region{rng.Intn(d.Nx), 0, rng.Intn(d.Ny), 0, rng.Intn(d.Nz), 0}
+				r.I1, r.J1, r.K1 = r.I0+1+rng.Intn(d.Nx-r.I0), r.J0+1+rng.Intn(d.Ny-r.J0), r.K0+1+rng.Intn(d.Nz-r.K0)
+				f, i, j, k := fs[rng.Intn(3)], r.I0+rng.Intn(r.Ni()), r.J0+rng.Intn(r.Nj()), r.K0+rng.Intn(r.Nk())
+				was := f.At(i, j, k)
+				if n%2 == 1 {
+					f.Set(i, j, k, -float32(math.NaN()))
+				}
+				var want uint32
+				for _, f := range fs {
+					for i := r.I0; i < r.I1; i++ {
+						for j := r.J0; j < r.J1; j++ {
+							want = maxAbsBitsGo(want, f.Row(i, j)[r.K0:r.K1])
+						}
+					}
+				}
+				if got := math.Float32bits(MaxAbsRegion(r, fs[0], fs[1], fs[2])); got != want {
+					t.Fatalf("%v of %v: %#08x, Go loop %#08x", r, d, got, want)
+				}
+				f.Set(i, j, k, was)
+			}
+			box, cut := Box(d), Region{1, 4, 2, 5, 3, 8}
+			var folded uint32
+			for _, p := range append(box.Minus(cut), cut) {
+				folded = max(folded, math.Float32bits(MaxAbsRegion(p, fs[0], fs[1], fs[2])))
+			}
+			if whole := math.Float32bits(MaxAbs(fs[0], fs[1], fs[2])); folded != whole {
+				t.Fatalf("%v: parts fold to %#08x, the whole's is %#08x", d, folded, whole)
+			}
+		}
+		if m := MaxAbsRegion(Region{I0: 2, I1: 2, J1: 3, K1: 3}, NewField(Dims{3, 3, 3}, 1)); m != 0 {
+			t.Fatalf("an empty region's maximum is %g", m)
+		}
+	})
+}
+
 // TestRowOperandsAreBoundsChecked: a plane too short for the cells its last
 // column names panics in Go's slice checks on either path, before the
 // assembly runs.

@@ -46,11 +46,11 @@ func TestCollectivesComposable(t *testing.T) {
 			seed = []float32{5}
 		}
 		v := r.Bcast(0, seed)[0]
-		sum := r.AllreduceSum([]float64{float64(v)})
-		if sum[0] != 15 {
-			t.Errorf("sum %v", sum)
+		m := r.AllreduceMax(float64(v) * float64(r.ID()+1))
+		if m != 15 {
+			t.Errorf("max %v", m)
 		}
-		out := r.Gather(1, []float32{float32(sum[0])})
+		out := r.Gather(1, []float32{float32(m)})
 		if r.ID() == 1 && (len(out) != 3 || out[2][0] != 15) {
 			t.Errorf("gather %v", out)
 		}

@@ -34,7 +34,6 @@ type World struct {
 	arrived int
 	gen     int
 
-	redSum []float64
 	redMax float64
 	// redMaxOut double-buffers completed reductions by generation parity:
 	// a rank that raced ahead into generation g+1 writes the other slot, and
@@ -266,41 +265,6 @@ func (r *Rank) Irecv(src, tag int) *Request {
 		req.done <- m.data
 	}()
 	return req
-}
-
-// AllreduceSum sums vals elementwise across all ranks; every rank receives
-// the full result. All ranks must pass slices of equal length.
-func (r *Rank) AllreduceSum(vals []float64) []float64 {
-	w := r.w
-	w.mu.Lock()
-	w.checkAbortLocked()
-	if w.arrived == 0 {
-		w.redSum = make([]float64, len(vals))
-	}
-	if len(w.redSum) != len(vals) {
-		w.mu.Unlock()
-		panic("mpi: AllreduceSum length mismatch across ranks")
-	}
-	for i, v := range vals {
-		w.redSum[i] += v
-	}
-	out := w.redSum
-	gen := w.gen
-	w.arrived++
-	if w.arrived == w.size {
-		w.arrived = 0
-		w.gen++
-		w.cond.Broadcast()
-	} else {
-		for gen == w.gen {
-			w.cond.Wait()
-			w.checkAbortLocked()
-		}
-	}
-	res := make([]float64, len(out))
-	copy(res, out)
-	w.mu.Unlock()
-	return res
 }
 
 // AllreduceMax returns the maximum of v across all ranks.

@@ -90,27 +90,14 @@ func TestBarrierSynchronizes(t *testing.T) {
 	})
 }
 
-func TestAllreduceSum(t *testing.T) {
-	w := NewWorld(6)
-	w.Run(func(r *Rank) {
-		got := r.AllreduceSum([]float64{float64(r.ID()), 1})
-		if got[0] != 15 { // 0+1+..+5
-			t.Errorf("sum[0] = %v", got[0])
-		}
-		if got[1] != 6 {
-			t.Errorf("sum[1] = %v", got[1])
-		}
-	})
-}
-
-func TestAllreduceSumRepeated(t *testing.T) {
+func TestAllreduceMaxRepeated(t *testing.T) {
 	// back-to-back reductions must not bleed into each other
 	w := NewWorld(4)
 	w.Run(func(r *Rank) {
 		for round := 1; round <= 20; round++ {
-			got := r.AllreduceSum([]float64{float64(round)})
-			if got[0] != float64(4*round) {
-				t.Errorf("round %d: got %v", round, got[0])
+			got := r.AllreduceMax(float64(10*round + r.ID()))
+			if got != float64(10*round+3) {
+				t.Errorf("round %d: got %v", round, got)
 			}
 		}
 	})
@@ -137,8 +124,8 @@ func TestWorldSizeOne(t *testing.T) {
 		if got := r.AllreduceMax(3); got != 3 {
 			t.Errorf("singleton max %v", got)
 		}
-		if got := r.AllreduceSum([]float64{2}); got[0] != 2 {
-			t.Errorf("singleton sum %v", got)
+		if got := r.AllreduceMax(-2); got != -2 {
+			t.Errorf("second singleton max %v", got)
 		}
 	})
 	if w.size != 1 {

@@ -123,10 +123,17 @@ func NewPGVField(nx, ny, k int) *PGVField {
 	return &PGVField{Nx: nx, Ny: ny, K: k, PGV: make([]float64, nx*ny)}
 }
 
-// Update folds the current wavefield surface velocities into the peaks.
-func (p *PGVField) Update(wf *fd.Wavefield) {
-	for i := 0; i < p.Nx; i++ {
-		for j := 0; j < p.Ny; j++ {
+// Update folds the current wavefield surface velocities into the peaks:
+// UpdateCols over the whole surface.
+func (p *PGVField) Update(wf *fd.Wavefield) { p.UpdateCols(wf, 0, p.Nx, 0, p.Ny) }
+
+// UpdateCols folds the current surface velocities of the columns
+// [i0,i1) x [j0,j1) into their peaks. Each column's peak depends on that
+// column alone, so updating disjoint ranges in any order, or concurrently,
+// gives the peaks of one Update.
+func (p *PGVField) UpdateCols(wf *fd.Wavefield, i0, i1, j0, j1 int) {
+	for i := i0; i < i1; i++ {
+		for j := j0; j < j1; j++ {
 			h := math.Hypot(float64(wf.U.At(i, j, p.K)), float64(wf.V.At(i, j, p.K)))
 			if h > p.PGV[i*p.Ny+j] {
 				p.PGV[i*p.Ny+j] = h

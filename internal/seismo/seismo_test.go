@@ -87,6 +87,33 @@ func TestPGVFieldTracksPeak(t *testing.T) {
 	}
 }
 
+// TestPGVFieldUpdateColsIsUpdateInParts: updating the column ranges of a
+// partition of the surface, in any order, at depth 1, leaves the peaks one
+// Update leaves, and a range touches its own columns alone.
+func TestPGVFieldUpdateColsIsUpdateInParts(t *testing.T) {
+	wf := wf44()
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			wf.U.Set(i, j, 1, float32(i-j))
+			wf.V.Set(i, j, 1, float32(i*j)/3)
+			wf.U.Set(i, j, 0, 100) // not the sampled depth
+		}
+	}
+	whole, parts := NewPGVField(4, 4, 1), NewPGVField(4, 4, 1)
+	whole.Update(wf)
+	parts.UpdateCols(wf, 1, 4, 2, 4)
+	if parts.At(0, 3) != 0 || parts.At(1, 1) != 0 || parts.At(3, 3) != whole.At(3, 3) {
+		t.Fatalf("columns [1,4)x[2,4) updated %v", parts.PGV)
+	}
+	parts.UpdateCols(wf, 0, 1, 0, 4)
+	parts.UpdateCols(wf, 1, 4, 0, 2)
+	for n, v := range whole.PGV {
+		if parts.PGV[n] != v {
+			t.Fatalf("PGV[%d] = %g in parts, %g whole", n, parts.PGV[n], v)
+		}
+	}
+}
+
 func TestIntensityRelation(t *testing.T) {
 	// GB/T 17742: PGV 1 m/s -> I ~ 9.8 (severe); 0.1 m/s -> ~6.8
 	if i := Intensity(1.0); math.Abs(i-9.77) > 0.01 {

@@ -113,6 +113,9 @@ func (s *Service) prepare(j *job, restartFrom string) (context.Context, core.Con
 	cfg.Observer = func(ev core.StepEvent) {
 		j.stepsDone.Store(int64(ev.Step))
 		j.simTime.Store(math.Float64bits(ev.SimTime))
+		if v := ev.MaxVelocity; !math.IsInf(v, 0) && !math.IsNaN(v) {
+			j.maxVel.Store(math.Float64bits(v))
+		}
 		j.wall.Store(int64(ev.Wall))
 		s.m.steps.Add(1)
 		progress()

@@ -181,6 +181,11 @@ type Status struct {
 	StepsDone  int     `json:"steps_done"`
 	StepsTotal int     `json:"steps_total"`
 	SimTime    float64 `json:"sim_time_s"`
+	// MaxVelocity is the largest |velocity component| in the domain after
+	// the last step observed with a finite one, in m/s (0 before then).
+	// JSON holds no ±Inf or NaN; a run whose max is not finite has
+	// diverged, and its error names the value.
+	MaxVelocity float64 `json:"max_velocity_m_s,omitempty"`
 	// ElapsedS is wall time spent running (0 while queued).
 	ElapsedS float64 `json:"elapsed_s"`
 	// EtaS estimates the remaining run time from the observed step rate
@@ -263,6 +268,7 @@ type job struct {
 	stepsTotal int
 	stepsDone  atomic.Int64
 	simTime    atomic.Uint64 // float64 bits
+	maxVel     atomic.Uint64 // float64 bits, the last finite max |v|
 	wall       atomic.Int64  // time.Duration
 
 	cancel context.CancelCauseFunc // nil: the user's cancel; errShutdown: Drain's deadline
@@ -686,6 +692,7 @@ func (s *Service) Status(id string) (Status, error) {
 
 	st.StepsDone = int(j.stepsDone.Load())
 	st.SimTime = math.Float64frombits(j.simTime.Load())
+	st.MaxVelocity = math.Float64frombits(j.maxVel.Load())
 	switch st.State {
 	case StateRunning:
 		st.ElapsedS = s.clk.Now().Sub(st.Started).Seconds()
