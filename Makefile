@@ -91,7 +91,11 @@ check-bce:
 # and no Go file there declares a per-row entry or wrapper (*RowAVX2,
 # *RowVec). And set-up passes over the medium once: non-test internal/core
 # reads no medium row, because the CFL bound comes from
-# fd.NewMediumFromModel's sampling pass
+# fd.NewMediumFromModel's sampling pass. And the walk's strips are its only
+# parallel units: non-test internal/core cuts no tiles (no SplitN(, fan(,
+# minus( or inset( call, no pass part( method) — workers walk the strips as
+# a wavefront — and internal/fd declares no whole-block SLS snapshot
+# (SLS) Before(): the chain takes each region's stresses as it goes
 KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
@@ -126,6 +130,8 @@ check-one:
 		| grep -v -e '_test\.go:' -e '^internal/service/clock\.go:'
 	@! grep -nE 'func [A-Za-z0-9_]*Row(AVX2|Vec)\(' internal/fd/*.go internal/plasticity/*.go internal/grid/*.go
 	@! grep -nE 'Med\.(Lam|Mu|Rho)\.Row\(' internal/core/*.go | grep -v '_test\.go:'
+	@! grep -nE '\<(SplitN|fan|minus|inset)\(|\) part\(' internal/core/*.go | grep -v '_test\.go:'
+	@! grep -n 'SLS) Before(' internal/fd/*.go | grep -v '_test\.go:'
 	@entries=$$(grep -h '^TEXT ' internal/fd/*.s internal/plasticity/*.s internal/grid/*.s); \
 	n=$$(echo "$$entries" | grep -c 'PlaneAVX2(SB)'); all=$$(echo "$$entries" | grep -c .); \
 	if [ "$$n" -ne $(KERNEL_ENTRIES) ] || [ "$$all" -ne $(KERNEL_ENTRIES) ]; then \

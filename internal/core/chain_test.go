@@ -127,8 +127,9 @@ func TestStressChainIsBitIdenticalAtEveryBlockSize(t *testing.T) {
 // TestStepMatchesWholeRegionStageSequence holds the engine's step — the walk
 // in its derived geometry and in 1-plane slabs and strips of 1, 3 and 5
 // columns and of whole planes, split sponge, free surface imaged three
-// fields at a time — to the sequence it replaced, spelled here with the
-// whole-region kernels: every stage sweeps the block before the next starts,
+// fields at a time, the SLS snapshot taken a region at a time in the chain —
+// to the sequence it replaced, spelled here with the whole-region kernels
+// and constant Q or SLS: every stage sweeps the block before the next starts,
 // both free-surface passes
 // image all six fields and the sponge damps all nine at the end. After every
 // step the nine fields hold the same bits, ghost layers included (what a
@@ -146,8 +147,9 @@ func TestStepMatchesWholeRegionStageSequence(t *testing.T) {
 }
 
 func stepMatchesWholeRegionStageSequence(t *testing.T) {
-	{
+	for _, sls := range []bool{false, true} {
 		cfg := chainConfig()
+		cfg.Attenuation.UseSLS = sls
 		sim, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -165,10 +167,17 @@ func stepMatchesWholeRegionStageSequence(t *testing.T) {
 			fd.ApplyFreeSurface(ref.WF)
 			fd.UpdateVelocityRegion(ref.WF, ref.Med, dtdx, box)
 			fd.ApplyFreeSurface(ref.WF)
+			var prev fd.StressSnapshot
+			prev.Take(ref.WF, box)
 			fd.UpdateStressRegion(ref.WF, ref.Med, dtdx, box)
+			if sls {
+				ref.sls.AfterRegion(ref.WF, dt, &prev)
+			}
 			ref.srcs.InjectRegion(ref.WF, ref.simTime, dt, ref.Cfg.Dx, box)
 			yielded += int64(plasticity.ApplyRegion(ref.WF, ref.Plas, dt, box))
-			ref.atten.ApplyRegion(ref.WF, box)
+			if !sls {
+				ref.atten.ApplyRegion(ref.WF, box)
+			}
 			ref.sponge.ApplyRegion(ref.WF, box)
 			ref.simTime += dt
 
@@ -176,20 +185,20 @@ func stepMatchesWholeRegionStageSequence(t *testing.T) {
 				got := sim.WF.AllFields()[c]
 				for idx, v := range f.Data {
 					if math.Float32bits(v) != math.Float32bits(got.Data[idx]) {
-						t.Fatalf("step %d: field %s differs at flat index %d: %g, whole-region sequence %g",
-							step, FieldNames[c], idx, got.Data[idx], v)
+						t.Fatalf("SLS %v, step %d: field %s differs at flat index %d: %g, whole-region sequence %g",
+							sls, step, FieldNames[c], idx, got.Data[idx], v)
 					}
 				}
 			}
 		}
 		if yielded == 0 || yielded != sim.yielded {
-			t.Fatalf("%d yielded point-steps, whole-region sequence %d", sim.yielded, yielded)
+			t.Fatalf("SLS %v: %d yielded point-steps, whole-region sequence %d", sls, sim.yielded, yielded)
 		}
 	}
 }
 
-// TestStressPhaseObservesEachStageOncePerCall: however many slabs, strips,
-// tiles and seam rounds share a walk, the stage clock gets one observation
+// TestStressPhaseObservesEachStageOncePerCall: however many slabs, strips
+// and workers share a walk, the stage clock gets one observation
 // per stage per walk — the sponge one for each half — and a lone block
 // walks once a step.
 func TestStressPhaseObservesEachStageOncePerCall(t *testing.T) {
@@ -246,10 +255,11 @@ func TestSkewedPassObservesStagesAsTwoPassDoes(t *testing.T) {
 	}
 }
 
-// TestWalkGeometryFollowsTheBlock: every block walks — tiled, overlapped,
-// SLS, compressed and core-group tallied alike — in 1-plane slabs and strips
-// of skewStripPoints cells where it is larger than chainBlockPoints, as one
-// slab where it is not. What must see the finished velocity phase first
+// TestWalkGeometryFollowsTheBlock: every block walks — on several workers,
+// overlapped, SLS, compressed and core-group tallied alike — in 1-plane
+// slabs and strips of at most skewStripPoints cells, as many as the workers
+// share evenly, where it is larger than chainBlockPoints, as one slab where
+// it is not. What must see the finished velocity phase first
 // gets the velocity kernel over the whole block before the post; a rank
 // computes stresses before the wait only under Overlap, and then only in
 // its interior.
@@ -269,7 +279,9 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 	box := grid.Box(big.Dims)
 	small := chainConfig()
 	smallBox := grid.Box(small.Dims)
-	strips := geometry{planes: 1, cols: skewStripPoints / 16}
+	// 64 columns of 16 cells are 1024 a plane-strip: one strip, two for two
+	// workers
+	strips := geometry{planes: 1, cols: 64}
 	lone := [3]pass{{}, {vel: []grid.Region{box}, chain: []grid.Region{box}, sponge: []grid.Region{box}}, {}}
 	velocityFirst := [3]pass{{vel: []grid.Region{box}}, {chain: []grid.Region{box}, sponge: []grid.Region{box}}, {}}
 	for name, c := range map[string]struct {
@@ -278,7 +290,7 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 		walks [3]pass
 	}{
 		"lone block":            {big, strips, lone},
-		"tiles":                 {with(func(c *Config) { c.Tiles = 2 }), strips, lone},
+		"tiles":                 {with(func(c *Config) { c.Tiles = 2 }), geometry{planes: 1, cols: 32}, lone},
 		"overlap, no neighbour": {with(func(c *Config) { c.Overlap = true }), strips, lone},
 		"SLS":                   {with(func(c *Config) { c.Attenuation.UseSLS = true }), strips, lone},
 		"compressed": {with(func(c *Config) {
@@ -292,7 +304,7 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sim.geometry(); got != c.geom {
+		if got := sim.geometry(sim.tiles); got != c.geom {
 			t.Errorf("%s: walks in %+v, want %+v", name, got, c.geom)
 		}
 		if fmt.Sprint(sim.walks) != fmt.Sprint(c.walks) {
@@ -317,7 +329,7 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 				{vel: []grid.Region{in1}, chain: []grid.Region{in1}, sponge: []grid.Region{in2}},
 				{chain: b.Minus(in1), sponge: b.Minus(in2)}}
 		}
-		if got := rank.geometry(); got != strips {
+		if got := rank.geometry(1); got != strips {
 			t.Errorf("rank, overlap %v: walks in %+v, want %+v", overlap, got, strips)
 		}
 		if fmt.Sprint(rank.walks) != fmt.Sprint(want) {

@@ -28,10 +28,10 @@ import (
 	"swquake/internal/telemetry"
 )
 
-// AutoTiles asks the engine to pick the tile count from GOMAXPROCS —
-// divided by the rank count under RunParallel so the worker pools of all
-// ranks together match the machine — and from the block size: a block too
-// small to repay the fork-joins of a step runs single-threaded.
+// AutoTiles asks the engine to pick the worker count from GOMAXPROCS —
+// divided by the rank count under RunParallel so the workers of all ranks
+// together match the machine — and from the block size: a block too small
+// to repay the workers of a step runs single-threaded.
 const AutoTiles = -1
 
 // StepEvent describes one completed step of the pipeline, as reported to a
@@ -90,8 +90,8 @@ type CompressionConfig struct {
 type AttenuationConfig struct {
 	Enabled bool
 	// UseSLS selects the standard-linear-solid memory-variable formulation
-	// (6 memory arrays + snapshot, frequency-dependent Q) instead of the
-	// cheap exponential operator.
+	// (6 memory arrays + phi, frequency-dependent Q) instead of the cheap
+	// exponential operator.
 	UseSLS bool
 	F0     float64 // reference frequency, Hz (default: 1)
 	// Constant factors (used when VsScaled is false). Zero means elastic.
@@ -134,7 +134,7 @@ type Config struct {
 	// block (package cgexec): the velocity and stress kernels' CPE tiles,
 	// their DMA traffic, register-bus halos and LDM window. The kernels run
 	// on the host as in any run, so the bits are those of the same run
-	// without it, and the tally reads only the block's size, so tiles and
+	// without it, and the tally reads only the block's size, so Tiles and
 	// Overlap do not change it. Result.Sunway reports the simulated
 	// on-machine time, DMA traffic and bandwidth (summed over ranks under
 	// RunParallel). Uncompressed runs only: the tally models the
@@ -166,16 +166,18 @@ type Config struct {
 	Tracer   *telemetry.Tracer
 	TraceTID int
 
-	// Tiles sets the intra-rank tile parallelism of the kernel stages: each
-	// walk of the step is split into this many sub-boxes (cut along x, then
-	// y; never z, the contiguous axis), each walked by a goroutine of its
-	// own, its seams finished after the join — the result, bit for bit, is
-	// unchanged. 0 or 1 runs the stages single-threaded; AutoTiles uses
-	// GOMAXPROCS (divided by the rank count under RunParallel; fewer, down
-	// to one, on a block too small for tiles to pay). Tiles fan out only
-	// while Run/RunParallel is stepping; a bare Step() is always
-	// single-threaded. Host tiles are not the core-group tiles SunwaySim
-	// tallies, which follow from the block alone.
+	// Tiles sets the intra-rank parallelism of the kernel stages: how many
+	// workers walk the strips of each walk of the step at once, strip k on
+	// worker k mod Tiles, each strip a plane behind the one before it (a
+	// wavefront) — the result, bit for bit, is unchanged. The block's strips
+	// are cut so that each worker gets as many; a count above the strips
+	// leaves the rest idle, and a block of at most 32768 cells is one strip,
+	// so one worker. 0 or 1 runs the stages single-threaded; AutoTiles uses
+	// GOMAXPROCS (divided by the rank count under RunParallel; fewer, down to
+	// one, on a block too small for workers to pay). Workers walk only while
+	// Run/RunParallel is stepping; a bare Step() is always single-threaded.
+	// Host workers are not the core-group tiles SunwaySim tallies, which
+	// follow from the block alone.
 	Tiles int
 
 	// Overlap hides velocity-halo latency under RunParallel: the ring of

@@ -16,7 +16,8 @@ import "swquake/internal/compress"
 //   - plasticity.NewParams: none when Nonlinear — four constant rows and the
 //     lithostatic z-profile; the yield-factor record is not kept
 //   - fd.NewAttenuation: none for constant Q (two constant rows), 2 fields
-//     (GP, GS) for Vs-scaled Q; fd.NewSLS: 13 (6 memory + 6 snapshots + phi)
+//     (GP, GS) for Vs-scaled Q; fd.NewSLS: 7 (6 memory variables + phi; the
+//     stress snapshot is each chain worker's scratch of one chain region)
 //   - newCompressedState: one 16-bit companion per dynamic field (the
 //     float32 wavefield stays allocated as the decompress working buffer)
 //   - fd.NewSponge: three 1-D profiles — not counted
@@ -40,7 +41,7 @@ func (c Config) Storage() Storage {
 	if a := c.Attenuation; a.Enabled {
 		switch {
 		case a.UseSLS:
-			st.FullFields32 += 13
+			st.FullFields32 += 7
 		case a.VsScaled:
 			st.FullFields32 += 2
 		}

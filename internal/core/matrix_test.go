@@ -23,7 +23,7 @@ var fullMatrix = flag.Bool("matrix.full", false, "run every cell of TestModeMatr
 // matrixCell is one way of running a configuration.
 type matrixCell struct {
 	mx, my  int
-	tiles   int
+	tiles   int // workers
 	overlap bool
 	half    bool // compress.Half storage
 	physics string
@@ -74,8 +74,8 @@ func matrixCells() []matrixCell {
 // matrixConfig is a run small enough for a hundred and forty cells and weak
 // enough for half-precision storage (IEEE half overflows above 65504 Pa),
 // with a cohesion low enough that it yields, and co-located sources of very
-// different size on the planes and columns the tiles, strips and rank seams
-// of the table cut at.
+// different size on the planes and columns the strips and rank seams of
+// the table cut at.
 func matrixConfig(c matrixCell) Config {
 	cfg := heterogeneousConfig()
 	cfg.Steps = 24
@@ -173,13 +173,14 @@ func requireSameRun(t *testing.T, label string, want, got matrixRun, cfg Config)
 }
 
 // TestModeMatrix: every way of running a configuration — on 1x1, 2x1 and
-// 2x2 ranks, on one tile or three, with the velocity exchange overlapped or
-// not, on plain or half-precision storage, linear, nonlinear with constant Q
-// or with SLS, walked as one slab or in 1-plane slabs and 4-column strips,
-// tallied by the simulated core group or not — ends with the whole
-// wavefield, the traces and the PGV map bit-identical to the serial one-slab
-// run of the same storage and physics. A SunwaySim cell's tally is that of
-// the same process grid run with no tiles and no overlap.
+// 2x2 ranks, on one worker or three (which walk the strips at once in the
+// strip cells; a one-slab block is one strip), with the velocity exchange
+// overlapped or not, on plain or half-precision storage, linear, nonlinear
+// with constant Q or with SLS, walked as one slab or in 1-plane slabs and
+// 4-column strips, tallied by the simulated core group or not — ends with
+// the whole wavefield, the traces and the PGV map bit-identical to the
+// serial one-slab run of the same storage and physics. A SunwaySim cell's tally is that of
+// the same process grid run on one worker with no overlap.
 func TestModeMatrix(t *testing.T) {
 	refs := map[[2]string]matrixRun{}
 	tallies := map[[2]int]*cgexec.Stats{}

@@ -187,7 +187,7 @@ func TestBytesPerPointStepTable(t *testing.T) {
 		}), []StageBytes{{vel, 52}, {str, 72}, {att, 8}, {spo, sponge}, {div, 12}}, 144 + sponge},
 		{"SLS", with(func(c *Config) {
 			c.Attenuation = AttenuationConfig{Enabled: true, UseSLS: true, Qp: 100, Qs: 50}
-		}), []StageBytes{{vel, 52}, {str, 72}, {att, 148}, {spo, sponge}, {div, 12}}, 284 + sponge},
+		}), []StageBytes{{vel, 52}, {str, 72}, {att, 52}, {spo, sponge}, {div, 12}}, 188 + sponge},
 	} {
 		got := tc.cfg.BytesPerPointStep()
 		var total float64

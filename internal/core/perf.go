@@ -88,9 +88,10 @@ func (c Config) BytesPerPointStep() []StageBytes {
 		b := 0.0 // constant Q: two constant rows
 		switch {
 		case a.UseSLS:
-			// the snapshot copies six stresses; the update reads them back
-			// with phi and rewrites six memory variables
-			b = 6*(read+write) + 6*read + read + 6*write
+			// the update reads phi and rewrites six memory variables; the
+			// snapshot copies the chain's six stresses into the worker's
+			// scratch, which stays in cache as they do
+			b = read + 6*write
 		case a.VsScaled:
 			b = 2 * read // GP, GS
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"sync"
 	"time"
@@ -15,16 +16,16 @@ import (
 // per-step stage sequence (paper Fig. 3 / §6.5)
 //
 //	free surface (tractions) → velocity kernel → velocity-halo exchange →
-//	free surface (velocities) → SLS-before → stress kernel → SLS-after →
+//	free surface (velocities) → SLS snapshot → stress kernel → SLS-after →
 //	source injection → plasticity → attenuation → sponge → max |v| / PGV →
 //	stress-halo exchange → record traces
 //
 // Every runner (serial Run, RunParallel) and every execution strategy
-// (compressed storage, tiled workers, overlapped halos) drives this sequence
-// as one walk in strips and slabs (stripWalk) of the host kernels, in three
-// passes around the velocity-halo exchange (planWalks), through one seam:
-// the Exchanger (ghost layers). The simulated SW26010 core group runs no
-// kernel; it is charged each step the walk runs (countKernels).
+// (compressed storage, wavefront workers, overlapped halos) drives this
+// sequence as one walk in strips and slabs (stripWalk) of the host kernels,
+// in three passes around the velocity-halo exchange (planWalks), through
+// one seam: the Exchanger (ghost layers). The simulated SW26010 core group
+// runs no kernel; it is charged each step the walk runs (countKernels).
 
 // Exchanger updates ghost layers between the pipeline's kernel phases.
 // Each exchange is split into a Start half, which posts the outgoing halo
@@ -65,7 +66,7 @@ func (NoExchange) FinishStress(*fd.Wavefield, int) bool { return false }
 // the block's max |v| and folds the PGV peaks — then runs the post-step
 // stages: step/time bookkeeping and station recording. When Cfg.Tracer is
 // set, the whole step is also emitted as one trace span on the configured
-// track. Outside Run there is no tile pool: a bare Step is single-threaded.
+// track. Outside Run there are no workers: a bare Step is single-threaded.
 func (s *Simulator) Step() {
 	var t0 time.Time
 	if s.Cfg.Tracer != nil {
@@ -119,9 +120,9 @@ func (s *Simulator) planWalks() {
 
 // stepPipeline runs the stage sequence once, and is the only place it is
 // spelled: three walks (planWalks) around the velocity-halo exchange, each
-// the same loop (walk). Every choice of passes, tiles and geometry gives the
-// bits of running each stage over the whole block in turn, by one lag rule.
-// A stencil reaches fd.Halo cells along x, y or z, never diagonally; the
+// the same loop (walk). Every choice of passes, workers and geometry gives
+// the bits of running each stage over the whole block in turn, by one lag
+// rule. A stencil reaches fd.Halo cells along x, y or z, never diagonally; the
 // velocity kernel at a cell reads the stresses within fd.Halo of it, the
 // stress kernel the velocities, and the chain's other stages and the sponge
 // touch their own cell alone. So each cell sees its operands as the
@@ -134,10 +135,19 @@ func (s *Simulator) planWalks() {
 //     and the sponge as far behind the chain; across strips both run fd.Halo
 //     columns behind, the first strip's lagging ranges starting, and the
 //     last's ending, at the edge of what is walked.
-//   - Tiles walk side by side: each tile's chain stays fd.Halo back from the
-//     seams it shares with another tile when the pass moves velocities, its
-//     sponge a further fd.Halo back when the pass runs the chain, and the
-//     seam bands are walked after the join.
+//   - Workers walk the strips at once, as a wavefront: strip k enters its
+//     n-th slab, at plane i, only once strip k-1 has finished its n-th. With
+//     P planes a slab and the lag L = max(fd.Halo, P) >= fd.Halo, k-1 has
+//     then run the kernel through plane i+P-1, the chain through i-L+P-1 and
+//     the sponge through i-2L+P-1, and what it runs next lies past those. So
+//     k's chain reads k-1's velocities (at most fd.Halo planes past its own)
+//     after k-1 wrote them; k's sponge damps velocities k-1's chain reads (at
+//     most fd.Halo planes past its own) after it read them; and k-1's kernel
+//     reads stresses at most fd.Halo planes back, which k's chain has not
+//     rewritten yet. All else k-1 writes is in columns behind k's. Nothing
+//     runs from k back to k-1, so that wait is the whole bound; each strip
+//     waits only on the one before it and each worker walks its strips in
+//     order, so the wavefront always moves.
 //   - Interior and shell are the same rule around the exchange: the ring's
 //     velocities before the post, the interior's chain fd.Halo and its sponge
 //     2*fd.Halo in from each face with a neighbour while the messages fly,
@@ -155,14 +165,11 @@ func (s *Simulator) planWalks() {
 //     imaged at the step head.
 //   - Behind the velocity half of the sponge a cell's velocities are the
 //     step's last: the walk folds them there into the block's max |v| and,
-//     at the PGV depth, into the peaks. The three walks' sponge lists and
-//     the seam rounds partition the block, so each cell is scanned once, and
-//     both folds — a maximum of bit patterns, a peak per column — are
-//     order-free. Compressed storage rewrites the velocities after the walk,
-//     so it takes both after its last round trip instead (storeAll).
-//   - The SLS snapshot is taken over the whole block before any walk: the
-//     stresses it copies are the ones no chain has touched yet, and
-//     AfterRegion reads it only at the cells it updates.
+//     at the PGV depth, into the peaks. The three walks' sponge lists
+//     partition the block and the strips each list, so each cell is scanned
+//     once, and both folds — a maximum of bit patterns, a peak per column —
+//     are order-free. Compressed storage rewrites the velocities after the
+//     walk, so it takes both after its last round trip instead (storeAll).
 //   - The stress exchange stays back-to-back: the NEXT step's traction
 //     free-surface pass reads stress ghosts, so there is no interior work
 //     to hide it behind, and leaving sends outstanding would interleave
@@ -189,10 +196,6 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 		fd.ImageTractionCols(s.WF, c.I0, c.I1, c.J0, c.J1)
 	}
 	sw.Lap(telemetry.StageFreeSurface)
-	if s.sls != nil {
-		s.sls.Before(s.WF)
-		sw.Lap(telemetry.StageAttenuation)
-	}
 	s.walk(s.walks[0], dtdx, &sw)
 	if s.comp != nil {
 		// the stress kernel — and the neighbours — read the velocities exactly
@@ -225,17 +228,18 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	}
 }
 
-// geometry is the shape a walk moves in: strips of cols columns, down each
-// slabs of planes i-planes; zero, or more than a tile holds, is the whole
-// extent. One slab of one strip runs each stage over the tile in turn.
+// geometry is the shape a walk moves in: strips of cols columns (the last
+// may be narrower), down each slabs of planes i-planes; zero, or more than
+// the block holds, is the whole extent. One slab of one strip runs each
+// stage over the block in turn.
 type geometry struct{ planes, cols int }
 
 // chainBlockPoints is the largest block the walk takes as one slab: its six
 // stress arrays (6 x 4 B x 32768 cells = 768 KB) stay in L2 from the chain's
 // first stage to its last, so a 32x32x24 block pays for no strips.
-// skewStripPoints sizes a larger block's strips, walked one i-plane at a
-// time: as many columns as hold at most this many cells (one at least). Down
-// a strip some 39 plane-strips stay live — each stress from the furthest
+// skewStripPoints bounds a larger block's strips, walked one i-plane at a
+// time: at most this many cells a plane-strip (one column at least). Down a
+// strip some 39 plane-strips stay live — each stress from the furthest
 // plane ahead the kernel reads it at back to the chain's, each velocity from
 // the kernel's plane back to the sponge's — beside the medium rows streaming
 // through: at 64 columns of a 96-deep block ~1 MB, inside the L2 of the
@@ -250,85 +254,93 @@ const (
 // set it.
 var walkGeometry geometry
 
-// geometry returns the block's walk geometry: one slab for a block that fits
-// a cache as it is; otherwise 1-plane slabs in skewStripPoints strips.
-func (s *Simulator) geometry() geometry {
+// geometry returns the block's walk geometry for w workers: one slab for a
+// block that fits a cache as it is; otherwise 1-plane slabs down the fewest
+// strips of at most skewStripPoints cells, rounded up to a multiple of w and
+// as even as one width makes them, so each worker gets as many strips of
+// the same size.
+func (s *Simulator) geometry(w int) geometry {
 	switch d := s.Cfg.Dims; {
 	case walkGeometry != geometry{}:
 		return walkGeometry
 	case d.Points() <= chainBlockPoints:
 		return geometry{}
 	default:
-		return geometry{planes: 1, cols: max(1, skewStripPoints/d.Nz)}
+		n := ceilDiv(d.Ny, max(1, skewStripPoints/d.Nz))
+		n = min(ceilDiv(n, w)*w, d.Ny)
+		return geometry{planes: 1, cols: ceilDiv(d.Ny, n)}
 	}
 }
 
-// walk runs one pass over the tiles: each worker walks its share (part) of
-// its tile (stripWalk), and the seam bands left over are walked after the
-// join, by the same loop — at most two rounds more, none on one tile. Stage
-// times are tallied per worker and observed once per stage per pass, the
-// sponge's velocity half apart from the chain's; so are the workers' yield
-// counts and max-|v| bits, folded into the block's.
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// walk runs one pass over the block's strips (geometry). With W workers —
+// the run's, at most one a strip — strip k goes to worker k mod W and the
+// workers walk their strips at once, as a wavefront: strip k enters a plane
+// iteration only once strip k-1 has finished it (stepPipeline says why that
+// is enough). The first worker is the calling goroutine; a lone worker walks
+// the strips in order, with no goroutine and no wait. Stage times are
+// tallied per worker and observed once per stage per pass, the sponge's
+// velocity half apart from the chain's; so are the workers' yield counts
+// and max-|v| bits, folded into the block's.
 func (s *Simulator) walk(p pass, dtdx float32, sw *telemetry.Stopwatch) {
-	g := s.geometry()
+	if len(p.vel)+len(p.chain)+len(p.sponge) == 0 {
+		return
+	}
+	w := max(1, s.workers)
+	g := s.geometry(w)
+	strips := ceilDiv(s.Cfg.Dims.Ny, cmp.Or(g.cols, s.Cfg.Dims.Ny))
+	w = min(w, strips)
+	var f front
+	if w > 1 {
+		f = make(front, strips)
+	}
+	for len(s.snaps) < w {
+		s.snaps = append(s.snaps, new(fd.StressSnapshot))
+	}
 	tally := sw.Tally()
 	damp := tally.Fork()
-	box := grid.Box(s.Cfg.Dims)
 	var mu sync.Mutex
-	for !p.empty() {
-		var done []pass
-		fan(s.workers, box, func(tile grid.Region) {
-			part := p.part(tile, box)
-			t, dt := tally.Fork(), tally.Fork()
-			yielded, vmax := s.stripWalk(part, tile, g, dtdx, &t, &dt)
-			mu.Lock()
-			tally.Merge(&t)
-			damp.Merge(&dt)
-			s.yielded += yielded
-			s.vmax = max(s.vmax, vmax)
-			done = append(done, part)
-			mu.Unlock()
-		})
-		p = pass{chain: p.chain, sponge: p.sponge}
-		for _, q := range done {
-			p.chain, p.sponge = minus(p.chain, q.chain), minus(p.sponge, q.sponge)
+	work := func(id int) {
+		t, dt := tally.Fork(), tally.Fork()
+		var yielded int64
+		var vmax uint32
+		for k := id; k < strips; k += w {
+			y, v := s.stripWalk(p, g, k, f, dtdx, &t, &dt, s.snaps[id])
+			yielded, vmax = yielded+y, max(vmax, v)
 		}
+		mu.Lock()
+		tally.Merge(&t)
+		damp.Merge(&dt)
+		s.yielded += yielded
+		s.vmax = max(s.vmax, vmax)
+		mu.Unlock()
 	}
+	var wg sync.WaitGroup
+	for id := 1; id < w; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(id)
+		}()
+	}
+	work(0)
+	wg.Wait()
 	sw.LapTallied(&tally, &damp)
 }
 
-// part is the pass's share of one tile of the block: its velocity cells, its
-// chain cells fd.Halo back from the tile's seams if the pass moves
-// velocities, its sponge cells a further fd.Halo back if it runs the chain.
-// A round with no velocity leaves no chain seam, one with only the sponge
-// none at all.
-func (p pass) part(tile, block grid.Region) pass {
-	if tile == block {
-		return p
-	}
-	seam := 0
-	if len(p.vel) > 0 {
-		seam = fd.Halo
-	}
-	q := pass{vel: clip(p.vel, tile), chain: clip(p.chain, inset(tile, block, seam))}
-	if len(p.chain) > 0 {
-		seam += fd.Halo
-	}
-	q.sponge = clip(p.sponge, inset(tile, block, seam))
-	return q
-}
-
-// stripWalk is one worker's walk of a part over its tile b: strips of
-// g.cols columns outermost, down each strip slabs of g.planes i-planes; on
-// each, the owned-column imaging of both ghost kinds around the velocity
-// kernel, stressChain a slab (at least fd.Halo planes) and fd.Halo columns
-// behind, the velocity sponge as far again behind the chain and, where it
-// has passed, the scans of the step's last velocities — on plain storage:
-// compressed storage scans after its round trip. It returns the number of
-// cells that yielded and the sign-cleared bits of the largest |v| it
-// scanned.
-func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t, damp *telemetry.StageTally) (int64, uint32) {
+// stripWalk walks strip k of the block for a pass: down the strip slabs of
+// g.planes i-planes; on each, the owned-column imaging of both ghost kinds
+// around the velocity kernel, stressChain a slab (at least fd.Halo planes)
+// and fd.Halo columns behind, the velocity sponge as far again behind the
+// chain and, where it has passed, the scans of the step's last velocities —
+// on plain storage: compressed storage scans after its round trip. In a
+// wavefront (f not nil) it enters its n-th slab once strip k-1 has finished
+// its n-th, and then says it has finished it too. It returns the number of cells that yielded
+// and the sign-cleared bits of the largest |v| it scanned.
+func (s *Simulator) stripWalk(p pass, g geometry, k int, f front, dtdx float32, t, damp *telemetry.StageTally, snap *fd.StressSnapshot) (int64, uint32) {
 	const h = fd.Halo
+	b := grid.Box(s.Cfg.Dims)
 	planes, cols := b.Ni(), b.Nj()
 	if g.planes > 0 {
 		planes = min(planes, g.planes)
@@ -337,59 +349,65 @@ func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t
 		cols = min(cols, g.cols)
 	}
 	lag := max(h, planes)
+	j0 := b.J0 + k*cols
+	j1 := min(j0+cols, b.J1)
+	// the strip's slab at plane i, n planes and c columns behind
+	behind := func(i, n, c int) grid.Region {
+		r := b
+		r.I0, r.I1 = i-n, i-n+planes
+		if j0 > b.J0 {
+			r.J0 = j0 - c
+		}
+		if j1 < b.J1 {
+			r.J1 = j1 - c
+		}
+		return r
+	}
 	var yielded int64
 	var vmax uint32
-	for j0 := b.J0; j0 < b.J1; j0 += cols {
-		j1 := min(j0+cols, b.J1)
-		// the strip's slab at plane i, n planes and c columns behind
-		behind := func(i, n, c int) grid.Region {
-			r := b
-			r.I0, r.I1 = i-n, i-n+planes
-			if j0 > b.J0 {
-				r.J0 = j0 - c
-			}
-			if j1 < b.J1 {
-				r.J1 = j1 - c
-			}
-			return r
+	for i, n := b.I0, int64(1); i < b.I1+2*lag; i, n = i+planes, n+1 {
+		if f != nil && k > 0 && f.wait(k-1, n) {
+			var idle telemetry.StageTally
+			t.LapTo(&idle, telemetry.StageVelocity) // the wait is no stage's
 		}
-		for i := b.I0; i < b.I1+2*lag; i += planes {
-			for _, box := range p.vel {
-				if r := box.Intersect(behind(i, 0, 0)); !r.Empty() {
-					if r.K0 == 0 {
-						fd.ImageTractionCols(s.WF, r.I0, r.I1, r.J0, r.J1)
-						t.Lap(telemetry.StageFreeSurface)
-					}
-					fd.UpdateVelocityRegion(s.WF, s.Med, dtdx, r)
-					t.Lap(telemetry.StageVelocity)
-					fd.ImageVelocityCols(s.WF, r.I0, r.I1, r.J0, r.J1)
+		for _, box := range p.vel {
+			if r := box.Intersect(behind(i, 0, 0)); !r.Empty() {
+				if r.K0 == 0 {
+					fd.ImageTractionCols(s.WF, r.I0, r.I1, r.J0, r.J1)
 					t.Lap(telemetry.StageFreeSurface)
 				}
+				fd.UpdateVelocityRegion(s.WF, s.Med, dtdx, r)
+				t.Lap(telemetry.StageVelocity)
+				fd.ImageVelocityCols(s.WF, r.I0, r.I1, r.J0, r.J1)
+				t.Lap(telemetry.StageFreeSurface)
 			}
-			for _, box := range p.chain {
-				if r := box.Intersect(behind(i, lag, h)); !r.Empty() {
-					yielded += s.stressChain(r, dtdx, t)
-				}
+		}
+		for _, box := range p.chain {
+			if r := box.Intersect(behind(i, lag, h)); !r.Empty() {
+				yielded += s.stressChain(r, dtdx, t, snap)
 			}
-			for _, box := range p.sponge {
-				r := box.Intersect(behind(i, 2*lag, 2*h))
-				if r.Empty() {
-					continue
-				}
-				if s.sponge != nil {
-					s.sponge.ApplyVelocityRegion(s.WF, r)
-					t.LapTo(damp, telemetry.StageSponge)
-				}
-				if s.comp != nil {
-					continue // scanned after the round trip (storeAll)
-				}
-				vmax = max(vmax, math.Float32bits(grid.MaxAbsRegion(r, s.WF.U, s.WF.V, s.WF.W)))
-				t.Lap(telemetry.StageDivergence)
-				if s.pgv != nil && r.K0 <= s.pgv.K && s.pgv.K < r.K1 {
-					s.pgv.UpdateCols(s.WF, r.I0, r.I1, r.J0, r.J1)
-					t.Lap(telemetry.StageRecord)
-				}
+		}
+		for _, box := range p.sponge {
+			r := box.Intersect(behind(i, 2*lag, 2*h))
+			if r.Empty() {
+				continue
 			}
+			if s.sponge != nil {
+				s.sponge.ApplyVelocityRegion(s.WF, r)
+				t.LapTo(damp, telemetry.StageSponge)
+			}
+			if s.comp != nil {
+				continue // scanned after the round trip (storeAll)
+			}
+			vmax = max(vmax, math.Float32bits(grid.MaxAbsRegion(r, s.WF.U, s.WF.V, s.WF.W)))
+			t.Lap(telemetry.StageDivergence)
+			if s.pgv != nil && r.K0 <= s.pgv.K && s.pgv.K < r.K1 {
+				s.pgv.UpdateCols(s.WF, r.I0, r.I1, r.J0, r.J1)
+				t.Lap(telemetry.StageRecord)
+			}
+		}
+		if f != nil {
+			f[k].done.Store(n)
 		}
 	}
 	return yielded, vmax
@@ -401,12 +419,18 @@ func (s *Simulator) stripWalk(p pass, b grid.Region, g geometry, dtdx float32, t
 // returns the number of cells that yielded. Every stage but the stress
 // kernel reads and writes only the six stresses of the cell it stands on,
 // and within a block sources are injected in list order, so co-located
-// sources keep theirs.
-func (s *Simulator) stressChain(b grid.Region, dtdx float32, t *telemetry.StageTally) int64 {
+// sources keep theirs. Under SLS the worker's snapshot takes the block's
+// stresses just before the kernel: nothing else in the step has written
+// them yet.
+func (s *Simulator) stressChain(b grid.Region, dtdx float32, t *telemetry.StageTally, snap *fd.StressSnapshot) int64 {
+	if s.sls != nil {
+		snap.Take(s.WF, b)
+		t.Lap(telemetry.StageAttenuation)
+	}
 	fd.UpdateStressRegion(s.WF, s.Med, dtdx, b)
 	t.Lap(telemetry.StageStress)
 	if s.sls != nil {
-		s.sls.AfterRegion(s.WF, s.Cfg.Dt, b)
+		s.sls.AfterRegion(s.WF, s.Cfg.Dt, snap)
 		t.Lap(telemetry.StageAttenuation)
 	}
 	s.srcs.InjectRegion(s.WF, s.simTime, s.Cfg.Dt, s.Cfg.Dx, b)
@@ -427,25 +451,6 @@ func (s *Simulator) stressChain(b grid.Region, dtdx float32, t *telemetry.StageT
 	return yielded
 }
 
-func (p pass) empty() bool { return len(p.vel)+len(p.chain)+len(p.sponge) == 0 }
-
-// inset is tile less n cells at each lateral face inside block.
-func inset(tile, block grid.Region, n int) grid.Region {
-	if tile.I0 > block.I0 {
-		tile.I0 += n
-	}
-	if tile.I1 < block.I1 {
-		tile.I1 -= n
-	}
-	if tile.J0 > block.J0 {
-		tile.J0 += n
-	}
-	if tile.J1 < block.J1 {
-		tile.J1 -= n
-	}
-	return tile
-}
-
 // clip is the non-empty parts of rs inside r.
 func clip(rs []grid.Region, r grid.Region) []grid.Region {
 	var out []grid.Region
@@ -455,16 +460,4 @@ func clip(rs []grid.Region, r grid.Region) []grid.Region {
 		}
 	}
 	return out
-}
-
-// minus is the cells of rs outside every box of cut.
-func minus(rs, cut []grid.Region) []grid.Region {
-	for _, c := range cut {
-		var out []grid.Region
-		for _, r := range rs {
-			out = append(out, r.Minus(c)...)
-		}
-		rs = out
-	}
-	return rs
 }

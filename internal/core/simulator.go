@@ -50,10 +50,12 @@ type Simulator struct {
 	stations []seismo.Station
 	peers    peers
 
-	// tiles is the resolved intra-rank tile count (effectiveTiles); workers
-	// is what the walks fan over, tiles only while Run/RunParallel is
-	// stepping (startTiling) and inline otherwise.
+	// tiles is the resolved intra-rank worker count (effectiveTiles); workers
+	// is how many walk the strips, tiles only while Run/RunParallel is
+	// stepping (startTiling) and one otherwise; snaps holds each worker's SLS
+	// stress snapshot (walk).
 	tiles, workers int
+	snaps          []*fd.StressSnapshot
 	// walks are the step's passes before, during and after the velocity-halo
 	// exchange, frame the ghost frame's columns (planWalks).
 	walks [3]pass

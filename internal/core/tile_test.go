@@ -1,11 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"testing"
 
+	"swquake/internal/cpu/cputest"
 	"swquake/internal/decomp"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
@@ -62,8 +63,9 @@ func requireIdenticalResults(t *testing.T, label string, ref, got *Result, cfg C
 // TestTiledAndOverlappedMatchSerial is the acceptance gate of the region
 // engine: every combination of intra-rank tiling and overlapped halo
 // exchange, serial and under simulated MPI, must be bit-identical to the
-// plain serial full-physics run. Run under -race (make check) this also
-// proves the tile fan and the Start/Finish exchange are data-race free.
+// plain serial full-physics run — SLS included, whose snapshot each worker
+// takes for itself. Run under -race (make check) this also proves the
+// wavefront and the Start/Finish exchange are data-race free.
 func TestTiledAndOverlappedMatchSerial(t *testing.T) {
 	base := fullPhysicsConfig()
 	refSim, err := New(base)
@@ -74,6 +76,9 @@ func TestTiledAndOverlappedMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// the block is one slab as derived; in 4-column strips a rank's block
+	// has three strips or six, so explicit tile counts are workers at once
+	defer SetWalkGeometry(1, 4)()
 
 	variants := []struct {
 		label   string
@@ -105,10 +110,18 @@ func TestTiledAndOverlappedMatchSerial(t *testing.T) {
 			if got, err = sim.Run(); err != nil {
 				t.Fatalf("%s: %v", v.label, err)
 			}
+			if v.tiles > 1 && workersWalked(got) < 2 {
+				t.Fatalf("%s: %d worker walked the strips", v.label, workersWalked(got))
+			}
 		} else {
 			var err error
 			if got, err = RunParallel(cfg, v.mx, v.my); err != nil {
 				t.Fatalf("%s: %v", v.label, err)
+			}
+			rank := Simulator{Cfg: cfg}
+			rank.Cfg.Dims = grid.Dims{Nx: cfg.Dims.Nx / v.mx, Ny: cfg.Dims.Ny / v.my, Nz: cfg.Dims.Nz}
+			if g := rank.geometry(v.tiles); v.tiles > 1 && ceilDiv(rank.Cfg.Dims.Ny, g.cols) < 2 {
+				t.Fatalf("%s: a rank's block is one strip, so one worker walks it", v.label)
 			}
 		}
 		requireIdenticalResults(t, v.label, ref, got, cfg)
@@ -117,11 +130,11 @@ func TestTiledAndOverlappedMatchSerial(t *testing.T) {
 
 // TestNonlinearQTiledAndRanksMatchSerial runs the benchmark's physics —
 // plasticity plus the constant-Q damper, which the SLS-based gate above does
-// not reach — with two tiles and on 2x1 ranks, against the plain serial run.
-// The tiled simulator steps a hand-built copy of its medium, so the first
-// stress fan is also the first use of the medium: both tile workers ask for
-// the reciprocal shear modulus at once, and under -race (make check) this
-// proves it is built once and published safely.
+// not reach — with two workers on 4-column strips and on 2x1 ranks, against
+// the plain serial run. The two-worker simulator steps a hand-built copy of
+// its medium, so the first wavefront is also the first use of the medium:
+// both workers ask for the reciprocal shear modulus at once, and under -race
+// (make check) this proves it is built once and published safely.
 func TestNonlinearQTiledAndRanksMatchSerial(t *testing.T) {
 	base := fullPhysicsConfig()
 	base.Attenuation = AttenuationConfig{Enabled: true, F0: 3, Qp: 60, Qs: 30}
@@ -140,6 +153,7 @@ func TestNonlinearQTiledAndRanksMatchSerial(t *testing.T) {
 
 	cfg := base
 	cfg.Tiles = 2
+	defer SetWalkGeometry(1, 4)()
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +167,10 @@ func TestNonlinearQTiledAndRanksMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdenticalResults(t, "serial tiles=2, reciprocal built in the fan", ref, got, cfg)
+	requireIdenticalResults(t, "serial tiles=2, reciprocal built in the wavefront", ref, got, cfg)
+	if workersWalked(got) != 2 {
+		t.Fatalf("%d workers walked the strips, want 2", workersWalked(got))
+	}
 
 	if got, err = RunParallel(base, 2, 1); err != nil {
 		t.Fatal(err)
@@ -209,9 +226,9 @@ func TestEffectiveTiles(t *testing.T) {
 	}
 }
 
-// TestAutoTilesLeavesSmallBlocksSerial: on the grid every service job uses
-// (quickstart, 32x32x24) the fork-joins of a tiled step cost more than the
-// kernels they split, so AutoTiles resolves to one tile there — and still
+// TestAutoTilesLeavesSmallBlocksSerial: the grid every service job uses
+// (quickstart, 32x32x24) is one strip, and workers there cost more than the
+// kernels they would split, so AutoTiles resolves to one worker — and still
 // to GOMAXPROCS on the scaling probe's 160x160x96.
 func TestAutoTilesLeavesSmallBlocksSerial(t *testing.T) {
 	cfg := baseConfig()
@@ -222,11 +239,11 @@ func TestAutoTilesLeavesSmallBlocksSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sim.tiles != 1 {
-		t.Fatalf("AutoTiles on %v resolved to %d tiles, want 1", cfg.Dims, sim.tiles)
+		t.Fatalf("AutoTiles on %v resolved to %d workers, want 1", cfg.Dims, sim.tiles)
 	}
 	if stop := sim.startTiling(); sim.workers > 1 {
 		stop()
-		t.Fatal("a single-tile simulator fans its walks")
+		t.Fatal("a single-worker simulator spreads its walks")
 	}
 	large := grid.Dims{Nx: 160, Ny: 160, Nz: 96}
 	if got, want := effectiveTiles(AutoTiles, 1, large.Points()), runtime.GOMAXPROCS(0); got != want {
@@ -238,43 +255,43 @@ func TestAutoTilesLeavesSmallBlocksSerial(t *testing.T) {
 	}
 }
 
-// TestTilePoolFan: a fan must run every tile exactly once and join before
-// returning, for region shapes from empty to larger than the worker count,
-// and run inline on one worker.
-func TestTilePoolFan(t *testing.T) {
-	box := grid.Box(grid.Dims{Nx: 9, Ny: 7, Nz: 5})
-
-	var mu sync.Mutex
-	covered, calls := int64(0), 0
-	fan(4, box, func(r grid.Region) {
-		mu.Lock()
-		covered += r.Points()
-		calls++
-		mu.Unlock()
-	})
-	if covered != box.Points() || calls != 4 {
-		t.Fatalf("fan made %d calls covering %d points of %d", calls, covered, box.Points())
+// TestWavefrontMatchesSerial: two, three and seven workers (one a strip,
+// the seventh idle) walking a block of six strips finish — with one P,
+// where a waiting worker must yield to the one it waits on, and with four —
+// and leave every field as one worker does, bit for bit, ghost layers
+// included, with the same traces, PGV map and counters.
+func TestWavefrontMatchesSerial(t *testing.T) {
+	defer SetWalkGeometry(1, 4)()
+	cfg := chainConfig()
+	cfg.Steps = 12
+	if n := cfg.Dims.Ny / 4; n != 6 {
+		t.Fatalf("the block has %d strips, want 6", n)
 	}
-
-	ran := false
-	fan(4, grid.Region{}, func(grid.Region) { ran = true })
-	if ran {
-		t.Fatal("fan ran a callback on an empty region")
-	}
-
-	for _, workers := range []int{0, 1} {
-		calls := 0
-		fan(workers, box, func(r grid.Region) {
-			if r != box {
-				t.Fatalf("%d workers: inline call on %v, want the whole region", workers, r)
+	ref := runSerial(t, cfg)
+	for _, procs := range []int{1, 4} {
+		was := runtime.GOMAXPROCS(procs)
+		for _, w := range []int{2, 3, 7} {
+			c := cfg
+			c.Tiles = w
+			got := runSerial(t, c)
+			label := fmt.Sprintf("GOMAXPROCS %d, %d workers", procs, w)
+			requireIdenticalResults(t, label, ref, got, c)
+			if n := workersWalked(got); n != min(w, 6) {
+				t.Fatalf("%s: %d workers walked the strips", label, n)
 			}
-			calls++
-		})
-		if calls != 1 {
-			t.Fatalf("%d workers made %d calls", workers, calls)
+			for f, want := range ref.Sim.WF.AllFields() {
+				if _, same := cputest.SameBits(want.Data, got.Sim.WF.AllFields()[f].Data); !same {
+					t.Fatalf("%s: field %s differs from one worker's", label, FieldNames[f])
+				}
+			}
 		}
+		runtime.GOMAXPROCS(was)
 	}
 }
+
+// workersWalked is how many workers walked a serial run's strips at once at
+// most: the walk keeps a stress snapshot for each.
+func workersWalked(res *Result) int { return len(res.Sim.snaps) }
 
 // TestBufCacheRecycles: get must hand back a previously put buffer of the
 // same length instead of allocating.

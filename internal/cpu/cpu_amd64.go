@@ -8,8 +8,8 @@ func xgetbv0() uint32
 // HaveAVX2 reports whether the CPU has AVX2 and the OS saves the YMM state
 // across context switches: CPUID.1:ECX OSXSAVE and AVX, XCR0 bits 1 and 2
 // (SSE and AVX state enabled), CPUID.7.0:EBX AVX2. A race build says no: it
-// keeps the Go rows, so the detector sees every access the tile pool's
-// goroutines make to the fields.
+// keeps the Go rows, so the detector sees every access the walk's workers
+// make to the fields.
 func HaveAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false

@@ -1,12 +1,11 @@
 package fd
 
-import "swquake/internal/grid"
-
 // Region-parameterized stage kernels — the 3D generalization of the
 // original [k0,k1) z-slab signatures (of which UpdateVelocity, UpdateStress
 // and ApplyFreeSurface remain, as thin full-x/y wrappers). A Region is the
-// unit of work of the core engine's tile pool and of the interior/shell
-// decomposition used for overlapped halo exchange.
+// unit of work of the core engine's walk — the plane-strips its wavefront
+// workers take, and the interior/shell decomposition used for overlapped
+// halo exchange.
 //
 // Every kernel here is per-cell independent with respect to its own
 // writes: the velocity kernel writes u,v,w reading only stresses and
@@ -61,25 +60,27 @@ func ImageVelocityCols(wf *Wavefield, i0, i1, j0, j1 int) {
 }
 
 // AfterRegion evolves the memory variables from the elastic stress increment
-// and applies the anelastic correction over the region; call after the stress
-// kernel has run there (before plasticity, which must see the corrected trial
-// stress).
-func (s *SLS) AfterRegion(wf *Wavefield, dt float64, reg grid.Region) {
+// and applies the anelastic correction over the region prev was taken on;
+// call after the stress kernel has run there (before plasticity, which must
+// see the corrected trial stress).
+func (s *SLS) AfterRegion(wf *Wavefield, dt float64, prev *StressSnapshot) {
 	ts := s.TauSigma
 	a := float32((2*ts - dt) / (2*ts + dt))
 	b := float32(2 * dt / (2*ts + dt))
 	dtf := float32(dt)
 
+	reg, nk := prev.reg, prev.reg.Nk()
 	for c, f := range wf.StressFields() {
 		r := s.R[c]
-		prev := s.prev[c]
+		p := prev.s[c]
 		for i := reg.I0; i < reg.I1; i++ {
 			for j := reg.J0; j < reg.J1; j++ {
-				row := f.Row(i, j)
-				rRow := r.Row(i, j)
-				pRow := prev.Row(i, j)
-				phiRow := s.Phi.Row(i, j)
-				for k := reg.K0; k < reg.K1; k++ {
+				row := f.Row(i, j)[reg.K0:reg.K1]
+				rRow := r.Row(i, j)[reg.K0:reg.K1]
+				phiRow := s.Phi.Row(i, j)[reg.K0:reg.K1]
+				pRow := p[:nk]
+				p = p[nk:]
+				for k := range row {
 					dsigma := row[k] - pRow[k] // = M_u * strain-rate * dt
 					rOld := rRow[k]
 					// semi-implicit trapezoid for

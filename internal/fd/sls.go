@@ -22,9 +22,10 @@ import (
 //
 // Unlike the exponential operator, the SLS produces the physical
 // frequency-dependent Q of a relaxation mechanism (weakest damping far
-// from f0). It costs six extra 3D arrays plus a stress snapshot — this is
-// the memory pressure behind the paper's "over 35 instead of just 28
-// arrays" accounting for the production physics.
+// from f0). It costs seven extra 3D arrays, the six memory variables and
+// phi — the production physics' share of the paper's "over 35 instead of
+// just 28 arrays". The stresses the update takes its increment against are
+// not an array: a StressSnapshot holds them for the region at hand.
 type SLS struct {
 	D grid.Dims
 	// R holds the six memory variables, ordered like StressFields.
@@ -33,8 +34,6 @@ type SLS struct {
 	Phi *grid.Field
 	// TauSigma is the relaxation time (s).
 	TauSigma float64
-	// prev snapshots the stresses before the elastic update.
-	prev [6]*grid.Field
 }
 
 // NewSLS builds the memory-variable state for reference frequency f0 and
@@ -45,7 +44,6 @@ func NewSLS(d grid.Dims, qm QModel, f0 float64) *SLS {
 	s := &SLS{D: d, TauSigma: 1 / (2 * math.Pi * f0)}
 	for i := range s.R {
 		s.R[i] = grid.NewField(d, Halo)
-		s.prev[i] = grid.NewField(d, Halo)
 	}
 	s.Phi = grid.NewField(d, Halo)
 	for i := 0; i < d.Nx; i++ {
@@ -63,9 +61,25 @@ func NewSLS(d grid.Dims, qm QModel, f0 float64) *SLS {
 	return s
 }
 
-// Before snapshots the stresses; call immediately before UpdateStress.
-func (s *SLS) Before(wf *Wavefield) {
-	for i, f := range wf.StressFields() {
-		s.prev[i].CopyFrom(f)
+// StressSnapshot is one region's six stresses as they stood before the
+// stress kernel ran there, packed z-row by z-row: what AfterRegion takes the
+// elastic increment against. A stress-chain worker keeps one and retakes it
+// for every region it runs the chain on; it grows to the largest of them.
+type StressSnapshot struct {
+	reg grid.Region
+	s   [6][]float32
+}
+
+// Take copies reg's six stresses out of wf; call immediately before the
+// stress kernel runs on reg.
+func (p *StressSnapshot) Take(wf *Wavefield, reg grid.Region) {
+	p.reg = reg
+	for c, f := range wf.StressFields() {
+		p.s[c] = p.s[c][:0]
+		for i := reg.I0; i < reg.I1; i++ {
+			for j := reg.J0; j < reg.J1; j++ {
+				p.s[c] = append(p.s[c], f.Row(i, j)[reg.K0:reg.K1]...)
+			}
+		}
 	}
 }

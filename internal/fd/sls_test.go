@@ -23,6 +23,7 @@ func slsRun(t *testing.T, q float64, f0 float64) float64 {
 	if q > 0 {
 		sls = NewSLS(d, ConstantQ{Qp: q, Qs: q}, f0)
 	}
+	var prev StressSnapshot
 	var peak float64
 	for n := 0; n < 150; n++ {
 		amp := float32(ricker(float64(n)*dt, f0, 1.2/f0) * 1e6)
@@ -34,11 +35,11 @@ func slsRun(t *testing.T, q float64, f0 float64) float64 {
 		UpdateVelocity(wf, med, float32(dt/dx), 0, d.Nz)
 		ApplyFreeSurface(wf)
 		if sls != nil {
-			sls.Before(wf)
+			prev.Take(wf, grid.Box(d))
 		}
 		UpdateStress(wf, med, float32(dt/dx), 0, d.Nz)
 		if sls != nil {
-			sls.AfterRegion(wf, dt, grid.Box(d))
+			sls.AfterRegion(wf, dt, &prev)
 		}
 		if v := math.Abs(float64(wf.U.At(56, 5, 15))); v > peak {
 			peak = v
@@ -84,6 +85,7 @@ func TestSLSFrequencyDependence(t *testing.T) {
 		if withQ {
 			sls = NewSLS(d, ConstantQ{Qp: q, Qs: q}, f0) // tuned at f0
 		}
+		var prev StressSnapshot
 		var peak float64
 		for n := 0; n < 400; n++ {
 			amp := float32(ricker(float64(n)*dt, f0/4, 4*1.2/f0) * 1e6)
@@ -94,11 +96,11 @@ func TestSLSFrequencyDependence(t *testing.T) {
 			UpdateVelocity(wf, med, float32(dt/dx), 0, d.Nz)
 			ApplyFreeSurface(wf)
 			if sls != nil {
-				sls.Before(wf)
+				prev.Take(wf, grid.Box(d))
 			}
 			UpdateStress(wf, med, float32(dt/dx), 0, d.Nz)
 			if sls != nil {
-				sls.AfterRegion(wf, dt, grid.Box(d))
+				sls.AfterRegion(wf, dt, &prev)
 			}
 			if v := math.Abs(float64(wf.U.At(56, 5, 15))); v > peak {
 				peak = v
@@ -131,9 +133,10 @@ func TestSLSElasticLimit(t *testing.T) {
 	dt := 0.001
 	UpdateStress(a, med, float32(dt), 0, d.Nz)
 
-	sls.Before(b)
+	var prev StressSnapshot
+	prev.Take(b, grid.Box(d))
 	UpdateStress(b, med, float32(dt), 0, d.Nz)
-	sls.AfterRegion(b, dt, grid.Box(d))
+	sls.AfterRegion(b, dt, &prev)
 
 	for c, fa := range a.AllFields() {
 		if !fa.InteriorEqual(b.AllFields()[c], 0) {
@@ -148,10 +151,10 @@ func TestSLSAccounting(t *testing.T) {
 	if sls.Phi.At(1, 1, 1) != float32(2.0/50) {
 		t.Fatalf("phi %g", sls.Phi.At(1, 1, 1))
 	}
-	// 6 memory + 6 snapshot + phi = 13 extra arrays: with the linear
-	// solver's 28 this is the ">35 arrays" regime of paper §3
-	if n := len(sls.R) + len(sls.prev) + 1; n != 13 {
-		t.Fatalf("%d extra arrays, want 13", n)
+	// 6 memory + phi = 7 extra arrays: with the linear solver's 28 this is
+	// the ">35 arrays" regime of paper §3; the stress snapshot is no array
+	if n := len(sls.R) + 1; n != 7 {
+		t.Fatalf("%d extra arrays, want 7", n)
 	}
 	if sls.TauSigma != 1/(2*math.Pi) {
 		t.Fatalf("tau %g", sls.TauSigma)

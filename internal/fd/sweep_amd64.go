@@ -10,7 +10,7 @@ import (
 
 // The assembly plane entries of sweep_amd64.s and the only code that calls
 // them. A race build keeps the Go rows (sweep_noasm.go), so the detector
-// still sees every access the tile pool's goroutines make to the fields.
+// still sees every access the walk's workers make to the fields.
 //
 // Each *PlaneVec runs the leading m = n&^7 cells of every column of a plane
 // in one call to the assembly and returns m (0 when the assembly is not in

@@ -77,8 +77,8 @@ func hardMedium(d grid.Dims, rng *rand.Rand) *Medium {
 }
 
 // hardRegions enumerates the region shapes the engine hands a kernel —
-// whole block, z-slabs with K0 > 0, the overlap interior and shells, tile
-// fans — plus one-cell boxes, the rows and planes next to every halo, and
+// whole block, z-slabs with K0 > 0, the overlap interior and shells, strips
+// and plane-strips — plus one-cell boxes, the rows and planes next to every halo, and
 // random boxes.
 func hardRegions(d grid.Dims, rng *rand.Rand) []grid.Region {
 	box := grid.Box(d)
@@ -93,8 +93,8 @@ func hardRegions(d grid.Dims, rng *rand.Rand) []grid.Region {
 	shells := grid.Box(d).Minus(interior)
 	regs = append(regs, interior)
 	regs = append(regs, shells...)
-	regs = append(regs, box.SplitN(3)...)
-	regs = append(regs, box.SplitN(2*d.Nx)...)
+	regs = append(regs, box.Split(3, 1, 1)...)
+	regs = append(regs, box.Split(d.Nx, 2, 1)...)
 	for _, c := range [][3]int{{0, 0, 0}, {d.Nx - 1, d.Ny - 1, d.Nz - 1}, {0, d.Ny - 1, 0}, {d.Nx - 1, 0, d.Nz - 1}} {
 		regs = append(regs, grid.Region{I0: c[0], I1: c[0] + 1, J0: c[1], J1: c[1] + 1, K0: c[2], K1: c[2] + 1})
 	}
@@ -304,7 +304,7 @@ func TestMediumReciprocalFreshOrLoud(t *testing.T) {
 	}
 }
 
-// TestReciprocalFirstUseIsConcurrent: tiles that all make the first stress
+// TestReciprocalFirstUseIsConcurrent: workers that all make the first stress
 // update of a hand-built medium at once share one reciprocal build (run
 // under -race by `make check`) and compute the reference bits.
 func TestReciprocalFirstUseIsConcurrent(t *testing.T) {
@@ -316,7 +316,7 @@ func TestReciprocalFirstUseIsConcurrent(t *testing.T) {
 	refUpdateStressRegion(want, med, 1e-5, grid.Box(d))
 
 	var wg sync.WaitGroup
-	for _, reg := range grid.Box(d).SplitN(8) {
+	for _, reg := range grid.Box(d).Split(8, 1, 1) {
 		wg.Add(1)
 		go func(reg grid.Region) {
 			defer wg.Done()

@@ -6,8 +6,8 @@ import "fmt"
 // [I0,I1) x [J0,J1) x [K0,K1), in block-local coordinates. It is the unit
 // of kernel work in the region engine: the step pipeline decomposes a block
 // into Regions (interior + boundary shells for overlapped halo exchange,
-// tiles for intra-rank parallelism, the slabs and strips of the walk) and
-// every stage kernel accepts one. Bounds may address halo layers (negative,
+// the slabs and strips its workers walk) and every stage kernel accepts
+// one. Bounds may address halo layers (negative,
 // or beyond the interior extent) where a kernel is defined there — the free
 // surface images ghost columns, for example.
 type Region struct {
@@ -107,27 +107,6 @@ func (r Region) Split(ti, tj, tk int) []Region {
 		}
 	}
 	return out
-}
-
-// SplitN partitions the region into roughly n sub-regions for tile
-// parallelism, cutting x first and y only when x alone cannot supply n
-// parts. The z axis is never cut: z is the fastest-varying (contiguous)
-// axis, so keeping z-rows whole keeps every tile's memory walk streaming.
-func (r Region) SplitN(n int) []Region {
-	if r.Empty() {
-		return nil
-	}
-	if n <= 1 {
-		return []Region{r}
-	}
-	ti := min(n, r.Ni())
-	tj := 1
-	if ti < n {
-		// floor, so ti*tj never exceeds n — a fan must not create more
-		// tiles than it has workers to run concurrently
-		tj = max(1, min(n/ti, r.Nj()))
-	}
-	return r.Split(ti, tj, 1)
 }
 
 // cuts returns t+1 cut points dividing [lo,hi) into at most t near-equal

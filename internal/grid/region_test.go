@@ -62,33 +62,6 @@ func TestSplitDegenerateOneCell(t *testing.T) {
 	markCells(t, r, parts)
 }
 
-func TestSplitNCoversAndNeverCutsZ(t *testing.T) {
-	r := Box(Dims{Nx: 13, Ny: 7, Nz: 9})
-	for n := 1; n <= 32; n++ {
-		parts := r.SplitN(n)
-		if len(parts) > n {
-			t.Fatalf("SplitN(%d) produced %d parts", n, len(parts))
-		}
-		for _, p := range parts {
-			if p.K0 != r.K0 || p.K1 != r.K1 {
-				t.Fatalf("SplitN(%d) cut the z axis: %v", n, p)
-			}
-		}
-		markCells(t, r, parts)
-	}
-}
-
-func TestSplitNNarrowRegion(t *testing.T) {
-	// a 2-wide halo shell: SplitN must spill the split over to y rather
-	// than return fewer usable tiles than it could
-	r := Region{I1: 2, J1: 64, K1: 16}
-	parts := r.SplitN(8)
-	if len(parts) < 4 {
-		t.Fatalf("SplitN(8) on a narrow shell made only %d parts", len(parts))
-	}
-	markCells(t, r, parts)
-}
-
 func TestRegionHelpers(t *testing.T) {
 	d := Dims{Nx: 4, Ny: 5, Nz: 6}
 	if Box(d) != (Region{I1: 4, J1: 5, K1: 6}) {

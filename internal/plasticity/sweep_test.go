@@ -139,7 +139,7 @@ func applyRegionMatchesFlatIndexReference(t *testing.T, d grid.Dims) {
 	interior := grid.Region{I0: fd.Halo, I1: d.Nx - fd.Halo, J0: fd.Halo, J1: d.Ny - fd.Halo, K1: d.Nz}
 	shells := grid.Box(d).Minus(interior)
 	regs = append(append(regs, interior), shells...)
-	regs = append(regs, box.SplitN(3)...)
+	regs = append(regs, box.Split(3, 1, 1)...)
 	regs = append(regs, box.Split(2, 3, 2)...)
 
 	yieldedSomewhere, elasticSomewhere := false, false

@@ -21,9 +21,9 @@ type Overrides struct {
 	Qs float64 `json:"qs,omitempty"`
 	// QVsScaled enables Vs-scaled attenuation (takes precedence over Qs).
 	QVsScaled bool `json:"q_vs,omitempty"`
-	// Tiles sets the intra-rank tile parallelism of the kernel stages
+	// Tiles sets how many workers walk the strips of a rank's block at once
 	// (core.Config.Tiles; -1 picks from GOMAXPROCS; at most maxTiles).
-	// Execution detail only: results are bit-identical at any tile count.
+	// Execution detail only: results are bit-identical at any count.
 	Tiles int `json:"tiles,omitempty"`
 	// Overlap enables the communication-hiding pipeline variant
 	// (core.Config.Overlap). Bit-identical too; matters for parallel runs.
@@ -44,9 +44,10 @@ type Overrides struct {
 }
 
 // maxTiles bounds Overrides.Tiles: the engine starts a worker goroutine per
-// tile, which admission does not price. A constant, not the host's core
-// count, so whether a config is accepted (and its cache identity) does not
-// depend on the machine; no host this engine runs on has more cores.
+// tile, up to one a strip of the block, which admission does not price. A
+// constant, not the host's core count, so whether a config is accepted (and
+// its cache identity) does not depend on the machine; no host this engine
+// runs on has more cores.
 const maxTiles = 256
 
 // Names lists the scenarios Build accepts.
