@@ -16,7 +16,7 @@ build:
 # one (the assembly plane entries of fd, plasticity and grid are not built
 # under -race), so the row, plane and both-paths tests there also run each
 # plane function's Go fallback and prove that build computes the same bits;
-# then the job service's tests twenty
+# then the job service's and the campaign manager's tests twenty
 # times in shuffled order, which is what a test that depends on wall time or
 # on its neighbours does not survive; last, every cell of the engine's mode
 # matrix (the tier-1 run takes every seventh)
@@ -26,7 +26,7 @@ check: vet fmt-check check-bce check-portable check-one check-surface overload-t
 		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
 	$(GO) test -race ./internal/fd/ -run 'Reciprocal|Row|Plane|SweepKernels|KernelPaths|Sponge'
 	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Plane|Lane|YieldSurface|MaxAbs|FlatIndex|Ranked'
-	$(GO) test -shuffle=on -count=20 ./internal/service/
+	$(GO) test -shuffle=on -count=20 ./internal/service/ ./internal/ensemble/
 	$(GO) test -count=1 ./internal/core/ -run TestModeMatrix -matrix.full
 
 # the build without the assembly rows must not rot: cross-compile everything
@@ -81,10 +81,15 @@ check-bce:
 # (storeAll), which must scan the velocities it rewrote, and no whole-frame
 # traction imaging (ImageTractionCols(s.WF, -fd.Halo, ...)) — the walk takes
 # the max and the peaks behind the sponge and images each owned column just
-# before its velocity update. And the job service spells its
-# lifecycle and its clock once each: non-test internal/service assigns a job's
-# state in one place (lifecycle.go's move) and asks the time package for the
-# time in one file (clock.go). And each sweep kernel has one assembly entry,
+# before its velocity update. And the job service and the campaign manager
+# spell their lifecycles and their clock once each: non-test internal/service
+# assigns a job's state in one place (lifecycle.go's move), non-test
+# internal/ensemble writes a member's phase in one place (lifecycle.go's
+# take), and neither asks the time package for the time (no time.Now, After,
+# AfterFunc, NewTicker, NewTimer, Since or Sleep call): internal/clock is
+# their one clock. And there is one ensemble path: non-test cmd/ builds no
+# seismo.FieldStats or OrderedFold of its own (hazard -ensemble runs an
+# in-memory campaign and prints its aggregate). And each sweep kernel has one assembly entry,
 # entered once per plane: the .s files of fd, plasticity and grid declare
 # exactly the seven *PlaneAVX2 entries — velocity, stress diagonal, stress
 # shear, attenuation, the sponge's scale, the yield check, the max-abs scan —
@@ -126,8 +131,12 @@ check-one:
 	@n=$$(grep -nE '\.state(, [a-z.]+)* =[^=]' internal/service/*.go | grep -v '_test\.go:' | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-one: internal/service assigns a job's state in $$n places, want exactly 1:"; \
 		grep -nE '\.state(, [a-z.]+)* =[^=]' internal/service/*.go | grep -v '_test\.go:'; exit 1; fi
-	@! grep -nE 'time\.(Now|After|AfterFunc|NewTicker|NewTimer|Since|Sleep)\(' internal/service/*.go \
-		| grep -v -e '_test\.go:' -e '^internal/service/clock\.go:'
+	@! grep -nE 'time\.(Now|After|AfterFunc|NewTicker|NewTimer|Since|Sleep)\(' internal/service/*.go internal/ensemble/*.go \
+		| grep -v '_test\.go:'
+	@n=$$(grep -nE '\.phases\[[^]]+\] =[^=]' internal/ensemble/*.go | grep -v '_test\.go:' | wc -l); \
+	if [ "$$n" -ne 1 ]; then echo "check-one: internal/ensemble writes a member's phase in $$n places, want exactly 1:"; \
+		grep -nE '\.phases\[[^]]+\] =[^=]' internal/ensemble/*.go | grep -v '_test\.go:'; exit 1; fi
+	@! grep -rnE --include='*.go' 'seismo\.NewFieldStats\(|NewOrderedFold\(' cmd/ | grep -v '_test\.go:'
 	@! grep -nE 'func [A-Za-z0-9_]*Row(AVX2|Vec)\(' internal/fd/*.go internal/plasticity/*.go internal/grid/*.go
 	@! grep -nE 'Med\.(Lam|Mu|Rho)\.Row\(' internal/core/*.go | grep -v '_test\.go:'
 	@! grep -nE '\<(SplitN|fan|minus|inset)\(|\) part\(' internal/core/*.go | grep -v '_test\.go:'

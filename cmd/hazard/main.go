@@ -6,16 +6,20 @@
 //
 // With -ensemble N the command runs a probabilistic sweep instead: N
 // stochastic velocity-heterogeneity realizations (seeds -seed-base,
-// -seed-base+1, ...) of the same scenario, folded online into mean and
-// standard-deviation PGV maps, exceedance probabilities and a mean hazard
-// map — the single-machine counterpart of the quaked /v1/campaigns API.
+// -seed-base+1, ...) of the same scenario as an in-memory campaign of
+// internal/ensemble on a volatile job service — the code path of the quaked
+// /v1/campaigns API, with no daemon and no data directory — folded online
+// into mean and standard-deviation PGV maps, exceedance probabilities and a
+// mean hazard map.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"swquake/internal/core"
 	"swquake/internal/ensemble"
@@ -23,6 +27,7 @@ import (
 	"swquake/internal/output"
 	"swquake/internal/scenario"
 	"swquake/internal/seismo"
+	"swquake/internal/service"
 )
 
 func main() {
@@ -54,11 +59,15 @@ func run(args []string) error {
 	}
 
 	if *members > 0 {
-		return runEnsemble(ensembleParams{
-			nx: *nx, ny: *ny, nz: *nz, dx: *dx, steps: *steps, nonlinear: *nonlinear,
-			members: *members, seedBase: *seedBase, hetAmp: *hetAmp, hetCorr: *hetCorr,
-			outDir: *outDir,
-		})
+		if *hetAmp <= 0 {
+			return fmt.Errorf("-ensemble needs -het > 0: identical members carry no hazard information")
+		}
+		return runEnsemble(ensemble.CampaignSpec{
+			Scenario:      "tangshan",
+			Base:          scenario.Overrides{Nx: *nx, Ny: *ny, Nz: *nz, Dx: *dx, Steps: *steps, Nonlinear: *nonlinear},
+			Seeds:         ensemble.SeedAxis{Base: *seedBase, Count: *members, HetAmplitude: *hetAmp, HetCorrLen: *hetCorr},
+			MaxConcurrent: 1,
+		}, *outDir)
 	}
 
 	sc := scenario.Tangshan{
@@ -126,111 +135,78 @@ func run(args []string) error {
 	return nil
 }
 
-type ensembleParams struct {
-	nx, ny, nz int
-	dx         float64
-	steps      int
-	nonlinear  bool
-	members    int
-	seedBase   int64
-	hetAmp     float64
-	hetCorr    float64
-	outDir     string
-}
-
-// runEnsemble runs the seed sweep serially and folds the members' surface
-// PGV fields online — the same statistics (and, member for member, the
-// same fold order) a quaked campaign over the identical spec produces.
-func runEnsemble(p ensembleParams) error {
-	if p.hetAmp <= 0 {
-		return fmt.Errorf("-ensemble needs -het > 0: identical members carry no hazard information")
+// runEnsemble runs the seed sweep as an in-memory campaign on a volatile
+// job service, one member at a time — the scheduler, the member jobs and the
+// order-pinned fold of a quaked campaign over the same spec — and prints its
+// aggregate.
+func runEnsemble(spec ensemble.CampaignSpec, outDir string) error {
+	svc := service.New(service.Options{Workers: 1})
+	mgr, err := ensemble.Open(ensemble.Options{Service: svc})
+	if err != nil {
+		return err
 	}
-	thresholds := ensemble.DefaultThresholds
-	var stats *seismo.FieldStats
-	for m := 0; m < p.members; m++ {
-		cfg, err := scenario.Build("tangshan", scenario.Overrides{
-			Nx: p.nx, Ny: p.ny, Nz: p.nz, Dx: p.dx, Steps: p.steps, Nonlinear: p.nonlinear,
-			Seed: p.seedBase + int64(m), HetAmplitude: p.hetAmp, HetCorrLen: p.hetCorr,
-		})
+	ctx := context.Background()
+	defer svc.Drain(ctx)
+	defer mgr.Drain(ctx)
+	st, err := mgr.Create(spec)
+	if err != nil {
+		return err
+	}
+	if st, err = mgr.Wait(ctx, st.ID); err != nil {
+		return err
+	}
+	if st.State != ensemble.StateDone {
+		return fmt.Errorf("campaign %s: %s", st.State, st.Error)
+	}
+	for m, ms := range st.MemberJobs {
+		res, err := svc.Result(ms.Job)
 		if err != nil {
 			return err
 		}
-		sim, err := core.New(cfg)
-		if err != nil {
-			return err
-		}
-		res, err := sim.Run()
-		if err != nil {
-			return fmt.Errorf("member %d (seed %d): %w", m, p.seedBase+int64(m), err)
-		}
-		if stats == nil {
-			stats = seismo.NewFieldStats(res.PGV.Nx, res.PGV.Ny, thresholds)
-		}
-		if err := stats.Add(res.PGV.PGV); err != nil {
-			return err
-		}
-		peak := 0.0
-		for _, v := range res.PGV.PGV {
-			if v > peak {
-				peak = v
-			}
-		}
+		peak := slices.Max(res.PGV.Values)
 		fmt.Printf("member %2d/%d  seed %-6d  peak PGV %8.4g m/s  intensity %.1f\n",
-			m+1, p.members, p.seedBase+int64(m), peak, seismo.Intensity(peak))
+			m+1, len(st.MemberJobs), spec.Seeds.Base+int64(m), peak, seismo.Intensity(peak))
 	}
 
-	mean := stats.Mean()
-	std := stats.Std()
-	meanField := &seismo.PGVField{Nx: stats.Nx, Ny: stats.Ny, PGV: mean}
+	agg, err := mgr.Aggregate(st.ID)
+	if err != nil {
+		return err
+	}
+	meanField := &seismo.PGVField{Nx: agg.Nx, Ny: agg.Ny, PGV: agg.MeanPGV}
 	fmt.Printf("\nmean hazard map over %d realizations (%dx%d surface, dx=%.0f m, het %.3g):\n",
-		p.members, p.nx, p.ny, p.dx, p.hetAmp)
+		len(st.MemberJobs), agg.Nx, agg.Ny, spec.Base.Dx, spec.Seeds.HetAmplitude)
 	ig := output.IntensityGrid(meanField)
 	output.ASCIIMap(os.Stdout, ig, 64)
-
-	var meanMax, stdMax float64
-	for i := range mean {
-		if mean[i] > meanMax {
-			meanMax = mean[i]
-		}
-		if std[i] > stdMax {
-			stdMax = std[i]
-		}
-	}
 	fmt.Printf("peak mean PGV %.4g m/s (intensity %.1f), peak sigma %.4g m/s\n",
-		meanMax, seismo.Intensity(meanMax), stdMax)
+		agg.MeanPGVMax, agg.MeanIntensityMax, slices.Max(agg.StdPGV))
 
-	exceed := stats.ExceedProb()
 	fmt.Printf("%-16s %18s %14s\n", "threshold (m/s)", "max P(exceed)", "area P>=0.5")
-	for k, thr := range thresholds {
-		maxP, hot := 0.0, 0
-		for _, pr := range exceed[k] {
-			if pr > maxP {
-				maxP = pr
-			}
+	for k, thr := range agg.Thresholds {
+		hot := 0
+		for _, pr := range agg.ExceedProb[k] {
 			if pr >= 0.5 {
 				hot++
 			}
 		}
-		fmt.Printf("%-16.3g %18.2f %13.1f%%\n", thr, maxP,
-			100*float64(hot)/float64(len(exceed[k])))
+		fmt.Printf("%-16.3g %18.2f %13.1f%%\n", thr, slices.Max(agg.ExceedProb[k]),
+			100*float64(hot)/float64(len(agg.ExceedProb[k])))
 	}
 
-	if p.outDir != "" {
-		if err := os.MkdirAll(p.outDir, 0o755); err != nil {
+	if outDir != "" {
+		if err := os.MkdirAll(outDir, 0o755); err != nil {
 			return err
 		}
-		if err := output.SavePGM(filepath.Join(p.outDir, "intensity-mean.pgm"), ig, 1, 12); err != nil {
+		if err := output.SavePGM(filepath.Join(outDir, "intensity-mean.pgm"), ig, 1, 12); err != nil {
 			return err
 		}
-		for k, thr := range thresholds {
-			pf := &seismo.PGVField{Nx: stats.Nx, Ny: stats.Ny, PGV: exceed[k]}
-			grid := output.PGVGrid(pf)
+		for k, thr := range agg.Thresholds {
+			pf := &seismo.PGVField{Nx: agg.Nx, Ny: agg.Ny, PGV: agg.ExceedProb[k]}
 			name := fmt.Sprintf("exceed-%.3gms.pgm", thr)
-			if err := output.SavePGM(filepath.Join(p.outDir, name), grid, 0, 1); err != nil {
+			if err := output.SavePGM(filepath.Join(outDir, name), output.PGVGrid(pf), 0, 1); err != nil {
 				return err
 			}
 		}
-		fmt.Println("maps written to", p.outDir)
+		fmt.Println("maps written to", outDir)
 	}
 	return nil
 }

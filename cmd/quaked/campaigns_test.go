@@ -176,7 +176,7 @@ func TestHTTPCampaignDurableRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr, err := ensemble.Open(ensemble.Options{Service: svc, DataDir: dir})
+		mgr, err := ensemble.Open(ensemble.Options{Service: svc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,8 +210,8 @@ func TestHTTPCampaignDurableRestart(t *testing.T) {
 		mgr2.Drain(ctx)
 		svc2.Drain(ctx)
 	}()
-	if mgr2.Metrics().Recovered != 1 {
-		t.Fatalf("second boot recovered %d campaigns", mgr2.Metrics().Recovered)
+	if n := mgr2.Registry().Ints()["campaigns_recovered"]; n != 1 {
+		t.Fatalf("second boot recovered %d campaigns", n)
 	}
 	final := pollCampaign(t, ts2.URL, id, func(s ensemble.Status) bool { return s.State.Terminal() })
 	if final.State != ensemble.StateDone || final.Folded != 4 || !final.Recovered {

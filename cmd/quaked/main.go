@@ -234,14 +234,12 @@ func run(args []string) error {
 		m := svc.Metrics()
 		logger.Info("durable mode", "data_dir", *dataDir, "jobs_recovered", m.Recovered)
 	}
-	mgr, err := ensemble.Open(ensemble.Options{
-		Service: svc, DataDir: *dataDir, Logger: logger, Tracer: tracer,
-	})
+	mgr, err := ensemble.Open(ensemble.Options{Service: svc, Logger: logger, Tracer: tracer})
 	if err != nil {
 		return err
 	}
 	if *dataDir != "" {
-		logger.Info("campaigns durable", "campaigns_recovered", mgr.Metrics().Recovered)
+		logger.Info("campaigns durable", "campaigns_recovered", mgr.Registry().Ints()["campaigns_recovered"])
 	}
 	expvar.Publish("quaked", expvar.Func(func() any { return svc.Registry().Ints() }))
 	expvar.Publish("quaked.campaigns", expvar.Func(func() any { return mgr.Registry().Ints() }))

@@ -19,8 +19,8 @@ type CampaignSpec = ensemble.CampaignSpec
 // CampaignSeedAxis sweeps stochastic velocity-heterogeneity realizations.
 type CampaignSeedAxis = ensemble.SeedAxis
 
-// CampaignOptions configures a CampaignManager (service, durable data
-// directory, default member concurrency, logging, tracing).
+// CampaignOptions configures a CampaignManager (job service, logging,
+// tracing); a durable service makes its campaigns durable too.
 type CampaignOptions = ensemble.Options
 
 // CampaignStatus is a campaign's externally visible state and progress.
@@ -37,7 +37,8 @@ var (
 )
 
 // OpenCampaignManager starts a campaign manager over a job service,
-// recovering unfinished durable campaigns when Options.DataDir is set.
+// recovering unfinished campaigns when the service is durable (has a data
+// directory).
 func OpenCampaignManager(opts CampaignOptions) (*CampaignManager, error) {
 	return ensemble.Open(opts)
 }

@@ -6,10 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"swquake/internal/atomicio"
 	"swquake/internal/seismo"
+	"swquake/internal/service"
 )
 
 // aggregator folds member surface-PGV fields into the campaign's online
@@ -42,23 +44,15 @@ func newAggregator(dir string, thresholds, percentiles []float64) *aggregator {
 	}
 }
 
-// memberField is the on-disk form of one member's surface PGV field.
-// encoding/json round-trips float64 exactly, so a re-folded field is
-// bit-identical to the one the first life folded.
-type memberField struct {
-	Nx     int       `json:"nx"`
-	Ny     int       `json:"ny"`
-	Values []float64 `json:"values"`
-}
-
 func (a *aggregator) memberPath(idx int) string {
 	return filepath.Join(a.dir, fmt.Sprintf("member-%06d.json", idx))
 }
 
-// persist writes a member field to the campaign directory (write-ahead of
-// the member_done journal event, so a journaled member always has its
-// field on disk).
-func (a *aggregator) persist(idx int, nx, ny int, values []float64) error {
+// persist writes a member field to the campaign directory as JSON, which
+// round-trips float64 exactly, so a re-folded field is bit-identical to the
+// one the first life folded (write-ahead of the member_done journal event,
+// so a journaled member always has its field on disk).
+func (a *aggregator) persist(idx int, f *service.SurfaceField) error {
 	if a.dir == "" {
 		return nil
 	}
@@ -66,32 +60,32 @@ func (a *aggregator) persist(idx int, nx, ny int, values []float64) error {
 		return err
 	}
 	return atomicio.WriteFile(a.memberPath(idx), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(memberField{Nx: nx, Ny: ny, Values: values})
+		return json.NewEncoder(w).Encode(f)
 	})
 }
 
 // load reads a persisted member field back (boot-time re-fold).
-func (a *aggregator) load(idx int) (memberField, error) {
-	var mf memberField
+func (a *aggregator) load(idx int) (*service.SurfaceField, error) {
 	data, err := os.ReadFile(a.memberPath(idx))
 	if err != nil {
-		return mf, err
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &mf); err != nil {
-		return mf, err
+	var f service.SurfaceField
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, err
 	}
-	if n := len(mf.Values); mf.Nx <= 0 || mf.Ny <= 0 || n%mf.Nx != 0 || n/mf.Nx != mf.Ny {
-		return mf, fmt.Errorf("ensemble: member %d field is %dx%d but has %d values", idx, mf.Nx, mf.Ny, len(mf.Values))
+	if n := len(f.Values); f.Nx <= 0 || f.Ny <= 0 || n%f.Nx != 0 || n/f.Nx != f.Ny {
+		return nil, fmt.Errorf("ensemble: member %d field is %dx%d but has %d values", idx, f.Nx, f.Ny, len(f.Values))
 	}
-	return mf, nil
+	return &f, nil
 }
 
 // add folds member idx's field (buffering until its predecessors are in).
-func (a *aggregator) add(idx, nx, ny int, values []float64) error {
+func (a *aggregator) add(idx int, f *service.SurfaceField) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.stats == nil {
-		a.stats = seismo.NewFieldStats(nx, ny, a.thresholds)
+		a.stats = seismo.NewFieldStats(f.Nx, f.Ny, a.thresholds)
 		a.fold = seismo.NewOrderedFold(a.stats)
 		for _, s := range a.pendingSkips {
 			if err := a.fold.Skip(s); err != nil {
@@ -100,14 +94,14 @@ func (a *aggregator) add(idx, nx, ny int, values []float64) error {
 		}
 		a.pendingSkips = nil
 	}
-	if nx != a.stats.Nx || ny != a.stats.Ny {
+	if f.Nx != a.stats.Nx || f.Ny != a.stats.Ny {
 		return fmt.Errorf("ensemble: member %d field is %dx%d, campaign aggregates %dx%d",
-			idx, nx, ny, a.stats.Nx, a.stats.Ny)
+			idx, f.Nx, f.Ny, a.stats.Nx, a.stats.Ny)
 	}
-	if err := a.fold.Add(idx, values); err != nil {
+	if err := a.fold.Add(idx, f.Values); err != nil {
 		return err
 	}
-	a.fields[idx] = values
+	a.fields[idx] = f.Values
 	return nil
 }
 
@@ -167,31 +161,23 @@ type Aggregate struct {
 	MeanIntensityMax float64 `json:"mean_intensity_max"`
 }
 
-// snapshot renders the current statistics. Returns nil when no member has
-// folded yet.
+// snapshot renders the current statistics: metadata alone until a member
+// has folded.
 func (a *aggregator) snapshot() *Aggregate {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.stats == nil || a.stats.Count() == 0 {
-		return nil
-	}
-	mean := a.stats.Mean()
 	agg := &Aggregate{
-		Folded:      a.stats.Count(),
-		Nx:          a.stats.Nx,
-		Ny:          a.stats.Ny,
-		MeanPGV:     mean,
-		StdPGV:      a.stats.Std(),
 		Thresholds:  append([]float64(nil), a.thresholds...),
-		ExceedProb:  a.stats.ExceedProb(),
 		Percentiles: append([]float64(nil), a.percentiles...),
 	}
-	agg.MeanIntensity = seismo.IntensityField(mean)
-	for _, v := range mean {
-		if v > agg.MeanPGVMax {
-			agg.MeanPGVMax = v
-		}
+	if a.stats == nil || a.stats.Count() == 0 {
+		return agg
 	}
+	mean := a.stats.Mean()
+	agg.Folded, agg.Nx, agg.Ny = a.stats.Count(), a.stats.Nx, a.stats.Ny
+	agg.MeanPGV, agg.StdPGV, agg.ExceedProb = mean, a.stats.Std(), a.stats.ExceedProb()
+	agg.MeanIntensity = seismo.IntensityField(mean)
+	agg.MeanPGVMax = max(slices.Max(mean), 0)
 	agg.MeanIntensityMax = seismo.Intensity(agg.MeanPGVMax)
 
 	members := make([][]float64, 0, len(a.fields))

@@ -24,7 +24,8 @@ func TestDurableCampaignSurvivesRestartBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Open(Options{Service: svc, DataDir: dir})
+	logger, folded := signalOn("campaign member done")
+	m, err := Open(Options{Service: svc, Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,23 +38,10 @@ func TestDurableCampaignSurvivesRestartBitIdentical(t *testing.T) {
 	}
 	id := st.ID
 
-	// wait until at least one member has folded but the campaign is not done
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		cur, err := m.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.Folded >= 1 && cur.Folded < 4 {
-			break
-		}
-		if cur.State.Terminal() {
-			t.Fatalf("campaign finished before the kill: %+v", cur)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign never folded a member: %+v", cur)
-		}
-		time.Sleep(2 * time.Millisecond)
+	// kill once the first member has folded, with the campaign unfinished
+	await(t, folded, "the first member's fold")
+	if cur, err := m.Status(id); err != nil || cur.Folded < 1 || cur.State.Terminal() {
+		t.Fatalf("before the kill: %+v, %v", cur, err)
 	}
 
 	// hard shutdown: expired deadlines park the in-flight member (manager)
@@ -69,12 +57,12 @@ func TestDurableCampaignSurvivesRestartBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Open(Options{Service: svc2, DataDir: dir})
+	m2, err := Open(Options{Service: svc2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt := m2.Metrics(); mt.Recovered != 1 {
-		t.Fatalf("recovered %d campaigns, want 1", mt.Recovered)
+	if n := m2.Registry().Ints()["campaigns_recovered"]; n != 1 {
+		t.Fatalf("recovered %d campaigns, want 1", n)
 	}
 	st2, err := m2.Status(id)
 	if err != nil {
@@ -130,12 +118,12 @@ func TestDurableCampaignSurvivesRestartBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m3, err := Open(Options{Service: svc3, DataDir: dir})
+	m3, err := Open(Options{Service: svc3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt := m3.Metrics(); mt.Recovered != 0 {
-		t.Fatalf("terminal campaign recovered again: %+v", mt)
+	if n := m3.Registry().Ints()["campaigns_recovered"]; n != 0 {
+		t.Fatalf("terminal campaign recovered again: %d", n)
 	}
 	drainAll(t, m3, svc3)
 }
@@ -148,7 +136,7 @@ func TestDurableCreateSurvivesImmediateKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Open(Options{Service: svc, DataDir: dir})
+	m, err := Open(Options{Service: svc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +153,7 @@ func TestDurableCreateSurvivesImmediateKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Open(Options{Service: svc2, DataDir: dir})
+	m2, err := Open(Options{Service: svc2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,4 +171,51 @@ func TestDurableCreateSurvivesImmediateKill(t *testing.T) {
 	}
 	waitCampaign(t, m2, st2.ID)
 	drainAll(t, m2, svc2)
+}
+
+// TestCampaignIDsNeverRepeatAcrossBoots: a boot with nothing to resume still
+// compacts both journals, and the third boot must number its campaign after
+// the first boot's — or the new campaign writes into the old one's state
+// directory — and its member jobs after the first boot's member jobs, which
+// a recovered campaign could otherwise re-attach to.
+func TestCampaignIDsNeverRepeatAcrossBoots(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*Manager, *service.Service) {
+		svc, err := service.Open(service.Options{Workers: 1, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Open(Options{Service: svc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, svc
+	}
+	m, svc := boot()
+	st, err := m.Create(sweepSpec(5, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := waitCampaign(t, m, st.ID)
+	drainAll(t, m, svc)
+	m, svc = boot() // nothing live: each journal keeps only its high-water mark
+	drainAll(t, m, svc)
+
+	m, svc = boot()
+	defer drainAll(t, m, svc)
+	st, err = m.Create(sweepSpec(6, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := waitCampaign(t, m, st.ID)
+	if third.ID != "camp-000002" {
+		t.Fatalf("third boot's campaign is %s, want camp-000002", third.ID)
+	}
+	for i, ms := range third.MemberJobs {
+		for _, old := range first.MemberJobs {
+			if ms.Job == old.Job {
+				t.Errorf("third boot's member %d reuses job ID %s", i, ms.Job)
+			}
+		}
+	}
 }

@@ -20,6 +20,7 @@ package ensemble
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"time"
 
 	"swquake/internal/scenario"
@@ -90,8 +91,8 @@ type CampaignSpec struct {
 	// TimeoutS is the per-member job deadline in seconds (0 = service
 	// default).
 	TimeoutS float64 `json:"timeout_s,omitempty"`
-	// MaxConcurrent bounds how many members run at once (0 = manager
-	// default). The job service's own queue and worker pool still apply.
+	// MaxConcurrent bounds how many members run at once (0 = 2). The job
+	// service's own queue and worker pool still apply.
 	MaxConcurrent int `json:"max_concurrent,omitempty"`
 
 	// Thresholds are the PGV levels (m/s) of the exceedance-probability
@@ -115,21 +116,13 @@ const MaxMembers = 1024
 
 // Members reports how many member jobs the spec expands into.
 func (cs CampaignSpec) Members() int {
-	nv := len(cs.Variations)
-	if nv == 0 {
-		nv = 1
-	}
-	ns := cs.Seeds.Count
-	if ns == 0 {
-		ns = 1
-	}
-	return nv * ns
+	return max(len(cs.Variations), 1) * max(cs.Seeds.Count, 1)
 }
 
 // normalized validates the spec and fills defaults, returning the
 // canonical form Create journals (so a replayed campaign sees exactly the
 // defaults the original run used).
-func (cs CampaignSpec) normalized(defaultConcurrent int) (CampaignSpec, error) {
+func (cs CampaignSpec) normalized() (CampaignSpec, error) {
 	if cs.Scenario == "" {
 		return cs, fmt.Errorf("ensemble: campaign names no scenario")
 	}
@@ -157,7 +150,7 @@ func (cs CampaignSpec) normalized(defaultConcurrent int) (CampaignSpec, error) {
 		}
 	}
 	if cs.MaxConcurrent <= 0 {
-		cs.MaxConcurrent = defaultConcurrent
+		cs.MaxConcurrent = 2
 	}
 	if len(cs.Thresholds) == 0 {
 		cs.Thresholds = append([]float64(nil), DefaultThresholds...)
@@ -167,11 +160,7 @@ func (cs CampaignSpec) normalized(defaultConcurrent int) (CampaignSpec, error) {
 	}
 	// every member spec must actually build: catch bad scenario names and
 	// invalid override combinations at Create time, not mid-campaign
-	specs, err := cs.Expand()
-	if err != nil {
-		return cs, err
-	}
-	for i, sp := range specs {
+	for i, sp := range cs.Expand() {
 		if _, err := scenario.Build(sp.Scenario, sp.Overrides); err != nil {
 			return cs, fmt.Errorf("ensemble: member %d does not build: %w", i, err)
 		}
@@ -183,15 +172,12 @@ func (cs CampaignSpec) normalized(defaultConcurrent int) (CampaignSpec, error) {
 // parameter variations outer, heterogeneity seeds inner. The expansion is
 // deterministic, so a journaled CampaignSpec is the complete durable form
 // of a campaign.
-func (cs CampaignSpec) Expand() ([]service.JobSpec, error) {
+func (cs CampaignSpec) Expand() []service.JobSpec {
 	variations := cs.Variations
 	if len(variations) == 0 {
 		variations = []scenario.Overrides{{}}
 	}
-	seeds := cs.Seeds.Count
-	if seeds == 0 {
-		seeds = 1
-	}
+	seeds := max(cs.Seeds.Count, 1)
 	out := make([]service.JobSpec, 0, len(variations)*seeds)
 	for _, v := range variations {
 		o := overlay(cs.Base, v)
@@ -215,53 +201,19 @@ func (cs CampaignSpec) Expand() ([]service.JobSpec, error) {
 			})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // overlay applies a variation on top of base overrides: non-zero fields
 // of v win, zero fields keep the base.
 func overlay(base, v scenario.Overrides) scenario.Overrides {
-	o := base
-	if v.Nx != 0 {
-		o.Nx = v.Nx
+	o, over := reflect.ValueOf(&base).Elem(), reflect.ValueOf(v)
+	for i := range over.NumField() {
+		if f := over.Field(i); !f.IsZero() {
+			o.Field(i).Set(f)
+		}
 	}
-	if v.Ny != 0 {
-		o.Ny = v.Ny
-	}
-	if v.Nz != 0 {
-		o.Nz = v.Nz
-	}
-	if v.Dx != 0 {
-		o.Dx = v.Dx
-	}
-	if v.Steps != 0 {
-		o.Steps = v.Steps
-	}
-	if v.Nonlinear {
-		o.Nonlinear = true
-	}
-	if v.Qs != 0 {
-		o.Qs = v.Qs
-	}
-	if v.QVsScaled {
-		o.QVsScaled = true
-	}
-	if v.Tiles != 0 {
-		o.Tiles = v.Tiles
-	}
-	if v.Overlap {
-		o.Overlap = true
-	}
-	if v.HetAmplitude != 0 {
-		o.HetAmplitude = v.HetAmplitude
-	}
-	if v.HetCorrLen != 0 {
-		o.HetCorrLen = v.HetCorrLen
-	}
-	if v.Seed != 0 {
-		o.Seed = v.Seed
-	}
-	return o
+	return base
 }
 
 // MemberStatus is one member's place in the campaign.

@@ -20,10 +20,7 @@ func TestExpandOrderVariationsOuterSeedsInner(t *testing.T) {
 	if n := spec.Members(); n != 6 {
 		t.Fatalf("Members() = %d, want 6", n)
 	}
-	members, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	members := spec.Expand()
 	if len(members) != 6 {
 		t.Fatalf("expanded to %d members", len(members))
 	}
@@ -58,10 +55,7 @@ func TestExpandOrderVariationsOuterSeedsInner(t *testing.T) {
 
 func TestExpandNoAxesIsSingleMember(t *testing.T) {
 	spec := CampaignSpec{Scenario: "quickstart", Base: scenario.Overrides{Steps: 5}}
-	members, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	members := spec.Expand()
 	if len(members) != 1 || members[0].Overrides.Seed != 0 {
 		t.Fatalf("members %+v", members)
 	}
@@ -111,7 +105,7 @@ func TestNormalizedValidation(t *testing.T) {
 			""},
 	}
 	for _, tc := range cases {
-		norm, err := tc.spec.normalized(2)
+		norm, err := tc.spec.normalized()
 		if tc.want == "" {
 			if err != nil {
 				t.Fatalf("%s: unexpected error %v", tc.name, err)

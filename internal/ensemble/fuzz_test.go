@@ -3,6 +3,8 @@ package ensemble
 import (
 	"os"
 	"testing"
+
+	"swquake/internal/service"
 )
 
 // FuzzLoadMemberField: a member field file is read back at boot from a
@@ -10,7 +12,7 @@ import (
 // either errors or returns a field whose positive shape matches its values.
 func FuzzLoadMemberField(f *testing.F) {
 	agg := newAggregator(f.TempDir(), nil, nil)
-	if err := agg.persist(0, 3, 2, []float64{0.1, 0.2, 0.3, 0.4, 0.5, 1e-300}); err != nil {
+	if err := agg.persist(0, &service.SurfaceField{Nx: 3, Ny: 2, Values: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 1e-300}}); err != nil {
 		f.Fatal(err)
 	}
 	persisted, err := os.ReadFile(agg.memberPath(0))

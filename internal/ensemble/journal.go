@@ -7,9 +7,10 @@ import (
 	"time"
 )
 
-// The campaign journal, DataDir/campaigns.jsonl, is an internal/wal log like
-// the job service's (that package owns the file format and the
-// fsync-per-append contract), compacted on boot to just the live campaigns.
+// The campaign journal, campaigns.jsonl in the job service's data directory,
+// is an internal/wal log like the service's own (that package owns the file
+// format and the fsync-per-append contract), compacted on boot to just the
+// live campaigns and the ID high-water mark.
 // A campaign's durable form is its normalized spec (expansion is
 // deterministic) plus per-member outcomes; member PGV fields are persisted
 // separately under the campaign's state directory so a resumed campaign
@@ -41,6 +42,9 @@ type campaignRecord struct {
 }
 
 func (r *campaignRecord) terminal() bool { return State(r.state).Terminal() }
+
+// live reports whether a boot resumes the record's campaign.
+func (r *campaignRecord) live() bool { return !r.terminal() && r.spec != nil }
 
 // replayJournal folds events into per-campaign records in first-seen order.
 func replayJournal(events []campaignEvent) []*campaignRecord {
@@ -77,12 +81,23 @@ func replayJournal(events []campaignEvent) []*campaignRecord {
 	return order
 }
 
-// compactedJournal is the boot-compaction policy: per live campaign the
-// created event plus each member's last known outcome, so the file stays
-// bounded across restarts.
-func compactedJournal(live []*campaignRecord, now time.Time) []campaignEvent {
+// compactedJournal is the boot-compaction policy over a replay's records:
+// per live campaign the created event plus each member's last known outcome,
+// so the file stays bounded across restarts. When the highest-numbered
+// campaign is not live, its last lifecycle event is kept alone: it is the ID
+// high-water mark, so no boot — this code's or an older binary's, whose
+// replay reads it the same way — ever issues a campaign ID again, and a new
+// campaign never writes into an old one's state directory.
+func compactedJournal(recs []*campaignRecord, now time.Time) []campaignEvent {
 	var events []campaignEvent
-	for _, rec := range live {
+	var top *campaignRecord
+	for _, rec := range recs {
+		if top == nil || campSeq(rec.id) > campSeq(top.id) {
+			top = rec
+		}
+		if !rec.live() {
+			continue
+		}
 		events = append(events, campaignEvent{Time: now, Event: "created", Campaign: rec.id, Spec: rec.spec})
 		for _, idx := range sortedKeys(rec.jobs) {
 			events = append(events, campaignEvent{Time: now, Event: "member", Campaign: rec.id, Member: idx, Job: rec.jobs[idx]})
@@ -93,6 +108,9 @@ func compactedJournal(live []*campaignRecord, now time.Time) []campaignEvent {
 		for _, idx := range sortedKeys(rec.skipped) {
 			events = append(events, campaignEvent{Time: now, Event: "member_skip", Campaign: rec.id, Member: idx, Error: rec.skipped[idx]})
 		}
+	}
+	if top != nil && !top.live() {
+		events = append(events, campaignEvent{Time: now, Event: top.state, Campaign: top.id})
 	}
 	return events
 }

@@ -74,16 +74,20 @@ func TestParentWrittenJournal(t *testing.T) {
 	}
 
 	// boot compaction keeps the live campaign as created + last known
-	// member outcomes, in the parent's order
+	// member outcomes, in the parent's order. Then, where the parent kept
+	// nothing, camp-000004's ending: the highest-numbered campaign is
+	// finished, and that one event is what keeps a later boot from issuing
+	// its ID again
 	now := time.Now()
 	var kept []string
-	for _, ev := range compactedJournal([]*campaignRecord{live}, now) {
-		if !ev.Time.Equal(now) || ev.Campaign != "camp-000002" || (ev.Spec != nil) != (ev.Event == "created") {
+	for _, ev := range compactedJournal(recs, now) {
+		if !ev.Time.Equal(now) || (ev.Spec != nil) != (ev.Event == "created") {
 			t.Errorf("compacted event %+v", ev)
 		}
-		kept = append(kept, fmt.Sprintf("%s %d %s", ev.Event, ev.Member, ev.Job))
+		kept = append(kept, fmt.Sprintf("%s %s %d %s", ev.Campaign, ev.Event, ev.Member, ev.Job))
 	}
-	if want := []string{"created 0 ", "member 0 job-000003", "member 1 job-000005", "member_done 0 "}; !reflect.DeepEqual(kept, want) {
+	if want := []string{"camp-000002 created 0 ", "camp-000002 member 0 job-000003", "camp-000002 member 1 job-000005",
+		"camp-000002 member_done 0 ", "camp-000004 done 0 "}; !reflect.DeepEqual(kept, want) {
 		t.Fatalf("compacted %v, want %v", kept, want)
 	}
 }
@@ -117,7 +121,7 @@ func TestJournalAppendFailureIsCountedAndLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logs syncBuffer
-	m, err := Open(Options{Service: svc, DataDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	m, err := Open(Options{Service: svc, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +134,8 @@ func TestJournalAppendFailureIsCountedAndLogged(t *testing.T) {
 		t.Fatalf("final status %+v", final)
 	}
 	// created, 2x member, 2x member_done, done
-	if mt := m.Metrics(); mt.JournalErrors != 6 || mt.JournalEvents != 0 {
-		t.Fatalf("errors %d events %d, want 6 and 0", mt.JournalErrors, mt.JournalEvents)
-	}
-	if ints := m.Registry().Ints(); ints["journal_errors"] != 6 {
-		t.Fatalf("JSON view: %v", ints)
+	if ints := m.Registry().Ints(); ints["journal_errors"] != 6 || ints["journal_events"] != 0 {
+		t.Fatalf("JSON view: %v, want 6 errors and 0 events", ints)
 	}
 	var expo strings.Builder
 	m.Registry().WriteProm(&expo)
@@ -161,7 +162,7 @@ func TestManifestDirectoryFailureIsLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logs syncBuffer
-	m, err := Open(Options{Service: svc, DataDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	m, err := Open(Options{Service: svc, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,5 +183,48 @@ func TestManifestDirectoryFailureIsLogged(t *testing.T) {
 	line := "level=ERROR msg=\"campaign manifest write failed\" campaign=" + st.ID + " "
 	if got := strings.Count(logs.String(), line); got != 1 {
 		t.Fatalf("%d log records of the failed manifest write, want 1:\n%s", got, logs.String())
+	}
+}
+
+// TestUnsavedFieldIsNotJournaledDone: a member whose field cannot be
+// persisted (a file stands where the campaign's state directory should be)
+// still folds in memory, but the journal never claims it done — member_done
+// is written only behind a field on disk, so a reboot would re-run the
+// member rather than re-fold a field that is not there.
+func TestUnsavedFieldIsNotJournaledDone(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := service.Open(service.Options{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs syncBuffer
+	m, err := Open(Options{Service: svc, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(m.stateDir("camp-000001"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Create(sweepSpec(5, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitCampaign(t, m, st.ID); final.State != StateDone || final.Folded != 2 {
+		t.Fatalf("final status %+v", final)
+	}
+	drainAll(t, m, svc)
+	events, err := wal.Read[campaignEvent](filepath.Join(dir, "campaigns.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, ev := range events {
+		kinds = append(kinds, ev.Event)
+	}
+	if want := []string{"created", "member", "member", "done"}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("journal %v, want %v", kinds, want)
+	}
+	if n := strings.Count(logs.String(), `msg="member field persist failed"`); n != 2 {
+		t.Fatalf("%d persist failures logged, want 2:\n%s", n, logs.String())
 	}
 }

@@ -1,17 +1,20 @@
 package ensemble
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"swquake/internal/admission"
+	"swquake/internal/clock"
 	"swquake/internal/manifest"
 	"swquake/internal/service"
 	"swquake/internal/telemetry"
@@ -22,35 +25,29 @@ import (
 // (the job service owns pid 0).
 const tracePID = 1
 
+// A member the job service refuses for backpressure or load shedding submits
+// again after backoff, or after the refusal's Retry-After hint when that is
+// longer — capped at maxBackoff, so a drain stays responsive.
+const (
+	backoff    = 50 * time.Millisecond
+	maxBackoff = time.Second
+)
+
 // Options configures a Manager.
 type Options struct {
-	// Service is the job service members run on (required).
+	// Service is the job service members run on (required). A durable
+	// service makes the campaigns durable too, in its data directory:
+	// specs and member outcomes are journaled to DataDir/campaigns.jsonl,
+	// member PGV fields are persisted under DataDir/campaigns/<id>/, and
+	// Open resumes unfinished campaigns on boot, beside the member jobs the
+	// service resumes.
 	Service *service.Service
-	// DataDir, when non-empty, makes campaigns durable: specs and member
-	// outcomes are journaled to DataDir/campaigns.jsonl, member PGV
-	// fields are persisted under DataDir/campaigns/<id>/, and Open
-	// resumes unfinished campaigns on boot. Use the same DataDir as the
-	// job service so member jobs and campaigns recover together.
-	DataDir string
-	// DefaultConcurrent bounds members in flight per campaign when the
-	// spec doesn't say (0 = 2).
-	DefaultConcurrent int
 	// Logger receives campaign lifecycle events. Nil discards them.
 	Logger *slog.Logger
-	// Tracer, when set, records campaign lifecycles as Chrome trace
-	// events on their own process track (pid 1, one thread per campaign).
+	// Tracer, when set, records campaign lifecycles as Chrome trace events
+	// on their own process track (pid 1, one thread per campaign).
 	Tracer *telemetry.Tracer
 }
-
-// memberPhase is the scheduler's view of one member.
-type memberPhase int
-
-const (
-	memberPending memberPhase = iota
-	memberInflight
-	memberDone
-	memberSkipped
-)
 
 // campaign is the manager-internal record of one campaign.
 type campaign struct {
@@ -65,11 +62,10 @@ type campaign struct {
 
 	mu           sync.Mutex
 	state        State
-	err          error
 	userCanceled bool
 	recovered    bool
-	jobs         []string // member index -> job ID ("" before submission)
-	phases       []memberPhase
+	jobs         []string      // member index -> job ID ("" before submission)
+	phases       []memberPhase // written by take alone
 	memberErrs   []string
 	created      time.Time
 	finished     time.Time
@@ -78,10 +74,11 @@ type campaign struct {
 // Manager orchestrates campaigns over a job service.
 type Manager struct {
 	svc    *service.Service
-	opts   Options
+	dir    string // the service's data directory; "" = campaigns live in memory
+	clk    clock.Clock
 	log    *slog.Logger
 	tracer *telemetry.Tracer
-	wal    *wal.Log[campaignEvent] // nil without DataDir
+	wal    *wal.Log[campaignEvent] // nil without a data directory
 	reg    *telemetry.Registry
 	met    metrics
 
@@ -138,24 +135,25 @@ func (m *Manager) declareMetrics() {
 // quaked's /metrics, WriteProm the swquake_campaign* exposition.
 func (m *Manager) Registry() *telemetry.Registry { return m.reg }
 
-// Open builds a Manager. With Options.DataDir set it first recovers:
-// the campaign journal is replayed, unfinished campaigns re-fold their
-// persisted member fields in member-index order (bit-identical to the
-// first life) and resume their remaining members — re-attaching to member
-// jobs the job service itself recovered, resubmitting the rest.
-func Open(opts Options) (*Manager, error) {
+// Open builds a Manager. On a durable service it first recovers: the
+// campaign journal is replayed, unfinished campaigns re-fold their persisted
+// member fields in member-index order (bit-identical to the first life) and
+// resume their remaining members — re-attaching to member jobs the job
+// service itself recovered, resubmitting the rest.
+func Open(opts Options) (*Manager, error) { return open(opts, clock.Wall{}) }
+
+// open is Open on a given clock.
+func open(opts Options, clk clock.Clock) (*Manager, error) {
 	if opts.Service == nil {
 		return nil, fmt.Errorf("ensemble: Options.Service is required")
-	}
-	if opts.DefaultConcurrent <= 0 {
-		opts.DefaultConcurrent = 2
 	}
 	if opts.Logger == nil {
 		opts.Logger = telemetry.Discard()
 	}
 	m := &Manager{
 		svc:       opts.Service,
-		opts:      opts,
+		dir:       opts.Service.DataDir(),
+		clk:       clk,
 		log:       opts.Logger,
 		tracer:    opts.Tracer,
 		reg:       telemetry.NewRegistry(),
@@ -165,22 +163,23 @@ func Open(opts Options) (*Manager, error) {
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
 	m.tracer.NameProcess(tracePID, "ensemble")
 
-	if opts.DataDir == "" {
+	if m.dir == "" {
 		return m, nil
 	}
-	if err := os.MkdirAll(filepath.Join(opts.DataDir, "campaigns"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(m.dir, "campaigns"), 0o755); err != nil {
 		return nil, err
 	}
 	var live []*campaignRecord
 	var err error
-	m.wal, err = wal.Recover(filepath.Join(opts.DataDir, "campaigns.jsonl"), func(events []campaignEvent) []campaignEvent {
-		for _, rec := range replayJournal(events) {
+	m.wal, err = wal.Recover(filepath.Join(m.dir, "campaigns.jsonl"), func(events []campaignEvent) []campaignEvent {
+		recs := replayJournal(events)
+		for _, rec := range recs {
 			m.nextID = max(m.nextID, campSeq(rec.id))
-			if !rec.terminal() && rec.spec != nil {
+			if rec.live() {
 				live = append(live, rec)
 			}
 		}
-		return compactedJournal(live, time.Now())
+		return compactedJournal(recs, clk.Now())
 	})
 	if err != nil {
 		return nil, err
@@ -194,10 +193,10 @@ func Open(opts Options) (*Manager, error) {
 }
 
 func (m *Manager) stateDir(id string) string {
-	if m.opts.DataDir == "" {
+	if m.dir == "" {
 		return ""
 	}
-	return filepath.Join(m.opts.DataDir, "campaigns", id)
+	return filepath.Join(m.dir, "campaigns", id)
 }
 
 // logEvent appends to the campaign journal when the manager is durable.
@@ -205,7 +204,7 @@ func (m *Manager) logEvent(ev campaignEvent) {
 	if m.wal == nil {
 		return
 	}
-	ev.Time = time.Now()
+	ev.Time = m.clk.Now()
 	if err := m.wal.Append(ev); err != nil {
 		// the caller has already acted on the event; what is lost is its
 		// durable record, so the next boot may redo or forget this step
@@ -217,11 +216,8 @@ func (m *Manager) logEvent(ev campaignEvent) {
 }
 
 // newCampaign builds the in-memory record for a normalized spec.
-func (m *Manager) newCampaign(id string, spec CampaignSpec) (*campaign, error) {
-	members, err := spec.Expand()
-	if err != nil {
-		return nil, err
-	}
+func (m *Manager) newCampaign(id string, spec CampaignSpec) *campaign {
+	members := spec.Expand()
 	c := &campaign{
 		id:         id,
 		spec:       spec,
@@ -232,26 +228,20 @@ func (m *Manager) newCampaign(id string, spec CampaignSpec) (*campaign, error) {
 		jobs:       make([]string, len(members)),
 		phases:     make([]memberPhase, len(members)),
 		memberErrs: make([]string, len(members)),
-		created:    time.Now(),
+		created:    m.clk.Now(),
 	}
 	c.ctx, c.cancel = context.WithCancel(m.baseCtx)
-	return c, nil
+	return c
 }
 
 // recoverCampaign rebuilds a live campaign from its journal record: done
 // members re-fold from their persisted fields (strictly ascending index,
-// so the Welford sequence matches the first life bit for bit), skipped
-// members advance the fold, and everything else is left pending for the
-// scheduler — which will re-attach to jobs the service still knows.
+// so the Welford sequence matches the first life bit for bit) and skipped
+// members advance the fold, both along the edges they took in the first
+// life, replayed; everything else is left pending for the scheduler — which
+// will re-attach to jobs the service still knows.
 func (m *Manager) recoverCampaign(rec *campaignRecord) error {
-	spec := *rec.spec
-	c, err := m.newCampaign(rec.id, spec)
-	if err != nil {
-		// a spec that no longer expands (e.g. scenario removed between
-		// boots) is logged and dropped rather than failing the whole boot
-		m.log.Error("recovered campaign no longer builds", "campaign", rec.id, "error", err.Error())
-		return nil
-	}
+	c := m.newCampaign(rec.id, *rec.spec)
 	c.recovered = true
 	for idx, job := range rec.jobs {
 		if idx >= 0 && idx < len(c.jobs) {
@@ -262,7 +252,7 @@ func (m *Manager) recoverCampaign(rec *campaignRecord) error {
 		if idx < 0 || idx >= len(c.phases) {
 			continue
 		}
-		mf, err := c.agg.load(idx)
+		f, err := c.agg.load(idx)
 		if err != nil {
 			// field lost or torn: re-run the member (deterministic, so the
 			// re-folded aggregate is unchanged)
@@ -270,20 +260,16 @@ func (m *Manager) recoverCampaign(rec *campaignRecord) error {
 			c.jobs[idx] = ""
 			continue
 		}
-		if err := c.agg.add(idx, mf.Nx, mf.Ny, mf.Values); err != nil {
+		if err := c.agg.add(idx, f); err != nil {
 			return fmt.Errorf("ensemble: refolding %s member %d: %w", c.id, idx, err)
 		}
-		c.phases[idx] = memberDone
+		m.take(c, idx, change{from: memberPending, to: memberRunning, job: c.jobs[idx], replay: true})
+		m.take(c, idx, change{from: memberRunning, to: memberDone, replay: true})
 	}
 	for _, idx := range sortedKeys(rec.skipped) {
-		if idx < 0 || idx >= len(c.phases) {
-			continue
+		if idx >= 0 && idx < len(c.phases) {
+			m.take(c, idx, change{from: memberPending, to: memberSkipped, err: errors.New(rec.skipped[idx]), replay: true})
 		}
-		if err := c.agg.skip(idx); err != nil {
-			return fmt.Errorf("ensemble: replaying skip of %s member %d: %w", c.id, idx, err)
-		}
-		c.phases[idx] = memberSkipped
-		c.memberErrs[idx] = rec.skipped[idx]
 	}
 	m.campaigns[c.id] = c
 	m.met.recovered.Add(1)
@@ -297,7 +283,7 @@ func (m *Manager) recoverCampaign(rec *campaignRecord) error {
 
 // Create validates, journals and starts a campaign, returning its status.
 func (m *Manager) Create(spec CampaignSpec) (Status, error) {
-	norm, err := spec.normalized(m.opts.DefaultConcurrent)
+	norm, err := spec.normalized()
 	if err != nil {
 		return Status{}, err
 	}
@@ -308,11 +294,7 @@ func (m *Manager) Create(spec CampaignSpec) (Status, error) {
 	}
 	m.nextID++
 	id := fmt.Sprintf("camp-%06d", m.nextID)
-	c, err := m.newCampaign(id, norm)
-	if err != nil {
-		m.mu.Unlock()
-		return Status{}, err
-	}
+	c := m.newCampaign(id, norm)
 	m.campaigns[id] = c
 	m.mu.Unlock()
 
@@ -329,11 +311,11 @@ func (m *Manager) Create(spec CampaignSpec) (Status, error) {
 	return m.statusOf(c), nil
 }
 
-// runCampaign drives every member through the job service with bounded
-// concurrency, then settles the campaign's terminal state.
+// runCampaign drives every pending member through the job service with
+// bounded concurrency, then settles the campaign's terminal state.
 func (m *Manager) runCampaign(c *campaign) {
 	defer m.wg.Done()
-	start := time.Now()
+	start := m.clk.Now()
 	sem := make(chan struct{}, c.spec.MaxConcurrent)
 	var wg sync.WaitGroup
 launch:
@@ -341,8 +323,8 @@ launch:
 		c.mu.Lock()
 		phase := c.phases[idx]
 		c.mu.Unlock()
-		if phase == memberDone || phase == memberSkipped {
-			continue
+		if phase != memberPending {
+			continue // re-folded or skipped by recovery
 		}
 		select {
 		case <-c.ctx.Done():
@@ -360,169 +342,142 @@ launch:
 	m.finishCampaign(c, start)
 }
 
-// runMember runs one member end to end: (re)submit, wait, fold.
+// runMember takes one pending member as far as it goes: to running once it
+// has a job, then to done with its field folded, or to skipped. A campaign
+// that ends or a manager that drains first leaves it pending — parked — and
+// a canceled campaign's member cancels its own job and waits for it to end,
+// so no member job outlives its canceled campaign.
 func (m *Manager) runMember(c *campaign, idx int) {
-	spec := c.members[idx]
-	c.mu.Lock()
-	jobID := c.jobs[idx]
-	c.phases[idx] = memberInflight
-	c.mu.Unlock()
-
-	if jobID != "" {
-		// recovered campaign: re-attach if the service still knows the job
-		// (durable services requeue unfinished jobs under their original
-		// IDs); otherwise fall through to a fresh submission
-		if _, err := m.svc.Status(jobID); err != nil {
-			jobID = ""
-		}
-	}
-	if jobID == "" {
-		// campaign members are batch-class work: the admission scheduler's
-		// weighted dispatch keeps a sweep from starving interactive jobs
-		spec.Class = admission.ClassBatch
-		req, err := spec.Request()
-		if err != nil {
-			m.memberSkip(c, idx, err)
-			return
-		}
-		for {
-			if m.draining() {
-				m.park(c, idx) // shutdown: leave pending for the next boot
-				return
-			}
-			id, err := m.svc.Submit(req)
-			if err == nil {
-				jobID = id
-				break
-			}
-			switch {
-			case errors.Is(err, service.ErrQueueFull),
-				errors.Is(err, admission.ErrRateLimited),
-				errors.Is(err, admission.ErrShedding):
-				// backpressure or load shedding: the campaign yields rather
-				// than spinning, honoring the rejection's Retry-After hint
-				// when it carries one (capped so drains stay responsive)
-				wait := 50 * time.Millisecond
-				if hint, ok := admission.RetryAfter(err); ok && hint > wait {
-					if hint > time.Second {
-						hint = time.Second
-					}
-					wait = hint
-				}
-				select {
-				case <-c.ctx.Done():
-					m.park(c, idx)
-					return
-				case <-time.After(wait):
-				}
-			case errors.Is(err, service.ErrClosed):
-				m.park(c, idx)
-				return
-			default:
-				// includes admission.ErrNeverFits: a member bigger than the
-				// memory budget can never run on this daemon — skip it, the
-				// campaign completes on the members that fit
-				m.memberSkip(c, idx, err)
-				return
-			}
-		}
-		c.mu.Lock()
-		c.jobs[idx] = jobID
-		c.mu.Unlock()
-		m.logEvent(campaignEvent{Event: "member", Campaign: c.id, Member: idx, Job: jobID})
-		m.met.membersSubmitted.Add(1)
-	}
-
-	st, err := m.svc.Wait(c.ctx, jobID)
+	job, attached, err := m.submit(c, idx)
 	if err != nil {
-		m.park(c, idx) // canceled campaign or shutdown; job outcome unknown
+		m.take(c, idx, change{from: memberPending, to: memberSkipped, err: err})
 		return
 	}
-	switch st.State {
-	case service.StateDone:
-		res, err := m.svc.Result(jobID)
-		if err != nil {
-			m.memberSkip(c, idx, err)
-			return
+	if job == "" {
+		return // parked before it had a job
+	}
+	m.take(c, idx, change{from: memberPending, to: memberRunning, job: job, replay: attached})
+
+	st, err := m.svc.Wait(c.ctx, job)
+	if err != nil {
+		c.mu.Lock()
+		canceled := c.userCanceled
+		c.mu.Unlock()
+		if canceled {
+			m.svc.Cancel(job)
+			m.svc.Wait(m.baseCtx, job)
 		}
-		m.memberFold(c, idx, jobID, res)
-	default: // failed or canceled: drop from the aggregate
-		cause := st.Error
-		if cause == "" {
-			cause = string(st.State)
+		m.take(c, idx, change{from: memberRunning, to: memberPending})
+		return
+	}
+	pgv, err := m.field(job, st)
+	unsaved := false
+	if err == nil {
+		// write-ahead for the aggregate: the field is on disk before the
+		// member_done event, so a journaled member always re-folds
+		if perr := c.agg.persist(idx, pgv); perr != nil {
+			// fold in memory anyway; without the journal event the next boot
+			// simply re-runs this member (deterministically, same bits)
+			m.log.Warn("member field persist failed", "campaign", c.id, "member", idx, "error", perr.Error())
+			unsaved = true
 		}
-		m.memberSkip(c, idx, errors.New(cause))
+		err = c.agg.add(idx, pgv)
+	}
+	if err != nil {
+		m.take(c, idx, change{from: memberRunning, to: memberSkipped, err: err})
+		return
+	}
+	m.take(c, idx, change{from: memberRunning, to: memberDone, unsaved: unsaved})
+}
+
+// submit finds member idx its job: the one the campaign recorded, if the
+// service still knows it (attached: a durable service requeues unfinished
+// jobs under their original IDs), else a fresh batch-class submission that
+// waits out backpressure. It returns no job and no error when the campaign
+// ends or the manager drains first, and an error for a member that can never
+// run.
+func (m *Manager) submit(c *campaign, idx int) (job string, attached bool, err error) {
+	c.mu.Lock()
+	job = c.jobs[idx]
+	c.mu.Unlock()
+	if job != "" {
+		if _, err := m.svc.Status(job); err == nil {
+			return job, true, nil
+		}
+	}
+	// campaign members are batch-class work: the admission scheduler's
+	// weighted dispatch keeps a sweep from starving interactive jobs
+	spec := c.members[idx]
+	spec.Class = admission.ClassBatch
+	req, err := spec.Request()
+	if err != nil {
+		return "", false, err
+	}
+	for !m.draining() {
+		job, err := m.svc.Submit(req)
+		switch {
+		case err == nil:
+			return job, false, nil
+		case errors.Is(err, service.ErrClosed):
+			return "", false, nil
+		case !errors.Is(err, service.ErrQueueFull) && !errors.Is(err, admission.ErrRateLimited) &&
+			!errors.Is(err, admission.ErrShedding):
+			// includes admission.ErrNeverFits: a member bigger than the
+			// memory budget can never run on this daemon — skip it, the
+			// campaign completes on the members that fit
+			return "", false, err
+		}
+		// backpressure or load shedding: the campaign yields rather than
+		// spinning, honoring the rejection's Retry-After hint
+		wait := backoff
+		if hint, ok := admission.RetryAfter(err); ok {
+			wait = min(max(hint, wait), maxBackoff)
+		}
+		if !m.sleep(c.ctx, wait) {
+			return "", false, nil
+		}
+	}
+	return "", false, nil
+}
+
+// sleep waits d on the manager's clock and reports whether it did; false
+// when ctx ended first.
+func (m *Manager) sleep(ctx context.Context, d time.Duration) bool {
+	due := make(chan struct{})
+	stop := m.clk.AfterFunc(d, func() { close(due) })
+	select {
+	case <-due:
+		return true
+	case <-ctx.Done():
+		stop()
+		return false
 	}
 }
 
-// park returns a member to pending without resolving it — the shutdown
-// path. Durable campaigns pick it up on the next boot.
-func (m *Manager) park(c *campaign, idx int) {
-	c.mu.Lock()
-	c.phases[idx] = memberPending
-	c.mu.Unlock()
-}
-
-// memberFold persists and folds a finished member's surface field.
-func (m *Manager) memberFold(c *campaign, idx int, jobID string, res *service.Result) {
+// field is the surface PGV field of a member job that has ended, or why the
+// member has none: failed and canceled jobs drop from the aggregate.
+func (m *Manager) field(job string, st service.Status) (*service.SurfaceField, error) {
+	if st.State != service.StateDone {
+		return nil, errors.New(cmp.Or(st.Error, string(st.State)))
+	}
+	res, err := m.svc.Result(job)
+	if err != nil {
+		return nil, err
+	}
 	if res.PGV == nil {
-		m.memberSkip(c, idx, errors.New("member result has no surface PGV field"))
-		return
+		return nil, errors.New("member result has no surface PGV field")
 	}
-	// write-ahead for the aggregate: the field is on disk before the
-	// member_done event, so a journaled member always re-folds
-	if err := c.agg.persist(idx, res.PGV.Nx, res.PGV.Ny, res.PGV.Values); err != nil {
-		// fold in memory anyway; without the journal event the next boot
-		// simply re-runs this member (deterministically, same bits)
-		m.log.Warn("member field persist failed", "campaign", c.id, "member", idx, "error", err.Error())
-	} else {
-		m.logEvent(campaignEvent{Event: "member_done", Campaign: c.id, Member: idx})
-	}
-	if err := c.agg.add(idx, res.PGV.Nx, res.PGV.Ny, res.PGV.Values); err != nil {
-		m.memberSkip(c, idx, err)
-		return
-	}
-	c.mu.Lock()
-	c.phases[idx] = memberDone
-	c.mu.Unlock()
-	m.met.membersDone.Add(1)
-	m.met.membersFolded.Add(1)
-	m.tracer.Instant(tracePID, campSeq(c.id), "campaign", "member_done", time.Now(),
-		map[string]any{"member": idx, "job": jobID})
-	m.log.Info("campaign member done", "campaign", c.id, "member", idx, "job", jobID,
-		"folded", c.agg.folded())
-}
-
-// memberSkip drops a member from the aggregate after a permanent failure.
-func (m *Manager) memberSkip(c *campaign, idx int, cause error) {
-	m.logEvent(campaignEvent{Event: "member_skip", Campaign: c.id, Member: idx, Error: cause.Error()})
-	if err := c.agg.skip(idx); err != nil {
-		m.log.Error("member skip failed", "campaign", c.id, "member", idx, "error", err.Error())
-	}
-	c.mu.Lock()
-	c.phases[idx] = memberSkipped
-	c.memberErrs[idx] = cause.Error()
-	c.mu.Unlock()
-	m.met.membersFailed.Add(1)
-	m.log.Warn("campaign member skipped", "campaign", c.id, "member", idx, "error", cause.Error())
+	return res.PGV, nil
 }
 
 // finishCampaign settles the terminal state once every member goroutine
 // has returned. Members left pending by a shutdown keep the campaign
 // non-terminal: nothing terminal is journaled, so the next boot resumes.
 func (m *Manager) finishCampaign(c *campaign, started time.Time) {
-	c.mu.Lock()
-	var unresolved, skipped int
-	for _, ph := range c.phases {
-		switch ph {
-		case memberDone:
-		case memberSkipped:
-			skipped++
-		default:
-			unresolved++
-		}
-	}
+	st := m.statusOf(c) // no member goroutine is left to move a phase
+	unresolved, skipped := st.Pending+st.Running, st.Failed
 	var state State
+	c.mu.Lock()
 	switch {
 	case c.userCanceled:
 		state = StateCanceled
@@ -534,40 +489,29 @@ func (m *Manager) finishCampaign(c *campaign, started time.Time) {
 		return
 	case skipped > 0:
 		state = StateFailed
-		for idx, e := range c.memberErrs {
-			if e != "" {
-				c.err = fmt.Errorf("ensemble: member %d failed: %s", idx, e)
-				break
-			}
-		}
 	default:
 		state = StateDone
 	}
 	c.state = state
-	c.finished = time.Now()
-	jobs := append([]string(nil), c.jobs...)
-	members := len(c.members)
+	c.finished = m.clk.Now()
 	c.mu.Unlock()
 	// journaled before a waiter hears of it: Wait returns a finished campaign
 	// whose end is on disk, or counted and logged as lost
 	m.logEvent(campaignEvent{Event: string(state), Campaign: c.id})
 	close(c.done)
 	m.met.finished[state].Add(1)
-	m.tracer.Span(tracePID, campSeq(c.id), "campaign", "running", started, time.Since(started),
-		map[string]any{"state": string(state), "members": members})
+	m.tracer.Span(tracePID, campSeq(c.id), "campaign", "running", started, c.finished.Sub(started),
+		map[string]any{"state": string(state), "members": st.Members})
 	m.log.Info("campaign finished", "campaign", c.id, "state", string(state),
-		"members", members, "folded", c.agg.folded(), "skipped", skipped)
+		"members", st.Members, "folded", c.agg.folded(), "skipped", skipped)
 
 	if dir := m.stateDir(c.id); dir != "" {
+		agg := c.agg.snapshot()
 		cm := manifest.CampaignManifest{
 			ID: c.id, Name: c.spec.Name, Scenario: c.spec.Scenario, State: string(state),
-			Members: members, Folded: c.agg.folded(), Skipped: skipped,
-			MemberJobs: jobs, Thresholds: append([]float64(nil), c.spec.Thresholds...),
+			Members: st.Members, Folded: agg.Folded, Skipped: skipped, MemberJobs: c.jobs,
+			Thresholds: agg.Thresholds, MeanPGVMax: agg.MeanPGVMax, MeanIntensityMax: agg.MeanIntensityMax,
 			Created: c.created, Finished: c.finished,
-		}
-		if agg := c.agg.snapshot(); agg != nil {
-			cm.MeanPGVMax = agg.MeanPGVMax
-			cm.MeanIntensityMax = agg.MeanIntensityMax
 		}
 		err := os.MkdirAll(dir, 0o755)
 		if err == nil {
@@ -585,6 +529,14 @@ func (m *Manager) draining() bool {
 	return m.closed
 }
 
+// lookup finds a campaign by ID.
+func (m *Manager) lookup(id string) (*campaign, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c, ok := m.campaigns[id]
+	return c, ok
+}
+
 // statusOf snapshots one campaign.
 func (m *Manager) statusOf(c *campaign) Status {
 	c.mu.Lock()
@@ -598,8 +550,8 @@ func (m *Manager) statusOf(c *campaign) Status {
 		Created:   c.created,
 		Finished:  c.finished,
 	}
-	if c.err != nil {
-		st.Error = c.err.Error()
+	if i := slices.IndexFunc(c.memberErrs, func(e string) bool { return e != "" }); c.state == StateFailed && i >= 0 {
+		st.Error = fmt.Sprintf("ensemble: member %d failed: %s", i, c.memberErrs[i])
 	}
 	jobs := append([]string(nil), c.jobs...)
 	phases := append([]memberPhase(nil), c.phases...)
@@ -615,13 +567,11 @@ func (m *Manager) statusOf(c *campaign) Status {
 		case memberSkipped:
 			st.Failed++
 			ms.State = "skipped"
-		case memberInflight:
+		case memberRunning:
 			st.Running++
 			ms.State = "running"
-			if job != "" {
-				if js, err := m.svc.Status(job); err == nil {
-					ms.State = string(js.State)
-				}
+			if js, err := m.svc.Status(job); err == nil {
+				ms.State = string(js.State)
 			}
 		default:
 			st.Pending++
@@ -635,9 +585,7 @@ func (m *Manager) statusOf(c *campaign) Status {
 
 // Status reports a campaign's current state and member progress.
 func (m *Manager) Status(id string) (Status, error) {
-	m.mu.Lock()
-	c, ok := m.campaigns[id]
-	m.mu.Unlock()
+	c, ok := m.lookup(id)
 	if !ok {
 		return Status{}, ErrUnknownCampaign
 	}
@@ -647,17 +595,15 @@ func (m *Manager) Status(id string) (Status, error) {
 // List reports every known campaign, newest first.
 func (m *Manager) List() []Status {
 	m.mu.Lock()
-	ids := make([]string, 0, len(m.campaigns))
-	for id := range m.campaigns {
-		ids = append(ids, id)
+	cs := make([]*campaign, 0, len(m.campaigns))
+	for _, c := range m.campaigns {
+		cs = append(cs, c)
 	}
 	m.mu.Unlock()
-	sort.Strings(ids)
-	out := make([]Status, 0, len(ids))
-	for i := len(ids) - 1; i >= 0; i-- {
-		if st, err := m.Status(ids[i]); err == nil {
-			out = append(out, st)
-		}
+	sort.Slice(cs, func(i, j int) bool { return cs[i].id > cs[j].id })
+	out := make([]Status, len(cs))
+	for i, c := range cs {
+		out[i] = m.statusOf(c) // outside m.mu: it asks the service about running members
 	}
 	return out
 }
@@ -667,41 +613,22 @@ func (m *Manager) List() []Status {
 // far); before any member has folded the maps are empty but the metadata
 // is valid.
 func (m *Manager) Aggregate(id string) (*Aggregate, error) {
-	m.mu.Lock()
-	c, ok := m.campaigns[id]
-	m.mu.Unlock()
+	c, ok := m.lookup(id)
 	if !ok {
 		return nil, ErrUnknownCampaign
 	}
-	agg := c.agg.snapshot()
-	if agg == nil {
-		agg = &Aggregate{
-			Thresholds:  append([]float64(nil), c.spec.Thresholds...),
-			Percentiles: append([]float64(nil), c.spec.Percentiles...),
-		}
-	}
-	c.mu.Lock()
-	agg.Campaign = c.id
-	agg.Scenario = c.spec.Scenario
-	agg.State = c.state
-	agg.Members = len(c.members)
-	for _, ph := range c.phases {
-		if ph == memberSkipped {
-			agg.Skipped++
-		}
-	}
-	c.mu.Unlock()
+	agg, st := c.agg.snapshot(), m.statusOf(c)
+	agg.Campaign, agg.Scenario, agg.State, agg.Members, agg.Skipped = st.ID, st.Scenario, st.State, st.Members, st.Failed
 	return agg, nil
 }
 
 // Cancel requests cancellation of a campaign: pending members stop being
-// scheduled and every in-flight member job is canceled at its next step
-// boundary. Cancel reports whether the campaign exists; the campaign
-// reaches StateCanceled once its members wind down.
+// scheduled, and each member with a job cancels it and waits for it to end.
+// Cancel reports whether the campaign exists; the campaign reaches
+// StateCanceled once its members wind down, when no member job is left
+// running.
 func (m *Manager) Cancel(id string) bool {
-	m.mu.Lock()
-	c, ok := m.campaigns[id]
-	m.mu.Unlock()
+	c, ok := m.lookup(id)
 	if !ok {
 		return false
 	}
@@ -711,14 +638,8 @@ func (m *Manager) Cancel(id string) bool {
 		return true
 	}
 	c.userCanceled = true
-	jobs := append([]string(nil), c.jobs...)
 	c.mu.Unlock()
 	c.cancel()
-	for _, job := range jobs {
-		if job != "" {
-			m.svc.Cancel(job)
-		}
-	}
 	m.log.Warn("campaign canceled", "campaign", id)
 	return true
 }
@@ -726,9 +647,7 @@ func (m *Manager) Cancel(id string) bool {
 // Wait blocks until the campaign's runner settles (terminal state, or
 // parked by a shutdown) or the context ends.
 func (m *Manager) Wait(ctx context.Context, id string) (Status, error) {
-	m.mu.Lock()
-	c, ok := m.campaigns[id]
-	m.mu.Unlock()
+	c, ok := m.lookup(id)
 	if !ok {
 		return Status{}, ErrUnknownCampaign
 	}
@@ -769,61 +688,14 @@ func (m *Manager) Drain(ctx context.Context) error {
 	return err
 }
 
-// Metrics is a consistent snapshot of the campaign counters.
-type Metrics struct {
-	Created, Recovered         int64
-	Done, Failed, Canceled     int64
-	MembersSubmitted           int64
-	MembersDone, MembersFailed int64
-	MembersFolded              int64
-	JournalEvents              int64
-	JournalErrors              int64
-	// Running / MembersInflight / MembersPending are point-in-time gauges.
-	Running, MembersInflight, MembersPending int64
-}
-
-// Metrics snapshots the counters and gauges.
-func (m *Manager) Metrics() Metrics {
-	mm := &m.met
-	out := Metrics{
-		Created:          mm.created.Value(),
-		Recovered:        mm.recovered.Value(),
-		Done:             mm.finished[StateDone].Value(),
-		Failed:           mm.finished[StateFailed].Value(),
-		Canceled:         mm.finished[StateCanceled].Value(),
-		MembersSubmitted: mm.membersSubmitted.Value(),
-		MembersDone:      mm.membersDone.Value(),
-		MembersFailed:    mm.membersFailed.Value(),
-		MembersFolded:    mm.membersFolded.Value(),
-		JournalEvents:    mm.journalEvents.Value(),
-		JournalErrors:    mm.journalErrors.Value(),
-	}
-	out.Running, out.MembersInflight, out.MembersPending = m.gauges()
-	return out
-}
-
-// gauges counts live campaigns and their member phases.
+// gauges counts live campaigns and their running and pending members.
 func (m *Manager) gauges() (running, inflight, pending int64) {
-	m.mu.Lock()
-	cs := make([]*campaign, 0, len(m.campaigns))
-	for _, c := range m.campaigns {
-		cs = append(cs, c)
-	}
-	m.mu.Unlock()
-	for _, c := range cs {
-		c.mu.Lock()
-		if !c.state.Terminal() {
+	for _, st := range m.List() {
+		if !st.State.Terminal() {
 			running++
-			for _, ph := range c.phases {
-				switch ph {
-				case memberInflight:
-					inflight++
-				case memberPending:
-					pending++
-				}
-			}
+			inflight += int64(st.Running)
+			pending += int64(st.Pending)
 		}
-		c.mu.Unlock()
 	}
 	return
 }

@@ -3,8 +3,10 @@ package ensemble
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +22,42 @@ func sweepSpec(steps, seeds int) CampaignSpec {
 		Scenario: "quickstart",
 		Base:     scenario.Overrides{Steps: steps},
 		Seeds:    SeedAxis{Base: 1, Count: seeds, HetAmplitude: 0.05},
+	}
+}
+
+// logSignal is a log sink that closes seen the first time a record with its
+// message is logged: the event a test waits on instead of polling.
+type logSignal struct {
+	msg  string
+	once sync.Once
+	seen chan struct{}
+}
+
+// signalOn returns a logger and the channel it closes when msg is logged.
+func signalOn(msg string) (*slog.Logger, <-chan struct{}) {
+	h := &logSignal{msg: msg, seen: make(chan struct{})}
+	return slog.New(h), h.seen
+}
+
+func (h *logSignal) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *logSignal) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		h.once.Do(func() { close(h.seen) })
+	}
+	return nil
+}
+
+func (h *logSignal) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *logSignal) WithGroup(string) slog.Handler      { return h }
+
+// await blocks until the event happens, failing the test after a minute.
+func await(t *testing.T, event <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-event:
+	case <-time.After(time.Minute):
+		t.Fatalf("%s never happened", what)
 	}
 }
 
@@ -51,14 +89,11 @@ func waitCampaign(t *testing.T, m *Manager, id string) Status {
 // computation the concurrent campaign must reproduce bit for bit.
 func referenceAggregate(t *testing.T, spec CampaignSpec) *seismo.FieldStats {
 	t.Helper()
-	norm, err := spec.normalized(2)
+	norm, err := spec.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	members, err := norm.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	members := norm.Expand()
 	svc := service.New(service.Options{Workers: 1})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -164,15 +199,12 @@ func TestCampaignEndToEndBitIdentical(t *testing.T) {
 		}
 	}
 
-	mt := m.Metrics()
-	if mt.Created != 1 || mt.Done != 1 || mt.MembersSubmitted != 3 || mt.MembersFolded != 3 {
-		t.Fatalf("metrics %+v", mt)
-	}
-	if mt.Running != 0 || mt.MembersInflight != 0 {
-		t.Fatalf("gauges nonzero after completion: %+v", mt)
+	if mt := m.Registry().Ints(); mt["campaigns_created"] != 1 || mt["campaigns_done"] != 1 ||
+		mt["members_submitted"] != 3 || mt["members_folded"] != 3 {
+		t.Fatalf("metrics %v", mt)
 	}
 
-	// the prom families render
+	// the prom families render, the gauges at zero after completion
 	var sb strings.Builder
 	if err := m.Registry().WriteProm(&sb); err != nil {
 		t.Fatal(err)
@@ -182,6 +214,7 @@ func TestCampaignEndToEndBitIdentical(t *testing.T) {
 		"swquake_campaigns_done_total 1",
 		"swquake_campaign_members_done_total 3",
 		"swquake_campaigns_running 0",
+		"swquake_campaign_members_inflight 0",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("prom output missing %q:\n%s", want, sb.String())
@@ -210,7 +243,8 @@ func TestCreateValidatesSpec(t *testing.T) {
 }
 
 func TestCampaignCancelStopsMembers(t *testing.T) {
-	svc := service.New(service.Options{Workers: 1})
+	logger, started := signalOn("job started")
+	svc := service.New(service.Options{Workers: 1, Logger: logger})
 	m, err := Open(Options{Service: svc})
 	if err != nil {
 		t.Fatal(err)
@@ -221,21 +255,7 @@ func TestCampaignCancelStopsMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// let member 0 actually start
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		cur, err := m.Status(st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.Running > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign never started a member: %+v", cur)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	await(t, started, "member 0's job start")
 	if !m.Cancel(st.ID) {
 		t.Fatal("cancel returned false")
 	}
@@ -245,6 +265,40 @@ func TestCampaignCancelStopsMembers(t *testing.T) {
 	}
 	if m.Cancel("camp-000099") {
 		t.Fatal("cancel of unknown campaign succeeded")
+	}
+	drainAll(t, m, svc)
+}
+
+// TestCanceledCampaignLeavesNoMemberJobRunning: once Wait reports a
+// campaign canceled, every member job the service knows has ended — the
+// running one and the queued ones alike — whenever the cancel caught each
+// member: in its submission, queued, or running.
+func TestCanceledCampaignLeavesNoMemberJobRunning(t *testing.T) {
+	logger, started := signalOn("job started")
+	svc := service.New(service.Options{Workers: 1, Logger: logger})
+	m, err := Open(Options{Service: svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sweepSpec(200000, 3)
+	spec.MaxConcurrent = 3 // one member job runs, the others queue behind it
+	st, err := m.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	await(t, started, "a member job's start")
+	m.Cancel(st.ID)
+	if final := waitCampaign(t, m, st.ID); final.State != StateCanceled {
+		t.Fatalf("state after cancel: %+v", final)
+	}
+	jobs := svc.Jobs()
+	if len(jobs) == 0 {
+		t.Fatal("the service knows no member job")
+	}
+	for _, js := range jobs {
+		if !js.State.Terminal() {
+			t.Errorf("member job %s is %s after its campaign was canceled", js.ID, js.State)
+		}
 	}
 	drainAll(t, m, svc)
 }
@@ -276,8 +330,8 @@ func TestCampaignFailedMembersSkip(t *testing.T) {
 	if agg.State != StateFailed || agg.Skipped != 2 || agg.Folded != 0 || agg.MeanPGV != nil {
 		t.Fatalf("aggregate %+v", agg)
 	}
-	if mt := m.Metrics(); mt.MembersFailed != 2 || mt.Failed != 1 {
-		t.Fatalf("metrics %+v", mt)
+	if mt := m.Registry().Ints(); mt["members_failed"] != 2 || mt["campaigns_failed"] != 1 {
+		t.Fatalf("metrics %v", mt)
 	}
 	drainAll(t, m, svc)
 }

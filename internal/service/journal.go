@@ -100,17 +100,32 @@ func replayJournal(events []journalEvent) []*jobRecord {
 // terminal reports whether the record's last journaled event ends the job.
 func (r *jobRecord) terminal() bool { return State(r.last).Terminal() }
 
+// live reports whether a boot requeues the record's job.
+func (r *jobRecord) live() bool { return !r.terminal() && r.spec != nil }
+
 // compactedJournal is the boot-compaction policy: just the submitted events
 // of still-live jobs, so the file stays bounded across restarts instead of
 // accreting every event since the first boot. The recorded Attempt and Step
-// carry each job's progress into the new epoch.
-func compactedJournal(live []*jobRecord, now time.Time) []journalEvent {
-	events := make([]journalEvent, len(live))
-	for i, rec := range live {
-		events[i] = journalEvent{
-			Time: now, Event: "submitted", JobID: rec.id,
-			Spec: rec.spec, Attempt: rec.attempt, Step: rec.step,
+// carry each job's progress into the new epoch. When the highest-numbered job
+// is not live, its last event is kept alone: it is the ID high-water mark, so
+// no boot — this code's or an older binary's, whose replay reads it the same
+// way — ever issues a job ID again.
+func compactedJournal(recs []*jobRecord, now time.Time) []journalEvent {
+	var events []journalEvent
+	var top *jobRecord
+	for _, rec := range recs {
+		if top == nil || jobSeq(rec.id) > jobSeq(top.id) {
+			top = rec
 		}
+		if rec.live() {
+			events = append(events, journalEvent{
+				Time: now, Event: "submitted", JobID: rec.id,
+				Spec: rec.spec, Attempt: rec.attempt, Step: rec.step,
+			})
+		}
+	}
+	if top != nil && !top.live() {
+		events = append(events, journalEvent{Time: now, Event: top.last, JobID: top.id})
 	}
 	return events
 }

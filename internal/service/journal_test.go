@@ -177,6 +177,42 @@ func TestBootRecoversTheParentsCrashJournal(t *testing.T) {
 	}
 }
 
+// TestJobIDsNeverRepeatAcrossBoots: a boot that finds nothing live still
+// compacts the journal, and the third boot must number its first job after
+// every job the first one issued — otherwise an old job ID names a new job.
+// The compacted file keeps just the highest job's ending, in the event form
+// an older binary replays to the same high-water mark.
+func TestJobIDsNeverRepeatAcrossBoots(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	boot := func() *Service {
+		s, err := Open(Options{Workers: 1, DataDir: dir, CheckpointEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := boot()
+	for _, steps := range []int{5, 6} {
+		if st, err := s.Wait(ctx, submitSpec(t, s, quickSpec(steps))); err != nil || st.State != StateDone {
+			t.Fatalf("%+v, %v", st, err)
+		}
+	}
+	drain(t, s)
+	drain(t, boot()) // nothing live: the compaction keeps only the high-water mark
+
+	events, err := wal.Read[journalEvent](journalPath(dir))
+	if err != nil || len(events) != 1 || events[0].Event != "done" || events[0].JobID != "job-000002" || events[0].Spec != nil {
+		t.Fatalf("compacted journal %+v, %v; want job-000002's done alone", events, err)
+	}
+	s = boot()
+	defer drain(t, s)
+	if id := submitSpec(t, s, quickSpec(7)); id != "job-000003" {
+		t.Fatalf("third boot's first job is %s, want job-000003", id)
+	}
+}
+
 // TestJournalAppendFailureIsCountedAndLogged: a journal that cannot be
 // written (closed underneath the service, as a full or failing disk would
 // look) no longer fails silently — Submit keeps its contract and accepts the

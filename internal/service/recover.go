@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"swquake/internal/admission"
+	"swquake/internal/clock"
 	"swquake/internal/wal"
 )
 
@@ -30,18 +31,19 @@ func jobSeq(id string) int {
 // process left is replayed and compacted to the jobs that never reached a
 // terminal state (wal.Recover), which come back as live, with the highest
 // job number ever issued.
-func recoverJournal(dataDir string, clk clock) (journal *wal.Log[journalEvent], live []*jobRecord, maxID int, err error) {
+func recoverJournal(dataDir string, clk clock.Clock) (journal *wal.Log[journalEvent], live []*jobRecord, maxID int, err error) {
 	if err := os.MkdirAll(filepath.Join(dataDir, "checkpoints"), 0o755); err != nil {
 		return nil, nil, 0, err
 	}
 	journal, err = wal.Recover(journalPath(dataDir), func(events []journalEvent) []journalEvent {
-		for _, rec := range replayJournal(events) {
+		recs := replayJournal(events)
+		for _, rec := range recs {
 			maxID = max(maxID, jobSeq(rec.id))
-			if !rec.terminal() && rec.spec != nil {
+			if rec.live() {
 				live = append(live, rec)
 			}
 		}
-		return compactedJournal(live, clk.Now())
+		return compactedJournal(recs, clk.Now())
 	})
 	return journal, live, maxID, err
 }

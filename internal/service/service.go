@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"swquake/internal/admission"
+	"swquake/internal/clock"
 	"swquake/internal/core"
 	"swquake/internal/manifest"
 	"swquake/internal/telemetry"
@@ -286,7 +287,7 @@ type Service struct {
 	cache  *resultCache
 	wg     sync.WaitGroup
 	wal    *wal.Log[journalEvent] // nil without DataDir
-	clk    clock
+	clk    clock.Clock
 	log    *slog.Logger
 	tracer *telemetry.Tracer
 
@@ -459,10 +460,10 @@ func New(opts Options) *Service {
 // never reached a terminal state are requeued (resuming from their latest
 // valid checkpoint once a worker picks them up), and the journal is
 // compacted so it stays bounded across restarts.
-func Open(opts Options) (*Service, error) { return open(opts, wallClock{}) }
+func Open(opts Options) (*Service, error) { return open(opts, clock.Wall{}) }
 
 // open is Open on a given clock.
-func open(opts Options, clk clock) (*Service, error) {
+func open(opts Options, clk clock.Clock) (*Service, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -561,6 +562,9 @@ func (s *Service) logEvent(j *job, ev journalEvent) {
 
 // Workers reports the worker-pool size.
 func (s *Service) Workers() int { return s.opts.Workers }
+
+// DataDir reports the data directory of a durable service ("" when volatile).
+func (s *Service) DataDir() string { return s.opts.DataDir }
 
 // QueueSize reports the submission-queue capacity.
 func (s *Service) QueueSize() int { return s.opts.QueueSize }
