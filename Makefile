@@ -100,7 +100,11 @@ check-bce:
 # parallel units: non-test internal/core cuts no tiles (no SplitN(, fan(,
 # minus( or inset( call, no pass part( method) — workers walk the strips as
 # a wavefront — and internal/fd declares no whole-block SLS snapshot
-# (SLS) Before(): the chain takes each region's stresses as it goes
+# (SLS) Before(): the chain takes each region's stresses as it goes. And a
+# run's codecs are calibrated in one place, inside the engine: non-test Go
+# outside internal/core and internal/compress names no compress.Stats and
+# calls no CollectStats( — a caller names the codec (Config.Compression),
+# New and RunParallelCtx calibrate it
 KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
@@ -141,6 +145,8 @@ check-one:
 	@! grep -nE 'Med\.(Lam|Mu|Rho)\.Row\(' internal/core/*.go | grep -v '_test\.go:'
 	@! grep -nE '\<(SplitN|fan|minus|inset)\(|\) part\(' internal/core/*.go | grep -v '_test\.go:'
 	@! grep -n 'SLS) Before(' internal/fd/*.go | grep -v '_test\.go:'
+	@! grep -rnE --include='*.go' 'compress\.Stats\b|CollectStats\(' . | grep -v '_test\.go:' \
+		| grep -vE '^\./internal/(core|compress)/'
 	@entries=$$(grep -h '^TEXT ' internal/fd/*.s internal/plasticity/*.s internal/grid/*.s); \
 	n=$$(echo "$$entries" | grep -c 'PlaneAVX2(SB)'); all=$$(echo "$$entries" | grep -c .); \
 	if [ "$$n" -ne $(KERNEL_ENTRIES) ] || [ "$$all" -ne $(KERNEL_ENTRIES) ]; then \

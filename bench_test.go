@@ -369,11 +369,7 @@ func BenchmarkAblationCompressedStep(b *testing.B) {
 			cfg := QuickstartConfig()
 			cfg.Steps = 1
 			if mode == "compressed" {
-				stats, err := core.CalibrateCompression(cfg, 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg.Compression = core.CompressionConfig{Method: compress.Normalized, Stats: stats}
+				cfg.Compression = compress.Normalized
 			}
 			sim, err := core.New(cfg)
 			if err != nil {

@@ -130,7 +130,6 @@ func run(args []string) error {
 		addr         = fs.String("addr", ":8047", "listen address")
 		workers      = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queueSize    = fs.Int("queue", 0, "submission queue bound (0 = 4x workers)")
-		cacheSize    = fs.Int("cache", 0, "result cache entries (0 = 64, negative disables)")
 		jobTimeout   = fs.Duration("job-timeout", 0, "default per-job deadline (0 = none)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max time to drain jobs on shutdown")
 
@@ -197,7 +196,6 @@ func run(args []string) error {
 	opts := service.Options{
 		Workers:          *workers,
 		QueueSize:        *queueSize,
-		CacheSize:        *cacheSize,
 		DefaultTimeout:   *jobTimeout,
 		DataDir:          *dataDir,
 		CheckpointEvery:  *ckptEvery,

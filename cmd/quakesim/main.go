@@ -122,17 +122,8 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	if *comp != "off" {
-		method, err := parseMethod(*comp)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "calibrating compression on a coarse run...")
-		stats, err := core.CalibrateCompression(cfg, 2)
-		if err != nil {
-			return err
-		}
-		cfg.Compression = core.CompressionConfig{Method: method, Stats: stats}
+	if cfg.Compression, err = parseMethod(*comp); err != nil {
+		return err
 	}
 	if *ckptEvery > 0 {
 		dir := *outDir
@@ -293,6 +284,8 @@ func printTiming(w io.Writer, cfg core.Config, res *core.Result, wallS float64) 
 
 func parseMethod(s string) (compress.Method, error) {
 	switch s {
+	case "off":
+		return compress.Off, nil
 	case "half":
 		return compress.Half, nil
 	case "adaptive":

@@ -56,32 +56,6 @@ func ExampleRunParallel() {
 	// serial == parallel: true
 }
 
-// ExampleCalibrateCompression demonstrates the coarse-run statistics pass
-// that the 16-bit compressed storage mode needs (paper Fig. 5a).
-func ExampleCalibrateCompression() {
-	cfg := swquake.QuickstartConfig()
-	cfg.Steps = 20
-
-	stats, err := swquake.CalibrateCompression(cfg, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.Compression = swquake.CompressionConfig{
-		Method: swquake.CompressionNormalized,
-		Stats:  stats,
-	}
-	sim, err := swquake.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("compressed run completed with", len(stats), "calibrated fields")
-	// Output:
-	// compressed run completed with 9 calibrated fields
-}
-
 // ExampleTangshanScenario builds the paper's scaled Tangshan configuration.
 func ExampleTangshanScenario() {
 	sc := swquake.TangshanScenario{

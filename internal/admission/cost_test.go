@@ -64,7 +64,7 @@ func TestEstimateCostTracksMemStats(t *testing.T) {
 			c.Plasticity = core.PlasticityConfig{Cohesion: 5e6, FrictionAngle: 30}
 		}},
 		{"compressed+attenuation", func(c *core.Config) {
-			c.Compression.Method = compress.Half
+			c.Compression = compress.Half
 			c.Attenuation = core.AttenuationConfig{Enabled: true, Qp: 100, Qs: 50}
 		}},
 	}
@@ -223,7 +223,7 @@ func FuzzEstimateCost(f *testing.F) {
 		}
 		cfg.Attenuation = core.AttenuationConfig{Enabled: atten, UseSLS: sls, Qp: 100, Qs: 50}
 		if comp {
-			cfg.Compression.Method = compress.Half
+			cfg.Compression = compress.Half
 		}
 
 		c := EstimateCost(cfg, mx, my)

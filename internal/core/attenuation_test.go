@@ -172,11 +172,7 @@ func TestCompressedSLSRuns(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Steps = 30
 	cfg.Attenuation = AttenuationConfig{Enabled: true, UseSLS: true, F0: 4, Qp: 60, Qs: 30}
-	stats, err := CalibrateCompression(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
+	cfg.Compression = compress.Normalized
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

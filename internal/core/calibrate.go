@@ -7,19 +7,37 @@ import (
 	"swquake/internal/source"
 )
 
-// CalibrateCompression is the preprocessing step of Fig. 5a: it runs a
-// coarsened, uncompressed version of the configured simulation (grid
-// coarsened by factor along every axis, matching coarser dx and fewer
-// steps) and records the per-field value/exponent ranges the fine run's
-// codecs will cover. Sources are remapped onto the coarse grid with their
-// moment preserved.
-func CalibrateCompression(cfg Config, factor int) (map[string]compress.Stats, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("core: coarsening factor must be >= 1")
+const (
+	// calibrationCoarsening is how much coarser than the run, along every
+	// axis and in step count, its calibration run is.
+	calibrationCoarsening = 2
+	// calibrationHeadroom widens the calibrated ranges, for the fine run
+	// exceeding the coarse run's dynamic range.
+	calibrationHeadroom = 1.5
+)
+
+// calibrate is the preprocessing step of Fig. 5a, which New and
+// RunParallelCtx take once per run: it runs a coarsened, uncompressed
+// version of the run's global configuration (grid coarsened by
+// calibrationCoarsening along every axis, matching coarser dx and fewer
+// steps) and returns, widened by calibrationHeadroom, the per-field
+// value/exponent ranges the run's codecs cover. Sources are remapped onto
+// the coarse grid with their moment preserved. The coarse run reports to
+// nobody — no observer, tracer, checkpoint, restart or fault hook — and
+// records nothing. An uncompressed run and Half, whose range is fixed, need
+// no calibration: nil.
+func calibrate(cfg Config) (map[string]compress.Stats, error) {
+	if cfg.Compression == compress.Off || cfg.Compression == compress.Half {
+		return nil, nil
 	}
+	const factor = calibrationCoarsening
 	coarse := cfg
-	coarse.Compression = CompressionConfig{}
+	coarse.Compression = compress.Off
 	coarse.Checkpoint = nil
+	coarse.RestartFrom = ""
+	coarse.Observer = nil
+	coarse.Tracer = nil
+	coarse.OnFault = nil
 	coarse.RecordPGV = false
 	coarse.Stations = nil
 	coarse.Dims.Nx = max(cfg.Dims.Nx/factor, 8)
@@ -61,9 +79,6 @@ func CalibrateCompression(cfg Config, factor int) (map[string]compress.Stats, er
 		return nil, fmt.Errorf("core: coarse calibration setup: %w", err)
 	}
 	stats := make(map[string]compress.Stats, len(FieldNames))
-	for _, name := range FieldNames {
-		stats[name] = compress.Stats{Min: 0, Max: 0, Emin: 0, Emax: 0}
-	}
 	sampleEvery := max(coarse.Steps/8, 1)
 	for n := 0; n < coarse.Steps; n++ {
 		sim.Step()
@@ -72,6 +87,9 @@ func CalibrateCompression(cfg Config, factor int) (map[string]compress.Stats, er
 				stats[FieldNames[i]] = stats[FieldNames[i]].Merge(compress.CollectStats(f))
 			}
 		}
+	}
+	for name, s := range stats {
+		stats[name] = s.Expand(calibrationHeadroom)
 	}
 	return stats, nil
 }

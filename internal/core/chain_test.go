@@ -73,11 +73,7 @@ var chainModes = []struct {
 		return runSerial(t, cfg)
 	}},
 	{"compressed", true, func(t *testing.T, cfg Config) *Result {
-		stats, err := CalibrateCompression(cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
+		cfg.Compression = compress.Normalized
 		return runSerial(t, cfg)
 	}},
 	{"SLS", true, func(t *testing.T, cfg Config) *Result {
@@ -267,10 +263,6 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 	big := chainConfig()
 	big.Dims = grid.Dims{Nx: 96, Ny: 64, Nz: 16} // twice chainBlockPoints and more: so is half of it
 	big.Sources = big.Sources[:1]
-	stats, err := CalibrateCompression(big, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	with := func(mut func(*Config)) Config {
 		c := big
 		mut(&c)
@@ -293,9 +285,7 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 		"tiles":                 {with(func(c *Config) { c.Tiles = 2 }), geometry{planes: 1, cols: 32}, lone},
 		"overlap, no neighbour": {with(func(c *Config) { c.Overlap = true }), strips, lone},
 		"SLS":                   {with(func(c *Config) { c.Attenuation.UseSLS = true }), strips, lone},
-		"compressed": {with(func(c *Config) {
-			c.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
-		}), strips, velocityFirst},
+		"compressed":            {with(func(c *Config) { c.Compression = compress.Normalized }), strips, velocityFirst},
 		"cache-resident block": {small, geometry{}, [3]pass{{},
 			{vel: []grid.Region{smallBox}, chain: []grid.Region{smallBox}, sponge: []grid.Region{smallBox}}, {}}},
 		"core-group tally": {with(func(c *Config) { c.SunwaySim = true }), strips, lone},

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"swquake/internal/compress"
@@ -21,18 +20,13 @@ type compressedState struct {
 	fields []*compress.Field // same order as fd.Wavefield.AllFields
 }
 
-func newCompressedState(wf *fd.Wavefield, cfg CompressionConfig) (*compressedState, error) {
+// newCompressedState builds the nine compressed views of wf, each with its
+// codec for method over the field's calibrated range (Half needs none), and
+// stores wf in them.
+func newCompressedState(wf *fd.Wavefield, method compress.Method, ranges map[string]compress.Stats) (*compressedState, error) {
 	cs := &compressedState{}
 	for i, f := range wf.AllFields() {
-		name := FieldNames[i]
-		stats, ok := cfg.Stats[name]
-		if !ok && cfg.Method != compress.Half {
-			return nil, fmt.Errorf("core: missing compression stats for field %q", name)
-		}
-		if ok && cfg.Expand > 1 {
-			stats = stats.Expand(cfg.Expand)
-		}
-		codec, err := compress.NewCodec(cfg.Method, stats)
+		codec, err := compress.NewCodec(method, ranges[FieldNames[i]])
 		if err != nil {
 			return nil, err
 		}

@@ -74,16 +74,6 @@ type PlasticityConfig struct {
 	Tv float64
 }
 
-// CompressionConfig turns on the on-the-fly 16-bit storage.
-type CompressionConfig struct {
-	Method compress.Method
-	// Stats holds per-field codec statistics from a coarse calibration run
-	// (CalibrateCompression). Required for Adaptive and Normalized.
-	Stats map[string]compress.Stats
-	// Expand widens calibrated ranges for headroom (default 1.5).
-	Expand float64
-}
-
 // AttenuationConfig enables anelastic attenuation (the qp/qs physics of
 // AWP-ODC). Either constant quality factors or the Vs-scaled empirical
 // rule; F0 is the reference frequency of the constant-Q operator.
@@ -117,7 +107,11 @@ type Config struct {
 
 	Attenuation AttenuationConfig
 
-	Compression CompressionConfig
+	// Compression names the codec of the on-the-fly 16-bit storage (Off:
+	// float32 storage). Adaptive and Normalized take their ranges from a
+	// coarse calibration run (Fig. 5a) that New and RunParallelCtx make
+	// once per run, on the run's global configuration.
+	Compression compress.Method
 
 	Sources  []source.PointSource
 	Stations []seismo.Station
@@ -268,19 +262,11 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: negative Q scale factor")
 		}
 	}
-	if c.SunwaySim && c.Compression.Method != compress.Off {
+	if c.SunwaySim && c.Compression != compress.Off {
 		return fmt.Errorf("core: SunwaySim does not support compressed storage")
 	}
 	if c.Tiles < AutoTiles {
 		return fmt.Errorf("core: invalid tile count %d", c.Tiles)
-	}
-	if c.Compression.Method != compress.Off {
-		if c.Compression.Method != compress.Half && c.Compression.Stats == nil {
-			return fmt.Errorf("core: %v compression needs calibration stats", c.Compression.Method)
-		}
-		if c.Compression.Expand <= 0 {
-			c.Compression.Expand = 1.5
-		}
 	}
 	for _, s := range c.Stations {
 		if s.I < 0 || s.I >= c.Dims.Nx || s.J < 0 || s.J >= c.Dims.Ny || s.K < 0 || s.K >= c.Dims.Nz {
@@ -300,5 +286,5 @@ func (c *Config) Validate() error {
 }
 
 // FieldNames names the nine dynamic fields, in fd.Wavefield.AllFields
-// order; compression statistics are keyed by these.
+// order; calibrated codec ranges are keyed by these.
 var FieldNames = []string{"u", "v", "w", "xx", "yy", "zz", "xy", "xz", "yz"}

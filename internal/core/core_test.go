@@ -46,7 +46,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SpongeWidth = 12 },
 		func(c *Config) { c.Stations = []seismo.Station{{Name: "bad", I: 99}} },
 		func(c *Config) { c.Nonlinear = true },
-		func(c *Config) { c.Compression.Method = compress.Normalized },
 	}
 	for i, mut := range cases {
 		c := baseConfig()
@@ -227,7 +226,14 @@ func TestNonlinearRunYields(t *testing.T) {
 
 func TestCalibrateCompressionProducesStats(t *testing.T) {
 	cfg := baseConfig()
-	stats, err := CalibrateCompression(cfg, 2)
+	for _, m := range []compress.Method{compress.Off, compress.Half} {
+		cfg.Compression = m
+		if stats, err := calibrate(cfg); stats != nil || err != nil {
+			t.Fatalf("%v: calibrated %v, %v; want no calibration", m, stats, err)
+		}
+	}
+	cfg.Compression = compress.Normalized
+	stats, err := calibrate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +246,6 @@ func TestCalibrateCompressionProducesStats(t *testing.T) {
 	}
 	if stats["xx"].Max <= stats["xx"].Min {
 		t.Fatal("degenerate stress range")
-	}
-	if _, err := CalibrateCompression(cfg, 0); err == nil {
-		t.Fatal("zero factor accepted")
 	}
 }
 
@@ -263,20 +266,11 @@ func runPair(t *testing.T, method compress.Method) (plain, comp *Result) {
 	}
 
 	ccfg := cfg
-	ccfg.Compression.Method = method
-	if method != compress.Half {
-		stats, err := CalibrateCompression(cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ccfg.Compression.Stats = stats
-	}
+	ccfg.Compression = method
 	csim, err := New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// same dt so traces align sample by sample
-	csim.Cfg.Dt = sim.Cfg.Dt
 	comp, err = csim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +310,7 @@ func TestHalfDynamicRangeLimitation(t *testing.T) {
 	// either diverge or lose the reference badly...
 	cfg := baseConfig()
 	cfg.Steps = 60
-	cfg.Compression.Method = compress.Half
+	cfg.Compression = compress.Half
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -338,12 +332,11 @@ func TestHalfDynamicRangeLimitation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small.Compression.Method = compress.Half
+	small.Compression = compress.Half
 	csim, err := New(small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csim.Cfg.Dt = ssim.Cfg.Dt
 	comp, err := csim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -362,11 +355,7 @@ func TestCompressedNonlinearRuns(t *testing.T) {
 	cfg.Steps = 30
 	cfg.Nonlinear = true
 	cfg.Plasticity = PlasticityConfig{Cohesion: 1e6, FrictionAngle: math.Pi / 6, Lithostatic: true}
-	stats, err := CalibrateCompression(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
+	cfg.Compression = compress.Normalized
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -378,8 +367,7 @@ func TestCompressedNonlinearRuns(t *testing.T) {
 
 func TestCompressionHalvesFieldMemory(t *testing.T) {
 	cfg := baseConfig()
-	stats, _ := CalibrateCompression(cfg, 2)
-	cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
+	cfg.Compression = compress.Normalized
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -531,8 +519,7 @@ func TestSunwaySimMatchesPlainAndAccounts(t *testing.T) {
 func TestSunwaySimRejectsCompression(t *testing.T) {
 	cfg := baseConfig()
 	cfg.SunwaySim = true
-	stats, _ := CalibrateCompression(baseConfig(), 2)
-	cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
+	cfg.Compression = compress.Normalized
 	if _, err := New(cfg); err == nil {
 		t.Fatal("SunwaySim with compression accepted")
 	}

@@ -432,18 +432,12 @@ func TestStepEventCarriesTheMaxVelocity(t *testing.T) {
 	base.Steps = 30
 	base.RecordPGV = true
 	base.Sources[0].I, base.Sources[0].K = 1, 3
-	stats, err := CalibrateCompression(base, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, g := range []geometry{{1 << 30, 1 << 30}, {1, 4}} {
 		restore := SetWalkGeometry(g.planes, g.cols)
 		for name, mut := range map[string]func(*Config){
-			"plain":   func(*Config) {},
-			"tiles=3": func(c *Config) { c.Tiles = 3 },
-			"compressed": func(c *Config) {
-				c.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
-			},
+			"plain":      func(*Config) {},
+			"tiles=3":    func(c *Config) { c.Tiles = 3 },
+			"compressed": func(c *Config) { c.Compression = compress.Normalized },
 		} {
 			cfg := base
 			mut(&cfg)
@@ -455,6 +449,7 @@ func TestStepEventCarriesTheMaxVelocity(t *testing.T) {
 				}
 				pgv.Update(sim.WF)
 			}
+			var err error
 			sim, err = New(cfg)
 			if err != nil {
 				t.Fatal(err)

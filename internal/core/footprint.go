@@ -46,7 +46,7 @@ func (c Config) Storage() Storage {
 			st.FullFields32 += 2
 		}
 	}
-	if c.Compression.Method != compress.Off {
+	if c.Compression != compress.Off {
 		st.FullFields16 = 9
 	}
 	st.SurfacePGV = c.RecordPGV

@@ -97,7 +97,7 @@ func matrixConfig(c matrixCell) Config {
 		cfg.Attenuation = AttenuationConfig{Enabled: true, UseSLS: true, F0: 3, Qp: 60, Qs: 30}
 	}
 	if c.half {
-		cfg.Compression = CompressionConfig{Method: compress.Half}
+		cfg.Compression = compress.Half
 	}
 	cfg.Tiles, cfg.Overlap, cfg.SunwaySim = c.tiles, c.overlap, c.sunway
 	return cfg

@@ -9,6 +9,7 @@ import (
 
 	"swquake/internal/cgexec"
 	"swquake/internal/checkpoint"
+	"swquake/internal/compress"
 	"swquake/internal/decomp"
 	"swquake/internal/faultinject"
 	"swquake/internal/fd"
@@ -66,6 +67,12 @@ func RunParallelCtx(ctx context.Context, cfg Config, mx, my int) (*Result, error
 	if err != nil {
 		return nil, err
 	}
+	// once per run, on the global configuration: every block, and every
+	// recovery attempt, stores through the same codecs
+	ranges, err := calibrate(cfg)
+	if err != nil {
+		return nil, err
+	}
 
 	runStart := timeNow()
 	var faults []FaultEvent
@@ -73,7 +80,7 @@ func RunParallelCtx(ctx context.Context, cfg Config, mx, my int) (*Result, error
 	for attempt := 1; ; attempt++ {
 		run := cfg
 		run.RestartFrom = restartFrom
-		res, err := runParallelOnce(ctx, run, pg, srcParts)
+		res, err := runParallelOnce(ctx, run, pg, srcParts, ranges)
 		if err == nil {
 			res.Faults = faults
 			res.Perf.Elapsed = timeNow().Sub(runStart)
@@ -123,7 +130,7 @@ func emitFault(cfg *Config, ev FaultEvent) {
 // contain whatever the ranks raise, and merge the outputs as if gathered to
 // rank 0. Perf.Elapsed is left to the caller, which accounts wall time
 // across recovery attempts.
-func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, srcParts [][]source.PointSource) (*Result, error) {
+func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, srcParts [][]source.PointSource, ranges map[string]compress.Stats) (*Result, error) {
 	// each rank writes only its own outs slot, so the merge below needs no
 	// locking (world.Run joins every rank goroutine before returning)
 	outs := make([]rankOut, pg.Size())
@@ -135,7 +142,7 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 				containFault(r, out, p)
 			}
 		}()
-		runRank(ctx, r, pg, cfg, srcParts[r.ID()], out)
+		runRank(ctx, r, pg, cfg, srcParts[r.ID()], ranges, out)
 	})
 	// however the attempt ended — done, canceled, failed or unwound by a
 	// fault — rank 0's last dump lands before anyone acts on the outcome, so
@@ -252,13 +259,13 @@ type rankOut struct {
 // runRank is the per-rank body of RunParallel: build the block's simulator
 // with the rank's collectives for peers, optionally restore its share of a
 // checkpoint, and step it through the one loop (Simulator.run).
-func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, srcs []source.PointSource, out *rankOut) {
+func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, srcs []source.PointSource, ranges map[string]compress.Stats, out *rankOut) {
 	p := peers{
 		ex:         &haloExchanger{r: r, pg: pg, crc: cfg.HaloCRC, deadline: cfg.StepDeadline},
 		allMax:     r.AllreduceMax,
 		checkpoint: func(s *Simulator) error { return parallelCheckpoint(r, s) },
 	}
-	sim, err := newBlock(cfg, pg, r.ID(), srcs, p)
+	sim, err := newBlock(cfg, pg, r.ID(), srcs, ranges, p)
 	if err != nil {
 		out.err = err
 		return
@@ -453,10 +460,9 @@ func (h *haloExchanger) StartStress(wf *fd.Wavefield, step int) {
 	h.str = h.startPhase(wf.StressFields(), step*2+1)
 }
 
-func (h *haloExchanger) FinishStress(wf *fd.Wavefield, step int) bool {
+func (h *haloExchanger) FinishStress(wf *fd.Wavefield, step int) {
 	h.finishPhase(h.str)
 	h.str = nil
-	return true
 }
 
 // startPhase posts the y-round of one exchange phase.

@@ -23,11 +23,7 @@ func TestParallelFullPhysicsMatchesSerial(t *testing.T) {
 		Lithostatic:   true,
 	}
 	cfg.Attenuation = AttenuationConfig{Enabled: true, UseSLS: true, F0: 3, Qp: 60, Qs: 30}
-	stats, err := CalibrateCompression(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
+	cfg.Compression = compress.Normalized
 
 	serialSim, err := New(cfg)
 	if err != nil {

@@ -119,11 +119,7 @@ func TestParallelCompressedMatchesSerialCompressed(t *testing.T) {
 	// at the same positions — the runs must agree bit-exactly, with the
 	// interior computed before the velocity-halo wait (Overlap) too
 	cfg := heterogeneousConfig()
-	stats, err := CalibrateCompression(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
+	cfg.Compression = compress.Normalized
 
 	serialSim, err := New(cfg)
 	if err != nil {
@@ -193,12 +189,8 @@ func TestParallelSourcePartitioning(t *testing.T) {
 func TestRankArraysAreTheSerialRunsWindows(t *testing.T) {
 	plain := fullPhysicsConfig()
 	plain.SpongeWidth = 0
-	stats, err := CalibrateCompression(plain, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	compressed := plain
-	compressed.Compression = CompressionConfig{Method: compress.Normalized, Stats: stats}
+	compressed.Compression = compress.Normalized
 	for storage, cfg := range map[string]Config{"plain": plain, "compressed": compressed} {
 		serial := runSerial(t, cfg)
 		for _, overlap := range []bool{false, true} {
@@ -214,9 +206,13 @@ func TestRankArraysAreTheSerialRunsWindows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ranges, err := calibrate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			outs := make([]rankOut, pg.Size())
 			mpi.NewWorld(pg.Size()).Run(func(r *mpi.Rank) {
-				runRank(context.Background(), r, pg, cfg, srcParts[r.ID()], &outs[r.ID()])
+				runRank(context.Background(), r, pg, cfg, srcParts[r.ID()], ranges, &outs[r.ID()])
 			})
 			for id, out := range outs {
 				if out.err != nil {

@@ -33,8 +33,6 @@ import (
 // the messages have arrived and unpacks them into the ghost layers. Between
 // the velocity pair the pipeline walks what needs no ghost value: under
 // Config.Overlap, and on a lone block, the interior (paper §6.2).
-// FinishStress reports whether ghost data may have changed, so compressed
-// storage knows to re-encode exchanged planes.
 //
 // Start and Finish of one phase must be called in pairs, in order; an
 // implementation may buffer state for the in-flight phase between them.
@@ -50,17 +48,17 @@ type Exchanger interface {
 	// stages.
 	StartStress(wf *fd.Wavefield, step int)
 	// FinishStress completes the stress-halo exchange.
-	FinishStress(wf *fd.Wavefield, step int) bool
+	FinishStress(wf *fd.Wavefield, step int)
 }
 
 // NoExchange is the serial Exchanger: ghost layers are governed by the free
 // surface and the zero lateral boundaries alone, as a single-block run wants.
 type NoExchange struct{}
 
-func (NoExchange) StartVelocity(*fd.Wavefield, int)     {}
-func (NoExchange) FinishVelocity(*fd.Wavefield, int)    {}
-func (NoExchange) StartStress(*fd.Wavefield, int)       {}
-func (NoExchange) FinishStress(*fd.Wavefield, int) bool { return false }
+func (NoExchange) StartVelocity(*fd.Wavefield, int)  {}
+func (NoExchange) FinishVelocity(*fd.Wavefield, int) {}
+func (NoExchange) StartStress(*fd.Wavefield, int)    {}
+func (NoExchange) FinishStress(*fd.Wavefield, int)   {}
 
 // Step advances one full time step through the pipeline — which also takes
 // the block's max |v| and folds the PGV peaks — then runs the post-step
@@ -219,10 +217,11 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 		s.storeAll(&sw)
 	}
 	ex.StartStress(s.WF, s.step)
-	changed := ex.FinishStress(s.WF, s.step)
+	ex.FinishStress(s.WF, s.step)
 	sw.Lap(telemetry.StageHaloStress)
-	if changed && s.comp != nil {
-		// exchanged ghost planes reach storage for the next step's decode
+	if s.comp != nil && s.pg.Size() > 1 {
+		// the ghost planes the neighbours sent reach storage for the next
+		// step's decode
 		encode(s.comp.stress(), s.WF.StressFields())
 		sw.Lap(telemetry.StageCompression)
 	}

@@ -149,22 +149,27 @@ type Result struct {
 
 // New builds a simulator of the whole domain: samples the medium, derives
 // the time step, prepares plasticity, sponge, recorders, and compressed
-// storage.
+// storage — calibrating its codecs first (calibrate).
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	ranges, err := calibrate(cfg)
+	if err != nil {
+		return nil, err
+	}
 	d := cfg.Dims
 	pg := &decomp.ProcessGrid{GlobalNx: d.Nx, GlobalNy: d.Ny, GlobalNz: d.Nz, Mx: 1, My: 1}
-	return newBlock(cfg, pg, 0, cfg.Sources, alone)
+	return newBlock(cfg, pg, 0, cfg.Sources, ranges, alone)
 }
 
 // newBlock builds the simulator of block id of the process grid from the
-// run's validated configuration and the sources that fall in the block.
-// Every block of the run calls it at once: a block that cannot be set up
-// fails them all (each learns of it before the first collective any of them
-// could be left waiting in), and they agree on the time step.
-func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSource, p peers) (*Simulator, error) {
+// run's validated configuration, the sources that fall in the block and the
+// run's calibrated codec ranges (calibrate). Every block of the run calls it
+// at once: a block that cannot be set up fails them all (each learns of it
+// before the first collective any of them could be left waiting in), and
+// they agree on the time step.
+func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSource, ranges map[string]compress.Stats, p peers) (*Simulator, error) {
 	s := &Simulator{Cfg: cfg, pg: pg, id: id, stations: cfg.Stations, peers: p,
 		stages: telemetry.NewStageClock()}
 	i0, j0 := pg.Offset(id)
@@ -184,7 +189,7 @@ func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSou
 		s.Cfg.Tracer = nil
 	}
 
-	if err := p.agree(s.setUp()); err != nil {
+	if err := p.agree(s.setUp(ranges)); err != nil {
 		return nil, err
 	}
 	// the global CFL minimum, then everything derived from the time step;
@@ -201,8 +206,9 @@ func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSou
 }
 
 // setUp builds what the block's own configuration decides, its CFL time
-// step included — everything that can fail.
-func (s *Simulator) setUp() error {
+// step included, and the compressed storage over the run's codec ranges —
+// everything that can fail.
+func (s *Simulator) setUp(ranges map[string]compress.Stats) error {
 	cfg := &s.Cfg
 	s.WF = fd.NewWavefield(cfg.Dims)
 	s.Med = fd.NewMediumFromModel(cfg.Dims, cfg.Dx, cfg.Model, cfg.OriginX, cfg.OriginY)
@@ -241,8 +247,8 @@ func (s *Simulator) setUp() error {
 	}
 	s.srcs = source.Set{Sources: cfg.Sources}
 
-	if cfg.Compression.Method != compress.Off {
-		cs, err := newCompressedState(s.WF, cfg.Compression)
+	if cfg.Compression != compress.Off {
+		cs, err := newCompressedState(s.WF, cfg.Compression, ranges)
 		if err != nil {
 			return err
 		}

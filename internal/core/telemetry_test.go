@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"swquake/internal/compress"
 	"swquake/internal/telemetry"
 )
 
@@ -122,6 +123,62 @@ func TestEngineStepSpans(t *testing.T) {
 	}
 	if steps != cfg.Steps {
 		t.Fatalf("traced %d step spans, want %d", steps, cfg.Steps)
+	}
+}
+
+// TestCalibrationReportsToNobody: the coarse run a compressed run calibrates
+// on is not the run. A compressed New with a tracer and an observer records
+// no span and reports no step before Run; a compressed RunParallel traces
+// and observes its own steps alone.
+func TestCalibrationReportsToNobody(t *testing.T) {
+	traced := func(cfg *Config, steps *int) (events func() []map[string]any) {
+		var buf bytes.Buffer
+		tr := telemetry.NewTracer(&buf)
+		cfg.Compression = compress.Normalized
+		cfg.Tracer = tr
+		cfg.Observer = func(StepEvent) { *steps++ }
+		return func() []map[string]any {
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var all, evs []map[string]any
+			if err := json.Unmarshal(buf.Bytes(), &all); err != nil {
+				t.Fatalf("trace unparseable: %v", err)
+			}
+			for _, ev := range all {
+				if ev["ph"] != "M" { // Close's own trace_end
+					evs = append(evs, ev)
+				}
+			}
+			return evs
+		}
+	}
+
+	cfg := baseConfig()
+	observed := 0
+	events := traced(&cfg, &observed)
+	if _, err := New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if evs := events(); len(evs) != 0 || observed != 0 {
+		t.Fatalf("New traced %d events and observed %d steps before Run: %v", len(evs), observed, evs)
+	}
+
+	cfg = baseConfig()
+	cfg.Steps = 8
+	observed = 0
+	events = traced(&cfg, &observed)
+	if _, err := RunParallel(cfg, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, ev := range events() {
+		if ev["name"] == "step" {
+			spans++
+		}
+	}
+	if spans != cfg.Steps || observed != cfg.Steps {
+		t.Fatalf("%d steps traced and %d observed, want the run's %d", spans, observed, cfg.Steps)
 	}
 }
 

@@ -30,16 +30,17 @@ type aggregator struct {
 	stats  *seismo.FieldStats
 	fold   *seismo.OrderedFold
 	fields map[int][]float64 // folded member fields, by member index
-	// pendingSkips holds skips that arrive before the first field fixes
-	// the aggregate's shape (stats and fold are created lazily).
-	pendingSkips []int
 }
 
-func newAggregator(dir string, thresholds, percentiles []float64) *aggregator {
+// newAggregator builds the aggregate of nx x ny member fields.
+func newAggregator(dir string, nx, ny int, thresholds, percentiles []float64) *aggregator {
+	stats := seismo.NewFieldStats(nx, ny, thresholds)
 	return &aggregator{
 		dir:         dir,
 		thresholds:  thresholds,
 		percentiles: percentiles,
+		stats:       stats,
+		fold:        seismo.NewOrderedFold(stats),
 		fields:      make(map[int][]float64),
 	}
 }
@@ -84,16 +85,6 @@ func (a *aggregator) load(idx int) (*service.SurfaceField, error) {
 func (a *aggregator) add(idx int, f *service.SurfaceField) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.stats == nil {
-		a.stats = seismo.NewFieldStats(f.Nx, f.Ny, a.thresholds)
-		a.fold = seismo.NewOrderedFold(a.stats)
-		for _, s := range a.pendingSkips {
-			if err := a.fold.Skip(s); err != nil {
-				return err
-			}
-		}
-		a.pendingSkips = nil
-	}
 	if f.Nx != a.stats.Nx || f.Ny != a.stats.Ny {
 		return fmt.Errorf("ensemble: member %d field is %dx%d, campaign aggregates %dx%d",
 			idx, f.Nx, f.Ny, a.stats.Nx, a.stats.Ny)
@@ -109,10 +100,6 @@ func (a *aggregator) add(idx int, f *service.SurfaceField) error {
 func (a *aggregator) skip(idx int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.fold == nil {
-		a.pendingSkips = append(a.pendingSkips, idx)
-		return nil
-	}
 	return a.fold.Skip(idx)
 }
 
@@ -120,9 +107,6 @@ func (a *aggregator) skip(idx int) error {
 func (a *aggregator) folded() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.stats == nil {
-		return 0
-	}
 	return a.stats.Count()
 }
 
@@ -170,7 +154,7 @@ func (a *aggregator) snapshot() *Aggregate {
 		Thresholds:  append([]float64(nil), a.thresholds...),
 		Percentiles: append([]float64(nil), a.percentiles...),
 	}
-	if a.stats == nil || a.stats.Count() == 0 {
+	if a.stats.Count() == 0 {
 		return agg
 	}
 	mean := a.stats.Mean()

@@ -11,7 +11,7 @@ import (
 // directory a crash may have left in any state; whatever it holds, load
 // either errors or returns a field whose positive shape matches its values.
 func FuzzLoadMemberField(f *testing.F) {
-	agg := newAggregator(f.TempDir(), nil, nil)
+	agg := newAggregator(f.TempDir(), 3, 2, nil, nil)
 	if err := agg.persist(0, &service.SurfaceField{Nx: 3, Ny: 2, Values: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 1e-300}}); err != nil {
 		f.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func FuzzLoadMemberField(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a := newAggregator(t.TempDir(), nil, nil)
+		a := newAggregator(t.TempDir(), 3, 2, nil, nil)
 		if err := os.WriteFile(a.memberPath(0), data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,10 @@ func TestMemberLifecycleTable(t *testing.T) {
 					}
 					n++
 					name := fmt.Sprintf("%d -> %d replay=%v unsaved=%v", from, to, replay, unsaved)
-					c := m.newCampaign(fmt.Sprintf("camp-%06d", n), spec)
+					c, err := m.newCampaign(fmt.Sprintf("camp-%06d", n), spec)
+					if err != nil {
+						t.Fatal(err)
+					}
 					c.phases[0] = from
 					before, kindsBefore, logged := m.Registry().Ints(), journal(), logs.String()
 					ok := m.take(c, 0, change{from: from, to: to, job: "job-000042", err: errors.New("why"),

@@ -16,6 +16,7 @@ import (
 	"swquake/internal/admission"
 	"swquake/internal/clock"
 	"swquake/internal/manifest"
+	"swquake/internal/scenario"
 	"swquake/internal/service"
 	"swquake/internal/telemetry"
 	"swquake/internal/wal"
@@ -215,14 +216,20 @@ func (m *Manager) logEvent(ev campaignEvent) {
 	m.met.journalEvents.Add(1)
 }
 
-// newCampaign builds the in-memory record for a normalized spec.
-func (m *Manager) newCampaign(id string, spec CampaignSpec) *campaign {
+// newCampaign builds the in-memory record for a normalized spec. The
+// aggregate takes member 0's surface grid, which every member shares
+// (normalized refuses variations of nx/ny).
+func (m *Manager) newCampaign(id string, spec CampaignSpec) (*campaign, error) {
 	members := spec.Expand()
+	first, err := scenario.Build(members[0].Scenario, members[0].Overrides)
+	if err != nil {
+		return nil, fmt.Errorf("ensemble: member 0 does not build: %w", err)
+	}
 	c := &campaign{
 		id:         id,
 		spec:       spec,
 		members:    members,
-		agg:        newAggregator(m.stateDir(id), spec.Thresholds, spec.Percentiles),
+		agg:        newAggregator(m.stateDir(id), first.Dims.Nx, first.Dims.Ny, spec.Thresholds, spec.Percentiles),
 		done:       make(chan struct{}),
 		state:      StateRunning,
 		jobs:       make([]string, len(members)),
@@ -231,7 +238,7 @@ func (m *Manager) newCampaign(id string, spec CampaignSpec) *campaign {
 		created:    m.clk.Now(),
 	}
 	c.ctx, c.cancel = context.WithCancel(m.baseCtx)
-	return c
+	return c, nil
 }
 
 // recoverCampaign rebuilds a live campaign from its journal record: done
@@ -241,7 +248,10 @@ func (m *Manager) newCampaign(id string, spec CampaignSpec) *campaign {
 // life, replayed; everything else is left pending for the scheduler — which
 // will re-attach to jobs the service still knows.
 func (m *Manager) recoverCampaign(rec *campaignRecord) error {
-	c := m.newCampaign(rec.id, *rec.spec)
+	c, err := m.newCampaign(rec.id, *rec.spec)
+	if err != nil {
+		return fmt.Errorf("ensemble: recovering %s: %w", rec.id, err)
+	}
 	c.recovered = true
 	for idx, job := range rec.jobs {
 		if idx >= 0 && idx < len(c.jobs) {
@@ -294,7 +304,11 @@ func (m *Manager) Create(spec CampaignSpec) (Status, error) {
 	}
 	m.nextID++
 	id := fmt.Sprintf("camp-%06d", m.nextID)
-	c := m.newCampaign(id, norm)
+	c, err := m.newCampaign(id, norm)
+	if err != nil {
+		m.mu.Unlock()
+		return Status{}, err
+	}
 	m.campaigns[id] = c
 	m.mu.Unlock()
 

@@ -72,22 +72,17 @@ func AblationCompressionMethods(w io.Writer, size Size) ([]AblationMethodResult,
 	if err != nil {
 		return nil, err
 	}
-	stats, err := core.CalibrateCompression(cfg, 2)
-	if err != nil {
-		return nil, err
-	}
 
 	fmt.Fprintln(w, "Ablation: compression methods (paper Fig. 5d)")
 	fmt.Fprintf(w, "%-12s %14s %10s\n", "method", "Ninghe misfit", "stable")
 	var out []AblationMethodResult
 	for _, m := range []compress.Method{compress.Half, compress.Adaptive, compress.Normalized} {
 		ccfg := cfg
-		ccfg.Compression = core.CompressionConfig{Method: m, Stats: stats}
+		ccfg.Compression = m
 		csim, err := core.New(ccfg)
 		if err != nil {
 			return nil, err
 		}
-		csim.Cfg.Dt = ref.Cfg.Dt
 		row := AblationMethodResult{Method: m}
 		res, err := csim.Run()
 		if err != nil {

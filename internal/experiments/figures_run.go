@@ -67,17 +67,12 @@ func Fig6(w io.Writer, size Size) (*Fig6Result, error) {
 		return nil, err
 	}
 
-	stats, err := core.CalibrateCompression(cfg, 2)
-	if err != nil {
-		return nil, err
-	}
 	ccfg := cfg
-	ccfg.Compression = core.CompressionConfig{Method: compress.Normalized, Stats: stats, Expand: 1.5}
+	ccfg.Compression = compress.Normalized
 	csim, err := core.New(ccfg)
 	if err != nil {
 		return nil, err
 	}
-	csim.Cfg.Dt = ref.Cfg.Dt
 	compRes, err := csim.Run()
 	if err != nil {
 		return nil, err

@@ -52,11 +52,7 @@ func TestCompleteCycle(t *testing.T) {
 	}
 
 	// stage 3: compressed nonlinear ground motion
-	stats, err := core.CalibrateCompression(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Compression = core.CompressionConfig{Method: compress.Normalized, Stats: stats}
+	cfg.Compression = compress.Normalized
 	sim, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -82,11 +82,7 @@ func TestEngineIsBitIdenticalOnBothKernelPaths(t *testing.T) {
 		requireSameResult(t, cpu.KernelPath()+" restarted mid-run", ref, serial(t, cfg))
 
 		cfg = base
-		stats, err := core.CalibrateCompression(cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Compression = core.CompressionConfig{Method: compress.Normalized, Stats: stats}
+		cfg.Compression = compress.Normalized
 		if res = serial(t, cfg); refCompressed == nil {
 			refCompressed = res
 		}

@@ -64,7 +64,7 @@ func New(cfg core.Config, res *core.Result) RunManifest {
 		Dt:                res.Dt,
 		Steps:             res.Steps,
 		Nonlinear:         cfg.Nonlinear,
-		Compressed:        cfg.Compression.Method != compress.Off,
+		Compressed:        cfg.Compression != compress.Off,
 		YieldedPointSteps: res.YieldedPointSteps,
 		Flops:             res.Perf.Flops(),
 		SustainedGflops:   res.Perf.Gflops(),

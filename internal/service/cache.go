@@ -5,13 +5,15 @@ import (
 	"sync"
 )
 
-// resultCache is a scenario-keyed LRU of completed job results. Keys are
-// canonical config hashes (plus the process-grid layout), so an identical
-// resubmission is served without re-solving. Cached *Result values are
-// shared between jobs and must be treated as immutable.
+// cacheEntries is the result cache's capacity.
+const cacheEntries = 64
+
+// resultCache is a scenario-keyed LRU of up to cacheEntries completed job
+// results. Keys are canonical config hashes (plus the process-grid layout),
+// so an identical resubmission is served without re-solving. Cached *Result
+// values are shared between jobs and must be treated as immutable.
 type resultCache struct {
 	mu    sync.Mutex
-	cap   int
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 }
@@ -21,17 +23,12 @@ type cacheEntry struct {
 	res *Result
 }
 
-// newResultCache builds a cache holding up to cap entries; cap <= 0
-// disables caching entirely (every lookup misses, adds are dropped).
-func newResultCache(cap int) *resultCache {
-	return &resultCache{cap: cap, ll: list.New(), items: make(map[string]*list.Element)}
+func newResultCache() *resultCache {
+	return &resultCache{ll: list.New(), items: make(map[string]*list.Element)}
 }
 
 // get returns the cached result for key, marking it most recently used.
 func (c *resultCache) get(key string) (*Result, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -44,9 +41,6 @@ func (c *resultCache) get(key string) (*Result, bool) {
 
 // add stores a result, evicting the least recently used entry when full.
 func (c *resultCache) add(key string, res *Result) {
-	if c.cap <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -55,7 +49,7 @@ func (c *resultCache) add(key string, res *Result) {
 		return
 	}
 	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
-	for c.ll.Len() > c.cap {
+	for c.ll.Len() > cacheEntries {
 		el := c.ll.Back()
 		c.ll.Remove(el)
 		delete(c.items, el.Value.(*cacheEntry).key)

@@ -50,8 +50,8 @@ type keyPayload struct {
 // is safe to use for result caching and for matching API results against
 // batch-run manifests on disk.
 func ConfigKey(cfg core.Config) (string, error) {
-	// validate a copy so defaults (SampleEvery, sponge alpha, compression
-	// headroom, ...) are filled in and the hash is canonical
+	// validate a copy so defaults (SampleEvery, sponge alpha, ...) are
+	// filled in and the hash is canonical
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
@@ -65,7 +65,7 @@ func ConfigKey(cfg core.Config) (string, error) {
 		Nonlinear:   cfg.Nonlinear,
 		Plasticity:  cfg.Plasticity,
 		Attenuation: cfg.Attenuation,
-		Compression: fmt.Sprintf("%v|%+v|%g", cfg.Compression.Method, cfg.Compression.Stats, cfg.Compression.Expand),
+		Compression: cfg.Compression.String(),
 		Stations:    cfg.Stations,
 		SampleEvery: cfg.SampleEvery,
 		SpongeWidth: cfg.SpongeWidth,

@@ -100,9 +100,6 @@ type Options struct {
 	Workers int
 	// QueueSize bounds the submission queue; <= 0 uses 4*Workers.
 	QueueSize int
-	// CacheSize is the LRU result-cache capacity in entries; 0 uses 64,
-	// negative disables caching.
-	CacheSize int
 	// DefaultTimeout applies to requests with no Timeout (0 = none).
 	DefaultTimeout time.Duration
 
@@ -470,9 +467,6 @@ func open(opts Options, clk clock.Clock) (*Service, error) {
 	if opts.QueueSize <= 0 {
 		opts.QueueSize = 4 * opts.Workers
 	}
-	if opts.CacheSize == 0 {
-		opts.CacheSize = 64
-	}
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 1
 		if opts.DataDir != "" {
@@ -494,7 +488,7 @@ func open(opts Options, clk clock.Clock) (*Service, error) {
 		ledger:   ledger,
 		limit:    admission.NewTokenBucket(opts.SubmitRate, clk.Now),
 		brk:      admission.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, clk.Now),
-		cache:    newResultCache(opts.CacheSize),
+		cache:    newResultCache(),
 		clk:      clk,
 		log:      opts.Logger,
 		tracer:   opts.Tracer,
@@ -704,7 +698,9 @@ func (s *Service) Status(id string) (Status, error) {
 			st.EtaS = (wall.Seconds() / float64(done)) * float64(st.StepsTotal-done)
 		}
 	case StateDone, StateFailed, StateCanceled:
-		st.ElapsedS = st.Finished.Sub(st.Started).Seconds()
+		if !st.Started.IsZero() { // never started: canceled while queued, failed at boot
+			st.ElapsedS = st.Finished.Sub(st.Started).Seconds()
+		}
 	}
 	return st, nil
 }

@@ -288,6 +288,34 @@ func TestCanceledQueuedJobFreesItsSlot(t *testing.T) {
 	}
 }
 
+// TestJobThatNeverRanReportsNoElapsedTime: a job canceled while queued
+// never started, so its status reads no running time.
+func TestJobThatNeverRanReportsNoElapsedTime(t *testing.T) {
+	s := New(Options{Workers: 1, QueueSize: 1})
+	defer drain(t, s)
+	blocker, err := s.Submit(Request{Config: slowConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Cancel(blocker)
+	waitState(t, s, blocker, StateRunning)
+	queued, err := s.Submit(Request{Config: tinyConfig(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Cancel(queued) {
+		t.Fatal("queued job not canceled")
+	}
+	st, err := s.Status(queued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateCanceled || !st.Started.IsZero() || st.ElapsedS != 0 {
+		t.Fatalf("canceled while queued: state %s, started %v, elapsed_s %g; want canceled, never started, 0",
+			st.State, st.Started, st.ElapsedS)
+	}
+}
+
 func TestJobDeadline(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer drain(t, s)

@@ -10,8 +10,8 @@
 //   - a dynamic rupture source generator with slip-weakening friction;
 //   - 3D velocity models (layered crust, sediment basins, gridded models
 //     with trilinear interpolation) and a synthetic Tangshan scenario;
-//   - the on-the-fly 16-bit compression scheme (three codecs) with its
-//     coarse-run calibration pass;
+//   - the on-the-fly 16-bit compression scheme (three codecs), whose
+//     coarse-run calibration pass each compressed run makes itself;
 //   - LZ4-compressed checkpoint/restart with group-I/O planning;
 //   - a simulated-MPI parallel runner using the paper's 2D decomposition;
 //   - a calibrated Sunway SW26010 machine model and performance model that
@@ -51,8 +51,6 @@ type (
 	Result = core.Result
 	// PlasticityConfig sets the nonlinear (Drucker–Prager) response.
 	PlasticityConfig = core.PlasticityConfig
-	// CompressionConfig enables 16-bit compressed wavefield storage.
-	CompressionConfig = core.CompressionConfig
 	// AttenuationConfig enables anelastic attenuation (exponential
 	// constant-Q or the SLS memory-variable formulation).
 	AttenuationConfig = core.AttenuationConfig
@@ -105,7 +103,9 @@ type (
 // CheckpointController writes periodic LZ4-compressed restart dumps.
 type CheckpointController = checkpoint.Controller
 
-// Compression method selectors (paper Fig. 5d).
+// Compression method selectors (paper Fig. 5d), for Config.Compression: a
+// run that names Adaptive or Normalized calibrates their ranges on a coarse
+// run of itself first (Fig. 5a).
 const (
 	CompressionOff        = compress.Off
 	CompressionHalf       = compress.Half
@@ -124,12 +124,6 @@ func New(cfg Config) (*Simulator, error) { return core.New(cfg) }
 // per-rank accounting.
 func RunParallel(cfg Config, mx, my int) (*Result, error) {
 	return core.RunParallel(cfg, mx, my)
-}
-
-// CalibrateCompression runs the coarse preprocessing pass of paper Fig. 5a
-// and returns per-field codec statistics for CompressionConfig.Stats.
-func CalibrateCompression(cfg Config, factor int) (map[string]compress.Stats, error) {
-	return core.CalibrateCompression(cfg, factor)
 }
 
 // Medium is the sampled material grid used by the rupture generator and
