@@ -104,7 +104,10 @@ check-bce:
 # run's codecs are calibrated in one place, inside the engine: non-test Go
 # outside internal/core and internal/compress names no compress.Stats and
 # calls no CollectStats( — a caller names the codec (Config.Compression),
-# New and RunParallelCtx calibrate it
+# New and RunParallelCtx calibrate it. And compressed storage keeps one
+# copy: non-test internal/core names no compress.Field and calls
+# EncodeSlice( and DecodeSlice( only from roundTrip, which passes a float32
+# field through its codec in place
 KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
@@ -129,6 +132,11 @@ check-one:
 			echo "$$in"; exit 1; fi; \
 	done
 	@! grep -nE 'ImageTractionCols\(s\.WF, -fd\.Halo' internal/core/*.go | grep -v '_test\.go:'
+	@! grep -nw 'compress\.Field' internal/core/*.go | grep -v '_test\.go:'
+	@in=$$(awk '/^func /{f=$$0} /(Encode|Decode)Slice\(/ {print FILENAME":"FNR": "f}' \
+		$$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -v ') roundTrip('); \
+	if [ -n "$$in" ]; then echo "check-one: internal/core encodes or decodes outside roundTrip:"; \
+		echo "$$in"; exit 1; fi
 	@n=$$(grep -nE '^var [A-Za-z_]+ (int|geometry)$$' internal/core/*.go | grep -v '_test\.go:' | wc -l); \
 	if [ "$$n" -gt 1 ]; then echo "check-one: internal/core declares $$n walk-geometry test seams, want at most 1:"; \
 		grep -nE '^var [A-Za-z_]+ (int|geometry)$$' internal/core/*.go | grep -v '_test\.go:'; exit 1; fi

@@ -11,7 +11,6 @@ import (
 	"swquake/internal/admission"
 	"swquake/internal/cpu"
 	"swquake/internal/ensemble"
-	"swquake/internal/scenario"
 	"swquake/internal/service"
 	"swquake/internal/telemetry"
 )
@@ -57,33 +56,21 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// submitRequest is the POST /v1/jobs body: a named scenario plus overrides,
-// an optional simulated-MPI layout and an optional per-job deadline.
-type submitRequest struct {
-	Scenario  string             `json:"scenario"`
-	Overrides scenario.Overrides `json:"overrides"`
-	MX        int                `json:"mx,omitempty"`
-	MY        int                `json:"my,omitempty"`
-	TimeoutS  float64            `json:"timeout_s,omitempty"`
-	// Class is the admission priority class: "interactive" (default) or
-	// "batch". Batch jobs yield to interactive ones under load.
-	Class string `json:"class,omitempty"`
-}
-
+// handleSubmit takes a POST /v1/jobs body, a service.JobSpec: a named
+// scenario plus overrides, an optional simulated-MPI layout, an optional
+// per-job deadline and an optional class ("interactive", the default, or
+// "batch", which yields to interactive jobs under load).
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
+	var spec service.JobSpec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
 	// every HTTP submission is scenario-shaped, hence replayable: the spec
 	// is what the durable journal records and recovery re-runs
-	sreq, err := service.JobSpec{
-		Scenario: req.Scenario, Overrides: req.Overrides, MX: req.MX, MY: req.MY,
-		TimeoutS: req.TimeoutS, Class: admission.Class(req.Class),
-	}.Request()
+	sreq, err := spec.Request()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -265,6 +265,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/v1/jobs", `{bad json`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `{"scenario":"quickstart","overrides":{"nx":10}}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `{"scenario":"quickstart","unknown_field":1}`, http.StatusBadRequest},
+		{"POST", "/v1/jobs", `{"scenario":"quickstart","overrides":{"steps":20},"mx":7}`, http.StatusBadRequest},
 		{"GET", "/v1/jobs/job-404404", "", http.StatusNotFound},
 		{"GET", "/v1/jobs/job-404404/result", "", http.StatusNotFound},
 		{"DELETE", "/v1/jobs/job-404404", "", http.StatusNotFound},

@@ -81,6 +81,9 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *snapshots > 0 && *parallel != "" {
+		return fmt.Errorf("-snapshots takes serial runs only, not -parallel")
+	}
 
 	cfg, err := buildConfig(*scen, scenario.Overrides{
 		Nx: *nx, Ny: *ny, Nz: *nz, Dx: *dx, Steps: *steps,

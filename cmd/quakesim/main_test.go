@@ -138,6 +138,22 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRefusesSnapshotsOnRanks: surface snapshots are taken by the serial
+// loop, so a parallel run asked for them is refused, naming both flags,
+// rather than run without writing any.
+func TestRunRefusesSnapshotsOnRanks(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	err := run([]string{"-scenario", "quickstart", "-steps", "20", "-snapshots", "5",
+		"-parallel", "2x1", "-out", dir}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "-snapshots") || !strings.Contains(err.Error(), "-parallel") {
+		t.Fatalf("-snapshots with -parallel: %v; want an error naming both flags", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("refused run wrote %d files", len(entries))
+	}
+}
+
 // TestRunFaultDrillRecovers drives the self-healing engine from the CLI:
 // an injected halo corruption under -halo-crc with a -fault-retries budget
 // and checkpoints on disk must recover in-run and report the recovery.

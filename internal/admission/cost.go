@@ -61,7 +61,7 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 	padded := paddedPoints(block)
 
 	st := cfg.Storage()
-	bytes := ranks * padded * (4*int64(st.FullFields32) + 2*int64(st.FullFields16))
+	bytes := ranks * padded * 4 * int64(st.FullFields32)
 
 	if c := cfg.Checkpoint; c != nil && c.Interval > 0 {
 		// the checkpoint lane holds one global padded wavefield while a dump

@@ -317,3 +317,19 @@ func TestEstimateCostCountsTheCheckpointLane(t *testing.T) {
 		t.Fatalf("the run's Close released %d bytes, want the lane's %d (+ codec scratch)", released, lane)
 	}
 }
+
+// TestEstimateCostChargesCompressedStorageAsPlain: compressed storage keeps
+// the float32 wavefield as its one copy and round trips it in place, so a
+// compressed run costs what the plain run does, serial and on ranks.
+func TestEstimateCostChargesCompressedStorageAsPlain(t *testing.T) {
+	plain := costConfig(32, 32, 24)
+	for _, m := range []compress.Method{compress.Half, compress.Adaptive, compress.Normalized} {
+		comp := plain
+		comp.Compression = m
+		for _, pg := range [][2]int{{1, 1}, {2, 2}} {
+			if got, want := EstimateCost(comp, pg[0], pg[1]), EstimateCost(plain, pg[0], pg[1]); got != want {
+				t.Fatalf("%v on %dx%d: estimate %+v, plain run %+v", m, pg[0], pg[1], got, want)
+			}
+		}
+	}
+}

@@ -1,10 +1,14 @@
-// Package compress implements the paper's on-the-fly compression scheme
-// (§6.5, Fig. 5): wavefields live in main memory as 16-bit codes, halving
-// both the memory footprint (enabling the 7.8-trillion-point runs) and the
-// DMA traffic per step (the +24% performance). Each time step follows the
-// decompress–compute–compress workflow of Fig. 5b-c: planes of compressed
-// values are decoded into a working buffer (the LDM stand-in), the kernels
-// run in float32, and results are re-encoded.
+// Package compress implements the codecs of the paper's on-the-fly
+// compression scheme (§6.5, Fig. 5): wavefields live in main memory as
+// 16-bit codes, halving both the memory footprint (enabling the
+// 7.8-trillion-point runs) and the DMA traffic per step (the +24%
+// performance). Each time step follows the decompress–compute–compress
+// workflow of Fig. 5b-c: compressed values are decoded into a working
+// buffer (the LDM stand-in), the kernels run in float32, and results are
+// re-encoded. The engine (internal/core) passes its float32 fields through
+// a codec in place wherever the paper stores them; a codec's round trip
+// leaves its own output unchanged, so that is the value a 16-bit store
+// would hold.
 //
 // Three codecs are available (Fig. 5d), provided by package f16:
 // IEEE binary16, adaptive-exponent, and range-normalized. Codec parameters
@@ -154,30 +158,3 @@ func NewCodec(m Method, s Stats) (Codec, error) {
 		return nil, fmt.Errorf("compress: no codec for method %v", m)
 	}
 }
-
-// Field stores one 3D array as 16-bit codes with the same halo layout as
-// the float32 original, so flat indices coincide.
-type Field struct {
-	D     grid.Dims
-	H     int
-	Data  []uint16
-	Codec Codec
-}
-
-// NewField allocates a compressed field matching the shape of ref.
-func NewField(ref *grid.Field, c Codec) *Field {
-	return &Field{D: ref.Dims, H: ref.H, Data: make([]uint16, len(ref.Data)), Codec: c}
-}
-
-// EncodeFrom compresses the full storage of src into the field.
-func (f *Field) EncodeFrom(src *grid.Field) {
-	f.Codec.EncodeSlice(f.Data, src.Data)
-}
-
-// DecodeInto decompresses the full storage into dst.
-func (f *Field) DecodeInto(dst *grid.Field) {
-	f.Codec.DecodeSlice(dst.Data, f.Data)
-}
-
-// Ratio is the fixed compression ratio of the 32->16 bit scheme.
-const Ratio = 2.0

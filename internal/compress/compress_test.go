@@ -81,19 +81,22 @@ func TestNewCodecMethods(t *testing.T) {
 	}
 }
 
+// roundTrip passes a field's full storage through c, as the engine stores
+// it.
+func roundTrip(c Codec, f *grid.Field) *grid.Field {
+	codes := make([]uint16, len(f.Data))
+	c.EncodeSlice(codes, f.Data)
+	dst := grid.NewField(f.Dims, f.H)
+	c.DecodeSlice(dst.Data, codes)
+	return dst
+}
+
 func TestFieldFullRoundTrip(t *testing.T) {
 	src := randomField(1, 5)
 	s := CollectStats(src)
 	for _, m := range []Method{Half, Adaptive, Normalized} {
 		c, _ := NewCodec(m, s)
-		cf := NewField(src, c)
-		cf.EncodeFrom(src)
-		if stored := int64(len(cf.Data)) * 2; stored*2 != src.Bytes() {
-			t.Fatalf("%v: compressed bytes %d vs %d", m, stored, src.Bytes())
-		}
-		dst := grid.NewField(src.Dims, src.H)
-		cf.DecodeInto(dst)
-		if src.L2Diff(dst) > 1e-3 {
+		if dst := roundTrip(c, src); src.L2Diff(dst) > 1e-3 {
 			t.Fatalf("%v: rms error %g", m, src.L2Diff(dst))
 		}
 	}
@@ -105,28 +108,85 @@ func TestRoundTripErrorOrdering(t *testing.T) {
 	// over method 1 on normalized arrays).
 	src := randomField(4, 1.0)
 	s := CollectStats(src)
-	roundTrip := func(m Method) float64 {
+	errOf := func(m Method) float64 {
 		c, _ := NewCodec(m, s)
-		cf := NewField(src, c)
-		cf.EncodeFrom(src)
-		dst := grid.NewField(src.Dims, src.H)
-		cf.DecodeInto(dst)
-		return src.L2Diff(dst)
+		return src.L2Diff(roundTrip(c, src))
 	}
-	en, eh := roundTrip(Normalized), roundTrip(Half)
+	en, eh := errOf(Normalized), errOf(Half)
 	if en >= eh {
 		t.Fatalf("normalized error %g not below half error %g", en, eh)
 	}
 }
 
-func TestCompressionHalvesMemory(t *testing.T) {
-	// the paper's problem-size claim: 16-bit storage doubles the maximum
-	// mesh that fits in the same memory.
-	src := randomField(5, 1)
-	c, _ := NewCodec(Half, Stats{})
-	cf := NewField(src, c)
-	if got := float64(src.Bytes()) / float64(len(cf.Data)*2); got != Ratio {
-		t.Fatalf("ratio %g", got)
+// TestRoundTripIsAFixedPoint: a codec's round trip leaves its own output
+// unchanged, D(E(y)) == y bit for bit whenever y = D(E(x)), and the slice
+// and scalar paths agree — which is what lets the engine store a field by
+// round tripping it in place. x is drawn from random float32 bit patterns
+// and from the codec's range, so y ranges over the encoder's image; not
+// over all 65536 codes, as an adaptive codec over a narrow exponent span has
+// codes it never emits, and those need not be fixed points.
+func TestRoundTripIsAFixedPoint(t *testing.T) {
+	ranges := []Stats{
+		{Min: -5, Max: 5, Emin: -5, Emax: 5},
+		{Min: -2e-3, Max: 2e-3, Emin: -30, Emax: -8},
+		{Min: -3e7, Max: 3e7, Emin: -60, Emax: 60},
+		{Min: 1e6, Max: 1e6 + 100, Emin: 19, Emax: 20},
+		{Min: -1, Max: 1, Emin: -127, Emax: 127},
+	}
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(7))
+	x := make([]float32, n)
+	codes, again := make([]uint16, n), make([]uint16, n)
+	y, z := make([]float32, n), make([]float32, n)
+	for _, s := range ranges {
+		for i := range x {
+			if i%2 == 0 {
+				x[i] = math.Float32frombits(rng.Uint32())
+			} else {
+				x[i] = s.Min + rng.Float32()*(s.Max-s.Min)
+			}
+		}
+		for _, m := range []Method{Half, Adaptive, Normalized} {
+			c, err := NewCodec(m, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.EncodeSlice(codes, x)
+			c.DecodeSlice(y, codes)
+			c.EncodeSlice(again, y)
+			c.DecodeSlice(z, again)
+			for i := range x {
+				if h := c.Encode(x[i]); h != codes[i] || math.Float32bits(c.Decode(h)) != math.Float32bits(y[i]) {
+					t.Fatalf("%v over %+v: x = %g: slices give %#04x -> %g, scalars %#04x -> %g",
+						m, s, x[i], codes[i], y[i], h, c.Decode(h))
+				}
+				if math.Float32bits(z[i]) != math.Float32bits(y[i]) {
+					t.Fatalf("%v over %+v: x = %g round trips to %g (%#04x), which round trips to %g (%#04x)",
+						m, s, x[i], y[i], codes[i], z[i], again[i])
+				}
+			}
+		}
+	}
+}
+
+// TestNormalizedDecodeIsExact: over [-1, 1] every step of the normalized
+// decode is exact in float32, so code h decodes to exactly -1 + h/32768.
+func TestNormalizedDecodeIsExact(t *testing.T) {
+	c, err := NewCodec(Normalized, Stats{Min: -1, Max: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make([]uint16, 1<<16)
+	for h := range codes {
+		codes[h] = uint16(h)
+	}
+	got := make([]float32, len(codes))
+	c.DecodeSlice(got, codes)
+	for h, v := range got {
+		want := -1 + float32(h)/32768
+		if v != want || c.Decode(uint16(h)) != want {
+			t.Fatalf("code %#04x decodes to %g (slice) and %g (scalar), want %g", h, v, c.Decode(uint16(h)), want)
+		}
 	}
 }
 

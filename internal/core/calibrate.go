@@ -20,15 +20,19 @@ const (
 // RunParallelCtx take once per run: it runs a coarsened, uncompressed
 // version of the run's global configuration (grid coarsened by
 // calibrationCoarsening along every axis, matching coarser dx and fewer
-// steps) and returns, widened by calibrationHeadroom, the per-field
-// value/exponent ranges the run's codecs cover. Sources are remapped onto
-// the coarse grid with their moment preserved. The coarse run reports to
-// nobody — no observer, tracer, checkpoint, restart or fault hook — and
-// records nothing. An uncompressed run and Half, whose range is fixed, need
-// no calibration: nil.
-func calibrate(cfg Config) (map[string]compress.Stats, error) {
-	if cfg.Compression == compress.Off || cfg.Compression == compress.Half {
+// steps) and returns the run's nine codecs, in FieldNames order, each over
+// its field's value/exponent range widened by calibrationHeadroom. Sources
+// are remapped onto the coarse grid with their moment preserved. The coarse
+// run reports to nobody — no observer, tracer, checkpoint, restart or fault
+// hook — and records nothing. Half, whose range is fixed, needs no run; an
+// uncompressed run has no codecs: nil. The codecs are immutable, so every
+// block of the run shares them.
+func calibrate(cfg Config) ([]compress.Codec, error) {
+	switch cfg.Compression {
+	case compress.Off:
 		return nil, nil
+	case compress.Half:
+		return codecs(cfg.Compression, make([]compress.Stats, len(FieldNames)))
 	}
 	const factor = calibrationCoarsening
 	coarse := cfg
@@ -78,18 +82,31 @@ func calibrate(cfg Config) (map[string]compress.Stats, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: coarse calibration setup: %w", err)
 	}
-	stats := make(map[string]compress.Stats, len(FieldNames))
+	stats := make([]compress.Stats, len(FieldNames))
 	sampleEvery := max(coarse.Steps/8, 1)
 	for n := 0; n < coarse.Steps; n++ {
 		sim.Step()
 		if n%sampleEvery == 0 || n == coarse.Steps-1 {
 			for i, f := range sim.WF.AllFields() {
-				stats[FieldNames[i]] = stats[FieldNames[i]].Merge(compress.CollectStats(f))
+				stats[i] = stats[i].Merge(compress.CollectStats(f))
 			}
 		}
 	}
-	for name, s := range stats {
-		stats[name] = s.Expand(calibrationHeadroom)
+	for i, s := range stats {
+		stats[i] = s.Expand(calibrationHeadroom)
 	}
-	return stats, nil
+	return codecs(cfg.Compression, stats)
+}
+
+// codecs builds method's codec over each field's range.
+func codecs(method compress.Method, stats []compress.Stats) ([]compress.Codec, error) {
+	cs := make([]compress.Codec, len(stats))
+	for i, s := range stats {
+		c, err := compress.NewCodec(method, s)
+		if err != nil {
+			return nil, err
+		}
+		cs[i] = c
+	}
+	return cs, nil
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
+	"swquake/internal/decomp"
 	"swquake/internal/fd"
 )
 
@@ -17,13 +20,11 @@ type roundTripExchanger struct {
 }
 
 func (x roundTripExchanger) StartVelocity(wf *fd.Wavefield, _ int) {
-	encode(x.cs.velocity(), wf.VelocityFields())
-	decode(x.cs.velocity(), wf.VelocityFields())
+	x.cs.roundTrip(wf.VelocityFields())
 }
 
 func (x roundTripExchanger) StartStress(wf *fd.Wavefield, _ int) {
-	encode(x.cs.fields, wf.AllFields())
-	decode(x.cs.fields, wf.AllFields())
+	x.cs.roundTrip(wf.AllFields())
 }
 
 // TestCompressedRunIsThePlainStepWithRoundTrips: compressed storage has no
@@ -49,12 +50,8 @@ func TestCompressedRunIsThePlainStepWithRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 		// the plain step's round trips go through the compressed run's codecs
-		cs := &compressedState{}
-		for i, f := range plain.WF.AllFields() {
-			cs.fields = append(cs.fields, compress.NewField(f, comp.comp.fields[i].Codec))
-		}
-		encode(cs.fields, plain.WF.AllFields())
-		decode(cs.fields, plain.WF.AllFields())
+		cs := newCompressedState(comp.comp.codecs)
+		cs.roundTrip(plain.WF.AllFields())
 		plain.peers.ex = roundTripExchanger{cs: cs}
 		// the velocity kernel over the whole block before the post, as the
 		// round trip needs it
@@ -78,5 +75,96 @@ func TestCompressedRunIsThePlainStepWithRoundTrips(t *testing.T) {
 		if peak == 0 || comp.yielded == 0 || comp.yielded != plain.yielded {
 			t.Fatalf("%v: peak |v| %g, %d yielded point-steps, plain step with round trips %d", method, peak, comp.yielded, plain.yielded)
 		}
+	}
+}
+
+// TestCompressedBlockKeepsOneCopy: compressed storage is the run's codecs
+// and a bounded scratch beside the float32 wavefield — Storage reports what
+// the plain configuration's does, and building a compressed block allocates
+// no more than building a plain one, beyond the scratch.
+func TestCompressedBlockKeepsOneCopy(t *testing.T) {
+	plain := baseConfig()
+	if err := plain.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	comp := plain
+	comp.Compression = compress.Normalized
+	if got, want := comp.Storage(), plain.Storage(); got != want {
+		t.Fatalf("compressed storage %+v, plain %+v", got, want)
+	}
+	codecs, err := calibrate(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := plain.Dims
+	pg := &decomp.ProcessGrid{GlobalNx: d.Nx, GlobalNy: d.Ny, GlobalNz: d.Nz, Mx: 1, My: 1}
+	// the least of three builds: whatever else the process allocates meanwhile
+	// only adds to one
+	allocated := func(cfg Config, codecs []compress.Codec) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sim, err := newBlock(cfg, pg, 0, cfg.Sources, codecs, alone)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(sim)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	// the scratch, and the state and slice headers around it
+	const slack = 2*roundTripChunk + 512
+	p, c := allocated(plain, nil), allocated(comp, codecs)
+	if c > p+slack {
+		t.Fatalf("a compressed block allocates %d B, a plain one %d B: %d B more than its %d B scratch",
+			c, p, c-p-2*roundTripChunk, 2*roundTripChunk)
+	}
+}
+
+// TestCompressedRestoreStoresTheDump: a dump written by a plain run holds
+// values the codecs do not store; a compressed run restored from it holds
+// only fixed points of its codecs — the values a 16-bit store would decode
+// to — ghost layers included, before it takes a step.
+func TestCompressedRestoreStoresTheDump(t *testing.T) {
+	cfg := chainConfig()
+	dumped := cfg
+	dumped.Checkpoint = &checkpoint.Controller{Dir: t.TempDir(), Interval: cfg.Steps / 2}
+	path := runSerial(t, dumped).Checkpoints[0].Path
+	cfg.Compression = compress.Normalized
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Restore(path); err != nil {
+		t.Fatal(err)
+	}
+	_, _, dump, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for i, f := range sim.WF.AllFields() {
+		c := sim.comp.codecs[i]
+		for idx, v := range f.Data {
+			if w := c.Decode(c.Encode(v)); math.Float32bits(w) != math.Float32bits(v) {
+				t.Fatalf("field %s holds %g at flat index %d, which its codec stores as %g", FieldNames[i], v, idx, w)
+			}
+		}
+		// the restored block is the whole domain: its storage is the dump's
+		want := dump.AllFields()[i].Data
+		if len(want) != len(f.Data) {
+			t.Fatalf("field %s: %d values restored from a dump of %d", FieldNames[i], len(f.Data), len(want))
+		}
+		for idx, v := range want {
+			if math.Float32bits(v) != math.Float32bits(f.Data[idx]) {
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("every value of the plain run's dump was already a fixed point: the test shows nothing")
 	}
 }

@@ -3,9 +3,10 @@
 // staggered-grid velocity–stress system with optional Drucker–Prager
 // plasticity (nonlinear mode), Cerjan absorbing boundaries and a free
 // surface, injects moment-tensor or rupture-derived sources, records
-// seismograms/PGV, writes LZ4 checkpoints, and optionally keeps all nine
-// wavefields in 16-bit compressed storage with the decompress–compute–
-// compress workflow of §6.5.
+// seismograms/PGV, writes LZ4 checkpoints, and optionally stores all nine
+// wavefields through 16-bit codecs with the decompress–compute–compress
+// workflow of §6.5, round tripping them in place where the paper stores
+// them.
 //
 // All of it runs through one step-pipeline engine (pipeline.go): the
 // serial Run, the simulated-MPI RunParallel of §6.3 and every execution
@@ -286,5 +287,5 @@ func (c *Config) Validate() error {
 }
 
 // FieldNames names the nine dynamic fields, in fd.Wavefield.AllFields
-// order; calibrated codec ranges are keyed by these.
+// order, which is also the order of a compressed run's codecs.
 var FieldNames = []string{"u", "v", "w", "xx", "yy", "zz", "xy", "xz", "yz"}

@@ -1,7 +1,5 @@
 package core
 
-import "swquake/internal/compress"
-
 // Storage describes the allocation-relevant shape of one simulator block:
 // how many per-point arrays New will build for a given configuration, each
 // counted at the rank it is stored at — a parameter the configuration makes
@@ -18,17 +16,14 @@ import "swquake/internal/compress"
 //   - fd.NewAttenuation: none for constant Q (two constant rows), 2 fields
 //     (GP, GS) for Vs-scaled Q; fd.NewSLS: 7 (6 memory variables + phi; the
 //     stress snapshot is each chain worker's scratch of one chain region)
-//   - newCompressedState: one 16-bit companion per dynamic field (the
-//     float32 wavefield stays allocated as the decompress working buffer)
+//   - newCompressedState: none — the run's codecs and a 4 KB scratch; the
+//     float32 wavefield is the one resident copy
 //   - fd.NewSponge: three 1-D profiles — not counted
 //   - seismo.NewPGVField: one Nx×Ny float64 surface map
 type Storage struct {
 	// FullFields32 counts float32 fields allocated over the full block
 	// including halo padding ((N+2H)^3 points each, H = fd.Halo).
 	FullFields32 int
-	// FullFields16 counts 16-bit compressed companions of the same padded
-	// extent (compressed runs keep both representations resident).
-	FullFields16 int
 	// SurfacePGV marks the Nx×Ny float64 peak-ground-velocity map.
 	SurfacePGV bool
 }
@@ -45,9 +40,6 @@ func (c Config) Storage() Storage {
 		case a.VsScaled:
 			st.FullFields32 += 2
 		}
-	}
-	if c.Compression != compress.Off {
-		st.FullFields16 = 9
 	}
 	st.SurfacePGV = c.RecordPGV
 	return st

@@ -27,8 +27,8 @@ import (
 // velocity update and stress halos after the stress update. The parallel
 // run is numerically identical to the serial one — the cross-check tests
 // rely on that — including in compressed-storage mode, where ranks exchange
-// the decoded (round-tripped) halo values so ghost data matches the serial
-// run bit for bit.
+// round-tripped halo values, which the next round trip leaves as they are,
+// so ghost data matches the serial run bit for bit.
 //
 // Feature parity with the serial runner is complete: checkpoints are
 // gathered to rank 0 and written as one global dump (readable by serial or
@@ -69,7 +69,7 @@ func RunParallelCtx(ctx context.Context, cfg Config, mx, my int) (*Result, error
 	}
 	// once per run, on the global configuration: every block, and every
 	// recovery attempt, stores through the same codecs
-	ranges, err := calibrate(cfg)
+	codecs, err := calibrate(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func RunParallelCtx(ctx context.Context, cfg Config, mx, my int) (*Result, error
 	for attempt := 1; ; attempt++ {
 		run := cfg
 		run.RestartFrom = restartFrom
-		res, err := runParallelOnce(ctx, run, pg, srcParts, ranges)
+		res, err := runParallelOnce(ctx, run, pg, srcParts, codecs)
 		if err == nil {
 			res.Faults = faults
 			res.Perf.Elapsed = timeNow().Sub(runStart)
@@ -130,7 +130,7 @@ func emitFault(cfg *Config, ev FaultEvent) {
 // contain whatever the ranks raise, and merge the outputs as if gathered to
 // rank 0. Perf.Elapsed is left to the caller, which accounts wall time
 // across recovery attempts.
-func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, srcParts [][]source.PointSource, ranges map[string]compress.Stats) (*Result, error) {
+func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, srcParts [][]source.PointSource, codecs []compress.Codec) (*Result, error) {
 	// each rank writes only its own outs slot, so the merge below needs no
 	// locking (world.Run joins every rank goroutine before returning)
 	outs := make([]rankOut, pg.Size())
@@ -142,7 +142,7 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 				containFault(r, out, p)
 			}
 		}()
-		runRank(ctx, r, pg, cfg, srcParts[r.ID()], ranges, out)
+		runRank(ctx, r, pg, cfg, srcParts[r.ID()], codecs, out)
 	})
 	// however the attempt ended — done, canceled, failed or unwound by a
 	// fault — rank 0's last dump lands before anyone acts on the outcome, so
@@ -259,13 +259,13 @@ type rankOut struct {
 // runRank is the per-rank body of RunParallel: build the block's simulator
 // with the rank's collectives for peers, optionally restore its share of a
 // checkpoint, and step it through the one loop (Simulator.run).
-func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, srcs []source.PointSource, ranges map[string]compress.Stats, out *rankOut) {
+func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, srcs []source.PointSource, codecs []compress.Codec, out *rankOut) {
 	p := peers{
 		ex:         &haloExchanger{r: r, pg: pg, crc: cfg.HaloCRC, deadline: cfg.StepDeadline},
 		allMax:     r.AllreduceMax,
 		checkpoint: func(s *Simulator) error { return parallelCheckpoint(r, s) },
 	}
-	sim, err := newBlock(cfg, pg, r.ID(), srcs, ranges, p)
+	sim, err := newBlock(cfg, pg, r.ID(), srcs, codecs, p)
 	if err != nil {
 		out.err = err
 		return

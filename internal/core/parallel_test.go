@@ -206,13 +206,13 @@ func TestRankArraysAreTheSerialRunsWindows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ranges, err := calibrate(cfg)
+			codecs, err := calibrate(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			outs := make([]rankOut, pg.Size())
 			mpi.NewWorld(pg.Size()).Run(func(r *mpi.Rank) {
-				runRank(context.Background(), r, pg, cfg, srcParts[r.ID()], ranges, &outs[r.ID()])
+				runRank(context.Background(), r, pg, cfg, srcParts[r.ID()], codecs, &outs[r.ID()])
 			})
 			for id, out := range outs {
 				if out.err != nil {

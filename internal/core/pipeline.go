@@ -184,10 +184,6 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	s.vmax = 0 // the walks fold the step's max |v| into it
 	dtdx := float32(s.Cfg.Dt / s.Cfg.Dx)
 	sw := s.stages.Stopwatch()
-	if s.comp != nil {
-		decode(s.comp.fields, s.WF.AllFields())
-		sw.Lap(telemetry.StageCompression)
-	}
 
 	// the walk images the owned columns' tractions, the head the frame's
 	for _, c := range s.frame {
@@ -199,8 +195,7 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 		// the stress kernel — and the neighbours — read the velocities exactly
 		// as stored (the dstrqc side of Fig. 5b): this intra-step round trip
 		// is where the paper's accuracy loss comes from
-		encode(s.comp.velocity(), s.WF.VelocityFields())
-		decode(s.comp.velocity(), s.WF.VelocityFields())
+		s.comp.roundTrip(s.WF.VelocityFields())
 		sw.Lap(telemetry.StageCompression)
 	}
 	ex.StartVelocity(s.WF, s.step)
@@ -219,12 +214,6 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	ex.StartStress(s.WF, s.step)
 	ex.FinishStress(s.WF, s.step)
 	sw.Lap(telemetry.StageHaloStress)
-	if s.comp != nil && s.pg.Size() > 1 {
-		// the ghost planes the neighbours sent reach storage for the next
-		// step's decode
-		encode(s.comp.stress(), s.WF.StressFields())
-		sw.Lap(telemetry.StageCompression)
-	}
 }
 
 // geometry is the shape a walk moves in: strips of cols columns (the last

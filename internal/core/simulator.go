@@ -154,22 +154,22 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ranges, err := calibrate(cfg)
+	codecs, err := calibrate(cfg)
 	if err != nil {
 		return nil, err
 	}
 	d := cfg.Dims
 	pg := &decomp.ProcessGrid{GlobalNx: d.Nx, GlobalNy: d.Ny, GlobalNz: d.Nz, Mx: 1, My: 1}
-	return newBlock(cfg, pg, 0, cfg.Sources, ranges, alone)
+	return newBlock(cfg, pg, 0, cfg.Sources, codecs, alone)
 }
 
 // newBlock builds the simulator of block id of the process grid from the
 // run's validated configuration, the sources that fall in the block and the
-// run's calibrated codec ranges (calibrate). Every block of the run calls it
+// run's codecs (calibrate; nil for float32 storage). Every block of the run calls it
 // at once: a block that cannot be set up fails them all (each learns of it
 // before the first collective any of them could be left waiting in), and
 // they agree on the time step.
-func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSource, ranges map[string]compress.Stats, p peers) (*Simulator, error) {
+func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSource, codecs []compress.Codec, p peers) (*Simulator, error) {
 	s := &Simulator{Cfg: cfg, pg: pg, id: id, stations: cfg.Stations, peers: p,
 		stages: telemetry.NewStageClock()}
 	i0, j0 := pg.Offset(id)
@@ -189,7 +189,7 @@ func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSou
 		s.Cfg.Tracer = nil
 	}
 
-	if err := p.agree(s.setUp(ranges)); err != nil {
+	if err := p.agree(s.setUp(codecs)); err != nil {
 		return nil, err
 	}
 	// the global CFL minimum, then everything derived from the time step;
@@ -206,9 +206,9 @@ func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSou
 }
 
 // setUp builds what the block's own configuration decides, its CFL time
-// step included, and the compressed storage over the run's codec ranges —
-// everything that can fail.
-func (s *Simulator) setUp(ranges map[string]compress.Stats) error {
+// step included, and the compressed storage through the run's codecs, whose
+// first round trip stores the initial wavefield — everything that can fail.
+func (s *Simulator) setUp(codecs []compress.Codec) error {
 	cfg := &s.Cfg
 	s.WF = fd.NewWavefield(cfg.Dims)
 	s.Med = fd.NewMediumFromModel(cfg.Dims, cfg.Dx, cfg.Model, cfg.OriginX, cfg.OriginY)
@@ -247,12 +247,9 @@ func (s *Simulator) setUp(ranges map[string]compress.Stats) error {
 	}
 	s.srcs = source.Set{Sources: cfg.Sources}
 
-	if cfg.Compression != compress.Off {
-		cs, err := newCompressedState(s.WF, cfg.Compression, ranges)
-		if err != nil {
-			return err
-		}
-		s.comp = cs
+	if codecs != nil {
+		s.comp = newCompressedState(codecs)
+		s.comp.roundTrip(s.WF.AllFields())
 	}
 	if cfg.SunwaySim {
 		ex, err := cgexec.New(cfg.Dims)
@@ -475,7 +472,9 @@ func (s *Simulator) Restore(path string) error {
 	s.step = step
 	s.simTime = tm
 	if s.comp != nil {
-		encode(s.comp.fields, s.WF.AllFields())
+		// a dump written by a plain run or through other codecs holds values
+		// these codecs do not store
+		s.comp.roundTrip(s.WF.AllFields())
 	}
 	return nil
 }

@@ -501,6 +501,46 @@ func TestDrainDeadlineParksRunningJob(t *testing.T) {
 	s2.Cancel(id) // 100k steps: don't run them out
 }
 
+// TestLayoutThatDoesNotDivideTheMeshIsRefused: a process grid that does
+// not divide the mesh could never run, so Submit refuses it instead of
+// queueing a job that fails on every attempt; one journaled by a daemon
+// that took it is born failed on recovery, and the boot goes on.
+func TestLayoutThatDoesNotDivideTheMeshIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	bad := quickSpec(20)
+	bad.MX = 7 // the quickstart mesh is 32x32
+	req, err := bad.Request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := s.Submit(req); err == nil || !strings.Contains(err.Error(), "not divisible") {
+		t.Fatalf("submit: job %q, %v; want the layout refused", id, err)
+	}
+	drain(t, s)
+
+	jl, err := wal.Open[journalEvent](journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Append(journalEvent{Event: "submitted", JobID: "job-000004", Spec: bad}); err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+	s, err = Open(Options{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	st, err := s.Status("job-000004")
+	if err != nil || st.State != StateFailed || st.Attempt != 0 || !strings.Contains(st.Error, "not divisible") {
+		t.Fatalf("recovered job: %+v, %v; want it born failed", st, err)
+	}
+}
+
 // TestDeterministicFailuresAreNotRetried: a run that diverged and a run that
 // hit the job's own deadline would end the same way on every attempt, so on
 // a durable service — where a transient failure gets three attempts — both

@@ -50,8 +50,9 @@ func recoverJournal(dataDir string, clk clock.Clock) (journal *wal.Log[journalEv
 
 // requeueRecovered turns a journal record back into a queued job under the
 // job's original ID. A spec that no longer builds (e.g. a scenario removed
-// between boots) — or one that no longer fits a shrunken memory budget — is
-// born failed instead of erroring the whole boot.
+// between boots) or that Submit would refuse (e.g. a layout that does not
+// divide the mesh) — or one that no longer fits a shrunken memory budget —
+// is born failed instead of erroring the whole boot.
 func (s *Service) requeueRecovered(rec *jobRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -62,19 +63,19 @@ func (s *Service) requeueRecovered(rec *jobRecord) error {
 		return nil
 	}
 	req, err := rec.spec.Request()
+	key := ""
+	if err == nil {
+		req, key, err = normalize(req)
+	}
 	if err != nil {
 		return bornFailed(fmt.Errorf("service: recovered job %s no longer builds: %w", rec.id, err))
-	}
-	ckey, err := ConfigKey(req.Config)
-	if err != nil {
-		return err
 	}
 	cost := s.estimateCost(req)
 	if !s.ledger.Fits(cost.Bytes) {
 		return bornFailed(fmt.Errorf("service: recovered job %s: %w (needs %s of a %s budget)", rec.id,
 			admission.ErrNeverFits, admission.FormatBytes(cost.Bytes), admission.FormatBytes(s.ledger.Total())))
 	}
-	j.req, j.key, j.stepsTotal = req, fmt.Sprintf("%s/%dx%d", ckey, req.MX, req.MY), req.Config.Steps
+	j.req, j.key, j.stepsTotal = req, key, req.Config.Steps
 	j.item = &admission.Item{ID: j.id, Class: req.Class, Bytes: cost.Bytes, Recovered: true, Payload: j}
 	if err := s.enqueue(j, stateNew); err != nil {
 		return fmt.Errorf("service: recovery requeueing %s: %w", rec.id, err)

@@ -38,6 +38,7 @@ import (
 	"swquake/internal/admission"
 	"swquake/internal/clock"
 	"swquake/internal/core"
+	"swquake/internal/decomp"
 	"swquake/internal/manifest"
 	"swquake/internal/telemetry"
 	"swquake/internal/wal"
@@ -613,8 +614,8 @@ func (s *Service) Submit(req Request) (string, error) {
 }
 
 // normalize validates a request and fills it in — the default-filled
-// config, the class, the layout — and derives its cache key: the canonical
-// config hash plus the process-grid layout.
+// config, the class, the layout, which must divide the mesh — and derives
+// its cache key: the canonical config hash plus the process-grid layout.
 func normalize(req Request) (Request, string, error) {
 	if err := req.Config.Validate(); err != nil {
 		return req, "", err
@@ -636,6 +637,10 @@ func normalize(req Request) (Request, string, error) {
 		return req, "", err
 	}
 	req.MX, req.MY = max(req.MX, 1), max(req.MY, 1)
+	d := req.Config.Dims
+	if _, err := decomp.NewProcessGrid(d.Nx, d.Ny, d.Nz, req.MX, req.MY); err != nil {
+		return req, "", err
+	}
 	return req, fmt.Sprintf("%s/%dx%d", ckey, req.MX, req.MY), nil
 }
 
