@@ -75,13 +75,13 @@ check-bce:
 # Backend interface and no cgx branch: the simulated core group tallies the
 # step, it does not run it; and it declares at most
 # one walk-geometry test seam (a package-level variable of type int or
-# geometry). And nothing sweeps a plain-storage block after the walk: no
-# whole-block max-|v| scan (MaxAbsVelocity() call) and no whole-surface PGV
-# update (pgv.Update() call) outside compressed storage's last round trip
-# (storeAll), which must scan the velocities it rewrote, and no whole-frame
-# traction imaging (ImageTractionCols(s.WF, -fd.Halo, ...)) — the walk takes
-# the max and the peaks behind the sponge and images each owned column just
-# before its velocity update. And the job service and the campaign manager
+# geometry). And nothing sweeps a block after the walk: no whole-block
+# max-|v| scan (MaxAbsVelocity() call), no whole-surface PGV update
+# (pgv.Update() call) and no whole-frame traction imaging
+# (ImageTractionCols(s.WF, -fd.Halo, ...)) — the walk takes the max and the
+# peaks behind the sponge, compressed storage's round trip included, and
+# images each owned column just before its velocity update; and every
+# storage walks one plan: planWalks reads no s.comp. And the job service and the campaign manager
 # spell their lifecycles and their clock once each: non-test internal/service
 # assigns a job's state in one place (lifecycle.go's move), non-test
 # internal/ensemble writes a member's phase in one place (lifecycle.go's
@@ -125,12 +125,11 @@ check-one:
 			echo "check-one: internal/core calls fd.$${k%:*} other than once from $${k#*:}:"; echo "$$in"; exit 1; fi; \
 	done
 	@! grep -nE 'Backend interface|\<cgx\>' internal/core/pipeline.go
-	@for pat in 'MaxAbsVelocity(' 'pgv.Update('; do \
-		in=$$(awk -v p="$$pat" '/^func /{f=$$0} index($$0, p) {print FILENAME":"FNR": "f}' \
-			$$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -v ') storeAll('); \
-		if [ -n "$$in" ]; then echo "check-one: internal/core calls $$pat outside storeAll (compressed storage's last round trip):"; \
-			echo "$$in"; exit 1; fi; \
-	done
+	@! grep -nF -e 'MaxAbsVelocity(' -e 'pgv.Update(' $$(ls internal/core/*.go | grep -v '_test\.go$$')
+	@in=$$(awk '/^func /{f=$$0} /s\.comp/ && f ~ /\) planWalks\(/ {print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$in" ]; then echo "check-one: planWalks reads compressed storage (every storage walks one plan):"; \
+		echo "$$in"; exit 1; fi
 	@! grep -nE 'ImageTractionCols\(s\.WF, -fd\.Halo' internal/core/*.go | grep -v '_test\.go:'
 	@! grep -nw 'compress\.Field' internal/core/*.go | grep -v '_test\.go:'
 	@in=$$(awk '/^func /{f=$$0} /(Encode|Decode)Slice\(/ {print FILENAME":"FNR": "f}' \

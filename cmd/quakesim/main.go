@@ -74,7 +74,7 @@ func run(args []string, w io.Writer) error {
 
 		stepDeadline = fs.Duration("step-deadline", 0, "parallel watchdog: fail a halo exchange waiting longer than this as a stalled rank (0 = off)")
 		haloCRC      = fs.Bool("halo-crc", false, "CRC32-frame parallel halo exchanges so in-flight corruption is detected (bit-identical results)")
-		faultRetries = fs.Int("fault-retries", 0, "in-run recovery budget for engine faults: rewind to the newest valid checkpoint and resume (0 = off)")
+		faultRetries = fs.Int("fault-retries", 0, "in-run recovery budget for a -parallel run's engine faults: rewind to the newest valid checkpoint and resume (0 = off)")
 		divLimit     = fs.Float64("divergence-limit", 0, "max |velocity| in m/s before the run is declared diverged (0 = 1e6)")
 		faults       = fs.String("faults", "", "fault-injection spec for resilience drills, e.g. 'halo/corrupt:times=1;rank/stall:delay=2s' (testing only)")
 	)
@@ -83,6 +83,12 @@ func run(args []string, w io.Writer) error {
 	}
 	if *snapshots > 0 && *parallel != "" {
 		return fmt.Errorf("-snapshots takes serial runs only, not -parallel")
+	}
+	// a serial run has no halo to frame or time out and no rank to heal
+	for _, name := range []string{"fault-retries", "step-deadline", "halo-crc"} {
+		if f := fs.Lookup(name); *parallel == "" && f.Value.String() != f.DefValue {
+			return fmt.Errorf("-%s takes -parallel runs only (one block: -parallel 1x1)", name)
+		}
 	}
 
 	cfg, err := buildConfig(*scen, scenario.Overrides{

@@ -154,6 +154,25 @@ func TestRunRefusesSnapshotsOnRanks(t *testing.T) {
 	}
 }
 
+// TestRunRefusesRankFlagsWithoutRanks: the fault budget, the step deadline
+// and the halo CRC act on the ranks of a -parallel run alone, so a serial
+// run asked for any of them is refused, naming the flag and the one-block
+// grid that has them, before it runs a step or writes a file.
+func TestRunRefusesRankFlagsWithoutRanks(t *testing.T) {
+	for _, flag := range [][]string{{"-fault-retries", "2"}, {"-step-deadline", "1s"}, {"-halo-crc"}} {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		args := append([]string{"-scenario", "quickstart", "-steps", "20", "-checkpoint-every", "10", "-out", dir}, flag...)
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), flag[0]) || !strings.Contains(err.Error(), "-parallel 1x1") {
+			t.Fatalf("%s without -parallel: %v; want an error naming it and -parallel 1x1", flag[0], err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("%s: refused run wrote %d files", flag[0], len(entries))
+		}
+	}
+}
+
 // TestRunFaultDrillRecovers drives the self-healing engine from the CLI:
 // an injected halo corruption under -halo-crc with a -fault-retries budget
 // and checkpoints on disk must recover in-run and report the recovery.

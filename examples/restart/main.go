@@ -47,7 +47,7 @@ func main() {
 	}
 	for n := 0; n < firstLeg.Steps; n++ {
 		sim1.Step()
-		if _, err := ctl.MaybeSave(sim1.StepCount(), sim1.Time(), sim1.WF); err != nil {
+		if _, err := ctl.MaybeSave(sim1.StepCount(), sim1.Time(), sim1.WF, nil); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -68,7 +68,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim2.Cfg.Dt = ref.Dt()
 	if err := sim2.Restore(ctl.Latest()); err != nil {
 		log.Fatal(err)
 	}

@@ -285,11 +285,6 @@ type Controller struct {
 	Dir      string
 	Interval int
 	Keep     int
-	// Aux, when non-nil, is called at snapshot time and its bytes are stored
-	// in the checkpoint's auxiliary section. The serial engine hangs its
-	// resume state (recorder, PGV, counters) here; parallel runs leave it
-	// nil and pass the gathered state to MaybeSaveAux.
-	Aux func() []byte
 
 	// the lane. The writer goroutine owns sc, infos and err until it closes
 	// inflight; the caller touches them only after receiving from it.
@@ -308,19 +303,17 @@ func (c *Controller) Due(step int) bool {
 }
 
 // MaybeSave starts a checkpoint when the step is a multiple of Interval and
-// reports whether it did. The wavefield and the Aux bytes are captured
-// before it returns, so the caller may go on mutating both. The error is a
-// previous dump's.
-func (c *Controller) MaybeSave(step int, simTime float64, wf *fd.Wavefield) (bool, error) {
+// reports whether it did; aux is stored in the checkpoint's auxiliary
+// section (the engine's resume state: recorder, PGV, counters). The
+// wavefield is copied before it returns, so the caller may go on mutating
+// it; aux is handed over, and the caller must not write it again. The error
+// is a previous dump's.
+func (c *Controller) MaybeSave(step int, simTime float64, wf *fd.Wavefield, aux []byte) (bool, error) {
 	if !c.Due(step) {
 		return false, nil
 	}
 	if err := c.wait(); err != nil {
 		return false, err
-	}
-	var aux []byte
-	if c.Aux != nil {
-		aux = c.Aux()
 	}
 	if c.snap == nil || c.snap.D != wf.D {
 		c.snap = fd.NewWavefield(wf.D)
@@ -330,8 +323,7 @@ func (c *Controller) MaybeSave(step int, simTime float64, wf *fd.Wavefield) (boo
 	return true, nil
 }
 
-// MaybeSaveAux is MaybeSave with the aux payload supplied by the caller
-// instead of the Aux hook, and with the wavefield handed over instead of
+// MaybeSaveAux is MaybeSave with the wavefield handed over instead of
 // copied: the parallel engine gathers a fresh global wavefield and a global
 // resume state on rank 0 for every dump, and must not touch either again.
 func (c *Controller) MaybeSaveAux(step int, simTime float64, wf *fd.Wavefield, aux []byte) (bool, error) {

@@ -97,7 +97,7 @@ func TestControllerIntervalAndKeep(t *testing.T) {
 
 	saves := 0
 	for step := 0; step <= 20; step++ {
-		ok, err := c.MaybeSave(step, float64(step), wf)
+		ok, err := c.MaybeSave(step, float64(step), wf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestControllerIntervalAndKeep(t *testing.T) {
 
 func TestControllerDisabled(t *testing.T) {
 	c := &Controller{Interval: 0}
-	if ok, err := c.MaybeSave(10, 0, testWavefield(4)); ok || err != nil {
+	if ok, err := c.MaybeSave(10, 0, testWavefield(4), nil); ok || err != nil {
 		t.Fatal("disabled controller saved")
 	}
 	if (&Controller{Dir: t.TempDir()}).Latest() != "" {

@@ -45,14 +45,11 @@ func TestLaneSnapshotsBeforeReturning(t *testing.T) {
 	slowWrites(t, 30*time.Millisecond)
 	wf := testWavefield(21)
 	want := wf.Clone()
-	auxState := []byte("state at step 5")
-	c := &Controller{Dir: t.TempDir(), Interval: 5, Keep: 3,
-		Aux: func() []byte { return auxState }}
+	c := &Controller{Dir: t.TempDir(), Interval: 5, Keep: 3}
 
-	if ok, err := c.MaybeSave(5, 0.5, wf); !ok || err != nil {
+	if ok, err := c.MaybeSave(5, 0.5, wf, []byte("state at step 5")); !ok || err != nil {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	auxState = []byte("a later state")
 	for _, f := range wf.AllFields() {
 		for i := range f.Data {
 			f.Data[i] = -1e9
@@ -87,7 +84,7 @@ func TestLaneHasOneDumpInFlight(t *testing.T) {
 	c := &Controller{Dir: dir, Interval: 1, Keep: 10}
 	for step := 1; step <= 4; step++ {
 		wf.U.Set(0, 0, 0, float32(step))
-		if ok, err := c.MaybeSave(step, float64(step), wf); !ok || err != nil {
+		if ok, err := c.MaybeSave(step, float64(step), wf, nil); !ok || err != nil {
 			t.Fatalf("step %d: ok=%v err=%v", step, ok, err)
 		}
 		if step == 1 {
@@ -122,15 +119,15 @@ func TestLaneWriteErrorSurfacesAtNextDueStepAndClose(t *testing.T) {
 	dir := t.TempDir()
 	wf := testWavefield(23)
 	c := &Controller{Dir: dir, Interval: 1, Keep: 10}
-	if ok, err := c.MaybeSave(1, 1, wf); !ok || err != nil {
+	if ok, err := c.MaybeSave(1, 1, wf, nil); !ok || err != nil {
 		t.Fatalf("starting the dump itself must not fail: ok=%v err=%v", ok, err)
 	}
 	for step := 2; step <= 3; step++ {
-		if ok, err := c.MaybeSave(step, 2, wf); ok || !errors.Is(err, boom) {
+		if ok, err := c.MaybeSave(step, 2, wf, nil); ok || !errors.Is(err, boom) {
 			t.Fatalf("step %d: ok=%v err=%v, want the write error", step, ok, err)
 		}
 	}
-	if ok, err := c.MaybeSave(0, 0, wf); ok || err != nil {
+	if ok, err := c.MaybeSave(0, 0, wf, nil); ok || err != nil {
 		t.Fatalf("a step that is not due must not report anything: ok=%v err=%v", ok, err)
 	}
 	infos, err := c.Close()
@@ -144,7 +141,7 @@ func TestLaneWriteErrorSurfacesAtNextDueStepAndClose(t *testing.T) {
 		t.Fatal("a failed dump left files behind")
 	}
 
-	if ok, err := c.MaybeSave(4, 4, wf); !ok || err != nil {
+	if ok, err := c.MaybeSave(4, 4, wf, nil); !ok || err != nil {
 		t.Fatalf("after Close: ok=%v err=%v", ok, err)
 	}
 	if infos, err := c.Close(); err != nil || len(infos) != 1 {
@@ -155,7 +152,7 @@ func TestLaneWriteErrorSurfacesAtNextDueStepAndClose(t *testing.T) {
 // With no later due step the error has only Close to surface at.
 func TestLaneWriteErrorSurfacesAtClose(t *testing.T) {
 	c := &Controller{Dir: filepath.Join(t.TempDir(), "missing"), Interval: 1}
-	if ok, err := c.MaybeSave(1, 1, testWavefield(24)); !ok || err != nil {
+	if ok, err := c.MaybeSave(1, 1, testWavefield(24), nil); !ok || err != nil {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 	if _, err := c.Close(); err == nil {
@@ -170,7 +167,7 @@ func TestLaneCloseReleasesSnapshot(t *testing.T) {
 	if infos, err := c.Close(); infos != nil || err != nil {
 		t.Fatalf("idle close: %v %v", infos, err)
 	}
-	if _, err := c.MaybeSave(1, 1, testWavefield(25)); err != nil {
+	if _, err := c.MaybeSave(1, 1, testWavefield(25), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Close(); err != nil {
@@ -181,13 +178,12 @@ func TestLaneCloseReleasesSnapshot(t *testing.T) {
 	}
 }
 
-// MaybeSaveAux writes the wavefield and aux it is handed, without the Aux
-// hook and without a second copy of the wavefield.
+// MaybeSaveAux writes the wavefield and aux it is handed, without a second
+// copy of the wavefield.
 func TestLaneSaveAuxTakesTheWavefield(t *testing.T) {
 	wf := testWavefield(26)
 	want := wf.Clone()
-	c := &Controller{Dir: t.TempDir(), Interval: 2,
-		Aux: func() []byte { t.Error("Aux hook called by MaybeSaveAux"); return nil }}
+	c := &Controller{Dir: t.TempDir(), Interval: 2}
 	if ok, err := c.MaybeSaveAux(1, 1, wf, []byte("x")); ok || err != nil {
 		t.Fatalf("off-interval step: ok=%v err=%v", ok, err)
 	}
@@ -213,7 +209,7 @@ func TestLaneDumpsAreDeterministic(t *testing.T) {
 	a, b := testWavefield(27), testWavefield(28)
 	c := &Controller{Dir: dir, Interval: 1}
 	for step, wf := range []*fd.Wavefield{a, b, a} {
-		if _, err := c.MaybeSave(step+1, 0, wf); err != nil {
+		if _, err := c.MaybeSave(step+1, 0, wf, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

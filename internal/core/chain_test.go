@@ -275,7 +275,6 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 	// workers
 	strips := geometry{planes: 1, cols: 64}
 	lone := [3]pass{{}, {vel: []grid.Region{box}, chain: []grid.Region{box}, sponge: []grid.Region{box}}, {}}
-	velocityFirst := [3]pass{{vel: []grid.Region{box}}, {chain: []grid.Region{box}, sponge: []grid.Region{box}}, {}}
 	for name, c := range map[string]struct {
 		cfg   Config
 		geom  geometry
@@ -285,7 +284,7 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 		"tiles":                 {with(func(c *Config) { c.Tiles = 2 }), geometry{planes: 1, cols: 32}, lone},
 		"overlap, no neighbour": {with(func(c *Config) { c.Overlap = true }), strips, lone},
 		"SLS":                   {with(func(c *Config) { c.Attenuation.UseSLS = true }), strips, lone},
-		"compressed":            {with(func(c *Config) { c.Compression = compress.Normalized }), strips, velocityFirst},
+		"compressed":            {with(func(c *Config) { c.Compression = compress.Normalized }), strips, lone},
 		"cache-resident block": {small, geometry{}, [3]pass{{},
 			{vel: []grid.Region{smallBox}, chain: []grid.Region{smallBox}, sponge: []grid.Region{smallBox}}, {}}},
 		"core-group tally": {with(func(c *Config) { c.SunwaySim = true }), strips, lone},

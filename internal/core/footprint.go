@@ -16,8 +16,8 @@ package core
 //   - fd.NewAttenuation: none for constant Q (two constant rows), 2 fields
 //     (GP, GS) for Vs-scaled Q; fd.NewSLS: 7 (6 memory variables + phi; the
 //     stress snapshot is each chain worker's scratch of one chain region)
-//   - newCompressedState: none — the run's codecs and a 4 KB scratch; the
-//     float32 wavefield is the one resident copy
+//   - compressed storage: none — the run's codecs and each walk worker's
+//     4 KB of codes; the float32 wavefield is the one resident copy
 //   - fd.NewSponge: three 1-D profiles — not counted
 //   - seismo.NewPGVField: one Nx×Ny float64 surface map
 type Storage struct {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
+	"swquake/internal/cpu/cputest"
 	"swquake/internal/decomp"
 	"swquake/internal/model"
 	"swquake/internal/mpi"
@@ -117,7 +119,8 @@ func TestParallelCompressedMatchesSerialCompressed(t *testing.T) {
 	// the compressed parallel path exchanges decoded (round-tripped)
 	// values, so ghost data matches what the serial compressed run holds
 	// at the same positions — the runs must agree bit-exactly, with the
-	// interior computed before the velocity-halo wait (Overlap) too
+	// interior computed before the velocity-halo wait (Overlap) too, and
+	// with two workers round-tripping their strips as a wavefront
 	cfg := heterogeneousConfig()
 	cfg.Compression = compress.Normalized
 
@@ -129,23 +132,41 @@ func TestParallelCompressedMatchesSerialCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	same := func(mode string, got *Result) {
+		t.Helper()
+		for _, name := range []string{"S1", "S2"} {
+			a, b := serial.Recorder.Trace(name), got.Recorder.Trace(name)
+			if b == nil || len(a.U) != len(b.U) {
+				t.Fatalf("%s: %s trace shape mismatch", mode, name)
+			}
+			for i := range a.U {
+				if a.U[i] != b.U[i] || a.V[i] != b.V[i] || a.W[i] != b.W[i] {
+					t.Fatalf("compressed %s diverges at %s sample %d: %g vs %g",
+						mode, name, i, a.U[i], b.U[i])
+				}
+			}
+		}
+	}
 	for _, overlap := range []bool{false, true} {
 		cfg.Overlap = overlap
 		par, err := RunParallel(cfg, 2, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{"S1", "S2"} {
-			a, b := serial.Recorder.Trace(name), par.Recorder.Trace(name)
-			if b == nil || len(a.U) != len(b.U) {
-				t.Fatalf("%s trace shape mismatch", name)
-			}
-			for i := range a.U {
-				if a.U[i] != b.U[i] || a.V[i] != b.V[i] || a.W[i] != b.W[i] {
-					t.Fatalf("compressed parallel (overlap %v) diverges at %s sample %d: %g vs %g",
-						overlap, name, i, a.U[i], b.U[i])
-				}
-			}
+		same(fmt.Sprintf("parallel (overlap %v)", overlap), par)
+	}
+
+	// four strips of 1-plane slabs on two workers
+	defer SetWalkGeometry(1, 6)()
+	cfg.Overlap, cfg.Tiles = false, 2
+	tiled := runSerial(t, cfg)
+	if n := workersWalked(tiled); n != 2 {
+		t.Fatalf("%d workers walked the strips, want 2", n)
+	}
+	same("wavefront", tiled)
+	for f, want := range serial.Sim.WF.AllFields() {
+		if _, ok := cputest.SameBits(want.Data, tiled.Sim.WF.AllFields()[f].Data); !ok {
+			t.Fatalf("wavefront: field %s differs from the one-worker run's", FieldNames[f])
 		}
 	}
 }

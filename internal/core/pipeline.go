@@ -15,17 +15,18 @@ import (
 // This file is the step-pipeline engine: the ONE implementation of the
 // per-step stage sequence (paper Fig. 3 / §6.5)
 //
-//	free surface (tractions) → velocity kernel → velocity-halo exchange →
-//	free surface (velocities) → SLS snapshot → stress kernel → SLS-after →
-//	source injection → plasticity → attenuation → sponge → max |v| / PGV →
-//	stress-halo exchange → record traces
+//	free surface (tractions) → velocity kernel → free surface (velocities) →
+//	store* → velocity-halo exchange → SLS snapshot → stress kernel → SLS-after
+//	→ source injection → plasticity → attenuation → sponge → store* →
+//	max |v| / PGV → stress-halo exchange → record traces
 //
 // Every runner (serial Run, RunParallel) and every execution strategy
-// (compressed storage, wavefront workers, overlapped halos) drives this
-// sequence as one walk in strips and slabs (stripWalk) of the host kernels,
-// in three passes around the velocity-halo exchange (planWalks), through
-// one seam: the Exchanger (ghost layers). The simulated SW26010 core group
-// runs no kernel; it is charged each step the walk runs (countKernels).
+// (compressed storage, whose codec round trips are the starred stores;
+// wavefront workers; overlapped halos) drives this sequence as one walk in
+// strips and slabs (stripWalk) of the host kernels, in three passes around
+// the velocity-halo exchange (planWalks), through one seam: the Exchanger
+// (ghost layers). The simulated SW26010 core group runs no kernel; it is
+// charged each step the walk runs (countKernels).
 
 // Exchanger updates ghost layers between the pipeline's kernel phases.
 // Each exchange is split into a Start half, which posts the outgoing halo
@@ -94,10 +95,8 @@ type pass struct{ vel, chain, sponge []grid.Region }
 // walk before the post moves the ring of velocities the neighbours are sent;
 // the walk while the messages fly does the interior; the walk after the wait
 // does the rest. A rank without Overlap computes no stress before the wait,
-// so its interior is empty; a lone block has no ring. Compressed storage
-// must see the finished velocity phase first, for its velocity round trip:
-// there the velocity kernel runs over the whole block before the post. It
-// also lists the ghost frame's columns, whose tractions the step head images.
+// so its interior is empty; a lone block has no ring. It also lists the
+// ghost frame's columns, whose tractions the step head images.
 func (s *Simulator) planWalks() {
 	box := grid.Box(s.Cfg.Dims)
 	frame := box
@@ -110,9 +109,6 @@ func (s *Simulator) planWalks() {
 	s.walks[0] = pass{vel: box.Minus(in1)}
 	interior := clip([]grid.Region{in1}, box)
 	s.walks[1] = pass{vel: interior, chain: interior, sponge: clip([]grid.Region{in2}, box)}
-	if s.comp != nil {
-		s.walks[0].vel, s.walks[1].vel = []grid.Region{box}, nil
-	}
 	s.walks[2] = pass{chain: box.Minus(in1), sponge: box.Minus(in2)}
 }
 
@@ -166,8 +162,13 @@ func (s *Simulator) planWalks() {
 //     at the PGV depth, into the peaks. The three walks' sponge lists
 //     partition the block and the strips each list, so each cell is scanned
 //     once, and both folds — a maximum of bit patterns, a peak per column —
-//     are order-free. Compressed storage rewrites the velocities after the
-//     walk, so it takes both after its last round trip instead (storeAll).
+//     are order-free.
+//   - Compressed storage round-trips each region right behind the stage
+//     that wrote it, touching its cells alone, so the rule orders every
+//     reader after it: the bits are those of whole-block round trips after
+//     each phase. The kernel reads the traction ghosts as imaged (negating
+//     does not commute with an asymmetric codec), so they are stored with
+//     the chain's stresses, and the frame's behind the head's imaging.
 //   - The stress exchange stays back-to-back: the NEXT step's traction
 //     free-surface pass reads stress ghosts, so there is no interior work
 //     to hide it behind, and leaving sends outstanding would interleave
@@ -188,16 +189,13 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 	// the walk images the owned columns' tractions, the head the frame's
 	for _, c := range s.frame {
 		fd.ImageTractionCols(s.WF, c.I0, c.I1, c.J0, c.J1)
+		if s.comp != nil {
+			c.K0, c.K1 = -fd.Halo, 0 // the ghosts just imaged
+			s.comp.roundTrip(s.WF, tractions, c, s.scratchFor(1)[0].codes)
+		}
 	}
 	sw.Lap(telemetry.StageFreeSurface)
 	s.walk(s.walks[0], dtdx, &sw)
-	if s.comp != nil {
-		// the stress kernel — and the neighbours — read the velocities exactly
-		// as stored (the dstrqc side of Fig. 5b): this intra-step round trip
-		// is where the paper's accuracy loss comes from
-		s.comp.roundTrip(s.WF.VelocityFields())
-		sw.Lap(telemetry.StageCompression)
-	}
 	ex.StartVelocity(s.WF, s.step)
 	sw.Lap(telemetry.StageHaloVelocity)
 	s.walk(s.walks[1], dtdx, &sw)
@@ -208,9 +206,6 @@ func (s *Simulator) stepPipeline(ex Exchanger) {
 		sw.Lap(telemetry.StageHaloVelocity)
 	}
 	s.walk(s.walks[2], dtdx, &sw)
-	if s.comp != nil {
-		s.storeAll(&sw)
-	}
 	ex.StartStress(s.WF, s.step)
 	ex.FinishStress(s.WF, s.step)
 	sw.Lap(telemetry.StageHaloStress)
@@ -283,9 +278,7 @@ func (s *Simulator) walk(p pass, dtdx float32, sw *telemetry.Stopwatch) {
 	if w > 1 {
 		f = make(front, strips)
 	}
-	for len(s.snaps) < w {
-		s.snaps = append(s.snaps, new(fd.StressSnapshot))
-	}
+	scratch := s.scratchFor(w)
 	tally := sw.Tally()
 	damp := tally.Fork()
 	var mu sync.Mutex
@@ -294,7 +287,7 @@ func (s *Simulator) walk(p pass, dtdx float32, sw *telemetry.Stopwatch) {
 		var yielded int64
 		var vmax uint32
 		for k := id; k < strips; k += w {
-			y, v := s.stripWalk(p, g, k, f, dtdx, &t, &dt, s.snaps[id])
+			y, v := s.stripWalk(p, g, k, f, dtdx, &t, &dt, scratch[id])
 			yielded, vmax = yielded+y, max(vmax, v)
 		}
 		mu.Lock()
@@ -321,12 +314,12 @@ func (s *Simulator) walk(p pass, dtdx float32, sw *telemetry.Stopwatch) {
 // g.planes i-planes; on each, the owned-column imaging of both ghost kinds
 // around the velocity kernel, stressChain a slab (at least fd.Halo planes)
 // and fd.Halo columns behind, the velocity sponge as far again behind the
-// chain and, where it has passed, the scans of the step's last velocities —
-// on plain storage: compressed storage scans after its round trip. In a
-// wavefront (f not nil) it enters its n-th slab once strip k-1 has finished
-// its n-th, and then says it has finished it too. It returns the number of cells that yielded
-// and the sign-cleared bits of the largest |v| it scanned.
-func (s *Simulator) stripWalk(p pass, g geometry, k int, f front, dtdx float32, t, damp *telemetry.StageTally, snap *fd.StressSnapshot) (int64, uint32) {
+// chain and, where it has passed, the scans of the step's last velocities,
+// each with its round trips on compressed storage. In a wavefront (f not
+// nil) it enters its n-th slab once strip k-1 has finished its n-th, and
+// then says it has finished it too. It returns the number of cells that
+// yielded and the sign-cleared bits of the largest |v| it scanned.
+func (s *Simulator) stripWalk(p pass, g geometry, k int, f front, dtdx float32, t, damp *telemetry.StageTally, sc *scratch) (int64, uint32) {
 	const h = fd.Halo
 	b := grid.Box(s.Cfg.Dims)
 	planes, cols := b.Ni(), b.Nj()
@@ -368,11 +361,15 @@ func (s *Simulator) stripWalk(p pass, g geometry, k int, f front, dtdx float32, 
 				t.Lap(telemetry.StageVelocity)
 				fd.ImageVelocityCols(s.WF, r.I0, r.I1, r.J0, r.J1)
 				t.Lap(telemetry.StageFreeSurface)
+				if s.comp != nil { // read as stored: the dstrqc side of Fig. 5b
+					s.comp.roundTrip(s.WF, velocities, withSurfaceGhosts(r), sc.codes)
+					t.Lap(telemetry.StageCompression)
+				}
 			}
 		}
 		for _, box := range p.chain {
 			if r := box.Intersect(behind(i, lag, h)); !r.Empty() {
-				yielded += s.stressChain(r, dtdx, t, snap)
+				yielded += s.stressChain(r, dtdx, t, sc)
 			}
 		}
 		for _, box := range p.sponge {
@@ -383,9 +380,10 @@ func (s *Simulator) stripWalk(p pass, g geometry, k int, f front, dtdx float32, 
 			if s.sponge != nil {
 				s.sponge.ApplyVelocityRegion(s.WF, r)
 				t.LapTo(damp, telemetry.StageSponge)
-			}
-			if s.comp != nil {
-				continue // scanned after the round trip (storeAll)
+				if s.comp != nil { // store what it damped
+					s.comp.roundTrip(s.WF, velocities, r, sc.codes)
+					t.Lap(telemetry.StageCompression)
+				}
 			}
 			vmax = max(vmax, math.Float32bits(grid.MaxAbsRegion(r, s.WF.U, s.WF.V, s.WF.W)))
 			t.Lap(telemetry.StageDivergence)
@@ -409,16 +407,17 @@ func (s *Simulator) stripWalk(p pass, g geometry, k int, f front, dtdx float32, 
 // and within a block sources are injected in list order, so co-located
 // sources keep theirs. Under SLS the worker's snapshot takes the block's
 // stresses just before the kernel: nothing else in the step has written
-// them yet.
-func (s *Simulator) stressChain(b grid.Region, dtdx float32, t *telemetry.StageTally, snap *fd.StressSnapshot) int64 {
+// them yet. Compressed storage stores them last, with the traction ghosts
+// above b, which the velocity kernel has read.
+func (s *Simulator) stressChain(b grid.Region, dtdx float32, t *telemetry.StageTally, sc *scratch) int64 {
 	if s.sls != nil {
-		snap.Take(s.WF, b)
+		sc.snap.Take(s.WF, b)
 		t.Lap(telemetry.StageAttenuation)
 	}
 	fd.UpdateStressRegion(s.WF, s.Med, dtdx, b)
 	t.Lap(telemetry.StageStress)
 	if s.sls != nil {
-		s.sls.AfterRegion(s.WF, s.Cfg.Dt, snap)
+		s.sls.AfterRegion(s.WF, s.Cfg.Dt, &sc.snap)
 		t.Lap(telemetry.StageAttenuation)
 	}
 	s.srcs.InjectRegion(s.WF, s.simTime, s.Cfg.Dt, s.Cfg.Dx, b)
@@ -436,7 +435,27 @@ func (s *Simulator) stressChain(b grid.Region, dtdx float32, t *telemetry.StageT
 		s.sponge.ApplyStressRegion(s.WF, b)
 		t.Lap(telemetry.StageSponge)
 	}
+	if s.comp != nil {
+		s.comp.roundTrip(s.WF, stresses, withSurfaceGhosts(b), sc.codes)
+		t.Lap(telemetry.StageCompression)
+	}
 	return yielded
+}
+
+// scratch is what one walk worker reuses every step: the SLS snapshot of
+// the chain region it is on and the codes of a padded column it round trips.
+type scratch struct {
+	snap  fd.StressSnapshot
+	codes []uint16
+}
+
+// scratchFor returns the scratch of w workers, making what the block does
+// not hold yet.
+func (s *Simulator) scratchFor(w int) []*scratch {
+	for len(s.scratch) < w {
+		s.scratch = append(s.scratch, &scratch{codes: make([]uint16, s.Cfg.Dims.Nz+2*fd.Halo)})
+	}
+	return s.scratch[:w]
 }
 
 // clip is the non-empty parts of rs inside r.

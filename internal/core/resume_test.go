@@ -103,6 +103,45 @@ func TestResumeReproducesTracesAndPGV(t *testing.T) {
 	}
 }
 
+// TestReusedControllerDumpsEachRunsOwnState: a checkpoint controller that
+// one run has driven dumps the next run's own resume state, not the first
+// run's — the second run, with a station more, resumes from its own dump to
+// its own traces and peaks.
+func TestReusedControllerDumpsEachRunsOwnState(t *testing.T) {
+	ctl := &checkpoint.Controller{Dir: t.TempDir(), Interval: 10, Keep: 2}
+	first := baseConfig()
+	first.Steps = 20
+	first.Checkpoint = ctl
+	runSerial(t, first)
+
+	second := heterogeneousConfig()
+	second.Steps = 20
+	if len(second.Stations) == len(first.Stations) {
+		t.Fatal("the runs record as many stations: a dump of the wrong run would restore")
+	}
+	ctl.Dir = t.TempDir()
+	second.Checkpoint = ctl
+	want := runSerial(t, second)
+
+	resumed := second
+	resumed.Checkpoint = nil
+	resumed.RestartFrom = filepath.Join(ctl.Dir, "ckpt-00000010.swq")
+	got := runSerial(t, resumed)
+	for ti, tr := range got.Recorder.Traces {
+		w := want.Recorder.Traces[ti]
+		for i := range w.U {
+			if tr.U[i] != w.U[i] || tr.V[i] != w.V[i] || tr.W[i] != w.W[i] {
+				t.Fatalf("station %s sample %d differs after resuming the second run", w.Station.Name, i)
+			}
+		}
+	}
+	for i, v := range got.PGV.PGV {
+		if v != want.PGV.PGV[i] {
+			t.Fatalf("PGV[%d] = %g after resuming the second run, want %g", i, v, want.PGV.PGV[i])
+		}
+	}
+}
+
 // TestResumeAuxValidation exercises the decoder against malformed and
 // mismatched payloads: every rejection must happen before any simulator
 // state is mutated.
@@ -193,10 +232,9 @@ func TestLaneCheckpointCarriesAux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.Aux = sim.resumeAux
 	for sim.StepCount() < cfg.Steps {
 		sim.Step()
-		if _, err := ctl.MaybeSave(sim.StepCount(), sim.Time(), sim.WF); err != nil {
+		if _, err := ctl.MaybeSave(sim.StepCount(), sim.Time(), sim.WF, sim.resumeAux()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,10 +52,10 @@ type Simulator struct {
 
 	// tiles is the resolved intra-rank worker count (effectiveTiles); workers
 	// is how many walk the strips, tiles only while Run/RunParallel is
-	// stepping (startTiling) and one otherwise; snaps holds each worker's SLS
-	// stress snapshot (walk).
+	// stepping (startTiling) and one otherwise; scratch holds each worker's
+	// (scratchFor).
 	tiles, workers int
-	snaps          []*fd.StressSnapshot
+	scratch        []*scratch
 	// walks are the step's passes before, during and after the velocity-halo
 	// exchange, frame the ghost frame's columns (planWalks).
 	walks [3]pass
@@ -93,7 +93,7 @@ var alone = peers{
 	ex:     NoExchange{},
 	allMax: func(v float64) float64 { return v },
 	checkpoint: func(s *Simulator) error {
-		_, err := s.Cfg.Checkpoint.MaybeSave(s.step, s.simTime, s.WF)
+		_, err := s.Cfg.Checkpoint.MaybeSave(s.step, s.simTime, s.WF, s.resumeAux())
 		return err
 	},
 }
@@ -248,8 +248,8 @@ func (s *Simulator) setUp(codecs []compress.Codec) error {
 	s.srcs = source.Set{Sources: cfg.Sources}
 
 	if codecs != nil {
-		s.comp = newCompressedState(codecs)
-		s.comp.roundTrip(s.WF.AllFields())
+		s.comp = &compressedState{codecs: codecs}
+		s.comp.roundTrip(s.WF, allFields, padded(cfg.Dims), s.scratchFor(1)[0].codes)
 	}
 	if cfg.SunwaySim {
 		ex, err := cgexec.New(cfg.Dims)
@@ -329,11 +329,6 @@ func (s *Simulator) Run() (*Result, error) {
 // within one step and returns the context's cause wrapped in the error.
 func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 	c := s.Cfg.Checkpoint
-	if c != nil && c.Aux == nil {
-		// checkpoints written by this serial run carry the replay state
-		// (traces, PGV, perf) so a resumed run is bit-identical
-		c.Aux = s.resumeAux
-	}
 	var err error
 	if s.Cfg.RestartFrom != "" && s.step == 0 {
 		err = s.Restore(s.Cfg.RestartFrom)
@@ -474,7 +469,7 @@ func (s *Simulator) Restore(path string) error {
 	if s.comp != nil {
 		// a dump written by a plain run or through other codecs holds values
 		// these codecs do not store
-		s.comp.roundTrip(s.WF.AllFields())
+		s.comp.roundTrip(s.WF, allFields, padded(s.Cfg.Dims), s.scratchFor(1)[0].codes)
 	}
 	return nil
 }

@@ -290,8 +290,8 @@ func TestWavefrontMatchesSerial(t *testing.T) {
 }
 
 // workersWalked is how many workers walked a serial run's strips at once at
-// most: the walk keeps a stress snapshot for each.
-func workersWalked(res *Result) int { return len(res.Sim.snaps) }
+// most: the walk keeps a scratch for each.
+func workersWalked(res *Result) int { return len(res.Sim.scratch) }
 
 // TestBufCacheRecycles: get must hand back a previously put buffer of the
 // same length instead of allocating.

@@ -93,13 +93,6 @@ func (w *Wavefield) CopyFrom(src *Wavefield) {
 	}
 }
 
-// MaxAbsVelocity returns the largest |velocity| component over the interior,
-// used for stability monitoring and PGV extraction. It is NaN when any
-// interior velocity is NaN, so the divergence check cannot miss one.
-func (w *Wavefield) MaxAbsVelocity() float32 {
-	return grid.MaxAbs(w.U, w.V, w.W)
-}
-
 // Medium holds the static material fields sampled at grid points.
 // Rho is stored as density (kg/m^3); Lam and Mu are the Lamé moduli (Pa).
 //

@@ -123,14 +123,10 @@ func NewPGVField(nx, ny, k int) *PGVField {
 	return &PGVField{Nx: nx, Ny: ny, K: k, PGV: make([]float64, nx*ny)}
 }
 
-// Update folds the current wavefield surface velocities into the peaks:
-// UpdateCols over the whole surface.
-func (p *PGVField) Update(wf *fd.Wavefield) { p.UpdateCols(wf, 0, p.Nx, 0, p.Ny) }
-
 // UpdateCols folds the current surface velocities of the columns
 // [i0,i1) x [j0,j1) into their peaks. Each column's peak depends on that
 // column alone, so updating disjoint ranges in any order, or concurrently,
-// gives the peaks of one Update.
+// gives the peaks of one update of their union.
 func (p *PGVField) UpdateCols(wf *fd.Wavefield, i0, i1, j0, j1 int) {
 	for i := i0; i < i1; i++ {
 		for j := j0; j < j1; j++ {

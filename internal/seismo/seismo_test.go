@@ -72,10 +72,10 @@ func TestPGVFieldTracksPeak(t *testing.T) {
 	p := NewPGVField(4, 4, 0)
 	wf.U.Set(2, 2, 0, 3)
 	wf.V.Set(2, 2, 0, 4)
-	p.Update(wf)
+	p.UpdateCols(wf, 0, 4, 0, 4)
 	wf.U.Set(2, 2, 0, 1) // lower later value must not reduce the peak
 	wf.V.Set(2, 2, 0, 0)
-	p.Update(wf)
+	p.UpdateCols(wf, 0, 4, 0, 4)
 	if got := p.At(2, 2); got != 5 {
 		t.Fatalf("pgv %g, want 5", got)
 	}
@@ -89,7 +89,7 @@ func TestPGVFieldTracksPeak(t *testing.T) {
 
 // TestPGVFieldUpdateColsIsUpdateInParts: updating the column ranges of a
 // partition of the surface, in any order, at depth 1, leaves the peaks one
-// Update leaves, and a range touches its own columns alone.
+// update of the whole surface leaves, and a range touches its own columns alone.
 func TestPGVFieldUpdateColsIsUpdateInParts(t *testing.T) {
 	wf := wf44()
 	for i := 0; i < 4; i++ {
@@ -100,7 +100,7 @@ func TestPGVFieldUpdateColsIsUpdateInParts(t *testing.T) {
 		}
 	}
 	whole, parts := NewPGVField(4, 4, 1), NewPGVField(4, 4, 1)
-	whole.Update(wf)
+	whole.UpdateCols(wf, 0, 4, 0, 4)
 	parts.UpdateCols(wf, 1, 4, 2, 4)
 	if parts.At(0, 3) != 0 || parts.At(1, 1) != 0 || parts.At(3, 3) != whole.At(3, 3) {
 		t.Fatalf("columns [1,4)x[2,4) updated %v", parts.PGV)
