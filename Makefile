@@ -19,7 +19,9 @@ build:
 # then the job service's and the campaign manager's tests twenty
 # times in shuffled order, which is what a test that depends on wall time or
 # on its neighbours does not survive; last, every cell of the engine's mode
-# matrix (the tier-1 run takes every seventh)
+# matrix (the tier-1 run takes every seventh), and the explosion against its
+# full-space solution at 100 m too, with the fitted order (the tier-1 run
+# takes 200 m alone)
 check: vet fmt-check check-bce check-portable check-one check-surface overload-test
 	$(GO) test -race ./internal/core/... ./internal/mpi/... ./internal/service/... \
 		./internal/ensemble/ ./internal/wal/ ./internal/checkpoint/ ./internal/lz4/ \
@@ -28,6 +30,7 @@ check: vet fmt-check check-bce check-portable check-one check-surface overload-t
 	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Plane|Lane|YieldSurface|MaxAbs|FlatIndex|Ranked'
 	$(GO) test -shuffle=on -count=20 ./internal/service/ ./internal/ensemble/
 	$(GO) test -count=1 ./internal/core/ -run TestModeMatrix -matrix.full
+	$(GO) test -count=1 ./internal/core/ -run TestExplosionMatchesFullSpaceSolution -explosion.full
 
 # the build without the assembly rows must not rot: cross-compile everything
 # for an architecture that has none and vet the packages that hold rows there
@@ -107,10 +110,13 @@ check-bce:
 # New and RunParallelCtx calibrate it. And compressed storage keeps one
 # copy: non-test internal/core names no compress.Field and calls
 # EncodeSlice( and DecodeSlice( only from roundTrip, which passes a float32
-# field through its codec in place
+# field through its codec in place. And every program is run or shipped: no
+# package main outside cmd/ and benchmark/ (an example is an Example
+# function, which go test runs)
 KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
+	@! grep -rlx --include='*.go' 'package main' . | grep -vE '^\./(cmd|benchmark)/'
 	@! grep -rl --include='*.go' '"expvar"' . | grep -v '^\./cmd/quaked/'
 	@for pat in 'ex\.StartVelocity(' 'plasticity\.ApplyRegion(' 's\.stressChain('; do \
 		n=$$(grep -n "$$pat" internal/core/*.go | grep -v '_test\.go:' | wc -l); \

@@ -68,7 +68,7 @@ func run(args []string, w io.Writer) error {
 		snapshots = fs.Int("snapshots", 0, "write a surface-velocity PGM every N steps (serial runs, needs -out)")
 		sunwaySim = fs.Bool("sunway", false, "execute through the simulated SW26010 core group and report its timing")
 		tiles     = fs.Int("tiles", 0, "intra-rank workers walking the block's strips as a wavefront (-1 = auto from GOMAXPROCS, 0/1 = single-threaded; bit-identical results)")
-		overlap   = fs.Bool("overlap", false, "overlap interior compute with the velocity-halo exchange (bit-identical; pays off with -parallel)")
+		overlap   = fs.Bool("overlap", false, "overlap interior compute with the velocity-halo exchange (bit-identical; -parallel runs only)")
 		progress  = fs.Bool("progress", false, "print step progress and ETA during the run")
 		timing    = fs.Bool("timing", false, "print the per-stage kernel timing breakdown after the run")
 
@@ -84,8 +84,9 @@ func run(args []string, w io.Writer) error {
 	if *snapshots > 0 && *parallel != "" {
 		return fmt.Errorf("-snapshots takes serial runs only, not -parallel")
 	}
-	// a serial run has no halo to frame or time out and no rank to heal
-	for _, name := range []string{"fault-retries", "step-deadline", "halo-crc"} {
+	// a serial run has no halo to frame, time out or overlap and no rank to
+	// heal
+	for _, name := range []string{"fault-retries", "step-deadline", "halo-crc", "overlap"} {
 		if f := fs.Lookup(name); *parallel == "" && f.Value.String() != f.DefValue {
 			return fmt.Errorf("-%s takes -parallel runs only (one block: -parallel 1x1)", name)
 		}

@@ -154,12 +154,13 @@ func TestRunRefusesSnapshotsOnRanks(t *testing.T) {
 	}
 }
 
-// TestRunRefusesRankFlagsWithoutRanks: the fault budget, the step deadline
-// and the halo CRC act on the ranks of a -parallel run alone, so a serial
-// run asked for any of them is refused, naming the flag and the one-block
-// grid that has them, before it runs a step or writes a file.
+// TestRunRefusesRankFlagsWithoutRanks: the fault budget, the step deadline,
+// the halo CRC and the overlapped halo exchange act on the ranks of a
+// -parallel run alone, so a serial run asked for any of them is refused,
+// naming the flag and the one-block grid that has them, before it runs a
+// step or writes a file.
 func TestRunRefusesRankFlagsWithoutRanks(t *testing.T) {
-	for _, flag := range [][]string{{"-fault-retries", "2"}, {"-step-deadline", "1s"}, {"-halo-crc"}} {
+	for _, flag := range [][]string{{"-fault-retries", "2"}, {"-step-deadline", "1s"}, {"-halo-crc"}, {"-overlap"}} {
 		dir := t.TempDir()
 		var buf bytes.Buffer
 		args := append([]string{"-scenario", "quickstart", "-steps", "20", "-checkpoint-every", "10", "-out", dir}, flag...)

@@ -1,6 +1,6 @@
 // Package scenario builds ready-to-run simulation configurations: the
 // quickstart demo and the scaled Tangshan earthquake scenario of the
-// paper's §8 (used by the examples, the bench harness and the public API).
+// paper's §8 (used by the CLIs, the bench harness and the public API).
 package scenario
 
 import (
