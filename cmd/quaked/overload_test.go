@@ -303,15 +303,15 @@ func TestOverloadDrill(t *testing.T) {
 
 	// the ledger never exceeded the budget — reservations are checked at
 	// dispatch, so the high-water mark is the proof for the whole drill
-	m := svc.Metrics()
-	if m.MemBudgetBytes != budget {
-		t.Fatalf("budget %d, configured %d", m.MemBudgetBytes, budget)
+	ledger := svc.Health().Budget
+	if ledger.TotalBytes != budget {
+		t.Fatalf("budget %d, configured %d", ledger.TotalBytes, budget)
 	}
-	if m.MemHighWaterBytes <= 0 || m.MemHighWaterBytes > budget {
-		t.Fatalf("ledger high water %d outside (0, %d]", m.MemHighWaterBytes, budget)
+	if ledger.HighWaterBytes <= 0 || ledger.HighWaterBytes > budget {
+		t.Fatalf("ledger high water %d outside (0, %d]", ledger.HighWaterBytes, budget)
 	}
-	if m.Rejected < freshStorm {
-		t.Fatalf("rejections %d, want >= %d", m.Rejected, freshStorm)
+	if rejected := svc.Registry().Ints()["jobs_rejected"]; rejected < freshStorm {
+		t.Fatalf("rejections %d, want >= %d", rejected, freshStorm)
 	}
 
 	// the labeled rejection counter is exposed per reason

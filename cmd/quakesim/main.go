@@ -331,8 +331,8 @@ func report(w io.Writer, res *core.Result) {
 		fmt.Fprintf(w, "plasticity engaged at %d point-steps\n", res.YieldedPointSteps)
 	}
 	for _, ev := range res.Faults {
-		fmt.Fprintf(w, "engine fault recovered: %s on rank %d at step %d (resumed from step %d, attempt %d)\n",
-			ev.Kind, ev.Rank, ev.Step, ev.ResumeStep, ev.Attempt)
+		fmt.Fprintf(w, "engine fault recovered: %s on rank %d at step %d (resumed from step %d, attempt %d): %v\n",
+			ev.Kind, ev.Rank, ev.Step, ev.ResumeStep, ev.Attempt, ev.Err)
 	}
 	for _, ck := range res.Checkpoints {
 		fmt.Fprintf(w, "checkpoint %s (%.1fx LZ4)\n", ck.Path, ck.CompressionRatio)

@@ -195,6 +195,9 @@ func TestRunFaultDrillRecovers(t *testing.T) {
 	if !strings.Contains(out, "engine fault recovered: halo-corrupt") {
 		t.Fatalf("recovery not reported:\n%s", out)
 	}
+	if !strings.Contains(out, "frame checksum mismatch") {
+		t.Fatalf("recovery reported without its cause:\n%s", out)
+	}
 	if !strings.Contains(out, "done in") {
 		t.Fatalf("run did not finish:\n%s", out)
 	}

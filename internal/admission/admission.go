@@ -6,7 +6,7 @@
 // It provides:
 //
 //   - a cost model (EstimateCost) predicting a job's resident working set
-//     and compute volume from its core.Config and process-grid layout,
+//     from its core.Config and process-grid layout,
 //     validated against live runtime.MemStats allocations in tests;
 //   - a memory Ledger holding a global byte budget: jobs reserve their
 //     estimate before a worker dequeues them, jobs that would exceed the

@@ -16,13 +16,9 @@ type Cost struct {
 	// buffers, LZ4 scratch) — budgets should keep the headroom DESIGN.md
 	// §3.8 documents.
 	Bytes int64
-	// PointSteps is the relative compute volume: weighted kernel
-	// point-updates summed over the whole run. Dimensionless; useful for
-	// ordering and Retry-After heuristics, not wall-clock prediction.
-	PointSteps float64
 }
 
-// EstimateCost predicts the working set and compute volume of running cfg
+// EstimateCost predicts the working set of running cfg
 // on an mx×my simulated-MPI process grid (both <=1 means serial). The
 // estimate is derived from core.Config.Storage — the engine-side account
 // of what New allocates — so it tracks the real allocator; the admission
@@ -79,33 +75,11 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 			bytes += pg.HaloBytesPerStep(r, len(core.FieldNames), int(h))
 		}
 	}
-	// seismograms: 3 components × recorded samples × float32, per station
+	// seismograms: 3 components × one sample a step × float32, per station
 	if n := len(cfg.Stations); n > 0 && cfg.Steps > 0 {
-		sample := cfg.SampleEvery
-		if sample <= 0 {
-			sample = 1
-		}
-		samples := int64(cfg.Steps)/int64(sample) + 1
-		bytes += int64(n) * samples * 3 * 4
+		bytes += int64(n) * (int64(cfg.Steps) + 1) * 3 * 4
 	}
-
-	// weighted kernel point-updates per step, mirroring Perf accounting:
-	// velocity + stress always run; plasticity, sponge and attenuation add
-	// passes of roughly comparable per-point weight
-	weight := 2.0
-	if cfg.Nonlinear {
-		weight++
-	}
-	if cfg.SpongeWidth > 0 {
-		weight += 0.3
-	}
-	if cfg.Attenuation.Enabled {
-		weight += 0.5
-	}
-	return Cost{
-		Bytes:      bytes,
-		PointSteps: weight * float64(d.Points()) * float64(cfg.Steps),
-	}
+	return Cost{Bytes: bytes}
 }
 
 // CostAccuracyFactor is the documented accuracy envelope of EstimateCost:

@@ -28,8 +28,6 @@ func floatFromBits32(b uint32) float32 {
 
 // IOPlan is a group + forwarding assignment for nranks writers.
 type IOPlan struct {
-	NRanks     int
-	GroupSize  int
 	Leaders    []int // rank id of each group leader
 	GroupOf    []int // group index per rank
 	Forwarder  []int // forwarding node per group leader
@@ -41,7 +39,7 @@ func PlanIO(nranks, groupSize, nforwarders int) (*IOPlan, error) {
 	if nranks <= 0 || groupSize <= 0 || nforwarders <= 0 {
 		return nil, fmt.Errorf("checkpoint: invalid I/O plan (%d ranks, group %d, %d forwarders)", nranks, groupSize, nforwarders)
 	}
-	p := &IOPlan{NRanks: nranks, GroupSize: groupSize, NForwarder: nforwarders}
+	p := &IOPlan{NForwarder: nforwarders}
 	p.GroupOf = make([]int, nranks)
 	for r := 0; r < nranks; r += groupSize {
 		leader := r

@@ -35,6 +35,9 @@ import (
 // to repay the workers of a step runs single-threaded.
 const AutoTiles = -1
 
+// SpongeAlpha is the Cerjan damping strength of the absorbing boundary.
+const SpongeAlpha = 0.08
+
 // StepEvent describes one completed step of the pipeline, as reported to a
 // StepObserver: how far the run is, how long it has been stepping, and how
 // fast the medium moves.
@@ -100,8 +103,6 @@ type Config struct {
 	Steps int
 
 	Model model.Model
-	// OriginX/OriginY place the block in model coordinates (meters).
-	OriginX, OriginY float64
 
 	Nonlinear  bool
 	Plasticity PlasticityConfig
@@ -115,13 +116,11 @@ type Config struct {
 	Compression compress.Method
 
 	Sources  []source.PointSource
-	Stations []seismo.Station
-	// SampleEvery thins seismogram sampling (default 1).
-	SampleEvery int
+	Stations []seismo.Station // recorded every step
 
-	// SpongeWidth in grid points (0 disables absorbing boundaries).
+	// SpongeWidth in grid points (0 disables absorbing boundaries); the
+	// damping strength is SpongeAlpha.
 	SpongeWidth int
-	SpongeAlpha float64
 
 	RecordPGV bool
 
@@ -230,14 +229,8 @@ func (c *Config) Validate() error {
 	if c.Model == nil {
 		return fmt.Errorf("core: no velocity model")
 	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 1
-	}
 	if c.SpongeWidth < 0 || 2*c.SpongeWidth >= min(c.Dims.Nx, c.Dims.Ny) {
 		return fmt.Errorf("core: sponge width %d does not fit %v", c.SpongeWidth, c.Dims)
-	}
-	if c.SpongeWidth > 0 && c.SpongeAlpha <= 0 {
-		c.SpongeAlpha = 0.08
 	}
 	if c.Nonlinear {
 		p := &c.Plasticity

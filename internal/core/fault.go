@@ -64,7 +64,9 @@ type FaultEvent struct {
 	// ResumeStep is the checkpoint step the retry resumed from (0 = from
 	// the start). Meaningful only when Recovered.
 	ResumeStep int
-	Err        error
+	// Err is the cause: the frame checksum mismatch, the step deadline that
+	// ran out, or the panic text.
+	Err error
 }
 
 // DefaultDivergenceLimit is the velocity magnitude (m/s) beyond which a

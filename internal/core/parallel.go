@@ -119,6 +119,7 @@ func emitFault(cfg *Config, ev FaultEvent) {
 		cfg.Tracer.Instant(0, cfg.TraceTID, "engine", "engine_fault", timeNow(), map[string]any{
 			"kind": string(ev.Kind), "rank": ev.Rank, "step": ev.Step,
 			"attempt": ev.Attempt, "recovered": ev.Recovered, "resume_step": ev.ResumeStep,
+			"err": fmt.Sprint(ev.Err),
 		})
 	}
 	if cfg.OnFault != nil {
@@ -192,7 +193,7 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 	}
 
 	res := &Result{Stages: telemetry.NewStageClock()}
-	merged := seismo.NewRecorder(nil, 1, 1)
+	merged := &seismo.Recorder{}
 	if cfg.RecordPGV {
 		res.PGV = seismo.NewPGVField(cfg.Dims.Nx, cfg.Dims.Ny, 0)
 	}

@@ -174,8 +174,6 @@ func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSou
 		stages: telemetry.NewStageClock()}
 	i0, j0 := pg.Offset(id)
 	s.Cfg.Dims = pg.BlockDims()
-	s.Cfg.OriginX += float64(i0) * cfg.Dx
-	s.Cfg.OriginY += float64(j0) * cfg.Dx
 	s.Cfg.Sources = srcs
 	s.Cfg.Stations = nil
 	for _, gi := range blockStationIndices(cfg.Stations, pg, id) {
@@ -201,7 +199,7 @@ func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSou
 	if cfg.Attenuation.Enabled {
 		s.buildAttenuation()
 	}
-	s.rec = seismo.NewRecorder(s.Cfg.Stations, s.Cfg.Dt, cfg.SampleEvery)
+	s.rec = seismo.NewRecorder(s.Cfg.Stations, s.Cfg.Dt)
 	return s, nil
 }
 
@@ -210,8 +208,10 @@ func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSou
 // first round trip stores the initial wavefield — everything that can fail.
 func (s *Simulator) setUp(codecs []compress.Codec) error {
 	cfg := &s.Cfg
+	// the block's offset in the run's domain, in cells and in model metres
+	i0, j0 := s.pg.Offset(s.id)
 	s.WF = fd.NewWavefield(cfg.Dims)
-	s.Med = fd.NewMediumFromModel(cfg.Dims, cfg.Dx, cfg.Model, cfg.OriginX, cfg.OriginY)
+	s.Med = fd.NewMediumFromModel(cfg.Dims, cfg.Dx, cfg.Model, float64(i0)*cfg.Dx, float64(j0)*cfg.Dx)
 	if err := s.Med.Validate(); err != nil {
 		return err
 	}
@@ -238,9 +238,8 @@ func (s *Simulator) setUp(codecs []compress.Codec) error {
 		// the profile of the run's domain, so every decomposition damps
 		// exactly the same boundary zones (a block gets no damping from faces
 		// it does not own); the width may exceed the block
-		i0, j0 := s.pg.Offset(s.id)
 		s.sponge = fd.NewSpongeGlobal(s.pg.GlobalNx, s.pg.GlobalNy, s.pg.GlobalNz,
-			cfg.SpongeWidth, cfg.SpongeAlpha, i0, j0, cfg.Dims.Nx, cfg.Dims.Ny, cfg.Dims.Nz)
+			cfg.SpongeWidth, SpongeAlpha, i0, j0, cfg.Dims.Nx, cfg.Dims.Ny, cfg.Dims.Nz)
 	}
 	if cfg.RecordPGV {
 		s.pgv = seismo.NewPGVField(cfg.Dims.Nx, cfg.Dims.Ny, 0)

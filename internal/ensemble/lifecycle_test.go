@@ -164,7 +164,7 @@ func TestBackpressureWaitsOnTheClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refusals := func() int64 { return svc.Metrics().Rejected }
+	refusals := func() int64 { return svc.Registry().Ints()["jobs_rejected"] }
 
 	st, err := m.Create(sweepSpec(5, 1))
 	if err != nil {

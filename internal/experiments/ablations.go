@@ -95,9 +95,9 @@ func AblationCompressionMethods(w io.Writer, size Size) ([]AblationMethodResult,
 		}
 		out = append(out, row)
 		if row.Diverged {
-			fmt.Fprintf(w, "%-12s %14s %10s\n", m, "-", "DIVERGED (5-bit exponent overflow, §6.5)")
+			fmt.Fprintf(w, "%-12s %14s %10s\n", row.Method, "-", "DIVERGED (5-bit exponent overflow, §6.5)")
 		} else {
-			fmt.Fprintf(w, "%-12s %13.1f%% %10s\n", m, 100*row.Misfit, "yes")
+			fmt.Fprintf(w, "%-12s %13.1f%% %10s\n", row.Method, 100*row.Misfit, "yes")
 		}
 	}
 	return out, nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,28 @@ func TestTable4Shape(t *testing.T) {
 	for _, r := range rows {
 		if r.Effective <= 0 || r.Effective > r.Peak {
 			t.Fatalf("row %s out of range", r.Name)
+		}
+	}
+}
+
+// TestTable4PrintsItsUnits: each row's numbers are printed with its unit.
+func TestTable4PrintsItsUnits(t *testing.T) {
+	var buf bytes.Buffer
+	Table4(&buf)
+	for _, row := range []struct{ name, unit string }{
+		{"Computing Performance", "Gflops"},
+		{"Memory Size", "GB"},
+		{"Memory Bandwidth", "GB/s"},
+		{"LDM Size", "KB"},
+	} {
+		var line string
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(l, row.name) {
+				line = l
+			}
+		}
+		if !slices.Contains(strings.Fields(line), row.unit) {
+			t.Errorf("Table 4 row %q does not name its unit %s:\n%s", row.name, row.unit, buf.String())
 		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 // paper's evaluation depends on — path attenuation — at the same per-point
 // memory touch count.)
 type Attenuation struct {
-	D grid.Dims
 	// GP and GS are the per-step decay factors, per cell or — for a uniform
 	// Q — one constant row each.
 	GP, GS *grid.Field
@@ -78,12 +77,12 @@ func NewAttenuation(d grid.Dims, qm QModel, f0, dt float64) *Attenuation {
 		return 1
 	}
 	if c, ok := qm.(ConstantQ); ok {
-		a := &Attenuation{D: d, GP: grid.NewProfile(d, Halo), GS: grid.NewProfile(d, Halo)}
+		a := &Attenuation{GP: grid.NewProfile(d, Halo), GS: grid.NewProfile(d, Halo)}
 		a.GP.Fill(decay(c.Qp))
 		a.GS.Fill(decay(c.Qs))
 		return a
 	}
-	a := &Attenuation{D: d, GP: grid.NewField(d, Halo), GS: grid.NewField(d, Halo)}
+	a := &Attenuation{GP: grid.NewField(d, Halo), GS: grid.NewField(d, Halo)}
 	a.GP.Fill(1)
 	a.GS.Fill(1)
 	for i := 0; i < d.Nx; i++ {

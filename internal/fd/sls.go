@@ -27,7 +27,6 @@ import (
 // just 28 arrays". The stresses the update takes its increment against are
 // not an array: a StressSnapshot holds them for the region at hand.
 type SLS struct {
-	D grid.Dims
 	// R holds the six memory variables, ordered like StressFields.
 	R [6]*grid.Field
 	// Phi is the per-cell modulus defect fraction (≈ 2/Q).
@@ -41,7 +40,7 @@ type SLS struct {
 // components; a per-component split costs little and adds nothing at this
 // fidelity).
 func NewSLS(d grid.Dims, qm QModel, f0 float64) *SLS {
-	s := &SLS{D: d, TauSigma: 1 / (2 * math.Pi * f0)}
+	s := &SLS{TauSigma: 1 / (2 * math.Pi * f0)}
 	for i := range s.R {
 		s.R[i] = grid.NewField(d, Halo)
 	}

@@ -15,8 +15,7 @@ import "math"
 // global profiles at the block's offset, so a rank damps exactly the cells
 // of the global zones it owns, by exactly the serial factors.
 type Sponge struct {
-	D     struct{ Nx, Ny, Nz int }
-	Width int
+	D struct{ Nx, Ny, Nz int }
 
 	cx, cy, cz []float64
 	// czf[k] is float32(cz[k]): the factor row of a column outside the x and
@@ -40,7 +39,7 @@ func NewSponge(nx, ny, nz, width int, alpha float64) *Sponge {
 // decomposed runs damp exactly the same global boundary zones as a serial
 // run (interior ranks get no damping from faces they do not own).
 func NewSpongeGlobal(gnx, gny, gnz, width int, alpha float64, i0, j0, nx, ny, nz int) *Sponge {
-	s := &Sponge{Width: width}
+	s := &Sponge{}
 	s.D.Nx, s.D.Ny, s.D.Nz = nx, ny, nz
 	s.cx = make([]float64, nx)
 	for i := range s.cx {

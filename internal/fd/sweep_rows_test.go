@@ -285,7 +285,7 @@ func TestPlaneEntriesMatchGoRows(t *testing.T) {
 		{"attenuation, profiles", func(wf *Wavefield, r grid.Region) { constQ.ApplyRegion(wf, r) }},
 		{"attenuation, full fields", func(wf *Wavefield, r grid.Region) { fullQ.ApplyRegion(wf, r) }},
 		{"attenuation, mixed", func(wf *Wavefield, r grid.Region) {
-			(&Attenuation{D: d, GP: fullQ.GP, GS: constQ.GS}).ApplyRegion(wf, r)
+			(&Attenuation{GP: fullQ.GP, GS: constQ.GS}).ApplyRegion(wf, r)
 		}},
 	}
 	for _, width := range []int{3, 5} {

@@ -93,9 +93,7 @@ func (k Kernel) TimePerPoint(s Strategy) float64 {
 
 	switch s {
 	case MPE:
-		memT := bytes / (sunway.MPEEffectiveBWGBs * 1e9)
-		compT := k.FlopsPerPoint / (sunway.MPEEffectiveGflops * 1e9)
-		return max(memT, compT)
+		return max(sunway.MPEMemorySeconds(bytes), sunway.MPEComputeSeconds(k.FlopsPerPoint))
 	case PAR:
 		bw := sunway.PerCGShare(naiveBlockBytes, sunway.DMAGet) * 1e9 * k.ParallelFraction
 		memT := bytes / bw

@@ -91,10 +91,9 @@ func (c *Config) Validate(d grid.Dims) error {
 
 // Result holds the rupture history.
 type Result struct {
-	Cfg   Config
-	Dt    float64
-	Dx    float64
-	Steps int
+	Cfg Config
+	Dt  float64
+	Dx  float64
 
 	// per-cell series indexed [si*nk + sk] with si = i-I0, sk = k-K0
 	SlipRate [][]float64
@@ -118,7 +117,7 @@ func Simulate(cfg Config, med *fd.Medium, dx, dt float64, steps int) (*Result, e
 	}
 	ncells := (cfg.I1 - cfg.I0) * (cfg.K1 - cfg.K0)
 	res := &Result{
-		Cfg: cfg, Dt: dt, Dx: dx, Steps: steps,
+		Cfg: cfg, Dt: dt, Dx: dx,
 		SlipRate:    make([][]float64, ncells),
 		FinalSlip:   make([]float64, ncells),
 		RuptureTime: make([]float64, ncells),

@@ -10,11 +10,11 @@ import "math"
 // single-degree-of-freedom oscillator of period T and damping ratio zeta
 // to the simulated ground motion.
 
-// ResponseSpectrum holds spectral values per requested period.
+// ResponseSpectrum holds spectral values per requested period, in the
+// order the periods were given.
 type ResponseSpectrum struct {
-	Periods []float64 // s
-	SD      []float64 // peak relative displacement, m
-	PSA     []float64 // pseudo-spectral acceleration = SD * (2*pi/T)^2, m/s^2
+	SD  []float64 // peak relative displacement, m
+	PSA []float64 // pseudo-spectral acceleration = SD * (2*pi/T)^2, m/s^2
 }
 
 // GroundAcceleration differentiates a velocity series to acceleration.
@@ -85,7 +85,7 @@ func (t *Trace) ComputeResponseSpectrum(periods []float64, zeta float64) Respons
 	}
 	ag := GroundAcceleration(comp, t.Dt)
 
-	rs := ResponseSpectrum{Periods: periods}
+	var rs ResponseSpectrum
 	for _, T := range periods {
 		sd := NewmarkSDOF(ag, t.Dt, T, zeta)
 		w := 2 * math.Pi / T

@@ -107,12 +107,12 @@ func TestComputeResponseSpectrum(t *testing.T) {
 			best, bi = v, i
 		}
 	}
-	if math.Abs(rs.Periods[bi]-1.0) > 0.25 {
-		t.Fatalf("spectrum peaks at T=%g s, want ~1 s", rs.Periods[bi])
+	if math.Abs(periods[bi]-1.0) > 0.25 {
+		t.Fatalf("spectrum peaks at T=%g s, want ~1 s", periods[bi])
 	}
 	// SD and PSA are consistent: PSA = SD * wn^2
 	for i := range rs.SD {
-		w := 2 * math.Pi / rs.Periods[i]
+		w := 2 * math.Pi / periods[i]
 		if math.Abs(rs.PSA[i]-rs.SD[i]*w*w) > 1e-12*math.Max(1, rs.PSA[i]) {
 			t.Fatal("PSA/SD inconsistency")
 		}

@@ -25,35 +25,29 @@ type Trace struct {
 	U, V, W []float32 // velocity samples, m/s
 }
 
-// Recorder samples station velocities every SampleEvery solver steps.
+// Recorder samples station velocities every solver step.
 type Recorder struct {
-	Dt          float64 // solver time step
-	SampleEvery int
-	Traces      []*Trace
-	step        int
+	Traces []*Trace
+	step   int
 }
 
-// NewRecorder creates a recorder for the given stations.
-func NewRecorder(stations []Station, dt float64, sampleEvery int) *Recorder {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
-	r := &Recorder{Dt: dt * float64(sampleEvery), SampleEvery: sampleEvery}
+// NewRecorder creates a recorder for the given stations, whose traces are
+// sampled every solver step of length dt.
+func NewRecorder(stations []Station, dt float64) *Recorder {
+	r := &Recorder{}
 	for _, s := range stations {
-		r.Traces = append(r.Traces, &Trace{Station: s, Dt: r.Dt})
+		r.Traces = append(r.Traces, &Trace{Station: s, Dt: dt})
 	}
 	return r
 }
 
 // Record samples the wavefield; call once per solver step.
 func (r *Recorder) Record(wf *fd.Wavefield) {
-	if r.step%r.SampleEvery == 0 {
-		for _, tr := range r.Traces {
-			s := tr.Station
-			tr.U = append(tr.U, wf.U.At(s.I, s.J, s.K))
-			tr.V = append(tr.V, wf.V.At(s.I, s.J, s.K))
-			tr.W = append(tr.W, wf.W.At(s.I, s.J, s.K))
-		}
+	for _, tr := range r.Traces {
+		s := tr.Station
+		tr.U = append(tr.U, wf.U.At(s.I, s.J, s.K))
+		tr.V = append(tr.V, wf.V.At(s.I, s.J, s.K))
+		tr.W = append(tr.W, wf.W.At(s.I, s.J, s.K))
 	}
 	r.step++
 }
@@ -62,7 +56,7 @@ func (r *Recorder) Record(wf *fd.Wavefield) {
 func (r *Recorder) StepsSeen() int { return r.step }
 
 // SetStepsSeen overrides the consumed-step counter — used when resuming a
-// run from a checkpoint so sampling stays phase-aligned with the original.
+// run from a checkpoint, whose resume state carries the count.
 func (r *Recorder) SetStepsSeen(n int) { r.step = n }
 
 // Trace returns the trace for the named station, or nil.

@@ -13,7 +13,7 @@ func wf44() *fd.Wavefield { return fd.NewWavefield(grid.Dims{Nx: 4, Ny: 4, Nz: 4
 
 func TestRecorderSampling(t *testing.T) {
 	wf := wf44()
-	r := NewRecorder([]Station{{Name: "A", I: 1, J: 1, K: 0}}, 0.01, 2)
+	r := NewRecorder([]Station{{Name: "A", I: 1, J: 1, K: 0}}, 0.01)
 	for n := 0; n < 10; n++ {
 		wf.U.Set(1, 1, 0, float32(n))
 		r.Record(wf)
@@ -22,14 +22,16 @@ func TestRecorderSampling(t *testing.T) {
 	if tr == nil {
 		t.Fatal("trace missing")
 	}
-	if len(tr.U) != 5 {
-		t.Fatalf("sampled %d, want 5", len(tr.U))
+	if len(tr.U) != 10 || r.StepsSeen() != 10 {
+		t.Fatalf("sampled %d of %d steps, want every one of 10", len(tr.U), r.StepsSeen())
 	}
-	if tr.U[0] != 0 || tr.U[1] != 2 || tr.U[4] != 8 {
-		t.Fatalf("samples %v", tr.U)
+	for n, u := range tr.U {
+		if u != float32(n) {
+			t.Fatalf("samples %v", tr.U)
+		}
 	}
-	if tr.Dt != 0.02 {
-		t.Fatalf("trace dt %g", tr.Dt)
+	if tr.Dt != 0.01 {
+		t.Fatalf("trace dt %g, want the solver step", tr.Dt)
 	}
 	if r.Trace("nope") != nil {
 		t.Fatal("unknown station returned a trace")

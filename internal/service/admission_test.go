@@ -45,7 +45,7 @@ func TestMemBudgetSerializesDispatch(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		m := s.Metrics()
+		m := metricsOf(s)
 		if m.Running > 1 {
 			t.Fatalf("budget admitted %d concurrent jobs, the ledger fits 1", m.Running)
 		}
@@ -74,13 +74,13 @@ func TestMemBudgetSerializesDispatch(t *testing.T) {
 			t.Fatalf("job %s state %s (err %q)", id, st.State, st.Error)
 		}
 	}
-	m := s.Metrics()
+	m := metricsOf(s)
 	if m.MemHighWaterBytes <= 0 || m.MemHighWaterBytes > m.MemBudgetBytes {
 		t.Fatalf("ledger high water %d with budget %d", m.MemHighWaterBytes, m.MemBudgetBytes)
 	}
 	// a job turns terminal inside runJob; its worker releases the
 	// reservation just after
-	for deadline := time.Now().Add(5 * time.Second); m.MemReservedBytes != 0; m = s.Metrics() {
+	for deadline := time.Now().Add(5 * time.Second); m.MemReservedBytes != 0; m = metricsOf(s) {
 		if time.Now().After(deadline) {
 			t.Fatalf("reservations leaked: %d bytes still held", m.MemReservedBytes)
 		}
@@ -142,7 +142,7 @@ func TestNeverFitsRejectedAtSubmit(t *testing.T) {
 	if !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("rejection does not name the budget: %v", err)
 	}
-	m := s.Metrics()
+	m := metricsOf(s)
 	if m.Rejected != 1 || m.Submitted != 0 {
 		t.Fatalf("rejected=%d submitted=%d, want 1/0", m.Rejected, m.Submitted)
 	}
@@ -166,7 +166,7 @@ func TestSubmitRateLimited(t *testing.T) {
 	if hint, ok := admission.RetryAfter(err); !ok || hint <= 0 {
 		t.Fatalf("rate-limit rejection carries no retry hint: %v", err)
 	}
-	if m := s.Metrics(); m.Rejected != 1 {
+	if m := metricsOf(s); m.Rejected != 1 {
 		t.Fatalf("rejected=%d, want 1", m.Rejected)
 	}
 
@@ -214,7 +214,7 @@ func TestBreakerTripShedsAndRecovers(t *testing.T) {
 	if hint, ok := admission.RetryAfter(err); !ok || hint <= 0 || hint > time.Second {
 		t.Fatalf("shedding hint %v ok=%v, want (0, cooldown]", hint, ok)
 	}
-	m := s.Metrics()
+	m := metricsOf(s)
 	if m.BreakerTrips != 1 || m.WorkerPanics != 2 || m.Rejected != 1 {
 		t.Fatalf("trips=%d panics=%d rejected=%d, want 1/2/1", m.BreakerTrips, m.WorkerPanics, m.Rejected)
 	}
@@ -267,7 +267,7 @@ func TestProgressWatchdogCancelsForRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stalls := func() int64 { return s.Metrics().ProgressStalls }
+	stalls := func() int64 { return metricsOf(s).ProgressStalls }
 	<-w.entered // inside step 5
 	clk.Advance(59 * time.Minute)
 	w.release <- struct{}{}
@@ -292,7 +292,7 @@ func TestProgressWatchdogCancelsForRetry(t *testing.T) {
 	if st.Attempt != 2 {
 		t.Fatalf("attempt %d, want 2 (stall must burn one)", st.Attempt)
 	}
-	if m := s.Metrics(); m.ProgressStalls != 1 || m.Retried != 1 {
+	if m := metricsOf(s); m.ProgressStalls != 1 || m.Retried != 1 {
 		t.Fatalf("stalls=%d retried=%d, want 1 / 1", m.ProgressStalls, m.Retried)
 	}
 }
@@ -311,7 +311,7 @@ func TestHealthDrainingState(t *testing.T) {
 	if _, err := s.Submit(Request{Config: tinyConfig(10)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit while draining: %v", err)
 	}
-	if m := s.Metrics(); m.Rejected != 1 {
+	if m := metricsOf(s); m.Rejected != 1 {
 		t.Fatalf("draining rejection not counted: %d", m.Rejected)
 	}
 }

@@ -27,7 +27,6 @@ type keyPayload struct {
 	Dx          float64                `json:"dx"`
 	Dt          float64                `json:"dt"`
 	Steps       int                    `json:"steps"`
-	Origin      [2]float64             `json:"origin"`
 	Model       string                 `json:"model"`
 	Nonlinear   bool                   `json:"nonlinear"`
 	Plasticity  core.PlasticityConfig  `json:"plasticity"`
@@ -35,9 +34,7 @@ type keyPayload struct {
 	Compression string                 `json:"compression"`
 	Sources     []string               `json:"sources"`
 	Stations    []seismo.Station       `json:"stations"`
-	SampleEvery int                    `json:"sample_every"`
 	SpongeWidth int                    `json:"sponge_width"`
-	SpongeAlpha float64                `json:"sponge_alpha"`
 	RecordPGV   bool                   `json:"record_pgv"`
 	SunwaySim   bool                   `json:"sunway_sim"`
 	RestartFrom string                 `json:"restart_from"`
@@ -50,8 +47,8 @@ type keyPayload struct {
 // is safe to use for result caching and for matching API results against
 // batch-run manifests on disk.
 func ConfigKey(cfg core.Config) (string, error) {
-	// validate a copy so defaults (SampleEvery, sponge alpha, ...) are
-	// filled in and the hash is canonical
+	// validate a copy so defaults (attenuation F0, lithostatic density)
+	// are filled in and the hash is canonical
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
@@ -60,16 +57,13 @@ func ConfigKey(cfg core.Config) (string, error) {
 		Dx:          cfg.Dx,
 		Dt:          cfg.Dt,
 		Steps:       cfg.Steps,
-		Origin:      [2]float64{cfg.OriginX, cfg.OriginY},
 		Model:       canonical(cfg.Model),
 		Nonlinear:   cfg.Nonlinear,
 		Plasticity:  cfg.Plasticity,
 		Attenuation: cfg.Attenuation,
 		Compression: cfg.Compression.String(),
 		Stations:    cfg.Stations,
-		SampleEvery: cfg.SampleEvery,
 		SpongeWidth: cfg.SpongeWidth,
-		SpongeAlpha: cfg.SpongeAlpha,
 		RecordPGV:   cfg.RecordPGV,
 		SunwaySim:   cfg.SunwaySim,
 		RestartFrom: cfg.RestartFrom,

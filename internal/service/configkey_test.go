@@ -28,8 +28,9 @@ func TestConfigKeyCanonicalizesDefaults(t *testing.T) {
 	// one config relies on Validate to fill defaults, the other spells
 	// them out — the canonical hash must not see a difference
 	raw := tinyConfig(30)
-	filled := tinyConfig(30)
-	filled.SampleEvery = 1
+	raw.Attenuation = core.AttenuationConfig{Enabled: true, Qp: 100, Qs: 50}
+	filled := raw
+	filled.Attenuation.F0 = 1
 	a, err := ConfigKey(raw)
 	if err != nil {
 		t.Fatal(err)

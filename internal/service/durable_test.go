@@ -63,7 +63,7 @@ func TestDurableLifecycleIsJournaled(t *testing.T) {
 	if !strings.HasPrefix(seq, "submitted,started,progress") || !strings.HasSuffix(seq, "done") {
 		t.Fatalf("journal sequence %q", seq)
 	}
-	if m := s.Metrics(); m.JournalEvents != int64(len(events)) || m.CheckpointsSaved == 0 {
+	if m := metricsOf(s); m.JournalEvents != int64(len(events)) || m.CheckpointsSaved == 0 {
 		t.Fatalf("metrics %+v vs %d events", m, len(events))
 	}
 	// the dumps were written beside the solver: their time shows in the
@@ -119,7 +119,7 @@ func TestRecoveryRequeuesUnfinishedSkipsTerminal(t *testing.T) {
 	}
 	defer drain(t, s)
 
-	if m := s.Metrics(); m.Recovered != 2 {
+	if m := metricsOf(s); m.Recovered != 2 {
 		t.Fatalf("recovered %d jobs, want 2", m.Recovered)
 	}
 	if _, err := s.Status("job-000001"); err == nil {
@@ -169,7 +169,7 @@ func TestRetryAfterInjectedPanic(t *testing.T) {
 	if st.Attempt != 2 {
 		t.Fatalf("attempt %d, want 2", st.Attempt)
 	}
-	m := s.Metrics()
+	m := metricsOf(s)
 	if m.WorkerPanics != 1 || m.Retried != 1 || m.Done != 1 {
 		t.Fatalf("metrics %+v", m)
 	}
@@ -341,8 +341,8 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 	}
 	clk.Advance(time.Hour) // the backoff timer was stopped: nothing comes back
 	st, err := s.Status(id)
-	if err != nil || st.State != StateCanceled || s.Metrics().Queued != 0 {
-		t.Fatalf("status %+v %v, %d queued", st, err, s.Metrics().Queued)
+	if err != nil || st.State != StateCanceled || metricsOf(s).Queued != 0 {
+		t.Fatalf("status %+v %v, %d queued", st, err, metricsOf(s).Queued)
 	}
 }
 
@@ -574,7 +574,7 @@ func TestDeterministicFailuresAreNotRetried(t *testing.T) {
 		if err != nil || st.State != StateFailed || !strings.Contains(st.Error, tc.wantErr) {
 			t.Fatalf("%s: %+v, %v", tc.wantErr, st, err)
 		}
-		if m := s.Metrics(); st.Attempt != 1 || m.Retried != 0 {
+		if m := metricsOf(s); st.Attempt != 1 || m.Retried != 0 {
 			t.Errorf("%s: attempt %d, %d retried: a deterministic failure was retried", tc.wantErr, st.Attempt, m.Retried)
 		}
 		drain(t, s)

@@ -38,7 +38,7 @@ func TestEngineFaultRecoveredInRun(t *testing.T) {
 	if st.Attempt != 1 {
 		t.Fatalf("in-run recovery burned a job attempt: attempt %d", st.Attempt)
 	}
-	m := s.Metrics()
+	m := metricsOf(s)
 	if m.EngineFaults < 1 || m.EngineRecoveries < 1 {
 		t.Fatalf("engine fault counters: faults %d, recoveries %d", m.EngineFaults, m.EngineRecoveries)
 	}
@@ -89,7 +89,7 @@ func TestParallelDurableJobCheckpointsAndJournalsFaults(t *testing.T) {
 		t.Fatalf("durable parallel job state %s (err %q)", st.State, st.Error)
 	}
 
-	m := s.Metrics()
+	m := metricsOf(s)
 	if m.CheckpointsSaved == 0 {
 		t.Fatal("durable parallel job wrote no checkpoints")
 	}
@@ -111,6 +111,10 @@ func TestParallelDurableJobCheckpointsAndJournalsFaults(t *testing.T) {
 			sawProgress = true
 		case "engine_fault":
 			sawFault = true
+			// the journal keeps the cause, not just the kind
+			if !strings.Contains(ev.Error, "frame checksum mismatch") {
+				t.Errorf("engine_fault event error %q does not carry its cause", ev.Error)
+			}
 		case "done":
 			sawDone = true
 		}

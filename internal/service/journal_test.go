@@ -86,7 +86,7 @@ func TestParentWrittenJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer drain(t, s)
-	if m := s.Metrics(); m.Recovered != 2 || m.Submitted != 2 {
+	if m := metricsOf(s); m.Recovered != 2 || m.Submitted != 2 {
 		t.Fatalf("recovered %d of %d submitted, want 2 of 2", m.Recovered, m.Submitted)
 	}
 	compacted, err := wal.Read[journalEvent](path)
@@ -146,7 +146,7 @@ func TestBootRecoversTheParentsCrashJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer drain(t, s)
-	if m := s.Metrics(); m.Recovered != 2 || m.Submitted != 2 {
+	if m := metricsOf(s); m.Recovered != 2 || m.Submitted != 2 {
 		t.Fatalf("recovered %d of %d submitted, want 2 of 2", m.Recovered, m.Submitted)
 	}
 	if _, err := s.Status("job-000001"); !errors.Is(err, ErrUnknownJob) {
@@ -232,7 +232,7 @@ func TestJournalAppendFailureIsCountedAndLogged(t *testing.T) {
 	if st, err := s.Wait(ctx, ok); err != nil || st.State != StateDone { // Wait returns after the done event
 		t.Fatalf("%+v, %v", st, err)
 	}
-	healthy := s.Metrics()
+	healthy := metricsOf(s)
 	if healthy.JournalEvents != 3 || healthy.JournalErrors != 0 {
 		t.Fatalf("healthy journal: %+v", healthy)
 	}
@@ -242,7 +242,7 @@ func TestJournalAppendFailureIsCountedAndLogged(t *testing.T) {
 	if st, err := s.Wait(ctx, id); err != nil || st.State != StateDone {
 		t.Fatalf("%+v, %v", st, err)
 	}
-	m := s.Metrics()
+	m := metricsOf(s)
 	if m.JournalEvents != 3 || m.JournalErrors != 3 { // submitted, started, done
 		t.Fatalf("events %d errors %d, want 3 and 3", m.JournalEvents, m.JournalErrors)
 	}

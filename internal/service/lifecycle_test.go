@@ -78,7 +78,7 @@ func TestLifecycleTable(t *testing.T) {
 	}
 	journaled := map[State]string{StateQueued: "submitted", StateRunning: "started", StateRetrying: "retrying",
 		StateDone: "done", StateFailed: "failed", StateCanceled: "canceled"}
-	outcome := func(m Metrics) map[State]int64 {
+	outcome := func(m jobMetrics) map[State]int64 {
 		return map[State]int64{StateDone: m.Done, StateFailed: m.Failed, StateCanceled: m.Canceled, StateRetrying: m.Retried}
 	}
 	isDone := func(j *job) bool {
@@ -105,10 +105,10 @@ func TestLifecycleTable(t *testing.T) {
 				if from.Terminal() {
 					close(j.done)
 				}
-				before, kindsBefore, logged := s.Metrics(), journalKinds(), len(logs.String())
+				before, kindsBefore, logged := metricsOf(s), journalKinds(), len(logs.String())
 				c := change{from: from, to: to, parked: parked, err: errors.New("why"), result: &Result{}, resumedStep: 10}
 				ok := s.transition(j, c)
-				after, kinds := s.Metrics(), journalKinds()
+				after, kinds := metricsOf(s), journalKinds()
 
 				if want := slices.Contains(lifecycle[from], to); ok != want {
 					t.Errorf("%s: allowed=%v, the table says %v", name, ok, want)

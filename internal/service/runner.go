@@ -101,9 +101,9 @@ func (s *Service) prepare(j *job, restartFrom string) (context.Context, core.Con
 		}
 		jl.Warn("engine fault", "kind", string(ev.Kind), "rank", ev.Rank,
 			"step", ev.Step, "engine_attempt", ev.Attempt,
-			"recovered", ev.Recovered, "resume_step", ev.ResumeStep)
+			"recovered", ev.Recovered, "resume_step", ev.ResumeStep, "err", ev.Err)
 		s.logEvent(j, journalEvent{Event: "engine_fault", Attempt: attempt,
-			Step: ev.Step, Error: fmt.Sprintf("%s (recovered=%v)", ev.Kind, ev.Recovered)})
+			Step: ev.Step, Error: fmt.Sprintf("%s (recovered=%v): %v", ev.Kind, ev.Recovered, ev.Err)})
 	}
 	var ctl *checkpoint.Controller
 	if dir := s.ckptDir(j.id); s.autoCheckpoints(j.req) && os.MkdirAll(dir, 0o755) == nil {

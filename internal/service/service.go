@@ -895,71 +895,24 @@ func (s *Service) RetryHint() time.Duration {
 	return hint
 }
 
-// Metrics is a consistent snapshot of the service counters.
+// Metrics is a consistent snapshot of the service counters its callers
+// read; the registry's views (Registry) carry every counter and gauge.
 type Metrics struct {
-	Submitted, Queued, Running int64
-	Done, Failed, Canceled     int64
-	Retried, Recovered         int64
-	WorkerPanics               int64
-	// Rejected counts submissions refused by the admission layer (queue
-	// full, over budget, rate limited, breaker open, draining);
-	// ProgressStalls counts watchdog cancellations and BreakerTrips how
-	// many times repeated infrastructure failures opened the breaker.
-	Rejected, ProgressStalls, BreakerTrips int64
-	// EngineFaults counts faults detected inside the parallel engine
-	// (halo corruption, stalled ranks, rank panics); EngineRecoveries
-	// counts the subset the engine healed in-run by rewinding to its
-	// newest valid checkpoint — without burning a job-level attempt.
-	EngineFaults, EngineRecoveries int64
-	// JournalEvents counts journal appends that reached the disk,
-	// JournalErrors the ones that failed.
-	JournalEvents, JournalErrors    int64
-	CheckpointsSaved                int64
-	CacheHits, CacheMisses          int64
-	StepsDone                       int64
-	CacheEntries, Workers, QueueCap int
-	// QueueDepth is the current number of queued jobs; QueueHighWater is
-	// the deepest the queue has been since boot — the capacity-planning
-	// number (how close did backpressure get to ErrQueueFull).
-	QueueDepth, QueueHighWater int64
-	// MemBudgetBytes is the configured admission budget (0 = unlimited);
-	// MemReservedBytes the estimated working set of dispatched jobs right
-	// now; MemHighWaterBytes the largest that reservation sum has been —
-	// by construction never above MemBudgetBytes.
-	MemBudgetBytes, MemReservedBytes, MemHighWaterBytes int64
+	// Recovered counts jobs requeued from the journal on boot.
+	Recovered int64
+	// JournalEvents counts journal appends that reached the disk.
+	JournalEvents    int64
+	CheckpointsSaved int64
+	CacheHits        int64
 }
 
 // Metrics snapshots the counters (the same values /metrics serves).
 func (s *Service) Metrics() Metrics {
-	m, budget := &s.m, s.ledger.Snapshot()
+	m := &s.m
 	return Metrics{
-		Rejected:          m.rejected.Total(),
-		ProgressStalls:    m.progressStalls.Value(),
-		BreakerTrips:      m.breakerTrips.Value(),
-		MemBudgetBytes:    budget.TotalBytes,
-		MemReservedBytes:  budget.ReservedBytes,
-		MemHighWaterBytes: budget.HighWaterBytes,
-		Submitted:         m.submitted.Value(),
-		Queued:            m.queued.Value(),
-		Running:           m.running.Value(),
-		Done:              m.done.Value(),
-		Failed:            m.failed.Value(),
-		Canceled:          m.canceled.Value(),
-		Retried:           m.retried.Value(),
-		Recovered:         m.recovered.Value(),
-		WorkerPanics:      m.workerPanics.Value(),
-		EngineFaults:      m.engineFaults.Total(),
-		EngineRecoveries:  m.engineRecoveries.Value(),
-		JournalEvents:     m.journalEvents.Value(),
-		JournalErrors:     m.journalErrors.Value(),
-		CheckpointsSaved:  m.checkpointsSaved.Value(),
-		CacheHits:         m.cacheHits.Value(),
-		CacheMisses:       m.cacheMisses.Value(),
-		StepsDone:         m.steps.Value(),
-		CacheEntries:      s.cache.len(),
-		Workers:           s.opts.Workers,
-		QueueCap:          s.opts.QueueSize,
-		QueueDepth:        m.queued.Value(),
-		QueueHighWater:    m.queueHW.Value(),
+		Recovered:        m.recovered.Value(),
+		JournalEvents:    m.journalEvents.Value(),
+		CheckpointsSaved: m.checkpointsSaved.Value(),
+		CacheHits:        m.cacheHits.Value(),
 	}
 }

@@ -164,7 +164,7 @@ func TestCacheHitOnResubmit(t *testing.T) {
 	if st, _ := s.Wait(context.Background(), c); st.CacheHit {
 		t.Fatal("different process-grid layout served from cache")
 	}
-	m := s.Metrics()
+	m := metricsOf(s)
 	if m.CacheHits != 1 || m.CacheMisses != 2 {
 		t.Fatalf("cache counters hits=%d misses=%d, want 1/2", m.CacheHits, m.CacheMisses)
 	}
@@ -222,7 +222,7 @@ func TestCancelMidRunFreesWorker(t *testing.T) {
 	if st, err := s.Wait(ctx, next); err != nil || st.State != StateDone {
 		t.Fatalf("worker not freed after cancel: %v %v", st.State, err)
 	}
-	if m := s.Metrics(); m.Canceled != 1 {
+	if m := metricsOf(s); m.Canceled != 1 {
 		t.Fatalf("canceled counter %d, want 1", m.Canceled)
 	}
 }
@@ -244,7 +244,7 @@ func TestQueueBackpressure(t *testing.T) {
 	if _, err := s.Submit(Request{Config: tinyConfig(11)}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
-	if m := s.Metrics(); m.Queued != 1 || m.Running != 1 {
+	if m := metricsOf(s); m.Queued != 1 || m.Running != 1 {
 		t.Fatalf("gauges queued=%d running=%d, want 1/1", m.Queued, m.Running)
 	}
 
@@ -279,11 +279,11 @@ func TestCanceledQueuedJobFreesItsSlot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submission %d refused on an empty queue: %v", i, err)
 		}
-		if m := s.Metrics(); m.Queued != 1 || s.Registry().Ints()["jobs_queued"] != 1 {
+		if m := metricsOf(s); m.Queued != 1 || s.Registry().Ints()["jobs_queued"] != 1 {
 			t.Fatalf("submission %d: jobs_queued = %d, want 1", i, m.Queued)
 		}
-		if !s.Cancel(queued) || s.Metrics().Queued != 0 {
-			t.Fatalf("cancel %d: %d still queued", i, s.Metrics().Queued)
+		if !s.Cancel(queued) || metricsOf(s).Queued != 0 {
+			t.Fatalf("cancel %d: %d still queued", i, metricsOf(s).Queued)
 		}
 	}
 }
@@ -355,7 +355,7 @@ func TestDrainFinishesQueuedJobs(t *testing.T) {
 	if _, err := s.Submit(Request{Config: tinyConfig(10)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after drain: %v", err)
 	}
-	m := s.Metrics()
+	m := metricsOf(s)
 	if m.Done != 5 || m.Queued != 0 || m.Running != 0 {
 		t.Fatalf("metrics after drain: %+v", m)
 	}
@@ -418,7 +418,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 			t.Fatalf("job %s state %s (err %q)", id, st.State, st.Error)
 		}
 	}
-	m := s.Metrics()
+	m := metricsOf(s)
 	if int(m.Submitted) != len(accepted) {
 		t.Fatalf("submitted %d, accepted %d", m.Submitted, len(accepted))
 	}

@@ -80,7 +80,7 @@ func TestServicePrometheus(t *testing.T) {
 	waitState(t, s, id, StateDone)
 	drain(t, s)
 
-	if m := s.Metrics(); m.QueueHighWater < 1 || m.QueueDepth != 0 {
+	if m := metricsOf(s); m.QueueHighWater < 1 || m.QueueDepth != 0 {
 		t.Fatalf("queue accounting: depth=%d high-water=%d, want 0 and >=1",
 			m.QueueDepth, m.QueueHighWater)
 	}

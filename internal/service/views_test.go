@@ -19,7 +19,8 @@ import (
 // canceled while running, failed by a worker panic that trips the breaker,
 // and rejected once for each admission reason — and checks that the three
 // readers of the one registration report the same numbers: the JSON view,
-// the Prometheus view and Metrics().
+// the Prometheus view and the counters themselves (metricsOf; Metrics()
+// carries four of them).
 func TestViewsAgree(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
@@ -90,8 +91,8 @@ func TestViewsAgree(t *testing.T) {
 		t.Errorf("JSON view: steps_done %d, halo_bytes %d", ints["steps_done"], ints["halo_bytes"])
 	}
 
-	// Metrics() field for each JSON key
-	m := s.Metrics()
+	// the counter behind each JSON key
+	m := metricsOf(s)
 	fields := map[string]int64{
 		"jobs_submitted": m.Submitted, "jobs_queued": m.Queued, "jobs_running": m.Running,
 		"jobs_done": m.Done, "jobs_failed": m.Failed, "jobs_canceled": m.Canceled,
@@ -102,11 +103,15 @@ func TestViewsAgree(t *testing.T) {
 		"steps_done": m.StepsDone, "engine_faults": m.EngineFaults, "engine_recoveries": m.EngineRecoveries,
 	}
 	if m.QueueDepth != ints["jobs_queued"] || m.QueueHighWater != 1 {
-		t.Errorf("Metrics(): queue depth %d, high water %d", m.QueueDepth, m.QueueHighWater)
+		t.Errorf("counters: queue depth %d, high water %d", m.QueueDepth, m.QueueHighWater)
 	}
-	delete(ints, "halo_bytes") // the one key Metrics() does not carry
+	if pm := s.Metrics(); pm != (Metrics{Recovered: m.Recovered, JournalEvents: m.JournalEvents,
+		CheckpointsSaved: m.CheckpointsSaved, CacheHits: m.CacheHits}) {
+		t.Errorf("Metrics() %+v disagrees with the counters %+v", pm, m)
+	}
+	delete(ints, "halo_bytes") // the one key the struct does not carry
 	if !reflect.DeepEqual(fields, ints) {
-		t.Errorf("Metrics() and the JSON view differ:\n%v\n%v", fields, ints)
+		t.Errorf("the counters and the JSON view differ:\n%v\n%v", fields, ints)
 	}
 
 	// the family of each JSON key, sample by sample

@@ -31,35 +31,6 @@ func (r Ricker) MomentRate(t float64) float64 {
 	return r.M0 * (1 - 2*a*a) * math.Exp(-a*a)
 }
 
-// GaussianPulse is a smooth one-sided moment-rate pulse: a Gaussian of
-// width Tau centered 4*Tau after onset T0, so the clipped left tail is
-// negligible and the integral over [T0, T0+8*Tau] is M0 to within 0.01%.
-type GaussianPulse struct {
-	Tau, T0, M0 float64
-}
-
-// MomentRate returns the Gaussian moment rate at time t.
-func (g GaussianPulse) MomentRate(t float64) float64 {
-	a := (t - g.T0 - 4*g.Tau) / g.Tau
-	return g.M0 / (g.Tau * math.Sqrt(2*math.Pi)) * math.Exp(-0.5*a*a)
-}
-
-// Brune is the omega-squared moment-rate model of Brune (1970), the
-// standard far-field spectral shape: m(t) = M0 * (t/tau^2) * exp(-t/tau)
-// for t >= T0, with corner frequency fc = 1/(2 pi tau).
-type Brune struct {
-	Tau, T0, M0 float64
-}
-
-// MomentRate returns the Brune moment rate at time t.
-func (b Brune) MomentRate(t float64) float64 {
-	x := t - b.T0
-	if x < 0 || b.Tau <= 0 {
-		return 0
-	}
-	return b.M0 * x / (b.Tau * b.Tau) * math.Exp(-x/b.Tau)
-}
-
 // Sampled is an STF tabulated at fixed Dt (slip-rate output of the dynamic
 // rupture generator becomes moment rate here); linear interpolation between
 // samples, zero outside.

@@ -27,21 +27,6 @@ func TestRickerShape(t *testing.T) {
 	}
 }
 
-func TestGaussianPulseIntegratesToM0(t *testing.T) {
-	g := GaussianPulse{Tau: 0.1, T0: 0, M0: 3e6}
-	var sum float64
-	dt := 1e-3
-	for x := 0.0; x < 2; x += dt {
-		sum += g.MomentRate(x) * dt
-	}
-	if math.Abs(sum-3e6)/3e6 > 0.01 {
-		t.Fatalf("integrated moment %g, want %g", sum, 3e6)
-	}
-	if g.MomentRate(0.4) <= 0 {
-		t.Fatal("pulse must be positive near its center")
-	}
-}
-
 func TestSampledSTF(t *testing.T) {
 	s := Sampled{Dt: 0.5, Rates: []float64{0, 2, 4, 0}}
 	if got := s.MomentRate(0.5); got != 2 {
@@ -220,29 +205,5 @@ func TestQuickPartitionConservesSources(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBruneSTF(t *testing.T) {
-	b := Brune{Tau: 0.2, T0: 0.5, M0: 1e15}
-	if b.MomentRate(0.4) != 0 {
-		t.Fatal("nonzero before onset")
-	}
-	// integrates to M0
-	var sum float64
-	dt := 1e-4
-	for x := 0.0; x < 10; x += dt {
-		sum += b.MomentRate(x) * dt
-	}
-	if math.Abs(sum-1e15)/1e15 > 0.01 {
-		t.Fatalf("integrated moment %g", sum)
-	}
-	// peak at t = T0 + tau
-	peakT := 0.5 + 0.2
-	if !(b.MomentRate(peakT) > b.MomentRate(peakT-0.1) && b.MomentRate(peakT) > b.MomentRate(peakT+0.1)) {
-		t.Fatal("peak not at T0+tau")
-	}
-	if (Brune{}).MomentRate(1) != 0 {
-		t.Fatal("degenerate Brune not handled")
 	}
 }

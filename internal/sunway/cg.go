@@ -47,14 +47,14 @@ func ComputeSeconds(flops int64, ncpe int) float64 {
 
 // MPEComputeSeconds returns the time for the management core alone to
 // execute flops operations (the baseline "MPE" version of Fig. 7).
-func MPEComputeSeconds(flops int64) float64 {
-	return float64(flops) / (MPEEffectiveGflops * 1e9)
+func MPEComputeSeconds(flops float64) float64 {
+	return flops / (MPEEffectiveGflops * 1e9)
 }
 
 // MPEMemorySeconds returns the time for the MPE's naive strided accesses to
 // move the given bytes.
-func MPEMemorySeconds(bytes int64) float64 {
-	return float64(bytes) / (MPEEffectiveBWGBs * 1e9)
+func MPEMemorySeconds(bytes float64) float64 {
+	return bytes / (MPEEffectiveBWGBs * 1e9)
 }
 
 // RegCommSeconds returns the time for one CPE to fetch words 32-bit values

@@ -62,7 +62,7 @@ func (h *Histogram) Sum() float64 {
 
 // Snapshot returns a consistent-enough copy for exposition: bucket bounds,
 // per-bucket (non-cumulative) counts including the trailing +Inf bucket,
-// the running sum and the total count.
+// and the running sum.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
@@ -72,7 +72,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	for i := range h.counts {
 		c := h.counts[i].Load()
 		s.Counts[i] = c
-		s.Count += c
 	}
 	return s
 }
@@ -83,5 +82,4 @@ type HistogramSnapshot struct {
 	Bounds []float64
 	Counts []int64 // len(Bounds)+1, last is +Inf
 	Sum    float64
-	Count  int64
 }

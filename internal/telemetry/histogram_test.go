@@ -23,8 +23,8 @@ func TestHistogramBucketEdges(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, s.Counts[i], c, s.Counts)
 		}
 	}
-	if s.Count != 6 || h.Count() != 6 {
-		t.Fatalf("count %d, want 6", s.Count)
+	if h.Count() != 6 {
+		t.Fatalf("count %d, want 6", h.Count())
 	}
 	if !near(s.Sum, 1+1.0000001+5+6+0-3, 1e-9) {
 		t.Fatalf("sum %g", s.Sum)
