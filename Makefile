@@ -11,8 +11,10 @@ build:
 # the race-sensitive engine packages (the simulated-MPI world, the
 # step-pipeline drivers, the job service worker pool, the ensemble campaign
 # scheduler, the durability layers — the write-ahead log, the checkpoint
-# write lane and its codec — and the telemetry collectors) and the medium's
-# build-once reciprocal under the race detector — where every row is the Go
+# write lane and its codec — and the telemetry collectors), the medium's
+# build-once reciprocal, the set-up's slabs (fd's wavefield, medium and
+# attenuation constructors, grid's Slabs) and the models they sample at once
+# under the race detector — where every row is the Go
 # one (the assembly plane entries of fd, plasticity and grid are not built
 # under -race), so the row, plane and both-paths tests there also run each
 # plane function's Go fallback and prove that build computes the same bits;
@@ -26,9 +28,9 @@ build:
 check: vet fmt-check check-bce check-portable check-one check-surface overload-test
 	$(GO) test -race -skip TestExplosionMatchesFullSpaceSolution ./internal/core/... ./internal/mpi/... \
 		./internal/service/... ./internal/ensemble/ ./internal/wal/ ./internal/checkpoint/ ./internal/lz4/ \
-		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/
-	$(GO) test -race ./internal/fd/ -run 'Reciprocal|Row|Plane|SweepKernels|KernelPaths|Sponge'
-	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Plane|Lane|YieldSurface|MaxAbs|FlatIndex|Ranked'
+		./internal/faultinject/ ./internal/telemetry/ ./internal/admission/ ./internal/model/
+	$(GO) test -race ./internal/fd/ -run 'Reciprocal|Row|Plane|SweepKernels|KernelPaths|Sponge|SetUp|SamplingPass|MediumFrom|Wavefield'
+	$(GO) test -race ./internal/plasticity/ ./internal/grid/ -run 'Row|Plane|Lane|YieldSurface|MaxAbs|FlatIndex|Ranked|Workers|Slabs|NewFields'
 	$(GO) test -shuffle=on -count=20 ./internal/service/ ./internal/ensemble/
 	$(GO) test -count=1 ./internal/core/ -run TestModeMatrix -matrix.full
 	$(GO) test -count=1 ./internal/core/ -run TestExplosionMatchesFullSpaceSolution -explosion.full

@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"swquake/internal/cgexec"
 	"swquake/internal/compress"
@@ -29,6 +30,7 @@ import (
 	"swquake/internal/model"
 	"swquake/internal/perfmodel"
 	"swquake/internal/plasticity"
+	"swquake/internal/scenario"
 	"swquake/internal/seismo"
 	"swquake/internal/sunway"
 )
@@ -221,6 +223,42 @@ func BenchmarkFullStepLinear(b *testing.B) {
 	}
 	pts := float64(d.Points()) * float64(b.N)
 	b.ReportMetric(pts/b.Elapsed().Seconds()/1e6, "Mpoints/s")
+}
+
+// BenchmarkStepResidency is the ceiling probe of a step that reuses what is
+// in cache: the serial tangshan -nonlinear -qs 50 step, bare (Step, no run
+// loop, after one warm step), timed as the best of b.N repetitions of six
+// steps. What the 192x192x96 block pays per point-step over the 64x64x48
+// and 96x96x48 ones bounds what a walk that keeps the block in cache longer
+// can win. The best repetition is the earliest: later steps cost more as
+// the wavefield fills with denormals and yielding cells.
+//
+//	go test -run '^$' -bench StepResidency -benchtime 15x -cpu 1 .
+func BenchmarkStepResidency(b *testing.B) {
+	const steps = 6
+	for _, d := range []grid.Dims{{Nx: 64, Ny: 64, Nz: 48}, {Nx: 96, Ny: 96, Nz: 48}, {Nx: 192, Ny: 192, Nz: 96}} {
+		b.Run(d.String(), func(b *testing.B) {
+			cfg, err := scenario.Build("tangshan", scenario.Overrides{Nx: d.Nx, Ny: d.Ny, Nz: d.Nz, Nonlinear: true, Qs: 50})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sim, err := core.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sim.Step()
+			best := math.Inf(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				for n := 0; n < steps; n++ {
+					sim.Step()
+				}
+				best = min(best, time.Since(t0).Seconds())
+			}
+			b.ReportMetric(best*1e9/steps/float64(d.Points()), "best-ns/point-step")
+		})
+	}
 }
 
 // --- Codec microbenchmarks (the on-the-fly compression cost, §6.5) ---

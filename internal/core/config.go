@@ -171,7 +171,9 @@ type Config struct {
 	// one, on a block too small for workers to pay). Workers walk only while
 	// Run/RunParallel is stepping; a bare Step() is always single-threaded.
 	// Host workers are not the core-group tiles SunwaySim tallies, which
-	// follow from the block alone.
+	// follow from the block alone. Set-up does not read Tiles: it makes the
+	// block's arrays and samples its medium on grid.Workers goroutines at
+	// any setting.
 	Tiles int
 
 	// Overlap hides velocity-halo latency under RunParallel: the ring of

@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
+
+	"swquake/internal/grid"
 )
 
 // Intra-rank parallelism (the paper's level below the MPI decomposition: a
@@ -31,21 +33,15 @@ func (f front) wait(k int, n int64) (waited bool) {
 	return waited
 }
 
-// autoTileMinPoints is the fewest cells AutoTiles gives a worker. Below it
-// the workers of a step cost more than the kernels they split: two workers
-// ran a 32x32x24 block (12288 cells each) at 0.8-0.95x of serial, a
-// 64x62x24 one (47616) at 0.93-1.3x, an 80x80x32 one (102400) at 1.5x.
-const autoTileMinPoints = 1 << 15
-
 // effectiveTiles resolves Config.Tiles for a block of `points` cells in a
 // run spread over `ranks` simulated MPI ranks: AutoTiles becomes
 // GOMAXPROCS/ranks, less where that would leave a worker under
-// autoTileMinPoints cells; explicit counts pass through; anything below 1
+// grid.MinWorkerPoints cells; explicit counts pass through; anything below 1
 // means single-threaded.
 func effectiveTiles(cfgTiles, ranks int, points int64) int {
 	t := cfgTiles
 	if t == AutoTiles {
-		t = int(min(int64(runtime.GOMAXPROCS(0)/ranks), points/autoTileMinPoints))
+		t = int(min(int64(runtime.GOMAXPROCS(0)/ranks), points/grid.MinWorkerPoints))
 	}
 	if t < 1 {
 		t = 1

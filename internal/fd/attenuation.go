@@ -28,7 +28,8 @@ type Attenuation struct {
 }
 
 // QModel supplies quality factors at a grid point. The common empirical
-// rule for sedimentary settings ties Q to the S velocity.
+// rule for sedimentary settings ties Q to the S velocity. The set-up calls Q
+// from several goroutines at once.
 type QModel interface {
 	Q(i, j, k int) (qp, qs float64)
 }
@@ -68,7 +69,9 @@ func (v VsScaledQ) Q(i, j, k int) (float64, float64) {
 // NewAttenuation precomputes the decay factors for time step dt and
 // reference frequency f0 from the Q model, stored at the model's rank: a
 // ConstantQ is two constant rows (grid.NewProfile) with the exponential
-// evaluated once, any other model two full fields.
+// evaluated once, any other model two full fields, made at once
+// (grid.NewFields) and filled in slabs of i-planes on grid.Workers
+// goroutines.
 func NewAttenuation(d grid.Dims, qm QModel, f0, dt float64) *Attenuation {
 	decay := func(q float64) float32 {
 		if q > 0 {
@@ -82,17 +85,26 @@ func NewAttenuation(d grid.Dims, qm QModel, f0, dt float64) *Attenuation {
 		a.GS.Fill(decay(c.Qs))
 		return a
 	}
-	a := &Attenuation{GP: grid.NewField(d, Halo), GS: grid.NewField(d, Halo)}
-	a.GP.Fill(1)
-	a.GS.Fill(1)
-	for i := 0; i < d.Nx; i++ {
-		for j := 0; j < d.Ny; j++ {
-			gp, gs := a.GP.Row(i, j), a.GS.Row(i, j)
-			for k := range gp {
-				qp, qs := qm.Q(i, j, k)
-				gp[k], gs[k] = decay(qp), decay(qs)
+	f := grid.NewFields(2, d, Halo)
+	a := &Attenuation{GP: f[0], GS: f[1]}
+	grid.Slabs(-Halo, d.Nx+Halo, grid.Workers(d.Points()), func(_, i0, i1 int) {
+		// the slab's planes, halo cells (no decay) included
+		lo, hi := a.GP.Idx(i0, -Halo, -Halo), a.GP.Idx(i1, -Halo, -Halo)
+		for _, g := range f {
+			planes := g.Data[lo:hi]
+			for p := range planes {
+				planes[p] = 1
 			}
 		}
-	}
+		for i := max(i0, 0); i < min(i1, d.Nx); i++ {
+			for j := 0; j < d.Ny; j++ {
+				gp, gs := a.GP.Row(i, j), a.GS.Row(i, j)
+				for k := range gp {
+					qp, qs := qm.Q(i, j, k)
+					gp[k], gs[k] = decay(qp), decay(qs)
+				}
+			}
+		}
+	})
 	return a
 }

@@ -3,6 +3,7 @@ package fd
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"swquake/internal/grid"
@@ -67,29 +68,33 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// verdictCase is one model of TestSamplingPassVerdictMatchesOracles: other
+// materials at some cells of the scaled basin, and the whole domain's
+// verdict.
+type verdictCase struct {
+	name      string
+	cells     map[[3]int]model.Material
+	want      string // the whole domain's verdict
+	oracleNil bool   // the old scan let the offending cell through
+}
+
 // TestSamplingPassVerdictMatchesOracles: the verdict NewMediumFromModel
 // records is the old interior scan's — the first offending interior cell in
 // (i, j, k) order, with its message — wherever that scan rejects; it also
 // rejects the non-finite cells that scan let through; offending cells in the
 // halo alone pass; and the recorded CFL bound is the row-wise scan's, bit
 // for bit, halo cells faster than any interior one notwithstanding. For the
-// whole domain and for the blocks of a 2x2 decomposition.
+// whole domain and for the blocks of a 2x2 decomposition; and for a domain
+// sampled in four slabs of i-planes (-2..14, 15..31, 32..48, 49..65), with
+// offending or fast cells in two of them.
 func TestSamplingPassVerdictMatchesOracles(t *testing.T) {
-	d := grid.Dims{Nx: 8, Ny: 6, Nz: 7}
-	const dx = 100.0
-	base := model.ScaledTangshan(float64(d.Nx)*dx, float64(d.Ny)*dx, float64(d.Nz)*dx)
 	rock := model.Material{Vp: 6000, Vs: 3400, Rho: 2700}
 	noRho := model.Material{Vp: 6000, Vs: 3400}
 	negLam := model.Material{Vp: 3000, Vs: 3000, Rho: 2700}
 	fast := model.Material{Vp: 9e4, Vs: 3e4, Rho: 2700}
 	infVp := model.Material{Vp: math.Inf(1), Vs: 3400, Rho: 2700}
 	nanRho := model.Material{Vp: 6000, Vs: 3400, Rho: math.NaN()}
-	cases := []struct {
-		name      string
-		cells     map[[3]int]model.Material
-		want      string // the whole domain's verdict
-		oracleNil bool   // the old scan let the offending cell through
-	}{
+	checkVerdicts(t, grid.Dims{Nx: 8, Ny: 6, Nz: 7}, 1, []verdictCase{
 		{"clean", nil, "<nil>", false},
 		{"zero density", map[[3]int]model.Material{{3, 2, 4}: noRho}, "fd: non-positive density at (3,2,4)", false},
 		{"negative lambda", map[[3]int]model.Material{{0, 5, 6}: negLam}, "fd: negative modulus at (0,5,6)", false},
@@ -102,14 +107,34 @@ func TestSamplingPassVerdictMatchesOracles(t *testing.T) {
 		{"halo only", map[[3]int]model.Material{{-1, 3, 2}: noRho, {8, 0, 0}: infVp, {2, -2, 1}: negLam,
 			{3, 6, 0}: nanRho, {-2, -1, 3}: fast, {4, 7, 6}: fast}, "<nil>", false},
 		{"fast cell inside", map[[3]int]model.Material{{7, 5, 6}: fast, {0, 0, 0}: rock}, "<nil>", false},
+	})
+	checkVerdicts(t, grid.Dims{Nx: 64, Ny: 64, Nz: 32}, 4, []verdictCase{
+		{"clean, in slabs", nil, "<nil>", false},
+		{"first slab's cell first", map[[3]int]model.Material{{40, 3, 5}: noRho, {10, 60, 30}: negLam},
+			"fd: negative modulus at (10,60,30)", false},
+		{"second slab's cell before the last's", map[[3]int]model.Material{{60, 0, 0}: negLam, {20, 1, 1}: noRho},
+			"fd: non-positive density at (20,1,1)", false},
+		{"fast cells in two slabs", map[[3]int]model.Material{{55, 10, 10}: fast, {3, 3, 3}: rock}, "<nil>", false},
+	})
+}
+
+// checkVerdicts runs TestSamplingPassVerdictMatchesOracles' cases on the
+// domain d and the four blocks of its 2x2 decomposition, at GOMAXPROCS procs.
+func checkVerdicts(t *testing.T, d grid.Dims, procs int, cases []verdictCase) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	if n := min(procs, int(d.Points()/grid.MinWorkerPoints)); grid.Workers(d.Points()) != max(n, 1) {
+		t.Fatalf("%v at GOMAXPROCS %d: %d slabs, want %d", d, procs, grid.Workers(d.Points()), max(n, 1))
 	}
+	const dx = 100.0
+	base := model.ScaledTangshan(float64(d.Nx)*dx, float64(d.Ny)*dx, float64(d.Nz)*dx)
 	half := grid.Dims{Nx: d.Nx / 2, Ny: d.Ny / 2, Nz: d.Nz}
 	for _, c := range cases {
 		m := withCells{base, dx, c.cells}
 		for _, blk := range []struct {
 			b      grid.Dims
 			i0, j0 int
-		}{{d, 0, 0}, {half, 0, 0}, {half, 4, 0}, {half, 0, 3}, {half, 4, 3}} {
+		}{{d, 0, 0}, {half, 0, 0}, {half, half.Nx, 0}, {half, 0, half.Ny}, {half, half.Nx, half.Ny}} {
 			what := fmt.Sprintf("%s, %v block at (%d,%d)", c.name, blk.b, blk.i0, blk.j0)
 			med := NewMediumFromModel(blk.b, dx, m, float64(blk.i0)*dx, float64(blk.j0)*dx)
 			got, oracle := med.Validate(), validateOracle(med)

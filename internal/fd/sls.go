@@ -38,25 +38,26 @@ type SLS struct {
 // NewSLS builds the memory-variable state for reference frequency f0 and
 // per-cell quality factors from qm (the Qs value is used for all
 // components; a per-component split costs little and adds nothing at this
-// fidelity).
+// fidelity). Its seven fields are made at once (grid.NewFields), and phi is
+// filled in slabs of i-planes on grid.Workers goroutines.
 func NewSLS(d grid.Dims, qm QModel, f0 float64) *SLS {
-	s := &SLS{TauSigma: 1 / (2 * math.Pi * f0)}
-	for i := range s.R {
-		s.R[i] = grid.NewField(d, Halo)
-	}
-	s.Phi = grid.NewField(d, Halo)
-	for i := 0; i < d.Nx; i++ {
-		for j := 0; j < d.Ny; j++ {
-			for k := 0; k < d.Nz; k++ {
-				_, qs := qm.Q(i, j, k)
-				phi := 0.0
-				if qs > 0 {
-					phi = 2 / qs
+	f := grid.NewFields(7, d, Halo)
+	s := &SLS{R: [6]*grid.Field(f[:6]), Phi: f[6], TauSigma: 1 / (2 * math.Pi * f0)}
+	grid.Slabs(0, d.Nx, grid.Workers(d.Points()), func(_, i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			for j := 0; j < d.Ny; j++ {
+				row := s.Phi.Row(i, j)
+				for k := range row {
+					_, qs := qm.Q(i, j, k)
+					phi := 0.0
+					if qs > 0 {
+						phi = 2 / qs
+					}
+					row[k] = float32(phi)
 				}
-				s.Phi.Set(i, j, k, float32(phi))
 			}
 		}
-	}
+	})
 	return s
 }
 

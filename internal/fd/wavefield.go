@@ -42,14 +42,12 @@ type Wavefield struct {
 	XX, YY, ZZ, XY, XZ, YZ *grid.Field
 }
 
-// NewWavefield allocates a zeroed wavefield.
+// NewWavefield allocates a zeroed wavefield, its nine fields at once
+// (grid.NewFields).
 func NewWavefield(d grid.Dims) *Wavefield {
-	return &Wavefield{
-		D: d,
-		U: grid.NewField(d, Halo), V: grid.NewField(d, Halo), W: grid.NewField(d, Halo),
-		XX: grid.NewField(d, Halo), YY: grid.NewField(d, Halo), ZZ: grid.NewField(d, Halo),
-		XY: grid.NewField(d, Halo), XZ: grid.NewField(d, Halo), YZ: grid.NewField(d, Halo),
-	}
+	f := grid.NewFields(9, d, Halo)
+	return &Wavefield{D: d, U: f[0], V: f[1], W: f[2],
+		XX: f[3], YY: f[4], ZZ: f[5], XY: f[6], XZ: f[7], YZ: f[8]}
 }
 
 // VelocityFields returns the three velocity fields (the paper's vec3 fusion
@@ -118,14 +116,11 @@ type Medium struct {
 	sampled *audit // nil for a medium filled by hand
 }
 
-// NewMedium allocates an uninitialized medium.
+// NewMedium allocates an uninitialized medium — ρ, λ, μ and the array 1/μ
+// is built in — the four at once (grid.NewFields).
 func NewMedium(d grid.Dims) *Medium {
-	return &Medium{
-		D:   d,
-		Rho: grid.NewField(d, Halo),
-		Lam: grid.NewField(d, Halo),
-		Mu:  grid.NewField(d, Halo),
-	}
+	f := grid.NewFields(4, d, Halo)
+	return &Medium{D: d, Rho: f[0], Lam: f[1], Mu: f[2], rmu: f[3]}
 }
 
 // recipMu returns the reciprocal shear modulus, building it (and freezing
@@ -133,8 +128,7 @@ func NewMedium(d grid.Dims) *Medium {
 // 4/(sum of reciprocals) then yields the +0 the harmonic mean must have.
 func (m *Medium) recipMu() *grid.Field {
 	m.recipOnce.Do(func() {
-		if m.rmu == nil { // the sampling pass fills it itself
-			m.rmu = grid.NewField(m.Mu.Dims, m.Mu.H)
+		if m.sampled == nil { // the sampling pass fills it itself
 			for i, v := range m.Mu.Data {
 				m.rmu.Data[i] = recip(v)
 			}
@@ -159,10 +153,13 @@ func recip(mu float32) float32 {
 //
 // It is the only pass over the medium at set-up: each column is sampled,
 // converted to ρ, λ, μ and 1/μ, and — when interior — audited, while it is
-// in cache.
+// in cache. The four arrays are made at once (NewMedium), and the pass
+// runs on grid.Workers goroutines, each over a contiguous slab of i-planes
+// with an audit of its own; the audits merge lowest slab first, so the
+// verdict is the first offending cell in (i, j, k) order and the CFL bound
+// the one a single pass records. m is sampled from those goroutines at once.
 func NewMediumFromModel(d grid.Dims, dx float64, m model.Model, ox, oy float64) *Medium {
 	med := NewMedium(d)
-	med.rmu = grid.NewField(d, Halo)
 	med.sampled = &audit{}
 	h := Halo
 	// the depth axis clamps to keep z >= 0 for the free surface, so every
@@ -172,25 +169,31 @@ func NewMediumFromModel(d grid.Dims, dx float64, m model.Model, ox, oy float64) 
 	for k := range zs {
 		zs[k] = float64(min(max(k-h, 0), d.Nz-1)) * dx
 	}
-	col := make([]model.Material, len(zs))
-	for i := -h; i < d.Nx+h; i++ {
-		for j := -h; j < d.Ny+h; j++ {
-			// horizontal halo points sample the model at their true global
-			// position, so a decomposed block sees exactly the material a
-			// serial run holds at the same global indices
-			model.SampleColumn(m, ox+float64(i)*dx, oy+float64(j)*dx, zs, col)
-			p := med.Rho.Idx(i, j, -h)
-			n := len(col)
-			rho, lam, mu, rmu := med.Rho.Data[p:p+n], med.Lam.Data[p:p+n], med.Mu.Data[p:p+n], med.rmu.Data[p:p+n]
-			for k, mat := range col {
-				l, u := mat.Lame()
-				rho[k], lam[k], mu[k] = float32(mat.Rho), float32(l), float32(u)
-				rmu[k] = recip(mu[k])
-			}
-			if i >= 0 && i < d.Nx && j >= 0 && j < d.Ny {
-				med.sampled.column(i, j, rho[h:h+d.Nz], lam[h:h+d.Nz], mu[h:h+d.Nz])
+	audits := make([]audit, grid.Workers(d.Points()))
+	grid.Slabs(-h, d.Nx+h, len(audits), func(s, i0, i1 int) {
+		col := make([]model.Material, len(zs))
+		for i := i0; i < i1; i++ {
+			for j := -h; j < d.Ny+h; j++ {
+				// horizontal halo points sample the model at their true
+				// global position, so a decomposed block sees exactly the
+				// material a serial run holds at the same global indices
+				model.SampleColumn(m, ox+float64(i)*dx, oy+float64(j)*dx, zs, col)
+				p := med.Rho.Idx(i, j, -h)
+				n := len(col)
+				rho, lam, mu, rmu := med.Rho.Data[p:p+n], med.Lam.Data[p:p+n], med.Mu.Data[p:p+n], med.rmu.Data[p:p+n]
+				for k, mat := range col {
+					l, u := mat.Lame()
+					rho[k], lam[k], mu[k] = float32(mat.Rho), float32(l), float32(u)
+					rmu[k] = recip(mu[k])
+				}
+				if i >= 0 && i < d.Nx && j >= 0 && j < d.Ny {
+					audits[s].column(i, j, rho[h:h+d.Nz], lam[h:h+d.Nz], mu[h:h+d.Nz])
+				}
 			}
 		}
+	})
+	for _, a := range audits {
+		med.sampled.merge(a)
 	}
 	med.recipMu() // freezes Mu: 1/Mu is built
 	return med
@@ -225,6 +228,15 @@ func (m *Medium) audited() audit {
 type audit struct {
 	err    error   // the first offending cell
 	maxVp2 float64 // max of (λ+2μ)/ρ over the cells audited
+}
+
+// merge folds in the audit of the columns that follow a's in (i, j) order,
+// as if a had gone on to audit them: nothing after a's first offending cell.
+func (a *audit) merge(next audit) {
+	if a.err != nil {
+		return
+	}
+	a.err, a.maxVp2 = next.err, max(a.maxVp2, next.maxVp2)
 }
 
 // column checks the interior z-row of column (i, j).

@@ -44,13 +44,20 @@ func (m Material) String() string {
 
 // Model samples material properties at a point. Coordinates are in meters;
 // z is depth below the free surface (z >= 0, increasing downward).
+//
+// Sample may be called from several goroutines at once (fd's set-up samples
+// a block in slabs, one goroutine each): it must not write shared state, or
+// must guard what it writes, as Heterogeneous builds its lattice under a
+// sync.Once. Every model in this package only reads after construction.
 type Model interface {
 	Sample(x, y, z float64) Material
 }
 
 // ColumnSampler is an optional fast path of a Model: all the depths of one
 // (x, y) at once, for models whose Sample repeats work that depends on x and
-// y alone. out[k] must be exactly what Sample(x, y, zs[k]) returns.
+// y alone. out[k] must be exactly what Sample(x, y, zs[k]) returns, and,
+// like Sample, SampleColumn may be called from several goroutines at once,
+// each with its own zs and out.
 type ColumnSampler interface {
 	SampleColumn(x, y float64, zs []float64, out []Material)
 }

@@ -373,3 +373,66 @@ func sameBits(a, b Material) bool {
 		math.Float64bits(a.Vs) == math.Float64bits(b.Vs) &&
 		math.Float64bits(a.Rho) == math.Float64bits(b.Rho)
 }
+
+// TestModelsSampleFromManyGoroutines: every model of the package gives
+// several goroutines sampling it at once — by point and by column, as fd's
+// set-up slabs do — exactly what one goroutine gets from an equal model; a
+// new Heterogeneous's goroutines race to build its lattice. `make check`
+// runs it under the race detector.
+func TestModelsSampleFromManyGoroutines(t *testing.T) {
+	const lx, ly, lz = 20e3, 16e3, 6e3
+	models := map[string]func() Model{
+		"layered":     func() Model { return TangshanCrust() },
+		"basin":       func() Model { return ScaledTangshan(lx, ly, lz) },
+		"homogeneous": func() Model { return Homogeneous{Material{Vp: 4000, Vs: 2310, Rho: 2500}} },
+		"grid":        func() Model { return NewGridModel(ScaledTangshan(lx, ly, lz), 9, 8, 7, lx/8, ly/7, lz/6) },
+		"heterogeneous": func() Model {
+			return NewHeterogeneous(ScaledTangshan(lx, ly, lz), 0.05, 800, lx, ly, lz, 7)
+		},
+	}
+	zs := make([]float64, 40)
+	for k := range zs {
+		zs[k] = float64(k) * lz / 39
+	}
+	// columns inside, on the edge of and beyond the domain
+	var xy [][2]float64
+	for i := -1; i <= 9; i++ {
+		for j := -1; j <= 9; j++ {
+			xy = append(xy, [2]float64{float64(i) * lx / 8, float64(j) * ly / 8})
+		}
+	}
+	const goroutines = 4
+	for name, mk := range models {
+		ref := mk()
+		want := make([][]Material, len(xy))
+		for c, p := range xy {
+			want[c] = make([]Material, len(zs))
+			SampleColumn(ref, p[0], p[1], zs, want[c])
+		}
+		m := mk()
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			go func() {
+				col := make([]Material, len(zs))
+				for n := range xy {
+					c := (n + g*len(xy)/goroutines) % len(xy) // each starts elsewhere
+					p := xy[c]
+					SampleColumn(m, p[0], p[1], zs, col)
+					for k, z := range zs {
+						if col[k] != want[c][k] || m.Sample(p[0], p[1], z) != want[c][k] {
+							errs <- fmt.Errorf("%s: goroutine %d at (%g, %g, %g): column %v, point %v, want %v",
+								name, g, p[0], p[1], z, col[k], m.Sample(p[0], p[1], z), want[c][k])
+							return
+						}
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for g := 0; g < goroutines; g++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}

@@ -82,26 +82,3 @@ func RegCommBulkSeconds(words int64) float64 {
 func LDMAccessSeconds(words int64) float64 {
 	return float64(words) * LDMCycles / (CPEFreqGHz * 1e9)
 }
-
-// CPEGrid describes the logical 8x8 layout of the CPE cluster and the
-// paper's Cz x Cy thread decomposition over it (Fig. 4 step 3).
-type CPEGrid struct {
-	Cz, Cy int // Cz*Cy must equal 64
-}
-
-// NewCPEGrid validates the decomposition (paper eq. 5).
-func NewCPEGrid(cz, cy int) (CPEGrid, error) {
-	if cz <= 0 || cy <= 0 || cz*cy != CPEsPerCG {
-		return CPEGrid{}, fmt.Errorf("sunway: Cz*Cy = %d*%d != %d", cz, cy, CPEsPerCG)
-	}
-	return CPEGrid{Cz: cz, Cy: cy}, nil
-}
-
-// NeighborsInRow reports whether two linear CPE ids share a bus row or
-// column under this decomposition (register communication is only possible
-// within a row or column of the physical 8x8 mesh).
-func (g CPEGrid) NeighborsInRow(a, b int) bool {
-	ar, ac := a/8, a%8
-	br, bc := b/8, b%8
-	return ar == br || ac == bc
-}

@@ -180,28 +180,6 @@ func TestMPEBandwidthIsTheBottleneck(t *testing.T) {
 	}
 }
 
-func TestCPEGrid(t *testing.T) {
-	if _, err := NewCPEGrid(1, 64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCPEGrid(8, 8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCPEGrid(3, 20); err == nil {
-		t.Fatal("invalid decomposition accepted")
-	}
-	g, _ := NewCPEGrid(8, 8)
-	if !g.NeighborsInRow(0, 7) {
-		t.Fatal("same row not detected")
-	}
-	if !g.NeighborsInRow(0, 56) {
-		t.Fatal("same column not detected")
-	}
-	if g.NeighborsInRow(0, 9) {
-		t.Fatal("diagonal wrongly bus-reachable")
-	}
-}
-
 func TestAvailableCGMem(t *testing.T) {
 	got := AvailableCGMemBytes()
 	want := 5.5 * float64(1<<30)

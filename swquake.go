@@ -64,7 +64,9 @@ type (
 type (
 	// Material is an isotropic elastic material (Vp, Vs, rho).
 	Material = model.Material
-	// Model samples material at physical coordinates.
+	// Model samples material at physical coordinates. Set-up samples a
+	// model from several goroutines at once, so its Sample (and
+	// SampleColumn, when it has one) must be safe for concurrent use.
 	Model = model.Model
 	// Layered is a 1D layered crustal model.
 	Layered = model.Layered
