@@ -78,8 +78,9 @@ check-bce:
 # interior/shell pass is the one walk, two-pass is its one-slab geometry; it
 # calls each host kernel at most once, the walk itself (fd.UpdateVelocityRegion
 # in stripWalk, fd.UpdateStressRegion in stressChain), and pipeline.go holds no
-# Backend interface and no cgx branch: the simulated core group tallies the
-# step, it does not run it; and it declares at most
+# Backend interface; no non-test file of it imports the machine model
+# (cgexec, sunway, ldm, perfmodel): the simulated core group's tally is a
+# function of the block, no part of the step; and it declares at most
 # one walk-geometry test seam (a package-level variable of type int or
 # geometry). And nothing sweeps a block after the walk: no whole-block
 # max-|v| scan (MaxAbsVelocity() call), no whole-surface PGV update
@@ -133,7 +134,8 @@ check-one:
 		if [ "$$(echo "$$in" | grep -c .)" -gt 1 ] || { [ -n "$$in" ] && ! echo "$$in" | grep -q ") $${k#*:}("; }; then \
 			echo "check-one: internal/core calls fd.$${k%:*} other than once from $${k#*:}:"; echo "$$in"; exit 1; fi; \
 	done
-	@! grep -nE 'Backend interface|\<cgx\>' internal/core/pipeline.go
+	@! grep -n 'Backend interface' internal/core/pipeline.go
+	@! grep -nE '"swquake/internal/(cgexec|sunway|ldm|perfmodel)"' internal/core/*.go | grep -v '_test\.go:'
 	@! grep -nF -e 'MaxAbsVelocity(' -e 'pgv.Update(' $$(ls internal/core/*.go | grep -v '_test\.go$$')
 	@in=$$(awk '/^func /{f=$$0} /s\.comp/ && f ~ /\) planWalks\(/ {print FILENAME":"FNR": "$$0}' \
 		$$(ls internal/core/*.go | grep -v '_test\.go$$')); \
@@ -272,7 +274,3 @@ ensemble-smoke:
 clean:
 	rm -f *.pgm *.swvm *.swq test_output.txt bench_output.txt \
 		cpu.prof core.test
-
-# run the paper-size (160x160x512) core-group executor cross-check (~60 s)
-test-paper:
-	SWQUAKE_PAPER_BLOCK=1 $(GO) test -run TestExecutedMEMPaperBlock -v ./internal/experiments/

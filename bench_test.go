@@ -447,20 +447,19 @@ func BenchmarkAblationHaloExchange(b *testing.B) {
 	})
 }
 
-// BenchmarkCGExecutor measures the tile-by-tile core-group tally (the
-// per-step account of the Fig. 7 MEM strategy) and reports its simulated
-// bandwidth against the blocking-model prediction.
-func BenchmarkCGExecutor(b *testing.B) {
+// BenchmarkCGTally measures the tile-by-tile core-group tally (one step's
+// account of the Fig. 7 MEM strategy) and reports its simulated bandwidth
+// against the blocking-model prediction.
+func BenchmarkCGTally(b *testing.B) {
 	d := grid.Dims{Nx: 24, Ny: 32, Nz: 64}
 	var sim, modeled float64
 	for i := 0; i < b.N; i++ {
-		ex, err := cgexec.New(d)
+		s, cfg, err := cgexec.Tally(d)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ex.Step()
-		sim = ex.Stats.EffectiveBandwidth()
-		modeled = ex.Cfg.EffBWGBs
+		sim = s.EffectiveBandwidth()
+		modeled = cfg.EffBWGBs
 	}
 	b.ReportMetric(sim, "GB/s-simulated")
 	b.ReportMetric(modeled, "GB/s-modeled")

@@ -29,11 +29,14 @@ import (
 	"time"
 
 	"swquake"
+	"swquake/internal/cgexec"
 	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
 	"swquake/internal/core"
 	"swquake/internal/cpu"
+	"swquake/internal/decomp"
 	"swquake/internal/faultinject"
+	"swquake/internal/grid"
 	"swquake/internal/model"
 	"swquake/internal/output"
 	"swquake/internal/scenario"
@@ -66,7 +69,7 @@ func run(args []string, w io.Writer) error {
 		qs        = fs.Float64("qs", 0, "constant Qs attenuation (Qp = 2 Qs); 0 = elastic")
 		qVsScaled = fs.Bool("q-vs", false, "Vs-scaled attenuation (Qs = 0.05 Vs)")
 		snapshots = fs.Int("snapshots", 0, "write a surface-velocity PGM every N steps (serial runs, needs -out)")
-		sunwaySim = fs.Bool("sunway", false, "execute through the simulated SW26010 core group and report its timing")
+		sunwaySim = fs.Bool("sunway", false, "report one step of the run's block on a simulated SW26010 core group (a rank's block under -parallel)")
 		tiles     = fs.Int("tiles", 0, "intra-rank workers walking the block's strips as a wavefront (-1 = auto from GOMAXPROCS, 0/1 = single-threaded; bit-identical results)")
 		overlap   = fs.Bool("overlap", false, "overlap interior compute with the velocity-halo exchange (bit-identical; -parallel runs only)")
 		progress  = fs.Bool("progress", false, "print step progress and ETA during the run")
@@ -83,6 +86,10 @@ func run(args []string, w io.Writer) error {
 	}
 	if *snapshots > 0 && *parallel != "" {
 		return fmt.Errorf("-snapshots takes serial runs only, not -parallel")
+	}
+	// the core-group tally models the float32 traffic of uncompressed storage
+	if *sunwaySim && *comp != "off" {
+		return fmt.Errorf("-sunway takes uncompressed runs only, not -compress %s", *comp)
 	}
 	// a serial run has no halo to frame, time out or overlap and no rank to
 	// heal
@@ -108,7 +115,6 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "using velocity model %s (%s)\n", *modelPath, g)
 		cfg.Model = g
 	}
-	cfg.SunwaySim = *sunwaySim
 	cfg.StepDeadline = *stepDeadline
 	cfg.HaloCRC = *haloCRC
 	cfg.MaxFaultRetries = *faultRetries
@@ -152,9 +158,9 @@ func run(args []string, w io.Writer) error {
 
 	start := time.Now()
 	var res *core.Result
+	mx, my := 1, 1
 	if *parallel != "" {
-		mx, my, err := parseProcGrid(*parallel)
-		if err != nil {
+		if mx, my, err = parseProcGrid(*parallel); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "running %s on a %dx%d simulated-MPI process grid...\n", *scen, mx, my)
@@ -188,9 +194,10 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	elapsed := time.Since(start)
+	pointSteps := float64(cfg.Dims.Points()) * float64(ran)
 
 	fmt.Fprintf(w, "done in %.2f s (%.1f Mpoint-steps/s)\n", elapsed.Seconds(),
-		float64(cfg.Dims.Points())*float64(ran)/elapsed.Seconds()/1e6)
+		pointSteps/elapsed.Seconds()/1e6)
 	if res.Perf.Steps > 0 {
 		fmt.Fprintf(w, "perf: %v\n", res.Perf)
 	}
@@ -199,13 +206,19 @@ func run(args []string, w io.Writer) error {
 			float64(res.Perf.HaloBytes)/1e6,
 			float64(res.Perf.HaloBytes)/1e6/float64(res.Perf.Steps))
 	}
-	if res.Sunway != nil {
-		fmt.Fprintf(w, "simulated SW26010 core group: %.2f ms/step, %.1f GB/s effective DMA, LDM peak %d B\n",
-			1e3*res.Sunway.StepSeconds()/float64(res.Sunway.Steps), res.Sunway.EffectiveBandwidth(),
-			res.Sunway.LDMPeakBytes)
+	if *sunwaySim {
+		// the core groups step their blocks at once: one block's step is
+		// the run's
+		pg, err := decomp.NewProcessGrid(cfg.Dims.Nx, cfg.Dims.Ny, cfg.Dims.Nz, mx, my)
+		if err != nil {
+			return err
+		}
+		if err := printSunway(w, pg.BlockDims()); err != nil {
+			return err
+		}
 	}
 	if *timing {
-		printTiming(w, cfg, res, elapsed.Seconds())
+		printTiming(w, cfg, res, pointSteps, elapsed.Seconds())
 	}
 	report(w, res)
 
@@ -249,12 +262,25 @@ func progressObserver(w io.Writer, total int) core.StepObserver {
 	}
 }
 
+// printSunway reports one step of a core group's block as the simulated
+// SW26010 core group runs it (cgexec.Tally).
+func printSunway(w io.Writer, block grid.Dims) error {
+	s, ldmCfg, err := cgexec.Tally(block)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "simulated SW26010 core group: %.2f ms/step, %.1f GB/s effective DMA, LDM peak %d B\n",
+		1e3*s.StepSeconds(), s.EffectiveBandwidth(), ldmCfg.LDMBytesUsed)
+	return nil
+}
+
 // printTiming renders the per-stage kernel breakdown (the paper's Fig. 7
 // accounting, measured on the host): time per stage, its share of the run,
 // and how much of the wall clock the stages account for in total. Parallel
 // runs sum stage time over ranks, so the percentage column is of summed
-// stage time there, not of wall time.
-func printTiming(w io.Writer, cfg core.Config, res *core.Result, wallS float64) {
+// stage time there, not of wall time. pointSteps is the point-steps this
+// process ran, which a resumed run starts part way through.
+func printTiming(w io.Writer, cfg core.Config, res *core.Result, pointSteps, wallS float64) {
 	rep := res.Stages.Report()
 	total := rep.TotalSeconds()
 	if total <= 0 {
@@ -269,7 +295,6 @@ func printTiming(w io.Writer, cfg core.Config, res *core.Result, wallS float64) 
 		bytes[sb.Stage.String()] = sb.Bytes
 		perPoint += sb.Bytes
 	}
-	pointSteps := float64(res.Perf.VelocityPoints)
 	fmt.Fprintf(w, "%-14s %10s %12s %12s %12s %7s %8s %7s\n",
 		"stage", "count", "total (s)", "avg (ms)", "max (ms)", "share", "B/point", "GB/s")
 	for _, st := range rep.Stages {

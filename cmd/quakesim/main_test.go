@@ -8,9 +8,12 @@ import (
 	"strings"
 	"testing"
 
+	"swquake/internal/cgexec"
 	"swquake/internal/compress"
 	"swquake/internal/cpu"
+	"swquake/internal/decomp"
 	"swquake/internal/faultinject"
+	"swquake/internal/grid"
 	"swquake/internal/model"
 	"swquake/internal/scenario"
 )
@@ -230,13 +233,27 @@ func TestRunTimingFlag(t *testing.T) {
 	}
 }
 
+// outputLine returns the first line of out that starts with prefix.
+func outputLine(t *testing.T, out, prefix string) string {
+	t.Helper()
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, prefix) {
+			return l
+		}
+	}
+	t.Fatalf("no %q line in:\n%s", prefix, out)
+	return ""
+}
+
+const sunwayLine = "simulated SW26010 core group:"
+
 // TestResumedRunReportsItsOwnSteps: a run resumed half way reports its rates
 // over the steps it ran, not over the whole simulation's — its simulated
-// core-group step is the uninterrupted run's, and its point-step rate is
-// over its 20 steps, not 40.
+// core-group step is the uninterrupted run's, and its point-step rate and
+// the bytes it touched are over its 20 steps, not 40.
 func TestResumedRunReportsItsOwnSteps(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-scenario", "tangshan", "-nx", "64", "-ny", "62", "-nz", "24", "-steps", "40", "-sunway"}
+	args := []string{"-scenario", "tangshan", "-nx", "64", "-ny", "62", "-nz", "24", "-steps", "40", "-sunway", "-timing"}
 	var whole, resumed bytes.Buffer
 	if err := run(append(args, "-checkpoint-every", "20", "-out", dir), &whole); err != nil {
 		t.Fatal(err)
@@ -244,27 +261,89 @@ func TestResumedRunReportsItsOwnSteps(t *testing.T) {
 	if err := run(append(args, "-restart", filepath.Join(dir, "ckpt-00000020.swq")), &resumed); err != nil {
 		t.Fatal(err)
 	}
-	line := func(out, prefix string) string {
-		for _, l := range strings.Split(out, "\n") {
-			if strings.HasPrefix(l, prefix) {
-				return l
-			}
-		}
-		t.Fatalf("no %q line in:\n%s", prefix, out)
-		return ""
-	}
-	const sw = "simulated SW26010 core group:"
-	if a, b := line(whole.String(), sw), line(resumed.String(), sw); a != b {
+	if a, b := outputLine(t, whole.String(), sunwayLine), outputLine(t, resumed.String(), sunwayLine); a != b {
 		t.Errorf("resumed run reports\n%s\nuninterrupted\n%s", b, a)
 	}
 	// "done in X s (R Mpoint-steps/s)": X and R are rounded to 0.01 and 0.1,
 	// so the point-steps run lie between the products of their bounds
 	var secs, rate float64
-	if _, err := fmt.Sscanf(line(resumed.String(), "done in"), "done in %f s (%f Mpoint-steps/s)", &secs, &rate); err != nil {
+	if _, err := fmt.Sscanf(outputLine(t, resumed.String(), "done in"), "done in %f s (%f Mpoint-steps/s)", &secs, &rate); err != nil {
 		t.Fatal(err)
 	}
 	ran := 64 * 62 * 24 * 20 / 1e6
 	if lo, hi := (rate-0.05)*(secs-0.005), (rate+0.05)*(secs+0.005); ran < lo || ran > hi {
 		t.Errorf("resumed run: %.1f Mpoint-steps/s over %.2f s is not %.2f Mpoint-steps run", rate, secs, ran)
+	}
+	// "stages total T s over W s wall" and "bytes touched: B B/point/step, G
+	// GB/s effective over the run": G over W s is B bytes a point-step run,
+	// each rounded to its last printed digit
+	var total, wall, perPoint, gbps float64
+	if _, err := fmt.Sscanf(outputLine(t, resumed.String(), "stages total"), "stages total %f s over %f s wall", &total, &wall); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Sscanf(outputLine(t, resumed.String(), "bytes touched:"),
+		"bytes touched: %f B/point/step, %f GB/s effective over the run", &perPoint, &gbps); err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := (gbps-0.05)*(wall-5e-5), (gbps+0.05)*(wall+5e-5); (perPoint+0.05)*ran/1e3 < lo || (perPoint-0.05)*ran/1e3 > hi {
+		t.Errorf("resumed run: %.1f GB/s over %.4f s is not %.1f B a point-step over %.2f Mpoint-steps run", gbps, wall, perPoint, ran)
+	}
+}
+
+// TestSunwayReportsOneCoreGroup: -sunway reports one step of one core
+// group's block, the one-step tally of the whole domain serially and of one
+// rank's block under -parallel, where the core groups step at once — not
+// the ranks' tallies added up.
+func TestSunwayReportsOneCoreGroup(t *testing.T) {
+	sunway := func(args ...string) string {
+		var buf bytes.Buffer
+		if err := run(append([]string{"-scenario", "quickstart", "-steps", "20", "-sunway"}, args...), &buf); err != nil {
+			t.Fatal(err)
+		}
+		return outputLine(t, buf.String(), sunwayLine)
+	}
+	tally := func(block grid.Dims) string {
+		s, cfg, err := cgexec.Tally(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%s %.2f ms/step, %.1f GB/s effective DMA, LDM peak %d B",
+			sunwayLine, 1e3*s.StepSeconds(), s.EffectiveBandwidth(), cfg.LDMBytesUsed)
+	}
+	cfg, err := buildConfig("quickstart", scenario.Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := decomp.NewProcessGrid(cfg.Dims.Nx, cfg.Dims.Ny, cfg.Dims.Nz, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, ranks := sunway(), sunway("-parallel", "2x2")
+	if want := tally(cfg.Dims); serial != want {
+		t.Errorf("serial run reports\n%s\nwant the domain's one-step tally\n%s", serial, want)
+	}
+	if want := tally(pg.BlockDims()); ranks != want {
+		t.Errorf("-parallel 2x2 reports\n%s\nwant one %v block's one-step tally\n%s", ranks, pg.BlockDims(), want)
+	}
+	if ranks == serial {
+		t.Errorf("-parallel 2x2 reports the whole domain's core group: %s", ranks)
+	}
+}
+
+// TestRunRefusesSunwayWithCompression: the core-group tally models the
+// float32 traffic of uncompressed storage, so -sunway with any compressed
+// storage is refused, naming both flags, before the run writes a file.
+func TestRunRefusesSunwayWithCompression(t *testing.T) {
+	for _, method := range []string{"half", "adaptive", "normalized"} {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		err := run([]string{"-scenario", "quickstart", "-steps", "20", "-sunway", "-compress", method,
+			"-checkpoint-every", "10", "-out", dir}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-sunway") || !strings.Contains(err.Error(), "-compress "+method) {
+			t.Fatalf("-sunway -compress %s: %v; want an error naming both flags", method, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("-compress %s: refused run wrote %d files", method, len(entries))
+		}
 	}
 }

@@ -287,7 +287,6 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 		"compressed":            {with(func(c *Config) { c.Compression = compress.Normalized }), strips, lone},
 		"cache-resident block": {small, geometry{}, [3]pass{{},
 			{vel: []grid.Region{smallBox}, chain: []grid.Region{smallBox}, sponge: []grid.Region{smallBox}}, {}}},
-		"core-group tally": {with(func(c *Config) { c.SunwaySim = true }), strips, lone},
 	} {
 		sim, err := New(c.cfg)
 		if err != nil {

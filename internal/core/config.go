@@ -11,8 +11,8 @@
 // All of it runs through one step-pipeline engine (pipeline.go): the
 // serial Run, the simulated-MPI RunParallel of §6.3 and every execution
 // strategy drive the same stage sequence through the Exchanger seam, so
-// features (checkpointing, divergence detection, perf accounting, the
-// core-group tally) behave identically on every path.
+// features (checkpointing, divergence detection, perf accounting) behave
+// identically on every path.
 package core
 
 import (
@@ -124,17 +124,6 @@ type Config struct {
 
 	RecordPGV bool
 
-	// SunwaySim charges every step to a simulated SW26010 core group per
-	// block (package cgexec): the velocity and stress kernels' CPE tiles,
-	// their DMA traffic, register-bus halos and LDM window. The kernels run
-	// on the host as in any run, so the bits are those of the same run
-	// without it, and the tally reads only the block's size, so Tiles and
-	// Overlap do not change it. Result.Sunway reports the simulated
-	// on-machine time, DMA traffic and bandwidth (summed over ranks under
-	// RunParallel). Uncompressed runs only: the tally models the
-	// uncompressed MEM strategy's traffic.
-	SunwaySim bool
-
 	// Checkpoint, when non-nil, saves restart dumps during the run. Under
 	// RunParallel the blocks are gathered to rank 0, which writes one
 	// global dump interchangeable with a serial run's.
@@ -170,10 +159,8 @@ type Config struct {
 	// GOMAXPROCS (divided by the rank count under RunParallel; fewer, down to
 	// one, on a block too small for workers to pay). Workers walk only while
 	// Run/RunParallel is stepping; a bare Step() is always single-threaded.
-	// Host workers are not the core-group tiles SunwaySim tallies, which
-	// follow from the block alone. Set-up does not read Tiles: it makes the
-	// block's arrays and samples its medium on grid.Workers goroutines at
-	// any setting.
+	// Set-up does not read Tiles: it makes the block's arrays and samples
+	// its medium on grid.Workers goroutines at any setting.
 	Tiles int
 
 	// Overlap hides velocity-halo latency under RunParallel: the ring of
@@ -257,9 +244,6 @@ func (c *Config) Validate() error {
 		if a.VsScaled && a.Factor < 0 {
 			return fmt.Errorf("core: negative Q scale factor")
 		}
-	}
-	if c.SunwaySim && c.Compression != compress.Off {
-		return fmt.Errorf("core: SunwaySim does not support compressed storage")
 	}
 	if c.Tiles < AutoTiles {
 		return fmt.Errorf("core: invalid tile count %d", c.Tiles)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"swquake/internal/cgexec"
 	"swquake/internal/compress"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
@@ -439,75 +438,5 @@ func TestDivergenceDetection(t *testing.T) {
 	sim.Cfg.Dt *= 3 // well beyond the CFL limit
 	if _, err := sim.Run(); err == nil {
 		t.Fatal("diverging run not detected")
-	}
-}
-
-func TestSunwaySimMatchesPlainAndAccounts(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Steps = 15
-
-	plainSim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := plainSim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scfg := cfg
-	scfg.SunwaySim = true
-	sunSim, err := New(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sun, err := sunSim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// bit-identical physics
-	a, b := plain.Recorder.Trace("S1"), sun.Recorder.Trace("S1")
-	for i := range a.U {
-		if a.U[i] != b.U[i] {
-			t.Fatalf("SunwaySim diverges at sample %d", i)
-		}
-	}
-	// simulated accounting populated
-	if sun.Sunway == nil {
-		t.Fatal("no Sunway stats")
-	}
-	if sun.Sunway.StepSeconds() <= 0 || sun.Sunway.DMAGetBytes == 0 {
-		t.Fatalf("degenerate stats: %+v", sun.Sunway)
-	}
-	if plain.Sunway != nil {
-		t.Fatal("plain run has Sunway stats")
-	}
-	// per-step simulated time in a plausible CG range: the quick block is
-	// small, so the simulated step sits in the micro-to-millisecond range
-	perStep := sun.Sunway.StepSeconds() / float64(cfg.Steps)
-	if perStep <= 0 || perStep > 0.1 {
-		t.Fatalf("simulated per-step time %g s implausible", perStep)
-	}
-	// each step the run took is charged once: the tally of the block's
-	// executor stepped as often
-	ex, err := cgexec.New(cfg.Dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < cfg.Steps; n++ {
-		ex.Step()
-	}
-	if *sun.Sunway != ex.Stats {
-		t.Fatalf("run charged %+v, want %d steps' %+v", *sun.Sunway, cfg.Steps, ex.Stats)
-	}
-}
-
-func TestSunwaySimRejectsCompression(t *testing.T) {
-	cfg := baseConfig()
-	cfg.SunwaySim = true
-	cfg.Compression = compress.Normalized
-	if _, err := New(cfg); err == nil {
-		t.Fatal("SunwaySim with compression accepted")
 	}
 }

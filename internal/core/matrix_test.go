@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"swquake/internal/cgexec"
 	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
 	"swquake/internal/cpu/cputest"
@@ -28,7 +27,6 @@ type matrixCell struct {
 	half    bool // compress.Half storage
 	physics string
 	strips  bool // 1-plane slabs in 4-column strips, else one slab
-	sunway  bool // SunwaySim, on plain storage only
 }
 
 func (c matrixCell) String() string {
@@ -40,14 +38,11 @@ func (c matrixCell) String() string {
 	if c.half {
 		storage = "half"
 	}
-	if c.sunway {
-		storage += "+sunway"
-	}
 	return fmt.Sprintf("%dx%d/tiles=%d/overlap=%v/%s/%s/%s", c.mx, c.my, c.tiles, c.overlap, storage, c.physics, geom)
 }
 
 // matrixCells enumerates grid x tiles x overlap x storage x physics x walk
-// geometry, and the plain-storage cells once more with SunwaySim.
+// geometry.
 func matrixCells() []matrixCell {
 	var cells []matrixCell
 	for _, g := range [][2]int{{1, 1}, {2, 1}, {2, 2}} {
@@ -56,12 +51,7 @@ func matrixCells() []matrixCell {
 				for _, half := range []bool{false, true} {
 					for _, physics := range []string{"linear", "nonlinear+Q", "SLS"} {
 						for _, strips := range []bool{false, true} {
-							c := matrixCell{g[0], g[1], tiles, overlap, half, physics, strips, false}
-							cells = append(cells, c)
-							if !half {
-								c.sunway = true
-								cells = append(cells, c)
-							}
+							cells = append(cells, matrixCell{g[0], g[1], tiles, overlap, half, physics, strips})
 						}
 					}
 				}
@@ -99,7 +89,7 @@ func matrixConfig(c matrixCell) Config {
 	if c.half {
 		cfg.Compression = compress.Half
 	}
-	cfg.Tiles, cfg.Overlap, cfg.SunwaySim = c.tiles, c.overlap, c.sunway
+	cfg.Tiles, cfg.Overlap = c.tiles, c.overlap
 	return cfg
 }
 
@@ -177,22 +167,20 @@ func requireSameRun(t *testing.T, label string, want, got matrixRun, cfg Config)
 // strip cells; a one-slab block is one strip), with the velocity exchange
 // overlapped or not, on plain or half-precision storage, linear, nonlinear
 // with constant Q or with SLS, walked as one slab or in 1-plane slabs and
-// 4-column strips, tallied by the simulated core group or not — ends with
-// the whole wavefield, the traces and the PGV map bit-identical to the
-// serial one-slab run of the same storage and physics. A SunwaySim cell's tally is that of
-// the same process grid run on one worker with no overlap.
+// 4-column strips — ends with the whole wavefield, the traces and the PGV
+// map bit-identical to the serial one-slab run of the same storage and
+// physics.
 func TestModeMatrix(t *testing.T) {
 	refs := map[[2]string]matrixRun{}
-	tallies := map[[2]int]*cgexec.Stats{}
 	for n, c := range matrixCells() {
 		storage := fmt.Sprint(c.half)
 		key := [2]string{storage, c.physics}
-		ref := c.mx*c.my == 1 && c.tiles == 1 && !c.overlap && !c.strips && !c.sunway
+		ref := c.mx*c.my == 1 && c.tiles == 1 && !c.overlap && !c.strips
 		if !ref && !*fullMatrix && n%7 != 0 {
 			continue
 		}
 		if refs[key].res == nil {
-			rc := matrixCell{1, 1, 1, false, c.half, c.physics, false, false}
+			rc := matrixCell{1, 1, 1, false, c.half, c.physics, false}
 			r := runCell(t, rc)
 			if c.physics != "linear" && r.res.YieldedPointSteps == 0 {
 				t.Fatalf("%v: the reference run never yields", rc)
@@ -204,17 +192,5 @@ func TestModeMatrix(t *testing.T) {
 		}
 		got := runCell(t, c)
 		requireSameRun(t, c.String(), refs[key], got, matrixConfig(c))
-		if !c.sunway {
-			continue
-		}
-		g := [2]int{c.mx, c.my}
-		if tallies[g] == nil {
-			tc := c
-			tc.tiles, tc.overlap = 1, false
-			tallies[g] = runCell(t, tc).res.Sunway
-		}
-		if got.res.Sunway == nil || *got.res.Sunway != *tallies[g] {
-			t.Fatalf("%v: core-group tally %+v, want the untiled, unoverlapped run's %+v", c, got.res.Sunway, tallies[g])
-		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"swquake/internal/cgexec"
 	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
 	"swquake/internal/decomp"
@@ -33,9 +32,8 @@ import (
 // Feature parity with the serial runner is complete: checkpoints are
 // gathered to rank 0 and written as one global dump (readable by serial or
 // parallel restarts via Config.RestartFrom) carrying the full resume state,
-// divergence is detected collectively, Result.Perf sums the per-rank kernel
-// counters, and Result.Sunway aggregates the simulated core-group stats
-// when Config.SunwaySim is set.
+// divergence is detected collectively, and Result.Perf sums the per-rank
+// kernel counters.
 func RunParallel(cfg Config, mx, my int) (*Result, error) {
 	return RunParallelCtx(context.Background(), cfg, mx, my)
 }
@@ -212,12 +210,6 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 		res.YieldedPointSteps += sim.yielded
 		res.Perf.AddCounters(sim.perf)
 		res.Stages.Merge(sim.stages)
-		if stats := sim.sunwayStats(); stats != nil {
-			if res.Sunway == nil {
-				res.Sunway = &cgexec.Stats{}
-			}
-			res.Sunway.Add(*stats)
-		}
 	}
 	res.setCheckpoints(ckpts)
 	res.Recorder = merged

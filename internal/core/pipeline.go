@@ -25,8 +25,8 @@ import (
 // wavefront workers; overlapped halos) drives this sequence as one walk in
 // strips and slabs (stripWalk) of the host kernels, in three passes around
 // the velocity-halo exchange (planWalks), through one seam: the Exchanger
-// (ghost layers). The simulated SW26010 core group runs no kernel; it is
-// charged each step the walk runs (countKernels).
+// (ghost layers). The simulated SW26010 core group is no part of it: its
+// tally is a function of the block (cgexec.Tally).
 
 // Exchanger updates ghost layers between the pipeline's kernel phases.
 // Each exchange is split into a Start half, which posts the outgoing halo

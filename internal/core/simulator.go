@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"swquake/internal/cgexec"
 	"swquake/internal/checkpoint"
 	"swquake/internal/compress"
 	"swquake/internal/decomp"
@@ -36,7 +35,6 @@ type Simulator struct {
 	sponge *fd.Sponge
 	atten  *fd.Attenuation
 	sls    *fd.SLS
-	cgx    *cgexec.Executor
 	rec    *seismo.Recorder
 	pgv    *seismo.PGVField
 	srcs   source.Set
@@ -125,9 +123,6 @@ type Result struct {
 	YieldedPointSteps int64
 	// Perf is the PERF-style flop/throughput accounting of the run.
 	Perf Perf
-	// Sunway holds the simulated core-group accounting when Config.SunwaySim
-	// is set (nil stats otherwise).
-	Sunway *cgexec.Stats
 	// Checkpoints lists restart files written during the run; every one is
 	// durable by the time the run returns.
 	Checkpoints []checkpoint.Info
@@ -250,13 +245,6 @@ func (s *Simulator) setUp(codecs []compress.Codec) error {
 		s.comp = &compressedState{codecs: codecs}
 		s.comp.roundTrip(s.WF, allFields, padded(cfg.Dims), s.scratchFor(1)[0].codes)
 	}
-	if cfg.SunwaySim {
-		ex, err := cgexec.New(cfg.Dims)
-		if err != nil {
-			return err
-		}
-		s.cgx = ex
-	}
 	// AutoTiles resolves against the rank count, so the tiles of all ranks
 	// together match GOMAXPROCS
 	s.tiles = effectiveTiles(cfg.Tiles, s.pg.Size(), cfg.Dims.Points())
@@ -298,8 +286,7 @@ func (s *Simulator) PGV() *seismo.PGVField { return s.pgv }
 // Stages exposes the per-stage timing collector.
 func (s *Simulator) Stages() *telemetry.StageClock { return s.stages }
 
-// countKernels tallies the per-step kernel work for Perf and, under
-// SunwaySim, charges the simulated core group the step.
+// countKernels tallies the per-step kernel work for Perf.
 func (s *Simulator) countKernels() {
 	pts := s.Cfg.Dims.Points()
 	s.perf.VelocityPoints += pts
@@ -311,9 +298,6 @@ func (s *Simulator) countKernels() {
 		s.perf.SpongePoints += s.sponge.DampedPoints()
 	}
 	s.perf.Steps++
-	if s.cgx != nil {
-		s.cgx.Step()
-	}
 }
 
 // Run advances the simulation until StepCount reaches Cfg.Steps. When
@@ -340,7 +324,7 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 	var res *Result
 	if err == nil {
 		res = &Result{Recorder: s.rec, PGV: s.pgv, Dt: s.Cfg.Dt, Sim: s, Steps: s.step,
-			YieldedPointSteps: s.yielded, Stages: s.stages, Perf: s.perf, Sunway: s.sunwayStats()}
+			YieldedPointSteps: s.yielded, Stages: s.stages, Perf: s.perf}
 	}
 	// however the run ended, its last dump lands before the caller hears of
 	// it: a canceled or failed run restarts from there
@@ -363,16 +347,6 @@ func (r *Result) setCheckpoints(infos []checkpoint.Info) {
 	for _, ck := range infos {
 		r.CheckpointWriteSeconds += ck.WriteSeconds
 	}
-}
-
-// sunwayStats copies the simulated core group's accounting, nil without
-// Config.SunwaySim.
-func (s *Simulator) sunwayStats() *cgexec.Stats {
-	if s.cgx == nil {
-		return nil
-	}
-	stats := s.cgx.Stats
-	return &stats
 }
 
 // run is the one step loop: the serial run and every rank of RunParallel

@@ -178,24 +178,17 @@ func TestNonlinearQTiledAndRanksMatchSerial(t *testing.T) {
 	requireIdenticalResults(t, "parallel 2x1", ref, got, base)
 }
 
-// TestTilesOverlapValidation: a tile count below AutoTiles is refused;
-// SunwaySim, which tallies the core group from the block alone, composes
-// with host tiles (explicit and automatic) and with Overlap.
+// TestTilesOverlapValidation: a tile count below AutoTiles is refused, and
+// AutoTiles composes with Overlap.
 func TestTilesOverlapValidation(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Tiles = -2
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("Tiles=-2 accepted")
 	}
-	for _, c := range []struct {
-		tiles   int
-		overlap bool
-	}{{4, false}, {AutoTiles, false}, {0, true}, {4, true}} {
-		cfg = baseConfig()
-		cfg.SunwaySim, cfg.Tiles, cfg.Overlap = true, c.tiles, c.overlap
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("SunwaySim with tiles %d, overlap %v: %v", c.tiles, c.overlap, err)
-		}
+	cfg.Tiles, cfg.Overlap = AutoTiles, true
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("AutoTiles with Overlap: %v", err)
 	}
 }
 

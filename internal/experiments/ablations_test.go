@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"io"
-	"os"
 	"testing"
 
 	"swquake/internal/compress"
@@ -82,9 +81,6 @@ func TestExecutedMEMCrossChecksModel(t *testing.T) {
 }
 
 func TestExecutedMEMPaperBlock(t *testing.T) {
-	if os.Getenv("SWQUAKE_PAPER_BLOCK") == "" {
-		t.Skip("set SWQUAKE_PAPER_BLOCK=1 to run the 160x160x512 executor check (~60 s)")
-	}
 	// the paper's own weak-scaling block: 160 x 160 x 512 per core group
 	res, err := ExecutedMEM(io.Discard, gridDims(160, 160, 512))
 	if err != nil {

@@ -27,30 +27,27 @@ type ExecutedMEMResult struct {
 }
 
 // ExecutedMEM charges one velocity+stress step of a CG block to the
-// tile-by-tile core-group tally (package cgexec) — the one a SunwaySim run
-// charges every step — and cross-checks the simulated bandwidth and LDM
+// tile-by-tile core-group tally (cgexec.Tally) — the one quakesim -sunway
+// reports for a run's block — and cross-checks the simulated bandwidth and LDM
 // usage against the analytic model that Figs. 7-9 and Table 4 are built on.
 // This closes the loop between the executed and the modeled halves of the
 // reproduction.
 func ExecutedMEM(w io.Writer, block grid.Dims) (*ExecutedMEMResult, error) {
-	ex, err := cgexec.New(block)
+	s, cfg, err := cgexec.Tally(block)
 	if err != nil {
 		return nil, err
 	}
-	ex.Step()
-
-	s := ex.Stats
 	interior := float64(block.Points()) * (10 + 3 + 11 + 6) * 4 // logical traffic
 	res := &ExecutedMEMResult{
 		SimBandwidthGBs:   s.EffectiveBandwidth(),
-		ModelBandwidthGBs: ex.Cfg.EffBWGBs,
+		ModelBandwidthGBs: cfg.EffBWGBs,
 		HaloOverhead:      float64(s.DMAGetBytes+s.DMAPutBytes)/interior - 1,
-		LDMPeakBytes:      s.LDMPeakBytes,
+		LDMPeakBytes:      cfg.LDMBytesUsed,
 		StepSeconds:       s.StepSeconds(),
 	}
 	fmt.Fprintln(w, "Executed core-group step (tile-by-tile through simulated LDM/DMA):")
 	fmt.Fprintf(w, "block %v, tile Wz=%d Wy=%d, %d tiles, %d DMA transfers\n",
-		block, ex.Cfg.Wz, ex.Cfg.Wy, s.Tiles, s.DMATransfers)
+		block, cfg.Wz, cfg.Wy, s.Tiles, s.DMATransfers)
 	fmt.Fprintf(w, "simulated bandwidth %.1f GB/s vs blocking-model prediction %.1f GB/s (DDR3 peak %.0f)\n",
 		res.SimBandwidthGBs, res.ModelBandwidthGBs, float64(sunway.CGMemBWGBs))
 	fmt.Fprintf(w, "halo DMA overhead %.1f%%, LDM peak %d B of %d\n",

@@ -62,8 +62,8 @@ func (s Shape) Validate() error {
 
 // Config is a chosen decomposition with its predicted properties.
 type Config struct {
-	Cz, Cy     int // CPE thread grid (Cz*Cy = 64)
-	Wz, Wy, Wx int // per-CPE LDM tile in grid points
+	Cz, Cy int // CPE thread grid (Cz*Cy = 64)
+	Wz, Wy int // per-CPE LDM tile in grid points (Wx is the shape's MinWx)
 
 	LDMBytesUsed  int     // eq. 6 left-hand side
 	BlockBytesMin int     // smallest per-group DMA chunk (scalar groups)
@@ -136,7 +136,7 @@ func Optimize(s Shape, ny, nz, budget int) (Config, error) {
 
 // evaluate computes the predicted properties of one configuration.
 func evaluate(s Shape, cz, cy, wz, wy, wx, ny, nz int) Config {
-	c := Config{Cz: cz, Cy: cy, Wz: wz, Wy: wy, Wx: wx}
+	c := Config{Cz: cz, Cy: cy, Wz: wz, Wy: wy}
 	c.LDMBytesUsed = 4 * len(s.Groups) * wz * wy * wx
 
 	// per-group DMA chunk sizes and traffic-weighted bandwidth

@@ -74,7 +74,7 @@ func TestOptimizeRespectsLDMCapacity(t *testing.T) {
 		if cfg.LDMBytesUsed > sunway.LDMBytes {
 			t.Fatalf("eq. 6 violated: %d > %d", cfg.LDMBytesUsed, sunway.LDMBytes)
 		}
-		if cfg.Wz < 1 || cfg.Wy < shape.MinWy || cfg.Wx < shape.MinWx {
+		if cfg.Wz < 1 || cfg.Wy < shape.MinWy || cfg.LDMBytesUsed != 4*len(shape.Groups)*cfg.Wz*cfg.Wy*shape.MinWx {
 			t.Fatalf("degenerate tile %+v", cfg)
 		}
 	}

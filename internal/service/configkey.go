@@ -36,7 +36,6 @@ type keyPayload struct {
 	Stations    []seismo.Station       `json:"stations"`
 	SpongeWidth int                    `json:"sponge_width"`
 	RecordPGV   bool                   `json:"record_pgv"`
-	SunwaySim   bool                   `json:"sunway_sim"`
 	RestartFrom string                 `json:"restart_from"`
 }
 
@@ -65,7 +64,6 @@ func ConfigKey(cfg core.Config) (string, error) {
 		Stations:    cfg.Stations,
 		SpongeWidth: cfg.SpongeWidth,
 		RecordPGV:   cfg.RecordPGV,
-		SunwaySim:   cfg.SunwaySim,
 		RestartFrom: cfg.RestartFrom,
 	}
 	for _, src := range cfg.Sources {

@@ -1,43 +1,5 @@
 package sunway
 
-import "fmt"
-
-// LDM is a simple allocator over one CPE's 64 KB local data memory,
-// enforcing the capacity constraint that drives the paper's blocking model
-// (eq. 6: the working set of Wz*Wy*Wx points over Narrays must fit).
-type LDM struct {
-	used int
-}
-
-// Alloc reserves n bytes, failing when the 64 KB scratchpad would overflow.
-func (l *LDM) Alloc(n int) error {
-	if n < 0 {
-		return fmt.Errorf("sunway: negative LDM allocation %d", n)
-	}
-	if l.used+n > LDMBytes {
-		return fmt.Errorf("sunway: LDM overflow: %d + %d > %d", l.used, n, LDMBytes)
-	}
-	l.used += n
-	return nil
-}
-
-// Free releases n bytes.
-func (l *LDM) Free(n int) {
-	l.used -= n
-	if l.used < 0 {
-		l.used = 0
-	}
-}
-
-// Used returns the currently reserved bytes.
-func (l *LDM) Used() int { return l.used }
-
-// Remaining returns the free bytes.
-func (l *LDM) Remaining() int { return LDMBytes - l.used }
-
-// Utilization returns used/capacity (Table 4 reports 93.8%).
-func (l *LDM) Utilization() float64 { return float64(l.used) / LDMBytes }
-
 // ComputeSeconds returns the time for ncpe CPEs to execute flops floating
 // point operations at peak issue rate (the compute leg of the roofline).
 func ComputeSeconds(flops int64, ncpe int) float64 {

@@ -122,36 +122,6 @@ func TestDMATransferSeconds(t *testing.T) {
 	}
 }
 
-func TestLDMAllocator(t *testing.T) {
-	var l LDM
-	if err := l.Alloc(60 * 1024); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Alloc(8 * 1024); err == nil {
-		t.Fatal("LDM overflow accepted")
-	}
-	if l.Used() != 60*1024 {
-		t.Fatalf("used %d", l.Used())
-	}
-	if l.Remaining() != 4*1024 {
-		t.Fatalf("remaining %d", l.Remaining())
-	}
-	if u := l.Utilization(); math.Abs(u-0.9375) > 1e-9 {
-		t.Fatalf("utilization %g", u)
-	}
-	l.Free(60 * 1024)
-	if l.Used() != 0 {
-		t.Fatal("free failed")
-	}
-	l.Free(10) // over-free clamps
-	if l.Used() != 0 {
-		t.Fatal("over-free went negative")
-	}
-	if err := l.Alloc(-1); err == nil {
-		t.Fatal("negative alloc accepted")
-	}
-}
-
 func TestComputeVsMemoryTimescales(t *testing.T) {
 	// one CG doing 1 Gflop of work: compute takes ~1/742 s on 64 CPEs,
 	// ~172x longer on the MPE alone
