@@ -116,7 +116,10 @@ check-bce:
 # EncodeSlice( and DecodeSlice( only from roundTrip, which passes a float32
 # field through its codec in place. And every program is run or shipped: no
 # package main outside cmd/ and benchmark/ (an example is an Example
-# function, which go test runs)
+# function, which go test runs). And a run's accounting is derived, not
+# counted: non-test internal/core names no countKernels or AddCounters and
+# its Perf declares no field ending in Points (a step's work follows from
+# the configuration, Config.perf)
 KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
@@ -143,6 +146,9 @@ check-one:
 		echo "$$in"; exit 1; fi
 	@! grep -nE 'ImageTractionCols\(s\.WF, -fd\.Halo' internal/core/*.go | grep -v '_test\.go:'
 	@! grep -nw 'compress\.Field' internal/core/*.go | grep -v '_test\.go:'
+	@! grep -nwE 'countKernels|AddCounters' internal/core/*.go | grep -v '_test\.go:'
+	@! awk '/^type Perf struct/{p=1; next} p && /^}/{p=0} p && /^[ \t]*[A-Za-z_][A-Za-z0-9_]*Points[ \t,]/ {print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/core/*.go | grep -v '_test\.go$$') | grep .
 	@in=$$(awk '/^func /{f=$$0} /(Encode|Decode)Slice\(/ {print FILENAME":"FNR": "f}' \
 		$$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -v ') roundTrip('); \
 	if [ -n "$$in" ]; then echo "check-one: internal/core encodes or decodes outside roundTrip:"; \
@@ -226,6 +232,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzJobSubmit -fuzztime 30s ./cmd/quaked/
 	$(GO) test -fuzz=FuzzCampaignSpec -fuzztime 30s ./cmd/quaked/
 	$(GO) test -fuzz=FuzzReadGridModel -fuzztime 30s ./internal/model/
+	$(GO) test -fuzz=FuzzParseResumeAux -fuzztime 30s ./internal/core/
 
 # the fault-tolerance suite under the race detector: failpoint-injected
 # checkpoint corruption/write errors, worker panics, journal recovery, and

@@ -128,15 +128,6 @@ func run(args []string, w io.Writer) error {
 	if *progress {
 		cfg.Observer = progressObserver(w, cfg.Steps)
 	}
-	// the rates are over the steps this run executes, which a resumed run
-	// starts part way through
-	ran, observe := 0, cfg.Observer
-	cfg.Observer = func(ev core.StepEvent) {
-		ran++
-		if observe != nil {
-			observe(ev)
-		}
-	}
 
 	if cfg.Compression, err = parseMethod(*comp); err != nil {
 		return err
@@ -194,7 +185,9 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	elapsed := time.Since(start)
-	pointSteps := float64(cfg.Dims.Points()) * float64(ran)
+	// the rates are over the steps this run executed, which a resumed run
+	// starts part way through
+	pointSteps := float64(cfg.Dims.Points()) * float64(res.Perf.Ran)
 
 	fmt.Fprintf(w, "done in %.2f s (%.1f Mpoint-steps/s)\n", elapsed.Seconds(),
 		pointSteps/elapsed.Seconds()/1e6)

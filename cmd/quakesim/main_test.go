@@ -14,6 +14,7 @@ import (
 	"swquake/internal/decomp"
 	"swquake/internal/faultinject"
 	"swquake/internal/grid"
+	"swquake/internal/manifest"
 	"swquake/internal/model"
 	"swquake/internal/scenario"
 )
@@ -250,16 +251,29 @@ const sunwayLine = "simulated SW26010 core group:"
 // TestResumedRunReportsItsOwnSteps: a run resumed half way reports its rates
 // over the steps it ran, not over the whole simulation's — its simulated
 // core-group step is the uninterrupted run's, and its point-step rate and
-// the bytes it touched are over its 20 steps, not 40.
+// the bytes it touched are over its 20 steps, not 40 — while run.json's
+// flops and yielded point-steps are the whole simulation's.
 func TestResumedRunReportsItsOwnSteps(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-scenario", "tangshan", "-nx", "64", "-ny", "62", "-nz", "24", "-steps", "40", "-sunway", "-timing"}
+	dir, again := t.TempDir(), t.TempDir()
+	args := []string{"-scenario", "tangshan", "-nx", "64", "-ny", "62", "-nz", "24", "-steps", "40", "-nonlinear", "-sunway", "-timing"}
 	var whole, resumed bytes.Buffer
 	if err := run(append(args, "-checkpoint-every", "20", "-out", dir), &whole); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-restart", filepath.Join(dir, "ckpt-00000020.swq")), &resumed); err != nil {
+	if err := run(append(args, "-restart", filepath.Join(dir, "ckpt-00000020.swq"), "-out", again), &resumed); err != nil {
 		t.Fatal(err)
+	}
+	a, err := manifest.Load(filepath.Join(dir, "run.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := manifest.Load(filepath.Join(again, "run.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Flops == 0 || b.Flops != a.Flops || b.YieldedPointSteps != a.YieldedPointSteps {
+		t.Errorf("resumed run.json: %d flops, %d yielded point-steps; uninterrupted %d and %d",
+			b.Flops, b.YieldedPointSteps, a.Flops, a.YieldedPointSteps)
 	}
 	if a, b := outputLine(t, whole.String(), sunwayLine), outputLine(t, resumed.String(), sunwayLine); a != b {
 		t.Errorf("resumed run reports\n%s\nuninterrupted\n%s", b, a)

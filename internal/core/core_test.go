@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"swquake/internal/compress"
+	"swquake/internal/decomp"
 	"swquake/internal/fd"
 	"swquake/internal/grid"
 	"swquake/internal/model"
+	"swquake/internal/plasticity"
 	"swquake/internal/seismo"
 	"swquake/internal/source"
 )
@@ -367,62 +369,55 @@ func TestCompressedNonlinearRuns(t *testing.T) {
 	}
 }
 
+// TestPerfAccounting: a run's flops are its configuration's per-step count —
+// velocity and stress on every point, plasticity on every point of a
+// nonlinear run, the sponge on the cells it damps — times its steps, and the
+// blocks of a decomposition damp exactly the serial cells.
 func TestPerfAccounting(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Steps = 10
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Perf
-	if p.Steps != 10 {
-		t.Fatalf("perf steps %d", p.Steps)
-	}
-	wantPts := cfg.Dims.Points() * 10
-	if p.VelocityPoints != wantPts || p.StressPoints != wantPts {
-		t.Fatalf("kernel points %d/%d want %d", p.VelocityPoints, p.StressPoints, wantPts)
-	}
-	if p.PlasticityPoints != 0 {
-		t.Fatal("linear run counted plasticity")
+	p := runSerial(t, cfg).Perf
+	if p.Steps != 10 || p.Ran != 10 {
+		t.Fatalf("perf steps %d, ran %d, want 10", p.Steps, p.Ran)
 	}
 	// the sponge counts only the cells it changes: everything outside the
 	// undamped core [w,Nx-w) x [w,Ny-w) x [0,Nz-w)
-	w := cfg.SpongeWidth
-	core := int64(cfg.Dims.Nx-2*w) * int64(cfg.Dims.Ny-2*w) * int64(cfg.Dims.Nz-w)
-	wantSponge := (cfg.Dims.Points() - core) * 10
-	if p.SpongePoints != wantSponge {
-		t.Fatalf("sponge points %d, want %d", p.SpongePoints, wantSponge)
+	d, w := cfg.Dims, cfg.SpongeWidth
+	pts := d.Points()
+	damped := pts - int64(d.Nx-2*w)*int64(d.Ny-2*w)*int64(d.Nz-w)
+	want := 10 * (pts*(fd.VelocityFlopsPerPoint+fd.StressFlopsPerPoint) + damped*fd.SpongeFlopsPerPoint)
+	if p.Flops() != want {
+		t.Fatalf("flops %d, want %d", p.Flops(), want)
 	}
-	// per-block counts sum to the serial count
+	pg, err := decomp.NewProcessGrid(d.Nx, d.Ny, d.Nz, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks int64
+	for id := 0; id < pg.Size(); id++ {
+		i0, j0 := pg.Offset(id)
+		b := pg.BlockDims()
+		blocks += fd.NewSpongeGlobal(d.Nx, d.Ny, d.Nz, w, SpongeAlpha, i0, j0, b.Nx, b.Ny, b.Nz).DampedPoints()
+	}
+	if blocks != damped {
+		t.Fatalf("2x2 blocks damp %d cells, the domain %d", blocks, damped)
+	}
 	par, err := RunParallel(cfg, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Perf.SpongePoints != wantSponge || par.Perf.Flops() != p.Flops() {
-		t.Fatalf("2x2 sponge points %d flops %d, serial %d / %d",
-			par.Perf.SpongePoints, par.Perf.Flops(), wantSponge, p.Flops())
+	if par.Perf.Flops() != want || par.Perf.Ran != 10 {
+		t.Fatalf("2x2 flops %d over %d steps, serial %d over 10", par.Perf.Flops(), par.Perf.Ran, want)
 	}
-	if p.Flops() <= 0 || p.Gflops() <= 0 || p.PointsPerSecond() <= 0 {
+	if p.Gflops() <= 0 || p.PointsPerSecond() <= 0 {
 		t.Fatalf("degenerate perf: %v", p)
 	}
-	// nonlinear adds plasticity flops
+	// nonlinear adds plasticity flops on every point
 	nl := cfg
 	nl.Nonlinear = true
 	nl.Plasticity = PlasticityConfig{Cohesion: 1e6, FrictionAngle: 0.5}
-	nsim, err := New(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nres, err := nsim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nres.Perf.Flops() <= p.Flops() {
-		t.Fatal("nonlinear run must count more flops")
+	if got := runSerial(t, nl).Perf.Flops(); got != want+10*pts*plasticity.FlopsPerPoint {
+		t.Fatalf("nonlinear flops %d, want %d", got, want+10*pts*plasticity.FlopsPerPoint)
 	}
 }
 

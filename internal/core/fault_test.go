@@ -301,11 +301,7 @@ func assertRunsEqual(t *testing.T, got, want *Result) {
 			}
 		}
 	}
-	if got.Perf.Steps != want.Perf.Steps ||
-		got.Perf.VelocityPoints != want.Perf.VelocityPoints ||
-		got.Perf.StressPoints != want.Perf.StressPoints ||
-		got.Perf.PlasticityPoints != want.Perf.PlasticityPoints ||
-		got.Perf.SpongePoints != want.Perf.SpongePoints ||
+	if got.Perf.Steps != want.Perf.Steps || got.Perf.Flops() != want.Perf.Flops() ||
 		got.Perf.HaloBytes != want.Perf.HaloBytes {
 		t.Fatalf("perf differs:\n got %+v\nwant %+v", got.Perf, want.Perf)
 	}

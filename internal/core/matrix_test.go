@@ -95,7 +95,7 @@ func matrixConfig(c matrixCell) Config {
 
 // matrixRun is what a cell's run ends with: its result, the dump of its
 // last step — the whole wavefield gathered from the ranks, and the resume
-// state (traces, PGV map, counters) — and the max |v| of every step, as the
+// state (traces, PGV map, yield count) — and the max |v| of every step, as the
 // observer heard it.
 type matrixRun struct {
 	res   *Result
@@ -137,9 +137,10 @@ func runCell(t *testing.T, c matrixCell) matrixRun {
 }
 
 // requireSameRun fails unless got ran as want did: the same max |v| after
-// every step, and at the end the same traces, PGV map, counters and resume
-// state, and the same bits in every cell of the nine fields: the dump's
-// wavefield, which is the ranks' owned cells gathered, ghost layers left out.
+// every step, and at the end the same traces, PGV map, yield count, steps,
+// flops and resume state, and the same bits in every cell of the nine
+// fields: the dump's wavefield, which is the ranks' owned cells gathered,
+// ghost layers left out.
 func requireSameRun(t *testing.T, label string, want, got matrixRun, cfg Config) {
 	t.Helper()
 	if fmt.Sprint(got.maxes) != fmt.Sprint(want.maxes) || len(want.maxes) != cfg.Steps {

@@ -32,8 +32,8 @@ import (
 // Feature parity with the serial runner is complete: checkpoints are
 // gathered to rank 0 and written as one global dump (readable by serial or
 // parallel restarts via Config.RestartFrom) carrying the full resume state,
-// divergence is detected collectively, and Result.Perf sums the per-rank
-// kernel counters.
+// divergence is detected collectively, and Result.Perf is the run's: its
+// configuration's work and rank 0's stepping time.
 func RunParallel(cfg Config, mx, my int) (*Result, error) {
 	return RunParallelCtx(context.Background(), cfg, mx, my)
 }
@@ -72,7 +72,6 @@ func RunParallelCtx(ctx context.Context, cfg Config, mx, my int) (*Result, error
 		return nil, err
 	}
 
-	runStart := timeNow()
 	var faults []FaultEvent
 	restartFrom := cfg.RestartFrom
 	for attempt := 1; ; attempt++ {
@@ -81,7 +80,6 @@ func RunParallelCtx(ctx context.Context, cfg Config, mx, my int) (*Result, error
 		res, err := runParallelOnce(ctx, run, pg, srcParts, codecs)
 		if err == nil {
 			res.Faults = faults
-			res.Perf.Elapsed = timeNow().Sub(runStart)
 			return res, nil
 		}
 		var ef *EngineFault
@@ -127,8 +125,8 @@ func emitFault(cfg *Config, ev FaultEvent) {
 
 // runParallelOnce is one attempt at the full parallel run: spawn the world,
 // contain whatever the ranks raise, and merge the outputs as if gathered to
-// rank 0. Perf.Elapsed is left to the caller, which accounts wall time
-// across recovery attempts.
+// rank 0. Its Perf is the attempt's: the steps rank 0's loop advanced and
+// their wall time.
 func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, srcParts [][]source.PointSource, codecs []compress.Codec) (*Result, error) {
 	// each rank writes only its own outs slot, so the merge below needs no
 	// locking (world.Run joins every rank goroutine before returning)
@@ -208,14 +206,20 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 			res.PGV.Merge(sim.pgv, offI, offJ)
 		}
 		res.YieldedPointSteps += sim.yielded
-		res.Perf.AddCounters(sim.perf)
 		res.Stages.Merge(sim.stages)
 	}
 	res.setCheckpoints(ckpts)
 	res.Recorder = merged
-	res.Dt = outs[0].sim.Cfg.Dt
-	res.Steps = outs[0].sim.step
-	res.Perf.Steps = outs[0].sim.perf.Steps
+	root := outs[0].sim
+	res.Dt = root.Cfg.Dt
+	res.Steps = root.step
+	res.Perf = cfg.perf(int64(res.Steps), root.ran, root.elapsed)
+	// halo traffic is analytic: HaloBytesPerStep matches the exchanged byte
+	// count exactly for the 9 dynamic fields (the optional CRC word is
+	// integrity overhead, not field traffic)
+	for id := range outs {
+		res.Perf.HaloBytes += pg.HaloBytesPerStep(id, len(FieldNames), fd.Halo) * res.Perf.Steps
+	}
 	return res, nil
 }
 
@@ -269,16 +273,7 @@ func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Confi
 			return
 		}
 	}
-	if out.err = sim.run(ctx); out.err != nil {
-		return
-	}
-	// halo traffic is analytic — HaloBytesPerStep matches the exchanged
-	// byte count exactly for the 9 dynamic fields (the optional CRC word is
-	// integrity overhead, not field traffic) — so it needs no counter on
-	// the hot path. Steps spans the whole simulation on every rank (an
-	// aux-carrying restart restores the global count), so restarted,
-	// recovered and undisturbed runs all account identically.
-	sim.perf.HaloBytes = pg.HaloBytesPerStep(r.ID(), len(FieldNames), fd.Halo) * sim.perf.Steps
+	out.err = sim.run(ctx)
 }
 
 // blockStationIndices returns the indices into the run's station list of the
@@ -344,14 +339,12 @@ func parallelCheckpoint(r *mpi.Rank, sim *Simulator) error {
 // assembleGlobalResume merges the per-rank resume payloads gathered at a
 // parallel checkpoint into one global resume-aux section in the serial
 // format: traces land in the run's station order, the per-rank PGV blocks merge
-// into the global surface, and the work counters sum across ranks — which
+// into the global surface, and the yield counts sum across ranks — which
 // is why a parallel dump restores bit-exactly into a serial run, a
 // parallel run, or a recovery attempt.
 func assembleGlobalResume(parts [][]float32, sim *Simulator) ([]byte, error) {
 	pg := sim.pg
 	g := resumeState{
-		steps:     sim.perf.Steps,
-		elapsed:   sim.perf.Elapsed,
 		stepsSeen: sim.rec.StepsSeen(),
 		traces:    make([][3][]float32, len(sim.stations)),
 	}
@@ -383,10 +376,6 @@ func assembleGlobalResume(parts [][]float32, sim *Simulator) ([]byte, error) {
 			g.pgv.Merge(st.pgv, i0, j0)
 		}
 		g.yielded += st.yielded
-		g.velocityPoints += st.velocityPoints
-		g.stressPoints += st.stressPoints
-		g.plasticityPoints += st.plasticityPoints
-		g.spongePoints += st.spongePoints
 	}
 	return encodeResumeState(&g), nil
 }

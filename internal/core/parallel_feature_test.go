@@ -118,9 +118,8 @@ func TestParallelCheckpointRestartResumesExactly(t *testing.T) {
 				i, tr.U[i], refTr.U[i])
 		}
 	}
-	// the restored accounting matches the uninterrupted reference too
-	if resumed.Perf.Steps != refRes.Perf.Steps ||
-		resumed.Perf.VelocityPoints != refRes.Perf.VelocityPoints {
+	// the accounting is the uninterrupted reference's too
+	if resumed.Perf.Steps != refRes.Perf.Steps || resumed.Perf.Flops() != refRes.Perf.Flops() {
 		t.Fatalf("resumed perf %+v, want %+v", resumed.Perf, refRes.Perf)
 	}
 	if resumed.PGV != nil && refRes.PGV != nil {
@@ -178,11 +177,10 @@ func TestParallelPerfCounters(t *testing.T) {
 			t.Fatalf("parallel diverges at sample %d", i)
 		}
 	}
-	wantPts := cfg.Dims.Points() * int64(cfg.Steps)
-	if par.Perf.VelocityPoints != wantPts {
-		t.Fatalf("velocity points %d, want %d", par.Perf.VelocityPoints, wantPts)
+	if par.Perf.Flops() != serial.Perf.Flops() {
+		t.Fatalf("flops %d, serial %d", par.Perf.Flops(), serial.Perf.Flops())
 	}
-	if par.Perf.Steps != int64(cfg.Steps) {
+	if par.Perf.Steps != int64(cfg.Steps) || par.Perf.Ran != par.Perf.Steps {
 		t.Fatalf("perf steps %d, want %d", par.Perf.Steps, cfg.Steps)
 	}
 	if par.Perf.Elapsed <= 0 {
@@ -210,8 +208,8 @@ func TestParallelDtWithoutStations(t *testing.T) {
 	if par.Dt != serialSim.Dt() {
 		t.Fatalf("parallel dt %g != serial dt %g", par.Dt, serialSim.Dt())
 	}
-	if par.Perf.VelocityPoints != cfg.Dims.Points()*int64(cfg.Steps) {
-		t.Fatal("perf counters not merged")
+	if par.Perf.Steps != int64(cfg.Steps) || par.Perf.Ran != par.Perf.Steps {
+		t.Fatalf("perf steps %d, ran %d, want %d", par.Perf.Steps, par.Perf.Ran, cfg.Steps)
 	}
 }
 

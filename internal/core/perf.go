@@ -17,44 +17,54 @@ import (
 // the compression codecs — are NOT counted as flops, matching the paper's
 // accounting ("all the operations added for optimization purposes, such as
 // the compression-related operations, are not counted").
-type Perf struct {
-	VelocityPoints   int64
-	StressPoints     int64
-	PlasticityPoints int64
-	SpongePoints     int64
-	// HaloBytes is the halo traffic this rank exchanged over the run: bytes
-	// sent plus received across all faces and both per-step phases
-	// (decomp.ProcessGrid.HaloBytesPerStep times the executed steps). Zero
-	// for serial runs; summed across ranks by AddCounters so the merged Perf
-	// reports the run's total wire traffic.
-	HaloBytes int64
-	Steps     int64
-	Elapsed   time.Duration
-}
-
-// AddCounters folds another rank's kernel-point counters into p.
 //
-// Ownership rule (enforced by TestAddCountersNeverSumsStepsOrElapsed):
-// Steps and Elapsed describe the run as a whole — every rank steps the same
-// count in the same wall-clock window — so AddCounters must NEVER sum them;
-// the caller sets them once from the run. Summing them across ranks would
-// multiply the denominator of every rate by the rank count and silently
-// deflate Gflops/PointsPerSecond.
-func (p *Perf) AddCounters(o Perf) {
-	p.VelocityPoints += o.VelocityPoints
-	p.StressPoints += o.StressPoints
-	p.PlasticityPoints += o.PlasticityPoints
-	p.SpongePoints += o.SpongePoints
-	p.HaloBytes += o.HaloBytes
+// Nothing of it is counted as the run goes: a step's work follows from the
+// configuration (Config.perf), and a run measures only the steps its loop
+// advanced and their wall time, so a resumed run's rates are its own.
+type Perf struct {
+	// Steps is the simulation's step count, the steps before a restart
+	// included; Flops and HaloBytes cover them all.
+	Steps int64
+	// Ran is the steps the run that produced the result advanced (Steps less
+	// the step its loop started at) and Elapsed their wall time: the rates
+	// are over these.
+	Ran     int64
+	Elapsed time.Duration
+	// HaloBytes is the halo traffic the run's ranks exchanged over the
+	// simulation: bytes sent plus received across all faces and both
+	// per-step phases (decomp.ProcessGrid.HaloBytesPerStep summed over the
+	// ranks, times Steps). Zero for serial runs.
+	HaloBytes int64
+	// points and flops are one step's grid points and counted operations.
+	points, flops int64
 }
 
-// Flops returns the counted floating-point operations.
-func (p Perf) Flops() int64 {
-	return p.VelocityPoints*fd.VelocityFlopsPerPoint +
-		p.StressPoints*fd.StressFlopsPerPoint +
-		p.PlasticityPoints*plasticity.FlopsPerPoint +
-		p.SpongePoints*fd.SpongeFlopsPerPoint
+// perf is the accounting of a run of c, the run's whole-domain
+// configuration, that reached step steps with a loop that advanced ran of
+// them in elapsed: velocity and stress on every point, plasticity on every
+// point of a nonlinear run, and the sponge on the cells it damps.
+func (c Config) perf(steps, ran int64, elapsed time.Duration) Perf {
+	pts := c.Dims.Points()
+	flops := pts * (fd.VelocityFlopsPerPoint + fd.StressFlopsPerPoint)
+	if c.Nonlinear {
+		flops += pts * plasticity.FlopsPerPoint
+	}
+	if c.SpongeWidth > 0 {
+		flops += c.dampedPoints() * fd.SpongeFlopsPerPoint
+	}
+	return Perf{Steps: steps, Ran: ran, Elapsed: elapsed, points: pts, flops: flops}
 }
+
+// dampedPoints is how many cells of the run's domain the sponge damps (the
+// blocks of any decomposition sum to it).
+func (c Config) dampedPoints() int64 {
+	d := c.Dims
+	return fd.NewSponge(d.Nx, d.Ny, d.Nz, c.SpongeWidth, SpongeAlpha).DampedPoints()
+}
+
+// Flops returns the counted floating-point operations of the whole
+// simulation.
+func (p Perf) Flops() int64 { return p.Steps * p.flops }
 
 // StageBytes is one stage's entry of Config.BytesPerPointStep.
 type StageBytes struct {
@@ -100,28 +110,27 @@ func (c Config) BytesPerPointStep() []StageBytes {
 	if c.SpongeWidth > 0 {
 		// the velocity half, over the damped share of the block; the stress
 		// half rides the chain
-		d := c.Dims
-		damped := fd.NewSponge(d.Nx, d.Ny, d.Nz, c.SpongeWidth, 1).DampedPoints() // whatever alpha: the zones are the width's
-		out = append(out, StageBytes{telemetry.StageSponge, 3 * write * float64(damped) / float64(d.Points())})
+		out = append(out, StageBytes{telemetry.StageSponge, 3 * write * float64(c.dampedPoints()) / float64(c.Dims.Points())})
 	}
 	return append(out, StageBytes{telemetry.StageDivergence, 3 * read}) // the max-|v| scan
 }
 
-// Gflops returns the sustained host rate over the elapsed wall time.
+// Gflops returns the sustained host rate of the steps the run advanced.
 func (p Perf) Gflops() float64 {
 	if p.Elapsed <= 0 {
 		return 0
 	}
-	return float64(p.Flops()) / p.Elapsed.Seconds() / 1e9
+	return float64(p.Ran*p.flops) / p.Elapsed.Seconds() / 1e9
 }
 
-// PointsPerSecond returns grid-point updates per second (the solver
-// throughput metric used for host-side comparisons).
+// PointsPerSecond returns the grid-point updates per second of the steps the
+// run advanced (the solver throughput metric used for host-side
+// comparisons).
 func (p Perf) PointsPerSecond() float64 {
-	if p.Elapsed <= 0 || p.Steps == 0 {
+	if p.Elapsed <= 0 {
 		return 0
 	}
-	return float64(p.VelocityPoints) / p.Elapsed.Seconds()
+	return float64(p.Ran*p.points) / p.Elapsed.Seconds()
 }
 
 func (p Perf) String() string {

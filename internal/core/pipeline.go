@@ -181,7 +181,6 @@ func (s *Simulator) planWalks() {
 // it, except under Overlap, where that is the wait the interior was meant to
 // hide and goes to halo_wait.
 func (s *Simulator) stepPipeline(ex Exchanger) {
-	s.countKernels()
 	s.vmax = 0 // the walks fold the step's max |v| into it
 	dtdx := float32(s.Cfg.Dt / s.Cfg.Dx)
 	sw := s.stages.Stopwatch()

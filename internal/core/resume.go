@@ -5,18 +5,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
 	"swquake/internal/seismo"
 )
 
 // The resume-aux section rides inside a checkpoint (the aux payload of
 // checkpoint.SaveAux) and carries the run state the wavefield alone cannot
-// reproduce: recorded seismogram samples, the running PGV peaks, the
-// plasticity yield counter and the Perf accounting. With it, a run resumed
-// from a checkpoint produces a manifest and traces bit-identical to an
-// uninterrupted run — without it, a resumed run would restart its recorders
-// empty and under-report everything accumulated before the crash.
+// reproduce: recorded seismogram samples, the running PGV peaks and the
+// plasticity yield counter. With it, a run resumed from a checkpoint
+// produces a manifest and traces bit-identical to an uninterrupted run —
+// without it, a resumed run would restart its recorders empty and
+// under-report everything accumulated before the crash.
 //
 // One codec serves every user: serial checkpoints (resumeAux), parallel
 // checkpoints — each rank's state is encoded in this same format, gathered
@@ -24,43 +23,35 @@ import (
 // parallel.go), interchangeable with a serial dump's — and restarts, serial
 // or parallel, which extract the block's share (applyResumeAux).
 //
-// Layout (little-endian): magic "RSA1", yielded i64, 5 perf counters i64,
-// elapsed ns i64, recorder steps u32, trace count u32, per trace a sample
-// count u32 + U/V/W float32 samples, then a PGV flag byte and (if set)
-// nx/ny/k u32 + float64 peaks. Integrity is the checkpoint layer's job
-// (the aux CRC); this codec only validates structure.
+// Layout (little-endian): magic "RSA1", yielded i64, six retired i64 words,
+// recorder steps u32, trace count u32, per trace a sample count u32 + U/V/W
+// float32 samples, then a PGV flag byte (0 or 1) and, if 1, nx/ny/k u32 +
+// float64 peaks. The retired words held the Perf accounting — four kernel
+// point counts, the step count and the elapsed nanoseconds — which a run now
+// derives from its configuration and its own steps (Config.perf): they are
+// written as zero and skipped on read, so dumps written with the counters
+// still resume. Integrity is the checkpoint layer's job (the aux CRC); this
+// codec only validates structure.
 
 var resumeMagic = [4]byte{'R', 'S', 'A', '1'}
+
+// retiredWords is how many i64 words follow the yield count and carry
+// nothing.
+const retiredWords = 6
 
 // resumeState is the decoded resume-aux section: everything a simulator
 // needs to pick up a run exactly where the checkpoint left it.
 type resumeState struct {
-	yielded          int64
-	velocityPoints   int64
-	stressPoints     int64
-	plasticityPoints int64
-	spongePoints     int64
-	steps            int64
-	elapsed          time.Duration
-	stepsSeen        int
-	traces           [][3][]float32 // per station: U, V, W samples
-	pgv              *seismo.PGVField
+	yielded   int64
+	stepsSeen int
+	traces    [][3][]float32 // per station: U, V, W samples
+	pgv       *seismo.PGVField
 }
 
 // resumeState snapshots the simulator's replay state. The trace and PGV
 // slices alias live simulator storage; encode before the next step.
 func (s *Simulator) resumeState() *resumeState {
-	st := &resumeState{
-		yielded:          s.yielded,
-		velocityPoints:   s.perf.VelocityPoints,
-		stressPoints:     s.perf.StressPoints,
-		plasticityPoints: s.perf.PlasticityPoints,
-		spongePoints:     s.perf.SpongePoints,
-		steps:            s.perf.Steps,
-		elapsed:          s.perf.Elapsed,
-		stepsSeen:        s.rec.StepsSeen(),
-		pgv:              s.pgv,
-	}
+	st := &resumeState{yielded: s.yielded, stepsSeen: s.rec.StepsSeen(), pgv: s.pgv}
 	st.traces = make([][3][]float32, len(s.rec.Traces))
 	for i, tr := range s.rec.Traces {
 		st.traces[i] = [3][]float32{tr.U, tr.V, tr.W}
@@ -89,12 +80,7 @@ func encodeResumeState(st *resumeState) []byte {
 		buf.Write(b[:])
 	}
 	writeI64(st.yielded)
-	writeI64(st.velocityPoints)
-	writeI64(st.stressPoints)
-	writeI64(st.plasticityPoints)
-	writeI64(st.spongePoints)
-	writeI64(st.steps)
-	writeI64(int64(st.elapsed))
+	buf.Write(make([]byte, 8*retiredWords))
 
 	writeU32(uint32(st.stepsSeen))
 	writeU32(uint32(len(st.traces)))
@@ -136,14 +122,6 @@ func parseResumeAux(data []byte) (*resumeState, error) {
 	}
 	rest := data[4:]
 	truncated := fmt.Errorf("core: resume aux: truncated")
-	readI64 := func() (int64, error) {
-		if len(rest) < 8 {
-			return 0, truncated
-		}
-		v := int64(le.Uint64(rest))
-		rest = rest[8:]
-		return v, nil
-	}
 	readU32 := func() (uint32, error) {
 		if len(rest) < 4 {
 			return 0, truncated
@@ -153,22 +131,11 @@ func parseResumeAux(data []byte) (*resumeState, error) {
 		return v, nil
 	}
 
-	st := &resumeState{}
-	var vals [7]int64
-	for i := range vals {
-		v, err := readI64()
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
+	if len(rest) < 8*(1+retiredWords) {
+		return nil, truncated
 	}
-	st.yielded = vals[0]
-	st.velocityPoints = vals[1]
-	st.stressPoints = vals[2]
-	st.plasticityPoints = vals[3]
-	st.spongePoints = vals[4]
-	st.steps = vals[5]
-	st.elapsed = time.Duration(vals[6])
+	st := &resumeState{yielded: int64(le.Uint64(rest))}
+	rest = rest[8*(1+retiredWords):]
 
 	steps, err := readU32()
 	if err != nil {
@@ -207,9 +174,12 @@ func parseResumeAux(data []byte) (*resumeState, error) {
 	if len(rest) < 1 {
 		return nil, truncated
 	}
-	hasPGV := rest[0] == 1
+	flag := rest[0]
 	rest = rest[1:]
-	if hasPGV {
+	if flag > 1 {
+		return fail("PGV flag %d", flag)
+	}
+	if flag == 1 {
 		nx, err := readU32()
 		if err != nil {
 			return nil, err
@@ -222,15 +192,16 @@ func parseResumeAux(data []byte) (*resumeState, error) {
 		if err3 != nil {
 			return nil, err3
 		}
-		want := int64(nx) * int64(ny) * 8
-		if want != int64(len(rest)) {
-			return fail("PGV %dx%d needs %d bytes, %d remain", nx, ny, want, len(rest))
+		// both factors are below 2^32, so the product cannot wrap
+		want := uint64(nx) * uint64(ny)
+		if want != uint64(len(rest))/8 || len(rest)%8 != 0 {
+			return fail("PGV %dx%d needs %d peaks, %d bytes remain", nx, ny, want, len(rest))
 		}
 		st.pgv = seismo.NewPGVField(int(nx), int(ny), int(k))
 		for i := range st.pgv.PGV {
 			st.pgv.PGV[i] = math.Float64frombits(le.Uint64(rest[i*8:]))
 		}
-		rest = rest[want:]
+		rest = rest[len(rest):]
 	}
 	if len(rest) != 0 {
 		return fail("%d trailing bytes", len(rest))
@@ -241,13 +212,12 @@ func parseResumeAux(data []byte) (*resumeState, error) {
 // applyResumeAux restores the block's share of a resume section, which
 // always describes the run's whole domain: its stations' traces (located
 // through blockStationIndices — the same mapping that built the local
-// station list), its window of the PGV surface, the recorder phase, and the
-// run's step count on every block (it drives the analytic HaloBytes
-// accounting). The per-point work counters and the yield counter are
-// restored on block 0 alone, so their sums over the blocks — which is all a
-// merge ever reports — equal the undisturbed run's exactly. The run must be
-// configured with the same stations and PGV setting as the one that wrote
-// the checkpoint. Nothing is mutated until every check passes.
+// station list), its window of the PGV surface and the recorder phase. The
+// yield counter is restored on block 0 alone, so its sum over the blocks —
+// which is all a merge ever reports — equals the undisturbed run's exactly.
+// The run must be configured with the same stations and PGV setting as the
+// one that wrote the checkpoint. Nothing is mutated until every check
+// passes.
 func (s *Simulator) applyResumeAux(data []byte) error {
 	st, err := parseResumeAux(data)
 	if err != nil {
@@ -284,14 +254,8 @@ func (s *Simulator) applyResumeAux(data []byte) error {
 			}
 		}
 	}
-	s.perf.Steps = st.steps
 	if s.id == 0 {
 		s.yielded = st.yielded
-		s.perf.VelocityPoints = st.velocityPoints
-		s.perf.StressPoints = st.stressPoints
-		s.perf.PlasticityPoints = st.plasticityPoints
-		s.perf.SpongePoints = st.spongePoints
-		s.perf.Elapsed = st.elapsed
 	}
 	return nil
 }

@@ -1,18 +1,26 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"swquake/internal/checkpoint"
+	"swquake/internal/grid"
+	"swquake/internal/seismo"
 )
 
 // TestResumeReproducesTracesAndPGV is the exactness contract of the
 // resume-aux section: a run interrupted after its checkpoint and resumed
 // through Config.RestartFrom must deliver traces, PGV peaks, the yield
-// counter and the perf point counts bit-identical to an uninterrupted run
+// counter, the step count and the flops bit-identical to an uninterrupted run
 // — not just the final wavefield.
 func TestResumeReproducesTracesAndPGV(t *testing.T) {
 	cfg := baseConfig()
@@ -88,11 +96,8 @@ func TestResumeReproducesTracesAndPGV(t *testing.T) {
 	if res2.YieldedPointSteps != refRes.YieldedPointSteps {
 		t.Fatalf("yielded %d, want %d", res2.YieldedPointSteps, refRes.YieldedPointSteps)
 	}
-	if res2.Perf.Steps != refRes.Perf.Steps ||
-		res2.Perf.VelocityPoints != refRes.Perf.VelocityPoints ||
-		res2.Perf.PlasticityPoints != refRes.Perf.PlasticityPoints ||
-		res2.Perf.SpongePoints != refRes.Perf.SpongePoints || refRes.Perf.SpongePoints == 0 {
-		t.Fatalf("perf counters differ: %+v vs %+v", res2.Perf, refRes.Perf)
+	if res2.Perf.Steps != refRes.Perf.Steps || res2.Perf.Flops() != refRes.Perf.Flops() || res2.Perf.Ran != 20 {
+		t.Fatalf("resumed perf %+v, want %d steps, %d flops, 20 run", res2.Perf, refRes.Perf.Steps, refRes.Perf.Flops())
 	}
 
 	// and the wavefield, as before
@@ -164,13 +169,13 @@ func TestResumeAuxValidation(t *testing.T) {
 		return s
 	}
 
-	// round trip restores the counters
+	// round trip restores the recorder phase
 	s := fresh()
 	if err := s.applyResumeAux(good); err != nil {
 		t.Fatal(err)
 	}
-	if s.perf.Steps != 5 || s.rec.StepsSeen() != 5 {
-		t.Fatalf("restored perf.Steps=%d stepsSeen=%d", s.perf.Steps, s.rec.StepsSeen())
+	if s.rec.StepsSeen() != 5 {
+		t.Fatalf("restored stepsSeen=%d", s.rec.StepsSeen())
 	}
 	if len(s.rec.Traces[0].U) != len(sim.rec.Traces[0].U) {
 		t.Fatal("trace samples not restored")
@@ -191,7 +196,7 @@ func TestResumeAuxValidation(t *testing.T) {
 		if err := s.applyResumeAux(data); err == nil {
 			t.Fatalf("bad aux %d accepted", i)
 		}
-		if s.perf.Steps != 0 || s.rec.StepsSeen() != 0 {
+		if s.rec.StepsSeen() != 0 {
 			t.Fatalf("bad aux %d mutated state before failing", i)
 		}
 	}
@@ -374,4 +379,135 @@ func TestSLSRunRefusesToResume(t *testing.T) {
 			t.Fatalf("%s: resumed an SLS run (result %v, error %v), want a refusal naming SLS", tc.name, res != nil, err)
 		}
 	}
+}
+
+// TestResumedRunRatesAreOverItsOwnSteps: a run resumed at step 36 of 40
+// reports its rates over the 4 steps its loop advanced and their wall time
+// — on a clock that moves one tick a reading — serially and on ranks, while
+// its step count and flops stay the whole simulation's.
+func TestResumedRunRatesAreOverItsOwnSteps(t *testing.T) {
+	const tick = time.Millisecond
+	defer func() { timeNow = time.Now }()
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T, Config) *Result
+		// the loop reads the clock as it starts and as it ends; on 2x1
+		// ranks the other rank's two readings may fall between rank 0's
+		maxTicks time.Duration
+	}{{"serial", runSerial, 1}, {"ranks2x1", runRanks, 3}} {
+		cfg := baseConfig()
+		whole := tc.run(t, cfg)
+		first := cfg
+		first.Steps = 36
+		first.Checkpoint = &checkpoint.Controller{Dir: t.TempDir(), Interval: 36, Keep: 1}
+		tc.run(t, first)
+		resumed := cfg
+		resumed.RestartFrom = first.Checkpoint.Latest()
+
+		var now atomic.Int64
+		timeNow = func() time.Time { return time.Unix(0, now.Add(int64(tick))) }
+		p := tc.run(t, resumed).Perf
+		timeNow = time.Now
+
+		if p.Steps != 40 || p.Ran != 4 || p.Flops() != whole.Perf.Flops() {
+			t.Fatalf("%s: %d steps, %d run, %d flops; want 40, 4 and the uninterrupted run's %d",
+				tc.name, p.Steps, p.Ran, p.Flops(), whole.Perf.Flops())
+		}
+		if n := p.Elapsed / tick; p.Elapsed%tick != 0 || n < 1 || n > tc.maxTicks {
+			t.Fatalf("%s: stepping took %v, want 1 to %d ticks of %v", tc.name, p.Elapsed, tc.maxTicks, tick)
+		}
+		if got, want := p.PointsPerSecond(), float64(cfg.Dims.Points()*4)/p.Elapsed.Seconds(); got != want {
+			t.Errorf("%s: %.4g points/s, want 4 steps' points over %v: %.4g", tc.name, got, p.Elapsed, want)
+		}
+		if got, want := p.Gflops(), float64(whole.Perf.Flops()/40*4)/p.Elapsed.Seconds()/1e9; got != want {
+			t.Errorf("%s: %.4g Gflops, want 4 steps' flops over %v: %.4g", tc.name, got, p.Elapsed, want)
+		}
+	}
+}
+
+// parentResumeSection is an RSA1 section written by the encoder that still
+// carried the Perf counters (non-zero in all six retired words): stations S1
+// and S2 with three samples each, a 6x4 PGV surface, 3 recorder steps and
+// 12345 yielded point-steps.
+const parentResumeSection = "testdata/rsa1-with-counters.bin"
+
+// TestParentResumeSectionRestores: a resume section written with the
+// retired counters restores the same traces, PGV, recorder phase and yield
+// count — the counter words are skipped, whatever they hold.
+func TestParentResumeSectionRestores(t *testing.T) {
+	data, err := os.ReadFile(parentResumeSection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint64(data[12:]) == 0 {
+		t.Fatal("the pinned section's first retired word is zero: it pins nothing")
+	}
+	// a run the section fits: two stations and a 6x4 surface
+	cfg := baseConfig()
+	cfg.Dims = grid.Dims{Nx: 6, Ny: 4, Nz: 10}
+	cfg.SpongeWidth = 0
+	cfg.Sources[0].I, cfg.Sources[0].J, cfg.Sources[0].K = 3, 2, 5
+	cfg.Stations = []seismo.Station{{Name: "S1", I: 1, J: 1}, {Name: "S2", I: 4, J: 2}}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.applyResumeAux(data); err != nil {
+		t.Fatal(err)
+	}
+	if sim.yielded != 12345 || sim.rec.StepsSeen() != 3 {
+		t.Fatalf("restored %d yielded and %d steps seen, want 12345 and 3", sim.yielded, sim.rec.StepsSeen())
+	}
+	want := [][3][]float32{
+		{{1, -2, 3.5}, {0.25, 0, -0.125}, {1e-7, 2e-7, -3e-7}},
+		{{-1, 2, -3.5}, {4, 5, 6}, {7, 8, 9}},
+	}
+	for i, tr := range sim.rec.Traces {
+		for c, got := range [3][]float32{tr.U, tr.V, tr.W} {
+			if fmt.Sprint(got) != fmt.Sprint(want[i][c]) {
+				t.Fatalf("%s component %d: %v, want %v", tr.Station.Name, c, got, want[i][c])
+			}
+		}
+	}
+	for i, v := range sim.pgv.PGV {
+		if v != float64(i)*0.01 {
+			t.Fatalf("PGV[%d] = %g, want %g", i, v, float64(i)*0.01)
+		}
+	}
+	// today's encoder writes the same layout, the retired words zero
+	again := sim.resumeAux()
+	if len(again) != len(data) {
+		t.Fatalf("re-encoded section is %d bytes, the pinned one %d", len(again), len(data))
+	}
+	if !bytes.Equal(again, retire(data)) {
+		t.Fatal("re-encoded section differs from the pinned one with its retired words zeroed")
+	}
+}
+
+// retire returns a copy of an RSA1 section with its retired words zeroed.
+func retire(data []byte) []byte {
+	out := bytes.Clone(data)
+	clear(out[12 : 12+8*retiredWords])
+	return out
+}
+
+// FuzzParseResumeAux: the resume-section decoder never panics, and what it
+// accepts re-encodes to itself with the retired words zeroed.
+func FuzzParseResumeAux(f *testing.F) {
+	if data, err := os.ReadFile(parentResumeSection); err == nil {
+		f.Add(data)
+	}
+	f.Add(encodeResumeState(&resumeState{}))
+	f.Add(encodeResumeState(&resumeState{yielded: 7, stepsSeen: 2,
+		traces: [][3][]float32{{{1, 2}, {3, 4}, {5, 6}}}, pgv: seismo.NewPGVField(2, 3, 1)}))
+	f.Add([]byte("RSA1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := parseResumeAux(data)
+		if err != nil {
+			return
+		}
+		if again := encodeResumeState(st); !bytes.Equal(again, retire(data)) {
+			t.Fatalf("accepted %x, re-encodes to %x", data, again)
+		}
+	})
 }

@@ -65,7 +65,10 @@ type Simulator struct {
 	// vmax is the sign-cleared bit pattern of the last step's largest |v|
 	// over the block, which the step takes as it goes (stepPipeline).
 	vmax uint32
-	perf Perf
+	// ran and elapsed are what the last step loop measured: the steps it
+	// advanced and their wall time (Perf's rates are over them)
+	ran     int64
+	elapsed time.Duration
 	// stages is this worker's per-stage timing collector, always on (<2% of
 	// a step: BenchmarkStepTimingOverhead): lock-free because each rank owns
 	// its own clock, merged across ranks by RunParallel.
@@ -286,20 +289,6 @@ func (s *Simulator) PGV() *seismo.PGVField { return s.pgv }
 // Stages exposes the per-stage timing collector.
 func (s *Simulator) Stages() *telemetry.StageClock { return s.stages }
 
-// countKernels tallies the per-step kernel work for Perf.
-func (s *Simulator) countKernels() {
-	pts := s.Cfg.Dims.Points()
-	s.perf.VelocityPoints += pts
-	s.perf.StressPoints += pts
-	if s.Plas != nil {
-		s.perf.PlasticityPoints += pts
-	}
-	if s.sponge != nil {
-		s.perf.SpongePoints += s.sponge.DampedPoints()
-	}
-	s.perf.Steps++
-}
-
 // Run advances the simulation until StepCount reaches Cfg.Steps. When
 // Cfg.RestartFrom names a checkpoint, it is restored first, so the run
 // resumes there and Steps is the TOTAL step count of the whole simulation.
@@ -324,7 +313,8 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 	var res *Result
 	if err == nil {
 		res = &Result{Recorder: s.rec, PGV: s.pgv, Dt: s.Cfg.Dt, Sim: s, Steps: s.step,
-			YieldedPointSteps: s.yielded, Stages: s.stages, Perf: s.perf}
+			YieldedPointSteps: s.yielded, Stages: s.stages,
+			Perf: s.Cfg.perf(int64(s.step), s.ran, s.elapsed)}
 	}
 	// however the run ended, its last dump lands before the caller hears of
 	// it: a canceled or failed run restarts from there
@@ -357,8 +347,8 @@ func (r *Result) setCheckpoints(infos []checkpoint.Info) {
 func (s *Simulator) run(ctx context.Context) error {
 	stopTiling := s.startTiling()
 	defer stopTiling()
-	start := timeNow()
-	defer func() { s.perf.Elapsed += timeNow().Sub(start) }()
+	from, start := s.step, timeNow()
+	defer func() { s.ran, s.elapsed = int64(s.step-from), timeNow().Sub(start) }()
 	for s.step < s.Cfg.Steps {
 		if s.peers.agree(ctx.Err()) != nil {
 			return fmt.Errorf("run stopped at step %d: %w", s.step, context.Cause(ctx))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"swquake/internal/compress"
 	"swquake/internal/telemetry"
@@ -179,19 +178,6 @@ func TestCalibrationReportsToNobody(t *testing.T) {
 	}
 	if spans != cfg.Steps || observed != cfg.Steps {
 		t.Fatalf("%d steps traced and %d observed, want the run's %d", spans, observed, cfg.Steps)
-	}
-}
-
-func TestAddCountersNeverSumsStepsOrElapsed(t *testing.T) {
-	p := Perf{VelocityPoints: 100, Steps: 50, Elapsed: time.Second}
-	p.AddCounters(Perf{VelocityPoints: 10, StressPoints: 20, PlasticityPoints: 30,
-		SpongePoints: 40, Steps: 50, Elapsed: time.Second})
-	if p.VelocityPoints != 110 || p.StressPoints != 20 ||
-		p.PlasticityPoints != 30 || p.SpongePoints != 40 {
-		t.Fatalf("counters not folded: %+v", p)
-	}
-	if p.Steps != 50 || p.Elapsed != time.Second {
-		t.Fatalf("AddCounters must never sum Steps/Elapsed (they describe the run, not a rank): %+v", p)
 	}
 }
 

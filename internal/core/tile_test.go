@@ -27,17 +27,15 @@ func fullPhysicsConfig() Config {
 	return cfg
 }
 
-// requireIdenticalResults compares traces, PGV, yield counts and the Perf
-// point and step counters bit-exactly.
+// requireIdenticalResults compares traces, PGV, yield counts, the step
+// count and the counted flops bit-exactly.
 func requireIdenticalResults(t *testing.T, label string, ref, got *Result, cfg Config) {
 	t.Helper()
 	if ref.YieldedPointSteps != got.YieldedPointSteps {
 		t.Fatalf("%s: yield counts differ: %d vs %d", label, ref.YieldedPointSteps, got.YieldedPointSteps)
 	}
-	a, b := ref.Perf, got.Perf
-	a.Elapsed, a.HaloBytes, b.Elapsed, b.HaloBytes = 0, 0, 0, 0 // wall time and wire traffic are the run's own
-	if a != b || b.Steps == 0 || b.VelocityPoints == 0 {
-		t.Fatalf("%s: perf counters differ: %+v vs %+v", label, b, a)
+	if a, b := ref.Perf, got.Perf; a.Steps != b.Steps || a.Flops() != b.Flops() || b.Flops() == 0 {
+		t.Fatalf("%s: %d steps and %d flops, want %d and %d", label, b.Steps, b.Flops(), a.Steps, a.Flops())
 	}
 	for _, name := range []string{"S1", "S2"} {
 		a, b := ref.Recorder.Trace(name), got.Recorder.Trace(name)

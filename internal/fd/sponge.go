@@ -58,17 +58,19 @@ func NewSpongeGlobal(gnx, gny, gnz, width int, alpha float64, i0, j0, nx, ny, nz
 	for s.kz0 < nz && s.cz[s.kz0] == 1 {
 		s.kz0++
 	}
+	// down a column the factor never grows (cz is 1 above kz0 and falls
+	// below it, and rounding keeps the order), so the column's damped cells
+	// are its first damped cell and all below it
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
-			k0 := 0
+			k := 0
 			if s.cx[i]*s.cy[j] == 1 {
-				k0 = s.kz0
+				k = s.kz0
 			}
-			for k := k0; k < nz; k++ {
-				if s.Factor(i, j, k) != 1 {
-					s.damped++
-				}
+			for k < nz && s.Factor(i, j, k) == 1 {
+				k++
 			}
+			s.damped += int64(nz - k)
 		}
 	}
 	return s

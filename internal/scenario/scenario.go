@@ -57,7 +57,7 @@ func (s Tangshan) Stations() []seismo.Station {
 }
 
 // TotalMoment is the kinematic source's scalar moment (N·m). At the
-// default laptop scale it corresponds to a ~Mw 6.3 event, which produces
+// default laptop scale it corresponds to a ~Mw 6.9 event, which produces
 // the paper's intensity-6-to-10 hazard pattern on the shrunken domain.
 const TotalMoment = 3e19
 

@@ -122,8 +122,8 @@ func New(cfg Config) (*Simulator, error) { return core.New(cfg) }
 // ranks (paper §6.3), producing results identical to a serial run. All
 // serial features work here too: checkpoints are gathered to rank 0 and
 // written as one global dump (resumable by serial or parallel runs via
-// Config.RestartFrom), and Result.Perf sums the per-rank kernel
-// counters.
+// Config.RestartFrom), and Result.Perf is the run's: its configuration's
+// work and rank 0's stepping time.
 func RunParallel(cfg Config, mx, my int) (*Result, error) {
 	return core.RunParallel(cfg, mx, my)
 }
