@@ -119,7 +119,11 @@ check-bce:
 # function, which go test runs). And a run's accounting is derived, not
 # counted: non-test internal/core names no countKernels or AddCounters and
 # its Perf declares no field ending in Points (a step's work follows from
-# the configuration, Config.perf)
+# the configuration, Config.perf). And every decomposition takes its dumps
+# one way: non-test internal/core holds exactly one Checkpoint.MaybeSave(
+# call (block 0's, in Simulator.checkpoint, the whole-domain block's too),
+# and no non-test file under internal/ names MaybeSaveAux or declares a
+# Bcast (a dump's status reaches the blocks through peers.agree)
 KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
@@ -171,6 +175,10 @@ check-one:
 	@! grep -n 'SLS) Before(' internal/fd/*.go | grep -v '_test\.go:'
 	@! grep -rnE --include='*.go' 'compress\.Stats\b|CollectStats\(' . | grep -v '_test\.go:' \
 		| grep -vE '^\./internal/(core|compress)/'
+	@n=$$(grep -n 'Checkpoint\.MaybeSave(' internal/core/*.go | grep -v '_test\.go:' | wc -l); \
+	if [ "$$n" -ne 1 ]; then echo "check-one: internal/core holds $$n Checkpoint.MaybeSave( calls, want exactly 1:"; \
+		grep -n 'Checkpoint\.MaybeSave(' internal/core/*.go | grep -v '_test\.go:'; exit 1; fi
+	@! grep -rnE --include='*.go' 'MaybeSaveAux|func (\([^)]*\) )?Bcast\(' internal/ | grep -v '_test\.go:'
 	@entries=$$(grep -h '^TEXT ' internal/fd/*.s internal/plasticity/*.s internal/grid/*.s); \
 	n=$$(echo "$$entries" | grep -c 'PlaneAVX2(SB)'); all=$$(echo "$$entries" | grep -c .); \
 	if [ "$$n" -ne $(KERNEL_ENTRIES) ] || [ "$$all" -ne $(KERNEL_ENTRIES) ]; then \

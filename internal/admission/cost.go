@@ -11,10 +11,9 @@ type Cost struct {
 	// Bytes is the estimated steady-state resident working set of the run:
 	// every per-point array the engine allocates, summed over ranks, plus
 	// seismogram and surface-map storage, plus one global wavefield when
-	// the run checkpoints (the controller's snapshot, or rank 0's gather
-	// buffer). It deliberately excludes transient spikes (checkpoint pack
-	// buffers, LZ4 scratch) — budgets should keep the headroom DESIGN.md
-	// §3.8 documents.
+	// the run checkpoints (the checkpoint lane's one snapshot). It
+	// deliberately excludes transient spikes (checkpoint pack buffers, LZ4
+	// scratch) — budgets should keep the headroom DESIGN.md §3.8 documents.
 	Bytes int64
 }
 
@@ -60,8 +59,8 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 	bytes := ranks * padded * 4 * int64(st.FullFields32)
 
 	if c := cfg.Checkpoint; c != nil && c.Interval > 0 {
-		// the checkpoint lane holds one global padded wavefield while a dump
-		// is written: the serial snapshot, or the buffer rank 0 gathers into
+		// the checkpoint lane holds one global padded wavefield while a run
+		// checkpoints: its one snapshot, which block 0 fills for every dump
 		bytes += paddedPoints(d) * 4 * int64(len(core.FieldNames))
 	}
 	if st.SurfacePGV {

@@ -7,20 +7,24 @@ import (
 	"swquake/internal/grid"
 )
 
-// Block gather/scatter for parallel checkpointing (the paper's gather-to-
-// I/O-process restart path, Fig. 3): each rank flattens its interior with
-// PackInterior and the root assembles the global wavefield with
-// UnpackInterior before writing one dump. On restart, ExtractBlock carves a
-// rank's block — interior plus ghost layers — back out of the loaded global
-// wavefield. In-domain ghost values come from the neighbouring blocks'
-// interiors, which is exactly what the halo exchange had left in the ghost
-// layers when the dump was taken (the stress exchange is the last stage of
-// a pipeline step), so a resumed parallel run is bit-identical to an
+// Block gather/scatter for checkpointing (the paper's gather-to-I/O-process
+// restart path, Fig. 3), one path for every decomposition: each block but
+// block 0 flattens its interior with PackInterior, and block 0 builds the
+// one global dump in the checkpoint lane's snapshot — its own interior with
+// CopyInterior, straight from its wavefield, the others' with
+// UnpackInterior. The whole-domain block of a serial run is block 0 of a
+// 1x1 grid, so its dump holds the same bytes as any other decomposition's:
+// interiors, and ghost planes that stay zero. On restart, ExtractBlock
+// carves a block — interior plus ghost layers — back out of the loaded
+// global wavefield. In-domain ghost values come from the neighbouring
+// blocks' interiors, which is exactly what the halo exchange had left in the
+// ghost layers when the dump was taken (the stress exchange is the last
+// stage of a pipeline step), so a resumed run is bit-identical to an
 // uninterrupted one.
 
 // PackInterior flattens every field's interior (no ghost layers) into one
-// buffer, in Wavefield.AllFields order — the per-rank payload of a parallel
-// checkpoint gather.
+// buffer, in Wavefield.AllFields order — a block's payload in a checkpoint
+// gather.
 func PackInterior(wf *fd.Wavefield) []float32 {
 	d := wf.D
 	fields := wf.AllFields()
@@ -28,8 +32,7 @@ func PackInterior(wf *fd.Wavefield) []float32 {
 	for _, f := range fields {
 		for i := 0; i < d.Nx; i++ {
 			for j := 0; j < d.Ny; j++ {
-				base := f.Idx(i, j, 0)
-				buf = append(buf, f.Data[base:base+d.Nz]...)
+				buf = append(buf, f.Row(i, j)...)
 			}
 		}
 	}
@@ -40,20 +43,34 @@ func PackInterior(wf *fd.Wavefield) []float32 {
 // block offset (i0, j0). The block's depth must equal the global depth (the
 // z axis is never decomposed, §6.3).
 func UnpackInterior(global *fd.Wavefield, d grid.Dims, i0, j0 int, buf []float32) error {
-	fields := global.AllFields()
-	if want := len(fields) * int(d.Points()); len(buf) != want {
+	if want := len(global.AllFields()) * int(d.Points()); len(buf) != want {
 		return fmt.Errorf("checkpoint: block buffer holds %d values, want %d", len(buf), want)
 	}
+	return placeBlock(global, d, i0, j0, func(int, int, int) []float32 {
+		row := buf[:d.Nz]
+		buf = buf[d.Nz:]
+		return row
+	})
+}
+
+// CopyInterior writes the interior of block wf into the global wavefield at
+// block offset (i0, j0), as UnpackInterior does its packed buffer.
+func CopyInterior(global, wf *fd.Wavefield, i0, j0 int) error {
+	fields := wf.AllFields()
+	return placeBlock(global, wf.D, i0, j0, func(fi, i, j int) []float32 { return fields[fi].Row(i, j) })
+}
+
+// placeBlock copies the z-rows row(field, i, j) of a block of dims d into the
+// global wavefield's interior at block offset (i0, j0), field by field and
+// in (i, j) order.
+func placeBlock(global *fd.Wavefield, d grid.Dims, i0, j0 int, row func(fi, i, j int) []float32) error {
 	if d.Nz != global.D.Nz || i0 < 0 || j0 < 0 || i0+d.Nx > global.D.Nx || j0+d.Ny > global.D.Ny {
 		return fmt.Errorf("checkpoint: block %v at (%d,%d) outside global %v", d, i0, j0, global.D)
 	}
-	off := 0
-	for _, f := range fields {
+	for fi, f := range global.AllFields() {
 		for i := 0; i < d.Nx; i++ {
 			for j := 0; j < d.Ny; j++ {
-				base := f.Idx(i0+i, j0+j, 0)
-				copy(f.Data[base:base+d.Nz], buf[off:off+d.Nz])
-				off += d.Nz
+				copy(f.Row(i0+i, j0+j), row(fi, i, j))
 			}
 		}
 	}

@@ -24,7 +24,8 @@ func TestPackUnpackInteriorRoundTrip(t *testing.T) {
 	src := fd.NewWavefield(global)
 	fillWavefield(src)
 
-	dst := fd.NewWavefield(global)
+	// the packed path and the direct copy place every block alike
+	dst, direct := fd.NewWavefield(global), fd.NewWavefield(global)
 	for _, off := range [][2]int{{0, 0}, {4, 0}, {0, 3}, {4, 3}} {
 		blk, err := ExtractBlock(src, block, off[0], off[1])
 		if err != nil {
@@ -33,11 +34,17 @@ func TestPackUnpackInteriorRoundTrip(t *testing.T) {
 		if err := UnpackInterior(dst, block, off[0], off[1], PackInterior(blk)); err != nil {
 			t.Fatal(err)
 		}
+		if err := CopyInterior(direct, blk, off[0], off[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for fi, f := range src.AllFields() {
 		if !f.InteriorEqual(dst.AllFields()[fi], 0) {
 			t.Fatalf("field %d interior differs after pack/unpack", fi)
 		}
+	}
+	if !sameBits(dst, direct) || dst.U.At(-1, 0, 0) != 0 {
+		t.Fatal("CopyInterior and UnpackInterior place a block differently, or touch a ghost plane")
 	}
 }
 
@@ -84,6 +91,9 @@ func TestBlockBoundsChecked(t *testing.T) {
 		buf := make([]float32, 9*int(c.d.Points()))
 		if err := UnpackInterior(global, c.d, c.i0, c.j0, buf); err == nil {
 			t.Errorf("case %d: UnpackInterior accepted bad block", i)
+		}
+		if err := CopyInterior(global, fd.NewWavefield(c.d), c.i0, c.j0); err == nil {
+			t.Errorf("case %d: CopyInterior accepted bad block", i)
 		}
 	}
 	if err := UnpackInterior(global, grid.Dims{Nx: 4, Ny: 3, Nz: 5}, 0, 0, make([]float32, 7)); err == nil {

@@ -78,21 +78,18 @@ func (sc *scratch) grow(n int) {
 }
 
 // Save writes a checkpoint of the wavefield at the given step and sim time.
+// The file is written atomically: a crash mid-write leaves the previous
+// checkpoint (or nothing), never a torn file.
 func Save(path string, step int, simTime float64, wf *fd.Wavefield) (Info, error) {
-	return SaveAux(path, step, simTime, wf, nil)
+	return save(path, step, simTime, wf, nil, &scratch{})
 }
 
-// SaveAux is Save with an opaque auxiliary payload stored (CRC-protected)
-// between the header and the field blocks — the engine keeps its resume
-// state (recorder samples, PGV peaks, plasticity/perf counters) there so a
-// restarted run is indistinguishable from an uninterrupted one. The file is
-// written atomically: a crash mid-write leaves the previous checkpoint (or
-// nothing), never a torn file.
-func SaveAux(path string, step int, simTime float64, wf *fd.Wavefield, aux []byte) (Info, error) {
-	return saveAux(path, step, simTime, wf, aux, &scratch{})
-}
-
-func saveAux(path string, step int, simTime float64, wf *fd.Wavefield, aux []byte, sc *scratch) (Info, error) {
+// save writes a checkpoint through the scratch sc, with an opaque auxiliary
+// payload stored (CRC-protected) between the header and the field blocks —
+// the engine keeps its resume state (recorder samples, PGV peaks, the yield
+// count) there so a restarted run is indistinguishable from an
+// uninterrupted one.
+func save(path string, step int, simTime float64, wf *fd.Wavefield, aux []byte, sc *scratch) (Info, error) {
 	info := Info{Path: path}
 	if err := faultinject.Check(faultinject.CheckpointWrite); err != nil {
 		return info, fmt.Errorf("checkpoint: write %s: %w", path, err)
@@ -269,26 +266,28 @@ func LoadAux(path string) (int, float64, *fd.Wavefield, []byte, error) {
 // most recent Keep files, without holding the solver up for the dump: it is
 // the write lane the paper pairs its LZ4 restart files with.
 //
-// On a due step MaybeSave waits for the previous dump, snapshots the state
-// and returns; one goroutine per dump then converts, compresses, CRCs,
-// writes, fsyncs, renames, syncs the directory and applies retention. At
-// most one dump is in flight, so the lane holds exactly one wavefield of
-// memory. A failed write surfaces at the next due step or at Close,
-// whichever comes first, and is sticky until Close. Close drains the lane:
-// when it returns, every accepted dump is durable or reported, and the
-// snapshot is released. The run that drives the controller must call Close
-// on every return path; a controller is reusable after Close.
+// On a due step MaybeSave waits for the previous dump, has the caller fill
+// the lane's snapshot and returns; one goroutine per dump then converts,
+// compresses, CRCs, writes, fsyncs, renames, syncs the directory and applies
+// retention. At most one dump is in flight, so the lane holds exactly one
+// wavefield of memory: its snapshot, made at the first dump and reused for
+// every later one of the same dims. A failed write surfaces at the next due
+// step or at Close, whichever comes first, and is sticky until Close. Close
+// drains the lane: when it returns, every accepted dump is durable or
+// reported, and the snapshot is released. The run that drives the
+// controller must call Close on every return path; a controller is reusable
+// after Close.
 //
-// MaybeSave, MaybeSaveAux and Close are for one goroutine at a time (the
-// solver loop, or rank 0 of a parallel run).
+// MaybeSave and Close are for one goroutine at a time (the solver loop, or
+// block 0 of a parallel run).
 type Controller struct {
 	Dir      string
 	Interval int
 	Keep     int
 
-	// the lane. The writer goroutine owns sc, infos and err until it closes
-	// inflight; the caller touches them only after receiving from it.
-	snap     *fd.Wavefield // MaybeSave's copy of the caller's wavefield
+	// the lane. The writer goroutine owns snap, sc, infos and err until it
+	// closes inflight; the caller touches them only after receiving from it.
+	snap     *fd.Wavefield // the one snapshot MaybeSave's fill writes
 	sc       scratch
 	inflight chan struct{} // closed when the dump in flight is finished; nil when idle
 	infos    []Info
@@ -296,44 +295,33 @@ type Controller struct {
 }
 
 // Due reports whether a checkpoint falls on this step — the interval test
-// MaybeSave applies, exposed so parallel ranks can agree collectively that
-// a gather is needed before any of them starts one.
+// MaybeSave applies, exposed so that every block of a run agrees a dump is
+// taken before any of them starts gathering it.
 func (c *Controller) Due(step int) bool {
 	return c.Interval > 0 && step != 0 && step%c.Interval == 0
 }
 
 // MaybeSave starts a checkpoint when the step is a multiple of Interval and
-// reports whether it did; aux is stored in the checkpoint's auxiliary
-// section (the engine's resume state: recorder, PGV, counters). The
-// wavefield is copied before it returns, so the caller may go on mutating
-// it; aux is handed over, and the caller must not write it again. The error
-// is a previous dump's.
-func (c *Controller) MaybeSave(step int, simTime float64, wf *fd.Wavefield, aux []byte) (bool, error) {
+// reports whether it did. fill writes the state, a wavefield of dims d, into
+// the lane's snapshot: every interior point, and no ghost plane, which stays
+// zero, so a dump's bytes are the run's state alone. aux is stored in the
+// checkpoint's auxiliary section (the engine's resume state: recorder, PGV,
+// yield count) and handed over: the caller must not write it again. The
+// error is fill's, or a previous dump's.
+func (c *Controller) MaybeSave(step int, simTime float64, d grid.Dims, fill func(*fd.Wavefield) error, aux []byte) (bool, error) {
 	if !c.Due(step) {
 		return false, nil
 	}
 	if err := c.wait(); err != nil {
 		return false, err
 	}
-	if c.snap == nil || c.snap.D != wf.D {
-		c.snap = fd.NewWavefield(wf.D)
+	if c.snap == nil || c.snap.D != d {
+		c.snap = fd.NewWavefield(d)
 	}
-	c.snap.CopyFrom(wf)
+	if err := fill(c.snap); err != nil {
+		return false, err
+	}
 	c.start(step, simTime, c.snap, aux)
-	return true, nil
-}
-
-// MaybeSaveAux is MaybeSave with the wavefield handed over instead of
-// copied: the parallel engine gathers a fresh global wavefield and a global
-// resume state on rank 0 for every dump, and must not touch either again.
-func (c *Controller) MaybeSaveAux(step int, simTime float64, wf *fd.Wavefield, aux []byte) (bool, error) {
-	if !c.Due(step) {
-		return false, nil
-	}
-	if err := c.wait(); err != nil {
-		return false, err
-	}
-	c.start(step, simTime, wf, aux)
 	return true, nil
 }
 
@@ -354,7 +342,7 @@ func (c *Controller) start(step int, simTime float64, wf *fd.Wavefield, aux []by
 	go func() {
 		defer close(done)
 		path := filepath.Join(c.Dir, fmt.Sprintf("ckpt-%08d.swq", step))
-		info, err := saveAux(path, step, simTime, wf, aux, &c.sc)
+		info, err := save(path, step, simTime, wf, aux, &c.sc)
 		if err != nil {
 			c.err = err
 			return

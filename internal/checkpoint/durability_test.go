@@ -135,7 +135,7 @@ func TestLatestValidFallsBackPastCorruptAndTruncated(t *testing.T) {
 	wf := testWavefield(11)
 	c := &Controller{Dir: dir, Interval: 5, Keep: 10}
 	for step := 5; step <= 20; step += 5 {
-		if ok, err := c.MaybeSave(step, float64(step), wf, nil); !ok || err != nil {
+		if ok, err := maybeSave(c, step, float64(step), wf, nil); !ok || err != nil {
 			t.Fatalf("save %d: ok=%v err=%v", step, ok, err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestCorruptFailpointDamagesNewestOnly(t *testing.T) {
 	// corrupt only the third save
 	faultinject.Enable(faultinject.CheckpointCorrupt, faultinject.Fault{Skip: 2, Times: 1})
 	for step := 1; step <= 3; step++ {
-		if _, err := c.MaybeSave(step, float64(step), wf, nil); err != nil {
+		if _, err := maybeSave(c, step, float64(step), wf, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestGCSurvivesRestart(t *testing.T) {
 	wf := testWavefield(13)
 	c1 := &Controller{Dir: dir, Interval: 1, Keep: 2}
 	for step := 1; step <= 3; step++ {
-		if _, err := c1.MaybeSave(step, float64(step), wf, nil); err != nil {
+		if _, err := maybeSave(c1, step, float64(step), wf, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestGCSurvivesRestart(t *testing.T) {
 	// a fresh controller (as after a process restart) must keep honoring
 	// Keep across the files the dead one left behind
 	c2 := &Controller{Dir: dir, Interval: 1, Keep: 2}
-	if _, err := c2.MaybeSave(4, 4, wf, nil); err != nil {
+	if _, err := maybeSave(c2, 4, 4, wf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c2.Close(); err != nil {

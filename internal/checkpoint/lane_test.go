@@ -47,7 +47,7 @@ func TestLaneSnapshotsBeforeReturning(t *testing.T) {
 	want := wf.Clone()
 	c := &Controller{Dir: t.TempDir(), Interval: 5, Keep: 3}
 
-	if ok, err := c.MaybeSave(5, 0.5, wf, []byte("state at step 5")); !ok || err != nil {
+	if ok, err := maybeSave(c, 5, 0.5, wf, []byte("state at step 5")); !ok || err != nil {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 	for _, f := range wf.AllFields() {
@@ -84,7 +84,7 @@ func TestLaneHasOneDumpInFlight(t *testing.T) {
 	c := &Controller{Dir: dir, Interval: 1, Keep: 10}
 	for step := 1; step <= 4; step++ {
 		wf.U.Set(0, 0, 0, float32(step))
-		if ok, err := c.MaybeSave(step, float64(step), wf, nil); !ok || err != nil {
+		if ok, err := maybeSave(c, step, float64(step), wf, nil); !ok || err != nil {
 			t.Fatalf("step %d: ok=%v err=%v", step, ok, err)
 		}
 		if step == 1 {
@@ -119,15 +119,15 @@ func TestLaneWriteErrorSurfacesAtNextDueStepAndClose(t *testing.T) {
 	dir := t.TempDir()
 	wf := testWavefield(23)
 	c := &Controller{Dir: dir, Interval: 1, Keep: 10}
-	if ok, err := c.MaybeSave(1, 1, wf, nil); !ok || err != nil {
+	if ok, err := maybeSave(c, 1, 1, wf, nil); !ok || err != nil {
 		t.Fatalf("starting the dump itself must not fail: ok=%v err=%v", ok, err)
 	}
 	for step := 2; step <= 3; step++ {
-		if ok, err := c.MaybeSave(step, 2, wf, nil); ok || !errors.Is(err, boom) {
+		if ok, err := maybeSave(c, step, 2, wf, nil); ok || !errors.Is(err, boom) {
 			t.Fatalf("step %d: ok=%v err=%v, want the write error", step, ok, err)
 		}
 	}
-	if ok, err := c.MaybeSave(0, 0, wf, nil); ok || err != nil {
+	if ok, err := maybeSave(c, 0, 0, wf, nil); ok || err != nil {
 		t.Fatalf("a step that is not due must not report anything: ok=%v err=%v", ok, err)
 	}
 	infos, err := c.Close()
@@ -141,7 +141,7 @@ func TestLaneWriteErrorSurfacesAtNextDueStepAndClose(t *testing.T) {
 		t.Fatal("a failed dump left files behind")
 	}
 
-	if ok, err := c.MaybeSave(4, 4, wf, nil); !ok || err != nil {
+	if ok, err := maybeSave(c, 4, 4, wf, nil); !ok || err != nil {
 		t.Fatalf("after Close: ok=%v err=%v", ok, err)
 	}
 	if infos, err := c.Close(); err != nil || len(infos) != 1 {
@@ -152,7 +152,7 @@ func TestLaneWriteErrorSurfacesAtNextDueStepAndClose(t *testing.T) {
 // With no later due step the error has only Close to surface at.
 func TestLaneWriteErrorSurfacesAtClose(t *testing.T) {
 	c := &Controller{Dir: filepath.Join(t.TempDir(), "missing"), Interval: 1}
-	if ok, err := c.MaybeSave(1, 1, testWavefield(24), nil); !ok || err != nil {
+	if ok, err := maybeSave(c, 1, 1, testWavefield(24), nil); !ok || err != nil {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 	if _, err := c.Close(); err == nil {
@@ -167,7 +167,7 @@ func TestLaneCloseReleasesSnapshot(t *testing.T) {
 	if infos, err := c.Close(); infos != nil || err != nil {
 		t.Fatalf("idle close: %v %v", infos, err)
 	}
-	if _, err := c.MaybeSave(1, 1, testWavefield(25), nil); err != nil {
+	if _, err := maybeSave(c, 1, 1, testWavefield(25), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Close(); err != nil {
@@ -178,27 +178,38 @@ func TestLaneCloseReleasesSnapshot(t *testing.T) {
 	}
 }
 
-// MaybeSaveAux writes the wavefield and aux it is handed, without a second
-// copy of the wavefield.
-func TestLaneSaveAuxTakesTheWavefield(t *testing.T) {
+// The lane keeps one snapshot: made at the first dump, written by every
+// later fill of the same dims and never reallocated, its ghost planes zero
+// whatever the source's hold. A fill that fails starts no dump and reports
+// its error.
+func TestLaneFillsOneSnapshot(t *testing.T) {
 	wf := testWavefield(26)
-	want := wf.Clone()
-	c := &Controller{Dir: t.TempDir(), Interval: 2}
-	if ok, err := c.MaybeSaveAux(1, 1, wf, []byte("x")); ok || err != nil {
-		t.Fatalf("off-interval step: ok=%v err=%v", ok, err)
+	for _, f := range wf.AllFields() {
+		f.Data[0] = 99 // a ghost point the dump must not carry
 	}
-	if ok, err := c.MaybeSaveAux(2, 2, wf, []byte("gathered")); !ok || err != nil {
+	c := &Controller{Dir: t.TempDir(), Interval: 1}
+	if ok, err := maybeSave(c, 1, 1, wf, []byte("first")); !ok || err != nil {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if c.snap != nil {
-		t.Fatal("MaybeSaveAux copied the wavefield it was handed")
+	snap := c.snap
+	boom := errors.New("gather failed")
+	fail := func(*fd.Wavefield) error { return boom }
+	if ok, err := c.MaybeSave(2, 2, wf.D, fail, nil); ok || !errors.Is(err, boom) {
+		t.Fatalf("failed fill: ok=%v err=%v", ok, err)
 	}
-	if _, err := c.Close(); err != nil {
-		t.Fatal(err)
+	if ok, err := maybeSave(c, 3, 3, wf, []byte("third")); !ok || err != nil {
+		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	_, _, got, aux, err := LoadAux(c.Latest())
-	if err != nil || string(aux) != "gathered" || !sameBits(got, want) {
-		t.Fatalf("aux %q err %v", aux, err)
+	if c.snap != snap {
+		t.Fatal("the lane made a second snapshot for dumps of the same dims")
+	}
+	infos, err := c.Close()
+	if err != nil || len(infos) != 2 {
+		t.Fatalf("close: %d infos, err %v", len(infos), err)
+	}
+	_, _, got, aux, err := LoadAux(infos[1].Path)
+	if err != nil || string(aux) != "third" || !sameBits(got, testWavefield(26)) {
+		t.Fatalf("aux %q err %v, or the dump is not the interior with zero ghosts", aux, err)
 	}
 }
 
@@ -209,7 +220,7 @@ func TestLaneDumpsAreDeterministic(t *testing.T) {
 	a, b := testWavefield(27), testWavefield(28)
 	c := &Controller{Dir: dir, Interval: 1}
 	for step, wf := range []*fd.Wavefield{a, b, a} {
-		if _, err := c.MaybeSave(step+1, 0, wf, nil); err != nil {
+		if _, err := maybeSave(c, step+1, 0, wf, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

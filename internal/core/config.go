@@ -124,9 +124,9 @@ type Config struct {
 
 	RecordPGV bool
 
-	// Checkpoint, when non-nil, saves restart dumps during the run. Under
-	// RunParallel the blocks are gathered to rank 0, which writes one
-	// global dump interchangeable with a serial run's.
+	// Checkpoint, when non-nil, saves restart dumps during the run: every
+	// block's interior is gathered to block 0, which writes one global dump
+	// (Simulator.checkpoint) — the same bytes whatever the decomposition.
 	Checkpoint *checkpoint.Controller
 
 	// RestartFrom, when non-empty, resumes from the named checkpoint

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -186,5 +187,40 @@ func TestRewindDrainsTheWriteInFlight(t *testing.T) {
 	}
 	if len(res.Checkpoints) != 2 {
 		t.Fatalf("final attempt reported %d checkpoints, want steps 20 and 30", len(res.Checkpoints))
+	}
+}
+
+// TestDumpsAllocateNoWavefield: the lane's one snapshot is the only
+// wavefield a dump is built in. Between steps 10 and 30 of a run that dumps
+// every step, beyond what the same steps allocate without dumps, the serial
+// run allocates less than one interior's bytes per dump; on 2x1 ranks, block
+// 0 allocates less than half an interior beyond the other block's packed
+// interior and its message (one interior between them). A global wavefield
+// made per dump, or block 0 packing its own interior, is more than either.
+func TestDumpsAllocateNoWavefield(t *testing.T) {
+	cfg := baseConfig()
+	interior := int64(len(FieldNames)) * cfg.Dims.Points() * 4
+	for _, tc := range []struct {
+		name  string
+		run   func(*testing.T, Config) *Result
+		bound int64
+	}{{"serial", runSerial, interior}, {"ranks2x1", runRanks, interior + interior/2}} {
+		// the bytes a run of the given steps allocates, dumping every step or not
+		alloc := func(steps, interval int) int64 {
+			run := cfg
+			run.Steps = steps
+			run.Checkpoint = &checkpoint.Controller{Dir: t.TempDir(), Interval: interval, Keep: 1}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			tc.run(t, run)
+			runtime.ReadMemStats(&after)
+			return int64(after.TotalAlloc - before.TotalAlloc)
+		}
+		dumps := alloc(30, 1) - alloc(10, 1)
+		steps := alloc(30, 0) - alloc(10, 0)
+		if perDump := (dumps - steps) / 20; perDump >= tc.bound {
+			t.Errorf("%s: %d B allocated per dump, want under %d (one interior is %d)", tc.name, perDump, tc.bound, interior)
+		}
 	}
 }

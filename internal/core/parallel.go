@@ -30,8 +30,9 @@ import (
 // so ghost data matches the serial run bit for bit.
 //
 // Feature parity with the serial runner is complete: checkpoints are
-// gathered to rank 0 and written as one global dump (readable by serial or
-// parallel restarts via Config.RestartFrom) carrying the full resume state,
+// gathered to rank 0 and written as one global dump, the same bytes a
+// serial run writes (readable by serial or parallel restarts via
+// Config.RestartFrom) and carrying the full resume state,
 // divergence is detected collectively, and Result.Perf is the run's: its
 // configuration's work and rank 0's stepping time.
 func RunParallel(cfg Config, mx, my int) (*Result, error) {
@@ -258,9 +259,9 @@ type rankOut struct {
 // checkpoint, and step it through the one loop (Simulator.run).
 func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, srcs []source.PointSource, codecs []compress.Codec, out *rankOut) {
 	p := peers{
-		ex:         &haloExchanger{r: r, pg: pg, crc: cfg.HaloCRC, deadline: cfg.StepDeadline},
-		allMax:     r.AllreduceMax,
-		checkpoint: func(s *Simulator) error { return parallelCheckpoint(r, s) },
+		ex:     &haloExchanger{r: r, pg: pg, crc: cfg.HaloCRC, deadline: cfg.StepDeadline},
+		allMax: r.AllreduceMax,
+		gather: func(part []float32) [][]float32 { return r.Gather(0, part) },
 	}
 	sim, err := newBlock(cfg, pg, r.ID(), srcs, codecs, p)
 	if err != nil {
@@ -292,48 +293,41 @@ func blockStationIndices(stations []seismo.Station, pg *decomp.ProcessGrid, id i
 	return idxs
 }
 
-// parallelCheckpoint gathers every rank's interior block — and its slice of
-// the resume state — to rank 0, which assembles the global wavefield plus a
-// global resume-aux section and drives the shared checkpoint controller:
-// the paper's gather-to-I/O-process restart path. The dump is byte-for-byte
-// interchangeable with a serial run's, aux included. The controller writes
-// it beside the next steps and takes the gathered wavefield as its own. The
-// status — assembly errors and any earlier dump's write error — is broadcast
-// so all ranks agree on failure and stop together.
-func parallelCheckpoint(r *mpi.Rank, sim *Simulator) error {
-	pg := sim.pg
-	parts := r.Gather(0, checkpoint.PackInterior(sim.WF))
-	auxParts := r.Gather(0, auxWords(sim.resumeAux()))
-	status := []float32{0}
-	var saveErr error
-	if r.ID() == 0 {
-		global := fd.NewWavefield(pg.GlobalDims())
-		for id, part := range parts {
-			bi, bj := pg.Offset(id)
-			if err := checkpoint.UnpackInterior(global, pg.BlockDims(), bi, bj, part); err != nil {
-				saveErr = err
-				break
-			}
-		}
-		var aux []byte
-		if saveErr == nil {
-			aux, saveErr = assembleGlobalResume(auxParts, sim)
-		}
-		if saveErr == nil {
-			_, saveErr = sim.Cfg.Checkpoint.MaybeSaveAux(sim.step, sim.simTime, global, aux)
-		}
-		if saveErr != nil {
-			status[0] = 1
-		}
-	} else {
-		status = nil
+// checkpoint takes the run's dump on a due step — the paper's
+// gather-to-I/O-process restart path, and the one way a dump is taken, for
+// the whole-domain block and for every rank alike. Every block but block 0
+// sends its packed interior, and every block its slice of the resume state;
+// block 0 builds the dump in the checkpoint lane's one snapshot: its own
+// interior straight from its wavefield, the others' unpacked, and the resume
+// state assembled from every slice. So a step's dump is the same bytes
+// whatever the decomposition that wrote it. The controller writes it beside
+// the next steps. What stopped the dump — assembly, or an earlier dump's
+// write — reaches every block (peers.agree), so all stop together.
+func (s *Simulator) checkpoint() error {
+	var part []float32
+	if s.id != 0 {
+		part = checkpoint.PackInterior(s.WF)
 	}
-	if st := r.Bcast(0, status); st[0] != 0 {
-		if saveErr == nil {
-			saveErr = fmt.Errorf("checkpoint failed on rank 0")
-		}
+	parts := s.peers.gather(part)
+	auxParts := s.peers.gather(auxWords(s.resumeAux()))
+	if s.id != 0 {
+		return s.peers.agree(nil)
 	}
-	return saveErr
+	pg := s.pg
+	fill := func(snap *fd.Wavefield) error {
+		i0, j0 := pg.Offset(s.id)
+		err := checkpoint.CopyInterior(snap, s.WF, i0, j0)
+		for id := 1; id < len(parts) && err == nil; id++ {
+			i0, j0 = pg.Offset(id)
+			err = checkpoint.UnpackInterior(snap, pg.BlockDims(), i0, j0, parts[id])
+		}
+		return err
+	}
+	aux, err := assembleGlobalResume(auxParts, s)
+	if err == nil {
+		_, err = s.Cfg.Checkpoint.MaybeSave(s.step, s.simTime, pg.GlobalDims(), fill, aux)
+	}
+	return s.peers.agree(err)
 }
 
 // assembleGlobalResume merges the per-rank resume payloads gathered at a
@@ -344,10 +338,7 @@ func parallelCheckpoint(r *mpi.Rank, sim *Simulator) error {
 // parallel run, or a recovery attempt.
 func assembleGlobalResume(parts [][]float32, sim *Simulator) ([]byte, error) {
 	pg := sim.pg
-	g := resumeState{
-		stepsSeen: sim.rec.StepsSeen(),
-		traces:    make([][3][]float32, len(sim.stations)),
-	}
+	g := resumeState{traces: make([][3][]float32, len(sim.stations))}
 	if sim.pgv != nil {
 		g.pgv = seismo.NewPGVField(pg.GlobalNx, pg.GlobalNy, sim.pgv.K)
 	}

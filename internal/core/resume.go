@@ -9,49 +9,50 @@ import (
 	"swquake/internal/seismo"
 )
 
-// The resume-aux section rides inside a checkpoint (the aux payload of
-// checkpoint.SaveAux) and carries the run state the wavefield alone cannot
-// reproduce: recorded seismogram samples, the running PGV peaks and the
-// plasticity yield counter. With it, a run resumed from a checkpoint
+// The resume-aux section rides inside a checkpoint (its aux payload) and
+// carries the run state the wavefield alone cannot reproduce: recorded
+// seismogram samples, the running PGV peaks and the plasticity yield
+// counter. With it, a run resumed from a checkpoint
 // produces a manifest and traces bit-identical to an uninterrupted run —
 // without it, a resumed run would restart its recorders empty and
 // under-report everything accumulated before the crash.
 //
-// One codec serves every user: serial checkpoints (resumeAux), parallel
-// checkpoints — each rank's state is encoded in this same format, gathered
-// to rank 0 and merged into one GLOBAL section (assembleGlobalResume in
-// parallel.go), interchangeable with a serial dump's — and restarts, serial
-// or parallel, which extract the block's share (applyResumeAux).
+// One codec serves every user: each block's slice of the state is encoded
+// in this format (resumeAux), gathered to block 0 and merged into one
+// GLOBAL section (assembleGlobalResume in parallel.go) — for the
+// whole-domain block too, so every decomposition writes the same section —
+// and restarts, serial or parallel, extract the block's share
+// (applyResumeAux).
 //
 // Layout (little-endian): magic "RSA1", yielded i64, six retired i64 words,
-// recorder steps u32, trace count u32, per trace a sample count u32 + U/V/W
+// a retired u32, trace count u32, per trace a sample count u32 + U/V/W
 // float32 samples, then a PGV flag byte (0 or 1) and, if 1, nx/ny/k u32 +
-// float64 peaks. The retired words held the Perf accounting — four kernel
-// point counts, the step count and the elapsed nanoseconds — which a run now
-// derives from its configuration and its own steps (Config.perf): they are
-// written as zero and skipped on read, so dumps written with the counters
-// still resume. Integrity is the checkpoint layer's job (the aux CRC); this
-// codec only validates structure.
+// float64 peaks. The retired i64 words held the Perf accounting — four
+// kernel point counts, the step count and the elapsed nanoseconds — which a
+// run now derives from its configuration and its own steps (Config.perf);
+// the retired u32 held the recorder's step count, which is every trace's
+// length. They are written as zero and skipped on read, so dumps written
+// with them still resume. Integrity is the checkpoint layer's job (the aux
+// CRC); this codec only validates structure.
 
 var resumeMagic = [4]byte{'R', 'S', 'A', '1'}
 
-// retiredWords is how many i64 words follow the yield count and carry
-// nothing.
-const retiredWords = 6
+// retiredBytes is how many bytes follow the yield count and carry nothing:
+// six i64 words and a u32.
+const retiredBytes = 8*6 + 4
 
 // resumeState is the decoded resume-aux section: everything a simulator
 // needs to pick up a run exactly where the checkpoint left it.
 type resumeState struct {
-	yielded   int64
-	stepsSeen int
-	traces    [][3][]float32 // per station: U, V, W samples
-	pgv       *seismo.PGVField
+	yielded int64
+	traces  [][3][]float32 // per station: U, V, W samples
+	pgv     *seismo.PGVField
 }
 
 // resumeState snapshots the simulator's replay state. The trace and PGV
 // slices alias live simulator storage; encode before the next step.
 func (s *Simulator) resumeState() *resumeState {
-	st := &resumeState{yielded: s.yielded, stepsSeen: s.rec.StepsSeen(), pgv: s.pgv}
+	st := &resumeState{yielded: s.yielded, pgv: s.pgv}
 	st.traces = make([][3][]float32, len(s.rec.Traces))
 	for i, tr := range s.rec.Traces {
 		st.traces[i] = [3][]float32{tr.U, tr.V, tr.W}
@@ -59,7 +60,7 @@ func (s *Simulator) resumeState() *resumeState {
 	return st
 }
 
-// resumeAux serializes the simulator's replay state for SaveAux.
+// resumeAux serializes the block's replay state.
 func (s *Simulator) resumeAux() []byte {
 	return encodeResumeState(s.resumeState())
 }
@@ -80,9 +81,8 @@ func encodeResumeState(st *resumeState) []byte {
 		buf.Write(b[:])
 	}
 	writeI64(st.yielded)
-	buf.Write(make([]byte, 8*retiredWords))
+	buf.Write(make([]byte, retiredBytes))
 
-	writeU32(uint32(st.stepsSeen))
 	writeU32(uint32(len(st.traces)))
 	for _, tr := range st.traces {
 		writeU32(uint32(len(tr[0])))
@@ -131,17 +131,12 @@ func parseResumeAux(data []byte) (*resumeState, error) {
 		return v, nil
 	}
 
-	if len(rest) < 8*(1+retiredWords) {
+	if len(rest) < 8+retiredBytes {
 		return nil, truncated
 	}
 	st := &resumeState{yielded: int64(le.Uint64(rest))}
-	rest = rest[8*(1+retiredWords):]
+	rest = rest[8+retiredBytes:]
 
-	steps, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	st.stepsSeen = int(steps)
 	nTraces, err := readU32()
 	if err != nil {
 		return nil, err
@@ -212,9 +207,9 @@ func parseResumeAux(data []byte) (*resumeState, error) {
 // applyResumeAux restores the block's share of a resume section, which
 // always describes the run's whole domain: its stations' traces (located
 // through blockStationIndices — the same mapping that built the local
-// station list), its window of the PGV surface and the recorder phase. The
-// yield counter is restored on block 0 alone, so its sum over the blocks —
-// which is all a merge ever reports — equals the undisturbed run's exactly.
+// station list) and its window of the PGV surface. The yield counter is
+// restored on block 0 alone, so its sum over the blocks — which is all a
+// merge ever reports — equals the undisturbed run's exactly.
 // The run must be configured with the same stations and PGV setting as the
 // one that wrote the checkpoint. Nothing is mutated until every check
 // passes.
@@ -245,7 +240,6 @@ func (s *Simulator) applyResumeAux(data []byte) error {
 		tr := s.rec.Traces[li]
 		tr.U, tr.V, tr.W = st.traces[gi][0], st.traces[gi][1], st.traces[gi][2]
 	}
-	s.rec.SetStepsSeen(st.stepsSeen)
 	if s.pgv != nil {
 		i0, j0 := s.pg.Offset(s.id)
 		for i := 0; i < s.pgv.Nx; i++ {

@@ -169,16 +169,13 @@ func TestResumeAuxValidation(t *testing.T) {
 		return s
 	}
 
-	// round trip restores the recorder phase
+	// round trip restores the traces
 	s := fresh()
 	if err := s.applyResumeAux(good); err != nil {
 		t.Fatal(err)
 	}
-	if s.rec.StepsSeen() != 5 {
-		t.Fatalf("restored stepsSeen=%d", s.rec.StepsSeen())
-	}
-	if len(s.rec.Traces[0].U) != len(sim.rec.Traces[0].U) {
-		t.Fatal("trace samples not restored")
+	if len(s.rec.Traces[0].U) != 5 {
+		t.Fatalf("restored %d trace samples, want 5", len(s.rec.Traces[0].U))
 	}
 	if math.IsNaN(s.pgv.Max()) || s.pgv.Max() != sim.pgv.Max() {
 		t.Fatalf("PGV max %g, want %g", s.pgv.Max(), sim.pgv.Max())
@@ -196,7 +193,7 @@ func TestResumeAuxValidation(t *testing.T) {
 		if err := s.applyResumeAux(data); err == nil {
 			t.Fatalf("bad aux %d accepted", i)
 		}
-		if s.rec.StepsSeen() != 0 {
+		if len(s.rec.Traces[0].U) != 0 {
 			t.Fatalf("bad aux %d mutated state before failing", i)
 		}
 	}
@@ -225,9 +222,9 @@ func TestResumeAuxValidation(t *testing.T) {
 	}
 }
 
-// TestLaneCheckpointCarriesAux drives the controller by hand beside a
-// stepping simulator and checks the background-written checkpoint still has
-// the aux snapshot taken when MaybeSave returned.
+// TestLaneCheckpointCarriesAux takes dumps by hand beside a stepping
+// simulator and checks the background-written checkpoint still has the aux
+// snapshot taken when the dump was taken.
 func TestLaneCheckpointCarriesAux(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Steps = 20
@@ -237,10 +234,13 @@ func TestLaneCheckpointCarriesAux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.Cfg.Checkpoint = ctl
 	for sim.StepCount() < cfg.Steps {
 		sim.Step()
-		if _, err := ctl.MaybeSave(sim.StepCount(), sim.Time(), sim.WF, sim.resumeAux()); err != nil {
-			t.Fatal(err)
+		if ctl.Due(sim.StepCount()) {
+			if err := sim.checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	infos, err := ctl.Close()
@@ -264,8 +264,8 @@ func TestLaneCheckpointCarriesAux(t *testing.T) {
 	if err := s2.applyResumeAux(aux); err != nil {
 		t.Fatal(err)
 	}
-	if s2.rec.StepsSeen() != 20 {
-		t.Fatalf("aux steps seen %d", s2.rec.StepsSeen())
+	if n := len(s2.rec.Traces[0].U); n != 20 {
+		t.Fatalf("aux carries %d trace samples, want 20", n)
 	}
 }
 
@@ -426,14 +426,14 @@ func TestResumedRunRatesAreOverItsOwnSteps(t *testing.T) {
 }
 
 // parentResumeSection is an RSA1 section written by the encoder that still
-// carried the Perf counters (non-zero in all six retired words): stations S1
-// and S2 with three samples each, a 6x4 PGV surface, 3 recorder steps and
-// 12345 yielded point-steps.
+// carried the Perf counters and the recorder's step count (non-zero in all
+// six retired i64 words, 3 in the retired u32): stations S1 and S2 with
+// three samples each, a 6x4 PGV surface and 12345 yielded point-steps.
 const parentResumeSection = "testdata/rsa1-with-counters.bin"
 
 // TestParentResumeSectionRestores: a resume section written with the
-// retired counters restores the same traces, PGV, recorder phase and yield
-// count — the counter words are skipped, whatever they hold.
+// retired counters restores the same traces, PGV and yield count — the
+// counter words are skipped, whatever they hold.
 func TestParentResumeSectionRestores(t *testing.T) {
 	data, err := os.ReadFile(parentResumeSection)
 	if err != nil {
@@ -455,8 +455,8 @@ func TestParentResumeSectionRestores(t *testing.T) {
 	if err := sim.applyResumeAux(data); err != nil {
 		t.Fatal(err)
 	}
-	if sim.yielded != 12345 || sim.rec.StepsSeen() != 3 {
-		t.Fatalf("restored %d yielded and %d steps seen, want 12345 and 3", sim.yielded, sim.rec.StepsSeen())
+	if sim.yielded != 12345 {
+		t.Fatalf("restored %d yielded, want 12345", sim.yielded)
 	}
 	want := [][3][]float32{
 		{{1, -2, 3.5}, {0.25, 0, -0.125}, {1e-7, 2e-7, -3e-7}},
@@ -487,7 +487,7 @@ func TestParentResumeSectionRestores(t *testing.T) {
 // retire returns a copy of an RSA1 section with its retired words zeroed.
 func retire(data []byte) []byte {
 	out := bytes.Clone(data)
-	clear(out[12 : 12+8*retiredWords])
+	clear(out[12 : 12+retiredBytes])
 	return out
 }
 
@@ -498,7 +498,7 @@ func FuzzParseResumeAux(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add(encodeResumeState(&resumeState{}))
-	f.Add(encodeResumeState(&resumeState{yielded: 7, stepsSeen: 2,
+	f.Add(encodeResumeState(&resumeState{yielded: 7,
 		traces: [][3][]float32{{{1, 2}, {3, 4}, {5, 6}}}, pgv: seismo.NewPGVField(2, 3, 1)}))
 	f.Add([]byte("RSA1"))
 	f.Fuzz(func(t *testing.T, data []byte) {

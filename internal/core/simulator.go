@@ -83,20 +83,17 @@ type peers struct {
 	// allMax returns the largest v any block of the run passed in. It is a
 	// collective: every block calls it at the same points in the same order.
 	allMax func(v float64) float64
-	// checkpoint hands the block's share of a due dump to the run's
-	// checkpoint controller.
-	checkpoint func(s *Simulator) error
+	// gather collects every block's part at block 0, indexed by block, and
+	// returns nil elsewhere. It is a collective too.
+	gather func(part []float32) [][]float32
 }
 
 // alone is the whole-domain block's peers: no neighbour, a reduction over
-// one value, and a dump that is the block's own wavefield.
+// one value, and a gather of its own part.
 var alone = peers{
 	ex:     NoExchange{},
 	allMax: func(v float64) float64 { return v },
-	checkpoint: func(s *Simulator) error {
-		_, err := s.Cfg.Checkpoint.MaybeSave(s.step, s.simTime, s.WF, s.resumeAux())
-		return err
-	},
+	gather: func(part []float32) [][]float32 { return [][]float32{part} },
 }
 
 // agree is the collective health check: every block passes what stopped it,
@@ -375,7 +372,7 @@ func (s *Simulator) run(ctx context.Context) error {
 		}
 		sw = s.stages.Stopwatch()
 		if c := s.Cfg.Checkpoint; c != nil && c.Due(s.step) {
-			if err := s.peers.checkpoint(s); err != nil {
+			if err := s.checkpoint(); err != nil {
 				return err
 			}
 			sw.Lap(telemetry.StageCheckpoint)

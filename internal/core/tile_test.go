@@ -157,9 +157,9 @@ func TestNonlinearQTiledAndRanksMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	med := fd.NewMedium(cfg.Dims)
-	med.Rho.CopyFrom(sim.Med.Rho)
-	med.Lam.CopyFrom(sim.Med.Lam)
-	med.Mu.CopyFrom(sim.Med.Mu)
+	copy(med.Rho.Data, sim.Med.Rho.Data)
+	copy(med.Lam.Data, sim.Med.Lam.Data)
+	copy(med.Mu.Data, sim.Med.Mu.Data)
 	sim.Med = med
 	got, err := sim.Run()
 	if err != nil {

@@ -18,10 +18,9 @@ import "swquake/internal/grid"
 // They are hand counts of the arithmetic in the loops below (a multiply-add
 // counts as two flops, a divide as one).
 const (
-	VelocityFlopsPerPoint    = 69  // 3 components x (3 stencils + density avg + update)
-	StressFlopsPerPoint      = 106 // 6 stencils, 3 diagonal + 3 shear updates, mu harmonic means
-	FreeSurfaceFlopsPerPoint = 6   // per surface point: sign flips for 6 image layers
-	SpongeFlopsPerPoint      = 9   // 9 field multiplies per damped point
+	VelocityFlopsPerPoint = 69  // 3 components x (3 stencils + density avg + update)
+	StressFlopsPerPoint   = 106 // 6 stencils, 3 diagonal + 3 shear updates, mu harmonic means
+	SpongeFlopsPerPoint   = 9   // 9 field multiplies per damped point
 )
 
 // UpdateVelocity advances the three velocity components by one time step

@@ -346,7 +346,7 @@ func BenchmarkSweepRows(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						if k.decays && i%32 == 0 {
 							for c, f := range fields {
-								f.CopyFrom(fresh[c])
+								copy(f.Data, fresh[c].Data)
 							}
 						}
 						k.run()

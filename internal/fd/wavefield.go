@@ -82,15 +82,6 @@ func (w *Wavefield) Clone() *Wavefield {
 	return c
 }
 
-// CopyFrom overwrites the nine fields with src's, halo included. Dims must
-// match.
-func (w *Wavefield) CopyFrom(src *Wavefield) {
-	from := src.AllFields()
-	for i, f := range w.AllFields() {
-		f.CopyFrom(from[i])
-	}
-}
-
 // Medium holds the static material fields sampled at grid points.
 // Rho is stored as density (kg/m^3); Lam and Mu are the Lamé moduli (Pa).
 //

@@ -76,8 +76,7 @@ func NewField(d Dims, h int) *Field {
 // operand's z-row at the operand's own Idx streams Nz+2h values instead of a
 // 3D array; Set, Add and Fill write the shared row, so Fill(v) makes it a
 // constant. What assumes the full
-// layout — CopyFrom to or from a full field, the halo pack and unpack —
-// panics instead of copying garbage.
+// layout — the halo pack and unpack — panics instead of copying garbage.
 func NewProfile(d Dims, h int) *Field {
 	checkShape(d, h)
 	return &Field{Dims: d, H: h, Data: make([]float32, d.Nz+2*h), origin: h}
@@ -124,7 +123,7 @@ func (f *Field) Add(i, j, k int, v float32) {
 }
 
 // Freeze makes the field read-only: from now on Set, Add, Fill,
-// FillInterior, CopyFrom and UnpackHalo panic. A field is
+// FillInterior and UnpackHalo panic. A field is
 // frozen once something derived from its values has been cached (fd.Medium
 // freezes Mu when it builds 1/Mu), so that an edit which would leave the
 // derived data stale fails at the edit instead of corrupting a run. A copy
@@ -165,16 +164,6 @@ func (f *Field) FillInterior(v float32) {
 			}
 		}
 	}
-}
-
-// CopyFrom copies src into f. The fields must have identical shape and
-// rank.
-func (f *Field) CopyFrom(src *Field) {
-	if f.Dims != src.Dims || f.H != src.H || len(f.Data) != len(src.Data) {
-		panic("grid: CopyFrom shape mismatch")
-	}
-	f.writable()
-	copy(f.Data, src.Data)
 }
 
 // Clone returns a deep copy of f, of f's rank and not frozen.

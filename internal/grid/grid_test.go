@@ -225,17 +225,10 @@ func TestProfileIsOneRowForEveryColumn(t *testing.T) {
 	if p.At(0, 0, 0) != 10 || q.At(3, 2, 0) != -1 || len(q.Data) != len(p.Data) {
 		t.Fatal("a profile's clone must be a profile of its own")
 	}
-	q.CopyFrom(p)
-	if q.At(2, 1, 0) != 10 {
-		t.Fatal("CopyFrom between profiles")
-	}
-
 	full := NewField(d, 2)
 	for name, f := range map[string]func(){
-		"CopyFrom a full field":      func() { p.CopyFrom(full) },
-		"CopyFrom into a full field": func() { full.CopyFrom(p) },
-		"PackHalo":                   func() { p.PackHalo(FaceXPlus, make([]float32, p.HaloLen(FaceXPlus))) },
-		"UnpackHalo":                 func() { p.UnpackHalo(FaceYMinus, make([]float32, p.HaloLen(FaceYMinus))) },
+		"PackHalo":   func() { p.PackHalo(FaceXPlus, make([]float32, p.HaloLen(FaceXPlus))) },
+		"UnpackHalo": func() { p.UnpackHalo(FaceYMinus, make([]float32, p.HaloLen(FaceYMinus))) },
 	} {
 		func() {
 			defer func() {
@@ -252,18 +245,16 @@ func TestProfileIsOneRowForEveryColumn(t *testing.T) {
 }
 
 // TestFrozenFieldRejectsWrites: every writing method panics on a frozen
-// field, reads and copies keep working, and a copy is writable again.
+// field, reads keep working, and a copy is writable again.
 func TestFrozenFieldRejectsWrites(t *testing.T) {
 	f := NewField(Dims{3, 3, 3}, 1)
 	f.Fill(2)
 	f.Freeze()
-	g := NewField(Dims{3, 3, 3}, 1)
 	writes := map[string]func(){
 		"Set":          func() { f.Set(1, 1, 1, 5) },
 		"Add":          func() { f.Add(1, 1, 1, 5) },
 		"Fill":         func() { f.Fill(5) },
 		"FillInterior": func() { f.FillInterior(5) },
-		"CopyFrom":     func() { f.CopyFrom(g) },
 		"UnpackHalo":   func() { f.UnpackHalo(FaceXMinus, make([]float32, f.HaloLen(FaceXMinus))) },
 	}
 	for name, w := range writes {
@@ -281,8 +272,6 @@ func TestFrozenFieldRejectsWrites(t *testing.T) {
 	}
 	c := f.Clone()
 	c.Set(1, 1, 1, 5)
-	g.CopyFrom(f)
-	g.Set(0, 0, 0, 1)
 }
 
 func TestPackUnpackHaloRoundTrip(t *testing.T) {

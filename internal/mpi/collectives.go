@@ -5,31 +5,8 @@ import "fmt"
 // Additional collectives used by the I/O and gather paths. All ranks must
 // call the same collective in the same order (standard MPI discipline).
 
-// bcastTag and gatherTag live in a reserved tag space far above the halo
-// exchange tags.
-const (
-	bcastTag  = 1 << 30
-	gatherTag = 1<<30 + 1
-)
-
-// Bcast distributes root's data to every rank; each rank returns its copy.
-// The root passes the payload, other ranks pass nil.
-func (r *Rank) Bcast(root int, data []float32) []float32 {
-	if root < 0 || root >= r.w.size {
-		panic(fmt.Sprintf("mpi: bcast root %d invalid", root))
-	}
-	if r.id == root {
-		for dst := 0; dst < r.w.size; dst++ {
-			if dst != root {
-				r.Send(dst, bcastTag, data)
-			}
-		}
-		cp := make([]float32, len(data))
-		copy(cp, data)
-		return cp
-	}
-	return r.Recv(root, bcastTag)
-}
+// gatherTag lives in a reserved tag space far above the halo exchange tags.
+const gatherTag = 1<<30 + 1
 
 // Gather collects each rank's data at root, indexed by rank. Non-root
 // ranks receive nil.

@@ -2,22 +2,6 @@ package mpi
 
 import "testing"
 
-func TestBcast(t *testing.T) {
-	w := NewWorld(5)
-	w.Run(func(r *Rank) {
-		var payload []float32
-		if r.ID() == 2 {
-			payload = []float32{7, 8, 9}
-		}
-		got := r.Bcast(2, payload)
-		if len(got) != 3 || got[0] != 7 || got[2] != 9 {
-			t.Errorf("rank %d bcast got %v", r.ID(), got)
-		}
-		// mutating the received copy must not affect others
-		got[0] = float32(r.ID())
-	})
-}
-
 func TestGather(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(r *Rank) {
@@ -38,15 +22,13 @@ func TestGather(t *testing.T) {
 }
 
 func TestCollectivesComposable(t *testing.T) {
-	// bcast + gather + allreduce back-to-back exercise tag separation
+	// gather + allreduce + gather back-to-back exercise tag separation
 	w := NewWorld(3)
 	w.Run(func(r *Rank) {
-		var seed []float32
-		if r.ID() == 0 {
-			seed = []float32{5}
+		if in := r.Gather(0, []float32{5}); r.ID() == 0 && (len(in) != 3 || in[2][0] != 5) {
+			t.Errorf("gather %v", in)
 		}
-		v := r.Bcast(0, seed)[0]
-		m := r.AllreduceMax(float64(v) * float64(r.ID()+1))
+		m := r.AllreduceMax(5 * float64(r.ID()+1))
 		if m != 15 {
 			t.Errorf("max %v", m)
 		}

@@ -28,7 +28,6 @@ type Trace struct {
 // Recorder samples station velocities every solver step.
 type Recorder struct {
 	Traces []*Trace
-	step   int
 }
 
 // NewRecorder creates a recorder for the given stations, whose traces are
@@ -49,15 +48,7 @@ func (r *Recorder) Record(wf *fd.Wavefield) {
 		tr.V = append(tr.V, wf.V.At(s.I, s.J, s.K))
 		tr.W = append(tr.W, wf.W.At(s.I, s.J, s.K))
 	}
-	r.step++
 }
-
-// StepsSeen returns the number of solver steps the recorder has consumed.
-func (r *Recorder) StepsSeen() int { return r.step }
-
-// SetStepsSeen overrides the consumed-step counter — used when resuming a
-// run from a checkpoint, whose resume state carries the count.
-func (r *Recorder) SetStepsSeen(n int) { r.step = n }
 
 // Trace returns the trace for the named station, or nil.
 func (r *Recorder) Trace(name string) *Trace {
