@@ -163,6 +163,14 @@ check-one:
 	@n=$$(grep -nE '\.state(, [a-z.]+)* =[^=]' internal/service/*.go | grep -v '_test\.go:' | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-one: internal/service assigns a job's state in $$n places, want exactly 1:"; \
 		grep -nE '\.state(, [a-z.]+)* =[^=]' internal/service/*.go | grep -v '_test\.go:'; exit 1; fi
+	@in=$$(awk '/^func /{f=$$0} /^}/{f=""} /runtime\.GOMAXPROCS\(/ {print FILENAME":"FNR": "(f ? f : $$0)}' \
+		$$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -v 'func effectiveTiles('); \
+	if [ -n "$$in" ]; then echo "check-one: internal/core reads GOMAXPROCS outside effectiveTiles (the walk's one derivation):"; \
+		echo "$$in"; exit 1; fi
+	@pat='\.Tiles\>(, *[A-Za-z_.]+)* *=[^=]|, *[A-Za-z_.]+\.Tiles *=[^=]|\<Tiles:'; \
+	n=$$(grep -nE "$$pat" internal/service/*.go | grep -v '_test\.go:' | wc -l); \
+	if [ "$$n" -ne 1 ]; then echo "check-one: internal/service assigns a job's Tiles in $$n places, want exactly 1 (the attempt's share):"; \
+		grep -nE "$$pat" internal/service/*.go | grep -v '_test\.go:'; exit 1; fi
 	@! grep -nE 'time\.(Now|After|AfterFunc|NewTicker|NewTimer|Since|Sleep)\(' internal/service/*.go internal/ensemble/*.go \
 		| grep -v '_test\.go:'
 	@n=$$(grep -nE '\.phases\[[^]]+\] =[^=]' internal/ensemble/*.go | grep -v '_test\.go:' | wc -l); \

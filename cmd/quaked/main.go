@@ -128,7 +128,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("quaked", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", ":8047", "listen address")
-		workers      = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		workers      = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); a job walks on at most GOMAXPROCS/workers cores")
 		queueSize    = fs.Int("queue", 0, "submission queue bound (0 = 4x workers)")
 		jobTimeout   = fs.Duration("job-timeout", 0, "default per-job deadline (0 = none)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max time to drain jobs on shutdown")

@@ -70,7 +70,7 @@ func run(args []string, w io.Writer) error {
 		qVsScaled = fs.Bool("q-vs", false, "Vs-scaled attenuation (Qs = 0.05 Vs)")
 		snapshots = fs.Int("snapshots", 0, "write a surface-velocity PGM every N steps (serial runs, needs -out)")
 		sunwaySim = fs.Bool("sunway", false, "report one step of the run's block on a simulated SW26010 core group (a rank's block under -parallel)")
-		tiles     = fs.Int("tiles", 0, "intra-rank workers walking the block's strips as a wavefront (-1 = auto from GOMAXPROCS, 0/1 = single-threaded; bit-identical results)")
+		tiles     = fs.Int("tiles", 0, "intra-rank workers walking the block's strips as a wavefront (0 = derived from the host and the block, the default; 1 = single-threaded; bit-identical results)")
 		overlap   = fs.Bool("overlap", false, "overlap interior compute with the velocity-halo exchange (bit-identical; -parallel runs only)")
 		progress  = fs.Bool("progress", false, "print step progress and ETA during the run")
 		timing    = fs.Bool("timing", false, "print the per-stage kernel timing breakdown after the run")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"swquake/internal/checkpoint"
@@ -55,7 +56,10 @@ var chainModes = []struct {
 	own bool
 	run func(t *testing.T, cfg Config) *Result
 }{
-	{"serial", false, func(t *testing.T, cfg Config) *Result { return runSerial(t, cfg) }},
+	{"serial", false, func(t *testing.T, cfg Config) *Result {
+		cfg.Tiles = 1
+		return runSerial(t, cfg)
+	}},
 	{"tiles=2", false, func(t *testing.T, cfg Config) *Result {
 		cfg.Tiles = 2
 		return runSerial(t, cfg)
@@ -255,14 +259,17 @@ func TestSkewedPassObservesStagesAsTwoPassDoes(t *testing.T) {
 // overlapped, SLS, compressed and core-group tallied alike — in 1-plane
 // slabs and strips of at most skewStripPoints cells, as many as the workers
 // share evenly, where it is larger than chainBlockPoints, as one slab where
-// it is not. What must see the finished velocity phase first
-// gets the velocity kernel over the whole block before the post; a rank
-// computes stresses before the wait only under Overlap, and then only in
-// its interior.
+// it is not. The serial cases say Tiles: 1; left 0, the block derives its
+// two workers under GOMAXPROCS 2 and walks in their strips. What must see
+// the finished velocity phase first gets the velocity kernel over the whole
+// block before the post; a rank computes stresses before the wait only
+// under Overlap, and then only in its interior.
 func TestWalkGeometryFollowsTheBlock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	big := chainConfig()
 	big.Dims = grid.Dims{Nx: 96, Ny: 64, Nz: 16} // twice chainBlockPoints and more: so is half of it
 	big.Sources = big.Sources[:1]
+	big.Tiles = 1
 	with := func(mut func(*Config)) Config {
 		c := big
 		mut(&c)
@@ -282,6 +289,7 @@ func TestWalkGeometryFollowsTheBlock(t *testing.T) {
 	}{
 		"lone block":            {big, strips, lone},
 		"tiles":                 {with(func(c *Config) { c.Tiles = 2 }), geometry{planes: 1, cols: 32}, lone},
+		"derived":               {with(func(c *Config) { c.Tiles = 0 }), geometry{planes: 1, cols: 32}, lone},
 		"overlap, no neighbour": {with(func(c *Config) { c.Overlap = true }), strips, lone},
 		"SLS":                   {with(func(c *Config) { c.Attenuation.UseSLS = true }), strips, lone},
 		"compressed":            {with(func(c *Config) { c.Compression = compress.Normalized }), strips, lone},

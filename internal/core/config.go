@@ -29,10 +29,9 @@ import (
 	"swquake/internal/telemetry"
 )
 
-// AutoTiles asks the engine to pick the worker count from GOMAXPROCS —
-// divided by the rank count under RunParallel so the workers of all ranks
-// together match the machine — and from the block size: a block too small
-// to repay the workers of a step runs single-threaded.
+// AutoTiles is another name for the zero Tiles: the engine derives the
+// walk's worker count from the host and the block (DerivedTiles on
+// GOMAXPROCS divided by the rank count).
 const AutoTiles = -1
 
 // SpongeAlpha is the Cerjan damping strength of the absorbing boundary.
@@ -155,12 +154,15 @@ type Config struct {
 	// wavefront) — the result, bit for bit, is unchanged. The block's strips
 	// are cut so that each worker gets as many; a count above the strips
 	// leaves the rest idle, and a block of at most 32768 cells is one strip,
-	// so one worker. 0 or 1 runs the stages single-threaded; AutoTiles uses
-	// GOMAXPROCS (divided by the rank count under RunParallel; fewer, down to
-	// one, on a block too small for workers to pay). Workers walk only while
-	// Run/RunParallel is stepping; a bare Step() is always single-threaded.
-	// Set-up does not read Tiles: it makes the block's arrays and samples
-	// its medium on grid.Workers goroutines at any setting.
+	// so one worker. 0 (or AutoTiles) derives the count from the host and
+	// the block, by the rule set-up shares its passes by: GOMAXPROCS divided
+	// by the rank count under RunParallel, fewer, down to one, on a block too
+	// small for workers to pay (DerivedTiles). 1 runs the stages
+	// single-threaded. Result.Perf.Workers reports what the run walked on.
+	// Workers walk only while Run/RunParallel is stepping; a bare Step() is
+	// always single-threaded. Set-up does not read Tiles: it makes the
+	// block's arrays and samples its medium on grid.Workers goroutines at any
+	// setting.
 	Tiles int
 
 	// Overlap hides velocity-halo latency under RunParallel: the ring of

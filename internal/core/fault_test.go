@@ -432,7 +432,7 @@ func TestStepEventCarriesTheMaxVelocity(t *testing.T) {
 	for _, g := range []geometry{{1 << 30, 1 << 30}, {1, 4}} {
 		restore := SetWalkGeometry(g.planes, g.cols)
 		for name, mut := range map[string]func(*Config){
-			"plain":      func(*Config) {},
+			"plain":      func(c *Config) { c.Tiles = 1 },
 			"tiles=3":    func(c *Config) { c.Tiles = 3 },
 			"compressed": func(c *Config) { c.Compression = compress.Normalized },
 		} {

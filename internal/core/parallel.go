@@ -190,6 +190,7 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 	}
 
 	res := &Result{Stages: telemetry.NewStageClock()}
+	workers := 0
 	merged := &seismo.Recorder{}
 	if cfg.RecordPGV {
 		res.PGV = seismo.NewPGVField(cfg.Dims.Nx, cfg.Dims.Ny, 0)
@@ -208,13 +209,14 @@ func runParallelOnce(ctx context.Context, cfg Config, pg *decomp.ProcessGrid, sr
 		}
 		res.YieldedPointSteps += sim.yielded
 		res.Stages.Merge(sim.stages)
+		workers += sim.walkers()
 	}
 	res.setCheckpoints(ckpts)
 	res.Recorder = merged
 	root := outs[0].sim
 	res.Dt = root.Cfg.Dt
 	res.Steps = root.step
-	res.Perf = cfg.perf(int64(res.Steps), root.ran, root.elapsed)
+	res.Perf = cfg.perf(int64(res.Steps), root.ran, root.elapsed, workers)
 	// halo traffic is analytic: HaloBytesPerStep matches the exchanged byte
 	// count exactly for the 9 dynamic fields (the optional CRC word is
 	// integrity overhead, not field traffic)

@@ -123,6 +123,7 @@ func TestParallelCompressedMatchesSerialCompressed(t *testing.T) {
 	// with two workers round-tripping their strips as a wavefront
 	cfg := heterogeneousConfig()
 	cfg.Compression = compress.Normalized
+	cfg.Tiles = 1 // the reference walks on one worker
 
 	serialSim, err := New(cfg)
 	if err != nil {

@@ -73,7 +73,7 @@ func TestRankedParametersMatchFullFields(t *testing.T) {
 			name string
 			mut  func(t *testing.T, cfg *Config)
 		}{
-			{"serial", func(*testing.T, *Config) {}},
+			{"serial", func(_ *testing.T, c *Config) { c.Tiles = 1 }},
 			{"tiles=2", func(_ *testing.T, c *Config) { c.Tiles = 2 }},
 			{"restarted mid-run", func(t *testing.T, c *Config) {
 				first := *c

@@ -35,15 +35,21 @@ type Perf struct {
 	// per-step phases (decomp.ProcessGrid.HaloBytesPerStep summed over the
 	// ranks, times Steps). Zero for serial runs.
 	HaloBytes int64
+	// Workers is how many workers walked the run's strips: each block's
+	// resolved tile count (at most one a strip), summed over the blocks —
+	// ranks × tiles. The same configuration derives more of them on a larger
+	// host, so a rate compares across hosts only beside it.
+	Workers int
 	// points and flops are one step's grid points and counted operations.
 	points, flops int64
 }
 
 // perf is the accounting of a run of c, the run's whole-domain
 // configuration, that reached step steps with a loop that advanced ran of
-// them in elapsed: velocity and stress on every point, plasticity on every
-// point of a nonlinear run, and the sponge on the cells it damps.
-func (c Config) perf(steps, ran int64, elapsed time.Duration) Perf {
+// them in elapsed, its blocks walked by workers workers in all: velocity and
+// stress on every point, plasticity on every point of a nonlinear run, and
+// the sponge on the cells it damps.
+func (c Config) perf(steps, ran int64, elapsed time.Duration, workers int) Perf {
 	pts := c.Dims.Points()
 	flops := pts * (fd.VelocityFlopsPerPoint + fd.StressFlopsPerPoint)
 	if c.Nonlinear {
@@ -52,7 +58,7 @@ func (c Config) perf(steps, ran int64, elapsed time.Duration) Perf {
 	if c.SpongeWidth > 0 {
 		flops += c.dampedPoints() * fd.SpongeFlopsPerPoint
 	}
-	return Perf{Steps: steps, Ran: ran, Elapsed: elapsed, points: pts, flops: flops}
+	return Perf{Steps: steps, Ran: ran, Elapsed: elapsed, Workers: workers, points: pts, flops: flops}
 }
 
 // dampedPoints is how many cells of the run's domain the sponge damps (the
@@ -134,6 +140,6 @@ func (p Perf) PointsPerSecond() float64 {
 }
 
 func (p Perf) String() string {
-	return fmt.Sprintf("%d steps, %.3g flops, %.2f Gflops sustained, %.1f Mpoints/s",
-		p.Steps, float64(p.Flops()), p.Gflops(), p.PointsPerSecond()/1e6)
+	return fmt.Sprintf("%d steps, %.3g flops, %.2f Gflops sustained, %.1f Mpoints/s (walk workers: %d)",
+		p.Steps, float64(p.Flops()), p.Gflops(), p.PointsPerSecond()/1e6, p.Workers)
 }

@@ -256,6 +256,17 @@ func (s *Simulator) geometry(w int) geometry {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
+// strips is how many strips of columns the block's walk in g cuts.
+func (s *Simulator) strips(g geometry) int {
+	return ceilDiv(s.Cfg.Dims.Ny, cmp.Or(g.cols, s.Cfg.Dims.Ny))
+}
+
+// walkers is how many workers walk the block's strips while a run steps:
+// the resolved tile count, at most one a strip.
+func (s *Simulator) walkers() int {
+	return min(s.tiles, s.strips(s.geometry(s.tiles)))
+}
+
 // walk runs one pass over the block's strips (geometry). With W workers —
 // the run's, at most one a strip — strip k goes to worker k mod W and the
 // workers walk their strips at once, as a wavefront: strip k enters a plane
@@ -271,7 +282,7 @@ func (s *Simulator) walk(p pass, dtdx float32, sw *telemetry.Stopwatch) {
 	}
 	w := max(1, s.workers)
 	g := s.geometry(w)
-	strips := ceilDiv(s.Cfg.Dims.Ny, cmp.Or(g.cols, s.Cfg.Dims.Ny))
+	strips := s.strips(g)
 	w = min(w, strips)
 	var f front
 	if w > 1 {

@@ -245,8 +245,8 @@ func (s *Simulator) setUp(codecs []compress.Codec) error {
 		s.comp = &compressedState{codecs: codecs}
 		s.comp.roundTrip(s.WF, allFields, padded(cfg.Dims), s.scratchFor(1)[0].codes)
 	}
-	// AutoTiles resolves against the rank count, so the tiles of all ranks
-	// together match GOMAXPROCS
+	// a derived count resolves against the rank count, so the tiles of all
+	// ranks together match GOMAXPROCS
 	s.tiles = effectiveTiles(cfg.Tiles, s.pg.Size(), cfg.Dims.Points())
 	s.planWalks()
 	return nil
@@ -311,7 +311,7 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 	if err == nil {
 		res = &Result{Recorder: s.rec, PGV: s.pgv, Dt: s.Cfg.Dt, Sim: s, Steps: s.step,
 			YieldedPointSteps: s.yielded, Stages: s.stages,
-			Perf: s.Cfg.perf(int64(s.step), s.ran, s.elapsed)}
+			Perf: s.Cfg.perf(int64(s.step), s.ran, s.elapsed, s.walkers())}
 	}
 	// however the run ended, its last dump lands before the caller hears of
 	// it: a canceled or failed run restarts from there

@@ -34,19 +34,24 @@ func (f front) wait(k int, n int64) (waited bool) {
 }
 
 // effectiveTiles resolves Config.Tiles for a block of `points` cells in a
-// run spread over `ranks` simulated MPI ranks: AutoTiles becomes
-// GOMAXPROCS/ranks, less where that would leave a worker under
-// grid.MinWorkerPoints cells; explicit counts pass through; anything below 1
-// means single-threaded.
+// run spread over `ranks` simulated MPI ranks: an explicit count passes
+// through; 0 (AutoTiles alike) is derived, on GOMAXPROCS/ranks of the host's
+// cores (DerivedTiles).
 func effectiveTiles(cfgTiles, ranks int, points int64) int {
-	t := cfgTiles
-	if t == AutoTiles {
-		t = int(min(int64(runtime.GOMAXPROCS(0)/ranks), points/grid.MinWorkerPoints))
+	if cfgTiles > 0 {
+		return cfgTiles
 	}
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return DerivedTiles(runtime.GOMAXPROCS(0)/ranks, points)
+}
+
+// DerivedTiles is the walk's worker count for a block of `points` cells on
+// `cores` of the host's cores: the rule set-up shares its passes by
+// (grid.Workers: no worker under grid.MinWorkerPoints cells), at most cores
+// and never below one. A run derives it on GOMAXPROCS divided by its rank
+// count; a service running several jobs at once derives each job's on the
+// job's share of the cores.
+func DerivedTiles(cores int, points int64) int {
+	return max(1, min(cores, grid.Workers(points)))
 }
 
 // startTiling spreads the simulator's walks over its workers for the

@@ -66,6 +66,7 @@ func requireIdenticalResults(t *testing.T, label string, ref, got *Result, cfg C
 // wavefront and the Start/Finish exchange are data-race free.
 func TestTiledAndOverlappedMatchSerial(t *testing.T) {
 	base := fullPhysicsConfig()
+	base.Tiles = 1 // the reference walks on one worker
 	refSim, err := New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +138,7 @@ func TestNonlinearQTiledAndRanksMatchSerial(t *testing.T) {
 	base := fullPhysicsConfig()
 	base.Attenuation = AttenuationConfig{Enabled: true, F0: 3, Qp: 60, Qs: 30}
 	base.Plasticity = PlasticityConfig{Cohesion: 1e3, FrictionAngle: 30 * math.Pi / 180}
+	base.Tiles = 1 // the reference walks on one worker
 	refSim, err := New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -190,31 +192,65 @@ func TestTilesOverlapValidation(t *testing.T) {
 	}
 }
 
+// TestEffectiveTiles: 1 is single-threaded, explicit counts pass through,
+// and 0 — AutoTiles alike — is derived: GOMAXPROCS per rank on a large
+// block, never below one, fewer on a small block.
 func TestEffectiveTiles(t *testing.T) {
 	const big = 1 << 30 // cells: no floor in play
+	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
 		cfg, ranks int
 		points     int64
 		want       int
 	}{
-		{0, 1, big, 1},
 		{1, 1, big, 1},
+		{1, 4, 100, 1},
 		{6, 1, big, 6},
 		{6, 4, big, 6}, // explicit counts are per rank, not divided
 		{6, 1, 100, 6}, // ... and not subject to the floor
+		{0, 1, big, procs},
+		{AutoTiles, 1, big, procs},
+		{0, 1 << 20, big, 1}, // more ranks than cores
+		{0, 1, 100, 1},       // a block too small for a second worker
+		{0, 1, 2 * grid.MinWorkerPoints, min(procs, 2)}, // two workers' worth
 	}
 	for _, c := range cases {
 		if got := effectiveTiles(c.cfg, c.ranks, c.points); got != c.want {
 			t.Errorf("effectiveTiles(%d, %d, %d) = %d, want %d", c.cfg, c.ranks, c.points, got, c.want)
 		}
 	}
-	// AutoTiles: at least 1, and never more than GOMAXPROCS per rank
-	if got := effectiveTiles(AutoTiles, 1, big); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("auto tiles %d on a huge block, GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+}
+
+// TestDerivedTilesWalkEveryCore: under GOMAXPROCS 2, a default Config — Tiles
+// left 0 — on a block of two workers' worth of cells resolves to two
+// workers, both walk, the result says so, and traces and PGV are bit-equal
+// to a Tiles: 1 run, which walks on one; on 2x1 ranks each rank derives
+// one, and the result counts both.
+func TestDerivedTilesWalkEveryCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := chainConfig()
+	cfg.Dims = grid.Dims{Nx: 64, Ny: 64, Nz: 16} // 2 × grid.MinWorkerPoints
+	cfg.Steps = 12
+	if cfg.Tiles != 0 || cfg.Dims.Points() < 2*grid.MinWorkerPoints {
+		t.Fatalf("Tiles %d on %v cells: not a derived two-worker block", cfg.Tiles, cfg.Dims.Points())
 	}
-	if got := effectiveTiles(AutoTiles, 1<<20, big); got != 1 {
-		t.Fatalf("auto tiles with huge rank count = %d, want 1", got)
+	serial := cfg
+	serial.Tiles = 1
+	ref := runSerial(t, serial)
+	got := runSerial(t, cfg)
+	if got.Sim.tiles != 2 || workersWalked(got) != 2 || got.Perf.Workers != 2 {
+		t.Fatalf("derived: %d tiles, %d walked, Perf.Workers %d; want 2 of each",
+			got.Sim.tiles, workersWalked(got), got.Perf.Workers)
 	}
+	if workersWalked(ref) != 1 || ref.Perf.Workers != 1 {
+		t.Fatalf("Tiles 1: %d walked, Perf.Workers %d; want 1", workersWalked(ref), ref.Perf.Workers)
+	}
+	requireIdenticalResults(t, "derived vs Tiles 1", ref, got, cfg)
+	// two ranks share the two cores: one worker each, two in all
+	if got = runRanks(t, cfg); got.Perf.Workers != 2 {
+		t.Fatalf("2x1 ranks: Perf.Workers %d, want 2", got.Perf.Workers)
+	}
+	requireIdenticalResults(t, "2x1 ranks, derived", ref, got, cfg)
 }
 
 // TestAutoTilesLeavesSmallBlocksSerial: the grid every service job uses
@@ -247,14 +283,16 @@ func TestAutoTilesLeavesSmallBlocksSerial(t *testing.T) {
 }
 
 // TestWavefrontMatchesSerial: two, three and seven workers (one a strip,
-// the seventh idle) walking a block of six strips finish — with one P,
-// where a waiting worker must yield to the one it waits on, and with four —
-// and leave every field as one worker does, bit for bit, ghost layers
-// included, with the same traces, PGV map and counters.
+// the seventh idle and not counted in Perf.Workers) walking a block of six
+// strips finish — with one P, where a waiting worker must yield to the one
+// it waits on, and with four — and leave every field as one worker does,
+// bit for bit, ghost layers included, with the same traces, PGV map and
+// counters.
 func TestWavefrontMatchesSerial(t *testing.T) {
 	defer SetWalkGeometry(1, 4)()
 	cfg := chainConfig()
 	cfg.Steps = 12
+	cfg.Tiles = 1 // the reference walks on one worker
 	if n := cfg.Dims.Ny / 4; n != 6 {
 		t.Fatalf("the block has %d strips, want 6", n)
 	}
@@ -267,8 +305,8 @@ func TestWavefrontMatchesSerial(t *testing.T) {
 			got := runSerial(t, c)
 			label := fmt.Sprintf("GOMAXPROCS %d, %d workers", procs, w)
 			requireIdenticalResults(t, label, ref, got, c)
-			if n := workersWalked(got); n != min(w, 6) {
-				t.Fatalf("%s: %d workers walked the strips", label, n)
+			if n := workersWalked(got); n != min(w, 6) || got.Perf.Workers != n {
+				t.Fatalf("%s: %d workers walked the strips, Perf.Workers says %d", label, n, got.Perf.Workers)
 			}
 			for f, want := range ref.Sim.WF.AllFields() {
 				if _, same := cputest.SameBits(want.Data, got.Sim.WF.AllFields()[f].Data); !same {

@@ -28,6 +28,7 @@ func TestEngineIsBitIdenticalOnBothKernelPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base.Tiles = 1 // the reference walks on one worker
 	job, err := scenario.Build("quickstart", scenario.Overrides{Steps: 40, HetAmplitude: 0.05, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -34,6 +34,9 @@ type RunManifest struct {
 	YieldedPointSteps int64   `json:"yielded_point_steps"`
 	Flops             int64   `json:"flops"`
 	SustainedGflops   float64 `json:"sustained_gflops"`
+	// Workers is how many workers walked the run's strips, ranks × tiles
+	// (core.Perf.Workers): the rates above depend on it.
+	Workers int `json:"workers"`
 
 	// Stages is the per-stage wall-time breakdown of the run (the Fig. 7
 	// kernel accounting): name, observation count, total/min/max seconds
@@ -68,6 +71,7 @@ func New(cfg core.Config, res *core.Result) RunManifest {
 		YieldedPointSteps: res.YieldedPointSteps,
 		Flops:             res.Perf.Flops(),
 		SustainedGflops:   res.Perf.Gflops(),
+		Workers:           res.Perf.Workers,
 		Stages:            res.Stages.Report().Stages,
 	}
 	for _, tr := range res.Recorder.Traces {

@@ -9,7 +9,10 @@ import "fmt"
 const gatherTag = 1<<30 + 1
 
 // Gather collects each rank's data at root, indexed by rank. Non-root
-// ranks receive nil.
+// ranks receive nil. It hands the parts over instead of copying them (Send):
+// every rank gives up its data with the call — it must not touch it again —
+// and root's result holds the very slices the ranks passed in, its own
+// included.
 func (r *Rank) Gather(root int, data []float32) [][]float32 {
 	if root < 0 || root >= r.w.size {
 		panic(fmt.Sprintf("mpi: gather root %d invalid", root))
@@ -19,9 +22,7 @@ func (r *Rank) Gather(root int, data []float32) [][]float32 {
 		return nil
 	}
 	out := make([][]float32, r.w.size)
-	cp := make([]float32, len(data))
-	copy(cp, data)
-	out[root] = cp
+	out[root] = data
 	for src := 0; src < r.w.size; src++ {
 		if src != root {
 			out[src] = r.Recv(src, gatherTag)

@@ -4,7 +4,8 @@
 // and collectives synchronize through a shared reduction cell. The API is a
 // deliberately small MPI subset: Send/Recv, non-blocking IsendOwned/Irecv
 // (which is what lets the solver overlap halo communication with interior
-// computation, the overlap AWP-ODC is known for) and Allreduce — plus
+// computation, the overlap AWP-ODC is known for; a send of either kind
+// hands its slice over, uncopied), Gather and Allreduce — plus
 // MPI_Abort-style world poisoning (Rank.Abort) and deadline-bounded waits
 // (Request.WaitWithin), the substrate of the engine's fault containment, and
 // CRC32 frame sealing (SealCRC/OpenCRC) for halo integrity checks.
@@ -142,22 +143,17 @@ func (w *World) checkAbortLocked() {
 	}
 }
 
-// Send delivers a copy of data to dst with the given tag. It blocks only if
-// the (src,dst) queue is full.
+// Send hands data to dst with the given tag, as IsendOwned does but
+// blocking: no copy is made, the receiver gets the very slice, and the
+// sender must not touch it after the call. It blocks only while the
+// (src,dst) queue is full, and panics with the *AbortError if the world
+// aborts meanwhile.
 func (r *Rank) Send(dst, tag int, data []float32) {
 	if dst < 0 || dst >= r.w.size {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
-	cp := make([]float32, len(data))
-	copy(cp, data)
-	r.send(dst, message{tag: tag, data: cp})
-}
-
-// send enqueues a message, abandoning the attempt if the world aborts while
-// the queue is full.
-func (r *Rank) send(dst int, m message) {
 	select {
-	case r.w.queues[r.id*r.w.size+dst] <- m:
+	case r.w.queues[r.id*r.w.size+dst] <- message{tag: tag, data: data}:
 	case <-r.w.aborted:
 		r.w.abortPanic()
 	}
@@ -225,15 +221,14 @@ func (q *Request) WaitWithin(d time.Duration) ([]float32, bool) {
 	}
 }
 
-// IsendOwned starts a non-blocking send WITHOUT the defensive copy Send
-// makes: ownership of the slice transfers to the receiver, which sees the
-// very backing array the sender filled (the channel hand-off establishes the
-// happens-before edge that makes the transfer race-free). The sender must
-// not touch data after the call — not even while the returned Request is
-// pending: the transfer goroutine reads the slice header only, never the
-// elements, so there is no window in which the sender may still use them.
-// The halo path uses this with recycled pack buffers to keep the
-// steady-state exchange allocation-free.
+// IsendOwned starts a non-blocking Send: ownership of the slice transfers
+// to the receiver, which sees the very backing array the sender filled (the
+// channel hand-off establishes the happens-before edge that makes the
+// transfer race-free). The sender must not touch data after the call — not
+// even while the returned Request is pending: the transfer goroutine reads
+// the slice header only, never the elements, so there is no window in which
+// the sender may still use them. The halo path uses this with recycled pack
+// buffers to keep the steady-state exchange allocation-free.
 func (r *Rank) IsendOwned(dst, tag int, data []float32) *Request {
 	if dst < 0 || dst >= r.w.size {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))

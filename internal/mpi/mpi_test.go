@@ -19,18 +19,25 @@ func TestSendRecvPair(t *testing.T) {
 	})
 }
 
-func TestSendCopiesData(t *testing.T) {
+// TestSendHandsDataOver: Send makes no copy — the receiver gets the very
+// backing array the sender filled — and Gather hands over every part, root's
+// own included.
+func TestSendHandsDataOver(t *testing.T) {
 	w := NewWorld(2)
+	sent := make([][]float32, 2)
 	w.Run(func(r *Rank) {
+		buf := []float32{float32(r.ID())}
+		sent[r.ID()] = buf
 		if r.ID() == 0 {
-			buf := []float32{5}
 			r.Send(1, 0, buf)
-			buf[0] = 99 // mutation after send must not reach the receiver
-			r.AllreduceMax(0)
-		} else {
-			r.AllreduceMax(0)
-			if got := r.Recv(0, 0); got[0] != 5 {
-				t.Errorf("send did not copy: %v", got)
+		} else if got := r.Recv(0, 0); &got[0] != &sent[0][0] {
+			t.Error("Send copied the slice it hands over")
+		}
+		if out := r.Gather(1, buf); r.ID() == 1 {
+			for id, part := range out {
+				if &part[0] != &sent[id][0] {
+					t.Errorf("Gather copied rank %d's part", id)
+				}
 			}
 		}
 	})

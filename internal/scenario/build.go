@@ -22,7 +22,8 @@ type Overrides struct {
 	// QVsScaled enables Vs-scaled attenuation (takes precedence over Qs).
 	QVsScaled bool `json:"q_vs,omitempty"`
 	// Tiles sets how many workers walk the strips of a rank's block at once
-	// (core.Config.Tiles; -1 picks from GOMAXPROCS; at most maxTiles).
+	// (core.Config.Tiles; 0, or -1, derives the count from the host and the
+	// block; 1 is single-threaded; at most maxTiles).
 	// Execution detail only: results are bit-identical at any count.
 	Tiles int `json:"tiles,omitempty"`
 	// Overlap enables the communication-hiding pipeline variant

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"math"
 	"os"
+	"runtime"
 
 	"swquake/internal/admission"
 	"swquake/internal/checkpoint"
@@ -86,6 +87,14 @@ func (s *Service) prepare(j *job, restartFrom string) (context.Context, core.Con
 
 	cfg := j.req.Config
 	cfg.Tracer, cfg.TraceTID = s.tracer, tid // the engine's per-step spans land on this job's track
+	if cfg.Tiles <= 0 {
+		// a job left to derive its tiles derives them on its share of the
+		// cores, so the pool's jobs together never walk more workers than
+		// GOMAXPROCS
+		ranks := max(1, j.req.MX) * max(1, j.req.MY)
+		share := runtime.GOMAXPROCS(0) / s.opts.Workers
+		cfg.Tiles = core.DerivedTiles(share/ranks, cfg.Dims.Points()/int64(ranks))
+	}
 	// requests that configure their own engine resilience win, everything
 	// else inherits the daemon's policy
 	cfg.StepDeadline = cmp.Or(cfg.StepDeadline, s.opts.StepDeadline)

@@ -97,7 +97,10 @@ type Request struct {
 
 // Options configures a Service.
 type Options struct {
-	// Workers is the worker-pool size; <= 0 uses runtime.GOMAXPROCS(0).
+	// Workers is the worker-pool size; <= 0 uses runtime.GOMAXPROCS(0). A
+	// job that leaves its tiles unset derives its walk workers on its share
+	// of the cores, GOMAXPROCS/Workers: one with the default pool, every
+	// core with a pool of one.
 	Workers int
 	// QueueSize bounds the submission queue; <= 0 uses 4*Workers.
 	QueueSize int

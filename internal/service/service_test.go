@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"swquake/internal/core"
 	"swquake/internal/grid"
 	"swquake/internal/model"
+	"swquake/internal/scenario"
 	"swquake/internal/seismo"
 	"swquake/internal/source"
 )
@@ -476,5 +478,35 @@ func TestJobsListing(t *testing.T) {
 	// newest first
 	if jobs[0].ID != "job-000003" || jobs[2].ID != "job-000001" {
 		t.Fatalf("listing order wrong: %s ... %s", jobs[0].ID, jobs[2].ID)
+	}
+}
+
+// TestJobsShareTheCores: a job that leaves its tiles unset derives its walk
+// workers on its share of the cores, GOMAXPROCS over the pool's size. With
+// the default pool a 95 232-cell tangshan job walks on one worker, as every
+// job of a full pool must; alone in a one-worker pool it walks on every
+// core.
+func TestJobsShareTheCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sp := &JobSpec{Scenario: "tangshan", Overrides: scenario.Overrides{Nx: 62, Ny: 64, Nz: 24, Steps: 3}}
+	for _, tc := range []struct {
+		pool, want int
+	}{{0, 1}, {1, 2}} {
+		s := New(Options{Workers: tc.pool})
+		id := submitSpec(t, s, sp)
+		if st, err := s.Wait(context.Background(), id); err != nil || st.State != StateDone {
+			t.Fatalf("pool %d: %v, %+v", tc.pool, err, st)
+		}
+		res, err := s.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := res.Manifest.Dims; d.Points() != 95232 {
+			t.Fatalf("the job's grid is %v", d)
+		}
+		if res.Manifest.Workers != tc.want {
+			t.Errorf("pool of %d: the job walked on %d workers, want %d", tc.pool, res.Manifest.Workers, tc.want)
+		}
+		drain(t, s)
 	}
 }
