@@ -123,7 +123,13 @@ check-bce:
 # one way: non-test internal/core holds exactly one Checkpoint.MaybeSave(
 # call (block 0's, in Simulator.checkpoint, the whole-domain block's too),
 # and no non-test file under internal/ names MaybeSaveAux or declares a
-# Bcast (a dump's status reaches the blocks through peers.agree)
+# Bcast (a dump's status reaches the blocks through peers.agree). And the
+# engine's fixed behaviour has no knob: no non-test Go under internal/ or
+# cmd/ names HaloCRC, TraceTID or DivergenceLimit or declares a -halo-crc or
+# -divergence-limit flag (every halo frame is sealed; divergence has one
+# bound), and non-test internal/core names no telemetry.Tracer (a job's
+# step spans and fault instants are the service's, drawn from the observer
+# and the fault hook)
 KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
@@ -187,6 +193,8 @@ check-one:
 	if [ "$$n" -ne 1 ]; then echo "check-one: internal/core holds $$n Checkpoint.MaybeSave( calls, want exactly 1:"; \
 		grep -n 'Checkpoint\.MaybeSave(' internal/core/*.go | grep -v '_test\.go:'; exit 1; fi
 	@! grep -rnE --include='*.go' 'MaybeSaveAux|func (\([^)]*\) )?Bcast\(' internal/ | grep -v '_test\.go:'
+	@! grep -rnE --include='*.go' 'HaloCRC|TraceTID|DivergenceLimit|"(halo-crc|divergence-limit)"' internal/ cmd/ | grep -v '_test\.go:'
+	@! grep -nF 'telemetry.Tracer' internal/core/*.go | grep -v '_test\.go:'
 	@entries=$$(grep -h '^TEXT ' internal/fd/*.s internal/plasticity/*.s internal/grid/*.s); \
 	n=$$(echo "$$entries" | grep -c 'PlaneAVX2(SB)'); all=$$(echo "$$entries" | grep -c .); \
 	if [ "$$n" -ne $(KERNEL_ENTRIES) ] || [ "$$all" -ne $(KERNEL_ENTRIES) ]; then \
@@ -267,8 +275,8 @@ crash-test:
 chaos-test:
 	$(GO) test -race -count=1 ./internal/mpi/
 	$(GO) test -race -count=1 ./internal/core/ -run \
-		'TestDiverged|TestConfigurableDivergence|TestHaloCRC|TestHaloCorruption|TestStalledRank|TestRankPanic|TestInRunRecovery|TestRecoveryWithout'
-	$(GO) test -race -count=1 ./internal/service/ -run 'TestEngineFault|TestParallelDurable'
+		'TestDiverged|TestNaNVelocityIsDivergence|TestHaloCorruption|TestStalledRank|TestRankPanic|TestInRunRecovery|TestRecoveryWithout'
+	$(GO) test -race -count=1 ./internal/service/ -run 'TestEngineFault|TestParallelDurable|TestTraceStepSpansSurviveARewind'
 	$(GO) test -race -count=1 ./cmd/quakesim/ -run 'TestRunFaultDrill|TestRunRejectsBadFaultSpec'
 
 # the overload drill under the race detector (DESIGN.md §3.8): a daemon at

@@ -76,12 +76,14 @@
 // checkpoint writes — are retried with capped exponential backoff up to
 // -max-attempts; a diverged run or one past its own deadline fails at once.
 //
-// Engine resilience flags: -halo-crc seals parallel halo exchanges with
-// CRC32 frames, -step-deadline arms the stalled-rank watchdog, and
-// -engine-retries lets the parallel engine heal halo-corruption, stall and
-// rank-panic faults in-run by rewinding to the newest valid checkpoint —
-// without burning a job-level attempt. Faults surface as
-// swquake_engine_faults_total{kind} and swquake_engine_recoveries_total.
+// Engine resilience: every parallel halo exchange is sealed with a CRC32
+// frame, so in-flight corruption is always detected; -step-deadline arms
+// the stalled-rank watchdog, and -engine-retries lets the parallel engine
+// heal halo-corruption, stall and rank-panic faults in-run by rewinding to
+// the newest valid checkpoint — without burning a job-level attempt.
+// Faults surface as swquake_engine_faults_total{kind} and
+// swquake_engine_recoveries_total, and under -trace as engine_fault
+// instants on the job's track.
 //
 // Overload protection (README "Surviving overload", DESIGN.md §3.8):
 // -mem-budget admits jobs against a global working-set budget priced by
@@ -139,7 +141,6 @@ func run(args []string) error {
 		faults     = fs.String("faults", "", "fault-injection spec, e.g. 'checkpoint/corrupt:times=1;rank/stall:delay=2s' (testing only)")
 
 		stepDeadline  = fs.Duration("step-deadline", 0, "parallel-engine watchdog: fail a halo exchange waiting longer than this as a stalled rank (0 = off)")
-		haloCRC       = fs.Bool("halo-crc", false, "CRC32-frame parallel halo exchanges so in-flight corruption is detected")
 		engineRetries = fs.Int("engine-retries", 0, "in-run recovery budget: engine faults healed by rewinding to the newest valid checkpoint (0 = off)")
 
 		memBudget        = fs.String("mem-budget", "", "admission memory budget, e.g. 2GiB or 512MB: jobs whose estimated working set would exceed it wait; jobs that can never fit are rejected with 413 (empty = unlimited)")
@@ -201,7 +202,6 @@ func run(args []string) error {
 		CheckpointEvery:  *ckptEvery,
 		MaxAttempts:      *maxAttempt,
 		StepDeadline:     *stepDeadline,
-		HaloCRC:          *haloCRC,
 		EngineRetries:    *engineRetries,
 		MemBudget:        budgetBytes,
 		SubmitRate:       *submitRate,

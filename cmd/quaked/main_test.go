@@ -280,14 +280,15 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPRejectsUnboundedTiles: a job asking for more tiles than
-// scenario.Build allows — each tile a worker goroutine, which admission does
-// not price — is a 400 with an error body, never a queued job. The count
-// just above the bound goes first, so a daemon without the bound fails the
-// test on a job it can run, before being asked for ten million goroutines.
+// TestHTTPRejectsUnboundedTiles: the daemon chooses a job's walk workers
+// from its share of the cores — each a goroutine, which admission does not
+// price — so a job asking for any tile count is a 400 with an error body
+// naming the field, never a queued job. The small count goes first, so a
+// daemon that took the field fails the test on a job it can run, before
+// being asked for ten million goroutines.
 func TestHTTPRejectsUnboundedTiles(t *testing.T) {
 	ts, _ := newTestServer(t, service.Options{Workers: 1})
-	for _, tiles := range []int{257, 10_000_000} {
+	for _, tiles := range []int{2, 10_000_000} {
 		var body map[string]any
 		req := fmt.Sprintf(`{"scenario":"quickstart","overrides":{"steps":1,"tiles":%d}}`, tiles)
 		if code := doJSON(t, "POST", ts.URL+"/v1/jobs", req, &body); code != http.StatusBadRequest {

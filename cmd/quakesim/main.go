@@ -63,7 +63,7 @@ func run(args []string, w io.Writer) error {
 		comp      = fs.String("compress", "off", "compression: off, half, adaptive, normalized")
 		parallel  = fs.String("parallel", "", "process grid MXxMY, e.g. 2x2 (simulated MPI)")
 		ckptEvery = fs.Int("checkpoint-every", 0, "write an LZ4 checkpoint every N steps")
-		restart   = fs.String("restart", "", "resume from a checkpoint file (-steps stays the TOTAL count)")
+		restart   = fs.String("restart", "", "resume from a checkpoint file (-steps stays the TOTAL count; a -compress run resumes bit-exactly only under the -steps of the run that wrote the dump)")
 		outDir    = fs.String("out", "", "directory for CSV traces and PGM maps")
 		modelPath = fs.String("model", "", "SWVM velocity-model file (see cmd/mkmodel)")
 		qs        = fs.Float64("qs", 0, "constant Qs attenuation (Qp = 2 Qs); 0 = elastic")
@@ -76,9 +76,7 @@ func run(args []string, w io.Writer) error {
 		timing    = fs.Bool("timing", false, "print the per-stage kernel timing breakdown after the run")
 
 		stepDeadline = fs.Duration("step-deadline", 0, "parallel watchdog: fail a halo exchange waiting longer than this as a stalled rank (0 = off)")
-		haloCRC      = fs.Bool("halo-crc", false, "CRC32-frame parallel halo exchanges so in-flight corruption is detected (bit-identical results)")
 		faultRetries = fs.Int("fault-retries", 0, "in-run recovery budget for a -parallel run's engine faults: rewind to the newest valid checkpoint and resume (0 = off)")
-		divLimit     = fs.Float64("divergence-limit", 0, "max |velocity| in m/s before the run is declared diverged (0 = 1e6)")
 		faults       = fs.String("faults", "", "fault-injection spec for resilience drills, e.g. 'halo/corrupt:times=1;rank/stall:delay=2s' (testing only)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -91,9 +89,8 @@ func run(args []string, w io.Writer) error {
 	if *sunwaySim && *comp != "off" {
 		return fmt.Errorf("-sunway takes uncompressed runs only, not -compress %s", *comp)
 	}
-	// a serial run has no halo to frame, time out or overlap and no rank to
-	// heal
-	for _, name := range []string{"fault-retries", "step-deadline", "halo-crc", "overlap"} {
+	// a serial run has no halo to time out or overlap and no rank to heal
+	for _, name := range []string{"fault-retries", "step-deadline", "overlap"} {
 		if f := fs.Lookup(name); *parallel == "" && f.Value.String() != f.DefValue {
 			return fmt.Errorf("-%s takes -parallel runs only (one block: -parallel 1x1)", name)
 		}
@@ -102,7 +99,7 @@ func run(args []string, w io.Writer) error {
 	cfg, err := buildConfig(*scen, scenario.Overrides{
 		Nx: *nx, Ny: *ny, Nz: *nz, Dx: *dx, Steps: *steps,
 		Nonlinear: *nonlinear, Qs: *qs, QVsScaled: *qVsScaled,
-		Tiles: *tiles, Overlap: *overlap,
+		Overlap: *overlap,
 	})
 	if err != nil {
 		return err
@@ -115,10 +112,9 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "using velocity model %s (%s)\n", *modelPath, g)
 		cfg.Model = g
 	}
+	cfg.Tiles = *tiles
 	cfg.StepDeadline = *stepDeadline
-	cfg.HaloCRC = *haloCRC
 	cfg.MaxFaultRetries = *faultRetries
-	cfg.DivergenceLimit = *divLimit
 	if *faults != "" {
 		if err := faultinject.EnableSpec(*faults); err != nil {
 			return err

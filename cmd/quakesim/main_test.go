@@ -158,13 +158,13 @@ func TestRunRefusesSnapshotsOnRanks(t *testing.T) {
 	}
 }
 
-// TestRunRefusesRankFlagsWithoutRanks: the fault budget, the step deadline,
-// the halo CRC and the overlapped halo exchange act on the ranks of a
+// TestRunRefusesRankFlagsWithoutRanks: the fault budget, the step deadline
+// and the overlapped halo exchange act on the ranks of a
 // -parallel run alone, so a serial run asked for any of them is refused,
 // naming the flag and the one-block grid that has them, before it runs a
 // step or writes a file.
 func TestRunRefusesRankFlagsWithoutRanks(t *testing.T) {
-	for _, flag := range [][]string{{"-fault-retries", "2"}, {"-step-deadline", "1s"}, {"-halo-crc"}, {"-overlap"}} {
+	for _, flag := range [][]string{{"-fault-retries", "2"}, {"-step-deadline", "1s"}, {"-overlap"}} {
 		dir := t.TempDir()
 		var buf bytes.Buffer
 		args := append([]string{"-scenario", "quickstart", "-steps", "20", "-checkpoint-every", "10", "-out", dir}, flag...)
@@ -179,14 +179,15 @@ func TestRunRefusesRankFlagsWithoutRanks(t *testing.T) {
 }
 
 // TestRunFaultDrillRecovers drives the self-healing engine from the CLI:
-// an injected halo corruption under -halo-crc with a -fault-retries budget
-// and checkpoints on disk must recover in-run and report the recovery.
+// an injected halo corruption (every frame is sealed) with a -fault-retries
+// budget and checkpoints on disk must recover in-run and report the
+// recovery.
 func TestRunFaultDrillRecovers(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
 	var buf bytes.Buffer
 	err := run([]string{"-scenario", "quickstart", "-steps", "40",
-		"-parallel", "2x1", "-halo-crc", "-fault-retries", "3",
+		"-parallel", "2x1", "-fault-retries", "3",
 		"-checkpoint-every", "15", "-out", dir,
 		"-faults", "halo/corrupt:times=1,skip=80"}, &buf)
 	if err != nil {

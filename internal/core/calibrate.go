@@ -40,7 +40,6 @@ func calibrate(cfg Config) ([]compress.Codec, error) {
 	coarse.Checkpoint = nil
 	coarse.RestartFrom = ""
 	coarse.Observer = nil
-	coarse.Tracer = nil
 	coarse.OnFault = nil
 	coarse.RecordPGV = false
 	coarse.Stations = nil

@@ -26,7 +26,6 @@ import (
 	"swquake/internal/model"
 	"swquake/internal/seismo"
 	"swquake/internal/source"
-	"swquake/internal/telemetry"
 )
 
 // AutoTiles is another name for the zero Tiles: the engine derives the
@@ -132,21 +131,16 @@ type Config struct {
 	// before stepping: Run restores the global wavefield, RunParallel has
 	// every rank extract its block (plus halos) from the global dump.
 	// Steps is then the TOTAL step count of the simulation, so a run
-	// checkpointed at step N performs Steps-N further steps.
+	// checkpointed at step N performs Steps-N further steps. A compressed
+	// run resumes bit-exactly only under the Steps of the run that wrote
+	// the dump: its codecs are calibrated on a coarse run of Steps/2 steps
+	// (at least 4), so another total calibrates other codecs.
 	RestartFrom string
 
 	// Observer, when non-nil, is invoked after every completed step (rank 0
 	// only under RunParallel) — the one progress mechanism shared by the
 	// CLI, the job service and any other driver of the engine.
 	Observer StepObserver
-
-	// Tracer, when non-nil, receives one span per completed step (rank 0
-	// only under RunParallel) in Chrome trace-event form — what quaked's
-	// -trace flag plumbs down so a job's steps appear on its track in
-	// Perfetto. TraceTID selects the track (the job service uses the job's
-	// sequence number).
-	Tracer   *telemetry.Tracer
-	TraceTID int
 
 	// Tiles sets the intra-rank parallelism of the kernel stages: how many
 	// workers walk the strips of each walk of the step at once, strip k on
@@ -173,17 +167,6 @@ type Config struct {
 	// bit-identical by construction (DESIGN.md §3.5). No effect on serial
 	// runs: a lone block has no ring and no shell, and walks whole either way.
 	Overlap bool
-
-	// DivergenceLimit is the max |v| (m/s) beyond which the solution is
-	// declared diverged, on both the serial and parallel paths; 0 uses
-	// DefaultDivergenceLimit. NaN and ±Inf always count as diverged.
-	DivergenceLimit float64
-
-	// HaloCRC seals every packed halo buffer with a trailing CRC32 word
-	// (mpi.SealCRC) and verifies it at the receiver, so a frame corrupted
-	// in flight aborts the step collectively as an EngineFault instead of
-	// silently propagating garbage into the stencils. RunParallel only.
-	HaloCRC bool
 
 	// StepDeadline bounds every halo-exchange wait under RunParallel: a
 	// receive still pending after this long is diagnosed as a stalled
@@ -254,9 +237,6 @@ func (c *Config) Validate() error {
 		if s.I < 0 || s.I >= c.Dims.Nx || s.J < 0 || s.J >= c.Dims.Ny || s.K < 0 || s.K >= c.Dims.Nz {
 			return fmt.Errorf("core: station %q outside grid", s.Name)
 		}
-	}
-	if !(c.DivergenceLimit >= 0) || math.IsInf(c.DivergenceLimit, 1) { // NaN too: it never compares true
-		return fmt.Errorf("core: divergence limit %g is not a finite value >= 0", c.DivergenceLimit)
 	}
 	if c.StepDeadline < 0 {
 		return fmt.Errorf("core: negative step deadline")

@@ -69,10 +69,10 @@ type FaultEvent struct {
 	Err error
 }
 
-// DefaultDivergenceLimit is the velocity magnitude (m/s) beyond which a
-// solution is declared diverged when Config.DivergenceLimit is zero. Any
-// physical ground velocity is orders of magnitude below it.
-const DefaultDivergenceLimit = 1e6
+// divergenceBound is the velocity magnitude (m/s) beyond which a solution
+// is declared diverged. Any physical ground velocity is orders of magnitude
+// below it.
+const divergenceBound = 1e6
 
 // ErrDiverged is what a run that tripped the divergence predicate returns
 // (wrapped, with the step and the magnitude): the same configuration
@@ -80,12 +80,9 @@ const DefaultDivergenceLimit = 1e6
 var ErrDiverged = errors.New("diverged")
 
 // diverged is the one divergence predicate shared by the serial and
-// parallel paths: NaN, ±Inf, or a magnitude beyond the configured limit.
-// The parallel path maps NaN to +Inf before its AllreduceMax so the
-// verdict stays collective; +Inf is diverged here either way.
-func diverged(m, limit float64) bool {
-	if limit <= 0 {
-		limit = DefaultDivergenceLimit
-	}
-	return math.IsNaN(m) || math.IsInf(m, 0) || m > limit
+// parallel paths: NaN, ±Inf, or a magnitude beyond divergenceBound. The
+// parallel path maps NaN to +Inf before its AllreduceMax so the verdict
+// stays collective; +Inf is diverged here either way.
+func diverged(m float64) bool {
+	return math.IsNaN(m) || math.IsInf(m, 0) || m > divergenceBound
 }

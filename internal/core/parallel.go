@@ -110,15 +110,8 @@ func RunParallelCtx(ctx context.Context, cfg Config, mx, my int) (*Result, error
 	}
 }
 
-// emitFault reports one fault event to the tracer and the OnFault hook.
+// emitFault reports one fault event to the OnFault hook.
 func emitFault(cfg *Config, ev FaultEvent) {
-	if cfg.Tracer != nil {
-		cfg.Tracer.Instant(0, cfg.TraceTID, "engine", "engine_fault", timeNow(), map[string]any{
-			"kind": string(ev.Kind), "rank": ev.Rank, "step": ev.Step,
-			"attempt": ev.Attempt, "recovered": ev.Recovered, "resume_step": ev.ResumeStep,
-			"err": fmt.Sprint(ev.Err),
-		})
-	}
 	if cfg.OnFault != nil {
 		cfg.OnFault(ev)
 	}
@@ -261,7 +254,7 @@ type rankOut struct {
 // checkpoint, and step it through the one loop (Simulator.run).
 func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Config, srcs []source.PointSource, codecs []compress.Codec, out *rankOut) {
 	p := peers{
-		ex:     &haloExchanger{r: r, pg: pg, crc: cfg.HaloCRC, deadline: cfg.StepDeadline},
+		ex:     &haloExchanger{r: r, pg: pg, deadline: cfg.StepDeadline},
 		allMax: r.AllreduceMax,
 		gather: func(part []float32) [][]float32 { return r.Gather(0, part) },
 	}
@@ -386,9 +379,9 @@ func assembleGlobalResume(parts [][]float32, sim *Simulator) ([]byte, error) {
 // Each neighbour pair trades one buffer each way per face per phase, so the
 // flow is balanced and the steady-state exchange allocates nothing.
 //
-// With crc set, every frame carries one extra CRC32 word (mpi.SealCRC) and
-// the receiver verifies it before unpacking; with a deadline set, every
-// receive wait is bounded. Either violation panics a typed *EngineFault,
+// Every frame carries one extra CRC32 word (mpi.SealCRC) and the receiver
+// verifies it before unpacking; with a deadline set, every receive wait is
+// bounded. Either violation panics a typed *EngineFault,
 // which the rank's containment handler turns into a collective unwind —
 // that panic, not a return value, is why the Exchanger interface needs no
 // error plumbing.
@@ -398,7 +391,6 @@ func assembleGlobalResume(parts [][]float32, sim *Simulator) ([]byte, error) {
 type haloExchanger struct {
 	r        *mpi.Rank
 	pg       *decomp.ProcessGrid
-	crc      bool
 	deadline time.Duration
 	step     int // current step, for fault attribution
 	bufs     bufCache
@@ -457,8 +449,8 @@ func (h *haloExchanger) finishPhase(p *pendingPhase) {
 }
 
 // postRound packs and posts the non-blocking sends and receives for one
-// direction pair. Under crc the frame is one word longer than the payload
-// and sealed after packing; the halo/corrupt failpoint flips a payload bit
+// direction pair. The frame is one word longer than the payload and sealed
+// after packing; the halo/corrupt failpoint flips a payload bit
 // AFTER the seal — exactly the in-flight corruption the check exists to
 // catch — and halo/delay holds the send back to exercise the watchdog.
 func (h *haloExchanger) postRound(fields []*grid.Field, minus, plus grid.Face, tag int) ([]*mpi.Request, []pendingRecv) {
@@ -470,17 +462,11 @@ func (h *haloExchanger) postRound(fields []*grid.Field, minus, plus grid.Face, t
 			continue
 		}
 		n := haloLen(fields, face)
-		frame := n
-		if h.crc {
-			frame = n + 1
-		}
-		buf := h.bufs.get(frame)
+		buf := h.bufs.get(n + 1)
 		packFields(fields, face, buf[:n])
-		if h.crc {
-			mpi.SealCRC(buf)
-			if faultinject.Fire(faultinject.HaloCorrupt) && n > 0 {
-				buf[0] = math.Float32frombits(math.Float32bits(buf[0]) ^ 1)
-			}
+		mpi.SealCRC(buf)
+		if faultinject.Fire(faultinject.HaloCorrupt) && n > 0 {
+			buf[0] = math.Float32frombits(math.Float32bits(buf[0]) ^ 1)
 		}
 		faultinject.Fire(faultinject.HaloDelay) // sleeps the configured Delay
 		sends = append(sends, h.r.IsendOwned(nb, tag, buf))
@@ -500,13 +486,9 @@ func (h *haloExchanger) completeRound(fields []*grid.Field, sends []*mpi.Request
 			panic(&EngineFault{Kind: FaultStall, Step: h.step,
 				Err: fmt.Errorf("halo receive exceeded the %v step deadline", h.deadline)})
 		}
-		payload := data
-		if h.crc {
-			var err error
-			payload, err = mpi.OpenCRC(data)
-			if err != nil {
-				panic(&EngineFault{Kind: FaultHaloCorrupt, Step: h.step, Err: err})
-			}
+		payload, err := mpi.OpenCRC(data)
+		if err != nil {
+			panic(&EngineFault{Kind: FaultHaloCorrupt, Step: h.step, Err: err})
 		}
 		unpackFields(fields, p.face, payload)
 		h.bufs.put(data)

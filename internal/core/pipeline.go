@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"sync"
-	"time"
 
 	"swquake/internal/fd"
 	"swquake/internal/grid"
@@ -63,24 +62,15 @@ func (NoExchange) FinishStress(*fd.Wavefield, int)   {}
 
 // Step advances one full time step through the pipeline — which also takes
 // the block's max |v| and folds the PGV peaks — then runs the post-step
-// stages: step/time bookkeeping and station recording. When Cfg.Tracer is
-// set, the whole step is also emitted as one trace span on the configured
-// track. Outside Run there are no workers: a bare Step is single-threaded.
+// stages: step/time bookkeeping and station recording. Outside Run there
+// are no workers: a bare Step is single-threaded.
 func (s *Simulator) Step() {
-	var t0 time.Time
-	if s.Cfg.Tracer != nil {
-		t0 = timeNow()
-	}
 	s.stepPipeline(s.peers.ex)
 	s.step++
 	s.simTime += s.Cfg.Dt
 	sw := s.stages.Stopwatch()
 	s.rec.Record(s.WF)
 	sw.Lap(telemetry.StageRecord)
-	if s.Cfg.Tracer != nil {
-		s.Cfg.Tracer.Span(0, s.Cfg.TraceTID, "engine", "step", t0, timeNow().Sub(t0),
-			map[string]any{"step": s.step, "sim_time_s": s.simTime})
-	}
 }
 
 // pass is what one walk covers, as lists of disjoint non-empty boxes: where

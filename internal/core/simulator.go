@@ -176,10 +176,9 @@ func newBlock(cfg Config, pg *decomp.ProcessGrid, id int, srcs []source.PointSou
 		s.Cfg.Stations = append(s.Cfg.Stations,
 			seismo.Station{Name: st.Name, I: st.I - i0, J: st.J - j0, K: st.K})
 	}
-	// progress and step spans are reported once, not once per block
+	// progress is reported once, not once per block
 	if id != 0 {
 		s.Cfg.Observer = nil
-		s.Cfg.Tracer = nil
 	}
 
 	if err := p.agree(s.setUp(codecs)); err != nil {
@@ -367,7 +366,7 @@ func (s *Simulator) run(ctx context.Context) error {
 		m = s.peers.allMax(m)
 		sw.Lap(telemetry.StageDivergence)
 		s.observe(start, m)
-		if diverged(m, s.Cfg.DivergenceLimit) {
+		if diverged(m) {
 			return fmt.Errorf("solution %w at step %d (max |v| = %g)", ErrDiverged, s.step, m)
 		}
 		sw = s.stages.Stopwatch()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"swquake/internal/compress"
@@ -88,96 +86,27 @@ func TestParallelStageMerge(t *testing.T) {
 	}
 }
 
-// TestEngineStepSpans checks the per-step tracer hook: a traced run emits
-// one "X" span per step on the configured track, and the trace parses.
-func TestEngineStepSpans(t *testing.T) {
-	var buf bytes.Buffer
-	tr := telemetry.NewTracer(&buf)
-	cfg := baseConfig()
-	cfg.Steps = 8
-	cfg.Tracer = tr
-	cfg.TraceTID = 7
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("trace unparseable: %v", err)
-	}
-	steps := 0
-	for _, ev := range events {
-		if ev["name"] == "step" && ev["ph"] == "X" {
-			steps++
-			if ev["tid"] != float64(7) {
-				t.Fatalf("step span on wrong track: %v", ev)
-			}
-		}
-	}
-	if steps != cfg.Steps {
-		t.Fatalf("traced %d step spans, want %d", steps, cfg.Steps)
-	}
-}
-
 // TestCalibrationReportsToNobody: the coarse run a compressed run calibrates
-// on is not the run. A compressed New with a tracer and an observer records
-// no span and reports no step before Run; a compressed RunParallel traces
-// and observes its own steps alone.
+// on is not the run. A compressed New with an observer reports no step
+// before Run; a compressed RunParallel observes its own steps alone.
 func TestCalibrationReportsToNobody(t *testing.T) {
-	traced := func(cfg *Config, steps *int) (events func() []map[string]any) {
-		var buf bytes.Buffer
-		tr := telemetry.NewTracer(&buf)
-		cfg.Compression = compress.Normalized
-		cfg.Tracer = tr
-		cfg.Observer = func(StepEvent) { *steps++ }
-		return func() []map[string]any {
-			if err := tr.Close(); err != nil {
-				t.Fatal(err)
-			}
-			var all, evs []map[string]any
-			if err := json.Unmarshal(buf.Bytes(), &all); err != nil {
-				t.Fatalf("trace unparseable: %v", err)
-			}
-			for _, ev := range all {
-				if ev["ph"] != "M" { // Close's own trace_end
-					evs = append(evs, ev)
-				}
-			}
-			return evs
-		}
-	}
-
 	cfg := baseConfig()
+	cfg.Compression = compress.Normalized
 	observed := 0
-	events := traced(&cfg, &observed)
+	cfg.Observer = func(StepEvent) { observed++ }
 	if _, err := New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if evs := events(); len(evs) != 0 || observed != 0 {
-		t.Fatalf("New traced %d events and observed %d steps before Run: %v", len(evs), observed, evs)
+	if observed != 0 {
+		t.Fatalf("New observed %d steps before Run", observed)
 	}
 
-	cfg = baseConfig()
 	cfg.Steps = 8
-	observed = 0
-	events = traced(&cfg, &observed)
 	if _, err := RunParallel(cfg, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	spans := 0
-	for _, ev := range events() {
-		if ev["name"] == "step" {
-			spans++
-		}
-	}
-	if spans != cfg.Steps || observed != cfg.Steps {
-		t.Fatalf("%d steps traced and %d observed, want the run's %d", spans, observed, cfg.Steps)
+	if observed != cfg.Steps {
+		t.Fatalf("%d steps observed, want the run's %d", observed, cfg.Steps)
 	}
 }
 

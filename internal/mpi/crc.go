@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"unsafe"
 )
 
 // CRC framing for message payloads: one trailing float32 word carries the
@@ -19,33 +20,12 @@ import (
 // ErrFrameCorrupt is wrapped by every OpenCRC checksum failure.
 var ErrFrameCorrupt = errors.New("mpi: frame checksum mismatch")
 
-// crcWords is how many payload words are staged per Update call, keeping
-// the byte-conversion scratch small while amortizing the table lookups.
-const crcWords = 512
-
-var crcTable = crc32.MakeTable(crc32.IEEE)
-
-// ChecksumPayload computes the IEEE CRC32 over the little-endian bit
-// patterns of the payload words.
+// ChecksumPayload computes the IEEE CRC32 over the payload words' bytes
+// where they lie in memory, with no staging copy. Seal and open run in one
+// process, so the value only has to agree with itself; on a little-endian
+// host it is the CRC32 of the words' little-endian bit patterns.
 func ChecksumPayload(p []float32) uint32 {
-	var scratch [crcWords * 4]byte
-	crc := uint32(0)
-	for len(p) > 0 {
-		n := len(p)
-		if n > crcWords {
-			n = crcWords
-		}
-		for i, v := range p[:n] {
-			bits := math.Float32bits(v)
-			scratch[i*4] = byte(bits)
-			scratch[i*4+1] = byte(bits >> 8)
-			scratch[i*4+2] = byte(bits >> 16)
-			scratch[i*4+3] = byte(bits >> 24)
-		}
-		crc = crc32.Update(crc, crcTable, scratch[:n*4])
-		p = p[n:]
-	}
-	return crc
+	return crc32.ChecksumIEEE(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p))), 4*len(p)))
 }
 
 // SealCRC frames buf in place: the last word is overwritten with the CRC32

@@ -19,7 +19,7 @@ func TestCRCRoundTrip(t *testing.T) {
 		math.MaxFloat32, -math.MaxFloat32,
 	}
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 2, 7, crcWords - 1, crcWords, crcWords + 1, 3 * crcWords} {
+	for _, n := range []int{0, 1, 2, 7, 511, 512, 513, 1536} {
 		payload := make([]float32, n)
 		for i := range payload {
 			if i < len(specials) {
@@ -44,6 +44,19 @@ func TestCRCRoundTrip(t *testing.T) {
 					n, i, math.Float32bits(got[i]), math.Float32bits(payload[i]))
 			}
 		}
+	}
+}
+
+// TestCRCPinnedValue pins the checksum of a fixed payload: hashing the
+// words where they lie in memory gives the value the byte-staging form
+// gave on a little-endian host.
+func TestCRCPinnedValue(t *testing.T) {
+	p := make([]float32, 1000)
+	for i := range p {
+		p[i] = math.Float32frombits(uint32(i) * 2654435761)
+	}
+	if got := ChecksumPayload(p); got != 0xfe6cc25a {
+		t.Fatalf("checksum %08x, want fe6cc25a", got)
 	}
 }
 

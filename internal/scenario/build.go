@@ -21,11 +21,6 @@ type Overrides struct {
 	Qs float64 `json:"qs,omitempty"`
 	// QVsScaled enables Vs-scaled attenuation (takes precedence over Qs).
 	QVsScaled bool `json:"q_vs,omitempty"`
-	// Tiles sets how many workers walk the strips of a rank's block at once
-	// (core.Config.Tiles; 0, or -1, derives the count from the host and the
-	// block; 1 is single-threaded; at most maxTiles).
-	// Execution detail only: results are bit-identical at any count.
-	Tiles int `json:"tiles,omitempty"`
 	// Overlap enables the communication-hiding pipeline variant
 	// (core.Config.Overlap). Bit-identical too; matters for parallel runs.
 	Overlap bool `json:"overlap,omitempty"`
@@ -43,13 +38,6 @@ type Overrides struct {
 	// two members of a seed sweep never collide in the result cache.
 	Seed int64 `json:"seed,omitempty"`
 }
-
-// maxTiles bounds Overrides.Tiles: the engine starts a worker goroutine per
-// tile, up to one a strip of the block, which admission does not price. A
-// constant, not the host's core count, so whether a config is accepted (and
-// its cache identity) does not depend on the machine; no host this engine
-// runs on has more cores.
-const maxTiles = 256
 
 // Names lists the scenarios Build accepts.
 func Names() []string { return []string{"quickstart", "tangshan"} }
@@ -106,12 +94,6 @@ func Build(name string, o Overrides) (core.Config, error) {
 		cfg.Attenuation = core.AttenuationConfig{Enabled: true, VsScaled: true, Factor: 0.05, F0: 2}
 	case o.Qs > 0:
 		cfg.Attenuation = core.AttenuationConfig{Enabled: true, Qp: 2 * o.Qs, Qs: o.Qs, F0: 2}
-	}
-	if o.Tiles > maxTiles {
-		return cfg, fmt.Errorf("scenario: %d tiles is above the bound of %d (each tile is a worker goroutine)", o.Tiles, maxTiles)
-	}
-	if o.Tiles != 0 {
-		cfg.Tiles = o.Tiles
 	}
 	if o.Overlap {
 		cfg.Overlap = true

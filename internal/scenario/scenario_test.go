@@ -178,24 +178,6 @@ func TestBuildCorrLenOverride(t *testing.T) {
 	}
 }
 
-// TestBuildBoundsTiles: a tile count above maxTiles is refused — it would
-// start that many worker goroutines, which admission does not price — and
-// the bound itself, AutoTiles and 0 are accepted.
-func TestBuildBoundsTiles(t *testing.T) {
-	for _, n := range []int{maxTiles + 1, 10_000_000} {
-		if _, err := Build("quickstart", Overrides{Tiles: n}); err == nil {
-			t.Fatalf("%d tiles accepted", n)
-		}
-	}
-	for _, n := range []int{maxTiles, core.AutoTiles, 0} {
-		if cfg, err := Build("quickstart", Overrides{Tiles: n}); err != nil {
-			t.Fatalf("%d tiles refused: %v", n, err)
-		} else if n != 0 && cfg.Tiles != n {
-			t.Fatalf("%d tiles built a config of %d", n, cfg.Tiles)
-		}
-	}
-}
-
 func TestBuildSeedWithoutAmplitudeRejected(t *testing.T) {
 	if _, err := Build("quickstart", Overrides{Seed: 3}); err == nil {
 		t.Fatal("seed without het_amplitude accepted (silent no-op)")

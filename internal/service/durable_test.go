@@ -14,6 +14,7 @@ import (
 	"swquake/internal/core"
 	"swquake/internal/faultinject"
 	"swquake/internal/scenario"
+	"swquake/internal/source"
 	"swquake/internal/wal"
 )
 
@@ -550,7 +551,11 @@ func TestDeterministicFailuresAreNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diverging.Config.DivergenceLimit = 1e-30
+	// a moment beyond float32's range injects infinite stresses: the run
+	// reaches NaN or ±Inf, so every attempt would diverge
+	for i := range diverging.Config.Sources {
+		diverging.Config.Sources[i].M = source.MomentTensor{Mxx: 1e39, Myy: 1e39, Mzz: 1e39}
+	}
 	overdue, err := quickSpec(200000).Request()
 	if err != nil {
 		t.Fatal(err)
@@ -578,5 +583,27 @@ func TestDeterministicFailuresAreNotRetried(t *testing.T) {
 			t.Errorf("%s: attempt %d, %d retried: a deterministic failure was retried", tc.wantErr, st.Attempt, m.Retried)
 		}
 		drain(t, s)
+	}
+}
+
+// TestJournaledTilesStillReplay: a spec journaled when specs carried a tile
+// count still replays — the journal's decoder ignores the field, and the
+// recovered job walks on its share of the cores like any other.
+func TestJournaledTilesStillReplay(t *testing.T) {
+	dir := t.TempDir()
+	line := `{"event":"submitted","job":"job-000001","spec":{"scenario":"quickstart","overrides":{"steps":5,"tiles":8}}}` + "\n"
+	if err := os.WriteFile(journalPath(dir), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	st, err := s.Wait(ctx, "job-000001")
+	if err != nil || st.State != StateDone || st.StepsDone != 5 {
+		t.Fatalf("replayed job: %+v, %v; want it done after 5 steps", st, err)
 	}
 }

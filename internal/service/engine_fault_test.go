@@ -18,7 +18,7 @@ import (
 // recovery both land in the metrics, including the per-kind breakdown.
 func TestEngineFaultRecoveredInRun(t *testing.T) {
 	defer faultinject.Reset()
-	s := New(Options{Workers: 1, HaloCRC: true, EngineRetries: 3})
+	s := New(Options{Workers: 1, EngineRetries: 3})
 	defer drain(t, s)
 
 	// 2x1 grid: 4 halo/corrupt evaluations per step; fire once mid-run
@@ -65,7 +65,7 @@ func TestParallelDurableJobCheckpointsAndJournalsFaults(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{
 		Workers: 1, DataDir: dir, CheckpointEvery: 10,
-		HaloCRC: true, EngineRetries: 3,
+		EngineRetries: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"time"
 
 	"swquake/internal/admission"
 	"swquake/internal/checkpoint"
@@ -86,24 +87,24 @@ func (s *Service) prepare(j *job, restartFrom string) (context.Context, core.Con
 	progress()
 
 	cfg := j.req.Config
-	cfg.Tracer, cfg.TraceTID = s.tracer, tid // the engine's per-step spans land on this job's track
-	if cfg.Tiles <= 0 {
-		// a job left to derive its tiles derives them on its share of the
-		// cores, so the pool's jobs together never walk more workers than
-		// GOMAXPROCS
-		ranks := max(1, j.req.MX) * max(1, j.req.MY)
-		share := runtime.GOMAXPROCS(0) / s.opts.Workers
-		cfg.Tiles = core.DerivedTiles(share/ranks, cfg.Dims.Points()/int64(ranks))
-	}
+	// every job walks on its share of the cores, whatever its request says,
+	// so the pool's jobs together never walk more workers than GOMAXPROCS
+	ranks := max(1, j.req.MX) * max(1, j.req.MY)
+	share := runtime.GOMAXPROCS(0) / s.opts.Workers
+	cfg.Tiles = core.DerivedTiles(share/ranks, cfg.Dims.Points()/int64(ranks))
 	// requests that configure their own engine resilience win, everything
 	// else inherits the daemon's policy
 	cfg.StepDeadline = cmp.Or(cfg.StepDeadline, s.opts.StepDeadline)
-	cfg.HaloCRC = cfg.HaloCRC || s.opts.HaloCRC
 	cfg.MaxFaultRetries = cmp.Or(cfg.MaxFaultRetries, s.opts.EngineRetries)
 	// engine faults (recovered or not) feed the per-kind counters, the
-	// journal and the job log; a recovery is the engine healing itself
-	// without burning a job-level attempt
+	// journal, the job log and the job's trace track; a recovery is the
+	// engine healing itself without burning a job-level attempt
 	cfg.OnFault = func(ev core.FaultEvent) {
+		s.tracer.Instant(0, tid, "engine", "engine_fault", s.clk.Now(), map[string]any{
+			"kind": string(ev.Kind), "rank": ev.Rank, "step": ev.Step,
+			"attempt": ev.Attempt, "recovered": ev.Recovered, "resume_step": ev.ResumeStep,
+			"err": fmt.Sprint(ev.Err),
+		})
 		s.m.engineFaults.Add(string(ev.Kind), 1)
 		if ev.Recovered {
 			s.m.engineRecoveries.Add(1)
@@ -119,7 +120,21 @@ func (s *Service) prepare(j *job, restartFrom string) (context.Context, core.Con
 		ctl = &checkpoint.Controller{Dir: dir, Interval: s.opts.CheckpointEvery, Keep: checkpointKeep}
 		cfg.Checkpoint, cfg.RestartFrom = ctl, restartFrom
 	}
+	// each step is a span on the job's track, dated by the engine's own
+	// stepping clock: base is when the engine attempt began stepping, and a
+	// Wall below the last one is a new engine attempt after an in-run
+	// rewind, which begins again there
+	var base time.Time
+	var lastWall time.Duration
 	cfg.Observer = func(ev core.StepEvent) {
+		if s.tracer != nil {
+			if base.IsZero() || ev.Wall < lastWall {
+				base, lastWall = s.clk.Now().Add(-ev.Wall), 0
+			}
+			s.tracer.Span(0, tid, "engine", "step", base.Add(lastWall), ev.Wall-lastWall,
+				map[string]any{"step": ev.Step, "sim_time_s": ev.SimTime})
+			lastWall = ev.Wall
+		}
 		j.stepsDone.Store(int64(ev.Step))
 		j.simTime.Store(math.Float64bits(ev.SimTime))
 		if v := ev.MaxVelocity; !math.IsInf(v, 0) && !math.IsNaN(v) {

@@ -76,7 +76,9 @@ func (s State) Terminal() bool {
 
 // Request describes one simulation job.
 type Request struct {
-	// Config is the full solver configuration (validated on Submit).
+	// Config is the full solver configuration (validated on Submit). Its
+	// Tiles is not the request's to choose: the daemon sets the walk's
+	// workers from the job's share of the cores.
 	Config core.Config
 	// MX, MY select the simulated-MPI process grid; both <= 1 runs the
 	// serial engine. Results are numerically identical either way, but
@@ -97,10 +99,10 @@ type Request struct {
 
 // Options configures a Service.
 type Options struct {
-	// Workers is the worker-pool size; <= 0 uses runtime.GOMAXPROCS(0). A
-	// job that leaves its tiles unset derives its walk workers on its share
-	// of the cores, GOMAXPROCS/Workers: one with the default pool, every
-	// core with a pool of one.
+	// Workers is the worker-pool size; <= 0 uses runtime.GOMAXPROCS(0).
+	// Every job derives its walk workers on its share of the cores,
+	// GOMAXPROCS/Workers: one with the default pool, every core with a pool
+	// of one.
 	Workers int
 	// QueueSize bounds the submission queue; <= 0 uses 4*Workers.
 	QueueSize int
@@ -127,10 +129,6 @@ type Options struct {
 	// waiting longer than this fails the step as a diagnosed stall instead
 	// of hanging the worker (0 = no watchdog).
 	StepDeadline time.Duration
-	// HaloCRC turns on CRC32 framing of halo exchanges for parallel jobs
-	// that don't set Config.HaloCRC themselves, so in-flight corruption is
-	// detected instead of silently absorbed into the wavefield.
-	HaloCRC bool
 	// EngineRetries is the in-run fault-recovery budget handed to parallel
 	// jobs that don't set Config.MaxFaultRetries themselves: how many times
 	// the engine may rewind to its newest valid checkpoint and resume
@@ -170,8 +168,9 @@ type Options struct {
 	// Tracer, when set, records the job lifecycle as Chrome trace events:
 	// a "queued" span from submission to worker pickup, a "running" span
 	// per attempt, and instants for checkpoints and retries. Each job gets
-	// its own track (tid = job sequence number), and the engine's per-step
-	// spans land on the same track.
+	// its own track (tid = job sequence number), and each engine step
+	// (drawn from the step observer) and engine fault lands on the same
+	// track.
 	Tracer *telemetry.Tracer
 }
 

@@ -481,19 +481,27 @@ func TestJobsListing(t *testing.T) {
 	}
 }
 
-// TestJobsShareTheCores: a job that leaves its tiles unset derives its walk
-// workers on its share of the cores, GOMAXPROCS over the pool's size. With
-// the default pool a 95 232-cell tangshan job walks on one worker, as every
-// job of a full pool must; alone in a one-worker pool it walks on every
-// core.
+// TestJobsShareTheCores: every job derives its walk workers on its share of
+// the cores, GOMAXPROCS over the pool's size. With the default pool a
+// 95 232-cell tangshan job walks on one worker, as every job of a full pool
+// must, even one whose request asks for eight; alone in a one-worker pool
+// it walks on every core.
 func TestJobsShareTheCores(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	sp := &JobSpec{Scenario: "tangshan", Overrides: scenario.Overrides{Nx: 62, Ny: 64, Nz: 24, Steps: 3}}
 	for _, tc := range []struct {
-		pool, want int
-	}{{0, 1}, {1, 2}} {
+		pool, tiles, want int
+	}{{0, 0, 1}, {0, 8, 1}, {1, 0, 2}} {
+		req, err := sp.Request()
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Config.Tiles = tc.tiles
 		s := New(Options{Workers: tc.pool})
-		id := submitSpec(t, s, sp)
+		id, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if st, err := s.Wait(context.Background(), id); err != nil || st.State != StateDone {
 			t.Fatalf("pool %d: %v, %+v", tc.pool, err, st)
 		}
@@ -505,7 +513,8 @@ func TestJobsShareTheCores(t *testing.T) {
 			t.Fatalf("the job's grid is %v", d)
 		}
 		if res.Manifest.Workers != tc.want {
-			t.Errorf("pool of %d: the job walked on %d workers, want %d", tc.pool, res.Manifest.Workers, tc.want)
+			t.Errorf("pool of %d, %d tiles asked: the job walked on %d workers, want %d",
+				tc.pool, tc.tiles, res.Manifest.Workers, tc.want)
 		}
 		drain(t, s)
 	}

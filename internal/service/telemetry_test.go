@@ -2,11 +2,15 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"swquake/internal/core"
+	"swquake/internal/faultinject"
 	"swquake/internal/telemetry"
 )
 
@@ -166,5 +170,77 @@ func TestTraceConcurrentJobs(t *testing.T) {
 			t.Errorf("track %s: queued=%d running=%d steps=%d, want 1/1/%d",
 				id, tk.queued, tk.running, tk.steps, steps)
 		}
+	}
+}
+
+// TestTraceStepSpansSurviveARewind: a traced 2x1 job whose engine heals one
+// halo corruption in-run draws the fault as one engine_fault instant on the
+// job's track, and its step spans as a sequence that never runs backwards:
+// each span takes time, starts where the span before it ended, and the
+// spans after the fault start after it — the rewound attempt's clock begins
+// again at zero, and its spans with it.
+func TestTraceStepSpansSurviveARewind(t *testing.T) {
+	defer faultinject.Reset()
+	var out syncBuffer
+	tr := telemetry.NewTracer(&out)
+	s := New(Options{Workers: 1, EngineRetries: 3, Tracer: tr})
+	// 2x1 grid: 4 halo/corrupt evaluations per step; fire once mid-run
+	faultinject.Enable(faultinject.HaloCorrupt, faultinject.Fault{Times: 1, Skip: 4 * 10})
+	const steps = 30
+	id, err := s.Submit(Request{Config: tinyConfig(steps), MX: 2, MY: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, id, StateDone)
+	drain(t, s)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var events []map[string]any
+	if err := json.Unmarshal([]byte(out.String()), &events); err != nil {
+		t.Fatalf("trace is not a valid JSON array: %v", err)
+	}
+	const slack = 1e-3 // µs: the trace clock is a float
+	floor, faults, spans, last := 0.0, 0, 0, 0.0
+	for _, ev := range events {
+		if ev["tid"] != float64(jobSeq(id)) {
+			continue
+		}
+		ts, _ := ev["ts"].(float64)
+		args, _ := ev["args"].(map[string]any)
+		switch ev["name"] {
+		case "engine_fault":
+			faults++
+			if args["recovered"] != true || args["kind"] != "halo-corrupt" {
+				t.Fatalf("engine_fault instant %v", ev)
+			}
+			floor = ts
+		case "step":
+			spans++
+			dur, _ := ev["dur"].(float64)
+			if dur <= 0 || ts < floor-slack {
+				t.Fatalf("step span %v (span %d) runs backwards: starts at %g µs, the sequence is at %g µs", args, spans, ts, floor)
+			}
+			floor, last = ts+dur, args["step"].(float64)
+		}
+	}
+	if faults != 1 || spans <= steps || last != steps {
+		t.Fatalf("%d engine_fault instants and %d step spans ending at step %g, want 1 and more than %d ending at %d",
+			faults, spans, last, steps, steps)
+	}
+}
+
+// TestUntracedObserverAllocatesNothing: a daemon without a tracer pays no
+// allocation per step for the spans it does not draw.
+func TestUntracedObserverAllocatesNothing(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer drain(t, s)
+	j := &job{id: "job-000001", req: Request{Config: tinyConfig(10)}, ctx: context.Background()}
+	_, cfg, release := s.prepare(j, "")
+	defer release()
+	ev := core.StepEvent{Step: 1, Total: 10, Wall: time.Millisecond}
+	if n := testing.AllocsPerRun(100, func() { cfg.Observer(ev) }); n != 0 {
+		t.Fatalf("the untraced observer allocates %g times a step", n)
 	}
 }

@@ -29,7 +29,7 @@ func TestViewsAgree(t *testing.T) {
 		Workers: 1, QueueSize: 1, MemBudget: budget,
 		SubmitRate:       3.5, // a bucket of seven tokens on a clock that never refills it: seven submissions reach the gates behind the limiter
 		BreakerThreshold: 1, BreakerCooldown: time.Hour,
-		HaloCRC: true, EngineRetries: 3,
+		EngineRetries: 3,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
