@@ -129,7 +129,14 @@ check-bce:
 # -divergence-limit flag (every halo frame is sealed; divergence has one
 # bound), and non-test internal/core names no telemetry.Tracer (a job's
 # step spans and fault instants are the service's, drawn from the observer
-# and the fault hook)
+# and the fault hook). And overload is decided once, in the service: non-test
+# Go under cmd/ and internal/ensemble names none of the retryable refusals
+# (service.ErrQueueFull, admission.ErrRateLimited, admission.ErrShedding) and
+# no RetryHint — a caller reads the refusal's admission.RetryAfter — no Go
+# file names ProbeAborted (the breaker is asked last, so its probe cannot be
+# lost), and non-test internal/service moves the queued, running and
+# queue-high-water gauges only in lifecycle.go's move, with the states they
+# count
 KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
@@ -195,6 +202,13 @@ check-one:
 	@! grep -rnE --include='*.go' 'MaybeSaveAux|func (\([^)]*\) )?Bcast\(' internal/ | grep -v '_test\.go:'
 	@! grep -rnE --include='*.go' 'HaloCRC|TraceTID|DivergenceLimit|"(halo-crc|divergence-limit)"' internal/ cmd/ | grep -v '_test\.go:'
 	@! grep -nF 'telemetry.Tracer' internal/core/*.go | grep -v '_test\.go:'
+	@! grep -rnE --include='*.go' 'service\.ErrQueueFull|admission\.Err(RateLimited|Shedding)|RetryHint' cmd/ internal/ensemble/ \
+		| grep -v '_test\.go:'
+	@! grep -rn --include='*.go' 'ProbeAborted' .
+	@in=$$(awk '/^func /{f=$$0} /\.(queued|running|queueHW)\.(Add|Set|RaiseTo)\(/ && f !~ /\) move\(/ {print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/service/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$in" ]; then echo "check-one: internal/service moves a state gauge outside move (gauges move with the state):"; \
+		echo "$$in"; exit 1; fi
 	@entries=$$(grep -h '^TEXT ' internal/fd/*.s internal/plasticity/*.s internal/grid/*.s); \
 	n=$$(echo "$$entries" | grep -c 'PlaneAVX2(SB)'); all=$$(echo "$$entries" | grep -c .); \
 	if [ "$$n" -ne $(KERNEL_ENTRIES) ] || [ "$$all" -ne $(KERNEL_ENTRIES) ]; then \

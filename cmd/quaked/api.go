@@ -76,15 +76,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id, err := s.svc.Submit(sreq)
+	hint, transient := admission.RetryAfter(err)
 	switch {
-	case errors.Is(err, service.ErrQueueFull):
-		// backpressure: tell the client when a slot is likely to open
-		writeRetryError(w, http.StatusTooManyRequests, err, s.svc.RetryHint())
-		return
-	case errors.Is(err, admission.ErrRateLimited), errors.Is(err, admission.ErrShedding):
-		// load shedding: the rejection carries its own exact retry moment
-		// (next token, or the breaker's remaining cooldown)
-		hint, _ := admission.RetryAfter(err)
+	case transient:
+		// backpressure or load shedding: the service says when to come back
 		writeRetryError(w, http.StatusTooManyRequests, err, hint)
 		return
 	case errors.Is(err, admission.ErrNeverFits):
@@ -218,11 +213,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // setRetryAfter attaches a Retry-After header (whole seconds, minimum 1 —
 // the header has no sub-second form).
 func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", fmt.Sprint(secs))
+	w.Header().Set("Retry-After", fmt.Sprint(max(1, int64(math.Ceil(d.Seconds())))))
 }
 
 // writeRetryError is writeError plus a Retry-After header — every shedding

@@ -181,6 +181,9 @@ func run(args []string) error {
 		tracer.NameProcess(0, "quaked")
 		logger.Info("tracing to file", "path", path)
 		defer func() {
+			if n := tracer.Clamped(); n > 0 {
+				logger.Warn("trace spans ended before they began, drawn empty", "spans", n)
+			}
 			if err := tracer.Close(); err != nil {
 				logger.Error("trace close", "error", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -188,6 +189,80 @@ func TestReadyzTransitions(t *testing.T) {
 	if err := <-drainDone; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+}
+
+// TestRetryAfterIsTheRefusalsHint: every retryable refusal is one 429 whose
+// Retry-After is the hint the service attached, rounded up to whole seconds,
+// and whose body names the hint. The values are the ones the handler's
+// earlier per-reason branches sent: for a full queue the mean job latency
+// times the jobs ahead per worker plus one, clamped to [1 s, 60 s]; for the
+// rate limiter the next token; for the breaker its remaining cooldown.
+func TestRetryAfterIsTheRefusalsHint(t *testing.T) {
+	defer faultinject.Reset()
+	refused := func(t *testing.T, base string, steps int) string {
+		t.Helper()
+		var body map[string]string
+		code, retry := rawDo(t, "POST", base+"/v1/jobs", quickBody(steps), &body)
+		if code != http.StatusTooManyRequests || !strings.Contains(body["error"], "retry after") {
+			t.Fatalf("refused submit: %d %q, want 429 naming its hint", code, body["error"])
+		}
+		return retry
+	}
+	accepted := func(t *testing.T, base, body string) service.Status {
+		t.Helper()
+		st, code := submit(t, base, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit returned %d", code)
+		}
+		return st
+	}
+
+	t.Run("queue-full", func(t *testing.T) {
+		ts, svc := newTestServer(t, service.Options{Workers: 1, QueueSize: 1})
+		// one job to the end first: the estimate rests on a measured latency
+		done := accepted(t, ts.URL, quickBody(10))
+		pollUntil(t, ts.URL, done.ID, func(s service.Status) bool { return s.State == service.StateDone })
+		blocker := accepted(t, ts.URL, slowJob)
+		pollUntil(t, ts.URL, blocker.ID, func(s service.Status) bool { return s.State == service.StateRunning })
+		accepted(t, ts.URL, quickBody(11))
+		retry := refused(t, ts.URL, 12)
+		var prom strings.Builder
+		svc.Registry().WriteProm(&prom)
+		sample := func(name string) float64 {
+			for _, line := range strings.Split(prom.String(), "\n") {
+				if v, ok := strings.CutPrefix(line, name+" "); ok {
+					f, err := strconv.ParseFloat(v, 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return f
+				}
+			}
+			t.Fatalf("no sample %s", name)
+			return 0
+		}
+		mean := sample("swquake_job_duration_seconds_sum") / sample("swquake_job_duration_seconds_count")
+		if want := fmt.Sprint(math.Ceil(min(max(2*mean, 1), 60))); retry != want {
+			t.Fatalf("Retry-After %q, want %s (mean job latency %.3fs, one job ahead of one worker)", retry, want, mean)
+		}
+		doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+blocker.ID, "", nil)
+	})
+	t.Run("rate-limit", func(t *testing.T) {
+		ts, _ := newTestServer(t, service.Options{Workers: 1, SubmitRate: 0.5}) // a bucket of one token
+		accepted(t, ts.URL, quickBody(10))
+		if retry := refused(t, ts.URL, 11); retry != "2" {
+			t.Fatalf("Retry-After %q, want 2: the next token at 0.5/s", retry)
+		}
+	})
+	t.Run("breaker", func(t *testing.T) {
+		ts, _ := newTestServer(t, service.Options{Workers: 1, BreakerThreshold: 1, BreakerCooldown: 30 * time.Second})
+		faultinject.Enable(faultinject.WorkerPanic, faultinject.Fault{Times: 1})
+		st := accepted(t, ts.URL, quickBody(10))
+		pollUntil(t, ts.URL, st.ID, func(s service.Status) bool { return s.State.Terminal() })
+		if retry := refused(t, ts.URL, 11); retry != "30" {
+			t.Fatalf("Retry-After %q, want 30: the breaker's remaining cooldown", retry)
+		}
+	})
 }
 
 // TestOverloadDrill is the acceptance drill (`make overload-test`): a

@@ -96,7 +96,7 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	cfg, err := buildConfig(*scen, scenario.Overrides{
+	cfg, err := scenario.Build(*scen, scenario.Overrides{
 		Nx: *nx, Ny: *ny, Nz: *nz, Dx: *dx, Steps: *steps,
 		Nonlinear: *nonlinear, Qs: *qs, QVsScaled: *qVsScaled,
 		Overlap: *overlap,
@@ -221,13 +221,6 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "outputs written to %s\n", *outDir)
 	}
 	return nil
-}
-
-// buildConfig resolves a named scenario plus flag overrides through the
-// shared builder, so the CLI and the quaked daemon accept the same names
-// and produce identical configurations.
-func buildConfig(scen string, o scenario.Overrides) (core.Config, error) {
-	return scenario.Build(scen, o)
 }
 
 // progressObserver prints step progress and the step's max |v| through the

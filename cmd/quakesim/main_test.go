@@ -48,36 +48,6 @@ func TestParseMethod(t *testing.T) {
 	}
 }
 
-func TestBuildConfig(t *testing.T) {
-	cfg, err := buildConfig("quickstart", scenario.Overrides{Steps: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Steps != 50 {
-		t.Fatalf("steps %d", cfg.Steps)
-	}
-	if _, err := buildConfig("quickstart", scenario.Overrides{Nx: 10}); err == nil {
-		t.Fatal("custom grid on quickstart accepted")
-	}
-	if _, err := buildConfig("quickstart", scenario.Overrides{Nonlinear: true}); err == nil {
-		t.Fatal("nonlinear quickstart accepted")
-	}
-	cfg, err = buildConfig("tangshan", scenario.Overrides{
-		Nx: 48, Ny: 46, Nz: 20, Dx: 600, Steps: 100, Nonlinear: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Dims.Nx != 48 || cfg.Dx != 600 || !cfg.Nonlinear {
-		t.Fatalf("tangshan config wrong: %+v", cfg.Dims)
-	}
-	if _, err := buildConfig("tangshan", scenario.Overrides{Qs: 50}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buildConfig("loma-prieta", scenario.Overrides{}); err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-}
-
 func TestRunProgressFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-scenario", "quickstart", "-steps", "30", "-progress"}, &buf); err != nil {
@@ -325,7 +295,7 @@ func TestSunwayReportsOneCoreGroup(t *testing.T) {
 		return fmt.Sprintf("%s %.2f ms/step, %.1f GB/s effective DMA, LDM peak %d B",
 			sunwayLine, 1e3*s.StepSeconds(), s.EffectiveBandwidth(), cfg.LDMBytesUsed)
 	}
-	cfg, err := buildConfig("quickstart", scenario.Overrides{})
+	cfg, err := scenario.Build("quickstart", scenario.Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

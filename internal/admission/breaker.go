@@ -24,7 +24,9 @@ const (
 // the service decides what counts) trip it open, shedding all submissions
 // with ErrShedding for `cooldown`. After the cooldown one probe submission
 // is admitted; if any job then succeeds the breaker closes, while another
-// counted failure re-opens it for a fresh cooldown.
+// counted failure re-opens it for a fresh cooldown. An admitted probe is
+// never handed back: the caller asks the breaker last, once every other
+// gate has let the submission through, so the probe always becomes a job.
 type Breaker struct {
 	threshold int // <= 0 disables the breaker entirely
 	cooldown  time.Duration
@@ -74,20 +76,6 @@ func (b *Breaker) Allow() error {
 		b.probing = true
 		return nil
 	}
-}
-
-// ProbeAborted returns the half-open probe slot when an admitted probe
-// submission never became a job (e.g. it lost a later admission gate) —
-// without it the breaker would wait forever for a probe that doesn't exist.
-func (b *Breaker) ProbeAborted() {
-	if b.threshold <= 0 {
-		return
-	}
-	b.mu.Lock()
-	if b.state == BreakerHalfOpen {
-		b.probing = false
-	}
-	b.mu.Unlock()
 }
 
 // Success records a successful job: any success closes the breaker and

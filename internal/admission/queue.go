@@ -107,6 +107,15 @@ func (q *Queue) Push(it *Item) error {
 	return nil
 }
 
+// Full reports whether a Push would be refused for want of room. Pops and
+// Removes only make room, so a caller whose pushes all hold one lock of its
+// own can ask first and know, under that lock, that the push will land.
+func (q *Queue) Full() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.capacity > 0 && q.lenLocked() >= q.capacity
+}
+
 // Pop blocks until an item passes every admission gate (its budget is
 // reserved atomically with the dequeue) or the queue is closed and empty,
 // in which case it returns false. Callers MUST call Done with the item

@@ -173,8 +173,14 @@ func TestQueueCloseDrains(t *testing.T) {
 
 func TestQueueCapacity(t *testing.T) {
 	q := NewQueue(1, nil)
+	if q.Full() {
+		t.Fatal("an empty queue reports full")
+	}
 	if err := q.Push(&Item{ID: "a", Class: ClassBatch}); err != nil {
 		t.Fatal(err)
+	}
+	if !q.Full() {
+		t.Fatal("a queue at capacity does not report full")
 	}
 	if err := q.Push(&Item{ID: "b", Class: ClassInteractive}); !errors.Is(err, ErrFull) {
 		t.Fatalf("push past capacity: %v, want ErrFull", err)

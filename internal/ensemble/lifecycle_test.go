@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"swquake/internal/admission"
 	"swquake/internal/clock"
 	"swquake/internal/scenario"
 	"swquake/internal/service"
@@ -136,8 +137,8 @@ func TestMemberLifecycleTable(t *testing.T) {
 
 // TestBackpressureWaitsOnTheClock: a member the job service refuses with
 // ErrQueueFull submits again only once the manager's clock has advanced the
-// whole 50 ms backoff — one refusal per backoff, not a spin — and runs once
-// the queue has room.
+// wait the refusal's Retry-After hint names (at most maxBackoff) — one
+// refusal per wait, not a spin — and runs once the queue has room.
 func TestBackpressureWaitsOnTheClock(t *testing.T) {
 	logger, started := signalOn("job started")
 	svc := service.New(service.Options{Workers: 1, QueueSize: 1, Logger: logger})
@@ -164,32 +165,39 @@ func TestBackpressureWaitsOnTheClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// the hint the member will be given: nothing finishes while both block
+	_, err = block(200002)
+	hint, ok := admission.RetryAfter(err)
+	if !errors.Is(err, service.ErrQueueFull) || !ok || hint <= 0 {
+		t.Fatalf("a submission to the full queue: %v, want ErrQueueFull with a Retry-After", err)
+	}
+	wait := min(hint, maxBackoff)
 	refusals := func() int64 { return svc.Registry().Ints()["jobs_rejected"] }
 
 	st, err := m.Create(sweepSpec(5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// refused, the member waits out the whole backoff on the manager's clock
+	// refused, the member waits out the whole hint on the manager's clock
 	waiting := func(left time.Duration, refused int64) {
 		t.Helper()
 		if due, n := clk.WaitArmed(1), refusals(); !slices.Equal(due, []time.Duration{left}) || n != refused {
 			t.Fatalf("timers due in %v after %d refusals, want [%v] after %d", due, n, left, refused)
 		}
 	}
-	waiting(backoff, 1)
-	clk.Advance(backoff - time.Millisecond)
-	waiting(time.Millisecond, 1)
-	clk.Advance(time.Millisecond) // the backoff ends: the member submits again, into the still-full queue
-	waiting(backoff, 2)
+	waiting(wait, 2)
+	clk.Advance(wait - time.Millisecond)
+	waiting(time.Millisecond, 2)
+	clk.Advance(time.Millisecond) // the wait ends: the member submits again, into the still-full queue
+	waiting(wait, 3)
 
 	svc.Cancel(queued) // the queue has room at once
 	svc.Cancel(running)
-	clk.Advance(backoff)
+	clk.Advance(wait)
 	if final := waitCampaign(t, m, st.ID); final.State != StateDone || final.Folded != 1 {
 		t.Fatalf("final status %+v", final)
 	}
-	if n, sub := refusals(), m.Registry().Ints()["members_submitted"]; n != 2 || sub != 1 {
-		t.Fatalf("%d refusals and %d submissions, want 2 and 1", n, sub)
+	if n, sub := refusals(), m.Registry().Ints()["members_submitted"]; n != 3 || sub != 1 {
+		t.Fatalf("%d refusals and %d submissions, want 3 and 1", n, sub)
 	}
 }

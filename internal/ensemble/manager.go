@@ -26,13 +26,10 @@ import (
 // (the job service owns pid 0).
 const tracePID = 1
 
-// A member the job service refuses for backpressure or load shedding submits
-// again after backoff, or after the refusal's Retry-After hint when that is
-// longer — capped at maxBackoff, so a drain stays responsive.
-const (
-	backoff    = 50 * time.Millisecond
-	maxBackoff = time.Second
-)
+// A member the job service refuses with a Retry-After hint — backpressure or
+// load shedding — submits again once the hint has passed, waiting at most
+// maxBackoff, so a drain stays responsive.
+const maxBackoff = time.Second
 
 // Options configures a Manager.
 type Options struct {
@@ -429,25 +426,21 @@ func (m *Manager) submit(c *campaign, idx int) (job string, attached bool, err e
 	}
 	for !m.draining() {
 		job, err := m.svc.Submit(req)
+		hint, transient := admission.RetryAfter(err)
 		switch {
 		case err == nil:
 			return job, false, nil
 		case errors.Is(err, service.ErrClosed):
 			return "", false, nil
-		case !errors.Is(err, service.ErrQueueFull) && !errors.Is(err, admission.ErrRateLimited) &&
-			!errors.Is(err, admission.ErrShedding):
+		case !transient:
 			// includes admission.ErrNeverFits: a member bigger than the
 			// memory budget can never run on this daemon — skip it, the
 			// campaign completes on the members that fit
 			return "", false, err
 		}
-		// backpressure or load shedding: the campaign yields rather than
-		// spinning, honoring the rejection's Retry-After hint
-		wait := backoff
-		if hint, ok := admission.RetryAfter(err); ok {
-			wait = min(max(hint, wait), maxBackoff)
-		}
-		if !m.sleep(c.ctx, wait) {
+		// the campaign yields rather than spinning, for as long as the
+		// refusal says
+		if !m.sleep(c.ctx, min(hint, maxBackoff)) {
 			return "", false, nil
 		}
 	}
@@ -488,6 +481,9 @@ func (m *Manager) field(job string, st service.Status) (*service.SurfaceField, e
 // has returned. Members left pending by a shutdown keep the campaign
 // non-terminal: nothing terminal is journaled, so the next boot resumes.
 func (m *Manager) finishCampaign(c *campaign, started time.Time) {
+	// done closes last: a waiter hears of the end once it is journaled,
+	// counted, traced, logged and in the manifest
+	defer close(c.done)
 	st := m.statusOf(c) // no member goroutine is left to move a phase
 	unresolved, skipped := st.Pending+st.Running, st.Failed
 	var state State
@@ -498,7 +494,6 @@ func (m *Manager) finishCampaign(c *campaign, started time.Time) {
 	case unresolved > 0:
 		// shutdown parked members: leave the campaign running on disk
 		c.mu.Unlock()
-		close(c.done)
 		m.log.Info("campaign parked for next boot", "campaign", c.id, "pending", unresolved)
 		return
 	case skipped > 0:
@@ -509,10 +504,7 @@ func (m *Manager) finishCampaign(c *campaign, started time.Time) {
 	c.state = state
 	c.finished = m.clk.Now()
 	c.mu.Unlock()
-	// journaled before a waiter hears of it: Wait returns a finished campaign
-	// whose end is on disk, or counted and logged as lost
 	m.logEvent(campaignEvent{Event: string(state), Campaign: c.id})
-	close(c.done)
 	m.met.finished[state].Add(1)
 	m.tracer.Span(tracePID, campSeq(c.id), "campaign", "running", started, c.finished.Sub(started),
 		map[string]any{"state": string(state), "members": st.Members})

@@ -202,3 +202,36 @@ func TestBuildAllocatesNothingByInput(t *testing.T) {
 		t.Fatalf("model is %T", cfg.Model)
 	}
 }
+
+// TestBuildNamedScenarios: a named scenario takes the overrides it has room
+// for, and refuses the rest and unknown names — the rules quakesim's flags and
+// quaked's job specs share.
+func TestBuildNamedScenarios(t *testing.T) {
+	cfg, err := Build("quickstart", Overrides{Steps: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Steps != 50 {
+		t.Fatalf("steps %d", cfg.Steps)
+	}
+	if _, err := Build("quickstart", Overrides{Nx: 10}); err == nil {
+		t.Fatal("custom grid on quickstart accepted")
+	}
+	if _, err := Build("quickstart", Overrides{Nonlinear: true}); err == nil {
+		t.Fatal("nonlinear quickstart accepted")
+	}
+	cfg, err = Build("tangshan", Overrides{
+		Nx: 48, Ny: 46, Nz: 20, Dx: 600, Steps: 100, Nonlinear: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Dims.Nx != 48 || cfg.Dx != 600 || !cfg.Nonlinear {
+		t.Fatalf("tangshan config wrong: %+v", cfg.Dims)
+	}
+	if _, err := Build("tangshan", Overrides{Qs: 50}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build("loma-prieta", Overrides{}); err == nil {
+		t.Fatal("unknown scenario accepted")
+	}
+}

@@ -232,6 +232,64 @@ func TestBreakerTripShedsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestBreakerProbeWaitsForQueueRoom: a submission the full queue refuses
+// is refused as queue-full whatever the breaker's phase, and never takes the
+// breaker's probe: once its cooldown has passed, the first submission that
+// finds room is the probe, and its success closes the breaker.
+func TestBreakerProbeWaitsForQueueRoom(t *testing.T) {
+	s, clk := openOnFake(t, Options{Workers: 1, QueueSize: 1, BreakerThreshold: 1, BreakerCooldown: time.Second})
+	defer drain(t, s)
+	blocker, err := s.Submit(Request{Config: slowConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, blocker, StateRunning)
+	queued, err := s.Submit(Request{Config: tinyConfig(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.brk.Failure() // an infrastructure failure trips the threshold-1 breaker
+	queueFull := func(what string, config int) {
+		t.Helper()
+		_, err := s.Submit(Request{Config: tinyConfig(config)})
+		if _, ok := admission.RetryAfter(err); !errors.Is(err, ErrQueueFull) || !ok {
+			t.Fatalf("%s: %v, want ErrQueueFull with a Retry-After hint", what, err)
+		}
+	}
+	queueFull("open breaker, full queue", 11)
+	clk.Advance(time.Second) // the cooldown passes: the next Allow admits a probe
+	queueFull("half-open breaker, full queue", 12)
+	if st := s.brk.State(); st != admission.BreakerOpen {
+		t.Fatalf("breaker %s after the queue refused, want open: it is asked only once there is room", st)
+	}
+	if n := s.Registry().Ints()["jobs_rejected"]; n != 2 {
+		t.Fatalf("jobs_rejected = %d, want 2", n)
+	}
+
+	s.Cancel(queued) // room: the next submission is the probe
+	probe, err := s.Submit(Request{Config: tinyConfig(13)})
+	if err != nil {
+		t.Fatalf("the first submission to find room was not admitted as the probe: %v", err)
+	}
+	if st := s.brk.State(); st != admission.BreakerHalfOpen {
+		t.Fatalf("breaker %s with its probe queued, want half-open", st)
+	}
+	s.Cancel(blocker)
+	if st, err := s.Wait(context.Background(), probe); err != nil || st.State != StateDone {
+		t.Fatalf("probe: state %v err %v", st.State, err)
+	}
+	if st := s.brk.State(); st != admission.BreakerClosed {
+		t.Fatalf("breaker %s after the probe succeeded, want closed", st)
+	}
+	var prom strings.Builder
+	s.Registry().WriteProm(&prom)
+	for _, want := range []string{`swquake_jobs_rejected_total{reason="queue-full"} 2`, `swquake_jobs_rejected_total{reason="breaker"} 0`} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("exposition lacks %s", want)
+		}
+	}
+}
+
 // wedge is a source time function that blocks the run inside its fifth and
 // its tenth step: each time it signals entered, then waits for release.
 type wedge struct {

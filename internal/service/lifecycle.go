@@ -71,10 +71,10 @@ type moved struct {
 
 // transition takes j along the edge c names and reports whether it did: it
 // refuses when j is not in c.from or the table lacks the edge. It is the
-// only way a job changes state. The state and the fields Status reads move
-// under s.mu (move); what announces the edge — metrics, trace, log, journal,
-// checkpoint removal, closing done — follows outside it (publish), so a
-// journal fsync never blocks a Status.
+// only way a job changes state. The state, the fields Status reads and the
+// gauges counting states move under s.mu (move); what announces the edge —
+// counters, trace, log, journal, checkpoint removal, closing done — follows
+// outside it (publish), so a journal fsync never blocks a Status.
 func (s *Service) transition(j *job, c change) bool {
 	s.mu.Lock()
 	m, ok := s.move(j, c)
@@ -96,9 +96,9 @@ func (s *Service) transitionLocked(j *job, c change) bool {
 	return ok
 }
 
-// move is the state half of a transition; the caller holds s.mu. A retry
-// that the job's attempt budget or a draining service cannot honour is a
-// failure instead.
+// move is the state half of a transition, gauges included; the caller holds
+// s.mu. A retry that the job's attempt budget or a draining service cannot
+// honour is a failure instead.
 func (s *Service) move(j *job, c change) (moved, bool) {
 	if c.to == StateRetrying && (j.attempt >= s.opts.MaxAttempts || s.closed) {
 		c.to = StateFailed
@@ -109,6 +109,20 @@ func (s *Service) move(j *job, c change) (moved, bool) {
 	now := s.clk.Now()
 	m := moved{change: c, j: j, at: now, dwell: now.Sub(j.entered)}
 	j.state, j.entered = c.to, now
+	// the gauges count states, so they move with the state: Status, Health
+	// and the metrics views agree at every instant
+	switch c.from {
+	case StateQueued:
+		s.m.queued.Add(-1)
+	case StateRunning:
+		s.m.running.Add(-1)
+	}
+	switch c.to {
+	case StateQueued:
+		s.m.queueHW.RaiseTo(s.m.queued.Add(1))
+	case StateRunning:
+		s.m.running.Add(1)
+	}
 	switch {
 	case c.from == stateNew:
 		s.jobs[j.id], j.submitted = j, now
@@ -161,9 +175,8 @@ func (s *Service) publish(m moved) {
 	close(j.done)
 }
 
-// leave is the accounting of the state left: its gauge, its dwell time, its
-// trace span, and the submit-to-terminal latency of a job that ends on a
-// worker.
+// leave is the accounting of the state left: its dwell time, its trace span,
+// and the submit-to-terminal latency of a job that ends on a worker.
 func (s *Service) leave(m moved) {
 	tid, since := jobSeq(m.j.id), m.at.Add(-m.dwell)
 	switch m.from {
@@ -171,10 +184,8 @@ func (s *Service) leave(m moved) {
 		s.m.submitted.Add(1)
 		return
 	case StateQueued:
-		s.m.queued.Add(-1)
 		s.tracer.Span(0, tid, "job", "queued", since, m.dwell, nil)
 	case StateRunning:
-		s.m.running.Add(-1)
 		s.tracer.Span(0, tid, "job", "running", since, m.dwell,
 			map[string]any{"state": string(m.to), "attempt": m.attempt})
 		if m.to.Terminal() {
@@ -197,7 +208,6 @@ func (s *Service) enter(m moved) journalEvent {
 	}
 	switch m.to {
 	case StateQueued:
-		s.m.queueHW.RaiseTo(s.m.queued.Add(1))
 		switch {
 		case m.from == StateRetrying:
 			ev.Event = ""
@@ -215,7 +225,6 @@ func (s *Service) enter(m moved) journalEvent {
 			s.tracer.NameThread(0, tid, j.id)
 		}
 	case StateRunning:
-		s.m.running.Add(1)
 		ev.Event = "started"
 		jl.Info("job started", "resumed_step", m.resumedStep, "serial", j.req.MX <= 1 && j.req.MY <= 1)
 	case StateRetrying:

@@ -96,10 +96,20 @@ func (s *Service) prepare(j *job, restartFrom string) (context.Context, core.Con
 	// else inherits the daemon's policy
 	cfg.StepDeadline = cmp.Or(cfg.StepDeadline, s.opts.StepDeadline)
 	cfg.MaxFaultRetries = cmp.Or(cfg.MaxFaultRetries, s.opts.EngineRetries)
+	// each step is a span on the job's track, dated by the engine's own
+	// stepping clock: base is when the engine attempt began stepping, taken
+	// at its first step event; a recovered fault rewinds the engine into a
+	// new attempt, whose clock begins again at zero
+	var base time.Time
+	var lastWall time.Duration
+	fresh := true // the next step event is an engine attempt's first
 	// engine faults (recovered or not) feed the per-kind counters, the
 	// journal, the job log and the job's trace track; a recovery is the
 	// engine healing itself without burning a job-level attempt
 	cfg.OnFault = func(ev core.FaultEvent) {
+		if ev.Recovered {
+			fresh = true
+		}
 		s.tracer.Instant(0, tid, "engine", "engine_fault", s.clk.Now(), map[string]any{
 			"kind": string(ev.Kind), "rank": ev.Rank, "step": ev.Step,
 			"attempt": ev.Attempt, "recovered": ev.Recovered, "resume_step": ev.ResumeStep,
@@ -120,16 +130,10 @@ func (s *Service) prepare(j *job, restartFrom string) (context.Context, core.Con
 		ctl = &checkpoint.Controller{Dir: dir, Interval: s.opts.CheckpointEvery, Keep: checkpointKeep}
 		cfg.Checkpoint, cfg.RestartFrom = ctl, restartFrom
 	}
-	// each step is a span on the job's track, dated by the engine's own
-	// stepping clock: base is when the engine attempt began stepping, and a
-	// Wall below the last one is a new engine attempt after an in-run
-	// rewind, which begins again there
-	var base time.Time
-	var lastWall time.Duration
 	cfg.Observer = func(ev core.StepEvent) {
 		if s.tracer != nil {
-			if base.IsZero() || ev.Wall < lastWall {
-				base, lastWall = s.clk.Now().Add(-ev.Wall), 0
+			if fresh {
+				base, lastWall, fresh = s.clk.Now().Add(-ev.Wall), 0, false
 			}
 			s.tracer.Span(0, tid, "engine", "step", base.Add(lastWall), ev.Wall-lastWall,
 				map[string]any{"step": ev.Step, "sim_time_s": ev.SimTime})

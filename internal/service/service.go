@@ -46,8 +46,9 @@ import (
 
 // Sentinel errors of the submission and result API.
 var (
-	// ErrQueueFull is returned by Submit when the bounded queue is at
-	// capacity — the backpressure signal (HTTP 429 in quaked).
+	// ErrQueueFull is returned by Submit, wrapped in an
+	// admission.RetryAfterError, when the bounded queue is at capacity —
+	// the backpressure signal (HTTP 429 in quaked).
 	ErrQueueFull = errors.New("service: submission queue full")
 	// ErrClosed is returned by Submit after Drain has begun.
 	ErrClosed = errors.New("service: draining, not accepting jobs")
@@ -317,8 +318,9 @@ type metrics struct {
 	checkpointsSaved, checkpointWriteNS                   *telemetry.Counter
 	cacheHits, cacheMisses, steps, haloBytes              *telemetry.Counter
 	progressStalls, breakerTrips                          *telemetry.Counter
-	// queued is the depth of the submission queue right now, queueHW the
-	// deepest it has been since boot; both follow StateQueued.
+	// queued and running count the jobs in StateQueued and StateRunning,
+	// queueHW the most ever queued at once since boot; all three change in
+	// move, under s.mu, with the states they count.
 	running, queued, queueHW *telemetry.Gauge
 	// engineFaults is keyed by core.FaultKind, rejected by admission reason;
 	// every series shows from boot, at zero.
@@ -574,11 +576,14 @@ func (s *Service) QueueSize() int { return s.opts.QueueSize }
 // keep flowing even while the daemon sheds load.
 //
 // Uncached submissions pass the admission gates in order: the token-bucket
-// rate limiter (admission.ErrRateLimited), the circuit breaker
-// (admission.ErrShedding) — both carrying Retry-After hints — the
-// never-fits budget check (admission.ErrNeverFits, permanent), and the
-// bounded queue (ErrQueueFull — backpressure). Jobs that fit the budget
-// but can't reserve it yet are accepted and wait in the queue.
+// rate limiter (admission.ErrRateLimited), the never-fits budget check
+// (admission.ErrNeverFits, permanent), the bounded queue's room
+// (ErrQueueFull — backpressure) and the circuit breaker
+// (admission.ErrShedding). Every refusal worth retrying is an
+// *admission.RetryAfterError carrying when to retry — the next token, the
+// queue's estimated drain (retryHint), the breaker's cooldown — so a
+// caller reads admission.RetryAfter and decides nothing else. Jobs that fit
+// the budget but can't reserve it yet are accepted and wait in the queue.
 func (s *Service) Submit(req Request) (string, error) {
 	req, key, err := normalize(req)
 	if err != nil {
@@ -598,20 +603,15 @@ func (s *Service) Submit(req Request) (string, error) {
 	}
 	cost := s.estimateCost(req)
 	j.item = &admission.Item{ID: j.id, Class: req.Class, Bytes: cost.Bytes, Payload: j}
-	reason, err := s.admit(cost.Bytes)
-	if err == nil && s.enqueue(j, stateNew) != nil {
-		// the breaker gate ran last, so an admitted probe can only be lost
-		// to a full queue, which rolls it back here
-		s.brk.ProbeAborted()
-		reason, err = "queue-full", ErrQueueFull
-	}
-	if err != nil {
+	if reason, err := s.admit(cost.Bytes); err != nil {
 		j.cancel(nil)
 		s.m.rejected.Add(reason, 1)
 		return "", err
 	}
-	// write-ahead: the transition journaled the submission before Submit
-	// returns, so a crash between accept and completion cannot lose the job
+	// admit saw room, and every push holds s.mu, as Submit does: this one
+	// lands. Write-ahead: the transition journals the submission before
+	// Submit returns, so a crash between accept and completion cannot lose it
+	_ = s.enqueue(j, stateNew)
 	return j.id, nil
 }
 
@@ -654,8 +654,10 @@ func newJob(id string, req Request, key string) *job {
 }
 
 // admit runs the gates in front of the queue, in order — the token-bucket
-// rate limiter, the never-fits budget check, the circuit breaker — and
-// names the one that refused.
+// rate limiter, the never-fits budget check, the queue's room, the circuit
+// breaker — and names the one that refused. The breaker goes last, so the
+// one probe a half-open breaker admits always becomes a job. The caller
+// holds s.mu.
 func (s *Service) admit(bytes int64) (reason string, err error) {
 	if err := s.limit.Allow(); err != nil {
 		return "rate-limit", err
@@ -663,6 +665,9 @@ func (s *Service) admit(bytes int64) (reason string, err error) {
 	if !s.ledger.Fits(bytes) {
 		return "budget", fmt.Errorf("service: %w (job needs %s of a %s budget)", admission.ErrNeverFits,
 			admission.FormatBytes(bytes), admission.FormatBytes(s.ledger.Total()))
+	}
+	if s.sched.Full() {
+		return "queue-full", &admission.RetryAfterError{Err: ErrQueueFull, RetryAfter: s.retryHint()}
 	}
 	if err := s.brk.Allow(); err != nil {
 		return "breaker", err
@@ -856,14 +861,11 @@ type Health struct {
 // Health reports the daemon's health state machine.
 func (s *Service) Health() Health {
 	s.mu.Lock()
+	// the gauges move with the states they count, under s.mu
+	h := Health{QueueDepth: s.m.queued.Value(), Running: s.m.running.Value()}
 	closed := s.closed
 	s.mu.Unlock()
-	h := Health{
-		Breaker:    s.brk.State(),
-		Budget:     s.ledger.Snapshot(),
-		QueueDepth: s.m.queued.Value(),
-		Running:    s.m.running.Value(),
-	}
+	h.Breaker, h.Budget = s.brk.State(), s.ledger.Snapshot()
 	h.SlowStartCap, h.SlowStartInflight = s.sched.SlowStart()
 	switch {
 	case closed:
@@ -876,25 +878,17 @@ func (s *Service) Health() Health {
 	return h
 }
 
-// RetryHint estimates when a rejected submission is worth retrying: the
-// mean observed job latency scaled by how many jobs are ahead per worker,
-// clamped to [1s, 60s]. It is the Retry-After value quaked attaches to
-// queue-full 429s (rate-limit and breaker rejections carry their own
-// exact hints).
-func (s *Service) RetryHint() time.Duration {
+// retryHint estimates when a submission the full queue refused is worth
+// retrying: the mean observed job latency (1s before any) scaled by how many
+// jobs are ahead per worker, capped at 60s. quaked's Retry-After rounds it
+// up to whole seconds.
+func (s *Service) retryHint() time.Duration {
 	mean := time.Second
 	if n := s.m.jobLatency.Count(); n > 0 {
 		mean = time.Duration(s.m.jobLatency.Sum() / float64(n) * float64(time.Second))
 	}
 	ahead := float64(s.m.queued.Value())/float64(s.opts.Workers) + 1
-	hint := time.Duration(float64(mean) * ahead)
-	if hint < time.Second {
-		hint = time.Second
-	}
-	if hint > time.Minute {
-		hint = time.Minute
-	}
-	return hint
+	return min(time.Duration(float64(mean)*ahead), time.Minute)
 }
 
 // Metrics is a consistent snapshot of the service counters its callers

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"swquake/internal/admission"
 	"swquake/internal/core"
 	"swquake/internal/grid"
 	"swquake/internal/model"
@@ -243,8 +244,9 @@ func TestQueueBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("queued submit rejected: %v", err)
 	}
-	if _, err := s.Submit(Request{Config: tinyConfig(11)}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("want ErrQueueFull, got %v", err)
+	_, err = s.Submit(Request{Config: tinyConfig(11)})
+	if hint, ok := admission.RetryAfter(err); !errors.Is(err, ErrQueueFull) || !ok || hint <= 0 {
+		t.Fatalf("want ErrQueueFull with a Retry-After hint, got %v", err)
 	}
 	if m := metricsOf(s); m.Queued != 1 || m.Running != 1 {
 		t.Fatalf("gauges queued=%d running=%d, want 1/1", m.Queued, m.Running)

@@ -138,6 +138,9 @@ func TestTraceConcurrentJobs(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if n := tr.Clamped(); n != 0 {
+		t.Fatalf("%d spans ended before they began, drawn empty", n)
+	}
 
 	var events []map[string]any
 	if err := json.Unmarshal([]byte(out.String()), &events); err != nil {
@@ -195,6 +198,9 @@ func TestTraceStepSpansSurviveARewind(t *testing.T) {
 	drain(t, s)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n := tr.Clamped(); n != 0 {
+		t.Fatalf("%d spans ended before they began, drawn empty", n)
 	}
 
 	var events []map[string]any

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -24,6 +25,8 @@ type Tracer struct {
 	c      io.Closer
 	t0     time.Time
 	closed bool
+
+	clamped atomic.Int64 // spans Span drew empty for ending before they began
 }
 
 // NewTracer starts a tracer writing to w. If w is an io.Closer it is closed
@@ -85,12 +88,15 @@ func (t *Tracer) emit(ev traceEvent) {
 	t.w.WriteString(",\n")
 }
 
-// Span records a complete ("ph":"X") event covering [start, start+dur).
+// Span records a complete ("ph":"X") event covering [start, start+dur). A
+// negative dur — the caller's clock ran backwards — is drawn empty and
+// counted (Clamped).
 func (t *Tracer) Span(pid, tid int, cat, name string, start time.Time, dur time.Duration, args map[string]any) {
 	if t == nil {
 		return
 	}
 	if dur < 0 {
+		t.clamped.Add(1)
 		dur = 0
 	}
 	t.emit(traceEvent{
@@ -98,6 +104,15 @@ func (t *Tracer) Span(pid, tid int, cat, name string, start time.Time, dur time.
 		Ts: t.micros(start), Dur: float64(dur) / float64(time.Microsecond),
 		Pid: pid, Tid: tid, Args: args,
 	})
+}
+
+// Clamped reports how many spans Span drew empty because they ended before
+// they began: zero in a sound trace, so a test can fail on any.
+func (t *Tracer) Clamped() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.clamped.Load()
 }
 
 // Instant records a thread-scoped instant ("ph":"i") event at time at.

@@ -58,6 +58,9 @@ func TestTracerProducesValidJSONArray(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if n := tr.Clamped(); n != 0 {
+		t.Fatalf("%d spans ran backwards", n)
+	}
 
 	// a cleanly closed trace is a strict JSON array
 	var events []map[string]any
@@ -121,6 +124,9 @@ func TestTracerConcurrent(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if n := tr.Clamped(); n != 0 {
+		t.Fatalf("%d spans ran backwards", n)
+	}
 
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -143,8 +149,32 @@ func TestTracerNilSafety(t *testing.T) {
 	tr.Instant(0, 0, "c", "i", time.Now(), nil)
 	tr.NameProcess(0, "p")
 	tr.NameThread(0, 0, "t")
+	if err := tr.Close(); err != nil || tr.Clamped() != 0 {
+		t.Fatal(err)
+	}
+}
+
+// TestTracerCountsBackwardsSpans: a span that ends before it begins is drawn
+// empty, and counted, so a caller whose clock runs backwards cannot hide.
+func TestTracerCountsBackwardsSpans(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	start := time.Now()
+	tr.Span(0, 1, "engine", "step", start, time.Millisecond, nil)
+	tr.Span(0, 1, "engine", "step", start, -time.Millisecond, nil)
+	tr.Span(0, 1, "engine", "step", start, 0, nil)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n := tr.Clamped(); n != 1 {
+		t.Fatalf("Clamped() = %d, want 1: only the negative span", n)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	if dur, ok := events[1]["dur"]; ok {
+		t.Fatalf("the backwards span is drawn with dur %v, want empty", dur)
 	}
 }
 
