@@ -136,7 +136,14 @@ check-bce:
 # file names ProbeAborted (the breaker is asked last, so its probe cannot be
 # lost), and non-test internal/service moves the queued, running and
 # queue-high-water gauges only in lifecycle.go's move, with the states they
-# count
+# count. And the daemon decides how a job runs: quaked declares no -queue,
+# -job-timeout or -max-attempts flag, no non-test Go under internal/ or cmd/
+# names DefaultTimeout or MaxAttempts or sets Options.QueueSize (the queue
+# holds 4 jobs per worker, a job's deadline is its own timeout and a job
+# gets 3 attempts with -data, 1 without), internal/scenario names no
+# Overlap (no request picks the halo schedule), and non-test internal/service
+# assigns a job's Tiles, Overlap, StepDeadline and MaxFaultRetries in exactly
+# one place each (prepare, from the daemon alone)
 KERNEL_ENTRIES = 7
 check-one:
 	@! grep -n '\.Sync()' internal/service/*.go internal/ensemble/*.go
@@ -180,10 +187,15 @@ check-one:
 		$$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -v 'func effectiveTiles('); \
 	if [ -n "$$in" ]; then echo "check-one: internal/core reads GOMAXPROCS outside effectiveTiles (the walk's one derivation):"; \
 		echo "$$in"; exit 1; fi
-	@pat='\.Tiles\>(, *[A-Za-z_.]+)* *=[^=]|, *[A-Za-z_.]+\.Tiles *=[^=]|\<Tiles:'; \
-	n=$$(grep -nE "$$pat" internal/service/*.go | grep -v '_test\.go:' | wc -l); \
-	if [ "$$n" -ne 1 ]; then echo "check-one: internal/service assigns a job's Tiles in $$n places, want exactly 1 (the attempt's share):"; \
-		grep -nE "$$pat" internal/service/*.go | grep -v '_test\.go:'; exit 1; fi
+	@for f in Tiles Overlap StepDeadline MaxFaultRetries; do \
+		pat="\\.$$f\\>(, *[A-Za-z_.]+)* *=[^=]|, *[A-Za-z_.]+\\.$$f *=[^=]|\\<$$f:"; \
+		n=$$(grep -nE "$$pat" internal/service/*.go | grep -v '_test\.go:' | wc -l); \
+		if [ "$$n" -ne 1 ]; then echo "check-one: internal/service assigns a job's $$f in $$n places, want exactly 1 (prepare's, from the daemon):"; \
+			grep -nE "$$pat" internal/service/*.go | grep -v '_test\.go:'; exit 1; fi; \
+	done
+	@! grep -nE '\("(queue|job-timeout|max-attempts)",' cmd/quaked/*.go | grep -v '_test\.go:'
+	@! grep -rnE --include='*.go' '\<(DefaultTimeout|MaxAttempts)\>|\<QueueSize *:|\.QueueSize *=[^=]' internal/ cmd/ | grep -v '_test\.go:'
+	@! grep -nw 'Overlap' internal/scenario/*.go | grep -v '_test\.go:'
 	@! grep -nE 'time\.(Now|After|AfterFunc|NewTicker|NewTimer|Since|Sleep)\(' internal/service/*.go internal/ensemble/*.go \
 		| grep -v '_test\.go:'
 	@n=$$(grep -nE '\.phases\[[^]]+\] =[^=]' internal/ensemble/*.go | grep -v '_test\.go:' | wc -l); \

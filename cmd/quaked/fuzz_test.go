@@ -15,7 +15,7 @@ import (
 // the target cancels it at once. The decoders, scenario.Build, validation
 // and admission see every input; no fuzz-shaped simulation ever runs.
 func fuzzServer(f *testing.F) http.Handler {
-	ts, svc := newTestServer(f, service.Options{Workers: 1, QueueSize: 4, MemBudget: 64 << 20})
+	ts, svc := newTestServer(f, service.Options{Workers: 1, MemBudget: 64 << 20})
 	st, code := submit(f, ts.URL, slowJob)
 	if code != http.StatusAccepted {
 		f.Fatalf("the job that holds the worker answered %d", code)

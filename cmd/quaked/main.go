@@ -9,9 +9,15 @@
 //	                            "overrides": {...}, "mx": 2, "my": 2,
 //	                            "timeout_s": 60, "class": "batch"} -> 202 +
 //	                            job status (429 + Retry-After when the queue
-//	                            is full, the submission rate limit is hit or
-//	                            the circuit breaker is shedding; 413 when the
-//	                            job can never fit the -mem-budget)
+//	                            of 4 jobs per worker is full, the submission
+//	                            rate limit is hit or the circuit breaker is
+//	                            shedding; 413 when the job can never fit the
+//	                            -mem-budget). A job has no deadline but its
+//	                            own timeout_s. How it runs is the daemon's:
+//	                            its walk workers, the overlapped halo
+//	                            exchange of its ranks and its engine
+//	                            resilience; overrides naming tiles or overlap
+//	                            are a 400
 //	GET    /v1/jobs             list all jobs, newest first
 //	GET    /v1/jobs/{id}        status: state, steps done/total, ETA
 //	GET    /v1/jobs/{id}/result RunManifest-shaped summary + station traces
@@ -73,14 +79,16 @@
 // are requeued and resume from the newest checkpoint that passes integrity
 // checks (a corrupted latest falls back to the one before it). Transient
 // failures — worker panics, engine faults, progress stalls, failed
-// checkpoint writes — are retried with capped exponential backoff up to
-// -max-attempts; a diverged run or one past its own deadline fails at once.
+// checkpoint writes — are retried with capped exponential backoff, up to
+// three attempts in all (without -data a job runs once); a diverged run or
+// one past its own deadline fails at once.
 //
 // Engine resilience: every parallel halo exchange is sealed with a CRC32
 // frame, so in-flight corruption is always detected; -step-deadline arms
 // the stalled-rank watchdog, and -engine-retries lets the parallel engine
 // heal halo-corruption, stall and rank-panic faults in-run by rewinding to
-// the newest valid checkpoint — without burning a job-level attempt.
+// the newest valid checkpoint — without burning a job-level attempt. Both
+// are the daemon's policy for every job, whatever a request's config says.
 // Faults surface as swquake_engine_faults_total{kind} and
 // swquake_engine_recoveries_total, and under -trace as engine_fault
 // instants on the job's track.
@@ -130,18 +138,15 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("quaked", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", ":8047", "listen address")
-		workers      = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); a job walks on at most GOMAXPROCS/workers cores")
-		queueSize    = fs.Int("queue", 0, "submission queue bound (0 = 4x workers)")
-		jobTimeout   = fs.Duration("job-timeout", 0, "default per-job deadline (0 = none)")
+		workers      = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); a job walks on at most GOMAXPROCS/workers cores, and the submission queue holds 4 jobs per worker")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max time to drain jobs on shutdown")
 
-		dataDir    = fs.String("data", "", "durable data directory: journal + auto-checkpoints; enables crash recovery on boot")
-		ckptEvery  = fs.Int("checkpoint-every", 0, "auto-checkpoint interval in solver steps for durable jobs (0 = 25, negative disables)")
-		maxAttempt = fs.Int("max-attempts", 0, "attempts per job before a transient failure is permanent, 100ms base backoff doubled per attempt (0 = 3 with -data, else 1)")
-		faults     = fs.String("faults", "", "fault-injection spec, e.g. 'checkpoint/corrupt:times=1;rank/stall:delay=2s' (testing only)")
+		dataDir   = fs.String("data", "", "durable data directory: journal + auto-checkpoints; enables crash recovery on boot and up to 3 attempts per job (1 without)")
+		ckptEvery = fs.Int("checkpoint-every", 0, "auto-checkpoint interval in solver steps for durable jobs (0 = 25, negative disables)")
+		faults    = fs.String("faults", "", "fault-injection spec, e.g. 'checkpoint/corrupt:times=1;rank/stall:delay=2s' (testing only)")
 
-		stepDeadline  = fs.Duration("step-deadline", 0, "parallel-engine watchdog: fail a halo exchange waiting longer than this as a stalled rank (0 = off)")
-		engineRetries = fs.Int("engine-retries", 0, "in-run recovery budget: engine faults healed by rewinding to the newest valid checkpoint (0 = off)")
+		stepDeadline  = fs.Duration("step-deadline", 0, "parallel-engine watchdog for every job: fail a halo exchange waiting longer than this as a stalled rank (0 = off)")
+		engineRetries = fs.Int("engine-retries", 0, "in-run recovery budget of every parallel job: engine faults healed by rewinding to the newest valid checkpoint (0 = off)")
 
 		memBudget        = fs.String("mem-budget", "", "admission memory budget, e.g. 2GiB or 512MB: jobs whose estimated working set would exceed it wait; jobs that can never fit are rejected with 413 (empty = unlimited)")
 		submitRate       = fs.Float64("submit-rate", 0, "max accepted submissions per second, token-bucket smoothed with bursts of two seconds' worth; rejected submissions get 429 + Retry-After (0 = unlimited)")
@@ -199,11 +204,8 @@ func run(args []string) error {
 	}
 	opts := service.Options{
 		Workers:          *workers,
-		QueueSize:        *queueSize,
-		DefaultTimeout:   *jobTimeout,
 		DataDir:          *dataDir,
 		CheckpointEvery:  *ckptEvery,
-		MaxAttempts:      *maxAttempt,
 		StepDeadline:     *stepDeadline,
 		EngineRetries:    *engineRetries,
 		MemBudget:        budgetBytes,

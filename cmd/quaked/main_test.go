@@ -170,19 +170,21 @@ func TestHTTPCancelMidRun(t *testing.T) {
 }
 
 func TestHTTPQueueBackpressure429(t *testing.T) {
-	ts, _ := newTestServer(t, service.Options{Workers: 1, QueueSize: 1})
+	ts, _ := newTestServer(t, service.Options{Workers: 1})
 	blocker, code := submit(t, ts.URL, slowJob)
 	if code != http.StatusAccepted {
 		t.Fatalf("blocker submit returned %d", code)
 	}
 	pollUntil(t, ts.URL, blocker.ID, func(s service.Status) bool { return s.State == service.StateRunning })
 
-	if _, code := submit(t, ts.URL, `{"scenario":"quickstart","overrides":{"steps":10}}`); code != http.StatusAccepted {
-		t.Fatalf("queued submit returned %d", code)
+	for steps := 10; steps < 14; steps++ { // the queue's four slots
+		if _, code := submit(t, ts.URL, quickBody(steps)); code != http.StatusAccepted {
+			t.Fatalf("queued submit returned %d", code)
+		}
 	}
 	var errBody map[string]string
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs",
-		strings.NewReader(`{"scenario":"quickstart","overrides":{"steps":11}}`))
+		strings.NewReader(quickBody(14)))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -297,6 +299,31 @@ func TestHTTPRejectsUnboundedTiles(t *testing.T) {
 		if msg, _ := body["error"].(string); !strings.Contains(msg, "tiles") {
 			t.Fatalf("%d tiles: error body %v does not name the tiles", tiles, body)
 		}
+	}
+}
+
+// TestHTTPRejectsOverlap: the daemon overlaps every ranked job's halo
+// exchange with its interior, so a job or a campaign whose overrides name
+// overlap — in a campaign's base or in one of its variations — is a 400
+// with an error body naming the field, never a queued job.
+func TestHTTPRejectsOverlap(t *testing.T) {
+	ts, svc := newTestServer(t, service.Options{Workers: 1})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/jobs", `{"scenario":"quickstart","overrides":{"steps":1,"overlap":true},"mx":2,"my":1}`},
+		{"/v1/jobs", `{"scenario":"quickstart","overrides":{"steps":1,"overlap":false}}`},
+		{"/v1/campaigns", `{"scenario":"quickstart","base":{"steps":1,"overlap":true},"mx":2,"my":1}`},
+		{"/v1/campaigns", `{"scenario":"quickstart","base":{"steps":1},"variations":[{"qs":30},{"overlap":true}]}`},
+	} {
+		var body map[string]any
+		if code := doJSON(t, "POST", ts.URL+c.path, c.body, &body); code != http.StatusBadRequest {
+			t.Fatalf("POST %s %s -> %d, want 400", c.path, c.body, code)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "overlap") {
+			t.Fatalf("POST %s %s: error body %v does not name the overlap", c.path, c.body, body)
+		}
+	}
+	if n := svc.Registry().Ints()["jobs_submitted"]; n != 0 {
+		t.Fatalf("%d jobs submitted, want none", n)
 	}
 }
 

@@ -59,7 +59,7 @@ func quickCost(t *testing.T, steps int) int64 {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return admission.EstimateCost(cfg, 1, 1).Bytes
+	return admission.EstimateCost(cfg, 1, 1)
 }
 
 // assertBitIdentical fetches a finished job's result and compares it, bit
@@ -218,14 +218,16 @@ func TestRetryAfterIsTheRefusalsHint(t *testing.T) {
 	}
 
 	t.Run("queue-full", func(t *testing.T) {
-		ts, svc := newTestServer(t, service.Options{Workers: 1, QueueSize: 1})
+		ts, svc := newTestServer(t, service.Options{Workers: 1})
 		// one job to the end first: the estimate rests on a measured latency
 		done := accepted(t, ts.URL, quickBody(10))
 		pollUntil(t, ts.URL, done.ID, func(s service.Status) bool { return s.State == service.StateDone })
 		blocker := accepted(t, ts.URL, slowJob)
 		pollUntil(t, ts.URL, blocker.ID, func(s service.Status) bool { return s.State == service.StateRunning })
-		accepted(t, ts.URL, quickBody(11))
-		retry := refused(t, ts.URL, 12)
+		for steps := 11; steps < 15; steps++ { // the queue's four slots
+			accepted(t, ts.URL, quickBody(steps))
+		}
+		retry := refused(t, ts.URL, 15)
 		var prom strings.Builder
 		svc.Registry().WriteProm(&prom)
 		sample := func(name string) float64 {
@@ -242,8 +244,8 @@ func TestRetryAfterIsTheRefusalsHint(t *testing.T) {
 			return 0
 		}
 		mean := sample("swquake_job_duration_seconds_sum") / sample("swquake_job_duration_seconds_count")
-		if want := fmt.Sprint(math.Ceil(min(max(2*mean, 1), 60))); retry != want {
-			t.Fatalf("Retry-After %q, want %s (mean job latency %.3fs, one job ahead of one worker)", retry, want, mean)
+		if want := fmt.Sprint(math.Ceil(min(max(5*mean, 1), 60))); retry != want {
+			t.Fatalf("Retry-After %q, want %s (mean job latency %.3fs, four jobs queued for one worker)", retry, want, mean)
 		}
 		doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+blocker.ID, "", nil)
 	})
@@ -274,15 +276,13 @@ func TestRetryAfterIsTheRefusalsHint(t *testing.T) {
 func TestOverloadDrill(t *testing.T) {
 	const (
 		warmSteps          = 35
-		queuedA, queuedB   = 40, 41
-		stormBase          = 42
-		freshStorm, cached = 15, 5
+		queuedBase, queued = 40, 8 // the queue holds 4 jobs per worker
+		stormBase          = queuedBase + queued
+		freshStorm, cached = 40, 10
 	)
 	blockerSteps := []int{200000, 200001}
-	budget := quickCost(t, blockerSteps[0]) + quickCost(t, blockerSteps[1]) + quickCost(t, queuedA)/2
-	ts, svc := newTestServer(t, service.Options{
-		Workers: 2, QueueSize: 2, MemBudget: budget,
-	})
+	budget := quickCost(t, blockerSteps[0]) + quickCost(t, blockerSteps[1]) + quickCost(t, queuedBase)/2
+	ts, svc := newTestServer(t, service.Options{Workers: 2, MemBudget: budget})
 
 	// warm the cache with one completed variant
 	warm, code := submit(t, ts.URL, quickBody(warmSteps))
@@ -292,7 +292,7 @@ func TestOverloadDrill(t *testing.T) {
 	pollUntil(t, ts.URL, warm.ID, func(s service.Status) bool { return s.State == service.StateDone })
 
 	// occupy both workers with long blockers (together they exhaust the
-	// budget), then fill the queue with two real variants
+	// budget), then fill the queue with real variants
 	var blockers []string
 	for _, steps := range blockerSteps {
 		st, code := submit(t, ts.URL, quickBody(steps))
@@ -305,7 +305,7 @@ func TestOverloadDrill(t *testing.T) {
 		pollUntil(t, ts.URL, id, func(s service.Status) bool { return s.State == service.StateRunning })
 	}
 	queuedIDs := map[string]int{}
-	for _, steps := range []int{queuedA, queuedB} {
+	for steps := queuedBase; steps < queuedBase+queued; steps++ {
 		st, code := submit(t, ts.URL, quickBody(steps))
 		if code != http.StatusAccepted {
 			t.Fatalf("queue-filler submit returned %d", code)
@@ -313,7 +313,7 @@ func TestOverloadDrill(t *testing.T) {
 		queuedIDs[st.ID] = steps
 	}
 
-	// the storm: 5x the daemon's whole capacity (2 workers + 2 queue slots),
+	// the storm: 5x the daemon's whole capacity (2 workers + 8 queue slots),
 	// concurrently — fresh variants must shed with 429 + Retry-After, cached
 	// resubmissions must keep being served
 	type stormResult struct {

@@ -99,7 +99,6 @@ func run(args []string, w io.Writer) error {
 	cfg, err := scenario.Build(*scen, scenario.Overrides{
 		Nx: *nx, Ny: *ny, Nz: *nz, Dx: *dx, Steps: *steps,
 		Nonlinear: *nonlinear, Qs: *qs, QVsScaled: *qVsScaled,
-		Overlap: *overlap,
 	})
 	if err != nil {
 		return err
@@ -113,6 +112,7 @@ func run(args []string, w io.Writer) error {
 		cfg.Model = g
 	}
 	cfg.Tiles = *tiles
+	cfg.Overlap = *overlap
 	cfg.StepDeadline = *stepDeadline
 	cfg.MaxFaultRetries = *faultRetries
 	if *faults != "" {

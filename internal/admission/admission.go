@@ -27,6 +27,7 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -122,7 +123,7 @@ func ParseBytes(s string) (int64, error) {
 	}
 	num, mult := s, 1.0
 	for _, u := range units {
-		if len(s) > len(u.suffix) && equalFold(s[len(s)-len(u.suffix):], u.suffix) {
+		if len(s) > len(u.suffix) && strings.EqualFold(s[len(s)-len(u.suffix):], u.suffix) {
 			num, mult = s[:len(s)-len(u.suffix)], u.mult
 			break
 		}
@@ -146,25 +147,4 @@ func FormatBytes(b int64) string {
 	default:
 		return fmt.Sprintf("%dB", b)
 	}
-}
-
-// equalFold is ASCII case-insensitive equality (no unicode tables needed
-// for byte-size suffixes).
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }

@@ -6,28 +6,21 @@ import (
 	"swquake/internal/grid"
 )
 
-// Cost is the admission-relevant price of one job.
-type Cost struct {
-	// Bytes is the estimated steady-state resident working set of the run:
-	// every per-point array the engine allocates, summed over ranks, plus
-	// seismogram and surface-map storage, plus one global wavefield when
-	// the run checkpoints (the checkpoint lane's one snapshot). It
-	// deliberately excludes transient spikes (checkpoint pack buffers, LZ4
-	// scratch) — budgets should keep the headroom DESIGN.md §3.8 documents.
-	Bytes int64
-}
-
-// EstimateCost predicts the working set of running cfg
-// on an mx×my simulated-MPI process grid (both <=1 means serial). The
-// estimate is derived from core.Config.Storage — the engine-side account
-// of what New allocates — so it tracks the real allocator; the admission
-// tests pin it to live runtime.MemStats measurements within
-// CostAccuracyFactor.
+// EstimateCost predicts, in bytes, the steady-state resident working set of
+// running cfg on an mx×my simulated-MPI process grid (both <=1 means
+// serial): every per-point array the engine allocates, summed over ranks,
+// plus seismogram and surface-map storage, plus one global wavefield when
+// the run checkpoints (the checkpoint lane's one snapshot). It deliberately
+// excludes transient spikes (checkpoint pack buffers, LZ4 scratch) —
+// budgets should keep the headroom DESIGN.md §3.8 documents. The estimate is
+// derived from core.Config.Storage — the engine-side account of what New
+// allocates — so it tracks the real allocator; the admission tests pin it
+// to live runtime.MemStats measurements within CostAccuracyFactor.
 //
 // The estimate is always >= 0 and monotone in grid volume (more points
 // never cost less). An invalid layout falls back to the serial shape —
 // Submit-side validation rejects it before the estimate matters.
-func EstimateCost(cfg core.Config, mx, my int) Cost {
+func EstimateCost(cfg core.Config, mx, my int) int64 {
 	if mx < 1 {
 		mx = 1
 	}
@@ -36,7 +29,7 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 	}
 	d := cfg.Dims
 	if !d.Valid() {
-		return Cost{}
+		return 0
 	}
 
 	block := d
@@ -78,7 +71,7 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 	if n := len(cfg.Stations); n > 0 && cfg.Steps > 0 {
 		bytes += int64(n) * (int64(cfg.Steps) + 1) * 3 * 4
 	}
-	return Cost{Bytes: bytes}
+	return bytes
 }
 
 // CostAccuracyFactor is the documented accuracy envelope of EstimateCost:

@@ -75,7 +75,7 @@ func TestEstimateCostTracksMemStats(t *testing.T) {
 			if err := cfg.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			est := EstimateCost(cfg, 1, 1).Bytes
+			est := EstimateCost(cfg, 1, 1)
 			measured := measureLiveAlloc(t, func() any {
 				sim, err := core.New(cfg)
 				if err != nil {
@@ -117,7 +117,7 @@ func TestEstimateCostIsTightForTheSolverWorkload(t *testing.T) {
 	if got := cfg.Storage().FullFields32; got != 13 {
 		t.Fatalf("Storage counts %d full fields, want the 9 + 4 of wavefield and medium", got)
 	}
-	est := EstimateCost(cfg, 1, 1).Bytes
+	est := EstimateCost(cfg, 1, 1)
 	measured := measureLiveAlloc(t, func() any {
 		sim, err := core.New(cfg)
 		if err != nil {
@@ -153,7 +153,7 @@ func TestEstimateCostCountsTheExchangedFieldsOnly(t *testing.T) {
 	arrays := 4 * padded * 4 * int64(cfg.Storage().FullFields32)
 	maps := 4*int64(b.Nx*b.Ny)*8 + 64*64*8
 	traces := int64(len(cfg.Stations)) * int64(cfg.Steps+1) * 3 * 4
-	if got, want := EstimateCost(cfg, 2, 2).Bytes, arrays+maps+traces+halo; got != want {
+	if got, want := EstimateCost(cfg, 2, 2), arrays+maps+traces+halo; got != want {
 		t.Fatalf("2x2 estimate %d B, want %d B: arrays %d + maps %d + traces %d + halo buffers of nine fields %d",
 			got, want, arrays, maps, traces, halo)
 	}
@@ -166,14 +166,14 @@ func TestEstimateCostParallelGeometry(t *testing.T) {
 	}
 	serial := EstimateCost(cfg, 1, 1)
 	par := EstimateCost(cfg, 2, 2)
-	if par.Bytes <= serial.Bytes {
+	if par <= serial {
 		t.Fatalf("4 ranks (%d B) must cost more than serial (%d B): halo duplication",
-			par.Bytes, serial.Bytes)
+			par, serial)
 	}
 	// An invalid layout (64 not divisible by 3) falls back to the serial
 	// shape rather than returning garbage.
-	if got := EstimateCost(cfg, 3, 1); got.Bytes != serial.Bytes {
-		t.Fatalf("invalid layout estimate %d, want serial fallback %d", got.Bytes, serial.Bytes)
+	if got := EstimateCost(cfg, 3, 1); got != serial {
+		t.Fatalf("invalid layout estimate %d, want serial fallback %d", got, serial)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestEstimateCostMonotoneInVolume(t *testing.T) {
 			grown := base
 			grown[axis] *= 2
 			big := EstimateCost(costConfig(grown[0], grown[1], grown[2]), 1, 1)
-			if big.Bytes < small.Bytes {
+			if big < small {
 				t.Fatalf("doubling axis %d of %v shrank the estimate: %+v -> %+v",
 					axis, base, small, big)
 			}
@@ -227,10 +227,10 @@ func FuzzEstimateCost(f *testing.F) {
 		}
 
 		c := EstimateCost(cfg, mx, my)
-		if c.Bytes < 0 {
-			t.Fatalf("negative cost %+v for %dx%dx%d on %dx%d", c, nx, ny, nz, mx, my)
+		if c < 0 {
+			t.Fatalf("negative cost %d for %dx%dx%d on %dx%d", c, nx, ny, nz, mx, my)
 		}
-		if c.Bytes == 0 {
+		if c == 0 {
 			t.Fatalf("zero byte estimate for a valid grid %dx%dx%d", nx, ny, nz)
 		}
 		// Monotone in volume: growing z (which never changes the x/y rank
@@ -238,14 +238,14 @@ func FuzzEstimateCost(f *testing.F) {
 		big := cfg
 		big.Dims.Nz = clamp(nz*2, nz+1, 192)
 		bc := EstimateCost(big, mx, my)
-		if bc.Bytes < c.Bytes {
-			t.Fatalf("growing nz %d->%d shrank cost: %+v -> %+v", nz, big.Dims.Nz, c, bc)
+		if bc < c {
+			t.Fatalf("growing nz %d->%d shrank cost: %d -> %d", nz, big.Dims.Nz, c, bc)
 		}
 		// More steps never cost fewer bytes (the seismograms grow).
 		longer := cfg
 		longer.Steps = steps + 1
-		if lc := EstimateCost(longer, mx, my); lc.Bytes < c.Bytes {
-			t.Fatalf("adding a step shrank the estimate: %v -> %v", c.Bytes, lc.Bytes)
+		if lc := EstimateCost(longer, mx, my); lc < c {
+			t.Fatalf("adding a step shrank the estimate: %v -> %v", c, lc)
 		}
 	})
 }
@@ -271,8 +271,8 @@ func TestEstimateCostCountsTheCheckpointLane(t *testing.T) {
 	h := int64(grid.DefaultHalo)
 	lane := (64 + 2*h) * (64 + 2*h) * (48 + 2*h) * 9 * 4
 	for _, layout := range [][2]int{{1, 1}, {2, 2}} {
-		with := EstimateCost(cfg, layout[0], layout[1]).Bytes
-		without := EstimateCost(plain, layout[0], layout[1]).Bytes
+		with := EstimateCost(cfg, layout[0], layout[1])
+		without := EstimateCost(plain, layout[0], layout[1])
 		if with-without != lane {
 			t.Fatalf("%dx%d: checkpointing adds %d bytes, want one global wavefield (%d)",
 				layout[0], layout[1], with-without, lane)
@@ -280,7 +280,7 @@ func TestEstimateCostCountsTheCheckpointLane(t *testing.T) {
 	}
 	off := cfg
 	off.Checkpoint = &checkpoint.Controller{} // no interval: never dumps
-	if EstimateCost(off, 1, 1).Bytes != EstimateCost(plain, 1, 1).Bytes {
+	if EstimateCost(off, 1, 1) != EstimateCost(plain, 1, 1) {
 		t.Fatal("a controller that never dumps was priced")
 	}
 
@@ -304,7 +304,7 @@ func TestEstimateCostCountsTheCheckpointLane(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(sim)
 
-	est := EstimateCost(cfg, 1, 1).Bytes
+	est := EstimateCost(cfg, 1, 1)
 	measured := int64(during.HeapAlloc) - int64(before.HeapAlloc)
 	released := int64(during.HeapAlloc) - int64(after.HeapAlloc)
 	t.Logf("estimate %s, mid-run %s, released at Close %s (lane term %s)",

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -100,7 +101,7 @@ func save(path string, step int, simTime float64, wf *fd.Wavefield, aux []byte, 
 		hdr = binary.LittleEndian.AppendUint32(hdr, magic)
 		hdr = binary.LittleEndian.AppendUint32(hdr, version)
 		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(step))
-		hdr = binary.LittleEndian.AppendUint64(hdr, floatBits(simTime))
+		hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(simTime))
 		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(wf.D.Nx))
 		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(wf.D.Ny))
 		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(wf.D.Nz))
@@ -201,7 +202,7 @@ func LoadAux(path string) (int, float64, *fd.Wavefield, []byte, error) {
 		return fail("header CRC mismatch")
 	}
 	step := int(binary.LittleEndian.Uint64(data[8:]))
-	simTime := floatFromBits(binary.LittleEndian.Uint64(data[16:]))
+	simTime := math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
 	d := grid.Dims{
 		Nx: int(binary.LittleEndian.Uint32(data[24:])),
 		Ny: int(binary.LittleEndian.Uint32(data[28:])),
@@ -434,12 +435,12 @@ func PathStep(path string) (int, bool) {
 // float32Bytes fills dst (4*len(src) bytes) with src as little-endian words.
 func float32Bytes(dst []byte, src []float32) {
 	for i, v := range src {
-		binary.LittleEndian.PutUint32(dst[i*4:], floatBits32(v))
+		binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(v))
 	}
 }
 
 func bytesToFloat32(dst []float32, src []byte) {
 	for i := range dst {
-		dst[i] = floatFromBits32(binary.LittleEndian.Uint32(src[i*4:]))
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:]))
 	}
 }

@@ -1,19 +1,6 @@
 package checkpoint
 
-import (
-	"fmt"
-	"math"
-)
-
-// floatBits helpers keep encoding explicit and dependency-free.
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 {
-	return math.Float64frombits(b)
-}
-func floatBits32(f float32) uint32 { return math.Float32bits(f) }
-func floatFromBits32(b uint32) float32 {
-	return math.Float32frombits(b)
-}
+import "fmt"
 
 // The paper's checkpoint I/O path combines two techniques to reach
 // 120 GB/s (92.3% of the file system peak) for 10^5-rank runs:

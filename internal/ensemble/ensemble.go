@@ -88,8 +88,7 @@ type CampaignSpec struct {
 	// MX, MY select the simulated-MPI layout for every member job.
 	MX int `json:"mx,omitempty"`
 	MY int `json:"my,omitempty"`
-	// TimeoutS is the per-member job deadline in seconds (0 = service
-	// default).
+	// TimeoutS is the per-member job deadline in seconds (0 = no deadline).
 	TimeoutS float64 `json:"timeout_s,omitempty"`
 	// MaxConcurrent bounds how many members run at once (0 = 2). The job
 	// service's own queue and worker pool still apply.

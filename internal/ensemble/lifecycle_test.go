@@ -141,7 +141,7 @@ func TestMemberLifecycleTable(t *testing.T) {
 // refusal per wait, not a spin — and runs once the queue has room.
 func TestBackpressureWaitsOnTheClock(t *testing.T) {
 	logger, started := signalOn("job started")
-	svc := service.New(service.Options{Workers: 1, QueueSize: 1, Logger: logger})
+	svc := service.New(service.Options{Workers: 1, Logger: logger})
 	clk := clock.NewFake()
 	m, err := open(Options{Service: svc}, clk)
 	if err != nil {
@@ -155,18 +155,22 @@ func TestBackpressureWaitsOnTheClock(t *testing.T) {
 		}
 		return svc.Submit(service.Request{Config: cfg})
 	}
-	// fill the service: one job runs, one waits in the one-slot queue
+	// fill the service: one job runs, four wait in the queue's four slots
 	running, err := block(200000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	await(t, started, "the blocker's start")
-	queued, err := block(200001)
-	if err != nil {
-		t.Fatal(err)
+	var queued []string
+	for i := range svc.QueueSize() {
+		id, err := block(200001 + i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, id)
 	}
-	// the hint the member will be given: nothing finishes while both block
-	_, err = block(200002)
+	// the hint the member will be given: nothing finishes while they block
+	_, err = block(200000 + 1 + svc.QueueSize())
 	hint, ok := admission.RetryAfter(err)
 	if !errors.Is(err, service.ErrQueueFull) || !ok || hint <= 0 {
 		t.Fatalf("a submission to the full queue: %v, want ErrQueueFull with a Retry-After", err)
@@ -191,8 +195,9 @@ func TestBackpressureWaitsOnTheClock(t *testing.T) {
 	clk.Advance(time.Millisecond) // the wait ends: the member submits again, into the still-full queue
 	waiting(wait, 3)
 
-	svc.Cancel(queued) // the queue has room at once
-	svc.Cancel(running)
+	for _, id := range append(queued, running) { // the queue has room at once
+		svc.Cancel(id)
+	}
 	clk.Advance(wait)
 	if final := waitCampaign(t, m, st.ID); final.State != StateDone || final.Folded != 1 {
 		t.Fatalf("final status %+v", final)

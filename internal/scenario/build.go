@@ -21,9 +21,6 @@ type Overrides struct {
 	Qs float64 `json:"qs,omitempty"`
 	// QVsScaled enables Vs-scaled attenuation (takes precedence over Qs).
 	QVsScaled bool `json:"q_vs,omitempty"`
-	// Overlap enables the communication-hiding pipeline variant
-	// (core.Config.Overlap). Bit-identical too; matters for parallel runs.
-	Overlap bool `json:"overlap,omitempty"`
 	// HetAmplitude, when positive, superposes stochastic small-scale
 	// velocity heterogeneity (model.Heterogeneous) on the scenario's
 	// velocity model: the RMS fractional perturbation (e.g. 0.05).
@@ -94,9 +91,6 @@ func Build(name string, o Overrides) (core.Config, error) {
 		cfg.Attenuation = core.AttenuationConfig{Enabled: true, VsScaled: true, Factor: 0.05, F0: 2}
 	case o.Qs > 0:
 		cfg.Attenuation = core.AttenuationConfig{Enabled: true, Qp: 2 * o.Qs, Qs: o.Qs, F0: 2}
-	}
-	if o.Overlap {
-		cfg.Overlap = true
 	}
 	if o.Seed != 0 && o.HetAmplitude <= 0 {
 		return cfg, fmt.Errorf("scenario: seed %d set without het_amplitude — the seed would be a silent no-op", o.Seed)

@@ -18,7 +18,7 @@ import (
 
 // validatedCost prices cfg exactly the way Submit does: defaults filled by
 // Validate, then the admission cost model.
-func validatedCost(t *testing.T, cfg core.Config, mx, my int) admission.Cost {
+func validatedCost(t *testing.T, cfg core.Config, mx, my int) int64 {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func validatedCost(t *testing.T, cfg core.Config, mx, my int) admission.Cost {
 // blocks on the ledger, not on the queue — and every job still completes.
 func TestMemBudgetSerializesDispatch(t *testing.T) {
 	cost := validatedCost(t, tinyConfig(300), 1, 1)
-	s := New(Options{Workers: 2, MemBudget: cost.Bytes + cost.Bytes/2})
+	s := New(Options{Workers: 2, MemBudget: cost + cost/2})
 	defer drain(t, s)
 
 	var ids []string
@@ -98,9 +98,9 @@ func TestDurableJobsArePricedWithTheCheckpointLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := validatedCost(t, req.Config, 1, 1).Bytes
+	bare := validatedCost(t, req.Config, 1, 1)
 	req.Config.Checkpoint = &checkpoint.Controller{Interval: 25}
-	if laned := validatedCost(t, req.Config, 1, 1).Bytes; laned <= bare {
+	if laned := validatedCost(t, req.Config, 1, 1); laned <= bare {
 		t.Fatalf("checkpointing priced %d, bare %d", laned, bare)
 	}
 
@@ -132,7 +132,7 @@ func TestDurableJobsArePricedWithTheCheckpointLane(t *testing.T) {
 // job that would wait forever.
 func TestNeverFitsRejectedAtSubmit(t *testing.T) {
 	cost := validatedCost(t, tinyConfig(30), 1, 1)
-	s := New(Options{Workers: 1, MemBudget: cost.Bytes - 1})
+	s := New(Options{Workers: 1, MemBudget: cost - 1})
 	defer drain(t, s)
 
 	_, err := s.Submit(Request{Config: tinyConfig(30)})
@@ -237,16 +237,20 @@ func TestBreakerTripShedsAndRecovers(t *testing.T) {
 // breaker's probe: once its cooldown has passed, the first submission that
 // finds room is the probe, and its success closes the breaker.
 func TestBreakerProbeWaitsForQueueRoom(t *testing.T) {
-	s, clk := openOnFake(t, Options{Workers: 1, QueueSize: 1, BreakerThreshold: 1, BreakerCooldown: time.Second})
+	s, clk := openOnFake(t, Options{Workers: 1, BreakerThreshold: 1, BreakerCooldown: time.Second})
 	defer drain(t, s)
 	blocker, err := s.Submit(Request{Config: slowConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, blocker, StateRunning)
-	queued, err := s.Submit(Request{Config: tinyConfig(10)})
-	if err != nil {
-		t.Fatal(err)
+	var queued []string // the queue's four slots
+	for i := range 4 {
+		id, err := s.Submit(Request{Config: tinyConfig(20 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, id)
 	}
 	s.brk.Failure() // an infrastructure failure trips the threshold-1 breaker
 	queueFull := func(what string, config int) {
@@ -266,13 +270,16 @@ func TestBreakerProbeWaitsForQueueRoom(t *testing.T) {
 		t.Fatalf("jobs_rejected = %d, want 2", n)
 	}
 
-	s.Cancel(queued) // room: the next submission is the probe
+	s.Cancel(queued[0]) // room: the next submission is the probe
 	probe, err := s.Submit(Request{Config: tinyConfig(13)})
 	if err != nil {
 		t.Fatalf("the first submission to find room was not admitted as the probe: %v", err)
 	}
 	if st := s.brk.State(); st != admission.BreakerHalfOpen {
 		t.Fatalf("breaker %s with its probe queued, want half-open", st)
+	}
+	for _, id := range queued[1:] { // the probe's success is what closes the breaker
+		s.Cancel(id)
 	}
 	s.Cancel(blocker)
 	if st, err := s.Wait(context.Background(), probe); err != nil || st.State != StateDone {
@@ -313,7 +320,7 @@ func (w wedge) MomentRate(t float64) float64 {
 // clock: the deadline runs from the last completed step, and passes because
 // the test says so.
 func TestProgressWatchdogCancelsForRetry(t *testing.T) {
-	s, clk := openOnFake(t, Options{Workers: 1, MaxAttempts: 2, ProgressDeadline: time.Hour})
+	s, clk := openOnFake(t, Options{Workers: 1, DataDir: t.TempDir(), ProgressDeadline: time.Hour})
 	defer drain(t, s)
 
 	cfg := tinyConfig(40)
@@ -399,7 +406,7 @@ func TestDrainDeadlineParksBudgetBlockedJob(t *testing.T) {
 	opts := Options{
 		Workers: 1, DataDir: dir, CheckpointEvery: 25,
 		// fits either job alone, never both at once
-		MemBudget: costA.Bytes + costB.Bytes/2,
+		MemBudget: costA + costB/2,
 	}
 
 	s, err := Open(opts)
@@ -461,7 +468,7 @@ func TestDrainDeadlineParksBudgetBlockedJob(t *testing.T) {
 // scheduler dispatches interactive submissions ahead of batch ones.
 func TestBatchYieldsToInteractive(t *testing.T) {
 	// one worker held busy so both lanes build up behind it
-	s := New(Options{Workers: 1, QueueSize: 8})
+	s := New(Options{Workers: 1})
 	defer drain(t, s)
 
 	blocker, err := s.Submit(Request{Config: slowConfig()})

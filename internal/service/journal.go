@@ -51,8 +51,10 @@ func (sp JobSpec) Request() (Request, error) {
 
 // journalEvent is one line of the job journal, DataDir/journal.jsonl — an
 // internal/wal log, which owns the file format and the fsync-per-append
-// contract. Event is one of submitted, started, progress, engine_fault,
-// retrying, done, failed, canceled.
+// contract. Event is one of submitted, started, engine_fault, retrying,
+// done, failed, canceled. Journals written before the checkpoint directory
+// became the only record of a job's progress also hold progress events;
+// replay folds them like any other non-terminal event.
 type journalEvent struct {
 	Time    time.Time `json:"t"`
 	Event   string    `json:"event"`
@@ -69,7 +71,6 @@ type jobRecord struct {
 	spec    *JobSpec
 	last    string // the last event seen
 	attempt int
-	step    int
 }
 
 // replayJournal folds events into per-job records, in first-seen order.
@@ -90,9 +91,6 @@ func replayJournal(events []journalEvent) []*jobRecord {
 		if ev.Attempt > rec.attempt {
 			rec.attempt = ev.Attempt
 		}
-		if ev.Step > rec.step {
-			rec.step = ev.Step
-		}
 	}
 	return order
 }
@@ -105,11 +103,12 @@ func (r *jobRecord) live() bool { return !r.terminal() && r.spec != nil }
 
 // compactedJournal is the boot-compaction policy: just the submitted events
 // of still-live jobs, so the file stays bounded across restarts instead of
-// accreting every event since the first boot. The recorded Attempt and Step
-// carry each job's progress into the new epoch. When the highest-numbered job
-// is not live, its last event is kept alone: it is the ID high-water mark, so
-// no boot — this code's or an older binary's, whose replay reads it the same
-// way — ever issues a job ID again.
+// accreting every event since the first boot. The recorded Attempt carries
+// each job's attempt count into the new epoch; where it resumes is its
+// checkpoint directory's to say. When the highest-numbered job is not live,
+// its last event is kept alone: it is the ID high-water mark, so no boot —
+// this code's or an older binary's, whose replay reads it the same way —
+// ever issues a job ID again.
 func compactedJournal(recs []*jobRecord, now time.Time) []journalEvent {
 	var events []journalEvent
 	var top *jobRecord
@@ -120,7 +119,7 @@ func compactedJournal(recs []*jobRecord, now time.Time) []journalEvent {
 		if rec.live() {
 			events = append(events, journalEvent{
 				Time: now, Event: "submitted", JobID: rec.id,
-				Spec: rec.spec, Attempt: rec.attempt, Step: rec.step,
+				Spec: rec.spec, Attempt: rec.attempt,
 			})
 		}
 	}

@@ -33,19 +33,19 @@ func TestParentWrittenJournal(t *testing.T) {
 
 	type rec struct {
 		id, state, scenario string
-		attempt, step       int
+		attempt             int
 		terminal            bool
 	}
 	var got []rec
 	for _, r := range replayJournal(events) {
-		got = append(got, rec{r.id, r.last, r.spec.Scenario, r.attempt, r.step, r.terminal()})
+		got = append(got, rec{r.id, r.last, r.spec.Scenario, r.attempt, r.terminal()})
 	}
 	wantRecs := []rec{
-		{"job-000001", "done", "quickstart", 1, 25, true},
-		{"job-000002", "progress", "quickstart", 2, 50, false},
-		{"job-000003", "canceled", "quickstart", 0, 0, true},
-		{"job-000004", "failed", "tangshan", 1, 0, true},
-		{"job-000005", "submitted", "quickstart", 2, 75, false},
+		{"job-000001", "done", "quickstart", 1, true},
+		{"job-000002", "progress", "quickstart", 2, false},
+		{"job-000003", "canceled", "quickstart", 0, true},
+		{"job-000004", "failed", "tangshan", 1, true},
+		{"job-000005", "submitted", "quickstart", 2, false},
 	}
 	if len(got) != len(wantRecs) {
 		t.Fatalf("replayed %d records: %+v", len(got), got)
@@ -79,7 +79,8 @@ func TestParentWrittenJournal(t *testing.T) {
 	}
 
 	// a boot on the parent's data directory recovers the two live jobs with
-	// their attempts and steps, and numbers new jobs after the highest old ID
+	// their attempts, and numbers new jobs after the highest old ID; the
+	// compacted events carry no step, which the checkpoint directory holds
 	before := time.Now()
 	s, err := Open(Options{Workers: 1, DataDir: dir, CheckpointEvery: -1})
 	if err != nil {
@@ -95,7 +96,7 @@ func TestParentWrittenJournal(t *testing.T) {
 	}
 	for i, w := range []rec{wantRecs[1], wantRecs[4]} {
 		ev := compacted[i]
-		if ev.Event != "submitted" || ev.JobID != w.id || ev.Attempt != w.attempt || ev.Step != w.step ||
+		if ev.Event != "submitted" || ev.JobID != w.id || ev.Attempt != w.attempt || ev.Step != 0 ||
 			ev.Spec == nil || ev.Spec.Scenario != w.scenario || ev.Time.Before(before) {
 			t.Errorf("compacted event %d: %+v, want submitted %+v", i, ev, w)
 		}
@@ -168,7 +169,7 @@ func TestBootRecoversTheParentsCrashJournal(t *testing.T) {
 		t.Fatalf("compacted journal: %d events, %v", len(events), err)
 	}
 	for i, want := range []journalEvent{
-		{Event: "submitted", JobID: "job-000002", Attempt: 1, Step: 25},
+		{Event: "submitted", JobID: "job-000002", Attempt: 1},
 		{Event: "submitted", JobID: "job-000003", Attempt: 1},
 	} {
 		if got := events[i]; got.Event != want.Event || got.JobID != want.JobID || got.Attempt != want.Attempt || got.Step != want.Step || got.Spec == nil {

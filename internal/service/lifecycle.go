@@ -100,7 +100,7 @@ func (s *Service) transitionLocked(j *job, c change) bool {
 // s.mu. A retry that the job's attempt budget or a draining service cannot
 // honour is a failure instead.
 func (s *Service) move(j *job, c change) (moved, bool) {
-	if c.to == StateRetrying && (j.attempt >= s.opts.MaxAttempts || s.closed) {
+	if c.to == StateRetrying && (j.attempt >= s.attempts() || s.closed) {
 		c.to = StateFailed
 	}
 	if j.state != c.from || !slices.Contains(lifecycle[c.from], c.to) {
@@ -284,6 +284,16 @@ func (s *Service) requeueRetry(j *job) {
 		s.transitionLocked(j, change{from: StateRetrying, to: StateFailed,
 			err: fmt.Errorf("%w (after %v)", ErrQueueFull, j.err)})
 	}
+}
+
+// attempts is how many times a job is run before a transient failure is
+// permanent: three on a durable service (a journaled job's retry resumes
+// from its newest dump), one on a volatile one.
+func (s *Service) attempts() int {
+	if s.opts.DataDir != "" {
+		return 3
+	}
+	return 1
 }
 
 // retryDelay is the capped exponential backoff with ±25% jitter.

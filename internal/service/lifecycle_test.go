@@ -62,7 +62,7 @@ func TestLifecycleTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	s, clk := openOnFake(t, Options{Workers: 1, DataDir: dir, MaxAttempts: 3, Logger: logger})
+	s, clk := openOnFake(t, Options{Workers: 1, DataDir: dir, Logger: logger})
 	defer drain(t, s)
 	var retrying *job
 	journalKinds := func() []string {
@@ -190,12 +190,12 @@ func b2i(b bool) int64 {
 // attempt, or in a service that is draining, fails the job instead of
 // arming a backoff nobody would wait out.
 func TestRetryNeedsBudgetAndAProcess(t *testing.T) {
-	s, _ := openOnFake(t, Options{Workers: 1, DataDir: t.TempDir(), MaxAttempts: 2})
+	s, _ := openOnFake(t, Options{Workers: 1, DataDir: t.TempDir()})
 	spent := jobIn(t, s, 1, StateRunning)
-	spent.attempt = 2
+	spent.attempt = 3
 	s.transition(spent, change{from: StateRunning, to: StateRetrying, err: errors.New("again")})
 	if spent.state != StateFailed {
-		t.Errorf("attempt 2 of 2 went to %q", spent.state)
+		t.Errorf("attempt 3 of a durable service's 3 went to %q", spent.state)
 	}
 	late := jobIn(t, s, 2, StateRunning)
 	drain(t, s)

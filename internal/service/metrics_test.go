@@ -64,7 +64,7 @@ func metricsOf(s *Service) jobMetrics {
 		StepsDone:         m.steps.Value(),
 		CacheEntries:      s.cache.len(),
 		Workers:           s.opts.Workers,
-		QueueCap:          s.opts.QueueSize,
+		QueueCap:          s.QueueSize(),
 		QueueDepth:        m.queued.Value(),
 		QueueHighWater:    m.queueHW.Value(),
 	}

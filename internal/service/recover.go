@@ -71,12 +71,12 @@ func (s *Service) requeueRecovered(rec *jobRecord) error {
 		return bornFailed(fmt.Errorf("service: recovered job %s no longer builds: %w", rec.id, err))
 	}
 	cost := s.estimateCost(req)
-	if !s.ledger.Fits(cost.Bytes) {
+	if !s.ledger.Fits(cost) {
 		return bornFailed(fmt.Errorf("service: recovered job %s: %w (needs %s of a %s budget)", rec.id,
-			admission.ErrNeverFits, admission.FormatBytes(cost.Bytes), admission.FormatBytes(s.ledger.Total())))
+			admission.ErrNeverFits, admission.FormatBytes(cost), admission.FormatBytes(s.ledger.Total())))
 	}
 	j.req, j.key, j.stepsTotal = req, key, req.Config.Steps
-	j.item = &admission.Item{ID: j.id, Class: req.Class, Bytes: cost.Bytes, Recovered: true, Payload: j}
+	j.item = &admission.Item{ID: j.id, Class: req.Class, Bytes: cost, Recovered: true, Payload: j}
 	if err := s.enqueue(j, stateNew); err != nil {
 		return fmt.Errorf("service: recovery requeueing %s: %w", rec.id, err)
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -64,15 +63,15 @@ func (s *Service) resumePoint(j *job) (path string, step int) {
 }
 
 // prepare builds what one attempt runs with: the deadline context, the
-// progress watchdog, the engine configuration — the daemon's resilience
-// defaults, the fault hook, the checkpoint controller and resume point of a
+// progress watchdog, the engine configuration — the daemon's execution
+// choices, the fault hook, the checkpoint controller and resume point of a
 // durable job, the progress observer — and the release of all of it.
 func (s *Service) prepare(j *job, restartFrom string) (context.Context, core.Config, func()) {
 	attempt, tid := j.attempt, jobSeq(j.id) // j.attempt moves only between this worker's attempts
 	jl := s.jobLog(j).With("attempt", attempt)
 	ctx, endDeadline := j.ctx, context.CancelFunc(func() {})
-	if timeout := cmp.Or(max(j.req.Timeout, 0), s.opts.DefaultTimeout); timeout > 0 {
-		ctx, endDeadline = context.WithTimeout(ctx, timeout)
+	if j.req.Timeout > 0 {
+		ctx, endDeadline = context.WithTimeout(ctx, j.req.Timeout)
 	}
 	// the progress watchdog is a timer every completed step pushes back by
 	// the progress deadline; left to run out, it cancels the run
@@ -86,16 +85,18 @@ func (s *Service) prepare(j *job, restartFrom string) (context.Context, core.Con
 	}
 	progress()
 
+	// how the job runs is the daemon's, whatever its request says: it walks
+	// on its share of the cores, so the pool's jobs together never walk more
+	// workers than GOMAXPROCS; its ranks overlap the velocity halos with the
+	// interior, the paper's one way (EXPERIMENTS.md: 10 of 12 pairs faster);
+	// and its engine resilience is the daemon's policy
 	cfg := j.req.Config
-	// every job walks on its share of the cores, whatever its request says,
-	// so the pool's jobs together never walk more workers than GOMAXPROCS
 	ranks := max(1, j.req.MX) * max(1, j.req.MY)
 	share := runtime.GOMAXPROCS(0) / s.opts.Workers
 	cfg.Tiles = core.DerivedTiles(share/ranks, cfg.Dims.Points()/int64(ranks))
-	// requests that configure their own engine resilience win, everything
-	// else inherits the daemon's policy
-	cfg.StepDeadline = cmp.Or(cfg.StepDeadline, s.opts.StepDeadline)
-	cfg.MaxFaultRetries = cmp.Or(cfg.MaxFaultRetries, s.opts.EngineRetries)
+	cfg.Overlap = ranks > 1
+	cfg.StepDeadline = s.opts.StepDeadline
+	cfg.MaxFaultRetries = s.opts.EngineRetries
 	// each step is a span on the job's track, dated by the engine's own
 	// stepping clock: base is when the engine attempt began stepping, taken
 	// at its first step event; a recovered fault rewinds the engine into a
@@ -148,7 +149,6 @@ func (s *Service) prepare(j *job, restartFrom string) (context.Context, core.Con
 		s.m.steps.Add(1)
 		progress()
 		if ctl != nil && ctl.Due(ev.Step) {
-			s.logEvent(j, journalEvent{Event: "progress", Attempt: attempt, Step: ev.Step})
 			s.tracer.Instant(0, tid, "job", "checkpoint", s.clk.Now(), map[string]any{"step": ev.Step})
 		}
 	}
@@ -259,7 +259,7 @@ func (s *Service) autoCheckpoints(req Request) bool {
 
 // estimateCost prices a request as it will run: an auto-checkpointing job
 // also holds the checkpoint lane's wavefield.
-func (s *Service) estimateCost(req Request) admission.Cost {
+func (s *Service) estimateCost(req Request) int64 {
 	cfg := req.Config
 	if s.autoCheckpoints(req) {
 		cfg.Checkpoint = &checkpoint.Controller{Interval: s.opts.CheckpointEvery}

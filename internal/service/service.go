@@ -77,16 +77,17 @@ func (s State) Terminal() bool {
 
 // Request describes one simulation job.
 type Request struct {
-	// Config is the full solver configuration (validated on Submit). Its
-	// Tiles is not the request's to choose: the daemon sets the walk's
-	// workers from the job's share of the cores.
+	// Config is the full solver configuration (validated on Submit). How it
+	// runs is not the request's to choose: the daemon sets its Tiles from
+	// the job's share of the cores, its Overlap from the layout, and its
+	// StepDeadline and MaxFaultRetries from Options.
 	Config core.Config
 	// MX, MY select the simulated-MPI process grid; both <= 1 runs the
 	// serial engine. Results are numerically identical either way, but
 	// trace order follows rank order, so the cache key includes the layout.
 	MX, MY int
 	// Timeout is the per-job deadline measured from the moment a worker
-	// starts the run; 0 uses Options.DefaultTimeout (0 = no deadline).
+	// starts the run (0 = no deadline).
 	Timeout time.Duration
 	// Class is the admission priority class: interactive (the default) or
 	// batch. The scheduler's weighted dispatch keeps batch work — ensemble
@@ -103,39 +104,32 @@ type Options struct {
 	// Workers is the worker-pool size; <= 0 uses runtime.GOMAXPROCS(0).
 	// Every job derives its walk workers on its share of the cores,
 	// GOMAXPROCS/Workers: one with the default pool, every core with a pool
-	// of one.
+	// of one. The submission queue holds 4*Workers jobs.
 	Workers int
-	// QueueSize bounds the submission queue; <= 0 uses 4*Workers.
-	QueueSize int
-	// DefaultTimeout applies to requests with no Timeout (0 = none).
-	DefaultTimeout time.Duration
 
 	// DataDir, when non-empty, makes the service durable: spec'd jobs are
 	// journaled to DataDir/journal.jsonl, running jobs (serial and
 	// parallel alike) are auto-checkpointed under
-	// DataDir/checkpoints/<job>/, and Open replays the journal on boot,
+	// DataDir/checkpoints/<job>/, Open replays the journal on boot,
 	// requeueing unfinished jobs so they resume from their latest valid
-	// checkpoint.
+	// checkpoint, and a transiently failing job is run up to 3 times,
+	// backing off exponentially from 100ms (without DataDir, once).
 	DataDir string
 	// CheckpointEvery is the auto-checkpoint interval in solver steps for
 	// durable jobs (0 = 25; negative disables auto-checkpointing).
 	CheckpointEvery int
-	// MaxAttempts caps how many times a transiently failing job is run
-	// before the failure becomes permanent; retries back off exponentially
-	// from 100ms. 0 means 3 when DataDir is set, else 1 (no retry).
-	MaxAttempts int
 
 	// StepDeadline arms the parallel engine's stalled-rank watchdog for
-	// jobs that don't set Config.StepDeadline themselves: a halo exchange
-	// waiting longer than this fails the step as a diagnosed stall instead
-	// of hanging the worker (0 = no watchdog).
+	// every job, whatever its Config says: a halo exchange waiting longer
+	// than this fails the step as a diagnosed stall instead of hanging the
+	// worker (0 = no watchdog).
 	StepDeadline time.Duration
-	// EngineRetries is the in-run fault-recovery budget handed to parallel
-	// jobs that don't set Config.MaxFaultRetries themselves: how many times
-	// the engine may rewind to its newest valid checkpoint and resume
-	// in-process after a halo-corruption, stall or rank-panic fault before
-	// the fault surfaces as a job failure (0 = no in-run recovery; the
-	// job-level retry policy still applies).
+	// EngineRetries is every parallel job's in-run fault-recovery budget,
+	// whatever its Config says: how many times the engine may rewind to its
+	// newest valid checkpoint and resume in-process after a
+	// halo-corruption, stall or rank-panic fault before the fault surfaces
+	// as a job failure (0 = no in-run recovery; the job-level retry policy
+	// still applies).
 	EngineRetries int
 
 	// MemBudget bounds the summed estimated working set
@@ -378,7 +372,7 @@ func (s *Service) declareMetrics() {
 	m.queued = r.Gauge("jobs_queued", "swquake_queue_depth", "Jobs currently waiting in the submission queue.")
 	m.queueHW = r.Gauge("", "swquake_queue_high_water", "Deepest the submission queue has been since boot.")
 	r.GaugeFunc("swquake_queue_capacity", "Submission queue capacity (backpressure threshold).",
-		func() float64 { return float64(s.opts.QueueSize) })
+		func() float64 { return float64(s.QueueSize()) })
 	r.GaugeFunc("swquake_workers", "Worker-pool size.",
 		func() float64 { return float64(s.opts.Workers) })
 	r.GaugeFunc("swquake_cache_entries", "Entries in the LRU result cache.",
@@ -469,15 +463,6 @@ func open(opts Options, clk clock.Clock) (*Service, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.QueueSize <= 0 {
-		opts.QueueSize = 4 * opts.Workers
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 1
-		if opts.DataDir != "" {
-			opts.MaxAttempts = 3
-		}
-	}
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = 25
 	}
@@ -511,7 +496,7 @@ func open(opts Options, clk clock.Clock) (*Service, error) {
 		}
 	}
 	// every recovered job must fit even when there are more than QueueSize
-	s.sched = admission.NewQueue(max(opts.QueueSize, len(live)), ledger)
+	s.sched = admission.NewQueue(max(s.QueueSize(), len(live)), ledger)
 	for _, rec := range live {
 		if err := s.requeueRecovered(rec); err != nil {
 			return nil, err
@@ -565,8 +550,8 @@ func (s *Service) Workers() int { return s.opts.Workers }
 // DataDir reports the data directory of a durable service ("" when volatile).
 func (s *Service) DataDir() string { return s.opts.DataDir }
 
-// QueueSize reports the submission-queue capacity.
-func (s *Service) QueueSize() int { return s.opts.QueueSize }
+// QueueSize reports the submission-queue capacity: four jobs per worker.
+func (s *Service) QueueSize() int { return 4 * s.opts.Workers }
 
 // Submit validates and enqueues a job, returning its ID. An identical
 // prior submission (same canonical config hash and process-grid layout)
@@ -602,8 +587,8 @@ func (s *Service) Submit(req Request) (string, error) {
 		return j.id, nil
 	}
 	cost := s.estimateCost(req)
-	j.item = &admission.Item{ID: j.id, Class: req.Class, Bytes: cost.Bytes, Payload: j}
-	if reason, err := s.admit(cost.Bytes); err != nil {
+	j.item = &admission.Item{ID: j.id, Class: req.Class, Bytes: cost, Payload: j}
+	if reason, err := s.admit(cost); err != nil {
 		j.cancel(nil)
 		s.m.rejected.Add(reason, 1)
 		return "", err

@@ -11,11 +11,13 @@ import (
 
 	"swquake/internal/admission"
 	"swquake/internal/core"
+	"swquake/internal/faultinject"
 	"swquake/internal/grid"
 	"swquake/internal/model"
 	"swquake/internal/scenario"
 	"swquake/internal/seismo"
 	"swquake/internal/source"
+	"swquake/internal/telemetry"
 )
 
 // tinyConfig is a fast linear run (tens of milliseconds).
@@ -230,9 +232,15 @@ func TestCancelMidRunFreesWorker(t *testing.T) {
 	}
 }
 
+// TestQueueBackpressure: the queue holds four jobs per worker; behind one
+// running job, a one-worker service takes four and refuses the fifth with
+// a Retry-After hint.
 func TestQueueBackpressure(t *testing.T) {
-	s := New(Options{Workers: 1, QueueSize: 1})
+	s := New(Options{Workers: 1})
 	defer drain(t, s)
+	if n := s.QueueSize(); n != 4 {
+		t.Fatalf("queue capacity %d, want 4 for one worker", n)
+	}
 
 	blocker, err := s.Submit(Request{Config: slowConfig()})
 	if err != nil {
@@ -240,24 +248,30 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	waitState(t, s, blocker, StateRunning)
 
-	queued, err := s.Submit(Request{Config: tinyConfig(10)})
-	if err != nil {
-		t.Fatalf("queued submit rejected: %v", err)
+	var queued []string
+	for i := range 4 {
+		id, err := s.Submit(Request{Config: tinyConfig(10 + i)})
+		if err != nil {
+			t.Fatalf("queued submit %d rejected: %v", i, err)
+		}
+		queued = append(queued, id)
 	}
-	_, err = s.Submit(Request{Config: tinyConfig(11)})
+	_, err = s.Submit(Request{Config: tinyConfig(14)})
 	if hint, ok := admission.RetryAfter(err); !errors.Is(err, ErrQueueFull) || !ok || hint <= 0 {
 		t.Fatalf("want ErrQueueFull with a Retry-After hint, got %v", err)
 	}
-	if m := metricsOf(s); m.Queued != 1 || m.Running != 1 {
-		t.Fatalf("gauges queued=%d running=%d, want 1/1", m.Queued, m.Running)
+	if m := metricsOf(s); m.Queued != 4 || m.Running != 1 {
+		t.Fatalf("gauges queued=%d running=%d, want 4/1", m.Queued, m.Running)
 	}
 
-	// canceling the queued job must not occupy the worker
-	if !s.Cancel(queued) {
-		t.Fatal("cancel queued job failed")
-	}
-	if st, _ := s.Status(queued); st.State != StateCanceled {
-		t.Fatalf("queued job state %s after cancel", st.State)
+	// canceling the queued jobs must not occupy the worker
+	for _, id := range queued {
+		if !s.Cancel(id) {
+			t.Fatal("cancel queued job failed")
+		}
+		if st, _ := s.Status(id); st.State != StateCanceled {
+			t.Fatalf("queued job state %s after cancel", st.State)
+		}
 	}
 	s.Cancel(blocker)
 	if st, _ := s.Wait(context.Background(), blocker); st.State != StateCanceled {
@@ -269,7 +283,7 @@ func TestQueueBackpressure(t *testing.T) {
 // its queue slot back at once, not when a worker gets round to popping it —
 // with the only worker busy, the next submission must fit.
 func TestCanceledQueuedJobFreesItsSlot(t *testing.T) {
-	s := New(Options{Workers: 1, QueueSize: 1})
+	s := New(Options{Workers: 1})
 	defer drain(t, s)
 	blocker, err := s.Submit(Request{Config: slowConfig()})
 	if err != nil {
@@ -278,7 +292,7 @@ func TestCanceledQueuedJobFreesItsSlot(t *testing.T) {
 	defer s.Cancel(blocker)
 	waitState(t, s, blocker, StateRunning)
 
-	for i := 0; i < 3; i++ { // any number of them, behind one long run
+	for i := range 2 * s.QueueSize() { // more of them than the queue holds, behind one long run
 		queued, err := s.Submit(Request{Config: tinyConfig(10 + i)})
 		if err != nil {
 			t.Fatalf("submission %d refused on an empty queue: %v", i, err)
@@ -295,7 +309,7 @@ func TestCanceledQueuedJobFreesItsSlot(t *testing.T) {
 // TestJobThatNeverRanReportsNoElapsedTime: a job canceled while queued
 // never started, so its status reads no running time.
 func TestJobThatNeverRanReportsNoElapsedTime(t *testing.T) {
-	s := New(Options{Workers: 1, QueueSize: 1})
+	s := New(Options{Workers: 1})
 	defer drain(t, s)
 	blocker, err := s.Submit(Request{Config: slowConfig()})
 	if err != nil {
@@ -386,9 +400,9 @@ func TestDrainDeadlineCancelsRunningJobs(t *testing.T) {
 // submissions on a bounded queue all complete or reject cleanly, and the
 // metrics are consistent with the observed outcomes.
 func TestConcurrentSubmissions(t *testing.T) {
-	s := New(Options{Workers: 2, QueueSize: 3})
+	s := New(Options{Workers: 2}) // a queue of 8
 
-	const n = 12
+	const n = 16
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var accepted []string
@@ -519,5 +533,86 @@ func TestJobsShareTheCores(t *testing.T) {
 				tc.pool, tc.tiles, res.Manifest.Workers, tc.want)
 		}
 		drain(t, s)
+	}
+}
+
+// TestTheDaemonDecidesHowAJobRuns: prepare sets how an attempt runs from the
+// daemon alone, whatever the request's Config says — the ranks overlap their
+// velocity halos (a serial job has none), the engine watchdog and in-run
+// recovery budget are Options', and the deadline is the request's own
+// Timeout or none at all.
+func TestTheDaemonDecidesHowAJobRuns(t *testing.T) {
+	s := New(Options{Workers: 1, StepDeadline: time.Second, EngineRetries: 2})
+	defer drain(t, s)
+	for _, tc := range []struct {
+		mx      int
+		timeout time.Duration
+	}{{1, 0}, {2, 0}, {1, time.Hour}, {2, time.Hour}} {
+		cfg := tinyConfig(10)
+		cfg.Overlap, cfg.StepDeadline, cfg.MaxFaultRetries = tc.mx == 1, time.Microsecond, 5
+		ctx, got, release := s.prepare(newJob("job-000001", Request{Config: cfg, MX: tc.mx, MY: 1, Timeout: tc.timeout}, ""), "")
+		_, deadline := ctx.Deadline()
+		release()
+		if got.Overlap != (tc.mx > 1) || got.StepDeadline != time.Second || got.MaxFaultRetries != 2 {
+			t.Errorf("%dx1: overlap %v, step deadline %v, %d fault retries; want %v, 1s, 2 (the daemon's)",
+				tc.mx, got.Overlap, got.StepDeadline, got.MaxFaultRetries, tc.mx > 1)
+		}
+		if deadline != (tc.timeout > 0) {
+			t.Errorf("%dx1, timeout %v: the attempt has a deadline: %v", tc.mx, tc.timeout, deadline)
+		}
+	}
+}
+
+// TestRankedJobsOverlapTheirHalos: a 2x1 job waits on its in-flight velocity
+// halos after the interior walk — its stage report has halo_wait — whether
+// its request asked for the overlap or not.
+func TestRankedJobsOverlapTheirHalos(t *testing.T) {
+	for _, asked := range []bool{false, true} {
+		s := New(Options{Workers: 1})
+		cfg := tinyConfig(10)
+		cfg.Overlap = asked
+		id, err := s.Submit(Request{Config: cfg, MX: 2, MY: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := s.Wait(context.Background(), id); err != nil || st.State != StateDone {
+			t.Fatalf("overlap asked %v: %+v, %v", asked, st, err)
+		}
+		var waits int64
+		for _, st := range s.StageReport().Stages {
+			if st.Name == telemetry.StageHaloWait.String() {
+				waits = st.Count
+			}
+		}
+		if waits == 0 {
+			t.Errorf("overlap asked %v: the 2x1 job's stage report has no halo_wait", asked)
+		}
+		drain(t, s)
+	}
+}
+
+// TestRequestEngineSettingsDoNotWin: a raw-Config 2x1 request that asks for
+// a microsecond step deadline and five in-run recoveries runs under the
+// default service's policy — no watchdog — so halo sends held back far
+// longer than its own deadline delay the job and do not fail it as a stall.
+func TestRequestEngineSettingsDoNotWin(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Enable(faultinject.HaloDelay, faultinject.Fault{Delay: 2 * time.Millisecond}) // every halo send
+	s := New(Options{Workers: 1})
+	defer drain(t, s)
+	cfg := tinyConfig(10)
+	cfg.StepDeadline, cfg.MaxFaultRetries = time.Microsecond, 5
+	id, err := s.Submit(Request{Config: cfg, MX: 2, MY: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	st, err := s.Wait(ctx, id)
+	if err != nil || st.State != StateDone || st.Attempt != 1 {
+		t.Fatalf("%+v, %v; want done at attempt 1", st, err)
+	}
+	if m := metricsOf(s); m.EngineFaults != 0 || faultinject.Hits(faultinject.HaloDelay) == 0 {
+		t.Fatalf("%d engine faults, %d delayed sends; want none and some", m.EngineFaults, faultinject.Hits(faultinject.HaloDelay))
 	}
 }

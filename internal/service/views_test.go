@@ -24,10 +24,10 @@ import (
 func TestViewsAgree(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	budget := 2 * validatedCost(t, slowConfig(), 1, 1).Bytes
+	budget := 2 * validatedCost(t, slowConfig(), 1, 1)
 	s, _ := openOnFake(t, Options{
-		Workers: 1, QueueSize: 1, MemBudget: budget,
-		SubmitRate:       3.5, // a bucket of seven tokens on a clock that never refills it: seven submissions reach the gates behind the limiter
+		Workers: 1, MemBudget: budget,
+		SubmitRate:       5, // a bucket of ten tokens on a clock that never refills it: ten submissions reach the gates behind the limiter
 		BreakerThreshold: 1, BreakerCooldown: time.Hour,
 		EngineRetries: 3,
 	})
@@ -52,13 +52,18 @@ func TestViewsAgree(t *testing.T) {
 
 	running := submit(Request{Config: slowConfig()}, nil)
 	waitState(t, s, running, StateRunning)
-	queued := submit(Request{Config: tinyConfig(11)}, nil)
+	var queued []string // the queue's four slots
+	for i := range 4 {
+		queued = append(queued, submit(Request{Config: tinyConfig(20 + i)}, nil))
+	}
 	submit(Request{Config: tinyConfig(12)}, ErrQueueFull)
 	huge := slowConfig()
 	huge.Dims = grid.Dims{Nx: 512, Ny: 512, Nz: 256}
 	submit(Request{Config: huge}, admission.ErrNeverFits)
-	if !s.Cancel(queued) || !s.Cancel(running) {
-		t.Fatal("cancel: unknown job")
+	for _, id := range append(queued, running) {
+		if !s.Cancel(id) {
+			t.Fatal("cancel: unknown job")
+		}
 	}
 	if st, err := s.Wait(ctx, running); err != nil || st.State != StateCanceled {
 		t.Fatalf("canceled job: %+v, %v", st, err)
@@ -68,15 +73,15 @@ func TestViewsAgree(t *testing.T) {
 	if st, err := s.Wait(ctx, submit(Request{Config: tinyConfig(13)}, nil)); err != nil || st.State != StateFailed {
 		t.Fatalf("panicking job: %+v, %v", st, err)
 	}
-	submit(Request{Config: tinyConfig(14)}, admission.ErrShedding)    // the breaker is open: token seven
+	submit(Request{Config: tinyConfig(14)}, admission.ErrShedding)    // the breaker is open: token ten
 	submit(Request{Config: tinyConfig(15)}, admission.ErrRateLimited) // the bucket is empty
 	drain(t, s)
 	submit(Request{Config: tinyConfig(16)}, ErrClosed)
 
 	want := map[string]int64{
-		"jobs_submitted": 5, "jobs_done": 2, "jobs_canceled": 2, "jobs_failed": 1,
+		"jobs_submitted": 8, "jobs_done": 2, "jobs_canceled": 5, "jobs_failed": 1,
 		"jobs_retried": 0, "jobs_recovered": 0, "jobs_queued": 0, "jobs_running": 0,
-		"cache_hits": 1, "cache_misses": 4, "jobs_rejected": 5,
+		"cache_hits": 1, "cache_misses": 7, "jobs_rejected": 5,
 		"worker_panics": 1, "breaker_trips": 1, "progress_stalls": 0,
 		"engine_faults": 1, "engine_recoveries": 1,
 		"journal_events": 0, "journal_errors": 0, "checkpoints_saved": 0,
@@ -102,7 +107,7 @@ func TestViewsAgree(t *testing.T) {
 		"checkpoints_saved": m.CheckpointsSaved, "cache_hits": m.CacheHits, "cache_misses": m.CacheMisses,
 		"steps_done": m.StepsDone, "engine_faults": m.EngineFaults, "engine_recoveries": m.EngineRecoveries,
 	}
-	if m.QueueDepth != ints["jobs_queued"] || m.QueueHighWater != 1 {
+	if m.QueueDepth != ints["jobs_queued"] || m.QueueHighWater != 4 {
 		t.Errorf("counters: queue depth %d, high water %d", m.QueueDepth, m.QueueHighWater)
 	}
 	if pm := s.Metrics(); pm != (Metrics{Recovered: m.Recovered, JournalEvents: m.JournalEvents,
@@ -151,11 +156,11 @@ func TestViewsAgree(t *testing.T) {
 		`swquake_jobs_rejected_total{reason="draining"}`:   1,
 		`swquake_engine_faults_total{kind="halo-corrupt"}`: 1, `swquake_engine_faults_total{kind="stall"}`: 0,
 		`swquake_engine_faults_total{kind="panic"}`: 0,
-		"swquake_queue_high_water":                  1, "swquake_breaker_open": 1, "swquake_mem_budget_bytes": budget,
+		"swquake_queue_high_water":                  4, "swquake_breaker_open": 1, "swquake_mem_budget_bytes": budget,
 		"swquake_job_duration_seconds_count": 3, // healed, canceled while running, failed: the three that reached a worker
-		// the same three left running; they and the job canceled in the queue left queued
-		`swquake_job_state_seconds_count{state="queued"}`: 4, `swquake_job_state_seconds_count{state="running"}`: 3,
-		`swquake_job_state_seconds_count{state="retrying"}`: 0, `swquake_job_state_seconds_bucket{state="queued",le="+Inf"}`: 4,
+		// the same three left running; they and the four jobs canceled in the queue left queued
+		`swquake_job_state_seconds_count{state="queued"}`: 7, `swquake_job_state_seconds_count{state="running"}`: 3,
+		`swquake_job_state_seconds_count{state="retrying"}`: 0, `swquake_job_state_seconds_bucket{state="queued",le="+Inf"}`: 7,
 	} {
 		if v, ok := samples[sample]; !ok || v != n {
 			t.Errorf("exposition: %s = %d (present %v), want %d", sample, v, ok, n)

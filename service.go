@@ -15,7 +15,8 @@ type JobService = service.Service
 // optional simulated-MPI process grid, and an optional deadline.
 type JobRequest = service.Request
 
-// JobOptions sizes a JobService (workers, queue bound, cache entries).
+// JobOptions configures a JobService: its worker pool (the queue holds four
+// jobs per worker), durability, engine resilience and admission policy.
 type JobOptions = service.Options
 
 // JobStatus is a job's externally visible state and progress.
